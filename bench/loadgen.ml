@@ -28,7 +28,7 @@
 
 let usage = "loadgen [--host H] [--port P] [--clients N] [--requests M]\n\
             \        [--rate R] [--read-pct PCT] [--batch on|off]\n\
-            \        [--databases N] [--shards N] [--value-bytes N]\n\
+            \        [--databases N] [--value-bytes N]\n\
             \        [--sweep N,N,...]\n\
             \        [--json FILE] [--quick] [--planner] [--telemetry]\n\
             \        [--soak] [--standby H:P] [--failover] [--sharded]"
@@ -54,8 +54,7 @@ type cfg = {
   mutable databases : int;
       (* spread clients round-robin over this many databases (uni0,
          uni1, ...); 1 = everyone on 'university' *)
-  mutable shards : int;  (* executor shards for self-hosted servers *)
-  mutable sharded : bool;  (* the E19 shard-scaling comparison *)
+  mutable sharded : bool;  (* the E19 mixed-tenant comparison *)
   mutable value_bytes : int;
       (* payload size per INSERT; 0 = the legacy tiny 'p<i>' payload *)
 }
@@ -80,7 +79,6 @@ let parse_args () =
       standby = None;
       failover = false;
       databases = 1;
-      shards = 1;
       sharded = false;
       value_bytes = 0;
     }
@@ -136,14 +134,6 @@ let parse_args () =
       end;
       cfg.databases <- n;
       go rest
-    | "--shards" :: v :: rest ->
-      let n = int_of_string v in
-      if n < 1 then begin
-        Printf.eprintf "--shards must be >= 1\n";
-        exit 2
-      end;
-      cfg.shards <- n;
-      go rest
     | "--sharded" :: rest -> cfg.sharded <- true; go rest
     | "--value-bytes" :: v :: rest ->
       let n = int_of_string v in
@@ -182,11 +172,11 @@ let db_for_client ~databases client =
    same state: university preloaded, a real fsync'd WAL on a temp file —
    the durability cost group commit is meant to amortise. With
    [databases = N > 1] the preload is the [uni0..uniN-1] family instead
-   (same DDL and rows each), each with its own WAL — the shape the
-   sharded executor partitions. *)
+   (same DDL and rows each), each with its own WAL and so its own
+   flusher. *)
 let start_server ?grid ?recorder_capacity ?slow_threshold_s
     ?(checkpoint_every_bytes = 0) ?(checkpoint_every_s = 0.)
-    ?(shed_p99_target_s = 0.) ?(databases = 1) ?(shards = 1) ~batch () =
+    ?(shed_p99_target_s = 0.) ?(databases = 1) ~batch () =
   let sys = Mlds.System.create () in
   let dbs =
     if databases <= 1 then [ "university" ]
@@ -232,7 +222,6 @@ let start_server ?grid ?recorder_capacity ?slow_threshold_s
       base with
       port = 0;
       batch;
-      shards;
       recorder_capacity =
         Option.value ~default:base.Server.Core.recorder_capacity
           recorder_capacity;
@@ -879,31 +868,17 @@ let run_soak cfg =
   end;
   phases
 
-(* The E19 shard-scaling comparison: a 2-database mixed-tenant workload
-   at 8 clients against two self-hosted batched servers — one with the
-   classic single executor, one with one shard per database — plus a
-   single-database 1-client cell in both modes, the no-regression
-   guard: with one client there is nothing to overlap, so sharding must
-   cost nothing. Tenant uni0 ingests 4 KiB documents (its group commits
-   flush tens of kilobytes, so the covering fsync dominates its waves);
-   tenant uni1 runs point reads. The sharded win is overlap, not
-   parallel compute: while the writer shard sits inside its WAL fsync
-   (a syscall, so the OCaml runtime lock is released) the reader shard
-   keeps popping, dispatching and replying — even on a single core.
-
-   How much of that overlap turns into throughput is a property of the
-   host's flush path, not of the executor: when both WALs live on one
-   filesystem with one journal, the kernel serialises the two flush
-   streams right back (on such a box two threads fsyncing two files
-   top out at ~1.3x one thread — see EXPERIMENTS.md E19). So before
-   the cells run, [fsync_overlap_probe] measures exactly that ceiling
-   on the WAL directory's filesystem and records it as the
-   loadgen.sharded.fsync_overlap gauge; the guardrail in CI reads it
-   and demands the issue's 1.5x where the substrate can deliver it
-   (ceiling >= 1.8 — independent flush paths measure ~2x, one shared
-   journal <= ~1.5x noisily) and no-regression (>= 0.85, i.e. 1.0
-   within cell noise) where it physically cannot. The single-database c1 p99 guard
-   applies everywhere: sharding may never tax the uncontended path.
+(* E19, the mixed-tenant comparison: a 2-database workload at 8
+   clients against a self-hosted default server, plus a single-database
+   1-client cell against the serial executor ([batch = false]) and the
+   default one — the no-regression guard: with one client there is
+   nothing to overlap, so pipelining the covering fsync must cost
+   nothing. Tenant uni0 ingests 4 KiB documents (its group commits flush
+   tens of kilobytes, so the covering fsync dominates its waves); tenant
+   uni1 runs point reads. The executor hands each fsync to uni0's
+   flusher thread and starts the next batch at once, so uni1's reads
+   never wait behind uni0's fsync: overlap of a blocked syscall (the
+   OCaml runtime lock is released inside it), not parallel compute.
    --value-bytes/--read-pct override the tenant mix to explore other
    regimes. *)
 let sharded_total = 6400
@@ -912,56 +887,14 @@ let sharded_single_total = 400
 
 let sharded_value_bytes = 4096
 
-(* The host's physical fsync-overlap ceiling: how much faster two
-   threads flushing two files go than one thread flushing both in
-   turn, on the same filesystem the benchmark WALs live on. This is
-   the most sharding could ever recover from the durability path —
-   1.0 means the kernel fully serialises independent flush streams
-   (one shared journal), ~2.0 means they truly proceed in parallel. *)
-let fsync_overlap_probe () =
-  let iters = 48 in
-  let buf = Bytes.make 4096 'x' in
-  let mk () =
-    let path = Filename.temp_file "mlds_fsync_probe" ".bin" in
-    (path, Unix.openfile path [ Unix.O_WRONLY ] 0o600)
-  in
-  let p1, f1 = mk () and p2, f2 = mk () in
-  let step fd =
-    ignore (Unix.write fd buf 0 (Bytes.length buf));
-    Unix.fsync fd
-  in
-  (* one warmup pair so file creation/journal setup lands outside the
-     timed windows *)
-  step f1;
-  step f2;
-  let t0 = Obs.Clock.now_s () in
-  for _ = 1 to iters do
-    step f1;
-    step f2
-  done;
-  let serial_s = Obs.Clock.since t0 in
-  let spin fd = for _ = 1 to iters do step fd done in
-  let t0 = Obs.Clock.now_s () in
-  let th = Thread.create spin f1 in
-  spin f2;
-  Thread.join th;
-  let concurrent_s = Obs.Clock.since t0 in
-  List.iter
-    (fun (path, fd) ->
-      Unix.close fd;
-      try Sys.remove path with Sys_error _ -> ())
-    [ (p1, f1); (p2, f2) ];
-  if concurrent_s > 0. then serial_s /. concurrent_s else 1.
-
 let run_sharded cfg =
   let databases = Stdlib.max 2 cfg.databases in
-  let shards_hi = if cfg.shards > 1 then cfg.shards else databases in
   (* pin the E19 mix unless the caller overrode it explicitly *)
   let saved_read_pct = cfg.read_pct and saved_value_bytes = cfg.value_bytes in
   if not cfg.read_pct_set then cfg.read_pct <- 0;
   if cfg.value_bytes = 0 then cfg.value_bytes <- sharded_value_bytes;
-  let cell ?gen ~label ~databases ~shards ~clients ~total () =
-    let hosted = start_server ~batch:true ~databases ~shards () in
+  let cell ?gen ~label ~batch ~databases ~clients ~total () =
+    let hosted = start_server ~batch ~databases () in
     let server, _ = hosted in
     let saved = cfg.databases in
     cfg.databases <- databases;
@@ -979,69 +912,46 @@ let run_sharded cfg =
   (* The 2-database mixed-tenant mix, aligned with the round-robin
      database assignment: even clients land on [uni0] and ingest 4 KiB
      documents (the fsync-heavy tenant), odd clients land on [uni1] and
-     run read statements (the latency-sensitive tenant). On the single
-     lane both tenants share one queue and one thread: reads are
-     admitted to the lane behind the writers' batches and dispatched
-     around the covering fsync, so the tenants interfere at every wave.
-     One shard per database gives each tenant its own queue and its own
-     thread — the reader shard keeps popping and dispatching while the
-     writer shard sits inside [Unix.fsync] (a syscall, so the OCaml
-     runtime lock is released). *)
+     run read statements (the latency-sensitive tenant). *)
   let lane_gen ~client ~i =
     if client mod 2 = 0 then
       request_text ~read_pct:0 ~value_bytes:cfg.value_bytes ~client ~i ()
     else request_text ~read_pct:100 ~value_bytes:0 ~client ~i ()
   in
-  let fsync_overlap = fsync_overlap_probe () in
-  Printf.printf "host fsync-overlap ceiling (2 files, 2 threads): %.2fx\n%!"
-    fsync_overlap;
-  let lane1 =
-    cell ~gen:lane_gen ~label:"shards1_c8" ~databases ~shards:1 ~clients:8
+  let mixed =
+    cell ~gen:lane_gen ~label:"mixed_c8" ~batch:true ~databases ~clients:8
       ~total:sharded_total ()
   in
-  let lane_n =
-    cell ~gen:lane_gen
-      ~label:(Printf.sprintf "shards%d_c8" shards_hi)
-      ~databases ~shards:shards_hi ~clients:8 ~total:sharded_total ()
-  in
   (* The no-regression guard cells write the small legacy payload: one
-     client, one database, nothing to overlap — a pure measure of the
-     dispatch overhead sharding adds to the durability path, without
-     large-payload fsync variance swamping a 400-request p99. *)
+     client, one database — a pure measure of what the flusher hand-off
+     adds to the durability path, without large-payload fsync variance
+     swamping a 400-request p99. *)
   let single_gen ~client ~i =
     request_text ~read_pct:0 ~value_bytes:0 ~client ~i ()
   in
   let single_serial =
-    cell ~gen:single_gen ~label:"single_serial_c1" ~databases:1 ~shards:1
+    cell ~gen:single_gen ~label:"single_serial_c1" ~batch:false ~databases:1
       ~clients:1 ~total:sharded_single_total ()
   in
-  let single_sharded =
-    cell ~gen:single_gen ~label:"single_sharded_c1" ~databases:1
-      ~shards:shards_hi ~clients:1 ~total:sharded_single_total ()
+  let single =
+    cell ~gen:single_gen ~label:"single_c1" ~batch:true ~databases:1
+      ~clients:1 ~total:sharded_single_total ()
   in
   let g name v =
     Obs.Metrics.set_gauge (Obs.Metrics.gauge ("loadgen.sharded." ^ name)) v
   in
-  let speedup =
-    if throughput lane1 > 0. then throughput lane_n /. throughput lane1 else 0.
-  in
   g "databases" (float_of_int databases);
-  g "shards" (float_of_int shards_hi);
   g "cores" (float_of_int (Domain.recommended_domain_count ()));
-  g "fsync_overlap" fsync_overlap;
-  g "speedup" speedup;
   g "single_serial_p99_s" single_serial.stats.Obs.Metrics.p99;
-  g "single_sharded_p99_s" single_sharded.stats.Obs.Metrics.p99;
-  Printf.printf
-    "sharded/single-lane throughput on %d databases at 8 clients: %.2fx\n%!"
-    databases speedup;
-  Printf.printf
-    "single-database c1 p99: serial %.1f us, sharded %.1f us\n%!"
+  g "single_p99_s" single.stats.Obs.Metrics.p99;
+  Printf.printf "mixed-tenant throughput on %d databases at 8 clients: %.1f req/s\n%!"
+    databases (throughput mixed);
+  Printf.printf "single-database c1 p99: serial %.1f us, default %.1f us\n%!"
     (single_serial.stats.Obs.Metrics.p99 *. 1e6)
-    (single_sharded.stats.Obs.Metrics.p99 *. 1e6);
+    (single.stats.Obs.Metrics.p99 *. 1e6);
   cfg.read_pct <- saved_read_pct;
   cfg.value_bytes <- saved_value_bytes;
-  [ lane1; lane_n; single_serial; single_sharded ]
+  [ mixed; single_serial; single ]
 
 (* The E18 failover drill: real [mlds_server] subprocesses — a primary
    and a warm standby wired with --standby-of — because the point is the
@@ -1285,7 +1195,7 @@ let () =
         None
       | Some batch ->
         let hosted =
-          start_server ~batch ~databases:cfg.databases ~shards:cfg.shards ()
+          start_server ~batch ~databases:cfg.databases ()
         in
         let server, _ = hosted in
         cfg.host <- "127.0.0.1";
@@ -1323,8 +1233,8 @@ let () =
     end
     else if cfg.sharded then begin
       Printf.printf
-        "loadgen E19 shards: %d requests/cell over %d databases, single \
-         executor vs one shard per database at 8 clients\n%!"
+        "loadgen E19 mixed tenants: %d requests/cell over %d databases at \
+         8 clients, plus the single-database c1 guard\n%!"
         sharded_total
         (Stdlib.max 2 cfg.databases);
       run_sharded cfg

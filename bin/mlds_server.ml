@@ -18,12 +18,10 @@ let install_signal_handlers () =
   (try Sys.set_signal Sys.sigterm (Sys.Signal_handle request) with _ -> ());
   (* SIGUSR1 = promote a standby (no-op on a primary); handled in the
      main wait loop, never in the signal context *)
-  (try
-     Sys.set_signal Sys.sigusr1
-       (Sys.Signal_handle (fun _ -> Atomic.set promote_requested true))
-   with _ -> ());
-  (* a dying client mid-write must not kill the server *)
-  try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with _ -> ()
+  try
+    Sys.set_signal Sys.sigusr1
+      (Sys.Signal_handle (fun _ -> Atomic.set promote_requested true))
+  with _ -> ()
 
 (* "HOST:PORT" (the last colon splits, so a v6 literal still parses). *)
 let parse_primary spec =
@@ -38,8 +36,8 @@ let parse_primary spec =
 
 let preload t backends databases =
   (* 'university' always; with --databases N also the uni0..uniN-1
-     family (same DDL and rows) — the multi-database shape the sharded
-     executor partitions, and what loadgen --databases N logs into *)
+     family (same DDL and rows) — the multi-tenant shape loadgen
+     --databases N logs into *)
   let names =
     "university"
     :: (if databases > 1 then
@@ -66,7 +64,7 @@ let preload t backends databases =
 let run host port backends parallel queue_cap idle_timeout batch fresh
     wal_file checkpoint_file max_seconds telemetry_file telemetry_period
     slow_ms recorder_cap ckpt_every_bytes ckpt_every_s shed_p99_ms standby_of
-    shards databases =
+    databases =
   install_signal_handlers ();
   let standby_primary =
     match standby_of with
@@ -115,7 +113,6 @@ let run host port backends parallel queue_cap idle_timeout batch fresh
       queue_capacity = queue_cap;
       idle_timeout_s = idle_timeout;
       batch;
-      shards;
       recorder_capacity = recorder_cap;
       slow_threshold_s = slow_ms /. 1000.;
       checkpoint_path = checkpoint_file;
@@ -328,22 +325,11 @@ let standby_of_arg =
     & opt (some string) None
     & info [ "standby-of" ] ~docv:"HOST:PORT" ~doc)
 
-let shards_arg =
-  let doc =
-    "Executor shards (1-64). Each database is owned by one shard \
-     (first-login assignment, round-robin) and all its mutations execute \
-     serially there; sessions on different databases run concurrently, \
-     their WAL fsyncs overlapping. Cross-shard work (Stats, checkpoints, \
-     replication) escalates to a global lane that briefly quiesces the \
-     shards. 1 = the classic single executor."
-  in
-  Arg.(value & opt int 1 & info [ "shards" ] ~docv:"N" ~doc)
-
 let databases_arg =
   let doc =
     "Additionally preload $(docv) databases uni0..uni(N-1) (same schema \
-     and rows as 'university') — a multi-database workload for the \
-     sharded executor; 1 preloads only 'university'."
+     and rows as 'university') — a multi-tenant workload; 1 preloads only \
+     'university'."
   in
   Arg.(value & opt int 1 & info [ "databases" ] ~docv:"N" ~doc)
 
@@ -364,6 +350,6 @@ let cmd =
       $ checkpoint_arg $ max_seconds_arg $ telemetry_arg
       $ telemetry_period_arg $ slow_ms_arg $ recorder_cap_arg
       $ ckpt_every_bytes_arg $ ckpt_every_s_arg $ shed_p99_ms_arg
-      $ standby_of_arg $ shards_arg $ databases_arg)
+      $ standby_of_arg $ databases_arg)
 
 let () = exit (Cmd.eval' cmd)

@@ -34,9 +34,6 @@ type sample = {
   queue_depth : int;
   requests_total : float;
   slow_threshold_s : float option;  (* None: recorder disabled *)
-  (* per executor shard: (id, queue_depth, sessions, batches); a single
-     entry on the classic single-executor server *)
-  shards : (int * int * int * int) list;
   metrics : (string * J.t) list;  (* name -> full sample object *)
 }
 
@@ -78,18 +75,6 @@ let fetch_stats client =
           slow_threshold_s =
             Option.bind (J.member "recorder" json)
               (J.num_member "slow_threshold_s");
-          shards =
-            (match J.member "shards" json with
-            | Some (J.Arr items) ->
-              List.filter_map
-                (fun item ->
-                  match J.int_member "id" item with
-                  | Some id ->
-                    let f k = Option.value ~default:0 (J.int_member k item) in
-                    Some (id, f "queue_depth", f "sessions", f "batches")
-                  | None -> None)
-                items
-            | _ -> []);
           metrics;
         }
       in
@@ -183,17 +168,6 @@ let render ~target ~prev ~cur ~tail ~keep =
   in
   add "mlds_top — %s   uptime %.1fs   sessions %d   conns %d   queue %d\n"
     target cur.uptime_s cur.sessions cur.connections cur.queue_depth;
-  (* the shard line: one cell per executor shard, plus the global lane's
-     escalation count; omitted on a classic single-executor server *)
-  if List.length cur.shards > 1 then
-    add "shards %s   escalations %.0f\n"
-      (String.concat "  "
-         (List.map
-            (fun (id, depth, sessions, batches) ->
-              Printf.sprintf "[%d: q%d s%d b%d]" id depth sessions batches)
-            cur.shards))
-      (Option.value ~default:0.
-         (metric_num cur "server.global_lane.escalations" "value"));
   add "requests %.0f total   %.1f rps   rejected %.0f   shed %.0f   \
        disconnects %.0f   slow %.0f\n"
     cur.requests_total rps

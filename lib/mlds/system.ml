@@ -43,13 +43,12 @@ type t = {
   stmt_cache : parsed Stmt_cache.t;
       (* (language, source) -> parse result; repeated statements skip LIL *)
   next_handle : int Atomic.t;
-  (* Guards the tables executor shards mutate concurrently: [users],
-     [sql_engines], [txn_owners]. Critical sections are a lookup or a
-     single replace/remove — never a kernel call. [wals] and [registry]
-     stay unguarded: both are mutated only at startup or under the
-     server's global barrier (promote), and read-only at steady state
-     apart from the per-shard group-commit iteration, which tolerates a
-     stable table. *)
+  (* Guards [users], [sql_engines] and [txn_owners], which the server's
+     executor mutates while read-pool domains may consult them. Critical
+     sections are a lookup or a single replace/remove — never a kernel
+     call. [wals] and [registry] stay unguarded: both are mutated only at
+     startup or on the executor (promote), the thread that also runs the
+     group-commit bracket. *)
   mx : Mutex.t;
 }
 
@@ -455,11 +454,10 @@ let handle_session h = h.h_session
 
 let handle_closed h = h.h_closed
 
-(* [txn_owners] is read on every classification and mutated by whichever
-   shard owns the database; distinct databases hit the table from
-   distinct shard threads, so each access takes the system mutex (the
+(* [txn_owners] is read on every classification and mutated by the
+   server's executor; each access takes the system mutex (the
    per-database check-then-set sequences need no wider lock — one
-   database's transactions are serialized by its owning shard). *)
+   database's transactions are serialized by the executor). *)
 let txn_owner t ~db = locked t (fun () -> Hashtbl.find_opt t.txn_owners db)
 
 let txn_claim t ~db id = locked t (fun () -> Hashtbl.replace t.txn_owners db id)
@@ -532,8 +530,8 @@ let submit_handle h src =
 
 (* The barrier-free submit for statements the scheduler already admitted
    as reads at a serial point. It deliberately skips the [blocked]
-   re-check: a snapshot-pinned read may still be running when its shard
-   executes a later BEGIN on the same database, and re-consulting the
+   re-check: a snapshot-pinned read may still be running when the executor
+   runs a later BEGIN on the same database, and re-consulting the
    live transaction table from the pool would refuse (H_busy) a read
    that, in the equivalent serial order, preceded that BEGIN. The
    admission decision was made when no transaction was open; the pinned
@@ -693,7 +691,7 @@ let classify_handle h src =
 (* --- snapshot reads -------------------------------------------------------- *)
 
 (* A pinned view of one database's store for the read pool: captured at
-   a shard's serial point, installed around the read task on whatever
+   an executor serial point, installed around the read task on whatever
    pool domain runs it. Only single-store kernels are snapshot-capable —
    a Multi kernel executes on the MBDS pool's owner domains, where a
    caller-domain pin cannot follow the work. *)
@@ -724,8 +722,8 @@ let db_epoch t ~db =
     | Mapping.Kernel.Single store -> Some (Abdm.Store.epoch store)
     | Mapping.Kernel.Multi _ -> None)
 
-(* Index builds queued by pinned readers (see Abdm.Store): the owning
-   shard drains them at a serial point. Returns how many were built. *)
+(* Index builds queued by pinned readers (see Abdm.Store): the
+   executor drains them at a serial point. Returns how many were built. *)
 let build_pending_indexes t ~db =
   match kernel_of t db with
   | None -> 0
@@ -739,27 +737,19 @@ let build_pending_indexes t ~db =
 
 (* --- WAL group commit ----------------------------------------------------- *)
 
-(* Brackets a server batch: every WAL attached to this system (narrowed
-   by [only] — an executor shard passes its own databases, so two shards
-   never defer or fsync each other's logs) defers its commit-time fsyncs
-   until [wal_group_end], which issues one covering fsync per log. The
-   server withholds mutation acks between the two calls, so confirmed ⇒
-   durable is preserved. *)
-let wal_group_begin ?(only = fun _ -> true) t =
-  Hashtbl.iter
-    (fun db wal ->
-      if only db then try Wal.begin_group wal with Wal.Crash _ -> ())
+(* Brackets a server batch: every attached WAL defers its commit-time
+   fsyncs. [wal_group_end] closes the bracket without fsyncing and
+   returns the logs that owe a covering fsync, each with the position it
+   must reach; the server hands those to its flushers and withholds the
+   acks until they land, so confirmed => durable is preserved. *)
+let wal_group_begin t =
+  Hashtbl.iter (fun _ wal -> try Wal.begin_group wal with Wal.Crash _ -> ())
     t.wals
 
-let wal_group_end ?(only = fun _ -> true) t =
-  let failures = ref [] in
-  Hashtbl.iter
-    (fun db wal ->
-      if only db then
-        try Wal.end_group wal
-        with Wal.Crash msg -> failures := (db, msg) :: !failures)
-    t.wals;
-  match !failures with
-  | [] -> Ok ()
-  | (db, msg) :: _ ->
-    Error (Printf.sprintf "WAL for %s failed at group commit: %s" db msg)
+let wal_group_end t =
+  Hashtbl.fold
+    (fun _ wal owed ->
+      Wal.leave_group wal;
+      let pos = Wal.committed_position wal in
+      if pos > Wal.synced_position wal then (wal, pos) :: owed else owed)
+    t.wals []

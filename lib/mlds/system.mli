@@ -266,10 +266,10 @@ val classify_handle : handle -> string -> [ `Read | `Write ]
 
     A [db_snapshot] pins one database's single-store state at the epoch
     it was captured (an O(1) atomic load — see {!Abdm.Store.snapshot}).
-    The executor shard captures at a serial point; the read pool wraps
-    the read task in {!with_db_snapshot}, and every store read inside
-    then sees exactly the captured epoch, regardless of writes the shard
-    executes concurrently. [None] for unknown databases and Multi-backend
+    The server's executor captures at a serial point; the read pool
+    wraps the read task in {!with_db_snapshot}, and every store read
+    inside then sees exactly the captured epoch, regardless of writes the
+    executor runs concurrently. [None] for unknown databases and Multi-backend
     kernels (their reads keep barrier semantics). *)
 
 type db_snapshot
@@ -290,15 +290,15 @@ val build_pending_indexes : t -> db:string -> int
 (** {2 Group commit}
 
     [wal_group_begin t] puts every WAL attached to [t] into group-commit
-    mode ({!Wal.begin_group}); [wal_group_end t] issues the covering
-    fsyncs ({!Wal.end_group}) and reports the first failure. The server
-    executor brackets each request batch with the pair and withholds
-    mutation acknowledgements in between, so a batch of K commits costs
-    one fsync per log while confirmed ⇒ durable is unchanged. On
-    [Error], every ack withheld during the group must be converted to a
-    failure — the commits may not be durable. [only] narrows the bracket
-    to the databases it accepts: an executor shard passes its own
-    databases so concurrent shards never fsync each other's logs. *)
-val wal_group_begin : ?only:(string -> bool) -> t -> unit
+    mode ({!Wal.begin_group}): commit-time fsyncs are deferred.
+    [wal_group_end t] leaves group mode {e without} fsyncing
+    ({!Wal.leave_group}) and returns every log whose last commit point is
+    not yet durable, paired with that position
+    ({!Wal.committed_position}). The caller owes each one
+    [Wal.sync_to wal pos] and must withhold the acknowledgements absorbed
+    in between until it succeeds — if it fails, those commits may not be
+    durable. The server executor brackets each request batch with the
+    pair and hands the owed fsyncs to per-WAL flusher threads. *)
+val wal_group_begin : t -> unit
 
-val wal_group_end : ?only:(string -> bool) -> t -> (unit, string) result
+val wal_group_end : t -> (Wal.t * int) list

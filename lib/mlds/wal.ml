@@ -13,18 +13,25 @@ type failure =
   | Crash_before_fsync
   | Crash_mid_frame
   | Short_write of int
+  | Fsync_eio
 
+(* One thread appends (the executor) while another fsyncs (a flusher):
+   [mx] guards every field both of them touch. The fsync syscall itself
+   runs outside the lock. *)
 type t = {
   wal_path : string;
+  mx : Mutex.t;
   mutable fd : Unix.file_descr option;  (* None once closed or crashed *)
   mutable do_fsync : bool;
   mutable len : int;  (* bytes written to the OS *)
+  mutable commit_len : int;  (* [len] at the last commit point *)
   mutable synced_len : int;  (* bytes known durable (last fsync) *)
   mutable appends : int;
   mutable fsyncs : int;  (* real fsync syscalls issued by this handle *)
   mutable grouping : bool;  (* inside begin_group..end_group *)
-  mutable deferred_syncs : int;  (* sync requests absorbed by the group *)
+  mutable deferred_syncs : int;  (* commit points not yet covered by a fsync *)
   mutable failpoint : (int * failure) option;
+  mutable fsync_eio : bool;  (* armed: the next fsync fails with EIO *)
   mutable generation : int;  (* bumped by every truncate; 0 for a virgin log *)
   mutable last_trunc : (int * int * int) option;
       (* (new_gen, keep_from, base): the most recent truncation's
@@ -190,15 +197,18 @@ let open_log ?(fsync = true) path =
   Obs.Metrics.set_gauge g_bytes (float_of_int len);
   {
     wal_path = path;
+    mx = Mutex.create ();
     fd = Some fd;
     do_fsync = fsync;
     len;
+    commit_len = len;
     synced_len = len;
     appends = 0;
     fsyncs = 0;
     grouping = false;
     deferred_syncs = 0;
     failpoint = None;
+    fsync_eio = false;
     generation;
     last_trunc = None;
     trunc_crash = false;
@@ -213,6 +223,8 @@ let generation t = t.generation
 (* Byte length of the log right now: the position a snapshot taken at
    this instant covers. Frames at offsets below it are pre-snapshot. *)
 let position t = t.len
+
+let committed_position t = t.commit_len
 
 (* Bytes known durable — the replication shipper streams up to here and
    no further, so a standby never holds frames the primary could lose. *)
@@ -244,6 +256,7 @@ let die t msg =
   raise (Crash msg)
 
 let append t entry =
+  Mutex.protect t.mx @@ fun () ->
   let fd = live t in
   t.appends <- t.appends + 1;
   let frame = frame_of_payload (encode_entry entry) in
@@ -269,6 +282,12 @@ let append t entry =
         (try Unix.ftruncate fd t.synced_len
          with Unix.Unix_error _ -> Obs.Metrics.incr c_trim_failed);
         die t "crash before fsync"
+      | Fsync_eio ->
+        (* the frame is written normally; the fsync that would cover it
+           reports EIO *)
+        write_all fd frame 0 flen;
+        t.len <- t.len + flen;
+        t.fsync_eio <- true
     end
   | Some _ | None ->
     let t0 = Obs.Clock.now_s () in
@@ -277,30 +296,50 @@ let append t entry =
     Obs.Metrics.set_gauge g_bytes (float_of_int t.len);
     Obs.Metrics.observe h_append (Obs.Clock.since t0)
 
-(* The dirty check: an fsync with nothing appended since the last one is
-   a wasted syscall (it shows up directly in wal.fsync_s), so it is
-   skipped — durability is unchanged because there is nothing new to make
-   durable. *)
-let dirty t = t.len > t.synced_len
-
-let fsync_now t =
-  let fd = live t in
-  if t.do_fsync && dirty t then begin
+(* Make at least the first [pos] bytes durable. Safe while another
+   thread appends: the descriptor and the length to cover are read under
+   the lock, the fsync runs outside it, and [synced_len] advances only if
+   the handle survived the call. Nothing is issued when [pos] is already
+   durable — an fsync with nothing new to cover is a wasted syscall that
+   would show up directly in wal.fsync_s. *)
+let sync_to t pos =
+  let job =
+    Mutex.protect t.mx (fun () ->
+        let fd = live t in
+        if (not t.do_fsync) || t.synced_len >= pos then None
+        else begin
+          let eio = t.fsync_eio in
+          t.fsync_eio <- false;
+          Some (fd, t.len, t.deferred_syncs, eio)
+        end)
+  in
+  match job with
+  | None -> ()
+  | Some (fd, upto, covered, eio) ->
     let t0 = Obs.Clock.now_s () in
+    if eio then raise (Unix.Unix_error (Unix.EIO, "fsync", t.wal_path));
     Unix.fsync fd;
-    t.fsyncs <- t.fsyncs + 1;
-    t.synced_len <- t.len;
-    Obs.Metrics.observe h_fsync (Obs.Clock.since t0)
-  end
+    Mutex.protect t.mx (fun () ->
+        (* a handle that died meanwhile has lost its unsynced tail *)
+        ignore (live t);
+        t.fsyncs <- t.fsyncs + 1;
+        t.synced_len <- Stdlib.max t.synced_len upto;
+        t.deferred_syncs <- Stdlib.max 0 (t.deferred_syncs - covered));
+    Obs.Metrics.observe h_fsync (Obs.Clock.since t0);
+    if covered > 0 then Obs.Metrics.observe h_group (float_of_int covered)
 
 let sync t =
-  ignore (live t);
-  if t.grouping then begin
-    (* group commit: remember that a commit point passed; the covering
-       fsync happens once, at end_group, and acks are withheld until then *)
-    if t.do_fsync && dirty t then t.deferred_syncs <- t.deferred_syncs + 1
-  end
-  else fsync_now t
+  let now =
+    Mutex.protect t.mx (fun () ->
+        ignore (live t);
+        t.commit_len <- t.len;
+        (* group commit: remember that a commit point passed; the
+           covering fsync comes later, and acks are withheld until then *)
+        if t.grouping && t.do_fsync && t.len > t.synced_len then
+          t.deferred_syncs <- t.deferred_syncs + 1;
+        not t.grouping)
+  in
+  if now then sync_to t t.commit_len
 
 let fsyncs t = t.fsyncs
 
@@ -310,18 +349,15 @@ let begin_group t =
 
 let in_group t = t.grouping
 
+let leave_group t = t.grouping <- false
+
 let end_group t =
   if t.grouping then begin
-    t.grouping <- false;
-    let covered = t.deferred_syncs in
-    t.deferred_syncs <- 0;
-    if covered > 0 then begin
-      fsync_now t;
-      Obs.Metrics.observe h_group (float_of_int covered)
-    end
+    leave_group t;
+    sync_to t t.commit_len
   end
 
-let truncate t =
+let truncate_locked t =
   let fd = live t in
   let old_len = t.len in
   Unix.ftruncate fd 0;
@@ -333,11 +369,14 @@ let truncate t =
   write_all fd marker 0 (Bytes.length marker);
   t.last_trunc <- Some (t.generation, old_len, Bytes.length marker);
   t.len <- Bytes.length marker;
+  t.commit_len <- t.len;
   t.synced_len <- t.len;
   t.deferred_syncs <- 0;
   t.fsyncs <- t.fsyncs + 1;
   Unix.fsync fd;
   Obs.Metrics.set_gauge g_bytes (float_of_int t.len)
+
+let truncate t = Mutex.protect t.mx (fun () -> truncate_locked t)
 
 (* Truncate to a checkpoint position while keeping the tail — the frames
    appended after the snapshot was captured. The replacement log (a
@@ -349,8 +388,9 @@ let truncate t =
    replays). *)
 let truncate_to t ~keep_from =
   if t.grouping then invalid_arg "Wal.truncate_to: inside a commit group";
+  Mutex.protect t.mx @@ fun () ->
   let fd = live t in
-  if keep_from >= t.len then truncate t
+  if keep_from >= t.len then truncate_locked t
   else begin
     let tail_len = t.len - keep_from in
     let tail = Bytes.create tail_len in
@@ -394,6 +434,7 @@ let truncate_to t ~keep_from =
     t.last_trunc <- Some (gen, keep_from, Bytes.length marker);
     t.generation <- gen;
     t.len <- len;
+    t.commit_len <- len;
     t.synced_len <- len;
     t.deferred_syncs <- 0;
     t.fsyncs <- t.fsyncs + 1;
@@ -401,6 +442,7 @@ let truncate_to t ~keep_from =
   end
 
 let close t =
+  Mutex.protect t.mx @@ fun () ->
   match t.fd with
   | None -> ()
   | Some fd ->

@@ -37,7 +37,8 @@
     the process died); the file is left exactly as a real crash at that
     point would leave it — including dropping bytes that were written but
     never fsynced ([Crash_before_fsync]) and leaving a half-written frame
-    ([Crash_mid_frame] / [Short_write]). The qcheck harness in
+    ([Crash_mid_frame] / [Short_write]). [Fsync_eio] instead makes the
+    covering fsync report a disk error. The qcheck harness in
     [test/test_wal.ml] drives this to prove the recovery property. *)
 
 (** Raised by a handle whose armed failpoint fired (and by any later use
@@ -81,6 +82,12 @@ val generation : t -> int
     feed the pair back as [?skip] to {!recover}. *)
 val position : t -> int
 
+(** {!position} as of the last commit point ({!sync}): every committed
+    mutation lies below it. An acknowledgement, or a read that may have
+    observed a commit, is safe to release once this many bytes are
+    durable. Frames of a transaction still open lie beyond it. *)
+val committed_position : t -> int
+
 (** Bytes known durable (covered by the last fsync). The replication
     shipper streams up to here and no further, so a standby never holds
     frames the primary itself could lose in a crash. *)
@@ -98,12 +105,23 @@ val last_truncation : t -> (int * int * int) option
     histogram. *)
 val append : t -> entry -> unit
 
-(** [sync t] makes every appended frame durable (fsync) when the knob is
-    on. Observed in the [wal.fsync_s] histogram. The fsync is skipped
-    when nothing was appended since the last one (the syscall would be
-    pure overhead), and {e deferred} inside a {!begin_group} bracket —
-    see {2:group Group commit}. *)
+(** [sync t] marks a commit point and makes every appended frame durable
+    (fsync) when the knob is on. Observed in the [wal.fsync_s] histogram.
+    The fsync is skipped when nothing was appended since the last one (the
+    syscall would be pure overhead), and {e deferred} inside a
+    {!begin_group} bracket — see {2:group Group commit}. *)
 val sync : t -> unit
+
+(** [sync_to t pos] makes at least the first [pos] bytes durable: one
+    fsync covering everything appended so far, skipped when [pos] is
+    already durable or the knob is off. Safe to call from one thread
+    while another appends — the server's flusher threads do exactly
+    that. On success {!synced_position} advances; on failure it does
+    not, and the error propagates: {!Crash} for a dead handle (including
+    one that died during the call), [Unix.Unix_error] from the fsync
+    itself. The handle stays usable after a [Unix_error]; a later call
+    retries. *)
+val sync_to : t -> int -> unit
 
 (** {2:group Group commit}
 
@@ -117,11 +135,19 @@ val sync : t -> unit
     [end_group] returns. [end_group] observes the number of commits the
     covering fsync amortised in the [wal.group_commit_size] histogram,
     and raises {!Crash} if the handle died inside the group (the caller
-    must then treat every absorbed commit as unacknowledged). *)
+    must then treat every absorbed commit as unacknowledged).
+
+    [leave_group t] closes the group {e without} the covering fsync: the
+    caller owes it, as [sync_to t (committed_position t)], and must
+    withhold the absorbed acknowledgements until it succeeds. The
+    server's executor leaves the group at batch end and hands that call
+    to a flusher thread. *)
 
 val begin_group : t -> unit
 
 val end_group : t -> unit
+
+val leave_group : t -> unit
 
 val in_group : t -> bool
 
@@ -159,10 +185,16 @@ type failure =
           every byte written since the last successful [sync] is lost *)
   | Crash_mid_frame  (** the frame is torn in half on disk *)
   | Short_write of int  (** only [n] bytes of the frame reach disk *)
+  | Fsync_eio
+      (** not a crash: the frame is written normally, and the next fsync
+          raises [Unix.Unix_error (EIO, "fsync", path)] without advancing
+          {!synced_position} — a disk error reported at the durability
+          point *)
 
 (** [arm_failpoint t ~after_appends:k failure] — the [k]-th subsequent
-    [append] (1-based) simulates [failure] and raises {!Crash}. One-shot;
-    re-arming replaces the previous failpoint. *)
+    [append] (1-based) simulates [failure]: the crash variants raise
+    {!Crash} there, [Fsync_eio] fails the fsync that would cover it.
+    One-shot; re-arming replaces the previous failpoint. *)
 val arm_failpoint : t -> after_appends:int -> failure -> unit
 
 (** One-shot: the next {!truncate_to} dies (raises {!Crash}) after the

@@ -11,7 +11,7 @@ let run_inline ~deliver tasks =
     tasks
 
 (* The asynchronous variant: fan the run out and return immediately with
-   an await thunk, so the caller (an executor shard) can keep executing
+   an await thunk, so the caller (the executor) can keep executing
    writes at later epochs while the snapshot-pinned reads are still in
    flight. Without a usable pool the tasks run inline right now — the
    caller gets barrier semantics automatically. The await thunk must be

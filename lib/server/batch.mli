@@ -28,7 +28,7 @@ val run_reads :
 
 (** [dispatch ?pool tasks] fans the run out on [pool] and returns an
     await thunk immediately, without waiting for any task: the executor
-    shard dispatches a snapshot-pinned read run, then keeps executing
+    dispatches a snapshot-pinned read run, then keeps executing
     writes at later epochs while the run is still in flight, and calls
     the thunk (exactly once, from the dispatching thread) at its next
     serial point to collect the results in task order. With no usable

@@ -46,9 +46,9 @@ val pop : 'a t -> 'a option
 val pop_batch : 'a t -> max:int -> 'a list
 
 (** Non-blocking {!pop_batch}: drain up to [max] already-queued items
-    and return immediately — [[]] when nothing is waiting. The group
-    -commit gathering window uses this to fold late arrivals into the
-    open batch without ever sleeping on the queue's condition. *)
+    and return immediately — [[]] when nothing is waiting. The executor
+    uses this while an online checkpoint is in flight, so it can advance
+    the checkpoint between batches instead of sleeping on the queue. *)
 val try_pop_batch : 'a t -> max:int -> 'a list
 
 val close : 'a t -> unit

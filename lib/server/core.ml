@@ -7,9 +7,7 @@ type config = {
   send_timeout_s : float;
   batch : bool;
   max_batch : int;
-  group_window_s : float;
   read_workers : int;
-  shards : int;
   executor_hook : (unit -> unit) option;
   recorder_capacity : int;
   slow_log_capacity : int;
@@ -31,18 +29,9 @@ let default_config =
     send_timeout_s = 10.;
     batch = true;
     max_batch = 32;
-    (* roughly a dozen fsyncs' worth: long enough for every busy client
-       to get a commit into the group, short enough to stay well under
-       human-visible latency *)
-    group_window_s = 0.002;
     (* capped like the MBDS shared pool; 1 on a single-core box, which
        disables the read pool (runs stay inline on the executor) *)
     read_workers = min 8 (Domain.recommended_domain_count ());
-    (* one executor shard = the serial executor of old. More shards pay
-       off when sessions spread over more than one database: each shard
-       owns a subset of the databases and runs its own batch loop, so
-       two shards' WAL fsyncs overlap instead of convoying *)
-    shards = 1;
     executor_hook = None;
     (* the flight recorder: last 4096 requests, lock-free; 0 disables *)
     recorder_capacity = 4096;
@@ -60,12 +49,31 @@ let default_config =
     shed_p99_target_s = 0.;
   }
 
+(* A reply's place in its connection's outbox. It leaves once it is
+   computed and its gate is open — the WAL position it depends on is
+   durable, or it depends on none. A failed covering fsync fails the
+   gate and the reply leaves as an error instead. *)
+type gate =
+  | Waiting
+  | Open
+  | Failed of string
+
+type slot = {
+  s_frame : Wire.request Wire.frame;
+  mutable s_session : int;
+  mutable s_msg : Wire.response option;
+  mutable s_gate : gate;
+}
+
 type conn = {
   c_id : int;
   fd : Unix.file_descr;
   peer : string;
+  (* guards the socket, [alive] and [outbox]: replies are completed by
+     the executor, read-pool domains and flusher threads *)
   write_mx : Mutex.t;
   mutable alive : bool;
+  outbox : slot Queue.t;  (* executor-produced replies, arrival order *)
 }
 
 type job =
@@ -75,26 +83,15 @@ type job =
   | J_request of conn * Wire.request Wire.frame * float
   | J_disconnect of conn
   | J_reap
-  | J_barrier
-      (* a wake token the global lane pushes when it wants the shards
-         quiesced: carries no work, only gets a shard out of a blocking
-         pop so it reaches its parking check *)
+  | J_task of (unit -> unit)
+      (* an injected closure (the replication plane): standby applies,
+         bootstrap snapshots. Always rides the control lane. *)
 
-(* Work for the global lane: everything that cannot be pinned to one
-   shard because it spans databases or reads other shards' state —
-   telemetry over all session tables, the checkpoint state machine,
-   injected replication closures. The lane quiesces every shard (the
-   epoch barrier) before running any of it. *)
-type gjob =
-  | G_request of conn * Wire.request Wire.frame * float
-  | G_task of (unit -> unit)
-  | G_tick  (* heartbeat: re-check the checkpoint triggers *)
-
-(* An online checkpoint in flight on the global lane: begun under the
-   barrier, advanced one bounded slice at a time (rendered on the read
-   pool when one exists), finished (snapshot + WAL truncate) under the
-   barrier when the capture is drained. Waiters are \checkpoint clients
-   whose reply is withheld until the checkpoint is durable. *)
+(* An online checkpoint in flight: begun at a serial point, advanced one
+   bounded slice at a time between batches (rendered on the read pool
+   when one exists), finished (snapshot + WAL truncate) when the capture
+   is drained. Waiters are \checkpoint clients whose reply is withheld
+   until the checkpoint is durable. *)
 type ckpt_state = {
   ck : Mlds.Persist.ckpt;
   ck_file : string;
@@ -103,41 +100,11 @@ type ckpt_state = {
   mutable ck_waiters : (conn * Wire.request Wire.frame) list;
 }
 
-(* One executor shard: its own bounded queue, its own session table, its
-   own batch loop thread. A database is owned by exactly one shard
-   (first-login assignment, round-robin), so all mutations of one
-   database execute serially on its owner — exactly the old single
-   executor, narrowed to a subset of the databases. *)
-type shard = {
-  sh_id : int;
-  sh_queue : job Bounded_queue.t;
-  sh_sessions : Sessions.t;
-  sh_g_depth : Obs.Metrics.gauge;
-  sh_h_batch : Obs.Metrics.histogram;
-  (* current batch id (drawn from the server-wide sequence), stamped
-     into recorder events *)
-  mutable sh_batch : int;
-  (* shard-owned rolling window of request sojourn times feeding the
-     latency-target limiter *)
-  lat_window : float array;
-  mutable lat_count : int;
-  mutable sh_thread : Thread.t option;
-}
-
 type t = {
   cfg : config;
   sys : Mlds.System.t;
-  shards : shard array;
-  (* session id -> owning shard, written at login on the owning shard
-     (before the login reply is released), erased on every close path;
-     read by connection reader threads to route frames *)
-  routes : (int, int) Hashtbl.t;
-  routes_mx : Mutex.t;
-  (* database -> owning shard: first-seen assignment, round-robin, never
-     reassigned *)
-  db_shards : (string, int) Hashtbl.t;
-  db_mx : Mutex.t;
-  mutable next_db_shard : int;
+  queue : job Bounded_queue.t;
+  sessions : Sessions.t;  (* executor-owned *)
   (* reads run asynchronously (snapshot-pinned, on the pool) only when a
      real pool exists; otherwise runs execute inline at their serial
      point — barrier semantics, no pins needed *)
@@ -147,6 +114,14 @@ type t = {
      shared-pool futures, and awaiting those from a shared-pool worker
      could deadlock — the two tiers' workers must stay disjoint. *)
   read_pool : Mbds.Pool.t option;
+  (* one flusher per attached WAL, created when the log first owes a
+     fsync; executor-owned *)
+  mutable flushers : Flusher.t list;
+  (* the dispatched read run still in flight (its await thunk) and the
+     sessions it serves; executor-owned, and carried across batches so
+     the next batch's writes overlap it *)
+  mutable inflight : (unit -> unit list) option;
+  inflight_sessions : (int, unit) Hashtbl.t;
   listener : Unix.file_descr;
   bound_port : int;
   conns : (int, conn) Hashtbl.t;
@@ -154,30 +129,22 @@ type t = {
   mutable next_conn : int;
   recorder : Obs.Recorder.t option;
   started_s : float;
-  (* server-wide batch id sequence; each shard draws its next id here *)
-  batch_seq : int Atomic.t;
+  batch_seq : int Atomic.t;  (* current batch id, stamped into events *)
   draining : bool Atomic.t;
   stopped : bool Atomic.t;
   reaper_stop : bool Atomic.t;
   on_drain : unit -> unit;
+  mutable executor_thread : Thread.t option;
   mutable accept_thread : Thread.t option;
-  mutable global_thread : Thread.t option;
   mutable reaper_thread : Thread.t option;
   shutdown_mx : Mutex.t;
-  (* the global lane's own (unbounded-control) queue *)
-  gqueue : gjob Bounded_queue.t;
-  (* the epoch barrier: the global lane raises [quiesce], wakes every
-     shard with a J_barrier token, and waits until each is parked (or
-     retired, i.e. its loop exited at shutdown) *)
-  gl_mx : Mutex.t;
-  gl_cond : Condition.t;
-  quiesce : bool Atomic.t;
-  mutable parked : int;
-  mutable retired : int;
-  (* serializes on_durable invocations: shards and the global lane all
-     publish durability points *)
+  (* executor-owned rolling window of request sojourn times feeding the
+     latency-target limiter *)
+  lat_window : float array;
+  mutable lat_count : int;
+  (* serializes on_durable: every flusher and the checkpoint publish *)
   durable_mx : Mutex.t;
-  (* global-lane-owned: the online-checkpoint state machine *)
+  (* executor-owned: the online-checkpoint state machine *)
   mutable ckpt : ckpt_state option;
   mutable last_ckpt_s : float;
   mutable last_ckpt_mark : int;  (* WAL position right after the last one *)
@@ -185,9 +152,9 @@ type t = {
   (* --- the replication plane's hooks (all optional, all off by default) --- *)
   (* a warm standby refuses writes with Err Read_only until promoted *)
   read_only : bool Atomic.t;
-  (* called right after each batch's covering fsync and after every
-     finished checkpoint: the shipper publishes the durable WAL position
-     to its sender threads from here *)
+  (* called right after each covering fsync and after every finished
+     checkpoint: the shipper publishes the durable WAL position to its
+     sender threads from here *)
   mutable on_durable : (unit -> unit) option;
   (* bracket around the checkpoint's WAL truncation (true = entering the
      rename window, false = truncation published): the shipper stops
@@ -213,8 +180,6 @@ let c_requests = Obs.Metrics.counter "server.requests_total"
 
 let c_disconnects = Obs.Metrics.counter "server.disconnects_total"
 
-let c_escalations = Obs.Metrics.counter "server.global_lane.escalations"
-
 let h_opcode name = Obs.Metrics.histogram ("server.request." ^ name ^ "_s")
 
 let h_batch =
@@ -231,112 +196,110 @@ let h_ckpt = Obs.Metrics.histogram "server.checkpoint.duration_s"
 
 let g_ckpt_reclaimed = Obs.Metrics.gauge "server.checkpoint.reclaimed_bytes"
 
-(* server.queue_depth stays the fleet total; each shard also exposes its
-   own server.shard.<i>.queue_depth *)
 let note_depth t =
-  let total =
-    Array.fold_left
-      (fun acc sh ->
-        let d = Bounded_queue.depth sh.sh_queue in
-        Obs.Metrics.set_gauge sh.sh_g_depth (float_of_int d);
-        acc + d)
-      0 t.shards
-  in
-  Obs.Metrics.set_gauge g_queue_depth (float_of_int total)
-
-(* --- shard routing -------------------------------------------------------- *)
-
-(* A known database is assigned to a shard the first time a login names
-   it, round-robin, and keeps that owner forever. Unknown names fall to
-   shard 0 (whose login will produce the error) without polluting the
-   assignment table. *)
-let shard_of_db t db =
-  let n = Array.length t.shards in
-  if n = 1 then 0
-  else begin
-    Mutex.lock t.db_mx;
-    let s =
-      match Hashtbl.find_opt t.db_shards db with
-      | Some s -> s
-      | None ->
-        if List.exists (fun (d, _) -> String.equal d db)
-             (Mlds.System.databases t.sys)
-        then begin
-          let s = t.next_db_shard mod n in
-          t.next_db_shard <- t.next_db_shard + 1;
-          Hashtbl.replace t.db_shards db s;
-          s
-        end
-        else 0
-    in
-    Mutex.unlock t.db_mx;
-    s
-  end
-
-(* The shard's database set, captured once per batch so the same [only]
-   filter brackets wal_group_begin and wal_group_end even if another
-   login assigns a new database mid-batch. [None] = everything (the
-   single-shard server, where the one shard covers all WALs). *)
-let dbs_owned t sh_id =
-  if Array.length t.shards = 1 then None
-  else begin
-    Mutex.lock t.db_mx;
-    let dbs =
-      Hashtbl.fold
-        (fun db s acc -> if s = sh_id then db :: acc else acc)
-        t.db_shards []
-    in
-    Mutex.unlock t.db_mx;
-    Some dbs
-  end
-
-let register_route t ~session ~shard =
-  if Array.length t.shards > 1 then begin
-    Mutex.lock t.routes_mx;
-    Hashtbl.replace t.routes session shard;
-    Mutex.unlock t.routes_mx
-  end
-
-(* Routing on the reader thread: logins go to the named database's
-   owner, everything else follows the session's route. A session with no
-   route (bogus id, already closed) goes to a deterministic shard whose
-   lookup produces the same unknown-session error any shard would. *)
-let shard_for_frame t (frame : Wire.request Wire.frame) =
-  let n = Array.length t.shards in
-  if n = 1 then 0
-  else
-    match frame.Wire.msg with
-    | Wire.Login { db; _ } -> shard_of_db t db
-    | _ ->
-      let id = frame.Wire.session_id in
-      Mutex.lock t.routes_mx;
-      let s = Hashtbl.find_opt t.routes id in
-      Mutex.unlock t.routes_mx;
-      (match s with Some s -> s | None -> ((id mod n) + n) mod n)
+  Obs.Metrics.set_gauge g_queue_depth
+    (float_of_int (Bounded_queue.depth t.queue))
 
 (* --- connection writes --------------------------------------------------- *)
 
-(* Responses reach a connection from several threads — its own reader
-   (Overloaded/Pong/Shutting_down), its shard, the global lane, and
-   read-pool domains — so each write takes the connection's mutex. A
-   failed write just marks the connection dead; its reader observes the
-   broken socket and triggers the normal disconnect path. *)
-let send conn (frame : Wire.response Wire.frame) =
-  Mutex.lock conn.write_mx;
-  (try
-     if conn.alive then Wire.write_frame conn.fd (Wire.encode_response frame)
-   with _ -> conn.alive <- false);
-  Mutex.unlock conn.write_mx
+(* A failed write just marks the connection dead; its reader observes
+   the broken socket and triggers the normal disconnect path. The caller
+   holds [write_mx]. *)
+let write_locked conn (frame : Wire.response Wire.frame) =
+  try
+    if conn.alive then Wire.write_frame conn.fd (Wire.encode_response frame)
+  with _ -> conn.alive <- false
 
-let reply conn (req : 'a Wire.frame) ?session_id msg =
-  send conn
+let frame_to (req : 'a Wire.frame) ~session_id msg =
+  {
+    Wire.version = Wire.protocol_version;
+    request_id = req.Wire.request_id;
+    session_id;
+    msg;
+  }
+
+let send conn frame =
+  Mutex.protect conn.write_mx (fun () -> write_locked conn frame)
+
+(* A reply that bypasses the outbox: reader-thread answers (Pong,
+   Overloaded, Shutting_down, Tail), telemetry and checkpoint replies. *)
+let reply conn (req : 'a Wire.frame) msg =
+  send conn (frame_to req ~session_id:req.Wire.session_id msg)
+
+(* Send every reply at the head of the outbox that may leave — so a
+   connection's replies go out in arrival order, each once its gate
+   opens. A failed gate turns a success into an error: the reply may
+   show, or confirm, a write that is not durable. *)
+let rec flush_outbox conn =
+  match Queue.peek_opt conn.outbox with
+  | Some { s_msg = Some msg; s_gate = (Open | Failed _) as gate; s_frame; s_session }
+    ->
+    ignore (Queue.pop conn.outbox);
+    let msg =
+      match gate, msg with
+      | Failed why, (Wire.Output _ | Wire.Logged_in _ | Wire.Goodbye) ->
+        Wire.Err (Wire.Exec_error, why)
+      | _ -> msg
+    in
+    write_locked conn (frame_to s_frame ~session_id:s_session msg);
+    flush_outbox conn
+  | Some _ | None -> ()
+
+let update conn f =
+  Mutex.protect conn.write_mx (fun () ->
+      f ();
+      flush_outbox conn)
+
+(* Take the frame's place in the outbox — called by the executor in
+   arrival order. [ready] is a reply that depends on no WAL. *)
+let enqueue ?ready conn (frame : Wire.request Wire.frame) =
+  let slot =
     {
-      Wire.version = Wire.protocol_version;
-      request_id = req.Wire.request_id;
-      session_id =
-        (match session_id with Some id -> id | None -> req.Wire.session_id);
-      msg;
+      s_frame = frame;
+      s_session = frame.Wire.session_id;
+      s_msg = ready;
+      s_gate = (if Option.is_none ready then Waiting else Open);
     }
+  in
+  update conn (fun () -> Queue.push slot conn.outbox);
+  slot
+
+let complete conn slot ~session msg =
+  update conn (fun () ->
+      slot.s_session <- session;
+      slot.s_msg <- Some msg)
+
+(* --- the flushers ---------------------------------------------------------- *)
+
+let notify_durable t =
+  match t.on_durable with
+  | None -> ()
+  | Some f -> Mutex.protect t.durable_mx (fun () -> try f () with _ -> ())
+
+let flusher_of t wal = List.find_opt (fun f -> Flusher.wal f == wal) t.flushers
+
+let flusher_for t wal =
+  match flusher_of t wal with
+  | Some f -> f
+  | None ->
+    let f = Flusher.create ~on_durable:(fun () -> notify_durable t) wal in
+    t.flushers <- f :: t.flushers;
+    f
+
+(* The release rule. A reply depends on its session's database WAL up to
+   the commit position at this instant — admission for a pinned read,
+   right after execution for a serial op: everything the reply can show
+   or confirm lies below it. It leaves once that position is durable. *)
+let set_gate t conn slot db =
+  match Option.bind db (fun db -> Mlds.System.wal_of t.sys ~db) with
+  | None -> update conn (fun () -> slot.s_gate <- Open)
+  | Some wal ->
+    Flusher.when_durable (flusher_for t wal)
+      (Mlds.Wal.committed_position wal)
+      (fun failed ->
+        update conn (fun () ->
+            slot.s_gate <-
+              (match failed with None -> Open | Some why -> Failed why)))
 
 (* --- the executor -------------------------------------------------------- *)
 
@@ -356,18 +319,7 @@ let response_of_handle_error (e : Mlds.System.handle_error) =
     Wire.Err (Wire.Exec_error, text)
 
 let live_conns t =
-  Mutex.lock t.conns_mx;
-  let n = Hashtbl.length t.conns in
-  Mutex.unlock t.conns_mx;
-  n
-
-let notify_durable t =
-  match t.on_durable with
-  | None -> ()
-  | Some f ->
-    Mutex.lock t.durable_mx;
-    (try f () with _ -> ());
-    Mutex.unlock t.durable_mx
+  Mutex.protect t.conns_mx (fun () -> Hashtbl.length t.conns)
 
 (* --- the flight recorder -------------------------------------------------- *)
 
@@ -378,8 +330,8 @@ let outcome_of_msg = function
     Obs.Recorder.O_ok
 
 (* Every completed request becomes one ring event — lock-free, so this
-   is safe from shards, the global lane, read-pool domains, and reader
-   threads (the Overloaded path). [?outcome] overrides the msg-derived
+   is safe from the executor, read-pool domains, and reader threads (the
+   Overloaded path). [?outcome] overrides the msg-derived
    outcome — the shed path sends [Overloaded] but records [O_shed] so
    dashboards can tell limiter drops from queue-full rejects. *)
 let record_event ?outcome t (frame : Wire.request Wire.frame) ~session
@@ -443,16 +395,9 @@ let summary_json (s : Sessions.summary) =
     (Obs.Json.quote s.Sessions.sum_db)
     (Obs.Json.number s.Sessions.sum_idle_s)
 
-(* Runs on the global lane with every shard quiesced — the only way one
-   thread may read all the shard-owned session tables at once. *)
+(* Runs on the executor: it reads the executor-owned session table. *)
 let stats_response t =
   let now = Obs.Clock.now_s () in
-  let sessions_total =
-    Array.fold_left (fun a sh -> a + Sessions.active sh.sh_sessions) 0 t.shards
-  in
-  let depth_total =
-    Array.fold_left (fun a sh -> a + Bounded_queue.depth sh.sh_queue) 0 t.shards
-  in
   let b = Buffer.create 2048 in
   let add = Buffer.add_string b in
   add
@@ -463,22 +408,9 @@ let stats_response t =
   add
     (Printf.sprintf
        "\"sessions\":%d,\"connections\":%d,\"queue_depth\":%d,\"queue_capacity\":%d,\"batch\":%b,\"max_batch\":%d,"
-       sessions_total (live_conns t) depth_total t.cfg.queue_capacity t.cfg.batch
+       (Sessions.active t.sessions) (live_conns t)
+       (Bounded_queue.depth t.queue) t.cfg.queue_capacity t.cfg.batch
        t.cfg.max_batch);
-  add "\"shards\":[";
-  add
-    (String.concat ","
-       (Array.to_list
-          (Array.map
-             (fun sh ->
-               Printf.sprintf
-                 "{\"id\":%d,\"queue_depth\":%d,\"sessions\":%d,\"batches\":%d}"
-                 sh.sh_id
-                 (Bounded_queue.depth sh.sh_queue)
-                 (Sessions.active sh.sh_sessions)
-                 sh.sh_batch)
-             t.shards)));
-  add "],";
   (match t.recorder with
   | Some r ->
     add
@@ -489,12 +421,9 @@ let stats_response t =
          (Obs.Json.number (Obs.Recorder.slow_threshold_s r)))
   | None -> add "\"recorder\":null,");
   add "\"session_list\":[";
-  let summaries =
-    Array.to_list t.shards
-    |> List.concat_map (fun sh -> Sessions.summaries sh.sh_sessions ~now)
-    |> List.sort (fun a b -> compare a.Sessions.sum_id b.Sessions.sum_id)
-  in
-  add (String.concat "," (List.map summary_json summaries));
+  add
+    (String.concat ","
+       (List.map summary_json (Sessions.summaries t.sessions ~now)));
   add "],\"metrics\":[";
   add
     (String.concat ","
@@ -525,17 +454,16 @@ let tail_response t ~cursor ~slow_cursor ~max_events =
          (String.concat "," (List.map Obs.Recorder.event_json events))
          slow_cursor' slow_dropped
          (String.concat "," (List.map Obs.Recorder.slow_json slow)))
-
-(* Compute (never send) the response to one frame — the serial path,
-   running on the owning shard's thread against the shard's session
-   table. *)
-let compute_response t sh conn (frame : Wire.request Wire.frame) =
+(* Compute (never send) the response to one frame — the serial path, on
+   the executor. Also returns the database of the session the request
+   ran under: its WAL gates the reply. *)
+let compute_response t conn (frame : Wire.request Wire.frame) =
   let opcode = Wire.opcode_name frame.Wire.msg in
   Obs.Metrics.incr c_requests;
   let t0 = Obs.Clock.now_s () in
   let session_id = ref frame.Wire.session_id in
   (* the handle the request ran against, kept for the flight recorder
-     (language tag) and the slow-query log (plan capture) *)
+     (language tag), the slow-query log (plan capture) and the gate *)
   let used_handle = ref None in
   let msg =
     Obs.Span.with_span "server.request"
@@ -550,26 +478,22 @@ let compute_response t sh conn (frame : Wire.request Wire.frame) =
         match frame.Wire.msg with
         | Wire.Login { user; language; db } ->
           (match
-             Sessions.login sh.sh_sessions ~conn:conn.c_id ~user ~language ~db
+             Sessions.login t.sessions ~conn:conn.c_id ~user ~language ~db
            with
           | Ok entry ->
             session_id := entry.Sessions.id;
             used_handle := Some entry.Sessions.handle;
-            (* route before the reply is released: the client can only
-               name this session after reading the (withheld) reply *)
-            register_route t ~session:entry.Sessions.id ~shard:sh.sh_id;
             Wire.Logged_in entry.Sessions.id
           | Error msg -> Wire.Err (Wire.Exec_error, msg))
         | Wire.Ping -> Wire.Pong
         | Wire.Bye -> Wire.Goodbye
-        (* unreachable from a shard (the batch walk forwards telemetry
-           and checkpoint ops to the global lane), but kept total for
-           safety *)
+        (* unreachable (the batch walk answers telemetry and checkpoint
+           ops itself), but kept total for safety *)
         | Wire.Stats -> stats_response t
         | Wire.Tail { cursor; slow_cursor; max_events } ->
           tail_response t ~cursor ~slow_cursor ~max_events
         | Wire.Checkpoint ->
-          Wire.Err (Wire.Bad_request, "checkpoint rides the global lane")
+          Wire.Err (Wire.Bad_request, "checkpoint rides the control lane")
         (* both are answered on the connection's reader thread; defensive *)
         | Wire.Promote ->
           Wire.Err (Wire.Bad_request, "not a standby: nothing to promote")
@@ -577,7 +501,7 @@ let compute_response t sh conn (frame : Wire.request Wire.frame) =
           Wire.Err (Wire.Bad_request, "replication not enabled on this server")
         | Wire.Submit _ | Wire.Explain _ | Wire.Begin_txn | Wire.Commit_txn
         | Wire.Abort_txn | Wire.Logout ->
-          (match Sessions.find sh.sh_sessions frame.Wire.session_id with
+          (match Sessions.find t.sessions frame.Wire.session_id with
           | None ->
             Wire.Err
               ( Wire.Bad_session,
@@ -636,7 +560,7 @@ let compute_response t sh conn (frame : Wire.request Wire.frame) =
               | Ok () -> Wire.Output (ack Wire.Abort_txn)
               | Error e -> response_of_handle_error e)
             | Wire.Logout ->
-              Sessions.close sh.sh_sessions entry;
+              Sessions.close t.sessions entry;
               Wire.Goodbye
             | Wire.Login _ | Wire.Ping | Wire.Bye | Wire.Stats | Wire.Tail _
             | Wire.Checkpoint | Wire.Promote | Wire.Repl_hello _ ->
@@ -649,46 +573,22 @@ let compute_response t sh conn (frame : Wire.request Wire.frame) =
     | Some h -> Mlds.System.language_to_string (Mlds.System.handle_language h)
     | None -> "-"
   in
-  record_event t frame ~session:!session_id ~language ~latency_s:dt ~msg
-    ~batch:sh.sh_batch;
+  let batch = Atomic.get t.batch_seq in
+  record_event t frame ~session:!session_id ~language ~latency_s:dt ~msg ~batch;
   capture_slow t frame ~session:!session_id ~language ~latency_s:dt
     ~handle:!used_handle;
-  !session_id, msg
+  !session_id, Option.map Mlds.System.handle_db !used_handle, msg
 
 (* --- the batch scheduler -------------------------------------------------- *)
 
-(* A computed-but-unsent reply. [p_gated] marks responses whose effects
-   must be durable before the client may see success: they are withheld
-   until the batch's covering WAL fsync, and demoted to errors if that
-   fsync fails — confirmed ⇒ durable, exactly as in serial mode.
-   [p_seq] is the arrival position inside the batch; withheld replies go
-   out sorted by it, which is arrival order. *)
-type pending = {
-  p_conn : conn;
-  p_frame : Wire.request Wire.frame;
-  p_session : int;
-  p_msg : Wire.response;
-  p_gated : bool;
-  p_seq : int;
-}
-
-(* How a read task's reply leaves the server. [R_send]: straight from
-   whichever pool domain finishes the task — the connection has nothing
-   withheld and nothing else in flight, so FIFO cannot be violated.
-   [R_collect seq]: the connection already has an earlier reply pending
-   this batch, so the read's reply is collected at the await point and
-   merged into the withheld delivery at its arrival position. *)
-type read_mode =
-  | R_send
-  | R_collect of int
-
 (* The read task body: everything session-table-related (lookup,
-   ownership check, touch) already happened serially at classification
-   time, and the snapshot (when one exists) was captured at that same
-   serial point — so the task observes exactly the store epoch of its
-   admission, never a later write, no matter when the pool runs it. *)
-let read_task t ~batch conn (frame : Wire.request Wire.frame) handle src snap
-    mode () =
+   ownership check, touch) already happened serially at admission, and
+   the snapshot (when one exists) was captured at that same serial point
+   — so the task observes exactly the store epoch of its admission, never
+   a later write, no matter when the pool runs it. It completes its
+   outbox slot from whichever domain runs it. *)
+let read_task t ~batch conn slot (frame : Wire.request Wire.frame) handle src
+    snap () =
   let opcode = Wire.opcode_name frame.Wire.msg in
   Obs.Metrics.incr c_requests;
   let t0 = Obs.Clock.now_s () in
@@ -704,10 +604,10 @@ let read_task t ~batch conn (frame : Wire.request Wire.frame) handle src snap
       (fun () ->
         try
           let submit () =
-            (* pre-classified: the serial-point classification decided
-               `Read; re-checking the live blocked-table here would
-               wrongly refuse a read that precedes a concurrent BEGIN in
-               the equivalent serial order *)
+            (* pre-classified: admission decided `Read; re-checking the
+               live transaction table here would wrongly refuse a read
+               that precedes a later BEGIN in the equivalent serial
+               order *)
             match Mlds.System.submit_handle_preclassified handle src with
             | Ok out -> Wire.Output out
             | Error e -> response_of_handle_error e
@@ -726,30 +626,17 @@ let read_task t ~batch conn (frame : Wire.request Wire.frame) handle src snap
     ~msg ~batch;
   capture_slow t frame ~session:frame.Wire.session_id ~language ~latency_s:dt
     ~handle:(Some handle);
-  match mode with
-  | R_send ->
-    reply conn frame msg;
-    None
-  | R_collect seq ->
-    Some
-      {
-        p_conn = conn;
-        p_frame = frame;
-        p_session = frame.Wire.session_id;
-        p_msg = msg;
-        p_gated = false;
-        p_seq = seq;
-      }
+  complete conn slot ~session:frame.Wire.session_id msg
 
 (* Is this frame a read-only submission the scheduler may run
-   concurrently? Resolved serially, on the shard thread: the session
-   lookup, the connection-ownership check, the idle-touch and the
-   snapshot capture all happen here, so the task itself touches no
-   shared session state and reads a store epoch fixed at this instant. *)
-let as_read t sh conn (frame : Wire.request Wire.frame) =
+   concurrently? Resolved serially, on the executor: the session lookup,
+   the connection-ownership check, the idle-touch and the snapshot
+   capture all happen here, so the task itself touches no shared session
+   state and reads a store epoch fixed at this instant. *)
+let as_read t conn (frame : Wire.request Wire.frame) =
   match frame.Wire.msg with
   | Wire.Submit src ->
-    (match Sessions.find sh.sh_sessions frame.Wire.session_id with
+    (match Sessions.find t.sessions frame.Wire.session_id with
     | Some entry when entry.Sessions.conn = conn.c_id ->
       let handle = entry.Sessions.handle in
       (match Mlds.System.classify_handle handle src with
@@ -757,44 +644,39 @@ let as_read t sh conn (frame : Wire.request Wire.frame) =
         Sessions.touch entry;
         let snap =
           if t.async_reads then
-            Mlds.System.snapshot_db t.sys
-              ~db:(Mlds.System.handle_db handle)
+            Mlds.System.snapshot_db t.sys ~db:(Mlds.System.handle_db handle)
           else None
         in
-        Some
-          ( snap,
-            fun mode ->
-              read_task t ~batch:sh.sh_batch conn frame handle src snap mode )
+        Some (handle, src, snap)
       | `Write -> None)
     | Some _ | None -> None)
   | _ -> None
 
-(* Killing a connection must be atomic with respect to [send]'s
+(* Killing a connection must be atomic with respect to [write_locked]'s
    check-then-write: take [write_mx] so no writer can pass the [alive]
    check and then write to a closed (possibly reused) descriptor. *)
 let kill_conn conn =
-  Mutex.lock conn.write_mx;
-  conn.alive <- false;
-  (try Unix.close conn.fd with _ -> ());
-  Mutex.unlock conn.write_mx
+  Mutex.protect conn.write_mx (fun () ->
+      conn.alive <- false;
+      try Unix.close conn.fd with _ -> ())
 
-(* Returns whether this call was the one that removed the connection —
-   disconnects are broadcast to every shard, and exactly one of them
-   owns the removal (and the disconnect count). *)
 let close_conn_fd t conn =
-  Mutex.lock t.conns_mx;
-  let mine = Hashtbl.mem t.conns conn.c_id in
-  if mine then Hashtbl.remove t.conns conn.c_id;
-  Mutex.unlock t.conns_mx;
+  let mine =
+    Mutex.protect t.conns_mx (fun () ->
+        let mine = Hashtbl.mem t.conns conn.c_id in
+        if mine then Hashtbl.remove t.conns conn.c_id;
+        mine)
+  in
   if mine then kill_conn conn;
   mine
 
-(* Answer a telemetry op (Stats/Tail) in place. Stats reads every
-   shard's session table, so it runs on the global lane under the
-   barrier; Tail touches only the lock-free ring, so the connection's
-   own reader thread calls this directly. In both cases polling cannot
-   queue behind user traffic — and may therefore overtake data replies
-   on the same connection; dashboards use a dedicated connection. *)
+(* Answer a telemetry op (Stats/Tail) in place, outside the outbox and
+   never gated on a fsync. Stats arrives on the control lane (it reads
+   the executor-owned session table); Tail touches only the lock-free
+   ring, so the connection's own reader thread calls this directly. In
+   both cases polling cannot queue behind user traffic — and may
+   therefore overtake data replies on the same connection; dashboards
+   use a dedicated connection. *)
 let answer_control t conn (frame : Wire.request Wire.frame) =
   let opcode = Wire.opcode_name frame.Wire.msg in
   Obs.Metrics.incr c_requests;
@@ -823,18 +705,18 @@ let answer_control t conn (frame : Wire.request Wire.frame) =
 
 (* --- the latency-target limiter ------------------------------------------- *)
 
-(* Shard-owned rolling window of request sojourn times (decode on the
+(* Executor-owned rolling window of request sojourn times (decode on the
    reader thread to pickup by the batch walk). Under overload the queue
    wait dominates end-to-end latency, so its p99 is the shed signal. *)
-let note_latency sh sojourn_s =
-  sh.lat_window.(sh.lat_count mod Array.length sh.lat_window) <- sojourn_s;
-  sh.lat_count <- sh.lat_count + 1
+let note_latency t sojourn_s =
+  t.lat_window.(t.lat_count mod Array.length t.lat_window) <- sojourn_s;
+  t.lat_count <- t.lat_count + 1
 
-let rolling_p99 sh =
-  let n = Stdlib.min sh.lat_count (Array.length sh.lat_window) in
+let rolling_p99 t =
+  let n = Stdlib.min t.lat_count (Array.length t.lat_window) in
   if n = 0 then 0.
   else begin
-    let a = Array.sub sh.lat_window 0 n in
+    let a = Array.sub t.lat_window 0 n in
     Array.sort compare a;
     a.(99 * (n - 1) / 100)
   end
@@ -844,12 +726,12 @@ let rolling_p99 sh =
    lateness gate keeps the limiter live: fresh requests still complete,
    refresh the window, and bring the p99 back down — a stale high window
    alone can never wedge the server into shedding everything. *)
-let should_shed t sh ~sojourn =
+let should_shed t ~sojourn =
   let target = t.cfg.shed_p99_target_s in
   target > 0.
-  && sh.lat_count >= 16
+  && t.lat_count >= 16
   && sojourn > 0.5 *. target
-  && rolling_p99 sh > target
+  && rolling_p99 t > target
 
 (* --- online checkpointing -------------------------------------------------- *)
 
@@ -863,7 +745,7 @@ let checkpoint_target t =
       | None -> None)
     (Mlds.System.databases t.sys)
 
-(* Runs on the global lane under the barrier: the capture (record list,
+(* Runs on the executor at a serial point: the capture (record list,
    DDL, WAL generation/position stamp) is a consistent cut — every
    mutation executed before this instant is inside it, every one after
    lands in the WAL tail beyond the stamped position and survives the
@@ -912,7 +794,12 @@ let finish_checkpoint t st =
   (match t.truncate_fence with
   | Some f -> (try f true with _ -> ())
   | None -> ());
-  let result = Mlds.Persist.checkpoint_finish st.ck in
+  (* under the durability-hook mutex: another log's flusher publishing
+     meanwhile must not read this log's generation and synced position
+     half-way through the truncation *)
+  let result =
+    Mutex.protect t.durable_mx (fun () -> Mlds.Persist.checkpoint_finish st.ck)
+  in
   let now = Obs.Clock.now_s () in
   let dur = now -. st.ck_started_s in
   t.ckpt <- None;
@@ -980,362 +867,29 @@ let checkpoint_due t =
        && now -. t.last_ckpt_s >= t.cfg.checkpoint_every_s
        && pos > t.last_ckpt_mark
 
-(* --- the epoch barrier ----------------------------------------------------- *)
-
-(* Raise the quiesce flag, wake every shard out of its blocking pop with
-   a J_barrier token, and wait until each one is parked between batches
-   (or retired — its loop exited at shutdown — so a drained server can
-   never deadlock the lane). A parked shard holds no WAL in group mode,
-   has no read run in flight, and sits between two serial points: the
-   global lane sees (and may mutate) a fully serialized system. *)
-let quiesce t =
-  Atomic.set t.quiesce true;
-  Array.iter
-    (fun sh -> Bounded_queue.push_control sh.sh_queue J_barrier)
-    t.shards;
-  let n = Array.length t.shards in
-  Mutex.lock t.gl_mx;
-  while t.parked + t.retired < n do
-    Condition.wait t.gl_cond t.gl_mx
-  done;
-  Mutex.unlock t.gl_mx
-
-let resume t =
-  Mutex.lock t.gl_mx;
-  Atomic.set t.quiesce false;
-  Condition.broadcast t.gl_cond;
-  Mutex.unlock t.gl_mx
-
-let with_quiesced t f =
-  quiesce t;
-  Fun.protect ~finally:(fun () -> resume t) f
-
-(* Shard side: called between batches. The flag is set before the wake
-   tokens are pushed, so a shard woken by a token always sees it. *)
-let park_if_quiesced t =
-  if Atomic.get t.quiesce then begin
-    Mutex.lock t.gl_mx;
-    t.parked <- t.parked + 1;
-    Condition.broadcast t.gl_cond;
-    while Atomic.get t.quiesce do
-      Condition.wait t.gl_cond t.gl_mx
-    done;
-    t.parked <- t.parked - 1;
-    Mutex.unlock t.gl_mx
+(* A \checkpoint joins the in-flight checkpoint (if any) or starts one;
+   either way its reply waits for checkpoint_finish. *)
+let checkpoint_request t conn (frame : Wire.request Wire.frame) =
+  if Atomic.get t.read_only then begin
+    (* a standby's WAL belongs to the replication stream; truncating it
+       out from under the receiver would corrupt the standby's notion of
+       its own position *)
+    let msg =
+      Wire.Err (Wire.Read_only, "standby: checkpointing is the primary's job")
+    in
+    record_event t frame ~session:frame.Wire.session_id ~language:"-"
+      ~latency_s:0. ~msg ~batch:(Atomic.get t.batch_seq);
+    reply conn frame msg
   end
-
-let retire_shard t =
-  Mutex.lock t.gl_mx;
-  t.retired <- t.retired + 1;
-  Condition.broadcast t.gl_cond;
-  Mutex.unlock t.gl_mx
-
-(* --- executing one shard batch --------------------------------------------- *)
-
-(* Execute one batch on shard [sh]: walk the jobs in arrival order,
-   classifying lazily — consecutive reads from distinct sessions
-   accumulate into a run that is {e dispatched} onto the read pool with
-   each task pinned to the store epoch of its admission; everything else
-   (writes, session control, disconnects, reaps) executes serially at
-   its arrival position, {e concurrently with the dispatched run}: a
-   write admitted at epoch E+1 neither blocks on nor is observed by a
-   read pinned to epoch E. The old write-barrier read-pool flush
-   survives only where it is still needed — same-session pipelining
-   (per-session engine state is unsynchronised), snapshot-incapable
-   databases (Multi kernels), and batch end.
-
-   Mutation replies are withheld until the batch's single covering WAL
-   fsync (confirmed ⇒ durable, exactly as in serial mode); read replies
-   need no durability gate and stream out from the pool as their tasks
-   complete — unless the connection already has a reply pending this
-   batch, in which case the read reply is collected and merged into the
-   withheld delivery at its arrival position, so per-connection FIFO
-   holds. Withheld replies go out after the fsync in arrival order.
-
-   While at least one reply is withheld, the batch stays open for a
-   {e gathering window} (up to [group_window_s], capped at [max_batch]
-   jobs): late arrivals are folded into the same batch so their commits
-   share the covering fsync — the group-commit timer. Gathered reads
-   still stream out immediately, so only writers (who must wait for the
-   fsync regardless) pay the window; and once every connection that
-   could still submit to this shard has a withheld reply, nobody is
-   left, so the window closes early — in particular a single closed-loop
-   client never waits it out.
-
-   Results are byte-identical to serial execution in per-session order:
-   reads commute with each other, every mutation of one database
-   executes serially on its owning shard at its arrival position, and a
-   pinned read observes exactly the epoch of its admission point. *)
-let execute_batch t sh jobs =
-  sh.sh_batch <- 1 + Atomic.fetch_and_add t.batch_seq 1;
-  let only =
-    match dbs_owned t sh.sh_id with
-    | None -> fun _ -> true
-    | Some dbs -> fun db -> List.mem db dbs
-  in
-  Mlds.System.wal_group_begin ~only t.sys;
-  let seq = ref 0 in
-  let next_seq () =
-    incr seq;
-    !seq
-  in
-  let replies = ref [] in (* withheld replies, ordered by p_seq at the end *)
-  let blocked = Hashtbl.create 8 in (* conns with a withheld reply *)
-  let run = ref [] in (* accumulating read tasks, reverse order *)
-  let run_sessions = Hashtbl.create 8 in
-  let run_conns = Hashtbl.create 8 in
-  let run_sync = ref false in (* a task without a snapshot: barrier run *)
-  (* the single in-flight dispatched run, and the sessions/conns whose
-     reads it contains *)
-  let inflight = ref None in
-  let inflight_sessions = Hashtbl.create 8 in
-  let inflight_conns = Hashtbl.create 8 in
-  let collect ps =
-    List.iter
-      (function Some p -> replies := p :: !replies | None -> ())
-      ps
-  in
-  let await_inflight () =
-    match !inflight with
-    | None -> ()
-    | Some await ->
-      inflight := None;
-      Hashtbl.reset inflight_sessions;
-      Hashtbl.reset inflight_conns;
-      collect (await ())
-  in
-  let dispatch_run () =
-    match List.rev !run with
-    | [] -> ()
-    | tasks ->
-      (* one run in flight at a time: a new dispatch first collects the
-         previous one *)
-      await_inflight ();
-      let sync = !run_sync in
-      run := [];
-      run_sync := false;
-      Hashtbl.iter
-        (fun k () -> Hashtbl.replace inflight_sessions k ())
-        run_sessions;
-      Hashtbl.iter (fun k () -> Hashtbl.replace inflight_conns k ()) run_conns;
-      Hashtbl.reset run_sessions;
-      Hashtbl.reset run_conns;
-      let await = Batch.dispatch ?pool:t.read_pool tasks in
-      inflight := Some await;
-      (* a run with a snapshot-incapable task keeps the old barrier
-         semantics: nothing else runs until it is done (with no pool,
-         Batch.dispatch already ran it inline) *)
-      if sync || not t.async_reads then await_inflight ()
-  in
-  let serial conn frame =
-    dispatch_run ();
-    (* same-session discipline: a serial op for a session whose read is
-       still in flight (its engine state is unsynchronised, and Logout
-       would close the handle under it) waits for the run *)
-    if Hashtbl.mem inflight_sessions frame.Wire.session_id then
-      await_inflight ();
-    let session_id, msg =
-      try compute_response t sh conn frame
-      with exn ->
-        frame.Wire.session_id, Wire.Err (Wire.Exec_error, Printexc.to_string exn)
-    in
-    Hashtbl.replace blocked conn.c_id ();
-    replies :=
-      {
-        p_conn = conn;
-        p_frame = frame;
-        p_session = session_id;
-        p_msg = msg;
-        p_gated = true;
-        p_seq = next_seq ();
-      }
-      :: !replies
-  in
-  let walk job =
-    (match t.cfg.executor_hook with Some hook -> hook () | None -> ());
-    match job with
-    | J_barrier -> () (* wake token; the parking check runs between batches *)
-    | J_request
-        ( conn,
-          ({ Wire.msg = Wire.Stats | Wire.Tail _ | Wire.Checkpoint; _ } as
-           frame),
-          arrival ) ->
-      (* control ops ride the global lane; defensive (readers route them
-         there directly) *)
-      Bounded_queue.push_control t.gqueue (G_request (conn, frame, arrival))
-    | J_request (conn, frame, arrival) ->
-      let sojourn = Obs.Clock.now_s () -. arrival in
-      note_latency sh sojourn;
-      let sheddable =
-        match frame.Wire.msg with
-        | Wire.Submit _ | Wire.Explain _ -> true
-        | _ -> false  (* never shed login / txn control: tiny, stateful *)
-      in
-      if sheddable && should_shed t sh ~sojourn then begin
-        (* the limiter: queue admission let it in, but the server is past
-           its latency target and this request is already late — shed it
-           with a typed Overloaded rather than make everyone later *)
-        Obs.Metrics.incr c_shed;
-        record_event t frame ~outcome:Obs.Recorder.O_shed
-          ~session:frame.Wire.session_id ~language:"-" ~latency_s:sojourn
-          ~msg:Wire.Overloaded ~batch:sh.sh_batch;
-        reply conn frame Wire.Overloaded
-      end
-      else (
-        match as_read t sh conn frame with
-        | Some (snap, mk_task) ->
-          let sid = frame.Wire.session_id in
-          (* two requests of one session never run concurrently: a
-             pipelined duplicate splits the run and waits out the
-             in-flight one (per-session engine state — currency, the
-             UWA — is not synchronised) *)
-          if Hashtbl.mem run_sessions sid then dispatch_run ();
-          if Hashtbl.mem inflight_sessions sid then await_inflight ();
-          let mode =
-            (* self-send only when nothing earlier of this connection
-               can still be undelivered; otherwise collect and merge at
-               the arrival position *)
-            if
-              Hashtbl.mem blocked conn.c_id
-              || Hashtbl.mem run_conns conn.c_id
-              || Hashtbl.mem inflight_conns conn.c_id
-            then R_collect (next_seq ())
-            else R_send
-          in
-          (match snap with None -> run_sync := true | Some _ -> ());
-          Hashtbl.replace run_sessions sid ();
-          Hashtbl.replace run_conns conn.c_id ();
-          run := mk_task mode :: !run
-        | None -> serial conn frame)
-    | J_disconnect conn ->
-      (* a full serial point: sessions of this connection may have reads
-         in flight, and closing their handles under a running read would
-         race *)
-      dispatch_run ();
-      await_inflight ();
-      (* the disconnect contract: sessions die with their connection,
-         aborting any transaction left open. Broadcast to every shard;
-         each closes its own sessions, exactly one removes the fd. *)
-      Sessions.close_conn sh.sh_sessions ~conn:conn.c_id;
-      if close_conn_fd t conn then Obs.Metrics.incr c_disconnects
-    | J_reap ->
-      dispatch_run ();
-      await_inflight ();
-      ignore
-        (Sessions.reap_idle sh.sh_sessions ~now:(Unix.gettimeofday ())
-           ~idle_timeout_s:t.cfg.idle_timeout_s)
-  in
-  List.iter walk jobs;
-  dispatch_run ();
-  (* the gathering window: whoever can still submit to this shard gets
-     until the deadline (or the [max_batch] cap) to join this group's
-     fsync *)
-  let taken = ref (List.length jobs) in
-  if t.cfg.batch && t.cfg.group_window_s > 0. then begin
-    let deadline = Unix.gettimeofday () +. t.cfg.group_window_s in
-    (* who could still submit here? On the single-shard server: every
-       live connection (the old rule). With shards, connections of other
-       shards never appear in [blocked], so bound the wait by this
-       shard's own population (sessions ≈ connections) instead of
-       spinning the full window on every multi-shard write batch. *)
-    let bound () =
-      if Array.length t.shards = 1 then live_conns t
-      else
-        Stdlib.min (live_conns t)
-          (Stdlib.max 1 (Sessions.active sh.sh_sessions))
-    in
-    let gathering () =
-      !taken < t.cfg.max_batch
-      && Hashtbl.length blocked > 0
-      && Hashtbl.length blocked < bound ()
-      && Unix.gettimeofday () < deadline
-    in
-    while gathering () do
-      match
-        Bounded_queue.try_pop_batch sh.sh_queue ~max:(t.cfg.max_batch - !taken)
-      with
-      | [] -> Thread.delay 0.0001
-      | more ->
-        (* gathered jobs left the queue without a [pop_batch]: refresh
-           the depth gauge here too, or it stays at the pre-gather depth
-           until the next batch (forever, on a now-quiet server) *)
-        note_depth t;
-        taken := !taken + List.length more;
-        List.iter walk more;
-        dispatch_run ()
-    done
-  end;
-  dispatch_run ();
-  Obs.Metrics.observe h_batch (float_of_int !taken);
-  Obs.Metrics.observe sh.sh_h_batch (float_of_int !taken);
-  (* the durability point for the whole batch: one covering fsync per
-     WAL this shard owns — two shards' fsyncs overlap instead of
-     convoying. The fsync does not wait for the in-flight read run
-     (reads need no durability); the run is collected right after, and
-     only then do the withheld replies go out — on failure every gated
-     success is demoted first: those commits may not be on disk, so the
-     client must not see Ok. *)
-  let fsync_failed =
-    match Mlds.System.wal_group_end ~only t.sys with
-    | Ok () -> None
-    | Error msg -> Some msg
-  in
-  await_inflight ();
-  List.iter
-    (fun p ->
-      let msg =
-        match fsync_failed, p.p_gated, p.p_msg with
-        | Some why, true, (Wire.Output _ | Wire.Logged_in _ | Wire.Goodbye) ->
-          Wire.Err (Wire.Exec_error, why)
-        | _ -> p.p_msg
-      in
-      reply p.p_conn p.p_frame ~session_id:p.p_session msg)
-    (List.sort (fun a b -> compare a.p_seq b.p_seq) !replies);
-  (* a serial point: build any indexes that pinned readers queued *)
-  (match dbs_owned t sh.sh_id with
-  | Some dbs ->
-    List.iter
-      (fun db -> ignore (Mlds.System.build_pending_indexes t.sys ~db))
-      dbs
-  | None ->
-    List.iter
-      (fun (db, _) -> ignore (Mlds.System.build_pending_indexes t.sys ~db))
-      (Mlds.System.databases t.sys));
-  (* the batch's durability point just passed: let the shipper publish
-     the new synced WAL position to its sender threads *)
-  notify_durable t
-
-(* One shard's executor loop: drain its queue in batches ([batch =
-   false] degrades [max] to 1, which makes [pop_batch] exactly [pop] and
-   every batch a singleton — the serial executor of old), parking
-   between batches whenever the global lane holds the epoch barrier. *)
-let shard_loop t sh =
-  let max = if t.cfg.batch then Stdlib.max 1 t.cfg.max_batch else 1 in
-  let ticks =
-    t.cfg.checkpoint_every_bytes > 0 || t.cfg.checkpoint_every_s > 0.
-  in
-  let rec loop () =
-    park_if_quiesced t;
-    match Bounded_queue.pop_batch sh.sh_queue ~max with
-    | [] -> retire_shard t  (* closed and drained: shutdown *)
-    | jobs ->
-      note_depth t;
-      execute_batch t sh jobs;
-      note_depth t;
-      (* nudge the global lane to re-check the checkpoint triggers: the
-         WAL may just have crossed the byte threshold *)
-      if ticks then Bounded_queue.push_control t.gqueue G_tick;
-      loop ()
-  in
-  loop ()
-
-(* --- the global lane -------------------------------------------------------- *)
+  else
+    match t.ckpt with
+    | Some st -> st.ck_waiters <- (conn, frame) :: st.ck_waiters
+    | None -> start_checkpoint t ~waiter:(Some (conn, frame))
 
 (* One bounded slice of checkpoint work, rendered on the read pool when
-   one exists (the checkpoint-offload path: shard executors and even the
-   global lane's own job intake never pay for snapshot serialization),
-   inline otherwise. The slice mutates only the capture's own buffer,
-   and the await gives the happens-before edge back to the lane. *)
+   one exists (the executor never pays for snapshot serialization),
+   inline otherwise. The slice mutates only the capture's own buffer, and
+   the await gives the happens-before edge back to the executor. *)
 let checkpoint_slice_off t st =
   let max_records = Stdlib.max 1 t.cfg.checkpoint_slice_records in
   let slice () = Mlds.Persist.checkpoint_slice st.ck ~max_records in
@@ -1345,97 +899,220 @@ let checkpoint_slice_off t st =
     Mbds.Pool.run_on pool t.ckpt_rr slice
   | _ -> slice ()
 
-(* Advance the in-flight checkpoint; capture drained ⇒ finish (snapshot
-   rename + WAL truncate) under the barrier, so no shard is mid-fsync on
-   the WAL being truncated. *)
+(* Advance the in-flight checkpoint between batches; capture drained ⇒
+   finish (snapshot rename + WAL truncate) once the log's flusher is
+   idle, so no fsync is in flight on the WAL being truncated. *)
 let checkpoint_step t =
   match t.ckpt with
   | None -> ()
   | Some st ->
     (match checkpoint_slice_off t st with
     | `More _ -> ()
-    | `Ready -> with_quiesced t (fun () -> finish_checkpoint t st))
-
-let run_gjob t = function
-  | G_tick -> ()
-  | G_task f -> ( try f () with _ -> ())
-  | G_request (conn, ({ Wire.msg = Wire.Stats | Wire.Tail _; _ } as frame), _)
-    ->
-    answer_control t conn frame
-  | G_request (conn, ({ Wire.msg = Wire.Checkpoint; _ } as frame), _) ->
-    if Atomic.get t.read_only then begin
-      (* a standby's WAL belongs to the replication stream; truncating it
-         out from under the receiver would corrupt the standby's notion
-         of its own position *)
-      let msg =
-        Wire.Err (Wire.Read_only, "standby: checkpointing is the primary's job")
+    | `Ready ->
+      let flusher =
+        Option.bind (checkpoint_target t) (fun (_, wal) -> flusher_of t wal)
       in
-      record_event t frame ~session:frame.Wire.session_id ~language:"-"
-        ~latency_s:0. ~msg ~batch:(Atomic.get t.batch_seq);
-      reply conn frame msg
-    end
-    else (
-      (* a \checkpoint joins the in-flight checkpoint (if any) or starts
-         one; either way its reply waits for checkpoint_finish *)
-      match t.ckpt with
-      | Some st -> st.ck_waiters <- (conn, frame) :: st.ck_waiters
-      | None -> start_checkpoint t ~waiter:(Some (conn, frame)))
-  | G_request (conn, frame, _) ->
-    (* defensive: readers only route control opcodes here *)
-    reply conn frame (Wire.Err (Wire.Bad_request, "not a control opcode"))
+      Option.iter Flusher.drain flusher;
+      finish_checkpoint t st;
+      (* the truncated log's positions restart *)
+      Option.iter Flusher.rebase flusher)
 
-(* Process one intake of global jobs. Ticks are free (a trigger check);
-   everything else is an escalation: quiesce the shards once, run every
-   escalated job at the resulting global serial point (inside a WAL
-   group bracket spanning all databases — injected closures append, and
-   their fsyncs are covered exactly like a shard batch's), then resume.
-   Checkpoint capture joins the same barrier when a trigger fired. *)
-let handle_gjobs t gjobs =
-  let serial =
-    List.filter (function G_tick -> false | _ -> true) gjobs
-  in
-  let start = checkpoint_due t in
-  match serial, start with
-  | [], false -> ()
-  | _ ->
-    (match serial with
+let drain_flushers t = List.iter Flusher.drain t.flushers
+
+let await_inflight t =
+  match t.inflight with
+  | None -> ()
+  | Some await ->
+    t.inflight <- None;
+    Hashtbl.reset t.inflight_sessions;
+    ignore (await ())
+
+(* --- executing one batch ---------------------------------------------------- *)
+
+(* Execute one batch: walk the jobs in arrival order, classifying lazily
+   — consecutive reads from distinct sessions accumulate into a run that
+   is {e dispatched} onto the read pool with each task pinned to the
+   store epoch of its admission; everything else (writes, session
+   control, disconnects, reaps, injected tasks) executes serially at its
+   arrival position, concurrently with the dispatched run: a write
+   admitted at epoch E+1 neither blocks on nor is observed by a read
+   pinned to epoch E. The read-pool barrier survives only where it is
+   still needed — same-session pipelining (per-session engine state is
+   unsynchronised), snapshot-incapable databases (Multi kernels), and
+   disconnects/reaps/injected tasks. The last run of a batch stays in
+   flight while the next batch executes.
+
+   Every reply takes its connection's outbox slot in arrival order and
+   is gated by the release rule ({!set_gate}). The batch is bracketed by
+   {!Mlds.System.wal_group_begin}/[wal_group_end]: commit-time fsyncs
+   are deferred, and at batch end each log that owes a covering fsync
+   hands its commit position to its flusher — the executor starts the
+   next batch at once, and commits executed while that fsync is in
+   flight queue for the following one.
+
+   Results are byte-identical to serial execution in per-session order:
+   reads commute with each other, every mutation executes serially at
+   its arrival position, and a pinned read observes exactly the epoch of
+   its admission point. *)
+let execute_batch t jobs =
+  let batch = 1 + Atomic.fetch_and_add t.batch_seq 1 in
+  (* build the indexes that earlier pinned readers queued, before this
+     batch plans anything: the executor is the only mutator, and a read
+     still in flight keeps its own snapshot *)
+  List.iter
+    (fun (db, _) -> ignore (Mlds.System.build_pending_indexes t.sys ~db))
+    (Mlds.System.databases t.sys);
+  Mlds.System.wal_group_begin t.sys;
+  let run = ref [] in (* accumulating read tasks, reverse order *)
+  let run_sessions = Hashtbl.create 8 in
+  let run_sync = ref false in (* a task without a snapshot: barrier run *)
+  let dispatch_run () =
+    match List.rev !run with
     | [] -> ()
-    | l -> Obs.Metrics.incr ~by:(List.length l) c_escalations);
-    with_quiesced t (fun () ->
-        Mlds.System.wal_group_begin t.sys;
-        List.iter (run_gjob t) serial;
-        (if start then
-           match t.ckpt with
-           | None -> start_checkpoint t ~waiter:None
-           | Some _ -> ());
-        (match Mlds.System.wal_group_end t.sys with
-        | Ok () -> ()
-        | Error _ -> ());
-        notify_durable t)
+    | tasks ->
+      (* one run in flight at a time: a new dispatch first collects the
+         previous one *)
+      await_inflight t;
+      let sync = !run_sync in
+      run := [];
+      run_sync := false;
+      Hashtbl.iter
+        (fun k () -> Hashtbl.replace t.inflight_sessions k ())
+        run_sessions;
+      Hashtbl.reset run_sessions;
+      t.inflight <- Some (Batch.dispatch ?pool:t.read_pool tasks);
+      (* a run with a snapshot-incapable task keeps barrier semantics:
+         nothing else runs until it is done (with no pool,
+         Batch.dispatch already ran it inline) *)
+      if sync || not t.async_reads then await_inflight t
+  in
+  let barrier () =
+    dispatch_run ();
+    await_inflight t
+  in
+  let serial conn (frame : Wire.request Wire.frame) =
+    dispatch_run ();
+    (* same-session discipline: a serial op for a session whose read is
+       still in flight (its engine state is unsynchronised, and Logout
+       would close the handle under it) waits for the run *)
+    if Hashtbl.mem t.inflight_sessions frame.Wire.session_id then
+      await_inflight t;
+    let slot = enqueue conn frame in
+    let session, db, msg =
+      try compute_response t conn frame
+      with exn ->
+        ( frame.Wire.session_id,
+          None,
+          Wire.Err (Wire.Exec_error, Printexc.to_string exn) )
+    in
+    complete conn slot ~session msg;
+    set_gate t conn slot db
+  in
+  let walk job =
+    (match t.cfg.executor_hook with Some hook -> hook () | None -> ());
+    match job with
+    | J_request (conn, ({ Wire.msg = Wire.Stats | Wire.Tail _; _ } as frame), _)
+      ->
+      answer_control t conn frame
+    | J_request (conn, ({ Wire.msg = Wire.Checkpoint; _ } as frame), _) ->
+      checkpoint_request t conn frame
+    | J_task f ->
+      (* a serial point: no read in flight — the injected closure sees
+         (and may mutate) a quiescent kernel *)
+      barrier ();
+      (try f () with _ -> ())
+    | J_request (conn, frame, arrival) ->
+      let sojourn = Obs.Clock.now_s () -. arrival in
+      note_latency t sojourn;
+      let sheddable =
+        match frame.Wire.msg with
+        | Wire.Submit _ | Wire.Explain _ -> true
+        | _ -> false  (* never shed login / txn control: tiny, stateful *)
+      in
+      if sheddable && should_shed t ~sojourn then begin
+        (* the limiter: queue admission let it in, but the server is past
+           its latency target and this request is already late — shed it
+           with a typed Overloaded rather than make everyone later *)
+        Obs.Metrics.incr c_shed;
+        record_event t frame ~outcome:Obs.Recorder.O_shed
+          ~session:frame.Wire.session_id ~language:"-" ~latency_s:sojourn
+          ~msg:Wire.Overloaded ~batch;
+        ignore (enqueue ~ready:Wire.Overloaded conn frame)
+      end
+      else (
+        match as_read t conn frame with
+        | Some (handle, src, snap) ->
+          let sid = frame.Wire.session_id in
+          (* two requests of one session never run concurrently: a
+             pipelined duplicate splits the run and waits out the
+             in-flight one (per-session engine state — currency, the
+             UWA — is not synchronised) *)
+          if Hashtbl.mem run_sessions sid then dispatch_run ();
+          if Hashtbl.mem t.inflight_sessions sid then await_inflight t;
+          let slot = enqueue conn frame in
+          set_gate t conn slot (Some (Mlds.System.handle_db handle));
+          (match snap with None -> run_sync := true | Some _ -> ());
+          Hashtbl.replace run_sessions sid ();
+          run := read_task t ~batch conn slot frame handle src snap :: !run
+        | None -> serial conn frame)
+    | J_disconnect conn ->
+      (* sessions of this connection may have reads in flight, and
+         closing their handles under a running read would race *)
+      barrier ();
+      (* the disconnect contract: sessions die with their connection,
+         aborting any transaction left open *)
+      Sessions.close_conn t.sessions ~conn:conn.c_id;
+      if close_conn_fd t conn then Obs.Metrics.incr c_disconnects
+    | J_reap ->
+      barrier ();
+      ignore
+        (Sessions.reap_idle t.sessions ~now:(Unix.gettimeofday ())
+           ~idle_timeout_s:t.cfg.idle_timeout_s)
+  in
+  List.iter walk jobs;
+  (* the last run stays in flight into the next batch *)
+  dispatch_run ();
+  Obs.Metrics.observe h_batch (float_of_int (List.length jobs));
+  (* the batch's durability point, handed off *)
+  List.iter
+    (fun (wal, pos) -> Flusher.request (flusher_for t wal) pos)
+    (Mlds.System.wal_group_end t.sys);
+  (* the serial executor answers each request before taking the next *)
+  if not t.cfg.batch then drain_flushers t
 
-(* The global lane's loop: block on the lane queue when idle; while a
-   checkpoint is in flight switch to non-blocking intake and advance the
-   checkpoint one slice per round — slices can never starve escalated
-   jobs and escalated jobs can never stall the checkpoint. A closed,
-   drained queue with a checkpoint still in flight keeps slicing until
-   the checkpoint lands, then exits. *)
-let global_loop t =
+let maybe_start_checkpoint t =
+  if checkpoint_due t then start_checkpoint t ~waiter:None
+
+(* The executor: drain the queue in batches ([batch = false] degrades
+   [max] to 1, which makes [pop_batch] exactly [pop] and every batch a
+   singleton — the serial executor).
+
+   While a checkpoint is in flight the loop switches to non-blocking
+   intake: execute whatever is queued, then advance the checkpoint one
+   bounded slice — so slices can never starve requests and requests can
+   never stall the checkpoint. With an empty queue the loop just slices
+   until the checkpoint is done, then goes back to blocking. *)
+let executor_loop t =
+  let max = if t.cfg.batch then Stdlib.max 1 t.cfg.max_batch else 1 in
+  let run jobs =
+    note_depth t;
+    execute_batch t jobs;
+    note_depth t
+  in
   let rec loop () =
+    maybe_start_checkpoint t;
     match t.ckpt with
     | Some _ ->
-      (match Bounded_queue.try_pop_batch t.gqueue ~max:16 with
-      | [] ->
-        checkpoint_step t;
-        loop ()
-      | gjobs ->
-        handle_gjobs t gjobs;
-        checkpoint_step t;
-        loop ())
+      (match Bounded_queue.try_pop_batch t.queue ~max with
+      | [] -> ()
+      | jobs -> run jobs);
+      checkpoint_step t;
+      loop ()
     | None ->
-      (match Bounded_queue.pop_batch t.gqueue ~max:16 with
-      | [] -> ()  (* closed and drained: shutdown *)
-      | gjobs ->
-        handle_gjobs t gjobs;
+      (match Bounded_queue.pop_batch t.queue ~max with
+      | [] -> await_inflight t  (* closed and drained: shutdown *)
+      | jobs ->
+        run jobs;
         loop ())
   in
   loop ()
@@ -1444,12 +1121,9 @@ let global_loop t =
 
 let reader_loop t conn =
   let disconnect () =
-    (* broadcast: each shard closes its own sessions of this connection;
-       during shutdown the control lanes are closed and this is a no-op
+    (* during shutdown the control lane is closed and this is a no-op
        ([shutdown] itself closes every session and connection) *)
-    Array.iter
-      (fun sh -> Bounded_queue.push_control sh.sh_queue (J_disconnect conn))
-      t.shards
+    Bounded_queue.push_control t.queue (J_disconnect conn)
   in
   let rec loop () =
     match Wire.read_frame conn.fd with
@@ -1484,16 +1158,16 @@ let reader_loop t conn =
           end
           else begin
             (* Tail touches only the lock-free ring, so this connection's
-               own reader thread can render it — no executor shard ever
-               sees the (potentially large) event drain, and polling
-               costs the batch pipelines nothing at all *)
+               own reader thread can render it — the executor never sees
+               the (potentially large) event drain, and polling costs the
+               batch pipeline nothing at all *)
             answer_control t conn frame;
             loop ()
           end
         | Wire.Promote ->
           (* answered on this reader thread: promotion blocks on the
-             global lane draining its injected applies, so it must NOT
-             run on the lane itself — only this client waits *)
+             executor draining its injected applies, so it must NOT run
+             on the executor itself — only this client waits *)
           let msg =
             if Atomic.get t.draining then
               Wire.Err (Wire.Shutting_down, "server is shutting down")
@@ -1533,15 +1207,14 @@ let reader_loop t conn =
             loop ()
           end
           else begin
-            (* Stats reads every shard's session table and Checkpoint
-               drives the lane-owned checkpoint state machine, so both
-               escalate to the global lane's (unbounded) queue: the lane
-               quiesces the shards and answers ahead of queued user
-               requests, a polling dashboard never competes for
-               request-lane slots, and neither can be turned away by
-               admission control *)
-            Bounded_queue.push_control t.gqueue
-              (G_request (conn, frame, arrival));
+            (* Stats reads the executor-owned session table and
+               Checkpoint drives the executor-owned checkpoint state
+               machine, so both ride the (unbounded) control lane: the
+               executor answers them ahead of queued user requests, a
+               polling dashboard never competes for request-lane slots,
+               and neither can be turned away by admission control *)
+            Bounded_queue.push_control t.queue
+              (J_request (conn, frame, arrival));
             loop ()
           end
         | _ ->
@@ -1551,13 +1224,12 @@ let reader_loop t conn =
             loop ()
           end
           else begin
-            let sh = t.shards.(shard_for_frame t frame) in
             if
-              (* fair admission: each connection gets its own lane in its
-                 shard's queue, drained round-robin, so one greedy
-                 pipeline can neither starve a polite client nor fill the
-                 whole queue *)
-              Bounded_queue.try_push sh.sh_queue ~key:conn.c_id
+              (* fair admission: each connection gets its own lane in the
+                 queue, drained round-robin, so one greedy pipeline can
+                 neither starve a polite client nor fill the whole
+                 queue *)
+              Bounded_queue.try_push t.queue ~key:conn.c_id
                 (J_request (conn, frame, arrival))
             then begin
               note_depth t;
@@ -1588,10 +1260,10 @@ let accept_loop t =
     | exception _ -> ()  (* listener closed: shutdown *)
     | fd, addr ->
       (try Unix.setsockopt fd Unix.TCP_NODELAY true with _ -> ());
-      (* A client that stops reading must not wedge an executor shard:
-         bound every response write so a full send buffer turns into a
-         failed write (the connection is marked dead) instead of
-         head-of-line blocking for all sessions. *)
+      (* A client that stops reading must not wedge the thread writing
+         its replies: bound every response write so a full send buffer
+         turns into a failed write (the connection is marked dead)
+         instead of head-of-line blocking for all sessions. *)
       (if t.cfg.send_timeout_s > 0. then
          try Unix.setsockopt_float fd Unix.SO_SNDTIMEO t.cfg.send_timeout_s
          with _ -> ());
@@ -1604,27 +1276,31 @@ let accept_loop t =
       Mutex.lock t.conns_mx;
       let c_id = t.next_conn in
       t.next_conn <- c_id + 1;
-      let conn = { c_id; fd; peer; write_mx = Mutex.create (); alive = true } in
+      let conn =
+        {
+          c_id;
+          fd;
+          peer;
+          write_mx = Mutex.create ();
+          alive = true;
+          outbox = Queue.create ();
+        }
+      in
       Hashtbl.replace t.conns c_id conn;
       Mutex.unlock t.conns_mx;
       ignore (Thread.create (fun () -> reader_loop t conn) ());
       loop ()
   in
   loop ()
-
 let reaper_loop t =
   let rec loop elapsed =
     if not (Atomic.get t.reaper_stop) then begin
       Thread.delay 0.05;
       let elapsed = elapsed +. 0.05 in
       if elapsed >= t.cfg.reap_every_s then begin
-        Array.iter
-          (fun sh -> Bounded_queue.push_control sh.sh_queue J_reap)
-          t.shards;
-        (* heartbeat for the time-based checkpoint trigger: with no
-           traffic there are no batch-end nudges, so the reaper keeps the
-           lane's trigger check alive *)
-        Bounded_queue.push_control t.gqueue G_tick;
+        (* also the heartbeat for the time-based checkpoint trigger: with
+           no traffic the executor only wakes for this *)
+        Bounded_queue.push_control t.queue J_reap;
         loop 0.
       end
       else loop elapsed
@@ -1635,6 +1311,10 @@ let reaper_loop t =
 (* --- lifecycle ----------------------------------------------------------- *)
 
 let create ?(config = default_config) ?(on_drain = fun () -> ()) sys =
+  (* a client that hangs up before its reply is released must cost its
+     connection, not the process: with SIGPIPE ignored the write fails
+     with EPIPE, which marks the connection dead *)
+  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
   match Net.resolve config.host with
   | Error msg -> Error (Printf.sprintf "bad bind address %S: %s" config.host msg)
   | Ok addr ->
@@ -1658,45 +1338,17 @@ let create ?(config = default_config) ?(on_drain = fun () -> ()) sys =
          | Some pool -> Mbds.Pool.size pool > 1
          | None -> false
        in
-       let nshards = Stdlib.max 1 (Stdlib.min 64 config.shards) in
-       let routes = Hashtbl.create 64 in
-       let routes_mx = Mutex.create () in
-       let on_close (entry : Sessions.entry) =
-         Mutex.lock routes_mx;
-         Hashtbl.remove routes entry.Sessions.id;
-         Mutex.unlock routes_mx
-       in
-       let shards =
-         Array.init nshards (fun i ->
-             {
-               sh_id = i;
-               sh_queue = Bounded_queue.create ~capacity:config.queue_capacity;
-               sh_sessions = Sessions.create ~on_close sys;
-               sh_g_depth =
-                 Obs.Metrics.gauge
-                   (Printf.sprintf "server.shard.%d.queue_depth" i);
-               sh_h_batch =
-                 Obs.Metrics.histogram
-                   ~buckets:[| 1.; 2.; 4.; 8.; 16.; 32.; 64. |]
-                   (Printf.sprintf "server.shard.%d.batch_size" i);
-               sh_batch = 0;
-               lat_window = Array.make 256 0.;
-               lat_count = 0;
-               sh_thread = None;
-             })
-       in
        let t =
          {
            cfg = config;
            sys;
-           shards;
-           routes;
-           routes_mx;
-           db_shards = Hashtbl.create 8;
-           db_mx = Mutex.create ();
-           next_db_shard = 0;
+           queue = Bounded_queue.create ~capacity:config.queue_capacity;
+           sessions = Sessions.create sys;
            async_reads;
            read_pool;
+           flushers = [];
+           inflight = None;
+           inflight_sessions = Hashtbl.create 8;
            listener;
            bound_port;
            conns = Hashtbl.create 32;
@@ -1715,17 +1367,13 @@ let create ?(config = default_config) ?(on_drain = fun () -> ()) sys =
            stopped = Atomic.make false;
            reaper_stop = Atomic.make false;
            on_drain;
+           executor_thread = None;
            accept_thread = None;
-           global_thread = None;
            reaper_thread = None;
            shutdown_mx = Mutex.create ();
-           gl_mx = Mutex.create ();
-           gl_cond = Condition.create ();
-           quiesce = Atomic.make false;
-           parked = 0;
-           retired = 0;
+           lat_window = Array.make 256 0.;
+           lat_count = 0;
            durable_mx = Mutex.create ();
-           gqueue = Bounded_queue.create ~capacity:64;
            ckpt = None;
            last_ckpt_s = Obs.Clock.now_s ();
            last_ckpt_mark = 0;
@@ -1737,13 +1385,9 @@ let create ?(config = default_config) ?(on_drain = fun () -> ()) sys =
            promote_hook = None;
          }
        in
-       Array.iter
-         (fun sh ->
-           sh.sh_thread <- Some (Thread.create (fun () -> shard_loop t sh) ()))
-         t.shards;
-       t.global_thread <- Some (Thread.create (fun () -> global_loop t) ());
-       t.accept_thread <- Some (Thread.create (fun () -> accept_loop t) ());
-       t.reaper_thread <- Some (Thread.create (fun () -> reaper_loop t) ());
+       t.executor_thread <- Some (Thread.create executor_loop t);
+       t.accept_thread <- Some (Thread.create accept_loop t);
+       t.reaper_thread <- Some (Thread.create reaper_loop t);
        Ok t
      with Unix.Unix_error (err, _, _) ->
        (try Unix.close listener with _ -> ());
@@ -1757,63 +1401,49 @@ let system t = t.sys
 
 let recorder t = t.recorder
 
-let session_count t =
-  Array.fold_left (fun a sh -> a + Sessions.active sh.sh_sessions) 0 t.shards
-
-let shard_count t = Array.length t.shards
+let session_count t = Sessions.active t.sessions
 
 let running t = not (Atomic.get t.stopped)
 
 let shutdown t =
-  Mutex.lock t.shutdown_mx;
+  Mutex.protect t.shutdown_mx @@ fun () ->
   if not (Atomic.get t.stopped) then begin
     Atomic.set t.draining true;
     (* 1. stop accepting *)
     (try Unix.shutdown t.listener Unix.SHUTDOWN_ALL with _ -> ());
     (try Unix.close t.listener with _ -> ());
-    (match t.accept_thread with Some th -> Thread.join th | None -> ());
-    (* 2. drain the shards: no new work enters; each finishes what is
-       queued and retires (a retired shard satisfies any in-flight
-       quiesce, so the global lane can never deadlock here) *)
-    Array.iter (fun sh -> Bounded_queue.close sh.sh_queue) t.shards;
-    Array.iter
-      (fun sh ->
-        match sh.sh_thread with Some th -> Thread.join th | None -> ())
-      t.shards;
-    (* 3. drain the global lane: remaining escalations run against the
-       fully retired (trivially quiesced) shards; an in-flight online
-       checkpoint is sliced to completion first *)
-    Bounded_queue.close t.gqueue;
-    (match t.global_thread with Some th -> Thread.join th | None -> ());
-    (* every executor is gone; the read pool is idle *)
+    Option.iter Thread.join t.accept_thread;
+    (* 2. drain the queue: no new work enters; the executor finishes what
+       is queued (and any in-flight checkpoint) and exits *)
+    Bounded_queue.close t.queue;
+    Option.iter Thread.join t.executor_thread;
+    (* 3. the flushers land every owed fsync, releasing the last replies *)
+    List.iter Flusher.stop t.flushers;
     (match t.read_pool with Some pool -> Mbds.Pool.shutdown pool | None -> ());
-    (* 4. the session tables are safe to touch: close every session,
+    (* 4. the session table is safe to touch: close every session,
        aborting transactions left open *)
-    Array.iter (fun sh -> Sessions.close_all sh.sh_sessions) t.shards;
+    Sessions.close_all t.sessions;
     (* 5. persistence hook (the binary checkpoints attached WALs here) *)
     t.on_drain ();
     (* 6. tear down the sockets; readers error out and exit *)
     Atomic.set t.reaper_stop true;
-    (match t.reaper_thread with Some th -> Thread.join th | None -> ());
+    Option.iter Thread.join t.reaper_thread;
     let conns =
-      Mutex.lock t.conns_mx;
-      let cs = Hashtbl.fold (fun _ c acc -> c :: acc) t.conns [] in
-      Hashtbl.reset t.conns;
-      Mutex.unlock t.conns_mx;
-      cs
+      Mutex.protect t.conns_mx (fun () ->
+          let cs = Hashtbl.fold (fun _ c acc -> c :: acc) t.conns [] in
+          Hashtbl.reset t.conns;
+          cs)
     in
     List.iter kill_conn conns;
     Atomic.set t.stopped true
-  end;
-  Mutex.unlock t.shutdown_mx
+  end
 
 (* --- the replication plane's API ------------------------------------------ *)
 
-(* Run [f] on the global lane at the next global serial point — every
-   shard quiesced, every WAL covered by the lane's group bracket. Never
-   droppable by admission control, FIFO with other injected tasks, wakes
-   a blocked lane. *)
-let inject t f = Bounded_queue.push_control t.gqueue (G_task f)
+(* Run [f] on the executor at its next serial point: the control lane,
+   never droppable by admission control, FIFO with other injected tasks,
+   wakes a blocked executor. *)
+let inject t f = Bounded_queue.push_control t.queue (J_task f)
 
 let set_read_only t b = Atomic.set t.read_only b
 

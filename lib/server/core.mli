@@ -6,73 +6,63 @@
     {2 Threading model}
 
     - One {e reader thread per connection} parses frames off the socket.
-      [Ping]/[Bye] are answered in place; everything else is routed to
-      an executor shard's bounded request queue. A full queue is
-      answered immediately with the typed [Overloaded] response
-      ({e admission control}: backpressure, never a stalled socket) and
-      counted in [server.rejected_total].
-    - [shards] {e executor shard threads} share the kernel, partitioned
-      by database: each database is owned by exactly one shard
-      (first-login assignment, round-robin), every session routes to its
-      database's owner, and each shard runs the batch loop over its own
-      queue and its own session table. All mutations of one database
-      therefore execute serially on one thread — exactly the old single
-      executor, narrowed to a subset of the databases — while two
-      shards' batches (in particular their covering WAL fsyncs) overlap
-      instead of convoying. With [shards = 1] (the default) the server
-      {e is} the old single-executor server, byte for byte.
-    - Each shard drains its queue {e in batches}
-      ({!Bounded_queue.pop_batch}, observed in [server.batch_size] and
-      per-shard in [server.shard.<i>.batch_size]) and schedules each
-      batch so that results are byte-identical to serial execution in
-      per-session order. Requests classified read-only
+      [Ping]/[Bye]/[Tail] are answered in place; everything else goes to
+      the executor's bounded request queue. A full queue is answered
+      immediately with the typed [Overloaded] response ({e admission
+      control}: backpressure, never a stalled socket) and counted in
+      [server.rejected_total].
+    - One {e executor thread} owns the kernel's serial order and the
+      session table. It drains the queue {e in batches}
+      ({!Bounded_queue.pop_batch}, observed in [server.batch_size]) and
+      schedules each batch so that results are byte-identical to serial
+      execution in per-session order. Requests classified read-only
       ({!Mlds.System.classify_handle}) accumulate into runs of
       consecutive reads from distinct sessions; each run is
       {e dispatched} onto a dedicated read pool with every task pinned
       to a store snapshot captured at its admission point
       ({!Mlds.System.snapshot_db} — the record state is epoch-stamped
-      and immutable, so pinning is O(1)), and the shard {e keeps
-      executing} later jobs — including writes — while the run is in
+      and immutable, so pinning is O(1)), and the executor keeps
+      executing later jobs — including writes — while the run is in
       flight: a read admitted at epoch [E] never blocks on, nor
-      observes, a write admitted at [E+1]. The old write-barrier
-      read-pool flush survives only where it is still required:
-      same-session pipelining (per-session engine state is
-      unsynchronised), snapshot-incapable databases (Multi-model
-      kernels), disconnect/reap/injected tasks, and batch end. Each
-      batch is bracketed by {!Mlds.System.wal_group_begin} /
-      [wal_group_end] {e filtered to the shard's own databases}:
-      commit-time fsyncs inside the batch are deferred and covered by
-      one fsync per owned log at batch end. Mutation replies are
-      withheld until that covering fsync — a mutation acknowledged to a
-      client is durable, exactly as in serial mode, and if the fsync
-      fails the withheld successes are demoted to errors. Read replies
-      need no durability gate and stream out as their tasks complete,
-      except that a read whose connection already has a withheld or
-      in-flight reply this batch is collected and merged into the
-      withheld delivery at its arrival position, so per-connection
-      replies always arrive in request order. While replies are
-      withheld the batch lingers for a {e gathering window}
-      ([group_window_s]) folding late arrivals into the same covering
-      fsync — the group-commit timer; it closes early once every
-      connection that could still submit to this shard is itself
-      waiting. With [batch = false] the shards degrade to one-at-a-time
-      serial loops. Each request runs under a [server.request] root span
+      observes, a write admitted at [E+1]. The read-pool barrier
+      survives only where it is still required: same-session pipelining
+      (per-session engine state is unsynchronised), snapshot-incapable
+      databases (Multi-model kernels), and disconnect/reap/injected
+      tasks; a run may stay in flight into the next batch. A
+      {e control lane} in the same queue carries
+      [Stats], [Checkpoint] and {!inject}ed closures ahead of user
+      requests; they run at serial points of the walk. With
+      [batch = false] the executor runs one request at a time and waits
+      out each covering fsync before the next: the serial reference.
+    - One {e flusher thread per attached WAL} (created when the log
+      first owes a fsync) takes the covering fsync off the executor.
+      Each batch is bracketed by {!Mlds.System.wal_group_begin} /
+      [wal_group_end]: commit-time fsyncs are deferred, and at batch end
+      every log that owes one hands its commit position to its flusher.
+      The executor starts the next batch at once; commits executed while
+      an fsync is in flight queue for the following one. The flusher
+      fsyncs, advances [synced_position], runs the durability hook, and
+      releases the replies it covers.
+    - {e The release rule.} Every reply the executor produces takes a
+      slot in its connection's outbox, in arrival order, and carries
+      the commit position of its session's database WAL at a fixed
+      instant — admission for a pinned read, execution for everything
+      else: all that the reply can show or confirm lies below it. A
+      connection's replies leave in arrival order, each once its
+      position is durable — whichever thread completes the last
+      condition (executor, read-pool domain or flusher) sends it. A
+      client therefore never sees a write, its own or another
+      session's, before it is durable. If the covering fsync fails,
+      every reply waiting on it — reads included — leaves as an
+      [Exec_error] instead; the flusher stays up and a later fsync
+      retries. Each request runs under a [server.request] root span
       (attrs [session], [opcode], [request] — the wire request id, so a
       slow-query entry can name its span — and [peer]) and is timed into
       a per-opcode [server.request.<opcode>_s] histogram.
-    - One {e global lane thread} owns everything that spans shards:
-      [Stats] (reads every shard's session table), [Checkpoint] (the
-      online-checkpoint state machine), and injected replication
-      closures ({!inject}). Before running any of it the lane raises the
-      {e epoch barrier}: a quiesce flag plus one wake token per shard
-      queue, then waits until every shard is parked between batches. A
-      parked shard holds no WAL in group mode and has no read run in
-      flight, so the lane sees (and may mutate) a fully serialized
-      system; escalations are counted in
-      [server.global_lane.escalations]. Checkpoint {e slices} are
-      rendered on the read pool (the shards never pay for snapshot
-      serialization); only the capture and the finish (snapshot rename +
-      WAL truncate) run under the barrier.
+    - Online checkpoints advance one bounded slice between batches
+      (rendered on the read pool when one exists); the finish (snapshot
+      rename + WAL truncate) first waits for the log's flusher to go
+      idle. {!shutdown} drains the flushers the same way.
 
     {2 Telemetry plane}
 
@@ -86,7 +76,7 @@
     recorder events / slow entries from client-supplied cursors. Both
     opcodes are session-less and travel the {e control lane}: the reader
     thread bypasses admission control for them and the executor answers
-    them before queued user work, outside the reply FIFO and never gated
+    them before queued user work, outside the outbox and never gated
     on a fsync — a polling dashboard cannot queue behind user traffic
     (and may therefore overtake data replies on the same connection;
     dashboards should poll on a dedicated connection).
@@ -119,28 +109,13 @@ type config = {
           stops reading gets its connection dropped instead of blocking
           the executor ([<= 0.] disables) *)
   batch : bool;
-      (** batched executor with read/write scheduling + WAL group
-          commit (default [true]); [false] = the serial executor *)
+      (** batched executor with read/write scheduling and pipelined
+          group commit (default [true]); [false] = the serial executor *)
   max_batch : int;  (** most jobs drained per batch, default 32 *)
-  group_window_s : float;
-      (** group-commit gathering window, default 2ms: while a batch has
-          withheld replies and some live connection could still submit,
-          the executor keeps the batch open this long so later commits
-          share the covering fsync. Reads gathered during the window
-          still stream out immediately; a lone client never waits it
-          out ([<= 0.] disables gathering). *)
   read_workers : int;
       (** domains in the dedicated read pool, default
           [min 8 (recommended_domain_count ())]; [<= 1] runs read runs
           inline on the executor (batching/group commit still apply) *)
-  shards : int;
-      (** executor shards, default 1 (the classic single-executor
-          server); clamped to [1..64]. More shards pay off when sessions
-          spread over more than one database: each shard owns a subset
-          of the databases and runs its own batch loop, so shards' WAL
-          fsyncs overlap instead of convoying. Cross-shard work
-          (telemetry, checkpoints, replication) escalates to a global
-          lane that briefly quiesces the shards. *)
   executor_hook : (unit -> unit) option;
       (** test instrumentation: run by the executor before each request
           (lets tests hold the executor to force queue overflow) *)
@@ -176,7 +151,9 @@ val default_config : config
 
 type t
 
-(** Bind, listen, and start the accept/executor/reaper threads.
+(** Bind, listen, and start the accept/executor/reaper threads (the
+    flushers start on demand). Sets SIGPIPE to ignored for the process:
+    a client that hangs up must never kill the server.
     [on_drain] runs during {!shutdown} after the queue is drained and
     all sessions are closed, before connections are torn down. *)
 val create :
@@ -192,13 +169,8 @@ val system : t -> Mlds.System.t
     (none today; the wire opcodes are the public surface) and tests. *)
 val recorder : t -> Obs.Recorder.t option
 
-(** Live sessions, summed over all shards (for tests and the binary's
-    status line). *)
+(** Live sessions (for tests and the binary's status line). *)
 val session_count : t -> int
-
-(** How many executor shards this server runs (the clamped config
-    value). *)
-val shard_count : t -> int
 
 val running : t -> bool
 
@@ -214,11 +186,11 @@ val shutdown : t -> unit
     {!set_read_only}[ true], applies received frames via {!inject}, and
     installs a {!set_promote_hook} for [Promote] / SIGUSR1. *)
 
-(** [inject t f] runs [f] on the global lane at the next global serial
-    point: every shard quiesced (no read run in flight, no WAL in group
-    mode), every WAL covered by the lane's own group bracket. FIFO with
-    other injected tasks, never droppable by admission control, wakes a
-    blocked lane. Exceptions from [f] are swallowed. *)
+(** [inject t f] runs [f] on the executor at its next serial point (no
+    read run in flight), inside a batch's WAL group bracket. Rides the
+    control lane: FIFO with other injected tasks, never droppable by
+    admission control, wakes a blocked executor. Exceptions from [f] are
+    swallowed. *)
 val inject : t -> (unit -> unit) -> unit
 
 (** Refuse mutating requests ([Submit] classified as a write, txn
@@ -228,8 +200,8 @@ val set_read_only : t -> bool -> unit
 
 val read_only : t -> bool
 
-(** Called right after each batch's covering WAL fsync (on the owning
-    shard) and after every finished checkpoint (on the global lane);
+(** Called right after each covering WAL fsync (on that log's flusher
+    thread) and after every finished checkpoint (on the executor);
     invocations are serialized by an internal mutex. *)
 val set_durability_hook : t -> (unit -> unit) option -> unit
 

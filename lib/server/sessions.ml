@@ -12,15 +12,13 @@ type t = {
      (the binary's status line, tests polling for disconnect cleanup)
      while the table itself stays executor-only *)
   count : int Atomic.t;
-  on_close : entry -> unit;
 }
 
 let g_active = Obs.Metrics.gauge "server.sessions_active"
 
 let c_reaped = Obs.Metrics.counter "server.reaped_total"
 
-let create ?(on_close = fun _ -> ()) sys =
-  { sys; tbl = Hashtbl.create 32; count = Atomic.make 0; on_close }
+let create sys = { sys; tbl = Hashtbl.create 32; count = Atomic.make 0 }
 
 let system t = t.sys
 
@@ -57,8 +55,7 @@ let close t entry =
     Hashtbl.remove t.tbl entry.id;
     Atomic.decr t.count;
     Mlds.System.close_handle entry.handle;
-    set_gauge t;
-    t.on_close entry
+    set_gauge t
   end
 
 let entries t = Hashtbl.fold (fun _ e acc -> e :: acc) t.tbl []

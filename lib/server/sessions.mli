@@ -10,10 +10,9 @@
     transaction over the shared kernel.
 
     Threading contract: every function here must be called from the
-    executor shard that owns this table (connection readers and the
-    reaper only {e enqueue} work; the global lane may read other shards'
-    tables only while those shards are quiesced). The table is therefore
-    unsynchronised, like the kernel it fronts. *)
+    server's executor (connection readers and the reaper only
+    {e enqueue} work). The table is therefore unsynchronised, like the
+    kernel it fronts. *)
 
 type entry = {
   id : int;  (** the wire session id (= the handle's id) *)
@@ -24,11 +23,7 @@ type entry = {
 
 type t
 
-(** [create ?on_close sys] makes an empty table. [on_close] runs after a
-    session is removed and its handle closed, on every close path
-    ([close]/[close_conn]/[close_all]/[reap_idle]) — the sharded server
-    uses it to drop the session's shard-route entry. *)
-val create : ?on_close:(entry -> unit) -> Mlds.System.t -> t
+val create : Mlds.System.t -> t
 
 val system : t -> Mlds.System.t
 

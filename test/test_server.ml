@@ -362,12 +362,10 @@ let test_socket_session_hijack () =
         Alcotest.failf "victim commit: %s" (Client.error_to_string e));
       Client.close victim)
 
-let test_overload_rejection () =
-  (* Hold the executor on a gate, fill the capacity-1 queue, and the next
-     request must get the typed Overloaded — immediately, from the reader
-     thread, never a stalled socket. *)
-  let hold = Atomic.make false in
-  let entered = Atomic.make 0 in
+(* An executor hook that parks the executor while [hold] is set:
+   [entered] counts the parked jobs, [release] lets them go. *)
+let executor_gate () =
+  let hold = Atomic.make false and entered = Atomic.make 0 in
   let m = Mutex.create () and cv = Condition.create () in
   let hook () =
     if Atomic.get hold then begin
@@ -385,6 +383,13 @@ let test_overload_rejection () =
     Condition.broadcast cv;
     Mutex.unlock m
   in
+  hold, entered, hook, release
+
+let test_overload_rejection () =
+  (* Hold the executor on a gate, fill the capacity-1 queue, and the next
+     request must get the typed Overloaded — immediately, from the reader
+     thread, never a stalled socket. *)
+  let hold, entered, hook, release = executor_gate () in
   let config =
     { Server.Core.default_config with
       queue_capacity = 1;
@@ -1005,25 +1010,7 @@ let test_client_refused_by_old_server () =
    until the next push. *)
 let test_queue_depth_gauge () =
   let g = Obs.Metrics.gauge "server.queue_depth" in
-  let hold = Atomic.make false in
-  let entered = Atomic.make 0 in
-  let m = Mutex.create () and cv = Condition.create () in
-  let hook () =
-    if Atomic.get hold then begin
-      Atomic.incr entered;
-      Mutex.lock m;
-      while Atomic.get hold do
-        Condition.wait cv m
-      done;
-      Mutex.unlock m
-    end
-  in
-  let release () =
-    Atomic.set hold false;
-    Mutex.lock m;
-    Condition.broadcast cv;
-    Mutex.unlock m
-  in
+  let hold, entered, hook, release = executor_gate () in
   (* capacity 4: the lone client's fairness quota is capacity/2 = 2, so
      exactly two probes can queue behind the parked executor and the
      third bounces — the gauge must read 2, then drain to 0 *)
@@ -1031,7 +1018,6 @@ let test_queue_depth_gauge () =
     { Server.Core.default_config with
       queue_capacity = 4;
       reap_every_s = 3600.;
-      group_window_s = 0.;
       executor_hook = Some hook }
   in
   with_server ~config (fun _server port ->
@@ -1127,8 +1113,7 @@ let test_online_checkpoint () =
         { Server.Core.default_config with
           checkpoint_path = Some snap;
           checkpoint_every_bytes = 2048;
-          group_window_s = 0.;
-          reap_every_s = 3600. }
+              reap_every_s = 3600. }
       in
       with_server ~sys:t ~config (fun server port ->
           let c = logged_in port in
@@ -1189,7 +1174,6 @@ let test_fair_shedding () =
   let config =
     { Server.Core.default_config with
       max_batch = 4;
-      group_window_s = 0.;
       reap_every_s = 3600.;
       shed_p99_target_s = 0.08;
       (* every job costs ~3ms on the executor, so the greedy backlog's
@@ -1265,32 +1249,38 @@ let test_fair_shedding () =
             shed_with_latency;
           Client.close polite))
 
-(* --- the sharded executor -------------------------------------------------- *)
+(* --- the pipelined executor ------------------------------------------------- *)
 
 (* A system with the uni0..uni(n-1) family — same schema and rows each —
-   the multi-database shape the sharded executor partitions. *)
+   each database with its own fsync'd WAL, so each gets its own flusher. *)
 let multiverse n =
   let t = Mlds.System.create () in
-  List.iter
-    (fun i ->
-      match
-        Mlds.System.define_functional t
-          ~name:(Printf.sprintf "uni%d" i)
-          ~ddl:Daplex.University.ddl Daplex.University.rows
-      with
-      | Ok () -> ()
-      | Error msg -> Alcotest.failf "define uni%d: %s" i msg)
-    (List.init n Fun.id);
-  t
+  let wals =
+    List.map
+      (fun i ->
+        let db = Printf.sprintf "uni%d" i in
+        (match
+           Mlds.System.define_functional t ~name:db ~ddl:Daplex.University.ddl
+             Daplex.University.rows
+         with
+        | Ok () -> ()
+        | Error msg -> Alcotest.failf "define %s: %s" db msg);
+        let file = Filename.temp_file "mlds_multiverse" ".wal" in
+        (match Mlds.System.attach_wal t ~db ~file with
+        | Ok _ -> ()
+        | Error msg -> Alcotest.failf "attach_wal %s: %s" db msg);
+        file)
+      (List.init n Fun.id)
+  in
+  t, wals
 
-(* The random multi-database workload for the sharded≡serial property:
-   4 sessions spread round-robin over the databases, each step a read
-   (static employees, the db-shared file, or the session-private file)
-   or an insert (shared or private). Steps are driven in lockstep — each
-   reply is read before the next request goes out — so the global
-   arrival order is fixed and a correct server of ANY shard count must
-   produce byte-identical replies. *)
-let sharded_src ~session idx op =
+let remove_files = List.iter (fun f -> try Sys.remove f with Sys_error _ -> ())
+
+(* The random multi-database workload for the pipelined≡serial
+   property: 4 sessions spread round-robin over the databases, each op a
+   read (static employees, the db-shared file, or the session-private
+   file) or an insert (shared or private). *)
+let multi_src ~session idx op =
   match op with
   | 0 -> "RETRIEVE ((FILE = employee)) (AVG(salary))"
   | 1 -> "RETRIEVE ((FILE = sprop)) (COUNT(seq))"
@@ -1299,65 +1289,90 @@ let sharded_src ~session idx op =
   | _ ->
     Printf.sprintf "INSERT (<FILE, sprop_s%d>, <seq, %d>)" session idx
 
-let run_script_sharded ~shards ~ndbs script =
-  let sys = multiverse ndbs in
-  let config = { Server.Core.default_config with shards } in
+let render (f : Wire.response Wire.frame) =
+  Printf.sprintf "#%d %s" f.Wire.request_id
+    (match f.Wire.msg with
+    | Wire.Output o -> "ok:" ^ o
+    | Wire.Err (k, m) -> "err:" ^ Wire.err_kind_name k ^ ":" ^ m
+    | _ -> "other")
+
+(* Each step is a burst: one session pipelines 1-3 requests on its raw
+   connection, then reads every reply. Only one connection is active at
+   a time, so the global arrival order is fixed and a correct server
+   must produce byte-identical replies, in request order, whatever its
+   executor does with batches, read runs and flushes. *)
+let run_script ~config ~ndbs script =
+  let sys, wals = multiverse ndbs in
+  Fun.protect ~finally:(fun () -> remove_files wals) @@ fun () ->
   with_server ~config ~sys (fun _server port ->
       let conns =
         Array.init 4 (fun i ->
-            let c = client port in
-            (match
-               Client.login c ~language:"abdl"
-                 ~db:(Printf.sprintf "uni%d" (i mod ndbs))
-                 ()
-             with
-            | Ok _ -> ()
-            | Error e ->
-              Alcotest.failf "login s%d: %s" i (Client.error_to_string e));
-            c)
+            let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+            Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+            raw_send fd ~request_id:1 ~session_id:0
+              (Wire.Login
+                 {
+                   user = Printf.sprintf "s%d" i;
+                   language = "abdl";
+                   db = Printf.sprintf "uni%d" (i mod ndbs);
+                 });
+            match (raw_recv fd).Wire.msg with
+            | Wire.Logged_in sid -> (fd, sid)
+            | _ -> Alcotest.failf "login s%d failed" i)
       in
+      let idx = ref 1 in
       let out =
-        List.mapi
-          (fun idx (session, op) ->
-            match Client.submit conns.(session) (sharded_src ~session idx op) with
-            | Ok o -> "ok:" ^ o
-            | Error e -> "err:" ^ Client.error_to_string e)
+        List.concat_map
+          (fun (session, ops) ->
+            let fd, sid = conns.(session) in
+            List.iter
+              (fun op ->
+                incr idx;
+                raw_send fd ~request_id:!idx ~session_id:sid
+                  (Wire.Submit (multi_src ~session !idx op)))
+              ops;
+            List.map (fun _ -> render (raw_recv fd)) ops)
           script
       in
-      Array.iter Client.close conns;
+      Array.iter (fun (fd, _) -> Unix.close fd) conns;
       out)
 
-(* The tentpole correctness anchor: a random multi-database workload
-   against a randomly-sharded server is byte-identical, reply for reply
-   in per-session order, to the same workload against the classic
-   single-executor server. *)
-let prop_sharded_equals_serial =
+(* The correctness anchor of the pipelined executor: a random
+   multi-database workload against the default server — batches, read
+   runs on the pool, covering fsyncs handed to per-WAL flushers — is
+   byte-identical, reply for reply and in request order, to the same
+   workload against the serial executor ([batch = false]). *)
+let prop_pipelined_equals_serial =
   QCheck2.Test.make
-    ~name:"sharded executor is byte-identical to the single lane" ~count:8
+    ~name:"pipelined executor is byte-identical to the serial executor"
+    ~count:8
     QCheck2.Gen.(
-      triple (int_range 2 4) (int_range 1 3)
-        (list_size (int_range 1 25) (pair (int_range 0 3) (int_range 0 4))))
-    (fun (shards, ndbs, script) ->
-      let serial = run_script_sharded ~shards:1 ~ndbs script in
-      let sharded = run_script_sharded ~shards ~ndbs script in
-      if serial <> sharded then
+      pair (int_range 1 3)
+        (list_size (int_range 1 20)
+           (pair (int_range 0 3) (list_size (int_range 1 3) (int_range 0 4)))))
+    (fun (ndbs, script) ->
+      let serial =
+        run_script
+          ~config:{ Server.Core.default_config with batch = false }
+          ~ndbs script
+      in
+      let pipelined =
+        run_script ~config:Server.Core.default_config ~ndbs script
+      in
+      if serial <> pipelined then
         QCheck2.Test.fail_reportf
-          "%d shards over %d dbs diverged\nserial:\n  %s\nsharded:\n  %s"
-          shards ndbs
+          "pipelined over %d dbs diverged\nserial:\n  %s\npipelined:\n  %s"
+          ndbs
           (String.concat "\n  " serial)
-          (String.concat "\n  " sharded)
+          (String.concat "\n  " pipelined)
       else true)
 
-(* Escalation: a cross-database observer injected on the global lane
-   runs at a global serial point and must see every write the per-shard
-   lanes acknowledged before it — the epoch barrier actually quiesces
-   and covers both shards. *)
-let test_shard_escalation () =
-  let sys = multiverse 2 in
-  let config = { Server.Core.default_config with shards = 2 } in
-  let c_esc = Obs.Metrics.counter "server.global_lane.escalations" in
-  let esc0 = Obs.Metrics.counter_value c_esc in
-  with_server ~config ~sys (fun server port ->
+(* An injected task runs at an executor serial point and must see every
+   write acknowledged before it, on every database. *)
+let test_inject_sees_acked_writes () =
+  let sys, wals = multiverse 2 in
+  Fun.protect ~finally:(fun () -> remove_files wals) @@ fun () ->
+  with_server ~sys (fun server port ->
       let login_db db =
         let c = client port in
         (match Client.login c ~language:"abdl" ~db () with
@@ -1390,23 +1405,118 @@ let test_shard_escalation () =
               r
           in
           Atomic.set seen (if full "uni0" && full "uni1" then 1 else 0));
-      wait_for "global-lane observer ran" (fun () -> Atomic.get seen >= 0);
-      Alcotest.(check int) "observer saw all per-shard writes" 1
+      wait_for "injected observer ran" (fun () -> Atomic.get seen >= 0);
+      Alcotest.(check int) "observer saw every acked write" 1
         (Atomic.get seen);
-      Alcotest.(check bool) "the escalation was counted" true
-        (Obs.Metrics.counter_value c_esc > esc0);
       Client.close c0;
       Client.close c1)
 
+(* --- fsync errors ------------------------------------------------------------ *)
+
+(* A university server with an fsync'd WAL, for the EIO tests. *)
+let with_wal_server ?config f =
+  let t = university () in
+  let file = Filename.temp_file "mlds_eio" ".wal" in
+  Fun.protect ~finally:(fun () -> remove_files [ file ]) @@ fun () ->
+  let wal =
+    match Mlds.System.attach_wal t ~db:"university" ~file with
+    | Ok wal -> wal
+    | Error msg -> Alcotest.failf "attach_wal: %s" msg
+  in
+  with_server ?config ~sys:t (fun server port -> f server port wal)
+
+(* A disk error at the covering fsync: the writer gets a typed error
+   (its commit may not be durable), the flusher survives it, and later
+   requests — a retried write, a read — are answered normally. *)
+let test_fsync_eio_writer () =
+  with_wal_server (fun _server port wal ->
+      let c = logged_in port in
+      Mlds.Wal.arm_failpoint wal ~after_appends:1 Mlds.Wal.Fsync_eio;
+      (match Client.submit c "INSERT (<FILE, eio>, <seq, 1>)" with
+      | Error (`Refused (Wire.Exec_error, why)) ->
+        Alcotest.(check bool) "names the failed fsync" true
+          (contains why "fsync")
+      | Ok out -> Alcotest.failf "write acked despite EIO: %s" out
+      | Error e -> Alcotest.failf "untyped failure: %s" (Client.error_to_string e));
+      let synced = Mlds.Wal.synced_position wal in
+      ignore (csubmit c "INSERT (<FILE, eio>, <seq, 2>)");
+      Alcotest.(check bool) "the flusher fsynced again" true
+        (Mlds.Wal.synced_position wal > synced);
+      Alcotest.(check bool) "reads still answered" true
+        (contains (csubmit c "RETRIEVE ((FILE = eio)) (COUNT(seq))") "COUNT");
+      Client.close c)
+
+(* The exposure bug the release rule fixes: reader B's read is admitted
+   after writer A's insert executed, so it observes A's row. When the
+   fsync covering that row fails, B must get an error too — never an
+   Output showing a write that was not durable. *)
+let test_fsync_eio_observer () =
+  let hold, entered, hook, release = executor_gate () in
+  let config =
+    { Server.Core.default_config with
+      reap_every_s = 3600.;
+      executor_hook = Some hook }
+  in
+  let depth = Obs.Metrics.gauge "server.queue_depth" in
+  with_wal_server ~config (fun _server port wal ->
+      Fun.protect ~finally:release @@ fun () ->
+      let raw user =
+        let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+        Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+        raw_send fd ~request_id:1 ~session_id:0
+          (Wire.Login { user; language = "abdl"; db = "university" });
+        match (raw_recv fd).Wire.msg with
+        | Wire.Logged_in sid -> (fd, sid)
+        | _ -> Alcotest.failf "login %s failed" user
+      in
+      let park_fd, park_sid = raw "park" in
+      let a_fd, a_sid = raw "writer" in
+      let b_fd, b_sid = raw "reader" in
+      let count = Wire.Submit "RETRIEVE ((FILE = exposed)) (COUNT(seq))" in
+      (* park the executor, queue A's insert and then B's read behind it,
+         so both land in one batch, A first *)
+      Atomic.set hold true;
+      raw_send park_fd ~request_id:2 ~session_id:park_sid count;
+      wait_for "executor parked" (fun () -> Atomic.get entered > 0);
+      Mlds.Wal.arm_failpoint wal ~after_appends:1 Mlds.Wal.Fsync_eio;
+      raw_send a_fd ~request_id:2 ~session_id:a_sid
+        (Wire.Submit "INSERT (<FILE, exposed>, <seq, 1>)");
+      wait_for "A queued" (fun () -> Obs.Metrics.gauge_value depth >= 1.);
+      raw_send b_fd ~request_id:2 ~session_id:b_sid count;
+      wait_for "B queued" (fun () -> Obs.Metrics.gauge_value depth >= 2.);
+      release ();
+      ignore (raw_recv park_fd);
+      (match (raw_recv a_fd).Wire.msg with
+      | Wire.Err (Wire.Exec_error, _) -> ()
+      | Wire.Output o -> Alcotest.failf "writer acked despite EIO: %s" o
+      | _ -> Alcotest.fail "writer: unexpected reply");
+      (match (raw_recv b_fd).Wire.msg with
+      | Wire.Err (Wire.Exec_error, _) -> ()
+      | Wire.Output o ->
+        Alcotest.failf "reader saw a write whose fsync failed: %s" o
+      | _ -> Alcotest.fail "reader: unexpected reply");
+      (* the flusher survived: both connections are served again *)
+      raw_send a_fd ~request_id:3 ~session_id:a_sid
+        (Wire.Submit "INSERT (<FILE, exposed>, <seq, 2>)");
+      (match (raw_recv a_fd).Wire.msg with
+      | Wire.Output _ -> ()
+      | _ -> Alcotest.fail "later write not acked");
+      raw_send b_fd ~request_id:3 ~session_id:b_sid count;
+      (match (raw_recv b_fd).Wire.msg with
+      | Wire.Output _ -> ()
+      | _ -> Alcotest.fail "later read not answered");
+      List.iter Unix.close [ park_fd; a_fd; b_fd ])
+
 (* Snapshot pinning: a read pinned to the store epoch of its admission
-   point never observes a later write — the mechanism that lets a shard
-   keep executing writes while a dispatched read run is in flight. *)
+   point never observes a later write — the mechanism that lets the
+   executor keep executing writes while a dispatched read run is in
+   flight. *)
 let test_snapshot_pinned_read () =
   let t = university () in
   let writer = open_h t Mlds.System.L_abdl in
   let reader = open_h t Mlds.System.L_abdl in
   ignore (submit_h writer "INSERT (<FILE, pin>, <seq, 1>)");
-  (* the shard's admission point: classify, then pin the epoch *)
+  (* the executor's admission point: classify, then pin the epoch *)
   Alcotest.(check bool) "count classifies as a read" true
     (Mlds.System.classify_handle reader "RETRIEVE ((FILE = pin)) (COUNT(seq))"
     = `Read);
@@ -1496,9 +1606,13 @@ let suite =
       test_online_checkpoint;
     Alcotest.test_case "fairness: greedy shed, polite served" `Quick
       test_fair_shedding;
-    QCheck_alcotest.to_alcotest prop_sharded_equals_serial;
-    Alcotest.test_case "shards: escalation sees all lanes" `Quick
-      test_shard_escalation;
-    Alcotest.test_case "shards: snapshot-pinned read" `Quick
+    QCheck_alcotest.to_alcotest prop_pipelined_equals_serial;
+    Alcotest.test_case "executor: inject sees acked writes" `Quick
+      test_inject_sees_acked_writes;
+    Alcotest.test_case "executor: snapshot-pinned read" `Quick
       test_snapshot_pinned_read;
+    Alcotest.test_case "fsync EIO: writer gets a typed error" `Quick
+      test_fsync_eio_writer;
+    Alcotest.test_case "fsync EIO: observing reader fails too" `Quick
+      test_fsync_eio_observer;
   ]

@@ -529,6 +529,145 @@ let prop_group_commit_crash =
           r.Mlds.Wal.frames r.Mlds.Wal.torn
       else true)
 
+(* The Fsync_eio failpoint: the covering fsync reports a disk error,
+   the durable position does not move, and the handle stays usable — a
+   later sync retries and lands. *)
+let test_fsync_eio () =
+  let file = temp_wal () in
+  let wal = Mlds.Wal.open_log file in
+  Mlds.Wal.arm_failpoint wal ~after_appends:1 Mlds.Wal.Fsync_eio;
+  List.iter (Mlds.Wal.append wal) script;
+  let synced = Mlds.Wal.synced_position wal in
+  (match Mlds.Wal.sync wal with
+  | () -> Alcotest.fail "fsync EIO not raised"
+  | exception Unix.Unix_error (Unix.EIO, "fsync", _) -> ());
+  Alcotest.(check int) "nothing newly durable" synced
+    (Mlds.Wal.synced_position wal);
+  Mlds.Wal.sync wal;
+  Alcotest.(check int) "the retry lands" (Mlds.Wal.position wal)
+    (Mlds.Wal.synced_position wal);
+  Mlds.Wal.close wal;
+  Alcotest.(check int) "all frames recovered" 3
+    (Mlds.Wal.recover file).Mlds.Wal.frames;
+  Sys.remove file
+
+(* A flusher's fsync covers everything appended before it began, which
+   can reach past the position it was asked for. A reply waiting for
+   such a position must be released at once: the log owes no fsync for
+   it, so no later request would ever settle it. *)
+let test_flusher_covers_past_goal () =
+  let file = temp_wal () in
+  let wal = Mlds.Wal.open_log file in
+  let flusher = Server.Flusher.create ~on_durable:ignore wal in
+  let commit k =
+    List.iter (Mlds.Wal.append wal)
+      [ Mlds.Wal.Begin; Mlds.Wal.Keyed_insert (k, item k k); Mlds.Wal.Commit ];
+    Mlds.Wal.sync wal;
+    Mlds.Wal.committed_position wal
+  in
+  Mlds.Wal.begin_group wal;
+  let first = commit 1 in
+  let second = commit 2 in
+  Mlds.Wal.leave_group wal;
+  Server.Flusher.request flusher first;
+  Server.Flusher.drain flusher;
+  Alcotest.(check int) "the fsync covered both commits" second
+    (Mlds.Wal.synced_position wal);
+  let released = ref false in
+  Server.Flusher.when_durable flusher second (fun failed ->
+      released := failed = None);
+  Alcotest.(check bool) "released without another request" true !released;
+  Server.Flusher.stop flusher;
+  Mlds.Wal.close wal;
+  Sys.remove file
+
+(* The pipelined kill point: batch N's commit position has been handed
+   to a flusher (or is still waiting to be), batch N+1 has executed and
+   appended, and the machine dies — with N's covering fsync possibly
+   still pending. Replies are released exactly as the server releases
+   them: through [Server.Flusher.when_durable] at the commit position of
+   their admission (reads) or execution (commits). After recovery, every
+   acked commit survives, and every read delivered before the crash
+   shows only writes that survived. *)
+let prop_pipelined_commit_crash =
+  QCheck2.Test.make
+    ~name:"pipelined commit crash: no delivered reply shows a lost write"
+    ~count:60
+    QCheck2.Gen.(
+      quad
+        (list_size (int_range 1 6) bool)
+        (list_size (int_range 1 6) bool)
+        bool
+        (oneofl
+           [ Mlds.Wal.Crash_before_fsync; Mlds.Wal.Crash_mid_frame;
+             Mlds.Wal.Short_write 5 ]))
+    (fun (batch_n, batch_n1, pending, failure) ->
+      let file = temp_wal () in
+      let wal = Mlds.Wal.open_log file in
+      let flusher = Server.Flusher.create ~on_durable:ignore wal in
+      let mx = Mutex.create () in
+      let acked = ref [] and shown = ref [] in
+      let committed = ref [] and next = ref 0 in
+      let deliver f = function
+        | None -> Mutex.protect mx f
+        | Some _ -> ()
+      in
+      (* one batch: true = a committing insert, false = a read of every
+         commit executed so far *)
+      let run_batch ops =
+        Mlds.Wal.begin_group wal;
+        List.iter
+          (fun commit ->
+            if commit then begin
+              incr next;
+              let k = !next in
+              Mlds.Wal.append wal Mlds.Wal.Begin;
+              Mlds.Wal.append wal (Mlds.Wal.Keyed_insert (k, item k k));
+              Mlds.Wal.append wal Mlds.Wal.Commit;
+              Mlds.Wal.sync wal;
+              committed := k :: !committed;
+              Server.Flusher.when_durable flusher
+                (Mlds.Wal.committed_position wal)
+                (deliver (fun () -> acked := k :: !acked))
+            end
+            else begin
+              let view = !committed in
+              Server.Flusher.when_durable flusher
+                (Mlds.Wal.committed_position wal)
+                (deliver (fun () -> shown := view @ !shown))
+            end)
+          ops
+      in
+      run_batch batch_n;
+      Mlds.Wal.leave_group wal;
+      let goal = Mlds.Wal.committed_position wal in
+      if not pending then Server.Flusher.request flusher goal;
+      run_batch batch_n1;
+      (* the kill, before batch N+1 ends: the next append dies *)
+      Mlds.Wal.arm_failpoint wal ~after_appends:1 failure;
+      (try Mlds.Wal.append wal Mlds.Wal.Abort with Mlds.Wal.Crash _ -> ());
+      (* a flush still pending at the crash now meets a dead handle *)
+      if pending then Server.Flusher.request flusher goal;
+      Server.Flusher.stop flusher;
+      let r = Mlds.Wal.recover file in
+      Sys.remove file;
+      let durable =
+        List.filter_map
+          (function Mlds.Wal.Keyed_insert (k, _) -> Some k | _ -> None)
+          r.Mlds.Wal.entries
+      in
+      let lost l = List.filter (fun k -> not (List.mem k durable)) l in
+      match lost !acked, lost !shown with
+      | [], [] -> true
+      | a, s ->
+        QCheck2.Test.fail_reportf
+          "lost acked commits [%s], lost writes shown to readers [%s] \
+           (durable [%s], pending=%b)"
+          (String.concat "," (List.map string_of_int a))
+          (String.concat "," (List.map string_of_int s))
+          (String.concat "," (List.map string_of_int durable))
+          pending)
+
 (* --- the crash-recovery property ------------------------------------------- *)
 
 (* One workload step. [Op_txn] groups its sub-ops through
@@ -770,6 +909,10 @@ let suite =
     "sync skips the syscall when clean", `Quick, test_sync_skips_when_clean;
     "group commit: one covering fsync", `Quick, test_group_commit_single_fsync;
     QCheck_alcotest.to_alcotest prop_group_commit_crash;
+    "failpoint: fsync EIO", `Quick, test_fsync_eio;
+    "flusher releases what an fsync covered past its goal", `Quick,
+    test_flusher_covers_past_goal;
+    QCheck_alcotest.to_alcotest prop_pipelined_commit_crash;
     "recovery trace artifact", `Quick, test_recovery_trace_artifact;
     QCheck_alcotest.to_alcotest prop_crash_recovery;
   ]
