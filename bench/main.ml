@@ -549,7 +549,51 @@ let experiment_e12 ?(quick = false) () =
     "(%d records, full-partition range scan; speedup tracks min(backends,\n\
     \ cores) — on a single-core host the dispatch overhead makes the\n\
     \ parallel column slightly slower, which is the honest number)\n"
-    records
+    records;
+  (* Per-key row: the SQL INSERT path on a 2-backend controller — a
+     UNIQUE-style key probe broadcast, then the insert itself. Tiny shares
+     like these run on the calling domain, so the parallel column should
+     stay close to the sequential one. *)
+  let inserts = if quick then 2000 else 10000 in
+  let records = Array.init inserts employee_record in
+  let probes =
+    Array.init inserts (fun i ->
+        Abdm.Query.conj
+          [ Abdm.Predicate.file_eq "employee";
+            Abdm.Predicate.make "name" Abdm.Predicate.Eq
+              (Abdm.Value.Str (Printf.sprintf "e%d" i)) ])
+  in
+  let insert_us ~parallel ~probe =
+    let h =
+      Obs.Metrics.histogram
+        (Printf.sprintf "bench.e12.%s.be2.%s.per_op_s"
+           (if probe then "probe_insert" else "insert")
+           (if parallel then "par" else "seq"))
+    in
+    let trial () =
+      let c = Mbds.Controller.create ~parallel 2 in
+      let t0 = Obs.Clock.now_s () in
+      Array.iteri
+        (fun i r ->
+          if probe then ignore (Mbds.Controller.select c probes.(i));
+          ignore (Mbds.Controller.insert c r))
+        records;
+      let per_op = Obs.Clock.since t0 /. float_of_int inserts in
+      Obs.Metrics.observe h per_op;
+      per_op
+    in
+    let times = List.sort Float.compare (List.init trials (fun _ -> trial ())) in
+    List.nth times (trials / 2) *. 1e6
+  in
+  Printf.printf "\n%-22s %-18s %-18s %s\n" "per-key (2 backends)"
+    "sequential (us/op)" "parallel (us/op)" "parallel / sequential";
+  List.iter
+    (fun (label, probe) ->
+      let seq = insert_us ~parallel:false ~probe in
+      let par = insert_us ~parallel:true ~probe in
+      Printf.printf "%-22s %-18.2f %-18.2f %.2fx\n" label seq par (par /. seq))
+    [ "insert", false; "key probe + insert", true ];
+  Printf.printf "(%d inserts per trial, median of %d trials)\n" inserts trials
 
 (* ------------------------------------------------------------------ *)
 (* Bechamel micro-benchmarks                                           *)

@@ -202,6 +202,17 @@ let render ~target ~prev ~cur ~tail ~keep =
     hit_rate
     (Option.value ~default:0. (metric_num cur "server.batch_size" "p90"))
     (Option.value ~default:0. (metric_num cur "server.read_run_len" "p90"));
+  (* MBDS broadcast shares: run by the calling domain vs taken by a pool
+     worker; the line vanishes while no broadcast has run *)
+  let counter name =
+    Option.value ~default:0. (metric_num cur name "value")
+  in
+  let inline = counter "mbds.shares_inline" in
+  let remote = counter "mbds.shares_remote" in
+  if inline +. remote > 0. then
+    add "mbds shares %.0f inline   %.0f remote (%.1f%% on workers)\n" inline
+      remote
+      (100. *. remote /. (inline +. remote));
   (* replication: a primary shows per-standby worst-case lag; a standby
      shows its apply progress. Both lines vanish when the plane is off. *)
   (match metric_num cur "repl.standbys" "value" with

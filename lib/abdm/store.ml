@@ -803,8 +803,6 @@ let in_transaction store = store.journal <> None
 
 let scan_count store = Atomic.get store.scans
 
-let reset_scan_count store = Atomic.set store.scans 0
-
 let indexed_selects store = Atomic.get store.sel_indexed
 
 let scanned_selects store = Atomic.get store.sel_scanned

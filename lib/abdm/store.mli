@@ -14,19 +14,21 @@
     {2 Domain-ownership contract}
 
     A store is {b not} internally synchronised. When a store is used as an
-    MBDS backend partition under a parallel controller, it is {e owned} by
-    exactly one worker domain of the controller's {!Mbds.Pool}: every
-    mutating operation ([insert]/[insert_keyed]/[delete]/[update]/
-    [replace]/[clear]/transaction control) must execute on that owner
-    domain. The pool's per-worker FIFO mailboxes make this automatic for
-    work routed by backend index. Read-only operations ([select]/[get]/
-    [count]/[iter]/the stat accessors) may run from {e any} number of
-    domains concurrently with each other — the server's batched executor
-    relies on this — provided no mutation is concurrent with them: the
-    observability counters they bump (scan tallies, request timing) are
-    atomics, so a concurrent SELECT is never a data race. The mutation
-    side still needs a happens-before edge (awaiting the owner's last
-    task, or a write barrier in the batch scheduler).
+    MBDS backend partition, it is {e owned} by its controller's lock for
+    that backend: every mutating operation ([insert]/[insert_keyed]/
+    [delete]/[update]/[replace]/[clear]/transaction control) and every
+    broadcast [select] runs while holding it, on whichever domain — the
+    caller or a pool worker — runs that share. Holding the lock gives one
+    mutating domain at a time, and its release-acquire pair publishes the
+    previous holder's writes to the next. Read-only operations
+    ([select]/[get]/[count]/[iter]/the stat accessors) may run from
+    {e any} number of domains concurrently with each other — the
+    server's batched executor relies on this — provided no mutation is
+    concurrent with them: the observability counters they bump (scan
+    tallies, request timing) are atomics, so a concurrent SELECT is never
+    a data race. The mutation side still needs a happens-before edge to
+    lock-free readers (program order on one domain, or a write barrier in
+    the batch scheduler).
 
     Readers that cannot arrange such an edge pin a {!snapshot} instead:
     the whole store state (records, per-file sets, index directory,
@@ -122,11 +124,10 @@ val clear : t -> unit
 val iter : t -> (dbkey -> Record.t -> unit) -> unit
 
 (** Number of records examined by [select]/[delete]/[update] since
-    creation or the last [reset_scan_count]; used by the MBDS cost model
-    to charge disk work. *)
+    creation or the last [clear]. The MBDS controller charges the
+    difference across each broadcast share, taken under the backend's
+    lock, to the cost model as disk work. *)
 val scan_count : t -> int
-
-val reset_scan_count : t -> unit
 
 (** {2 Per-store observability}
 

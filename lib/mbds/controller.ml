@@ -7,10 +7,10 @@ type t = {
   cost : Cost.t;
   placement : placement;
   backends : Abdm.Store.t array;
-  (* [Some pool] iff this controller dispatches backend work to worker
-     domains; backend [i] is always served by worker [Pool.owner pool i],
-     so each store has exactly one mutating domain (the ownership contract
-     of Abdm.Store). *)
+  (* [locks.(i)] guards [backends.(i)]: every broadcast share and every
+     per-key mutation holds it (the ownership contract of Abdm.Store) *)
+  locks : Mutex.t array;
+  (* [Some pool] iff broadcasts offer shares 1..n-1 to worker domains *)
   pool : Pool.t option;
   mutable next_key : int;
   stats : Stats.t;
@@ -50,6 +50,7 @@ let create ?(cost = Cost.default) ?(name = "mbds") ?(placement = Round_robin)
     cost;
     placement;
     backends = Array.init n backend;
+    locks = Array.init n (fun _ -> Mutex.create ());
     pool;
     next_key = 1;
     stats = Stats.create ();
@@ -78,18 +79,32 @@ let backend_index_of_key t key =
 
 let now () = Unix.gettimeofday ()
 
+(* Shares run on the calling domain vs on a pool worker, across every
+   controller: how much broadcast work the workers actually took. *)
+let c_shares_inline = Obs.Metrics.counter "mbds.shares_inline"
+
+let c_shares_remote = Obs.Metrics.counter "mbds.shares_remote"
+
+let with_backend t i f = Mutex.protect t.locks.(i) (fun () -> f t.backends.(i))
+
 (* Run [f] against every backend, returning per-backend results and the
    (scanned, written) work each performed; charge the cost model and record
-   the measured wall clock. In parallel mode each backend's task runs on
-   its owner domain; results are merged in backend-index order either way,
-   so the two modes are observationally identical.
+   the measured wall clock. Each backend's share holds that backend's lock
+   and reports the scans it made itself, so concurrent broadcasts on one
+   controller neither race on a store nor miscount each other's work.
+
+   A parallel controller submits shares 1..n-1 to the pool, runs share 0
+   here, then walks the rest from the back: every share no worker has
+   started runs here too ([Pool.run_or_await]), so tiny shares never pay
+   a hand-off while a long scan still overlaps with a worker. A sequential
+   controller is the same walk with nothing submitted. Results are merged
+   in backend-index order either way; a failing share is re-raised only
+   after every share has finished.
 
    Tracing: the broadcast opens one span; each backend's share is a child
-   span keyed by backend index. Sequential children nest directly; parallel
-   children complete as roots on their worker domains and are adopted here
-   once every future is awaited (the pool is then quiescent for this
-   request — the same happens-before edge the store contract uses), so
-   both modes emit the same sibling order. *)
+   span keyed by backend index. Shares run here nest directly; shares run
+   by a worker complete as roots there and are adopted once every share is
+   done, so both modes emit the same sibling order. *)
 let broadcast t ~op ~results_of ~writes_of f =
   Obs.Span.with_span "mbds.broadcast"
     ~attrs:(fun () ->
@@ -99,43 +114,55 @@ let broadcast t ~op ~results_of ~writes_of f =
         "mode", (if t.pool = None then "sequential" else "parallel");
       ])
     (fun () ->
-      Array.iter Abdm.Store.reset_scan_count t.backends;
       let t0 = now () in
-      let backend_task i backend ~queued_s () =
+      let caller = Domain.self () in
+      let share i () =
+        let remote = Domain.self () <> caller in
+        Obs.Metrics.incr (if remote then c_shares_remote else c_shares_inline);
         Obs.Span.with_span "mbds.backend" ~index:i
           ~attrs:(fun () ->
             let base = [ "backend", string_of_int i ] in
-            match queued_s with
-            | None -> base
-            | Some q ->
+            if remote then
               base
               @ [ "queue_wait_us",
-                  Printf.sprintf "%.1f" (Obs.Clock.since q *. 1e6) ])
-          (fun () -> f backend)
+                  Printf.sprintf "%.1f" (Obs.Clock.since t0 *. 1e6) ]
+            else base)
+          (fun () ->
+            with_backend t i (fun backend ->
+                let scans0 = Abdm.Store.scan_count backend in
+                let r = f backend in
+                r, Abdm.Store.scan_count backend - scans0))
       in
-      let per_backend_arr =
-        match t.pool with
-        | Some pool ->
-          let queued_s = Some (Obs.Clock.now_s ()) in
-          let tasks =
-            Array.mapi (fun i backend -> backend_task i backend ~queued_s)
-              t.backends
-          in
-          let r = Pool.map pool tasks in
-          Obs.Span.adopt_remote ();
-          r
-        | None ->
-          Array.mapi
-            (fun i backend -> backend_task i backend ~queued_s:None ())
-            t.backends
+      let n = Array.length t.backends in
+      let futures =
+        Array.init n (fun i ->
+            match t.pool with
+            | Some pool when i > 0 -> Some (Pool.submit pool i (share i))
+            | _ -> None)
       in
+      let run i =
+        try
+          Ok
+            (match futures.(i) with
+            | Some fut -> Pool.run_or_await fut
+            | None -> share i ())
+        with e -> Error (e, Printexc.get_raw_backtrace ())
+      in
+      let outcomes = Array.make n (run 0) in
+      for i = n - 1 downto 1 do
+        outcomes.(i) <- run i
+      done;
+      if t.pool <> None then Obs.Span.adopt_remote ();
       let measured = now () -. t0 in
-      let per_backend = Array.to_list per_backend_arr in
+      let per_backend =
+        Array.to_list outcomes
+        |> List.map (function
+             | Ok v -> v
+             | Error (e, bt) -> Printexc.raise_with_backtrace e bt)
+      in
       let backend_work =
-        List.map2
-          (fun backend result ->
-            Abdm.Store.scan_count backend, writes_of result)
-          (Array.to_list t.backends) per_backend
+        List.map (fun (result, scanned) -> scanned, writes_of result)
+          per_backend
       in
       List.iteri
         (fun i (scanned, written) ->
@@ -144,20 +171,13 @@ let broadcast t ~op ~results_of ~writes_of f =
           Obs.Metrics.set_gauge t.obs_records.(i)
             (float_of_int (Abdm.Store.size t.backends.(i))))
         backend_work;
+      let per_backend = List.map fst per_backend in
       let results =
         List.fold_left (fun acc r -> acc + results_of r) 0 per_backend
       in
       let dt = Cost.response_time t.cost ~backend_work ~results in
       Stats.record ~measured t.stats dt;
       per_backend)
-
-(* Per-key mutations go through the owning worker in parallel mode, so the
-   single-writer discipline holds even when callers interleave them with
-   future asynchronous broadcasts. *)
-let on_owner t idx f =
-  match t.pool with
-  | Some pool -> Pool.run_on pool idx f
-  | None -> f ()
 
 let insert t record =
   let key = t.next_key in
@@ -169,7 +189,7 @@ let insert t record =
       [ "key", string_of_int key; "backend", string_of_int idx ])
     (fun () ->
       let t0 = now () in
-      on_owner t idx (fun () -> Abdm.Store.insert_keyed backend key record);
+      with_backend t idx (fun b -> Abdm.Store.insert_keyed b key record);
       let measured = now () -. t0 in
       let backend_work =
         Array.to_list
@@ -192,8 +212,8 @@ let select t query =
   List.concat per_backend
   |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
 
-(* Reads directory snapshots only; no owner hop needed (same argument as
-   [get] below). Each backend partition holds different rows, so its
+(* Reads directory snapshots only; takes no lock (same argument as [get]
+   below). Each backend partition holds different rows, so its
    cardinalities — and possibly its chosen access path — differ. *)
 let explain t query =
   String.concat "\n"
@@ -222,10 +242,11 @@ let update t query modifiers =
   in
   List.fold_left ( + ) 0 per_backend
 
-(* reads need no owner hop: the pool is quiescent between requests and
-   awaiting any prior dispatch already published the owner's writes. A get
-   is still a request the controller served, so it is charged to the cost
-   model (one record access on the owning backend) and recorded in Stats. *)
+(* Lock-free read: mutations of a backend happen under its lock, and the
+   caller orders them before this read (the server's write barrier, or
+   program order on one domain). A get is still a request the controller
+   served, so it is charged to the cost model (one record access on the
+   owning backend) and recorded in Stats. *)
 let get t key =
   let idx = backend_index_of_key t key in
   let backend = t.backends.(idx) in
@@ -246,8 +267,8 @@ let get t key =
       result)
 
 let replace t key record =
-  let idx = backend_index_of_key t key in
-  on_owner t idx (fun () -> Abdm.Store.replace t.backends.(idx) key record)
+  with_backend t (backend_index_of_key t key) (fun b ->
+      Abdm.Store.replace b key record)
 
 (* Restore path (snapshot / WAL replay): store a record under its saved
    global key. Placement is a pure function of the key, so a restored
@@ -256,7 +277,7 @@ let replace t key record =
 let insert_keyed t key record =
   let idx = backend_index_of_key t key in
   let backend = t.backends.(idx) in
-  on_owner t idx (fun () -> Abdm.Store.insert_keyed backend key record);
+  with_backend t idx (fun b -> Abdm.Store.insert_keyed b key record);
   if key >= t.next_key then t.next_key <- key + 1;
   Obs.Metrics.incr t.obs_written.(idx);
   Obs.Metrics.set_gauge t.obs_records.(idx)
@@ -302,22 +323,16 @@ let run t (request : Abdl.Ast.request) =
 let run_transaction t requests = List.map (run t) requests
 
 (* Transaction control mutates every backend's journal, so — like any
-   other mutation — it must run on each store's owner domain when a pool
-   is active (the store-ownership contract of abdm/store.mli). *)
-let begin_transaction t =
-  Array.iteri
-    (fun i backend -> on_owner t i (fun () -> Abdm.Store.begin_transaction backend))
-    t.backends
+   other mutation — it holds each backend's lock (the store-ownership
+   contract of abdm/store.mli). *)
+let each_backend t f =
+  Array.iteri (fun i _ -> with_backend t i f) t.backends
 
-let commit t =
-  Array.iteri
-    (fun i backend -> on_owner t i (fun () -> Abdm.Store.commit backend))
-    t.backends
+let begin_transaction t = each_backend t Abdm.Store.begin_transaction
 
-let rollback t =
-  Array.iteri
-    (fun i backend -> on_owner t i (fun () -> Abdm.Store.rollback backend))
-    t.backends
+let commit t = each_backend t Abdm.Store.commit
+
+let rollback t = each_backend t Abdm.Store.rollback
 
 let last_response_time t = Stats.last_time t.stats
 

@@ -27,15 +27,19 @@ type placement =
     [n] backends. Raises [Invalid_argument] when [n < 1] or the skew
     fraction is not within [0, 1] (NaN included).
 
+    Each backend has its own lock: every broadcast share and every
+    per-key mutation ([insert], [insert_keyed], [replace], transaction
+    control) runs under it, on the calling domain unless a worker took
+    the share — the ownership contract of {!Abdm.Store}.
+
     When [parallel] is [true] (the default whenever
-    [Domain.recommended_domain_count () > 1]), broadcasts dispatch each
-    backend's work to a dedicated worker domain of the shared {!Pool}
-    (backend [i] is always served by worker [i mod pool-size]), and
-    per-key mutations ([insert], [replace]) run on the owning worker —
-    the single-writer contract of {!Abdm.Store}. Results are merged in
-    backend-index order, so parallel and sequential controllers are
-    observationally identical; only the measured wall clock differs.
-    A 1-backend controller is always sequential. *)
+    [Domain.recommended_domain_count () > 1]), a broadcast offers shares
+    1..n-1 to the shared {!Pool} and runs share 0 itself; it then runs
+    every share no worker has started ({!Pool.run_or_await}) and waits
+    for the rest. A sequential controller runs every share itself.
+    Results are merged in backend-index order, so parallel and sequential
+    controllers are observationally identical; only the measured wall
+    clock differs. A 1-backend controller is always sequential. *)
 val create :
   ?cost:Cost.t ->
   ?name:string ->
@@ -48,7 +52,7 @@ val num_backends : t -> int
 
 val name : t -> string
 
-(** Whether this controller dispatches backend work to worker domains. *)
+(** Whether this controller offers broadcast shares to worker domains. *)
 val parallel : t -> bool
 
 (** The record-placement policy this controller was created with (after
@@ -113,8 +117,8 @@ val backend_loads : t -> (int * int * int) list
 
 (** Transaction control, forwarded to every backend (the controller is
     the transaction coordinator). Like every other backend mutation, the
-    journal operations run on each store's owner domain when a pool is
-    active — the store-ownership contract of {!Abdm.Store}. *)
+    journal operations hold each backend's lock — the store-ownership
+    contract of {!Abdm.Store}. *)
 
 val begin_transaction : t -> unit
 

@@ -3,14 +3,19 @@ type 'a state =
   | Done of 'a
   | Failed of exn * Printexc.raw_backtrace
 
+(* [claimed] is set by whoever starts the task: the worker that dequeues
+   it or a caller in [run_or_await]. Exactly one of them wins the CAS and
+   runs [task]; the other skips it (worker) or waits for it (caller). *)
 type 'a future = {
   mutable state : 'a state;
   fut_mutex : Mutex.t;
   fut_cond : Condition.t;
+  task : unit -> 'a;
+  claimed : bool Atomic.t;
 }
 
 (* One mailbox per worker: tasks for a given owner index execute on that
-   worker only, in FIFO order — the single-writer guarantee of the mli. *)
+   worker only, in FIFO order, unless a caller claims them first. *)
 type worker = {
   tasks : (unit -> unit) Queue.t;
   w_mutex : Mutex.t;
@@ -73,26 +78,39 @@ let h_queue_wait = Obs.Metrics.histogram "pool.queue_wait_s"
 
 let h_execute = Obs.Metrics.histogram "pool.execute_s"
 
+let claim fut = Atomic.compare_and_set fut.claimed false true
+
+let complete fut =
+  let outcome =
+    match fut.task () with
+    | v -> Done v
+    | exception e -> Failed (e, Printexc.get_raw_backtrace ())
+  in
+  Mutex.lock fut.fut_mutex;
+  fut.state <- outcome;
+  Condition.broadcast fut.fut_cond;
+  Mutex.unlock fut.fut_mutex
+
 let submit t i f =
   if not t.live then invalid_arg "Pool.submit: pool is shut down";
   let w = t.workers.(owner t i) in
   let fut =
-    { state = Pending; fut_mutex = Mutex.create (); fut_cond = Condition.create () }
+    {
+      state = Pending;
+      fut_mutex = Mutex.create ();
+      fut_cond = Condition.create ();
+      task = f;
+      claimed = Atomic.make false;
+    }
   in
   let enqueued_s = Obs.Clock.now_s () in
   let run () =
-    Obs.Metrics.observe h_queue_wait (Obs.Clock.since enqueued_s);
-    let exec0 = Obs.Clock.now_s () in
-    let outcome =
-      match f () with
-      | v -> Done v
-      | exception e -> Failed (e, Printexc.get_raw_backtrace ())
-    in
-    Obs.Metrics.observe h_execute (Obs.Clock.since exec0);
-    Mutex.lock fut.fut_mutex;
-    fut.state <- outcome;
-    Condition.broadcast fut.fut_cond;
-    Mutex.unlock fut.fut_mutex
+    if claim fut then begin
+      Obs.Metrics.observe h_queue_wait (Obs.Clock.since enqueued_s);
+      let exec0 = Obs.Clock.now_s () in
+      complete fut;
+      Obs.Metrics.observe h_execute (Obs.Clock.since exec0)
+    end
   in
   Mutex.lock w.w_mutex;
   Queue.push run w.tasks;
@@ -118,9 +136,9 @@ let await fut =
 
 let run_on t i f = await (submit t i f)
 
-let map t fs =
-  let futures = Array.mapi (fun i f -> submit t i f) fs in
-  Array.map await futures
+let run_or_await fut =
+  if claim fut then complete fut;
+  await fut
 
 let shutdown t =
   if t.live then begin
@@ -141,7 +159,8 @@ let shared () =
   match !shared_pool with
   | Some pool -> pool
   | None ->
-    let n = max 1 (min 8 (Domain.recommended_domain_count ())) in
+    (* the calling domain runs broadcast shares too ([run_or_await]) *)
+    let n = max 1 (min 8 (Domain.recommended_domain_count () - 1)) in
     let pool = create n in
     shared_pool := Some pool;
     at_exit (fun () -> shutdown pool);

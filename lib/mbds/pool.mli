@@ -3,24 +3,21 @@
 
     The pool is the MBDS execution substrate: where {!Cost} only {e models}
     the parallelism of the paper's backend minicomputers, the pool makes it
-    physical — each backend's work runs on a real domain, so wall-clock
+    physical — a broadcast's shares run on real domains, so wall-clock
     response time falls with the number of cores.
 
-    {2 Ownership discipline}
+    {2 Dispatch discipline}
 
-    Work is submitted {e to a worker index}, not to "any worker":
-    [submit t i f] always runs [f] on worker [owner t i], and one worker
-    executes its mailbox strictly in FIFO order. A caller that routes every
-    operation touching a given mutable structure (an {!Abdm.Store}) through
-    the same index therefore gets a single-writer guarantee for free: no
-    two domains ever mutate that structure concurrently, and submission
-    order is execution order. This is the store-ownership contract the MBDS
-    controller relies on (see {!Abdm.Store} and DESIGN.md).
+    Work is submitted {e to a worker index}: [submit t i f] queues [f] on
+    worker [owner t i], and one worker dequeues its mailbox strictly in
+    FIFO order. A submitted task runs exactly once, either on that worker
+    or — through {!run_or_await} — on a caller that claims it before the
+    worker dequeues it (the help-first rule of work stealing). The pool
+    gives no mutual exclusion: the MBDS controller serialises each
+    backend store behind its own lock (see {!Abdm.Store} and DESIGN.md).
 
     Awaiting a future establishes a happens-before edge from everything the
-    task wrote to the awaiting domain, so the orchestrating domain may read
-    (or mutate) a worker-owned structure between dispatches — while the
-    pool is quiescent for that owner — without further synchronisation. *)
+    task wrote to the awaiting domain. *)
 
 type t
 
@@ -46,21 +43,25 @@ val submit : t -> int -> (unit -> 'a) -> 'a future
     re-raising (with its backtrace) any exception the task raised. *)
 val await : 'a future -> 'a
 
-(** [run_on t i f] is [await (submit t i f)]. *)
+(** [run_on t i f] is [await (submit t i f)]: [f] runs on worker
+    [owner t i]. *)
 val run_on : t -> int -> (unit -> 'a) -> 'a
 
-(** [map t fs] runs [fs.(i)] on worker [owner t i] and returns the results
-    in index order — the deterministic merge order the MBDS controller
-    requires. Tasks run concurrently across workers (up to [size t] at a
-    time). *)
-val map : t -> (unit -> 'a) array -> 'a array
+(** [run_or_await fut] runs the task of [fut] on the calling domain if no
+    worker has dequeued it yet — the worker then skips it — and otherwise
+    waits for the worker to finish it. Returns or re-raises like {!await}.
+    The caller never waits on a task that has not started, so it cannot
+    deadlock behind its own pool's queue. A task run here records nothing
+    in [pool.queue_wait_s] or [pool.execute_s]. *)
+val run_or_await : 'a future -> 'a
 
 (** [shutdown t] drains every mailbox, stops the workers and joins their
-    domains. Idempotent. Subsequent [submit]/[run_on]/[map] raise. *)
+    domains. Idempotent. Subsequent [submit]/[run_on] raise. *)
 val shutdown : t -> unit
 
 (** The process-wide shared pool used by MBDS controllers, created lazily
-    on first use and sized [min 8 (Domain.recommended_domain_count ())].
-    Joined automatically at exit. Must be first called (and [submit]ted to)
-    from a single orchestrating domain — the MLDS controller thread. *)
+    on first use and sized [max 1 (min 8 (Domain.recommended_domain_count
+    () - 1))] — the domain that broadcasts is one of the executors.
+    Joined automatically at exit. Must be first called from a single
+    orchestrating domain — the MLDS controller thread. *)
 val shared : unit -> t

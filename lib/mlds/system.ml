@@ -693,8 +693,8 @@ let classify_handle h src =
 (* A pinned view of one database's store for the read pool: captured at
    an executor serial point, installed around the read task on whatever
    pool domain runs it. Only single-store kernels are snapshot-capable —
-   a Multi kernel executes on the MBDS pool's owner domains, where a
-   caller-domain pin cannot follow the work. *)
+   a Multi kernel's broadcast shares may run on MBDS pool workers, where
+   a caller-domain pin cannot follow the work. *)
 type db_snapshot = {
   dbs_store : Abdm.Store.t;
   dbs_snap : Abdm.Store.snap;

@@ -219,11 +219,12 @@ let test_skew_get_replace_determinism () =
   Alcotest.(check int) "size invariant" 60 (Mbds.Controller.size c)
 
 (* The tentpole guarantee: a parallel controller is observationally
-   identical to a sequential one — byte-identical merged results. *)
+   identical to a sequential one — byte-identical merged results. Up to 8
+   backends, so a caller drains several queued shares of a smaller pool. *)
 let test_parallel_matches_sequential () =
-  let run_all parallel =
-    let c = Mbds.Controller.create ~parallel 4 in
-    Alcotest.(check bool) "parallel knob honoured" parallel
+  let run_all backends parallel =
+    let c = Mbds.Controller.create ~parallel backends in
+    Alcotest.(check bool) "parallel knob honoured" (parallel && backends > 1)
       (Mbds.Controller.parallel c);
     populate (Mbds.Controller.insert c) 300;
     let outputs = ref [] in
@@ -245,10 +246,107 @@ let test_parallel_matches_sequential () =
     in
     List.rev !outputs, rows
   in
-  let seq_out, seq_rows = run_all false in
-  let par_out, par_rows = run_all true in
-  Alcotest.(check (list string)) "request results byte-identical" seq_out par_out;
-  Alcotest.(check (list string)) "final contents byte-identical" seq_rows par_rows
+  for backends = 1 to 8 do
+    let seq_out, seq_rows = run_all backends false in
+    let par_out, par_rows = run_all backends true in
+    Alcotest.(check (list string)) "request results byte-identical" seq_out par_out;
+    Alcotest.(check (list string)) "final contents byte-identical" seq_rows par_rows
+  done
+
+(* Concurrent broadcasts on one controller (the server's read runs) must
+   each count only their own scans: 4 domains x 200 full-file selects of
+   1000 records examine exactly 800 000 records. *)
+let test_concurrent_scan_counts () =
+  let c = Mbds.Controller.create ~name:"scan-count" ~parallel:true 2 in
+  populate (Mbds.Controller.insert c) 1000;
+  let scanned () =
+    List.fold_left (fun acc (s, _, _) -> acc + s) 0
+      (Mbds.Controller.backend_loads c)
+  in
+  let before = scanned () in
+  let q_all = Abdm.Query.conj [ Abdm.Predicate.file_eq "employee" ] in
+  List.init 4 (fun _ ->
+      Domain.spawn (fun () ->
+          for _ = 1 to 200 do
+            ignore (Mbds.Controller.select c q_all)
+          done))
+  |> List.iter Domain.join;
+  Alcotest.(check int) "records examined" 800_000 (scanned () - before)
+
+(* Runs [fs] on their own domains and returns their results; exits the
+   process if they do not all finish within [timeout_s], so a lock-order
+   deadlock fails the suite instead of hanging it. *)
+let run_domains_within ~timeout_s fs =
+  let finished = Atomic.make 0 in
+  let domains =
+    List.map
+      (fun f ->
+        Domain.spawn (fun () ->
+            Fun.protect ~finally:(fun () -> Atomic.incr finished) f))
+      fs
+  in
+  let deadline = Unix.gettimeofday () +. timeout_s in
+  while Atomic.get finished < List.length fs && Unix.gettimeofday () < deadline do
+    Unix.sleepf 0.001
+  done;
+  if Atomic.get finished < List.length fs then begin
+    prerr_endline "concurrent broadcasts did not finish: deadlock";
+    Unix._exit 3
+  end;
+  List.map Domain.join domains
+
+(* The server's read runs on a Multi kernel: several domains broadcast
+   random selects on one parallel controller, between serial mutation
+   phases run from the main domain. Every reply equals the serial answer
+   for its phase. *)
+let prop_concurrent_reads_between_writes =
+  QCheck2.Test.make
+    ~name:"concurrent select broadcasts equal serial answers per phase"
+    ~count:15
+    QCheck2.Gen.(
+      pair (int_range 2 6)
+        (list_size (int_range 1 4)
+           (pair
+              (list_size (int_range 0 20) (pair (int_range 0 3) (int_range 0 9)))
+              (list_size (int_range 1 8) (int_range 0 9)))))
+    (fun (backends, phases) ->
+      let c = Mbds.Controller.create ~parallel:true backends in
+      populate (Mbds.Controller.insert c) 40;
+      let query v =
+        Abdm.Query.conj
+          [ Abdm.Predicate.file_eq "employee";
+            Abdm.Predicate.make "salary" Abdm.Predicate.Le (Abdm.Value.Int (v * 40)) ]
+      in
+      let answer v =
+        Mbds.Controller.select c (query v)
+        |> List.map (fun (k, r) -> Printf.sprintf "%d=%s" k (Abdm.Record.to_string r))
+        |> String.concat ";"
+      in
+      List.for_all
+        (fun (writes, reads) ->
+          List.iter
+            (fun (op, v) ->
+              match op with
+              | 0 | 1 -> ignore (Mbds.Controller.insert c (emp "w" (v * 37)))
+              | 2 -> ignore (Mbds.Controller.delete c (query (v / 3)))
+              | _ ->
+                ignore
+                  (Mbds.Controller.update c (query v)
+                     [ Abdm.Modifier.Set_arith
+                         ("salary", Abdm.Modifier.Add, Abdm.Value.Int 5) ]))
+            writes;
+          let expected = List.map answer reads in
+          let reader k () =
+            (* each reader walks the reads in its own rotation *)
+            let n = List.length reads in
+            List.init (3 * n) (fun i ->
+                let j = (i + k) mod n in
+                j, answer (List.nth reads j))
+          in
+          run_domains_within ~timeout_s:30. (List.init 3 reader)
+          |> List.for_all
+               (List.for_all (fun (j, got) -> got = List.nth expected j)))
+        phases)
 
 let test_measured_time_recorded () =
   let check_mode parallel =
@@ -371,10 +469,10 @@ let prop_parallel_equivalence =
       in
       trace false = trace true)
 
-(* Transactional workloads: BEGIN/COMMIT/ROLLBACK are broadcast to every
-   backend through the same per-owner mailboxes as the mutations they
-   bracket, so a parallel controller and a sequential one must agree —
-   including when a transaction is rolled back mid-workload. *)
+(* Transactional workloads: BEGIN/COMMIT/ROLLBACK reach every backend
+   under the same per-backend locks as the mutations they bracket, so a
+   parallel controller and a sequential one must agree — including when a
+   transaction is rolled back mid-workload. *)
 let prop_parallel_equivalence_transactional =
   QCheck2.Test.make
     ~name:"parallel equals sequential on transactional workloads" ~count:40
@@ -490,7 +588,9 @@ let suite =
     "parallel matches sequential", `Quick, test_parallel_matches_sequential;
     "measured wall clock recorded", `Quick, test_measured_time_recorded;
     "parallel transaction rollback", `Quick, test_parallel_transaction_rollback;
+    "concurrent broadcasts count own scans", `Quick, test_concurrent_scan_counts;
     QCheck_alcotest.to_alcotest prop_mbds_equivalence;
     QCheck_alcotest.to_alcotest prop_parallel_equivalence;
     QCheck_alcotest.to_alcotest prop_parallel_equivalence_transactional;
+    QCheck_alcotest.to_alcotest prop_concurrent_reads_between_writes;
   ]

@@ -119,7 +119,9 @@ let test_span_adoption_across_pool_domains () =
             Array.init 4 (fun i () ->
                 Obs.Span.with_span ~index:i "task" (fun () -> i))
           in
-          let results = Mbds.Pool.map pool tasks in
+          let results =
+            Array.map Mbds.Pool.await (Array.mapi (Mbds.Pool.submit pool) tasks)
+          in
           Alcotest.(check (list int)) "pool results intact" [ 0; 1; 2; 3 ]
             (Array.to_list results);
           (* every future awaited: the workers are quiescent, so their

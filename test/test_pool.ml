@@ -1,5 +1,6 @@
 (* Tests for the MBDS domain pool: result delivery, owner affinity and
-   FIFO ordering, exception propagation, shutdown semantics. *)
+   FIFO ordering, exception propagation, shutdown semantics, and the
+   caller-claim protocol of [run_or_await]. *)
 
 let test_submit_await () =
   let p = Mbds.Pool.create 2 in
@@ -8,17 +9,6 @@ let test_submit_await () =
     (fun i fut ->
       Alcotest.(check int) "task result" (i * i) (Mbds.Pool.await fut))
     futs;
-  Mbds.Pool.shutdown p
-
-let test_map_index_order () =
-  let p = Mbds.Pool.create 3 in
-  let results =
-    Mbds.Pool.map p (Array.init 8 (fun i () -> Printf.sprintf "r%d" i))
-  in
-  Alcotest.(check (array string))
-    "results in index order"
-    (Array.init 8 (Printf.sprintf "r%d"))
-    results;
   Mbds.Pool.shutdown p
 
 let test_owner_affinity_fifo () =
@@ -70,12 +60,108 @@ let test_shared_pool () =
   Alcotest.(check int) "shared pool serves work" 42
     (Mbds.Pool.run_on p 3 (fun () -> 42))
 
+(* Occupies the single worker of [p] until [release] is called; returns
+   once the blocker is running, so later submissions stay queued. *)
+let block_worker p =
+  let started = Atomic.make false and gate = Atomic.make false in
+  let fut =
+    Mbds.Pool.submit p 0 (fun () ->
+        Atomic.set started true;
+        while not (Atomic.get gate) do
+          Domain.cpu_relax ()
+        done)
+  in
+  while not (Atomic.get started) do
+    Domain.cpu_relax ()
+  done;
+  fun () ->
+    Atomic.set gate true;
+    Mbds.Pool.await fut
+
+let test_claim_race_runs_once () =
+  (* caller and worker race for every task: each must run exactly once *)
+  let p = Mbds.Pool.create 1 in
+  let n = 2000 in
+  let runs = Array.init n (fun _ -> Atomic.make 0) in
+  for i = 0 to n - 1 do
+    let fut =
+      Mbds.Pool.submit p 0 (fun () ->
+          Atomic.incr runs.(i);
+          i)
+    in
+    Alcotest.(check int) "claimed result" i (Mbds.Pool.run_or_await fut)
+  done;
+  (* shutdown drains the mailbox: a worker that re-ran a claimed task
+     would show up here *)
+  Mbds.Pool.shutdown p;
+  Array.iteri
+    (fun i r -> Alcotest.(check int) (Printf.sprintf "task %d runs" i) 1 (Atomic.get r))
+    runs
+
+let contains s sub =
+  let n = String.length sub in
+  let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
+  go 0
+
+let raise_from_task () : int = failwith "claimed task failed"
+
+let test_claimed_exception_backtrace () =
+  let p = Mbds.Pool.create 1 in
+  let release = block_worker p in
+  let recording = Printexc.backtrace_status () in
+  Printexc.record_backtrace true;
+  let fut = Mbds.Pool.submit p 0 raise_from_task in
+  let outcome =
+    match Mbds.Pool.run_or_await fut with
+    | _ -> None
+    | exception Failure msg -> Some (msg, Printexc.get_raw_backtrace ())
+  in
+  Printexc.record_backtrace recording;
+  release ();
+  Mbds.Pool.shutdown p;
+  match outcome with
+  | None -> Alcotest.fail "claimed task's exception was not re-raised"
+  | Some (msg, bt) ->
+    Alcotest.(check string) "exception re-raised at the claimer"
+      "claimed task failed" msg;
+    Alcotest.(check bool) "backtrace reaches the raising task" true
+      (Printexc.raw_backtrace_length bt > 0
+       && contains (Printexc.raw_backtrace_to_string bt) "test_pool.ml")
+
+let test_skipped_task_records_nothing () =
+  let queue_wait = Obs.Metrics.histogram "pool.queue_wait_s" in
+  let execute = Obs.Metrics.histogram "pool.execute_s" in
+  let p = Mbds.Pool.create 1 in
+  let release = block_worker p in
+  (* the blocker has been dequeued: its queue wait is already recorded *)
+  let qw0 = Obs.Metrics.histogram_count queue_wait in
+  let ex0 = Obs.Metrics.histogram_count execute in
+  let fut = Mbds.Pool.submit p 0 (fun () -> 5) in
+  Alcotest.(check int) "claimed and run by the caller" 5
+    (Mbds.Pool.run_or_await fut);
+  release ();
+  Mbds.Pool.shutdown p;
+  Alcotest.(check int) "no queue wait for the skipped task" qw0
+    (Obs.Metrics.histogram_count queue_wait);
+  Alcotest.(check int) "only the blocker's execute time" (ex0 + 1)
+    (Obs.Metrics.histogram_count execute)
+
+let test_run_on_uses_worker () =
+  let p = Mbds.Pool.create 1 in
+  let here = (Domain.self () :> int) in
+  let there = Mbds.Pool.run_on p 0 (fun () -> (Domain.self () :> int)) in
+  Mbds.Pool.shutdown p;
+  Alcotest.(check bool) "run_on runs on the worker domain" true (here <> there)
+
 let suite =
   [
     "submit/await", `Quick, test_submit_await;
-    "map preserves index order", `Quick, test_map_index_order;
     "owner affinity and FIFO", `Quick, test_owner_affinity_fifo;
     "exception propagation", `Quick, test_exception_propagates;
     "shutdown", `Quick, test_shutdown;
     "shared pool", `Quick, test_shared_pool;
+    "claim race runs a task once", `Quick, test_claim_race_runs_once;
+    "claimed exception keeps backtrace", `Quick, test_claimed_exception_backtrace;
+    "skipped task records nothing", `Quick, test_skipped_task_records_nothing;
+    "run_on stays on the worker", `Quick, test_run_on_uses_worker;
   ]
