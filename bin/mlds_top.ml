@@ -196,12 +196,11 @@ let render ~target ~prev ~cur ~tail ~keep =
   let hit_rate =
     if hit +. miss > 0. then 100. *. hit /. (hit +. miss) else 0.
   in
-  add "wal fsync p99 %s   stmt-cache hit %.1f%%   batch p90 %.0f   read-run p90 %.0f\n"
+  add "wal fsync p99 %s   stmt-cache hit %.1f%%   batch p90 %.0f\n"
     (fmt_duration
        (Option.value ~default:0. (metric_num cur "wal.fsync_s" "p99")))
     hit_rate
-    (Option.value ~default:0. (metric_num cur "server.batch_size" "p90"))
-    (Option.value ~default:0. (metric_num cur "server.read_run_len" "p90"));
+    (Option.value ~default:0. (metric_num cur "server.batch_size" "p90"));
   (* MBDS broadcast shares: run by the calling domain vs taken by a pool
      worker; the line vanishes while no broadcast has run *)
   let counter name =

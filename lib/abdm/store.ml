@@ -39,13 +39,9 @@ type undo =
 (* Everything a reader needs, as one immutable value: records, the
    per-file key sets (exact — keys are removed on delete, and Int_set
    iteration is the ascending-dbkey order the CODASYL traversals want),
-   the planner's cardinalities, the index directory, and a monotone
-   epoch bumped on every publish. Readers take one [Atomic.get] and see
-   a consistent store; [snapshot] is that same read made first-class, so
-   a read batch pinned to epoch E keeps seeing E after the owner has
-   published E+1. Keeping the directory *inside* the state (rather than
-   its own atomic) is what makes a snapshot self-consistent: a built
-   index and the records it points at are always captured together. *)
+   the planner's cardinalities and the index directory. Readers take one
+   [Atomic.get] and see a consistent store: a built index and the
+   records it points at are always published together. *)
 type state = {
   st_records : Record.t Int_map.t;
   st_files : Int_set.t Str_map.t;
@@ -53,10 +49,7 @@ type state = {
   st_size : int;
   st_next_key : int;
   st_dir : directory;
-  st_epoch : int;
 }
-
-type snap = state
 
 type t = {
   store_name : string;
@@ -65,25 +58,17 @@ type t = {
   mutable journal : undo list option;  (* None = not in a transaction *)
   (* The one place live data lives. Mutators are single-owner (the store
      contract), but they still publish by CAS retry because the heat
-     tracker runs on concurrent reader domains and CASes the same cell;
-     the retry loop makes owner mutations and reader heat linearizable. *)
+     tracker runs inside read-only selects, which may run on several
+     domains at once; the retry loop makes mutations and heat
+     linearizable. *)
   state : state Atomic.t;
-  (* domain id -> pinned snapshot. Installed by [with_snapshot] on the
-     read-pool domains only; the empty-list fast path keeps unpinned
-     operation at one atomic load. *)
-  pins : (int * state) list Atomic.t;
-  (* (file, attribute) pairs whose heat crossed the threshold on a pinned
-     reader. Pinned readers must not build (their build would race the
-     owner's concurrent mutations one epoch ahead), so they queue the
-     pair and the owner builds at its next serial point. *)
-  pending : (string * string) list Atomic.t;
   scans : int Atomic.t;
   (* observability: how selections were answered, and per-request timing
      (the store's own clock, so single-store kernels report meaningful
      response times — see Obs and the kernel's last_response_time).
-     Atomic because read-only operations may run concurrently (the batched
-     server executor): counters must not be the thing that makes a SELECT
-     a data race. Mutations remain single-owner. *)
+     Atomic because read-only operations may run concurrently: counters
+     must not be the thing that makes a SELECT a data race. Mutations
+     remain single-owner. *)
   sel_indexed : int Atomic.t;
   sel_scanned : int Atomic.t;
   req_count : int Atomic.t;
@@ -137,7 +122,6 @@ let empty_state =
     st_size = 0;
     st_next_key = 1;
     st_dir = Pair_map.empty;
-    st_epoch = 0;
   }
 
 let create ?(name = "kds") ?(indexed = true)
@@ -148,8 +132,6 @@ let create ?(name = "kds") ?(indexed = true)
     auto_threshold = max 1 auto_index_threshold;
     journal = None;
     state = Atomic.make empty_state;
-    pins = Atomic.make [];
-    pending = Atomic.make [];
     scans = Atomic.make 0;
     sel_indexed = Atomic.make 0;
     sel_scanned = Atomic.make 0;
@@ -159,66 +141,18 @@ let create ?(name = "kds") ?(indexed = true)
     in_request = Atomic.make false;
   }
 
-(* Publish [f st] by CAS, bumping the epoch. [f] must be pure in the
-   state (it may re-run on a lost race); returning [st] physically
-   unchanged publishes nothing. Side effects (undo logging, metric
-   bumps) belong outside [f]. *)
+(* Publish [f st] by CAS. [f] must be pure in the state (it may re-run
+   on a lost race); returning [st] physically unchanged publishes
+   nothing. Side effects (undo logging, metric bumps) belong outside
+   [f]. *)
 let state_update store f =
   let rec go () =
     let cur = Atomic.get store.state in
     let next = f cur in
-    if not (next == cur) then begin
-      let next = { next with st_epoch = cur.st_epoch + 1 } in
-      if not (Atomic.compare_and_set store.state cur next) then go ()
-    end
+    if not (next == cur || Atomic.compare_and_set store.state cur next) then
+      go ()
   in
   go ()
-
-(* --- snapshots and pins ---------------------------------------------------- *)
-
-let snapshot store = Atomic.get store.state
-
-let epoch store = (Atomic.get store.state).st_epoch
-
-let snap_epoch (snap : snap) = snap.st_epoch
-
-let snap_size (snap : snap) = snap.st_size
-
-let domain_id () = (Domain.self () :> int)
-
-(* The snapshot a read on this domain should see, if any. Read-only
-   entry points consult this; mutators never do (a write always acts on
-   live state, even if some test pins the calling domain). *)
-let current_pin store =
-  match Atomic.get store.pins with
-  | [] -> None
-  | pins -> List.assoc_opt (domain_id ()) pins
-
-let with_snapshot store snap f =
-  let id = domain_id () in
-  let rec add () =
-    let cur = Atomic.get store.pins in
-    if not (Atomic.compare_and_set store.pins cur ((id, snap) :: cur)) then
-      add ()
-  in
-  let rec remove () =
-    let cur = Atomic.get store.pins in
-    (* drop the newest entry for this domain only: nested pins unwind
-       like a stack *)
-    let rec drop = function
-      | [] -> []
-      | (i, _) :: rest when i = id -> rest
-      | e :: rest -> e :: drop rest
-    in
-    if not (Atomic.compare_and_set store.pins cur (drop cur)) then remove ()
-  in
-  add ();
-  Fun.protect ~finally:remove f
-
-let read_state store =
-  match current_pin store with
-  | Some snap -> snap
-  | None -> Atomic.get store.state
 
 (* Times one top-level store operation. Nested calls (update -> select,
    delete -> select, update -> replace) ride inside the outer timing, so
@@ -324,32 +258,18 @@ let build_postings st file attr =
     Value_map.empty
     (records_of_file_state st file)
 
-let enqueue_pending store pair =
-  let rec go () =
-    let cur = Atomic.get store.pending in
-    if List.mem pair cur then ()
-    else if not (Atomic.compare_and_set store.pending cur (pair :: cur)) then
-      go ()
-  in
-  go ()
-
 (* A planner miss on (file, attr): bump the heat and, on crossing the
    threshold, build the index — the "auto-create indexes on hot
-   attributes" path. [may_build:false] is the pinned-reader mode: a
-   pinned reader's build would scan live state one epoch ahead of a
-   concurrently mutating owner, so it only queues the pair for the owner
-   to build at a serial point ([build_pending_indexes]). *)
-let note_missing_index store ~may_build file attr =
+   attributes" path. *)
+let note_missing_index store file attr =
   let built = ref false in
-  let wants = ref false in
   state_update store (fun st ->
       built := false;
-      wants := false;
       match Pair_map.find_opt (file, attr) st.st_dir with
       | Some (Built _) -> st  (* raced: already built *)
       | (Some (Heat _) | None) as entry ->
         let heat = match entry with Some (Heat n) -> n + 1 | _ -> 1 in
-        if heat >= store.auto_threshold && may_build then begin
+        if heat >= store.auto_threshold then begin
           built := true;
           {
             st with
@@ -359,43 +279,12 @@ let note_missing_index store ~may_build file attr =
                 st.st_dir;
           }
         end
-        else begin
-          if heat >= store.auto_threshold then wants := true;
-          { st with st_dir = Pair_map.add (file, attr) (Heat heat) st.st_dir }
-        end);
-  if !built then Obs.Metrics.incr c_plan_auto;
-  if !wants then enqueue_pending store (file, attr)
-
-let has_pending_builds store = Atomic.get store.pending <> []
-
-(* Owner serial point: build every index the pinned readers asked for.
-   Safe here — the owner is the only mutator, so the file scan inside
-   the CAS sees a state no concurrent writer is changing. *)
-let build_pending_indexes store =
-  let pairs = Atomic.exchange store.pending [] in
-  let built = ref 0 in
-  List.iter
-    (fun (file, attr) ->
-      let did = ref false in
-      state_update store (fun st ->
-          did := false;
-          match Pair_map.find_opt (file, attr) st.st_dir with
-          | Some (Built _) -> st
-          | Some (Heat _) | None ->
-            did := true;
-            {
-              st with
-              st_dir =
-                Pair_map.add (file, attr)
-                  (Built (build_postings st file attr))
-                  st.st_dir;
-            });
-      if !did then begin
-        incr built;
-        Obs.Metrics.incr c_plan_auto
-      end)
-    pairs;
-  !built
+        else
+          {
+            st with
+            st_dir = Pair_map.add (file, attr) (Heat heat) st.st_dir;
+          });
+  if !built then Obs.Metrics.incr c_plan_auto
 
 (* --- record attachment (pure state transforms) ----------------------------- *)
 
@@ -461,9 +350,10 @@ let insert_keyed store key record =
           attach_state store st key record);
       log_undo store (U_remove key))
 
-let get store key = Int_map.find_opt key (read_state store).st_records
+let get store key = Int_map.find_opt key (Atomic.get store.state).st_records
 
-let records_of_file store file = records_of_file_state (read_state store) file
+let records_of_file store file =
+  records_of_file_state (Atomic.get store.state) file
 
 (* --- the planner ---------------------------------------------------------- *)
 
@@ -606,11 +496,9 @@ let plan_conjunction store st (preds : Query.conjunction) =
           residual },
         Src_keys keys ))
 
-(* Heat every indexable predicate whose index is missing (possibly
-   building it when the caller owns the store — unpinned context). The
-   heat always lands on *live* state, even from a pinned reader: the
-   tracker is workload feedback, not part of the snapshot. *)
-let heat_conjunction store ~may_build preds =
+(* Heat every indexable predicate whose index is missing, building it
+   once the heat crosses the threshold. *)
+let heat_conjunction store preds =
   if store.indexed then begin
     match Query.file_of_conjunction preds with
     | None -> ()
@@ -624,30 +512,25 @@ let heat_conjunction store ~may_build preds =
             with
             | Some (Built _) -> ()
             | Some (Heat _) | None ->
-              note_missing_index store ~may_build file p.attribute)
+              note_missing_index store file p.attribute)
         preds
   end
 
 (* Side-effect-free plan for the whole query — the .explain entry point.
    Read-only: safe concurrently with other readers, and deliberately not
    heating the auto-index tracker (explaining a query must not change how
-   it would run). Pinned readers explain against their snapshot. *)
+   it would run). *)
 let explain store query =
-  let st = read_state store in
+  let st = Atomic.get store.state in
   List.map (fun preds -> fst (plan_conjunction store st preds)) query
 
 let select store query =
   timed store (fun () ->
-      let pin = current_pin store in
-      (* heat the live tracker first (owner context may auto-build), then
-         fix the state the whole selection runs against: the pin if one
-         is installed, else live-after-heating so a just-built index
-         serves the query that built it *)
-      let may_build = Option.is_none pin in
-      List.iter (fun preds -> heat_conjunction store ~may_build preds) query;
-      let st =
-        match pin with Some snap -> snap | None -> Atomic.get store.state
-      in
+      (* heat the tracker first (it may auto-build), then fix the state
+         the whole selection runs against: live-after-heating, so a
+         just-built index serves the query that built it *)
+      List.iter (fun preds -> heat_conjunction store preds) query;
+      let st = Atomic.get store.state in
       let module Key_set = Int_set in
       let matched = ref Key_set.empty in
       let run_conjunction preds =
@@ -746,16 +629,17 @@ let update store query modifiers =
       List.length targets)
 
 let file_names store =
-  Str_map.fold (fun file _ acc -> file :: acc) (read_state store).st_files []
+  Str_map.fold
+    (fun file _ acc -> file :: acc)
+    (Atomic.get store.state).st_files []
   |> List.sort_uniq String.compare
 
-let count store file = live_count (read_state store) file
+let count store file = live_count (Atomic.get store.state) file
 
-let size store = (read_state store).st_size
+let size store = (Atomic.get store.state).st_size
 
 let clear store =
   state_update store (fun _ -> empty_state);
-  Atomic.set store.pending [];
   Atomic.set store.scans 0;
   (* a cleared store has nothing to undo: stale journal entries would
      resurrect pre-clear records on rollback and re-attach keys below
@@ -769,7 +653,7 @@ let clear store =
   Atomic.set store.req_total_s 0.
 
 let iter store f =
-  Int_map.iter f (read_state store).st_records
+  Int_map.iter f (Atomic.get store.state).st_records
 
 let attach store key record =
   state_update store (fun st -> attach_state store st key record)

@@ -11,33 +11,22 @@
     crossing [auto_index_threshold] builds the index with one file scan.
     From then on it is maintained on every mutation.
 
-    {2 Domain-ownership contract}
+    {2 Ownership contract}
 
-    A store is {b not} internally synchronised. When a store is used as an
-    MBDS backend partition, it is {e owned} by its controller's lock for
-    that backend: every mutating operation ([insert]/[insert_keyed]/
-    [delete]/[update]/[replace]/[clear]/transaction control) and every
-    broadcast [select] runs while holding it, on whichever domain — the
-    caller or a pool worker — runs that share. Holding the lock gives one
-    mutating domain at a time, and its release-acquire pair publishes the
-    previous holder's writes to the next. Read-only operations
-    ([select]/[get]/[count]/[iter]/the stat accessors) may run from
-    {e any} number of domains concurrently with each other — the
-    server's batched executor relies on this — provided no mutation is
-    concurrent with them: the observability counters they bump (scan
-    tallies, request timing) are atomics, so a concurrent SELECT is never
-    a data race. The mutation side still needs a happens-before edge to
-    lock-free readers (program order on one domain, or a write barrier in
-    the batch scheduler).
-
-    Readers that cannot arrange such an edge pin a {!snapshot} instead:
-    the whole store state (records, per-file sets, index directory,
-    epoch) is one immutable value behind a single atomic, so a snapshot
-    is one load, and a read running under {!with_snapshot} observes
-    exactly the epoch it captured regardless of concurrent owner
-    mutations. Pinned readers never build indexes — they queue wanted
-    builds for the owner to run at a serial point
-    ({!build_pending_indexes}). *)
+    A store is {b not} internally synchronised: one reader or mutator
+    uses it at a time. That one is the server's executor for a
+    single-store kernel, or, when the store is an MBDS backend
+    partition, the holder of its controller's lock for that backend.
+    Every mutating operation ([insert]/[insert_keyed]/[delete]/[update]/
+    [replace]/[clear]/transaction control) and every broadcast [select]
+    runs while holding it, on whichever domain — the caller or a pool
+    worker — runs that share; the lock's release-acquire pair publishes
+    the previous holder's writes to the next. The whole store state
+    (records, per-file sets, index directory) is one immutable value
+    behind a single atomic and is published by compare-and-set, and the
+    observability counters (scan tallies, request timing) are atomics,
+    so a read-only operation ([select]/[get]/[count]/[iter]/the stat
+    accessors) that does overlap another reader is never a data race. *)
 
 type dbkey = int
 
@@ -169,40 +158,6 @@ val reset_request_stats : t -> unit
     exact pre-transaction contents (including database keys). One level
     only — [begin_transaction] inside a transaction raises
     [Invalid_argument]. *)
-
-(** {2 Snapshots and pins}
-
-    A snapshot is the store's entire state captured in one atomic load —
-    O(1), no copying, internally consistent (the index directory and the
-    records it points at are captured together). The owner keeps
-    publishing new epochs; the snapshot keeps naming the old one. *)
-
-type snap
-
-val snapshot : t -> snap
-
-(** Monotone publish counter: every committed mutation bumps it. *)
-val epoch : t -> int
-
-val snap_epoch : snap -> int
-
-val snap_size : snap -> int
-
-(** [with_snapshot store snap f] runs [f] with the calling domain's reads
-    of [store] ([select]/[get]/[records_of_file]/[count]/[size]/[iter]/
-    [explain]) answered from [snap] instead of live state. Mutations are
-    unaffected (and must not run under a pin). Nested pins unwind like a
-    stack. The pin is keyed by the calling domain, so distinct read-pool
-    domains pin independently. *)
-val with_snapshot : t -> snap -> (unit -> 'a) -> 'a
-
-(** Pinned readers whose heat crossed the auto-index threshold queue the
-    build instead of running it (their file scan would race the owner).
-    [has_pending_builds] is the cheap check; [build_pending_indexes] —
-    owner serial points only — builds them and returns how many. *)
-val has_pending_builds : t -> bool
-
-val build_pending_indexes : t -> int
 
 val begin_transaction : t -> unit
 

@@ -134,8 +134,6 @@ let await fut =
   in
   wait ()
 
-let run_on t i f = await (submit t i f)
-
 let run_or_await fut =
   if claim fut then complete fut;
   await fut

@@ -43,10 +43,6 @@ val submit : t -> int -> (unit -> 'a) -> 'a future
     re-raising (with its backtrace) any exception the task raised. *)
 val await : 'a future -> 'a
 
-(** [run_on t i f] is [await (submit t i f)]: [f] runs on worker
-    [owner t i]. *)
-val run_on : t -> int -> (unit -> 'a) -> 'a
-
 (** [run_or_await fut] runs the task of [fut] on the calling domain if no
     worker has dequeued it yet — the worker then skips it — and otherwise
     waits for the worker to finish it. Returns or re-raises like {!await}.
@@ -56,7 +52,7 @@ val run_on : t -> int -> (unit -> 'a) -> 'a
 val run_or_await : 'a future -> 'a
 
 (** [shutdown t] drains every mailbox, stops the workers and joins their
-    domains. Idempotent. Subsequent [submit]/[run_on] raise. *)
+    domains. Idempotent. Subsequent [submit]s raise. *)
 val shutdown : t -> unit
 
 (** The process-wide shared pool used by MBDS controllers, created lazily

@@ -1,6 +1,6 @@
-(* Atomic so concurrent read-only requests (the server's batched
-   executor runs maximal read runs in parallel) can record their timings
-   without a data race; [record] itself stays wait-free per field. *)
+(* Atomic so concurrent read-only requests on one controller can record
+   their timings without a data race; [record] itself stays wait-free
+   per field. *)
 type t = {
   requests : int Atomic.t;
   total_time : float Atomic.t;

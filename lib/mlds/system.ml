@@ -43,12 +43,11 @@ type t = {
   stmt_cache : parsed Stmt_cache.t;
       (* (language, source) -> parse result; repeated statements skip LIL *)
   next_handle : int Atomic.t;
-  (* Guards [users], [sql_engines] and [txn_owners], which the server's
-     executor mutates while read-pool domains may consult them. Critical
-     sections are a lookup or a single replace/remove — never a kernel
-     call. [wals] and [registry] stay unguarded: both are mutated only at
-     startup or on the executor (promote), the thread that also runs the
-     group-commit bracket. *)
+  (* Guards [users], [sql_engines] and [txn_owners] against callers on
+     different threads. Critical sections are a lookup or a single
+     replace/remove — never a kernel call. [wals] and [registry] stay
+     unguarded: both are mutated only at startup or on the executor
+     (promote), the thread that also runs the group-commit bracket. *)
   mx : Mutex.t;
 }
 
@@ -454,10 +453,9 @@ let handle_session h = h.h_session
 
 let handle_closed h = h.h_closed
 
-(* [txn_owners] is read on every classification and mutated by the
-   server's executor; each access takes the system mutex (the
-   per-database check-then-set sequences need no wider lock — one
-   database's transactions are serialized by the executor). *)
+(* Each [txn_owners] access takes the system mutex (the per-database
+   check-then-set sequences need no wider lock — one database's
+   transactions are serialized by the executor). *)
 let txn_owner t ~db = locked t (fun () -> Hashtbl.find_opt t.txn_owners db)
 
 let txn_claim t ~db id = locked t (fun () -> Hashtbl.replace t.txn_owners db id)
@@ -528,25 +526,6 @@ let submit_handle h src =
       | Ok _ as ok -> ok
       | Error msg -> Error (H_parse msg))
 
-(* The barrier-free submit for statements the scheduler already admitted
-   as reads at a serial point. It deliberately skips the [blocked]
-   re-check: a snapshot-pinned read may still be running when the executor
-   runs a later BEGIN on the same database, and re-consulting the
-   live transaction table from the pool would refuse (H_busy) a read
-   that, in the equivalent serial order, preceded that BEGIN. The
-   admission decision was made when no transaction was open; the pinned
-   epoch guarantees the read sees exactly that state. *)
-let submit_handle_preclassified h src =
-  if h.h_closed then Error H_closed
-  else
-    match
-      submit_with
-        ~parse:(fun language src -> parse_cached h.h_system language src)
-        h.h_session src
-    with
-    | Ok _ as ok -> ok
-    | Error msg -> Error (H_parse msg)
-
 (* The selections an ABDL request evaluates — what .explain plans.
    INSERT touches no query; RETRIEVE_COMMON runs one per side. *)
 let queries_of_request (request : Abdl.Ast.request) =
@@ -604,8 +583,7 @@ let close_handle h =
    the kernel. Anything that stores, erases, modifies, connects or
    assigns is a write; so is anything we cannot prove otherwise. Note
    MOVE / FIND / GET / GN mutate only {e session} state (UWA, currency),
-   which is private to the handle — the batch scheduler never runs two
-   requests of one session concurrently, so they classify as reads. *)
+   which is private to the handle, so they classify as reads. *)
 let rec codasyl_read_only (stmt : Codasyl_dml.Ast.stmt) =
   match stmt with
   | Codasyl_dml.Ast.Move _ | Codasyl_dml.Ast.Find _ | Codasyl_dml.Ast.Get _ ->
@@ -657,83 +635,15 @@ let parsed_read_only = function
   | P_dli calls -> List.for_all dli_read_only calls
   | P_abdl requests -> List.for_all abdl_read_only requests
 
-(* The one engine that is shared between sessions: SQL onto a native
-   relational database reuses the per-database engine (so CREATE TABLE
-   persists), and that engine carries per-run state — concurrent use
-   would race, so its requests always classify as writes. Every other
-   session's engine is private to its handle. *)
-let shares_engine t ~db session =
-  match session with
-  | S_sql engine ->
-    (match locked t (fun () -> Hashtbl.find_opt t.sql_engines db) with
-    | Some shared -> shared == engine
-    | None -> false)
-  | S_codasyl _ | S_daplex _ | S_dli _ | S_abdl _ -> false
-
-(* [`Read] is a promise: executing [src] on [h] will not mutate database
-   state nor any state shared with another handle, so the scheduler may
-   run it concurrently with other [`Read]s (from other handles). Anything
-   uncertain — a parse error, a closed handle, an open transaction on the
-   database, a shared engine — is [`Write]; writes are barriers, so
-   misclassifying toward [`Write] costs parallelism, never correctness. *)
+(* [`Read] is a promise that executing [src] on [h] mutates no database
+   state. A parse error or a closed handle is [`Write]: the standby's
+   read-only gate refuses what it cannot prove harmless. *)
 let classify_handle h src =
   if h.h_closed then `Write
-  else if txn_owner h.h_system ~db:h.h_db <> None then
-    (* someone holds the db's transaction: the fence decision (H_busy vs
-       proceed) and any journaled state must be observed serially *)
-    `Write
-  else if shares_engine h.h_system ~db:h.h_db h.h_session then `Write
   else
     match parse_cached h.h_system (session_language h.h_session) src with
     | Error _ -> `Write
     | Ok parsed -> if parsed_read_only parsed then `Read else `Write
-
-(* --- snapshot reads -------------------------------------------------------- *)
-
-(* A pinned view of one database's store for the read pool: captured at
-   an executor serial point, installed around the read task on whatever
-   pool domain runs it. Only single-store kernels are snapshot-capable —
-   a Multi kernel's broadcast shares may run on MBDS pool workers, where
-   a caller-domain pin cannot follow the work. *)
-type db_snapshot = {
-  dbs_store : Abdm.Store.t;
-  dbs_snap : Abdm.Store.snap;
-}
-
-let snapshot_db t ~db =
-  match kernel_of t db with
-  | None -> None
-  | Some kernel ->
-    (match Mapping.Kernel.kds kernel with
-    | Mapping.Kernel.Single store ->
-      Some { dbs_store = store; dbs_snap = Abdm.Store.snapshot store }
-    | Mapping.Kernel.Multi _ -> None)
-
-let with_db_snapshot snap f =
-  Abdm.Store.with_snapshot snap.dbs_store snap.dbs_snap f
-
-let db_snapshot_epoch snap = Abdm.Store.snap_epoch snap.dbs_snap
-
-let db_epoch t ~db =
-  match kernel_of t db with
-  | None -> None
-  | Some kernel ->
-    (match Mapping.Kernel.kds kernel with
-    | Mapping.Kernel.Single store -> Some (Abdm.Store.epoch store)
-    | Mapping.Kernel.Multi _ -> None)
-
-(* Index builds queued by pinned readers (see Abdm.Store): the
-   executor drains them at a serial point. Returns how many were built. *)
-let build_pending_indexes t ~db =
-  match kernel_of t db with
-  | None -> 0
-  | Some kernel ->
-    (match Mapping.Kernel.kds kernel with
-    | Mapping.Kernel.Single store ->
-      if Abdm.Store.has_pending_builds store then
-        Abdm.Store.build_pending_indexes store
-      else 0
-    | Mapping.Kernel.Multi _ -> 0)
 
 (* --- WAL group commit ----------------------------------------------------- *)
 

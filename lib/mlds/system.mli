@@ -34,10 +34,10 @@ val create :
 type parsed
 
 (** The system's statement cache: a bounded LRU mapping
-    (language, statement text) to the parse result, consulted by
-    {!submit_handle} and {!classify_handle} so the loadgen's repeated
-    statements skip the LIL front end. Exposed for statistics and
-    tests. *)
+    (language, statement text) to the parse result, consulted once by
+    each {!submit_handle} (and by {!classify_handle}) so the loadgen's
+    repeated statements skip the LIL front end. Exposed for statistics
+    and tests. *)
 val stmt_cache : t -> parsed Stmt_cache.t
 
 (** A per-database kernel topology, overriding the system-wide defaults
@@ -210,15 +210,6 @@ val handle_closed : handle -> bool
     transaction is open on the database, [H_parse] for parse failures. *)
 val submit_handle : handle -> string -> (string, handle_error) result
 
-(** [submit_handle_preclassified h src] is {!submit_handle} without the
-    live [H_busy] re-check — for statements a scheduler already admitted
-    as reads at a serial point and is now running from the read pool,
-    possibly concurrently with a later write (or BEGIN) of the same
-    database. Re-consulting the live transaction table there would refuse
-    reads that precede the BEGIN in the equivalent serial order. Still
-    refuses closed handles. *)
-val submit_handle_preclassified : handle -> string -> (string, handle_error) result
-
 (** [explain_handle h src] parses [src] as ABDL — the kernel language,
     whatever the handle's session language — and renders the access plan
     the store would use for each selection in it ({!Mapping.Kernel.explain}),
@@ -248,44 +239,13 @@ val close_handle : handle -> unit
 
 (** {2 Read/write classification}
 
-    Per-opcode knowledge for the server's batch scheduler: [`Read] is a
-    promise that executing [src] on [h] mutates no database state and no
-    state shared with another handle, so the scheduler may run it
-    concurrently with other handles' [`Read]s (writes are barriers).
-    Session-private state (CODASYL currency, the UWA, DL/I position) does
-    not demote a statement — the scheduler never runs two requests of one
-    session concurrently. Everything uncertain is [`Write]: a parse
-    error, a closed handle, an open transaction on the target database,
-    or the shared per-database SQL engine. Misclassification toward
-    [`Write] costs parallelism, never correctness. Parsing done here is
-    served from (and primes) the statement cache, so classification adds
-    no second parse. *)
+    [`Read] is a promise that executing [src] on [h] mutates no database
+    state; everything else — and everything uncertain: a parse error, a
+    closed handle — is [`Write]. A warm standby's server uses this as
+    its read-only gate. Session-private state (CODASYL currency, the
+    UWA, DL/I position) does not make a statement a write. Parsing done
+    here is served from (and primes) the statement cache. *)
 val classify_handle : handle -> string -> [ `Read | `Write ]
-
-(** {2 Snapshot reads}
-
-    A [db_snapshot] pins one database's single-store state at the epoch
-    it was captured (an O(1) atomic load — see {!Abdm.Store.snapshot}).
-    The server's executor captures at a serial point; the read pool
-    wraps the read task in {!with_db_snapshot}, and every store read
-    inside then sees exactly the captured epoch, regardless of writes the
-    executor runs concurrently. [None] for unknown databases and Multi-backend
-    kernels (their reads keep barrier semantics). *)
-
-type db_snapshot
-
-val snapshot_db : t -> db:string -> db_snapshot option
-
-val with_db_snapshot : db_snapshot -> (unit -> 'a) -> 'a
-
-val db_snapshot_epoch : db_snapshot -> int
-
-(** The database's current store epoch ([None] for unknown/Multi). *)
-val db_epoch : t -> db:string -> int option
-
-(** Build any indexes pinned readers queued ({!Abdm.Store}'s pending
-    list) — owner serial points only. Returns how many were built. *)
-val build_pending_indexes : t -> db:string -> int
 
 (** {2 Group commit}
 

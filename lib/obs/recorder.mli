@@ -1,7 +1,7 @@
 (** Flight recorder: a fixed-size lock-free ring of per-request event
     records plus a slow-query log.
 
-    Writers (executor threads and read-pool domains) publish each event
+    Writers (the executor and connection reader threads) publish each event
     with a single atomic ticket fetch plus one pointer store of an
     immutable record, so recording never takes a lock and a reader can
     never observe a half-written ("torn") record — it sees either the

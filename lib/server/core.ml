@@ -7,7 +7,6 @@ type config = {
   send_timeout_s : float;
   batch : bool;
   max_batch : int;
-  read_workers : int;
   executor_hook : (unit -> unit) option;
   recorder_capacity : int;
   slow_log_capacity : int;
@@ -29,9 +28,6 @@ let default_config =
     send_timeout_s = 10.;
     batch = true;
     max_batch = 32;
-    (* capped like the MBDS shared pool; 1 on a single-core box, which
-       disables the read pool (runs stay inline on the executor) *)
-    read_workers = min 8 (Domain.recommended_domain_count ());
     executor_hook = None;
     (* the flight recorder: last 4096 requests, lock-free; 0 disables *)
     recorder_capacity = 4096;
@@ -70,7 +66,7 @@ type conn = {
   fd : Unix.file_descr;
   peer : string;
   (* guards the socket, [alive] and [outbox]: replies are completed by
-     the executor, read-pool domains and flusher threads *)
+     the executor and the flusher threads *)
   write_mx : Mutex.t;
   mutable alive : bool;
   outbox : slot Queue.t;  (* executor-produced replies, arrival order *)
@@ -87,11 +83,10 @@ type job =
       (* an injected closure (the replication plane): standby applies,
          bootstrap snapshots. Always rides the control lane. *)
 
-(* An online checkpoint in flight: begun at a serial point, advanced one
-   bounded slice at a time between batches (rendered on the read pool
-   when one exists), finished (snapshot + WAL truncate) when the capture
-   is drained. Waiters are \checkpoint clients whose reply is withheld
-   until the checkpoint is durable. *)
+(* An online checkpoint in flight: begun between requests, advanced one
+   bounded slice at a time between batches, finished (snapshot + WAL
+   truncate) when the capture is drained. Waiters are \checkpoint
+   clients whose reply is withheld until the checkpoint is durable. *)
 type ckpt_state = {
   ck : Mlds.Persist.ckpt;
   ck_file : string;
@@ -105,23 +100,9 @@ type t = {
   sys : Mlds.System.t;
   queue : job Bounded_queue.t;
   sessions : Sessions.t;  (* executor-owned *)
-  (* reads run asynchronously (snapshot-pinned, on the pool) only when a
-     real pool exists; otherwise runs execute inline at their serial
-     point — barrier semantics, no pins needed *)
-  async_reads : bool;
-  (* dedicated domains for concurrent read runs. Deliberately NOT
-     Mbds.Pool.shared: a parallel MBDS controller inside a read awaits
-     shared-pool futures, and awaiting those from a shared-pool worker
-     could deadlock — the two tiers' workers must stay disjoint. *)
-  read_pool : Mbds.Pool.t option;
   (* one flusher per attached WAL, created when the log first owes a
      fsync; executor-owned *)
   mutable flushers : Flusher.t list;
-  (* the dispatched read run still in flight (its await thunk) and the
-     sessions it serves; executor-owned, and carried across batches so
-     the next batch's writes overlap it *)
-  mutable inflight : (unit -> unit list) option;
-  inflight_sessions : (int, unit) Hashtbl.t;
   listener : Unix.file_descr;
   bound_port : int;
   conns : (int, conn) Hashtbl.t;
@@ -148,7 +129,6 @@ type t = {
   mutable ckpt : ckpt_state option;
   mutable last_ckpt_s : float;
   mutable last_ckpt_mark : int;  (* WAL position right after the last one *)
-  mutable ckpt_rr : int;  (* round-robin cursor for slice offload *)
   (* --- the replication plane's hooks (all optional, all off by default) --- *)
   (* a warm standby refuses writes with Err Read_only until promoted *)
   read_only : bool Atomic.t;
@@ -287,9 +267,9 @@ let flusher_for t wal =
     f
 
 (* The release rule. A reply depends on its session's database WAL up to
-   the commit position at this instant — admission for a pinned read,
-   right after execution for a serial op: everything the reply can show
-   or confirm lies below it. It leaves once that position is durable. *)
+   the commit position right after it executed: everything the reply can
+   show or confirm lies below it. It leaves once that position is
+   durable. *)
 let set_gate t conn slot db =
   match Option.bind db (fun db -> Mlds.System.wal_of t.sys ~db) with
   | None -> update conn (fun () -> slot.s_gate <- Open)
@@ -330,10 +310,10 @@ let outcome_of_msg = function
     Obs.Recorder.O_ok
 
 (* Every completed request becomes one ring event — lock-free, so this
-   is safe from the executor, read-pool domains, and reader threads (the
-   Overloaded path). [?outcome] overrides the msg-derived
-   outcome — the shed path sends [Overloaded] but records [O_shed] so
-   dashboards can tell limiter drops from queue-full rejects. *)
+   is safe from the executor and the reader threads (the Overloaded
+   path). [?outcome] overrides the msg-derived outcome — the shed path
+   sends [Overloaded] but records [O_shed] so dashboards can tell
+   limiter drops from queue-full rejects. *)
 let record_event ?outcome t (frame : Wire.request Wire.frame) ~session
     ~language ~latency_s ~msg ~batch =
   match t.recorder with
@@ -454,9 +434,9 @@ let tail_response t ~cursor ~slow_cursor ~max_events =
          (String.concat "," (List.map Obs.Recorder.event_json events))
          slow_cursor' slow_dropped
          (String.concat "," (List.map Obs.Recorder.slow_json slow)))
-(* Compute (never send) the response to one frame — the serial path, on
-   the executor. Also returns the database of the session the request
-   ran under: its WAL gates the reply. *)
+(* Compute (never send) the response to one frame, on the executor. Also
+   returns the database of the session the request ran under: its WAL
+   gates the reply. *)
 let compute_response t conn (frame : Wire.request Wire.frame) =
   let opcode = Wire.opcode_name frame.Wire.msg in
   Obs.Metrics.incr c_requests;
@@ -578,79 +558,6 @@ let compute_response t conn (frame : Wire.request Wire.frame) =
   capture_slow t frame ~session:!session_id ~language ~latency_s:dt
     ~handle:!used_handle;
   !session_id, Option.map Mlds.System.handle_db !used_handle, msg
-
-(* --- the batch scheduler -------------------------------------------------- *)
-
-(* The read task body: everything session-table-related (lookup,
-   ownership check, touch) already happened serially at admission, and
-   the snapshot (when one exists) was captured at that same serial point
-   — so the task observes exactly the store epoch of its admission, never
-   a later write, no matter when the pool runs it. It completes its
-   outbox slot from whichever domain runs it. *)
-let read_task t ~batch conn slot (frame : Wire.request Wire.frame) handle src
-    snap () =
-  let opcode = Wire.opcode_name frame.Wire.msg in
-  Obs.Metrics.incr c_requests;
-  let t0 = Obs.Clock.now_s () in
-  let msg =
-    Obs.Span.with_span "server.request"
-      ~attrs:(fun () ->
-        [
-          "session", string_of_int frame.Wire.session_id;
-          "opcode", opcode;
-          "request", string_of_int frame.Wire.request_id;
-          "peer", conn.peer;
-        ])
-      (fun () ->
-        try
-          let submit () =
-            (* pre-classified: admission decided `Read; re-checking the
-               live transaction table here would wrongly refuse a read
-               that precedes a later BEGIN in the equivalent serial
-               order *)
-            match Mlds.System.submit_handle_preclassified handle src with
-            | Ok out -> Wire.Output out
-            | Error e -> response_of_handle_error e
-          in
-          match snap with
-          | Some s -> Mlds.System.with_db_snapshot s submit
-          | None -> submit ()
-        with exn -> Wire.Err (Wire.Exec_error, Printexc.to_string exn))
-  in
-  let dt = Obs.Clock.since t0 in
-  Obs.Metrics.observe (h_opcode opcode) dt;
-  let language =
-    Mlds.System.language_to_string (Mlds.System.handle_language handle)
-  in
-  record_event t frame ~session:frame.Wire.session_id ~language ~latency_s:dt
-    ~msg ~batch;
-  capture_slow t frame ~session:frame.Wire.session_id ~language ~latency_s:dt
-    ~handle:(Some handle);
-  complete conn slot ~session:frame.Wire.session_id msg
-
-(* Is this frame a read-only submission the scheduler may run
-   concurrently? Resolved serially, on the executor: the session lookup,
-   the connection-ownership check, the idle-touch and the snapshot
-   capture all happen here, so the task itself touches no shared session
-   state and reads a store epoch fixed at this instant. *)
-let as_read t conn (frame : Wire.request Wire.frame) =
-  match frame.Wire.msg with
-  | Wire.Submit src ->
-    (match Sessions.find t.sessions frame.Wire.session_id with
-    | Some entry when entry.Sessions.conn = conn.c_id ->
-      let handle = entry.Sessions.handle in
-      (match Mlds.System.classify_handle handle src with
-      | `Read ->
-        Sessions.touch entry;
-        let snap =
-          if t.async_reads then
-            Mlds.System.snapshot_db t.sys ~db:(Mlds.System.handle_db handle)
-          else None
-        in
-        Some (handle, src, snap)
-      | `Write -> None)
-    | Some _ | None -> None)
-  | _ -> None
 
 (* Killing a connection must be atomic with respect to [write_locked]'s
    check-then-write: take [write_mx] so no writer can pass the [alive]
@@ -886,27 +793,18 @@ let checkpoint_request t conn (frame : Wire.request Wire.frame) =
     | Some st -> st.ck_waiters <- (conn, frame) :: st.ck_waiters
     | None -> start_checkpoint t ~waiter:(Some (conn, frame))
 
-(* One bounded slice of checkpoint work, rendered on the read pool when
-   one exists (the executor never pays for snapshot serialization),
-   inline otherwise. The slice mutates only the capture's own buffer, and
-   the await gives the happens-before edge back to the executor. *)
-let checkpoint_slice_off t st =
-  let max_records = Stdlib.max 1 t.cfg.checkpoint_slice_records in
-  let slice () = Mlds.Persist.checkpoint_slice st.ck ~max_records in
-  match t.read_pool with
-  | Some pool when Mbds.Pool.size pool > 1 ->
-    t.ckpt_rr <- t.ckpt_rr + 1;
-    Mbds.Pool.run_on pool t.ckpt_rr slice
-  | _ -> slice ()
-
-(* Advance the in-flight checkpoint between batches; capture drained ⇒
-   finish (snapshot rename + WAL truncate) once the log's flusher is
-   idle, so no fsync is in flight on the WAL being truncated. *)
+(* Advance the in-flight checkpoint one bounded slice between batches;
+   capture drained ⇒ finish (snapshot rename + WAL truncate) once the
+   log's flusher is idle, so no fsync is in flight on the WAL being
+   truncated. *)
 let checkpoint_step t =
   match t.ckpt with
   | None -> ()
   | Some st ->
-    (match checkpoint_slice_off t st with
+    (match
+       Mlds.Persist.checkpoint_slice st.ck
+         ~max_records:(Stdlib.max 1 t.cfg.checkpoint_slice_records)
+     with
     | `More _ -> ()
     | `Ready ->
       let flusher =
@@ -919,95 +817,20 @@ let checkpoint_step t =
 
 let drain_flushers t = List.iter Flusher.drain t.flushers
 
-let await_inflight t =
-  match t.inflight with
-  | None -> ()
-  | Some await ->
-    t.inflight <- None;
-    Hashtbl.reset t.inflight_sessions;
-    ignore (await ())
-
 (* --- executing one batch ---------------------------------------------------- *)
 
-(* Execute one batch: walk the jobs in arrival order, classifying lazily
-   — consecutive reads from distinct sessions accumulate into a run that
-   is {e dispatched} onto the read pool with each task pinned to the
-   store epoch of its admission; everything else (writes, session
-   control, disconnects, reaps, injected tasks) executes serially at its
-   arrival position, concurrently with the dispatched run: a write
-   admitted at epoch E+1 neither blocks on nor is observed by a read
-   pinned to epoch E. The read-pool barrier survives only where it is
-   still needed — same-session pipelining (per-session engine state is
-   unsynchronised), snapshot-incapable databases (Multi kernels), and
-   disconnects/reaps/injected tasks. The last run of a batch stays in
-   flight while the next batch executes.
-
-   Every reply takes its connection's outbox slot in arrival order and
-   is gated by the release rule ({!set_gate}). The batch is bracketed by
-   {!Mlds.System.wal_group_begin}/[wal_group_end]: commit-time fsyncs
-   are deferred, and at batch end each log that owes a covering fsync
-   hands its commit position to its flusher — the executor starts the
-   next batch at once, and commits executed while that fsync is in
-   flight queue for the following one.
-
-   Results are byte-identical to serial execution in per-session order:
-   reads commute with each other, every mutation executes serially at
-   its arrival position, and a pinned read observes exactly the epoch of
-   its admission point. *)
+(* Execute one batch: walk the jobs in arrival order and execute each at
+   its arrival position — exactly what the serial executor does, one job
+   at a time. Every reply takes its connection's outbox slot in arrival
+   order and is gated by the release rule ({!set_gate}). The batch is
+   bracketed by {!Mlds.System.wal_group_begin}/[wal_group_end]:
+   commit-time fsyncs are deferred, and at batch end each log that owes a
+   covering fsync hands its commit position to its flusher — the
+   executor starts the next batch at once, and commits executed while
+   that fsync is in flight queue for the following one. *)
 let execute_batch t jobs =
   let batch = 1 + Atomic.fetch_and_add t.batch_seq 1 in
-  (* build the indexes that earlier pinned readers queued, before this
-     batch plans anything: the executor is the only mutator, and a read
-     still in flight keeps its own snapshot *)
-  List.iter
-    (fun (db, _) -> ignore (Mlds.System.build_pending_indexes t.sys ~db))
-    (Mlds.System.databases t.sys);
   Mlds.System.wal_group_begin t.sys;
-  let run = ref [] in (* accumulating read tasks, reverse order *)
-  let run_sessions = Hashtbl.create 8 in
-  let run_sync = ref false in (* a task without a snapshot: barrier run *)
-  let dispatch_run () =
-    match List.rev !run with
-    | [] -> ()
-    | tasks ->
-      (* one run in flight at a time: a new dispatch first collects the
-         previous one *)
-      await_inflight t;
-      let sync = !run_sync in
-      run := [];
-      run_sync := false;
-      Hashtbl.iter
-        (fun k () -> Hashtbl.replace t.inflight_sessions k ())
-        run_sessions;
-      Hashtbl.reset run_sessions;
-      t.inflight <- Some (Batch.dispatch ?pool:t.read_pool tasks);
-      (* a run with a snapshot-incapable task keeps barrier semantics:
-         nothing else runs until it is done (with no pool,
-         Batch.dispatch already ran it inline) *)
-      if sync || not t.async_reads then await_inflight t
-  in
-  let barrier () =
-    dispatch_run ();
-    await_inflight t
-  in
-  let serial conn (frame : Wire.request Wire.frame) =
-    dispatch_run ();
-    (* same-session discipline: a serial op for a session whose read is
-       still in flight (its engine state is unsynchronised, and Logout
-       would close the handle under it) waits for the run *)
-    if Hashtbl.mem t.inflight_sessions frame.Wire.session_id then
-      await_inflight t;
-    let slot = enqueue conn frame in
-    let session, db, msg =
-      try compute_response t conn frame
-      with exn ->
-        ( frame.Wire.session_id,
-          None,
-          Wire.Err (Wire.Exec_error, Printexc.to_string exn) )
-    in
-    complete conn slot ~session msg;
-    set_gate t conn slot db
-  in
   let walk job =
     (match t.cfg.executor_hook with Some hook -> hook () | None -> ());
     match job with
@@ -1016,11 +839,7 @@ let execute_batch t jobs =
       answer_control t conn frame
     | J_request (conn, ({ Wire.msg = Wire.Checkpoint; _ } as frame), _) ->
       checkpoint_request t conn frame
-    | J_task f ->
-      (* a serial point: no read in flight — the injected closure sees
-         (and may mutate) a quiescent kernel *)
-      barrier ();
-      (try f () with _ -> ())
+    | J_task f -> (try f () with _ -> ())
     | J_request (conn, frame, arrival) ->
       let sojourn = Obs.Clock.now_s () -. arrival in
       note_latency t sojourn;
@@ -1039,39 +858,29 @@ let execute_batch t jobs =
           ~msg:Wire.Overloaded ~batch;
         ignore (enqueue ~ready:Wire.Overloaded conn frame)
       end
-      else (
-        match as_read t conn frame with
-        | Some (handle, src, snap) ->
-          let sid = frame.Wire.session_id in
-          (* two requests of one session never run concurrently: a
-             pipelined duplicate splits the run and waits out the
-             in-flight one (per-session engine state — currency, the
-             UWA — is not synchronised) *)
-          if Hashtbl.mem run_sessions sid then dispatch_run ();
-          if Hashtbl.mem t.inflight_sessions sid then await_inflight t;
-          let slot = enqueue conn frame in
-          set_gate t conn slot (Some (Mlds.System.handle_db handle));
-          (match snap with None -> run_sync := true | Some _ -> ());
-          Hashtbl.replace run_sessions sid ();
-          run := read_task t ~batch conn slot frame handle src snap :: !run
-        | None -> serial conn frame)
+      else begin
+        let slot = enqueue conn frame in
+        let session, db, msg =
+          try compute_response t conn frame
+          with exn ->
+            ( frame.Wire.session_id,
+              None,
+              Wire.Err (Wire.Exec_error, Printexc.to_string exn) )
+        in
+        complete conn slot ~session msg;
+        set_gate t conn slot db
+      end
     | J_disconnect conn ->
-      (* sessions of this connection may have reads in flight, and
-         closing their handles under a running read would race *)
-      barrier ();
       (* the disconnect contract: sessions die with their connection,
          aborting any transaction left open *)
       Sessions.close_conn t.sessions ~conn:conn.c_id;
       if close_conn_fd t conn then Obs.Metrics.incr c_disconnects
     | J_reap ->
-      barrier ();
       ignore
         (Sessions.reap_idle t.sessions ~now:(Unix.gettimeofday ())
            ~idle_timeout_s:t.cfg.idle_timeout_s)
   in
   List.iter walk jobs;
-  (* the last run stays in flight into the next batch *)
-  dispatch_run ();
   Obs.Metrics.observe h_batch (float_of_int (List.length jobs));
   (* the batch's durability point, handed off *)
   List.iter
@@ -1110,7 +919,7 @@ let executor_loop t =
       loop ()
     | None ->
       (match Bounded_queue.pop_batch t.queue ~max with
-      | [] -> await_inflight t  (* closed and drained: shutdown *)
+      | [] -> ()  (* closed and drained: shutdown *)
       | jobs ->
         run jobs;
         loop ())
@@ -1328,27 +1137,13 @@ let create ?(config = default_config) ?(on_drain = fun () -> ()) sys =
          | Unix.ADDR_INET (_, port) -> port
          | Unix.ADDR_UNIX _ -> config.port
        in
-       let read_pool =
-         if config.batch && config.read_workers > 1 then
-           Some (Mbds.Pool.create config.read_workers)
-         else None
-       in
-       let async_reads =
-         match read_pool with
-         | Some pool -> Mbds.Pool.size pool > 1
-         | None -> false
-       in
        let t =
          {
            cfg = config;
            sys;
            queue = Bounded_queue.create ~capacity:config.queue_capacity;
            sessions = Sessions.create sys;
-           async_reads;
-           read_pool;
            flushers = [];
-           inflight = None;
-           inflight_sessions = Hashtbl.create 8;
            listener;
            bound_port;
            conns = Hashtbl.create 32;
@@ -1377,7 +1172,6 @@ let create ?(config = default_config) ?(on_drain = fun () -> ()) sys =
            ckpt = None;
            last_ckpt_s = Obs.Clock.now_s ();
            last_ckpt_mark = 0;
-           ckpt_rr = 0;
            read_only = Atomic.make false;
            on_durable = None;
            truncate_fence = None;
@@ -1419,7 +1213,6 @@ let shutdown t =
     Option.iter Thread.join t.executor_thread;
     (* 3. the flushers land every owed fsync, releasing the last replies *)
     List.iter Flusher.stop t.flushers;
-    (match t.read_pool with Some pool -> Mbds.Pool.shutdown pool | None -> ());
     (* 4. the session table is safe to touch: close every session,
        aborting transactions left open *)
     Sessions.close_all t.sessions;
@@ -1440,7 +1233,7 @@ let shutdown t =
 
 (* --- the replication plane's API ------------------------------------------ *)
 
-(* Run [f] on the executor at its next serial point: the control lane,
+(* Run [f] on the executor between two jobs: the control lane,
    never droppable by admission control, FIFO with other injected tasks,
    wakes a blocked executor. *)
 let inject t f = Bounded_queue.push_control t.queue (J_task f)

@@ -12,26 +12,15 @@
       control}: backpressure, never a stalled socket) and counted in
       [server.rejected_total].
     - One {e executor thread} owns the kernel's serial order and the
-      session table. It drains the queue {e in batches}
-      ({!Bounded_queue.pop_batch}, observed in [server.batch_size]) and
-      schedules each batch so that results are byte-identical to serial
-      execution in per-session order. Requests classified read-only
-      ({!Mlds.System.classify_handle}) accumulate into runs of
-      consecutive reads from distinct sessions; each run is
-      {e dispatched} onto a dedicated read pool with every task pinned
-      to a store snapshot captured at its admission point
-      ({!Mlds.System.snapshot_db} — the record state is epoch-stamped
-      and immutable, so pinning is O(1)), and the executor keeps
-      executing later jobs — including writes — while the run is in
-      flight: a read admitted at epoch [E] never blocks on, nor
-      observes, a write admitted at [E+1]. The read-pool barrier
-      survives only where it is still required: same-session pipelining
-      (per-session engine state is unsynchronised), snapshot-incapable
-      databases (Multi-model kernels), and disconnect/reap/injected
-      tasks; a run may stay in flight into the next batch. A
-      {e control lane} in the same queue carries
-      [Stats], [Checkpoint] and {!inject}ed closures ahead of user
-      requests; they run at serial points of the walk. With
+      session table, and executes every request, read or write. It
+      drains the queue {e in batches} ({!Bounded_queue.pop_batch},
+      observed in [server.batch_size]) and runs each job of a batch at
+      its arrival position, one at a time — so results are the serial
+      execution's by construction. The only parallelism below it is an
+      MBDS database's broadcast: a Multi kernel's shares run on the
+      calling executor and {!Mbds.Pool.shared} workers. A
+      {e control lane} in the same queue carries [Stats], [Checkpoint]
+      and {!inject}ed closures ahead of user requests. With
       [batch = false] the executor runs one request at a time and waits
       out each covering fsync before the next: the serial reference.
     - One {e flusher thread per attached WAL} (created when the log
@@ -45,24 +34,22 @@
       releases the replies it covers.
     - {e The release rule.} Every reply the executor produces takes a
       slot in its connection's outbox, in arrival order, and carries
-      the commit position of its session's database WAL at a fixed
-      instant — admission for a pinned read, execution for everything
-      else: all that the reply can show or confirm lies below it. A
-      connection's replies leave in arrival order, each once its
-      position is durable — whichever thread completes the last
-      condition (executor, read-pool domain or flusher) sends it. A
-      client therefore never sees a write, its own or another
-      session's, before it is durable. If the covering fsync fails,
+      the commit position of its session's database WAL right after the
+      request executed: all that the reply can show or confirm lies
+      below it. A connection's replies leave in arrival order, each once
+      its position is durable — whichever thread completes the last
+      condition (executor or flusher) sends it. A client therefore
+      never sees a write, its own or another session's, before it is
+      durable. If the covering fsync fails,
       every reply waiting on it — reads included — leaves as an
       [Exec_error] instead; the flusher stays up and a later fsync
       retries. Each request runs under a [server.request] root span
       (attrs [session], [opcode], [request] — the wire request id, so a
       slow-query entry can name its span — and [peer]) and is timed into
       a per-opcode [server.request.<opcode>_s] histogram.
-    - Online checkpoints advance one bounded slice between batches
-      (rendered on the read pool when one exists); the finish (snapshot
-      rename + WAL truncate) first waits for the log's flusher to go
-      idle. {!shutdown} drains the flushers the same way.
+    - Online checkpoints advance one bounded slice between batches;
+      the finish (snapshot rename + WAL truncate) first waits for the
+      log's flusher to go idle. {!shutdown} drains the flushers the same way.
 
     {2 Telemetry plane}
 
@@ -109,13 +96,9 @@ type config = {
           stops reading gets its connection dropped instead of blocking
           the executor ([<= 0.] disables) *)
   batch : bool;
-      (** batched executor with read/write scheduling and pipelined
-          group commit (default [true]); [false] = the serial executor *)
+      (** batched executor with pipelined group commit (default
+          [true]); [false] = the serial executor *)
   max_batch : int;  (** most jobs drained per batch, default 32 *)
-  read_workers : int;
-      (** domains in the dedicated read pool, default
-          [min 8 (recommended_domain_count ())]; [<= 1] runs read runs
-          inline on the executor (batching/group commit still apply) *)
   executor_hook : (unit -> unit) option;
       (** test instrumentation: run by the executor before each request
           (lets tests hold the executor to force queue overflow) *)
@@ -186,8 +169,8 @@ val shutdown : t -> unit
     {!set_read_only}[ true], applies received frames via {!inject}, and
     installs a {!set_promote_hook} for [Promote] / SIGUSR1. *)
 
-(** [inject t f] runs [f] on the executor at its next serial point (no
-    read run in flight), inside a batch's WAL group bracket. Rides the
+(** [inject t f] runs [f] on the executor between two jobs, inside a
+    batch's WAL group bracket. Rides the
     control lane: FIFO with other injected tasks, never droppable by
     admission control, wakes a blocked executor. Exceptions from [f] are
     swallowed. *)

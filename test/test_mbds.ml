@@ -253,7 +253,7 @@ let test_parallel_matches_sequential () =
     Alcotest.(check (list string)) "final contents byte-identical" seq_rows par_rows
   done
 
-(* Concurrent broadcasts on one controller (the server's read runs) must
+(* Concurrent broadcasts on one controller (several calling domains) must
    each count only their own scans: 4 domains x 200 full-file selects of
    1000 records examine exactly 800 000 records. *)
 let test_concurrent_scan_counts () =
@@ -295,7 +295,7 @@ let run_domains_within ~timeout_s fs =
   end;
   List.map Domain.join domains
 
-(* The server's read runs on a Multi kernel: several domains broadcast
+(* Concurrent readers on a Multi kernel: several domains broadcast
    random selects on one parallel controller, between serial mutation
    phases run from the main domain. Every reply equals the serial answer
    for its phase. *)

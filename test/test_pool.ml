@@ -37,7 +37,7 @@ let test_exception_propagates () =
      | _ -> false);
   (* the worker survives a failing task *)
   Alcotest.(check int) "worker still serves" 7
-    (Mbds.Pool.run_on p 0 (fun () -> 7));
+    (Mbds.Pool.await (Mbds.Pool.submit p 0 (fun () -> 7)));
   Mbds.Pool.shutdown p
 
 let test_shutdown () =
@@ -58,7 +58,7 @@ let test_shared_pool () =
   Alcotest.(check bool) "shared pool sized to the machine" true
     (Mbds.Pool.size p >= 1 && Mbds.Pool.size p <= 8);
   Alcotest.(check int) "shared pool serves work" 42
-    (Mbds.Pool.run_on p 3 (fun () -> 42))
+    (Mbds.Pool.await (Mbds.Pool.submit p 3 (fun () -> 42)))
 
 (* Occupies the single worker of [p] until [release] is called; returns
    once the blocker is running, so later submissions stay queued. *)
@@ -146,13 +146,6 @@ let test_skipped_task_records_nothing () =
   Alcotest.(check int) "only the blocker's execute time" (ex0 + 1)
     (Obs.Metrics.histogram_count execute)
 
-let test_run_on_uses_worker () =
-  let p = Mbds.Pool.create 1 in
-  let here = (Domain.self () :> int) in
-  let there = Mbds.Pool.run_on p 0 (fun () -> (Domain.self () :> int)) in
-  Mbds.Pool.shutdown p;
-  Alcotest.(check bool) "run_on runs on the worker domain" true (here <> there)
-
 let suite =
   [
     "submit/await", `Quick, test_submit_await;
@@ -163,5 +156,4 @@ let suite =
     "claim race runs a task once", `Quick, test_claim_race_runs_once;
     "claimed exception keeps backtrace", `Quick, test_claimed_exception_backtrace;
     "skipped task records nothing", `Quick, test_skipped_task_records_nothing;
-    "run_on stays on the worker", `Quick, test_run_on_uses_worker;
   ]

@@ -526,31 +526,43 @@ let test_graceful_shutdown_checkpoint () =
           Alcotest.(check bool) "all three inserts survived" true (contains out "3")
         | Error msg -> Alcotest.failf "retrieve recovered: %s" msg))
 
-(* --- the batched executor ------------------------------------------------- *)
+(* A read-only server (a warm standby) answers every statement that
+   mutates nothing — a SELECT on a native relational database included,
+   although it runs on the database's shared SQL engine — and still
+   refuses the INSERT. *)
+let test_read_only_native_sql () =
+  let t = Mlds.System.create () in
+  (match Mlds.System.define_relational t ~name:"payroll" with
+  | Ok () -> ()
+  | Error msg -> Alcotest.failf "define payroll: %s" msg);
+  (match Mlds.System.open_handle t Mlds.System.L_sql ~db:"payroll" with
+  | Error msg -> Alcotest.failf "open sql: %s" msg
+  | Ok h ->
+    ignore
+      (submit_h h
+         "CREATE TABLE emp (name CHAR(10), salary INT); INSERT INTO emp \
+          VALUES ('a', 10)");
+    Mlds.System.close_handle h);
+  with_server ~sys:t (fun server port ->
+      Server.Core.set_read_only server true;
+      let c = client port in
+      (match Client.login c ~language:"sql" ~db:"payroll" () with
+      | Ok _ -> ()
+      | Error e -> Alcotest.failf "login: %s" (Client.error_to_string e));
+      (match Client.submit c "SELECT SUM(salary) FROM emp" with
+      | Ok out ->
+        Alcotest.(check bool) "select answered" true (contains out "10")
+      | Error e ->
+        Alcotest.failf "read-only server refused a SELECT: %s"
+          (Client.error_to_string e));
+      (match Client.submit c "INSERT INTO emp VALUES ('b', 30)" with
+      | Error (`Refused (Wire.Read_only, _)) -> ()
+      | Ok _ -> Alcotest.fail "read-only server ran an INSERT"
+      | Error e ->
+        Alcotest.failf "wanted Read_only, got %s" (Client.error_to_string e));
+      Client.close c)
 
-(* Batch.run_reads must hand back results — and stream deliveries — in
-   task order even when tasks finish out of order on the pool. *)
-let test_run_reads_order () =
-  let pool = Mbds.Pool.create 4 in
-  Fun.protect
-    ~finally:(fun () -> Mbds.Pool.shutdown pool)
-    (fun () ->
-      let tasks =
-        List.init 12 (fun i () ->
-            if i mod 3 = 0 then Thread.delay 0.002;
-            i)
-      in
-      let delivered = ref [] in
-      let results =
-        Server.Batch.run_reads ~pool
-          ~deliver:(fun v -> delivered := v :: !delivered)
-          tasks
-      in
-      Alcotest.(check (list int)) "results in task order"
-        (List.init 12 Fun.id) results;
-      Alcotest.(check (list int)) "delivered in task order"
-        (List.init 12 Fun.id)
-        (List.rev !delivered))
+(* --- the batched executor ------------------------------------------------- *)
 
 let test_classify () =
   let t = university () in
@@ -561,111 +573,33 @@ let test_classify () =
   Alcotest.(check bool) "insert is a write" false
     (is_read "INSERT (<FILE, c>, <seq, 1>)");
   Alcotest.(check bool) "garbage is a write" false (is_read "RETRIEVE ((");
-  (* an open transaction turns every foreign submission into a barrier:
-     the fence decision must be taken serially *)
+  (* classification only asks whether the statement mutates: another
+     handle's open transaction is the submit's fence, not a write *)
   let owner = open_h t Mlds.System.L_abdl in
   (match Mlds.System.begin_txn owner with
   | Ok () -> ()
   | Error e -> Alcotest.failf "begin: %s" (Mlds.System.handle_error_to_string e));
-  Alcotest.(check bool) "reads serialize under a txn" false
+  Alcotest.(check bool) "a read under a foreign txn is still a read" true
     (is_read "RETRIEVE ((FILE = employee)) (AVG(salary))");
   (match Mlds.System.commit_txn owner with
   | Ok () -> ()
   | Error e -> Alcotest.failf "commit: %s" (Mlds.System.handle_error_to_string e));
-  Alcotest.(check bool) "fence lifted, read again" true
-    (is_read "RETRIEVE ((FILE = employee)) (AVG(salary))");
-  (* SQL on a native relational database goes through the db's single
-     shared engine, so even a SELECT must stay serial *)
+  (* SQL on a native relational database runs on the db's shared engine;
+     a SELECT still mutates nothing *)
   (match Mlds.System.define_relational t ~name:"rel" with
   | Ok () -> ()
   | Error msg -> Alcotest.failf "define rel: %s" msg);
   (match Mlds.System.open_handle t Mlds.System.L_sql ~db:"rel" with
   | Ok hs ->
-    Alcotest.(check bool) "shared-engine select is a write" false
-      (Mlds.System.classify_handle hs "SELECT * FROM item" = `Read)
+    Alcotest.(check bool) "native relational select is a read" true
+      (Mlds.System.classify_handle hs "SELECT * FROM item" = `Read);
+    Alcotest.(check bool) "native relational insert is a write" false
+      (Mlds.System.classify_handle hs "INSERT INTO item VALUES (1)" = `Read)
   | Error msg -> Alcotest.failf "open sql: %s" msg);
-  (* cross-model SQL over the functional db has a per-handle engine *)
+  (* cross-model SQL over the functional db *)
   let hq = open_h t Mlds.System.L_sql in
   Alcotest.(check bool) "cross-model select is a read" true
     (Mlds.System.classify_handle hq "SELECT name FROM employee" = `Read)
-
-(* The headline scheduling property: running a random read/write script
-   through the batch scheduler — reads fanned out on a real pool exactly
-   as Core groups them — produces byte-identical results to serial
-   execution on an identical twin system. *)
-let result_str = function
-  | Ok out -> "ok:" ^ out
-  | Error e -> "err:" ^ Mlds.System.handle_error_to_string e
-
-let read_statements =
-  [|
-    "RETRIEVE ((FILE = employee)) (AVG(salary))";
-    "RETRIEVE ((FILE = employee)) (COUNT(name))";
-    "RETRIEVE ((FILE = qprop)) (COUNT(seq))";
-  |]
-
-let script_src idx (session, op) =
-  if op < Array.length read_statements then read_statements.(op)
-  else Printf.sprintf "INSERT (<FILE, qprop>, <seq, %d>, <who, 's%d'>)" idx session
-
-let run_script_serial handles script =
-  List.mapi
-    (fun idx step ->
-      result_str
-        (Mlds.System.submit_handle handles.(fst step) (script_src idx step)))
-    script
-
-let run_script_batched pool handles script =
-  let out = Array.make (List.length script) "" in
-  let run = ref [] in
-  let run_sessions = Hashtbl.create 4 in
-  let flush () =
-    match List.rev !run with
-    | [] -> ()
-    | tasks ->
-      run := [];
-      Hashtbl.reset run_sessions;
-      ignore (Server.Batch.run_reads ~pool tasks)
-  in
-  List.iteri
-    (fun idx ((session, _) as step) ->
-      let src = script_src idx step in
-      let h = handles.(session) in
-      match Mlds.System.classify_handle h src with
-      | `Read ->
-        if Hashtbl.mem run_sessions session then flush ();
-        Hashtbl.replace run_sessions session ();
-        run :=
-          (fun () -> out.(idx) <- result_str (Mlds.System.submit_handle h src))
-          :: !run
-      | `Write ->
-        flush ();
-        out.(idx) <- result_str (Mlds.System.submit_handle h src))
-    script;
-  flush ();
-  Array.to_list out
-
-let prop_batched_equals_serial =
-  QCheck2.Test.make
-    ~name:"batched read-run scheduling is byte-identical to serial" ~count:30
-    QCheck2.Gen.(
-      list_size (int_range 1 30) (pair (int_range 0 2) (int_range 0 4)))
-    (fun script ->
-      let sessions sys =
-        Array.init 3 (fun _ -> open_h sys Mlds.System.L_abdl)
-      in
-      let serial = run_script_serial (sessions (university ())) script in
-      let pool = Mbds.Pool.create 4 in
-      let batched =
-        Fun.protect
-          ~finally:(fun () -> Mbds.Pool.shutdown pool)
-          (fun () -> run_script_batched pool (sessions (university ())) script)
-      in
-      if serial <> batched then
-        QCheck2.Test.fail_reportf "serial:\n  %s\nbatched:\n  %s"
-          (String.concat "\n  " serial)
-          (String.concat "\n  " batched)
-      else true)
 
 (* Satellite regression: an idle session on an otherwise quiet server is
    reaped — the sweep arrives via the control lane, so it must fire even
@@ -691,13 +625,11 @@ let test_idle_reap_quiet_server () =
 
 (* Mixed concurrent load through the real socket path with the batched
    executor: effects land exactly once, and the batch machinery actually
-   engaged (batch sizes, read runs and statement-cache hits observed). *)
+   engaged (batch sizes and statement-cache hits observed). *)
 let test_batched_socket_mixed () =
   let h_batch = Obs.Metrics.histogram "server.batch_size" in
-  let h_run = Obs.Metrics.histogram "server.read_run_len" in
   let c_hit = Obs.Metrics.counter "stmt_cache.hit" in
   let batches0 = Obs.Metrics.histogram_count h_batch in
-  let runs0 = Obs.Metrics.histogram_count h_run in
   let hits0 = Obs.Metrics.counter_value c_hit in
   let clients = 4 and per_client = 10 in
   with_server (fun _server port ->
@@ -728,12 +660,26 @@ let test_batched_socket_mixed () =
       Client.close c);
   Alcotest.(check bool) "batch sizes observed" true
     (Obs.Metrics.histogram_count h_batch > batches0);
-  Alcotest.(check bool) "read runs observed" true
-    (Obs.Metrics.histogram_count h_run > runs0);
   Alcotest.(check bool) "statement cache hit" true
     (Obs.Metrics.counter_value c_hit > hits0)
 
 (* --- the statement cache --------------------------------------------------- *)
+
+(* A submission consults the statement cache exactly once: a text the
+   server has never seen is one miss and no hit. *)
+let test_stmt_cache_one_lookup () =
+  let c_hit = Obs.Metrics.counter "stmt_cache.hit" in
+  let c_miss = Obs.Metrics.counter "stmt_cache.miss" in
+  with_server (fun _server port ->
+      let c = logged_in port in
+      let hit0 = Obs.Metrics.counter_value c_hit in
+      let miss0 = Obs.Metrics.counter_value c_miss in
+      ignore
+        (csubmit c "RETRIEVE ((FILE = employee) AND (salary > 31337)) (name)");
+      Alcotest.(check int) "one miss" 1
+        (Obs.Metrics.counter_value c_miss - miss0);
+      Alcotest.(check int) "no hit" 0 (Obs.Metrics.counter_value c_hit - hit0);
+      Client.close c)
 
 let test_stmt_cache_lru () =
   let c = Mlds.Stmt_cache.create ~capacity:2 () in
@@ -1252,9 +1198,11 @@ let test_fair_shedding () =
 (* --- the pipelined executor ------------------------------------------------- *)
 
 (* A system with the uni0..uni(n-1) family — same schema and rows each —
-   each database with its own fsync'd WAL, so each gets its own flusher. *)
-let multiverse n =
-  let t = Mlds.System.create () in
+   each database with its own fsync'd WAL, so each gets its own flusher.
+   [backends >= 1] puts every database on an MBDS with that many
+   backends. *)
+let multiverse ?(backends = 0) n =
+  let t = Mlds.System.create ~backends () in
   let wals =
     List.map
       (fun i ->
@@ -1300,9 +1248,9 @@ let render (f : Wire.response Wire.frame) =
    connection, then reads every reply. Only one connection is active at
    a time, so the global arrival order is fixed and a correct server
    must produce byte-identical replies, in request order, whatever its
-   executor does with batches, read runs and flushes. *)
-let run_script ~config ~ndbs script =
-  let sys, wals = multiverse ndbs in
+   executor does with batches and flushes. *)
+let run_script ~config ~ndbs ~backends script =
+  let sys, wals = multiverse ~backends ndbs in
   Fun.protect ~finally:(fun () -> remove_files wals) @@ fun () ->
   with_server ~config ~sys (fun _server port ->
       let conns =
@@ -1338,31 +1286,33 @@ let run_script ~config ~ndbs script =
       out)
 
 (* The correctness anchor of the pipelined executor: a random
-   multi-database workload against the default server — batches, read
-   runs on the pool, covering fsyncs handed to per-WAL flushers — is
-   byte-identical, reply for reply and in request order, to the same
-   workload against the serial executor ([batch = false]). *)
+   multi-database workload against the default server — batches and
+   covering fsyncs handed to per-WAL flushers, on single-store kernels or
+   2-backend MBDS kernels — is byte-identical, reply for reply and in
+   request order, to the same workload against the serial executor
+   ([batch = false]). *)
 let prop_pipelined_equals_serial =
   QCheck2.Test.make
     ~name:"pipelined executor is byte-identical to the serial executor"
     ~count:8
     QCheck2.Gen.(
-      pair (int_range 1 3)
+      triple (int_range 1 3) (oneofl [ 0; 2 ])
         (list_size (int_range 1 20)
            (pair (int_range 0 3) (list_size (int_range 1 3) (int_range 0 4)))))
-    (fun (ndbs, script) ->
+    (fun (ndbs, backends, script) ->
       let serial =
         run_script
           ~config:{ Server.Core.default_config with batch = false }
-          ~ndbs script
+          ~ndbs ~backends script
       in
       let pipelined =
-        run_script ~config:Server.Core.default_config ~ndbs script
+        run_script ~config:Server.Core.default_config ~ndbs ~backends script
       in
       if serial <> pipelined then
         QCheck2.Test.fail_reportf
-          "pipelined over %d dbs diverged\nserial:\n  %s\npipelined:\n  %s"
-          ndbs
+          "pipelined over %d dbs (%d backends) diverged\n\
+           serial:\n  %s\npipelined:\n  %s"
+          ndbs backends
           (String.concat "\n  " serial)
           (String.concat "\n  " pipelined)
       else true)
@@ -1507,49 +1457,6 @@ let test_fsync_eio_observer () =
       | _ -> Alcotest.fail "later read not answered");
       List.iter Unix.close [ park_fd; a_fd; b_fd ])
 
-(* Snapshot pinning: a read pinned to the store epoch of its admission
-   point never observes a later write — the mechanism that lets the
-   executor keep executing writes while a dispatched read run is in
-   flight. *)
-let test_snapshot_pinned_read () =
-  let t = university () in
-  let writer = open_h t Mlds.System.L_abdl in
-  let reader = open_h t Mlds.System.L_abdl in
-  ignore (submit_h writer "INSERT (<FILE, pin>, <seq, 1>)");
-  (* the executor's admission point: classify, then pin the epoch *)
-  Alcotest.(check bool) "count classifies as a read" true
-    (Mlds.System.classify_handle reader "RETRIEVE ((FILE = pin)) (COUNT(seq))"
-    = `Read);
-  let snap =
-    match Mlds.System.snapshot_db t ~db:"university" with
-    | Some s -> s
-    | None -> Alcotest.fail "single-store db must be snapshot-capable"
-  in
-  let e0 = Mlds.System.db_snapshot_epoch snap in
-  (* a later write: the store advances to a new epoch *)
-  ignore (submit_h writer "INSERT (<FILE, pin>, <seq, 2>)");
-  (match Mlds.System.db_epoch t ~db:"university" with
-  | Some e -> Alcotest.(check bool) "write advanced the epoch" true (e > e0)
-  | None -> Alcotest.fail "db_epoch");
-  let pinned =
-    Mlds.System.with_db_snapshot snap (fun () ->
-        match
-          Mlds.System.submit_handle_preclassified reader
-            "RETRIEVE ((FILE = pin)) (COUNT(seq))"
-        with
-        | Ok out -> out
-        | Error e ->
-          Alcotest.failf "pinned read: %s"
-            (Mlds.System.handle_error_to_string e))
-  in
-  Alcotest.(check bool) "pinned read sees its epoch" true
-    (contains pinned "1");
-  Alcotest.(check bool) "pinned read never sees the later write" false
-    (contains pinned "2");
-  (* the same read unpinned sees the live state *)
-  Alcotest.(check bool) "live read sees both" true
-    (contains (submit_h reader "RETRIEVE ((FILE = pin)) (COUNT(seq))") "2")
-
 let suite =
   [
     Alcotest.test_case "handles: isolated currency" `Quick
@@ -1577,15 +1484,16 @@ let suite =
       test_concurrent_clients;
     Alcotest.test_case "socket: graceful shutdown checkpoints" `Quick
       test_graceful_shutdown_checkpoint;
-    Alcotest.test_case "batch: read runs keep task order" `Quick
-      test_run_reads_order;
+    Alcotest.test_case "socket: read-only server answers native SQL SELECT"
+      `Quick test_read_only_native_sql;
     Alcotest.test_case "batch: request classification" `Quick test_classify;
-    QCheck_alcotest.to_alcotest prop_batched_equals_serial;
     Alcotest.test_case "batch: idle reap on a quiet server" `Quick
       test_idle_reap_quiet_server;
     Alcotest.test_case "batch: mixed load over the socket" `Quick
       test_batched_socket_mixed;
     Alcotest.test_case "stmt cache: LRU semantics" `Quick test_stmt_cache_lru;
+    Alcotest.test_case "stmt cache: one lookup per submit" `Quick
+      test_stmt_cache_one_lookup;
     Alcotest.test_case "stmt cache: wired into the system" `Quick
       test_stmt_cache_in_system;
     Alcotest.test_case "telemetry: stats/tail round-trip" `Quick
@@ -1609,8 +1517,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_pipelined_equals_serial;
     Alcotest.test_case "executor: inject sees acked writes" `Quick
       test_inject_sees_acked_writes;
-    Alcotest.test_case "executor: snapshot-pinned read" `Quick
-      test_snapshot_pinned_read;
     Alcotest.test_case "fsync EIO: writer gets a typed error" `Quick
       test_fsync_eio_writer;
     Alcotest.test_case "fsync EIO: observing reader fails too" `Quick
