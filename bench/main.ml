@@ -190,7 +190,6 @@ let translation_table title scripts =
         (fun src ->
           ignore (Codasyl_dml.Engine.execute session (Codasyl_dml.Parser.stmt src)))
         setup;
-      Codasyl_dml.Session.clear_log session;
       let stmt = Codasyl_dml.Parser.stmt probe in
       let _result, issued = Codasyl_dml.Engine.translate session stmt in
       let first =

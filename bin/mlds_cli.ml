@@ -102,14 +102,6 @@ let show_log state =
     print_endline "  (ABDL sessions issue their statements directly)"
   | None -> print_endline "  (no session)"
 
-let clear_log state =
-  match session_of state with
-  | Some (Mlds.System.S_codasyl s) -> Codasyl_dml.Session.clear_log s
-  | Some (Mlds.System.S_daplex e) -> Daplex_dml.Engine.clear_log e
-  | Some (Mlds.System.S_sql e) -> Relational.Engine.clear_log e
-  | Some (Mlds.System.S_dli e) -> Hierarchical.Engine.clear_log e
-  | Some (Mlds.System.S_abdl _) | None -> ()
-
 let show_stats state =
   match Option.map Mapping.Kernel.kds (Mlds.System.kernel_of state.system state.db) with
   | None -> Printf.printf "unknown database %S\n" state.db
@@ -335,7 +327,6 @@ let repl_loop state =
         match state.handle with
         | None -> print_endline "no session open (try \\lang / \\db)"
         | Some handle ->
-          clear_log state;
           begin
             match Mlds.System.submit_handle handle line with
             | Ok out -> print_endline out

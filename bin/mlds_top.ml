@@ -201,11 +201,17 @@ let render ~target ~prev ~cur ~tail ~keep =
        (Option.value ~default:0. (metric_num cur "wal.fsync_s" "p99")))
     hit_rate
     (Option.value ~default:0. (metric_num cur "server.batch_size" "p90"));
-  (* MBDS broadcast shares: run by the calling domain vs taken by a pool
-     worker; the line vanishes while no broadcast has run *)
   let counter name =
     Option.value ~default:0. (metric_num cur name "value")
   in
+  (* the server's OCaml heap, sampled when Stats is served; a leak shows
+     as live words that keep climbing under a steady load *)
+  let words name = counter name *. float_of_int (Sys.word_size / 8) in
+  add "memory heap %s   live %s\n"
+    (fmt_bytes (words "proc.heap_words"))
+    (fmt_bytes (words "proc.live_words"));
+  (* MBDS broadcast shares: run by the calling domain vs taken by a pool
+     worker; the line vanishes while no broadcast has run *)
   let inline = counter "mbds.shares_inline" in
   let remote = counter "mbds.shares_remote" in
   if inline +. remote > 0. then

@@ -1082,16 +1082,6 @@ let outcome_to_string = function
   | Stored { dbkey } -> Printf.sprintf "stored (dbkey %d)" dbkey
 
 let translate session stmt =
-  let before = List.length session.Session.log in
+  Session.clear_log session;
   let result = execute session stmt in
-  let issued =
-    let rec take n acc rest =
-      if n = 0 then acc
-      else
-        match rest with
-        | [] -> acc
-        | r :: more -> take (n - 1) (r :: acc) more
-    in
-    take (List.length session.Session.log - before) [] session.Session.log
-  in
-  result, issued
+  result, Session.request_log session

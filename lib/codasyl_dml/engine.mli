@@ -30,10 +30,10 @@ val run_program :
 
 val outcome_to_string : outcome -> string
 
-(** [translate session stmt] — dry-run KMS view: executes the statement on
-    a throwaway copy of nothing but the request log, i.e. runs [execute]
-    and returns the ABDL requests it issued (the §III.A one-to-many
-    correspondence). State changes do persist; use on a scratch session
-    for pure previews. *)
+(** [translate session stmt] — KMS view of one statement: clears the
+    session's request log, runs [execute] and returns the ABDL requests
+    the statement issued (the §III.A one-to-many correspondence), in
+    time proportional to those requests alone. State changes do persist;
+    use on a scratch session for pure previews. *)
 val translate :
   Session.t -> Ast.stmt -> (outcome, string) result * Abdl.Ast.request list

@@ -33,7 +33,8 @@ val issue : t -> Abdl.Ast.request -> Abdl.Exec.result
     the (dbkey, record) pairs from the returned rows. *)
 val retrieve_records : t -> Abdm.Query.t -> (int * Abdm.Record.t) list
 
-(** ABDL requests issued so far, oldest first. *)
+(** ABDL requests issued by the current or most recent submission,
+    oldest first ([Mlds.System] clears the log as each one starts). *)
 val request_log : t -> Abdl.Ast.request list
 
 val clear_log : t -> unit

@@ -33,7 +33,8 @@ val run : t -> string -> (outcome, string) result
 
 val run_program : t -> string -> (Sql_ast.stmt * (outcome, string) result) list
 
-(** ABDL requests issued so far, oldest first. *)
+(** ABDL requests issued by the current or most recent submission,
+    oldest first ([Mlds.System] clears the log as each one starts). *)
 val request_log : t -> Abdl.Ast.request list
 
 val clear_log : t -> unit

@@ -176,6 +176,11 @@ let h_ckpt = Obs.Metrics.histogram "server.checkpoint.duration_s"
 
 let g_ckpt_reclaimed = Obs.Metrics.gauge "server.checkpoint.reclaimed_bytes"
 
+(* OCaml heap gauges, sampled only when Stats is served *)
+let g_heap_words = Obs.Metrics.gauge "proc.heap_words"
+
+let g_live_words = Obs.Metrics.gauge "proc.live_words"
+
 let note_depth t =
   Obs.Metrics.set_gauge g_queue_depth
     (float_of_int (Bounded_queue.depth t.queue))
@@ -378,6 +383,9 @@ let summary_json (s : Sessions.summary) =
 (* Runs on the executor: it reads the executor-owned session table. *)
 let stats_response t =
   let now = Obs.Clock.now_s () in
+  let gc = Gc.quick_stat () in
+  Obs.Metrics.set_gauge g_heap_words (float_of_int gc.Gc.heap_words);
+  Obs.Metrics.set_gauge g_live_words (float_of_int gc.Gc.live_words);
   let b = Buffer.create 2048 in
   let add = Buffer.add_string b in
   add

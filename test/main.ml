@@ -23,4 +23,5 @@ let () =
       "server", Test_server.suite;
       "recorder", Test_recorder.suite;
       "replica", Test_replica.suite;
+      "memory", Test_memory.suite;
     ]
