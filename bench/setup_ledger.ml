@@ -1,0 +1,88 @@
+(* The start-up stage ledger: where a perfbench server start spends its
+   set-up, phase by phase, in one process and without a server.
+
+   usage: setup_ledger.exe [WORKLOAD] [SEED] [RUNS]   (default oltp-point 1 7)
+
+   Each run builds the workload's system as mldsb_server does: the
+   preload (for oltp-point, the functional loader of the 3000-person
+   university, then the SQL and DL/I scripts), then a snapshot save of
+   every database. The loader is also timed alone, in a system of its
+   own, so the preload's other work is the preload minus the loader.
+   Prints the median wall time of each phase over RUNS runs and its
+   minor-heap words (from the last run; allocation does not vary between
+   runs), in total and per record. *)
+
+let median xs =
+  let a = Array.of_list xs in
+  Array.sort compare a;
+  a.(Array.length a / 2)
+
+(* wall seconds and minor words of [f ()] *)
+let measure f =
+  let w0 = Gc.minor_words () and t0 = Unix.gettimeofday () in
+  let r = f () in
+  let dt = Unix.gettimeofday () -. t0 in
+  r, dt, Gc.minor_words () -. w0
+
+let ok what = function Ok x -> x | Error e -> failwith (what ^ ": " ^ e)
+
+let () =
+  let arg i default = if Array.length Sys.argv > i then Sys.argv.(i) else default in
+  let wname = arg 1 "oltp-point" in
+  let seed = int_of_string (arg 2 "1") and runs = int_of_string (arg 3 "7") in
+  let w =
+    match Perfbench.Workloads.of_name wname with
+    | Some w -> w
+    | None -> failwith ("unknown workload " ^ wname)
+  in
+  let dir =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "ledger-%d" (Unix.getpid ()))
+  in
+  Unix.mkdir dir 0o755;
+  (* phase name -> (seconds of each run, words of the last, records) *)
+  let phases = Hashtbl.create 8 and order = ref [] in
+  let note name dt words records =
+    let times, _, _ = Option.value ~default:([], 0., 0) (Hashtbl.find_opt phases name) in
+    if not (Hashtbl.mem phases name) then order := name :: !order;
+    Hashtbl.replace phases name (dt :: times, words, records)
+  in
+  for _ = 1 to runs do
+    Gc.compact ();
+    (if w = Perfbench.Workloads.Oltp_point then
+       let rows = Perfbench.Workloads.university_rows ~seed in
+       let sys = Perfbench.Workloads.create_system w in
+       let (), dt, words =
+         measure (fun () ->
+             ok "loader"
+               (Mlds.System.define_functional sys ~name:"uni"
+                  ~ddl:Daplex.University.ddl rows))
+       in
+       note "loader (uni)" dt words
+         (Mapping.Kernel.size (Option.get (Mlds.System.kernel_of sys "uni"))));
+    Gc.compact ();
+    let sys = Perfbench.Workloads.create_system w in
+    let (), dt, words = measure (fun () -> Perfbench.Workloads.preload w ~seed sys) in
+    let size db = Mapping.Kernel.size (Option.get (Mlds.System.kernel_of sys db)) in
+    let dbs = List.map fst (Mlds.System.databases sys) in
+    note "preload (all)" dt words (List.fold_left (fun n db -> n + size db) 0 dbs);
+    List.iter
+      (fun db ->
+        let file = Filename.concat dir (db ^ ".snapshot") in
+        let (), dt, words =
+          measure (fun () -> ok "save" (Mlds.Persist.save sys ~db ~file))
+        in
+        Sys.remove file;
+        note ("save " ^ db) dt words (size db))
+      dbs
+  done;
+  Unix.rmdir dir;
+  Printf.printf "%s seed %d, %d runs\n%-16s %10s %14s %8s %12s\n" wname seed
+    runs "phase" "median ms" "minor words" "records" "words/record";
+  List.iter
+    (fun name ->
+      let times, words, records = Hashtbl.find phases name in
+      Printf.printf "%-16s %10.2f %14.0f %8d %12.0f\n" name
+        (median times *. 1000.) words records
+        (words /. float_of_int (max 1 records)))
+    (List.rev !order)

@@ -52,35 +52,65 @@ let aggregate_to_string = function
 let target_to_string = function
   | T_all -> "ALL"
   | T_attr attr -> attr
-  | T_agg (agg, attr) -> Printf.sprintf "%s(%s)" (aggregate_to_string agg) attr
+  | T_agg (agg, attr) -> aggregate_to_string agg ^ "(" ^ attr ^ ")"
 
-let query_to_string = Abdm.Query.to_string
+(* Appends [f] over [items] separated by ", ". *)
+let add_list buf f items =
+  List.iteri
+    (fun i x ->
+      if i > 0 then Buffer.add_string buf ", ";
+      f buf x)
+    items
 
-let to_string = function
+let add_query buf query =
+  Buffer.add_char buf '(';
+  Abdm.Query.to_buffer buf query;
+  Buffer.add_char buf ')'
+
+let add_targets buf targets =
+  Buffer.add_char buf '(';
+  add_list buf (fun buf t -> Buffer.add_string buf (target_to_string t)) targets;
+  Buffer.add_char buf ')'
+
+let to_buffer buf = function
   | Insert record ->
-    let body =
-      String.concat ", " (List.map Abdm.Keyword.to_string record.Abdm.Record.keywords)
-    in
-    Printf.sprintf "INSERT (%s)" body
-  | Delete query -> Printf.sprintf "DELETE (%s)" (query_to_string query)
+    Buffer.add_string buf "INSERT (";
+    add_list buf Abdm.Keyword.to_buffer record.Abdm.Record.keywords;
+    Buffer.add_char buf ')'
+  | Delete query ->
+    Buffer.add_string buf "DELETE ";
+    add_query buf query
   | Update (query, modifiers) ->
-    Printf.sprintf "UPDATE (%s) (%s)" (query_to_string query)
-      (String.concat ", " (List.map Abdm.Modifier.to_string modifiers))
+    Buffer.add_string buf "UPDATE ";
+    add_query buf query;
+    Buffer.add_string buf " (";
+    add_list buf Abdm.Modifier.to_buffer modifiers;
+    Buffer.add_char buf ')'
   | Retrieve { query; targets; by } ->
-    let target_part =
-      String.concat ", " (List.map target_to_string targets)
-    in
-    let by_part =
-      match by with
-      | Some attr -> " BY " ^ attr
-      | None -> ""
-    in
-    Printf.sprintf "RETRIEVE (%s) (%s)%s" (query_to_string query) target_part
-      by_part
+    Buffer.add_string buf "RETRIEVE ";
+    add_query buf query;
+    Buffer.add_char buf ' ';
+    add_targets buf targets;
+    Option.iter
+      (fun attr ->
+        Buffer.add_string buf " BY ";
+        Buffer.add_string buf attr)
+      by
   | Retrieve_common { rc_left; rc_left_attr; rc_right; rc_right_attr; rc_targets } ->
-    Printf.sprintf "RETRIEVE_COMMON (%s) (%s) AND (%s) (%s) (%s)"
-      (query_to_string rc_left) rc_left_attr
-      (query_to_string rc_right) rc_right_attr
-      (String.concat ", " (List.map target_to_string rc_targets))
+    Buffer.add_string buf "RETRIEVE_COMMON ";
+    add_query buf rc_left;
+    Buffer.add_string buf " (";
+    Buffer.add_string buf rc_left_attr;
+    Buffer.add_string buf ") AND ";
+    add_query buf rc_right;
+    Buffer.add_string buf " (";
+    Buffer.add_string buf rc_right_attr;
+    Buffer.add_string buf ") ";
+    add_targets buf rc_targets
+
+let to_string request =
+  let buf = Buffer.create 128 in
+  to_buffer buf request;
+  Buffer.contents buf
 
 let pp ppf request = Format.pp_print_string ppf (to_string request)

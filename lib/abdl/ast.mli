@@ -55,4 +55,8 @@ val target_to_string : target_item -> string
     [RETRIEVE ((FILE = course) AND (title = 'DB')) (title, credits) BY course]. *)
 val to_string : request -> string
 
+(** [to_buffer buf r] appends [to_string r] to [buf] — the one ABDL
+    printer; snapshot lines and WAL frames are written through it. *)
+val to_buffer : Buffer.t -> request -> unit
+
 val pp : Format.formatter -> request -> unit

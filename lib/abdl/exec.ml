@@ -31,8 +31,12 @@ let project targets (key, record) =
   in
   { dbkey = Some key; values }
 
+module Value_map = Map.Make (Abdm.Value)
+
 (* Group selected records by the BY attribute (all in one group without
-   one), in ascending group-key order. *)
+   one), in ascending group-key order. Groups are keyed on the value
+   itself; a group reports the first key it met, so Int 3 and Float 3.0
+   (equal values) share one group. *)
 let group_matches by matches =
   match by with
   | None -> [ Abdm.Value.Null, matches ]
@@ -42,27 +46,19 @@ let group_matches by matches =
       | Some v -> v
       | None -> Abdm.Value.Null
     in
-    let table = Hashtbl.create 16 in
-    let order = ref [] in
-    let visit ((_, _) as m) =
-      let k = key_of m in
-      match
-        List.find_opt (fun k' -> Abdm.Value.equal k k') !order
-      with
-      | Some k' ->
-        let members = Hashtbl.find table (Abdm.Value.to_string k') in
-        members := m :: !members
-      | None ->
-        order := k :: !order;
-        Hashtbl.replace table (Abdm.Value.to_string k) (ref [ m ])
-    in
-    List.iter visit matches;
     let groups =
-      List.rev_map
-        (fun k -> k, List.rev !(Hashtbl.find table (Abdm.Value.to_string k)))
-        !order
+      List.fold_left
+        (fun groups m ->
+          let k = key_of m in
+          match Value_map.find_opt k groups with
+          | Some (_, members) ->
+            members := m :: !members;
+            groups
+          | None -> Value_map.add k (k, ref [ m ]) groups)
+        Value_map.empty matches
     in
-    List.sort (fun (a, _) (b, _) -> Abdm.Value.compare a b) groups
+    Value_map.bindings groups
+    |> List.map (fun (_, (k, members)) -> k, List.rev !members)
 
 let aggregate_rows (retrieve : Ast.retrieve) matches =
   let groups = group_matches retrieve.by matches in
@@ -125,22 +121,16 @@ let shape_rows (retrieve : Ast.retrieve) matches =
     List.map (project retrieve.targets) matches
 
 let join_rows (rc : Ast.retrieve_common) ~left ~right =
-  (* hash the right side by join-attribute value *)
-  let table = Hashtbl.create 64 in
+  (* index the right side by join-attribute value *)
+  let table = ref Value_map.empty in
   List.iter
     (fun (_, record) ->
       match Abdm.Record.value_of record rc.rc_right_attr with
       | Some v when not (Abdm.Value.is_null v) ->
-        let key = Abdm.Value.to_string v in
-        let bucket =
-          match Hashtbl.find_opt table key with
-          | Some bucket -> bucket
-          | None ->
-            let bucket = ref [] in
-            Hashtbl.replace table key bucket;
-            bucket
-        in
-        bucket := record :: !bucket
+        table :=
+          Value_map.update v
+            (fun bucket -> Some (record :: Option.value ~default:[] bucket))
+            !table
       | Some _ | None -> ())
     right;
   let merge left_record right_record =
@@ -187,11 +177,11 @@ let join_rows (rc : Ast.retrieve_common) ~left ~right =
       match Abdm.Record.value_of left_record rc.rc_left_attr with
       | Some v when not (Abdm.Value.is_null v) ->
         begin
-          match Hashtbl.find_opt table (Abdm.Value.to_string v) with
+          match Value_map.find_opt v !table with
           | Some bucket ->
             List.rev_map
               (fun right_record -> project_merged (merge left_record right_record))
-              !bucket
+              bucket
           | None -> []
         end
       | Some _ | None -> [])

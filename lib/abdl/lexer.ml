@@ -67,16 +67,31 @@ let tokens src =
     end
   and lex_number start i acc =
     let j = ref i in
-    while !j < len && is_digit src.[!j] do incr j done;
-    if !j < len && src.[!j] = '.' && !j + 1 < len && is_digit src.[!j + 1] then begin
+    let digits () = while !j < len && is_digit src.[!j] do incr j done in
+    digits ();
+    let fraction =
+      !j < len && src.[!j] = '.' && !j + 1 < len && is_digit src.[!j + 1]
+    in
+    if fraction then begin
       incr j;
-      while !j < len && is_digit src.[!j] do incr j done;
-      let text = String.sub src start (!j - start) in
-      lex !j (FLOAT (float_of_string text) :: acc)
-    end
-    else
-      let text = String.sub src start (!j - start) in
-      lex !j (INT (int_of_string text) :: acc)
+      digits ()
+    end;
+    (* an exponent: e or E, an optional sign, then at least one digit *)
+    let exponent = ref false in
+    if !j < len && (src.[!j] = 'e' || src.[!j] = 'E') then begin
+      let k =
+        if !j + 1 < len && (src.[!j + 1] = '+' || src.[!j + 1] = '-') then !j + 2
+        else !j + 1
+      in
+      if k < len && is_digit src.[k] then begin
+        j := k;
+        digits ();
+        exponent := true
+      end
+    end;
+    let text = String.sub src start (!j - start) in
+    if fraction || !exponent then lex !j (FLOAT (float_of_string text) :: acc)
+    else lex !j (INT (int_of_string text) :: acc)
   and lex_ident start i acc =
     let j = ref i in
     while !j < len && is_ident_char src.[!j] do incr j done;

@@ -11,7 +11,16 @@ let file name = { attribute = file_attribute; value = Value.Str name }
 
 let equal a b = String.equal a.attribute b.attribute && Value.equal a.value b.value
 
-let to_string { attribute; value } =
-  Printf.sprintf "<%s, %s>" attribute (Value.to_string value)
+let to_buffer buf { attribute; value } =
+  Buffer.add_char buf '<';
+  Buffer.add_string buf attribute;
+  Buffer.add_string buf ", ";
+  Value.to_buffer buf value;
+  Buffer.add_char buf '>'
+
+let to_string kw =
+  let buf = Buffer.create 32 in
+  to_buffer buf kw;
+  Buffer.contents buf
 
 let pp ppf kw = Format.pp_print_string ppf (to_string kw)

@@ -22,4 +22,7 @@ val equal : t -> t -> bool
 (** Renders in the paper's surface syntax [<attribute, value>]. *)
 val to_string : t -> string
 
+(** [to_buffer buf kw] appends [to_string kw] to [buf]. *)
+val to_buffer : Buffer.t -> t -> unit
+
 val pp : Format.formatter -> t -> unit

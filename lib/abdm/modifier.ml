@@ -52,10 +52,24 @@ let apply modifier record =
 let attribute = function
   | Set_const (attr, _) | Set_arith (attr, _, _) -> attr
 
-let to_string = function
-  | Set_const (attr, v) -> Printf.sprintf "%s = %s" attr (Value.to_string v)
+let to_buffer buf m =
+  match m with
+  | Set_const (attr, v) ->
+    Buffer.add_string buf attr;
+    Buffer.add_string buf " = ";
+    Value.to_buffer buf v
   | Set_arith (attr, op, v) ->
-    Printf.sprintf "%s = %s %s %s" attr attr (arith_to_string op)
-      (Value.to_string v)
+    Buffer.add_string buf attr;
+    Buffer.add_string buf " = ";
+    Buffer.add_string buf attr;
+    Buffer.add_char buf ' ';
+    Buffer.add_string buf (arith_to_string op);
+    Buffer.add_char buf ' ';
+    Value.to_buffer buf v
+
+let to_string m =
+  let buf = Buffer.create 32 in
+  to_buffer buf m;
+  Buffer.contents buf
 
 let pp ppf m = Format.pp_print_string ppf (to_string m)

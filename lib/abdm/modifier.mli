@@ -25,4 +25,7 @@ val attribute : t -> string
 
 val to_string : t -> string
 
+(** [to_buffer buf m] appends [to_string m] to [buf]. *)
+val to_buffer : Buffer.t -> t -> unit
+
 val pp : Format.formatter -> t -> unit

@@ -57,7 +57,18 @@ let op_of_string = function
   | ">=" -> Some Ge
   | _ -> None
 
-let to_string { attribute; op; value } =
-  Printf.sprintf "(%s %s %s)" attribute (op_to_string op) (Value.to_string value)
+let to_buffer buf { attribute; op; value } =
+  Buffer.add_char buf '(';
+  Buffer.add_string buf attribute;
+  Buffer.add_char buf ' ';
+  Buffer.add_string buf (op_to_string op);
+  Buffer.add_char buf ' ';
+  Value.to_buffer buf value;
+  Buffer.add_char buf ')'
+
+let to_string pred =
+  let buf = Buffer.create 32 in
+  to_buffer buf pred;
+  Buffer.contents buf
 
 let pp ppf pred = Format.pp_print_string ppf (to_string pred)

@@ -34,6 +34,10 @@ val op_to_string : op -> string
 
 val op_of_string : string -> op option
 
+(** Renders as [(attribute op value)], e.g. [(title = 'DB')]. *)
 val to_string : t -> string
+
+(** [to_buffer buf p] appends [to_string p] to [buf]. *)
+val to_buffer : Buffer.t -> t -> unit
 
 val pp : Format.formatter -> t -> unit

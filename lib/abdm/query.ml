@@ -97,17 +97,37 @@ let files query =
   in
   collect [] query
 
-let conjunction_to_string preds =
+let conjunction_to_buffer buf preds =
   match preds with
-  | [] -> "(TRUE)"
-  | _ -> String.concat " AND " (List.map Predicate.to_string preds)
+  | [] -> Buffer.add_string buf "(TRUE)"
+  | first :: rest ->
+    Predicate.to_buffer buf first;
+    List.iter
+      (fun pred ->
+        Buffer.add_string buf " AND ";
+        Predicate.to_buffer buf pred)
+      rest
 
-let to_string query =
+let to_buffer buf query =
   match query with
-  | [] -> "(FALSE)"
-  | [ preds ] -> conjunction_to_string preds
+  | [] -> Buffer.add_string buf "(FALSE)"
+  | [ preds ] -> conjunction_to_buffer buf preds
   | _ ->
-    String.concat " OR "
-      (List.map (fun preds -> "(" ^ conjunction_to_string preds ^ ")") query)
+    List.iteri
+      (fun i preds ->
+        if i > 0 then Buffer.add_string buf " OR ";
+        Buffer.add_char buf '(';
+        conjunction_to_buffer buf preds;
+        Buffer.add_char buf ')')
+      query
+
+let buffered add x =
+  let buf = Buffer.create 64 in
+  add buf x;
+  Buffer.contents buf
+
+let conjunction_to_string = buffered conjunction_to_buffer
+
+let to_string = buffered to_buffer
 
 let pp ppf query = Format.pp_print_string ppf (to_string query)

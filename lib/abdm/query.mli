@@ -48,4 +48,7 @@ val conjunction_to_string : conjunction -> string
 
 val to_string : t -> string
 
+(** [to_buffer buf q] appends [to_string q] to [buf]. *)
+val to_buffer : Buffer.t -> t -> unit
+
 val pp : Format.formatter -> t -> unit

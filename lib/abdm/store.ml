@@ -652,8 +652,9 @@ let clear store =
   Atomic.set store.req_last_s 0.;
   Atomic.set store.req_total_s 0.
 
-let iter store f =
-  Int_map.iter f (Atomic.get store.state).st_records
+let to_seq store = Int_map.to_seq (Atomic.get store.state).st_records
+
+let next_key store = (Atomic.get store.state).st_next_key
 
 let attach store key record =
   state_update store (fun st -> attach_state store st key record)

@@ -25,7 +25,7 @@
     (records, per-file sets, index directory) is one immutable value
     behind a single atomic and is published by compare-and-set, and the
     observability counters (scan tallies, request timing) are atomics,
-    so a read-only operation ([select]/[get]/[count]/[iter]/the stat
+    so a read-only operation ([select]/[get]/[count]/[to_seq]/the stat
     accessors) that does overlap another reader is never a data race. *)
 
 type dbkey = int
@@ -108,9 +108,13 @@ val size : t -> int
     database keys). An open transaction stays open over the empty store. *)
 val clear : t -> unit
 
-(** [iter store f] applies [f] to every live record in ascending-dbkey
-    order. *)
-val iter : t -> (dbkey -> Record.t -> unit) -> unit
+(** [to_seq store] is every record live at the call, in ascending-dbkey
+    order. The store state is immutable, so later mutations do not
+    disturb a sequence already taken. *)
+val to_seq : t -> (dbkey * Record.t) Seq.t
+
+(** [next_key store] is the key the next {!insert} will assign. *)
+val next_key : t -> dbkey
 
 (** Number of records examined by [select]/[delete]/[update] since
     creation or the last [clear]. The MBDS controller charges the

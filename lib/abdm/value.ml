@@ -25,16 +25,45 @@ let is_null = function
   | Null -> true
   | Int _ | Float _ | Str _ -> false
 
-let escape_quotes s =
-  if not (String.contains s '\'') then s
-  else
-    String.concat "''" (String.split_on_char '\'' s)
+(* The shortest of %.15g, %.16g and %.17g that reads back bit-equal, so a
+   float survives a snapshot or a WAL frame. An integral float keeps a
+   ".0" so it does not come back as an [Int]. *)
+let float_literal f =
+  let exact s = Float.equal (float_of_string s) f in
+  let s = Printf.sprintf "%.15g" f in
+  let s =
+    if exact s then s
+    else
+      let s = Printf.sprintf "%.16g" f in
+      if exact s then s else Printf.sprintf "%.17g" f
+  in
+  (* 'n' covers nan and inf, which carry no digits to extend *)
+  if String.exists (fun c -> c = '.' || c = 'e' || c = 'n') s then s
+  else s ^ ".0"
+
+let to_buffer buf = function
+  | Int i -> Buffer.add_string buf (string_of_int i)
+  | Float f -> Buffer.add_string buf (float_literal f)
+  | Str s ->
+    Buffer.add_char buf '\'';
+    if String.contains s '\'' then
+      (* a quote is escaped by doubling it *)
+      String.iter
+        (fun c ->
+          if c = '\'' then Buffer.add_char buf '\'';
+          Buffer.add_char buf c)
+        s
+    else Buffer.add_string buf s;
+    Buffer.add_char buf '\''
+  | Null -> Buffer.add_string buf "NULL"
 
 let to_string = function
   | Int i -> string_of_int i
-  | Float f -> Printf.sprintf "%g" f
-  | Str s -> Printf.sprintf "'%s'" (escape_quotes s)
   | Null -> "NULL"
+  | (Float _ | Str _) as v ->
+    let buf = Buffer.create 16 in
+    to_buffer buf v;
+    Buffer.contents buf
 
 let to_display = function
   | Int i -> string_of_int i

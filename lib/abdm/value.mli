@@ -22,12 +22,18 @@ val equal : t -> t -> bool
 
 val is_null : t -> bool
 
-(** [to_string v] renders the value in ABDL surface syntax: integers and
-    floats literally, strings in single quotes, null as [NULL]. *)
+(** [to_string v] renders the value in ABDL surface syntax: integers
+    literally, strings in single quotes, null as [NULL]. A float prints
+    with the fewest significant digits (15 to 17) that read back
+    bit-equal, and always with a [.] or an exponent — [3.0], [1e-07],
+    [1e+22] — so that parsing the text gives the same value back. *)
 val to_string : t -> string
 
+(** [to_buffer buf v] appends [to_string v] to [buf]. *)
+val to_buffer : Buffer.t -> t -> unit
+
 (** [to_display v] renders the value without string quoting, for result
-    formatting (KFS output). *)
+    formatting (KFS output). Floats print as [%g]. *)
 val to_display : t -> string
 
 val pp : Format.formatter -> t -> unit

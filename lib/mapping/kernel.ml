@@ -132,6 +132,16 @@ let run t request =
       end;
       result)
 
+let to_seq t =
+  match t.kds with
+  | Single store -> Abdm.Store.to_seq store
+  | Multi ctrl -> Mbds.Controller.to_seq ctrl
+
+let next_key t =
+  match t.kds with
+  | Single store -> Abdm.Store.next_key store
+  | Multi ctrl -> Mbds.Controller.next_key ctrl
+
 let count t =
   match t.kds with
   | Single store -> Abdm.Store.count store

@@ -76,13 +76,21 @@ val update : t -> Abdm.Query.t -> Abdm.Modifier.t list -> int
 
 val get : t -> Abdm.Store.dbkey -> Abdm.Record.t option
 
-(** [replace t key record] overwrites one record by database key (loader
-    path). Raises [Not_found] if [key] is not live. *)
+(** [replace t key record] overwrites one record by database key (the
+    engines' key-addressed writes and WAL replay). Raises [Not_found] if
+    [key] is not live. *)
 val replace : t -> Abdm.Store.dbkey -> Abdm.Record.t -> unit
 
 (** [run t request] executes one ABDL request, inside a [kernel.run]
     tracing span carrying the request kind. *)
 val run : t -> Abdl.Ast.request -> Abdl.Exec.result
+
+(** [to_seq t] is every record live at the call, in ascending-dbkey
+    order, without a query: the snapshot writer's walk. *)
+val to_seq : t -> (Abdm.Store.dbkey * Abdm.Record.t) Seq.t
+
+(** [next_key t] is the database key the next {!insert} will assign. *)
+val next_key : t -> Abdm.Store.dbkey
 
 val count : t -> string -> int
 

@@ -24,18 +24,36 @@ let range_of_function schema type_name fn_name =
     | Daplex.Schema.C_single_valued r | Daplex.Schema.C_multi_valued r -> Some r
     | Daplex.Schema.C_scalar | Daplex.Schema.C_scalar_multi -> None
 
-(* All-null primary record template for a row's type. *)
-let primary_template flavor descriptor type_name =
+(* A type's primary record layout: the FILE keyword, then the
+   descriptor's attributes in order, with each attribute's position. *)
+type template = {
+  attrs : string array;
+  slot : (string, int) Hashtbl.t;
+}
+
+let template descriptor type_name =
   match Abdm.Descriptor.find_file descriptor type_name with
   | None -> fail "loader: unknown record type %s" type_name
   | Some file ->
-    ignore flavor;
-    Abdm.Record.make
-      (Abdm.Keyword.file type_name
-       :: List.map
-            (fun (a : Abdm.Descriptor.attribute) ->
-              Abdm.Keyword.make a.attr_name Abdm.Value.Null)
-            file.attributes)
+    let attrs =
+      Array.of_list
+        (List.map (fun (a : Abdm.Descriptor.attribute) -> a.attr_name) file.attributes)
+    in
+    let slot = Hashtbl.create (Array.length attrs) in
+    Array.iteri
+      (fun i attr ->
+        if Hashtbl.mem slot attr then
+          fail "loader: duplicate attribute %S in file %S" attr type_name;
+        Hashtbl.replace slot attr i)
+      attrs;
+    { attrs; slot }
+
+let record_of type_name tmpl values =
+  let rec keywords i =
+    if i = Array.length values then []
+    else Abdm.Keyword.make tmpl.attrs.(i) values.(i) :: keywords (i + 1)
+  in
+  { Abdm.Record.keywords = Abdm.Keyword.file type_name :: keywords 0; text = "" }
 
 let rec cartesian = function
   | [] -> [ [] ]
@@ -45,11 +63,47 @@ let rec cartesian = function
       (fun v -> List.map (fun tail -> (attr, v) :: tail) tails)
       values
 
+(* Memoizes a schema lookup by its two string arguments. *)
+let memo f =
+  let table = Hashtbl.create 16 in
+  fun a b ->
+    match Hashtbl.find_opt table (a, b) with
+    | Some v -> v
+    | None ->
+      let v = f a b in
+      Hashtbl.add table (a, b) v;
+      v
+
+(* One store write per record. Keys are fixed up front — [Kernel.insert]
+   would give the primary records consecutive keys in row order — so
+   each primary record is built complete (scalars, its own key, ISA and
+   function references, the first multi-valued combination) and stored
+   once under its key. The §VI.D.2 copies and the LINK records then take
+   the keys after, in row order, exactly as a two-pass load would. *)
 let load kernel transform rows =
+  if Kernel.size kernel <> 0 then invalid_arg "Loader.load: the kernel is not empty";
   let schema = transform.Transformer.Transform.source in
-  let flavor = Ab_schema.Fun transform in
-  let descriptor = Ab_schema.descriptor flavor in
-  let keys : key_map = Hashtbl.create 64 in
+  let descriptor = Ab_schema.descriptor (Ab_schema.Fun transform) in
+  let templates = Hashtbl.create 16 in
+  let template_of type_name =
+    match Hashtbl.find_opt templates type_name with
+    | Some tmpl -> tmpl
+    | None ->
+      let tmpl = template descriptor type_name in
+      Hashtbl.add templates type_name tmpl;
+      tmpl
+  in
+  let isa_set = memo (fun super sub -> isa_set transform ~super ~sub) in
+  let function_set = memo (function_set transform) in
+  let range_of_function = memo (range_of_function schema) in
+  let keys : key_map = Hashtbl.create (List.length rows) in
+  let first_key = Kernel.next_key kernel in
+  List.iteri
+    (fun i (row : Daplex.University.row) ->
+      if Hashtbl.mem keys (row.row_type, row.row_key) then
+        fail "loader: duplicate row key %s/%s" row.row_type row.row_key;
+      Hashtbl.replace keys (row.row_type, row.row_key) (first_key + i))
+    rows;
   let key_of type_name row_key =
     match Hashtbl.find_opt keys (type_name, row_key) with
     | Some k -> k
@@ -60,54 +114,37 @@ let load kernel transform rows =
     | Ok () -> ()
     | Error msg -> fail "loader: %s" msg
   in
-
-  (* Pass 1: primary records with scalar values; key := own dbkey. *)
-  let pass1 (row : Daplex.University.row) =
-    let base = primary_template flavor descriptor row.row_type in
-    let with_scalars =
-      List.fold_left
-        (fun record (fn_name, value) ->
-          match (value : Daplex.University.fvalue) with
-          | Daplex.University.Scalar v -> Abdm.Record.set record fn_name v
-          | Daplex.University.Scalars _ | Daplex.University.Ref _
-          | Daplex.University.Refs _ -> record)
-        base row.row_values
-    in
-    let k = Kernel.insert kernel with_scalars in
-    let keyed = Abdm.Record.set with_scalars row.row_type (Abdm.Value.Int k) in
-    validate keyed;
-    Kernel.replace kernel k keyed;
-    if Hashtbl.mem keys (row.row_type, row.row_key) then
-      fail "loader: duplicate row key %s/%s" row.row_type row.row_key;
-    Hashtbl.replace keys (row.row_type, row.row_key) k
-  in
-  List.iter pass1 rows;
-
-  (* Pass 2: references, multi-valued expansion, LINK records. *)
+  let copies = ref [] in
   let pending_links = ref [] in
-  let pass2 (row : Daplex.University.row) =
+  let primary (row : Daplex.University.row) =
     let type_name = row.row_type in
-    let k = key_of type_name row.row_key in
-    let self_query =
-      Abdm.Query.conj
-        [
-          Abdm.Predicate.file_eq type_name;
-          Abdm.Predicate.make type_name Abdm.Predicate.Eq (Abdm.Value.Int k);
-        ]
+    let tmpl = template_of type_name in
+    let values = Array.make (Array.length tmpl.attrs) Abdm.Value.Null in
+    let set attr v =
+      match Hashtbl.find_opt tmpl.slot attr with
+      | Some i -> values.(i) <- v
+      | None ->
+        fail "loader: attribute %S not in template of file %S" attr type_name
     in
-    let simple_updates = ref [] in
+    List.iter
+      (fun (fn_name, value) ->
+        match (value : Daplex.University.fvalue) with
+        | Daplex.University.Scalar v -> set fn_name v
+        | Daplex.University.Scalars _ | Daplex.University.Ref _
+        | Daplex.University.Refs _ -> ())
+      row.row_values;
+    let k = key_of type_name row.row_key in
+    set type_name (Abdm.Value.Int k);
+    (* references, applied in reverse discovery order as one UPDATE's
+       modifier list was: on a repeated attribute the first one wins *)
+    let refs = ref [] in
     let dims = ref [] in
-    (* ISA references *)
     List.iter
       (fun (super, super_row) ->
-        match isa_set transform ~super ~sub:type_name with
+        match isa_set super type_name with
         | None -> fail "loader: no ISA set %s -> %s" super type_name
-        | Some s ->
-          let v = Abdm.Value.Int (key_of super super_row) in
-          simple_updates :=
-            Abdm.Modifier.Set_const (s.set_name, v) :: !simple_updates)
+        | Some s -> refs := (s.set_name, key_of super super_row) :: !refs)
       row.row_isa;
-    (* function values *)
     List.iter
       (fun (fn_name, value) ->
         match (value : Daplex.University.fvalue) with
@@ -116,21 +153,18 @@ let load kernel transform rows =
           if values <> [] then dims := (fn_name, values) :: !dims
         | Daplex.University.Ref target ->
           begin
-            match range_of_function schema type_name fn_name with
+            match range_of_function type_name fn_name with
             | None -> fail "loader: %s.%s is not entity-valued" type_name fn_name
             | Some range ->
-              match function_set transform type_name fn_name with
+              match function_set type_name fn_name with
               | None -> fail "loader: no set for %s.%s" type_name fn_name
-              | Some s ->
-                let v = Abdm.Value.Int (key_of range target) in
-                simple_updates :=
-                  Abdm.Modifier.Set_const (s.set_name, v) :: !simple_updates
+              | Some s -> refs := (s.set_name, key_of range target) :: !refs
           end
         | Daplex.University.Refs targets ->
-          match range_of_function schema type_name fn_name with
+          match range_of_function type_name fn_name with
           | None -> fail "loader: %s.%s is not entity-valued" type_name fn_name
           | Some range ->
-            match function_set transform type_name fn_name with
+            match function_set type_name fn_name with
             | None -> fail "loader: no set for %s.%s" type_name fn_name
             | Some s ->
               match
@@ -174,40 +208,28 @@ let load kernel transform rows =
                 fail "loader: %s.%s is multi-valued but set %s is not"
                   type_name fn_name s.set_name)
       row.row_values;
-    if !simple_updates <> [] then
-      ignore (Kernel.update kernel self_query !simple_updates);
-    (* Multi-valued expansion: first combination updates the primary
-       record; the rest insert duplicated copies (§VI.D.2). *)
-    match !dims with
-    | [] -> ()
-    | dims ->
-      begin
-        match cartesian dims with
-        | [] -> ()
-        | first :: rest ->
-          let set_all record combo =
-            List.fold_left
-              (fun r (attr, v) -> Abdm.Record.set r attr v)
-              record combo
-          in
-          let first_mods =
-            List.map (fun (attr, v) -> Abdm.Modifier.Set_const (attr, v)) first
-          in
-          ignore (Kernel.update kernel self_query first_mods);
-          begin
-            match Kernel.get kernel k with
-            | None -> fail "loader: primary record %d vanished" k
-            | Some base ->
-              List.iter
-                (fun combo ->
-                  let copy = set_all base combo in
-                  validate copy;
-                  ignore (Kernel.insert kernel copy))
-                rest
-          end
-      end
+    List.iter (fun (attr, key) -> set attr (Abdm.Value.Int key)) !refs;
+    (* Multi-valued expansion: the primary record holds the first
+       combination; each other one is a duplicated copy (§VI.D.2). *)
+    let combos = match !dims with [] -> [] | dims -> cartesian dims in
+    let set_combo = List.iter (fun (attr, v) -> set attr v) in
+    (match combos with [] -> () | first :: _ -> set_combo first);
+    let record = record_of type_name tmpl values in
+    validate record;
+    Kernel.insert_keyed kernel k record;
+    match combos with
+    | [] | [ _ ] -> ()
+    | _ :: rest ->
+      List.iter
+        (fun combo ->
+          set_combo combo;
+          let copy = record_of type_name tmpl values in
+          validate copy;
+          copies := copy :: !copies)
+        rest
   in
-  List.iter pass2 rows;
+  List.iter primary rows;
+  List.iter (fun copy -> ignore (Kernel.insert kernel copy)) (List.rev !copies);
   (* LINK records *)
   List.iter
     (fun (link_record, set_a, key_a, set_b, key_b) ->

@@ -2,21 +2,24 @@
     AB(functional) database (the Goisman mapping of §III.C.1 over the
     transformed network schema of Chapter V).
 
-    Loading is two-pass: pass one inserts each entity's primary record
-    (scalar values; references null) and fixes its unique key to the
-    primary record's database key; pass two wires references — ISA links,
-    single-valued functions (member-held), one-to-many functions
-    (owner-held, duplicating the owner record per member exactly as the
-    paper's scalar-multi-valued duplication does), scalar multi-valued
-    values, and LINK records for many-to-many pairs. *)
+    Each entity's unique key is its primary record's database key. The
+    keys are fixed before any record is stored, so every primary record is
+    written once, complete: scalar values, its own key, ISA references,
+    single-valued functions (member-held), and the first combination of
+    its multi-valued functions — one-to-many functions (owner-held) and
+    scalar multi-valued values. Each further combination is a duplicated
+    copy of the record (§VI.D.2); the copies, and then the LINK records
+    of many-to-many pairs, follow all primary records. *)
 
 (** Maps (type name, row key) to the entity's unique key. *)
 type key_map
 
-(** [load kernel transform rows] populates the kernel; validates every
-    inserted record against the AB(functional) descriptor. Raises
-    [Invalid_argument] on rows referencing unknown types, functions, or
-    row keys, or on validation failure. *)
+(** [load kernel transform rows] populates an empty kernel; validates
+    every record against the AB(functional) descriptor before storing it.
+    The i-th row's primary record gets the key the i-th insert into the
+    kernel would get. Raises [Invalid_argument] if the kernel holds a
+    record, on rows referencing unknown types, functions, or row keys,
+    and on validation failure. *)
 val load :
   Kernel.t -> Transformer.Transform.t -> Daplex.University.row list -> key_map
 

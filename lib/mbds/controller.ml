@@ -283,6 +283,16 @@ let insert_keyed t key record =
   Obs.Metrics.set_gauge t.obs_records.(idx)
     (float_of_int (Abdm.Store.size backend))
 
+(* Lock-free like [get]: each backend's records as of this call, merged
+   by global key. *)
+let to_seq t =
+  let by_key (k1, _) (k2, _) = Int.compare k1 k2 in
+  Array.fold_left
+    (fun merged backend -> Seq.sorted_merge by_key merged (Abdm.Store.to_seq backend))
+    Seq.empty t.backends
+
+let next_key t = t.next_key
+
 let count t file =
   Array.fold_left (fun acc b -> acc + Abdm.Store.count b file) 0 t.backends
 

@@ -86,7 +86,8 @@ val update : t -> Abdm.Query.t -> Abdm.Modifier.t list -> int
 val get : t -> Abdm.Store.dbkey -> Abdm.Record.t option
 
 (** [replace t key record] overwrites a record in place on its backend
-    (loader path; not charged to the response-time model). Raises
+    (the engines' key-addressed writes and WAL replay; not charged to the
+    response-time model). Raises
     [Not_found] if [key] is not live. *)
 val replace : t -> Abdm.Store.dbkey -> Abdm.Record.t -> unit
 
@@ -98,6 +99,14 @@ val replace : t -> Abdm.Store.dbkey -> Abdm.Record.t -> unit
     [Invalid_argument] if [key] is already live. Not charged to the
     response-time model. *)
 val insert_keyed : t -> Abdm.Store.dbkey -> Abdm.Record.t -> unit
+
+(** [to_seq t] is every record live at the call, in ascending global-key
+    order: each backend's {!Abdm.Store.to_seq}, merged by key. Takes no
+    lock; the caller orders it after the mutations it must see. *)
+val to_seq : t -> (Abdm.Store.dbkey * Abdm.Record.t) Seq.t
+
+(** [next_key t] is the global key the next {!insert} will assign. *)
+val next_key : t -> Abdm.Store.dbkey
 
 val count : t -> string -> int
 

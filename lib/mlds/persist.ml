@@ -26,8 +26,15 @@ let kernel_line (spec : System.kernel_spec) =
       spec.System.spec_backends placement
       (Option.value ~default:true spec.System.spec_parallel)
 
-(* Everything above %DATA, plus the kernel the records come from. Shared
-   between [dump] (all at once) and the incremental checkpoint. *)
+(* The two header lines the body's checksum does not cover. The CRC's
+   eight hex digits start at [crc_offset]; [seal] fills them in. *)
+let seal_header = "%MLDS 2\n%CRC 00000000\n"
+
+let crc_offset = String.length "%MLDS 2\n%CRC "
+
+(* A buffer holding [seal_header], then everything down to %DATA, plus
+   the kernel the records come from. Shared between [dump] (all at once)
+   and the incremental checkpoint. *)
 let snapshot_header ?stamp t ~db =
   let* model =
     match List.assoc_opt db (System.databases t) with
@@ -49,7 +56,9 @@ let snapshot_header ?stamp t ~db =
     | Some spec -> Ok spec
     | None -> err "no kernel for %S" db
   in
-  let buf = Buffer.create 4096 in
+  (* about 100 bytes a record: most snapshots never regrow the buffer *)
+  let buf = Buffer.create (4096 + (128 * Mapping.Kernel.size kernel)) in
+  Buffer.add_string buf seal_header;
   Buffer.add_string buf (Printf.sprintf "%%MODEL %s\n" model);
   Buffer.add_string buf (Printf.sprintf "%%NAME %s\n" db);
   Buffer.add_string buf (kernel_line spec);
@@ -63,30 +72,32 @@ let snapshot_header ?stamp t ~db =
   Buffer.add_string buf "%DDL\n";
   Buffer.add_string buf (String.trim ddl);
   Buffer.add_string buf "\n%DATA\n";
-  Ok (Buffer.contents buf, kernel)
+  Ok (buf, kernel)
 
-(* sorted by database key: the dump is a deterministic function of the
-   state, and keyed restore reproduces the keys — so dump ∘ restore ∘
-   dump is byte-identical *)
-let sorted_records kernel =
-  List.sort
-    (fun (k1, _) (k2, _) -> compare (k1 : int) k2)
-    (Mapping.Kernel.select kernel Abdm.Query.always)
-
+(* "@<key> INSERT (...)": records are walked in database-key order, so
+   the dump is a deterministic function of the state, and keyed restore
+   reproduces the keys — dump ∘ restore ∘ dump is byte-identical *)
 let record_line buf (key, record) =
-  Buffer.add_string buf
-    (Printf.sprintf "@%d %s" key (Abdl.Ast.to_string (Abdl.Ast.Insert record)));
+  Buffer.add_char buf '@';
+  Buffer.add_string buf (string_of_int key);
+  Buffer.add_char buf ' ';
+  Abdl.Ast.to_buffer buf (Abdl.Ast.Insert record);
   Buffer.add_char buf '\n'
 
-let seal_body body =
-  Printf.sprintf "%%MLDS 2\n%%CRC %08x\n%s" (Wal.crc32 body) body
+(* The finished snapshot: the CRC of everything after the two header
+   lines, written over the placeholder digits in the one copy of the
+   buffer the result needs anyway. *)
+let seal buf =
+  let b = Buffer.to_bytes buf in
+  let body = String.length seal_header in
+  let crc = Wal.crc32_bytes b ~pos:body ~len:(Bytes.length b - body) in
+  Bytes.blit_string (Printf.sprintf "%08x" crc) 0 b crc_offset 8;
+  Bytes.unsafe_to_string b
 
 let dump ?stamp t ~db =
-  let* header, kernel = snapshot_header ?stamp t ~db in
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf header;
-  List.iter (record_line buf) (sorted_records kernel);
-  Ok (seal_body (Buffer.contents buf))
+  let* buf, kernel = snapshot_header ?stamp t ~db in
+  Seq.iter (record_line buf) (Mapping.Kernel.to_seq kernel);
+  Ok (seal buf)
 
 (* --- parse --------------------------------------------------------------- *)
 
@@ -542,59 +553,55 @@ let checkpoint_crash = ref false
 let inject_checkpoint_crash () = checkpoint_crash := true
 
 (* An in-flight incremental checkpoint. [checkpoint_begin] captures the
-   state — header, DDL, the sorted (key, record) list, and the WAL's
+   state — header, DDL, the key-ordered record sequence, and the WAL's
    (generation, position) stamp — at one instant behind the caller's
    write barrier. Records are immutable values behind immutable maps, so
    later mutations replace bindings without disturbing the captured
-   list: [checkpoint_slice] can serialize it in bounded steps while
+   sequence: [checkpoint_slice] can serialize it in bounded steps while
    writes keep flowing, and the snapshot is still the exact state at
    capture time. *)
 type ckpt = {
   ck_file : string;
   ck_wal : Wal.t option;
   ck_stamp : (int * int) option;
-  ck_buf : Buffer.t;  (* body so far: header + serialized records *)
-  mutable ck_pending : (Abdm.Store.dbkey * Abdm.Record.t) list;
+  ck_buf : Buffer.t;  (* header + serialized records so far *)
+  mutable ck_next : (Abdm.Store.dbkey * Abdm.Record.t) Seq.node;
   mutable ck_left : int;
 }
 
 let checkpoint_begin t ~db ~file =
   let wal = System.wal_of t ~db in
   let stamp = Option.map (fun w -> (Wal.generation w, Wal.position w)) wal in
-  let* header, kernel = snapshot_header ?stamp t ~db in
-  let records = sorted_records kernel in
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf header;
+  let* buf, kernel = snapshot_header ?stamp t ~db in
   Ok
     {
       ck_file = file;
       ck_wal = wal;
       ck_stamp = stamp;
       ck_buf = buf;
-      ck_pending = records;
-      ck_left = List.length records;
+      ck_next = Mapping.Kernel.to_seq kernel ();
+      ck_left = Mapping.Kernel.size kernel;
     }
 
 let checkpoint_slice ck ~max_records =
-  let n = ref (max 0 max_records) in
-  let continue_ = ref true in
-  while !n > 0 && !continue_ do
-    match ck.ck_pending with
-    | [] -> continue_ := false
-    | kv :: rest ->
+  let rec go n =
+    match ck.ck_next with
+    | Seq.Nil -> `Ready
+    | Seq.Cons _ when n <= 0 -> `More ck.ck_left
+    | Seq.Cons (kv, rest) ->
       record_line ck.ck_buf kv;
-      ck.ck_pending <- rest;
+      ck.ck_next <- rest ();
       ck.ck_left <- ck.ck_left - 1;
-      decr n
-  done;
-  if ck.ck_pending = [] then `Ready else `More ck.ck_left
+      go (n - 1)
+  in
+  go max_records
 
 let checkpoint_finish ck =
   (* finishing drains any remaining records first *)
   ignore (checkpoint_slice ck ~max_records:max_int);
   (* order matters: the snapshot must be durable (fsync + rename inside
      [write_atomic]) before the log stops carrying the state *)
-  let* () = write_atomic ~file:ck.ck_file (seal_body (Buffer.contents ck.ck_buf)) in
+  let* () = write_atomic ~file:ck.ck_file (seal ck.ck_buf) in
   if !checkpoint_crash then begin
     (* the injected fault: the process dies in the exact window between
        the durable snapshot and the WAL truncate *)

@@ -74,29 +74,39 @@ let crc_table =
          done;
          !c))
 
-let crc32 s =
+let crc32_bytes b ~pos ~len =
+  if pos < 0 || len < 0 || pos + len > Bytes.length b then
+    invalid_arg "Wal.crc32_bytes";
   let table = Lazy.force crc_table in
   let c = ref 0xFFFFFFFF in
-  String.iter
-    (fun ch -> c := table.((!c lxor Char.code ch) land 0xFF) lxor (!c lsr 8))
-    s;
+  for i = pos to pos + len - 1 do
+    c :=
+      Array.unsafe_get table ((!c lxor Char.code (Bytes.unsafe_get b i)) land 0xFF)
+      lxor (!c lsr 8)
+  done;
   !c lxor 0xFFFFFFFF
+
+let crc32 s =
+  crc32_bytes (Bytes.unsafe_of_string s) ~pos:0 ~len:(String.length s)
 
 (* --- entry encoding ------------------------------------------------------ *)
 
-let request_to_string = Abdl.Ast.to_string
+let keyed_payload tag key record =
+  let buf = Buffer.create 256 in
+  Buffer.add_string buf tag;
+  Buffer.add_string buf (string_of_int key);
+  Buffer.add_char buf ' ';
+  Abdl.Ast.to_buffer buf (Abdl.Ast.Insert record);
+  Buffer.contents buf
 
 let encode_entry = function
   | Begin -> "BEGIN"
   | Commit -> "COMMIT"
   | Abort -> "ABORT"
-  | Keyed_insert (key, record) ->
-    Printf.sprintf "KEYED %d %s" key (request_to_string (Abdl.Ast.Insert record))
-  | Replace (key, record) ->
-    Printf.sprintf "REPLACE %d %s" key
-      (request_to_string (Abdl.Ast.Insert record))
-  | Request request -> request_to_string request
-  | Generation g -> Printf.sprintf "GENERATION %d" g
+  | Keyed_insert (key, record) -> keyed_payload "KEYED " key record
+  | Replace (key, record) -> keyed_payload "REPLACE " key record
+  | Request request -> Abdl.Ast.to_string request
+  | Generation g -> "GENERATION " ^ string_of_int g
 
 let decode_keyed payload ~tag ~make =
   (* "<tag> <key> INSERT (...)" *)

@@ -259,3 +259,7 @@ val decode_entry : string -> (entry, string) result
 
 (** IEEE CRC-32 (the one zlib uses), returned in [0, 0xFFFFFFFF]. *)
 val crc32 : string -> int
+
+(** [crc32_bytes b ~pos ~len] is the CRC-32 of [len] bytes of [b] from
+    [pos]. Raises [Invalid_argument] if the range is outside [b]. *)
+val crc32_bytes : bytes -> pos:int -> len:int -> int

@@ -24,4 +24,5 @@ let () =
       "recorder", Test_recorder.suite;
       "replica", Test_replica.suite;
       "memory", Test_memory.suite;
+      "setup", Test_setup.suite;
     ]

@@ -21,6 +21,15 @@ let test_lexer () =
      | exception Lex_error _ -> true
      | _ -> false)
 
+let test_lexer_exponents () =
+  let open Abdl.Lexer in
+  Alcotest.(check bool) "exponent with sign" true (tokens "1e+22" = [ FLOAT 1e22; EOF ]);
+  Alcotest.(check bool) "negative mantissa and exponent" true
+    (tokens "-1.5e-07" = [ FLOAT (-1.5e-07); EOF ]);
+  Alcotest.(check bool) "capital E, no fraction" true (tokens "3E2" = [ FLOAT 300.; EOF ]);
+  Alcotest.(check bool) "an e without digits is an identifier" true
+    (tokens "1e" = [ INT 1; IDENT "e"; EOF ])
+
 (* --- parser ------------------------------------------------------------- *)
 
 let parse = Abdl.Parser.request
@@ -209,6 +218,31 @@ let test_exec_group_by () =
   Alcotest.(check bool) "sums per dept" true
     (by_dept = [ "cs", Abdm.Value.Int 30; "math", Abdm.Value.Int 70 ])
 
+(* Groups and join buckets are keyed on the value, not on its %g text:
+   1.0000001 and 1.0000002 print alike under %g but are distinct. *)
+let test_exec_group_by_float () =
+  let s = Abdm.Store.create () in
+  let run src = Abdl.Exec.run s (Abdl.Parser.request src) in
+  ignore (run "INSERT (<FILE, m>, <k, 1>, <x, 1.0000001>)");
+  ignore (run "INSERT (<FILE, m>, <k, 2>, <x, 1.0000002>)");
+  ignore (run "INSERT (<FILE, m>, <k, 3>, <x, 1.0000002>)");
+  let rows = rows_of (run "RETRIEVE ((FILE = m)) (COUNT(k), SUM(k)) BY x") in
+  Alcotest.(check (list (pair value value))) "one group per value"
+    [ Abdm.Value.Int 1, Abdm.Value.Int 1; Abdm.Value.Int 2, Abdm.Value.Int 5 ]
+    (List.map
+       (fun (r : Abdl.Exec.row) ->
+         List.assoc "COUNT(k)" r.values, List.assoc "SUM(k)" r.values)
+       rows);
+  ignore (run "INSERT (<FILE, n>, <y, 1.0000002>)");
+  ignore (run "INSERT (<FILE, n>, <y, 3>)");
+  ignore (run "INSERT (<FILE, m>, <k, 4>, <x, 3.0>)");
+  let joined =
+    rows_of (run "RETRIEVE_COMMON ((FILE = m)) (x) AND ((FILE = n)) (y) (k)")
+  in
+  Alcotest.(check (list value)) "joins on equal values only, Int 3 = Float 3.0"
+    [ Abdm.Value.Int 2; Abdm.Value.Int 3; Abdm.Value.Int 4 ]
+    (List.map (fun (r : Abdl.Exec.row) -> List.assoc "k" r.values) joined)
+
 let test_exec_aggregate_empty () =
   let s = loaded_store () in
   let one_row src = List.hd (rows_of (Abdl.Exec.run s (Abdl.Parser.request src))) in
@@ -280,9 +314,74 @@ let prop_parser_roundtrip =
       let reparsed = Abdl.Parser.request printed in
       String.equal printed (Abdl.Ast.to_string reparsed))
 
+(* print then parse gives the request back, floats bit-equal: finite
+   floats of every magnitude, negatives and integral values included *)
+let prop_print_parse_identity =
+  let open QCheck2.Gen in
+  let float =
+    oneof
+      [ oneofl [ 1e-7; 1e22; -0.5; 3.0; -2.0; 0.1; 1234567.5; 2.71828182; 1e300; 5e-324 ];
+        map (fun i -> float_of_int i) (int_range (-1000) 1000);
+        float_range (-1e6) 1e6;
+        map2 (fun m e -> Float.ldexp m e) (float_range (-1.) 1.) (int_range (-1000) 1000) ]
+  in
+  let value =
+    oneof
+      [ map (fun i -> Abdm.Value.Int i) int;
+        map (fun f -> Abdm.Value.Float f) float;
+        map (fun s -> Abdm.Value.Str s) (string_size ~gen:printable (int_range 0 8));
+        pure Abdm.Value.Null ]
+  in
+  let attr = map (Printf.sprintf "a%d") (int_range 0 9) in
+  let pred =
+    map3 Abdm.Predicate.make attr
+      (oneofl Abdm.Predicate.[ Eq; Neq; Lt; Le; Gt; Ge ])
+      value
+  in
+  let query = list_size (int_range 1 3) (list_size (int_range 1 3) pred) in
+  let modifier =
+    oneof
+      [ map2 (fun a v -> Abdm.Modifier.Set_const (a, v)) attr value;
+        map3
+          (fun a op v -> Abdm.Modifier.Set_arith (a, op, v))
+          attr
+          (oneofl Abdm.Modifier.[ Add; Sub; Mul; Div ])
+          value ]
+  in
+  let record =
+    map
+      (fun values ->
+        Abdm.Record.make
+          (Abdm.Keyword.file "f"
+          :: List.mapi (fun i v -> Abdm.Keyword.make (Printf.sprintf "a%d" i) v) values))
+      (list_size (int_range 0 6) value)
+  in
+  let request =
+    oneof
+      [ map (fun r -> Abdl.Ast.Insert r) record;
+        map (fun q -> Abdl.Ast.Delete q) query;
+        map2 (fun q ms -> Abdl.Ast.Update (q, ms)) query (list_size (int_range 1 4) modifier) ]
+  in
+  QCheck2.Test.make ~name:"parse (print r) = r, floats bit-equal" ~count:500
+    ~print:Abdl.Ast.to_string request
+    (fun r ->
+      let back = Abdl.Parser.request (Abdl.Ast.to_string r) in
+      (* structural equality tells Int from Float; the printed text also
+         compares the floats' bits *)
+      back = r && String.equal (Abdl.Ast.to_string back) (Abdl.Ast.to_string r)
+      && List.for_all2
+           (fun (a : Abdm.Keyword.t) (b : Abdm.Keyword.t) ->
+             match a.value, b.value with
+             | Abdm.Value.Float x, Abdm.Value.Float y ->
+               Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+             | _ -> true)
+           (match r with Abdl.Ast.Insert r -> r.keywords | _ -> [])
+           (match back with Abdl.Ast.Insert b -> b.keywords | _ -> []))
+
 let suite =
   [
     "lexer", `Quick, test_lexer;
+    "lexer exponents", `Quick, test_lexer_exponents;
     "parse retrieve", `Quick, test_parse_retrieve;
     "parse ALL and aggregates", `Quick, test_parse_retrieve_all_and_agg;
     "parse OR normalisation", `Quick, test_parse_or_normalisation;
@@ -296,10 +395,12 @@ let suite =
     "exec BY sorts", `Quick, test_exec_by_sorts;
     "exec aggregates", `Quick, test_exec_aggregates;
     "exec group by", `Quick, test_exec_group_by;
+    "exec group and join by value", `Quick, test_exec_group_by_float;
     "exec aggregate empty", `Quick, test_exec_aggregate_empty;
     "exec update/delete", `Quick, test_exec_update_delete;
     QCheck_alcotest.to_alcotest prop_aggregate_merge;
     QCheck_alcotest.to_alcotest prop_parser_roundtrip;
+    QCheck_alcotest.to_alcotest prop_print_parse_identity;
   ]
 
 (* --- RETRIEVE_COMMON ------------------------------------------------------ *)

@@ -447,10 +447,7 @@ let suite =
 
 (* --- the company fixture end-to-end: deep chains and self-m2m --------------- *)
 
-let company_engine () =
-  let schema = Daplex.Company.schema () in
-  let transform = Transformer.Transform.transform schema in
-  let kernel = Mapping.Kernel.single () in
+let company_rows =
   let row row_type row_key row_isa row_values =
     { Daplex.University.row_type; row_key; row_isa; row_values }
   in
@@ -483,7 +480,13 @@ let company_engine () =
         [ "level", int 3; "runs", Daplex.University.Refs [ "pr1" ] ];
     ]
   in
-  let _keys = Mapping.Loader.load kernel transform rows in
+  rows
+
+let company_engine () =
+  let schema = Daplex.Company.schema () in
+  let transform = Transformer.Transform.transform schema in
+  let kernel = Mapping.Kernel.single () in
+  let _keys = Mapping.Loader.load kernel transform company_rows in
   Daplex_dml.Engine.create kernel transform
 
 let test_company_three_level_inheritance () =

@@ -318,6 +318,51 @@ let test_trim_torn_tail () =
   Alcotest.(check bool) "no longer torn" false r.Mlds.Wal.torn;
   Sys.remove file
 
+(* --- floats through the log ------------------------------------------------ *)
+
+(* A frame printed a float as %g, so 2.71828182 and 2.71828 logged as the
+   same text: the replayed DELETE of the first removed the second too, and
+   recovery lost an acknowledged insert. *)
+let test_float_frames_replay_exactly () =
+  let snap = Filename.temp_file "mldssnap" ".mlds" in
+  let file = snap ^ ".wal" in
+  let sys_a = Mlds.System.create () in
+  (match Mlds.System.define_relational sys_a ~name:"floats" with
+  | Ok () -> ()
+  | Error msg -> failwith msg);
+  (match Mlds.Persist.save sys_a ~db:"floats" ~file:snap with
+  | Ok () -> ()
+  | Error msg -> failwith msg);
+  (match Mlds.System.attach_wal sys_a ~db:"floats" ~file with
+  | Ok _ -> ()
+  | Error msg -> failwith msg);
+  let kernel = Option.get (Mlds.System.kernel_of sys_a "floats") in
+  let point k x =
+    Abdm.Record.make
+      [ Abdm.Keyword.file "pt"; Abdm.Keyword.make "k" (Abdm.Value.Int k);
+        Abdm.Keyword.make "x" (Abdm.Value.Float x) ]
+  in
+  ignore (Mapping.Kernel.insert kernel (point 2 2.71828182));
+  ignore (Mapping.Kernel.insert kernel (point 3 2.71828));
+  ignore (Mapping.Kernel.insert kernel (point 4 3.0));
+  ignore
+    (Mapping.Kernel.delete kernel
+       (Abdm.Query.conj
+          [ Abdm.Predicate.make "x" Abdm.Predicate.Eq (Abdm.Value.Float 2.71828182) ]));
+  let live = Mapping.Kernel.select kernel Abdm.Query.always in
+  Alcotest.(check (list int)) "live keeps k=3 and k=4" [ 2; 3 ] (List.map fst live);
+  let sys_b = Mlds.System.create () in
+  (match Mlds.Persist.load sys_b ~file:snap with
+  | Ok () -> ()
+  | Error msg -> failwith msg);
+  let recovered =
+    Mapping.Kernel.select (Option.get (Mlds.System.kernel_of sys_b "floats")) Abdm.Query.always
+  in
+  (* structural: the floats are bit-equal and 3.0 did not become Int 3 *)
+  Alcotest.(check bool) "recovered = live" true (recovered = live);
+  Sys.remove snap;
+  Sys.remove file
+
 (* --- the checkpoint crash window ------------------------------------------- *)
 
 (* The regression the generation stamp exists for: a crash in the exact
@@ -902,6 +947,7 @@ let suite =
     test_truncate_crash_leaves_no_swap;
     "skip drops snapshot-covered frames", `Quick, test_skip_stale_frames;
     "trim cuts a torn tail", `Quick, test_trim_torn_tail;
+    "float frames replay exactly", `Quick, test_float_frames_replay_exactly;
     "checkpoint crash window: no double-apply", `Quick,
     test_checkpoint_crash_window;
     "incremental checkpoint in slices", `Quick,
