@@ -117,10 +117,9 @@ let show_stats state =
       (Abdm.Store.scanned_selects store);
     Printf.printf "  records held:   %d\n" (Abdm.Store.size store)
   | Some (Mapping.Kernel.Multi ctrl) ->
-    Printf.printf "kernel: MBDS %s, %d backends (%s)\n"
+    Printf.printf "kernel: MBDS %s, %d backends\n"
       (Mbds.Controller.name ctrl)
-      (Mbds.Controller.num_backends ctrl)
-      (if Mbds.Controller.parallel ctrl then "parallel" else "sequential");
+      (Mbds.Controller.num_backends ctrl);
     Printf.printf "  requests:       %d\n" (Mbds.Controller.request_count ctrl);
     Printf.printf "  modelled mean:  %.4f s  (last %.4f s)\n"
       (Mbds.Controller.mean_response_time ctrl)
@@ -508,13 +507,6 @@ let trace_arg =
   let doc = "Enable tracing from the start (as if .trace on was typed)." in
   Arg.(value & flag & info [ "trace" ] ~doc)
 
-let parallel_arg =
-  let doc =
-    "Force parallel (true) or sequential (false) MBDS broadcasts; the \
-     default follows the machine's core count."
-  in
-  Arg.(value & opt (some bool) None & info [ "parallel" ] ~docv:"BOOL" ~doc)
-
 let skew_arg =
   let doc =
     "Route fraction $(docv) of the records to backend 0 (skewed placement \
@@ -540,11 +532,11 @@ let file_arg =
   let doc = "Transaction script to execute." in
   Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE" ~doc)
 
-let with_system backends trace parallel skew fresh lang db k =
+let with_system backends trace skew fresh lang db k =
   let placement =
     Option.map (fun f -> Mbds.Controller.Skewed f) skew
   in
-  let t = Mlds.System.create ~backends ?placement ?parallel () in
+  let t = Mlds.System.create ~backends ?placement () in
   if not fresh then preload_university t backends;
   (* enabled only after the load, so the first trace is the user's own
      transaction rather than thousands of loader inserts *)
@@ -563,11 +555,11 @@ let connect_arg =
     value & opt (some string) None & info [ "connect" ] ~docv:"HOST:PORT" ~doc)
 
 let repl_cmd =
-  let run backends trace parallel skew fresh lang db connect =
+  let run backends trace skew fresh lang db connect =
     match connect with
     | Some addr -> run_remote addr lang db
     | None ->
-      with_system backends trace parallel skew fresh lang db
+      with_system backends trace skew fresh lang db
         (fun t language db ->
           let state = { system = t; language; db; handle = None } in
           open_current state;
@@ -578,12 +570,12 @@ let repl_cmd =
   Cmd.v
     (Cmd.info "repl" ~doc:"Interactive MLDS session (local or --connect)")
     Term.(
-      const run $ backends_arg $ trace_arg $ parallel_arg $ skew_arg
+      const run $ backends_arg $ trace_arg $ skew_arg
       $ fresh_arg $ lang_arg $ db_arg $ connect_arg)
 
 let exec_cmd =
-  let run backends trace parallel skew fresh lang db file =
-    with_system backends trace parallel skew fresh lang db
+  let run backends trace skew fresh lang db file =
+    with_system backends trace skew fresh lang db
       (fun t language db ->
         match Mlds.System.open_session t language ~db with
         | Error msg ->
@@ -607,12 +599,12 @@ let exec_cmd =
   Cmd.v
     (Cmd.info "exec" ~doc:"Execute a transaction script against MLDS")
     Term.(
-      const run $ backends_arg $ trace_arg $ parallel_arg $ skew_arg
+      const run $ backends_arg $ trace_arg $ skew_arg
       $ fresh_arg $ lang_arg $ db_arg $ file_arg)
 
 let demo_cmd =
-  let run backends trace parallel skew =
-    with_system backends trace parallel skew false "codasyl" "university"
+  let run backends trace skew =
+    with_system backends trace skew false "codasyl" "university"
       (fun t _ _ ->
         let show lang db src =
           Printf.printf "\n[%s on %s]\n%s\n"
@@ -645,7 +637,7 @@ let demo_cmd =
   in
   Cmd.v
     (Cmd.info "demo" ~doc:"Run a short multi-lingual demonstration")
-    Term.(const run $ backends_arg $ trace_arg $ parallel_arg $ skew_arg)
+    Term.(const run $ backends_arg $ trace_arg $ skew_arg)
 
 let main_cmd =
   let doc = "The Multi-Lingual Database System (MLDS)" in

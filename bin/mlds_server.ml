@@ -61,7 +61,7 @@ let preload t backends databases =
     Printf.printf "mlds_server: loaded %s\n%!"
       (String.concat ", " (List.map (Printf.sprintf "'%s'") names))
 
-let run host port backends parallel queue_cap idle_timeout batch fresh
+let run host port backends queue_cap idle_timeout batch fresh
     wal_file checkpoint_file max_seconds telemetry_file telemetry_period
     slow_ms recorder_cap ckpt_every_bytes ckpt_every_s shed_p99_ms standby_of
     databases =
@@ -77,7 +77,7 @@ let run host port backends parallel queue_cap idle_timeout batch fresh
         Some hp
       | Error e -> failwith ("bad --standby-of: " ^ e))
   in
-  let t = Mlds.System.create ~backends ?parallel () in
+  let t = Mlds.System.create ~backends () in
   if not fresh then preload t backends databases;
   let db = "university" in
   (match wal_file with
@@ -225,10 +225,6 @@ let backends_arg =
   let doc = "Run the kernel as an MBDS with $(docv) backends (0 = single store)." in
   Arg.(value & opt int 0 & info [ "backends" ] ~docv:"N" ~doc)
 
-let parallel_arg =
-  let doc = "Force parallel (true) or sequential (false) MBDS broadcasts." in
-  Arg.(value & opt (some bool) None & info [ "parallel" ] ~docv:"BOOL" ~doc)
-
 let queue_arg =
   let doc =
     "Request-queue capacity: beyond this, requests are rejected with a \
@@ -345,7 +341,7 @@ let cmd =
   Cmd.v
     (Cmd.info "mlds_server" ~version:"1.0.0" ~doc)
     Term.(
-      const run $ host_arg $ port_arg $ backends_arg $ parallel_arg
+      const run $ host_arg $ port_arg $ backends_arg
       $ queue_arg $ idle_arg $ batch_arg $ fresh_arg $ wal_arg
       $ checkpoint_arg $ max_seconds_arg $ telemetry_arg
       $ telemetry_period_arg $ slow_ms_arg $ recorder_cap_arg

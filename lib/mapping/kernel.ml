@@ -37,9 +37,9 @@ let emit t ev =
 let single ?name () =
   { kds = Single (Abdm.Store.create ?name ()); wal_hook = None; txn_depth = 0 }
 
-let multi ?cost ?name ?placement ?parallel n =
+let multi ?cost ?name ?placement n =
   {
-    kds = Multi (Mbds.Controller.create ?cost ?name ?placement ?parallel n);
+    kds = Multi (Mbds.Controller.create ?cost ?name ?placement n);
     wal_hook = None;
     txn_depth = 0;
   }

@@ -43,16 +43,14 @@ val wal_hook : t -> (event -> unit) option
 
 val single : ?name:string -> unit -> t
 
-(** [multi ?cost ?name ?placement ?parallel n] — an MBDS with [n]
-    backends. [placement] and [parallel] are forwarded to
-    {!Mbds.Controller.create}, so callers (the CLI, the benchmarks) can
-    select skewed placement or force sequential execution without
+(** [multi ?cost ?name ?placement n] — an MBDS with [n] backends.
+    [placement] is forwarded to {!Mbds.Controller.create}, so callers
+    (the CLI, the benchmarks) can select skewed placement without
     constructing the controller themselves. *)
 val multi :
   ?cost:Mbds.Cost.t ->
   ?name:string ->
   ?placement:Mbds.Controller.placement ->
-  ?parallel:bool ->
   int ->
   t
 

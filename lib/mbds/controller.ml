@@ -10,8 +10,8 @@ type t = {
   (* [locks.(i)] guards [backends.(i)]: every broadcast share and every
      per-key mutation holds it (the ownership contract of Abdm.Store) *)
   locks : Mutex.t array;
-  (* [Some pool] iff broadcasts offer shares 1..n-1 to worker domains *)
-  pool : Pool.t option;
+  (* runs each broadcast's shares *)
+  pool : Pool.t;
   mutable next_key : int;
   stats : Stats.t;
   (* per-backend load instruments in the process-wide metrics registry;
@@ -21,10 +21,11 @@ type t = {
   obs_records : Obs.Metrics.gauge array;
 }
 
-let default_parallel () = Domain.recommended_domain_count () > 1
+(* one backend has nothing to overlap *)
+let caller_only = Pool.create 0
 
 let create ?(cost = Cost.default) ?(name = "mbds") ?(placement = Round_robin)
-    ?parallel n =
+    ?pool n =
   if n < 1 then invalid_arg "Controller.create: need at least one backend";
   begin
     match placement with
@@ -37,10 +38,11 @@ let create ?(cost = Cost.default) ?(name = "mbds") ?(placement = Round_robin)
   (* with one backend any skew is degenerate — every key lands on backend
      0 either way — so normalise to Round_robin *)
   let placement = if n = 1 then Round_robin else placement in
-  let parallel =
-    match parallel with Some b -> b | None -> default_parallel ()
+  let pool =
+    match pool with
+    | Some pool -> pool
+    | None -> if n > 1 then Pool.shared () else caller_only
   in
-  let pool = if parallel && n > 1 then Some (Pool.shared ()) else None in
   let backend i = Abdm.Store.create ~name:(Printf.sprintf "%s-be%d" name i) () in
   let instrument make suffix =
     Array.init n (fun i -> make (Printf.sprintf "mbds.%s.be%d.%s" name i suffix))
@@ -62,8 +64,6 @@ let create ?(cost = Cost.default) ?(name = "mbds") ?(placement = Round_robin)
 let num_backends t = Array.length t.backends
 
 let name t = t.ctrl_name
-
-let parallel t = t.pool <> None
 
 let placement t = t.placement
 
@@ -93,30 +93,25 @@ let with_backend t i f = Mutex.protect t.locks.(i) (fun () -> f t.backends.(i))
    and reports the scans it made itself, so concurrent broadcasts on one
    controller neither race on a store nor miscount each other's work.
 
-   A parallel controller submits shares 1..n-1 to the pool, runs share 0
-   here, then walks the rest from the back: every share no worker has
-   started runs here too ([Pool.run_or_await]), so tiny shares never pay
-   a hand-off while a long scan still overlaps with a worker. A sequential
-   controller is the same walk with nothing submitted. Results are merged
-   in backend-index order either way; a failing share is re-raised only
-   after every share has finished.
+   [Pool.run] hands the shares to the caller and to idle workers, which
+   claim them from one counter: tiny shares mostly run here without a
+   hand-off, while a long scan still overlaps with a worker. Results are
+   merged in backend-index order whoever ran them; a failing share is
+   re-raised only after every share has finished.
 
    Tracing: the broadcast opens one span; each backend's share is a child
    span keyed by backend index. Shares run here nest directly; shares run
    by a worker complete as roots there and are adopted once every share is
-   done, so both modes emit the same sibling order. *)
+   done, so any pool emits the same sibling order. *)
 let broadcast t ~op ~results_of ~writes_of f =
+  let n = Array.length t.backends in
   Obs.Span.with_span "mbds.broadcast"
-    ~attrs:(fun () ->
-      [
-        "op", op;
-        "backends", string_of_int (Array.length t.backends);
-        "mode", (if t.pool = None then "sequential" else "parallel");
-      ])
+    ~attrs:(fun () -> [ "op", op; "backends", string_of_int n ])
     (fun () ->
       let t0 = now () in
       let caller = Domain.self () in
-      let share i () =
+      let outcomes = Array.make n None in
+      let share i =
         let remote = Domain.self () <> caller in
         Obs.Metrics.incr (if remote then c_shares_remote else c_shares_inline);
         Obs.Span.with_span "mbds.backend" ~index:i
@@ -131,35 +126,14 @@ let broadcast t ~op ~results_of ~writes_of f =
             with_backend t i (fun backend ->
                 let scans0 = Abdm.Store.scan_count backend in
                 let r = f backend in
-                r, Abdm.Store.scan_count backend - scans0))
+                outcomes.(i) <- Some (r, Abdm.Store.scan_count backend - scans0)))
       in
-      let n = Array.length t.backends in
-      let futures =
-        Array.init n (fun i ->
-            match t.pool with
-            | Some pool when i > 0 -> Some (Pool.submit pool i (share i))
-            | _ -> None)
-      in
-      let run i =
-        try
-          Ok
-            (match futures.(i) with
-            | Some fut -> Pool.run_or_await fut
-            | None -> share i ())
-        with e -> Error (e, Printexc.get_raw_backtrace ())
-      in
-      let outcomes = Array.make n (run 0) in
-      for i = n - 1 downto 1 do
-        outcomes.(i) <- run i
-      done;
-      if t.pool <> None then Obs.Span.adopt_remote ();
+      Fun.protect
+        ~finally:(fun () ->
+          if Pool.size t.pool > 0 then Obs.Span.adopt_remote ())
+        (fun () -> Pool.run t.pool n share);
       let measured = now () -. t0 in
-      let per_backend =
-        Array.to_list outcomes
-        |> List.map (function
-             | Ok v -> v
-             | Error (e, bt) -> Printexc.raise_with_backtrace e bt)
-      in
+      let per_backend = Array.to_list (Array.map Option.get outcomes) in
       let backend_work =
         List.map (fun (result, scanned) -> scanned, writes_of result)
           per_backend

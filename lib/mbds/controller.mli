@@ -23,7 +23,7 @@ type placement =
   | Round_robin
   | Skewed of float
 
-(** [create ?cost ?name ?placement ?parallel n] builds a controller over
+(** [create ?cost ?name ?placement ?pool n] builds a controller over
     [n] backends. Raises [Invalid_argument] when [n < 1] or the skew
     fraction is not within [0, 1] (NaN included).
 
@@ -32,28 +32,23 @@ type placement =
     control) runs under it, on the calling domain unless a worker took
     the share — the ownership contract of {!Abdm.Store}.
 
-    When [parallel] is [true] (the default whenever
-    [Domain.recommended_domain_count () > 1]), a broadcast offers shares
-    1..n-1 to the shared {!Pool} and runs share 0 itself; it then runs
-    every share no worker has started ({!Pool.run_or_await}) and waits
-    for the rest. A sequential controller runs every share itself.
-    Results are merged in backend-index order, so parallel and sequential
-    controllers are observationally identical; only the measured wall
-    clock differs. A 1-backend controller is always sequential. *)
+    A broadcast runs its [n] shares with {!Pool.run}: the caller and idle
+    workers of [pool] claim them, and results are merged in backend-index
+    order, so every pool gives the same replies; only the measured wall
+    clock differs. [pool] defaults to {!Pool.shared} when [n > 1] (no
+    workers on a one-core host) and to a worker-less pool otherwise; pass
+    one only to compare pools (tests, bench E12). *)
 val create :
   ?cost:Cost.t ->
   ?name:string ->
   ?placement:placement ->
-  ?parallel:bool ->
+  ?pool:Pool.t ->
   int ->
   t
 
 val num_backends : t -> int
 
 val name : t -> string
-
-(** Whether this controller offers broadcast shares to worker domains. *)
-val parallel : t -> bool
 
 (** The record-placement policy this controller was created with (after
     the [n = 1] degenerate-skew normalisation). *)

@@ -1,155 +1,147 @@
-type 'a state =
-  | Pending
-  | Done of 'a
-  | Failed of exn * Printexc.raw_backtrace
-
-(* [claimed] is set by whoever starts the task: the worker that dequeues
-   it or a caller in [run_or_await]. Exactly one of them wins the CAS and
-   runs [task]; the other skips it (worker) or waits for it (caller). *)
-type 'a future = {
-  mutable state : 'a state;
-  fut_mutex : Mutex.t;
-  fut_cond : Condition.t;
-  task : unit -> 'a;
-  claimed : bool Atomic.t;
-}
-
-(* One mailbox per worker: tasks for a given owner index execute on that
-   worker only, in FIFO order, unless a caller claims them first. *)
-type worker = {
-  tasks : (unit -> unit) Queue.t;
-  w_mutex : Mutex.t;
-  w_cond : Condition.t;
-  mutable stopping : bool;
+(* One [run] call: its shares are claimed from [next] by the caller and
+   by every worker that picks the job up; [unfinished] (under [mx])
+   tells the caller when the last one is done. *)
+type job = {
+  share : int -> unit;
+  n : int;
+  next : int Atomic.t;
+  posted_s : float;
+  mx : Mutex.t;
+  finished : Condition.t;
+  mutable unfinished : int;
+  (* the lowest-indexed share that raised *)
+  mutable failed : (int * exn * Printexc.raw_backtrace) option;
 }
 
 type t = {
-  workers : worker array;
-  domains : unit Domain.t array;
+  mutable domains : unit Domain.t array;
+  mx : Mutex.t;
+  wake : Condition.t;
+  (* one entry per worker invited to help a job; a worker that finds
+     every share of its job claimed just drops the entry *)
+  jobs : job Queue.t;
   mutable live : bool;
 }
 
-let worker_loop w =
-  let rec step () =
-    Mutex.lock w.w_mutex;
-    let rec dequeue () =
-      match Queue.take_opt w.tasks with
-      | Some task -> Some task
-      | None ->
-        if w.stopping then None
-        else begin
-          Condition.wait w.w_cond w.w_mutex;
-          dequeue ()
-        end
-    in
-    let task = dequeue () in
-    Mutex.unlock w.w_mutex;
-    match task with
-    | Some run ->
-      run ();
-      step ()
-    | None -> ()
-  in
-  step ()
-
-let create n =
-  if n < 1 then invalid_arg "Pool.create: need at least one worker";
-  let workers =
-    Array.init n (fun _ ->
-        {
-          tasks = Queue.create ();
-          w_mutex = Mutex.create ();
-          w_cond = Condition.create ();
-          stopping = false;
-        })
-  in
-  let domains =
-    Array.map (fun w -> Domain.spawn (fun () -> worker_loop w)) workers
-  in
-  { workers; domains; live = true }
-
-let size t = Array.length t.workers
-
-let owner t i = ((i mod size t) + size t) mod size t
-
-(* Queue-wait (enqueue -> dequeue) vs execute (the task body itself), so
-   the CLI's .metrics can tell dispatch overhead from backend work. *)
+(* Queue wait (run posted -> a worker claims a share) vs execute (the
+   share itself), recorded for shares run on workers only, so the CLI's
+   .metrics and perfbench's --trace 1 can tell hand-off cost from
+   backend work. *)
 let h_queue_wait = Obs.Metrics.histogram "pool.queue_wait_s"
 
 let h_execute = Obs.Metrics.histogram "pool.execute_s"
 
-let claim fut = Atomic.compare_and_set fut.claimed false true
+let finish (job : job) i error =
+  Mutex.lock job.mx;
+  (match error, job.failed with
+  | Some (e, bt), None -> job.failed <- Some (i, e, bt)
+  | Some (e, bt), Some (j, _, _) when i < j -> job.failed <- Some (i, e, bt)
+  | _ -> ());
+  job.unfinished <- job.unfinished - 1;
+  if job.unfinished = 0 then Condition.signal job.finished;
+  Mutex.unlock job.mx
 
-let complete fut =
-  let outcome =
-    match fut.task () with
-    | v -> Done v
-    | exception e -> Failed (e, Printexc.get_raw_backtrace ())
+let run_share ~remote (job : job) i =
+  if remote then Obs.Metrics.observe h_queue_wait (Obs.Clock.since job.posted_s);
+  let exec0 = Obs.Clock.now_s () in
+  let error =
+    match job.share i with
+    | () -> None
+    | exception e -> Some (e, Printexc.get_raw_backtrace ())
   in
-  Mutex.lock fut.fut_mutex;
-  fut.state <- outcome;
-  Condition.broadcast fut.fut_cond;
-  Mutex.unlock fut.fut_mutex
+  if remote then Obs.Metrics.observe h_execute (Obs.Clock.since exec0);
+  finish job i error
 
-let submit t i f =
-  if not t.live then invalid_arg "Pool.submit: pool is shut down";
-  let w = t.workers.(owner t i) in
-  let fut =
+(* Claim and run shares until none is left. *)
+let rec help ~remote (job : job) =
+  let i = Atomic.fetch_and_add job.next 1 in
+  if i < job.n then begin
+    run_share ~remote job i;
+    help ~remote job
+  end
+
+let worker_loop t =
+  let rec next_job () =
+    match Queue.take_opt t.jobs with
+    | Some job -> Some job
+    | None when not t.live -> None
+    | None ->
+      Condition.wait t.wake t.mx;
+      next_job ()
+  in
+  let rec loop () =
+    Mutex.lock t.mx;
+    let job = next_job () in
+    Mutex.unlock t.mx;
+    match job with
+    | Some job ->
+      help ~remote:true job;
+      loop ()
+    | None -> ()
+  in
+  loop ()
+
+let create n =
+  if n < 0 then invalid_arg "Pool.create: negative worker count";
+  let t =
     {
-      state = Pending;
-      fut_mutex = Mutex.create ();
-      fut_cond = Condition.create ();
-      task = f;
-      claimed = Atomic.make false;
+      domains = [||];
+      mx = Mutex.create ();
+      wake = Condition.create ();
+      jobs = Queue.create ();
+      live = true;
     }
   in
-  let enqueued_s = Obs.Clock.now_s () in
-  let run () =
-    if claim fut then begin
-      Obs.Metrics.observe h_queue_wait (Obs.Clock.since enqueued_s);
-      let exec0 = Obs.Clock.now_s () in
-      complete fut;
-      Obs.Metrics.observe h_execute (Obs.Clock.since exec0)
-    end
-  in
-  Mutex.lock w.w_mutex;
-  Queue.push run w.tasks;
-  Condition.signal w.w_cond;
-  Mutex.unlock w.w_mutex;
-  fut
+  t.domains <- Array.init n (fun _ -> Domain.spawn (fun () -> worker_loop t));
+  t
 
-let await fut =
-  Mutex.lock fut.fut_mutex;
-  let rec wait () =
-    match fut.state with
-    | Pending ->
-      Condition.wait fut.fut_cond fut.fut_mutex;
-      wait ()
-    | Done v ->
-      Mutex.unlock fut.fut_mutex;
-      v
-    | Failed (e, bt) ->
-      Mutex.unlock fut.fut_mutex;
-      Printexc.raise_with_backtrace e bt
-  in
-  wait ()
+let size t = Array.length t.domains
 
-let run_or_await fut =
-  if claim fut then complete fut;
-  await fut
+let run t n share =
+  if not t.live then invalid_arg "Pool.run: pool is shut down";
+  let job =
+    {
+      share;
+      n;
+      (* share 0 is the caller's, claimed before any worker wakes: a
+         worker woken onto the caller's core cannot take every share
+         while the caller waits *)
+      next = Atomic.make 1;
+      posted_s = Obs.Clock.now_s ();
+      mx = Mutex.create ();
+      finished = Condition.create ();
+      unfinished = n;
+      failed = None;
+    }
+  in
+  let helpers = min (size t) (n - 1) in
+  if helpers > 0 then begin
+    Mutex.lock t.mx;
+    for _ = 1 to helpers do
+      Queue.push job t.jobs;
+      Condition.signal t.wake
+    done;
+    Mutex.unlock t.mx
+  end;
+  if n > 0 then run_share ~remote:false job 0;
+  help ~remote:false job;
+  (* every share is claimed; wait only for those a worker started *)
+  Mutex.lock job.mx;
+  while job.unfinished > 0 do
+    Condition.wait job.finished job.mx
+  done;
+  Mutex.unlock job.mx;
+  match job.failed with
+  | Some (_, e, bt) -> Printexc.raise_with_backtrace e bt
+  | None -> ()
 
 let shutdown t =
-  if t.live then begin
-    t.live <- false;
-    Array.iter
-      (fun w ->
-        Mutex.lock w.w_mutex;
-        w.stopping <- true;
-        Condition.broadcast w.w_cond;
-        Mutex.unlock w.w_mutex)
-      t.workers;
-    Array.iter Domain.join t.domains
-  end
+  Mutex.lock t.mx;
+  let was_live = t.live in
+  t.live <- false;
+  Condition.broadcast t.wake;
+  Mutex.unlock t.mx;
+  if was_live then Array.iter Domain.join t.domains
 
 let shared_pool = ref None
 
@@ -157,9 +149,8 @@ let shared () =
   match !shared_pool with
   | Some pool -> pool
   | None ->
-    (* the calling domain runs broadcast shares too ([run_or_await]) *)
-    let n = max 1 (min 8 (Domain.recommended_domain_count () - 1)) in
-    let pool = create n in
+    (* the broadcasting domain runs shares too *)
+    let pool = create (min 8 (Domain.recommended_domain_count () - 1)) in
     shared_pool := Some pool;
     at_exit (fun () -> shutdown pool);
     pool

@@ -22,9 +22,8 @@ let kernel_line (spec : System.kernel_spec) =
         (* %h: hex float, so the skew fraction round-trips exactly *)
         Printf.sprintf "skewed:%h" fraction
     in
-    Printf.sprintf "%%KERNEL backends=%d placement=%s parallel=%b"
+    Printf.sprintf "%%KERNEL backends=%d placement=%s"
       spec.System.spec_backends placement
-      (Option.value ~default:true spec.System.spec_parallel)
 
 (* The two header lines the body's checksum does not cover. The CRC's
    eight hex digits start at [crc_offset]; [seal] fills them in. *)
@@ -142,13 +141,8 @@ let parse_kernel_words words =
       end
     | Some other -> err "bad %%KERNEL placement %S" other
   in
-  let parallel = Option.bind (field "parallel") bool_of_string_opt in
-  Ok
-    {
-      System.spec_backends = backends;
-      spec_placement = placement;
-      spec_parallel = parallel;
-    }
+  (* older snapshots also carry parallel=B: ignored like any unknown field *)
+  Ok { System.spec_backends = backends; spec_placement = placement }
 
 let parse_data_line trimmed =
   if String.length trimmed > 1 && trimmed.[0] = '@' then
@@ -414,6 +408,55 @@ type recovery_report = {
   trim_failed : bool;
 }
 
+let is_mutation = function
+  | Wal.Begin | Wal.Commit | Wal.Abort | Wal.Generation _ -> false
+  | _ -> true
+
+let mutations entries = List.length (List.filter is_mutation entries)
+
+let apply_wal ?(on_entry = ignore) kernel ~txn entries =
+  let applied = ref 0 and dropped = ref 0 in
+  (* a keyed insert over a live key or a replace of a dead one no longer
+     applies: dropped *)
+  let apply = function
+    | Wal.Keyed_insert (key, record) -> (
+      match Mapping.Kernel.insert_keyed kernel key record with
+      | () -> incr applied
+      | exception Invalid_argument _ -> incr dropped)
+    | Wal.Replace (key, record) -> (
+      match Mapping.Kernel.replace kernel key record with
+      | () -> incr applied
+      | exception Not_found -> incr dropped)
+    | Wal.Request (Abdl.Ast.Insert record) ->
+      ignore (Mapping.Kernel.insert kernel record);
+      incr applied
+    | Wal.Request (Abdl.Ast.Delete query) ->
+      ignore (Mapping.Kernel.delete kernel query);
+      incr applied
+    | Wal.Request (Abdl.Ast.Update (query, mods)) ->
+      ignore (Mapping.Kernel.update kernel query mods);
+      incr applied
+    | Wal.Request _ | Wal.Begin | Wal.Commit | Wal.Abort | Wal.Generation _ ->
+      ()
+  in
+  List.iter
+    (fun entry ->
+      on_entry ();
+      match entry, !txn with
+      | Wal.Begin, None -> txn := Some []
+      | Wal.Begin, Some _ -> ()
+      | Wal.Commit, Some pending ->
+        List.iter apply (List.rev pending);
+        txn := None
+      | Wal.Abort, Some pending ->
+        dropped := !dropped + mutations pending;
+        txn := None
+      | (Wal.Commit | Wal.Abort), None -> ()
+      | e, Some pending -> txn := Some (e :: pending)
+      | e, None -> apply e)
+    entries;
+  !applied, !dropped
+
 let replay_wal ?skip ?(trim = false) t ~db ~file =
   match System.kernel_of t db with
   | None -> err "unknown database %S" db
@@ -428,42 +471,6 @@ let replay_wal ?skip ?(trim = false) t ~db ~file =
         Fun.protect
           ~finally:(fun () -> Mapping.Kernel.set_wal_hook kernel saved_hook)
           (fun () ->
-            let applied = ref 0 in
-            let dropped = ref 0 in
-            let apply entry =
-              match entry with
-              | Wal.Begin | Wal.Commit | Wal.Abort -> ()
-              | Wal.Keyed_insert (key, record) ->
-                (try
-                   Mapping.Kernel.insert_keyed kernel key record;
-                   incr applied
-                 with Invalid_argument _ -> incr dropped)
-              | Wal.Replace (key, record) ->
-                (try
-                   Mapping.Kernel.replace kernel key record;
-                   incr applied
-                 with Not_found -> incr dropped)
-              | Wal.Request (Abdl.Ast.Insert record) ->
-                ignore (Mapping.Kernel.insert kernel record);
-                incr applied
-              | Wal.Request (Abdl.Ast.Delete query) ->
-                ignore (Mapping.Kernel.delete kernel query);
-                incr applied
-              | Wal.Request (Abdl.Ast.Update (query, mods)) ->
-                ignore (Mapping.Kernel.update kernel query mods);
-                incr applied
-              | Wal.Request _ -> ()
-              | Wal.Generation _ -> ()  (* consumed by recover; defensive *)
-            in
-            let is_mutation = function
-              | Wal.Begin | Wal.Commit | Wal.Abort | Wal.Generation _ -> false
-              | _ -> true
-            in
-            (* transactional replay: entries inside BEGIN…COMMIT apply as a
-               group at the COMMIT; ABORTed and unterminated (torn-tail)
-               transactions are dropped, mutations outside any bracket
-               apply immediately *)
-            let buffer = ref None in
             let t0 = Obs.Clock.now_s () in
             let seen = ref 0 in
             let publish_rate () =
@@ -471,37 +478,25 @@ let replay_wal ?skip ?(trim = false) t ~db ~file =
               if dt > 0. then
                 Obs.Metrics.set_gauge g_replay_rate (float_of_int !seen /. dt)
             in
-            List.iter
-              (fun entry ->
-                incr seen;
-                Obs.Metrics.incr c_replayed;
-                if !seen land 8191 = 0 then publish_rate ();
-                match entry, !buffer with
-                | Wal.Begin, None -> buffer := Some []
-                | Wal.Begin, Some _ -> ()
-                | Wal.Commit, Some pending ->
-                  List.iter apply (List.rev pending);
-                  buffer := None
-                | Wal.Abort, Some pending ->
-                  dropped :=
-                    !dropped + List.length (List.filter is_mutation pending);
-                  buffer := None
-                | (Wal.Commit | Wal.Abort), None -> ()
-                | e, Some pending -> buffer := Some (e :: pending)
-                | e, None -> apply e)
-              r.entries;
-            (match !buffer with
-            | Some pending ->
-              dropped := !dropped + List.length (List.filter is_mutation pending)
-            | None -> ());
+            let on_entry () =
+              incr seen;
+              Obs.Metrics.incr c_replayed;
+              if !seen land 8191 = 0 then publish_rate ()
+            in
+            let txn = ref None in
+            let applied, dropped = apply_wal ~on_entry kernel ~txn r.entries in
+            (* the log ends here: an unterminated transaction never commits *)
+            let dropped =
+              dropped + Option.fold ~none:0 ~some:mutations !txn
+            in
             if !seen > 0 then publish_rate ();
             Ok
               {
                 wal_file = file;
                 frames = r.Wal.frames;
                 torn = r.Wal.torn;
-                applied = !applied;
-                dropped = !dropped;
+                applied;
+                dropped;
                 skipped = r.Wal.skipped;
                 trim_failed = r.Wal.trim_failed;
               }))

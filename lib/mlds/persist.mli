@@ -13,7 +13,7 @@
     %CRC 1f2e3d4c
     %MODEL functional
     %NAME university
-    %KERNEL backends=3 placement=round-robin parallel=true
+    %KERNEL backends=3 placement=round-robin
     %DDL
     DATABASE university
     ...
@@ -85,6 +85,22 @@ val replay_wal :
   db:string ->
   file:string ->
   (recovery_report, string) result
+
+(** [apply_wal ?on_entry kernel ~txn entries] applies decoded log entries
+    to [kernel], the one apply path of recovery and of a standby:
+    mutations outside any [BEGIN]…[COMMIT] apply at once, a bracket's
+    mutations apply as a group at its [COMMIT], an [ABORT]ed bracket is
+    dropped. [txn] holds the open bracket's entries between calls
+    ([None]: none open): a standby fed in chunks keeps it for the next
+    chunk, while {!replay_wal} drops what is left at the end of the log.
+    [on_entry] runs once per entry. Returns the mutations applied and
+    dropped. The caller silences any WAL hook on [kernel]. *)
+val apply_wal :
+  ?on_entry:(unit -> unit) ->
+  Mapping.Kernel.t ->
+  txn:Wal.entry list option ref ->
+  Wal.entry list ->
+  int * int
 
 type load_outcome = {
   loaded_db : string;

@@ -24,14 +24,12 @@ type parsed =
 type kernel_spec = {
   spec_backends : int;
   spec_placement : Mbds.Controller.placement option;
-  spec_parallel : bool option;
 }
 
 type t = {
   registry : Registry.t;
   backends : int;
   placement : Mbds.Controller.placement option;
-  parallel : bool option;
   users : (string * string * string, session) Hashtbl.t;
       (* (user, language name, db) -> live session *)
   sql_engines : (string, Relational.Engine.t) Hashtbl.t;
@@ -51,12 +49,11 @@ type t = {
   mx : Mutex.t;
 }
 
-let create ?(backends = 0) ?placement ?parallel ?stmt_cache_capacity () =
+let create ?(backends = 0) ?placement ?stmt_cache_capacity () =
   {
     registry = Registry.create ();
     backends;
     placement;
-    parallel;
     users = Hashtbl.create 8;
     sql_engines = Hashtbl.create 8;
     wals = Hashtbl.create 4;
@@ -73,12 +70,12 @@ let locked t f =
 let stmt_cache t = t.stmt_cache
 
 let fresh_kernel ?kernel:spec t name =
-  let backends, placement, parallel =
+  let backends, placement =
     match spec with
-    | Some s -> s.spec_backends, s.spec_placement, s.spec_parallel
-    | None -> t.backends, t.placement, t.parallel
+    | Some s -> s.spec_backends, s.spec_placement
+    | None -> t.backends, t.placement
   in
-  if backends >= 1 then Mapping.Kernel.multi ~name ?placement ?parallel backends
+  if backends >= 1 then Mapping.Kernel.multi ~name ?placement backends
   else Mapping.Kernel.single ~name ()
 
 let define_functional ?kernel t ~name ~ddl rows =
@@ -137,12 +134,11 @@ let kernel_spec_of t name =
     (fun kernel ->
       match Mapping.Kernel.kds kernel with
       | Mapping.Kernel.Single _ ->
-        { spec_backends = 0; spec_placement = None; spec_parallel = None }
+        { spec_backends = 0; spec_placement = None }
       | Mapping.Kernel.Multi ctrl ->
         {
           spec_backends = Mbds.Controller.num_backends ctrl;
           spec_placement = Some (Mbds.Controller.placement ctrl);
-          spec_parallel = Some (Mbds.Controller.parallel ctrl);
         })
     (kernel_of t name)
 

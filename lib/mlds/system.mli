@@ -12,17 +12,16 @@
 
 type t
 
-(** [create ?backends ?placement ?parallel ()] — a fresh MLDS.
+(** [create ?backends ?placement ()] — a fresh MLDS.
     [backends >= 1] puts every database on an MBDS with that many
     backends; otherwise each database uses a single-store kernel.
-    [placement] and [parallel] are forwarded to every MBDS controller the
-    system creates (see {!Mbds.Controller.create}); they are ignored for
-    single-store kernels. [stmt_cache_capacity] bounds the statement
+    [placement] is forwarded to every MBDS controller the system creates
+    (see {!Mbds.Controller.create}); it is ignored for single-store
+    kernels. [stmt_cache_capacity] bounds the statement
     cache (default 512 entries; [0] disables it). *)
 val create :
   ?backends:int ->
   ?placement:Mbds.Controller.placement ->
-  ?parallel:bool ->
   ?stmt_cache_capacity:int ->
   unit ->
   t
@@ -47,7 +46,6 @@ val stmt_cache : t -> parsed Stmt_cache.t
 type kernel_spec = {
   spec_backends : int;  (** [0] = single-store kernel *)
   spec_placement : Mbds.Controller.placement option;
-  spec_parallel : bool option;
 }
 
 (** The spec describing [db]'s current kernel ([None] for an unknown

@@ -98,8 +98,8 @@ let adopt_remote () =
     Mutex.lock registry_mutex;
     let others = List.filter (fun o -> o.dom <> st.dom) !registry in
     Mutex.unlock registry_mutex;
-    (* quiescence contract: the owning domains are idle, and awaiting
-       their futures published these writes to us *)
+    (* quiescence contract: the owning domains are idle, and waiting for
+       their shares to finish published these writes to us *)
     let stolen =
       List.concat_map
         (fun o ->

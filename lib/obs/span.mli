@@ -14,11 +14,11 @@
     spans concurrently with the orchestrating domain without any locking
     on the hot path. Spans completed on a worker domain are parentless on
     that domain; the orchestrating domain calls {!adopt_remote} {e while
-    the pool is quiescent} (after awaiting every dispatched future — the
-    same happens-before edge the store contract relies on) to splice them
-    into its currently open span, ordered by their [index]. A parallel
-    MBDS controller therefore emits exactly the span tree a sequential
-    one does.
+    the pool is quiescent} (after every share it handed out has finished
+    — the same happens-before edge the store contract relies on) to
+    splice them into its currently open span, ordered by their [index].
+    An MBDS controller therefore emits the same span tree whichever
+    domains ran its shares.
 
     Tracing is off by default; a disabled [with_span] is a single atomic
     load. *)
@@ -55,7 +55,7 @@ val add_attr : string -> string -> unit
 (** Splice every root span completed on {e other} domains into this
     domain's innermost open span (ordered by [index]). Must be called
     while those domains are quiescent — e.g. by the MBDS controller right
-    after awaiting all broadcast futures. Roots adopted with no span open
+    after [Mbds.Pool.run] returns. Roots adopted with no span open
     become roots of this domain. *)
 val adopt_remote : unit -> unit
 

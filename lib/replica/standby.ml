@@ -145,59 +145,18 @@ let truncate_local t =
 
 (* --- the applier (executor thread, via [inject]) -------------------------- *)
 
-let apply_one t kernel entry =
-  let bump () =
-    incr t.applied;
-    Obs.Metrics.incr c_applied;
-    let dt = Obs.Clock.now_s () -. t.apply_t0 in
-    if dt > 0. then
-      Obs.Metrics.set_gauge g_apply_rate (float_of_int !(t.applied) /. dt)
-  in
-  match entry with
-  | Mlds.Wal.Begin | Mlds.Wal.Commit | Mlds.Wal.Abort | Mlds.Wal.Generation _
-    ->
-    ()
-  | Mlds.Wal.Keyed_insert (key, record) -> (
-    try
-      Mapping.Kernel.insert_keyed kernel key record;
-      bump ()
-    with Invalid_argument _ -> ())
-  | Mlds.Wal.Replace (key, record) -> (
-    try
-      Mapping.Kernel.replace kernel key record;
-      bump ()
-    with Not_found -> ())
-  | Mlds.Wal.Request (Abdl.Ast.Insert record) ->
-    ignore (Mapping.Kernel.insert kernel record);
-    bump ()
-  | Mlds.Wal.Request (Abdl.Ast.Delete query) ->
-    ignore (Mapping.Kernel.delete kernel query);
-    bump ()
-  | Mlds.Wal.Request (Abdl.Ast.Update (query, mods)) ->
-    ignore (Mapping.Kernel.update kernel query mods);
-    bump ()
-  | Mlds.Wal.Request _ -> ()
-
-(* Same transactional walk as recovery ([Persist.replay_wal]), except an
-   open transaction at the end of the batch stays buffered — its COMMIT
-   or ABORT is simply in a chunk that has not arrived yet. *)
+(* An open transaction at the end of a chunk stays in [txn_buf]: its
+   COMMIT or ABORT is in a chunk that has not arrived yet. *)
 let apply_entries t entries =
   match Mlds.System.kernel_of t.system t.db with
   | None -> ()
   | Some kernel ->
-    List.iter
-      (fun entry ->
-        match entry, !(t.txn_buf) with
-        | Mlds.Wal.Begin, None -> t.txn_buf := Some []
-        | Mlds.Wal.Begin, Some _ -> ()
-        | Mlds.Wal.Commit, Some pending ->
-          List.iter (apply_one t kernel) (List.rev pending);
-          t.txn_buf := None
-        | Mlds.Wal.Abort, Some _ -> t.txn_buf := None
-        | (Mlds.Wal.Commit | Mlds.Wal.Abort), None -> ()
-        | e, Some pending -> t.txn_buf := Some (e :: pending)
-        | e, None -> apply_one t kernel e)
-      entries
+    let applied, _ = Mlds.Persist.apply_wal kernel ~txn:t.txn_buf entries in
+    t.applied := !(t.applied) + applied;
+    Obs.Metrics.incr ~by:applied c_applied;
+    let dt = Obs.Clock.now_s () -. t.apply_t0 in
+    if dt > 0. then
+      Obs.Metrics.set_gauge g_apply_rate (float_of_int !(t.applied) /. dt)
 
 let inject_restore t text entries =
   t.inject (fun () ->

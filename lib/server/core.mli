@@ -17,8 +17,9 @@
       observed in [server.batch_size]) and runs each job of a batch at
       its arrival position, one at a time — so results are the serial
       execution's by construction. The only parallelism below it is an
-      MBDS database's broadcast: a Multi kernel's shares run on the
-      calling executor and {!Mbds.Pool.shared} workers. A
+      MBDS database's broadcast: the executor and the idle workers of
+      {!Mbds.Pool.shared} (one per spare core, none on one core) claim
+      a Multi kernel's shares from one counter ({!Mbds.Pool.run}). A
       {e control lane} in the same queue carries [Stats], [Checkpoint]
       and {!inject}ed closures ahead of user requests. With
       [batch = false] the executor runs one request at a time and waits

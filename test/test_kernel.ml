@@ -62,19 +62,14 @@ let test_kernel_run_and_time () =
   Alcotest.(check bool) "mbds reports simulated time" true
     (Mapping.Kernel.last_response_time multi > 0.)
 
-let test_kernel_multi_placement_parallel () =
-  (* the plumbed-through knobs reach the controller *)
-  let k =
-    Mapping.Kernel.multi ~placement:(Mbds.Controller.Skewed 1.0) ~parallel:false
-      4
-  in
+let test_kernel_multi_placement () =
+  (* the plumbed-through placement reaches the controller *)
+  let k = Mapping.Kernel.multi ~placement:(Mbds.Controller.Skewed 1.0) 4 in
   List.iter
     (fun i -> ignore (Mapping.Kernel.insert k (record (string_of_int i) i)))
     (List.init 12 Fun.id);
   match Mapping.Kernel.kds k with
   | Mapping.Kernel.Multi ctrl ->
-    Alcotest.(check bool) "parallel:false honoured" false
-      (Mbds.Controller.parallel ctrl);
     Alcotest.(check (list int)) "skew 1.0 routes all to backend 0"
       [ 12; 0; 0; 0 ]
       (Mbds.Controller.backend_sizes ctrl)
@@ -132,8 +127,7 @@ let suite =
   [
     "kernel ops agree across backends", `Quick, test_kernel_ops_agree;
     "kernel run and simulated time", `Quick, test_kernel_run_and_time;
-    "multi kernel placement/parallel knobs", `Quick,
-    test_kernel_multi_placement_parallel;
+    "multi kernel placement knob", `Quick, test_kernel_multi_placement;
     "atomically commits", `Quick, test_kernel_atomically_ok;
     "atomically rolls back on exception", `Quick, test_kernel_atomically_exception;
     "cost: parallel max", `Quick, test_cost_parallel_max;

@@ -218,14 +218,16 @@ let test_skew_get_replace_determinism () =
     keys;
   Alcotest.(check int) "size invariant" 60 (Mbds.Controller.size c)
 
-(* The tentpole guarantee: a parallel controller is observationally
-   identical to a sequential one — byte-identical merged results. Up to 8
-   backends, so a caller drains several queued shares of a smaller pool. *)
+(* The sequential reference: every share runs on the caller. *)
+let no_workers = Mbds.Pool.create 0
+
+(* The tentpole guarantee: a controller on the shared pool is
+   observationally identical to one without workers — byte-identical
+   merged results. Up to 8 backends, so the caller and the workers share
+   a broadcast's shares between them. *)
 let test_parallel_matches_sequential () =
-  let run_all backends parallel =
-    let c = Mbds.Controller.create ~parallel backends in
-    Alcotest.(check bool) "parallel knob honoured" (parallel && backends > 1)
-      (Mbds.Controller.parallel c);
+  let run_all backends pool =
+    let c = Mbds.Controller.create ~pool backends in
     populate (Mbds.Controller.insert c) 300;
     let outputs = ref [] in
     List.iter
@@ -247,8 +249,8 @@ let test_parallel_matches_sequential () =
     List.rev !outputs, rows
   in
   for backends = 1 to 8 do
-    let seq_out, seq_rows = run_all backends false in
-    let par_out, par_rows = run_all backends true in
+    let seq_out, seq_rows = run_all backends no_workers in
+    let par_out, par_rows = run_all backends (Mbds.Pool.shared ()) in
     Alcotest.(check (list string)) "request results byte-identical" seq_out par_out;
     Alcotest.(check (list string)) "final contents byte-identical" seq_rows par_rows
   done
@@ -257,7 +259,7 @@ let test_parallel_matches_sequential () =
    each count only their own scans: 4 domains x 200 full-file selects of
    1000 records examine exactly 800 000 records. *)
 let test_concurrent_scan_counts () =
-  let c = Mbds.Controller.create ~name:"scan-count" ~parallel:true 2 in
+  let c = Mbds.Controller.create ~name:"scan-count" 2 in
   populate (Mbds.Controller.insert c) 1000;
   let scanned () =
     List.fold_left (fun acc (s, _, _) -> acc + s) 0
@@ -296,7 +298,7 @@ let run_domains_within ~timeout_s fs =
   List.map Domain.join domains
 
 (* Concurrent readers on a Multi kernel: several domains broadcast
-   random selects on one parallel controller, between serial mutation
+   random selects on one controller, between serial mutation
    phases run from the main domain. Every reply equals the serial answer
    for its phase. *)
 let prop_concurrent_reads_between_writes =
@@ -310,7 +312,7 @@ let prop_concurrent_reads_between_writes =
               (list_size (int_range 0 20) (pair (int_range 0 3) (int_range 0 9)))
               (list_size (int_range 1 8) (int_range 0 9)))))
     (fun (backends, phases) ->
-      let c = Mbds.Controller.create ~parallel:true backends in
+      let c = Mbds.Controller.create backends in
       populate (Mbds.Controller.insert c) 40;
       let query v =
         Abdm.Query.conj
@@ -349,8 +351,8 @@ let prop_concurrent_reads_between_writes =
         phases)
 
 let test_measured_time_recorded () =
-  let check_mode parallel =
-    let c = Mbds.Controller.create ~parallel 2 in
+  let check_mode pool =
+    let c = Mbds.Controller.create ~pool 2 in
     populate (Mbds.Controller.insert c) 50;
     Mbds.Controller.reset_stats c;
     let q = Abdl.Parser.request "RETRIEVE ((FILE = employee)) (name)" in
@@ -367,8 +369,8 @@ let test_measured_time_recorded () =
     Alcotest.(check bool) "modelled time still recorded" true
       (Mbds.Controller.total_time c > 0.)
   in
-  check_mode false;
-  check_mode true
+  check_mode no_workers;
+  check_mode (Mbds.Pool.shared ())
 
 (* Equivalence property over random workloads. *)
 let prop_mbds_equivalence =
@@ -413,14 +415,14 @@ let prop_mbds_equivalence =
       in
       rows_c = rows_s)
 
-(* Parallel-vs-sequential equivalence on a randomized workload: same ops,
-   same placement, byte-identical outputs and final contents. *)
+(* Shared pool vs no workers on a randomized workload: same ops, same
+   placement, byte-identical outputs and final contents. *)
 let prop_parallel_equivalence =
   QCheck2.Test.make
     ~name:"parallel broadcast equals sequential on random workloads" ~count:40
     QCheck2.Gen.(
       triple
-        (int_range 1 6)
+        (int_range 1 8)
         (option (int_range 0 10))
         (list_size (int_range 0 30)
            (pair (int_range 0 4) (int_range 0 8))))
@@ -430,8 +432,8 @@ let prop_parallel_equivalence =
         | None -> Mbds.Controller.Round_robin
         | Some tenths -> Mbds.Controller.Skewed (float_of_int tenths /. 10.)
       in
-      let trace parallel =
-        let c = Mbds.Controller.create ~placement ~parallel backends in
+      let trace pool =
+        let c = Mbds.Controller.create ~placement ~pool backends in
         let log = ref [] in
         let emit s = log := s :: !log in
         List.iter
@@ -467,18 +469,18 @@ let prop_parallel_equivalence =
         in
         List.rev !log, final
       in
-      trace false = trace true)
+      trace no_workers = trace (Mbds.Pool.shared ()))
 
 (* Transactional workloads: BEGIN/COMMIT/ROLLBACK reach every backend
    under the same per-backend locks as the mutations they bracket, so a
-   parallel controller and a sequential one must agree — including when a
-   transaction is rolled back mid-workload. *)
+   controller on the shared pool and one without workers must agree —
+   including when a transaction is rolled back mid-workload. *)
 let prop_parallel_equivalence_transactional =
   QCheck2.Test.make
     ~name:"parallel equals sequential on transactional workloads" ~count:40
     QCheck2.Gen.(
       triple
-        (int_range 1 6)
+        (int_range 1 8)
         (option (int_range 0 10))
         (list_size (int_range 0 40)
            (pair (int_range 0 6) (int_range 0 8))))
@@ -488,8 +490,8 @@ let prop_parallel_equivalence_transactional =
         | None -> Mbds.Controller.Round_robin
         | Some tenths -> Mbds.Controller.Skewed (float_of_int tenths /. 10.)
       in
-      let trace parallel =
-        let c = Mbds.Controller.create ~placement ~parallel backends in
+      let trace pool =
+        let c = Mbds.Controller.create ~placement ~pool backends in
         let in_txn = ref false in
         let log = ref [] in
         let emit s = log := s :: !log in
@@ -539,10 +541,10 @@ let prop_parallel_equivalence_transactional =
         in
         List.rev !log, final
       in
-      trace false = trace true)
+      trace no_workers = trace (Mbds.Pool.shared ()))
 
 let test_parallel_transaction_rollback () =
-  let c = Mbds.Controller.create ~parallel:true 4 in
+  let c = Mbds.Controller.create 4 in
   let keys = List.map (fun i -> Mbds.Controller.insert c (emp "keep" i)) [ 1; 2; 3; 4; 5 ] in
   let before =
     Mbds.Controller.select c Abdm.Query.always

@@ -777,7 +777,7 @@ let backend_sizes_of t db =
 let test_dump_restore_dump_identical_skewed_mbds () =
   let t =
     Mlds.System.create ~backends:3
-      ~placement:(Mbds.Controller.Skewed 0.7) ~parallel:false ()
+      ~placement:(Mbds.Controller.Skewed 0.7) ()
   in
   begin
     match
@@ -797,6 +797,33 @@ let test_dump_restore_dump_identical_skewed_mbds () =
     (backend_sizes_of t "university")
     (backend_sizes_of t2 "university");
   Alcotest.(check string) "byte-identical" d1 (dump_ok t2 "university")
+
+(* Snapshots written before the shared pool carry the saving host's
+   parallel=B in %KERNEL. Both settings restore to the same database, and
+   the field is not written back. *)
+let test_old_snapshots_restore () =
+  let snapshot crc parallel =
+    String.concat "\n"
+      [ "%MLDS 2"; "%CRC " ^ crc; "%MODEL relational"; "%NAME shop";
+        "%KERNEL backends=2 placement=round-robin parallel=" ^ parallel;
+        "%DDL"; "CREATE TABLE item (id INT, name CHAR(10))"; "%DATA";
+        "@1 INSERT (<FILE, 'item'>, <id, 1>, <name, 'pen'>)";
+        "@2 INSERT (<FILE, 'item'>, <id, 2>, <name, 'ink'>)"; "" ]
+  in
+  let restored text =
+    let t = Mlds.System.create () in
+    restore_ok t text;
+    Alcotest.(check (list int)) "two backends, keys placed round-robin"
+      [ 1; 1 ] (backend_sizes_of t "shop");
+    dump_ok t "shop"
+  in
+  let with_true = restored (snapshot "2cedd328" "true") in
+  let with_false = restored (snapshot "7d9361c1" "false") in
+  Alcotest.(check string) "same database" with_true with_false;
+  Alcotest.(check bool) "parallel= not written back" false
+    (contains with_true "parallel=");
+  Alcotest.(check bool) "rows restored" true
+    (contains with_true "@2 INSERT (<FILE, 'item'>, <id, 2>, <name, 'ink'>)")
 
 let test_dbkeys_survive_restore () =
   let t = university_mlds () in
@@ -934,6 +961,7 @@ let suite =
       "dump-restore-dump byte-identical", `Quick, test_dump_restore_dump_identical;
       "dump-restore-dump on a skewed MBDS", `Quick,
       test_dump_restore_dump_identical_skewed_mbds;
+      "snapshots with parallel= restore", `Quick, test_old_snapshots_restore;
       "dbkeys and currency survive restore", `Quick, test_dbkeys_survive_restore;
       "failed save leaves the old file", `Quick, test_failed_save_leaves_old_file;
       "checksum rejects corruption", `Quick, test_checksum_rejects_corruption;

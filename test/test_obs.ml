@@ -112,28 +112,44 @@ let test_span_exception_closes () =
       | roots -> Alcotest.failf "expected one root, got %d" (List.length roots))
 
 let test_span_adoption_across_pool_domains () =
+  let pool = Mbds.Pool.create 1 in
+  let caller = Domain.self () in
   with_tracing (fun () ->
-      let pool = Mbds.Pool.shared () in
       Obs.Span.with_span "parent" (fun () ->
-          let tasks =
-            Array.init 4 (fun i () ->
-                Obs.Span.with_span ~index:i "task" (fun () -> i))
-          in
-          let results =
-            Array.map Mbds.Pool.await (Array.mapi (Mbds.Pool.submit pool) tasks)
-          in
+          let results = Array.make 4 (-1) in
+          let remote_started = Atomic.make false in
+          Mbds.Pool.run pool 4 (fun i ->
+              Obs.Span.with_span ~index:i "task" (fun () ->
+                  if Domain.self () <> caller then Atomic.set remote_started true
+                  else begin
+                    (* hold the caller's first share until the worker has
+                       taken one, so some spans really are remote *)
+                    let deadline = Unix.gettimeofday () +. 10. in
+                    while
+                      (not (Atomic.get remote_started))
+                      && Unix.gettimeofday () < deadline
+                    do
+                      Domain.cpu_relax ()
+                    done
+                  end;
+                  results.(i) <- i));
           Alcotest.(check (list int)) "pool results intact" [ 0; 1; 2; 3 ]
             (Array.to_list results);
-          (* every future awaited: the workers are quiescent, so their
-             completed roots may be spliced under the open parent *)
+          (* [run] returned: the worker is quiescent, so its completed
+             roots may be spliced under the open parent *)
           Obs.Span.adopt_remote ());
       match Obs.Span.take_roots () with
       | [ root ] ->
         Alcotest.(check string) "worker spans adopted in index order"
           "parent(task(),task(),task(),task())" (shape root);
         Alcotest.(check (list int)) "indexes preserved" [ 0; 1; 2; 3 ]
-          (List.map (fun c -> c.Obs.Span.index) root.Obs.Span.children)
-      | roots -> Alcotest.failf "expected one root, got %d" (List.length roots))
+          (List.map (fun c -> c.Obs.Span.index) root.Obs.Span.children);
+        Alcotest.(check bool) "a worker recorded some of them" true
+          (List.exists
+             (fun c -> c.Obs.Span.domain <> (caller :> int))
+             root.Obs.Span.children)
+      | roots -> Alcotest.failf "expected one root, got %d" (List.length roots));
+  Mbds.Pool.shutdown pool
 
 let emp name salary =
   Abdm.Record.make
@@ -148,15 +164,12 @@ let populate insert n =
     (fun i -> ignore (insert (emp (Printf.sprintf "e%d" i) (i * 10))))
     (List.init n (fun i -> i))
 
-(* A parallel controller must emit the same span tree shape a sequential
-   one does — worker-side spans are adopted and ordered by backend index. *)
+(* A controller on the shared pool must emit the same span tree shape as
+   one without workers — worker-side spans are adopted and ordered by
+   backend index. *)
 let test_parallel_sequential_same_tree_shape () =
-  let shapes parallel =
-    let c =
-      Mbds.Controller.create ~parallel
-        ~name:(if parallel then "obs-par" else "obs-seq")
-        4
-    in
+  let shapes ~name pool =
+    let c = Mbds.Controller.create ~pool ~name 4 in
     populate (Mbds.Controller.insert c) 40;
     with_tracing (fun () ->
         let q =
@@ -167,8 +180,9 @@ let test_parallel_sequential_same_tree_shape () =
                   [ Abdm.Modifier.Set_const ("salary", Abdm.Value.Int 1) ]);
         List.map shape (Obs.Span.take_roots ()))
   in
-  Alcotest.(check (list string)) "same span tree shape" (shapes false)
-    (shapes true)
+  Alcotest.(check (list string)) "same span tree shape"
+    (shapes ~name:"obs-seq" (Mbds.Pool.create 0))
+    (shapes ~name:"obs-par" (Mbds.Pool.shared ()))
 
 (* Property: enabling tracing changes no request result and no final
    database contents (spans are pure observation). *)
@@ -187,7 +201,7 @@ let prop_trace_transparency =
             Obs.Span.set_enabled false;
             Obs.Span.reset ())
           (fun () ->
-            let c = Mbds.Controller.create ~parallel:true backends in
+            let c = Mbds.Controller.create backends in
             let log = ref [] in
             let emit s = log := s :: !log in
             List.iter

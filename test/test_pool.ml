@@ -1,159 +1,187 @@
-(* Tests for the MBDS domain pool: result delivery, owner affinity and
-   FIFO ordering, exception propagation, shutdown semantics, and the
-   caller-claim protocol of [run_or_await]. *)
+(* Tests for the MBDS domain pool: every share of a [run] runs exactly
+   once, workers really take shares, the worker-less pool is the
+   sequential reference, failures surface after every share finished,
+   and shutdown semantics. *)
 
-let test_submit_await () =
-  let p = Mbds.Pool.create 2 in
-  let futs = List.init 10 (fun i -> Mbds.Pool.submit p i (fun () -> i * i)) in
-  List.iteri
-    (fun i fut ->
-      Alcotest.(check int) "task result" (i * i) (Mbds.Pool.await fut))
-    futs;
+(* Runs [f] on its own domain; exits the process if it does not finish
+   within [timeout_s], so a lost wake-up fails the suite instead of
+   hanging it. *)
+let within ~timeout_s f =
+  let finished = Atomic.make false in
+  let d = Domain.spawn (fun () -> Fun.protect ~finally:(fun () -> Atomic.set finished true) f) in
+  let deadline = Unix.gettimeofday () +. timeout_s in
+  while (not (Atomic.get finished)) && Unix.gettimeofday () < deadline do
+    Unix.sleepf 0.001
+  done;
+  if not (Atomic.get finished) then begin
+    prerr_endline "Pool.run did not return: deadlock or lost wake-up";
+    Unix._exit 3
+  end;
+  Domain.join d
+
+let test_every_share_once () =
+  for workers = 0 to 3 do
+    let p = Mbds.Pool.create workers in
+    Alcotest.(check int) "size" workers (Mbds.Pool.size p);
+    for n = 0 to 9 do
+      for _ = 1 to 20 do
+        let runs = Array.init n (fun _ -> Atomic.make 0) in
+        within ~timeout_s:30. (fun () ->
+            Mbds.Pool.run p n (fun i -> Atomic.incr runs.(i)));
+        Array.iteri
+          (fun i r ->
+            Alcotest.(check int)
+              (Printf.sprintf "%d workers, n=%d: share %d ran once" workers n i)
+              1 (Atomic.get r))
+          runs
+      done
+    done;
+    Mbds.Pool.shutdown p
+  done
+
+(* Shares 0 and 1 each wait for the other to start: [run] returns only if
+   the worker ran one of them while the caller ran the other. The worker's
+   share finishes last, and [run] must wait for it. *)
+let handshake p =
+  let started = Array.init 2 (fun _ -> Atomic.make false) in
+  let finished = Array.init 2 (fun _ -> Atomic.make false) in
+  within ~timeout_s:30. (fun () ->
+      let caller = Domain.self () in
+      Mbds.Pool.run p 2 (fun i ->
+          Atomic.set started.(i) true;
+          while not (Atomic.get started.(1 - i)) do
+            Domain.cpu_relax ()
+          done;
+          if Domain.self () <> caller then Unix.sleepf 0.002;
+          Atomic.set finished.(i) true));
+  Alcotest.(check (list bool)) "both shares finished before run returned"
+    [ true; true ] (Array.to_list (Array.map Atomic.get finished))
+
+let test_worker_runs_a_share () =
+  let p = Mbds.Pool.create 1 in
+  for _ = 1 to 20 do
+    handshake p
+  done;
   Mbds.Pool.shutdown p
 
-let test_owner_affinity_fifo () =
-  (* all tasks for one owner index run in submission order, even across a
-     larger index space than the pool size *)
-  let p = Mbds.Pool.create 2 in
-  Alcotest.(check int) "owner wraps" 0 (Mbds.Pool.owner p 4);
-  Alcotest.(check int) "owner wraps odd" 1 (Mbds.Pool.owner p 7);
+let test_no_workers_index_order () =
+  let p = Mbds.Pool.create 0 in
+  let caller = Domain.self () in
   let trace = ref [] in
-  let futs =
-    List.init 50 (fun i ->
-        (* owner 0 throughout: same mailbox, so the ref is single-writer *)
-        Mbds.Pool.submit p 0 (fun () -> trace := i :: !trace))
-  in
-  List.iter Mbds.Pool.await futs;
-  Alcotest.(check (list int))
-    "FIFO execution order" (List.init 50 Fun.id) (List.rev !trace);
+  Mbds.Pool.run p 8 (fun i -> trace := (i, Domain.self () = caller) :: !trace);
+  Alcotest.(check (list (pair int bool)))
+    "index order, on the caller"
+    (List.init 8 (fun i -> i, true))
+    (List.rev !trace);
   Mbds.Pool.shutdown p
 
 let test_exception_propagates () =
-  let p = Mbds.Pool.create 1 in
-  let fut = Mbds.Pool.submit p 0 (fun () -> raise Not_found) in
-  Alcotest.(check bool) "exception re-raised" true
-    (match Mbds.Pool.await fut with
-     | exception Not_found -> true
-     | _ -> false);
-  (* the worker survives a failing task *)
-  Alcotest.(check int) "worker still serves" 7
-    (Mbds.Pool.await (Mbds.Pool.submit p 0 (fun () -> 7)));
-  Mbds.Pool.shutdown p
-
-let test_shutdown () =
   let p = Mbds.Pool.create 2 in
-  Alcotest.(check int) "size" 2 (Mbds.Pool.size p);
-  Mbds.Pool.shutdown p;
-  (* idempotent *)
-  Mbds.Pool.shutdown p;
-  Alcotest.(check bool) "submit after shutdown rejected" true
-    (match Mbds.Pool.submit p 0 (fun () -> ()) with
-     | exception Invalid_argument _ -> true
-     | _ -> false)
-
-let test_shared_pool () =
-  let p = Mbds.Pool.shared () in
-  Alcotest.(check bool) "shared pool is a singleton" true
-    (p == Mbds.Pool.shared ());
-  Alcotest.(check bool) "shared pool sized to the machine" true
-    (Mbds.Pool.size p >= 1 && Mbds.Pool.size p <= 8);
-  Alcotest.(check int) "shared pool serves work" 42
-    (Mbds.Pool.await (Mbds.Pool.submit p 3 (fun () -> 42)))
-
-(* Occupies the single worker of [p] until [release] is called; returns
-   once the blocker is running, so later submissions stay queued. *)
-let block_worker p =
-  let started = Atomic.make false and gate = Atomic.make false in
-  let fut =
-    Mbds.Pool.submit p 0 (fun () ->
-        Atomic.set started true;
-        while not (Atomic.get gate) do
-          Domain.cpu_relax ()
-        done)
+  let ran = Atomic.make 0 in
+  let outcome =
+    match
+      Mbds.Pool.run p 6 (fun i ->
+          Atomic.incr ran;
+          if i = 4 then raise Not_found;
+          if i = 2 then failwith "share 2")
+    with
+    | () -> None
+    | exception e -> Some (e, Atomic.get ran)
   in
-  while not (Atomic.get started) do
-    Domain.cpu_relax ()
-  done;
-  fun () ->
-    Atomic.set gate true;
-    Mbds.Pool.await fut
-
-let test_claim_race_runs_once () =
-  (* caller and worker race for every task: each must run exactly once *)
-  let p = Mbds.Pool.create 1 in
-  let n = 2000 in
-  let runs = Array.init n (fun _ -> Atomic.make 0) in
-  for i = 0 to n - 1 do
-    let fut =
-      Mbds.Pool.submit p 0 (fun () ->
-          Atomic.incr runs.(i);
-          i)
-    in
-    Alcotest.(check int) "claimed result" i (Mbds.Pool.run_or_await fut)
-  done;
-  (* shutdown drains the mailbox: a worker that re-ran a claimed task
-     would show up here *)
-  Mbds.Pool.shutdown p;
-  Array.iteri
-    (fun i r -> Alcotest.(check int) (Printf.sprintf "task %d runs" i) 1 (Atomic.get r))
-    runs
+  (match outcome with
+  | Some (Failure msg, ran) ->
+    Alcotest.(check string) "the lowest-indexed failure" "share 2" msg;
+    Alcotest.(check int) "raised only after every share ran" 6 ran
+  | Some (e, _) -> Alcotest.failf "unexpected exception %s" (Printexc.to_string e)
+  | None -> Alcotest.fail "the failure was not re-raised");
+  (* the workers survive a failing share *)
+  let sum = Atomic.make 0 in
+  Mbds.Pool.run p 5 (fun i -> ignore (Atomic.fetch_and_add sum i));
+  Alcotest.(check int) "pool still serves" 10 (Atomic.get sum);
+  Mbds.Pool.shutdown p
 
 let contains s sub =
   let n = String.length sub in
   let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
   go 0
 
-let raise_from_task () : int = failwith "claimed task failed"
+let raise_from_share (_ : int) : unit = failwith "claimed share failed"
 
 let test_claimed_exception_backtrace () =
-  let p = Mbds.Pool.create 1 in
-  let release = block_worker p in
+  let p = Mbds.Pool.create 0 in
   let recording = Printexc.backtrace_status () in
   Printexc.record_backtrace true;
-  let fut = Mbds.Pool.submit p 0 raise_from_task in
   let outcome =
-    match Mbds.Pool.run_or_await fut with
-    | _ -> None
+    match Mbds.Pool.run p 1 raise_from_share with
+    | () -> None
     | exception Failure msg -> Some (msg, Printexc.get_raw_backtrace ())
   in
   Printexc.record_backtrace recording;
-  release ();
   Mbds.Pool.shutdown p;
   match outcome with
-  | None -> Alcotest.fail "claimed task's exception was not re-raised"
+  | None -> Alcotest.fail "the share's exception was not re-raised"
   | Some (msg, bt) ->
-    Alcotest.(check string) "exception re-raised at the claimer"
-      "claimed task failed" msg;
-    Alcotest.(check bool) "backtrace reaches the raising task" true
+    Alcotest.(check string) "exception re-raised at the caller"
+      "claimed share failed" msg;
+    Alcotest.(check bool) "backtrace reaches the raising share" true
       (Printexc.raw_backtrace_length bt > 0
        && contains (Printexc.raw_backtrace_to_string bt) "test_pool.ml")
 
-let test_skipped_task_records_nothing () =
+let test_caller_shares_record_nothing () =
   let queue_wait = Obs.Metrics.histogram "pool.queue_wait_s" in
   let execute = Obs.Metrics.histogram "pool.execute_s" in
-  let p = Mbds.Pool.create 1 in
-  let release = block_worker p in
-  (* the blocker has been dequeued: its queue wait is already recorded *)
-  let qw0 = Obs.Metrics.histogram_count queue_wait in
-  let ex0 = Obs.Metrics.histogram_count execute in
-  let fut = Mbds.Pool.submit p 0 (fun () -> 5) in
-  Alcotest.(check int) "claimed and run by the caller" 5
-    (Mbds.Pool.run_or_await fut);
-  release ();
+  let counts () =
+    Obs.Metrics.histogram_count queue_wait, Obs.Metrics.histogram_count execute
+  in
+  let p = Mbds.Pool.create 0 in
+  let before = counts () in
+  Mbds.Pool.run p 4 ignore;
+  Alcotest.(check (pair int int)) "no worker, nothing recorded" before (counts ());
   Mbds.Pool.shutdown p;
-  Alcotest.(check int) "no queue wait for the skipped task" qw0
-    (Obs.Metrics.histogram_count queue_wait);
-  Alcotest.(check int) "only the blocker's execute time" (ex0 + 1)
-    (Obs.Metrics.histogram_count execute)
+  (* in the handshake the worker runs exactly one of the two shares *)
+  let p = Mbds.Pool.create 1 in
+  let qw, ex = counts () in
+  handshake p;
+  Alcotest.(check (pair int int)) "the worker's share recorded once"
+    (qw + 1, ex + 1) (counts ());
+  Mbds.Pool.shutdown p
+
+let test_shutdown () =
+  Alcotest.(check bool) "negative size rejected" true
+    (match Mbds.Pool.create (-1) with
+     | exception Invalid_argument _ -> true
+     | _ -> false);
+  List.iter
+    (fun workers ->
+      let p = Mbds.Pool.create workers in
+      Mbds.Pool.shutdown p;
+      (* idempotent *)
+      Mbds.Pool.shutdown p;
+      Alcotest.(check bool) "run after shutdown rejected" true
+        (match Mbds.Pool.run p 2 ignore with
+         | exception Invalid_argument _ -> true
+         | () -> false))
+    [ 0; 2 ]
+
+let test_shared_pool () =
+  let p = Mbds.Pool.shared () in
+  Alcotest.(check bool) "shared pool is a singleton" true
+    (p == Mbds.Pool.shared ());
+  Alcotest.(check int) "one worker per spare core, at most 8"
+    (min 8 (Domain.recommended_domain_count () - 1))
+    (Mbds.Pool.size p);
+  let sum = Atomic.make 0 in
+  Mbds.Pool.run p 4 (fun i -> ignore (Atomic.fetch_and_add sum (i + 1)));
+  Alcotest.(check int) "shared pool serves work" 10 (Atomic.get sum)
 
 let suite =
   [
-    "submit/await", `Quick, test_submit_await;
-    "owner affinity and FIFO", `Quick, test_owner_affinity_fifo;
+    "claim race runs a task once", `Quick, test_every_share_once;
+    "a worker runs a share", `Quick, test_worker_runs_a_share;
+    "no workers: caller, index order", `Quick, test_no_workers_index_order;
     "exception propagation", `Quick, test_exception_propagates;
+    "claimed exception keeps backtrace", `Quick, test_claimed_exception_backtrace;
+    "caller-run shares record nothing", `Quick, test_caller_shares_record_nothing;
     "shutdown", `Quick, test_shutdown;
     "shared pool", `Quick, test_shared_pool;
-    "claim race runs a task once", `Quick, test_claim_race_runs_once;
-    "claimed exception keeps backtrace", `Quick, test_claimed_exception_backtrace;
-    "skipped task records nothing", `Quick, test_skipped_task_records_nothing;
   ]

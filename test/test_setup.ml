@@ -59,7 +59,7 @@ let persons_rows n =
 
 let kernel_of_kind = function
   | 0 -> Mapping.Kernel.single ()
-  | n -> Mapping.Kernel.multi ~parallel:false n
+  | n -> Mapping.Kernel.multi n
 
 let contents kernel = Mapping.Kernel.select kernel Abdm.Query.always
 
@@ -189,7 +189,7 @@ let prop_snapshot_line =
 
 let test_checkpoint_slices_mbds () =
   (* on MBDS the walk merges the backends by key; slices see one state *)
-  let sys = Mlds.System.create ~backends:3 ~parallel:false () in
+  let sys = Mlds.System.create ~backends:3 () in
   (match Mlds.System.define_functional sys ~name:"u" ~ddl:U.ddl (U.scaled_rows 3) with
   | Ok () -> ()
   | Error msg -> Alcotest.fail msg);
