@@ -11,7 +11,8 @@
        vs per-statement translation work)
    E8  §I.A — the multi-lingual claim: one query, five languages, one answer
    E9  design-choice ablations: balanced placement; the equality directory
-   E10 cross-model overhead: one question through each interface
+   E10 cross-model overhead: one question through each interface, and
+       DL/I and Daplex point reads at 3 000 instances against ABDL's
    E11 response-size sensitivity: the 'constant response' caveat of claim 1
    E12 real domain parallelism: worker-less vs shared pool broadcast wall clock
 
@@ -431,6 +432,114 @@ let experiment_e9 () =
 (* E10: cross-model interface overhead                                 *)
 (* ------------------------------------------------------------------ *)
 
+(* Median of [trials] samples of [sample ()]. *)
+let median trials sample =
+  let xs = List.sort Float.compare (List.init trials (fun _ -> sample ())) in
+  List.nth xs (trials / 2)
+
+(* Point reads at 3 000 instances: DL/I GU by root key and Daplex SUCH
+   THAT on a unique scalar, each next to the ABDL point read of the same
+   record on the same kernel. Statements are parsed up front. A sample is
+   the mean of 10 calls on different keys (the clock ticks in
+   microseconds); a row is the median of 200 samples, after a warm-up
+   that builds the kernel's auto-indexes. The two ratios are exported as
+   the bench.e10.*_over_abdl gauges. *)
+let experiment_e10_point_reads () =
+  Printf.printf
+    "\nPoint reads at 3 000 instances (median of 200 samples of 10 calls)\n";
+  let median_us run requests =
+    let requests = Array.of_list requests in
+    let next = ref 0 in
+    let sample () =
+      let t0 = Unix.gettimeofday () in
+      for _ = 1 to 10 do
+        ignore (Sys.opaque_identity (run requests.(!next mod Array.length requests)));
+        incr next
+      done;
+      (Unix.gettimeofday () -. t0) /. 10.
+    in
+    ignore (median 20 sample);
+    median 200 sample *. 1e6
+  in
+  let row ~gauge (label, run, requests) (abdl_label, kernel, abdl_requests) =
+    let us = median_us run requests in
+    let abdl_us = median_us (Mapping.Kernel.run kernel) abdl_requests in
+    Printf.printf "  %-50s %8.1f us\n  %-50s %8.1f us   ratio %.1fx\n" label us
+      abdl_label abdl_us (us /. abdl_us);
+    Obs.Metrics.set_gauge (Obs.Metrics.gauge ("bench.e10." ^ gauge)) (us /. abdl_us)
+  in
+  (* keys in a scattered order, so consecutive calls read different records *)
+  let scatter keys =
+    let keys = Array.of_list keys in
+    let n = Array.length keys in
+    List.init n (fun i -> keys.(i * 7919 mod n))
+  in
+  let patients = 3000 in
+  let dli_kernel = Mapping.Kernel.single () in
+  let dli =
+    Hierarchical.Engine.create dli_kernel
+      (Hierarchical.Ddl_parser.schema
+         "DATABASE med\n\
+          SEGMENT patient (pname CHAR(20), pid INT)\n\
+          SEGMENT visit PARENT patient (vdate CHAR(10), cost INT)")
+  in
+  for pid = 1 to patients do
+    List.iter
+      (fun src ->
+        match Hierarchical.Engine.run dli src with
+        | Ok _ -> ()
+        | Error msg -> failwith msg)
+      [ Printf.sprintf "ISRT patient (pname = 'p%d', pid = %d)" pid pid;
+        "ISRT visit (vdate = 'v1', cost = 10)" ]
+  done;
+  let pids = scatter (List.init patients succ) in
+  row ~gauge:"dli_gu_over_abdl"
+    ( "DL/I GU patient(pid = k)",
+      (fun call ->
+        Hierarchical.Engine.clear_log dli;
+        Hierarchical.Engine.execute dli call),
+      List.map
+        (fun k -> Hierarchical.Dli_parser.call (Printf.sprintf "GU patient(pid = %d)" k))
+        pids )
+    ( "ABDL RETRIEVE ((FILE = patient) AND (pid = k))",
+      dli_kernel,
+      List.map
+        (fun k ->
+          Abdl.Parser.request
+            (Printf.sprintf "RETRIEVE ((FILE = patient) AND (pid = %d)) (pname)" k))
+        pids );
+  (* Daplex: the University population scaled to 3 000 persons *)
+  let rows = Daplex.University.scaled_rows 1200 in
+  let kernel, transform, _ = Mapping.Loader.university ~scale:1200 () in
+  let daplex = Daplex_dml.Engine.create kernel transform in
+  let ssns =
+    scatter
+      (List.filter_map
+         (fun (r : Daplex.University.row) ->
+           match List.assoc_opt "ssn" r.row_values with
+           | Some (Daplex.University.Scalar (Abdm.Value.Int ssn)) -> Some ssn
+           | Some _ | None -> None)
+         rows)
+  in
+  row ~gauge:"daplex_such_that_over_abdl"
+    ( "Daplex FOR EACH p IN person SUCH THAT ssn(p) = k",
+      (fun stmt ->
+        Daplex_dml.Engine.clear_log daplex;
+        Daplex_dml.Engine.execute daplex stmt),
+      List.map
+        (fun k ->
+          Daplex_dml.Parser.stmt
+            (Printf.sprintf
+               "FOR EACH p IN person SUCH THAT ssn(p) = %d PRINT name(p) END" k))
+        ssns )
+    ( "ABDL RETRIEVE ((FILE = person) AND (ssn = k))",
+      kernel,
+      List.map
+        (fun k ->
+          Abdl.Parser.request
+            (Printf.sprintf "RETRIEVE ((FILE = person) AND (ssn = %d)) (name)" k))
+        ssns )
+
 let experiment_e10 () =
   banner
     "E10  Cross-model overhead: the same question through each interface";
@@ -477,7 +586,8 @@ let experiment_e10 () =
     paths;
   print_endline
     "(each path answers 'which students major in Computer Science?'\n\
-    \ against the same AB(functional) kernel image)"
+    \ against the same AB(functional) kernel image)";
+  experiment_e10_point_reads ()
 
 (* ------------------------------------------------------------------ *)
 (* E11: where the reciprocal claim bends — response-size sensitivity   *)
@@ -518,11 +628,6 @@ let experiment_e11 () =
 (* ------------------------------------------------------------------ *)
 (* E12: real domain parallelism — worker-less vs shared pool           *)
 (* ------------------------------------------------------------------ *)
-
-(* Median of [trials] samples of [sample ()]. *)
-let median trials sample =
-  let xs = List.sort Float.compare (List.init trials (fun _ -> sample ())) in
-  List.nth xs (trials / 2)
 
 let experiment_e12 ?(quick = false) () =
   banner "E12  Domain-parallel broadcast: measured wall clock vs sequential";
@@ -730,9 +835,10 @@ let write_artifact path =
 let () =
   let quick = Array.exists (String.equal "--quick") Sys.argv in
   if quick then begin
-    (* CI smoke: exercise the paper claims and the parallel substrate
-       end-to-end in a few seconds *)
+    (* CI smoke: exercise the paper claims, the DL/I and Daplex point
+       reads and the parallel substrate end-to-end in a few seconds *)
     experiment_e1 ();
+    experiment_e10_point_reads ();
     experiment_e12 ~quick:true ();
     write_artifact "BENCH_pr2.json";
     print_endline "\nbench quick-mode OK"

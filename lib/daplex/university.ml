@@ -205,26 +205,28 @@ let rows =
 let scaled_rows n =
   (* Replicate the base population enough times to reach ~n entities per
      major type; suffix every key with the replica number so references
-     stay within a replica. *)
+     stay within a replica. Replica i > 0 also suffixes course titles
+     (UNIQUE title, semester WITHIN course) and offsets every ssn, so
+     both stay unique. *)
   let base_students = 6 in
   let replicas = max 1 ((n + base_students - 1) / base_students) in
-  let rekey suffix key = key ^ "_" ^ suffix in
-  let refit suffix = function
-    | Scalar v -> Scalar v
-    | Scalars vs -> Scalars vs
-    | Ref key -> Ref (rekey suffix key)
-    | Refs keys -> Refs (List.map (rekey suffix) keys)
+  let rekey i key = Printf.sprintf "%s_%d" key i in
+  let refit i fn v =
+    match fn, v with
+    | "title", Scalar (Abdm.Value.Str title) when i > 0 ->
+      Scalar (Abdm.Value.Str (Printf.sprintf "%s %d" title i))
+    | "ssn", Scalar (Abdm.Value.Int ssn) ->
+      Scalar (Abdm.Value.Int (ssn + (i * 1_000_000_000)))
+    | _, (Scalar _ | Scalars _) -> v
+    | _, Ref key -> Ref (rekey i key)
+    | _, Refs keys -> Refs (List.map (rekey i) keys)
   in
-  let clone suffix row =
+  let clone i row =
     {
       row with
-      row_key = rekey suffix row.row_key;
-      row_isa = List.map (fun (t, k) -> t, rekey suffix k) row.row_isa;
-      row_values = List.map (fun (f, v) -> f, refit suffix v) row.row_values;
+      row_key = rekey i row.row_key;
+      row_isa = List.map (fun (t, k) -> t, rekey i k) row.row_isa;
+      row_values = List.map (fun (f, v) -> f, refit i f v) row.row_values;
     }
   in
-  List.concat_map
-    (fun i ->
-      let suffix = string_of_int i in
-      List.map (clone suffix) rows)
-    (List.init replicas (fun i -> i))
+  List.concat_map (fun i -> List.map (clone i) rows) (List.init replicas Fun.id)

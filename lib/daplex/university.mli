@@ -37,5 +37,7 @@ val rows : row list
 
 (** [scaled_rows n] replicates the population pattern to roughly [n]
     entities per major type, for benchmark workloads. Keys are suffixed
-    per replica. *)
+    per replica; so are course titles after the first replica, and each
+    replica offsets the ssn values, so (title, semester) and ssn stay
+    unique. *)
 val scaled_rows : int -> row list

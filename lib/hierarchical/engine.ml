@@ -1,9 +1,13 @@
+(* A key path locates one segment instance: (segment type, key) pairs,
+   the instance itself first and its root last. *)
+type path = (string * int) list
+
 type t = {
   kernel : Mapping.Kernel.t;
   hie_schema : Types.schema;
   descriptor : Abdm.Descriptor.t;
-  mutable position : (string * int) option;
-  mutable parentage : (string * int) option;
+  mutable position : path;  (* [] when there is no current segment *)
+  mutable parentage : path;
   mutable log : Abdl.Ast.request list;  (* newest first *)
 }
 
@@ -27,8 +31,8 @@ let create kernel hie_schema =
     kernel;
     hie_schema;
     descriptor = Types.descriptor hie_schema;
-    position = None;
-    parentage = None;
+    position = [];
+    parentage = [];
     log = [];
   }
 
@@ -61,83 +65,108 @@ let segment t name =
   | Some s -> Ok s
   | None -> err "unknown segment type %S" name
 
-(* The hierarchic sequence: root instances in key order, each followed by
-   its subtrees, child segment types in declaration order. *)
-let sequence t =
-  let rec visit seg_name (key, record) =
-    (seg_name, key, record)
-    :: List.concat_map
-         (fun (child : Types.segment) ->
-           retrieve t
-             (Abdm.Query.conj
-                [ Abdm.Predicate.file_eq child.seg_name; int_pred seg_name key ])
-           |> List.concat_map (fun kr -> visit child.seg_name kr))
-         (Types.children t.hie_schema seg_name)
-  in
-  List.concat_map
-    (fun (root : Types.segment) ->
-      retrieve t (Abdm.Query.conj [ Abdm.Predicate.file_eq root.seg_name ])
-      |> List.concat_map (fun kr -> visit root.seg_name kr))
-    (Types.roots t.hie_schema)
-
-let qual_satisfied record (q : Dli_ast.qualification) =
-  match Abdm.Record.value_of record q.q_field with
-  | Some v -> Abdm.Predicate.eval q.q_op v q.q_value
-  | None -> false
-
-let ssa_matches seg_name record (ssa : Dli_ast.ssa) =
-  String.equal seg_name ssa.ssa_segment
-  && (match ssa.ssa_qual with
-      | Some q -> qual_satisfied record q
-      | None -> true)
-
-(* the record of one instance, by segment type and key *)
-let instance t seg_name key =
+let check_fields (seg : Types.segment) names =
   match
-    retrieve t
-      (Abdm.Query.conj [ Abdm.Predicate.file_eq seg_name; int_pred seg_name key ])
+    List.find_opt
+      (fun f ->
+        not
+          (List.exists
+             (fun (fd : Types.field) -> String.equal fd.field_name f)
+             seg.seg_fields))
+      names
   with
-  | kr :: _ -> Some kr
-  | [] -> None
+  | Some f -> err "segment %s has no field %S" seg.seg_name f
+  | None -> Ok ()
 
-(* (segment, key, record) ancestors, nearest first *)
-let rec ancestor_chain t seg_name record =
-  match Types.find_segment t.hie_schema seg_name with
-  | Some { seg_parent = Some parent; _ } ->
-    begin
-      match Abdm.Record.value_of record parent with
-      | Some (Abdm.Value.Int parent_key) ->
-        begin
-          match instance t parent parent_key with
-          | Some (_, parent_record) ->
-            (parent, parent_key, parent_record)
-            :: ancestor_chain t parent parent_record
+(* An SSA's segment type and the predicate its qualification adds to that
+   type's RETRIEVE. *)
+let ssa_preds t (ssa : Dli_ast.ssa) =
+  let* seg = segment t ssa.ssa_segment in
+  match ssa.ssa_qual with
+  | None -> Ok (seg.seg_name, [])
+  | Some q ->
+    let* () = check_fields seg [ q.q_field ] in
+    Ok (seg.seg_name, [ Abdm.Predicate.make q.q_field q.q_op q.q_value ])
+
+(* The segment types directly under the instance at [path]: its child
+   types, or the root types under the empty path. *)
+let types_under t = function
+  | [] -> Types.roots t.hie_schema
+  | (seg, _) :: _ -> Types.children t.hie_schema seg
+
+(* The hierarchic sequence under [parent] over the segment types [types],
+   lazily: each type's instances in key order (after key [after] for the
+   first type), each followed by its subtree. [plan] says which types the
+   walk enters and what each one's RETRIEVE adds to
+   [(FILE = seg) AND (parent = key)]; a type is retrieved once per parent
+   instance, when the caller reads that far. *)
+let rec walk t plan parent types after : (path * Abdm.Record.t) Seq.t =
+  match types with
+  | [] -> Seq.empty
+  | (seg : Types.segment) :: rest ->
+    let later = walk t plan parent rest None in
+    match plan seg.seg_name with
+    | None -> later
+    | Some preds ->
+      fun () ->
+        let parent_pred =
+          match parent with
+          | (pseg, pkey) :: _ -> [ int_pred pseg pkey ]
+          | [] -> []
+        in
+        let after_pred =
+          match after with
+          | Some key ->
+            [ Abdm.Predicate.make seg.seg_name Abdm.Predicate.Gt (Abdm.Value.Int key) ]
           | None -> []
-        end
-      | Some _ | None -> []
-    end
-  | Some { seg_parent = None; _ } | None -> []
+        in
+        let rows =
+          retrieve t
+            (Abdm.Query.conj
+               ((Abdm.Predicate.file_eq seg.seg_name :: parent_pred)
+                @ after_pred @ preds))
+        in
+        Seq.append
+          (Seq.concat_map
+             (fun (key, record) ->
+               let path = (seg.seg_name, key) :: parent in
+               Seq.cons (path, record) (walk t plan path (types_under t path) None))
+             (List.to_seq rows))
+          later ()
 
-(* Does the instance's ancestor path satisfy the leading SSAs (in order,
-   outermost first)? *)
-let path_satisfied t seg_name record path_ssas =
-  let ancestors = List.rev (ancestor_chain t seg_name record) in
-  (* ancestors: root first *)
-  let rec align ssas ancestors =
-    match ssas, ancestors with
-    | [], _ -> true
-    | _ :: _, [] -> false
-    | (ssa : Dli_ast.ssa) :: ssa_rest, (aseg, _, arecord) :: anc_rest ->
-      if String.equal ssa.ssa_segment aseg then
-        ssa_matches aseg arecord ssa && align ssa_rest anc_rest
-      else align ssas anc_rest
+(* The walk from the instance at [path] on: its subtree, then at each
+   level up to [stop] (the whole database for []) the later instances of
+   that level's type and the later types under the same parent. *)
+let walk_from t plan ~stop path =
+  let rec climb path =
+    match path with
+    | (seg, key) :: parent when path <> stop ->
+      let rec from_seg = function
+        | (s : Types.segment) :: rest when not (String.equal s.seg_name seg) ->
+          from_seg rest
+        | types -> types
+      in
+      Seq.append
+        (walk t plan parent (from_seg (types_under t parent)) (Some key))
+        (climb parent)
+    | _ -> Seq.empty
   in
-  ignore seg_name;
-  align path_ssas ancestors
+  Seq.append (walk t plan path (types_under t path) None) (climb path)
 
-let found t seg_name key record =
-  t.position <- Some (seg_name, key);
-  t.parentage <- Some (seg_name, key);
+(* A search for [target]: the walk enters [target]'s type, with its
+   predicates, and its ancestor types, each with the predicates of its
+   path SSA; no other type. *)
+let toward t (target, preds) path_preds =
+  let ancestors = Types.ancestors t.hie_schema target in
+  fun seg ->
+    if String.equal seg target then Some preds
+    else if List.mem seg ancestors then
+      Some (Option.value (List.assoc_opt seg path_preds) ~default:[])
+    else None
+
+let found t path record =
+  t.position <- path;
+  let segment, key = List.hd path in
   let fields =
     List.filter_map
       (fun (kw : Abdm.Keyword.t) ->
@@ -145,7 +174,16 @@ let found t seg_name key record =
         else Some (kw.attribute, kw.value))
       record.Abdm.Record.keywords
   in
-  Ok (Found { segment = seg_name; key; fields })
+  Ok (Found { segment; key; fields })
+
+let is_segment name (path, _) = String.equal (fst (List.hd path)) name
+
+let rec all f = function
+  | [] -> Ok []
+  | x :: rest ->
+    let* y = f x in
+    let* ys = all f rest in
+    Ok (y :: ys)
 
 let exec_gu t ssas =
   let* target, path =
@@ -153,123 +191,68 @@ let exec_gu t ssas =
     | target :: rev_path -> Ok (target, List.rev rev_path)
     | [] -> err "GU: missing SSA"
   in
-  let* _ = segment t target.Dli_ast.ssa_segment in
-  let* () =
-    List.fold_left
-      (fun acc (ssa : Dli_ast.ssa) ->
-        let* () = acc in
-        let* _ = segment t ssa.ssa_segment in
-        Ok ())
-      (Ok ()) path
+  let* ((target_seg, _) as target) = ssa_preds t target in
+  let* path = all (ssa_preds t) path in
+  (* the path SSAs must name ancestors of the target, outermost first *)
+  let rec aligned path chain =
+    match path, chain with
+    | [], _ -> true
+    | _ :: _, [] -> false
+    | (seg, _) :: path_rest, aseg :: chain_rest ->
+      if String.equal seg aseg then aligned path_rest chain_rest
+      else aligned path chain_rest
   in
-  let seq = sequence t in
   let hit =
-    List.find_opt
-      (fun (seg_name, _, record) ->
-        ssa_matches seg_name record target
-        && path_satisfied t seg_name record path)
-      seq
+    if not (aligned path (List.rev (Types.ancestors t.hie_schema target_seg)))
+    then None
+    else
+      Seq.find (is_segment target_seg)
+        (walk_from t (toward t target path) ~stop:[] [])
   in
   match hit with
-  | Some (seg_name, key, record) -> found t seg_name key record
+  | Some (path, record) ->
+    t.parentage <- path;
+    found t path record
   | None ->
-    t.position <- None;
-    t.parentage <- None;
+    t.position <- [];
+    t.parentage <- [];
     Ok Not_found
 
-let after_position seq position =
-  match position with
-  | None -> seq
-  | Some (seg, key) ->
-    let rec drop = function
-      | [] -> []
-      | (s, k, _) :: rest when String.equal s seg && k = key -> rest
-      | _ :: rest -> drop rest
-    in
-    drop seq
+(* The next instance in hierarchic sequence that the SSA selects, from
+   the current position on but not past the end of [stop]'s subtree. *)
+let next t ssa ~stop =
+  let* ssa = all (ssa_preds t) (Option.to_list ssa) in
+  let plan, hit =
+    match ssa with
+    | [ ((target, _) as ssa) ] -> toward t ssa [], is_segment target
+    | _ -> (fun _ -> Some []), fun _ -> true
+  in
+  Ok (Seq.find hit (walk_from t plan ~stop t.position))
 
 let exec_gn t ssa =
-  let* () =
-    match ssa with
-    | Some (s : Dli_ast.ssa) ->
-      let* _ = segment t s.ssa_segment in
-      Ok ()
-    | None -> Ok ()
-  in
-  let seq = after_position (sequence t) t.position in
-  let hit =
-    List.find_opt
-      (fun (seg_name, _, record) ->
-        match ssa with
-        | Some s -> ssa_matches seg_name record s
-        | None -> true)
-      seq
-  in
+  let* hit = next t ssa ~stop:[] in
   match hit with
-  | Some (seg_name, key, record) -> found t seg_name key record
+  | Some (path, record) ->
+    t.parentage <- path;
+    found t path record
   | None -> Ok Not_found
 
+(* GNP advances the position within the parentage, which stays *)
 let exec_gnp t ssa =
-  let* parent =
-    match t.parentage with
-    | Some p -> Ok p
-    | None -> err "GNP: no parentage established (issue GU/GN first)"
-  in
   let* () =
-    match ssa with
-    | Some (s : Dli_ast.ssa) ->
-      let* _ = segment t s.ssa_segment in
-      Ok ()
-    | None -> Ok ()
+    if t.parentage = [] then
+      err "GNP: no parentage established (issue GU/GN first)"
+    else Ok ()
   in
-  let descendant_of (seg_name, record) (pseg, pkey) =
-    List.exists
-      (fun (aseg, akey, _) -> String.equal aseg pseg && akey = pkey)
-      (ancestor_chain t seg_name record)
-  in
-  (* GNP scans forward from the current position but never past the
-     parent's subtree *)
-  let seq = after_position (sequence t) t.position in
-  let rec scan = function
-    | [] -> Ok Not_found
-    | (seg_name, key, record) :: rest ->
-      if not (descendant_of (seg_name, record) parent) then Ok Not_found
-      else if
-        match ssa with
-        | Some s -> ssa_matches seg_name record s
-        | None -> true
-      then begin
-        (* GNP retains parentage: position advances, parent stays *)
-        t.position <- Some (seg_name, key);
-        let fields =
-          List.filter_map
-            (fun (kw : Abdm.Keyword.t) ->
-              if String.equal kw.attribute Abdm.Keyword.file_attribute then None
-              else Some (kw.attribute, kw.value))
-            record.Abdm.Record.keywords
-        in
-        Ok (Found { segment = seg_name; key; fields })
-      end
-      else scan rest
-  in
-  scan seq
+  let* hit = next t ssa ~stop:t.parentage in
+  match hit with
+  | Some (path, record) -> found t path record
+  | None -> Ok Not_found
 
 let exec_isrt t path seg_name fields =
   let* seg = segment t seg_name in
-  (* validate the fields *)
-  let* () =
-    List.fold_left
-      (fun acc (f, _) ->
-        let* () = acc in
-        if
-          List.exists
-            (fun (fd : Types.field) -> String.equal fd.field_name f)
-            seg.seg_fields
-        then Ok ()
-        else err "segment %s has no field %S" seg_name f)
-      (Ok ()) fields
-  in
-  let* parent_keyword =
+  let* () = check_fields seg (List.map fst fields) in
+  let* parent =
     match seg.seg_parent, path with
     | None, [] -> Ok []
     | None, _ :: _ -> err "ISRT %s: root segments take no parent path" seg_name
@@ -278,25 +261,27 @@ let exec_isrt t path seg_name fields =
       let* resolved = exec_gu t path in
       begin
         match resolved with
-        | Found { segment = found_seg; key; _ } ->
-          if String.equal found_seg parent then
-            Ok [ Abdm.Keyword.make parent (Abdm.Value.Int key) ]
-          else
-            err "ISRT %s: path resolves to a %s, expected parent %s" seg_name
-              found_seg parent
-        | Not_found -> err "ISRT %s: parent path not found" seg_name
-        | Inserted _ | Replaced _ | Deleted _ ->
-          err "ISRT %s: unexpected path resolution" seg_name
+        | Found { segment = found_seg; _ } when String.equal found_seg parent ->
+          Ok t.position
+        | Found { segment = found_seg; _ } ->
+          err "ISRT %s: path resolves to a %s, expected parent %s" seg_name
+            found_seg parent
+        | Not_found | Inserted _ | Replaced _ | Deleted _ ->
+          err "ISRT %s: parent path not found" seg_name
       end
     | Some parent, [] ->
       (* fall back on current parentage *)
       match t.parentage with
-      | Some (pseg, pkey) when String.equal pseg parent ->
-        Ok [ Abdm.Keyword.make parent (Abdm.Value.Int pkey) ]
-      | Some (pseg, _) ->
+      | (pseg, _) :: _ when String.equal pseg parent -> Ok t.parentage
+      | (pseg, _) :: _ ->
         err "ISRT %s: current parentage is a %s, expected %s" seg_name pseg
           parent
-      | None -> err "ISRT %s: no parent path and no parentage" seg_name
+      | [] -> err "ISRT %s: no parent path and no parentage" seg_name
+  in
+  let parent_keyword =
+    match parent with
+    | (pseg, pkey) :: _ -> [ Abdm.Keyword.make pseg (Abdm.Value.Int pkey) ]
+    | [] -> []
   in
   let keywords =
     (Abdm.Keyword.file seg_name
@@ -322,38 +307,20 @@ let exec_isrt t path seg_name fields =
   | Abdl.Exec.Inserted key ->
     let keyed = Abdm.Record.set record seg_name (Abdm.Value.Int key) in
     Mapping.Kernel.replace t.kernel key keyed;
-    t.position <- Some (seg_name, key);
+    t.position <- (seg_name, key) :: parent;
     (* parentage stays at the new segment's parent so sibling ISRTs chain *)
-    t.parentage <-
-      (match parent_keyword with
-       | [ (kw : Abdm.Keyword.t) ] ->
-         begin
-           match kw.value with
-           | Abdm.Value.Int pkey -> Some (kw.attribute, pkey)
-           | Abdm.Value.Float _ | Abdm.Value.Str _ | Abdm.Value.Null ->
-             Some (seg_name, key)
-         end
-       | _ -> Some (seg_name, key));
+    t.parentage <- (if parent = [] then t.position else parent);
     Ok (Inserted key)
   | Abdl.Exec.Rows _ | Abdl.Exec.Deleted _ | Abdl.Exec.Updated _ ->
     err "ISRT %s: kernel refused the insert" seg_name
 
 let exec_repl t fields =
   match t.position with
-  | None -> err "REPL: no current segment"
-  | Some (seg_name, key) ->
+  | [] -> err "REPL: no current segment"
+  | (seg_name, key) :: _ ->
     let* seg = segment t seg_name in
     let* () =
-      List.fold_left
-        (fun acc (f, _) ->
-          let* () = acc in
-          if
-            List.exists
-              (fun (fd : Types.field) -> String.equal fd.field_name f)
-              seg.seg_fields
-          then Ok ()
-          else err "REPL: segment %s has no field %S" seg_name f)
-        (Ok ()) fields
+      Result.map_error (( ^ ) "REPL: ") (check_fields seg (List.map fst fields))
     in
     let query =
       Abdm.Query.conj [ Abdm.Predicate.file_eq seg_name; int_pred seg_name key ]
@@ -370,8 +337,8 @@ let exec_repl t fields =
 
 let exec_dlet t =
   match t.position with
-  | None -> err "DLET: no current segment"
-  | Some (seg_name, key) ->
+  | [] -> err "DLET: no current segment"
+  | (seg_name, key) :: _ ->
     (* delete the segment and its whole subtree *)
     let total = ref 0 in
     let rec delete seg_name key =
@@ -392,8 +359,8 @@ let exec_dlet t =
       | Abdl.Exec.Rows _ | Abdl.Exec.Inserted _ | Abdl.Exec.Updated _ -> ()
     in
     delete seg_name key;
-    t.position <- None;
-    t.parentage <- None;
+    t.position <- [];
+    t.parentage <- [];
     Ok (Deleted !total)
 
 let execute t = function
@@ -412,7 +379,10 @@ let run t src =
 let run_program t src =
   List.map (fun call -> call, execute t call) (Dli_parser.program src)
 
-let position t = t.position
+let position t =
+  match t.position with
+  | current :: _ -> Some current
+  | [] -> None
 
 let request_log t = List.rev t.log
 

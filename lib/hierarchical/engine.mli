@@ -1,7 +1,15 @@
 (** KMS/KC of the hierarchical language interface: DL/I calls against the
     AB(hierarchical) database. Position (currency) follows IMS rules: GU
     establishes position and parentage; GN advances through the hierarchic
-    sequence; GNP stays within the current parent's subtree. *)
+    sequence; GNP stays within the current parent's subtree.
+
+    Each call is translated, not walked: one RETRIEVE per segment type and
+    parent, [(FILE = seg) AND (parent = key)], carrying the SSA's
+    qualification, and issued only as far as the call reads. Hierarchic
+    order is key order, so position and parentage are key paths, and GN
+    and GNP continue from the current segment's key (even if another
+    session has deleted it). A qualification on a field the segment does
+    not have is an error, like an unknown field in ISRT or REPL. *)
 
 type t
 

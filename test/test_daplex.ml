@@ -156,6 +156,25 @@ let test_scaled_rows () =
   let keys = List.map (fun (r : Daplex.University.row) -> r.row_key) students in
   Alcotest.(check int) "unique keys" 18 (List.length (List.sort_uniq compare keys))
 
+(* The replicas keep the schema's UNIQUE title, semester WITHIN course,
+   and ssn stays a key a point lookup can use. *)
+let test_scaled_rows_unique () =
+  let rows = Daplex.University.scaled_rows 30 in
+  let values row_type fns =
+    List.filter_map
+      (fun (r : Daplex.University.row) ->
+        if String.equal r.row_type row_type then
+          Some (List.map (fun fn -> List.assoc fn r.row_values) fns)
+        else None)
+      rows
+  in
+  let unique what vs =
+    Alcotest.(check int) what (List.length vs)
+      (List.length (List.sort_uniq compare vs))
+  in
+  unique "unique (title, semester)" (values "course" [ "title"; "semester" ]);
+  unique "unique ssn" (values "person" [ "ssn" ])
+
 let suite =
   [
     "university parses", `Quick, test_university_parses;
@@ -168,4 +187,5 @@ let suite =
     "ddl errors", `Quick, test_ddl_errors;
     "owner of function", `Quick, test_owner_of_function;
     "scaled rows", `Quick, test_scaled_rows;
+    "scaled rows keep titles and ssn unique", `Quick, test_scaled_rows_unique;
   ]

@@ -547,3 +547,226 @@ let suite =
       "company: self m2m update", `Quick, test_company_self_m2m_update;
       "company: owner-held + sv on subtype", `Quick, test_company_owner_held_and_sv_on_subtype;
     ]
+
+(* --- SUCH THAT translation ----------------------------------------------- *)
+
+(* A comparison on a unique scalar of the entity's own type rides in the
+   RETRIEVE: the statement's requests do not grow with the database. *)
+let test_such_that_requests_independent_of_size () =
+  let requests scale =
+    let kernel, transform, _ = Mapping.Loader.university ~scale () in
+    let t = Daplex_dml.Engine.create kernel transform in
+    Alcotest.(check int) "persons" (15 * (scale / 6)) (Mapping.Kernel.count kernel "person");
+    Daplex_dml.Engine.clear_log t;
+    let out =
+      rows t "FOR EACH p IN person SUCH THAT ssn(p) = 111223335 PRINT name(p) END"
+    in
+    Alcotest.(check (list string)) "one person" [ "Lum" ]
+      (List.map (fun row -> cell row "name(p)") out);
+    List.length (Daplex_dml.Engine.request_log t)
+  in
+  Alcotest.(check int) "requests over 15 vs 3000 persons" (requests 6) (requests 1200)
+
+(* Paths over each entity type (outermost function first) — own,
+   inherited, entity-valued and aggregate, and two that fail for some
+   entities — with the literals their comparisons draw from. *)
+let names = [ "'Hsiao'"; "'Lum'"; "'Coker'"; "'Jones'"; "'Emdi'"; "'M'" ]
+
+let titles = [ "'Compilers'"; "'Calculus'"; "'Mechanics'"; "'Advanced Database'"; "'L1'" ]
+
+let dnames = [ "'Computer Science'"; "'Physics'"; "'Mathematics'"; "'Q'" ]
+
+let ints = List.map string_of_int
+
+let refs = ints [ 1; 5; 17; 30; 42; 60 ]
+
+let person_paths =
+  [ [ "name" ], names; [ "ssn" ], ints [ 111223333; 222334445; 333445560; 300000000 ] ]
+
+let employee_paths =
+  person_paths
+  @ [
+      [ "salary" ], ints [ 26000; 47000; 52000; 61000; 72000 ];
+      [ "dependents" ], [ "'Ann'"; "'Gil'"; "'Zed'" ];
+    ]
+
+let paths_of = function
+  | "person" -> person_paths
+  | "employee" -> employee_paths
+  | "faculty" ->
+    employee_paths
+    @ [
+        [ "rank" ], [ "'full'"; "'assistant'"; "'associate'"; "'emeritus'" ];
+        [ "dname"; "dept" ], dnames;
+        (* an error for each faculty member with a department *)
+        [ "title"; "dept" ], titles;
+        [ "dept" ], refs;
+        [ "title"; "teaching" ], titles;
+        [ "COUNT"; "teaching" ], ints [ 1; 2; 3 ];
+      ]
+  | "student" ->
+    person_paths
+    @ [
+        [ "major" ], [ "'Computer Science'"; "'Physics'"; "'Art'" ];
+        [ "name"; "advisor" ], names;
+        [ "advisor" ], refs;
+        (* an error for each student with an advisor *)
+        [ "dname"; "advisor" ], dnames;
+      ]
+  | "support_staff" ->
+    employee_paths
+    @ [ [ "hours" ], ints [ 20; 30; 40 ]; [ "name"; "supervisor" ], names ]
+  | "course" ->
+    [
+      [ "title" ], titles;
+      [ "semester" ], [ "'Fall'"; "'Spring'"; "'Winter'"; "'X'" ];
+      [ "credits" ], ints [ 1; 3; 4; 5 ];
+      [ "name"; "taught_by" ], names;
+      [ "COUNT"; "taught_by" ], ints [ 0; 1; 2 ];
+    ]
+  | "department" ->
+    [
+      [ "dname" ], dnames;
+      [ "building" ], [ "'Root'"; "'Spanagel'"; "'Q'" ];
+      [ "title"; "offers" ], titles;
+      [ "AVG"; "credits"; "offers" ], ints [ 3; 4 ];
+      [ "COUNT"; "offers" ], ints [ 2; 3; 4 ];
+    ]
+  | other -> invalid_arg other
+
+let entities =
+  [ "person"; "employee"; "faculty"; "student"; "support_staff"; "course"; "department" ]
+
+(* entity-valued functions: (entity, function, range) *)
+let memberships =
+  [
+    "faculty", "teaching", "course";
+    "faculty", "dept", "department";
+    "course", "taught_by", "faculty";
+    "student", "advisor", "faculty";
+    "department", "offers", "course";
+    "support_staff", "supervisor", "employee";
+  ]
+
+let gen_daplex_stmt =
+  let open QCheck2.Gen in
+  let gen_path entity var =
+    let* fns, values = oneofl (paths_of entity) in
+    (* now and then a variable the statement does not bind *)
+    let* var = frequency [ 19, pure var; 1, pure "z" ] in
+    let text =
+      List.fold_right (fun fn inner -> Printf.sprintf "%s(%s)" fn inner) fns var
+    in
+    pure (text, values)
+  in
+  let gen_comparison entity var =
+    let* path, values = gen_path entity var in
+    let* op = oneofl [ "="; "<>"; "<"; "<="; ">"; ">=" ] in
+    let* value = frequency [ 5, oneofl values; 1, pure "NULL" ] in
+    pure (Printf.sprintf "%s %s %s" path op value)
+  in
+  let gen_such_that entity var =
+    let* comps = list_size (int_range 0 3) (gen_comparison entity var) in
+    pure
+      (match comps with
+       | [] -> ""
+       | _ -> " SUCH THAT " ^ String.concat " AND " comps)
+  in
+  let gen_selector range =
+    let* such_that = gen_such_that range "t" in
+    pure (Printf.sprintf "THE t IN %s%s" range such_that)
+  in
+  let gen_action entity var =
+    let own = List.filter (fun (e, _, _) -> String.equal e entity) memberships in
+    let scalars = List.filter (fun (fns, _) -> List.length fns = 1) (paths_of entity) in
+    let membership =
+      if own = [] then []
+      else
+        [
+          ( 2,
+            let* _, fn, range = oneofl own in
+            let* verb = oneofl [ "INCLUDE"; "EXCLUDE" ] in
+            let* selector = gen_selector range in
+            pure (Printf.sprintf "%s %s(%s) %s" verb fn var selector) );
+        ]
+    in
+    frequency
+      ([
+         ( 4,
+           let* paths = list_size (int_range 1 2) (gen_path entity var) in
+           pure ("PRINT " ^ String.concat ", " (List.map fst paths)) );
+         ( 2,
+           let* fns, values = oneofl scalars in
+           let* value = frequency [ 9, oneofl values; 1, pure "NULL" ] in
+           pure (Printf.sprintf "LET %s(%s) = %s" (List.hd fns) var value) );
+       ]
+      @ membership)
+  in
+  let* entity = oneofl entities in
+  frequency
+    [
+      ( 6,
+        let* such_that = gen_such_that entity "v" in
+        let* body = list_size (int_range 1 2) (gen_action entity "v") in
+        pure
+          (Printf.sprintf "FOR EACH v IN %s%s %s END" entity such_that
+             (String.concat " " body)) );
+      ( 2,
+        let* such_that = gen_such_that entity "v" in
+        pure (Printf.sprintf "DESTROY v IN %s%s" entity such_that) );
+      ( 1,
+        oneofl
+          [
+            "CREATE course (title = 'L1', semester = 'X', credits = 1)";
+            "CREATE course (title = 'L2')";
+            "CREATE department (dname = 'Q', building = 'Q')";
+          ] );
+    ]
+
+(* Entities with Null scalars, which the kernel's [<>] and [= NULL]
+   would match and the per-entity test does not. *)
+let null_prelude =
+  [
+    "CREATE person (name = 'M')";
+    "CREATE course (title = 'L2')";
+    "CREATE department (dname = 'Q')";
+  ]
+
+(* Random statements over the University database give the same output,
+   the same errors and the same final kernel as the per-entity oracle. *)
+let prop_such_that_matches_oracle =
+  QCheck2.Test.make ~count:700 ~name:"Daplex SUCH THAT = per-entity oracle"
+    ~print:(String.concat ";\n")
+    QCheck2.Gen.(list_size (int_range 1 6) gen_daplex_stmt)
+    (fun script ->
+      List.for_all
+        (fun backends ->
+          let kernel, transform, _ = Mapping.Loader.university ~backends () in
+          let t = Daplex_dml.Engine.create kernel transform in
+          let oracle_kernel, _, _ = Mapping.Loader.university ~backends () in
+          let oracle = Daplex_oracle.create oracle_kernel transform in
+          let show = function
+            | Ok o -> Daplex_dml.Engine.outcome_to_string o
+            | Error msg -> "error: " ^ msg
+          in
+          List.for_all
+            (fun src ->
+              let stmt = Daplex_dml.Parser.stmt src in
+              let got = Daplex_dml.Engine.execute t stmt in
+              let want = Daplex_oracle.execute oracle stmt in
+              got = want
+              || QCheck2.Test.fail_reportf "%d backends, %s:\ngot %s\noracle %s"
+                   backends src (show got) (show want))
+            (null_prelude @ script)
+          && (List.of_seq (Mapping.Kernel.to_seq kernel)
+              = List.of_seq (Mapping.Kernel.to_seq oracle_kernel)
+             || QCheck2.Test.fail_reportf "%d backends: kernels differ" backends))
+        [ 0; 3 ])
+
+let suite =
+  suite
+  @ [
+      "SUCH THAT requests independent of size", `Quick,
+      test_such_that_requests_independent_of_size;
+      QCheck_alcotest.to_alcotest prop_such_that_matches_oracle;
+    ]

@@ -219,6 +219,190 @@ let test_parser_errors () =
   Alcotest.(check bool) "qualified ISRT target" true
     (bad "ISRT patient(pid = 1) (pname = 'x')")
 
+(* IMS answers status AK, not GE, for a qualification on a field the
+   segment does not have; ISRT and REPL already refuse one. *)
+let test_ssa_unknown_field () =
+  let t = fresh () in
+  let no_field src =
+    match Hierarchical.Engine.run t src with
+    | Error msg ->
+      Alcotest.(check bool) (src ^ ": names the field") true
+        (Daplex.Str_search.find msg "has no field \"age\"" <> None)
+    | Ok o ->
+      Alcotest.failf "%s: expected an error, got %s" src
+        (Hierarchical.Engine.outcome_to_string o)
+  in
+  no_field "GU patient(age = 1)";
+  no_field "GU patient(age = 1) visit(vdate = 'Jan')";
+  let _ = expect_found t "GU patient(pid = 1)" in
+  no_field "GN visit(age > 1)";
+  no_field "GNP visit(age > 1)"
+
+(* [n] patients, pid 1..n, each with one visit dated 'v1'. *)
+let clinic n =
+  let schema = Hierarchical.Ddl_parser.schema medical_ddl in
+  let t = Hierarchical.Engine.create (Mapping.Kernel.single ()) schema in
+  for pid = 1 to n do
+    List.iter
+      (fun src ->
+        match Hierarchical.Engine.run t src with
+        | Ok (Hierarchical.Engine.Inserted _) -> ()
+        | Ok o -> Alcotest.failf "%s: %s" src (Hierarchical.Engine.outcome_to_string o)
+        | Error msg -> Alcotest.failf "%s: %s" src msg)
+      [
+        Printf.sprintf "ISRT patient (pname = 'p%d', pid = %d)" pid pid;
+        "ISRT visit (vdate = 'v1', cost = 10)";
+      ]
+  done;
+  t
+
+(* GU translates its SSAs into one RETRIEVE per segment type on the path,
+   and GN/GNP walk on from the cursor: the requests a call issues do not
+   grow with the database. *)
+let test_requests_independent_of_size () =
+  let requests t src =
+    Hierarchical.Engine.clear_log t;
+    ignore (expect_found t src);
+    let log = Hierarchical.Engine.request_log t in
+    List.iter
+      (function
+        | Abdl.Ast.Retrieve _ -> ()
+        | r -> Alcotest.failf "%s issued %s" src (Abdl.Ast.to_string r))
+      log;
+    List.length log
+  in
+  let counts n =
+    let t = clinic n in
+    let k = n / 2 in
+    let gu = Printf.sprintf "GU patient(pid = %d)" k in
+    let gu_visit = Printf.sprintf "GU patient(pid = %d) visit(vdate = 'v1')" k in
+    let root = requests t gu in
+    let visit = requests t gu_visit in
+    ignore (requests t gu);
+    let gn = List.map (fun _ -> requests t "GN") [ 1; 2 ] in
+    ignore (requests t gu);
+    let gnp = requests t "GNP visit" in
+    Alcotest.(check int) (Printf.sprintf "GU by root key, %d patients" n) 1 root;
+    Alcotest.(check int) (Printf.sprintf "GU root + visit, %d patients" n) 2 visit;
+    gn, gnp
+  in
+  let small = counts 30 and large = counts 3000 in
+  Alcotest.(check (pair (list int) int)) "GN, GNP: 30 vs 3000 patients" small large
+
+(* --- the walk against the whole-sequence oracle ----------------------- *)
+
+(* Three levels, sibling types at the second and third, two root types. *)
+let tree_ddl =
+  {|DATABASE tree
+SEGMENT a (x INT, s CHAR(4))
+SEGMENT b PARENT a (x INT, s CHAR(4))
+SEGMENT c PARENT b (x INT)
+SEGMENT d PARENT b (s CHAR(4))
+SEGMENT e PARENT a (x INT)
+SEGMENT f (s CHAR(4))
+|}
+
+(* Random DL/I calls over [schema]'s own fields; GU paths sometimes name a
+   segment off the target's ancestor chain. *)
+let gen_call (schema : Hierarchical.Types.schema) =
+  let open QCheck2.Gen in
+  let open Hierarchical in
+  let segments = schema.segments in
+  let find name = Option.get (Types.find_segment schema name) in
+  let gen_value (fd : Types.field) =
+    match fd.field_type with
+    | Types.F_int -> map (fun i -> Abdm.Value.Int i) (int_range 0 3)
+    | Types.F_float -> map (fun i -> Abdm.Value.Float (float_of_int i)) (int_range 0 3)
+    | Types.F_string _ -> map (fun s -> Abdm.Value.Str s) (oneofl [ "p"; "q"; "r" ])
+  in
+  let gen_qual (seg : Types.segment) =
+    let* fd = oneofl seg.seg_fields in
+    let* q_op = oneofl Abdm.Predicate.[ Eq; Neq; Lt; Le; Gt; Ge ] in
+    let* q_value =
+      frequency [ 9, gen_value fd; 1, pure Abdm.Value.Null ]
+    in
+    pure { Dli_ast.q_field = fd.field_name; q_op; q_value }
+  in
+  let gen_ssa (seg : Types.segment) =
+    map
+      (fun ssa_qual -> { Dli_ast.ssa_segment = seg.seg_name; ssa_qual })
+      (opt (gen_qual seg))
+  in
+  (* a GU path ending at [target]: some of its ancestors, outermost first *)
+  let gen_gu (target : Types.segment) =
+    let* path =
+      flatten_l
+        (List.map
+           (fun name ->
+             let* keep = bool in
+             if keep then map Option.some (gen_ssa (find name)) else pure None)
+           (List.rev (Types.ancestors schema target.seg_name)))
+    in
+    let* stray = frequency [ 9, pure []; 1, map (fun s -> [ s ]) (oneofl segments) ] in
+    let* stray = flatten_l (List.map gen_ssa stray) in
+    let* last = gen_ssa target in
+    pure (List.filter_map Fun.id path @ stray @ [ last ])
+  in
+  let gen_fields (seg : Types.segment) =
+    flatten_l
+      (List.map
+         (fun (fd : Types.field) ->
+           let* v = opt (gen_value fd) in
+           pure (Option.map (fun v -> fd.field_name, v) v))
+         seg.seg_fields)
+    |> map (List.filter_map Fun.id)
+  in
+  frequency
+    [
+      (3, oneofl segments >>= gen_gu >|= fun ssas -> Dli_ast.Gu ssas);
+      (3, opt (oneofl segments >>= gen_ssa) >|= fun ssa -> Dli_ast.Gn ssa);
+      (2, opt (oneofl segments >>= gen_ssa) >|= fun ssa -> Dli_ast.Gnp ssa);
+      ( 5,
+        let* seg = oneofl segments in
+        let* path =
+          match seg.seg_parent with
+          | None -> pure []
+          | Some parent -> frequency [ 1, pure []; 2, gen_gu (find parent) ]
+        in
+        let* fields = gen_fields seg in
+        pure (Dli_ast.Isrt { path; segment = seg.seg_name; fields }) );
+      (1, oneofl segments >>= gen_fields >|= fun fields -> Dli_ast.Repl fields);
+      (1, pure Dli_ast.Dlet);
+    ]
+
+let show_position = function
+  | Some (seg, key) -> Printf.sprintf "%s %d" seg key
+  | None -> "no position"
+
+let show_result = function
+  | Ok o -> Hierarchical.Engine.outcome_to_string o
+  | Error msg -> "error: " ^ msg
+
+(* After every call of a random script, the walk and the oracle give the
+   same outcome (errors included) and the same position. *)
+let prop_walk_matches_oracle name kernel =
+  let schema = Hierarchical.Ddl_parser.schema tree_ddl in
+  QCheck2.Test.make ~count:3000
+    ~name:("DL/I walk = whole-sequence oracle, " ^ name)
+    ~print:(fun calls ->
+      String.concat "\n" (List.map Hierarchical.Dli_ast.to_string calls))
+    QCheck2.Gen.(list_size (int_range 1 40) (gen_call schema))
+    (fun calls ->
+      let t = Hierarchical.Engine.create (kernel ()) schema in
+      let oracle = Dli_oracle.create (kernel ()) schema in
+      List.for_all
+        (fun call ->
+          let got = Hierarchical.Engine.execute t call in
+          let want = Dli_oracle.execute oracle call in
+          (got = want
+          && Hierarchical.Engine.position t = Dli_oracle.position oracle)
+          || QCheck2.Test.fail_reportf "%s: got %s at %s, oracle %s at %s"
+               (Hierarchical.Dli_ast.to_string call) (show_result got)
+               (show_position (Hierarchical.Engine.position t))
+               (show_result want)
+               (show_position (Dli_oracle.position oracle)))
+        calls)
+
 let suite =
   [
     "ddl", `Quick, test_ddl;
@@ -233,4 +417,10 @@ let suite =
     "REPL", `Quick, test_repl;
     "DLET subtree", `Quick, test_dlet_subtree;
     "parser errors", `Quick, test_parser_errors;
+    "SSA on an unknown field", `Quick, test_ssa_unknown_field;
+    "requests independent of size", `Quick, test_requests_independent_of_size;
+    QCheck_alcotest.to_alcotest
+      (prop_walk_matches_oracle "single store" (fun () -> Mapping.Kernel.single ()));
+    QCheck_alcotest.to_alcotest
+      (prop_walk_matches_oracle "3 backends" (fun () -> Mapping.Kernel.multi 3));
   ]
