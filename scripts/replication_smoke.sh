@@ -4,10 +4,11 @@
 # and check that:
 #   - mlds_top shows replication lag on the primary and apply progress
 #     on the standby, live under load
-#   - the E18 failover drill (loadgen --failover: write through the
-#     pair, SIGKILL the primary mid-stream, SIGUSR1-promote the
-#     standby) loses no acked write, and BENCH_pr9.json carries the
-#     steady-state lag and failover-time numbers CI guards.
+#   - the E18 failover drill (loadgen --scenario failover: write through
+#     the pair, SIGKILL the primary mid-stream, SIGUSR1-promote the
+#     standby) loses no acked write, leaves nothing in TMPDIR, and
+#     BENCH_failover.json carries the steady-state lag and failover-time
+#     numbers CI guards.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -18,7 +19,7 @@ opam exec -- dune build bin/mlds_server.exe bin/mlds_top.exe bench/loadgen.exe 2
 rm -f repl-primary.out repl-standby.out repl-primary.wal repl-standby.wal \
   repl-standby.wal.boot repl-standby.wal.origin repl-primary.wal.snapshot \
   mlds_top-repl-primary.out mlds_top-repl-standby.out \
-  loadgen-repl-smoke.out loadgen-failover.out BENCH_pr9.json
+  loadgen-repl-smoke.out loadgen-failover.out BENCH_failover.json
 
 wait_port() { # logfile -> port
   local port=""
@@ -82,12 +83,21 @@ grep -q "standby of 127.0.0.1:$PPORT" repl-standby.out
 
 # The E18 drill proper: loadgen spawns its own pair, SIGKILLs the
 # primary, promotes the standby, and refuses to say OK if any acked
-# write went missing.
-./_build/default/bench/loadgen.exe --failover | tee loadgen-failover.out
-grep -q "loadgen failover-mode OK" loadgen-failover.out
+# write went missing. Its directory (WALs, logs) goes when it succeeds,
+# so a fresh TMPDIR must be empty afterwards.
+tmp="$(mktemp -d)"
+TMPDIR="$tmp" ./_build/default/bench/loadgen.exe --scenario failover \
+  | tee loadgen-failover.out
+grep -q "loadgen failover OK" loadgen-failover.out
+if [ -n "$(ls -A "$tmp")" ]; then
+  echo "the failover drill left files in TMPDIR:" >&2
+  ls -la "$tmp" >&2
+  exit 1
+fi
+rmdir "$tmp"
 
-test -s BENCH_pr9.json
-python3 scripts/check_bench.py BENCH_pr9.json \
+test -s BENCH_failover.json
+python3 scripts/check_bench.py BENCH_failover.json \
   --require loadgen.e18.steady_lag_bytes \
   --require loadgen.e18.failover_s \
   --require loadgen.e18.acked_writes \
