@@ -676,10 +676,14 @@ let experiment_e12 ?(quick = false) () =
     \ tracks min(backends, workers + 1): with no worker the two columns run\n\
     \ the same code)\n"
     records (records / 2) trials;
-  (* Per-key row: the SQL INSERT path on a 2-backend controller — a
-     UNIQUE-style key probe broadcast, then the insert itself. Tiny shares
-     like these mostly run on the calling domain, so the pool column should
-     stay close to the worker-less one. *)
+  (* Per-key rows on a 2-backend controller: a plain insert; the SQL
+     INSERT path before the kernel enforced UNIQUE (a key probe broadcast,
+     then the insert); and the conditional insert that replaced it
+     ([insert_unique], which [Kernel.insert_unique] calls: the same probe
+     run on the caller, backend by backend). Tiny shares like the
+     broadcast's mostly run on the calling domain, so its pool column
+     should stay close to the worker-less one; insert_unique never hands
+     a share to the pool, so its two columns run the same code. *)
   let inserts = if quick then 2000 else 10000 in
   let records = Array.init inserts employee_record in
   let probes =
@@ -690,11 +694,14 @@ let experiment_e12 ?(quick = false) () =
               (Abdm.Value.Str (Printf.sprintf "e%d" i)) ])
   in
   let trials = if quick then 3 else 10 in
-  let insert_us ~pool ~tag ~probe =
+  let insert_us ~pool ~tag ~path =
     let h =
       Obs.Metrics.histogram
         (Printf.sprintf "bench.e12.%s.be2.%s.per_op_s"
-           (if probe then "probe_insert" else "insert")
+           (match path with
+            | `Plain -> "insert"
+            | `Broadcast_probe -> "probe_insert"
+            | `Insert_unique -> "insert_unique")
            tag)
     in
     let trial () =
@@ -702,8 +709,13 @@ let experiment_e12 ?(quick = false) () =
       let t0 = Obs.Clock.now_s () in
       Array.iteri
         (fun i r ->
-          if probe then ignore (Mbds.Controller.select c probes.(i));
-          ignore (Mbds.Controller.insert c r))
+          match path with
+          | `Plain -> ignore (Mbds.Controller.insert c r)
+          | `Broadcast_probe ->
+            ignore (Mbds.Controller.select c probes.(i));
+            ignore (Mbds.Controller.insert c r)
+          | `Insert_unique ->
+            ignore (Mbds.Controller.insert_unique c r [ probes.(i) ]))
         records;
       let per_op = Obs.Clock.since t0 /. float_of_int inserts in
       Obs.Metrics.observe h per_op;
@@ -714,11 +726,12 @@ let experiment_e12 ?(quick = false) () =
   Printf.printf "\n%-22s %-18s %-18s %s\n" "per-key (2 backends)"
     "no workers (us/op)" "shared pool (us/op)" "pool / no workers";
   List.iter
-    (fun (label, probe) ->
-      let seq = insert_us ~pool:sequential ~tag:"seq" ~probe in
-      let par = insert_us ~pool:shared ~tag:"pool" ~probe in
+    (fun (label, path) ->
+      let seq = insert_us ~pool:sequential ~tag:"seq" ~path in
+      let par = insert_us ~pool:shared ~tag:"pool" ~path in
       Printf.printf "%-22s %-18.2f %-18.2f %.2fx\n" label seq par (par /. seq))
-    [ "insert", false; "key probe + insert", true ];
+    [ "insert", `Plain; "key probe + insert", `Broadcast_probe;
+      "insert_unique", `Insert_unique ];
   Printf.printf "(%d inserts per trial, median of %d trials)\n" inserts trials
 
 (* ------------------------------------------------------------------ *)

@@ -8,21 +8,28 @@
    university, then the SQL and DL/I scripts), then a snapshot save of
    every database. The loader is also timed alone, in a system of its
    own, so the preload's other work is the preload minus the loader.
-   Prints the median wall time of each phase over RUNS runs and its
+   Prints the median wall time of each phase over RUNS runs, its
    minor-heap words (from the last run; allocation does not vary between
-   runs), in total and per record. *)
+   runs) in total and per record, and its MBDS broadcast shares (also
+   from the last run): the growth of mbds.shares_inline +
+   mbds.shares_remote, one per backend per broadcast. *)
 
 let median xs =
   let a = Array.of_list xs in
   Array.sort compare a;
   a.(Array.length a / 2)
 
-(* wall seconds and minor words of [f ()] *)
+let shares () =
+  Obs.Metrics.counter_value (Obs.Metrics.counter "mbds.shares_inline")
+  + Obs.Metrics.counter_value (Obs.Metrics.counter "mbds.shares_remote")
+
+(* wall seconds, minor words and broadcast shares of [f ()] *)
 let measure f =
+  let s0 = shares () in
   let w0 = Gc.minor_words () and t0 = Unix.gettimeofday () in
   let r = f () in
   let dt = Unix.gettimeofday () -. t0 in
-  r, dt, Gc.minor_words () -. w0
+  r, (dt, Gc.minor_words () -. w0, shares () - s0)
 
 let ok what = function Ok x -> x | Error e -> failwith (what ^ ": " ^ e)
 
@@ -40,49 +47,54 @@ let () =
       (Printf.sprintf "ledger-%d" (Unix.getpid ()))
   in
   Unix.mkdir dir 0o755;
-  (* phase name -> (seconds of each run, words of the last, records) *)
+  (* phase name -> (seconds of each run, words and shares of the last,
+     records) *)
   let phases = Hashtbl.create 8 and order = ref [] in
-  let note name dt words records =
-    let times, _, _ = Option.value ~default:([], 0., 0) (Hashtbl.find_opt phases name) in
+  let note name (dt, words, shares) records =
+    let times, _, _, _ =
+      Option.value ~default:([], 0., 0, 0) (Hashtbl.find_opt phases name)
+    in
     if not (Hashtbl.mem phases name) then order := name :: !order;
-    Hashtbl.replace phases name (dt :: times, words, records)
+    Hashtbl.replace phases name (dt :: times, words, shares, records)
   in
   for _ = 1 to runs do
     Gc.compact ();
     (if w = Perfbench.Workloads.Oltp_point then
        let rows = Perfbench.Workloads.university_rows ~seed in
        let sys = Perfbench.Workloads.create_system w in
-       let (), dt, words =
+       let (), m =
          measure (fun () ->
              ok "loader"
                (Mlds.System.define_functional sys ~name:"uni"
                   ~ddl:Daplex.University.ddl rows))
        in
-       note "loader (uni)" dt words
+       note "loader (uni)" m
          (Mapping.Kernel.size (Option.get (Mlds.System.kernel_of sys "uni"))));
     Gc.compact ();
     let sys = Perfbench.Workloads.create_system w in
-    let (), dt, words = measure (fun () -> Perfbench.Workloads.preload w ~seed sys) in
+    let (), m = measure (fun () -> Perfbench.Workloads.preload w ~seed sys) in
     let size db = Mapping.Kernel.size (Option.get (Mlds.System.kernel_of sys db)) in
     let dbs = List.map fst (Mlds.System.databases sys) in
-    note "preload (all)" dt words (List.fold_left (fun n db -> n + size db) 0 dbs);
+    note "preload (all)" m (List.fold_left (fun n db -> n + size db) 0 dbs);
     List.iter
       (fun db ->
         let file = Filename.concat dir (db ^ ".snapshot") in
-        let (), dt, words =
+        let (), m =
           measure (fun () -> ok "save" (Mlds.Persist.save sys ~db ~file))
         in
         Sys.remove file;
-        note ("save " ^ db) dt words (size db))
+        note ("save " ^ db) m (size db))
       dbs
   done;
   Unix.rmdir dir;
-  Printf.printf "%s seed %d, %d runs\n%-16s %10s %14s %8s %12s\n" wname seed
-    runs "phase" "median ms" "minor words" "records" "words/record";
+  Printf.printf "%s seed %d, %d runs\n%-16s %10s %14s %8s %12s %8s\n" wname
+    seed runs "phase" "median ms" "minor words" "records" "words/record"
+    "shares";
   List.iter
     (fun name ->
-      let times, words, records = Hashtbl.find phases name in
-      Printf.printf "%-16s %10.2f %14.0f %8d %12.0f\n" name
+      let times, words, shares, records = Hashtbl.find phases name in
+      Printf.printf "%-16s %10.2f %14.0f %8d %12.0f %8d\n" name
         (median times *. 1000.) words records
-        (words /. float_of_int (max 1 records)))
+        (words /. float_of_int (max 1 records))
+        shares)
     (List.rev !order)

@@ -53,6 +53,24 @@ let insert t record =
   emit t (Ev_insert (key, record));
   key
 
+(* One conditional insert: the check and the write are one kernel call,
+   not two requests with a gap between them. Each probe is the planner's
+   index probe a RETRIEVE would make, without its row shaping. *)
+let insert_unique t record probes =
+  Obs.Span.with_span "kernel.run"
+    ~attrs:(fun () -> [ "request", "insert" ])
+    (fun () ->
+      let key =
+        match t.kds with
+        | Single store ->
+          if List.exists (fun q -> Abdm.Store.select store q <> []) probes then
+            None
+          else Some (Abdm.Store.insert store record)
+        | Multi ctrl -> Mbds.Controller.insert_unique ctrl record probes
+      in
+      Option.iter (fun key -> emit t (Ev_insert (key, record))) key;
+      key)
+
 let insert_keyed t key record =
   begin
     match t.kds with

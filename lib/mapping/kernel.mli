@@ -56,6 +56,17 @@ val multi :
 
 val insert : t -> Abdm.Record.t -> Abdm.Store.dbkey
 
+(** [insert_unique t record probes] stores [record] only if no live
+    record matches any query in [probes], and returns its key; otherwise
+    it stores nothing, emits no event and returns [None]. Each probe is a
+    direct store selection (on a multi-backend kernel, one backend at a
+    time on the caller, without a broadcast). The check and the insert
+    are one call: under the kernel's one-writer contract no other
+    request falls between them.
+    Traced as a [kernel.run] span of request kind [insert]. *)
+val insert_unique :
+  t -> Abdm.Record.t -> Abdm.Query.t list -> Abdm.Store.dbkey option
+
 (** [insert_keyed t key record] stores a record under an externally
     assigned database key (snapshot restore / WAL replay path). Raises
     [Invalid_argument] if [key] is already live. *)

@@ -153,7 +153,11 @@ let broadcast t ~op ~results_of ~writes_of f =
       Stats.record ~measured t.stats dt;
       per_backend)
 
-let insert t record =
+(* Store [record] under the next global key, on the caller, under its
+   backend's lock, and charge it as one request begun at [t0]:
+   [scanned.(i)] records already examined on backend i (by
+   [insert_unique]'s probes) plus the one write. *)
+let store_next t record ~t0 ~scanned =
   let key = t.next_key in
   t.next_key <- key + 1;
   let idx = backend_index_of_key t key in
@@ -162,12 +166,10 @@ let insert t record =
     ~attrs:(fun () ->
       [ "key", string_of_int key; "backend", string_of_int idx ])
     (fun () ->
-      let t0 = now () in
       with_backend t idx (fun b -> Abdm.Store.insert_keyed b key record);
       let measured = now () -. t0 in
       let backend_work =
-        Array.to_list
-          (Array.map (fun b -> 0, if b == backend then 1 else 0) t.backends)
+        Array.to_list (Array.mapi (fun i s -> s, if i = idx then 1 else 0) scanned)
       in
       Obs.Metrics.incr t.obs_written.(idx);
       Obs.Metrics.set_gauge t.obs_records.(idx)
@@ -175,6 +177,34 @@ let insert t record =
       Stats.record ~measured t.stats
         (Cost.response_time t.cost ~backend_work ~results:0);
       key)
+
+let insert t record =
+  store_next t record ~t0:(now ())
+    ~scanned:(Array.make (Array.length t.backends) 0)
+
+(* Each backend in turn, on the caller and under that backend's lock: a
+   handful of index point probes is far cheaper than waking a worker.
+   Stops at the first backend holding a match. *)
+let insert_unique t record probes =
+  let n = Array.length t.backends in
+  let t0 = now () in
+  let scanned = Array.make n 0 in
+  let clash i =
+    with_backend t i (fun b ->
+        let scans0 = Abdm.Store.scan_count b in
+        let hit = List.exists (fun q -> Abdm.Store.select b q <> []) probes in
+        scanned.(i) <- Abdm.Store.scan_count b - scans0;
+        if scanned.(i) > 0 then Obs.Metrics.incr ~by:scanned.(i) t.obs_scanned.(i);
+        hit)
+  in
+  let rec any_clash i = i < n && (clash i || any_clash (i + 1)) in
+  if any_clash 0 then begin
+    let backend_work = Array.to_list (Array.map (fun s -> s, 0) scanned) in
+    Stats.record ~measured:(now () -. t0) t.stats
+      (Cost.response_time t.cost ~backend_work ~results:0);
+    None
+  end
+  else Some (store_next t record ~t0 ~scanned)
 
 let select t query =
   let per_backend =

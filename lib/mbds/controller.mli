@@ -65,6 +65,15 @@ val run_transaction : t -> Abdl.Ast.transaction -> Abdl.Exec.result list
 
 val insert : t -> Abdm.Record.t -> Abdm.Store.dbkey
 
+(** [insert_unique t record probes] stores [record] as {!insert} does
+    only if no live record on any backend matches any of [probes], and
+    returns its key; otherwise it stores nothing and returns [None].
+    The probes run on the caller, one backend at a time under its lock,
+    without a broadcast: no pool share is claimed. Charged as one
+    request: the probes' scans plus the write. *)
+val insert_unique :
+  t -> Abdm.Record.t -> Abdm.Query.t list -> Abdm.Store.dbkey option
+
 val select : t -> Abdm.Query.t -> (Abdm.Store.dbkey * Abdm.Record.t) list
 
 (** [explain t query] renders each backend's {!Abdm.Store.explain} plan,

@@ -79,8 +79,14 @@ let find t ~language ~src =
         Obs.Metrics.incr c_miss;
         None)
 
+(* A client repeats short statements; a longer text is a one-off script
+   (a bulk load of thousands of INSERTs), whose parse tree would stay
+   live until [capacity] newer entries pushed it out. Bounding each entry's
+   source also bounds the cache's memory, not only its entry count. *)
+let max_src_bytes = 4096
+
 let add t ~language ~src value =
-  if t.capacity > 0 then
+  if t.capacity > 0 && String.length src <= max_src_bytes then
     locked t (fun () ->
         let key = (language, src) in
         (match Hashtbl.find_opt t.table key with

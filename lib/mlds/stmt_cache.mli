@@ -28,7 +28,10 @@ val length : 'a t -> int
 val find : 'a t -> language:string -> src:string -> 'a option
 
 (** [add t ~language ~src v] inserts (or refreshes) an entry, evicting
-    the least-recently-used one when full. *)
+    the least-recently-used one when full. A [src] longer than 4 KiB is
+    not retained: such a text is a one-off script, not a statement a
+    client repeats, so the cache holds at most [capacity] × 4 KiB of
+    source and the parse trees that go with it. *)
 val add : 'a t -> language:string -> src:string -> 'a -> unit
 
 (** Lifetime hit/miss counts for this cache (the registry counters are

@@ -298,6 +298,33 @@ let exec_select t items table where group_by order_by =
   | Abdl.Exec.Inserted _ | Abdl.Exec.Deleted _ | Abdl.Exec.Updated _ ->
     err "SELECT: kernel returned a non-retrieval result"
 
+(* one probe per non-NULL value bound to a UNIQUE column: the live rows
+   of [rel] already holding it (NULLs are exempt from UNIQUE) *)
+let unique_probes rel pairs =
+  List.filter_map
+    (fun (c, v) ->
+      match Types.find_column rel c with
+      | Some { col_unique = true; _ } when not (Abdm.Value.is_null v) ->
+        Some
+          (Abdm.Query.conj
+             [ Abdm.Predicate.file_eq rel.Types.rel_name;
+               Abdm.Predicate.make c Abdm.Predicate.Eq v ])
+      | _ -> None)
+    pairs
+
+(* every (column, value) pair names a column of [rel] and fits its type *)
+let check_values what rel pairs =
+  List.fold_left
+    (fun acc (c, v) ->
+      let* () = acc in
+      let* col = check_column rel c in
+      if value_matches col v then Ok ()
+      else
+        err "%s: column %s expects %s, got %s" what c
+          (Types.col_type_to_string col.col_type)
+          (Abdm.Value.to_string v))
+    (Ok ()) pairs
+
 let exec_insert t table columns values =
   let* rel = relation t table in
   let* columns =
@@ -319,48 +346,7 @@ let exec_insert t table columns values =
       (List.length columns) (List.length values)
   else
     let pairs = List.combine columns values in
-    let* () =
-      List.fold_left
-        (fun acc (c, v) ->
-          let* () = acc in
-          let* col = check_column rel c in
-          if value_matches col v then Ok ()
-          else
-            err "INSERT INTO %s: column %s expects %s, got %s" table c
-              (Types.col_type_to_string col.col_type)
-              (Abdm.Value.to_string v))
-        (Ok ()) pairs
-    in
-    (* UNIQUE columns: duplicate-check retrieve first *)
-    let unique_preds =
-      List.filter_map
-        (fun (c, v) ->
-          match Types.find_column rel c with
-          | Some { col_unique = true; _ } when not (Abdm.Value.is_null v) ->
-            Some (Abdm.Predicate.make c Abdm.Predicate.Eq v)
-          | _ -> None)
-        pairs
-    in
-    let* () =
-      if unique_preds = [] then Ok ()
-      else
-        let dups = ref false in
-        List.iter
-          (fun pred ->
-            let query =
-              Abdm.Query.conj [ Abdm.Predicate.file_eq table; pred ]
-            in
-            match
-              issue t (Abdl.Ast.retrieve query [ Abdl.Ast.T_attr pred.Abdm.Predicate.attribute ])
-            with
-            | Abdl.Exec.Rows (_ :: _) -> dups := true
-            | Abdl.Exec.Rows []
-            | Abdl.Exec.Inserted _ | Abdl.Exec.Deleted _ | Abdl.Exec.Updated _ ->
-              ())
-          unique_preds;
-        if !dups then err "INSERT INTO %s: UNIQUE constraint violated" table
-        else Ok ()
-    in
+    let* () = check_values ("INSERT INTO " ^ table) rel pairs in
     let record =
       Abdm.Record.make
         (Abdm.Keyword.file table
@@ -374,12 +360,10 @@ let exec_insert t table columns values =
                 Abdm.Keyword.make c.col_name v)
               rel.rel_columns)
     in
-    begin
-      match issue t (Abdl.Ast.Insert record) with
-      | Abdl.Exec.Inserted _ -> Ok (Inserted 1)
-      | Abdl.Exec.Rows _ | Abdl.Exec.Deleted _ | Abdl.Exec.Updated _ ->
-        err "INSERT INTO %s: kernel refused the insert" table
-    end
+    t.log <- Abdl.Ast.Insert record :: t.log;
+    match Mapping.Kernel.insert_unique t.kernel record (unique_probes rel pairs) with
+    | Some _ -> Ok (Inserted 1)
+    | None -> err "INSERT INTO %s: UNIQUE constraint violated" table
 
 let exec_delete t table where =
   let* rel = relation t table in
@@ -390,20 +374,26 @@ let exec_delete t table where =
 
 let exec_update t table sets where =
   let* rel = relation t table in
-  let* modifiers =
-    List.fold_left
-      (fun acc (c, v) ->
-        let* acc = acc in
-        let* col = check_column rel c in
-        if value_matches col v then
-          Ok (Abdm.Modifier.Set_const (c, v) :: acc)
-        else
-          err "UPDATE %s: column %s expects %s, got %s" table c
-            (Types.col_type_to_string col.col_type)
-            (Abdm.Value.to_string v))
-      (Ok []) sets
+  let* () = check_values ("UPDATE " ^ table) rel sets in
+  let query = scoped rel where in
+  (* a UNIQUE value may go to one row only, and only if no other row
+     holds it already *)
+  let probes = unique_probes rel sets in
+  let held_elsewhere key =
+    List.exists
+      (fun probe ->
+        List.exists (fun (k, _) -> k <> key) (Mapping.Kernel.select t.kernel probe))
+      probes
   in
-  match issue t (Abdl.Ast.Update (scoped rel where, List.rev modifiers)) with
+  let* () =
+    match if probes = [] then [] else Mapping.Kernel.select t.kernel query with
+    | _ :: _ :: _ -> err "UPDATE %s: UNIQUE column set on more than one row" table
+    | [ (key, _) ] when held_elsewhere key ->
+      err "UPDATE %s: UNIQUE constraint violated" table
+    | [] | [ _ ] -> Ok ()
+  in
+  let modifiers = List.map (fun (c, v) -> Abdm.Modifier.Set_const (c, v)) sets in
+  match issue t (Abdl.Ast.Update (query, modifiers)) with
   | Abdl.Exec.Updated n -> Ok (Updated n)
   | Abdl.Exec.Rows _ | Abdl.Exec.Inserted _ | Abdl.Exec.Deleted _ ->
     err "UPDATE: kernel returned a non-update result"

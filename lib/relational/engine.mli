@@ -1,7 +1,8 @@
 (** KMS/KC of the relational language interface: SQL statements become
     ABDL requests against the AB(relational) database. The most direct of
-    the MLDS translations — one SQL statement maps to one ABDL request
-    (plus a duplicate-check retrieve on UNIQUE columns). *)
+    the MLDS translations — one SQL statement maps to one ABDL request.
+    The kernel enforces UNIQUE: an INSERT is one conditional
+    {!Mapping.Kernel.insert_unique}, whose probes are not requests. *)
 
 type t
 

@@ -260,3 +260,236 @@ let suite =
       "join errors", `Quick, test_join_errors;
       "join generates RETRIEVE_COMMON", `Quick, test_join_generates_retrieve_common;
     ]
+
+(* --- UNIQUE, enforced by the kernel ------------------------------------- *)
+
+let kernels =
+  [
+    "single store", (fun () -> Mapping.Kernel.single ());
+    "2 backends", (fun () -> Mapping.Kernel.multi 2);
+    "3 backends", (fun () -> Mapping.Kernel.multi 3);
+  ]
+
+let run_all t srcs =
+  List.iter
+    (fun src ->
+      match Relational.Engine.run t src with
+      | Ok _ -> ()
+      | Error msg -> Alcotest.failf "%s: %s" src msg)
+    srcs
+
+let expect_outcome t src want =
+  match Relational.Engine.run t src with
+  | Ok o ->
+    Alcotest.(check string) src want (Relational.Engine.outcome_to_string o)
+  | Error msg -> Alcotest.failf "%s: %s" src msg
+
+(* An UPDATE may not give a UNIQUE value to two rows. *)
+let test_update_unique () =
+  List.iter
+    (fun (name, kernel) ->
+      let t = Relational.Engine.create (kernel ()) "u" in
+      run_all t
+        [
+          "CREATE TABLE e (name CHAR(10) UNIQUE, n INT)";
+          "INSERT INTO e VALUES ('a', 1)";
+          "INSERT INTO e VALUES ('b', 2)";
+        ];
+      List.iter
+        (fun src ->
+          let msg = expect_error t src in
+          Alcotest.(check bool) (name ^ ": " ^ src) true
+            (Daplex.Str_search.find msg "UNIQUE" <> None))
+        [ "UPDATE e SET name = 'a' WHERE n = 2"; "UPDATE e SET name = 'c'" ];
+      expect_outcome t "SELECT name, n FROM e ORDER BY n" "name | n\na | 1\nb | 2";
+      (* a row may keep its own value or take a free one; NULLs are exempt *)
+      expect_outcome t "UPDATE e SET name = 'b' WHERE n = 2" "1 row(s) updated";
+      expect_outcome t "UPDATE e SET name = 'c' WHERE n = 2" "1 row(s) updated";
+      expect_outcome t "UPDATE e SET name = NULL" "2 row(s) updated";
+      expect_outcome t "INSERT INTO e VALUES ('a', 3)" "1 row(s) inserted")
+    kernels
+
+(* A UNIQUE INSERT on two backends claims no broadcast share, accepted or
+   rejected, and a rejected one reaches no WAL subscriber. *)
+let test_insert_no_broadcast () =
+  let kernel = Mapping.Kernel.multi 2 in
+  let t = Relational.Engine.create kernel "u" in
+  run_all t
+    [ "CREATE TABLE e (name CHAR(10) UNIQUE, n INT)"; "INSERT INTO e VALUES ('a', 1)" ];
+  let events = ref 0 in
+  Mapping.Kernel.set_wal_hook kernel (Some (fun _ -> incr events));
+  let shares () =
+    Obs.Metrics.counter_value (Obs.Metrics.counter "mbds.shares_inline")
+    + Obs.Metrics.counter_value (Obs.Metrics.counter "mbds.shares_remote")
+  in
+  let shares0 = shares () in
+  expect_outcome t "INSERT INTO e VALUES ('b', 2)" "1 row(s) inserted";
+  Alcotest.(check int) "accepted: one event" 1 !events;
+  Relational.Engine.clear_log t;
+  ignore (expect_error t "INSERT INTO e VALUES ('a', 3)");
+  Alcotest.(check int) "rejected: no event" 1 !events;
+  Alcotest.(check int) "no broadcast share" shares0 (shares ());
+  Alcotest.(check (list string)) "the translation is one INSERT"
+    [ "INSERT (<FILE, 'e'>, <name, 'a'>, <n, 3>)" ]
+    (List.map Abdl.Ast.to_string (Relational.Engine.request_log t))
+
+(* Random scripts over two tables whose columns are UNIQUE at random,
+   with few distinct values and NULLs, so keys collide often. *)
+let oracle_columns =
+  Relational.Types.
+    [
+      "u", [ "k", C_int; "s", C_string 4; "n", C_int ];
+      "v", [ "s", C_string 4; "x", C_float ];
+    ]
+
+let gen_value (ty : Relational.Types.col_type) =
+  let open QCheck2.Gen in
+  let some =
+    match ty with
+    | Relational.Types.C_int -> map (fun i -> Abdm.Value.Int i) (int_range 0 3)
+    | Relational.Types.C_float ->
+      oneof
+        [
+          map (fun i -> Abdm.Value.Float (float_of_int i)) (int_range 0 2);
+          map (fun i -> Abdm.Value.Int i) (int_range 0 2);
+        ]
+    | Relational.Types.C_string _ ->
+      map (fun s -> Abdm.Value.Str s) (oneofl [ "p"; "q"; "r" ])
+  in
+  frequency [ 4, some; 1, pure Abdm.Value.Null ]
+
+let gen_create (table, cols) =
+  let open QCheck2.Gen in
+  let* uniques = flatten_l (List.map (fun _ -> bool) cols) in
+  pure
+    (Relational.Sql_ast.Create_table
+       {
+         rel_name = table;
+         rel_columns =
+           List.map2
+             (fun (col_name, col_type) col_unique ->
+               { Relational.Types.col_name; col_type; col_unique })
+             cols uniques;
+       })
+
+let gen_stmt =
+  let open QCheck2.Gen in
+  let* ((table, cols) as relation) = oneofl oracle_columns in
+  let gen_set = oneofl cols >>= fun (c, ty) -> map (fun v -> c, v) (gen_value ty) in
+  let gen_where =
+    frequency
+      [
+        1, pure Abdm.Query.always;
+        ( 3,
+          let* c, ty = oneofl cols in
+          let* op = oneofl Abdm.Predicate.[ Eq; Neq; Lt; Gt ] in
+          let* v = gen_value ty in
+          pure (Abdm.Query.conj [ Abdm.Predicate.make c op v ]) );
+      ]
+  in
+  frequency
+    [
+      (1, gen_create relation);
+      ( 8,
+        (* all columns in order, or a subset by name (the rest are NULL) *)
+        let* named = bool in
+        let* chosen =
+          if named then map (List.filter_map Fun.id) (flatten_l (List.map (fun col -> opt (pure col)) cols))
+          else pure cols
+        in
+        let* values = flatten_l (List.map (fun (_, ty) -> gen_value ty) chosen) in
+        let columns = if named then Some (List.map fst chosen) else None in
+        pure (Relational.Sql_ast.Insert { table; columns; values }) );
+      ( 3,
+        let* sets = list_size (int_range 1 2) gen_set in
+        let* where = gen_where in
+        pure (Relational.Sql_ast.Update { table; sets; where }) );
+      (1, map (fun where -> Relational.Sql_ast.Delete { table; where }) gen_where);
+    ]
+
+(* both tables first (a later CREATE is a duplicate), then the script *)
+let gen_script =
+  let open QCheck2.Gen in
+  let* creates = flatten_l (List.map gen_create oracle_columns) in
+  let* rest = list_size (int_range 1 30) gen_stmt in
+  pure (creates @ rest)
+
+let contents kernel =
+  List.of_seq (Mapping.Kernel.to_seq kernel)
+  |> List.map (fun (key, r) -> Printf.sprintf "@%d %s" key (Abdm.Record.to_string r))
+
+(* no two live rows of a table share a non-NULL value of a UNIQUE column *)
+let unique_holds schema kernel =
+  List.for_all
+    (fun (rel : Relational.Types.relation) ->
+      let rows =
+        List.map snd
+          (Mapping.Kernel.select kernel
+             (Abdm.Query.conj [ Abdm.Predicate.file_eq rel.rel_name ]))
+      in
+      List.for_all
+        (fun (col : Relational.Types.column) ->
+          let values =
+            List.filter_map
+              (fun r ->
+                match Abdm.Record.value_of r col.col_name with
+                | Some v when not (Abdm.Value.is_null v) -> Some v
+                | Some _ | None -> None)
+              rows
+          in
+          (not col.col_unique)
+          || List.for_all
+               (fun v ->
+                 List.length (List.filter (Abdm.Predicate.eval Abdm.Predicate.Eq v) values)
+                 = 1)
+               values)
+        rel.rel_columns)
+    schema.Relational.Types.relations
+
+let show_result = function
+  | Ok o -> Relational.Engine.outcome_to_string o
+  | Error msg -> "error: " ^ msg
+
+(* Every statement has the oracle's outcome on every kernel, the final
+   contents (database keys included) are the oracle's, and UNIQUE holds
+   after every statement. *)
+let prop_unique_matches_oracle =
+  QCheck2.Test.make ~count:1000
+    ~name:"SQL UNIQUE: kernel insert_unique = retrieve-then-insert oracle"
+    ~print:(fun stmts ->
+      String.concat "\n" (List.map Relational.Sql_ast.to_string stmts))
+    gen_script
+    (fun stmts ->
+      let oracle = Sql_oracle.create (Mapping.Kernel.single ()) "db" in
+      let engines =
+        List.map
+          (fun (name, kernel) ->
+            let k = kernel () in
+            name, k, Relational.Engine.create k "db")
+          kernels
+      in
+      List.for_all
+        (fun stmt ->
+          let want = Sql_oracle.execute oracle stmt in
+          List.for_all
+            (fun (name, k, e) ->
+              let got = Relational.Engine.execute e stmt in
+              (got = want && unique_holds (Relational.Engine.schema e) k)
+              || QCheck2.Test.fail_reportf "%s on %s: got %s, oracle %s"
+                   (Relational.Sql_ast.to_string stmt) name (show_result got)
+                   (show_result want))
+            engines)
+        stmts
+      && List.for_all
+           (fun (name, k, _) ->
+             contents k = contents (Sql_oracle.kernel oracle)
+             || QCheck2.Test.fail_reportf "final contents differ on %s" name)
+           engines)
+
+let suite =
+  suite
+  @ [
+      "UPDATE keeps UNIQUE", `Quick, test_update_unique;
+      "UNIQUE INSERT claims no broadcast share", `Quick, test_insert_no_broadcast;
+      QCheck_alcotest.to_alcotest prop_unique_matches_oracle;
+    ]

@@ -699,6 +699,15 @@ let test_stmt_cache_lru () =
   Alcotest.(check bool) "newcomer (c) present" true (get "c" = Some 3);
   Alcotest.(check bool) "hits and misses counted" true
     (Mlds.Stmt_cache.hits c > 0 && Mlds.Stmt_cache.misses c > 0);
+  (* a text over 4 KiB (a one-off script) is neither kept nor evicts *)
+  let script = String.make 4097 'x' in
+  Mlds.Stmt_cache.add c ~language:"abdl" ~src:script 4;
+  Alcotest.(check bool) "long text not retained" true (get script = None);
+  Alcotest.(check bool) "nothing evicted for it" true
+    (get "a" = Some 1 && get "c" = Some 3);
+  Mlds.Stmt_cache.add c ~language:"abdl" ~src:(String.sub script 0 4096) 5;
+  Alcotest.(check bool) "4 KiB text retained" true
+    (get (String.sub script 0 4096) = Some 5);
   (* capacity 0 disables caching entirely *)
   let off = Mlds.Stmt_cache.create ~capacity:0 () in
   Mlds.Stmt_cache.add off ~language:"abdl" ~src:"a" 1;
