@@ -357,44 +357,17 @@ let restore_data t ~db ~text =
 
 (* --- atomic save ---------------------------------------------------------- *)
 
-let save_failure = ref false
-
-let inject_save_failure () = save_failure := true
-
-(* temp file in the destination directory + fsync + rename: the target
-   either keeps its old contents or atomically gains the complete new
-   snapshot — never a truncated or half-written one *)
-let write_atomic ~file text =
-  match
-    Filename.temp_file ~temp_dir:(Filename.dirname file)
-      (Filename.basename file ^ ".") ".tmp"
-  with
-  | exception Sys_error msg -> Error msg
-  | tmp ->
-    match
-      let oc = open_out_bin tmp in
-      Fun.protect
-        ~finally:(fun () -> close_out_noerr oc)
-        (fun () ->
-          if !save_failure then begin
-            save_failure := false;
-            (* the injected fault: die after writing half the snapshot *)
-            output_string oc (String.sub text 0 (String.length text / 2));
-            raise (Sys_error "injected save failure")
-          end;
-          output_string oc text;
-          flush oc;
-          Unix.fsync (Unix.descr_of_out_channel oc));
-      Sys.rename tmp file
-    with
-    | () -> Ok ()
-    | exception Sys_error msg ->
-      (try Sys.remove tmp with Sys_error _ -> ());
-      Error msg
+(* [Fs.replace] is the protocol: the target keeps its old contents or
+   atomically gains the complete new snapshot, durably *)
+let write_snapshot fs ~file text =
+  match Fs.replace fs ~file text with
+  | () -> Ok ()
+  | exception Unix.Unix_error (e, op, path) ->
+    err "%s %s: %s" op path (Unix.error_message e)
 
 let save t ~db ~file =
   let* text = dump t ~db in
-  write_atomic ~file text
+  write_snapshot (System.fs t) ~file text
 
 (* --- WAL replay and recovery --------------------------------------------- *)
 
@@ -510,14 +483,8 @@ type load_outcome = {
 }
 
 let read_file file =
-  match
-    let ic = open_in_bin file in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  with
-  | text -> Ok text
-  | exception Sys_error msg -> Error msg
+  try Ok (In_channel.with_open_bin file In_channel.input_all)
+  with Sys_error msg -> Error msg
 
 let load_report t ~file =
   let* text = read_file file in
@@ -543,10 +510,6 @@ let load t ~file =
 
 (* --- checkpoint ------------------------------------------------------------ *)
 
-let checkpoint_crash = ref false
-
-let inject_checkpoint_crash () = checkpoint_crash := true
-
 (* An in-flight incremental checkpoint. [checkpoint_begin] captures the
    state — header, DDL, the key-ordered record sequence, and the WAL's
    (generation, position) stamp — at one instant behind the caller's
@@ -556,6 +519,7 @@ let inject_checkpoint_crash () = checkpoint_crash := true
    writes keep flowing, and the snapshot is still the exact state at
    capture time. *)
 type ckpt = {
+  ck_fs : Fs.t;
   ck_file : string;
   ck_wal : Wal.t option;
   ck_stamp : (int * int) option;
@@ -570,6 +534,7 @@ let checkpoint_begin t ~db ~file =
   let* buf, kernel = snapshot_header ?stamp t ~db in
   Ok
     {
+      ck_fs = System.fs t;
       ck_file = file;
       ck_wal = wal;
       ck_stamp = stamp;
@@ -594,24 +559,19 @@ let checkpoint_slice ck ~max_records =
 let checkpoint_finish ck =
   (* finishing drains any remaining records first *)
   ignore (checkpoint_slice ck ~max_records:max_int);
-  (* order matters: the snapshot must be durable (fsync + rename inside
-     [write_atomic]) before the log stops carrying the state *)
-  let* () = write_atomic ~file:ck.ck_file (seal ck.ck_buf) in
-  if !checkpoint_crash then begin
-    (* the injected fault: the process dies in the exact window between
-       the durable snapshot and the WAL truncate *)
-    checkpoint_crash := false;
-    Error "injected crash between snapshot save and WAL truncate"
-  end
-  else
-    match ck.ck_wal with
-    | None -> Ok ()
-    | Some wal ->
-      let keep_from = match ck.ck_stamp with Some (_, p) -> p | None -> 0 in
-      match Wal.truncate_to wal ~keep_from with
-      | () -> Ok ()
-      | exception Wal.Crash msg -> Error msg
-      | exception Unix.Unix_error (e, _, _) -> Error (Unix.error_message e)
+  (* order matters: the snapshot's rename must be durable (the directory
+     fsync inside [Fs.replace]) before the log stops carrying the state.
+     Were the truncate to survive a power loss that the rename did not,
+     recovery would pair the old snapshot with the truncated log. *)
+  let* () = write_snapshot ck.ck_fs ~file:ck.ck_file (seal ck.ck_buf) in
+  match ck.ck_wal with
+  | None -> Ok ()
+  | Some wal ->
+    let keep_from = match ck.ck_stamp with Some (_, p) -> p | None -> 0 in
+    match Wal.truncate_to wal ~keep_from with
+    | () -> Ok ()
+    | exception Wal.Crash msg -> Error msg
+    | exception Unix.Unix_error (e, _, _) -> Error (Unix.error_message e)
 
 let checkpoint t ~db ~file =
   let* ck = checkpoint_begin t ~db ~file in

@@ -27,12 +27,14 @@
 
     {2 Durability}
 
-    {!save} writes atomically: a temp file in the destination directory,
-    fsynced, then renamed over the target — a crash mid-save leaves the
-    old file intact, never a truncated one. {!load} auto-replays a
-    sibling [<file>.wal] if one exists; recovery = latest snapshot + the
-    committed prefix of the log. {!checkpoint} makes the snapshot durable
-    {e first}, then empties the attached log. *)
+    {!save} writes through {!Fs.replace} on the system's file system:
+    [<file>.tmp], fsynced, renamed over the target, then the directory
+    fsynced — a crash mid-save leaves the old file intact, never a
+    truncated one, and a leftover [<file>.tmp] is overwritten by the next
+    save. {!load} auto-replays a sibling [<file>.wal] if one exists;
+    recovery = latest snapshot + the committed prefix of the log.
+    {!checkpoint} makes the snapshot and its rename durable {e first},
+    then empties the attached log. *)
 
 (** [save t ~db ~file] writes the named database, atomically. *)
 val save : System.t -> db:string -> file:string -> (unit, string) result
@@ -146,15 +148,3 @@ val checkpoint_slice : ckpt -> max_records:int -> [ `More of int | `Ready ]
     truncate the WAL to the captured position (keeping the tail appended
     since the capture). *)
 val checkpoint_finish : ckpt -> (unit, string) result
-
-(** {2 Fault injection (tests)} *)
-
-(** Arm a one-shot fault in the next {!save}: it dies after writing half
-    the snapshot to the temp file. The target file must be left intact. *)
-val inject_save_failure : unit -> unit
-
-(** Arm a one-shot fault in the next {!checkpoint} /
-    {!checkpoint_finish}: it dies in the exact window between the
-    durable snapshot save and the WAL truncate — the checkpoint
-    crash-window regression hook. *)
-val inject_checkpoint_crash : unit -> unit

@@ -30,6 +30,7 @@ type t = {
   registry : Registry.t;
   backends : int;
   placement : Mbds.Controller.placement option;
+  fs : Fs.t;  (* every WAL, snapshot and standby file is written through it *)
   users : (string * string * string, session) Hashtbl.t;
       (* (user, language name, db) -> live session *)
   sql_engines : (string, Relational.Engine.t) Hashtbl.t;
@@ -49,11 +50,13 @@ type t = {
   mx : Mutex.t;
 }
 
-let create ?(backends = 0) ?placement ?stmt_cache_capacity () =
+let create ?(backends = 0) ?placement ?stmt_cache_capacity ?(fs = Fs.unix) ()
+    =
   {
     registry = Registry.create ();
     backends;
     placement;
+    fs;
     users = Hashtbl.create 8;
     sql_engines = Hashtbl.create 8;
     wals = Hashtbl.create 4;
@@ -68,6 +71,8 @@ let locked t f =
   Fun.protect ~finally:(fun () -> Mutex.unlock t.mx) f
 
 let stmt_cache t = t.stmt_cache
+
+let fs t = t.fs
 
 let fresh_kernel ?kernel:spec t name =
   let backends, placement =
@@ -171,7 +176,7 @@ let attach_wal ?fsync t ~db ~file =
   | None -> Error (Printf.sprintf "unknown database %S" db)
   | Some kernel ->
     detach_wal t ~db;
-    let wal = Wal.open_log ?fsync file in
+    let wal = Wal.open_log ~fs:t.fs ?fsync file in
     Hashtbl.replace t.wals db wal;
     (* group commit: the fsync happens when the outermost transaction
        commits (or immediately for a mutation outside any transaction), so

@@ -18,13 +18,20 @@ type t
     [placement] is forwarded to every MBDS controller the system creates
     (see {!Mbds.Controller.create}); it is ignored for single-store
     kernels. [stmt_cache_capacity] bounds the statement
-    cache (default 512 entries; [0] disables it). *)
+    cache (default 512 entries; [0] disables it). [fs] (default
+    {!Fs.unix}) is the file system every attached WAL, every
+    [Persist] snapshot and checkpoint, and a standby of this system
+    write through. *)
 val create :
   ?backends:int ->
   ?placement:Mbds.Controller.placement ->
   ?stmt_cache_capacity:int ->
+  ?fs:Fs.t ->
   unit ->
   t
+
+(** The file system given to {!create}. *)
+val fs : t -> Fs.t
 
 (** An already-parsed program — what the statement cache stores. The
     constructors are deliberately not exposed: callers interact with the

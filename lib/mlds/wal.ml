@@ -9,19 +9,14 @@ type entry =
   | Request of Abdl.Ast.request
   | Generation of int
 
-type failure =
-  | Crash_before_fsync
-  | Crash_mid_frame
-  | Short_write of int
-  | Fsync_eio
-
 (* One thread appends (the executor) while another fsyncs (a flusher):
    [mx] guards every field both of them touch. The fsync syscall itself
    runs outside the lock. *)
 type t = {
   wal_path : string;
+  fs : Fs.t;
   mx : Mutex.t;
-  mutable fd : Unix.file_descr option;  (* None once closed or crashed *)
+  mutable fd : Fs.fd option;  (* None once closed *)
   mutable do_fsync : bool;
   mutable len : int;  (* bytes written to the OS *)
   mutable commit_len : int;  (* [len] at the last commit point *)
@@ -30,15 +25,12 @@ type t = {
   mutable fsyncs : int;  (* real fsync syscalls issued by this handle *)
   mutable grouping : bool;  (* inside begin_group..end_group *)
   mutable deferred_syncs : int;  (* commit points not yet covered by a fsync *)
-  mutable failpoint : (int * failure) option;
-  mutable fsync_eio : bool;  (* armed: the next fsync fails with EIO *)
   mutable generation : int;  (* bumped by every truncate; 0 for a virgin log *)
   mutable last_trunc : (int * int * int) option;
       (* (new_gen, keep_from, base): the most recent truncation's
          coordinate map — old-log offset [keep_from] became offset [base]
          in generation [new_gen]. The replication shipper uses it to
          remap a standby's position across a checkpoint truncation. *)
-  mutable trunc_crash : bool;  (* one-shot: die between .swap build and rename *)
 }
 
 (* observability: shared instruments in the process-wide registry *)
@@ -157,6 +149,10 @@ let frame_of_payload payload =
   Bytes.blit_string payload 0 b 8 n;
   b
 
+(* One frame's on-disk bytes — the standby uses it to append a synthetic
+   ABORT closing a replicated transaction the dead primary never finished. *)
+let encode_frame entry = frame_of_payload (encode_entry entry)
+
 let max_frame_payload = 1 lsl 24 (* 16 MiB: anything larger is corruption *)
 
 (* --- the writing handle -------------------------------------------------- *)
@@ -189,24 +185,24 @@ let read_generation path =
                 | Ok _ | Error _ -> 0)
   end
 
-let open_log ?(fsync = true) path =
-  (* A crash between truncate_to's .swap build and its rename leaves the
-     complete old log in place with an orphaned .swap beside it. The old
-     log is the truth (the rename never happened), so the swap is dead
-     weight — and worse: left alone it would sit there forever, and a
-     later truncate_to would happily rename a stale snapshot of the log
-     over a newer one if its own crash landed in the same window. *)
-  let swap = path ^ ".swap" in
-  if Sys.file_exists swap then begin
-    (try Sys.remove swap with Sys_error _ -> ());
+let open_log ?(fs = Fs.unix) ?(fsync = true) path =
+  (* A crash inside truncate_to's replace, before its rename, leaves the
+     complete old log in place with an orphaned temp file beside it. The
+     old log is the truth (the rename never happened), so the orphan is
+     dead weight: sweep it now rather than leave it until the next
+     truncation overwrites it. *)
+  let orphan = Fs.temp_of path in
+  if Sys.file_exists orphan then begin
+    fs.Fs.remove orphan;
     Obs.Metrics.incr c_stale_swap
   end;
   let generation = read_generation path in
-  let fd = Unix.openfile path [ Unix.O_WRONLY; Unix.O_CREAT ] 0o644 in
-  let len = Unix.lseek fd 0 Unix.SEEK_END in
+  let fd = Fs.create fs path in
+  let len = (Unix.fstat fd.Fs.descr).Unix.st_size in
   Obs.Metrics.set_gauge g_bytes (float_of_int len);
   {
     wal_path = path;
+    fs;
     mx = Mutex.create ();
     fd = Some fd;
     do_fsync = fsync;
@@ -217,11 +213,8 @@ let open_log ?(fsync = true) path =
     fsyncs = 0;
     grouping = false;
     deferred_syncs = 0;
-    failpoint = None;
-    fsync_eio = false;
     generation;
     last_trunc = None;
-    trunc_crash = false;
   }
 
 let path t = t.wal_path
@@ -251,60 +244,16 @@ let live t =
   | Some fd -> fd
   | None -> raise (Crash (Printf.sprintf "WAL %s: handle is dead" t.wal_path))
 
-let write_all fd bytes off len =
-  let written = ref off in
-  while !written < off + len do
-    written := !written + Unix.write fd bytes !written (off + len - !written)
-  done
-
-(* the simulated machine dies: the handle is unusable from here on *)
-let die t msg =
-  (match t.fd with
-  | Some fd -> (try Unix.close fd with Unix.Unix_error _ -> ())
-  | None -> ());
-  t.fd <- None;
-  raise (Crash msg)
-
 let append t entry =
   Mutex.protect t.mx @@ fun () ->
   let fd = live t in
   t.appends <- t.appends + 1;
   let frame = frame_of_payload (encode_entry entry) in
-  let flen = Bytes.length frame in
-  match t.failpoint with
-  | Some (k, failure) when t.appends >= k ->
-    t.failpoint <- None;
-    begin
-      match failure with
-      | Crash_mid_frame ->
-        (* half the frame reaches disk: a torn tail for recovery to stop at *)
-        write_all fd frame 0 (flen / 2);
-        die t "crash mid-frame"
-      | Short_write n ->
-        write_all fd frame 0 (min (max n 0) flen);
-        die t "short write"
-      | Crash_before_fsync ->
-        (* the frame reached the OS but the machine dies before fsync:
-           everything since the last sync never becomes durable. If the
-           trim back to the durable prefix itself fails we must say so —
-           the file then still holds never-synced bytes. *)
-        write_all fd frame 0 flen;
-        (try Unix.ftruncate fd t.synced_len
-         with Unix.Unix_error _ -> Obs.Metrics.incr c_trim_failed);
-        die t "crash before fsync"
-      | Fsync_eio ->
-        (* the frame is written normally; the fsync that would cover it
-           reports EIO *)
-        write_all fd frame 0 flen;
-        t.len <- t.len + flen;
-        t.fsync_eio <- true
-    end
-  | Some _ | None ->
-    let t0 = Obs.Clock.now_s () in
-    write_all fd frame 0 flen;
-    t.len <- t.len + flen;
-    Obs.Metrics.set_gauge g_bytes (float_of_int t.len);
-    Obs.Metrics.observe h_append (Obs.Clock.since t0)
+  let t0 = Obs.Clock.now_s () in
+  Fs.write_all t.fs fd frame 0 (Bytes.length frame);
+  t.len <- t.len + Bytes.length frame;
+  Obs.Metrics.set_gauge g_bytes (float_of_int t.len);
+  Obs.Metrics.observe h_append (Obs.Clock.since t0)
 
 (* Make at least the first [pos] bytes durable. Safe while another
    thread appends: the descriptor and the length to cover are read under
@@ -317,18 +266,13 @@ let sync_to t pos =
     Mutex.protect t.mx (fun () ->
         let fd = live t in
         if (not t.do_fsync) || t.synced_len >= pos then None
-        else begin
-          let eio = t.fsync_eio in
-          t.fsync_eio <- false;
-          Some (fd, t.len, t.deferred_syncs, eio)
-        end)
+        else Some (fd, t.len, t.deferred_syncs))
   in
   match job with
   | None -> ()
-  | Some (fd, upto, covered, eio) ->
+  | Some (fd, upto, covered) ->
     let t0 = Obs.Clock.now_s () in
-    if eio then raise (Unix.Unix_error (Unix.EIO, "fsync", t.wal_path));
-    Unix.fsync fd;
+    t.fs.Fs.fsync fd;
     Mutex.protect t.mx (fun () ->
         (* a handle that died meanwhile has lost its unsynced tail *)
         ignore (live t);
@@ -370,107 +314,28 @@ let end_group t =
 let truncate_locked t =
   let fd = live t in
   let old_len = t.len in
-  Unix.ftruncate fd 0;
-  ignore (Unix.lseek fd 0 Unix.SEEK_SET);
+  t.fs.Fs.ftruncate fd 0;
   (* start the next generation: the marker lets replay tell this log
      apart from the one a snapshot was stamped against *)
   t.generation <- t.generation + 1;
   let marker = frame_of_payload (encode_entry (Generation t.generation)) in
-  write_all fd marker 0 (Bytes.length marker);
+  Fs.write_all t.fs fd marker 0 (Bytes.length marker);
   t.last_trunc <- Some (t.generation, old_len, Bytes.length marker);
   t.len <- Bytes.length marker;
   t.commit_len <- t.len;
   t.synced_len <- t.len;
   t.deferred_syncs <- 0;
   t.fsyncs <- t.fsyncs + 1;
-  Unix.fsync fd;
+  t.fs.Fs.fsync fd;
   Obs.Metrics.set_gauge g_bytes (float_of_int t.len)
 
 let truncate t = Mutex.protect t.mx (fun () -> truncate_locked t)
 
-(* Truncate to a checkpoint position while keeping the tail — the frames
-   appended after the snapshot was captured. The replacement log (a
-   next-generation marker, then the tail bytes) is built beside the old
-   one, fsynced, and renamed over the log path. A crash at any point
-   leaves either the complete old log (the stamped snapshot skips its
-   first [keep_from] bytes on replay) or the complete new one (whose
-   fresh generation defeats the stamp, so every surviving frame
-   replays). *)
-let truncate_to t ~keep_from =
-  if t.grouping then invalid_arg "Wal.truncate_to: inside a commit group";
-  Mutex.protect t.mx @@ fun () ->
-  let fd = live t in
-  if keep_from >= t.len then truncate_locked t
-  else begin
-    let tail_len = t.len - keep_from in
-    let tail = Bytes.create tail_len in
-    let rfd = Unix.openfile t.wal_path [ Unix.O_RDONLY ] 0 in
-    Fun.protect
-      ~finally:(fun () -> try Unix.close rfd with Unix.Unix_error _ -> ())
-      (fun () ->
-        ignore (Unix.lseek rfd keep_from Unix.SEEK_SET);
-        let got = ref 0 in
-        while !got < tail_len do
-          let n = Unix.read rfd tail !got (tail_len - !got) in
-          if n = 0 then raise (Crash "WAL tail vanished during truncate");
-          got := !got + n
-        done);
-    let gen = t.generation + 1 in
-    let marker = frame_of_payload (encode_entry (Generation gen)) in
-    let tmp = t.wal_path ^ ".swap" in
-    let tfd =
-      Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644
-    in
-    (try
-       write_all tfd marker 0 (Bytes.length marker);
-       write_all tfd tail 0 tail_len;
-       Unix.fsync tfd;
-       Unix.close tfd
-     with e ->
-       (try Unix.close tfd with Unix.Unix_error _ -> ());
-       raise e);
-    if t.trunc_crash then begin
-      (* the swap is complete on disk but the rename never happens: the
-         old log stays the truth and the orphaned .swap must be cleaned
-         up by the next open_log (the stale-swap regression test) *)
-      t.trunc_crash <- false;
-      die t "crash between .swap build and rename"
-    end;
-    Unix.rename tmp t.wal_path;
-    (try Unix.close fd with Unix.Unix_error _ -> ());
-    let nfd = Unix.openfile t.wal_path [ Unix.O_WRONLY ] 0o644 in
-    let len = Unix.lseek nfd 0 Unix.SEEK_END in
-    t.fd <- Some nfd;
-    t.last_trunc <- Some (gen, keep_from, Bytes.length marker);
-    t.generation <- gen;
-    t.len <- len;
-    t.commit_len <- len;
-    t.synced_len <- len;
-    t.deferred_syncs <- 0;
-    t.fsyncs <- t.fsyncs + 1;
-    Obs.Metrics.set_gauge g_bytes (float_of_int len)
-  end
-
-let close t =
-  Mutex.protect t.mx @@ fun () ->
-  match t.fd with
-  | None -> ()
-  | Some fd ->
-    (try Unix.fsync fd with Unix.Unix_error _ -> ());
-    (try Unix.close fd with Unix.Unix_error _ -> ());
-    t.fd <- None
-
-let arm_failpoint t ~after_appends failure =
-  t.failpoint <- Some (t.appends + after_appends, failure)
-
-let inject_truncate_crash t = t.trunc_crash <- true
-
-(* --- tailing (the replication shipper's read side) ----------------------- *)
-
 (* [read_range path ~pos ~len] reads exactly [len] bytes at offset [pos]
    by path (a fresh descriptor, so it never disturbs the writing handle).
-   None when the file is missing or shorter than [pos + len] — the caller
-   raced a truncation rename and must re-resolve its position. *)
+   None when the file is missing or shorter than [pos + len] — for the
+   replication shipper, a race with a truncation rename: it must
+   re-resolve its position. *)
 let read_range path ~pos ~len =
   match Unix.openfile path [ Unix.O_RDONLY ] 0 with
   | exception Unix.Unix_error _ -> None
@@ -491,6 +356,64 @@ let read_range path ~pos ~len =
             | exception Unix.Unix_error _ -> short := true
           done;
           if !short then None else Some (Bytes.unsafe_to_string buf))
+
+(* Truncate to a checkpoint position while keeping the tail — the frames
+   appended after the snapshot was captured. The replacement log (a
+   next-generation marker, then the tail bytes) replaces the old one
+   through [Fs.replace]. A crash at any point leaves either the complete
+   old log (the stamped snapshot skips its first [keep_from] bytes on
+   replay) or the complete new one (whose fresh generation defeats the
+   stamp, so every surviving frame replays). *)
+let truncate_to t ~keep_from =
+  if t.grouping then invalid_arg "Wal.truncate_to: inside a commit group";
+  Mutex.protect t.mx @@ fun () ->
+  let fd = live t in
+  if keep_from >= t.len then truncate_locked t
+  else begin
+    let gen = t.generation + 1 in
+    let marker = Bytes.unsafe_to_string (encode_frame (Generation gen)) in
+    let log =
+      match read_range t.wal_path ~pos:keep_from ~len:(t.len - keep_from) with
+      | Some tail -> marker ^ tail
+      | None -> raise (Crash "WAL tail vanished during truncate")
+    in
+    (* Once the replace has renamed over the log, [fd] is on the unlinked
+       old file, where appends would be acked and then lost: the handle
+       is dead until the new log is open, and stays dead if the replace
+       fails after its rename (in the directory fsync). Failing before
+       it, the replace leaves the old log in place, and the handle too. *)
+    let drop () =
+      (try t.fs.Fs.close fd with Unix.Unix_error _ -> ());
+      t.fd <- None
+    in
+    (match Fs.replace t.fs ~file:t.wal_path log with
+    | () -> drop ()
+    | exception e when (Unix.fstat fd.Fs.descr).Unix.st_nlink > 0 -> raise e
+    | exception e ->
+      drop ();
+      raise e);
+    t.fd <- Some (Fs.create t.fs t.wal_path);
+    let len = String.length log in
+    t.last_trunc <- Some (gen, keep_from, String.length marker);
+    t.generation <- gen;
+    t.len <- len;
+    t.commit_len <- len;
+    t.synced_len <- len;
+    t.deferred_syncs <- 0;
+    t.fsyncs <- t.fsyncs + 1;
+    Obs.Metrics.set_gauge g_bytes (float_of_int len)
+  end
+
+let close t =
+  Mutex.protect t.mx @@ fun () ->
+  match t.fd with
+  | None -> ()
+  | Some fd ->
+    (try t.fs.Fs.fsync fd with Unix.Unix_error _ | Crash _ -> ());
+    (try t.fs.Fs.close fd with Unix.Unix_error _ -> ());
+    t.fd <- None
+
+(* --- tailing (the replication shipper's read side) ----------------------- *)
 
 (* [decode_frames data] walks [data] as a sequence of complete frames and
    decodes every payload. None unless the bytes are exactly a whole
@@ -516,10 +439,6 @@ let decode_frames data =
     end
   in
   loop 0 []
-
-(* One frame's on-disk bytes — the standby uses it to append a synthetic
-   ABORT closing a replicated transaction the dead primary never finished. *)
-let encode_frame entry = frame_of_payload (encode_entry entry)
 
 (* --- recovery ------------------------------------------------------------ *)
 

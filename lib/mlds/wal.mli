@@ -30,22 +30,21 @@
     transaction confirmed to the caller is on disk, and anything after
     the last sync may legitimately vanish in a crash.
 
-    {2 Fault injection}
+    {2 Writing through the file-system seam}
 
-    {!arm_failpoint} plants a one-shot simulated crash in the write path.
-    When it fires, the handle raises {!Crash} and becomes unusable (as if
-    the process died); the file is left exactly as a real crash at that
-    point would leave it — including dropping bytes that were written but
-    never fsynced ([Crash_before_fsync]) and leaving a half-written frame
-    ([Crash_mid_frame] / [Short_write]). [Fsync_eio] instead makes the
-    covering fsync report a disk error. The qcheck harness in
-    [test/test_wal.ml] drives this to prove the recovery property. *)
+    Every write, fsync, truncate and rename of a log goes through the
+    {!Fs.t} it was opened with ({!Fs.unix} unless a test passes its own).
+    The crash tests in [test/test_wal.ml] and the crash-state checker in
+    [test/test_crash_states.ml] pass a recording {!Fs.t} that tears a
+    write, fails an fsync, or stops the machine at a chosen operation,
+    and recover what it left on disk. *)
 
-(** Raised by a handle whose armed failpoint fired (and by any later use
-    of that handle): the simulated machine is dead. *)
+(** Raised by a dead handle (one already closed, one whose log a failed
+    {!truncate_to} replaced under it, or one whose file system stopped
+    under it in a test's simulated crash), and by
+    {!truncate_to} when the log's tail vanishes under it. *)
 exception Crash of string
 
-(** One logged mutation, or a transaction bracket. *)
 type entry =
   | Begin
   | Commit
@@ -63,10 +62,13 @@ type entry =
 
 type t
 
-(** [open_log ?fsync path] opens (creating if needed) the log for
-    appending. [fsync] (default [true]) is the fsync-on-commit knob: when
-    off, [sync] is a no-op and a crash may lose any suffix of the log. *)
-val open_log : ?fsync:bool -> string -> t
+(** [open_log ?fs ?fsync path] opens (creating if needed, with its
+    directory entry made durable) the log for appending. [fsync] (default
+    [true]) is the fsync-on-commit knob: when off, [sync] is a no-op and a
+    crash may lose any suffix of the log. [fs] defaults to {!Fs.unix}.
+    A temp file left beside the log by a crashed {!truncate_to} is
+    removed (counted in [wal.stale_swap_removed]). *)
+val open_log : ?fs:Fs.t -> ?fsync:bool -> string -> t
 
 val path : t -> string
 
@@ -167,42 +169,16 @@ val truncate : t -> unit
 (** [truncate_to t ~keep_from] truncates the log to a checkpoint
     position while preserving the tail appended after the snapshot was
     captured: the replacement log (next-generation marker + the bytes
-    from [keep_from] to the current end) is built beside the old one,
-    fsynced, and renamed into place — a crash leaves either the complete
-    old log or the complete new one, never a mix. [keep_from] ≥ the
+    from [keep_from] to the current end) takes the old one's place
+    through {!Fs.replace} — a crash leaves either the complete old log or
+    the complete new one, never a mix. [keep_from] ≥ the
     current length degenerates to {!truncate}. Must not be called inside
-    a commit group. *)
+    a commit group. A replace that fails after its rename leaves the
+    handle dead; one that fails before leaves it on the old log. *)
 val truncate_to : t -> keep_from:int -> unit
 
 (** [close t] syncs and closes. Idempotent. *)
 val close : t -> unit
-
-(** {2 Fault injection} *)
-
-type failure =
-  | Crash_before_fsync
-      (** the frame reaches the OS, then the machine dies before fsync:
-          every byte written since the last successful [sync] is lost *)
-  | Crash_mid_frame  (** the frame is torn in half on disk *)
-  | Short_write of int  (** only [n] bytes of the frame reach disk *)
-  | Fsync_eio
-      (** not a crash: the frame is written normally, and the next fsync
-          raises [Unix.Unix_error (EIO, "fsync", path)] without advancing
-          {!synced_position} — a disk error reported at the durability
-          point *)
-
-(** [arm_failpoint t ~after_appends:k failure] — the [k]-th subsequent
-    [append] (1-based) simulates [failure]: the crash variants raise
-    {!Crash} there, [Fsync_eio] fails the fsync that would cover it.
-    One-shot; re-arming replaces the previous failpoint. *)
-val arm_failpoint : t -> after_appends:int -> failure -> unit
-
-(** One-shot: the next {!truncate_to} dies (raises {!Crash}) after the
-    [.swap] replacement log is complete on disk but {e before} the rename
-    — the crash window that used to leave a stale [.swap] lying around
-    forever. {!open_log} detects and removes such orphans (counted in
-    [wal.stale_swap_removed]). *)
-val inject_truncate_crash : t -> unit
 
 (** {2 Recovery} *)
 

@@ -53,7 +53,7 @@ type t = {
   mutable origin_pos : int;
   mutable origin_base : int;
   mutable local_len : int;
-  mutable log_fd : Unix.file_descr option;  (* the raw local log *)
+  mutable log_fd : Mlds.Fs.fd option;  (* the raw local log *)
   (* applier state: touched ONLY inside injected closures (executor) *)
   txn_buf : Mlds.Wal.entry list option ref;
   applied : int ref;
@@ -66,48 +66,50 @@ let g_apply_rate = Obs.Metrics.gauge "repl.apply_frames_per_s"
 
 let c_boots = Obs.Metrics.counter "repl.standby_bootstraps"
 
-let boot_path t = t.wal_path ^ ".boot"
+let boot_path wal_path = wal_path ^ ".boot"
 
-let origin_path t = t.wal_path ^ ".origin"
+let origin_path wal_path = wal_path ^ ".origin"
+
+let fs t = Mlds.System.fs t.system
 
 (* --- sidecar files -------------------------------------------------------- *)
 
-let write_atomic path text =
-  let tmp = path ^ ".tmp" in
-  let oc = open_out_bin tmp in
-  (match
-     output_string oc text;
-     flush oc;
-     Unix.fsync (Unix.descr_of_out_channel oc)
-   with
-  | () -> close_out oc
-  | exception e ->
-    close_out_noerr oc;
-    raise e);
-  Sys.rename tmp path
-
 let read_file path =
-  match open_in_bin path with
-  | exception Sys_error _ -> None
-  | ic ->
-    let n = in_channel_length ic in
-    let s = really_input_string ic n in
-    close_in ic;
-    Some s
+  try Some (In_channel.with_open_bin path In_channel.input_all)
+  with Sys_error _ -> None
 
-let read_origin t =
-  match read_file (origin_path t) with
+let read_origin wal_path =
+  match read_file (origin_path wal_path) with
   | None -> None
   | Some text -> (
     try Scanf.sscanf text " %d %d %d" (fun g p b -> Some (g, p, b))
     with Scanf.Scan_failure _ | Failure _ | End_of_file -> None)
 
 let write_origin t ~gen ~pos ~base =
-  write_atomic (origin_path t) (Printf.sprintf "%d %d %d\n" gen pos base);
+  Mlds.Fs.replace (fs t) ~file:(origin_path t.wal_path)
+    (Printf.sprintf "%d %d %d\n" gen pos base);
   t.have_origin <- true;
   t.origin_gen <- gen;
   t.origin_pos <- pos;
   t.origin_base <- base
+
+(* Forget the origin: the next connection bootstraps afresh, even when
+   the file's removal fails (a restart then trims the log it maps). *)
+let drop_origin t =
+  t.have_origin <- false;
+  (fs t).Mlds.Fs.remove (origin_path t.wal_path)
+
+(* The on-disk resume point — the origin mapping, the bootstrap snapshot
+   text and the valid prefix of the local log — when the three are
+   consistent; [None] means "bootstrap again". [start] resumes from it. *)
+let read_local wal_path =
+  match read_origin wal_path, read_file (boot_path wal_path) with
+  | Some ((_, _, base) as origin), Some text ->
+    let r = Mlds.Wal.recover ~trim:true wal_path in
+    if r.Mlds.Wal.valid_bytes >= base && not r.Mlds.Wal.trim_failed then
+      Some (origin, text, r)
+    else None
+  | _ -> None
 
 (* the primary-coordinate position of the next byte this standby needs *)
 let resume_pos t = t.origin_pos + (t.local_len - t.origin_base)
@@ -115,7 +117,7 @@ let resume_pos t = t.origin_pos + (t.local_len - t.origin_base)
 (* --- the local log (raw appends; [Wal.t] takes over at promote) ----------- *)
 
 let open_local_log t =
-  let fd = Unix.openfile t.wal_path [ Unix.O_RDWR; Unix.O_CREAT ] 0o644 in
+  let fd = Mlds.Fs.create (fs t) t.wal_path in
   t.log_fd <- Some fd;
   fd
 
@@ -124,23 +126,32 @@ let close_local_log t =
   | None -> ()
   | Some fd ->
     t.log_fd <- None;
-    (try Unix.close fd with Unix.Unix_error _ -> ())
+    (try (fs t).Mlds.Fs.close fd with Unix.Unix_error _ -> ())
 
 let local_fd t = match t.log_fd with Some fd -> fd | None -> open_local_log t
 
+(* Writes land at the end of the log, which is [local_len] bytes long: a
+   write that fails part-way is cut back, so a retry never lands behind
+   garbage that recovery would stop at. If the cut itself fails, the log
+   is abandoned and the next connection bootstraps into a fresh one. *)
 let append_local t data =
-  let fd = local_fd t in
-  ignore (Unix.lseek fd t.local_len Unix.SEEK_SET);
+  let fs = fs t and fd = local_fd t in
   let len = String.length data in
-  let written = Unix.write_substring fd data 0 len in
-  if written <> len then failwith "standby: short write to local log";
-  Unix.fsync fd;
+  (try
+     Mlds.Fs.write_all fs fd (Bytes.unsafe_of_string data) 0 len;
+     fs.Mlds.Fs.fsync fd
+   with Unix.Unix_error _ as e ->
+     (try fs.Mlds.Fs.ftruncate fd t.local_len
+      with Unix.Unix_error _ ->
+        close_local_log t;
+        drop_origin t);
+     raise e);
   t.local_len <- t.local_len + len
 
 let truncate_local t =
-  let fd = local_fd t in
-  Unix.ftruncate fd 0;
-  Unix.fsync fd;
+  let fs = fs t and fd = local_fd t in
+  fs.Mlds.Fs.ftruncate fd 0;
+  fs.Mlds.Fs.fsync fd;
   t.local_len <- 0
 
 (* --- the applier (executor thread, via [inject]) -------------------------- *)
@@ -158,7 +169,7 @@ let apply_entries t entries =
     if dt > 0. then
       Obs.Metrics.set_gauge g_apply_rate (float_of_int !(t.applied) /. dt)
 
-let inject_restore t text entries =
+let queue_restore t text entries =
   t.inject (fun () ->
       t.txn_buf := None;
       (match Mlds.Persist.restore_data t.system ~db:t.db ~text with
@@ -207,13 +218,12 @@ let ack t fd ~ts =
 
 let handle_snapshot t fd ~gen ~pos ~ts ~text =
   (* crash-ordering: no point in the window leaves an origin that lies *)
-  (try Sys.remove (origin_path t) with Sys_error _ -> ());
-  t.have_origin <- false;
-  write_atomic (boot_path t) text;
+  drop_origin t;
+  Mlds.Fs.replace (fs t) ~file:(boot_path t.wal_path) text;
   truncate_local t;
   write_origin t ~gen ~pos ~base:0;
   Obs.Metrics.incr c_boots;
-  inject_restore t text [];
+  queue_restore t text [];
   ack t fd ~ts
 
 let handle_frames t fd ~gen ~start_pos ~ts ~data =
@@ -243,8 +253,7 @@ let handle_frames t fd ~gen ~start_pos ~ts ~data =
   | None ->
     (* the primary ships only whole CRC-valid frames; garbage here means
        the stream or the disk is corrupt — force a full re-bootstrap *)
-    (try Sys.remove (origin_path t) with Sys_error _ -> ());
-    t.have_origin <- false;
+    drop_origin t;
     raise (Stream_lost "undecodable chunk: forcing bootstrap")
 
 let handle_heartbeat t fd ~gen ~pos ~ts =
@@ -343,19 +352,15 @@ let start ~system ~db ~wal_path ~host ~port ~inject () =
      else means fresh bootstrap. The replay seeds the transaction buffer
      instead of dropping an open tail — its COMMIT is still in flight on
      the primary side. *)
-  (match read_origin t, read_file (boot_path t) with
-  | Some (gen, pos, base), Some text ->
-    let r = Mlds.Wal.recover ~trim:true t.wal_path in
-    if r.Mlds.Wal.valid_bytes >= base && not r.Mlds.Wal.trim_failed then begin
-      t.have_origin <- true;
-      t.origin_gen <- gen;
-      t.origin_pos <- pos;
-      t.origin_base <- base;
-      t.local_len <- r.Mlds.Wal.valid_bytes;
-      inject_restore t text r.Mlds.Wal.entries
-    end
-    else (try Sys.remove (origin_path t) with Sys_error _ -> ())
-  | _ -> ());
+  (match read_local wal_path with
+  | Some ((gen, pos, base), text, r) ->
+    t.have_origin <- true;
+    t.origin_gen <- gen;
+    t.origin_pos <- pos;
+    t.origin_base <- base;
+    t.local_len <- r.Mlds.Wal.valid_bytes;
+    queue_restore t text r.Mlds.Wal.entries
+  | None -> drop_origin t);
   t.thread <- Some (Thread.create stream_thread t);
   t
 

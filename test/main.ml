@@ -18,6 +18,7 @@ let () =
       "hierarchical", Test_hierarchical.suite;
       "mlds", Test_mlds.suite;
       "wal", Test_wal.suite;
+      "crash-states", Test_crash_states.suite;
       "workload", Test_workload.suite;
       "kernel", Test_kernel.suite;
       "server", Test_server.suite;

@@ -1,8 +1,8 @@
 (* Integration tests for the MLDS shell: registry, session opening rules
    (which language reaches which model), cross-model access, KFS. *)
 
-let university_mlds ?backends () =
-  let t = Mlds.System.create ?backends () in
+let university_mlds ?backends ?fs () =
+  let t = Mlds.System.create ?backends ?fs () in
   match
     Mlds.System.define_functional t ~name:"university" ~ddl:Daplex.University.ddl
       Daplex.University.rows
@@ -857,7 +857,8 @@ GET major IN student|}
     (submit t2 Mlds.System.L_codasyl "university" dml)
 
 let test_failed_save_leaves_old_file () =
-  let t = university_mlds () in
+  let fake = Fake_fs.create () in
+  let t = university_mlds ~fs:(Fake_fs.fs fake) () in
   let file = Filename.temp_file "mlds" ".db" in
   begin
     match Mlds.Persist.save t ~db:"university" ~file with
@@ -871,7 +872,10 @@ let test_failed_save_leaves_old_file () =
     (Mapping.Kernel.insert kernel
        (Abdm.Record.make
           [ Abdm.Keyword.file "extra"; Abdm.Keyword.make "n" (Abdm.Value.Int 1) ]));
-  Mlds.Persist.inject_save_failure ();
+  (* the fault: half the snapshot reaches the temp file, then the disk
+     fails the write of the rest *)
+  Fake_fs.arm fake ~kind:Fake_fs.Write 1 (Fake_fs.Short (String.length before / 2));
+  Fake_fs.arm fake ~kind:Fake_fs.Write 2 Fake_fs.Eio;
   Alcotest.(check bool) "injected save fails" true
     (Result.is_error (Mlds.Persist.save t ~db:"university" ~file));
   Alcotest.(check string) "old snapshot intact after failed save" before
@@ -885,6 +889,31 @@ let test_failed_save_leaves_old_file () =
   Alcotest.(check bool) "retry writes the new state" true
     (read_file file <> before);
   Sys.remove file
+
+(* A save that crashes leaves its temp file behind; the temp name is
+   fixed, so the next save overwrites it instead of adding another. *)
+let test_crashed_saves_leave_one_temp () =
+  let dir = Filename.temp_dir "mldssave" "" in
+  let file = Filename.concat dir "db.mlds" in
+  for _ = 1 to 2 do
+    let fake = Fake_fs.create () in
+    let t = Mlds.System.create ~fs:(Fake_fs.fs fake) () in
+    (match Mlds.System.define_relational t ~name:"r" with
+    | Ok () -> ()
+    | Error msg -> Alcotest.fail msg);
+    Fake_fs.arm fake ~kind:Fake_fs.Write 1 Fake_fs.Torn_half;
+    match Mlds.Persist.save t ~db:"r" ~file with
+    | exception Mlds.Wal.Crash _ -> ()
+    | _ -> Alcotest.fail "the armed save did not crash"
+  done;
+  let temps =
+    Sys.readdir dir |> Array.to_list
+    |> List.filter (fun f -> Filename.check_suffix f ".tmp")
+  in
+  Alcotest.(check bool) "at most one temp file beside the snapshot" true
+    (List.length temps <= 1);
+  Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+  Sys.rmdir dir
 
 let test_checksum_rejects_corruption () =
   let t = university_mlds () in
@@ -964,6 +993,8 @@ let suite =
       "snapshots with parallel= restore", `Quick, test_old_snapshots_restore;
       "dbkeys and currency survive restore", `Quick, test_dbkeys_survive_restore;
       "failed save leaves the old file", `Quick, test_failed_save_leaves_old_file;
+      "crashed saves leave at most one temp file", `Quick,
+      test_crashed_saves_leave_one_temp;
       "checksum rejects corruption", `Quick, test_checksum_rejects_corruption;
       "load auto-recovers the sibling wal", `Quick, test_load_auto_recovers_wal;
       "legacy v1 snapshots still load", `Quick, test_legacy_v1_still_loads;

@@ -16,8 +16,8 @@ module Wire = Server.Wire
 
 let contains text needle = Daplex.Str_search.find text needle <> None
 
-let university () =
-  let t = Mlds.System.create () in
+let university ?fs () =
+  let t = Mlds.System.create ?fs () in
   match
     Mlds.System.define_functional t ~name:"university"
       ~ddl:Daplex.University.ddl Daplex.University.rows
@@ -94,8 +94,8 @@ let with_standby_server pport f =
       (fun () -> f t2 server2 (Server.Core.port server2) st)
 
 (* A kernel-only standby (no server): apply on the stream thread. *)
-let bare_standby ?wal_path pport =
-  let t2 = university () in
+let bare_standby ?fs ?wal_path pport =
+  let t2 = university ?fs () in
   let wal_path = match wal_path with Some p -> p | None -> fresh_path "b" in
   let st =
     Replica.Standby.start ~system:t2 ~db:"university" ~wal_path
@@ -227,6 +227,84 @@ let test_promote_over_wire () =
       | Error (`Refused (Wire.Bad_request, _)) -> ()
       | _ -> Alcotest.fail "promote on a primary not Bad_request");
       Client.close c)
+
+(* --- a short write to the standby's log ----------------------------------- *)
+
+(* The file system accepts only 5 bytes of the first chunk written to
+   the standby's log. The standby finishes the write and goes on: the
+   log ends up complete, with the rest of the chunk written right after
+   the short piece. *)
+let test_standby_short_write () =
+  with_primary (fun _t _server pport _wal _ship ->
+      let fake = Fake_fs.create () in
+      let swal = fresh_path "short" in
+      Fake_fs.arm fake ~kind:Fake_fs.Write ~path:(String.equal swal) 1
+        (Fake_fs.Short 5);
+      let t2, st, _ = bare_standby ~fs:(Fake_fs.fs fake) ~wal_path:swal pport in
+      wait_for "standby bootstrap" (fun () -> Replica.Standby.bootstrapped st);
+      let c = logged_in pport in
+      for i = 1 to 6 do
+        ignore (csubmit c (insert_stmt i))
+      done;
+      wait_for "replicated" (fun () -> count_replicated t2 6);
+      Replica.Standby.shutdown st;
+      Client.close c;
+      let rec after_short = function
+        | Fake_fs.Op (Fake_fs.Write (ino, off, piece))
+          :: Fake_fs.Op (Fake_fs.Write (ino', off', _)) :: _
+          when String.length piece = 5 ->
+          ino = ino' && off' = off + 5
+        | _ :: rest -> after_short rest
+        | [] -> false
+      in
+      Alcotest.(check bool) "the short write was finished in place" true
+        (after_short (Fake_fs.trace fake));
+      let r = Mlds.Wal.recover swal in
+      let inserts =
+        List.length
+          (List.filter
+             (function Mlds.Wal.Keyed_insert _ -> true | _ -> false)
+             r.Mlds.Wal.entries)
+      in
+      Alcotest.(check bool) "log not torn" false r.Mlds.Wal.torn;
+      Alcotest.(check int) "every insert in the log" 6 inserts;
+      cleanup swal)
+
+(* The first chunk lands 5 bytes in the standby's log before its write
+   fails, and the cut back to the log's old length fails too. The
+   standby abandons that log instead of appending behind the garbage: it
+   bootstraps again, converges, and its log recovers whole. *)
+let test_standby_failed_cut_rebootstraps () =
+  with_primary (fun _t _server pport _wal _ship ->
+      let fake = Fake_fs.create () in
+      let swal = fresh_path "cut" in
+      let on_log = String.equal swal in
+      Fake_fs.arm fake ~kind:Fake_fs.Write ~path:on_log 1 (Fake_fs.Short 5);
+      Fake_fs.arm fake ~kind:Fake_fs.Write ~path:on_log 2 Fake_fs.Eio;
+      (* the log's first ftruncate is the bootstrap's, the second the cut *)
+      Fake_fs.arm fake ~kind:Fake_fs.Ftruncate ~path:on_log 2 Fake_fs.Eio;
+      let boots0 =
+        Obs.Metrics.counter_value
+          (Obs.Metrics.counter "repl.standby_bootstraps")
+      in
+      let t2, st, _ = bare_standby ~fs:(Fake_fs.fs fake) ~wal_path:swal pport in
+      wait_for "standby bootstrap" (fun () -> Replica.Standby.bootstrapped st);
+      let c = logged_in pport in
+      for i = 1 to 6 do
+        ignore (csubmit c (insert_stmt i))
+      done;
+      wait_for "replicated" (fun () -> count_replicated t2 6);
+      Replica.Standby.shutdown st;
+      Client.close c;
+      Alcotest.(check bool) "the failed cut forced a second bootstrap" true
+        (Obs.Metrics.counter_value
+           (Obs.Metrics.counter "repl.standby_bootstraps")
+        >= boots0 + 2);
+      let r = Mlds.Wal.recover swal in
+      Alcotest.(check bool) "log not torn" false r.Mlds.Wal.torn;
+      Alcotest.(check int) "no garbage in the log" (Unix.stat swal).Unix.st_size
+        r.Mlds.Wal.valid_bytes;
+      cleanup swal)
 
 (* --- checkpoint truncation: remap when possible, bootstrap when not ------- *)
 
@@ -410,4 +488,8 @@ let suite =
     "failover drill: drained", `Quick, test_failover_drained;
     "failover drill: immediate kill", `Quick, test_failover_immediate_kill;
     QCheck_alcotest.to_alcotest prop_failover;
+    "standby finishes a short write to its log", `Quick,
+    test_standby_short_write;
+    "standby abandons a log it cannot cut back", `Quick,
+    test_standby_failed_cut_rebootstraps;
   ]

@@ -11,8 +11,8 @@ module Wire = Server.Wire
 
 let contains text needle = Daplex.Str_search.find text needle <> None
 
-let university () =
-  let t = Mlds.System.create () in
+let university ?fs () =
+  let t = Mlds.System.create ?fs () in
   match
     Mlds.System.define_functional t ~name:"university"
       ~ddl:Daplex.University.ddl Daplex.University.rows
@@ -1372,9 +1372,11 @@ let test_inject_sees_acked_writes () =
 
 (* --- fsync errors ------------------------------------------------------------ *)
 
-(* A university server with an fsync'd WAL, for the EIO tests. *)
+(* A university server with an fsync'd WAL written through a recording
+   file system, for the EIO tests. *)
 let with_wal_server ?config f =
-  let t = university () in
+  let fake = Fake_fs.create () in
+  let t = university ~fs:(Fake_fs.fs fake) () in
   let file = Filename.temp_file "mlds_eio" ".wal" in
   Fun.protect ~finally:(fun () -> remove_files [ file ]) @@ fun () ->
   let wal =
@@ -1382,15 +1384,15 @@ let with_wal_server ?config f =
     | Ok wal -> wal
     | Error msg -> Alcotest.failf "attach_wal: %s" msg
   in
-  with_server ?config ~sys:t (fun server port -> f server port wal)
+  with_server ?config ~sys:t (fun server port -> f server port wal fake)
 
 (* A disk error at the covering fsync: the writer gets a typed error
    (its commit may not be durable), the flusher survives it, and later
    requests — a retried write, a read — are answered normally. *)
 let test_fsync_eio_writer () =
-  with_wal_server (fun _server port wal ->
+  with_wal_server (fun _server port wal fake ->
       let c = logged_in port in
-      Mlds.Wal.arm_failpoint wal ~after_appends:1 Mlds.Wal.Fsync_eio;
+      Fake_fs.arm fake ~kind:Fake_fs.Fsync 1 Fake_fs.Eio;
       (match Client.submit c "INSERT (<FILE, eio>, <seq, 1>)" with
       | Error (`Refused (Wire.Exec_error, why)) ->
         Alcotest.(check bool) "names the failed fsync" true
@@ -1417,7 +1419,7 @@ let test_fsync_eio_observer () =
       executor_hook = Some hook }
   in
   let depth = Obs.Metrics.gauge "server.queue_depth" in
-  with_wal_server ~config (fun _server port wal ->
+  with_wal_server ~config (fun _server port _wal fake ->
       Fun.protect ~finally:release @@ fun () ->
       let raw user =
         let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
@@ -1437,7 +1439,7 @@ let test_fsync_eio_observer () =
       Atomic.set hold true;
       raw_send park_fd ~request_id:2 ~session_id:park_sid count;
       wait_for "executor parked" (fun () -> Atomic.get entered > 0);
-      Mlds.Wal.arm_failpoint wal ~after_appends:1 Mlds.Wal.Fsync_eio;
+      Fake_fs.arm fake ~kind:Fake_fs.Fsync 1 Fake_fs.Eio;
       raw_send a_fd ~request_id:2 ~session_id:a_sid
         (Wire.Submit "INSERT (<FILE, exposed>, <seq, 1>)");
       wait_for "A queued" (fun () -> Obs.Metrics.gauge_value depth >= 1.);

@@ -1,7 +1,8 @@
-(* The write-ahead log: frame encoding, torn-tail recovery, the injected
-   failure modes, and the headline crash-recovery property — at a random
-   kill point under a random workload, recovery loses no confirmed
-   request and exposes no torn state. *)
+(* The write-ahead log: frame encoding, torn-tail recovery, the failure
+   modes a recording file system injects, and the headline
+   crash-recovery property — at a random kill point under a random
+   workload, recovery loses no confirmed request and exposes no torn
+   state. *)
 
 let temp_wal () = Filename.temp_file "mldswal" ".wal"
 
@@ -111,15 +112,32 @@ let test_recover_corrupt_tail () =
   Alcotest.(check bool) "torn" true r.Mlds.Wal.torn;
   Sys.remove file
 
-(* --- failpoints ------------------------------------------------------------ *)
+(* --- crashes through the file-system seam ----------------------------------- *)
+
+(* The ways a log append can die, as faults of {!Fake_fs}: the machine
+   loses power with the frame written but not fsynced (every byte since
+   the last fsync is gone), or the process dies mid-write leaving half
+   the frame, or [n] bytes of it. *)
+type failure = Crash_before_fsync | Crash_mid_frame | Short_write of int
+
+let fault_of = function
+  | Crash_before_fsync -> Fake_fs.Lose_unsynced
+  | Crash_mid_frame -> Fake_fs.Torn_half
+  | Short_write n -> Fake_fs.Torn n
+
+(* the [after]-th write to [file] from now meets [failure] *)
+let arm_crash fake ~file ~after failure =
+  Fake_fs.arm fake ~kind:Fake_fs.Write ~path:(String.equal file) after
+    (fault_of failure)
 
 let crash_with failure =
   let file = temp_wal () in
-  let wal = Mlds.Wal.open_log file in
+  let fake = Fake_fs.create () in
+  let wal = Mlds.Wal.open_log ~fs:(Fake_fs.fs fake) file in
   Mlds.Wal.append wal Mlds.Wal.Begin;
   Mlds.Wal.append wal (Mlds.Wal.Keyed_insert (1, item 1 10));
   Mlds.Wal.sync wal;
-  Mlds.Wal.arm_failpoint wal ~after_appends:2 failure;
+  arm_crash fake ~file ~after:2 failure;
   Mlds.Wal.append wal Mlds.Wal.Commit;
   (* frame 3 survives; frame 4 hits the failpoint *)
   let crashed =
@@ -137,18 +155,18 @@ let crash_with failure =
   r
 
 let test_crash_mid_frame () =
-  let r = crash_with Mlds.Wal.Crash_mid_frame in
+  let r = crash_with Crash_mid_frame in
   (* the half-written 4th frame is a torn tail; the first 3 survive *)
   Alcotest.(check int) "prefix survives" 3 r.Mlds.Wal.frames;
   Alcotest.(check bool) "torn tail reported" true r.Mlds.Wal.torn
 
 let test_short_write () =
-  let r = crash_with (Mlds.Wal.Short_write 3) in
+  let r = crash_with (Short_write 3) in
   Alcotest.(check int) "prefix survives" 3 r.Mlds.Wal.frames;
   Alcotest.(check bool) "torn tail reported" true r.Mlds.Wal.torn
 
 let test_crash_before_fsync () =
-  let r = crash_with Mlds.Wal.Crash_before_fsync in
+  let r = crash_with Crash_before_fsync in
   (* every byte after the last sync is gone: frames 3 and 4 both vanish,
      and the file ends cleanly at the synced prefix *)
   Alcotest.(check int) "only the synced prefix survives" 2 r.Mlds.Wal.frames;
@@ -234,23 +252,25 @@ let test_truncate_to_keeps_tail () =
     r.Mlds.Wal.skipped;
   Sys.remove file
 
-(* Satellite regression (PR 9): a crash in truncate_to's window between
-   building the [.swap] replacement log and renaming it into place used
-   to leave the orphan [.swap] on disk forever. open_log must detect and
-   remove it — the crash happened before the rename, so the original log
-   is still the truth and the orphan is pure garbage. *)
+(* A crash in truncate_to's window between building the replacement log
+   and renaming it into place used to leave the orphan on disk forever.
+   open_log must detect and remove it — the crash happened before the
+   rename, so the original log is still the truth and the orphan is pure
+   garbage. *)
 let test_truncate_crash_leaves_no_swap () =
   let file = temp_wal () in
-  let wal = Mlds.Wal.open_log file in
+  let swap = Mlds.Fs.temp_of file in
+  let fake = Fake_fs.create () in
+  let wal = Mlds.Wal.open_log ~fs:(Fake_fs.fs fake) file in
   List.iter (Mlds.Wal.append wal) script;
   let pos = Mlds.Wal.position wal in
   Mlds.Wal.append wal (Mlds.Wal.Keyed_insert (9, item 9 90));
-  Mlds.Wal.inject_truncate_crash wal;
+  Fake_fs.arm fake ~kind:Fake_fs.Rename 1 Fake_fs.Stop;
   (match Mlds.Wal.truncate_to wal ~keep_from:pos with
   | () -> Alcotest.fail "armed truncate_to should have crashed"
   | exception Mlds.Wal.Crash _ -> ());
   Alcotest.(check bool) "the .swap orphan is on disk" true
-    (Sys.file_exists (file ^ ".swap"));
+    (Sys.file_exists swap);
   (* the machine comes back: the old log is intact, and opening it
      sweeps the orphan *)
   let removed_before =
@@ -258,7 +278,7 @@ let test_truncate_crash_leaves_no_swap () =
   in
   let wal2 = Mlds.Wal.open_log file in
   Alcotest.(check bool) "open_log removed the orphan" false
-    (Sys.file_exists (file ^ ".swap"));
+    (Sys.file_exists swap);
   Alcotest.(check int) "removal is counted" (removed_before + 1)
     (Obs.Metrics.counter_value (Obs.Metrics.counter "wal.stale_swap_removed"));
   Alcotest.(check int) "old generation still current" 0
@@ -273,6 +293,50 @@ let test_truncate_crash_leaves_no_swap () =
   Alcotest.(check int) "clean truncation after recovery" 1
     (Mlds.Wal.generation wal3);
   Mlds.Wal.close wal3;
+  Sys.remove file
+
+(* A truncate_to whose replace fails must not leave the handle writing
+   where recovery will not look. Failing before the rename (the temp
+   file's write), the handle keeps the old log and what it appends next
+   is recovered. Failing after it (the directory fsync), the handle
+   points at the unlinked old log, so it dies: a later append raises
+   instead of being acked into a file that is gone. *)
+let test_truncate_to_failed_replace () =
+  let file = temp_wal () in
+  let tmp = Mlds.Fs.temp_of file in
+  let fake = Fake_fs.create () in
+  let wal = Mlds.Wal.open_log ~fs:(Fake_fs.fs fake) file in
+  List.iter (Mlds.Wal.append wal) script;
+  let pos = Mlds.Wal.position wal in
+  Mlds.Wal.append wal (Mlds.Wal.Keyed_insert (9, item 9 90));
+  Fake_fs.arm fake ~kind:Fake_fs.Write ~path:(String.equal tmp) 1 Fake_fs.Eio;
+  (match Mlds.Wal.truncate_to wal ~keep_from:pos with
+  | () -> Alcotest.fail "armed truncate_to should have failed"
+  | exception Unix.Unix_error (Unix.EIO, _, _) -> ());
+  Alcotest.(check bool) "the failed replace removed its temp file" false
+    (Sys.file_exists tmp);
+  Mlds.Wal.append wal Mlds.Wal.Commit;
+  Mlds.Wal.sync wal;
+  let r = Mlds.Wal.recover file in
+  Alcotest.(check int) "old generation still on disk" 0 r.Mlds.Wal.gen;
+  Alcotest.(check int) "the append after the failure is recovered"
+    (List.length script + 2) r.Mlds.Wal.frames;
+  Fake_fs.arm fake ~kind:Fake_fs.Fsync_dir 1 Fake_fs.Eio;
+  (match Mlds.Wal.truncate_to wal ~keep_from:pos with
+  | () -> Alcotest.fail "armed truncate_to should have failed"
+  | exception Unix.Unix_error (Unix.EIO, _, _) -> ());
+  (match Mlds.Wal.append wal Mlds.Wal.Abort with
+  | () -> Alcotest.fail "append went to the replaced log"
+  | exception Mlds.Wal.Crash _ -> ());
+  Mlds.Wal.close wal;
+  let r = Mlds.Wal.recover file in
+  Alcotest.(check int) "the renamed log is the new generation" 1
+    r.Mlds.Wal.gen;
+  Alcotest.(check bool) "it holds the tail, and nothing was acked past it"
+    true
+    (match r.Mlds.Wal.entries with
+    | [ Mlds.Wal.Keyed_insert (9, _); Mlds.Wal.Commit ] -> true
+    | _ -> false);
   Sys.remove file
 
 let test_skip_stale_frames () =
@@ -365,6 +429,14 @@ let test_float_frames_replay_exactly () =
 
 (* --- the checkpoint crash window ------------------------------------------- *)
 
+(* The checkpoint's crash window as a fault of the file system: the first
+   operation on the log (or its replacement) after the snapshot is
+   durable fails, so the checkpoint stops between save and truncate. *)
+let arm_checkpoint_window fake ~file =
+  Fake_fs.arm fake
+    ~path:(fun p -> p = file || p = Mlds.Fs.temp_of file)
+    1 Fake_fs.Eio
+
 (* The regression the generation stamp exists for: a crash in the exact
    window between the durable snapshot save and the WAL truncation used
    to leave a snapshot *plus* a full log whose replay re-applied every
@@ -375,7 +447,8 @@ let test_float_frames_replay_exactly () =
 let test_checkpoint_crash_window () =
   let snap = Filename.temp_file "mldssnap" ".mlds" in
   let file = snap ^ ".wal" in
-  let sys_a = Mlds.System.create () in
+  let fake = Fake_fs.create () in
+  let sys_a = Mlds.System.create ~fs:(Fake_fs.fs fake) () in
   (match Mlds.System.define_relational sys_a ~name:"crash" with
   | Ok () -> ()
   | Error msg -> failwith msg);
@@ -389,7 +462,7 @@ let test_checkpoint_crash_window () =
   in
   ignore (Mapping.Kernel.update kernel (q_id 1) add100);
   (* v = 110, logged as INSERT + non-idempotent UPDATE *)
-  Mlds.Persist.inject_checkpoint_crash ();
+  arm_checkpoint_window fake ~file;
   (match Mlds.Persist.checkpoint sys_a ~db:"crash" ~file:snap with
   | Error _ -> ()
   | Ok () -> Alcotest.fail "injected checkpoint crash did not fire");
@@ -524,15 +597,13 @@ let prop_group_commit_crash =
         (int_range 1 8)
         (option
            (pair (int_range 1 30)
-              (oneofl
-                 [ Mlds.Wal.Crash_before_fsync; Mlds.Wal.Crash_mid_frame;
-                   Mlds.Wal.Short_write 5 ]))))
+              (oneofl [ Crash_before_fsync; Crash_mid_frame; Short_write 5 ]))))
     (fun (commits, crash) ->
       let file = temp_wal () in
-      let wal = Mlds.Wal.open_log file in
+      let fake = Fake_fs.create () in
+      let wal = Mlds.Wal.open_log ~fs:(Fake_fs.fs fake) file in
       (match crash with
-      | Some (after, failure) ->
-        Mlds.Wal.arm_failpoint wal ~after_appends:after failure
+      | Some (after, failure) -> arm_crash fake ~file ~after failure
       | None -> ());
       Mlds.Wal.begin_group wal;
       let appended = ref [] in
@@ -574,13 +645,14 @@ let prop_group_commit_crash =
           r.Mlds.Wal.frames r.Mlds.Wal.torn
       else true)
 
-(* The Fsync_eio failpoint: the covering fsync reports a disk error,
-   the durable position does not move, and the handle stays usable — a
-   later sync retries and lands. *)
+(* An fsync EIO: the covering fsync reports a disk error, the durable
+   position does not move, and the handle stays usable — a later sync
+   retries and lands. *)
 let test_fsync_eio () =
   let file = temp_wal () in
-  let wal = Mlds.Wal.open_log file in
-  Mlds.Wal.arm_failpoint wal ~after_appends:1 Mlds.Wal.Fsync_eio;
+  let fake = Fake_fs.create () in
+  let wal = Mlds.Wal.open_log ~fs:(Fake_fs.fs fake) file in
+  Fake_fs.arm fake ~kind:Fake_fs.Fsync 1 Fake_fs.Eio;
   List.iter (Mlds.Wal.append wal) script;
   let synced = Mlds.Wal.synced_position wal in
   (match Mlds.Wal.sync wal with
@@ -643,12 +715,11 @@ let prop_pipelined_commit_crash =
         (list_size (int_range 1 6) bool)
         (list_size (int_range 1 6) bool)
         bool
-        (oneofl
-           [ Mlds.Wal.Crash_before_fsync; Mlds.Wal.Crash_mid_frame;
-             Mlds.Wal.Short_write 5 ]))
+        (oneofl [ Crash_before_fsync; Crash_mid_frame; Short_write 5 ]))
     (fun (batch_n, batch_n1, pending, failure) ->
       let file = temp_wal () in
-      let wal = Mlds.Wal.open_log file in
+      let fake = Fake_fs.create () in
+      let wal = Mlds.Wal.open_log ~fs:(Fake_fs.fs fake) file in
       let flusher = Server.Flusher.create ~on_durable:ignore wal in
       let mx = Mutex.create () in
       let acked = ref [] and shown = ref [] in
@@ -689,7 +760,7 @@ let prop_pipelined_commit_crash =
       if not pending then Server.Flusher.request flusher goal;
       run_batch batch_n1;
       (* the kill, before batch N+1 ends: the next append dies *)
-      Mlds.Wal.arm_failpoint wal ~after_appends:1 failure;
+      arm_crash fake ~file ~after:1 failure;
       (try Mlds.Wal.append wal Mlds.Wal.Abort with Mlds.Wal.Crash _ -> ());
       (* a flush still pending at the crash now meets a dead handle *)
       if pending then Server.Flusher.request flusher goal;
@@ -717,7 +788,7 @@ let prop_pipelined_commit_crash =
 
 (* One workload step. [Op_txn] groups its sub-ops through
    [Mapping.Kernel.atomically]; [Op_checkpoint] takes an online
-   checkpoint mid-workload ([true] = with the injected crash in the
+   checkpoint mid-workload ([true] = with the injected fault in the
    window between the durable snapshot and the WAL truncation). *)
 type op =
   | Op_insert of int * int
@@ -748,9 +819,7 @@ let gen_crash =
   QCheck2.Gen.(
     option
       (pair (int_range 1 30)
-         (oneofl
-            [ Mlds.Wal.Crash_before_fsync; Mlds.Wal.Crash_mid_frame;
-              Mlds.Wal.Short_write 5 ])))
+          (oneofl [ Crash_before_fsync; Crash_mid_frame; Short_write 5 ])))
 
 let prop_crash_recovery =
   QCheck2.Test.make
@@ -761,7 +830,8 @@ let prop_crash_recovery =
     (fun (backends, ops, crash) ->
       let snap = Filename.temp_file "mldssnap" ".mlds" in
       let file = snap ^ ".wal" in
-      let sys_a = Mlds.System.create ~backends () in
+      let fake = Fake_fs.create () in
+      let sys_a = Mlds.System.create ~backends ~fs:(Fake_fs.fs fake) () in
       (match Mlds.System.define_relational sys_a ~name:"crash" with
       | Ok () -> ()
       | Error msg -> failwith msg);
@@ -771,8 +841,7 @@ let prop_crash_recovery =
         | Error msg -> failwith msg
       in
       (match crash with
-      | Some (after, failure) ->
-        Mlds.Wal.arm_failpoint wal ~after_appends:after failure
+      | Some (after, failure) -> arm_crash fake ~file ~after failure
       | None -> ());
       let kernel = Option.get (Mlds.System.kernel_of sys_a "crash") in
       (* the model holds exactly the requests the caller saw complete *)
@@ -796,18 +865,13 @@ let prop_crash_recovery =
         | Op_txn _ | Op_checkpoint _ -> assert false
       in
       let crashed = ref false in
-      (* [true] once a durable snapshot exists at [snap] — including one
-         whose checkpoint crashed after the save but before the truncate
-         (the error the injection produces fires past the save) *)
-      let did_checkpoint = ref false in
       let run_op op =
         match op with
         | Op_checkpoint inject ->
           begin
-            if inject then Mlds.Persist.inject_checkpoint_crash ();
+            if inject then arm_checkpoint_window fake ~file;
             match Mlds.Persist.checkpoint sys_a ~db:"crash" ~file:snap with
-            | Ok () -> did_checkpoint := true
-            | Error _ -> if inject then did_checkpoint := true
+            | Ok () | Error _ -> ()
             | exception Mlds.Wal.Crash _ -> crashed := true
           end
         | Op_txn sub_ops ->
@@ -832,10 +896,13 @@ let prop_crash_recovery =
       (* the machine is dead; bring up a fresh system and recover — from
          the latest snapshot when one was checkpointed (its stamp must
          make replay skip the frames it covers), else from the log
-         alone *)
+         alone. [snap] starts empty, and a save replaces it whole, so a
+         non-empty [snap] is a durable snapshot — also one whose
+         checkpoint stopped between the save and the truncate. *)
+      let did_checkpoint = (Unix.stat snap).Unix.st_size > 0 in
       let sys_b = Mlds.System.create ~backends () in
       let report =
-        if !did_checkpoint then
+        if did_checkpoint then
           match Mlds.Persist.load_report sys_b ~file:snap with
           | Ok outcome -> Option.get outcome.Mlds.Persist.recovery
           | Error msg -> failwith msg
@@ -851,8 +918,9 @@ let prop_crash_recovery =
       let recovered =
         state_of_kernel (Option.get (Mlds.System.kernel_of sys_b "crash"))
       in
-      Sys.remove file;
-      Sys.remove snap;
+      List.iter
+        (fun f -> try Sys.remove f with Sys_error _ -> ())
+        [ file; snap; Mlds.Fs.temp_of file; Mlds.Fs.temp_of snap ];
       if recovered <> state_of_store model then
         QCheck2.Test.fail_reportf
           "recovered state differs from confirmed state\n\
@@ -872,19 +940,18 @@ let prop_crash_recovery =
    span tree and the report to that file. *)
 let test_recovery_trace_artifact () =
   let file = temp_wal () in
-  let sys_a = Mlds.System.create () in
+  let fake = Fake_fs.create () in
+  let sys_a = Mlds.System.create ~fs:(Fake_fs.fs fake) () in
   (match Mlds.System.define_relational sys_a ~name:"traced" with
   | Ok () -> ()
   | Error msg -> failwith msg);
-  let wal =
-    match Mlds.System.attach_wal sys_a ~db:"traced" ~file with
-    | Ok wal -> wal
-    | Error msg -> failwith msg
-  in
+  (match Mlds.System.attach_wal sys_a ~db:"traced" ~file with
+  | Ok _ -> ()
+  | Error msg -> failwith msg);
   let kernel = Option.get (Mlds.System.kernel_of sys_a "traced") in
   ignore (Mapping.Kernel.insert kernel (item 1 10));
   ignore (Mapping.Kernel.insert kernel (item 2 20));
-  Mlds.Wal.arm_failpoint wal ~after_appends:2 Mlds.Wal.Crash_mid_frame;
+  arm_crash fake ~file ~after:2 Crash_mid_frame;
   Alcotest.(check bool) "the kill point fired" true
     (match
        Mapping.Kernel.atomically kernel (fun () ->
@@ -945,6 +1012,8 @@ let suite =
     "truncate_to keeps the tail", `Quick, test_truncate_to_keeps_tail;
     "truncate crash window leaves no stale .swap", `Quick,
     test_truncate_crash_leaves_no_swap;
+    "truncate_to after a failed replace", `Quick,
+    test_truncate_to_failed_replace;
     "skip drops snapshot-covered frames", `Quick, test_skip_stale_frames;
     "trim cuts a torn tail", `Quick, test_trim_torn_tail;
     "float frames replay exactly", `Quick, test_float_frames_replay_exactly;
