@@ -192,7 +192,10 @@ let translation_table title scripts =
           ignore (Codasyl_dml.Engine.execute session (Codasyl_dml.Parser.stmt src)))
         setup;
       let stmt = Codasyl_dml.Parser.stmt probe in
-      let _result, issued = Codasyl_dml.Engine.translate session stmt in
+      let _result, issued =
+        Mapping.Kernel.collect session.Codasyl_dml.Session.kernel (fun () ->
+            Codasyl_dml.Engine.execute session stmt)
+      in
       let first =
         match issued with
         | r :: _ ->
@@ -495,9 +498,7 @@ let experiment_e10_point_reads () =
   let pids = scatter (List.init patients succ) in
   row ~gauge:"dli_gu_over_abdl"
     ( "DL/I GU patient(pid = k)",
-      (fun call ->
-        Hierarchical.Engine.clear_log dli;
-        Hierarchical.Engine.execute dli call),
+      Hierarchical.Engine.execute dli,
       List.map
         (fun k -> Hierarchical.Dli_parser.call (Printf.sprintf "GU patient(pid = %d)" k))
         pids )
@@ -523,9 +524,7 @@ let experiment_e10_point_reads () =
   in
   row ~gauge:"daplex_such_that_over_abdl"
     ( "Daplex FOR EACH p IN person SUCH THAT ssn(p) = k",
-      (fun stmt ->
-        Daplex_dml.Engine.clear_log daplex;
-        Daplex_dml.Engine.execute daplex stmt),
+      Daplex_dml.Engine.execute daplex,
       List.map
         (fun k ->
           Daplex_dml.Parser.stmt

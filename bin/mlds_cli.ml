@@ -8,7 +8,8 @@
      \lang <language>      switch language (codasyl daplex sql dli abdl)
      \db <name>            switch database
      \schema               show the current database's schema
-     \log                  show ABDL requests issued by the last statement
+     \log                  show the ABDL requests the last submission
+                           issued, in any language (ABDL too)
      \trace on|off         print the span tree of every submission
      \stats                kernel statistics for the current database
      \metrics              process-wide metrics registry (Obs)
@@ -55,6 +56,8 @@ type repl_state = {
   mutable language : Mlds.System.language;
   mutable db : string;
   mutable handle : Mlds.System.handle option;
+  mutable requests : Abdl.Ast.request list;
+      (* the ABDL requests of the last submission, for \log *)
 }
 
 let close_current state =
@@ -68,6 +71,7 @@ let close_current state =
 
 let open_current state =
   close_current state;
+  state.requests <- [];
   match Mlds.System.open_handle state.system state.language ~db:state.db with
   | Ok h ->
     state.handle <- Some h;
@@ -81,25 +85,11 @@ let open_current state =
 let session_of state = Option.map Mlds.System.handle_session state.handle
 
 let show_log state =
-  match session_of state with
-  | Some (Mlds.System.S_codasyl s) ->
+  match state.handle with
+  | Some _ ->
     List.iter
       (fun r -> Printf.printf "  %s\n" (Abdl.Ast.to_string r))
-      (Codasyl_dml.Session.request_log s)
-  | Some (Mlds.System.S_daplex e) ->
-    List.iter
-      (fun r -> Printf.printf "  %s\n" (Abdl.Ast.to_string r))
-      (Daplex_dml.Engine.request_log e)
-  | Some (Mlds.System.S_sql e) ->
-    List.iter
-      (fun r -> Printf.printf "  %s\n" (Abdl.Ast.to_string r))
-      (Relational.Engine.request_log e)
-  | Some (Mlds.System.S_dli e) ->
-    List.iter
-      (fun r -> Printf.printf "  %s\n" (Abdl.Ast.to_string r))
-      (Hierarchical.Engine.request_log e)
-  | Some (Mlds.System.S_abdl _) ->
-    print_endline "  (ABDL sessions issue their statements directly)"
+      state.requests
   | None -> print_endline "  (no session)"
 
 let show_stats state =
@@ -326,8 +316,15 @@ let repl_loop state =
         match state.handle with
         | None -> print_endline "no session open (try \\lang / \\db)"
         | Some handle ->
+          let submit () = Mlds.System.submit_handle handle line in
+          let result, requests =
+            match Mlds.System.kernel_of state.system state.db with
+            | Some kernel -> Mapping.Kernel.collect kernel submit
+            | None -> submit (), []
+          in
+          state.requests <- requests;
           begin
-            match Mlds.System.submit_handle handle line with
+            match result with
             | Ok out -> print_endline out
             | Error (Mlds.System.H_parse msg) ->
               Printf.printf "parse error: %s\n" msg
@@ -561,7 +558,9 @@ let repl_cmd =
     | None ->
       with_system backends trace skew fresh lang db
         (fun t language db ->
-          let state = { system = t; language; db; handle = None } in
+          let state =
+            { system = t; language; db; handle = None; requests = [] }
+          in
           open_current state;
           print_endline "MLDS interactive interface; \\quit to leave.";
           repl_loop state;

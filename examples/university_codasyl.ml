@@ -7,7 +7,10 @@ let run session src =
   List.iter
     (fun stmt ->
       Printf.printf "DML> %s\n" (Codasyl_dml.Ast.to_string stmt);
-      let result, issued = Codasyl_dml.Engine.translate session stmt in
+      let result, issued =
+        Mapping.Kernel.collect session.Codasyl_dml.Session.kernel (fun () ->
+            Codasyl_dml.Engine.execute session stmt)
+      in
       List.iter
         (fun request -> Printf.printf "     ABDL: %s\n" (Abdl.Ast.to_string request))
         issued;

@@ -124,14 +124,14 @@ let members_of_set (session : Session.t) (s : Network.Types.set_type)
   match kind with
   | K_system ->
     Ok
-      (Session.retrieve_records session
+      (Mapping.Kernel.select session.kernel
          (Abdm.Query.conj [ Abdm.Predicate.file_eq s.set_member ]))
   | K_member_held | K_isa ->
     begin
       match owner_key with
       | Some key ->
         Ok
-          (Session.retrieve_records session
+          (Mapping.Kernel.select session.kernel
              (Abdm.Query.conj
                 [ Abdm.Predicate.file_eq s.set_member; int_pred s.set_name key ]))
       | None -> err "set %S: no current set occurrence (owner is null)" s.set_name
@@ -142,7 +142,7 @@ let members_of_set (session : Session.t) (s : Network.Types.set_type)
     | Some key ->
       (* First ARR: the owner's duplicated copies carry the member keys. *)
       let copies =
-        Session.retrieve_records session
+        Mapping.Kernel.select session.kernel
           (Abdm.Query.conj
              [ Abdm.Predicate.file_eq s.set_owner; int_pred s.set_owner key ])
       in
@@ -167,7 +167,7 @@ let members_of_set (session : Session.t) (s : Network.Types.set_type)
         (* Keep only primary records (key attribute = dbkey would also
            admit copies; primaries are the ones whose key equals their own
            unique key exactly once — take the first record per key). *)
-        let records = Session.retrieve_records session query in
+        let records = Mapping.Kernel.select session.kernel query in
         let seen = Hashtbl.create 16 in
         let primaries =
           List.filter
@@ -185,7 +185,7 @@ let members_of_set (session : Session.t) (s : Network.Types.set_type)
 (* Primary record of an entity by unique key. *)
 let primary_record (session : Session.t) record_type key =
   let records =
-    Session.retrieve_records session
+    Mapping.Kernel.select session.kernel
       (Abdm.Query.conj
          [ Abdm.Predicate.file_eq record_type; int_pred record_type key ])
   in
@@ -223,7 +223,7 @@ let exec_find_any session (record : string) items =
       (Ok []) items
   in
   let query = Abdm.Query.conj (Abdm.Predicate.file_eq record :: List.rev preds) in
-  match Session.retrieve_records session query with
+  match Mapping.Kernel.select session.kernel query with
   | [] -> Ok End_of_set
   | ((dbkey, found) :: _) as entries ->
     (* §VI.B.1: the results are placed in the request buffer — under every
@@ -303,7 +303,7 @@ let owner_entries session (s : Network.Types.set_type) =
       | Some rb when Array.length rb.rb_entries > 0 ->
         Array.to_list rb.rb_entries
       | Some _ | None ->
-        Session.retrieve_records session
+        Mapping.Kernel.select session.kernel
           (Abdm.Query.conj [ Abdm.Predicate.file_eq s.set_member ])
     in
     let keys =
@@ -508,7 +508,7 @@ let exec_store session record_type =
                 unique_items)
       in
       match
-        Session.issue session
+        Mapping.Kernel.run session.kernel
           (Abdl.Ast.retrieve query [ Abdl.Ast.T_attr record_type ])
       with
       | Abdl.Exec.Rows [] -> Ok ()
@@ -559,7 +559,7 @@ let exec_store session record_type =
         match isa_between ~super ~sub with
         | None -> []
         | Some s ->
-          Session.retrieve_records session
+          Mapping.Kernel.select session.kernel
             (Abdm.Query.conj
                [ Abdm.Predicate.file_eq sub; int_pred s.set_name super_key ])
           |> List.map (fun (dbkey, r) -> entity_key sub r ~dbkey)
@@ -572,7 +572,7 @@ let exec_store session record_type =
           let acc = (type_name, key) :: acc in
           let record =
             match
-              Session.retrieve_records session
+              Mapping.Kernel.select session.kernel
                 (Abdm.Query.conj
                    [ Abdm.Predicate.file_eq type_name; int_pred type_name key ])
             with
@@ -666,7 +666,7 @@ let exec_store session record_type =
          file.attributes
   in
   let record = Abdm.Record.make keywords in
-  match Session.issue session (Abdl.Ast.Insert record) with
+  match Mapping.Kernel.run session.kernel (Abdl.Ast.Insert record) with
   | Abdl.Exec.Inserted dbkey ->
     (* fix the artificial unique key to the primary record's dbkey *)
     let keyed = Abdm.Record.set record record_type (Abdm.Value.Int dbkey) in
@@ -707,7 +707,7 @@ let exec_connect_one session record set =
         [ Abdm.Predicate.file_eq record; int_pred record member_key ]
     in
     let _ =
-      Session.issue session
+      Mapping.Kernel.run session.kernel
         (Abdl.Ast.Update
            (query, [ Abdm.Modifier.Set_const (set, Abdm.Value.Int owner_key) ]))
     in
@@ -720,7 +720,7 @@ let exec_connect_one session record set =
       err "record %s is not a member of set %s" record set
     else begin
       let copies =
-        Session.retrieve_records session
+        Mapping.Kernel.select session.kernel
           (Abdm.Query.conj
              [ Abdm.Predicate.file_eq s.set_owner; int_pred s.set_owner owner_key ])
       in
@@ -740,7 +740,7 @@ let exec_connect_one session record set =
             ]
         in
         let _ =
-          Session.issue session
+          Mapping.Kernel.run session.kernel
             (Abdl.Ast.Update
                ( query,
                  [ Abdm.Modifier.Set_const (set, Abdm.Value.Int member_key) ] ))
@@ -768,7 +768,7 @@ let exec_connect_one session record set =
         List.iter
           (fun (_, c) ->
             let dup = Abdm.Record.set c set (Abdm.Value.Int member_key) in
-            ignore (Session.issue session (Abdl.Ast.Insert dup)))
+            ignore (Mapping.Kernel.run session.kernel (Abdl.Ast.Insert dup)))
           distinct;
         Network.Currency.set_set_member session.Session.cit set entry;
         Ok (Done (Printf.sprintf "connected %s to %s" record set))
@@ -803,14 +803,14 @@ let exec_disconnect_one session record set =
       | Some { cur_owner = None; _ } | None -> Abdm.Query.conj base
     in
     let _ =
-      Session.issue session
+      Mapping.Kernel.run session.kernel
         (Abdl.Ast.Update (query, [ Abdm.Modifier.Set_const (set, Abdm.Value.Null) ]))
     in
     Ok (Done (Printf.sprintf "disconnected %s from %s" record set))
   | K_owner_held ->
     let* owner_key = owner_currency session set in
     let copies =
-      Session.retrieve_records session
+      Mapping.Kernel.select session.kernel
         (Abdm.Query.conj
            [ Abdm.Predicate.file_eq s.set_owner; int_pred s.set_owner owner_key ])
     in
@@ -833,13 +833,13 @@ let exec_disconnect_one session record set =
     in
     if List.length member_keys > 1 then begin
       (* multiple members: delete the copies that reference the member *)
-      let _ = Session.issue session (Abdl.Ast.Delete query) in
+      let _ = Mapping.Kernel.run session.kernel (Abdl.Ast.Delete query) in
       Ok (Done (Printf.sprintf "disconnected %s from %s" record set))
     end
     else begin
       (* singleton function set: null the value out *)
       let _ =
-        Session.issue session
+        Mapping.Kernel.run session.kernel
           (Abdl.Ast.Update (query, [ Abdm.Modifier.Set_const (set, Abdm.Value.Null) ]))
       in
       Ok (Done (Printf.sprintf "disconnected %s from %s" record set))
@@ -886,7 +886,7 @@ let exec_modify session record items =
         let* () = acc in
         let* v = uwa_value session ~record ~item in
         let _ =
-          Session.issue session
+          Mapping.Kernel.run session.kernel
             (Abdl.Ast.Update (query, [ Abdm.Modifier.Set_const (item, v) ]))
         in
         Ok ())
@@ -920,7 +920,7 @@ let exec_erase session record =
           in
           begin
             match
-              Session.issue session
+              Mapping.Kernel.run session.kernel
                 (Abdl.Ast.retrieve query [ Abdl.Ast.T_attr s.set_name ])
             with
             | Abdl.Exec.Rows [] -> Ok ()
@@ -943,7 +943,7 @@ let exec_erase session record =
           in
           begin
             match
-              Session.issue session
+              Mapping.Kernel.run session.kernel
                 (Abdl.Ast.retrieve query [ Abdl.Ast.T_attr s.set_name ])
             with
             | Abdl.Exec.Rows [] -> Ok ()
@@ -975,7 +975,7 @@ let exec_erase session record =
             [ Abdm.Predicate.file_eq s.set_owner; int_pred s.set_name key ]
         in
         match
-          Session.issue session
+          Mapping.Kernel.run session.kernel
             (Abdl.Ast.retrieve query [ Abdl.Ast.T_attr s.set_name ])
         with
         | Abdl.Exec.Rows [] -> Ok ()
@@ -989,14 +989,14 @@ let exec_erase session record =
   (* Collect the doomed dbkeys (the primary and its duplicated copies)
      before deleting, so stale currency can be nulled. *)
   let victims =
-    Session.retrieve_records session
+    Mapping.Kernel.select session.kernel
       (Abdm.Query.conj [ Abdm.Predicate.file_eq record; int_pred record key ])
   in
   let query =
     Abdm.Query.conj [ Abdm.Predicate.file_eq record; int_pred record key ]
   in
   let deleted =
-    match Session.issue session (Abdl.Ast.Delete query) with
+    match Mapping.Kernel.run session.kernel (Abdl.Ast.Delete query) with
     | Abdl.Exec.Deleted n -> n
     | Abdl.Exec.Rows _ | Abdl.Exec.Inserted _ | Abdl.Exec.Updated _ -> 0
   in
@@ -1080,8 +1080,3 @@ let outcome_to_string = function
            Printf.sprintf "%s=%s" attr (Abdm.Value.to_display v))
     |> String.concat ", "
   | Stored { dbkey } -> Printf.sprintf "stored (dbkey %d)" dbkey
-
-let translate session stmt =
-  Session.clear_log session;
-  let result = execute session stmt in
-  result, Session.request_log session

@@ -29,11 +29,3 @@ val run_program :
   Session.t -> Ast.stmt list -> (Ast.stmt * (outcome, string) result) list
 
 val outcome_to_string : outcome -> string
-
-(** [translate session stmt] — KMS view of one statement: clears the
-    session's request log, runs [execute] and returns the ABDL requests
-    the statement issued (the §III.A one-to-many correspondence), in
-    time proportional to those requests alone. State changes do persist;
-    use on a scratch session for pure previews. *)
-val translate :
-  Session.t -> Ast.stmt -> (outcome, string) result * Abdl.Ast.request list

@@ -10,7 +10,6 @@ type t = {
   cit : Network.Currency.t;
   uwa : Network.Uwa.t;
   buffers : (string, rb) Hashtbl.t;
-  mutable log : Abdl.Ast.request list;
 }
 
 let create kernel flavor =
@@ -21,33 +20,9 @@ let create kernel flavor =
     cit = Network.Currency.create ();
     uwa = Network.Uwa.create ();
     buffers = Hashtbl.create 16;
-    log = [];
   }
 
 let net_schema t = Mapping.Ab_schema.network_schema t.flavor
-
-let issue t request =
-  t.log <- request :: t.log;
-  Mapping.Kernel.run t.kernel request
-
-let retrieve_records t query =
-  match issue t (Abdl.Ast.retrieve query [ Abdl.Ast.T_all ]) with
-  | Abdl.Exec.Rows rows ->
-    List.filter_map
-      (fun (row : Abdl.Exec.row) ->
-        match row.dbkey with
-        | Some key ->
-          let keywords =
-            List.map (fun (attr, v) -> Abdm.Keyword.make attr v) row.values
-          in
-          Some (key, Abdm.Record.make keywords)
-        | None -> None)
-      rows
-  | Abdl.Exec.Inserted _ | Abdl.Exec.Deleted _ | Abdl.Exec.Updated _ -> []
-
-let request_log t = List.rev t.log
-
-let clear_log t = t.log <- []
 
 let buffer t set_name = Hashtbl.find_opt t.buffers set_name
 

@@ -22,10 +22,4 @@ val execute : t -> Ast.stmt -> (outcome, string) result
 
 val run_program : t -> Ast.stmt list -> (Ast.stmt * (outcome, string) result) list
 
-(** ABDL requests issued by the current or most recent submission,
-    oldest first ([Mlds.System] clears the log as each one starts). *)
-val request_log : t -> Abdl.Ast.request list
-
-val clear_log : t -> unit
-
 val outcome_to_string : outcome -> string

@@ -8,7 +8,6 @@ type t = {
   descriptor : Abdm.Descriptor.t;
   mutable position : path;  (* [] when there is no current segment *)
   mutable parentage : path;
-  mutable log : Abdl.Ast.request list;  (* newest first *)
 }
 
 type outcome =
@@ -33,29 +32,9 @@ let create kernel hie_schema =
     descriptor = Types.descriptor hie_schema;
     position = [];
     parentage = [];
-    log = [];
   }
 
 let schema t = t.hie_schema
-
-let issue t request =
-  t.log <- request :: t.log;
-  Mapping.Kernel.run t.kernel request
-
-let retrieve t query =
-  match issue t (Abdl.Ast.retrieve query [ Abdl.Ast.T_all ]) with
-  | Abdl.Exec.Rows rows ->
-    List.filter_map
-      (fun (row : Abdl.Exec.row) ->
-        match row.dbkey with
-        | Some key ->
-          Some
-            ( key,
-              Abdm.Record.make
-                (List.map (fun (attr, v) -> Abdm.Keyword.make attr v) row.values) )
-        | None -> None)
-      rows
-  | Abdl.Exec.Inserted _ | Abdl.Exec.Deleted _ | Abdl.Exec.Updated _ -> []
 
 let int_pred attr key =
   Abdm.Predicate.make attr Abdm.Predicate.Eq (Abdm.Value.Int key)
@@ -121,7 +100,7 @@ let rec walk t plan parent types after : (path * Abdm.Record.t) Seq.t =
           | None -> []
         in
         let rows =
-          retrieve t
+          Mapping.Kernel.select t.kernel
             (Abdm.Query.conj
                ((Abdm.Predicate.file_eq seg.seg_name :: parent_pred)
                 @ after_pred @ preds))
@@ -303,7 +282,7 @@ let exec_isrt t path seg_name fields =
     | Ok () -> Ok ()
     | Error msg -> err "ISRT %s: %s" seg_name msg
   in
-  match issue t (Abdl.Ast.Insert record) with
+  match Mapping.Kernel.run t.kernel (Abdl.Ast.Insert record) with
   | Abdl.Exec.Inserted key ->
     let keyed = Abdm.Record.set record seg_name (Abdm.Value.Int key) in
     Mapping.Kernel.replace t.kernel key keyed;
@@ -329,7 +308,7 @@ let exec_repl t fields =
       List.map (fun (f, v) -> Abdm.Modifier.Set_const (f, v)) fields
     in
     begin
-      match issue t (Abdl.Ast.Update (query, modifiers)) with
+      match Mapping.Kernel.run t.kernel (Abdl.Ast.Update (query, modifiers)) with
       | Abdl.Exec.Updated n -> Ok (Replaced n)
       | Abdl.Exec.Rows _ | Abdl.Exec.Inserted _ | Abdl.Exec.Deleted _ ->
         err "REPL: kernel returned a non-update result"
@@ -344,13 +323,13 @@ let exec_dlet t =
     let rec delete seg_name key =
       List.iter
         (fun (child : Types.segment) ->
-          retrieve t
+          Mapping.Kernel.select t.kernel
             (Abdm.Query.conj
                [ Abdm.Predicate.file_eq child.seg_name; int_pred seg_name key ])
           |> List.iter (fun (child_key, _) -> delete child.seg_name child_key))
         (Types.children t.hie_schema seg_name);
       match
-        issue t
+        Mapping.Kernel.run t.kernel
           (Abdl.Ast.Delete
              (Abdm.Query.conj
                 [ Abdm.Predicate.file_eq seg_name; int_pred seg_name key ]))
@@ -383,10 +362,6 @@ let position t =
   match t.position with
   | current :: _ -> Some current
   | [] -> None
-
-let request_log t = List.rev t.log
-
-let clear_log t = t.log <- []
 
 let outcome_to_string = function
   | Found { segment; key; fields } ->

@@ -37,10 +37,4 @@ val run_program : t -> string -> (Dli_ast.call * (outcome, string) result) list
 (** Current position (segment type, key), if any. *)
 val position : t -> (string * int) option
 
-(** ABDL requests issued by the current or most recent submission,
-    oldest first ([Mlds.System] clears the log as each one starts). *)
-val request_log : t -> Abdl.Ast.request list
-
-val clear_log : t -> unit
-
 val outcome_to_string : outcome -> string

@@ -18,6 +18,8 @@ type event =
 type t = {
   kds : kds;
   mutable wal_hook : (event -> unit) option;
+  mutable tap : Abdl.Ast.request list ref option;
+      (* the requests of the open [collect], newest first *)
   mutable txn_depth : int;
       (* explicit + [atomically] nesting; the underlying store journal is
          single-level, so only the outermost bracket touches it *)
@@ -34,15 +36,29 @@ let emit t ev =
   | Some hook -> hook ev
   | None -> ()
 
-let single ?name () =
-  { kds = Single (Abdm.Store.create ?name ()); wal_hook = None; txn_depth = 0 }
+(* The request tap: the one place the one-to-many correspondence of a
+   statement and its ABDL requests is observed. It keeps nothing unless
+   a [collect] is open. *)
+let note t request =
+  match t.tap with
+  | Some requests -> requests := request :: !requests
+  | None -> ()
+
+let collect t f =
+  let requests = ref [] in
+  t.tap <- Some requests;
+  Fun.protect
+    ~finally:(fun () -> t.tap <- None)
+    (fun () ->
+      let result = f () in
+      result, List.rev !requests)
+
+let make kds = { kds; wal_hook = None; tap = None; txn_depth = 0 }
+
+let single ?name () = make (Single (Abdm.Store.create ?name ()))
 
 let multi ?cost ?name ?placement n =
-  {
-    kds = Multi (Mbds.Controller.create ?cost ?name ?placement n);
-    wal_hook = None;
-    txn_depth = 0;
-  }
+  make (Multi (Mbds.Controller.create ?cost ?name ?placement n))
 
 let insert t record =
   let key =
@@ -57,6 +73,7 @@ let insert t record =
    not two requests with a gap between them. Each probe is the planner's
    index probe a RETRIEVE would make, without its row shaping. *)
 let insert_unique t record probes =
+  note t (Abdl.Ast.Insert record);
   Obs.Span.with_span "kernel.run"
     ~attrs:(fun () -> [ "request", "insert" ])
     (fun () ->
@@ -79,10 +96,16 @@ let insert_keyed t key record =
   end;
   emit t (Ev_insert (key, record))
 
-let select t =
-  match t.kds with
-  | Single store -> Abdm.Store.select store
-  | Multi ctrl -> Mbds.Controller.select ctrl
+(* RETRIEVE (query) (ALL) without shaping rows: the matches themselves,
+   in the order the rows would come. *)
+let select t query =
+  note t (Abdl.Ast.retrieve query [ Abdl.Ast.T_all ]);
+  Obs.Span.with_span "kernel.run"
+    ~attrs:(fun () -> [ "request", "retrieve" ])
+    (fun () ->
+      match t.kds with
+      | Single store -> Abdm.Store.select store query
+      | Multi ctrl -> Mbds.Controller.select ctrl query)
 
 let explain t query =
   match t.kds with
@@ -129,6 +152,7 @@ let request_kind (request : Abdl.Ast.request) =
   | Abdl.Ast.Retrieve_common _ -> "retrieve-common"
 
 let run t request =
+  note t request;
   Obs.Span.with_span "kernel.run"
     ~attrs:(fun () -> [ "request", request_kind request ])
     (fun () ->

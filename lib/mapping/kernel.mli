@@ -7,7 +7,9 @@
     The kernel is also the durability choke point: every mutation executed
     through it — whichever language interface issued it — can be observed
     by a single {e WAL hook} ({!set_wal_hook}), which `Mlds.System` uses to
-    write the per-database write-ahead log. *)
+    write the per-database write-ahead log. It is likewise the one place a
+    statement's ABDL translation is observed: {!collect} taps the requests
+    the language interfaces issue through it. *)
 
 type kds =
   | Single of Abdm.Store.t
@@ -41,6 +43,16 @@ val set_wal_hook : t -> (event -> unit) option -> unit
 
 val wal_hook : t -> (event -> unit) option
 
+(** [collect t f] runs [f] and returns its result with the ABDL requests
+    issued through [t] meanwhile, oldest first: the statement/request
+    correspondence of paper §III.A. One request is kept per {!run}, per
+    {!select} (as [RETRIEVE (q) (ALL)]) and per {!insert_unique} (as
+    [INSERT record], kept also when the insert is refused); key-addressed
+    calls ({!get}, {!replace}) and the other direct calls are not
+    requests and are not kept. The tap is removed when [f] returns or
+    raises. Calls of [collect] do not nest. *)
+val collect : t -> (unit -> 'a) -> 'a * Abdl.Ast.request list
+
 val single : ?name:string -> unit -> t
 
 (** [multi ?cost ?name ?placement n] — an MBDS with [n] backends.
@@ -72,6 +84,10 @@ val insert_unique :
     [Invalid_argument] if [key] is already live. *)
 val insert_keyed : t -> Abdm.Store.dbkey -> Abdm.Record.t -> unit
 
+(** [select t query] is [RETRIEVE (query) (ALL)] without row shaping:
+    the matching (dbkey, record) pairs in ascending-dbkey order, the
+    order the rows of {!run} come in. Traced as a [kernel.run] span of
+    request kind [retrieve]. *)
 val select : t -> Abdm.Query.t -> (Abdm.Store.dbkey * Abdm.Record.t) list
 
 (** [explain t query] renders the access plan the store(s) would use for

@@ -358,10 +358,7 @@ let parse_cached t language src =
 (* KMS translation + KC execution + KFS formatting over an already-parsed
    program. The engines interleave translation and execution per statement,
    so those two stages share one span — each kernel request inside opens
-   its own [kernel.run] child. Each submission starts its engine's request
-   log afresh: the log holds this submission's ABDL translation only, so a
-   long-lived engine (a shared SQL engine lives as long as the server)
-   keeps nothing per request once the request has run. *)
+   its own [kernel.run] child. *)
 let run_parsed session parsed =
   let exec execute format input =
     let results =
@@ -371,18 +368,14 @@ let run_parsed session parsed =
   in
   match session, parsed with
   | S_codasyl s, P_codasyl stmts ->
-    Codasyl_dml.Session.clear_log s;
     exec (Codasyl_dml.Engine.run_program s) Kfs.format_codasyl stmts
   | S_daplex engine, P_daplex stmts ->
-    Daplex_dml.Engine.clear_log engine;
     exec (Daplex_dml.Engine.run_program engine) Kfs.format_daplex stmts
   | S_sql engine, P_sql stmts ->
-    Relational.Engine.clear_log engine;
     exec
       (List.map (fun st -> st, Relational.Engine.execute engine st))
       Kfs.format_sql stmts
   | S_dli engine, P_dli calls ->
-    Hierarchical.Engine.clear_log engine;
     exec
       (List.map (fun call -> call, Hierarchical.Engine.execute engine call))
       Kfs.format_dli calls

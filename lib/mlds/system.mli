@@ -205,7 +205,7 @@ val handle_language : handle -> language
 
 val handle_db : handle -> string
 
-(** The wrapped session (for statistics/log displays). *)
+(** The wrapped session (for statistics and currency displays). *)
 val handle_session : handle -> session
 
 val handle_closed : handle -> bool

@@ -2,7 +2,6 @@ type t = {
   kernel : Mapping.Kernel.t;
   read_only : bool;
   mutable schema : Types.schema;
-  mutable log : Abdl.Ast.request list;  (* newest first *)
 }
 
 type outcome =
@@ -24,14 +23,9 @@ let create ?(read_only = false) ?schema kernel name =
     kernel;
     read_only;
     schema = (match schema with Some s -> s | None -> Types.empty name);
-    log = [];
   }
 
 let schema t = t.schema
-
-let issue t request =
-  t.log <- request :: t.log;
-  Mapping.Kernel.run t.kernel request
 
 let relation t name =
   match Types.find_relation t.schema name with
@@ -203,7 +197,7 @@ let exec_select_join t items t1 t2 where group_by order_by =
         List.map (fun (_, merged) -> Abdl.Ast.T_attr merged) labelled_targets;
     }
   in
-  match issue t (Abdl.Ast.Retrieve_common rc) with
+  match Mapping.Kernel.run t.kernel (Abdl.Ast.Retrieve_common rc) with
   | Abdl.Exec.Rows rows ->
     Ok
       (Table
@@ -267,7 +261,7 @@ let exec_select t items table where group_by order_by =
     | Some _ | None -> targets
   in
   let request = Abdl.Ast.retrieve ?by (scoped rel where) targets in
-  match issue t request with
+  match Mapping.Kernel.run t.kernel request with
   | Abdl.Exec.Rows rows ->
     let header =
       match rows with
@@ -360,14 +354,13 @@ let exec_insert t table columns values =
                 Abdm.Keyword.make c.col_name v)
               rel.rel_columns)
     in
-    t.log <- Abdl.Ast.Insert record :: t.log;
     match Mapping.Kernel.insert_unique t.kernel record (unique_probes rel pairs) with
     | Some _ -> Ok (Inserted 1)
     | None -> err "INSERT INTO %s: UNIQUE constraint violated" table
 
 let exec_delete t table where =
   let* rel = relation t table in
-  match issue t (Abdl.Ast.Delete (scoped rel where)) with
+  match Mapping.Kernel.run t.kernel (Abdl.Ast.Delete (scoped rel where)) with
   | Abdl.Exec.Deleted n -> Ok (Deleted n)
   | Abdl.Exec.Rows _ | Abdl.Exec.Inserted _ | Abdl.Exec.Updated _ ->
     err "DELETE: kernel returned a non-delete result"
@@ -393,7 +386,7 @@ let exec_update t table sets where =
     | [] | [ _ ] -> Ok ()
   in
   let modifiers = List.map (fun (c, v) -> Abdm.Modifier.Set_const (c, v)) sets in
-  match issue t (Abdl.Ast.Update (query, modifiers)) with
+  match Mapping.Kernel.run t.kernel (Abdl.Ast.Update (query, modifiers)) with
   | Abdl.Exec.Updated n -> Ok (Updated n)
   | Abdl.Exec.Rows _ | Abdl.Exec.Inserted _ | Abdl.Exec.Deleted _ ->
     err "UPDATE: kernel returned a non-update result"
@@ -422,10 +415,6 @@ let run t src =
 
 let run_program t src =
   List.map (fun stmt -> stmt, execute t stmt) (Sql_parser.program src)
-
-let request_log t = List.rev t.log
-
-let clear_log t = t.log <- []
 
 let outcome_to_string = function
   | Table { header; rows } ->

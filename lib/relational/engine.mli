@@ -2,7 +2,10 @@
     ABDL requests against the AB(relational) database. The most direct of
     the MLDS translations — one SQL statement maps to one ABDL request.
     The kernel enforces UNIQUE: an INSERT is one conditional
-    {!Mapping.Kernel.insert_unique}, whose probes are not requests. *)
+    {!Mapping.Kernel.insert_unique}, whose probes are not requests. An
+    UPDATE that sets a UNIQUE column first retrieves the rows it targets
+    and the rows holding each new value ({!Mapping.Kernel.select}), so its
+    translation lists those RETRIEVEs before the UPDATE. *)
 
 type t
 
@@ -33,11 +36,5 @@ val execute : t -> Sql_ast.stmt -> (outcome, string) result
 val run : t -> string -> (outcome, string) result
 
 val run_program : t -> string -> (Sql_ast.stmt * (outcome, string) result) list
-
-(** ABDL requests issued by the current or most recent submission,
-    oldest first ([Mlds.System] clears the log as each one starts). *)
-val request_log : t -> Abdl.Ast.request list
-
-val clear_log : t -> unit
 
 val outcome_to_string : outcome -> string

@@ -10,7 +10,6 @@ open Daplex_dml
 type t = {
   kernel : Mapping.Kernel.t;
   transform : Transformer.Transform.t;
-  mutable log : Abdl.Ast.request list;  (* newest first *)
 }
 
 type outcome = Engine.outcome =
@@ -22,33 +21,11 @@ let ( let* ) = Result.bind
 
 let err fmt = Printf.ksprintf (fun msg -> Error msg) fmt
 
-let create kernel transform =
-  {
-    kernel;
-    transform;
-    log = [];
-  }
+let create kernel transform = { kernel; transform }
 
 let schema t = t.transform.Transformer.Transform.source
 
-let issue t request =
-  t.log <- request :: t.log;
-  Mapping.Kernel.run t.kernel request
-
-let retrieve t query =
-  match issue t (Abdl.Ast.retrieve query [ Abdl.Ast.T_all ]) with
-  | Abdl.Exec.Rows rows ->
-    List.filter_map
-      (fun (row : Abdl.Exec.row) ->
-        match row.dbkey with
-        | Some key ->
-          Some
-            ( key,
-              Abdm.Record.make
-                (List.map (fun (attr, v) -> Abdm.Keyword.make attr v) row.values) )
-        | None -> None)
-      rows
-  | Abdl.Exec.Inserted _ | Abdl.Exec.Deleted _ | Abdl.Exec.Updated _ -> []
+let retrieve t query = Retrieve_oracle.retrieve t.kernel query
 
 let int_pred attr key =
   Abdm.Predicate.make attr Abdm.Predicate.Eq (Abdm.Value.Int key)
@@ -362,7 +339,7 @@ let exec_let t (entity, key) fn value =
       List.iter
         (fun ik ->
           ignore
-            (issue t
+            (Mapping.Kernel.run t.kernel
                (Abdl.Ast.Update
                   ( Abdm.Query.conj
                       [ Abdm.Predicate.file_eq declared; int_pred declared ik ],
@@ -417,7 +394,8 @@ let exec_include_exclude t ~add (entity, key) fn (target : Ast.selector) =
         in
         let v = if add then Abdm.Value.Int target_key else Abdm.Value.Null in
         ignore
-          (issue t (Abdl.Ast.Update (query, [ Abdm.Modifier.Set_const (s.set_name, v) ])));
+          (Mapping.Kernel.run t.kernel
+             (Abdl.Ast.Update (query, [ Abdm.Modifier.Set_const (s.set_name, v) ])));
         Ok ()
       | Some (Transformer.Transform.O_function_owner _) ->
         let copies = records_of t declared ik in
@@ -437,7 +415,7 @@ let exec_include_exclude t ~add (entity, key) fn (target : Ast.selector) =
                 ]
             in
             ignore
-              (issue t
+              (Mapping.Kernel.run t.kernel
                  (Abdl.Ast.Update
                     ( query,
                       [ Abdm.Modifier.Set_const
@@ -450,7 +428,7 @@ let exec_include_exclude t ~add (entity, key) fn (target : Ast.selector) =
               let dup =
                 Abdm.Record.set base s.set_name (Abdm.Value.Int target_key)
               in
-              ignore (issue t (Abdl.Ast.Insert dup));
+              ignore (Mapping.Kernel.run t.kernel (Abdl.Ast.Insert dup));
               Ok ()
             | [] -> err "no records for %s %d" declared ik
           end
@@ -473,10 +451,11 @@ let exec_include_exclude t ~add (entity, key) fn (target : Ast.selector) =
                 int_pred s.set_name target_key;
               ]
           in
-          if member_count > 1 then ignore (issue t (Abdl.Ast.Delete query))
+          if member_count > 1 then
+            ignore (Mapping.Kernel.run t.kernel (Abdl.Ast.Delete query))
           else
             ignore
-              (issue t
+              (Mapping.Kernel.run t.kernel
                  (Abdl.Ast.Update
                     (query, [ Abdm.Modifier.Set_const (s.set_name, Abdm.Value.Null) ])));
           Ok ()
@@ -507,7 +486,7 @@ let exec_include_exclude t ~add (entity, key) fn (target : Ast.selector) =
             if add then begin
               if retrieve t pair_query = [] then
                 ignore
-                  (issue t
+                  (Mapping.Kernel.run t.kernel
                      (Abdl.Ast.Insert
                         (Abdm.Record.make
                            [
@@ -519,7 +498,7 @@ let exec_include_exclude t ~add (entity, key) fn (target : Ast.selector) =
               Ok ()
             end
             else begin
-              ignore (issue t (Abdl.Ast.Delete pair_query));
+              ignore (Mapping.Kernel.run t.kernel (Abdl.Ast.Delete pair_query));
               Ok ()
             end
         end
@@ -651,7 +630,7 @@ let rec destroy_instance t type_name key =
   in
   List.iter (fun (sub, k) -> destroy_instance t sub k) children;
   ignore
-    (issue t
+    (Mapping.Kernel.run t.kernel
        (Abdl.Ast.Delete
           (Abdm.Query.conj
              [ Abdm.Predicate.file_eq type_name; int_pred type_name key ])))

@@ -12,7 +12,6 @@ type t = {
   descriptor : Abdm.Descriptor.t;
   mutable position : (string * int) option;
   mutable parentage : (string * int) option;
-  mutable log : Abdl.Ast.request list;  (* newest first *)
 }
 
 type outcome = Engine.outcome =
@@ -37,27 +36,9 @@ let create kernel hie_schema =
     descriptor = Types.descriptor hie_schema;
     position = None;
     parentage = None;
-    log = [];
   }
 
-let issue t request =
-  t.log <- request :: t.log;
-  Mapping.Kernel.run t.kernel request
-
-let retrieve t query =
-  match issue t (Abdl.Ast.retrieve query [ Abdl.Ast.T_all ]) with
-  | Abdl.Exec.Rows rows ->
-    List.filter_map
-      (fun (row : Abdl.Exec.row) ->
-        match row.dbkey with
-        | Some key ->
-          Some
-            ( key,
-              Abdm.Record.make
-                (List.map (fun (attr, v) -> Abdm.Keyword.make attr v) row.values) )
-        | None -> None)
-      rows
-  | Abdl.Exec.Inserted _ | Abdl.Exec.Deleted _ | Abdl.Exec.Updated _ -> []
+let retrieve t query = Retrieve_oracle.retrieve t.kernel query
 
 let int_pred attr key =
   Abdm.Predicate.make attr Abdm.Predicate.Eq (Abdm.Value.Int key)
@@ -324,7 +305,7 @@ let exec_isrt t path seg_name fields =
     | Ok () -> Ok ()
     | Error msg -> err "ISRT %s: %s" seg_name msg
   in
-  match issue t (Abdl.Ast.Insert record) with
+  match Mapping.Kernel.run t.kernel (Abdl.Ast.Insert record) with
   | Abdl.Exec.Inserted key ->
     let keyed = Abdm.Record.set record seg_name (Abdm.Value.Int key) in
     Mapping.Kernel.replace t.kernel key keyed;
@@ -368,7 +349,7 @@ let exec_repl t fields =
       List.map (fun (f, v) -> Abdm.Modifier.Set_const (f, v)) fields
     in
     begin
-      match issue t (Abdl.Ast.Update (query, modifiers)) with
+      match Mapping.Kernel.run t.kernel (Abdl.Ast.Update (query, modifiers)) with
       | Abdl.Exec.Updated n -> Ok (Replaced n)
       | Abdl.Exec.Rows _ | Abdl.Exec.Inserted _ | Abdl.Exec.Deleted _ ->
         err "REPL: kernel returned a non-update result"
@@ -389,7 +370,7 @@ let exec_dlet t =
           |> List.iter (fun (child_key, _) -> delete child.seg_name child_key))
         (Types.children t.hie_schema seg_name);
       match
-        issue t
+        Mapping.Kernel.run t.kernel
           (Abdl.Ast.Delete
              (Abdm.Query.conj
                 [ Abdm.Predicate.file_eq seg_name; int_pred seg_name key ]))

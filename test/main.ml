@@ -21,6 +21,7 @@ let () =
       "crash-states", Test_crash_states.suite;
       "workload", Test_workload.suite;
       "kernel", Test_kernel.suite;
+      "kernel-tap", Test_tap.suite;
       "server", Test_server.suite;
       "recorder", Test_recorder.suite;
       "replica", Test_replica.suite;

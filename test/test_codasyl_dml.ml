@@ -100,10 +100,12 @@ let test_parser_program () =
 let test_find_any_and_translation () =
   let session, keys = fresh_session () in
   ignore (expect_ok session "MOVE 'Advanced Database' TO title IN course");
-  Codasyl_dml.Session.clear_log session;
-  let dbkey = expect_found session "FIND ANY course USING title IN course" in
+  let dbkey, log =
+    Mapping.Kernel.collect session.Codasyl_dml.Session.kernel (fun () ->
+        expect_found session "FIND ANY course USING title IN course")
+  in
   Alcotest.(check int) "finds c1" (key keys "course" "c1") dbkey;
-  match Codasyl_dml.Session.request_log session with
+  match log with
   | [ request ] ->
     Alcotest.(check string) "generated RETRIEVE"
       "RETRIEVE ((FILE = 'course') AND (title = 'Advanced Database')) (ALL)"
@@ -502,12 +504,14 @@ let test_modify_generates_one_update_per_item () =
   run_all session
     [ "MOVE 'Simulation' TO title IN course"; "FIND ANY course USING title IN course";
       "MOVE 'Queueing' TO title IN course"; "MOVE 2 TO credits IN course" ];
-  Codasyl_dml.Session.clear_log session;
-  ignore (expect_ok session "MODIFY title, credits IN course");
+  let _, log =
+    Mapping.Kernel.collect session.Codasyl_dml.Session.kernel (fun () ->
+        ignore (expect_ok session "MODIFY title, credits IN course"))
+  in
   let updates =
     List.filter
       (fun r -> match r with Abdl.Ast.Update _ -> true | _ -> false)
-      (Codasyl_dml.Session.request_log session)
+      log
   in
   Alcotest.(check int) "one UPDATE per item (§VI.F)" 2 (List.length updates)
 

@@ -557,13 +557,14 @@ let test_such_that_requests_independent_of_size () =
     let kernel, transform, _ = Mapping.Loader.university ~scale () in
     let t = Daplex_dml.Engine.create kernel transform in
     Alcotest.(check int) "persons" (15 * (scale / 6)) (Mapping.Kernel.count kernel "person");
-    Daplex_dml.Engine.clear_log t;
-    let out =
-      rows t "FOR EACH p IN person SUCH THAT ssn(p) = 111223335 PRINT name(p) END"
+    let out, log =
+      Mapping.Kernel.collect kernel (fun () ->
+          rows t
+            "FOR EACH p IN person SUCH THAT ssn(p) = 111223335 PRINT name(p) END")
     in
     Alcotest.(check (list string)) "one person" [ "Lum" ]
       (List.map (fun row -> cell row "name(p)") out);
-    List.length (Daplex_dml.Engine.request_log t)
+    List.length log
   in
   Alcotest.(check int) "requests over 15 vs 3000 persons" (requests 6) (requests 1200)
 

@@ -239,9 +239,9 @@ let test_ssa_unknown_field () =
   no_field "GNP visit(age > 1)"
 
 (* [n] patients, pid 1..n, each with one visit dated 'v1'. *)
-let clinic n =
+let clinic ?(kernel = Mapping.Kernel.single ()) n =
   let schema = Hierarchical.Ddl_parser.schema medical_ddl in
-  let t = Hierarchical.Engine.create (Mapping.Kernel.single ()) schema in
+  let t = Hierarchical.Engine.create kernel schema in
   for pid = 1 to n do
     List.iter
       (fun src ->
@@ -260,10 +260,10 @@ let clinic n =
    and GN/GNP walk on from the cursor: the requests a call issues do not
    grow with the database. *)
 let test_requests_independent_of_size () =
-  let requests t src =
-    Hierarchical.Engine.clear_log t;
-    ignore (expect_found t src);
-    let log = Hierarchical.Engine.request_log t in
+  let requests (kernel, t) src =
+    let _, log =
+      Mapping.Kernel.collect kernel (fun () -> ignore (expect_found t src))
+    in
     List.iter
       (function
         | Abdl.Ast.Retrieve _ -> ()
@@ -272,7 +272,8 @@ let test_requests_independent_of_size () =
     List.length log
   in
   let counts n =
-    let t = clinic n in
+    let kernel = Mapping.Kernel.single () in
+    let t = kernel, clinic ~kernel n in
     let k = n / 2 in
     let gu = Printf.sprintf "GU patient(pid = %d)" k in
     let gu_visit = Printf.sprintf "GU patient(pid = %d) visit(vdate = 'v1')" k in

@@ -2,8 +2,8 @@
 
 let value = Alcotest.testable Abdm.Value.pp Abdm.Value.equal
 
-let fresh () =
-  let t = Relational.Engine.create (Mapping.Kernel.single ()) "payroll" in
+let fresh ?(kernel = Mapping.Kernel.single ()) () =
+  let t = Relational.Engine.create kernel "payroll" in
   let setup =
     [
       "CREATE TABLE employee (name CHAR(25) UNIQUE, salary INT, dept CHAR(10))";
@@ -131,10 +131,13 @@ let test_schema_errors () =
     (Result.is_error (Relational.Engine.run t "SELECT name FROM employee GROUP BY dept"))
 
 let test_translation_log () =
-  let t = fresh () in
-  Relational.Engine.clear_log t;
-  let _ = table t "SELECT name FROM employee WHERE salary > 60000" in
-  match Relational.Engine.request_log t with
+  let kernel = Mapping.Kernel.single () in
+  let t = fresh ~kernel () in
+  let _, log =
+    Mapping.Kernel.collect kernel (fun () ->
+        table t "SELECT name FROM employee WHERE salary > 60000")
+  in
+  match log with
   | [ request ] ->
     Alcotest.(check string) "one RETRIEVE"
       "RETRIEVE ((FILE = 'employee') AND (salary > 60000)) (name)"
@@ -175,8 +178,8 @@ let suite =
 
 (* --- joins ---------------------------------------------------------------- *)
 
-let join_db () =
-  let t = Relational.Engine.create (Mapping.Kernel.single ()) "campus" in
+let join_db ?(kernel = Mapping.Kernel.single ()) () =
+  let t = Relational.Engine.create kernel "campus" in
   List.iter
     (fun src ->
       match Relational.Engine.run t src with
@@ -243,10 +246,13 @@ let test_join_errors () =
     (bad "SELECT name FROM emp, dept WHERE dept = dname OR salary > 1")
 
 let test_join_generates_retrieve_common () =
-  let t = join_db () in
-  Relational.Engine.clear_log t;
-  let _ = table t "SELECT name FROM emp, dept WHERE dept = dname" in
-  match Relational.Engine.request_log t with
+  let kernel = Mapping.Kernel.single () in
+  let t = join_db ~kernel () in
+  let _, log =
+    Mapping.Kernel.collect kernel (fun () ->
+        table t "SELECT name FROM emp, dept WHERE dept = dname")
+  in
+  match log with
   | [ Abdl.Ast.Retrieve_common _ ] -> ()
   | log -> Alcotest.failf "expected one RETRIEVE_COMMON, got %d requests" (List.length log)
 
@@ -309,6 +315,28 @@ let test_update_unique () =
       expect_outcome t "INSERT INTO e VALUES ('a', 3)" "1 row(s) inserted")
     kernels
 
+(* An UPDATE that sets a UNIQUE column retrieves the rows it targets and
+   the rows holding the new value before it updates: its translation
+   lists those RETRIEVEs. An UPDATE of other columns is one request. *)
+let test_update_unique_translation () =
+  let kernel = Mapping.Kernel.single () in
+  let t = fresh ~kernel () in
+  let translation src =
+    let (), log =
+      Mapping.Kernel.collect kernel (fun () ->
+          expect_outcome t src "1 row(s) updated")
+    in
+    List.map Abdl.Ast.to_string log
+  in
+  Alcotest.(check (list string)) "UNIQUE column: probes, then the UPDATE"
+    [ "RETRIEVE ((FILE = 'employee') AND (salary = 54000)) (ALL)";
+      "RETRIEVE ((FILE = 'employee') AND (name = 'Dem')) (ALL)";
+      "UPDATE ((FILE = 'employee') AND (salary = 54000)) (name = 'Dem')" ]
+    (translation "UPDATE employee SET name = 'Dem' WHERE salary = 54000");
+  Alcotest.(check (list string)) "other column: the UPDATE alone"
+    [ "UPDATE ((FILE = 'employee') AND (name = 'Dem')) (salary = 55000)" ]
+    (translation "UPDATE employee SET salary = 55000 WHERE name = 'Dem'")
+
 (* A UNIQUE INSERT on two backends claims no broadcast share, accepted or
    rejected, and a rejected one reaches no WAL subscriber. *)
 let test_insert_no_broadcast () =
@@ -325,13 +353,15 @@ let test_insert_no_broadcast () =
   let shares0 = shares () in
   expect_outcome t "INSERT INTO e VALUES ('b', 2)" "1 row(s) inserted";
   Alcotest.(check int) "accepted: one event" 1 !events;
-  Relational.Engine.clear_log t;
-  ignore (expect_error t "INSERT INTO e VALUES ('a', 3)");
+  let _, log =
+    Mapping.Kernel.collect kernel (fun () ->
+        expect_error t "INSERT INTO e VALUES ('a', 3)")
+  in
   Alcotest.(check int) "rejected: no event" 1 !events;
   Alcotest.(check int) "no broadcast share" shares0 (shares ());
   Alcotest.(check (list string)) "the translation is one INSERT"
     [ "INSERT (<FILE, 'e'>, <name, 'a'>, <n, 3>)" ]
-    (List.map Abdl.Ast.to_string (Relational.Engine.request_log t))
+    (List.map Abdl.Ast.to_string log)
 
 (* Random scripts over two tables whose columns are UNIQUE at random,
    with few distinct values and NULLs, so keys collide often. *)
@@ -490,6 +520,8 @@ let suite =
   suite
   @ [
       "UPDATE keeps UNIQUE", `Quick, test_update_unique;
+      "UPDATE of a UNIQUE column lists its probes", `Quick,
+      test_update_unique_translation;
       "UNIQUE INSERT claims no broadcast share", `Quick, test_insert_no_broadcast;
       QCheck_alcotest.to_alcotest prop_unique_matches_oracle;
     ]
