@@ -10,9 +10,12 @@
    own, so the preload's other work is the preload minus the loader.
    Prints the median wall time of each phase over RUNS runs, its
    minor-heap words (from the last run; allocation does not vary between
-   runs) in total and per record, and its MBDS broadcast shares (also
-   from the last run): the growth of mbds.shares_inline +
-   mbds.shares_remote, one per backend per broadcast. *)
+   runs) in total and per record, its minor collections (each one stops
+   every running domain, an idle pool worker included), and its MBDS
+   broadcast shares (also from the last run): the growth of
+   mbds.shares_inline + mbds.shares_remote, one per backend per
+   broadcast. Ends with pool.workers_started, the worker domains the
+   whole ledger spawned: a start-up that broadcasts shows there. *)
 
 let median xs =
   let a = Array.of_list xs in
@@ -23,13 +26,16 @@ let shares () =
   Obs.Metrics.counter_value (Obs.Metrics.counter "mbds.shares_inline")
   + Obs.Metrics.counter_value (Obs.Metrics.counter "mbds.shares_remote")
 
-(* wall seconds, minor words and broadcast shares of [f ()] *)
+let minor_collections () = (Gc.quick_stat ()).minor_collections
+
+(* wall seconds, minor words, minor collections and broadcast shares of
+   [f ()] *)
 let measure f =
-  let s0 = shares () in
+  let s0 = shares () and c0 = minor_collections () in
   let w0 = Gc.minor_words () and t0 = Unix.gettimeofday () in
   let r = f () in
   let dt = Unix.gettimeofday () -. t0 in
-  r, (dt, Gc.minor_words () -. w0, shares () - s0)
+  r, (dt, Gc.minor_words () -. w0, minor_collections () - c0, shares () - s0)
 
 let ok what = function Ok x -> x | Error e -> failwith (what ^ ": " ^ e)
 
@@ -47,15 +53,15 @@ let () =
       (Printf.sprintf "ledger-%d" (Unix.getpid ()))
   in
   Unix.mkdir dir 0o755;
-  (* phase name -> (seconds of each run, words and shares of the last,
-     records) *)
+  (* phase name -> (seconds of each run, words, minor collections and
+     shares of the last, records) *)
   let phases = Hashtbl.create 8 and order = ref [] in
-  let note name (dt, words, shares) records =
-    let times, _, _, _ =
-      Option.value ~default:([], 0., 0, 0) (Hashtbl.find_opt phases name)
+  let note name (dt, words, collections, shares) records =
+    let times, _, _, _, _ =
+      Option.value ~default:([], 0., 0, 0, 0) (Hashtbl.find_opt phases name)
     in
     if not (Hashtbl.mem phases name) then order := name :: !order;
-    Hashtbl.replace phases name (dt :: times, words, shares, records)
+    Hashtbl.replace phases name (dt :: times, words, collections, shares, records)
   in
   for _ = 1 to runs do
     Gc.compact ();
@@ -87,14 +93,16 @@ let () =
       dbs
   done;
   Unix.rmdir dir;
-  Printf.printf "%s seed %d, %d runs\n%-16s %10s %14s %8s %12s %8s\n" wname
+  Printf.printf "%s seed %d, %d runs\n%-16s %10s %14s %8s %12s %8s %8s\n" wname
     seed runs "phase" "median ms" "minor words" "records" "words/record"
-    "shares";
+    "minor GCs" "shares";
   List.iter
     (fun name ->
-      let times, words, shares, records = Hashtbl.find phases name in
-      Printf.printf "%-16s %10.2f %14.0f %8d %12.0f %8d\n" name
+      let times, words, collections, shares, records = Hashtbl.find phases name in
+      Printf.printf "%-16s %10.2f %14.0f %8d %12.0f %8d %8d\n" name
         (median times *. 1000.) words records
         (words /. float_of_int (max 1 records))
-        shares)
-    (List.rev !order)
+        collections shares)
+    (List.rev !order);
+  Printf.printf "pool.workers_started %d\n"
+    (Obs.Metrics.counter_value (Obs.Metrics.counter "pool.workers_started"))

@@ -3,15 +3,24 @@ type t = {
   text : string;
 }
 
+(* A pairwise scan, allocation-free: records are a handful of keywords,
+   where a hash table costs more to build than the comparisons it saves.
+   Reports the first keyword whose attribute occurred before it. *)
 let check_no_duplicate keywords =
-  let seen = Hashtbl.create 16 in
-  let check (kw : Keyword.t) =
-    if Hashtbl.mem seen kw.attribute then
-      invalid_arg
-        (Printf.sprintf "Record.make: duplicate attribute %S" kw.attribute)
-    else Hashtbl.add seen kw.attribute ()
+  let rec among_first n attr = function
+    | (kw : Keyword.t) :: rest when n > 0 ->
+      String.equal kw.attribute attr || among_first (n - 1) attr rest
+    | _ -> false
   in
-  List.iter check keywords
+  let rec check i = function
+    | [] -> ()
+    | (kw : Keyword.t) :: rest ->
+      if among_first i kw.attribute keywords then
+        invalid_arg
+          (Printf.sprintf "Record.make: duplicate attribute %S" kw.attribute);
+      check (i + 1) rest
+  in
+  check 0 keywords
 
 let make ?(text = "") keywords =
   check_no_duplicate keywords;

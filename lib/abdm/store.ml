@@ -524,6 +524,28 @@ let explain store query =
   let st = Atomic.get store.state in
   List.map (fun preds -> fst (plan_conjunction store st preds)) query
 
+(* The tallies one conjunction leaves: its access path, the postings it
+   intersected, and the share of tested candidates the re-check
+   discarded. *)
+let charge store source ~probes ~tested ~added =
+  (match source with
+  | Src_keys _ ->
+    Atomic.incr store.sel_indexed;
+    Obs.Metrics.incr c_indexed;
+    Obs.Metrics.incr c_plan_index;
+    Obs.Metrics.incr ~by:probes c_plan_postings
+  | Src_file _ ->
+    Atomic.incr store.sel_scanned;
+    Obs.Metrics.incr c_scanned;
+    Obs.Metrics.incr c_plan_file_scan
+  | Src_store ->
+    Atomic.incr store.sel_scanned;
+    Obs.Metrics.incr c_scanned;
+    Obs.Metrics.incr c_plan_store_scan);
+  if tested > 0 then
+    Obs.Metrics.observe h_residual
+      (float_of_int (tested - added) /. float_of_int tested)
+
 let select store query =
   timed store (fun () ->
       (* heat the tracker first (it may auto-build), then fix the state
@@ -554,23 +576,12 @@ let select store query =
         | Src_keys keys -> Key_set.iter test keys
         | Src_file file -> Int_set.iter test (keys_of_file st file)
         | Src_store -> Int_map.iter (fun key _ -> test key) st.st_records);
-        (match step.Plan.access with
-        | Plan.Index_probe { probes; _ } ->
-          Atomic.incr store.sel_indexed;
-          Obs.Metrics.incr c_indexed;
-          Obs.Metrics.incr c_plan_index;
-          Obs.Metrics.incr ~by:(List.length probes) c_plan_postings
-        | Plan.File_scan _ ->
-          Atomic.incr store.sel_scanned;
-          Obs.Metrics.incr c_scanned;
-          Obs.Metrics.incr c_plan_file_scan
-        | Plan.Store_scan _ ->
-          Atomic.incr store.sel_scanned;
-          Obs.Metrics.incr c_scanned;
-          Obs.Metrics.incr c_plan_store_scan);
-        if !tested > 0 then
-          Obs.Metrics.observe h_residual
-            (float_of_int (!tested - !added) /. float_of_int !tested)
+        let probes =
+          match step.Plan.access with
+          | Plan.Index_probe { probes; _ } -> List.length probes
+          | Plan.File_scan _ | Plan.Store_scan _ -> 0
+        in
+        charge store source ~probes ~tested:!tested ~added:!added
       in
       List.iter run_conjunction query;
       Key_set.fold
@@ -580,6 +591,54 @@ let select store query =
           | None -> acc)
         !matched []
       |> List.rev)
+
+(* [select store query <> []] for the UNIQUE probe's shape — one
+   conjunction whose only indexable predicate is an equality with a built
+   index — without a plan, a key set or rows: the candidates are that
+   posting, or the file when the planner would scan it (a posting of at
+   least half the file). Every candidate is re-checked, as [select] does,
+   so the scan tally, plan counters and residual ratio come out the same.
+   Anything else (no index yet, so heating and the auto-build run) is
+   [select]. *)
+let exists store query =
+  let st = Atomic.get store.state in
+  let source =
+    match query with
+    | [ preds ] when store.indexed -> (
+      match Query.file_of_conjunction preds, List.filter indexable preds with
+      | Some file, [ ({ op = Predicate.Eq; _ } as p) ] -> (
+        match Pair_map.find_opt (file, p.attribute) st.st_dir with
+        | Some (Built postings) ->
+          let keys =
+            Option.value ~default:Int_set.empty
+              (Value_map.find_opt p.value postings)
+          in
+          (* [plan_conjunction]'s rule: a posting of half the file or
+             more loses to the file scan *)
+          Some
+            (if 2 * Int_set.cardinal keys < live_count st file then
+               Src_keys keys, keys
+             else Src_file file, keys_of_file st file)
+        | Some (Heat _) | None -> None)
+      | _ -> None)
+    | _ -> None
+  in
+  match source with
+  | None -> select store query <> []
+  | Some (source, candidates) ->
+    timed store (fun () ->
+        let tested = ref 0 and found = ref 0 in
+        let test key =
+          match Int_map.find_opt key st.st_records with
+          | None -> ()
+          | Some record ->
+            incr tested;
+            if Query.satisfies query record then incr found
+        in
+        Int_set.iter test candidates;
+        ignore (Atomic.fetch_and_add store.scans !tested);
+        charge store source ~probes:1 ~tested:!tested ~added:!found;
+        !found > 0)
 
 let delete_key store key =
   let removed = ref None in

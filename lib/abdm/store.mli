@@ -68,6 +68,15 @@ val get : t -> dbkey -> Record.t option
     result is exact regardless of which path was chosen. *)
 val select : t -> Query.t -> (dbkey * Record.t) list
 
+(** [exists store query] is [select store query <> []], with the same
+    effects on the scan tally, the plan counters and the auto-index heat.
+    For a UNIQUE probe — one conjunction whose only indexable predicate
+    is an equality on an attribute with a built index — it re-checks the
+    candidates of that one posting (or the file, when the planner would
+    scan it) without building a plan, a key set or rows; any other query
+    runs {!select}. *)
+val exists : t -> Query.t -> bool
+
 (** [explain store query] is the plan [select] would execute for [query]
     right now — one {!Plan.step} per disjunct. Pure and read-only: it does
     not heat the auto-index tracker, build indexes, or touch any counter,

@@ -41,8 +41,23 @@ let float_literal f =
   if String.exists (fun c -> c = '.' || c = 'e' || c = 'n') s then s
   else s ^ ".0"
 
+(* [add_int buf i] appends [string_of_int i] digit by digit: every SQL
+   INSERT reply and snapshot line prints several integers, and
+   [string_of_int] costs a C format call and a fresh string for each. *)
+let rec add_digits buf n =
+  if n >= 10 then add_digits buf (n / 10);
+  Buffer.add_char buf (Char.unsafe_chr (Char.code '0' + (n mod 10)))
+
+let add_int buf i =
+  if i >= 0 then add_digits buf i
+  else if i = min_int then Buffer.add_string buf (string_of_int i)
+  else begin
+    Buffer.add_char buf '-';
+    add_digits buf (-i)
+  end
+
 let to_buffer buf = function
-  | Int i -> Buffer.add_string buf (string_of_int i)
+  | Int i -> add_int buf i
   | Float f -> Buffer.add_string buf (float_literal f)
   | Str s ->
     Buffer.add_char buf '\'';

@@ -70,8 +70,9 @@ let insert t record =
   key
 
 (* One conditional insert: the check and the write are one kernel call,
-   not two requests with a gap between them. Each probe is the planner's
-   index probe a RETRIEVE would make, without its row shaping. *)
+   not two requests with a gap between them. Each probe is
+   [Abdm.Store.exists]: the planner's index probe a RETRIEVE would make,
+   without its plan, key set or rows. *)
 let insert_unique t record probes =
   note t (Abdl.Ast.Insert record);
   Obs.Span.with_span "kernel.run"
@@ -80,7 +81,7 @@ let insert_unique t record probes =
       let key =
         match t.kds with
         | Single store ->
-          if List.exists (fun q -> Abdm.Store.select store q <> []) probes then
+          if List.exists (Abdm.Store.exists store) probes then
             None
           else Some (Abdm.Store.insert store record)
         | Multi ctrl -> Mbds.Controller.insert_unique ctrl record probes

@@ -192,7 +192,7 @@ let insert_unique t record probes =
   let clash i =
     with_backend t i (fun b ->
         let scans0 = Abdm.Store.scan_count b in
-        let hit = List.exists (fun q -> Abdm.Store.select b q <> []) probes in
+        let hit = List.exists (Abdm.Store.exists b) probes in
         scanned.(i) <- Abdm.Store.scan_count b - scans0;
         if scanned.(i) > 0 then Obs.Metrics.incr ~by:scanned.(i) t.obs_scanned.(i);
         hit)

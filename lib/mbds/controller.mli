@@ -37,7 +37,10 @@ type placement =
     order, so every pool gives the same replies; only the measured wall
     clock differs. [pool] defaults to {!Pool.shared} when [n > 1] (no
     workers on a one-core host) and to a worker-less pool otherwise; pass
-    one only to compare pools (tests, bench E12). *)
+    one only to compare pools (tests, bench E12). Either way the
+    controller starts no worker domain before its first broadcast
+    ([select], [delete], [update], a RETRIEVE): [insert],
+    [insert_unique], [get] and [replace] run on the caller. *)
 val create :
   ?cost:Cost.t ->
   ?name:string ->

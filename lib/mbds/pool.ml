@@ -14,6 +14,10 @@ type job = {
 }
 
 type t = {
+  workers : int;
+  (* empty until the first [run] that has a share for a helper, so a
+     process that never broadcasts runs on one domain: OCaml 5 stops
+     every domain for each minor collection, an idle worker included *)
   mutable domains : unit Domain.t array;
   mx : Mutex.t;
   wake : Condition.t;
@@ -30,6 +34,9 @@ type t = {
 let h_queue_wait = Obs.Metrics.histogram "pool.queue_wait_s"
 
 let h_execute = Obs.Metrics.histogram "pool.execute_s"
+
+(* Worker domains spawned, across every pool of the process. *)
+let c_workers_started = Obs.Metrics.counter "pool.workers_started"
 
 let finish (job : job) i error =
   Mutex.lock job.mx;
@@ -83,22 +90,18 @@ let worker_loop t =
 
 let create n =
   if n < 0 then invalid_arg "Pool.create: negative worker count";
-  let t =
-    {
-      domains = [||];
-      mx = Mutex.create ();
-      wake = Condition.create ();
-      jobs = Queue.create ();
-      live = true;
-    }
-  in
-  t.domains <- Array.init n (fun _ -> Domain.spawn (fun () -> worker_loop t));
-  t
+  {
+    workers = n;
+    domains = [||];
+    mx = Mutex.create ();
+    wake = Condition.create ();
+    jobs = Queue.create ();
+    live = true;
+  }
 
-let size t = Array.length t.domains
+let size t = t.workers
 
 let run t n share =
-  if not t.live then invalid_arg "Pool.run: pool is shut down";
   let job =
     {
       share;
@@ -114,15 +117,22 @@ let run t n share =
       failed = None;
     }
   in
-  let helpers = min (size t) (n - 1) in
-  if helpers > 0 then begin
-    Mutex.lock t.mx;
-    for _ = 1 to helpers do
-      Queue.push job t.jobs;
-      Condition.signal t.wake
-    done;
-    Mutex.unlock t.mx
-  end;
+  let helpers = min t.workers (n - 1) in
+  (* [live] is read under the mutex that [shutdown] writes it under, so
+     a [run] racing [shutdown] either spawns before the join or raises *)
+  Mutex.protect t.mx (fun () ->
+      if not t.live then invalid_arg "Pool.run: pool is shut down";
+      if helpers > 0 then begin
+        if Array.length t.domains = 0 then begin
+          t.domains <-
+            Array.init t.workers (fun _ -> Domain.spawn (fun () -> worker_loop t));
+          Obs.Metrics.incr ~by:t.workers c_workers_started
+        end;
+        for _ = 1 to helpers do
+          Queue.push job t.jobs;
+          Condition.signal t.wake
+        done
+      end);
   if n > 0 then run_share ~remote:false job 0;
   help ~remote:false job;
   (* every share is claimed; wait only for those a worker started *)
@@ -140,8 +150,9 @@ let shutdown t =
   let was_live = t.live in
   t.live <- false;
   Condition.broadcast t.wake;
+  let domains = t.domains in
   Mutex.unlock t.mx;
-  if was_live then Array.iter Domain.join t.domains
+  if was_live then Array.iter Domain.join domains
 
 let shared_pool = ref None
 

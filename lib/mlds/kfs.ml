@@ -1,17 +1,38 @@
-let block stmt_text result_text =
-  Printf.sprintf "%s\n  %s" stmt_text
-    (String.concat "\n  " (String.split_on_char '\n' result_text))
+(* Appends [text] with two spaces after each of its newlines: one
+   substring per line, so text without a newline (most results) is one
+   append. *)
+let add_indented buf text =
+  let rec from i =
+    match String.index_from_opt text i '\n' with
+    | None -> Buffer.add_substring buf text i (String.length text - i)
+    | Some j ->
+      Buffer.add_substring buf text i (j + 1 - i);
+      Buffer.add_string buf "  ";
+      from (j + 1)
+  in
+  from 0
 
-let format_pairs to_stmt to_outcome pairs =
-  pairs
-  |> List.map (fun (stmt, result) ->
-         let result_text =
-           match result with
-           | Ok outcome -> to_outcome outcome
-           | Error msg -> "*** " ^ msg
-         in
-         block (to_stmt stmt) result_text)
-  |> String.concat "\n"
+(* One block per statement, separated by newlines: the statement, then
+   its result indented by two spaces on every line. *)
+let format_blocks add_stmt result_text pairs =
+  let buf = Buffer.create 256 in
+  List.iteri
+    (fun i (stmt, result) ->
+      if i > 0 then Buffer.add_char buf '\n';
+      add_stmt buf stmt;
+      Buffer.add_string buf "\n  ";
+      add_indented buf (result_text result))
+    pairs;
+  Buffer.contents buf
+
+(* a constraint abort is reported inline *)
+let format_pairs add_stmt to_outcome =
+  format_blocks add_stmt (function
+    | Ok outcome -> to_outcome outcome
+    | Error msg -> "*** " ^ msg)
+
+(* for the languages whose statements print only to a string *)
+let via_string to_string buf stmt = Buffer.add_string buf (to_string stmt)
 
 let trim_right s =
   let n = ref (String.length s) in
@@ -48,25 +69,26 @@ let table header rows =
   String.concat "\n" (render_row header :: rule :: List.map render_row cells)
 
 let format_codasyl pairs =
-  format_pairs Codasyl_dml.Ast.to_string Codasyl_dml.Engine.outcome_to_string
-    pairs
+  format_pairs
+    (via_string Codasyl_dml.Ast.to_string)
+    Codasyl_dml.Engine.outcome_to_string pairs
 
 let format_daplex pairs =
-  format_pairs Daplex_dml.Ast.to_string Daplex_dml.Engine.outcome_to_string pairs
+  format_pairs
+    (via_string Daplex_dml.Ast.to_string)
+    Daplex_dml.Engine.outcome_to_string pairs
 
 let format_sql pairs =
   let to_outcome = function
     | Relational.Engine.Table { header; rows } -> table header rows
     | other -> Relational.Engine.outcome_to_string other
   in
-  format_pairs Relational.Sql_ast.to_string to_outcome pairs
+  format_pairs Relational.Sql_ast.to_buffer to_outcome pairs
 
 let format_dli pairs =
-  format_pairs Hierarchical.Dli_ast.to_string Hierarchical.Engine.outcome_to_string
-    pairs
+  format_pairs
+    (via_string Hierarchical.Dli_ast.to_string)
+    Hierarchical.Engine.outcome_to_string pairs
 
 let format_abdl pairs =
-  pairs
-  |> List.map (fun (request, result) ->
-         block (Abdl.Ast.to_string request) (Abdl.Exec.result_to_string result))
-  |> String.concat "\n"
+  format_blocks Abdl.Ast.to_buffer Abdl.Exec.result_to_string pairs

@@ -29,44 +29,85 @@ type stmt =
       where : Abdm.Query.t;
     }
 
-let select_item_to_string = function
-  | S_star -> "*"
-  | S_col name -> name
+(* Appends [f] over [items] separated by ", ". *)
+let add_list buf f items =
+  List.iteri
+    (fun i x ->
+      if i > 0 then Buffer.add_string buf ", ";
+      f buf x)
+    items
+
+let add_select_item buf = function
+  | S_star -> Buffer.add_char buf '*'
+  | S_col name -> Buffer.add_string buf name
   | S_agg (agg, col) ->
-    Printf.sprintf "%s(%s)" (Abdl.Ast.aggregate_to_string agg) col
+    Buffer.add_string buf (Abdl.Ast.aggregate_to_string agg);
+    Buffer.add_char buf '(';
+    Buffer.add_string buf col;
+    Buffer.add_char buf ')'
 
-let where_to_string where =
-  if where = Abdm.Query.always then ""
-  else " WHERE " ^ Abdm.Query.to_string where
+let add_where buf where =
+  if where <> Abdm.Query.always then begin
+    Buffer.add_string buf " WHERE ";
+    Abdm.Query.to_buffer buf where
+  end
 
-let to_string = function
+let add_clause buf keyword = function
+  | Some col ->
+    Buffer.add_string buf keyword;
+    Buffer.add_string buf col
+  | None -> ()
+
+let to_buffer buf = function
   | Create_table rel ->
-    let col c =
-      Printf.sprintf "%s %s%s" c.Types.col_name
-        (Types.col_type_to_string c.Types.col_type)
-        (if c.Types.col_unique then " UNIQUE" else "")
+    let add_col buf c =
+      Buffer.add_string buf c.Types.col_name;
+      Buffer.add_char buf ' ';
+      Buffer.add_string buf (Types.col_type_to_string c.Types.col_type);
+      if c.Types.col_unique then Buffer.add_string buf " UNIQUE"
     in
-    Printf.sprintf "CREATE TABLE %s (%s)" rel.Types.rel_name
-      (String.concat ", " (List.map col rel.Types.rel_columns))
+    Buffer.add_string buf "CREATE TABLE ";
+    Buffer.add_string buf rel.Types.rel_name;
+    Buffer.add_string buf " (";
+    add_list buf add_col rel.Types.rel_columns;
+    Buffer.add_char buf ')'
   | Select { items; tables; where; group_by; order_by } ->
-    Printf.sprintf "SELECT %s FROM %s%s%s%s"
-      (String.concat ", " (List.map select_item_to_string items))
-      (String.concat ", " tables)
-      (where_to_string where)
-      (match group_by with Some c -> " GROUP BY " ^ c | None -> "")
-      (match order_by with Some c -> " ORDER BY " ^ c | None -> "")
+    Buffer.add_string buf "SELECT ";
+    add_list buf add_select_item items;
+    Buffer.add_string buf " FROM ";
+    add_list buf Buffer.add_string tables;
+    add_where buf where;
+    add_clause buf " GROUP BY " group_by;
+    add_clause buf " ORDER BY " order_by
   | Insert { table; columns; values } ->
-    Printf.sprintf "INSERT INTO %s%s VALUES (%s)" table
-      (match columns with
-       | Some cols -> Printf.sprintf " (%s)" (String.concat ", " cols)
-       | None -> "")
-      (String.concat ", " (List.map Abdm.Value.to_string values))
+    Buffer.add_string buf "INSERT INTO ";
+    Buffer.add_string buf table;
+    Option.iter
+      (fun cols ->
+        Buffer.add_string buf " (";
+        add_list buf Buffer.add_string cols;
+        Buffer.add_char buf ')')
+      columns;
+    Buffer.add_string buf " VALUES (";
+    add_list buf Abdm.Value.to_buffer values;
+    Buffer.add_char buf ')'
   | Delete { table; where } ->
-    Printf.sprintf "DELETE FROM %s%s" table (where_to_string where)
+    Buffer.add_string buf "DELETE FROM ";
+    Buffer.add_string buf table;
+    add_where buf where
   | Update { table; sets; where } ->
-    Printf.sprintf "UPDATE %s SET %s%s" table
-      (String.concat ", "
-         (List.map
-            (fun (c, v) -> Printf.sprintf "%s = %s" c (Abdm.Value.to_string v))
-            sets))
-      (where_to_string where)
+    Buffer.add_string buf "UPDATE ";
+    Buffer.add_string buf table;
+    Buffer.add_string buf " SET ";
+    add_list buf
+      (fun buf (c, v) ->
+        Buffer.add_string buf c;
+        Buffer.add_string buf " = ";
+        Abdm.Value.to_buffer buf v)
+      sets;
+    add_where buf where
+
+let to_string stmt =
+  let buf = Buffer.create 64 in
+  to_buffer buf stmt;
+  Buffer.contents buf

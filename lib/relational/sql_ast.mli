@@ -34,3 +34,6 @@ type stmt =
     }
 
 val to_string : stmt -> string
+
+(** [to_buffer buf stmt] appends [to_string stmt] to [buf]. *)
+val to_buffer : Buffer.t -> stmt -> unit

@@ -19,7 +19,10 @@
       execution's by construction. The only parallelism below it is an
       MBDS database's broadcast: the executor and the idle workers of
       {!Mbds.Pool.shared} (one per spare core, none on one core) claim
-      a Multi kernel's shares from one counter ({!Mbds.Pool.run}). A
+      a Multi kernel's shares from one counter ({!Mbds.Pool.run}). The
+      workers start on the first broadcast, so a server whose set-up
+      makes none (SQL INSERTs probe UNIQUE columns on the caller) is
+      ready before any worker domain exists. A
       {e control lane} in the same queue carries [Stats], [Checkpoint]
       and {!inject}ed closures ahead of user requests. With
       [batch = false] the executor runs one request at a time and waits

@@ -17,6 +17,7 @@ let () =
       "relational", Test_relational.suite;
       "hierarchical", Test_hierarchical.suite;
       "mlds", Test_mlds.suite;
+      "kfs", Test_kfs.suite;
       "wal", Test_wal.suite;
       "crash-states", Test_crash_states.suite;
       "workload", Test_workload.suite;

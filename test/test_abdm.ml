@@ -355,6 +355,15 @@ let prop_compare_total_order =
       sign (compare a b) = -sign (compare b a)
       && (not (compare a b <= 0 && compare b c <= 0) || compare a c <= 0))
 
+let prop_int_to_buffer =
+  QCheck2.Test.make ~name:"Value.to_buffer of an Int = string_of_int" ~count:1000
+    QCheck2.Gen.(
+      oneof [ int; int_range (-1000) 1000; oneofl [ 0; 9; 10; -10; max_int; min_int ] ])
+    (fun i ->
+      let buf = Buffer.create 8 in
+      Abdm.Value.to_buffer buf (Abdm.Value.Int i);
+      String.equal (Buffer.contents buf) (string_of_int i))
+
 let prop_eval_consistent_with_compare =
   QCheck2.Test.make ~name:"Predicate.eval agrees with Value.compare" ~count:500
     QCheck2.Gen.(pair gen_value gen_value)
@@ -854,6 +863,143 @@ let prop_planner_matches_scan =
       && d_planned = d_scanned
       && keys planned = keys scanned)
 
+(* --- Store.exists = select <> [] ----------------------------------------- *)
+
+(* Few distinct numbers, so Int 2 meets Float 2.0, and Null among them. *)
+let gen_probe_value =
+  QCheck2.Gen.oneofl
+    Abdm.Value.
+      [ Null; Int 0; Int 1; Int 2; Float 1.0; Float 2.0; Float 2.5; Str "x" ]
+
+(* A record of file f0 or f1 with [a] and [b] each present or absent;
+   sometimes [a] twice, built without [Record.make] (which refuses it): a
+   built index posts the record under both values, a superset of what
+   the predicate, reading the first keyword, accepts. *)
+let gen_probe_record =
+  let open QCheck2.Gen in
+  let* file = int_range 0 1 in
+  let* a = opt gen_probe_value in
+  let* b = opt gen_probe_value in
+  let* a2 = frequency [ 4, pure None; 1, map Option.some gen_probe_value ] in
+  let kw attr = Option.map (Abdm.Keyword.make attr) in
+  pure
+    {
+      Abdm.Record.keywords =
+        Abdm.Keyword.file (Printf.sprintf "f%d" file)
+        :: List.filter_map Fun.id [ kw "a" a; kw "b" b; kw "a" a2 ];
+      text = "";
+    }
+
+(* Mostly the UNIQUE probe's shape, (FILE = f) AND (attr = v); also the
+   shapes [exists] hands to [select]: a residual Neq, two equalities, no
+   FILE, a range, two disjuncts. *)
+let gen_probe_query =
+  let open QCheck2.Gen in
+  let* file = map (Printf.sprintf "f%d") (int_range 0 1) in
+  let* attr = oneofl [ "a"; "b" ] in
+  let* v = gen_probe_value and* w = gen_probe_value in
+  let p op attr v = Abdm.Predicate.make attr op v in
+  let point = [ Abdm.Predicate.file_eq file; p Abdm.Predicate.Eq attr v ] in
+  frequency
+    [
+      (6, pure (Abdm.Query.conj point));
+      (1, pure (Abdm.Query.conj (point @ [ p Abdm.Predicate.Neq "b" w ])));
+      (1, pure (Abdm.Query.conj (point @ [ p Abdm.Predicate.Eq "b" w ])));
+      (1, pure (Abdm.Query.conj [ p Abdm.Predicate.Eq attr v ]));
+      (1, pure (Abdm.Query.conj [ Abdm.Predicate.file_eq file; p Abdm.Predicate.Lt attr v ]));
+      ( 1,
+        pure
+          (Abdm.Query.disj
+             [ Abdm.Query.conj point;
+               Abdm.Query.conj [ Abdm.Predicate.file_eq "f1"; p Abdm.Predicate.Eq "b" w ] ]) );
+    ]
+
+type probe_op =
+  | Probe of Abdm.Query.t
+  | Insert of Abdm.Record.t
+  | Delete of Abdm.Query.t
+
+let gen_probe_ops =
+  let open QCheck2.Gen in
+  list_size (int_range 1 40)
+    (frequency
+       [
+         (6, map (fun q -> Probe q) gen_probe_query);
+         (2, map (fun r -> Insert r) gen_probe_record);
+         (1, map (fun q -> Delete q) gen_probe_query);
+       ])
+
+let plan_counters =
+  List.map Obs.Metrics.counter
+    [ "abdm.plan.index"; "abdm.plan.file_scan"; "abdm.plan.store_scan";
+      "abdm.plan.postings_intersected"; "abdm.plan.auto_index" ]
+
+let residual = Obs.Metrics.histogram "abdm.plan.residual_ratio"
+
+(* What one probe leaves behind in [store] and the process-wide tallies. *)
+let probe_effects store f =
+  let tallies () =
+    ( Abdm.Store.scan_count store,
+      Abdm.Store.indexed_selects store,
+      Abdm.Store.scanned_selects store,
+      List.map Obs.Metrics.counter_value plan_counters
+      @ [ Obs.Metrics.histogram_count residual ] )
+  in
+  let s0, i0, f0, c0 = tallies () in
+  let answer = f () in
+  let s1, i1, f1, c1 = tallies () in
+  answer, (s1 - s0, i1 - i0, f1 - f0, List.map2 ( - ) c1 c0)
+
+(* Two stores fed the same records and the same operations: at each
+   probe, [exists] on one and [select <> []] on the other give the same
+   answer and the same tallies, and leave the same plans (heat, built
+   indexes) behind. Thresholds 1..4 put the probes before, at and after
+   the auto-index build. *)
+let prop_exists_is_select =
+  QCheck2.Test.make ~name:"Store.exists = select <> [], same tallies" ~count:300
+    QCheck2.Gen.(
+      triple (int_range 1 4) (list_size (int_range 0 30) gen_probe_record) gen_probe_ops)
+    (fun (threshold, records, ops) ->
+      let fresh () =
+        let s = Abdm.Store.create ~auto_index_threshold:threshold () in
+        List.iter (fun r -> ignore (Abdm.Store.insert s r)) records;
+        s
+      in
+      let probed = fresh () and selected = fresh () in
+      let plans q s = Abdm.Plan.to_string (Abdm.Store.explain s q) in
+      List.for_all
+        (function
+          | Probe q ->
+            let got = probe_effects probed (fun () -> Abdm.Store.exists probed q) in
+            let want =
+              probe_effects selected (fun () -> Abdm.Store.select selected q <> [])
+            in
+            got = want && plans q probed = plans q selected
+          | Insert r ->
+            ignore (Abdm.Store.insert probed r);
+            ignore (Abdm.Store.insert selected r);
+            true
+          | Delete q -> Abdm.Store.delete probed q = Abdm.Store.delete selected q)
+        ops)
+
+(* The duplicate check reports the first keyword whose attribute came
+   before it, in short and long records alike. *)
+let test_record_duplicate_message () =
+  let kw i = Abdm.Keyword.make (Printf.sprintf "k%d" i) (Abdm.Value.Int i) in
+  let raises what expected keywords =
+    Alcotest.check_raises what (Invalid_argument expected) (fun () ->
+        ignore (Abdm.Record.make keywords))
+  in
+  raises "2 keywords" "Record.make: duplicate attribute \"k0\"" [ kw 0; kw 0 ];
+  raises "64 keywords, last repeats one"
+    "Record.make: duplicate attribute \"k17\""
+    (List.init 63 kw @ [ kw 17 ]);
+  raises "64 keywords, two repeats: the earlier repeat is named"
+    "Record.make: duplicate attribute \"k5\""
+    (List.init 30 kw @ [ kw 5 ] @ List.init 32 (fun i -> kw (30 + i)) @ [ kw 2 ]);
+  Alcotest.(check int) "64 distinct keywords accepted" 64
+    (List.length (Abdm.Record.make (List.init 64 kw)).keywords)
+
 let suite =
   suite
   @ [
@@ -866,4 +1012,8 @@ let suite =
       test_explain_golden_store_scan_and_empty;
       "planner auto-index threshold", `Quick, test_planner_auto_threshold;
       QCheck_alcotest.to_alcotest prop_planner_matches_scan;
+      QCheck_alcotest.to_alcotest prop_exists_is_select;
+      QCheck_alcotest.to_alcotest prop_int_to_buffer;
+      "record duplicate message, 2 and 64 keywords", `Quick,
+      test_record_duplicate_message;
     ]

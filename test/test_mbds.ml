@@ -573,6 +573,81 @@ let test_parallel_transaction_rollback () =
         (Mbds.Controller.get c k <> None))
     keys
 
+(* [Controller.insert_unique] on 2 backends, whose per-backend probes are
+   [Store.exists], against the same controller contents driven through
+   [select]: the same answers, keys and records. Inserts and deletes
+   between probes; thresholds 1..4 put the probes before, at and after
+   each backend's auto-index build. *)
+let prop_insert_unique_is_select =
+  QCheck2.Test.make ~name:"insert_unique on 2 backends = select-then-insert"
+    ~count:150
+    QCheck2.Gen.(
+      pair
+        (list_size (int_range 0 30) Test_abdm.gen_probe_record)
+        (list_size (int_range 1 40)
+           (frequency
+              [
+                ( 6,
+                  pair Test_abdm.gen_probe_record
+                    (list_size (int_range 0 2) Test_abdm.gen_probe_query)
+                  |> map (fun (r, probes) -> `Insert_unique (r, probes)) );
+                (1, map (fun q -> `Delete q) Test_abdm.gen_probe_query);
+              ])))
+    (fun (records, ops) ->
+      let fresh name =
+        let c = Mbds.Controller.create ~name ~pool:no_workers 2 in
+        List.iter (fun r -> ignore (Mbds.Controller.insert c r)) records;
+        c
+      in
+      let probed = fresh "exists-probed" and selected = fresh "exists-selected" in
+      let contents c = List.of_seq (Mbds.Controller.to_seq c) in
+      List.for_all
+        (function
+          | `Insert_unique (r, probes) ->
+            let got = Mbds.Controller.insert_unique probed r probes in
+            let want =
+              if List.exists (fun q -> Mbds.Controller.select selected q <> []) probes
+              then None
+              else Some (Mbds.Controller.insert selected r)
+            in
+            got = want
+          | `Delete q -> Mbds.Controller.delete probed q = Mbds.Controller.delete selected q)
+        ops
+      && contents probed = contents selected)
+
+let workers_started () =
+  Obs.Metrics.counter_value (Obs.Metrics.counter "pool.workers_started")
+
+(* A controller's pool starts its worker on the first broadcast: a
+   thousand inserts, UNIQUE inserts and gets run on the caller alone. *)
+let test_workers_start_on_first_broadcast () =
+  let pool = Mbds.Pool.create 1 in
+  let c = Mbds.Controller.create ~pool 2 in
+  let w0 = workers_started () in
+  let by_name i =
+    [ Abdm.Query.conj
+        [ Abdm.Predicate.file_eq "employee";
+          Abdm.Predicate.make "name" Abdm.Predicate.Eq
+            (Abdm.Value.Str (Printf.sprintf "e%d" i)) ] ]
+  in
+  for i = 0 to 333 do
+    ignore (Mbds.Controller.insert c (emp (Printf.sprintf "x%d" i) i));
+    ignore
+      (Mbds.Controller.insert_unique c (emp (Printf.sprintf "e%d" (i mod 300)) i)
+         (by_name (i mod 300)));
+    ignore (Mbds.Controller.get c (i + 1))
+  done;
+  Alcotest.(check int) "1000 insert/insert_unique/get: no domain started" 0
+    (workers_started () - w0);
+  Alcotest.(check int) "the UNIQUE inserts held" 300
+    (Mbds.Controller.count c "employee" - 334);
+  ignore (Mbds.Controller.select c (Abdm.Query.conj [ Abdm.Predicate.file_eq "employee" ]));
+  Alcotest.(check int) "the first select starts the one worker" 1
+    (workers_started () - w0);
+  ignore (Mbds.Controller.select c (Abdm.Query.conj [ Abdm.Predicate.file_eq "employee" ]));
+  Alcotest.(check int) "later broadcasts start none" 1 (workers_started () - w0);
+  Mbds.Pool.shutdown pool
+
 let suite =
   [
     "create validation", `Quick, test_create_validation;
@@ -595,4 +670,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_parallel_equivalence;
     QCheck_alcotest.to_alcotest prop_parallel_equivalence_transactional;
     QCheck_alcotest.to_alcotest prop_concurrent_reads_between_writes;
+    QCheck_alcotest.to_alcotest prop_insert_unique_is_select;
+    "workers start on the first broadcast", `Quick,
+    test_workers_start_on_first_broadcast;
   ]

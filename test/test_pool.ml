@@ -1,7 +1,7 @@
 (* Tests for the MBDS domain pool: every share of a [run] runs exactly
    once, workers really take shares, the worker-less pool is the
    sequential reference, failures surface after every share finished,
-   and shutdown semantics. *)
+   workers start once on the first broadcast, and shutdown semantics. *)
 
 (* Runs [f] on its own domain; exits the process if it does not finish
    within [timeout_s], so a lost wake-up fails the suite instead of
@@ -163,6 +163,69 @@ let test_shutdown () =
          | () -> false))
     [ 0; 2 ]
 
+let workers_started () =
+  Obs.Metrics.counter_value (Obs.Metrics.counter "pool.workers_started")
+
+(* Two domains whose first broadcasts race on a fresh pool start its
+   worker once. *)
+let test_racing_first_runs_start_once () =
+  for _ = 1 to 20 do
+    let p = Mbds.Pool.create 1 in
+    let w0 = workers_started () in
+    let go = Atomic.make false in
+    let racer () =
+      Domain.spawn (fun () ->
+          while not (Atomic.get go) do Domain.cpu_relax () done;
+          Mbds.Pool.run p 2 ignore)
+    in
+    let a = racer () and b = racer () in
+    Atomic.set go true;
+    within ~timeout_s:30. (fun () ->
+        Domain.join a;
+        Domain.join b);
+    Alcotest.(check int) "one worker started" 1 (workers_started () - w0);
+    Mbds.Pool.shutdown p
+  done
+
+(* A pool that never broadcast has no domain to stop; a worker-less run
+   ([n = 1]) starts none either. *)
+let test_shutdown_unstarted () =
+  let w0 = workers_started () in
+  let p = Mbds.Pool.create 2 in
+  Mbds.Pool.run p 1 ignore;
+  within ~timeout_s:5. (fun () -> Mbds.Pool.shutdown p);
+  Alcotest.(check int) "no worker ever started" 0 (workers_started () - w0);
+  Alcotest.(check int) "size is still the configured count" 2 (Mbds.Pool.size p);
+  Alcotest.check_raises "a later run is rejected"
+    (Invalid_argument "Pool.run: pool is shut down") (fun () ->
+      Mbds.Pool.run p 2 ignore);
+  Alcotest.(check int) "and starts nothing" 0 (workers_started () - w0)
+
+(* A first [run] racing [shutdown] either raises or starts its worker
+   before [shutdown] returns, so the join covers it: the count read
+   right after [shutdown] is final. *)
+let test_run_racing_shutdown () =
+  for _ = 1 to 100 do
+    let p = Mbds.Pool.create 1 in
+    let w0 = workers_started () in
+    let go = Atomic.make false in
+    let runner =
+      Domain.spawn (fun () ->
+          while not (Atomic.get go) do Domain.cpu_relax () done;
+          match Mbds.Pool.run p 2 ignore with
+          | () -> true
+          | exception Invalid_argument _ -> false)
+    in
+    Atomic.set go true;
+    Mbds.Pool.shutdown p;
+    let at_shutdown = workers_started () - w0 in
+    let ran = Domain.join runner in
+    Alcotest.(check int) "no worker started after shutdown returned" at_shutdown
+      (workers_started () - w0);
+    Alcotest.(check int) "a worker started iff the run went ahead"
+      (if ran then 1 else 0) at_shutdown
+  done
+
 let test_shared_pool () =
   let p = Mbds.Pool.shared () in
   Alcotest.(check bool) "shared pool is a singleton" true
@@ -184,4 +247,7 @@ let suite =
     "caller-run shares record nothing", `Quick, test_caller_shares_record_nothing;
     "shutdown", `Quick, test_shutdown;
     "shared pool", `Quick, test_shared_pool;
+    "racing first runs start one worker", `Quick, test_racing_first_runs_start_once;
+    "shutdown of a pool that never started", `Quick, test_shutdown_unstarted;
+    "run racing shutdown", `Quick, test_run_racing_shutdown;
   ]

@@ -1,7 +1,7 @@
 (* Database set-up: the one-write functional loader against the two-pass
    oracle (test/loader_oracle.ml), the direct snapshot writer against the
-   Printf line format it replaced, floats through a snapshot, and a
-   deterministic allocation guard on both. *)
+   Printf line format it replaced, floats through a snapshot, and
+   deterministic allocation guards on both and on an SQL bulk load. *)
 
 module U = Daplex.University
 
@@ -265,6 +265,51 @@ let test_allocation_guard () =
     Alcotest.failf "Persist.dump: %.0f minor words a record (bound %.0f)" per_dump
       dump_words_bound
 
+(* Minor-heap words per row across a 2 000-row SQL bulk load into a
+   2-backend MBDS: a UNIQUE id column, so every INSERT probes both
+   backends, submitted through a session handle in 500-statement texts
+   (the texts are built before the count starts). A row takes ~1 350
+   words. It took ~1 820 before the UNIQUE probe read the index
+   ([Abdm.Store.exists]), KFS wrote one buffer and [Abdm.Record.make]
+   dropped its hash table; the probe through [select] alone gives ~1 590
+   and the old KFS alone ~1 460, so either coming back fails here. The
+   hash table alone (~1 400) is inside the slack. *)
+let sql_bulk_words_bound = 1_450.
+
+let test_sql_bulk_load_guard () =
+  let sys = Mlds.System.create ~backends:2 () in
+  (match Mlds.System.define_relational sys ~name:"shop" with
+  | Ok () -> ()
+  | Error msg -> Alcotest.fail msg);
+  let h = Result.get_ok (Mlds.System.open_handle sys Mlds.System.L_sql ~db:"shop") in
+  let submit text =
+    match Mlds.System.submit_handle h text with
+    | Ok _ -> ()
+    | Error e -> Alcotest.fail (Mlds.System.handle_error_to_string e)
+  in
+  submit
+    "CREATE TABLE orders (id INT UNIQUE, cust INT, amount INT, region CHAR(8), u0 INT, u1 INT)";
+  let st = Random.State.make [| 3 |] in
+  let regions = [| "north"; "south"; "east"; "west" |] in
+  let rows = 2000 in
+  let texts =
+    List.init (rows / 500) (fun chunk ->
+        String.concat ";\n"
+          (List.init 500 (fun i ->
+               Printf.sprintf "INSERT INTO orders VALUES (%d, %d, %d, '%s', 0, 0)"
+                 ((chunk * 500) + i + 1)
+                 (1 + Random.State.int st 200)
+                 (1 + Random.State.int st 10_000)
+                 regions.(Random.State.int st 4))))
+  in
+  let (), words = minor_words (fun () -> List.iter submit texts) in
+  let kernel = Option.get (Mlds.System.kernel_of sys "shop") in
+  Alcotest.(check int) "every row stored" rows (Mapping.Kernel.size kernel);
+  let per_row = words /. float_of_int rows in
+  if per_row > sql_bulk_words_bound then
+    Alcotest.failf "SQL bulk load: %.0f minor words a row (bound %.0f)" per_row
+      sql_bulk_words_bound
+
 let suite =
   [
     "loader = two-pass oracle", `Quick, test_loader_matches_oracle;
@@ -273,4 +318,5 @@ let suite =
     "checkpoint slices on MBDS", `Quick, test_checkpoint_slices_mbds;
     "float survives a snapshot", `Quick, test_float_survives_snapshot;
     "allocation guard", `Quick, test_allocation_guard;
+    "SQL bulk-load allocation guard", `Quick, test_sql_bulk_load_guard;
   ]
