@@ -14,8 +14,13 @@
    every running domain, an idle pool worker included), and its MBDS
    broadcast shares (also from the last run): the growth of
    mbds.shares_inline + mbds.shares_remote, one per backend per
-   broadcast. Ends with pool.workers_started, the worker domains the
-   whole ledger spawned: a start-up that broadcasts shows there. *)
+   broadcast. Then one more preload, traced and apart from the timed
+   runs (which stay untraced): the self time of each span name it opened
+   (lil.parse, kms.translate+kc.execute, kernel.run, mbds.insert,
+   kfs.format, ...), the time inside a span less its children's, which
+   shows the stage a set-up gain came from. Ends with
+   pool.workers_started, the worker domains the whole ledger spawned: a
+   start-up that broadcasts shows there. *)
 
 let median xs =
   let a = Array.of_list xs in
@@ -104,5 +109,23 @@ let () =
         (words /. float_of_int (max 1 records))
         collections shares)
     (List.rev !order);
+  Gc.compact ();
+  let sys = Perfbench.Workloads.create_system w in
+  Obs.Span.reset ();
+  Obs.Span.set_enabled true;
+  Fun.protect
+    ~finally:(fun () -> Obs.Span.set_enabled false)
+    (fun () -> Perfbench.Workloads.preload w ~seed sys);
+  let trace = Perfbench.Trace.create () in
+  List.iter
+    (Perfbench.Trace.graft trace ~op:0 ~parent:0)
+    (Obs.Span.take_roots ());
+  Printf.printf "traced preload, per span\n%-26s %8s %10s %10s\n" "span"
+    "count" "self ms" "total ms";
+  List.iter
+    (fun (name, (count, total, self)) ->
+      Printf.printf "%-26s %8d %10.2f %10.2f\n" name count (self *. 1000.)
+        (total *. 1000.))
+    (Perfbench.Trace.summary trace);
   Printf.printf "pool.workers_started %d\n"
     (Obs.Metrics.counter_value (Obs.Metrics.counter "pool.workers_started"))

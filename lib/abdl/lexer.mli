@@ -14,8 +14,24 @@ type token =
 
 exception Lex_error of string
 
-(** [tokens src] lexes the whole input. Raises [Lex_error] on an
-    unterminated string or an unexpected character. *)
+(** A cursor over [src] with one token of lookahead, lexed on demand:
+    a parser that reads it lexes no further than it parses. *)
+type cursor
+
+val cursor : string -> cursor
+
+(** [peek c] is the lookahead token, lexing it if it is not yet; [EOF]
+    from the end of the text on. Raises [Lex_error] on an unterminated
+    string or an unexpected character, and [Failure] on an integer
+    literal outside the [int] range, as [int_of_string] does. *)
+val peek : cursor -> token
+
+(** [advance c] consumes the lookahead token (lexing it first if it was
+    never peeked); at the end it stays at [EOF]. *)
+val advance : cursor -> unit
+
+(** [tokens src] lexes the whole input through a cursor. Raises as
+    [peek] does, at the first bad token. *)
 val tokens : string -> token list
 
 val token_to_string : token -> string

@@ -592,6 +592,14 @@ let select store query =
         !matched []
       |> List.rev)
 
+(* the indexable predicate of [preds] if it has exactly one *)
+let rec sole_indexable = function
+  | [] -> None
+  | p :: rest ->
+    if not (indexable p) then sole_indexable rest
+    else if List.exists indexable rest then None
+    else Some p
+
 (* [select store query <> []] for the UNIQUE probe's shape — one
    conjunction whose only indexable predicate is an equality with a built
    index — without a plan, a key set or rows: the candidates are that
@@ -605,8 +613,8 @@ let exists store query =
   let source =
     match query with
     | [ preds ] when store.indexed -> (
-      match Query.file_of_conjunction preds, List.filter indexable preds with
-      | Some file, [ ({ op = Predicate.Eq; _ } as p) ] -> (
+      match Query.file_of_conjunction preds, sole_indexable preds with
+      | Some file, Some ({ op = Predicate.Eq; _ } as p) -> (
         match Pair_map.find_opt (file, p.attribute) st.st_dir with
         | Some (Built postings) ->
           let keys =

@@ -153,6 +153,39 @@ let broadcast t ~op ~results_of ~writes_of f =
       Stats.record ~measured t.stats dt;
       per_backend)
 
+(* The (scanned, written) work of one insert for [Cost.response_time],
+   backends [0..i]: [scanned.(i)] records examined on backend i, and one
+   write on [idx] (none if [idx] is no backend). *)
+let rec insert_work scanned idx i acc =
+  if i < 0 then acc
+  else
+    insert_work scanned idx (i - 1)
+      ((scanned.(i), if i = idx then 1 else 0) :: acc)
+
+let backend_work scanned idx =
+  insert_work scanned idx (Array.length scanned - 1) []
+
+(* The per-row writes take the backend lock directly rather than through
+   [with_backend], so they build no closure per row; a store call that
+   raises still releases it. *)
+let write_next t record ~t0 ~scanned key idx =
+  let lock = t.locks.(idx) in
+  Mutex.lock lock;
+  begin
+    match Abdm.Store.insert_keyed t.backends.(idx) key record with
+    | () -> Mutex.unlock lock
+    | exception e ->
+      Mutex.unlock lock;
+      raise e
+  end;
+  let measured = now () -. t0 in
+  Obs.Metrics.incr t.obs_written.(idx);
+  Obs.Metrics.set_gauge t.obs_records.(idx)
+    (float_of_int (Abdm.Store.size t.backends.(idx)));
+  Stats.record ~measured t.stats
+    (Cost.response_time t.cost ~backend_work:(backend_work scanned idx)
+       ~results:0)
+
 (* Store [record] under the next global key, on the caller, under its
    backend's lock, and charge it as one request begun at [t0]:
    [scanned.(i)] records already examined on backend i (by
@@ -161,47 +194,57 @@ let store_next t record ~t0 ~scanned =
   let key = t.next_key in
   t.next_key <- key + 1;
   let idx = backend_index_of_key t key in
-  let backend = t.backends.(idx) in
-  Obs.Span.with_span "mbds.insert"
-    ~attrs:(fun () ->
-      [ "key", string_of_int key; "backend", string_of_int idx ])
-    (fun () ->
-      with_backend t idx (fun b -> Abdm.Store.insert_keyed b key record);
-      let measured = now () -. t0 in
-      let backend_work =
-        Array.to_list (Array.mapi (fun i s -> s, if i = idx then 1 else 0) scanned)
-      in
-      Obs.Metrics.incr t.obs_written.(idx);
-      Obs.Metrics.set_gauge t.obs_records.(idx)
-        (float_of_int (Abdm.Store.size backend));
-      Stats.record ~measured t.stats
-        (Cost.response_time t.cost ~backend_work ~results:0);
-      key)
+  if Obs.Span.enabled () then
+    Obs.Span.with_span "mbds.insert"
+      ~attrs:(fun () ->
+        [ "key", string_of_int key; "backend", string_of_int idx ])
+      (fun () -> write_next t record ~t0 ~scanned key idx)
+  else write_next t record ~t0 ~scanned key idx;
+  key
 
 let insert t record =
   store_next t record ~t0:(now ())
     ~scanned:(Array.make (Array.length t.backends) 0)
 
+let rec any_match backend = function
+  | [] -> false
+  | probe :: probes ->
+    Abdm.Store.exists backend probe || any_match backend probes
+
+(* whether backend [i] holds a match of [probes]; its scans go to
+   [scanned.(i)] *)
+let clash t probes scanned i =
+  let backend = t.backends.(i) and lock = t.locks.(i) in
+  Mutex.lock lock;
+  let scans0 = Abdm.Store.scan_count backend in
+  let hit =
+    match any_match backend probes with
+    | hit -> hit
+    | exception e ->
+      Mutex.unlock lock;
+      raise e
+  in
+  scanned.(i) <- Abdm.Store.scan_count backend - scans0;
+  Mutex.unlock lock;
+  if scanned.(i) > 0 then Obs.Metrics.incr ~by:scanned.(i) t.obs_scanned.(i);
+  hit
+
+let rec any_clash t probes scanned i =
+  i < Array.length t.backends
+  && (clash t probes scanned i || any_clash t probes scanned (i + 1))
+
 (* Each backend in turn, on the caller and under that backend's lock: a
    handful of index point probes is far cheaper than waking a worker.
-   Stops at the first backend holding a match. *)
+   Stops at the first backend holding a match; with no probes there is
+   nothing to check. *)
 let insert_unique t record probes =
-  let n = Array.length t.backends in
   let t0 = now () in
-  let scanned = Array.make n 0 in
-  let clash i =
-    with_backend t i (fun b ->
-        let scans0 = Abdm.Store.scan_count b in
-        let hit = List.exists (Abdm.Store.exists b) probes in
-        scanned.(i) <- Abdm.Store.scan_count b - scans0;
-        if scanned.(i) > 0 then Obs.Metrics.incr ~by:scanned.(i) t.obs_scanned.(i);
-        hit)
-  in
-  let rec any_clash i = i < n && (clash i || any_clash (i + 1)) in
-  if any_clash 0 then begin
-    let backend_work = Array.to_list (Array.map (fun s -> s, 0) scanned) in
+  let scanned = Array.make (Array.length t.backends) 0 in
+  if probes <> [] && any_clash t probes scanned 0 then begin
     Stats.record ~measured:(now () -. t0) t.stats
-      (Cost.response_time t.cost ~backend_work ~results:0);
+      (Cost.response_time t.cost
+         ~backend_work:(backend_work scanned (-1))
+         ~results:0);
     None
   end
   else Some (store_next t record ~t0 ~scanned)

@@ -72,8 +72,9 @@ val insert : t -> Abdm.Record.t -> Abdm.Store.dbkey
     only if no live record on any backend matches any of [probes], and
     returns its key; otherwise it stores nothing and returns [None].
     The probes run on the caller, one backend at a time under its lock,
-    without a broadcast: no pool share is claimed. Charged as one
-    request: the probes' scans plus the write. *)
+    without a broadcast: no pool share is claimed; with no probes no
+    backend is locked before the write. Charged as one request: the
+    probes' scans plus the write. *)
 val insert_unique :
   t -> Abdm.Record.t -> Abdm.Query.t list -> Abdm.Store.dbkey option
 

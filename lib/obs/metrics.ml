@@ -94,20 +94,26 @@ let histogram ?(buckets = default_latency_buckets) name =
       h, I_histogram h)
     (function I_histogram h -> Some h | _ -> None)
 
-let bucket_index bounds v =
-  let n = Array.length bounds in
-  let rec go i = if i >= n then n else if v <= bounds.(i) then i else go (i + 1) in
-  go 0
+let rec bucket_from bounds v i =
+  if i >= Array.length bounds then i
+  else if v <= bounds.(i) then i
+  else bucket_from bounds v (i + 1)
 
+let bucket_index bounds v = bucket_from bounds v 0
+
+(* The body cannot raise ([bucket_index] stays within [counts]), so the
+   lock is taken without [Fun.protect] and its closure. *)
 let observe h v =
-  if not (Float.is_nan v) then
-    locked h.lock (fun () ->
-        let i = bucket_index h.bounds v in
-        h.counts.(i) <- h.counts.(i) + 1;
-        h.h_sum <- h.h_sum +. v;
-        h.h_n <- h.h_n + 1;
-        h.h_min <- Float.min h.h_min v;
-        h.h_max <- Float.max h.h_max v)
+  if not (Float.is_nan v) then begin
+    Mutex.lock h.lock;
+    let i = bucket_index h.bounds v in
+    h.counts.(i) <- h.counts.(i) + 1;
+    h.h_sum <- h.h_sum +. v;
+    h.h_n <- h.h_n + 1;
+    h.h_min <- Float.min h.h_min v;
+    h.h_max <- Float.max h.h_max v;
+    Mutex.unlock h.lock
+  end
 
 let histogram_count h = locked h.lock (fun () -> h.h_n)
 

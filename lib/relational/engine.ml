@@ -292,69 +292,101 @@ let exec_select t items table where group_by order_by =
   | Abdl.Exec.Inserted _ | Abdl.Exec.Deleted _ | Abdl.Exec.Updated _ ->
     err "SELECT: kernel returned a non-retrieval result"
 
-(* one probe per non-NULL value bound to a UNIQUE column: the live rows
-   of [rel] already holding it (NULLs are exempt from UNIQUE) *)
+(* the live rows of relation [rel_name] holding [v] in column [c] *)
+let unique_probe rel_name c v =
+  Abdm.Query.conj
+    [ Abdm.Predicate.file_eq rel_name;
+      Abdm.Predicate.make c Abdm.Predicate.Eq v ]
+
+(* one probe per non-NULL value bound to a UNIQUE column (NULLs are
+   exempt from UNIQUE) *)
 let unique_probes rel pairs =
   List.filter_map
     (fun (c, v) ->
       match Types.find_column rel c with
       | Some { col_unique = true; _ } when not (Abdm.Value.is_null v) ->
-        Some
-          (Abdm.Query.conj
-             [ Abdm.Predicate.file_eq rel.Types.rel_name;
-               Abdm.Predicate.make c Abdm.Predicate.Eq v ])
+        Some (unique_probe rel.Types.rel_name c v)
       | _ -> None)
     pairs
 
+(* [v] fits [col]'s type; the error names the statement as [verb table] *)
+let check_type verb table (col : Types.column) v =
+  if value_matches col v then Ok ()
+  else
+    err "%s %s: column %s expects %s, got %s" verb table col.col_name
+      (Types.col_type_to_string col.col_type)
+      (Abdm.Value.to_string v)
+
 (* every (column, value) pair names a column of [rel] and fits its type *)
-let check_values what rel pairs =
+let check_values verb table rel pairs =
   List.fold_left
     (fun acc (c, v) ->
       let* () = acc in
       let* col = check_column rel c in
-      if value_matches col v then Ok ()
-      else
-        err "%s: column %s expects %s, got %s" what c
-          (Types.col_type_to_string col.col_type)
-          (Abdm.Value.to_string v))
+      check_type verb table col v)
     (Ok ()) pairs
+
+(* the relation's columns an INSERT names, in statement order: all of
+   them without a column list; a name is checked where it stands *)
+let insert_columns rel table = function
+  | None -> Ok rel.Types.rel_columns
+  | Some names ->
+    let rec resolve acc = function
+      | [] -> Ok (List.rev acc)
+      | name :: rest ->
+        let* col = check_column rel name in
+        if List.memq col acc then
+          err "INSERT INTO %s: column %s named twice" table name
+        else resolve (col :: acc) rest
+    in
+    resolve [] names
+
+(* the value an INSERT gives [col], NULL if the statement does not name it *)
+let rec value_of col cols values =
+  match cols, values with
+  | c :: cols, v :: values -> if c == col then v else value_of col cols values
+  | _ -> Abdm.Value.Null
+
+(* the record's keywords, one per column of the relation in its order *)
+let rec insert_keywords rel_columns cols values =
+  match rel_columns with
+  | [] -> []
+  | (c : Types.column) :: rest ->
+    Abdm.Keyword.make c.col_name (value_of c cols values)
+    :: insert_keywords rest cols values
+
+(* One walk over the statement's (column, value) pairs, in their order:
+   each value fits its column's type, and each non-NULL value of a UNIQUE
+   column adds its probe. *)
+let rec insert_probes table rel_name probes cols values =
+  match cols, values with
+  | (col : Types.column) :: cols, v :: values ->
+    begin
+      match check_type "INSERT INTO" table col v with
+      | Error msg -> Error msg
+      | Ok () ->
+        let probes =
+          if col.col_unique && not (Abdm.Value.is_null v) then
+            unique_probe rel_name col.col_name v :: probes
+          else probes
+        in
+        insert_probes table rel_name probes cols values
+    end
+  | _ -> Ok (List.rev probes)
 
 let exec_insert t table columns values =
   let* rel = relation t table in
-  let* columns =
-    match columns with
-    | Some cols ->
-      let* () =
-        List.fold_left
-          (fun acc c ->
-            let* () = acc in
-            let* _ = check_column rel c in
-            Ok ())
-          (Ok ()) cols
-      in
-      Ok cols
-    | None -> Ok (List.map (fun (c : Types.column) -> c.col_name) rel.rel_columns)
-  in
-  if List.length columns <> List.length values then
-    err "INSERT INTO %s: %d column(s) but %d value(s)" table
-      (List.length columns) (List.length values)
+  let* cols = insert_columns rel table columns in
+  let n_cols = List.length cols and n_values = List.length values in
+  if n_cols <> n_values then
+    err "INSERT INTO %s: %d column(s) but %d value(s)" table n_cols n_values
   else
-    let pairs = List.combine columns values in
-    let* () = check_values ("INSERT INTO " ^ table) rel pairs in
+    let* probes = insert_probes table rel.rel_name [] cols values in
     let record =
       Abdm.Record.make
-        (Abdm.Keyword.file table
-         :: List.map
-              (fun (c : Types.column) ->
-                let v =
-                  match List.assoc_opt c.col_name pairs with
-                  | Some v -> v
-                  | None -> Abdm.Value.Null
-                in
-                Abdm.Keyword.make c.col_name v)
-              rel.rel_columns)
+        (Abdm.Keyword.file table :: insert_keywords rel.rel_columns cols values)
     in
-    match Mapping.Kernel.insert_unique t.kernel record (unique_probes rel pairs) with
+    match Mapping.Kernel.insert_unique t.kernel record probes with
     | Some _ -> Ok (Inserted 1)
     | None -> err "INSERT INTO %s: UNIQUE constraint violated" table
 
@@ -367,7 +399,15 @@ let exec_delete t table where =
 
 let exec_update t table sets where =
   let* rel = relation t table in
-  let* () = check_values ("UPDATE " ^ table) rel sets in
+  let* () = check_values "UPDATE" table rel sets in
+  let rec once = function
+    | [] -> Ok ()
+    | (c, _) :: rest ->
+      if List.mem_assoc c rest then
+        err "UPDATE %s: column %s assigned twice" table c
+      else once rest
+  in
+  let* () = once sets in
   let query = scoped rel where in
   (* a UNIQUE value may go to one row only, and only if no other row
      holds it already *)
@@ -421,6 +461,7 @@ let outcome_to_string = function
     let line row = String.concat " | " (List.map Abdm.Value.to_display row) in
     String.concat "\n" (String.concat " | " header :: List.map line rows)
   | Created_table name -> Printf.sprintf "table %s created" name
+  | Inserted 1 -> "1 row(s) inserted"
   | Inserted n -> Printf.sprintf "%d row(s) inserted" n
   | Deleted n -> Printf.sprintf "%d row(s) deleted" n
   | Updated n -> Printf.sprintf "%d row(s) updated" n

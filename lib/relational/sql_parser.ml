@@ -1,18 +1,12 @@
 exception Parse_error of string
 
-type stream = { mutable toks : Abdl.Lexer.token list }
-
+(* The parser reads the lexer's cursor directly: no token list is built,
+   and the text after a syntax error is never lexed. *)
 let fail fmt = Printf.ksprintf (fun msg -> raise (Parse_error msg)) fmt
 
-let peek s =
-  match s.toks with
-  | [] -> Abdl.Lexer.EOF
-  | tok :: _ -> tok
+let peek = Abdl.Lexer.peek
 
-let advance s =
-  match s.toks with
-  | [] -> ()
-  | _ :: rest -> s.toks <- rest
+let advance = Abdl.Lexer.advance
 
 let next s =
   let tok = peek s in
@@ -20,6 +14,15 @@ let next s =
   tok
 
 let upper = String.uppercase_ascii
+
+let rec same_upper name kw i =
+  i = String.length kw
+  || Char.uppercase_ascii (String.unsafe_get name i) = String.unsafe_get kw i
+     && same_upper name kw (i + 1)
+
+(* [upper name = kw] for an upper-case [kw], without the copy *)
+let kw_equal name kw =
+  String.length name = String.length kw && same_upper name kw 0
 
 let ident s =
   match next s with
@@ -35,12 +38,12 @@ let expect s tok =
 
 let expect_kw s kw =
   match next s with
-  | Abdl.Lexer.IDENT name when upper name = kw -> ()
+  | Abdl.Lexer.IDENT name when kw_equal name kw -> ()
   | tok -> fail "expected %s, got %s" kw (Abdl.Lexer.token_to_string tok)
 
 let kw_is tok kw =
   match tok with
-  | Abdl.Lexer.IDENT name -> upper name = kw
+  | Abdl.Lexer.IDENT name -> kw_equal name kw
   | _ -> false
 
 let literal s =
@@ -48,22 +51,20 @@ let literal s =
   | Abdl.Lexer.INT i -> Abdm.Value.Int i
   | Abdl.Lexer.FLOAT f -> Abdm.Value.Float f
   | Abdl.Lexer.STRING str -> Abdm.Value.Str str
-  | Abdl.Lexer.IDENT name when upper name = "NULL" -> Abdm.Value.Null
+  | Abdl.Lexer.IDENT name when kw_equal name "NULL" -> Abdm.Value.Null
   | Abdl.Lexer.IDENT name ->
     (* a bare identifier on the right of [=] may name the join column of
        the other table ([WHERE dept = dname]); the engine resolves it *)
     Abdm.Value.Str name
   | tok -> fail "expected literal, got %s" (Abdl.Lexer.token_to_string tok)
 
-let comma_separated s parse_one =
-  let rec more acc =
-    match peek s with
-    | Abdl.Lexer.COMMA ->
-      advance s;
-      more (parse_one s :: acc)
-    | _ -> List.rev acc
-  in
-  more [ parse_one s ]
+let rec comma_separated s parse_one =
+  let first = parse_one s in
+  match peek s with
+  | Abdl.Lexer.COMMA ->
+    advance s;
+    first :: comma_separated s parse_one
+  | _ -> [ first ]
 
 (* --- WHERE clauses: AND/OR/parens over comparisons, normalised to DNF --- *)
 
@@ -155,13 +156,12 @@ let column_def s =
   { Types.col_name = name; col_type; col_unique }
 
 let aggregate_of_name name =
-  match upper name with
-  | "COUNT" -> Some Abdl.Ast.Count
-  | "SUM" -> Some Abdl.Ast.Sum
-  | "AVG" -> Some Abdl.Ast.Avg
-  | "MIN" -> Some Abdl.Ast.Min
-  | "MAX" -> Some Abdl.Ast.Max
-  | _ -> None
+  if kw_equal name "COUNT" then Some Abdl.Ast.Count
+  else if kw_equal name "SUM" then Some Abdl.Ast.Sum
+  else if kw_equal name "AVG" then Some Abdl.Ast.Avg
+  else if kw_equal name "MIN" then Some Abdl.Ast.Min
+  else if kw_equal name "MAX" then Some Abdl.Ast.Max
+  else None
 
 let select_item s =
   match peek s with
@@ -184,17 +184,17 @@ let select_item s =
       Sql_ast.S_agg (agg, col)
     | _ -> Sql_ast.S_col name
 
-let stmt_of_stream s =
+let statement s =
   let verb = ident s in
-  match upper verb with
-  | "CREATE" ->
+  if kw_equal verb "CREATE" then begin
     expect_kw s "TABLE";
     let name = ident s in
     expect s Abdl.Lexer.LPAREN;
     let columns = comma_separated s column_def in
     expect s Abdl.Lexer.RPAREN;
     Sql_ast.Create_table { Types.rel_name = name; rel_columns = columns }
-  | "SELECT" ->
+  end
+  else if kw_equal verb "SELECT" then begin
     let items = comma_separated s select_item in
     expect_kw s "FROM";
     let tables = comma_separated s ident in
@@ -216,7 +216,8 @@ let stmt_of_stream s =
       else None
     in
     Sql_ast.Select { items; tables; where; group_by; order_by }
-  | "INSERT" ->
+  end
+  else if kw_equal verb "INSERT" then begin
     expect_kw s "INTO";
     let table = ident s in
     let columns =
@@ -233,11 +234,13 @@ let stmt_of_stream s =
     let values = comma_separated s literal in
     expect s Abdl.Lexer.RPAREN;
     Sql_ast.Insert { table; columns; values }
-  | "DELETE" ->
+  end
+  else if kw_equal verb "DELETE" then begin
     expect_kw s "FROM";
     let table = ident s in
     Sql_ast.Delete { table; where = where_clause s }
-  | "UPDATE" ->
+  end
+  else if kw_equal verb "UPDATE" then begin
     let table = ident s in
     expect_kw s "SET";
     let assignment s =
@@ -247,20 +250,23 @@ let stmt_of_stream s =
     in
     let sets = comma_separated s assignment in
     Sql_ast.Update { table; sets; where = where_clause s }
-  | other -> fail "unknown SQL statement %S" other
+  end
+  else fail "unknown SQL statement %S" (upper verb)
 
 let wrap f src =
-  match Abdl.Lexer.tokens src with
-  | toks -> f { toks }
-  | exception Abdl.Lexer.Lex_error msg -> raise (Parse_error msg)
+  try f (Abdl.Lexer.cursor src)
+  with Abdl.Lexer.Lex_error msg -> raise (Parse_error msg)
 
 let stmt src =
   wrap
     (fun s ->
-      let parsed = stmt_of_stream s in
+      let parsed = statement s in
       begin
         match peek s with
-        | Abdl.Lexer.EOF | Abdl.Lexer.SEMI -> ()
+        | Abdl.Lexer.EOF -> ()
+        | Abdl.Lexer.SEMI ->
+          (* what follows the separator is not parsed, but still lexed *)
+          while peek s <> Abdl.Lexer.EOF do advance s done
         | tok -> fail "trailing input: %s" (Abdl.Lexer.token_to_string tok)
       end;
       parsed)
@@ -275,7 +281,7 @@ let program src =
         | Abdl.Lexer.SEMI ->
           advance s;
           loop acc
-        | _ -> loop (stmt_of_stream s :: acc)
+        | _ -> loop (statement s :: acc)
       in
       loop [])
     src

@@ -378,10 +378,61 @@ let prop_print_parse_identity =
            (match r with Abdl.Ast.Insert r -> r.keywords | _ -> [])
            (match back with Abdl.Ast.Insert b -> b.keywords | _ -> []))
 
+(* The lexer cursor, through [tokens], against the list lexer it
+   replaced (test/parse_oracle.ml): the same tokens, or the same error,
+   on texts of quotes, doubled quotes, signs, '.', 'e', operators,
+   digits (runs of up to 22, past the int range), identifiers, stray
+   characters and whitespace. *)
+let outcome f src =
+  match f src with
+  | toks -> Ok toks
+  | exception Abdl.Lexer.Lex_error msg -> Error ("lex: " ^ msg)
+  | exception Failure msg -> Error ("failure: " ^ msg)
+
+let gen_lex_text =
+  let open QCheck2.Gen in
+  let piece =
+    frequency
+      [
+        ( 8,
+          oneofl
+            [ "'"; "''"; "'a b'"; "'it''s'"; "-"; "+"; "."; "e"; "E"; "e-"; "E+";
+              "<"; ">"; "="; "!"; "!="; "<>"; "*"; "/"; "("; ")"; ","; ";"; " ";
+              "\n"; "\t"; "x"; "_y.z"; "NULL"; "@"; "#"; "0"; "7" ] );
+        (2, map (fun n -> String.make n '9') (int_range 1 22));
+        (1, map (fun n -> "-" ^ String.make n '8') (int_range 17 20));
+      ]
+  in
+  map (String.concat "") (list_size (int_range 0 24) piece)
+
+let prop_lexer_matches_list_lexer =
+  QCheck2.Test.make ~name:"lexer cursor = list lexer" ~count:2000 ~print:Fun.id
+    gen_lex_text (fun src ->
+      outcome Abdl.Lexer.tokens src = outcome Parse_oracle.tokens src)
+
+let test_lexer_cursor () =
+  let open Abdl.Lexer in
+  let c = cursor "a 'b" in
+  Alcotest.(check bool) "first token" true (peek c = IDENT "a");
+  Alcotest.(check bool) "peek again, same token" true (peek c = IDENT "a");
+  advance c;
+  Alcotest.check_raises "the bad token raises when read"
+    (Lex_error "unterminated string literal") (fun () -> ignore (peek c));
+  let c = cursor "x" in
+  advance c;
+  advance c;
+  Alcotest.(check bool) "past the end: EOF" true (peek c = EOF);
+  Alcotest.(check bool) "19 digits go through int_of_string" true
+    (tokens "-4611686018427387904" = [ INT min_int; EOF ]);
+  Alcotest.check_raises "out of range" (Failure "int_of_string") (fun () ->
+      ignore (tokens "4611686018427387904"))
+
 let suite =
   [
     "lexer", `Quick, test_lexer;
     "lexer exponents", `Quick, test_lexer_exponents;
+    "lexer cursor", `Quick, test_lexer_cursor;
+    QCheck_alcotest.to_alcotest prop_lexer_matches_list_lexer;
     "parse retrieve", `Quick, test_parse_retrieve;
     "parse ALL and aggregates", `Quick, test_parse_retrieve_all_and_agg;
     "parse OR normalisation", `Quick, test_parse_or_normalisation;

@@ -615,6 +615,61 @@ let prop_insert_unique_is_select =
         ops
       && contents probed = contents selected)
 
+(* [Controller.insert] and [insert_unique], which take each backend's
+   lock directly and build no per-row closure, against the old write path
+   over plain stores (test/mbds_write_oracle.ml): the same keys and
+   contents, the same request count and modelled times, and the same
+   per-backend scanned/written counters, on 1 to 3 backends. Probe lists
+   may be empty (nothing to check) or hold scans the index cannot
+   answer. *)
+let write_oracle_runs = ref 0
+
+let prop_write_matches_oracle =
+  QCheck2.Test.make ~name:"insert/insert_unique = the old MBDS write path" ~count:150
+    QCheck2.Gen.(
+      pair (int_range 1 3)
+        (list_size (int_range 1 40)
+           (frequency
+              [
+                (2, map (fun r -> `Insert r) Test_abdm.gen_probe_record);
+                ( 6,
+                  pair Test_abdm.gen_probe_record
+                    (list_size (int_range 0 2) Test_abdm.gen_probe_query)
+                  |> map (fun (r, probes) -> `Insert_unique (r, probes)) );
+              ])))
+    (fun (n, ops) ->
+      incr write_oracle_runs;
+      (* a fresh name: fresh counters in the process-wide registry *)
+      let name = Printf.sprintf "write-oracle-%d" !write_oracle_runs in
+      let c = Mbds.Controller.create ~name ~pool:no_workers n in
+      let o = Mbds_write_oracle.create n in
+      List.for_all
+        (function
+          | `Insert r -> Mbds.Controller.insert c r = Mbds_write_oracle.insert o r
+          | `Insert_unique (r, probes) ->
+            Mbds.Controller.insert_unique c r probes
+            = Mbds_write_oracle.insert_unique o r probes)
+        ops
+      && List.of_seq (Mbds.Controller.to_seq c) = Mbds_write_oracle.to_list o
+      && Mbds.Controller.request_count c = Mbds.Stats.requests o.stats
+      && Mbds.Controller.total_time c = Mbds.Stats.total_time o.stats
+      && Mbds.Controller.last_response_time c = Mbds.Stats.last_time o.stats
+      && Mbds.Controller.backend_loads c = Mbds_write_oracle.backend_loads o)
+
+(* A store call that raises inside the write still releases the
+   backend's lock: the next write to that backend goes through. *)
+let test_write_releases_lock_on_raise () =
+  let c = Mbds.Controller.create ~pool:no_workers 1 in
+  let no_file = Abdm.Record.make [ Abdm.Keyword.make "a" (Abdm.Value.Int 1) ] in
+  Alcotest.check_raises "a record without FILE"
+    (Invalid_argument "Store: record has no FILE keyword") (fun () ->
+      ignore (Mbds.Controller.insert c no_file));
+  Alcotest.check_raises "again, on the same backend"
+    (Invalid_argument "Store: record has no FILE keyword") (fun () ->
+      ignore (Mbds.Controller.insert_unique c no_file []));
+  ignore (Mbds.Controller.insert c (emp "after" 1));
+  Alcotest.(check int) "the lock was released" 1 (Mbds.Controller.size c)
+
 let workers_started () =
   Obs.Metrics.counter_value (Obs.Metrics.counter "pool.workers_started")
 
@@ -671,6 +726,9 @@ let suite =
     QCheck_alcotest.to_alcotest prop_parallel_equivalence_transactional;
     QCheck_alcotest.to_alcotest prop_concurrent_reads_between_writes;
     QCheck_alcotest.to_alcotest prop_insert_unique_is_select;
+    QCheck_alcotest.to_alcotest prop_write_matches_oracle;
+    "a raising write releases the backend lock", `Quick,
+    test_write_releases_lock_on_raise;
     "workers start on the first broadcast", `Quick,
     test_workers_start_on_first_broadcast;
   ]

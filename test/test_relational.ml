@@ -516,6 +516,277 @@ let prop_unique_matches_oracle =
              || QCheck2.Test.fail_reportf "final contents differ on %s" name)
            engines)
 
+(* --- a column named twice ----------------------------------------------- *)
+
+(* An INSERT column list or an UPDATE SET list naming a column twice is
+   rejected before any kernel request: with ids 1 and 2 present, (id, id)
+   once clashed on a value it never wrote, or silently stored the first;
+   SET id = 1, id = 5 was refused for the probe of 1. *)
+let test_column_named_twice () =
+  List.iter
+    (fun (name, kernel) ->
+      let k = kernel () in
+      let t = Relational.Engine.create k "u" in
+      run_all t
+        [ "CREATE TABLE t (id INT UNIQUE, n INT)"; "INSERT INTO t VALUES (1, 10)";
+          "INSERT INTO t VALUES (2, 20)" ];
+      let rejected src want =
+        let msg, log = Mapping.Kernel.collect k (fun () -> expect_error t src) in
+        Alcotest.(check string) (name ^ ": " ^ src) want msg;
+        Alcotest.(check int) (name ^ ": no request for " ^ src) 0 (List.length log)
+      in
+      rejected "INSERT INTO t (id, id) VALUES (1, 2)" "INSERT INTO t: column id named twice";
+      rejected "INSERT INTO t (id, id) VALUES (3, 2)" "INSERT INTO t: column id named twice";
+      rejected "INSERT INTO t (n, id, n) VALUES (1, 3, 2)"
+        "INSERT INTO t: column n named twice";
+      rejected "UPDATE t SET id = 1, id = 5 WHERE id = 2"
+        "UPDATE t: column id assigned twice";
+      rejected "UPDATE t SET n = 1, id = 7, n = 2" "UPDATE t: column n assigned twice";
+      expect_outcome t "SELECT id, n FROM t ORDER BY id" "id | n\n1 | 10\n2 | 20")
+    kernels
+
+(* --- the SQL parser against the list-stream parser ------------------------ *)
+
+(* One known change: the cursor lexes only as far as the parser reads, so
+   a syntax error before a lexical error is the one reported; the list
+   parser lexed the whole text first. A lexical error first is reported
+   by both. *)
+let test_syntax_error_before_lex_error () =
+  let parse_error f src =
+    match f src with
+    | _ -> Alcotest.failf "%s: parsed" src
+    | exception Relational.Sql_parser.Parse_error msg -> msg
+  in
+  let src = "SELECT * FORM t; 'open" in
+  Alcotest.check_raises "the list lexer stops at the open quote"
+    (Abdl.Lexer.Lex_error "unterminated string literal") (fun () ->
+      ignore (Parse_oracle.tokens src));
+  Alcotest.(check string) "the syntax error comes first" "expected FROM, got FORM"
+    (parse_error Relational.Sql_parser.program src);
+  Alcotest.(check string) "stmt: the same" "expected FROM, got FORM"
+    (parse_error Relational.Sql_parser.stmt src);
+  Alcotest.(check string) "a lexical error first" "unterminated string literal"
+    (parse_error Relational.Sql_parser.program "SELECT * FROM t WHERE a = 'open");
+  Alcotest.(check string) "stmt lexes past its separator" "unexpected character '@' at 17"
+    (parse_error Relational.Sql_parser.stmt "SELECT * FROM t; @")
+
+(* Texts of INSERT, SELECT, UPDATE, DELETE and CREATE statements in mixed
+   keyword case, with literals of every lexical form; one in three has a
+   token dropped, duplicated or replaced by a stray fragment, which may
+   be a lexical error (an open quote, '@', an int past the range). *)
+let gen_sql_text =
+  let open QCheck2.Gen in
+  let kw word =
+    let lower = String.lowercase_ascii word in
+    oneofl [ word; lower; String.capitalize_ascii lower ]
+  in
+  let ident = oneofl [ "t"; "u"; "id"; "n"; "s"; "t.id"; "u.n"; "count"; "avg"; "null" ] in
+  let literal =
+    frequency
+      [ ( 30,
+          oneofl
+            [ "1"; "-7"; "0"; "42"; "2.5"; "-1.5e-2"; "3E2"; "'x'"; "'it''s'"; "''";
+              "NULL"; "null"; "s" ] );
+        1, pure "12345678901234567890" ]
+  in
+  let list_of g = map (String.concat ", ") (list_size (int_range 1 3) g) in
+  let op = oneofl [ "="; "<>"; "!="; "<"; "<="; ">"; ">=" ] in
+  let cond =
+    let comparison = map3 (fun c o v -> c ^ " " ^ o ^ " " ^ v) ident op literal in
+    let* a = comparison and* b = comparison and* c = comparison in
+    let* conn1 = kw "AND" and* conn2 = kw "OR" in
+    oneofl
+      [ a; a ^ " " ^ conn1 ^ " " ^ b;
+        "(" ^ a ^ " " ^ conn2 ^ " " ^ b ^ ") " ^ conn1 ^ " " ^ c ]
+  in
+  let opt_where =
+    frequency [ 1, pure ""; 2, map2 (fun w c -> " " ^ w ^ " " ^ c) (kw "WHERE") cond ]
+  in
+  let insert =
+    let* insert = kw "INSERT" and* into = kw "INTO" and* values = kw "VALUES" in
+    let* table = ident and* cols = opt (list_of ident) and* vals = list_of literal in
+    let cols = match cols with Some c -> " (" ^ c ^ ")" | None -> "" in
+    pure (Printf.sprintf "%s %s %s%s %s (%s)" insert into table cols values vals)
+  in
+  let select =
+    let item =
+      frequency
+        [ 3, ident; 1, pure "*";
+          ( 1,
+            map2
+              (fun f c -> f ^ "(" ^ c ^ ")")
+              (oneofl [ "COUNT"; "sum"; "Avg"; "MIN"; "max" ])
+              (oneofl [ "*"; "n" ]) ) ]
+    in
+    let* select = kw "SELECT" and* from = kw "FROM" and* items = list_of item in
+    let* tables = list_of ident and* where = opt_where in
+    let* tail =
+      frequency
+        [ 2, pure "";
+          1, map2 (fun g c -> " " ^ g ^ " BY " ^ c) (kw "GROUP") ident;
+          1, map2 (fun o c -> " " ^ o ^ " by " ^ c) (kw "ORDER") ident ]
+    in
+    pure (Printf.sprintf "%s %s %s %s%s%s" select items from tables where tail)
+  in
+  let update =
+    let* update = kw "UPDATE" and* set = kw "SET" and* table = ident in
+    let* sets = list_of (map2 (fun c v -> c ^ " = " ^ v) ident literal)
+    and* where = opt_where in
+    pure (Printf.sprintf "%s %s %s %s%s" update table set sets where)
+  in
+  let delete =
+    let* delete = kw "DELETE" and* from = kw "FROM" and* table = ident
+    and* where = opt_where in
+    pure (Printf.sprintf "%s %s %s%s" delete from table where)
+  in
+  let create =
+    let column =
+      map3 (fun c ty u -> c ^ " " ^ ty ^ u) ident
+        (oneofl [ "INT"; "integer"; "FLOAT"; "real"; "CHAR(8)"; "varchar"; "TEXT"; "BLOB" ])
+        (oneofl [ ""; " UNIQUE"; " unique" ])
+    in
+    let* create = kw "CREATE" and* table = kw "TABLE" and* name = ident in
+    let* cols = list_of column in
+    pure (Printf.sprintf "%s %s %s (%s)" create table name cols)
+  in
+  let statement = frequency [ 4, insert; 3, select; 2, update; 2, delete; 1, create ] in
+  let* stmts = list_size (int_range 1 4) statement in
+  let text = String.concat ";\n" stmts in
+  let* damage = int_range 0 2 in
+  if damage > 0 then pure text
+  else
+    (* cut the text at a space and splice in a fragment, or drop a word *)
+    let* at = int_range 0 (String.length text) in
+    let* fragment =
+      oneofl
+        [ ""; "("; ")"; ","; ";"; "'"; "@"; "WHERE"; "= ="; "99999999999999999999";
+          "FROM" ]
+    in
+    let before = String.sub text 0 at
+    and after = String.sub text at (String.length text - at) in
+    pure (before ^ " " ^ fragment ^ " " ^ after)
+
+let parse_outcome f src =
+  match f src with
+  | ast -> Ok ast
+  | exception Relational.Sql_parser.Parse_error msg -> Error ("parse: " ^ msg)
+  | exception Failure msg -> Error ("failure: " ^ msg)
+
+(* The parser over the lexer cursor against the list-stream parser
+   (test/parse_oracle.ml), whose lexical error is raised where the cursor
+   would raise it: the same statements or the same error, for whole
+   scripts and for single statements. *)
+let prop_parser_matches_list_parser =
+  QCheck2.Test.make ~name:"SQL parser on the cursor = list-stream parser" ~count:2000
+    ~print:Fun.id gen_sql_text (fun src ->
+      parse_outcome Relational.Sql_parser.program src
+      = parse_outcome Parse_oracle.program src
+      && parse_outcome Relational.Sql_parser.stmt src = parse_outcome Parse_oracle.stmt src)
+
+(* --- the one-pass INSERT against the old INSERT ----------------------------- *)
+
+(* A table of 1 to 4 typed columns, UNIQUE at random, then INSERTs with
+   and without column lists: lists in any order, some naming an unknown
+   column or a missing table, value counts off by one, values of every
+   type (so wrong types and NULLs in UNIQUE columns) over few distinct
+   values (so duplicate keys). *)
+let gen_insert_script =
+  let open QCheck2.Gen in
+  let col_types = Relational.Types.[ C_int; C_float; C_string 0 ] in
+  let* types = list_size (int_range 1 4) (oneofl col_types) in
+  let* uniques = flatten_l (List.map (fun _ -> bool) types) in
+  let columns =
+    List.mapi
+      (fun i (col_type, col_unique) ->
+        { Relational.Types.col_name = Printf.sprintf "c%d" i; col_type; col_unique })
+      (List.combine types uniques)
+  in
+  let names = List.map (fun (c : Relational.Types.column) -> c.col_name) columns in
+  let value =
+    frequency
+      [ 3, map (fun i -> Abdm.Value.Int i) (int_range 0 2);
+        1, map (fun i -> Abdm.Value.Float (float_of_int i +. 0.5)) (int_range 0 1);
+        2, map (fun s -> Abdm.Value.Str s) (oneofl [ "p"; "q" ]);
+        1, pure Abdm.Value.Null ]
+  in
+  let insert =
+    let* table = frequency [ 12, pure "t"; 1, pure "zz" ] in
+    let* columns =
+      frequency
+        [ 1, pure None;
+          ( 2,
+            let* kept = flatten_l (List.map (fun n -> map (fun b -> b, n) bool) names) in
+            let kept = List.filter_map (fun (b, n) -> if b then Some n else None) kept in
+            let* unknown = frequency [ 6, pure []; 1, pure [ "q" ] ] in
+            map Option.some (shuffle_l (kept @ unknown)) ) ]
+    in
+    let width = match columns with Some c -> List.length c | None -> List.length names in
+    let* off = frequency [ 8, pure 0; 1, pure 1; 1, pure (-1) ] in
+    let* values = list_repeat (max 0 (width + off)) value in
+    pure (Relational.Sql_ast.Insert { table; columns; values })
+  in
+  let* inserts = list_size (int_range 1 25) insert in
+  pure
+    (Relational.Sql_ast.Create_table { rel_name = "t"; rel_columns = columns } :: inserts)
+
+(* What a kernel counted: the store's scans, or each backend's scanned,
+   written and stored records with the controller's request count and
+   modelled time. *)
+let tallies kernel =
+  match Mapping.Kernel.kds kernel with
+  | Mapping.Kernel.Single store -> [ float_of_int (Abdm.Store.scan_count store) ]
+  | Mapping.Kernel.Multi ctrl ->
+    float_of_int (Mbds.Controller.request_count ctrl)
+    :: Mbds.Controller.total_time ctrl
+    :: List.concat_map
+         (fun (s, w, n) -> List.map float_of_int [ s; w; n ])
+         (Mbds.Controller.backend_loads ctrl)
+
+let insert_runs = ref 0
+
+(* Every INSERT has the old INSERT's reply and issues the same kernel
+   requests ([Kernel.collect]), and the stores end equal, database keys
+   included, with the same scans and charges, on one store and on 2
+   backends. *)
+let prop_insert_matches_old_insert =
+  QCheck2.Test.make ~name:"one-pass INSERT = the old INSERT" ~count:500
+    ~print:(fun stmts -> String.concat ";\n" (List.map Relational.Sql_ast.to_string stmts))
+    gen_insert_script
+    (fun stmts ->
+      List.for_all
+        (fun (name, kernel) ->
+          incr insert_runs;
+          (* fresh controller names: fresh backend counters *)
+          let k = kernel (Printf.sprintf "insert-%d" !insert_runs)
+          and k_old = kernel (Printf.sprintf "insert-old-%d" !insert_runs) in
+          let e = Relational.Engine.create k "db"
+          and e_old = Relational.Engine.create k_old "db" in
+          let requests log = List.map Abdl.Ast.to_string log in
+          List.for_all
+            (fun stmt ->
+              match stmt with
+              | Relational.Sql_ast.Insert { table; columns; values } ->
+                let got, log =
+                  Mapping.Kernel.collect k (fun () -> Relational.Engine.execute e stmt)
+                in
+                let want, log_old =
+                  Mapping.Kernel.collect k_old (fun () ->
+                      Insert_oracle.exec_insert k_old (Relational.Engine.schema e_old) table
+                        columns values)
+                in
+                (got = want && requests log = requests log_old)
+                || QCheck2.Test.fail_reportf "%s on %s: got %s, old %s"
+                     (Relational.Sql_ast.to_string stmt) name (show_result got)
+                     (show_result want)
+              | _ -> Relational.Engine.execute e stmt = Relational.Engine.execute e_old stmt)
+            stmts
+          && (contents k = contents k_old
+             || QCheck2.Test.fail_reportf "final contents differ on %s" name)
+          && (tallies k = tallies k_old
+             || QCheck2.Test.fail_reportf "scans or charges differ on %s" name))
+        [ "single store", (fun _ -> Mapping.Kernel.single ());
+          "2 backends", (fun name -> Mapping.Kernel.multi ~name 2) ])
+
 let suite =
   suite
   @ [
@@ -524,4 +795,9 @@ let suite =
       test_update_unique_translation;
       "UNIQUE INSERT claims no broadcast share", `Quick, test_insert_no_broadcast;
       QCheck_alcotest.to_alcotest prop_unique_matches_oracle;
+      "a column named twice", `Quick, test_column_named_twice;
+      "a syntax error before a lexical error", `Quick,
+      test_syntax_error_before_lex_error;
+      QCheck_alcotest.to_alcotest prop_parser_matches_list_parser;
+      QCheck_alcotest.to_alcotest prop_insert_matches_old_insert;
     ]

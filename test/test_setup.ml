@@ -265,19 +265,22 @@ let test_allocation_guard () =
     Alcotest.failf "Persist.dump: %.0f minor words a record (bound %.0f)" per_dump
       dump_words_bound
 
-(* Minor-heap words per row across a 2 000-row SQL bulk load into a
-   2-backend MBDS: a UNIQUE id column, so every INSERT probes both
-   backends, submitted through a session handle in 500-statement texts
-   (the texts are built before the count starts). A row takes ~1 350
-   words. It took ~1 820 before the UNIQUE probe read the index
-   ([Abdm.Store.exists]), KFS wrote one buffer and [Abdm.Record.make]
-   dropped its hash table; the probe through [select] alone gives ~1 590
-   and the old KFS alone ~1 460, so either coming back fails here. The
-   hash table alone (~1 400) is inside the slack. *)
-let sql_bulk_words_bound = 1_450.
+(* Minor-heap words per row across a 2 000-row SQL bulk load: a UNIQUE
+   id column, so every INSERT probes every backend, submitted through a
+   session handle in 500-statement texts (the texts are built before the
+   count starts). A row takes ~720 words on a 2-backend MBDS and ~630 on
+   one store; before the SQL parser read the lexer cursor, INSERT took
+   one pass and the MBDS write lost its per-row closures it took ~1 350
+   and ~1 150. Each cut put back alone: the list parser ~915 and ~830,
+   the old INSERT ~1 000 and ~915, so either fails both bounds; the old
+   MBDS write ~805 and the histogram's [Fun.protect] ~775 fail the
+   2-backend bound. *)
+let sql_bulk_words_bound = 760.
 
-let test_sql_bulk_load_guard () =
-  let sys = Mlds.System.create ~backends:2 () in
+let sql_bulk_single_words_bound = 680.
+
+let sql_bulk_words ~backends =
+  let sys = Mlds.System.create ~backends () in
   (match Mlds.System.define_relational sys ~name:"shop" with
   | Ok () -> ()
   | Error msg -> Alcotest.fail msg);
@@ -305,10 +308,19 @@ let test_sql_bulk_load_guard () =
   let (), words = minor_words (fun () -> List.iter submit texts) in
   let kernel = Option.get (Mlds.System.kernel_of sys "shop") in
   Alcotest.(check int) "every row stored" rows (Mapping.Kernel.size kernel);
-  let per_row = words /. float_of_int rows in
+  words /. float_of_int rows
+
+let test_sql_bulk_load_guard () =
+  let per_row = sql_bulk_words ~backends:2 in
   if per_row > sql_bulk_words_bound then
-    Alcotest.failf "SQL bulk load: %.0f minor words a row (bound %.0f)" per_row
+    Alcotest.failf "SQL bulk load, 2 backends: %.0f minor words a row (bound %.0f)" per_row
       sql_bulk_words_bound
+
+let test_sql_bulk_load_single_guard () =
+  let per_row = sql_bulk_words ~backends:0 in
+  if per_row > sql_bulk_single_words_bound then
+    Alcotest.failf "SQL bulk load, one store: %.0f minor words a row (bound %.0f)" per_row
+      sql_bulk_single_words_bound
 
 let suite =
   [
@@ -319,4 +331,5 @@ let suite =
     "float survives a snapshot", `Quick, test_float_survives_snapshot;
     "allocation guard", `Quick, test_allocation_guard;
     "SQL bulk-load allocation guard", `Quick, test_sql_bulk_load_guard;
+    "SQL bulk-load allocation guard, one store", `Quick, test_sql_bulk_load_single_guard;
   ]

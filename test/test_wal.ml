@@ -35,6 +35,41 @@ let test_crc32_vector () =
   Alcotest.(check int) "crc32(123456789)" 0xCBF43926 (Mlds.Wal.crc32 "123456789");
   Alcotest.(check int) "crc32 empty" 0 (Mlds.Wal.crc32 "")
 
+(* The byte-at-a-time CRC-32 that the slice-by-8 loop replaced. *)
+let crc32_bytewise b ~pos ~len =
+  let table =
+    Array.init 256 (fun n ->
+        let c = ref n in
+        for _ = 0 to 7 do
+          if !c land 1 = 1 then c := 0xEDB88320 lxor (!c lsr 1) else c := !c lsr 1
+        done;
+        !c)
+  in
+  let c = ref 0xFFFFFFFF in
+  for i = pos to pos + len - 1 do
+    c := table.((!c lxor Char.code (Bytes.get b i)) land 0xFF) lxor (!c lsr 8)
+  done;
+  !c lxor 0xFFFFFFFF
+
+(* Equal checksums on every alignment of start and length (0..17 each,
+   so the 8-byte steps start anywhere and leave every tail length), and
+   on longer runs: files written by the byte-wise loop still verify. *)
+let prop_crc32_sliced_is_bytewise =
+  QCheck2.Test.make ~name:"slice-by-8 CRC-32 = byte-wise CRC-32" ~count:100
+    QCheck2.Gen.(pair (bytes_size (int_range 34 300)) (int_range 0 200))
+    (fun (b, extra) ->
+      let n = Bytes.length b in
+      let ok = ref true in
+      for pos = 0 to 17 do
+        for len = 0 to 17 do
+          ok := !ok && Mlds.Wal.crc32_bytes b ~pos ~len = crc32_bytewise b ~pos ~len
+        done
+      done;
+      let pos = min extra (n - 1) in
+      !ok
+      && Mlds.Wal.crc32_bytes b ~pos ~len:(n - pos) = crc32_bytewise b ~pos ~len:(n - pos)
+      && Mlds.Wal.crc32 (Bytes.to_string b) = crc32_bytewise b ~pos:0 ~len:n)
+
 let test_entry_roundtrip () =
   let entries =
     [
@@ -1000,6 +1035,7 @@ let test_recovery_trace_artifact () =
 let suite =
   [
     "crc32 known vector", `Quick, test_crc32_vector;
+    QCheck_alcotest.to_alcotest prop_crc32_sliced_is_bytewise;
     "entry encode/decode roundtrip", `Quick, test_entry_roundtrip;
     "append and recover", `Quick, test_append_recover;
     "recover missing and empty logs", `Quick, test_recover_missing_and_empty;
