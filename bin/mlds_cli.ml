@@ -97,26 +97,15 @@ let show_stats state =
   | None -> Printf.printf "unknown database %S\n" state.db
   | Some (Mapping.Kernel.Single store) ->
     Printf.printf "kernel: single store %s\n" (Abdm.Store.name store);
-    Printf.printf "  requests:       %d\n" (Abdm.Store.request_count store);
-    Printf.printf "  last request:   %.1f us\n"
-      (Abdm.Store.last_request_time store *. 1e6);
-    Printf.printf "  total time:     %.1f us\n"
-      (Abdm.Store.total_request_time store *. 1e6);
     Printf.printf "  selections:     %d indexed, %d scanned\n"
       (Abdm.Store.indexed_selects store)
       (Abdm.Store.scanned_selects store);
+    Printf.printf "  records read:   %d\n" (Abdm.Store.scan_count store);
     Printf.printf "  records held:   %d\n" (Abdm.Store.size store)
   | Some (Mapping.Kernel.Multi ctrl) ->
     Printf.printf "kernel: MBDS %s, %d backends\n"
       (Mbds.Controller.name ctrl)
       (Mbds.Controller.num_backends ctrl);
-    Printf.printf "  requests:       %d\n" (Mbds.Controller.request_count ctrl);
-    Printf.printf "  modelled mean:  %.4f s  (last %.4f s)\n"
-      (Mbds.Controller.mean_response_time ctrl)
-      (Mbds.Controller.last_response_time ctrl);
-    Printf.printf "  measured mean:  %.1f us  (last %.1f us)\n"
-      (Mbds.Controller.mean_measured_time ctrl *. 1e6)
-      (Mbds.Controller.last_measured_time ctrl *. 1e6);
     Printf.printf "  %-8s %10s %10s %10s\n" "backend" "scanned" "written"
       "records";
     List.iteri

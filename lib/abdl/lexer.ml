@@ -116,7 +116,13 @@ let lex_number c start i =
       (* at most 18 digits cannot overflow: read them in place *)
       let n = decimal src digits j 0 in
       set c (INT (if negative then -n else n)) j
-    else set c (INT (int_of_string (String.sub src start (j - start)))) j
+    else
+      match int_of_string_opt (String.sub src start (j - start)) with
+      | Some n -> set c (INT n) j
+      | None ->
+        raise
+          (Lex_error
+             (Printf.sprintf "integer literal out of range at %d" start))
 
 let rec lex c =
   let src = c.src in

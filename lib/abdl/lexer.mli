@@ -22,8 +22,8 @@ val cursor : string -> cursor
 
 (** [peek c] is the lookahead token, lexing it if it is not yet; [EOF]
     from the end of the text on. Raises [Lex_error] on an unterminated
-    string or an unexpected character, and [Failure] on an integer
-    literal outside the [int] range, as [int_of_string] does. *)
+    string, an unexpected character or an integer literal outside the
+    [int] range. *)
 val peek : cursor -> token
 
 (** [advance c] consumes the lookahead token (lexing it first if it was

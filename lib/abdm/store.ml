@@ -63,35 +63,19 @@ type t = {
      linearizable. *)
   state : state Atomic.t;
   scans : int Atomic.t;
-  (* observability: how selections were answered, and per-request timing
-     (the store's own clock, so single-store kernels report meaningful
-     response times — see Obs and the kernel's last_response_time).
-     Atomic because read-only operations may run concurrently: counters
-     must not be the thing that makes a SELECT a data race. Mutations
-     remain single-owner. *)
+  (* observability: how selections were answered. Atomic because
+     read-only operations may run concurrently: counters must not be the
+     thing that makes a SELECT a data race. Mutations remain
+     single-owner. *)
   sel_indexed : int Atomic.t;
   sel_scanned : int Atomic.t;
-  req_count : int Atomic.t;
-  req_last_s : float Atomic.t;
-  req_total_s : float Atomic.t;
-  in_request : bool Atomic.t;  (* reentrancy guard: time top-level ops only *)
 }
-
-(* lock-free float accumulate: CAS on the exact boxed value we read *)
-let atomic_add_float cell x =
-  let rec go () =
-    let cur = Atomic.get cell in
-    if not (Atomic.compare_and_set cell cur (cur +. x)) then go ()
-  in
-  go ()
 
 (* process-wide tallies, mirrored into the metrics registry so exporters
    and the CLI's .stats see them without holding a store handle *)
 let c_indexed = Obs.Metrics.counter "abdm.select.indexed"
 
 let c_scanned = Obs.Metrics.counter "abdm.select.scan"
-
-let h_request = Obs.Metrics.histogram "abdm.request_s"
 
 (* planner observability: which access path each conjunction took, how
    many postings its access path intersected, how many indexes the heat
@@ -135,10 +119,6 @@ let create ?(name = "kds") ?(indexed = true)
     scans = Atomic.make 0;
     sel_indexed = Atomic.make 0;
     sel_scanned = Atomic.make 0;
-    req_count = Atomic.make 0;
-    req_last_s = Atomic.make 0.;
-    req_total_s = Atomic.make 0.;
-    in_request = Atomic.make false;
   }
 
 (* Publish [f st] by CAS. [f] must be pure in the state (it may re-run
@@ -153,32 +133,6 @@ let state_update store f =
       go ()
   in
   go ()
-
-(* Times one top-level store operation. Nested calls (update -> select,
-   delete -> select, update -> replace) ride inside the outer timing, so
-   one user-visible request is accounted exactly once. The claim is a CAS
-   so concurrent read-only operations are safe: the first claimant times,
-   any overlapping reader rides untimed (exactly like a nested call). *)
-let timed store f =
-  if not (Atomic.compare_and_set store.in_request false true) then f ()
-  else begin
-    let t0 = Obs.Clock.now_s () in
-    let finish () =
-      let dt = Obs.Clock.since t0 in
-      Atomic.set store.in_request false;
-      Atomic.incr store.req_count;
-      Atomic.set store.req_last_s dt;
-      atomic_add_float store.req_total_s dt;
-      Obs.Metrics.observe h_request dt
-    in
-    match f () with
-    | v ->
-      finish ();
-      v
-    | exception e ->
-      finish ();
-      raise e
-  end
 
 let name store = store.store_name
 
@@ -327,28 +281,26 @@ let log_undo store undo =
   | None -> ()
 
 let insert store record =
-  timed store (fun () ->
-      let key = ref 0 in
-      state_update store (fun st ->
-          key := st.st_next_key;
-          attach_state store
-            { st with st_next_key = st.st_next_key + 1 }
-            !key record);
-      log_undo store (U_remove !key);
-      !key)
+  let key = ref 0 in
+  state_update store (fun st ->
+      key := st.st_next_key;
+      attach_state store
+        { st with st_next_key = st.st_next_key + 1 }
+        !key record);
+  log_undo store (U_remove !key);
+  !key
 
 let insert_keyed store key record =
-  timed store (fun () ->
-      state_update store (fun st ->
-          if Int_map.mem key st.st_records then
-            invalid_arg
-              (Printf.sprintf "Store.insert_keyed: key %d already live" key);
-          let st =
-            if key >= st.st_next_key then { st with st_next_key = key + 1 }
-            else st
-          in
-          attach_state store st key record);
-      log_undo store (U_remove key))
+  state_update store (fun st ->
+      if Int_map.mem key st.st_records then
+        invalid_arg
+          (Printf.sprintf "Store.insert_keyed: key %d already live" key);
+      let st =
+        if key >= st.st_next_key then { st with st_next_key = key + 1 }
+        else st
+      in
+      attach_state store st key record);
+  log_undo store (U_remove key)
 
 let get store key = Int_map.find_opt key (Atomic.get store.state).st_records
 
@@ -547,50 +499,49 @@ let charge store source ~probes ~tested ~added =
       (float_of_int (tested - added) /. float_of_int tested)
 
 let select store query =
-  timed store (fun () ->
-      (* heat the tracker first (it may auto-build), then fix the state
-         the whole selection runs against: live-after-heating, so a
-         just-built index serves the query that built it *)
-      List.iter (fun preds -> heat_conjunction store preds) query;
-      let st = Atomic.get store.state in
-      let module Key_set = Int_set in
-      let matched = ref Key_set.empty in
-      let run_conjunction preds =
-        let step, source = plan_conjunction store st preds in
-        let tested = ref 0 in
-        let added = ref 0 in
-        let test key =
-          if not (Key_set.mem key !matched) then begin
-            match Int_map.find_opt key st.st_records with
-            | None -> ()
-            | Some record ->
-              incr tested;
-              Atomic.incr store.scans;
-              if Query.satisfies query record then begin
-                matched := Key_set.add key !matched;
-                incr added
-              end
+  (* heat the tracker first (it may auto-build), then fix the state
+     the whole selection runs against: live-after-heating, so a
+     just-built index serves the query that built it *)
+  List.iter (fun preds -> heat_conjunction store preds) query;
+  let st = Atomic.get store.state in
+  let module Key_set = Int_set in
+  let matched = ref Key_set.empty in
+  let run_conjunction preds =
+    let step, source = plan_conjunction store st preds in
+    let tested = ref 0 in
+    let added = ref 0 in
+    let test key =
+      if not (Key_set.mem key !matched) then begin
+        match Int_map.find_opt key st.st_records with
+        | None -> ()
+        | Some record ->
+          incr tested;
+          Atomic.incr store.scans;
+          if Query.satisfies query record then begin
+            matched := Key_set.add key !matched;
+            incr added
           end
-        in
-        (match source with
-        | Src_keys keys -> Key_set.iter test keys
-        | Src_file file -> Int_set.iter test (keys_of_file st file)
-        | Src_store -> Int_map.iter (fun key _ -> test key) st.st_records);
-        let probes =
-          match step.Plan.access with
-          | Plan.Index_probe { probes; _ } -> List.length probes
-          | Plan.File_scan _ | Plan.Store_scan _ -> 0
-        in
-        charge store source ~probes ~tested:!tested ~added:!added
-      in
-      List.iter run_conjunction query;
-      Key_set.fold
-        (fun key acc ->
-          match Int_map.find_opt key st.st_records with
-          | Some record -> (key, record) :: acc
-          | None -> acc)
-        !matched []
-      |> List.rev)
+      end
+    in
+    (match source with
+    | Src_keys keys -> Key_set.iter test keys
+    | Src_file file -> Int_set.iter test (keys_of_file st file)
+    | Src_store -> Int_map.iter (fun key _ -> test key) st.st_records);
+    let probes =
+      match step.Plan.access with
+      | Plan.Index_probe { probes; _ } -> List.length probes
+      | Plan.File_scan _ | Plan.Store_scan _ -> 0
+    in
+    charge store source ~probes ~tested:!tested ~added:!added
+  in
+  List.iter run_conjunction query;
+  Key_set.fold
+    (fun key acc ->
+      match Int_map.find_opt key st.st_records with
+      | Some record -> (key, record) :: acc
+      | None -> acc)
+    !matched []
+  |> List.rev
 
 (* the indexable predicate of [preds] if it has exactly one *)
 let rec sole_indexable = function
@@ -634,19 +585,18 @@ let exists store query =
   match source with
   | None -> select store query <> []
   | Some (source, candidates) ->
-    timed store (fun () ->
-        let tested = ref 0 and found = ref 0 in
-        let test key =
-          match Int_map.find_opt key st.st_records with
-          | None -> ()
-          | Some record ->
-            incr tested;
-            if Query.satisfies query record then incr found
-        in
-        Int_set.iter test candidates;
-        ignore (Atomic.fetch_and_add store.scans !tested);
-        charge store source ~probes:1 ~tested:!tested ~added:!found;
-        !found > 0)
+    let tested = ref 0 and found = ref 0 in
+    let test key =
+      match Int_map.find_opt key st.st_records with
+      | None -> ()
+      | Some record ->
+        incr tested;
+        if Query.satisfies query record then incr found
+    in
+    Int_set.iter test candidates;
+    ignore (Atomic.fetch_and_add store.scans !tested);
+    charge store source ~probes:1 ~tested:!tested ~added:!found;
+    !found > 0
 
 let delete_key store key =
   let removed = ref None in
@@ -665,12 +615,11 @@ let delete_key store key =
     true
 
 let delete store query =
-  timed store (fun () ->
-      let victims = select store query in
-      List.iter (fun (key, _) -> ignore (delete_key store key)) victims;
-      List.length victims)
+  let victims = select store query in
+  List.iter (fun (key, _) -> ignore (delete_key store key)) victims;
+  List.length victims
 
-let replace_untimed store key record =
+let replace store key record =
   let old_ref = ref None in
   state_update store (fun st ->
       match Int_map.find_opt key st.st_records with
@@ -682,18 +631,14 @@ let replace_untimed store key record =
   | Some old -> log_undo store (U_restore (key, old))
   | None -> ()
 
-let replace store key record =
-  timed store (fun () -> replace_untimed store key record)
-
 let update store query modifiers =
-  timed store (fun () ->
-      let targets = select store query in
-      let apply_all record =
-        List.fold_left (fun r m -> Modifier.apply m r) record modifiers
-      in
-      List.iter (fun (key, record) -> replace store key (apply_all record))
-        targets;
-      List.length targets)
+  let targets = select store query in
+  let apply_all record =
+    List.fold_left (fun r m -> Modifier.apply m r) record modifiers
+  in
+  List.iter (fun (key, record) -> replace store key (apply_all record))
+    targets;
+  List.length targets
 
 let file_names store =
   Str_map.fold
@@ -714,10 +659,7 @@ let clear store =
      transaction, if one is open, stays open over the now-empty store) *)
   if store.journal <> None then store.journal <- Some [];
   Atomic.set store.sel_indexed 0;
-  Atomic.set store.sel_scanned 0;
-  Atomic.set store.req_count 0;
-  Atomic.set store.req_last_s 0.;
-  Atomic.set store.req_total_s 0.
+  Atomic.set store.sel_scanned 0
 
 let to_seq store = Int_map.to_seq (Atomic.get store.state).st_records
 
@@ -744,10 +686,8 @@ let rollback store =
         match undo with
         | U_remove key -> ignore (delete_key store key)
         | U_restore (key, record) ->
-          (* the untimed path: undoing is not a user-visible request, so it
-             must not inflate req_count or the abdm.request_s histogram *)
           if Int_map.mem key (Atomic.get store.state).st_records then
-            replace_untimed store key record
+            replace store key record
           else attach store key record)
       entries
 
@@ -758,16 +698,3 @@ let scan_count store = Atomic.get store.scans
 let indexed_selects store = Atomic.get store.sel_indexed
 
 let scanned_selects store = Atomic.get store.sel_scanned
-
-let request_count store = Atomic.get store.req_count
-
-let last_request_time store = Atomic.get store.req_last_s
-
-let total_request_time store = Atomic.get store.req_total_s
-
-let reset_request_stats store =
-  Atomic.set store.req_count 0;
-  Atomic.set store.req_last_s 0.;
-  Atomic.set store.req_total_s 0.;
-  Atomic.set store.sel_indexed 0;
-  Atomic.set store.sel_scanned 0

@@ -111,7 +111,7 @@ val count : t -> string -> int
 val size : t -> int
 
 (** [clear store] empties the store: records, per-file lists, indexes,
-    key counter, scan/selection/request statistics — and any recorded
+    key counter, scan and selection tallies — and any recorded
     undo journal entries (a cleared store has nothing to undo; replaying
     pre-clear undos would resurrect deleted records and re-issue their
     database keys). An open transaction stays open over the empty store. *)
@@ -126,32 +126,19 @@ val to_seq : t -> (dbkey * Record.t) Seq.t
 val next_key : t -> dbkey
 
 (** Number of records examined by [select]/[delete]/[update] since
-    creation or the last [clear]. The MBDS controller charges the
+    creation or the last [clear]. The MBDS controller adds the
     difference across each broadcast share, taken under the backend's
-    lock, to the cost model as disk work. *)
+    lock, to that backend's scanned counter: the cost model's disk
+    work. *)
 val scan_count : t -> int
 
 (** {2 Per-store observability}
 
-    Every top-level operation ([insert]/[insert_keyed]/[select]/[delete]/
-    [update]/[replace]) is timed on the store's own clock; nested calls
-    (e.g. [update]'s internal [select]) count as part of the enclosing
-    request, so one user-visible request is accounted exactly once.
     Selection conjunctions are classified as {e indexed} (answered from a
     posting list) or {e scanned} (full file or whole-store scan). The same
     events feed the process-wide [Obs.Metrics] registry under
-    [abdm.request_s], [abdm.select.indexed] and [abdm.select.scan]. *)
-
-(** Number of timed top-level requests since creation or the last
-    [reset_request_stats]. *)
-val request_count : t -> int
-
-(** Wall-clock duration (seconds) of the most recent timed request;
-    [0.] before the first request. *)
-val last_request_time : t -> float
-
-(** Sum of all timed request durations, in seconds. *)
-val total_request_time : t -> float
+    [abdm.select.indexed] and [abdm.select.scan]. Both tallies restart at
+    [clear]. *)
 
 (** Selection conjunctions answered via a posting-list (directory) lookup. *)
 val indexed_selects : t -> int
@@ -159,10 +146,6 @@ val indexed_selects : t -> int
 (** Selection conjunctions answered by scanning a file (or, when no FILE
     predicate narrows the conjunction, the whole store). *)
 val scanned_selects : t -> int
-
-(** Reset request timing and the indexed/scanned tallies (not
-    [scan_count]). *)
-val reset_request_stats : t -> unit
 
 (** {2 Undo-journaled transactions}
 

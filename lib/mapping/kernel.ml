@@ -57,8 +57,8 @@ let make kds = { kds; wal_hook = None; tap = None; txn_depth = 0 }
 
 let single ?name () = make (Single (Abdm.Store.create ?name ()))
 
-let multi ?cost ?name ?placement n =
-  make (Multi (Mbds.Controller.create ?cost ?name ?placement n))
+let multi ?name ?placement n =
+  make (Multi (Mbds.Controller.create ?name ?placement n))
 
 let insert t record =
   let key =
@@ -194,11 +194,6 @@ let size t =
   match t.kds with
   | Single store -> Abdm.Store.size store
   | Multi ctrl -> Mbds.Controller.size ctrl
-
-let last_response_time t =
-  match t.kds with
-  | Single store -> Abdm.Store.last_request_time store
-  | Multi ctrl -> Mbds.Controller.last_response_time ctrl
 
 let journal_ops t =
   match t.kds with

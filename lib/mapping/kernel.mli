@@ -55,12 +55,11 @@ val collect : t -> (unit -> 'a) -> 'a * Abdl.Ast.request list
 
 val single : ?name:string -> unit -> t
 
-(** [multi ?cost ?name ?placement n] — an MBDS with [n] backends.
+(** [multi ?name ?placement n] — an MBDS with [n] backends.
     [placement] is forwarded to {!Mbds.Controller.create}, so callers
     (the CLI, the benchmarks) can select skewed placement without
     constructing the controller themselves. *)
 val multi :
-  ?cost:Mbds.Cost.t ->
   ?name:string ->
   ?placement:Mbds.Controller.placement ->
   int ->
@@ -120,11 +119,6 @@ val next_key : t -> Abdm.Store.dbkey
 val count : t -> string -> int
 
 val size : t -> int
-
-(** Response time of the last request: the simulated (cost-model) seconds
-    for a multi-backend kernel, the store's own measured wall-clock
-    seconds for a single store (no longer the constant [0.]). *)
-val last_response_time : t -> float
 
 (** {2 Explicit transaction control}
 

@@ -4,7 +4,6 @@ type placement =
 
 type t = {
   ctrl_name : string;
-  cost : Cost.t;
   placement : placement;
   backends : Abdm.Store.t array;
   (* [locks.(i)] guards [backends.(i)]: every broadcast share and every
@@ -13,7 +12,6 @@ type t = {
   (* runs each broadcast's shares *)
   pool : Pool.t;
   mutable next_key : int;
-  stats : Stats.t;
   (* per-backend load instruments in the process-wide metrics registry;
      two controllers with the same name share them (get-or-create) *)
   obs_scanned : Obs.Metrics.counter array;
@@ -24,8 +22,7 @@ type t = {
 (* one backend has nothing to overlap *)
 let caller_only = Pool.create 0
 
-let create ?(cost = Cost.default) ?(name = "mbds") ?(placement = Round_robin)
-    ?pool n =
+let create ?(name = "mbds") ?(placement = Round_robin) ?pool n =
   if n < 1 then invalid_arg "Controller.create: need at least one backend";
   begin
     match placement with
@@ -49,13 +46,11 @@ let create ?(cost = Cost.default) ?(name = "mbds") ?(placement = Round_robin)
   in
   {
     ctrl_name = name;
-    cost;
     placement;
     backends = Array.init n backend;
     locks = Array.init n (fun _ -> Mutex.create ());
     pool;
     next_key = 1;
-    stats = Stats.create ();
     obs_scanned = instrument Obs.Metrics.counter "scanned";
     obs_written = instrument Obs.Metrics.counter "written";
     obs_records = instrument Obs.Metrics.gauge "records";
@@ -77,8 +72,6 @@ let backend_index_of_key t key =
     let h = key * 2654435761 land 0x3FFFFFFF in
     if float_of_int (h mod 1000) < fraction *. 1000. then 0 else key mod n
 
-let now () = Unix.gettimeofday ()
-
 (* Shares run on the calling domain vs on a pool worker, across every
    controller: how much broadcast work the workers actually took. *)
 let c_shares_inline = Obs.Metrics.counter "mbds.shares_inline"
@@ -87,11 +80,11 @@ let c_shares_remote = Obs.Metrics.counter "mbds.shares_remote"
 
 let with_backend t i f = Mutex.protect t.locks.(i) (fun () -> f t.backends.(i))
 
-(* Run [f] against every backend, returning per-backend results and the
-   (scanned, written) work each performed; charge the cost model and record
-   the measured wall clock. Each backend's share holds that backend's lock
-   and reports the scans it made itself, so concurrent broadcasts on one
-   controller neither race on a store nor miscount each other's work.
+(* Run [f] against every backend, returning per-backend results, and add
+   the (scanned, written) work each performed to that backend's counters.
+   Each backend's share holds that backend's lock and reports the scans it
+   made itself, so concurrent broadcasts on one controller neither race on
+   a store nor miscount each other's work.
 
    [Pool.run] hands the shares to the caller and to idle workers, which
    claim them from one counter: tiny shares mostly run here without a
@@ -103,12 +96,13 @@ let with_backend t i f = Mutex.protect t.locks.(i) (fun () -> f t.backends.(i))
    span keyed by backend index. Shares run here nest directly; shares run
    by a worker complete as roots there and are adopted once every share is
    done, so any pool emits the same sibling order. *)
-let broadcast t ~op ~results_of ~writes_of f =
+let broadcast t ~op ~writes_of f =
   let n = Array.length t.backends in
   Obs.Span.with_span "mbds.broadcast"
     ~attrs:(fun () -> [ "op", op; "backends", string_of_int n ])
     (fun () ->
-      let t0 = now () in
+      (* read only by a worker share's queue-wait attribute *)
+      let t0 = if Obs.Span.enabled () then Obs.Clock.now_s () else 0. in
       let caller = Domain.self () in
       let outcomes = Array.make n None in
       let share i =
@@ -132,43 +126,19 @@ let broadcast t ~op ~results_of ~writes_of f =
         ~finally:(fun () ->
           if Pool.size t.pool > 0 then Obs.Span.adopt_remote ())
         (fun () -> Pool.run t.pool n share);
-      let measured = now () -. t0 in
-      let per_backend = Array.to_list (Array.map Option.get outcomes) in
-      let backend_work =
-        List.map (fun (result, scanned) -> scanned, writes_of result)
-          per_backend
-      in
-      List.iteri
-        (fun i (scanned, written) ->
+      List.init n (fun i ->
+          let result, scanned = Option.get outcomes.(i) in
+          let written = writes_of result in
           if scanned > 0 then Obs.Metrics.incr ~by:scanned t.obs_scanned.(i);
           if written > 0 then Obs.Metrics.incr ~by:written t.obs_written.(i);
           Obs.Metrics.set_gauge t.obs_records.(i)
-            (float_of_int (Abdm.Store.size t.backends.(i))))
-        backend_work;
-      let per_backend = List.map fst per_backend in
-      let results =
-        List.fold_left (fun acc r -> acc + results_of r) 0 per_backend
-      in
-      let dt = Cost.response_time t.cost ~backend_work ~results in
-      Stats.record ~measured t.stats dt;
-      per_backend)
-
-(* The (scanned, written) work of one insert for [Cost.response_time],
-   backends [0..i]: [scanned.(i)] records examined on backend i, and one
-   write on [idx] (none if [idx] is no backend). *)
-let rec insert_work scanned idx i acc =
-  if i < 0 then acc
-  else
-    insert_work scanned idx (i - 1)
-      ((scanned.(i), if i = idx then 1 else 0) :: acc)
-
-let backend_work scanned idx =
-  insert_work scanned idx (Array.length scanned - 1) []
+            (float_of_int (Abdm.Store.size t.backends.(i)));
+          result))
 
 (* The per-row writes take the backend lock directly rather than through
    [with_backend], so they build no closure per row; a store call that
    raises still releases it. *)
-let write_next t record ~t0 ~scanned key idx =
+let write_next t record key idx =
   let lock = t.locks.(idx) in
   Mutex.lock lock;
   begin
@@ -178,19 +148,13 @@ let write_next t record ~t0 ~scanned key idx =
       Mutex.unlock lock;
       raise e
   end;
-  let measured = now () -. t0 in
   Obs.Metrics.incr t.obs_written.(idx);
   Obs.Metrics.set_gauge t.obs_records.(idx)
-    (float_of_int (Abdm.Store.size t.backends.(idx)));
-  Stats.record ~measured t.stats
-    (Cost.response_time t.cost ~backend_work:(backend_work scanned idx)
-       ~results:0)
+    (float_of_int (Abdm.Store.size t.backends.(idx)))
 
 (* Store [record] under the next global key, on the caller, under its
-   backend's lock, and charge it as one request begun at [t0]:
-   [scanned.(i)] records already examined on backend i (by
-   [insert_unique]'s probes) plus the one write. *)
-let store_next t record ~t0 ~scanned =
+   backend's lock. *)
+let insert t record =
   let key = t.next_key in
   t.next_key <- key + 1;
   let idx = backend_index_of_key t key in
@@ -198,22 +162,18 @@ let store_next t record ~t0 ~scanned =
     Obs.Span.with_span "mbds.insert"
       ~attrs:(fun () ->
         [ "key", string_of_int key; "backend", string_of_int idx ])
-      (fun () -> write_next t record ~t0 ~scanned key idx)
-  else write_next t record ~t0 ~scanned key idx;
+      (fun () -> write_next t record key idx)
+  else write_next t record key idx;
   key
-
-let insert t record =
-  store_next t record ~t0:(now ())
-    ~scanned:(Array.make (Array.length t.backends) 0)
 
 let rec any_match backend = function
   | [] -> false
   | probe :: probes ->
     Abdm.Store.exists backend probe || any_match backend probes
 
-(* whether backend [i] holds a match of [probes]; its scans go to
-   [scanned.(i)] *)
-let clash t probes scanned i =
+(* whether backend [i] holds a match of [probes]; its scans go to its
+   scanned counter *)
+let clash t probes i =
   let backend = t.backends.(i) and lock = t.locks.(i) in
   Mutex.lock lock;
   let scans0 = Abdm.Store.scan_count backend in
@@ -224,35 +184,26 @@ let clash t probes scanned i =
       Mutex.unlock lock;
       raise e
   in
-  scanned.(i) <- Abdm.Store.scan_count backend - scans0;
+  let scanned = Abdm.Store.scan_count backend - scans0 in
   Mutex.unlock lock;
-  if scanned.(i) > 0 then Obs.Metrics.incr ~by:scanned.(i) t.obs_scanned.(i);
+  if scanned > 0 then Obs.Metrics.incr ~by:scanned t.obs_scanned.(i);
   hit
 
-let rec any_clash t probes scanned i =
+let rec any_clash t probes i =
   i < Array.length t.backends
-  && (clash t probes scanned i || any_clash t probes scanned (i + 1))
+  && (clash t probes i || any_clash t probes (i + 1))
 
 (* Each backend in turn, on the caller and under that backend's lock: a
    handful of index point probes is far cheaper than waking a worker.
    Stops at the first backend holding a match; with no probes there is
    nothing to check. *)
 let insert_unique t record probes =
-  let t0 = now () in
-  let scanned = Array.make (Array.length t.backends) 0 in
-  if probes <> [] && any_clash t probes scanned 0 then begin
-    Stats.record ~measured:(now () -. t0) t.stats
-      (Cost.response_time t.cost
-         ~backend_work:(backend_work scanned (-1))
-         ~results:0);
-    None
-  end
-  else Some (store_next t record ~t0 ~scanned)
+  if probes <> [] && any_clash t probes 0 then None
+  else Some (insert t record)
 
 let select t query =
   let per_backend =
     broadcast t ~op:"select"
-      ~results_of:List.length
       ~writes_of:(fun _ -> 0)
       (fun backend -> Abdm.Store.select backend query)
   in
@@ -274,7 +225,6 @@ let explain t query =
 let delete t query =
   let per_backend =
     broadcast t ~op:"delete"
-      ~results_of:(fun _ -> 0)
       ~writes_of:(fun n -> n)
       (fun backend -> Abdm.Store.delete backend query)
   in
@@ -283,7 +233,6 @@ let delete t query =
 let update t query modifiers =
   let per_backend =
     broadcast t ~op:"update"
-      ~results_of:(fun _ -> 0)
       ~writes_of:(fun n -> n)
       (fun backend -> Abdm.Store.update backend query modifiers)
   in
@@ -291,27 +240,13 @@ let update t query modifiers =
 
 (* Lock-free read: mutations of a backend happen under its lock, and the
    caller orders them before this read (the server's write barrier, or
-   program order on one domain). A get is still a request the controller
-   served, so it is charged to the cost model (one record access on the
-   owning backend) and recorded in Stats. *)
+   program order on one domain). *)
 let get t key =
   let idx = backend_index_of_key t key in
-  let backend = t.backends.(idx) in
   Obs.Span.with_span "mbds.get"
     ~attrs:(fun () ->
       [ "key", string_of_int key; "backend", string_of_int idx ])
-    (fun () ->
-      let t0 = now () in
-      let result = Abdm.Store.get backend key in
-      let measured = now () -. t0 in
-      let backend_work =
-        List.init (Array.length t.backends) (fun i ->
-            (if i = idx then 1 else 0), 0)
-      in
-      let results = if Option.is_some result then 1 else 0 in
-      Stats.record ~measured t.stats
-        (Cost.response_time t.cost ~backend_work ~results);
-      result)
+    (fun () -> Abdm.Store.get t.backends.(idx) key)
 
 let replace t key record =
   with_backend t (backend_index_of_key t key) (fun b ->
@@ -320,7 +255,7 @@ let replace t key record =
 (* Restore path (snapshot / WAL replay): store a record under its saved
    global key. Placement is a pure function of the key, so a restored
    controller with the same placement policy routes every record to the
-   same backend it lived on. Not charged to the response-time model. *)
+   same backend it lived on. *)
 let insert_keyed t key record =
   let idx = backend_index_of_key t key in
   let backend = t.backends.(idx) in
@@ -390,19 +325,3 @@ let begin_transaction t = each_backend t Abdm.Store.begin_transaction
 let commit t = each_backend t Abdm.Store.commit
 
 let rollback t = each_backend t Abdm.Store.rollback
-
-let last_response_time t = Stats.last_time t.stats
-
-let total_time t = Stats.total_time t.stats
-
-let request_count t = Stats.requests t.stats
-
-let mean_response_time t = Stats.mean_time t.stats
-
-let last_measured_time t = Stats.last_measured_time t.stats
-
-let total_measured_time t = Stats.total_measured_time t.stats
-
-let mean_measured_time t = Stats.mean_measured_time t.stats
-
-let reset_stats t = Stats.reset t.stats

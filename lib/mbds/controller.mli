@@ -4,7 +4,9 @@
     backends: it assigns global database keys, places records on backends
     (round-robin by key, the simulator's stand-in for MBDS cluster-based
     placement), broadcasts requests, merges per-backend results, and
-    charges the analytic response-time model of {!Cost}.
+    counts each backend's work ({!backend_loads}): the inputs of the
+    analytic response-time model of {!Cost}, which {!Cost.of_loads}
+    evaluates off the request path.
 
     Functionally the controller behaves exactly like one big
     {!Abdm.Store}: the kernel controller (KC) of the language interfaces
@@ -23,7 +25,7 @@ type placement =
   | Round_robin
   | Skewed of float
 
-(** [create ?cost ?name ?placement ?pool n] builds a controller over
+(** [create ?name ?placement ?pool n] builds a controller over
     [n] backends. Raises [Invalid_argument] when [n < 1] or the skew
     fraction is not within [0, 1] (NaN included).
 
@@ -42,7 +44,6 @@ type placement =
     ([select], [delete], [update], a RETRIEVE): [insert],
     [insert_unique], [get] and [replace] run on the caller. *)
 val create :
-  ?cost:Cost.t ->
   ?name:string ->
   ?placement:placement ->
   ?pool:Pool.t ->
@@ -57,8 +58,7 @@ val name : t -> string
     the [n = 1] degenerate-skew normalisation). *)
 val placement : t -> placement
 
-(** [run t request] broadcasts one ABDL request, merges results, and
-    records the simulated response time (readable via [last_response_time]). *)
+(** [run t request] broadcasts one ABDL request and merges results. *)
 val run : t -> Abdl.Ast.request -> Abdl.Exec.result
 
 val run_transaction : t -> Abdl.Ast.transaction -> Abdl.Exec.result list
@@ -73,8 +73,8 @@ val insert : t -> Abdm.Record.t -> Abdm.Store.dbkey
     returns its key; otherwise it stores nothing and returns [None].
     The probes run on the caller, one backend at a time under its lock,
     without a broadcast: no pool share is claimed; with no probes no
-    backend is locked before the write. Charged as one request: the
-    probes' scans plus the write. *)
+    backend is locked before the write. The probes' scans and the write
+    go to {!backend_loads}. *)
 val insert_unique :
   t -> Abdm.Record.t -> Abdm.Query.t list -> Abdm.Store.dbkey option
 
@@ -88,14 +88,13 @@ val delete : t -> Abdm.Query.t -> int
 
 val update : t -> Abdm.Query.t -> Abdm.Modifier.t list -> int
 
-(** [get t key] fetches one record by global database key. Charged to the
-    cost model (one record access on the owning backend) and recorded in
-    the controller's statistics like every other request. *)
+(** [get t key] fetches one record by global database key, from the
+    owning backend only. Takes no lock and counts no scan. *)
 val get : t -> Abdm.Store.dbkey -> Abdm.Record.t option
 
 (** [replace t key record] overwrites a record in place on its backend
-    (the engines' key-addressed writes and WAL replay; not charged to the
-    response-time model). Raises
+    (the engines' key-addressed writes and WAL replay; counted as no
+    write in {!backend_loads}). Raises
     [Not_found] if [key] is not live. *)
 val replace : t -> Abdm.Store.dbkey -> Abdm.Record.t -> unit
 
@@ -104,8 +103,7 @@ val replace : t -> Abdm.Store.dbkey -> Abdm.Record.t -> unit
     routed by the controller's placement function — deterministic in the
     key — so a restored controller reproduces the saved backend layout
     exactly. Advances the key counter past [key]. Raises
-    [Invalid_argument] if [key] is already live. Not charged to the
-    response-time model. *)
+    [Invalid_argument] if [key] is already live. *)
 val insert_keyed : t -> Abdm.Store.dbkey -> Abdm.Record.t -> unit
 
 (** [to_seq t] is every record live at the call, in ascending global-key
@@ -142,26 +140,3 @@ val begin_transaction : t -> unit
 val commit : t -> unit
 
 val rollback : t -> unit
-
-(** Simulated seconds of the most recent request (the analytic {!Cost}
-    model — the paper's minicomputer cluster). *)
-val last_response_time : t -> float
-
-val total_time : t -> float
-
-val request_count : t -> int
-
-val mean_response_time : t -> float
-
-(** {2 Measured wall-clock seconds on this machine's domains} — recorded
-    alongside the modelled time for every request, so the paper's claims
-    (E1/E2) and the physical speedup (E12) can be compared directly. *)
-
-val last_measured_time : t -> float
-
-val total_measured_time : t -> float
-
-(** [mean_measured_time t] is 0. before any request. *)
-val mean_measured_time : t -> float
-
-val reset_stats : t -> unit

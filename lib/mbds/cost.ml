@@ -25,3 +25,9 @@ let response_time cost ~backend_work ~results =
   in
   cost.t_overhead +. cost.t_broadcast +. parallel
   +. (float_of_int results *. cost.t_result)
+
+let of_loads cost ~before ~after ~results =
+  let backend_work =
+    List.map2 (fun (s0, w0, _) (s1, w1, _) -> s1 - s0, w1 - w0) before after
+  in
+  response_time cost ~backend_work ~results

@@ -25,3 +25,17 @@ val default : t
     backend, [(records_scanned, records_written)]; backends run in
     parallel (max), result return is serial. *)
 val response_time : t -> backend_work:(int * int) list -> results:int -> float
+
+(** [of_loads cost ~before ~after ~results] is {!response_time} of the
+    work done between two readings of [Controller.backend_loads]: per
+    backend, the difference in records scanned and written, with
+    [results] records returned. Taken around one request on a controller
+    nothing else is using, it is the paper's modelled response time of
+    that request. Raises [Invalid_argument] if the two readings cover
+    different numbers of backends. *)
+val of_loads :
+  t ->
+  before:(int * int * int) list ->
+  after:(int * int * int) list ->
+  results:int ->
+  float

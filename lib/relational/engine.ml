@@ -51,9 +51,24 @@ let scoped rel where =
     (Abdm.Query.conj [ Abdm.Predicate.file_eq rel.Types.rel_name ])
     where
 
+(* the first column named FILE (every record's file keyword) or named
+   again later *)
+let rec bad_column = function
+  | [] -> None
+  | c :: rest ->
+    let name = c.Types.col_name in
+    if String.equal name Abdm.Keyword.file_attribute
+       || List.exists (fun c' -> String.equal c'.Types.col_name name) rest
+    then Some name
+    else bad_column rest
+
 let exec_create_table t rel =
-  if rel.Types.rel_columns = [] then err "CREATE TABLE %s: no columns" rel.rel_name
-  else
+  match rel.Types.rel_columns, bad_column rel.rel_columns with
+  | [], _ -> err "CREATE TABLE %s: no columns" rel.rel_name
+  | _, Some col when String.equal col Abdm.Keyword.file_attribute ->
+    err "CREATE TABLE %s: column name %s is reserved" rel.rel_name col
+  | _, Some col -> err "CREATE TABLE %s: column %s named twice" rel.rel_name col
+  | _, None ->
     match Types.add_relation t.schema rel with
     | Ok schema ->
       t.schema <- schema;

@@ -160,6 +160,10 @@ let c_requests = Obs.Metrics.counter "server.requests_total"
 
 let c_disconnects = Obs.Metrics.counter "server.disconnects_total"
 
+(* requests whose execution raised: a fault in the program, not in the
+   request, answered as [Exec_error] *)
+let c_internal = Obs.Metrics.counter "server.internal_errors"
+
 let h_opcode name = Obs.Metrics.histogram ("server.request." ^ name ^ "_s")
 
 let h_batch =
@@ -871,6 +875,7 @@ let execute_batch t jobs =
         let session, db, msg =
           try compute_response t conn frame
           with exn ->
+            Obs.Metrics.incr c_internal;
             ( frame.Wire.session_id,
               None,
               Wire.Err (Wire.Exec_error, Printexc.to_string exn) )

@@ -50,7 +50,9 @@
       retries. Each request runs under a [server.request] root span
       (attrs [session], [opcode], [request] — the wire request id, so a
       slow-query entry can name its span — and [peer]) and is timed into
-      a per-opcode [server.request.<opcode>_s] histogram.
+      a per-opcode [server.request.<opcode>_s] histogram. A request
+      whose execution raises is answered [Exec_error] with the exception's
+      text and counted in [server.internal_errors].
     - Online checkpoints advance one bounded slice between batches;
       the finish (snapshot rename + WAL truncate) first waits for the
       log's flusher to go idle. {!shutdown} drains the flushers the same way.

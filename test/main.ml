@@ -5,7 +5,6 @@ let () =
       "abdl", Test_abdl.suite;
       "mbds", Test_mbds.suite;
       "mbds-pool", Test_pool.suite;
-      "mbds-stats", Test_stats.suite;
       "obs", Test_obs.suite;
       "network", Test_network.suite;
       "daplex", Test_daplex.suite;

@@ -3,7 +3,9 @@
    properties. [lex] is the old [Abdl.Lexer.tokens] except that a lexical
    error ends the token list instead of raising, so the parser below can
    raise it where the cursor would: when it first reads past the last
-   good token. [tokens] raises it at once, as the old lexer did. *)
+   good token. [tokens] raises it at once, as the old lexer did. An
+   integer literal past the [int] range is a lexical error here, as it is
+   in the cursor, where the old lexer raised [Failure]. *)
 
 open Abdl.Lexer
 
@@ -84,9 +86,11 @@ let lex src =
     let text = String.sub src start (!j - start) in
     if fraction || !exponent then lex !j (FLOAT (float_of_string text) :: acc)
     else
-      match int_of_string text with
-      | n -> lex !j (INT n :: acc)
-      | exception (Failure _ as e) -> List.rev acc, Some e
+      match int_of_string_opt text with
+      | Some n -> lex !j (INT n :: acc)
+      | None ->
+        ( List.rev acc,
+          Some (Lex_error (Printf.sprintf "integer literal out of range at %d" start)) )
   and lex_ident start i acc =
     let j = ref i in
     while !j < len && is_ident_char src.[!j] do incr j done;

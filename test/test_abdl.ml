@@ -424,8 +424,9 @@ let test_lexer_cursor () =
   Alcotest.(check bool) "past the end: EOF" true (peek c = EOF);
   Alcotest.(check bool) "19 digits go through int_of_string" true
     (tokens "-4611686018427387904" = [ INT min_int; EOF ]);
-  Alcotest.check_raises "out of range" (Failure "int_of_string") (fun () ->
-      ignore (tokens "4611686018427387904"))
+  Alcotest.check_raises "out of range is a lexical error"
+    (Lex_error "integer literal out of range at 2") (fun () ->
+      ignore (tokens "x 4611686018427387904"))
 
 let suite =
   [

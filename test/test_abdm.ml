@@ -648,14 +648,11 @@ let test_clear_resets_counters () =
   ignore
     (Abdm.Store.select s (Abdm.Query.conj [ Abdm.Predicate.file_eq "employee" ]));
   ignore (Abdm.Store.select s Abdm.Query.always);
+  Alcotest.(check bool) "records were read" true (Abdm.Store.scan_count s > 0);
   Abdm.Store.clear s;
-  Alcotest.(check int) "request count reset" 0 (Abdm.Store.request_count s);
+  Alcotest.(check int) "scan count reset" 0 (Abdm.Store.scan_count s);
   Alcotest.(check int) "indexed selects reset" 0 (Abdm.Store.indexed_selects s);
-  Alcotest.(check int) "scanned selects reset" 0 (Abdm.Store.scanned_selects s);
-  Alcotest.(check (float 0.)) "total time reset" 0.
-    (Abdm.Store.total_request_time s);
-  Alcotest.(check (float 0.)) "last time reset" 0.
-    (Abdm.Store.last_request_time s)
+  Alcotest.(check int) "scanned selects reset" 0 (Abdm.Store.scanned_selects s)
 
 let test_rollback_leaves_stats_alone () =
   let s = mk_store () in
@@ -666,15 +663,16 @@ let test_rollback_leaves_stats_alone () =
        (Abdm.Query.conj [ Abdm.Predicate.file_eq "employee" ])
        [ Abdm.Modifier.Set_arith ("salary", Abdm.Modifier.Add, Abdm.Value.Int 5) ]);
   ignore (Abdm.Store.delete_key s k1);
-  let count = Abdm.Store.request_count s in
-  let total = Abdm.Store.total_request_time s in
+  let tallies () =
+    Abdm.Store.scan_count s, Abdm.Store.indexed_selects s,
+    Abdm.Store.scanned_selects s
+  in
+  let before = tallies () in
   Abdm.Store.rollback s;
-  (* undo replay is internal bookkeeping, not user requests: it must not
-     inflate the request count or the accumulated request time *)
-  Alcotest.(check int) "rollback adds no requests" count
-    (Abdm.Store.request_count s);
-  Alcotest.(check (float 0.)) "rollback adds no time" total
-    (Abdm.Store.total_request_time s);
+  (* undo replay is internal bookkeeping, not user requests: it reads no
+     record and makes no selection *)
+  Alcotest.(check (triple int int int)) "rollback adds no work" before
+    (tallies ());
   Alcotest.(check bool) "state restored" true
     (Abdm.Store.get s k1 <> None)
 

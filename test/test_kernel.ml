@@ -44,23 +44,24 @@ let test_kernel_run_and_time () =
     | Abdl.Exec.Rows [ _ ], Abdl.Exec.Rows [ _ ] -> ()
     | _ -> Alcotest.fail "both kernels must answer"
   end;
-  (* the single store now measures its own wall clock per request (used to
-     be the constant 0.) — durations can round to 0 us, so assert the
-     request accounting rather than strict positivity *)
-  Alcotest.(check bool) "single store reports a measured time" true
-    (Mapping.Kernel.last_response_time single >= 0.);
   begin
     match Mapping.Kernel.kds single with
     | Mapping.Kernel.Single store ->
-      Alcotest.(check bool) "store counted its requests" true
-        (Abdm.Store.request_count store > 0);
-      Alcotest.(check bool) "total covers last" true
-        (Abdm.Store.total_request_time store
-         >= Abdm.Store.last_request_time store)
+      Alcotest.(check int) "store read the one record" 1
+        (Abdm.Store.scan_count store)
     | Mapping.Kernel.Multi _ -> Alcotest.fail "expected a single-store kernel"
   end;
-  Alcotest.(check bool) "mbds reports simulated time" true
-    (Mapping.Kernel.last_response_time multi > 0.)
+  (* the simulated time of one more RETRIEVE, from the backend counters *)
+  match Mapping.Kernel.kds multi with
+  | Mapping.Kernel.Multi ctrl ->
+    let before = Mbds.Controller.backend_loads ctrl in
+    ignore (Mapping.Kernel.run multi request);
+    let after = Mbds.Controller.backend_loads ctrl in
+    Alcotest.(check (float 1e-9)) "mbds simulated time: one record scanned"
+      (Mbds.Cost.response_time Mbds.Cost.default
+         ~backend_work:[ 0, 0; 1, 0 ] ~results:1)
+      (Mbds.Cost.of_loads Mbds.Cost.default ~before ~after ~results:1)
+  | Mapping.Kernel.Single _ -> Alcotest.fail "expected an MBDS kernel"
 
 let test_kernel_multi_placement () =
   (* the plumbed-through placement reaches the controller *)

@@ -213,6 +213,37 @@ let test_mlds_on_mbds () =
   Alcotest.(check bool) "six faculty on 4 backends" true
     (contains out "COUNT(faculty)=6")
 
+(* An integer literal past the [int] range is a lexical error in every
+   language: a parse-error reply from [submit], which raises nothing. *)
+let test_int_literal_out_of_range () =
+  let t = university_mlds () in
+  let define = function Ok () -> () | Error msg -> Alcotest.fail msg in
+  define (Mlds.System.define_relational t ~name:"payroll");
+  define
+    (Mlds.System.define_hierarchical t ~name:"med"
+       ~ddl:"DATABASE med\nSEGMENT patient (pname CHAR(10), pid INT)");
+  let huge = "99999999999999999999" in
+  List.iter
+    (fun (language, db, src) ->
+      match Mlds.System.open_session t language ~db with
+      | Error msg -> Alcotest.failf "open session: %s" msg
+      | Ok session ->
+        match Mlds.System.submit session src with
+        | Ok out -> Alcotest.failf "%s accepted: %s" src out
+        | Error msg ->
+          Alcotest.(check bool) (src ^ ": " ^ msg) true
+            (contains msg "integer literal out of range"))
+    [
+      ( Mlds.System.L_abdl, "university",
+        "RETRIEVE ((FILE = student) AND (age = " ^ huge ^ ")) (name)" );
+      Mlds.System.L_sql, "payroll", "INSERT INTO v VALUES (" ^ huge ^ ")";
+      ( Mlds.System.L_codasyl, "university",
+        "MOVE " ^ huge ^ " TO age IN student\nFIND ANY student USING age IN student" );
+      ( Mlds.System.L_daplex, "university",
+        "FOR EACH s IN student SUCH THAT age(s) = " ^ huge ^ " PRINT name(s) END" );
+      Mlds.System.L_dli, "med", "GU patient(pid = " ^ huge ^ ")";
+    ]
+
 let suite =
   [
     "define and registry", `Quick, test_define_and_registry;
@@ -227,6 +258,8 @@ let suite =
     "kfs table", `Quick, test_kfs_table;
     "language of string", `Quick, test_language_of_string;
     "mlds on mbds", `Quick, test_mlds_on_mbds;
+    "integer literal out of range, per language", `Quick,
+    test_int_literal_out_of_range;
   ]
 
 (* --- persistence -------------------------------------------------------- *)

@@ -235,6 +235,35 @@ let test_socket_basics () =
       wait_for "session closed" (fun () -> Server.Core.session_count server = 0);
       Client.close c)
 
+(* An integer literal past the int range comes back over the wire as a
+   typed Parse_error, not through the executor's catch-all: the
+   [server.internal_errors] counter, which the Stats snapshot carries,
+   stays where it was. *)
+let test_overflow_literal_is_parse_error () =
+  let internal () =
+    Obs.Metrics.counter_value (Obs.Metrics.counter "server.internal_errors")
+  in
+  let before = internal () in
+  with_server (fun _server port ->
+      let c = logged_in port in
+      (match
+         Client.submit c
+           "RETRIEVE ((FILE = employee) AND (salary = 99999999999999999999)) (name)"
+       with
+      | Error (`Refused (Wire.Parse_error, msg)) ->
+        Alcotest.(check bool) msg true (contains msg "integer literal out of range")
+      | Ok out -> Alcotest.failf "accepted: %s" out
+      | Error e -> Alcotest.failf "not a Parse_error: %s" (Client.error_to_string e));
+      let stats =
+        match Client.stats c with
+        | Ok out -> out
+        | Error e -> Alcotest.failf "stats: %s" (Client.error_to_string e)
+      in
+      Alcotest.(check bool) "Stats carries server.internal_errors" true
+        (contains stats "\"server.internal_errors\"");
+      Client.close c);
+  Alcotest.(check int) "no internal error" before (internal ())
+
 let test_socket_session_isolation () =
   with_server (fun _server port ->
       let c1 = logged_in ~language:"codasyl" port in
@@ -1479,6 +1508,8 @@ let suite =
     QCheck_alcotest.to_alcotest prop_response_roundtrip;
     QCheck_alcotest.to_alcotest prop_truncation_rejected;
     Alcotest.test_case "socket: login/submit/logout" `Quick test_socket_basics;
+    Alcotest.test_case "socket: an overflow literal is a Parse_error" `Quick
+      test_overflow_literal_is_parse_error;
     Alcotest.test_case "socket: sessions isolated" `Quick
       test_socket_session_isolation;
     Alcotest.test_case "socket: spoofed session ids refused" `Quick

@@ -268,16 +268,16 @@ let test_allocation_guard () =
 (* Minor-heap words per row across a 2 000-row SQL bulk load: a UNIQUE
    id column, so every INSERT probes every backend, submitted through a
    session handle in 500-statement texts (the texts are built before the
-   count starts). A row takes ~720 words on a 2-backend MBDS and ~630 on
-   one store; before the SQL parser read the lexer cursor, INSERT took
-   one pass and the MBDS write lost its per-row closures it took ~1 350
-   and ~1 150. Each cut put back alone: the list parser ~915 and ~830,
-   the old INSERT ~1 000 and ~915, so either fails both bounds; the old
-   MBDS write ~805 and the histogram's [Fun.protect] ~775 fail the
-   2-backend bound. *)
-let sql_bulk_words_bound = 760.
+   count starts). A row takes ~590 words on a 2-backend MBDS and ~580 on
+   one store. With the request ledgers under the kernel (the store's
+   per-operation clock, the controller's modelled and measured times) it
+   took ~720 and ~630; each put back alone: the store clock ~700 and
+   ~630, the controller's ~660 on 2 backends, so either fails a bound.
+   Before the SQL parser read the lexer cursor, INSERT took one pass and
+   the MBDS write lost its per-row closures it took ~1 350 and ~1 150. *)
+let sql_bulk_words_bound = 630.
 
-let sql_bulk_single_words_bound = 680.
+let sql_bulk_single_words_bound = 615.
 
 let sql_bulk_words ~backends =
   let sys = Mlds.System.create ~backends () in
