@@ -11,10 +11,13 @@
    Prints the median wall time of each phase over RUNS runs, its
    minor-heap words (from the last run; allocation does not vary between
    runs) in total and per record, its minor collections (each one stops
-   every running domain, an idle pool worker included), and its MBDS
+   every running domain, an idle pool worker included), its MBDS
    broadcast shares (also from the last run): the growth of
    mbds.shares_inline + mbds.shares_remote, one per backend per
-   broadcast. Then one more preload, traced and apart from the timed
+   broadcast, and the live words a record keeps once the phase is done:
+   everything the database's kernel reaches (Obj.reachable_words:
+   records, shapes, maps, index postings) over its records, summed over
+   the databases for the whole preload. Then one more preload, traced and apart from the timed
    runs (which stay untraced): the self time of each span name it opened
    (lil.parse, kms.translate+kc.execute, kernel.run, mbds.insert,
    kfs.format, ...), the time inside a span less its children's, which
@@ -59,14 +62,17 @@ let () =
   in
   Unix.mkdir dir 0o755;
   (* phase name -> (seconds of each run, words, minor collections and
-     shares of the last, records) *)
+     shares of the last, records, live words of the last) *)
   let phases = Hashtbl.create 8 and order = ref [] in
-  let note name (dt, words, collections, shares) records =
-    let times, _, _, _, _ =
-      Option.value ~default:([], 0., 0, 0, 0) (Hashtbl.find_opt phases name)
+  let note name (dt, words, collections, shares) records live =
+    let times, _, _, _, _, _ =
+      Option.value ~default:([], 0., 0, 0, 0, 0) (Hashtbl.find_opt phases name)
     in
     if not (Hashtbl.mem phases name) then order := name :: !order;
-    Hashtbl.replace phases name (dt :: times, words, collections, shares, records)
+    Hashtbl.replace phases name (dt :: times, words, collections, shares, records, live)
+  in
+  let kernel_words sys db =
+    Obj.reachable_words (Obj.repr (Option.get (Mlds.System.kernel_of sys db)))
   in
   for _ = 1 to runs do
     Gc.compact ();
@@ -80,13 +86,16 @@ let () =
                   ~ddl:Daplex.University.ddl rows))
        in
        note "loader (uni)" m
-         (Mapping.Kernel.size (Option.get (Mlds.System.kernel_of sys "uni"))));
+         (Mapping.Kernel.size (Option.get (Mlds.System.kernel_of sys "uni")))
+         (kernel_words sys "uni"));
     Gc.compact ();
     let sys = Perfbench.Workloads.create_system w in
     let (), m = measure (fun () -> Perfbench.Workloads.preload w ~seed sys) in
     let size db = Mapping.Kernel.size (Option.get (Mlds.System.kernel_of sys db)) in
     let dbs = List.map fst (Mlds.System.databases sys) in
-    note "preload (all)" m (List.fold_left (fun n db -> n + size db) 0 dbs);
+    note "preload (all)" m
+      (List.fold_left (fun n db -> n + size db) 0 dbs)
+      (List.fold_left (fun n db -> n + kernel_words sys db) 0 dbs);
     List.iter
       (fun db ->
         let file = Filename.concat dir (db ^ ".snapshot") in
@@ -94,20 +103,20 @@ let () =
           measure (fun () -> ok "save" (Mlds.Persist.save sys ~db ~file))
         in
         Sys.remove file;
-        note ("save " ^ db) m (size db))
+        note ("save " ^ db) m (size db) (kernel_words sys db))
       dbs
   done;
   Unix.rmdir dir;
-  Printf.printf "%s seed %d, %d runs\n%-16s %10s %14s %8s %12s %8s %8s\n" wname
+  Printf.printf "%s seed %d, %d runs\n%-16s %10s %14s %8s %12s %8s %8s %12s\n" wname
     seed runs "phase" "median ms" "minor words" "records" "words/record"
-    "minor GCs" "shares";
+    "minor GCs" "shares" "live/record";
   List.iter
     (fun name ->
-      let times, words, collections, shares, records = Hashtbl.find phases name in
-      Printf.printf "%-16s %10.2f %14.0f %8d %12.0f %8d %8d\n" name
-        (median times *. 1000.) words records
-        (words /. float_of_int (max 1 records))
-        collections shares)
+      let times, words, collections, shares, records, live = Hashtbl.find phases name in
+      let per n = n /. float_of_int (max 1 records) in
+      Printf.printf "%-16s %10.2f %14.0f %8d %12.0f %8d %8d %12.1f\n" name
+        (median times *. 1000.) words records (per words) collections shares
+        (per (float_of_int live)))
     (List.rev !order);
   Gc.compact ();
   let sys = Perfbench.Workloads.create_system w in

@@ -14,5 +14,9 @@ val add : state -> Abdm.Value.t -> state
 val merge : state -> state -> state
 
 (** [finalize agg state] extracts the aggregate's answer. An empty state
-    yields [Int 0] for COUNT and [Null] for the others. *)
+    yields [Int 0] for COUNT and [Null] for the others. SUM over [Int]
+    values only is the exact [Int] total whenever that total fits an
+    OCaml [int] (intermediate overflow does not matter); a total outside
+    that range, or any [Float] among the values, answers the [Float] sum.
+    AVG is always the [Float] sum over the count of numeric values. *)
 val finalize : Ast.aggregate -> state -> Abdm.Value.t

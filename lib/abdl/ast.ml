@@ -75,7 +75,7 @@ let add_targets buf targets =
 let to_buffer buf = function
   | Insert record ->
     Buffer.add_string buf "INSERT (";
-    add_list buf Abdm.Keyword.to_buffer record.Abdm.Record.keywords;
+    Abdm.Record.keywords_to_buffer buf record;
     Buffer.add_char buf ')'
   | Delete query ->
     Buffer.add_string buf "DELETE ";

@@ -20,9 +20,8 @@ let project targets (key, record) =
       (fun target ->
         match target with
         | Ast.T_all ->
-          List.map
-            (fun (kw : Abdm.Keyword.t) -> kw.attribute, kw.value)
-            record.Abdm.Record.keywords
+          List.rev
+            (Abdm.Record.fold (fun acc attr v -> (attr, v) :: acc) [] record)
         | Ast.T_attr attr -> [ attr, value attr ]
         | Ast.T_agg (agg, attr) ->
           (* Aggregates never reach projection; keep the shape total. *)
@@ -133,36 +132,33 @@ let join_rows (rc : Ast.retrieve_common) ~left ~right =
             !table
       | Some _ | None -> ())
     right;
+  (* the joined row's keywords: the left record's, then the right
+     record's, a right attribute the left one also has renamed
+     [file.attr] *)
   let merge left_record right_record =
-    let taken = Abdm.Record.attributes left_record in
     let right_file =
       match Abdm.Record.file right_record with
       | Some f -> f
       | None -> "right"
     in
-    let renamed =
-      List.map
-        (fun (kw : Abdm.Keyword.t) ->
-          if List.mem kw.attribute taken then
-            Abdm.Keyword.make (right_file ^ "." ^ kw.attribute) kw.value
-          else kw)
-        right_record.Abdm.Record.keywords
+    let pairs record rename =
+      List.rev (Abdm.Record.fold (fun acc attr v -> (rename attr, v) :: acc) [] record)
     in
-    { Abdm.Record.keywords = left_record.Abdm.Record.keywords @ renamed;
-      text = "" }
+    pairs left_record Fun.id
+    @ pairs right_record (fun attr ->
+          if Option.is_some (Abdm.Record.value_of left_record attr) then
+            right_file ^ "." ^ attr
+          else attr)
   in
   let project_merged merged =
     let values =
       List.concat_map
         (fun target ->
           match target with
-          | Ast.T_all ->
-            List.map
-              (fun (kw : Abdm.Keyword.t) -> kw.attribute, kw.value)
-              merged.Abdm.Record.keywords
+          | Ast.T_all -> merged
           | Ast.T_attr attr ->
             [ ( attr,
-                match Abdm.Record.value_of merged attr with
+                match List.assoc_opt attr merged with
                 | Some v -> v
                 | None -> Abdm.Value.Null ) ]
           | Ast.T_agg (_, _) ->

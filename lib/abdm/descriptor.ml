@@ -15,27 +15,47 @@ type file = {
   attributes : attribute list;
 }
 
-type t = {
-  db_name : string;
-  files : file list;  (* in registration order *)
+(* A file's template and the record shape it gives: [FILE], then the
+   attributes in order ([None] if an attribute repeats). *)
+type entry = {
+  file : file;
+  shape : Record.shape option;
 }
 
-let make db_name = { db_name; files = [] }
+type t = {
+  db_name : string;
+  entries : entry list;  (* in registration order *)
+}
+
+let make db_name = { db_name; entries = [] }
 
 let db_name t = t.db_name
 
-let find_file t name =
-  List.find_opt (fun f -> String.equal f.file_name name) t.files
+let find_entry t name =
+  List.find_opt (fun e -> String.equal e.file.file_name name) t.entries
+
+let find_file t name = Option.map (fun e -> e.file) (find_entry t name)
+
+let shape t name = Option.bind (find_entry t name) (fun e -> e.shape)
 
 let add_file t file =
-  match find_file t file.file_name with
+  match find_entry t file.file_name with
   | Some _ ->
     invalid_arg (Printf.sprintf "Descriptor.add_file: duplicate file %S" file.file_name)
-  | None -> { t with files = t.files @ [ file ] }
+  | None ->
+    let shape =
+      match
+        Record.shape
+          (Keyword.file_attribute :: List.map (fun a -> a.attr_name) file.attributes)
+      with
+      | shape -> Some shape
+      | exception Invalid_argument _ -> None
+    in
+    { t with entries = t.entries @ [ { file; shape } ] }
 
-let file_names t = List.map (fun f -> f.file_name) t.files
+let files t = List.map (fun e -> e.file) t.entries
 
-let files t = t.files
+let file_names t = List.map (fun e -> e.file.file_name) t.entries
 
 let attribute_names t name =
   match find_file t name with
@@ -62,35 +82,28 @@ let validate t record =
     match find_file t name with
     | None -> Error (Printf.sprintf "unknown file %S" name)
     | Some file ->
-      let check_keyword (kw : Keyword.t) =
-        if String.equal kw.attribute Keyword.file_attribute then None
+      let check_keyword attr value =
+        if String.equal attr Keyword.file_attribute then Ok ()
         else
           match
-            List.find_opt
-              (fun a -> String.equal a.attr_name kw.attribute)
-              file.attributes
+            List.find_opt (fun a -> String.equal a.attr_name attr) file.attributes
           with
           | None ->
-            Some
-              (Printf.sprintf "attribute %S not in template of file %S"
-                 kw.attribute name)
+            Error
+              (Printf.sprintf "attribute %S not in template of file %S" attr name)
           | Some a ->
-            if value_matches a.attr_type kw.value then None
+            if value_matches a.attr_type value then Ok ()
             else
-              Some
-                (Printf.sprintf "attribute %S of file %S expects %s, got %s"
-                   kw.attribute name
+              Error
+                (Printf.sprintf "attribute %S of file %S expects %s, got %s" attr
+                   name
                    (vtype_to_string a.attr_type)
-                   (Value.to_string kw.value))
+                   (Value.to_string value))
       in
-      let rec first_error = function
-        | [] -> Ok ()
-        | kw :: rest ->
-          match check_keyword kw with
-          | Some msg -> Error msg
-          | None -> first_error rest
-      in
-      first_error record.Record.keywords
+      Record.fold
+        (fun first attr value ->
+          match first with Ok () -> check_keyword attr value | Error _ -> first)
+        (Ok ()) record
 
 let pp ppf t =
   Format.fprintf ppf "@[<v>DATABASE %s@," t.db_name;
@@ -104,5 +117,5 @@ let pp ppf t =
     Format.fprintf ppf "  FILE %s@," f.file_name;
     List.iter pp_attr f.attributes
   in
-  List.iter pp_file t.files;
+  List.iter (fun e -> pp_file e.file) t.entries;
   Format.fprintf ppf "@]"

@@ -33,6 +33,12 @@ val add_file : t -> file -> t
 
 val find_file : t -> string -> file option
 
+(** [shape t name] is the record shape of file [name]'s template: [FILE]
+    first, then the template's attributes in order. [None] for an unknown
+    file or a template that repeats an attribute. One shape value per
+    file, so every record built over it shares it. *)
+val shape : t -> string -> Record.shape option
+
 val file_names : t -> string list
 
 val files : t -> file list

@@ -9,8 +9,6 @@ let make attribute value = { attribute; value }
 
 let file name = { attribute = file_attribute; value = Value.Str name }
 
-let equal a b = String.equal a.attribute b.attribute && Value.equal a.value b.value
-
 let to_buffer buf { attribute; value } =
   Buffer.add_char buf '<';
   Buffer.add_string buf attribute;

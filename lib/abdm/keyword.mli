@@ -17,8 +17,6 @@ val make : string -> Value.t -> t
 (** [file name] is the keyword [<FILE, name>]. *)
 val file : string -> t
 
-val equal : t -> t -> bool
-
 (** Renders in the paper's surface syntax [<attribute, value>]. *)
 val to_string : t -> string
 

@@ -1,9 +1,11 @@
 type kind =
   | Point
   | Range
+  | Window
 
 type probe = {
   probe_pred : Predicate.t;
+  probe_upper : Predicate.t option;  (** a window's upper bound *)
   probe_kind : kind;
   probe_card : int;
 }
@@ -29,6 +31,7 @@ type t = step list
 let kind_name = function
   | Point -> "point"
   | Range -> "range"
+  | Window -> "window"
 
 let access_rows = function
   | Store_scan { rows } -> rows
@@ -37,7 +40,10 @@ let access_rows = function
 
 let probe_to_string p =
   Printf.sprintf "%s %s [%d]" (kind_name p.probe_kind)
-    (Predicate.to_string p.probe_pred)
+    (match p.probe_upper with
+     | None -> Predicate.to_string p.probe_pred
+     | Some upper ->
+       Predicate.to_string p.probe_pred ^ " AND " ^ Predicate.to_string upper)
     p.probe_card
 
 let access_to_string = function

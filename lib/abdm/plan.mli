@@ -13,13 +13,18 @@
 type kind =
   | Point  (** an equality posting list *)
   | Range  (** an ordered-index range, for [<] [<=] [>] [>=] *)
+  | Window
+      (** a lower ([>] [>=]) and an upper ([<] [<=]) bound on one
+          attribute, answered as one range of its ordered index *)
 
-(** One secondary-index lookup feeding the access path. [probe_card] is
-    the cost signal: the posting-list cardinality for a point probe, the
-    postings' summed cardinality across the window for a range (an exact
-    key count unless a record repeats the attribute). *)
+(** One secondary-index lookup feeding the access path: one predicate,
+    or a window's lower bound and [probe_upper]. [probe_card] is the cost
+    signal: the posting-list cardinality for a point probe, the postings'
+    summed cardinality across the range or window (an exact key count: a
+    record holds at most one value per attribute). *)
 type probe = {
   probe_pred : Predicate.t;
+  probe_upper : Predicate.t option;  (** a window's upper bound *)
   probe_kind : kind;
   probe_card : int;
 }

@@ -1,36 +1,79 @@
+(* A record is its shape — the attribute names in keyword order — and one
+   value per attribute, in a flat array beside it. Records of one file
+   share one shape array, so the attribute names are held once per file
+   rather than once per record (a keyword-list record kept a cons cell
+   and a keyword block, six words, per keyword). Neither array is ever
+   written after the record is built: [set] and [remove] copy. *)
+
+type shape = string array
+
 type t = {
-  keywords : Keyword.t list;
+  shape : shape;
+  values : Value.t array;
   text : string;
 }
 
+let duplicate what attr =
+  invalid_arg (Printf.sprintf "%s: duplicate attribute %S" what attr)
+
 (* A pairwise scan, allocation-free: records are a handful of keywords,
    where a hash table costs more to build than the comparisons it saves.
-   Reports the first keyword whose attribute occurred before it. *)
-let check_no_duplicate keywords =
-  let rec among_first n attr = function
-    | (kw : Keyword.t) :: rest when n > 0 ->
-      String.equal kw.attribute attr || among_first (n - 1) attr rest
-    | _ -> false
-  in
-  let rec check i = function
-    | [] -> ()
-    | (kw : Keyword.t) :: rest ->
-      if among_first i kw.attribute keywords then
-        invalid_arg
-          (Printf.sprintf "Record.make: duplicate attribute %S" kw.attribute);
-      check (i + 1) rest
-  in
-  check 0 keywords
+   Reports the first attribute that occurred before it. *)
+let check_no_duplicate what shape =
+  for i = 1 to Array.length shape - 1 do
+    for j = 0 to i - 1 do
+      if String.equal shape.(j) shape.(i) then duplicate what shape.(i)
+    done
+  done
+
+let shape attrs =
+  let shape = Array.of_list attrs in
+  check_no_duplicate "Record.shape" shape;
+  shape
+
+let shape_equal a b =
+  a == b
+  || Array.length a = Array.length b
+     &&
+     let rec from i = i = Array.length a || (String.equal a.(i) b.(i) && from (i + 1)) in
+     from 0
 
 let make ?(text = "") keywords =
-  check_no_duplicate keywords;
-  { keywords; text }
+  let n = List.length keywords in
+  let shape = Array.make n "" and values = Array.make n Value.Null in
+  List.iteri
+    (fun i (kw : Keyword.t) ->
+      shape.(i) <- kw.attribute;
+      values.(i) <- kw.value)
+    keywords;
+  check_no_duplicate "Record.make" shape;
+  { shape; values; text }
+
+let of_values shape values =
+  if Array.length values <> Array.length shape then
+    invalid_arg
+      (Printf.sprintf "Record.of_values: %d values for %d attributes"
+         (Array.length values) (Array.length shape));
+  { shape; values; text = "" }
+
+let init shape f = { shape; values = Array.map f shape; text = "" }
+
+let shape_of record = record.shape
+
+let with_shape record shape =
+  if shape == record.shape then Some record
+  else if shape_equal shape record.shape then Some { record with shape }
+  else None
+
+let rec index_from shape attr i =
+  if i = Array.length shape then -1
+  else if String.equal shape.(i) attr then i
+  else index_from shape attr (i + 1)
 
 let value_of record attr =
-  List.find_map
-    (fun (kw : Keyword.t) ->
-      if String.equal kw.attribute attr then Some kw.value else None)
-    record.keywords
+  match index_from record.shape attr 0 with
+  | -1 -> None
+  | i -> Some record.values.(i)
 
 let file record =
   match value_of record Keyword.file_attribute with
@@ -38,33 +81,61 @@ let file record =
   | Some (Value.Int _ | Value.Float _ | Value.Null) | None -> None
 
 let set record attr v =
-  let replaced = ref false in
-  let replace (kw : Keyword.t) =
-    if String.equal kw.attribute attr then begin
-      replaced := true;
-      Keyword.make attr v
-    end
-    else kw
-  in
-  let keywords = List.map replace record.keywords in
-  if !replaced then { record with keywords }
-  else { record with keywords = keywords @ [ Keyword.make attr v ] }
+  match index_from record.shape attr 0 with
+  | -1 ->
+    {
+      record with
+      shape = Array.append record.shape [| attr |];
+      values = Array.append record.values [| v |];
+    }
+  | i ->
+    let values = Array.copy record.values in
+    values.(i) <- v;
+    { record with values }
 
 let remove record attr =
-  let keep (kw : Keyword.t) = not (String.equal kw.attribute attr) in
-  { record with keywords = List.filter keep record.keywords }
+  match index_from record.shape attr 0 with
+  | -1 -> record
+  | i ->
+    let without a =
+      Array.init (Array.length a - 1) (fun j -> if j < i then a.(j) else a.(j + 1))
+    in
+    { record with shape = without record.shape; values = without record.values }
 
-let attributes record =
-  List.map (fun (kw : Keyword.t) -> kw.attribute) record.keywords
+let attributes record = Array.to_list record.shape
+
+let fold f acc record =
+  let acc = ref acc in
+  for i = 0 to Array.length record.shape - 1 do
+    acc := f !acc record.shape.(i) record.values.(i)
+  done;
+  !acc
 
 let equal a b =
   String.equal a.text b.text
-  && List.length a.keywords = List.length b.keywords
-  && List.for_all2 Keyword.equal a.keywords b.keywords
+  && shape_equal a.shape b.shape
+  && Array.for_all2 Value.equal a.values b.values
+
+let keywords_to_buffer buf record =
+  Array.iteri
+    (fun i attr ->
+      if i > 0 then Buffer.add_string buf ", ";
+      Buffer.add_char buf '<';
+      Buffer.add_string buf attr;
+      Buffer.add_string buf ", ";
+      Value.to_buffer buf record.values.(i);
+      Buffer.add_char buf '>')
+    record.shape
 
 let to_string record =
-  let body = String.concat ", " (List.map Keyword.to_string record.keywords) in
-  if String.equal record.text "" then Printf.sprintf "(%s)" body
-  else Printf.sprintf "(%s | %s)" body record.text
+  let buf = Buffer.create 64 in
+  Buffer.add_char buf '(';
+  keywords_to_buffer buf record;
+  if not (String.equal record.text "") then begin
+    Buffer.add_string buf " | ";
+    Buffer.add_string buf record.text
+  end;
+  Buffer.add_char buf ')';
+  Buffer.contents buf
 
 let pp ppf record = Format.pp_print_string ppf (to_string record)

@@ -56,6 +56,7 @@ type t = {
   indexed : bool;
   auto_threshold : int;
   mutable journal : undo list option;  (* None = not in a transaction *)
+  mutable shapes : Record.shape Str_map.t;  (* the last shape stored per file *)
   (* The one place live data lives. Mutators are single-owner (the store
      contract), but they still publish by CAS retry because the heat
      tracker runs inside read-only selects, which may run on several
@@ -115,6 +116,7 @@ let create ?(name = "kds") ?(indexed = true)
     indexed;
     auto_threshold = max 1 auto_index_threshold;
     journal = None;
+    shapes = Str_map.empty;
     state = Atomic.make empty_state;
     scans = Atomic.make 0;
     sel_indexed = Atomic.make 0;
@@ -166,23 +168,17 @@ let posting_remove postings value key =
     if Int_set.is_empty set then Value_map.remove value postings
     else Value_map.add value set postings
 
-let dir_index_add store dir file (kw : Keyword.t) key =
-  if not store.indexed then dir
-  else
-    match Pair_map.find_opt (file, kw.attribute) dir with
-    | Some (Built m) ->
-      Pair_map.add (file, kw.attribute) (Built (posting_add m kw.value key)) dir
-    | Some (Heat _) | None -> dir
+let dir_index_add file key dir attr value =
+  match Pair_map.find_opt (file, attr) dir with
+  | Some (Built m) ->
+    Pair_map.add (file, attr) (Built (posting_add m value key)) dir
+  | Some (Heat _) | None -> dir
 
-let dir_index_remove store dir file (kw : Keyword.t) key =
-  if not store.indexed then dir
-  else
-    match Pair_map.find_opt (file, kw.attribute) dir with
-    | Some (Built m) ->
-      Pair_map.add (file, kw.attribute)
-        (Built (posting_remove m kw.value key))
-        dir
-    | Some (Heat _) | None -> dir
+let dir_index_remove file key dir attr value =
+  match Pair_map.find_opt (file, attr) dir with
+  | Some (Built m) ->
+    Pair_map.add (file, attr) (Built (posting_remove m value key)) dir
+  | Some (Heat _) | None -> dir
 
 let keys_of_file st file =
   Option.value ~default:Int_set.empty (Str_map.find_opt file st.st_files)
@@ -196,19 +192,15 @@ let records_of_file_state st file =
     (keys_of_file st file) []
   |> List.rev
 
-(* One file scan builds a complete index: every keyword of the attribute
-   is posted, so a record carrying the attribute twice appears under both
-   values — a superset of what Predicate.satisfied_by (which reads the
-   first keyword) accepts, and the residual re-check removes the rest.
-   Pure in [st], so it can run inside a [state_update] retry. *)
+(* One file scan builds a complete index: every record holding the
+   attribute is posted under its value. Pure in [st], so it can run
+   inside a [state_update] retry. *)
 let build_postings st file attr =
   List.fold_left
     (fun m (key, record) ->
-      List.fold_left
-        (fun m (kw : Keyword.t) ->
-          if String.equal kw.attribute attr then posting_add m kw.value key
-          else m)
-        m record.Record.keywords)
+      match Record.value_of record attr with
+      | Some v -> posting_add m v key
+      | None -> m)
     Value_map.empty
     (records_of_file_state st file)
 
@@ -245,9 +237,8 @@ let note_missing_index store file attr =
 let attach_state store st key record =
   let file = file_of_record record in
   let dir =
-    List.fold_left
-      (fun dir kw -> dir_index_add store dir file kw key)
-      st.st_dir record.Record.keywords
+    if store.indexed then Record.fold (dir_index_add file key) st.st_dir record
+    else st.st_dir
   in
   {
     st with
@@ -261,9 +252,9 @@ let attach_state store st key record =
 let detach_state store st key record =
   let file = file_of_record record in
   let dir =
-    List.fold_left
-      (fun dir kw -> dir_index_remove store dir file kw key)
-      st.st_dir record.Record.keywords
+    if store.indexed then
+      Record.fold (dir_index_remove file key) st.st_dir record
+    else st.st_dir
   in
   {
     st with
@@ -275,12 +266,28 @@ let detach_state store st key record =
     st_dir = dir;
   }
 
+(* Records of one file share one shape. A record whose shape lists the
+   same attributes as the last one stored for its file is stored over
+   that one: a map lookup, then a physical comparison, or one
+   comparison of the attribute names when the producer built a fresh
+   shape (an ABDL INSERT, WAL replay, a snapshot restore). A record of
+   another layout makes its shape the file's. Only the store's single
+   mutating owner reads or writes [shapes]. *)
+let shared store record =
+  let file = file_of_record record in
+  match Option.bind (Str_map.find_opt file store.shapes) (Record.with_shape record) with
+  | Some shared -> shared
+  | None ->
+    store.shapes <- Str_map.add file (Record.shape_of record) store.shapes;
+    record
+
 let log_undo store undo =
   match store.journal with
   | Some entries -> store.journal <- Some (undo :: entries)
   | None -> ()
 
 let insert store record =
+  let record = shared store record in
   let key = ref 0 in
   state_update store (fun st ->
       key := st.st_next_key;
@@ -291,6 +298,7 @@ let insert store record =
   !key
 
 let insert_keyed store key record =
+  let record = shared store record in
   state_update store (fun st ->
       if Int_map.mem key st.st_records then
         invalid_arg
@@ -320,52 +328,83 @@ let indexable (p : Predicate.t) =
     true
   | Predicate.Neq -> false
 
-(* Candidate keys for one predicate out of a built index. Equality is one
-   map lookup; a range is a [Value_map.split] and a union of the postings
-   on the kept side. The union is a thunk: the cost model only needs the
-   cardinality (summed over the window without building any set), so an
-   unselective range — exactly the case where the union would be as big
-   as the file — is rejected without ever materialising it. Null
-   bookkeeping mirrors Predicate.eval: ordered comparisons involving Null
-   never hold, and Null sorts below every other value, so Lt/Le must drop
-   a Null key from the low side while a Null comparison operand yields
-   the empty range outright. *)
-let probe_keys postings (p : Predicate.t) =
-  match p.op with
-  | Predicate.Eq ->
-    let keys =
-      Option.value ~default:Int_set.empty (Value_map.find_opt p.value postings)
-    in
-    Some (Plan.Point, Int_set.cardinal keys, fun () -> keys)
-  | Predicate.Lt | Predicate.Le | Predicate.Gt | Predicate.Ge ->
-    if Value.is_null p.value then Some (Plan.Range, 0, fun () -> Int_set.empty)
-    else begin
-      let below, at, above = Value_map.split p.value postings in
-      let kept =
-        match p.op with
-        | Predicate.Lt -> Value_map.remove Value.Null below
-        | Predicate.Le ->
-          let m = Value_map.remove Value.Null below in
-          (match at with Some s -> Value_map.add p.value s m | None -> m)
-        | Predicate.Gt -> above
-        | Predicate.Ge ->
-          (match at with
-          | Some s -> Value_map.add p.value s above
-          | None -> above)
-        | Predicate.Eq | Predicate.Neq -> assert false
+(* The postings inside one bound: above a lower bound ([>] [>=]) or
+   below an upper bound ([<] [<=]), each one [Value_map.split]. Null
+   sorts below every other value and never satisfies an ordered
+   comparison, so [below] drops a Null key. *)
+let above (p : Predicate.t) postings =
+  let _, at, above = Value_map.split p.value postings in
+  match p.op, at with
+  | Predicate.Ge, Some s -> Value_map.add p.value s above
+  | _ -> above
+
+let below (p : Predicate.t) postings =
+  let below, at, _ = Value_map.split p.value postings in
+  let below = Value_map.remove Value.Null below in
+  match p.op, at with
+  | Predicate.Le, Some s -> Value_map.add p.value s below
+  | _ -> below
+
+let is_lower (p : Predicate.t) =
+  match p.op with Predicate.Gt | Predicate.Ge -> true | _ -> false
+
+let is_upper (p : Predicate.t) =
+  match p.op with Predicate.Lt | Predicate.Le -> true | _ -> false
+
+(* What one index lookup answers: a predicate, or a lower and an upper
+   bound on one attribute read as one window. *)
+type lookup =
+  | Single of Predicate.t
+  | Window of Predicate.t * Predicate.t  (* lower, upper *)
+
+let lookup_preds = function Single p -> [ p ] | Window (lo, hi) -> [ lo; hi ]
+
+let rec remove_first q = function
+  | [] -> []
+  | p :: rest -> if p == q then rest else p :: remove_first q rest
+
+(* The other edge of [p]'s window: the first opposite bound on its
+   attribute after it in the conjunction, when [p] is a bound. *)
+let window_partner (p : Predicate.t) rest =
+  if is_lower p || is_upper p then
+    List.find_opt
+      (fun (q : Predicate.t) ->
+        String.equal q.attribute p.attribute
+        && if is_lower p then is_upper q else is_lower q)
+      rest
+  else None
+
+(* Candidate keys for one lookup out of a built index. Equality is one
+   map lookup; a range or a window cuts the map at its bounds and
+   unions the postings kept. The union is a thunk: the cost model only
+   needs the cardinality (summed over the window without building any
+   set), so an unselective range — exactly the case where the union
+   would be as big as the file — is rejected without ever materialising
+   it. A Null bound matches nothing. *)
+let probe_keys postings lookup =
+  let window kind kept =
+    let card = Value_map.fold (fun _ set acc -> acc + Int_set.cardinal set) kept 0 in
+    Some
+      ( kind,
+        card,
+        fun () -> Value_map.fold (fun _ set acc -> Int_set.union set acc) kept Int_set.empty )
+  in
+  let empty kind = Some (kind, 0, fun () -> Int_set.empty) in
+  match lookup with
+  | Window (lo, hi) ->
+    if Value.is_null lo.value || Value.is_null hi.value then empty Plan.Window
+    else window Plan.Window (below hi (above lo postings))
+  | Single p -> (
+    match p.op with
+    | Predicate.Eq ->
+      let keys =
+        Option.value ~default:Int_set.empty (Value_map.find_opt p.value postings)
       in
-      let card =
-        Value_map.fold (fun _ set acc -> acc + Int_set.cardinal set) kept 0
-      in
-      Some
-        ( Plan.Range,
-          card,
-          fun () ->
-            Value_map.fold
-              (fun _ set acc -> Int_set.union set acc)
-              kept Int_set.empty )
-    end
-  | Predicate.Neq -> None
+      Some (Plan.Point, Int_set.cardinal keys, fun () -> keys)
+    | Predicate.Neq -> None
+    | Predicate.Lt | Predicate.Le | Predicate.Gt | Predicate.Ge ->
+      if Value.is_null p.value then empty Plan.Range
+      else window Plan.Range ((if is_lower p then above else below) p postings))
 
 (* How the chosen access path's candidates are produced at run time. *)
 type source =
@@ -391,28 +430,36 @@ let plan_conjunction store st (preds : Query.conjunction) =
       Src_store )
   | Some file ->
     let file_rows = live_count st file in
-    let probes, residual =
-      List.fold_left
-        (fun (probes, residual) (p : Predicate.t) ->
-          if is_file_pred p then probes, residual  (* consumed: file choice *)
-          else if not (store.indexed && indexable p) then probes, p :: residual
-          else
+    (* one lookup per indexable predicate, a bound and its window
+       partner together *)
+    let rec walk probes residual = function
+      | [] -> probes, residual
+      | (p : Predicate.t) :: rest ->
+        if is_file_pred p then walk probes residual rest  (* consumed: file choice *)
+        else if not (store.indexed && indexable p) then walk probes (p :: residual) rest
+        else
+          let lookup, rest =
+            match window_partner p rest with
+            | Some q -> (if is_lower p then Window (p, q) else Window (q, p)), remove_first q rest
+            | None -> Single p, rest
+          in
+          let found =
             match Pair_map.find_opt (file, p.attribute) st.st_dir with
-            | Some (Built postings) ->
-              (match probe_keys postings p with
-              | Some (kind, card, keys) ->
-                (p, kind, card, keys) :: probes, residual
-              | None -> probes, p :: residual)
-            | Some (Heat _) | None -> probes, p :: residual)
-        ([], []) preds
+            | Some (Built postings) -> probe_keys postings lookup
+            | Some (Heat _) | None -> None
+          in
+          match found with
+          | Some (kind, card, keys) -> walk ((lookup, kind, card, keys) :: probes) residual rest
+          | None -> walk probes (List.rev_append (lookup_preds lookup) residual) rest
     in
+    let probes, residual = walk [] [] preds in
     let selective, spilled =
       List.partition
         (fun (_, _, card, _) -> 2 * card < file_rows)
         (List.rev probes)
     in
     let residual =
-      List.rev residual @ List.map (fun (p, _, _, _) -> p) spilled
+      List.rev residual @ List.concat_map (fun (l, _, _, _) -> lookup_preds l) spilled
     in
     (match selective with
     | [] ->
@@ -437,8 +484,11 @@ let plan_conjunction store st (preds : Query.conjunction) =
       in
       let probes =
         List.map
-          (fun (p, kind, card, _) ->
-            { Plan.probe_pred = p; probe_kind = kind; probe_card = card })
+          (fun (lookup, kind, card, _) ->
+            let pred, upper =
+              match lookup with Single p -> p, None | Window (lo, hi) -> lo, Some hi
+            in
+            { Plan.probe_pred = pred; probe_upper = upper; probe_kind = kind; probe_card = card })
           sorted
       in
       ( { Plan.conjunction = preds;
@@ -620,6 +670,7 @@ let delete store query =
   List.length victims
 
 let replace store key record =
+  let record = shared store record in
   let old_ref = ref None in
   state_update store (fun st ->
       match Int_map.find_opt key st.st_records with
@@ -652,6 +703,7 @@ let size store = (Atomic.get store.state).st_size
 
 let clear store =
   state_update store (fun _ -> empty_state);
+  store.shapes <- Str_map.empty;
   Atomic.set store.scans 0;
   (* a cleared store has nothing to undo: stale journal entries would
      resurrect pre-clear records on rollback and re-attach keys below

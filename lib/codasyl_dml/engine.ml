@@ -432,11 +432,12 @@ let exec_find session = function
 (* --- GET --------------------------------------------------------------- *)
 
 let displayable record =
-  List.filter
-    (fun (kw : Abdm.Keyword.t) ->
-      not (String.equal kw.attribute Abdm.Keyword.file_attribute))
-    record.Abdm.Record.keywords
-  |> List.map (fun (kw : Abdm.Keyword.t) -> kw.attribute, kw.value)
+  Abdm.Record.fold
+    (fun shown attr v ->
+      if String.equal attr Abdm.Keyword.file_attribute then shown
+      else (attr, v) :: shown)
+    [] record
+  |> List.rev
 
 let exec_get session get =
   let* entry = run_unit_entry session in
@@ -636,36 +637,29 @@ let exec_store session record_type =
   in
   (* 4. Build and INSERT the record: UWA values for items, ISA references
      from the current set occurrences, other references null. *)
-  let keywords =
-    Abdm.Keyword.file record_type
-    :: List.map
-         (fun (a : Abdm.Descriptor.attribute) ->
-           let isa_value =
-             List.find_map
-               (fun ((s : Network.Types.set_type), key) ->
-                 if String.equal s.set_name a.attr_name then
-                   Some (Abdm.Value.Int key)
-                 else None)
-               isa_owner_keys
-           in
-           match isa_value with
-           | Some v -> Abdm.Keyword.make a.attr_name v
-           | None when String.equal a.attr_name record_type ->
-             (* the artificial unique key is generated, never user-supplied *)
-             Abdm.Keyword.make a.attr_name Abdm.Value.Null
-           | None ->
-             let v =
-               match
-                 Network.Uwa.get session.Session.uwa ~record:record_type
-                   ~item:a.attr_name
-               with
-               | Some v -> v
-               | None -> Abdm.Value.Null
-             in
-             Abdm.Keyword.make a.attr_name v)
-         file.attributes
+  let* shape =
+    match Abdm.Descriptor.shape session.Session.descriptor record_type with
+    | Some shape -> Ok shape
+    | None -> err "record type %S: its kernel file repeats an attribute" record_type
   in
-  let record = Abdm.Record.make keywords in
+  let value attr =
+    if String.equal attr Abdm.Keyword.file_attribute then Abdm.Value.Str record_type
+    else
+      match
+        List.find_map
+          (fun ((s : Network.Types.set_type), key) ->
+            if String.equal s.set_name attr then Some (Abdm.Value.Int key) else None)
+          isa_owner_keys
+      with
+      | Some v -> v
+      | None when String.equal attr record_type ->
+        (* the artificial unique key is generated, never user-supplied *)
+        Abdm.Value.Null
+      | None ->
+        Option.value ~default:Abdm.Value.Null
+          (Network.Uwa.get session.Session.uwa ~record:record_type ~item:attr)
+  in
+  let record = Abdm.Record.init shape value in
   match Mapping.Kernel.run session.kernel (Abdl.Ast.Insert record) with
   | Abdl.Exec.Inserted dbkey ->
     (* fix the artificial unique key to the primary record's dbkey *)

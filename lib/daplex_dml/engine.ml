@@ -621,31 +621,25 @@ let exec_create t entity under assignments =
         | None -> err "CREATE %s: %s is not a function of %s" entity fn entity)
       (Ok ()) assignments
   in
-  let* file =
-    match Abdm.Descriptor.find_file t.descriptor entity with
-    | Some f -> Ok f
+  let* shape =
+    match Abdm.Descriptor.shape t.descriptor entity with
+    | Some shape -> Ok shape
     | None -> err "no kernel file for %s" entity
   in
-  let keywords =
-    Abdm.Keyword.file entity
-    :: List.map
-         (fun (a : Abdm.Descriptor.attribute) ->
-           let v =
-             match List.assoc_opt a.attr_name assignments with
-             | Some v -> v
-             | None ->
-               match List.assoc_opt a.attr_name isa_values with
-               | Some key -> Abdm.Value.Int key
-               | None -> Abdm.Value.Null
-           in
-           Abdm.Keyword.make a.attr_name v)
-         file.attributes
+  let value attr =
+    if String.equal attr Abdm.Keyword.file_attribute then Abdm.Value.Str entity
+    else
+      match List.assoc_opt attr assignments with
+      | Some v -> v
+      | None ->
+        match List.assoc_opt attr isa_values with
+        | Some key -> Abdm.Value.Int key
+        | None -> Abdm.Value.Null
   in
-  match Mapping.Kernel.run t.kernel (Abdl.Ast.Insert (Abdm.Record.make keywords)) with
+  let record = Abdm.Record.init shape value in
+  match Mapping.Kernel.run t.kernel (Abdl.Ast.Insert record) with
   | Abdl.Exec.Inserted dbkey ->
-    let keyed =
-      Abdm.Record.set (Abdm.Record.make keywords) entity (Abdm.Value.Int dbkey)
-    in
+    let keyed = Abdm.Record.set record entity (Abdm.Value.Int dbkey) in
     Mapping.Kernel.replace t.kernel dbkey keyed;
     Ok (Created dbkey)
   | Abdl.Exec.Rows _ | Abdl.Exec.Deleted _ | Abdl.Exec.Updated _ ->

@@ -147,11 +147,12 @@ let found t path record =
   t.position <- path;
   let segment, key = List.hd path in
   let fields =
-    List.filter_map
-      (fun (kw : Abdm.Keyword.t) ->
-        if String.equal kw.attribute Abdm.Keyword.file_attribute then None
-        else Some (kw.attribute, kw.value))
-      record.Abdm.Record.keywords
+    Abdm.Record.fold
+      (fun fields attr v ->
+        if String.equal attr Abdm.Keyword.file_attribute then fields
+        else (attr, v) :: fields)
+      [] record
+    |> List.rev
   in
   Ok (Found { segment; key; fields })
 
@@ -257,26 +258,23 @@ let exec_isrt t path seg_name fields =
           parent
       | [] -> err "ISRT %s: no parent path and no parentage" seg_name
   in
-  let parent_keyword =
-    match parent with
-    | (pseg, pkey) :: _ -> [ Abdm.Keyword.make pseg (Abdm.Value.Int pkey) ]
-    | [] -> []
+  (* the segment's file template: FILE, its key, its fields, then the
+     parent's key unless it is a root *)
+  let* shape =
+    match Abdm.Descriptor.shape t.descriptor seg_name with
+    | Some shape -> Ok shape
+    | None -> err "ISRT %s: no kernel file for the segment" seg_name
   in
-  let keywords =
-    (Abdm.Keyword.file seg_name
-     :: Abdm.Keyword.make seg_name Abdm.Value.Null
-     :: List.map
-          (fun (fd : Types.field) ->
-            let v =
-              match List.assoc_opt fd.field_name fields with
-              | Some v -> v
-              | None -> Abdm.Value.Null
-            in
-            Abdm.Keyword.make fd.field_name v)
-          seg.seg_fields)
-    @ parent_keyword
+  let value attr =
+    if String.equal attr Abdm.Keyword.file_attribute then Abdm.Value.Str seg_name
+    else if String.equal attr seg_name then Abdm.Value.Null
+    else
+      match parent with
+      | (pseg, pkey) :: _ when String.equal attr pseg -> Abdm.Value.Int pkey
+      | _ :: _ | [] ->
+        Option.value ~default:Abdm.Value.Null (List.assoc_opt attr fields)
   in
-  let record = Abdm.Record.make keywords in
+  let record = Abdm.Record.init shape value in
   let* () =
     match Abdm.Descriptor.validate t.descriptor record with
     | Ok () -> Ok ()

@@ -25,9 +25,12 @@ let range_of_function schema type_name fn_name =
     | Daplex.Schema.C_scalar | Daplex.Schema.C_scalar_multi -> None
 
 (* A type's primary record layout: the FILE keyword, then the
-   descriptor's attributes in order, with each attribute's position. *)
+   descriptor's attributes in order — one shape shared by every record
+   of the type — with each attribute's position in it. *)
 type template = {
-  attrs : string array;
+  shape : Abdm.Record.shape;
+  width : int;
+  file_value : Abdm.Value.t;
   slot : (string, int) Hashtbl.t;
 }
 
@@ -36,24 +39,23 @@ let template descriptor type_name =
   | None -> fail "loader: unknown record type %s" type_name
   | Some file ->
     let attrs =
-      Array.of_list
-        (List.map (fun (a : Abdm.Descriptor.attribute) -> a.attr_name) file.attributes)
+      List.map (fun (a : Abdm.Descriptor.attribute) -> a.attr_name) file.attributes
     in
-    let slot = Hashtbl.create (Array.length attrs) in
-    Array.iteri
+    let slot = Hashtbl.create 16 in
+    List.iteri
       (fun i attr ->
         if Hashtbl.mem slot attr then
           fail "loader: duplicate attribute %S in file %S" attr type_name;
-        Hashtbl.replace slot attr i)
+        Hashtbl.replace slot attr (i + 1))
       attrs;
-    { attrs; slot }
+    {
+      shape = Abdm.Record.shape (Abdm.Keyword.file_attribute :: attrs);
+      width = List.length attrs + 1;
+      file_value = Abdm.Value.Str type_name;
+      slot;
+    }
 
-let record_of type_name tmpl values =
-  let rec keywords i =
-    if i = Array.length values then []
-    else Abdm.Keyword.make tmpl.attrs.(i) values.(i) :: keywords (i + 1)
-  in
-  { Abdm.Record.keywords = Abdm.Keyword.file type_name :: keywords 0; text = "" }
+let record_of tmpl values = Abdm.Record.of_values tmpl.shape (Array.copy values)
 
 let rec cartesian = function
   | [] -> [ [] ]
@@ -119,7 +121,8 @@ let load kernel transform rows =
   let primary (row : Daplex.University.row) =
     let type_name = row.row_type in
     let tmpl = template_of type_name in
-    let values = Array.make (Array.length tmpl.attrs) Abdm.Value.Null in
+    let values = Array.make tmpl.width Abdm.Value.Null in
+    values.(0) <- tmpl.file_value;
     let set attr v =
       match Hashtbl.find_opt tmpl.slot attr with
       | Some i -> values.(i) <- v
@@ -214,7 +217,7 @@ let load kernel transform rows =
     let combos = match !dims with [] -> [] | dims -> cartesian dims in
     let set_combo = List.iter (fun (attr, v) -> set attr v) in
     (match combos with [] -> () | first :: _ -> set_combo first);
-    let record = record_of type_name tmpl values in
+    let record = record_of tmpl values in
     validate record;
     Kernel.insert_keyed kernel k record;
     match combos with
@@ -223,7 +226,7 @@ let load kernel transform rows =
       List.iter
         (fun combo ->
           set_combo combo;
-          let copy = record_of type_name tmpl values in
+          let copy = record_of tmpl values in
           validate copy;
           copies := copy :: !copies)
         rest

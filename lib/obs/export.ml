@@ -84,13 +84,15 @@ let metrics_table () =
     List.iter
       (fun (name, (st : Metrics.histogram_stats)) ->
         let m = if st.Metrics.n = 0 then 0. else st.Metrics.sum /. float_of_int st.Metrics.n in
+        (* seconds are named [_s]; ratios and sizes print as numbers *)
+        let show =
+          if String.ends_with ~suffix:"_s" name then duration_to_string
+          else Printf.sprintf "%.3f"
+        in
         Buffer.add_string buf
           (Printf.sprintf "%-34s %8d %10s %10s %10s %10s %10s\n" name
-             st.Metrics.n (duration_to_string m)
-             (duration_to_string st.Metrics.p50)
-             (duration_to_string st.Metrics.p90)
-             (duration_to_string st.Metrics.p99)
-             (duration_to_string st.Metrics.max_v)))
+             st.Metrics.n (show m) (show st.Metrics.p50) (show st.Metrics.p90)
+             (show st.Metrics.p99) (show st.Metrics.max_v)))
       histograms
   end;
   if counters <> [] then begin

@@ -11,7 +11,9 @@ val span_tree : Span.t -> string
 val span_jsonl : Span.t -> string
 
 (** Human-readable table of every registered metric: counters, gauges,
-    and histograms with count / mean / p50 / p90 / p99 / max. *)
+    and histograms with count / mean / p50 / p90 / p99 / max. A histogram
+    whose name ends in [_s] holds seconds and prints as durations; any
+    other (a ratio, a batch size) prints as plain numbers. *)
 val metrics_table : unit -> string
 
 (** One metric sample as a compact JSON object (no trailing newline).

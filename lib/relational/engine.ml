@@ -1,7 +1,17 @@
+(* The record layout of the relation last inserted into: FILE, then
+   its columns in order. A bulk load builds one shape, and every row's
+   record shares it. *)
+type layout = {
+  of_relation : Types.relation;
+  shape : Abdm.Record.shape;
+  file_value : Abdm.Value.t;
+}
+
 type t = {
   kernel : Mapping.Kernel.t;
   read_only : bool;
   mutable schema : Types.schema;
+  mutable layout : layout option;
 }
 
 type outcome =
@@ -23,6 +33,7 @@ let create ?(read_only = false) ?schema kernel name =
     kernel;
     read_only;
     schema = (match schema with Some s -> s | None -> Types.empty name);
+    layout = None;
   }
 
 let schema t = t.schema
@@ -362,13 +373,31 @@ let rec value_of col cols values =
   | c :: cols, v :: values -> if c == col then v else value_of col cols values
   | _ -> Abdm.Value.Null
 
-(* the record's keywords, one per column of the relation in its order *)
-let rec insert_keywords rel_columns cols values =
-  match rel_columns with
-  | [] -> []
-  | (c : Types.column) :: rest ->
-    Abdm.Keyword.make c.col_name (value_of c cols values)
-    :: insert_keywords rest cols values
+let layout t (rel : Types.relation) =
+  match t.layout with
+  | Some l when l.of_relation == rel -> l
+  | Some _ | None ->
+    let l =
+      {
+        of_relation = rel;
+        shape =
+          Abdm.Record.shape
+            (Abdm.Keyword.file_attribute
+            :: List.map (fun (c : Types.column) -> c.col_name) rel.rel_columns);
+        file_value = Abdm.Value.Str rel.rel_name;
+      }
+    in
+    t.layout <- Some l;
+    l
+
+(* the record: FILE, then one value per column of the relation in its
+   order *)
+let insert_record t rel cols values =
+  let l = layout t rel in
+  let row = Array.make (List.length rel.Types.rel_columns + 1) Abdm.Value.Null in
+  row.(0) <- l.file_value;
+  List.iteri (fun i c -> row.(i + 1) <- value_of c cols values) rel.rel_columns;
+  Abdm.Record.of_values l.shape row
 
 (* One walk over the statement's (column, value) pairs, in their order:
    each value fits its column's type, and each non-NULL value of a UNIQUE
@@ -397,11 +426,9 @@ let exec_insert t table columns values =
     err "INSERT INTO %s: %d column(s) but %d value(s)" table n_cols n_values
   else
     let* probes = insert_probes table rel.rel_name [] cols values in
-    let record =
-      Abdm.Record.make
-        (Abdm.Keyword.file table :: insert_keywords rel.rel_columns cols values)
-    in
-    match Mapping.Kernel.insert_unique t.kernel record probes with
+    match
+      Mapping.Kernel.insert_unique t.kernel (insert_record t rel cols values) probes
+    with
     | Some _ -> Ok (Inserted 1)
     | None -> err "INSERT INTO %s: UNIQUE constraint violated" table
 

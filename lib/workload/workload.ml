@@ -61,8 +61,14 @@ let records ~seed spec =
         | Uniform _ | Sequential -> None)
       spec.int_attrs
   in
+  let shape =
+    Abdm.Record.shape
+      ((Abdm.Keyword.file_attribute :: List.map fst spec.int_attrs)
+      @ List.map fst spec.str_attrs)
+  in
+  let file_value = Abdm.Value.Str spec.file in
   List.init spec.records (fun i ->
-      let int_keywords =
+      let int_values =
         List.map
           (fun (attr, dist) ->
             let v =
@@ -71,18 +77,18 @@ let records ~seed spec =
               | Sequential -> i
               | Zipf _ -> (List.assoc attr zipf_samplers) (Rng.float rng)
             in
-            Abdm.Keyword.make attr (Abdm.Value.Int v))
+            Abdm.Value.Int v)
           spec.int_attrs
       in
-      let str_keywords =
+      let str_values =
         List.map
           (fun (attr, cardinality) ->
-            Abdm.Keyword.make attr
-              (Abdm.Value.Str
-                 (Printf.sprintf "%s_%d" attr (Rng.int rng (max 1 cardinality)))))
+            Abdm.Value.Str
+              (Printf.sprintf "%s_%d" attr (Rng.int rng (max 1 cardinality))))
           spec.str_attrs
       in
-      Abdm.Record.make (Abdm.Keyword.file spec.file :: int_keywords @ str_keywords))
+      Abdm.Record.of_values shape
+        (Array.of_list ((file_value :: int_values) @ str_values)))
 
 let populate ~seed spec insert =
   let generated = records ~seed spec in

@@ -122,6 +122,10 @@ let path_satisfied t seg_name record path_ssas =
   ignore seg_name;
   align path_ssas ancestors
 
+(* a record's keywords in order, as a list *)
+let keyword_list record =
+  List.rev (Abdm.Record.fold (fun acc a v -> Abdm.Keyword.make a v :: acc) [] record)
+
 let found t seg_name key record =
   t.position <- Some (seg_name, key);
   t.parentage <- Some (seg_name, key);
@@ -130,7 +134,7 @@ let found t seg_name key record =
       (fun (kw : Abdm.Keyword.t) ->
         if String.equal kw.attribute Abdm.Keyword.file_attribute then None
         else Some (kw.attribute, kw.value))
-      record.Abdm.Record.keywords
+      (keyword_list record)
   in
   Ok (Found { segment = seg_name; key; fields })
 
@@ -233,7 +237,7 @@ let exec_gnp t ssa =
             (fun (kw : Abdm.Keyword.t) ->
               if String.equal kw.attribute Abdm.Keyword.file_attribute then None
               else Some (kw.attribute, kw.value))
-            record.Abdm.Record.keywords
+            (keyword_list record)
         in
         Ok (Found { segment = seg_name; key; fields })
       end

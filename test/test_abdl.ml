@@ -369,14 +369,18 @@ let prop_print_parse_identity =
       (* structural equality tells Int from Float; the printed text also
          compares the floats' bits *)
       back = r && String.equal (Abdl.Ast.to_string back) (Abdl.Ast.to_string r)
-      && List.for_all2
-           (fun (a : Abdm.Keyword.t) (b : Abdm.Keyword.t) ->
-             match a.value, b.value with
-             | Abdm.Value.Float x, Abdm.Value.Float y ->
-               Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
-             | _ -> true)
-           (match r with Abdl.Ast.Insert r -> r.keywords | _ -> [])
-           (match back with Abdl.Ast.Insert b -> b.keywords | _ -> []))
+      &&
+      let values = function
+        | Abdl.Ast.Insert r -> Abdm.Record.fold (fun acc _ v -> v :: acc) [] r
+        | _ -> []
+      in
+      List.for_all2
+        (fun a b ->
+          match a, b with
+          | Abdm.Value.Float x, Abdm.Value.Float y ->
+            Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+          | _ -> true)
+        (values r) (values back))
 
 (* The lexer cursor, through [tokens], against the list lexer it
    replaced (test/parse_oracle.ml): the same tokens, or the same error,
@@ -547,6 +551,58 @@ let test_retrieve_common_on_mbds () =
        = Some (Abdm.Value.Str "Spanagel"))
   | r -> Alcotest.failf "unexpected %s" (Abdl.Exec.result_to_string r)
 
+(* SUM over integers is exact: 2^53 + 1 has no float, MAX already
+   answered it; on one store and merged across two backends. *)
+let test_sum_exact_int () =
+  let big = 9007199254740993 in
+  let check what run =
+    ignore (run (Printf.sprintf "INSERT (<FILE, t>, <v, %d>)" big));
+    match run "RETRIEVE ((FILE = t)) (SUM(v), MAX(v))" with
+    | Abdl.Exec.Rows [ row ] ->
+      Alcotest.check value (what ^ ": SUM") (Abdm.Value.Int big)
+        (List.assoc "SUM(v)" row.Abdl.Exec.values);
+      Alcotest.check value (what ^ ": MAX") (Abdm.Value.Int big)
+        (List.assoc "MAX(v)" row.Abdl.Exec.values)
+    | r -> Alcotest.failf "%s: unexpected %s" what (Abdl.Exec.result_to_string r)
+  in
+  let s = Abdm.Store.create () in
+  check "one store" (fun src -> Abdl.Exec.run s (Abdl.Parser.request src));
+  let c = Mbds.Controller.create 2 in
+  check "2 backends" (fun src -> Mbds.Controller.run c (Abdl.Parser.request src))
+
+(* The exact total of a short list of ints, as hi * 2^31 + lo with
+   0 <= lo < 2^31: no step can overflow. *)
+let exact_total vs =
+  let hi = List.fold_left (fun acc v -> acc + (v asr 31)) 0 vs in
+  let lo = List.fold_left (fun acc v -> acc + (v land 0x7fff_ffff)) 0 vs in
+  hi + (lo asr 31), lo land 0x7fff_ffff
+
+let prop_sum_exact =
+  let open QCheck2.Gen in
+  let big = oneof [ oneofl [ max_int; min_int; max_int - 1; min_int + 1; 0; 1; -1 ]; int ] in
+  QCheck2.Test.make ~name:"SUM of ints: exact in range, Float beyond, any split"
+    ~count:500
+    (pair (list_size (int_range 1 12) big) (int_range 0 12))
+    (fun (vs, cut) ->
+      let fold =
+        List.fold_left (fun st v -> Abdl.Aggregate.add st (Abdm.Value.Int v))
+          Abdl.Aggregate.empty
+      in
+      let left = List.filteri (fun i _ -> i < cut) vs
+      and right = List.filteri (fun i _ -> i >= cut) vs in
+      let hi, lo = exact_total vs in
+      let expected =
+        if hi >= -(1 lsl 31) && hi < 1 lsl 31 then Abdm.Value.Int ((hi lsl 31) + lo)
+        else Abdm.Value.Float (List.fold_left (fun acc v -> acc +. float_of_int v) 0. vs)
+      in
+      List.for_all
+        (fun st ->
+          match Abdl.Aggregate.finalize Abdl.Ast.Sum st, expected with
+          | Abdm.Value.Int got, Abdm.Value.Int want -> got = want
+          | Abdm.Value.Float _, Abdm.Value.Float _ -> true
+          | _ -> false)
+        [ fold vs; Abdl.Aggregate.merge (fold left) (fold right) ])
+
 let suite =
   suite
   @ [
@@ -555,4 +611,6 @@ let suite =
       "retrieve_common collision rename", `Quick, test_retrieve_common_collision_rename;
       "retrieve_common null keys", `Quick, test_retrieve_common_nulls_never_join;
       "retrieve_common on MBDS", `Quick, test_retrieve_common_on_mbds;
+      "SUM of integers is exact", `Quick, test_sum_exact_int;
+      QCheck_alcotest.to_alcotest prop_sum_exact;
     ]

@@ -766,6 +766,22 @@ let test_explain_golden_intersection () =
     \  residual: none"
     s q
 
+let test_explain_golden_window () =
+  let s = mk_plan_store ~auto_index_threshold:1 () in
+  let q = q_emp [ salary Abdm.Predicate.Ge 30; salary Abdm.Predicate.Le 50 ] in
+  ignore (Abdm.Store.select s q);
+  (* each bound alone keeps 6 and 5 of 8 rows, too many for the index;
+     together they keep 3, read as one window *)
+  check_plan "a lower and an upper bound are one window probe"
+    "plan: 1 disjunct\n\
+     disjunct 1: (FILE = 'employee') AND (salary >= 30) AND (salary <= 50)\n\
+    \  access: index employee: window (salary >= 30) AND (salary <= 50) [3] \
+     -> 3 of 8 rows\n\
+    \  residual: none"
+    s q;
+  Alcotest.(check (list int)) "the window's rows" [ 3; 4; 5 ]
+    (List.map fst (Abdm.Store.select s q))
+
 let test_explain_golden_store_scan_and_empty () =
   let s = mk_plan_store ~auto_index_threshold:1 () in
   check_plan "no FILE predicate means a whole-store scan"
@@ -801,15 +817,37 @@ let gen_plan_op =
   QCheck2.Gen.oneofl
     Abdm.Predicate.[ Eq; Neq; Lt; Le; Gt; Ge ]
 
+(* Values for the planner property: [gen_value], or one of a few small
+   numbers, so that bounds often fall on stored values and a window's
+   edges are exercised. *)
+let gen_plan_value =
+  QCheck2.Gen.(
+    frequency
+      [ 1, gen_value;
+        2, map (fun i -> Abdm.Value.Int i) (int_range 0 6);
+        1, map (fun i -> Abdm.Value.Float (float_of_int i)) (int_range 0 6) ])
+
 (* A DNF query over FILE, x and y: each disjunct optionally names a file
-   and carries up to three predicates with arbitrary comparison ops. *)
+   and carries up to three predicates with arbitrary comparison ops, or
+   names a file and bounds x (or y) on both sides — a window — with
+   sometimes a further predicate. *)
 let gen_plan_query =
   QCheck2.Gen.(
+    let pred = triple (oneofl [ "x"; "y" ]) gen_plan_op gen_value in
+    let window =
+      let* attr = oneofl [ "x"; "y" ] in
+      let* lo = oneofl Abdm.Predicate.[ Gt; Ge ] and* hi = oneofl Abdm.Predicate.[ Lt; Le ] in
+      let* a = gen_plan_value and* b = gen_plan_value in
+      let* extra = list_size (int_range 0 1) pred in
+      let* upper_first = bool in
+      let bounds = [ attr, lo, a; attr, hi, b ] in
+      pure
+        ( Some 0,
+          (if upper_first then List.rev bounds else bounds) @ extra )
+    in
     list_size (int_range 0 3)
-      (pair
-         (option (int_range 0 3))
-         (list_size (int_range 0 3)
-            (triple (oneofl [ "x"; "y" ]) gen_plan_op gen_value))))
+      (frequency
+         [ 3, pair (option (int_range 0 3)) (list_size (int_range 0 3) pred); 1, window ]))
 
 let prop_planner_matches_scan =
   (* The planner must be invisible: for any store contents and any DNF
@@ -822,7 +860,7 @@ let prop_planner_matches_scan =
     QCheck2.Gen.(
       pair
         (list_size (int_range 0 40)
-           (triple (int_range 0 3) gen_value gen_value))
+           (triple (int_range 0 3) gen_plan_value gen_plan_value))
         gen_plan_query)
     (fun (inserts, spec) ->
       let planned = Abdm.Store.create ~auto_index_threshold:1 () in
@@ -869,24 +907,19 @@ let gen_probe_value =
     Abdm.Value.
       [ Null; Int 0; Int 1; Int 2; Float 1.0; Float 2.0; Float 2.5; Str "x" ]
 
-(* A record of file f0 or f1 with [a] and [b] each present or absent;
-   sometimes [a] twice, built without [Record.make] (which refuses it): a
-   built index posts the record under both values, a superset of what
-   the predicate, reading the first keyword, accepts. *)
+(* A record of file f0 or f1 with [a] and [b] each present or absent, in
+   either order, so records of one file come in several shapes. *)
 let gen_probe_record =
   let open QCheck2.Gen in
   let* file = int_range 0 1 in
   let* a = opt gen_probe_value in
   let* b = opt gen_probe_value in
-  let* a2 = frequency [ 4, pure None; 1, map Option.some gen_probe_value ] in
+  let* b_first = bool in
   let kw attr = Option.map (Abdm.Keyword.make attr) in
+  let kws = if b_first then [ kw "b" b; kw "a" a ] else [ kw "a" a; kw "b" b ] in
   pure
-    {
-      Abdm.Record.keywords =
-        Abdm.Keyword.file (Printf.sprintf "f%d" file)
-        :: List.filter_map Fun.id [ kw "a" a; kw "b" b; kw "a" a2 ];
-      text = "";
-    }
+    (Abdm.Record.make
+       (Abdm.Keyword.file (Printf.sprintf "f%d" file) :: List.filter_map Fun.id kws))
 
 (* Mostly the UNIQUE probe's shape, (FILE = f) AND (attr = v); also the
    shapes [exists] hands to [select]: a residual Neq, two equalities, no
@@ -996,7 +1029,64 @@ let test_record_duplicate_message () =
     "Record.make: duplicate attribute \"k5\""
     (List.init 30 kw @ [ kw 5 ] @ List.init 32 (fun i -> kw (30 + i)) @ [ kw 2 ]);
   Alcotest.(check int) "64 distinct keywords accepted" 64
-    (List.length (Abdm.Record.make (List.init 64 kw)).keywords)
+    (List.length (Abdm.Record.attributes (Abdm.Record.make (List.init 64 kw))))
+
+(* --- the record layout ------------------------------------------------------ *)
+
+(* Records a store holds share their file's shape, whoever built them;
+   [set] on an existing attribute keeps the shape. *)
+let test_record_shapes_shared () =
+  let s = Abdm.Store.create () in
+  let rec_ i =
+    Abdm.Record.make
+      [ Abdm.Keyword.file "t"; Abdm.Keyword.make "a" (Abdm.Value.Int i);
+        Abdm.Keyword.make "b" (Abdm.Value.Str "x") ]
+  in
+  let k1 = Abdm.Store.insert s (rec_ 1) and k2 = Abdm.Store.insert s (rec_ 2) in
+  let shape k = Abdm.Record.shape_of (Option.get (Abdm.Store.get s k)) in
+  Alcotest.(check bool) "two ABDL-built records, one shape" true (shape k1 == shape k2);
+  let r = Option.get (Abdm.Store.get s k1) in
+  let r' = Abdm.Record.set r "a" (Abdm.Value.Int 9) in
+  Alcotest.(check bool) "set keeps the shape" true (Abdm.Record.shape_of r' == shape k1);
+  Abdm.Store.replace s k1 (Abdm.Record.make [ Abdm.Keyword.file "t"; Abdm.Keyword.make "a" (Abdm.Value.Int 3); Abdm.Keyword.make "b" Abdm.Value.Null ]);
+  Alcotest.(check bool) "a replaced record takes the file's shape" true (shape k1 == shape k2);
+  Alcotest.(check bool) "values kept" true
+    (Abdm.Record.value_of (Option.get (Abdm.Store.get s k1)) "a" = Some (Abdm.Value.Int 3))
+
+(* The record operations against a keyword list, the layout they
+   replaced. *)
+let prop_record_matches_keyword_list =
+  let open QCheck2.Gen in
+  let attr = oneofl [ "FILE"; "a"; "b"; "c"; "d" ] in
+  let op =
+    oneof
+      [ map2 (fun a v -> `Set (a, v)) attr gen_value; map (fun a -> `Remove a) attr ]
+  in
+  let start =
+    map
+      (fun vs -> List.mapi (fun i v -> Printf.sprintf "k%d" i, v) vs)
+      (list_size (int_range 0 4) gen_value)
+  in
+  QCheck2.Test.make ~name:"record operations = keyword-list model" ~count:300
+    (pair start (list_size (int_range 0 8) op))
+    (fun (start, ops) ->
+      let apply (r, model) = function
+        | `Set (a, v) ->
+          ( Abdm.Record.set r a v,
+            if List.mem_assoc a model then
+              List.map (fun (a', v') -> a', if a' = a then v else v') model
+            else model @ [ a, v ] )
+        | `Remove a -> Abdm.Record.remove r a, List.remove_assoc a model
+      in
+      let r0 = Abdm.Record.make (List.map (fun (a, v) -> Abdm.Keyword.make a v) start) in
+      let r, model = List.fold_left apply (r0, start) ops in
+      let as_record m = Abdm.Record.make (List.map (fun (a, v) -> Abdm.Keyword.make a v) m) in
+      Abdm.Record.attributes r = List.map fst model
+      && List.for_all (fun a -> Abdm.Record.value_of r a = List.assoc_opt a model) [ "FILE"; "a"; "b"; "e"; "k0" ]
+      && Abdm.Record.equal r (as_record model)
+      && String.equal (Abdm.Record.to_string r)
+           ("(" ^ String.concat ", " (List.map (fun (a, v) -> Abdm.Keyword.to_string (Abdm.Keyword.make a v)) model) ^ ")")
+      && Abdm.Record.fold (fun acc a v -> (a, v) :: acc) [] r = List.rev model)
 
 let suite =
   suite
@@ -1014,4 +1104,7 @@ let suite =
       QCheck_alcotest.to_alcotest prop_int_to_buffer;
       "record duplicate message, 2 and 64 keywords", `Quick,
       test_record_duplicate_message;
+      "explain golden: two-sided range window", `Quick, test_explain_golden_window;
+      "records of a file share one shape", `Quick, test_record_shapes_shared;
+      QCheck_alcotest.to_alcotest prop_record_matches_keyword_list;
     ]

@@ -342,6 +342,26 @@ let prop_metrics_jsonl_consistent =
       in
       !ok && counter_in_snap)
 
+(* The .metrics table prints seconds as durations and a ratio or a size
+   as a plain number. *)
+let test_metrics_table_units () =
+  let ratio = Obs.Metrics.histogram ~buckets:[| 0.5; 1.0 |] "test.obs.table_ratio" in
+  let secs = Obs.Metrics.histogram "test.obs.table_wait_s" in
+  List.iter (Obs.Metrics.observe ratio) [ 0.75; 1.0 ];
+  Obs.Metrics.observe secs 0.002;
+  let line name =
+    String.split_on_char '\n' (Obs.Export.metrics_table ())
+    |> List.find (fun l -> String.starts_with ~prefix:(name ^ " ") l)
+  in
+  let fields name =
+    String.split_on_char ' ' (line name) |> List.filter (fun f -> f <> "")
+  in
+  Alcotest.(check (list string)) "ratio: plain numbers"
+    [ "test.obs.table_ratio"; "2"; "0.875"; "1.000"; "1.000"; "1.000"; "1.000" ]
+    (fields "test.obs.table_ratio");
+  Alcotest.(check bool) "seconds: a duration" true
+    (List.mem "ms" (fields "test.obs.table_wait_s"))
+
 let suite =
   [
     "empty histogram percentiles", `Quick, test_empty_histogram;
@@ -357,4 +377,5 @@ let suite =
     "span jsonl escaping", `Quick, test_span_jsonl_escaping;
     QCheck_alcotest.to_alcotest prop_trace_transparency;
     QCheck_alcotest.to_alcotest prop_metrics_jsonl_consistent;
+    ".metrics table units", `Quick, test_metrics_table_units;
   ]

@@ -807,6 +807,20 @@ let prop_insert_matches_old_insert =
         [ "single store", (fun _ -> Mapping.Kernel.single ());
           "2 backends", (fun name -> Mapping.Kernel.multi ~name 2) ])
 
+(* SUM(v) over one row of 2^53 + 1 answers the row's value, as MAX(v)
+   does: integer sums do not go through a float. *)
+let test_sum_exact_int () =
+  let t = Relational.Engine.create (Mapping.Kernel.single ()) "big" in
+  List.iter
+    (fun src -> ignore (Relational.Engine.run t src))
+    [ "CREATE TABLE t (v INT)"; "INSERT INTO t VALUES (9007199254740993)" ];
+  match Relational.Engine.run t "SELECT SUM(v), MAX(v) FROM t" with
+  | Ok (Relational.Engine.Table { rows = [ [ sum; max ] ]; _ }) ->
+    Alcotest.check value "SUM" (Abdm.Value.Int 9007199254740993) sum;
+    Alcotest.check value "MAX" (Abdm.Value.Int 9007199254740993) max
+  | Ok o -> Alcotest.failf "unexpected %s" (Relational.Engine.outcome_to_string o)
+  | Error msg -> Alcotest.fail msg
+
 let suite =
   suite
   @ [
@@ -822,4 +836,5 @@ let suite =
       test_syntax_error_before_lex_error;
       QCheck_alcotest.to_alcotest prop_parser_matches_list_parser;
       QCheck_alcotest.to_alcotest prop_insert_matches_old_insert;
+      "SUM of a large integer is exact", `Quick, test_sum_exact_int;
     ]

@@ -117,6 +117,10 @@ let test_loader_needs_empty_kernel () =
 
 (* --- the snapshot writer ----------------------------------------------------- *)
 
+(* a record's keywords in order, as a list *)
+let keyword_list record =
+  List.rev (Abdm.Record.fold (fun acc a v -> Abdm.Keyword.make a v :: acc) [] record)
+
 (* The record line as the Printf writer rendered it (float-free values). *)
 let printf_line key (record : Abdm.Record.t) =
   let value = function
@@ -129,7 +133,7 @@ let printf_line key (record : Abdm.Record.t) =
   let keywords =
     List.map
       (fun (kw : Abdm.Keyword.t) -> Printf.sprintf "<%s, %s>" kw.attribute (value kw.value))
-      record.keywords
+      (keyword_list record)
   in
   Printf.sprintf "@%d %s\n" key (Printf.sprintf "INSERT (%s)" (String.concat ", " keywords))
 
@@ -322,6 +326,36 @@ let test_sql_bulk_load_single_guard () =
     Alcotest.failf "SQL bulk load, one store: %.0f minor words a row (bound %.0f)" per_row
       sql_bulk_single_words_bound
 
+(* Kept words per record: everything a kernel reaches
+   ([Obj.reachable_words]: records, maps, index postings, shapes) over
+   its record count, after the benchmark's preload (seed 1) of the
+   oltp-point databases uni (6 044 records, the functional loader) and
+   pay (3 000, SQL INSERTs), and scan-mbds's shop (2 000, SQL INSERTs on
+   2 backends). Records hold one shared attribute array per file and
+   their values in a flat array: ~28, ~44 and ~48 words. A record held
+   as a list of keywords kept ~51, ~71 and ~85, so it fails every
+   bound. *)
+let live_words_bounds =
+  [ Perfbench.Workloads.Oltp_point, [ "uni", 36.; "pay", 56. ];
+    Perfbench.Workloads.Scan_mbds, [ "shop", 62. ] ]
+
+let test_live_words_guard () =
+  List.iter
+    (fun (w, dbs) ->
+      let sys = Perfbench.Workloads.create_system w in
+      Perfbench.Workloads.preload w ~seed:1 sys;
+      List.iter
+        (fun (db, bound) ->
+          let kernel = Option.get (Mlds.System.kernel_of sys db) in
+          let per_record =
+            float_of_int (Obj.reachable_words (Obj.repr kernel))
+            /. float_of_int (Mapping.Kernel.size kernel)
+          in
+          if per_record > bound then
+            Alcotest.failf "%s: %.1f live words a record (bound %.0f)" db per_record bound)
+        dbs)
+    live_words_bounds
+
 let suite =
   [
     "loader = two-pass oracle", `Quick, test_loader_matches_oracle;
@@ -332,4 +366,5 @@ let suite =
     "allocation guard", `Quick, test_allocation_guard;
     "SQL bulk-load allocation guard", `Quick, test_sql_bulk_load_guard;
     "SQL bulk-load allocation guard, one store", `Quick, test_sql_bulk_load_single_guard;
+    "live words per record guard", `Quick, test_live_words_guard;
   ]

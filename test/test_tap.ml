@@ -27,13 +27,17 @@ let clinic backends =
 
 (* The (file, attribute, value) triples of every stored keyword, FILE
    excluded: the literals random queries draw from. *)
+(* a record's keywords in order, as a list *)
+let keyword_list record =
+  List.rev (Abdm.Record.fold (fun acc a v -> Abdm.Keyword.make a v :: acc) [] record)
+
 let literals kernel =
   Mapping.Kernel.to_seq kernel
   |> Seq.concat_map (fun (_, record) ->
          match Abdm.Record.file record with
          | None -> Seq.empty
          | Some file ->
-           List.to_seq record.Abdm.Record.keywords
+           List.to_seq (keyword_list record)
            |> Seq.filter_map (fun (kw : Abdm.Keyword.t) ->
                   if String.equal kw.attribute Abdm.Keyword.file_attribute then
                     None
