@@ -176,8 +176,15 @@ let parse_sections text =
           | None -> err "bad %%CRC header %S" hex)
         | _ -> err "missing %%CRC header in a v2 save file"
       in
-      let body = String.concat "\n" rest in
-      if Wal.crc32 body <> stored then
+      (* checked in place: the body starts after the first two lines *)
+      let pos =
+        min (String.length text) (String.length first + String.length crc_line + 2)
+      in
+      if
+        Wal.crc32_bytes (Bytes.unsafe_of_string text) ~pos
+          ~len:(String.length text - pos)
+        <> stored
+      then
         err "save file checksum mismatch (corrupt or truncated)"
       else Ok (2, rest)
     | _ -> err "not an MLDS save file (missing %%MLDS header)"

@@ -7,6 +7,8 @@ let c_hit = Obs.Metrics.counter "stmt_cache.hit"
 
 let c_miss = Obs.Metrics.counter "stmt_cache.miss"
 
+let c_refused = Obs.Metrics.counter "stmt_cache.refused"
+
 type key = string * string (* language tag, statement source *)
 
 (* Doubly-linked recency list: [first] is most recent, [last] is the
@@ -25,17 +27,32 @@ type 'a t = {
   mutable last : 'a node option;
   mutable hits : int;
   mutable misses : int;
+  mutable refused : int;
+  seen : int array;
+      (* the doorkeeper: hashes of texts refused once while the cache was
+         full, direct-mapped by the hash's low bits; [-1] is empty *)
   mx : Mutex.t;
 }
 
+(* 8 slots per entry, rounded up to a power of two: 4096 at the default
+   capacity. *)
+let doorkeeper_slots capacity =
+  if capacity = 0 then 0
+  else
+    let rec up n = if n >= 8 * capacity then n else up (2 * n) in
+    up 8
+
 let create ?(capacity = 512) () =
+  let capacity = max 0 capacity in
   {
-    capacity = max 0 capacity;
+    capacity;
     table = Hashtbl.create (max 16 capacity);
     first = None;
     last = None;
     hits = 0;
     misses = 0;
+    refused = 0;
+    seen = Array.make (doorkeeper_slots capacity) (-1);
     mx = Mutex.create ();
   }
 
@@ -46,6 +63,8 @@ let length t = Hashtbl.length t.table
 let hits t = t.hits
 
 let misses t = t.misses
+
+let refused t = t.refused
 
 let locked t f =
   Mutex.lock t.mx;
@@ -85,6 +104,30 @@ let find t ~language ~src =
    source also bounds the cache's memory, not only its entry count. *)
 let max_src_bytes = 4096
 
+(* Once the cache is full, a text is admitted on its second miss, the
+   doorkeeper of TinyLFU (Einziger, Friedman & Manes, ACM ToS 2017): a
+   one-off text's parse tree would otherwise evict a repeated one and then
+   stay live, promoted to the major heap, until it was itself evicted. A
+   first miss only writes its hash into [seen]. Two texts whose hashes
+   share a slot can make a text wait for a third miss, and equal hashes
+   can admit one on its first; the table still compares the full key, so
+   neither changes what [find] returns. *)
+let admit t key =
+  Hashtbl.length t.table < t.capacity
+  ||
+  let h = Hashtbl.hash key in
+  let slot = h land (Array.length t.seen - 1) in
+  if t.seen.(slot) = h then begin
+    t.seen.(slot) <- -1;
+    true
+  end
+  else begin
+    t.seen.(slot) <- h;
+    t.refused <- t.refused + 1;
+    Obs.Metrics.incr c_refused;
+    false
+  end
+
 let add t ~language ~src value =
   if t.capacity > 0 && String.length src <= max_src_bytes then
     locked t (fun () ->
@@ -94,18 +137,21 @@ let add t ~language ~src value =
           unlink t old;
           Hashtbl.remove t.table key
         | None -> ());
-        if Hashtbl.length t.table >= t.capacity then (
-          match t.last with
-          | Some victim ->
-            unlink t victim;
-            Hashtbl.remove t.table victim.nkey
-          | None -> ());
-        let n = { nkey = key; value; prev = None; next = None } in
-        Hashtbl.replace t.table key n;
-        push_front t n)
+        if admit t key then begin
+          if Hashtbl.length t.table >= t.capacity then (
+            match t.last with
+            | Some victim ->
+              unlink t victim;
+              Hashtbl.remove t.table victim.nkey
+            | None -> ());
+          let n = { nkey = key; value; prev = None; next = None } in
+          Hashtbl.replace t.table key n;
+          push_front t n
+        end)
 
 let clear t =
   locked t (fun () ->
       Hashtbl.reset t.table;
+      Array.fill t.seen 0 (Array.length t.seen) (-1);
       t.first <- None;
       t.last <- None)

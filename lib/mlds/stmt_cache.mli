@@ -9,7 +9,9 @@
     submission (they depend on session state).
 
     Thread-safe (one mutex per cache). Bumps the process-wide
-    [stmt_cache.hit] / [stmt_cache.miss] counters on every lookup. *)
+    [stmt_cache.hit] / [stmt_cache.miss] counters on every lookup, and
+    [stmt_cache.refused] when {!add} turns a first-seen text away from a
+    full cache. *)
 
 type 'a t
 
@@ -27,11 +29,18 @@ val length : 'a t -> int
     most-recently used. *)
 val find : 'a t -> language:string -> src:string -> 'a option
 
-(** [add t ~language ~src v] inserts (or refreshes) an entry, evicting
-    the least-recently-used one when full. A [src] longer than 4 KiB is
-    not retained: such a text is a one-off script, not a statement a
-    client repeats, so the cache holds at most [capacity] × 4 KiB of
-    source and the parse trees that go with it. *)
+(** [add t ~language ~src v] inserts (or refreshes) an entry. While the
+    cache has room, every text is admitted. Once it is full, a new text is
+    admitted only on its second [add] since it was last admitted: the
+    first one records the text's hash in a fixed doorkeeper array
+    (8 × [capacity] slots, rounded up to a power of two) and keeps
+    nothing, so a one-off text neither stays live nor evicts an entry.
+    An admitted text evicts the least-recently-used entry. Two texts
+    whose hashes collide can only be admitted a miss early or late:
+    {!find} still compares the full [(language, src)] key. A [src] longer
+    than 4 KiB is not retained: such a text is a one-off script, not a
+    statement a client repeats, so the cache holds at most [capacity] ×
+    4 KiB of source and the parse trees that go with it. *)
 val add : 'a t -> language:string -> src:string -> 'a -> unit
 
 (** Lifetime hit/miss counts for this cache (the registry counters are
@@ -39,5 +48,10 @@ val add : 'a t -> language:string -> src:string -> 'a -> unit
 val hits : 'a t -> int
 
 val misses : 'a t -> int
+
+(** Texts {!add} did not admit because the cache was full and it had not
+    seen them miss before (process-wide: the [stmt_cache.refused]
+    counter). *)
+val refused : 'a t -> int
 
 val clear : 'a t -> unit

@@ -218,6 +218,32 @@ let decode_request data =
     | Error _ as e -> e
     | exception Truncated what -> Error ("truncated " ^ what ^ " body"))
 
+(* --- encoded sizes -------------------------------------------------------
+   Exact payload byte counts (excluding the 4-byte length prefix) without
+   allocating an encoding — the flight recorder stamps these into every
+   event as bytes_in / bytes_out. Kept next to the codec so a body change
+   is a one-line change here too. *)
+
+let header_bytes = 10 (* u8 version + u32 request_id + u32 session_id + u8 op *)
+
+let str_bytes s = 4 + String.length s
+
+let request_size = function
+  | Login { user; language; db } ->
+    header_bytes + str_bytes user + str_bytes language + str_bytes db
+  | Submit src | Explain src -> header_bytes + str_bytes src
+  | Tail _ -> header_bytes + 12
+  | Repl_hello _ -> header_bytes + 9
+  | Begin_txn | Commit_txn | Abort_txn | Logout | Ping | Bye | Stats
+  | Checkpoint | Promote ->
+    header_bytes
+
+let response_size = function
+  | Logged_in _ -> header_bytes + 4
+  | Output out -> header_bytes + str_bytes out
+  | Err (_, msg) -> header_bytes + 1 + str_bytes msg
+  | Overloaded | Pong | Goodbye -> header_bytes
+
 (* --- responses ----------------------------------------------------------- *)
 
 let err_kind_code = function
@@ -247,8 +273,9 @@ let response_opcode = function
   | Pong -> 0x85
   | Goodbye -> 0x86
 
+(* sized exactly, so the buffer never regrows: one copy out of it *)
 let encode_response f =
-  let b = Buffer.create 64 in
+  let b = Buffer.create (response_size f.msg) in
   put_header b f (response_opcode f.msg);
   (match f.msg with
   | Logged_in id -> put_u32 b id
@@ -287,32 +314,6 @@ let decode_response data =
     | Error _ as e -> e
     | exception Truncated what -> Error ("truncated " ^ what ^ " body"))
 
-(* --- encoded sizes -------------------------------------------------------
-   Exact payload byte counts (excluding the 4-byte length prefix) without
-   allocating an encoding — the flight recorder stamps these into every
-   event as bytes_in / bytes_out. Kept next to the codec so a body change
-   is a one-line change here too. *)
-
-let header_bytes = 10 (* u8 version + u32 request_id + u32 session_id + u8 op *)
-
-let str_bytes s = 4 + String.length s
-
-let request_size = function
-  | Login { user; language; db } ->
-    header_bytes + str_bytes user + str_bytes language + str_bytes db
-  | Submit src | Explain src -> header_bytes + str_bytes src
-  | Tail _ -> header_bytes + 12
-  | Repl_hello _ -> header_bytes + 9
-  | Begin_txn | Commit_txn | Abort_txn | Logout | Ping | Bye | Stats
-  | Checkpoint | Promote ->
-    header_bytes
-
-let response_size = function
-  | Logged_in _ -> header_bytes + 4
-  | Output out -> header_bytes + str_bytes out
-  | Err (_, msg) -> header_bytes + 1 + str_bytes msg
-  | Overloaded | Pong | Goodbye -> header_bytes
-
 (* --- blocking IO --------------------------------------------------------- *)
 
 let rec really_write fd s pos len =
@@ -327,11 +328,11 @@ let rec really_write fd s pos len =
 let write_frame fd payload =
   let len = String.length payload in
   if len > max_frame_bytes then invalid_arg "Wire.write_frame: frame too large";
-  let b = Buffer.create (len + 4) in
-  put_u32 b len;
-  Buffer.add_string b payload;
-  let s = Buffer.contents b in
-  really_write fd s 0 (String.length s)
+  (* one exact-size frame: the prefix, then the payload copied once *)
+  let frame = Bytes.create (len + 4) in
+  Bytes.set_int32_be frame 0 (Int32.of_int len);
+  Bytes.blit_string payload 0 frame 4 len;
+  really_write fd (Bytes.unsafe_to_string frame) 0 (len + 4)
 
 (* [Ok None] = EOF before the first byte; [Error] = EOF mid-frame. *)
 let really_read fd n =

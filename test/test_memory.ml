@@ -282,6 +282,24 @@ let test_stats_heap_gauges () =
           | Some h, Some l -> l > 0. && l <= h
           | _ -> false))
 
+(* Promoted words per op on the benchmark's oltp-point request path:
+   client 0's first 20 000 ops after the seed-1 preload, in-process
+   ([Oltp_words], also printed by [bench/request_words.exe]). Promotion
+   is what grows the major heap, and so the server's RSS; minor garbage
+   is not (E33). Its Zipf keys reach far past the 512-entry statement
+   cache: a cache that admits every text on its first miss keeps each
+   one-off text's parse tree until it is evicted, which promotes ~59
+   words an op; admission on the second miss promotes ~29 (E34). *)
+let promoted_words_bound = 40.
+
+let test_oltp_promoted_words () =
+  let r = Oltp_words.run ~seed:1 ~ops:20_000 () in
+  let per_op = Oltp_words.per_op r r.promoted in
+  if per_op > promoted_words_bound then
+    Alcotest.failf "oltp-point stream: %.1f promoted words an op over %d ops \
+                    (bound %.0f)"
+      per_op r.ran promoted_words_bound
+
 let suite =
   [
     "shared SQL engine: live heap flat over 20 000 SELECTs", `Quick,
@@ -291,4 +309,5 @@ let suite =
     "session churn: server tables return to baseline", `Quick,
     test_session_churn;
     "Stats reports the heap gauges", `Quick, test_stats_heap_gauges;
+    "oltp-point: promoted words per op", `Quick, test_oltp_promoted_words;
   ]

@@ -45,7 +45,8 @@ let gen_request =
           Wire.Ping; Wire.Bye; Wire.Stats; Wire.Checkpoint; Wire.Promote ];
     ]
 
-let gen_response =
+(* responses whose strings come from [gen_s] *)
+let gen_response_of gen_s =
   let open QCheck2.Gen in
   let kind =
     oneofl
@@ -55,10 +56,12 @@ let gen_response =
   oneof
     [
       map (fun id -> Wire.Logged_in id) (int_range 0 0xFFFFFFF);
-      map (fun s -> Wire.Output s) gen_str;
-      map2 (fun k s -> Wire.Err (k, s)) kind gen_str;
+      map (fun s -> Wire.Output s) gen_s;
+      map2 (fun k s -> Wire.Err (k, s)) kind gen_s;
       oneofl [ Wire.Overloaded; Wire.Pong; Wire.Goodbye ];
     ]
+
+let gen_response = gen_response_of gen_str
 
 let gen_frame gen_msg =
   let open QCheck2.Gen in
@@ -76,6 +79,61 @@ let prop_response_roundtrip =
   QCheck2.Test.make ~name:"response frames round-trip" ~count:500
     (gen_frame gen_response) (fun f ->
       Wire.decode_response (Wire.encode_response f) = Ok f)
+
+(* [write_frame (encode_response f)] puts on the wire exactly what the
+   two-step encoding did: a buffer holding the u32 length prefix and the
+   payload, the payload itself built field by field. Outputs range from
+   empty to past 64 KiB. *)
+let two_step_response_frame (f : Wire.response Wire.frame) =
+  let u8 b v = Buffer.add_char b (Char.chr (v land 0xff)) in
+  let u32 b v = List.iter (fun sh -> u8 b (v lsr sh)) [ 24; 16; 8; 0 ] in
+  let str b s = u32 b (String.length s); Buffer.add_string b s in
+  let p = Buffer.create 64 in
+  u8 p f.version;
+  u32 p f.request_id;
+  u32 p f.session_id;
+  (match f.msg with
+  | Logged_in id -> u8 p 0x81; u32 p id
+  | Output out -> u8 p 0x82; str p out
+  | Err (kind, msg) ->
+    u8 p 0x83;
+    u8 p
+      (match kind with
+      | Parse_error -> 0 | Exec_error -> 1 | Bad_session -> 2 | Txn_busy -> 3
+      | Shutting_down -> 4 | Bad_request -> 5 | Read_only -> 6);
+    str p msg
+  | Overloaded -> u8 p 0x84
+  | Pong -> u8 p 0x85
+  | Goodbye -> u8 p 0x86);
+  let payload = Buffer.contents p in
+  let b = Buffer.create (String.length payload + 4) in
+  str b payload;
+  Buffer.contents b
+
+let written_frame payload =
+  let file = Filename.temp_file "wire" ".frame" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove file)
+    (fun () ->
+      let fd = Unix.openfile file [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
+      Fun.protect
+        ~finally:(fun () -> Unix.close fd)
+        (fun () -> Wire.write_frame fd payload);
+      In_channel.with_open_bin file In_channel.input_all)
+
+let prop_write_frame_two_step =
+  let big =
+    QCheck2.Gen.(
+      string_size ~gen:char
+        (oneof [ int_range 0 70_000; int_range 65_537 70_000 ]))
+  in
+  let gen =
+    gen_frame (gen_response_of (QCheck2.Gen.oneof [ gen_str; big ]))
+  in
+  QCheck2.Test.make ~name:"write_frame = two-step encoding" ~count:200
+    ~print:(fun f -> string_of_int (Wire.response_size f.Wire.msg) ^ " bytes")
+    gen
+    (fun f -> written_frame (Wire.encode_response f) = two_step_response_frame f)
 
 let prop_truncation_rejected =
   QCheck2.Test.make ~name:"every strict prefix is rejected" ~count:200
@@ -720,7 +778,9 @@ let test_stmt_cache_lru () =
   (* the key is (language, text): same text, other language misses *)
   Alcotest.(check bool) "language partitions the key" true
     (Mlds.Stmt_cache.find c ~language:"sql" ~src:"a" = None);
-  (* a was just refreshed, so inserting c evicts b *)
+  (* a was just refreshed; the full cache admits c on its second miss,
+     which evicts b *)
+  Mlds.Stmt_cache.add c ~language:"abdl" ~src:"c" 3;
   Mlds.Stmt_cache.add c ~language:"abdl" ~src:"c" 3;
   Alcotest.(check int) "capacity respected" 2 (Mlds.Stmt_cache.length c);
   Alcotest.(check bool) "LRU (b) evicted" true (get "b" = None);
@@ -735,6 +795,7 @@ let test_stmt_cache_lru () =
   Alcotest.(check bool) "nothing evicted for it" true
     (get "a" = Some 1 && get "c" = Some 3);
   Mlds.Stmt_cache.add c ~language:"abdl" ~src:(String.sub script 0 4096) 5;
+  Mlds.Stmt_cache.add c ~language:"abdl" ~src:(String.sub script 0 4096) 5;
   Alcotest.(check bool) "4 KiB text retained" true
     (get (String.sub script 0 4096) = Some 5);
   (* capacity 0 disables caching entirely *)
@@ -742,6 +803,89 @@ let test_stmt_cache_lru () =
   Mlds.Stmt_cache.add off ~language:"abdl" ~src:"a" 1;
   Alcotest.(check int) "zero-capacity cache stays empty" 0
     (Mlds.Stmt_cache.length off)
+
+(* The admission rule: a full cache admits a text on its second miss. *)
+let test_stmt_cache_full_refuses_first_sight () =
+  let c = Mlds.Stmt_cache.create ~capacity:2 () in
+  let get src = Mlds.Stmt_cache.find c ~language:"abdl" ~src in
+  Mlds.Stmt_cache.add c ~language:"abdl" ~src:"a" 1;
+  Mlds.Stmt_cache.add c ~language:"abdl" ~src:"b" 2;
+  Mlds.Stmt_cache.add c ~language:"abdl" ~src:"c" 3;
+  Alcotest.(check bool) "first sighting not kept" true (get "c" = None);
+  Alcotest.(check bool) "nothing evicted for it" true
+    (get "a" = Some 1 && get "b" = Some 2);
+  Alcotest.(check int) "still full" 2 (Mlds.Stmt_cache.length c);
+  Alcotest.(check int) "one refusal counted" 1 (Mlds.Stmt_cache.refused c)
+
+let test_stmt_cache_second_miss_admitted () =
+  let c = Mlds.Stmt_cache.create ~capacity:2 () in
+  let get src = Mlds.Stmt_cache.find c ~language:"abdl" ~src in
+  Mlds.Stmt_cache.add c ~language:"abdl" ~src:"a" 1;
+  Mlds.Stmt_cache.add c ~language:"abdl" ~src:"b" 2;
+  (* refresh a: b is now the least recently used *)
+  ignore (get "a");
+  Mlds.Stmt_cache.add c ~language:"abdl" ~src:"c" 3;
+  Alcotest.(check bool) "first miss" true (get "c" = None);
+  Mlds.Stmt_cache.add c ~language:"abdl" ~src:"c" 3;
+  Alcotest.(check bool) "second miss admitted" true (get "c" = Some 3);
+  Alcotest.(check bool) "LRU (b) evicted" true (get "b" = None);
+  Alcotest.(check bool) "MRU (a) survives" true (get "a" = Some 1);
+  Alcotest.(check int) "capacity respected" 2 (Mlds.Stmt_cache.length c);
+  Alcotest.(check int) "one refusal counted" 1 (Mlds.Stmt_cache.refused c)
+
+let test_stmt_cache_room_admits_first_sight () =
+  let c = Mlds.Stmt_cache.create ~capacity:3 () in
+  let get src = Mlds.Stmt_cache.find c ~language:"abdl" ~src in
+  Mlds.Stmt_cache.add c ~language:"abdl" ~src:"a" 1;
+  Mlds.Stmt_cache.add c ~language:"abdl" ~src:"b" 2;
+  Mlds.Stmt_cache.add c ~language:"abdl" ~src:"c" 3;
+  Alcotest.(check bool) "each admitted on first sight" true
+    (get "a" = Some 1 && get "b" = Some 2 && get "c" = Some 3);
+  Alcotest.(check int) "no refusal" 0 (Mlds.Stmt_cache.refused c)
+
+(* cached ≡ uncached: a statement stream with heavy repetition gives the
+   same replies, byte for byte, through a small cache (capacities 0–4,
+   so texts are refused, admitted and evicted) as through none. The
+   stream mixes reads, writes and a parse error over two languages. *)
+let cache_stream_texts =
+  [| Mlds.System.L_abdl, "RETRIEVE ((FILE = employee)) (AVG(salary))";
+     L_abdl, "RETRIEVE ((FILE = employee)) (COUNT(name))";
+     L_abdl, "RETRIEVE ((FILE = employee) AND (salary > 30000)) (name, salary)";
+     L_abdl, "UPDATE ((FILE = employee) AND (salary < 40000)) (salary = salary + 7)";
+     L_abdl, "RETRIEVE ((FILE = course)) (title)";
+     L_abdl, "RETRIEVE ((FILE = employee";
+     L_daplex, "FOR EACH c IN course SUCH THAT title(c) = 'Simulation' PRINT credits(c) END";
+     L_daplex, "FOR EACH s IN student SUCH THAT major(s) = 'Physics' PRINT name(s) END" |]
+
+let stream_replies ~capacity stream =
+  let t = Mlds.System.create ~stmt_cache_capacity:capacity () in
+  (match
+     Mlds.System.define_functional t ~name:"university"
+       ~ddl:Daplex.University.ddl Daplex.University.rows
+   with
+  | Ok () -> ()
+  | Error msg -> Alcotest.failf "define: %s" msg);
+  let abdl = open_h t Mlds.System.L_abdl and daplex = open_h t L_daplex in
+  List.map
+    (fun i ->
+      let lang, src = cache_stream_texts.(i) in
+      let h = if lang = Mlds.System.L_abdl then abdl else daplex in
+      match Mlds.System.submit_handle h src with
+      | Ok out -> out
+      | Error e -> "error: " ^ Mlds.System.handle_error_to_string e)
+    stream
+
+let prop_stmt_cache_cached_equals_uncached =
+  let n = Array.length cache_stream_texts in
+  QCheck2.Test.make ~name:"stmt cache: cached = uncached replies" ~count:60
+    ~print:QCheck2.Print.(pair int (list int))
+    QCheck2.Gen.(
+      pair (int_range 0 4)
+        (list_size (int_range 1 40)
+           (* three hot texts and a long tail: heavy repetition *)
+           (frequency [ 3, int_range 0 2; 1, int_range 0 (n - 1) ])))
+    (fun (capacity, stream) ->
+      stream_replies ~capacity stream = stream_replies ~capacity:0 stream)
 
 let test_stmt_cache_in_system () =
   let t = university () in
@@ -1507,6 +1651,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_request_roundtrip;
     QCheck_alcotest.to_alcotest prop_response_roundtrip;
     QCheck_alcotest.to_alcotest prop_truncation_rejected;
+    QCheck_alcotest.to_alcotest prop_write_frame_two_step;
     Alcotest.test_case "socket: login/submit/logout" `Quick test_socket_basics;
     Alcotest.test_case "socket: an overflow literal is a Parse_error" `Quick
       test_overflow_literal_is_parse_error;
@@ -1538,6 +1683,13 @@ let suite =
       test_stmt_cache_one_lookup;
     Alcotest.test_case "stmt cache: wired into the system" `Quick
       test_stmt_cache_in_system;
+    Alcotest.test_case "stmt cache: full, a first sighting is refused" `Quick
+      test_stmt_cache_full_refuses_first_sight;
+    Alcotest.test_case "stmt cache: a second miss is admitted" `Quick
+      test_stmt_cache_second_miss_admitted;
+    Alcotest.test_case "stmt cache: room admits on first sight" `Quick
+      test_stmt_cache_room_admits_first_sight;
+    QCheck_alcotest.to_alcotest prop_stmt_cache_cached_equals_uncached;
     Alcotest.test_case "telemetry: stats/tail round-trip" `Quick
       test_stats_tail_roundtrip;
     Alcotest.test_case "telemetry: tail with recorder disabled" `Quick
