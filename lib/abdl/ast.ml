@@ -76,6 +76,12 @@ let to_buffer buf = function
   | Insert record ->
     Buffer.add_string buf "INSERT (";
     Abdm.Record.keywords_to_buffer buf record;
+    (* the textual portion, quoted like a string value *)
+    let text = Abdm.Record.text record in
+    if not (String.equal text "") then begin
+      Buffer.add_string buf " | ";
+      Abdm.Value.to_buffer buf (Abdm.Value.Str text)
+    end;
     Buffer.add_char buf ')'
   | Delete query ->
     Buffer.add_string buf "DELETE ";

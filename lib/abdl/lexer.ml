@@ -7,6 +7,7 @@ type token =
   | RPAREN
   | COMMA
   | SEMI
+  | BAR
   | OP of string
   | EOF
 
@@ -138,6 +139,7 @@ let rec lex c =
     | ')' -> set c RPAREN (i + 1)
     | ',' -> set c COMMA (i + 1)
     | ';' -> set c SEMI (i + 1)
+    | '|' -> set c BAR (i + 1)
     | '\'' -> lex_string c (i + 1)
     | '<' ->
       if char_at src len (i + 1) '>' then set c (OP "<>") (i + 2)
@@ -194,5 +196,6 @@ let token_to_string = function
   | RPAREN -> ")"
   | COMMA -> ","
   | SEMI -> ";"
+  | BAR -> "|"
   | OP s -> s
   | EOF -> "<eof>"

@@ -9,6 +9,7 @@ type token =
   | RPAREN
   | COMMA
   | SEMI
+  | BAR  (** [|], before a record's text in an INSERT *)
   | OP of string  (** [= <> < <= > >= + - * /] *)
   | EOF
 

@@ -206,8 +206,17 @@ let insert_body s =
     | _ -> List.rev (item :: acc)
   in
   let keywords = items [] in
+  let text =
+    match peek s with
+    | Lexer.BAR ->
+      advance s;
+      (match next s with
+      | Lexer.STRING text -> text
+      | tok -> fail "expected a quoted text after |, got %s" (Lexer.token_to_string tok))
+    | _ -> ""
+  in
   expect s Lexer.RPAREN;
-  Abdm.Record.make keywords
+  Abdm.Record.make ~text keywords
 
 let by_clause s =
   if keyword_is (peek s) "BY" then begin

@@ -5,6 +5,7 @@
     RETRIEVE ((FILE = course) AND (title = 'DB')) (title, credits) BY course
     RETRIEVE ((FILE = employee)) (AVG(salary)) BY dept
     INSERT (<FILE, course>, <title, 'DB'>, <credits, 3>)
+    INSERT (<FILE, memo>, <id, 1> | 'a record''s textual portion')
     DELETE ((FILE = course) AND (credits < 3))
     UPDATE ((FILE = employee) AND (name = 'x')) (salary = salary + 100)
     v}

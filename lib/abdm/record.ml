@@ -60,6 +60,8 @@ let init shape f = { shape; values = Array.map f shape; text = "" }
 
 let shape_of record = record.shape
 
+let text record = record.text
+
 let with_shape record shape =
   if shape == record.shape then Some record
   else if shape_equal shape record.shape then Some { record with shape }

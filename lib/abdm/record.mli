@@ -33,6 +33,10 @@ val init : shape -> (string -> Value.t) -> t
 
 val shape_of : t -> shape
 
+(** [text record] is the record's textual portion, [""] when it has
+    none. *)
+val text : t -> string
+
 (** [with_shape record shape] is [record] over [shape] when [shape] lists
     the same attributes in the same order as the record's own, else
     [None]: how the store swaps a record's fresh shape for the one its

@@ -56,22 +56,35 @@ let write_all fs fd b off len =
 
 let temp_of file = file ^ ".tmp"
 
-let replace fs ~file text =
-  let tmp = temp_of file in
-  let fd, _ = fs.open_append tmp in
-  (match
-     (* a leftover from a crashed replace is overwritten, not appended to *)
-     fs.ftruncate fd 0;
-     write_all fs fd (Bytes.unsafe_of_string text) 0 (String.length text);
-     fs.fsync fd
-   with
-  | () -> fs.close fd
-  | exception e ->
-    (try fs.close fd with Unix.Unix_error _ -> ());
-    (* a failed replace must not keep a file's worth of bytes on a full
-       disk until the next replace of that file happens to succeed *)
-    (try fs.remove tmp with Unix.Unix_error _ -> ());
-    raise e);
-  fs.rename tmp file;
+type replacement = { r_fs : t; r_file : string; r_fd : fd }
+
+(* A failed replace must not keep a file's worth of bytes on a full disk
+   until the next replace of that file happens to succeed: close and
+   remove the temp file, then re-raise. *)
+let abandon r e =
+  (try r.r_fs.close r.r_fd with Unix.Unix_error _ -> ());
+  (try r.r_fs.remove (temp_of r.r_file) with Unix.Unix_error _ -> ());
+  raise e
+
+let replace_open fs ~file =
+  let fd, _ = fs.open_append (temp_of file) in
+  let r = { r_fs = fs; r_file = file; r_fd = fd } in
+  (* a leftover from a crashed replace is overwritten, not appended to *)
+  (try fs.ftruncate fd 0 with e -> abandon r e);
+  r
+
+let replace_write r b off len =
+  try write_all r.r_fs r.r_fd b off len with e -> abandon r e
+
+let replace_commit r =
+  (match r.r_fs.fsync r.r_fd with
+  | () -> r.r_fs.close r.r_fd
+  | exception e -> abandon r e);
+  r.r_fs.rename (temp_of r.r_file) r.r_file;
   (* the rename is durable only once the directory is *)
-  fs.fsync_dir (Filename.dirname file)
+  r.r_fs.fsync_dir (Filename.dirname r.r_file)
+
+let replace fs ~file text =
+  let r = replace_open fs ~file in
+  replace_write r (Bytes.unsafe_of_string text) 0 (String.length text);
+  replace_commit r

@@ -50,5 +50,27 @@ val write_all : t -> fd -> bytes -> int -> int -> unit
     therefore never run at once (each caller serializes its own). *)
 val replace : t -> file:string -> string -> unit
 
+(** {2 A replace written in pieces}
+
+    The same protocol for contents produced a piece at a time, so the
+    writer never holds them whole: {!replace} is [replace_open], one
+    [replace_write], [replace_commit]. A [replace_write] or
+    [replace_commit] that raises has already closed and removed the temp
+    file; the replacement is then dead. *)
+
+(** An open temp file of a replace in progress. *)
+type replacement
+
+(** [replace_open fs ~file] opens [<file>.tmp] and empties it. *)
+val replace_open : t -> file:string -> replacement
+
+(** [replace_write r b off len] appends [len] bytes of [b] from [off] to
+    the temp file. *)
+val replace_write : replacement -> bytes -> int -> int -> unit
+
+(** [replace_commit r] fsyncs and closes the temp file, renames it over
+    [file] and fsyncs the directory. *)
+val replace_commit : replacement -> unit
+
 (** The temp file {!replace} writes beside [file]. *)
 val temp_of : string -> string

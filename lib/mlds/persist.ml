@@ -10,7 +10,7 @@ let c_replayed = Obs.Metrics.counter "recover.frames_replayed"
 
 let g_replay_rate = Obs.Metrics.gauge "recover.frames_per_s"
 
-(* --- dump (snapshot format v2) ------------------------------------------- *)
+(* --- the snapshot writer (format v3) ----------------------------------- *)
 
 let kernel_line (spec : System.kernel_spec) =
   if spec.System.spec_backends = 0 then "%KERNEL backends=0"
@@ -25,16 +25,68 @@ let kernel_line (spec : System.kernel_spec) =
     Printf.sprintf "%%KERNEL backends=%d placement=%s"
       spec.System.spec_backends placement
 
-(* The two header lines the body's checksum does not cover. The CRC's
-   eight hex digits start at [crc_offset]; [seal] fills them in. *)
-let seal_header = "%MLDS 2\n%CRC 00000000\n"
+(* The first line, which the checksum does not cover. *)
+let magic = "%MLDS 3\n"
 
-let crc_offset = String.length "%MLDS 2\n%CRC "
+(* The last line: "%CRC <8 hex>\n" over every byte between it and
+   [magic]. *)
+let trailer_length = String.length "%CRC 00000000\n"
 
-(* A buffer holding [seal_header], then everything down to %DATA, plus
-   the kernel the records come from. Shared between [dump] (all at once)
-   and the incremental checkpoint. *)
-let snapshot_header ?stamp t ~db =
+let chunk_bytes = 65536
+
+(* One writer for every snapshot: bytes gather in a fixed chunk, which
+   goes to [emit] whenever it fills, and the CRC runs over the body as
+   it passes, so a snapshot is never held whole. The seal is a trailer,
+   so the output is append-only. *)
+type writer = {
+  chunk : Bytes.t;
+  mutable fill : int;
+  mutable summed : int;  (* chunk bytes [0, summed) are in [crc] already *)
+  mutable crc : int;  (* of the body so far *)
+  line : Buffer.t;  (* the piece being serialized *)
+  emit : bytes -> int -> int -> unit;
+}
+
+let sum w =
+  w.crc <- Wal.crc32_update w.crc w.chunk ~pos:w.summed ~len:(w.fill - w.summed);
+  w.summed <- w.fill
+
+let flush w =
+  sum w;
+  w.emit w.chunk 0 w.fill;
+  w.fill <- 0;
+  w.summed <- 0
+
+(* [w.line] into the chunk, and empties it *)
+let add_line w =
+  let len = Buffer.length w.line in
+  let off = ref 0 in
+  while !off < len do
+    if w.fill = chunk_bytes then flush w;
+    let n = Int.min (len - !off) (chunk_bytes - w.fill) in
+    Buffer.blit w.line !off w.chunk w.fill n;
+    w.fill <- w.fill + n;
+    off := !off + n
+  done;
+  Buffer.clear w.line
+
+let seal w =
+  sum w;
+  if w.fill + trailer_length > chunk_bytes then flush w;
+  let trailer = Printf.sprintf "%%CRC %08x\n" w.crc in
+  Bytes.blit_string trailer 0 w.chunk w.fill trailer_length;
+  w.emit w.chunk 0 (w.fill + trailer_length);
+  w.fill <- 0;
+  w.summed <- 0
+
+type source = {
+  src_model : string;
+  src_ddl : string;
+  src_kernel : Mapping.Kernel.t;
+  src_spec : System.kernel_spec;
+}
+
+let source t ~db =
   let* model =
     match List.assoc_opt db (System.databases t) with
     | Some model -> Ok model
@@ -55,12 +107,25 @@ let snapshot_header ?stamp t ~db =
     | Some spec -> Ok spec
     | None -> err "no kernel for %S" db
   in
-  (* about 100 bytes a record: most snapshots never regrow the buffer *)
-  let buf = Buffer.create (4096 + (128 * Mapping.Kernel.size kernel)) in
-  Buffer.add_string buf seal_header;
-  Buffer.add_string buf (Printf.sprintf "%%MODEL %s\n" model);
+  Ok { src_model = model; src_ddl = ddl; src_kernel = kernel; src_spec = spec }
+
+(* A writer with [magic] and everything down to %DATA written. *)
+let start ?stamp ~db src emit =
+  let w =
+    {
+      chunk = Bytes.create chunk_bytes;
+      fill = String.length magic;
+      summed = String.length magic;
+      crc = 0;
+      line = Buffer.create 256;
+      emit;
+    }
+  in
+  Bytes.blit_string magic 0 w.chunk 0 w.fill;
+  let buf = w.line in
+  Buffer.add_string buf (Printf.sprintf "%%MODEL %s\n" src.src_model);
   Buffer.add_string buf (Printf.sprintf "%%NAME %s\n" db);
-  Buffer.add_string buf (kernel_line spec);
+  Buffer.add_string buf (kernel_line src.src_spec);
   Buffer.add_char buf '\n';
   (* the crash-window stamp: which WAL (generation) and how much of it
      (byte position) this snapshot already covers *)
@@ -69,34 +134,33 @@ let snapshot_header ?stamp t ~db =
     Buffer.add_string buf (Printf.sprintf "%%WAL gen=%d pos=%d\n" g p)
   | None -> ());
   Buffer.add_string buf "%DDL\n";
-  Buffer.add_string buf (String.trim ddl);
+  Buffer.add_string buf (String.trim src.src_ddl);
   Buffer.add_string buf "\n%DATA\n";
-  Ok (buf, kernel)
+  add_line w;
+  w
 
 (* "@<key> INSERT (...)": records are walked in database-key order, so
    the dump is a deterministic function of the state, and keyed restore
-   reproduces the keys — dump ∘ restore ∘ dump is byte-identical *)
-let record_line buf (key, record) =
+   reproduces the keys — dump ∘ restore ∘ dump is byte-identical. A
+   string or text may hold a newline: the reader splits records only at
+   newlines outside quotes. *)
+let add_record w (key, record) =
+  let buf = w.line in
   Buffer.add_char buf '@';
   Buffer.add_string buf (string_of_int key);
   Buffer.add_char buf ' ';
   Abdl.Ast.to_buffer buf (Abdl.Ast.Insert record);
-  Buffer.add_char buf '\n'
-
-(* The finished snapshot: the CRC of everything after the two header
-   lines, written over the placeholder digits in the one copy of the
-   buffer the result needs anyway. *)
-let seal buf =
-  let b = Buffer.to_bytes buf in
-  let body = String.length seal_header in
-  let crc = Wal.crc32_bytes b ~pos:body ~len:(Bytes.length b - body) in
-  Bytes.blit_string (Printf.sprintf "%08x" crc) 0 b crc_offset 8;
-  Bytes.unsafe_to_string b
+  Buffer.add_char buf '\n';
+  add_line w
 
 let dump ?stamp t ~db =
-  let* buf, kernel = snapshot_header ?stamp t ~db in
-  Seq.iter (record_line buf) (Mapping.Kernel.to_seq kernel);
-  Ok (seal buf)
+  let* src = source t ~db in
+  (* about 100 bytes a record: most dumps never regrow the buffer *)
+  let out = Buffer.create (4096 + (128 * Mapping.Kernel.size src.src_kernel)) in
+  let w = start ?stamp ~db src (Buffer.add_subbytes out) in
+  Seq.iter (add_record w) (Mapping.Kernel.to_seq src.src_kernel);
+  seal w;
+  Ok (Buffer.contents out)
 
 (* --- parse --------------------------------------------------------------- *)
 
@@ -158,38 +222,75 @@ let parse_data_line trimmed =
                String.sub trimmed (sp + 1) (String.length trimmed - sp - 1) ))
   else Ok (D_fresh trimmed)
 
-let parse_sections text =
-  let lines = String.split_on_char '\n' text in
-  let* version, lines =
-    match lines with
-    | first :: rest when String.trim first = "%MLDS 1" -> Ok (1, rest)
-    | first :: crc_line :: rest when String.trim first = "%MLDS 2" ->
-      (* the %CRC header covers every byte after its own line *)
-      let* stored =
-        match
-          String.split_on_char ' ' (String.trim crc_line)
-          |> List.filter (fun w -> w <> "")
-        with
-        | [ "%CRC"; hex ] ->
-          (match int_of_string_opt ("0x" ^ hex) with
-          | Some crc -> Ok crc
-          | None -> err "bad %%CRC header %S" hex)
-        | _ -> err "missing %%CRC header in a v2 save file"
-      in
-      (* checked in place: the body starts after the first two lines *)
-      let pos =
-        min (String.length text) (String.length first + String.length crc_line + 2)
-      in
-      if
-        Wal.crc32_bytes (Bytes.unsafe_of_string text) ~pos
-          ~len:(String.length text - pos)
-        <> stored
-      then
-        err "save file checksum mismatch (corrupt or truncated)"
-      else Ok (2, rest)
-    | _ -> err "not an MLDS save file (missing %%MLDS header)"
+let is_hex c = (c >= '0' && c <= '9') || (c >= 'a' && c <= 'f') || (c >= 'A' && c <= 'F')
+
+let checksum_ok text ~pos ~stop ~stored =
+  Wal.crc32_bytes (Bytes.unsafe_of_string text) ~pos ~len:(stop - pos) = stored
+
+let mismatch () = err "save file checksum mismatch (corrupt or truncated)"
+
+(* The [pos, stop) range of lines after the checked header, or why
+   [text] is not an intact save file. *)
+let checked_body text =
+  let len = String.length text in
+  let line_end from =
+    match String.index_from_opt text from '\n' with Some i -> i | None -> len
   in
-  ignore version;
+  let first_end = line_end 0 in
+  let body = min len (first_end + 1) in
+  match String.trim (String.sub text 0 first_end) with
+  | "%MLDS 1" -> Ok (body, len)
+  | "%MLDS 2" ->
+    (* the %CRC header covers every byte after its own line *)
+    let crc_end = line_end body in
+    let* stored =
+      match
+        String.split_on_char ' ' (String.trim (String.sub text body (crc_end - body)))
+        |> List.filter (fun w -> w <> "")
+      with
+      | [ "%CRC"; hex ] ->
+        (match int_of_string_opt ("0x" ^ hex) with
+        | Some crc -> Ok crc
+        | None -> err "bad %%CRC header %S" hex)
+      | _ -> err "missing %%CRC header in a v2 save file"
+    in
+    let pos = min len (crc_end + 1) in
+    if checksum_ok text ~pos ~stop:len ~stored then Ok (pos, len)
+    else mismatch ()
+  | "%MLDS 3" ->
+    (* the %CRC trailer is the last line and covers every byte between
+       it and the first: a file cut anywhere has no intact trailer *)
+    let at = len - trailer_length in
+    let intact =
+      at > body
+      && text.[at - 1] = '\n'
+      && String.sub text at 5 = "%CRC "
+      && text.[len - 1] = '\n'
+      && String.for_all is_hex (String.sub text (at + 5) 8)
+    in
+    if not intact then mismatch ()
+    else
+      let stored = int_of_string ("0x" ^ String.sub text (at + 5) 8) in
+      if checksum_ok text ~pos:body ~stop:at ~stored then Ok (body, at)
+      else mismatch ()
+  | _ -> err "not an MLDS save file (missing %%MLDS header)"
+
+(* Where the data record starting at [pos] ends: the first newline
+   outside a quoted literal (a quote inside one is doubled, which leaves
+   the count even), so a string value or text may hold a newline. *)
+let record_end text pos stop =
+  let rec go i quoted =
+    if i >= stop then stop
+    else
+      match String.unsafe_get text i with
+      | '\'' -> go (i + 1) (not quoted)
+      | '\n' when not quoted -> i
+      | _ -> go (i + 1) quoted
+  in
+  go pos false
+
+let parse_sections text =
+  let* pos, stop = checked_body text in
   let model = ref None in
   let db_name = ref None in
   let kernel_spec = ref None in
@@ -198,12 +299,21 @@ let parse_sections text =
   let data = ref [] in
   let bad = ref None in
   let section = ref `Header in
-  List.iter
-    (fun line ->
+  let line_at pos =
+    if !section = `Data then record_end text pos stop
+    else
+      match String.index_from_opt text pos '\n' with
+      | Some i when i < stop -> i
+      | _ -> stop
+  in
+  let rec walk pos =
+    if pos < stop then begin
+      let eol = line_at pos in
+      let line = String.sub text pos (eol - pos) in
       let trimmed = String.trim line in
       if String.equal trimmed "%DDL" then section := `Ddl
       else if String.equal trimmed "%DATA" then section := `Data
-      else
+      else begin
         match !section with
         | `Header ->
           let words =
@@ -241,8 +351,12 @@ let parse_sections text =
           if not (String.equal trimmed "") then
             match parse_data_line trimmed with
             | Ok d -> data := d :: !data
-            | Error msg -> if !bad = None then bad := Some msg)
-    lines;
+            | Error msg -> if !bad = None then bad := Some msg
+      end;
+      walk (eol + 1)
+    end
+  in
+  walk pos;
   match !bad, !model, !db_name with
   | Some msg, _, _ -> Error msg
   | None, None, _ -> err "missing %%MODEL header"
@@ -361,20 +475,6 @@ let restore_data t ~db ~text =
               | D_keyed (key, line) -> insert_line (Some key) line
               | D_fresh line -> insert_line None line)
             (Ok ()) s.data)
-
-(* --- atomic save ---------------------------------------------------------- *)
-
-(* [Fs.replace] is the protocol: the target keeps its old contents or
-   atomically gains the complete new snapshot, durably *)
-let write_snapshot fs ~file text =
-  match Fs.replace fs ~file text with
-  | () -> Ok ()
-  | exception Unix.Unix_error (e, op, path) ->
-    err "%s %s: %s" op path (Unix.error_message e)
-
-let save t ~db ~file =
-  let* text = dump t ~db in
-  write_snapshot (System.fs t) ~file text
 
 (* --- WAL replay and recovery --------------------------------------------- *)
 
@@ -515,40 +615,47 @@ let load t ~file =
   let* _outcome = load_report t ~file in
   Ok ()
 
-(* --- checkpoint ------------------------------------------------------------ *)
+(* --- save and checkpoint ------------------------------------------------ *)
 
-(* An in-flight incremental checkpoint. [checkpoint_begin] captures the
+let io_message e op path = Printf.sprintf "%s %s: %s" op path (Unix.error_message e)
+
+(* An in-flight snapshot to a file. [checkpoint_begin] captures the
    state — header, DDL, the key-ordered record sequence, and the WAL's
    (generation, position) stamp — at one instant behind the caller's
    write barrier. Records are immutable values behind immutable maps, so
    later mutations replace bindings without disturbing the captured
-   sequence: [checkpoint_slice] can serialize it in bounded steps while
-   writes keep flowing, and the snapshot is still the exact state at
-   capture time. *)
+   sequence: [checkpoint_slice] serializes it in bounded steps, each
+   full chunk going straight to the temp file of [Fs.replace]'s
+   protocol, while writes keep flowing, and the snapshot is still the
+   exact state at capture time. *)
 type ckpt = {
-  ck_fs : Fs.t;
-  ck_file : string;
   ck_wal : Wal.t option;
   ck_stamp : (int * int) option;
-  ck_buf : Buffer.t;  (* header + serialized records so far *)
+  ck_out : Fs.replacement;
+  ck_writer : writer;
+  mutable ck_failed : string option;  (* the temp file is gone *)
   mutable ck_next : (Abdm.Store.dbkey * Abdm.Record.t) Seq.node;
   mutable ck_left : int;
 }
 
-let checkpoint_begin t ~db ~file =
-  let wal = System.wal_of t ~db in
+let open_snapshot ?wal t ~db ~file =
   let stamp = Option.map (fun w -> (Wal.generation w, Wal.position w)) wal in
-  let* buf, kernel = snapshot_header ?stamp t ~db in
-  Ok
-    {
-      ck_fs = System.fs t;
-      ck_file = file;
-      ck_wal = wal;
-      ck_stamp = stamp;
-      ck_buf = buf;
-      ck_next = Mapping.Kernel.to_seq kernel ();
-      ck_left = Mapping.Kernel.size kernel;
-    }
+  let* src = source t ~db in
+  match Fs.replace_open (System.fs t) ~file with
+  | exception Unix.Unix_error (e, op, path) -> Error (io_message e op path)
+  | out ->
+    Ok
+      {
+        ck_wal = wal;
+        ck_stamp = stamp;
+        ck_out = out;
+        ck_writer = start ?stamp ~db src (Fs.replace_write out);
+        ck_failed = None;
+        ck_next = Mapping.Kernel.to_seq src.src_kernel ();
+        ck_left = Mapping.Kernel.size src.src_kernel;
+      }
+
+let checkpoint_begin t ~db ~file = open_snapshot ?wal:(System.wal_of t ~db) t ~db ~file
 
 let checkpoint_slice ck ~max_records =
   let rec go n =
@@ -556,21 +663,45 @@ let checkpoint_slice ck ~max_records =
     | Seq.Nil -> `Ready
     | Seq.Cons _ when n <= 0 -> `More ck.ck_left
     | Seq.Cons (kv, rest) ->
-      record_line ck.ck_buf kv;
+      add_record ck.ck_writer kv;
       ck.ck_next <- rest ();
       ck.ck_left <- ck.ck_left - 1;
       go (n - 1)
   in
-  go max_records
+  if ck.ck_failed <> None then `Ready
+  else
+    match go max_records with
+    | r -> r
+    | exception Unix.Unix_error (e, op, path) ->
+      (* the write failed and took the temp file with it: finishing
+         reports the error *)
+      ck.ck_failed <- Some (io_message e op path);
+      `Ready
+
+(* The snapshot durable under its name: seal, fsync, rename, fsync the
+   directory. *)
+let commit ck =
+  ignore (checkpoint_slice ck ~max_records:max_int);
+  match ck.ck_failed with
+  | Some msg -> Error msg
+  | None ->
+    match
+      seal ck.ck_writer;
+      Fs.replace_commit ck.ck_out
+    with
+    | () -> Ok ()
+    | exception Unix.Unix_error (e, op, path) -> Error (io_message e op path)
+
+let save t ~db ~file =
+  let* ck = open_snapshot t ~db ~file in
+  commit ck
 
 let checkpoint_finish ck =
-  (* finishing drains any remaining records first *)
-  ignore (checkpoint_slice ck ~max_records:max_int);
   (* order matters: the snapshot's rename must be durable (the directory
-     fsync inside [Fs.replace]) before the log stops carrying the state.
+     fsync inside [commit]) before the log stops carrying the state.
      Were the truncate to survive a power loss that the rename did not,
      recovery would pair the old snapshot with the truncated log. *)
-  let* () = write_snapshot ck.ck_fs ~file:ck.ck_file (seal ck.ck_buf) in
+  let* () = commit ck in
   match ck.ck_wal with
   | None -> Ok ()
   | Some wal ->

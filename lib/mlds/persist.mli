@@ -7,10 +7,9 @@
     currency indicators, DL/I positions) and backend placement exactly,
     and [dump ∘ restore ∘ dump] is byte-identical.
 
-    Format (v2):
+    Format (v3):
     {v
-    %MLDS 2
-    %CRC 1f2e3d4c
+    %MLDS 3
     %MODEL functional
     %NAME university
     %KERNEL backends=3 placement=round-robin
@@ -19,11 +18,23 @@
     ...
     %DATA
     @1 INSERT (<FILE, person>, <person, 17>, ...)
+    @2 INSERT (<FILE, memo>, <id, 2> | 'a record''s text')
     ...
+    %CRC 1f2e3d4c
     v}
-    [%CRC] is the IEEE CRC-32 (hex) of every byte after its own line;
-    {!load} rejects a mismatch. Legacy [%MLDS 1] files (unkeyed data, no
-    checksum) still load, with fresh keys.
+    The trailer [%CRC] is the IEEE CRC-32 (hex) of every byte between
+    the first line and itself; {!load} rejects a mismatch, and a file cut
+    anywhere, the trailer included, as corrupt. A record's textual
+    portion follows [|] as a quoted literal. A quoted string or text may
+    hold a newline: data records end at newlines outside quotes.
+
+    Every snapshot is streamed: records are serialized into one fixed
+    64 KiB chunk, each full chunk goes to the file (or, for {!dump}, to
+    the result) with the CRC running over it, and the trailer seals the
+    stream, so the file is written front to back and never held whole.
+    [%MLDS 2] files (the CRC in a header line after the first, over
+    every byte after it; the same body) and legacy [%MLDS 1] files
+    (unkeyed data, no checksum, restored with fresh keys) still load.
 
     {2 Durability}
 
@@ -31,7 +42,7 @@
     [<file>.tmp], fsynced, renamed over the target, then the directory
     fsynced — a crash mid-save leaves the old file intact, never a
     truncated one, and a leftover [<file>.tmp] is overwritten by the next
-    save. {!load} auto-replays a sibling [<file>.wal] if one exists;
+    save. A save that fails removes its [<file>.tmp]. {!load} auto-replays a sibling [<file>.wal] if one exists;
     recovery = latest snapshot + the committed prefix of the log.
     {!checkpoint} makes the snapshot and its rename durable {e first},
     then empties the attached log. *)
@@ -127,9 +138,12 @@ val load_report : System.t -> file:string -> (load_outcome, string) result
     server can interleave checkpoint work with request batches:
     {!checkpoint_begin} captures the state (records are immutable, so
     concurrent writes replace map bindings without disturbing the
-    capture), {!checkpoint_slice} serializes up to [max_records] of it,
-    and {!checkpoint_finish} writes the snapshot atomically and
-    truncates the log. [checkpoint] = begin + finish in one step. *)
+    capture) and opens [<file>.tmp], {!checkpoint_slice} serializes up
+    to [max_records] of it, writing each chunk that fills, and
+    {!checkpoint_finish} seals, fsyncs and renames the snapshot, then
+    truncates the log. A checkpoint whose write fails has removed its
+    temp file; its finish returns the error. [checkpoint] = begin +
+    finish in one step. *)
 
 val checkpoint : System.t -> db:string -> file:string -> (unit, string) result
 
@@ -139,12 +153,13 @@ type ckpt
 val checkpoint_begin :
   System.t -> db:string -> file:string -> (ckpt, string) result
 
-(** Serialize up to [max_records] more captured records. [`More n]: [n]
-    records still pending; [`Ready]: capture fully serialized, call
+(** Serialize up to [max_records] more captured records, writing every
+    chunk that fills. [`More n]: [n] records still pending; [`Ready]:
+    capture fully serialized, or a write failed; call
     {!checkpoint_finish}. *)
 val checkpoint_slice : ckpt -> max_records:int -> [ `More of int | `Ready ]
 
-(** Drain any remaining records, write the snapshot atomically, then
-    truncate the WAL to the captured position (keeping the tail appended
-    since the capture). *)
+(** Drain any remaining records, seal the snapshot and make it durable
+    under its name, then truncate the WAL to the captured position
+    (keeping the tail appended since the capture). *)
 val checkpoint_finish : ckpt -> (unit, string) result

@@ -88,10 +88,13 @@ let find t ~language ~src =
       | Some n ->
         t.hits <- t.hits + 1;
         Obs.Metrics.incr c_hit;
-        if t.first != Some n then begin
+        (* the node itself, not an option built around it: a fresh
+           [Some n] is never physically equal to [t.first] *)
+        (match t.first with
+        | Some f when f == n -> ()
+        | _ ->
           unlink t n;
-          push_front t n
-        end;
+          push_front t n);
         Some n.value
       | None ->
         t.misses <- t.misses + 1;

@@ -81,11 +81,11 @@ let crc_tables =
 
 let byte b i = Char.code (Bytes.unsafe_get b i)
 
-let crc32_bytes b ~pos ~len =
+let crc32_update crc b ~pos ~len =
   if pos < 0 || len < 0 || pos + len > Bytes.length b then
-    invalid_arg "Wal.crc32_bytes";
+    invalid_arg "Wal.crc32_update";
   let t = Lazy.force crc_tables in
-  let c = ref 0xFFFFFFFF and p = ref pos in
+  let c = ref (crc lxor 0xFFFFFFFF) and p = ref pos in
   let sliced = pos + (len land lnot 7) in
   while !p < sliced do
     let i = !p and x = !c in
@@ -107,6 +107,8 @@ let crc32_bytes b ~pos ~len =
     c := Array.unsafe_get t ((!c lxor byte b i) land 0xFF) lxor (!c lsr 8)
   done;
   !c lxor 0xFFFFFFFF
+
+let crc32_bytes b ~pos ~len = crc32_update 0 b ~pos ~len
 
 let crc32 s =
   crc32_bytes (Bytes.unsafe_of_string s) ~pos:0 ~len:(String.length s)

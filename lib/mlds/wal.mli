@@ -239,3 +239,11 @@ val crc32 : string -> int
 (** [crc32_bytes b ~pos ~len] is the CRC-32 of [len] bytes of [b] from
     [pos]. Raises [Invalid_argument] if the range is outside [b]. *)
 val crc32_bytes : bytes -> pos:int -> len:int -> int
+
+(** [crc32_update crc b ~pos ~len] continues [crc], the CRC-32 of some
+    bytes [s], over [len] bytes of [b] from [pos]: the result is the
+    CRC-32 of [s] followed by those bytes, and [crc32_update 0] is
+    {!crc32_bytes}. A stream is checksummed one piece at a time without
+    holding it whole. Raises [Invalid_argument] if the range is outside
+    [b]. *)
+val crc32_update : int -> bytes -> pos:int -> len:int -> int

@@ -27,140 +27,215 @@ type slow_entry = {
   s_span : string;
 }
 
-(* A lock-free multi-writer ring. Writers claim a unique ticket with
-   [fetch_and_add], build the record privately, then publish it with a
-   single store of the (immutable, boxed) record into its slot. The
-   OCaml memory model makes that store atomic at pointer granularity, so
-   readers observe whole records only — the slot either still holds an
-   older event, [None], or the complete new one. Slots are [Atomic.t]
-   so the publish is a release store and the fields of the record are
-   visible to any domain that loads the pointer. *)
-module Ring = struct
-  type 'a t = {
-    cap : int;
-    slots : 'a option Atomic.t array;
-    next : int Atomic.t;
+(* The event ring is columns, not records: a write fills one slot of
+   each column in place, so recording allocates nothing and the ring
+   holds no per-event block for the major heap to keep. One mutex guards
+   the ring and the slow log; a writer holds it for one slot's stores,
+   a reader while it copies at most [max_events] slots out into
+   [event]s. Under the lock slot [seq mod cap] holds exactly [seq] for
+   every seq in [max 0 (next - cap), next), so no seq is stored.
+
+   Storage grows with use: the columns come in segments of
+   [segment_slots] slots, each allocated by the first write into it, so
+   a ring that never fills never pays for its whole capacity. *)
+
+let segment_slots = 256
+
+(* the int fields of a slot, in column order *)
+let i_session = 0
+let i_request = 1
+let i_bytes_in = 2
+let i_bytes_out = 3
+let i_batch = 4
+let int_fields = 5
+
+type segment = {
+  ints : int array;  (* [int_fields] per slot *)
+  floats : Float.Array.t;  (* ts_s, latency_s per slot *)
+  languages : string array;
+  opcodes : string array;
+  outcomes : outcome array;
+}
+
+let unallocated =
+  {
+    ints = [||];
+    floats = Float.Array.create 0;
+    languages = [||];
+    opcodes = [||];
+    outcomes = [||];
   }
 
-  let create cap =
-    if cap <= 0 then invalid_arg "Obs.Recorder: capacity must be positive";
-    {
-      cap;
-      slots = Array.init cap (fun _ -> Atomic.make None);
-      next = Atomic.make 0;
-    }
+let new_segment n =
+  {
+    ints = Array.make (n * int_fields) 0;
+    floats = Float.Array.make (2 * n) 0.;
+    languages = Array.make n "";
+    opcodes = Array.make n "";
+    outcomes = Array.make n O_ok;
+  }
 
-  let next t = Atomic.get t.next
-
-  let push t build =
-    let seq = Atomic.fetch_and_add t.next 1 in
-    Atomic.set t.slots.(seq mod t.cap) (Some (build seq));
-    seq
-
-  (* Ascending scan from [cursor]. Three cases per slot:
-     - the slot holds exactly [seq]: collect it;
-     - the slot holds a *newer* event: [seq] was overwritten mid-scan,
-       count it dropped and keep going;
-     - the slot holds an older event or [None]: the writer that claimed
-       [seq] has not published yet — stop, leaving the cursor at [seq]
-       so the next poll retries it (never skip, never duplicate).
-     [max_events] bounds the reply, not the window: collection stops at
-     the limit and the cursor stays there, so a slow reader catches up
-     across polls instead of silently skipping events. *)
-  let read_since t ~seq_of ~cursor ~max_events =
-    let hi = Atomic.get t.next in
-    let cursor = if cursor < 0 then 0 else cursor in
-    if cursor >= hi then ([], cursor, 0)
-    else begin
-      let oldest = if hi - t.cap > 0 then hi - t.cap else 0 in
-      let lo = if cursor < oldest then oldest else cursor in
-      let dropped = ref (lo - cursor) in
-      let count = ref 0 in
-      let acc = ref [] in
-      let stop = ref hi in
-      (try
-         for seq = lo to hi - 1 do
-           if !count >= max_events then begin
-             stop := seq;
-             raise Exit
-           end;
-           match Atomic.get t.slots.(seq mod t.cap) with
-           | Some v when seq_of v = seq ->
-             acc := v :: !acc;
-             incr count
-           | Some v when seq_of v > seq -> incr dropped
-           | Some _ | None ->
-             stop := seq;
-             raise Exit
-         done
-       with Exit -> ());
-      (List.rev !acc, !stop, !dropped)
-    end
-end
+let no_slow =
+  {
+    s_seq = -1;
+    s_ts_s = 0.;
+    s_session = 0;
+    s_request_id = 0;
+    s_language = "";
+    s_opcode = "";
+    s_latency_s = 0.;
+    s_statement = "";
+    s_plan = "";
+    s_span = "";
+  }
 
 type t = {
-  ring : event Ring.t;
-  slow : slow_entry Ring.t;
+  mx : Mutex.t;
+  cap : int;
+  segments : segment array;  (* [unallocated] until first written *)
+  mutable next : int;
+  slow : slow_entry array;  (* entry [s] at [s mod length] *)
+  mutable slow_next : int;
   threshold : float Atomic.t;
 }
 
 let create ~capacity ~slow_capacity ~slow_threshold_s () =
+  if capacity <= 0 || slow_capacity <= 0 then
+    invalid_arg "Obs.Recorder: capacity must be positive";
   {
-    ring = Ring.create capacity;
-    slow = Ring.create slow_capacity;
+    mx = Mutex.create ();
+    cap = capacity;
+    segments =
+      Array.make ((capacity + segment_slots - 1) / segment_slots) unallocated;
+    next = 0;
+    slow = Array.make slow_capacity no_slow;
+    slow_next = 0;
     threshold = Atomic.make slow_threshold_s;
   }
 
-let capacity t = t.ring.Ring.cap
+let capacity t = t.cap
 
-let next_seq t = Ring.next t.ring
+let locked_int t f =
+  Mutex.lock t.mx;
+  let v = f t in
+  Mutex.unlock t.mx;
+  v
 
-let slow_next_seq t = Ring.next t.slow
+let next_seq t = locked_int t (fun t -> t.next)
+
+let slow_next_seq t = locked_int t (fun t -> t.slow_next)
 
 let slow_threshold_s t = Atomic.get t.threshold
 
 let set_slow_threshold t v = Atomic.set t.threshold v
 
+let segment_for t slot =
+  let i = slot / segment_slots in
+  let s = t.segments.(i) in
+  if s != unallocated then s
+  else begin
+    let s = new_segment (min segment_slots (t.cap - (i * segment_slots))) in
+    t.segments.(i) <- s;
+    s
+  end
+
 let record t ~ts_s ~session ~request_id ~language ~opcode ~latency_s ~bytes_in
     ~bytes_out ~outcome ~batch =
-  Ring.push t.ring (fun seq ->
-      {
-        seq;
-        ts_s;
-        session;
-        request_id;
-        language;
-        opcode;
-        latency_s;
-        bytes_in;
-        bytes_out;
-        outcome;
-        batch;
-      })
+  Mutex.lock t.mx;
+  let seq = t.next in
+  let slot = seq mod t.cap in
+  let s = segment_for t slot in
+  let j = slot mod segment_slots in
+  let b = j * int_fields in
+  s.ints.(b + i_session) <- session;
+  s.ints.(b + i_request) <- request_id;
+  s.ints.(b + i_bytes_in) <- bytes_in;
+  s.ints.(b + i_bytes_out) <- bytes_out;
+  s.ints.(b + i_batch) <- batch;
+  Float.Array.set s.floats (2 * j) ts_s;
+  Float.Array.set s.floats ((2 * j) + 1) latency_s;
+  s.languages.(j) <- language;
+  s.opcodes.(j) <- opcode;
+  s.outcomes.(j) <- outcome;
+  t.next <- seq + 1;
+  Mutex.unlock t.mx;
+  seq
 
 let record_slow t ~ts_s ~session ~request_id ~language ~opcode ~latency_s
     ~statement ~plan ~span =
-  Ring.push t.slow (fun s_seq ->
-      {
-        s_seq;
-        s_ts_s = ts_s;
-        s_session = session;
-        s_request_id = request_id;
-        s_language = language;
-        s_opcode = opcode;
-        s_latency_s = latency_s;
-        s_statement = statement;
-        s_plan = plan;
-        s_span = span;
-      })
+  Mutex.lock t.mx;
+  let s_seq = t.slow_next in
+  t.slow.(s_seq mod Array.length t.slow) <-
+    {
+      s_seq;
+      s_ts_s = ts_s;
+      s_session = session;
+      s_request_id = request_id;
+      s_language = language;
+      s_opcode = opcode;
+      s_latency_s = latency_s;
+      s_statement = statement;
+      s_plan = plan;
+      s_span = span;
+    };
+  t.slow_next <- s_seq + 1;
+  Mutex.unlock t.mx;
+  s_seq
+
+let event_at t seq =
+  let slot = seq mod t.cap in
+  let s = t.segments.(slot / segment_slots) in
+  let j = slot mod segment_slots in
+  let b = j * int_fields in
+  {
+    seq;
+    ts_s = Float.Array.get s.floats (2 * j);
+    session = s.ints.(b + i_session);
+    request_id = s.ints.(b + i_request);
+    language = s.languages.(j);
+    opcode = s.opcodes.(j);
+    latency_s = Float.Array.get s.floats ((2 * j) + 1);
+    bytes_in = s.ints.(b + i_bytes_in);
+    bytes_out = s.ints.(b + i_bytes_out);
+    outcome = s.outcomes.(j);
+    batch = s.ints.(b + i_batch);
+  }
+
+(* The ring keeps seqs [max 0 (next - cap), next): a cursor below that
+   lost [lo - cursor] seqs to overwrites. [max_events] bounds the reply,
+   not the window: the cursor stops after the last seq returned, so a
+   slow reader catches up across polls instead of skipping events. *)
+let read_since ~next ~cap ~cursor ~max_events ~get =
+  let max_events = if max_events <= 0 then 1 else max_events in
+  let cursor = if cursor < 0 then 0 else cursor in
+  if cursor >= next then ([], cursor, 0)
+  else begin
+    let lo = max cursor (next - cap) in
+    let stop = min next (lo + max_events) in
+    let acc = ref [] in
+    for seq = stop - 1 downto lo do
+      acc := get seq :: !acc
+    done;
+    (!acc, stop, lo - cursor)
+  end
 
 let events_since t ~cursor ~max_events =
-  let max_events = if max_events <= 0 then 1 else max_events in
-  Ring.read_since t.ring ~seq_of:(fun e -> e.seq) ~cursor ~max_events
+  Mutex.lock t.mx;
+  let r =
+    read_since ~next:t.next ~cap:t.cap ~cursor ~max_events ~get:(event_at t)
+  in
+  Mutex.unlock t.mx;
+  r
 
 let slow_since t ~cursor ~max_events =
-  let max_events = if max_events <= 0 then 1 else max_events in
-  Ring.read_since t.slow ~seq_of:(fun e -> e.s_seq) ~cursor ~max_events
+  Mutex.lock t.mx;
+  let n = Array.length t.slow in
+  let r =
+    read_since ~next:t.slow_next ~cap:n ~cursor ~max_events ~get:(fun seq ->
+        t.slow.(seq mod n))
+  in
+  Mutex.unlock t.mx;
+  r
 
 let outcome_to_string = function
   | O_ok -> "ok"

@@ -1,11 +1,15 @@
-(** Flight recorder: a fixed-size lock-free ring of per-request event
-    records plus a slow-query log.
+(** Flight recorder: a fixed-size ring of per-request events plus a
+    slow-query log, both behind one mutex.
 
-    Writers (the executor and connection reader threads) publish each event
-    with a single atomic ticket fetch plus one pointer store of an
-    immutable record, so recording never takes a lock and a reader can
-    never observe a half-written ("torn") record — it sees either the
-    whole event or a different whole event that overwrote the slot.
+    The ring is stored as columns (an int array, a float array, and one
+    column each for language, opcode and outcome), so {!record} writes
+    one slot in place and allocates nothing: the ring holds no block per
+    event for the major heap to keep. A writer holds the mutex for one
+    slot's stores; a reader holds it while it copies at most
+    [max_events] slots out into {!event} records. A reader therefore
+    never observes a half-written ("torn") event. The columns grow in
+    segments of a few hundred slots, each allocated by its first write,
+    so a ring that never fills never pays for its whole capacity.
 
     Overwrite semantics: the ring keeps the last [capacity] events. An
     event older than [next_seq - capacity] is gone; readers that fall
@@ -14,10 +18,7 @@
     Cursor contract: every event carries a globally unique, strictly
     increasing [seq]. [events_since ~cursor] returns events with
     [seq >= cursor] in ascending order together with the next cursor;
-    polling with the returned cursor never yields the same event twice.
-    An event whose ticket was claimed but whose record is not yet
-    published stalls the cursor (not the reader) — it is picked up by
-    the next poll rather than skipped. *)
+    polling with the returned cursor never yields the same event twice. *)
 
 type outcome =
   | O_ok
@@ -71,8 +72,9 @@ val slow_next_seq : t -> int
 val slow_threshold_s : t -> float
 val set_slow_threshold : t -> float -> unit
 
-(** Record one completed request. Lock-free; safe from any domain.
-    Returns the event's [seq]. *)
+(** Record one completed request: one slot written in place under the
+    mutex, no allocation. Safe from any domain. Returns the event's
+    [seq]. *)
 val record :
   t ->
   ts_s:float ->
@@ -88,7 +90,8 @@ val record :
   int
 
 (** Record one slow-query entry (the caller decides, typically by
-    comparing against {!slow_threshold_s}). Lock-free. *)
+    comparing against {!slow_threshold_s}). Allocates the entry; safe
+    from any domain. *)
 val record_slow :
   t ->
   ts_s:float ->

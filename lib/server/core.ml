@@ -29,7 +29,8 @@ let default_config =
     batch = true;
     max_batch = 32;
     executor_hook = None;
-    (* the flight recorder: last 4096 requests, lock-free; 0 disables *)
+    (* the flight recorder: last 4096 requests, written in place under
+       one mutex; 0 disables *)
     recorder_capacity = 4096;
     slow_log_capacity = 128;
     (* requests at or over this land in the slow-query log with their
@@ -318,8 +319,9 @@ let outcome_of_msg = function
   | Wire.Logged_in _ | Wire.Output _ | Wire.Pong | Wire.Goodbye ->
     Obs.Recorder.O_ok
 
-(* Every completed request becomes one ring event — lock-free, so this
-   is safe from the executor and the reader threads (the Overloaded
+(* Every completed request becomes one ring event, written in place
+   under the recorder's mutex, so this is safe from the executor and the
+   reader threads (the Overloaded
    path). [?outcome] overrides the msg-derived outcome — the shed path
    sends [Overloaded] but records [O_shed] so dashboards can tell
    limiter drops from queue-full rejects. *)
@@ -591,7 +593,7 @@ let close_conn_fd t conn =
 
 (* Answer a telemetry op (Stats/Tail) in place, outside the outbox and
    never gated on a fsync. Stats arrives on the control lane (it reads
-   the executor-owned session table); Tail touches only the lock-free
+   the executor-owned session table); Tail touches only the recorder
    ring, so the connection's own reader thread calls this directly. In
    both cases polling cannot queue behind user traffic — and may
    therefore overtake data replies on the same connection; dashboards
@@ -979,7 +981,7 @@ let reader_loop t conn =
             loop ()
           end
           else begin
-            (* Tail touches only the lock-free ring, so this connection's
+            (* Tail touches only the recorder's ring, so this connection's
                own reader thread can render it — the executor never sees
                the (potentially large) event drain, and polling costs the
                batch pipeline nothing at all *)

@@ -252,11 +252,25 @@ let recover_db dir =
       let db = o.Mlds.Persist.loaded_db in
       Ok (ids_in (Option.get (Mlds.System.kernel_of t db)) "id")
 
-(* A relational database with a saved (empty) snapshot and a WAL beside
-   it, all written through [fake]. *)
-let logged_db dir fake =
+(* [n] records of ~200 bytes that [ids_in] does not count: 500 of them
+   make a snapshot of two 64 KiB chunks. *)
+let padding kernel n =
+  for i = 1 to n do
+    ignore
+      (Mapping.Kernel.insert kernel
+         (Abdm.Record.make
+            [ Abdm.Keyword.file "pad"; Abdm.Keyword.make "n" (Abdm.Value.Int i);
+              Abdm.Keyword.make "note" (Abdm.Value.Str (String.make 160 'x')) ]))
+  done
+
+let two_chunks = 500
+
+(* A relational database with a saved snapshot ([pad] padding records,
+   none by default) and a WAL beside it, all written through [fake]. *)
+let logged_db ?(pad = 0) dir fake =
   let t = Mlds.System.create ~fs:(Fake_fs.fs fake) () in
   ok "define" (Mlds.System.define_relational t ~name:"db");
+  padding (Option.get (Mlds.System.kernel_of t "db")) pad;
   ok "save" (Mlds.Persist.save t ~db:"db" ~file:(snap dir));
   let wal =
     ok "attach" (Mlds.System.attach_wal t ~db:"db" ~file:(snap dir ^ ".wal"))
@@ -280,15 +294,34 @@ let wal_commits dir fake =
   Fake_fs.mark fake [ 3; 4 ];
   insert fake kernel 5
 
-(* An online checkpoint with writes racing its capture and following its
-   finish. *)
+(* A save of a two-chunk snapshot, then writes to the log beside it. *)
+let save_and_append dir fake =
+  let _, _, kernel = logged_db ~pad:two_chunks dir fake in
+  let tmp = Mlds.Fs.temp_of (snap dir) in
+  let ino =
+    List.find_map
+      (function Fake_fs.Op (Fake_fs.Create (p, ino)) when p = tmp -> Some ino | _ -> None)
+      (Fake_fs.trace fake)
+  in
+  let writes =
+    List.filter
+      (function Fake_fs.Op (Fake_fs.Write (i, _, _)) -> Some i = ino | _ -> false)
+      (Fake_fs.trace fake)
+  in
+  Alcotest.(check bool) "the snapshot took two chunk writes" true (List.length writes >= 2);
+  insert fake kernel 1;
+  insert fake kernel 2
+
+(* An online checkpoint of a two-chunk snapshot, with writes racing its
+   capture, between its chunk writes and following its finish. *)
 let online_checkpoint dir fake =
-  let t, _, kernel = logged_db dir fake in
+  let t, _, kernel = logged_db ~pad:two_chunks dir fake in
   insert fake kernel 1;
   insert fake kernel 2;
   let ck = ok "begin" (Mlds.Persist.checkpoint_begin t ~db:"db" ~file:(snap dir)) in
   insert fake kernel 3;
-  ignore (Mlds.Persist.checkpoint_slice ck ~max_records:1);
+  (* past the first chunk: it is written here *)
+  ignore (Mlds.Persist.checkpoint_slice ck ~max_records:400);
   insert fake kernel 4;
   ok "finish" (Mlds.Persist.checkpoint_finish ck);
   insert fake kernel 5
@@ -410,6 +443,9 @@ let run_scenario ?(acks = fun _ events -> events) ~recover name workload =
 let test_wal_commits () =
   run_scenario ~recover:recover_db "wal append and commit" wal_commits
 
+let test_save_and_append () =
+  run_scenario ~recover:recover_db "save and append" save_and_append
+
 let test_online_checkpoint () =
   run_scenario ~recover:recover_db "online checkpoint" online_checkpoint
 
@@ -419,7 +455,7 @@ let test_standby_bootstrap () =
   run_scenario ~acks:standby_acks ~recover:recover_standby "standby bootstrap"
     standby_bootstrap
 
-(* Runs last: the total over the four scenarios. *)
+(* Runs last: the total over the scenarios. *)
 let test_report_total () =
   Printf.printf "crash states checked: %d\n%!" !total;
   (match Sys.getenv_opt "MLDS_CRASH_STATES" with
@@ -433,6 +469,7 @@ let test_report_total () =
 let suite =
   [
     "wal append and commit", `Quick, test_wal_commits;
+    "save and append", `Quick, test_save_and_append;
     "online checkpoint", `Quick, test_online_checkpoint;
     "truncate_to", `Quick, test_truncate_to;
     "standby bootstrap", `Quick, test_standby_bootstrap;

@@ -790,7 +790,7 @@ let test_dump_restore_dump_identical () =
     (fun (db, mk) ->
       let t = mk () in
       let d1 = dump_ok t db in
-      Alcotest.(check bool) (db ^ " has v2 header") true (contains d1 "%MLDS 2");
+      Alcotest.(check bool) (db ^ " has v3 header") true (contains d1 "%MLDS 3");
       Alcotest.(check bool) (db ^ " has checksum") true (contains d1 "%CRC ");
       let t2 = Mlds.System.create () in
       restore_ok t2 d1;
@@ -801,6 +801,25 @@ let test_dump_restore_dump_identical () =
       "parts", parts_mlds;
       "notes", notes_mlds;
     ]
+
+(* A string holding a raw newline, acked through SQL, survives a
+   snapshot: data records end only at newlines outside quotes. *)
+let test_newline_in_a_string_survives () =
+  let t = Mlds.System.create () in
+  (match Mlds.System.define_relational t ~name:"n" with
+  | Ok () -> ()
+  | Error msg -> Alcotest.fail msg);
+  ignore
+    (submit t Mlds.System.L_sql "n"
+       "CREATE TABLE n (id INT, v CHAR(20)); INSERT INTO n VALUES (1, 'two\nlines')");
+  let d1 = dump_ok t "n" in
+  let t2 = Mlds.System.create () in
+  restore_ok t2 d1;
+  Alcotest.(check string) "byte-identical" d1 (dump_ok t2 "n");
+  Alcotest.(check bool) "the value reads back" true
+    (List.exists
+       (fun (_, r) -> Abdm.Record.value_of r "v" = Some (Abdm.Value.Str "two\nlines"))
+       (Mapping.Kernel.select (Option.get (Mlds.System.kernel_of t2 "n")) Abdm.Query.always))
 
 let backend_sizes_of t db =
   match Mapping.Kernel.kds (Option.get (Mlds.System.kernel_of t db)) with
@@ -923,6 +942,49 @@ let test_failed_save_leaves_old_file () =
     (read_file file <> before);
   Sys.remove file
 
+(* A checkpoint writes its chunks as its slices go. When a chunk's write
+   fails, the temp file is removed at once, the finish reports the error
+   and the old snapshot stays; the next checkpoint lands. *)
+let test_failed_checkpoint_removes_temp () =
+  let fake = Fake_fs.create () in
+  let t = university_mlds ~fs:(Fake_fs.fs fake) () in
+  let kernel = Option.get (Mlds.System.kernel_of t "university") in
+  for i = 1 to 600 do
+    ignore
+      (Mapping.Kernel.insert kernel
+         (Abdm.Record.make
+            [ Abdm.Keyword.file "pad"; Abdm.Keyword.make "n" (Abdm.Value.Int i);
+              Abdm.Keyword.make "note" (Abdm.Value.Str (String.make 160 'x')) ]))
+  done;
+  let dir = Filename.temp_dir "mldsckpt" "" in
+  let file = Filename.concat dir "u.mlds" in
+  let tmp = Mlds.Fs.temp_of file in
+  (match Mlds.Persist.save t ~db:"university" ~file with
+  | Ok () -> ()
+  | Error msg -> Alcotest.fail msg);
+  let before = read_file file in
+  let ck =
+    match Mlds.Persist.checkpoint_begin t ~db:"university" ~file with
+    | Ok ck -> ck
+    | Error msg -> Alcotest.fail msg
+  in
+  Fake_fs.arm fake ~kind:Fake_fs.Write ~path:(String.equal tmp) 1 Fake_fs.Eio;
+  Alcotest.(check bool) "the failing slice ends the checkpoint" true
+    (Mlds.Persist.checkpoint_slice ck ~max_records:max_int = `Ready);
+  Alcotest.(check bool) "the temp file is gone" false (Sys.file_exists tmp);
+  (match Mlds.Persist.checkpoint_finish ck with
+  | Ok () -> Alcotest.fail "a failed checkpoint finished"
+  | Error msg -> Alcotest.(check bool) "the error names the write" true (contains msg "write"));
+  Alcotest.(check string) "old snapshot intact" before (read_file file);
+  (match Mlds.Persist.checkpoint t ~db:"university" ~file with
+  | Ok () -> ()
+  | Error msg -> Alcotest.fail msg);
+  Alcotest.(check string) "the retry lands the dump"
+    (match Mlds.Persist.dump t ~db:"university" with Ok d -> d | Error m -> Alcotest.fail m)
+    (read_file file);
+  Sys.remove file;
+  Sys.rmdir dir
+
 (* A save that crashes leaves its temp file behind; the temp name is
    fixed, so the next save overwrites it instead of adding another. *)
 let test_crashed_saves_leave_one_temp () =
@@ -1021,6 +1083,8 @@ let suite =
   suite
   @ [
       "dump-restore-dump byte-identical", `Quick, test_dump_restore_dump_identical;
+      "a newline in a string survives a snapshot", `Quick,
+      test_newline_in_a_string_survives;
       "dump-restore-dump on a skewed MBDS", `Quick,
       test_dump_restore_dump_identical_skewed_mbds;
       "snapshots with parallel= restore", `Quick, test_old_snapshots_restore;
@@ -1028,6 +1092,8 @@ let suite =
       "failed save leaves the old file", `Quick, test_failed_save_leaves_old_file;
       "crashed saves leave at most one temp file", `Quick,
       test_crashed_saves_leave_one_temp;
+      "a failed checkpoint removes its temp file", `Quick,
+      test_failed_checkpoint_removes_temp;
       "checksum rejects corruption", `Quick, test_checksum_rejects_corruption;
       "load auto-recovers the sibling wal", `Quick, test_load_auto_recovers_wal;
       "legacy v1 snapshots still load", `Quick, test_legacy_v1_still_loads;

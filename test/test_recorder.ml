@@ -1,7 +1,7 @@
 (* The telemetry plane's in-process pieces: the Obs.Json parser, the
-   flight recorder's lock-free ring (overwrite semantics, cursor
-   contract, torn-record freedom under concurrent writer domains), the
-   slow-query log, and the Telemetry JSONL sink.
+   flight recorder's ring (overwrite semantics, cursor contract,
+   torn-record freedom under concurrent writer domains, no allocation
+   per event), the slow-query log, and the Telemetry JSONL sink.
 
    The two concurrency properties here are the recorder's contract:
    - a drained event is always internally consistent (never stitched
@@ -131,6 +131,33 @@ let test_event_json_shape () =
       Alcotest.(check (option int)) "batch" (Some 9)
         (J.int_member "batch" json))
   | l -> Alcotest.failf "expected 1 event, got %d" (List.length l)
+
+(* Recording writes one slot in place: once the ring has wrapped (every
+   segment allocated), 10 000 events allocate nothing. A ring of event
+   records allocated 18 words an event (the option, the record, two
+   float boxes). The arguments are constants, so the calls box
+   nothing. *)
+let test_record_allocates_nothing () =
+  let r = R.create ~capacity:600 ~slow_capacity:4 ~slow_threshold_s:1.0 () in
+  let record () =
+    for i = 1 to 10_000 do
+      ignore
+        (R.record r ~ts_s:12.5 ~session:1 ~request_id:i ~language:"sql"
+           ~opcode:"submit" ~latency_s:0.25 ~bytes_in:10 ~bytes_out:20
+           ~outcome:R.O_ok ~batch:i)
+    done
+  in
+  record ();
+  let before = Gc.minor_words () in
+  record ();
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check (float 0.)) "minor words for 10 000 events" 0. words;
+  let events, _, _ = R.events_since r ~cursor:(R.next_seq r - 1) ~max_events:1 in
+  match events with
+  | [ e ] ->
+    Alcotest.(check int) "the last event's request" 10_000 e.R.request_id;
+    Alcotest.(check bool) "its floats" true (e.R.ts_s = 12.5 && e.R.latency_s = 0.25)
+  | _ -> Alcotest.fail "expected the last event"
 
 (* --- the slow-query log --------------------------------------------------- *)
 
@@ -377,6 +404,7 @@ let suite =
     "ring overwrite counts dropped", `Quick, test_ring_overwrite_counts_dropped;
     "ring pages without gaps", `Quick, test_ring_max_events_pages;
     "event json shape", `Quick, test_event_json_shape;
+    "record allocates nothing", `Quick, test_record_allocates_nothing;
     "slow log capacity and json", `Quick, test_slow_log;
     QCheck_alcotest.to_alcotest prop_no_torn_records;
     QCheck_alcotest.to_alcotest prop_cursor_never_duplicates;

@@ -163,13 +163,15 @@ let system_with records =
   List.iter (fun r -> ignore (Mapping.Kernel.insert kernel r)) records;
   sys
 
+(* the records: from after %DATA up to the %CRC trailer line *)
 let data_lines snapshot =
   let marker = "%DATA\n" in
   let rec find i =
     if String.sub snapshot i (String.length marker) = marker then i + String.length marker
     else find (i + 1)
   in
-  String.sub snapshot (find 0) (String.length snapshot - find 0)
+  let trailer = String.length "%CRC 00000000\n" in
+  String.sub snapshot (find 0) (String.length snapshot - trailer - find 0)
 
 let read_file file = In_channel.with_open_bin file In_channel.input_all
 
@@ -356,6 +358,101 @@ let test_live_words_guard () =
         dbs)
     live_words_bounds
 
+(* --- snapshots stream ---------------------------------------------------------- *)
+
+(* Words [Persist.save] allocates directly in the major heap (blocks too
+   big for the minor heap: [major - promoted]) for oltp-point's uni,
+   6 044 records, ~590 KB of snapshot. The streamed writer holds one
+   64 KiB chunk (~8 K words); a writer that builds the whole snapshot in
+   a [Buffer] and copies it to seal it allocates ~170 K words there. *)
+let save_major_words_bound = 24_000.
+
+let test_save_streams () =
+  let sys = Perfbench.Workloads.create_system Perfbench.Workloads.Oltp_point in
+  Perfbench.Workloads.preload Perfbench.Workloads.Oltp_point ~seed:1 sys;
+  let file = Filename.temp_file "mldssave" ".snap" in
+  let _, promoted0, major0 = Gc.counters () in
+  (match Mlds.Persist.save sys ~db:"uni" ~file with
+  | Ok () -> ()
+  | Error msg -> Alcotest.fail msg);
+  let _, promoted1, major1 = Gc.counters () in
+  let direct = major1 -. major0 -. (promoted1 -. promoted0) in
+  let saved = read_file file in
+  Sys.remove file;
+  Alcotest.(check string) "the file is the dump" (Result.get_ok (Mlds.Persist.dump sys ~db:"uni"))
+    saved;
+  Alcotest.(check bool) "spans several chunks" true (String.length saved > 4 * 65536);
+  if direct > save_major_words_bound then
+    Alcotest.failf "Persist.save: %.0f words direct to the major heap (bound %.0f)" direct
+      save_major_words_bound
+
+(* A snapshot cut anywhere, even inside its %CRC trailer, is corrupt:
+   never read as a shorter snapshot. *)
+let test_cut_snapshot_is_corrupt () =
+  let sys = system_with [ Abdm.Record.make [ Abdm.Keyword.file "f" ] ] in
+  let text = Result.get_ok (Mlds.Persist.dump sys ~db:"t") in
+  let n = String.length text in
+  for cut = 0 to n - 1 do
+    match Mlds.Persist.restore (Mlds.System.create ()) ~text:(String.sub text 0 cut) with
+    | Ok () -> Alcotest.failf "a snapshot cut at %d of %d bytes restored" cut n
+    | Error _ -> ()
+  done;
+  Alcotest.(check bool) "the whole snapshot restores" true
+    (Result.is_ok (Mlds.Persist.restore (Mlds.System.create ()) ~text))
+
+(* Strings and texts holding the snapshot's and the grammar's own
+   delimiters: a newline, a carriage return, a quote, a bar, a closing
+   parenthesis. *)
+let gen_tricky_record =
+  let open QCheck2.Gen in
+  let char = oneofl [ 'a'; ' '; '\n'; '\r'; '\''; '|'; ')'; '('; ','; '>'; '@'; '%' ] in
+  let str = string_size ~gen:char (int_range 0 10) in
+  let value =
+    oneof [ map (fun i -> Abdm.Value.Int i) small_signed_int; map (fun s -> Abdm.Value.Str s) str ]
+  in
+  map3
+    (fun values text with_text ->
+      Abdm.Record.make
+        ?text:(if with_text then Some text else None)
+        (Abdm.Keyword.file "f"
+        :: List.mapi (fun i v -> Abdm.Keyword.make (Printf.sprintf "a%d" i) v) values))
+    (list_size (int_range 0 4) value) str bool
+
+(* dump ∘ restore ∘ dump is the identity, every record comes back with
+   its values and text, and so does a WAL replay of the same inserts. *)
+let prop_tricky_records_round_trip =
+  QCheck2.Test.make ~name:"snapshot and WAL round-trip any record" ~count:100
+    QCheck2.Gen.(list_size (int_range 1 8) gen_tricky_record)
+    (fun records ->
+      let sys = system_with records in
+      let d1 = Result.get_ok (Mlds.Persist.dump sys ~db:"t") in
+      let restored = Mlds.System.create () in
+      (match Mlds.Persist.restore restored ~text:d1 with
+      | Ok () -> ()
+      | Error msg -> QCheck2.Test.fail_reportf "restore: %s" msg);
+      let kernel_of sys = Option.get (Mlds.System.kernel_of sys "t") in
+      let same a b =
+        List.equal
+          (fun (k, r) (k', r') -> k = k' && Abdm.Record.equal r r')
+          (contents (kernel_of a)) (contents (kernel_of b))
+      in
+      (* the inserts again, logged: the snapshot holds no record, the
+         WAL every one *)
+      let dir = Filename.temp_dir "mldsrt" "" in
+      let snap = Filename.concat dir "t.mlds" in
+      let logged = system_with [] in
+      Result.get_ok (Mlds.Persist.save logged ~db:"t" ~file:snap);
+      ignore (Result.get_ok (Mlds.System.attach_wal logged ~db:"t" ~file:(snap ^ ".wal")));
+      List.iter (fun r -> ignore (Mapping.Kernel.insert (kernel_of logged) r)) records;
+      Mlds.System.detach_wal logged ~db:"t";
+      let replayed = Mlds.System.create () in
+      let loaded = Mlds.Persist.load replayed ~file:snap in
+      Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+      Sys.rmdir dir;
+      Result.is_ok loaded
+      && String.equal d1 (Result.get_ok (Mlds.Persist.dump restored ~db:"t"))
+      && same sys restored && same sys replayed)
+
 let suite =
   [
     "loader = two-pass oracle", `Quick, test_loader_matches_oracle;
@@ -367,4 +464,7 @@ let suite =
     "SQL bulk-load allocation guard", `Quick, test_sql_bulk_load_guard;
     "SQL bulk-load allocation guard, one store", `Quick, test_sql_bulk_load_single_guard;
     "live words per record guard", `Quick, test_live_words_guard;
+    "save streams in chunks", `Quick, test_save_streams;
+    "a cut snapshot is corrupt", `Quick, test_cut_snapshot_is_corrupt;
+    QCheck_alcotest.to_alcotest prop_tricky_records_round_trip;
   ]
