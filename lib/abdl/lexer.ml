@@ -176,17 +176,6 @@ let advance c =
   if not c.ready then lex c;
   c.ready <- false
 
-let tokens src =
-  let c = cursor src in
-  let rec loop acc =
-    match peek c with
-    | EOF -> List.rev (EOF :: acc)
-    | tok ->
-      advance c;
-      loop (tok :: acc)
-  in
-  loop []
-
 let token_to_string = function
   | IDENT s -> s
   | INT i -> string_of_int i

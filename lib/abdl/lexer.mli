@@ -16,7 +16,8 @@ type token =
 exception Lex_error of string
 
 (** A cursor over [src] with one token of lookahead, lexed on demand:
-    a parser that reads it lexes no further than it parses. *)
+    a parser that reads it lexes no further than it parses, and no token
+    list is built. Every LIL parser reads one, through {!Syntax}. *)
 type cursor
 
 val cursor : string -> cursor
@@ -30,9 +31,5 @@ val peek : cursor -> token
 (** [advance c] consumes the lookahead token (lexing it first if it was
     never peeked); at the end it stays at [EOF]. *)
 val advance : cursor -> unit
-
-(** [tokens src] lexes the whole input through a cursor. Raises as
-    [peek] does, at the first bad token. *)
-val tokens : string -> token list
 
 val token_to_string : token -> string

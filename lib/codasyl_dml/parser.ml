@@ -1,226 +1,152 @@
-exception Parse_error of string
+exception Parse_error = Abdl.Syntax.Parse_error
 
-type stream = { mutable toks : Abdl.Lexer.token list }
-
-let fail fmt = Printf.ksprintf (fun msg -> raise (Parse_error msg)) fmt
-
-let peek s =
-  match s.toks with
-  | [] -> Abdl.Lexer.EOF
-  | tok :: _ -> tok
-
-let advance s =
-  match s.toks with
-  | [] -> ()
-  | _ :: rest -> s.toks <- rest
-
-let next s =
-  let tok = peek s in
-  advance s;
-  tok
-
-let ident s =
-  match next s with
-  | Abdl.Lexer.IDENT name -> name
-  | tok -> fail "expected identifier, got %s" (Abdl.Lexer.token_to_string tok)
-
-let upper = String.uppercase_ascii
-
-let expect_kw s kw =
-  match next s with
-  | Abdl.Lexer.IDENT name when upper name = kw -> ()
-  | tok -> fail "expected %s, got %s" kw (Abdl.Lexer.token_to_string tok)
-
-let kw_is tok kw =
-  match tok with
-  | Abdl.Lexer.IDENT name -> upper name = kw
-  | _ -> false
-
-let literal s =
-  match next s with
-  | Abdl.Lexer.INT i -> Abdm.Value.Int i
-  | Abdl.Lexer.FLOAT f -> Abdm.Value.Float f
-  | Abdl.Lexer.STRING str -> Abdm.Value.Str str
-  | Abdl.Lexer.IDENT name when upper name = "NULL" -> Abdm.Value.Null
-  | Abdl.Lexer.IDENT name -> Abdm.Value.Str name
-  | tok -> fail "expected literal, got %s" (Abdl.Lexer.token_to_string tok)
+open Abdl.Syntax
 
 (* ident [, ident]* — stops before a keyword terminator like IN/TO/FROM. *)
-let ident_list s =
-  let rec more acc =
-    match peek s with
-    | Abdl.Lexer.COMMA ->
-      advance s;
-      more (ident s :: acc)
-    | _ -> List.rev acc
-  in
-  more [ ident s ]
+let ident_list c = comma_separated c ident
 
-let using_clause s =
-  expect_kw s "USING";
-  let items = ident_list s in
-  expect_kw s "IN";
-  let record = ident s in
+let using_clause c =
+  expect_kw c "USING";
+  let items = ident_list c in
+  expect_kw c "IN";
+  let record = ident c in
   items, record
 
-let parse_find s =
-  match next s with
+let within c =
+  expect_kw c "WITHIN";
+  ident c
+
+let position_of_name name =
+  if kw_equal name "FIRST" then Some Ast.First
+  else if kw_equal name "LAST" then Some Ast.Last
+  else if kw_equal name "NEXT" then Some Ast.Next
+  else if kw_equal name "PRIOR" then Some Ast.Prior
+  else None
+
+let parse_find c =
+  match next c with
   | Abdl.Lexer.IDENT name ->
-    begin
-      match upper name with
-      | "ANY" ->
-        let record = ident s in
-        let items, in_record = using_clause s in
-        if not (String.equal record in_record) then
-          fail "FIND ANY: USING ... IN %s must name %s" in_record record;
-        Ast.Find_any { record; items }
-      | "CURRENT" ->
-        let record = ident s in
-        expect_kw s "WITHIN";
-        let set = ident s in
-        Ast.Find_current { record; set }
-      | "DUPLICATE" ->
-        expect_kw s "WITHIN";
-        let set = ident s in
-        let items, record = using_clause s in
-        Ast.Find_duplicate { set; record; items }
-      | "FIRST" | "LAST" | "NEXT" | "PRIOR" ->
-        let pos =
-          match upper name with
-          | "FIRST" -> Ast.First
-          | "LAST" -> Ast.Last
-          | "NEXT" -> Ast.Next
-          | "PRIOR" -> Ast.Prior
-          | _ -> assert false
-        in
-        let record = ident s in
-        expect_kw s "WITHIN";
-        let set = ident s in
-        Ast.Find_position { pos; record; set }
-      | "OWNER" ->
-        expect_kw s "WITHIN";
-        let set = ident s in
-        Ast.Find_owner { set }
-      | _ ->
+    if kw_equal name "ANY" then begin
+      let record = ident c in
+      let items, in_record = using_clause c in
+      if not (String.equal record in_record) then
+        fail "FIND ANY: USING ... IN %s must name %s" in_record record;
+      Ast.Find_any { record; items }
+    end
+    else if kw_equal name "CURRENT" then
+      let record = ident c in
+      Ast.Find_current { record; set = within c }
+    else if kw_equal name "DUPLICATE" then
+      let set = within c in
+      let items, record = using_clause c in
+      Ast.Find_duplicate { set; record; items }
+    else if kw_equal name "OWNER" then Ast.Find_owner { set = within c }
+    else begin
+      match position_of_name name with
+      | Some pos ->
+        let record = ident c in
+        Ast.Find_position { pos; record; set = within c }
+      | None ->
         (* FIND r WITHIN s CURRENT USING items IN r *)
         let record = name in
-        expect_kw s "WITHIN";
-        let set = ident s in
-        expect_kw s "CURRENT";
-        let items, in_record = using_clause s in
+        let set = within c in
+        expect_kw c "CURRENT";
+        let items, in_record = using_clause c in
         if not (String.equal record in_record) then
           fail "FIND ... CURRENT: USING ... IN %s must name %s" in_record record;
         Ast.Find_within_current { record; set; items }
     end
   | tok -> fail "FIND: unexpected %s" (Abdl.Lexer.token_to_string tok)
 
-let parse_get s =
-  match peek s with
+(* [first], then [, item]* IN record or IN record: the items of a
+   record named after IN; [None] at the end of the statement *)
+let items_in c verb first =
+  match peek c with
+  | Abdl.Lexer.EOF | Abdl.Lexer.SEMI -> None
+  | Abdl.Lexer.COMMA ->
+    advance c;
+    let items = first :: ident_list c in
+    expect_kw c "IN";
+    Some (items, ident c)
+  | tok when kw_is tok "IN" ->
+    advance c;
+    Some ([ first ], ident c)
+  | tok -> fail "%s: unexpected %s" verb (Abdl.Lexer.token_to_string tok)
+
+let parse_get c =
+  match peek c with
   | Abdl.Lexer.EOF | Abdl.Lexer.SEMI -> Ast.Get_current
   | _ ->
-    let first = ident s in
-    match peek s with
-    | Abdl.Lexer.EOF | Abdl.Lexer.SEMI -> Ast.Get_record first
-    | Abdl.Lexer.COMMA ->
-      let rec more acc =
-        match peek s with
-        | Abdl.Lexer.COMMA ->
-          advance s;
-          more (ident s :: acc)
-        | _ -> List.rev acc
-      in
-      let items = more [ first ] in
-      expect_kw s "IN";
-      let record = ident s in
-      Ast.Get_items { items; record }
-    | tok when kw_is tok "IN" ->
-      advance s;
-      let record = ident s in
-      Ast.Get_items { items = [ first ]; record }
-    | tok -> fail "GET: unexpected %s" (Abdl.Lexer.token_to_string tok)
+    let first = ident c in
+    match items_in c "GET" first with
+    | None -> Ast.Get_record first
+    | Some (items, record) -> Ast.Get_items { items; record }
 
-let parse_modify s =
-  let first = ident s in
-  match peek s with
-  | Abdl.Lexer.EOF | Abdl.Lexer.SEMI -> Ast.Modify { record = first; items = [] }
-  | Abdl.Lexer.COMMA ->
-    let rec more acc =
-      match peek s with
-      | Abdl.Lexer.COMMA ->
-        advance s;
-        more (ident s :: acc)
-      | _ -> List.rev acc
-    in
-    let items = more [ first ] in
-    expect_kw s "IN";
-    let record = ident s in
-    Ast.Modify { record; items }
-  | tok when kw_is tok "IN" ->
-    advance s;
-    let record = ident s in
-    Ast.Modify { record; items = [ first ] }
-  | tok -> fail "MODIFY: unexpected %s" (Abdl.Lexer.token_to_string tok)
+let parse_modify c =
+  let first = ident c in
+  match items_in c "MODIFY" first with
+  | None -> Ast.Modify { record = first; items = [] }
+  | Some (items, record) -> Ast.Modify { record; items }
 
-let stmt_of_stream s =
-  let verb = ident s in
-  match upper verb with
-  | "MOVE" ->
-    let value = literal s in
-    expect_kw s "TO";
-    let item = ident s in
-    expect_kw s "IN";
-    let record = ident s in
+let stmt_of_cursor c =
+  let verb = ident c in
+  if kw_equal verb "MOVE" then begin
+    let value = literal c in
+    expect_kw c "TO";
+    let item = ident c in
+    expect_kw c "IN";
+    let record = ident c in
     Ast.Move { value; item; record }
-  | "FIND" -> Ast.Find (parse_find s)
-  | "GET" -> Ast.Get (parse_get s)
-  | "STORE" -> Ast.Store (ident s)
-  | "CONNECT" ->
-    let record = ident s in
-    expect_kw s "TO";
-    Ast.Connect { record; sets = ident_list s }
-  | "DISCONNECT" ->
-    let record = ident s in
-    expect_kw s "FROM";
-    Ast.Disconnect { record; sets = ident_list s }
-  | "MODIFY" -> parse_modify s
-  | "ERASE" ->
-    let first = ident s in
-    if upper first = "ALL" then Ast.Erase { record = ident s; all = true }
+  end
+  else if kw_equal verb "FIND" then Ast.Find (parse_find c)
+  else if kw_equal verb "GET" then Ast.Get (parse_get c)
+  else if kw_equal verb "STORE" then Ast.Store (ident c)
+  else if kw_equal verb "CONNECT" then begin
+    let record = ident c in
+    expect_kw c "TO";
+    Ast.Connect { record; sets = ident_list c }
+  end
+  else if kw_equal verb "DISCONNECT" then begin
+    let record = ident c in
+    expect_kw c "FROM";
+    Ast.Disconnect { record; sets = ident_list c }
+  end
+  else if kw_equal verb "MODIFY" then parse_modify c
+  else if kw_equal verb "ERASE" then begin
+    let first = ident c in
+    if kw_equal first "ALL" then Ast.Erase { record = ident c; all = true }
     else Ast.Erase { record = first; all = false }
-  | other -> fail "unknown CODASYL-DML statement %S" other
+  end
+  else fail "unknown CODASYL-DML statement %S" (String.uppercase_ascii verb)
 
-let check_done s =
-  match peek s with
-  | Abdl.Lexer.EOF | Abdl.Lexer.SEMI -> ()
-  | tok -> fail "trailing input: %s" (Abdl.Lexer.token_to_string tok)
+let stmt = statement stmt_of_cursor
 
-let stmt src =
-  match Abdl.Lexer.tokens src with
-  | toks ->
-    let s = { toks } in
-    let parsed = stmt_of_stream s in
-    check_done s;
-    parsed
-  | exception Abdl.Lexer.Lex_error msg -> raise (Parse_error msg)
+(* A line of a transaction script: the §VI.B.4 loop idiom's opening
+   (both the bare PERFORM UNTIL EOF and the COBOL spelling PERFORM UNTIL
+   EOF = 'YES' are accepted), its END PERFORM, or a statement. A line
+   that does not lex is a statement, so that [stmt] reports the error. *)
+type line =
+  | Perform_open
+  | Perform_close
+  | Statement
 
-(* Is this line the opening of the §VI.B.4 loop idiom? Both the bare form
-   and the COBOL "PERFORM UNTIL EOF = 'YES'" spelling are accepted. *)
-let is_perform_open line =
-  match Abdl.Lexer.tokens line with
-  | Abdl.Lexer.IDENT p :: Abdl.Lexer.IDENT u :: Abdl.Lexer.IDENT e :: _
-    when upper p = "PERFORM" && upper u = "UNTIL" && upper e = "EOF" ->
-    true
-  | _ | (exception Abdl.Lexer.Lex_error _) -> false
-
-let is_perform_close line =
-  match Abdl.Lexer.tokens line with
-  | [ Abdl.Lexer.IDENT e; Abdl.Lexer.IDENT p; Abdl.Lexer.EOF ]
-    when upper e = "END" && upper p = "PERFORM" ->
-    true
-  | _ | (exception Abdl.Lexer.Lex_error _) -> false
+let classify text =
+  let c = Abdl.Lexer.cursor text in
+  try
+    if accept_kw c "PERFORM" then
+      if accept_kw c "UNTIL" && accept_kw c "EOF" then begin
+        (* the rest of the opening is not read, only lexed *)
+        while peek c <> Abdl.Lexer.EOF do advance c done;
+        Perform_open
+      end
+      else Statement
+    else if accept_kw c "END" && accept_kw c "PERFORM" && peek c = Abdl.Lexer.EOF
+    then Perform_close
+    else Statement
+  with Abdl.Lexer.Lex_error _ -> Statement
 
 let program src =
-  let raw_statements =
+  let lines =
     (* strip comments, split lines and ';'-separated statements *)
     String.split_on_char '\n' src
     |> List.concat_map (fun line ->
@@ -234,30 +160,20 @@ let program src =
            let part = String.trim part in
            if String.equal part "" then None else Some part)
   in
-  (* fold with a block structure for PERFORM UNTIL EOF ... END PERFORM *)
-  let rec build acc lines =
-    match lines with
-    | [] -> List.rev acc, []
+  (* [block ~nested acc lines] reads statements up to the END PERFORM
+     that closes a nested block, and returns the lines after it *)
+  let rec block ~nested acc = function
+    | [] ->
+      if nested then fail "PERFORM UNTIL EOF without END PERFORM";
+      List.rev acc, []
     | line :: rest ->
-      if is_perform_close line then List.rev acc, rest
-      else if is_perform_open line then begin
-        let body, rest' = build [] rest in
-        build (Ast.Perform_until_eof body :: acc) rest'
-      end
-      else build (stmt line :: acc) rest
+      match classify line with
+      | Perform_close ->
+        if not nested then fail "unmatched END PERFORM";
+        List.rev acc, rest
+      | Perform_open ->
+        let body, rest = block ~nested:true [] rest in
+        block ~nested (Ast.Perform_until_eof body :: acc) rest
+      | Statement -> block ~nested (stmt line :: acc) rest
   in
-  let stmts, leftover = build [] raw_statements in
-  if leftover <> [] then fail "unmatched END PERFORM";
-  (* an unterminated PERFORM block: build consumed everything without a
-     closer; detect by rebuilding depth *)
-  let rec check_depth depth = function
-    | [] -> if depth > 0 then fail "PERFORM UNTIL EOF without END PERFORM"
-    | line :: rest ->
-      if is_perform_open line then check_depth (depth + 1) rest
-      else if is_perform_close line then
-        if depth = 0 then fail "unmatched END PERFORM"
-        else check_depth (depth - 1) rest
-      else check_depth depth rest
-  in
-  check_depth 0 raw_statements;
-  stmts
+  fst (block ~nested:false [] lines)

@@ -1,112 +1,37 @@
-exception Parse_error of string
+exception Parse_error = Abdl.Syntax.Parse_error
 
-type stream = { mutable toks : Abdl.Lexer.token list }
-
-let fail fmt = Printf.ksprintf (fun msg -> raise (Parse_error msg)) fmt
-
-let peek s =
-  match s.toks with
-  | [] -> Abdl.Lexer.EOF
-  | tok :: _ -> tok
-
-let advance s =
-  match s.toks with
-  | [] -> ()
-  | _ :: rest -> s.toks <- rest
-
-let next s =
-  let tok = peek s in
-  advance s;
-  tok
-
-let upper = String.uppercase_ascii
-
-let ident s =
-  match next s with
-  | Abdl.Lexer.IDENT name -> name
-  | tok -> fail "expected identifier, got %s" (Abdl.Lexer.token_to_string tok)
-
-let expect s tok =
-  let got = next s in
-  if got <> tok then
-    fail "expected %s, got %s"
-      (Abdl.Lexer.token_to_string tok)
-      (Abdl.Lexer.token_to_string got)
-
-let expect_kw s kw =
-  match next s with
-  | Abdl.Lexer.IDENT name when upper name = kw -> ()
-  | tok -> fail "expected %s, got %s" kw (Abdl.Lexer.token_to_string tok)
-
-let kw_is tok kw =
-  match tok with
-  | Abdl.Lexer.IDENT name -> upper name = kw
-  | _ -> false
-
-let literal s =
-  match next s with
-  | Abdl.Lexer.INT i -> Abdm.Value.Int i
-  | Abdl.Lexer.FLOAT f -> Abdm.Value.Float f
-  | Abdl.Lexer.STRING str -> Abdm.Value.Str str
-  | Abdl.Lexer.IDENT name when upper name = "NULL" -> Abdm.Value.Null
-  | Abdl.Lexer.IDENT name -> Abdm.Value.Str name
-  | tok -> fail "expected literal, got %s" (Abdl.Lexer.token_to_string tok)
+open Abdl.Syntax
 
 (* f(g(x)) — innermost application first in [fns] *)
-let rec path s =
-  let name = ident s in
-  match peek s with
+let rec path c =
+  let name = ident c in
+  match peek c with
   | Abdl.Lexer.LPAREN ->
-    advance s;
-    let inner = path s in
-    expect s Abdl.Lexer.RPAREN;
+    advance c;
+    let inner = path c in
+    expect c Abdl.Lexer.RPAREN;
     { inner with Ast.fns = inner.Ast.fns @ [ name ] }
   | _ -> { Ast.var = name; fns = [] }
 
-let relop s =
-  match next s with
-  | Abdl.Lexer.OP op_text ->
-    begin
-      match Abdm.Predicate.op_of_string op_text with
-      | Some op -> op
-      | None -> fail "expected relational operator, got %s" op_text
-    end
-  | tok -> fail "expected relational operator, got %s" (Abdl.Lexer.token_to_string tok)
-
-let comparison s =
-  let comp_path = path s in
-  let comp_op = relop s in
-  let comp_value = literal s in
+let comparison c =
+  let comp_path = path c in
+  let comp_op = relop c in
+  let comp_value = literal c in
   { Ast.comp_path; comp_op; comp_value }
 
-let such_that s =
-  if kw_is (peek s) "SUCH" then begin
-    advance s;
-    expect_kw s "THAT";
+let such_that c =
+  if accept_kw c "SUCH" then begin
+    expect_kw c "THAT";
     let rec more acc =
-      if kw_is (peek s) "AND" then begin
-        advance s;
-        more (comparison s :: acc)
-      end
-      else List.rev acc
+      if accept_kw c "AND" then more (comparison c :: acc) else List.rev acc
     in
-    more [ comparison s ]
+    more [ comparison c ]
   end
   else []
 
-let comma_separated s parse_one =
-  let rec more acc =
-    match peek s with
-    | Abdl.Lexer.COMMA ->
-      advance s;
-      more (parse_one s :: acc)
-    | _ -> List.rev acc
-  in
-  more [ parse_one s ]
-
 (* fn(var) — a single function application over the loop variable *)
-let fn_of_var s expected_var =
-  let p = path s in
+let fn_of_var c expected_var =
+  let p = path c in
   match p.Ast.fns with
   | [ fn ] when String.equal p.Ast.var expected_var -> fn
   | _ ->
@@ -114,113 +39,82 @@ let fn_of_var s expected_var =
       (match p.Ast.fns with f :: _ -> f | [] -> "<fn>")
       expected_var
 
-let selector s =
-  expect_kw s "THE";
-  let sel_var = ident s in
-  expect_kw s "IN";
-  let sel_entity = ident s in
-  let sel_such_that = such_that s in
+let selector c =
+  expect_kw c "THE";
+  let sel_var = ident c in
+  expect_kw c "IN";
+  let sel_entity = ident c in
+  let sel_such_that = such_that c in
   { Ast.sel_var; sel_entity; sel_such_that }
 
-let rec body_actions s var acc =
-  match peek s with
-  | Abdl.Lexer.IDENT name when upper name = "END" ->
-    advance s;
-    List.rev acc
-  | Abdl.Lexer.IDENT name when upper name = "PRINT" ->
-    advance s;
-    body_actions s var (Ast.A_print (comma_separated s path) :: acc)
-  | Abdl.Lexer.IDENT name when upper name = "LET" ->
-    advance s;
-    let fn = fn_of_var s var in
-    expect s (Abdl.Lexer.OP "=");
-    let value = literal s in
-    body_actions s var (Ast.A_let { fn; value } :: acc)
-  | Abdl.Lexer.IDENT name when upper name = "INCLUDE" ->
-    advance s;
-    let fn = fn_of_var s var in
-    let target = selector s in
-    body_actions s var (Ast.A_include { fn; target } :: acc)
-  | Abdl.Lexer.IDENT name when upper name = "EXCLUDE" ->
-    advance s;
-    let fn = fn_of_var s var in
-    let target = selector s in
-    body_actions s var (Ast.A_exclude { fn; target } :: acc)
-  | tok ->
+let rec body_actions c var acc =
+  if accept_kw c "END" then List.rev acc
+  else if accept_kw c "PRINT" then
+    body_actions c var (Ast.A_print (comma_separated c path) :: acc)
+  else if accept_kw c "LET" then begin
+    let fn = fn_of_var c var in
+    expect c (Abdl.Lexer.OP "=");
+    let value = literal c in
+    body_actions c var (Ast.A_let { fn; value } :: acc)
+  end
+  else if accept_kw c "INCLUDE" then begin
+    let fn = fn_of_var c var in
+    let target = selector c in
+    body_actions c var (Ast.A_include { fn; target } :: acc)
+  end
+  else if accept_kw c "EXCLUDE" then begin
+    let fn = fn_of_var c var in
+    let target = selector c in
+    body_actions c var (Ast.A_exclude { fn; target } :: acc)
+  end
+  else
     fail "expected PRINT/LET/INCLUDE/EXCLUDE/END, got %s"
+      (Abdl.Lexer.token_to_string (peek c))
+
+let entity_key c =
+  let super = ident c in
+  match next c with
+  | Abdl.Lexer.INT key -> super, key
+  | tok ->
+    fail "UNDER %s: expected an entity key, got %s" super
       (Abdl.Lexer.token_to_string tok)
 
-let stmt_of_stream s =
-  let verb = ident s in
-  match upper verb with
-  | "FOR" ->
-    expect_kw s "EACH";
-    let var = ident s in
-    expect_kw s "IN";
-    let entity = ident s in
-    let such_that = such_that s in
-    let body = body_actions s var [] in
+let assignment c =
+  let fn = ident c in
+  expect c (Abdl.Lexer.OP "=");
+  fn, literal c
+
+let stmt_of_cursor c =
+  let verb = ident c in
+  if kw_equal verb "FOR" then begin
+    expect_kw c "EACH";
+    let var = ident c in
+    expect_kw c "IN";
+    let entity = ident c in
+    let such_that = such_that c in
+    let body = body_actions c var [] in
     if body = [] then fail "FOR EACH: empty body";
     Ast.For_each { var; entity; such_that; body }
-  | "CREATE" ->
-    let entity = ident s in
+  end
+  else if kw_equal verb "CREATE" then begin
+    let entity = ident c in
     let under =
-      if kw_is (peek s) "UNDER" then begin
-        advance s;
-        comma_separated s (fun s ->
-            let super = ident s in
-            match next s with
-            | Abdl.Lexer.INT key -> super, key
-            | tok ->
-              fail "UNDER %s: expected an entity key, got %s" super
-                (Abdl.Lexer.token_to_string tok))
-      end
-      else []
+      if accept_kw c "UNDER" then comma_separated c entity_key else []
     in
-    expect s Abdl.Lexer.LPAREN;
-    let assignment s =
-      let fn = ident s in
-      expect s (Abdl.Lexer.OP "=");
-      fn, literal s
-    in
-    let assignments = comma_separated s assignment in
-    expect s Abdl.Lexer.RPAREN;
+    expect c Abdl.Lexer.LPAREN;
+    let assignments = comma_separated c assignment in
+    expect c Abdl.Lexer.RPAREN;
     Ast.Create { entity; under; assignments }
-  | "DESTROY" ->
-    let var = ident s in
-    expect_kw s "IN";
-    let entity = ident s in
-    let such_that = such_that s in
+  end
+  else if kw_equal verb "DESTROY" then begin
+    let var = ident c in
+    expect_kw c "IN";
+    let entity = ident c in
+    let such_that = such_that c in
     Ast.Destroy { var; entity; such_that }
-  | other -> fail "unknown Daplex statement %S" other
+  end
+  else fail "unknown Daplex statement %S" (String.uppercase_ascii verb)
 
-let wrap f src =
-  match Abdl.Lexer.tokens src with
-  | toks -> f { toks }
-  | exception Abdl.Lexer.Lex_error msg -> raise (Parse_error msg)
+let stmt = statement stmt_of_cursor
 
-let stmt src =
-  wrap
-    (fun s ->
-      let parsed = stmt_of_stream s in
-      begin
-        match peek s with
-        | Abdl.Lexer.EOF | Abdl.Lexer.SEMI -> ()
-        | tok -> fail "trailing input: %s" (Abdl.Lexer.token_to_string tok)
-      end;
-      parsed)
-    src
-
-let program src =
-  wrap
-    (fun s ->
-      let rec loop acc =
-        match peek s with
-        | Abdl.Lexer.EOF -> List.rev acc
-        | Abdl.Lexer.SEMI ->
-          advance s;
-          loop acc
-        | _ -> loop (stmt_of_stream s :: acc)
-      in
-      loop [])
-    src
+let program = program stmt_of_cursor

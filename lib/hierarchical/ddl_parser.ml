@@ -1,59 +1,23 @@
-exception Parse_error of string
+exception Parse_error = Abdl.Syntax.Parse_error
 
-let fail fmt = Printf.ksprintf (fun msg -> raise (Parse_error msg)) fmt
+open Abdl.Syntax
 
-let upper = String.uppercase_ascii
-
-type stream = { mutable toks : Abdl.Lexer.token list }
-
-let peek s =
-  match s.toks with
-  | [] -> Abdl.Lexer.EOF
-  | tok :: _ -> tok
-
-let advance s =
-  match s.toks with
-  | [] -> ()
-  | _ :: rest -> s.toks <- rest
-
-let next s =
-  let tok = peek s in
-  advance s;
-  tok
-
-let ident s =
-  match next s with
-  | Abdl.Lexer.IDENT name -> name
-  | tok -> fail "expected identifier, got %s" (Abdl.Lexer.token_to_string tok)
-
-let expect s tok =
-  let got = next s in
-  if got <> tok then
-    fail "expected %s, got %s"
-      (Abdl.Lexer.token_to_string tok)
-      (Abdl.Lexer.token_to_string got)
-
-let kw_is tok kw =
-  match tok with
-  | Abdl.Lexer.IDENT name -> upper name = kw
-  | _ -> false
-
-let field_def s =
-  let name = ident s in
-  let type_name = upper (ident s) in
+let field_def c =
+  let name = ident c in
+  let type_name = String.uppercase_ascii (ident c) in
   let paren_length () =
-    match peek s with
+    match peek c with
     | Abdl.Lexer.LPAREN ->
-      advance s;
+      advance c;
       let n =
-        match next s with
+        match next c with
         | Abdl.Lexer.INT n -> n
         | tok -> fail "expected length, got %s" (Abdl.Lexer.token_to_string tok)
       in
-      expect s Abdl.Lexer.RPAREN;
+      expect c Abdl.Lexer.RPAREN;
       n
     | Abdl.Lexer.INT n ->
-      advance s;
+      advance c;
       n
     | _ -> 0
   in
@@ -71,60 +35,42 @@ let strip_comments line =
   | Some i -> String.sub line 0 i
   | None -> line
 
+let segment c =
+  let name = ident c in
+  let parent = if accept_kw c "PARENT" then Some (ident c) else None in
+  expect c Abdl.Lexer.LPAREN;
+  let seg_fields = comma_separated c field_def in
+  expect c Abdl.Lexer.RPAREN;
+  { Types.seg_name = name; seg_parent = parent; seg_fields }
+
+let clauses c =
+  let rec loop db_name segments =
+    if accept_kw c "DATABASE" then begin
+      if db_name <> None then fail "duplicate DATABASE clause";
+      loop (Some (ident c)) segments
+    end
+    else if accept_kw c "SEGMENT" then loop db_name (segment c :: segments)
+    else
+      match peek c with
+      | Abdl.Lexer.EOF -> db_name, List.rev segments
+      | tok ->
+        fail "unexpected %s in hierarchical DDL" (Abdl.Lexer.token_to_string tok)
+  in
+  loop None []
+
 let schema src =
   let cleaned =
     String.split_on_char '\n' src
     |> List.map strip_comments
     |> String.concat "\n"
   in
-  let s =
-    match Abdl.Lexer.tokens cleaned with
-    | toks -> { toks }
-    | exception Abdl.Lexer.Lex_error msg -> fail "%s" msg
-  in
-  let db_name = ref None in
-  let segments = ref [] in
-  let rec loop () =
-    match peek s with
-    | Abdl.Lexer.EOF -> ()
-    | tok when kw_is tok "DATABASE" ->
-      advance s;
-      if !db_name <> None then fail "duplicate DATABASE clause";
-      db_name := Some (ident s);
-      loop ()
-    | tok when kw_is tok "SEGMENT" ->
-      advance s;
-      let name = ident s in
-      let parent =
-        if kw_is (peek s) "PARENT" then begin
-          advance s;
-          Some (ident s)
-        end
-        else None
-      in
-      expect s Abdl.Lexer.LPAREN;
-      let rec fields acc =
-        let f = field_def s in
-        match peek s with
-        | Abdl.Lexer.COMMA ->
-          advance s;
-          fields (f :: acc)
-        | _ -> List.rev (f :: acc)
-      in
-      let seg_fields = fields [] in
-      expect s Abdl.Lexer.RPAREN;
-      segments :=
-        { Types.seg_name = name; seg_parent = parent; seg_fields } :: !segments;
-      loop ()
-    | tok -> fail "unexpected %s in hierarchical DDL" (Abdl.Lexer.token_to_string tok)
-  in
-  loop ();
+  let db_name, segments = parse clauses cleaned in
   let name =
-    match !db_name with
+    match db_name with
     | Some n -> n
     | None -> fail "missing DATABASE clause"
   in
-  let result = { Types.name; segments = List.rev !segments } in
+  let result = { Types.name; segments } in
   match Types.validate result with
   | Ok () -> result
   | Error msg -> fail "invalid schema: %s" msg

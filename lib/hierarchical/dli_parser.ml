@@ -1,175 +1,96 @@
-exception Parse_error of string
+exception Parse_error = Abdl.Syntax.Parse_error
 
-type stream = { mutable toks : Abdl.Lexer.token list }
+open Abdl.Syntax
 
-let fail fmt = Printf.ksprintf (fun msg -> raise (Parse_error msg)) fmt
+let qualification_of { Abdm.Predicate.attribute; op; value } =
+  { Dli_ast.q_field = attribute; q_op = op; q_value = value }
 
-let peek s =
-  match s.toks with
-  | [] -> Abdl.Lexer.EOF
-  | tok :: _ -> tok
-
-let advance s =
-  match s.toks with
-  | [] -> ()
-  | _ :: rest -> s.toks <- rest
-
-let next s =
-  let tok = peek s in
-  advance s;
-  tok
-
-let upper = String.uppercase_ascii
-
-let ident s =
-  match next s with
-  | Abdl.Lexer.IDENT name -> name
-  | tok -> fail "expected identifier, got %s" (Abdl.Lexer.token_to_string tok)
-
-let expect s tok =
-  let got = next s in
-  if got <> tok then
-    fail "expected %s, got %s"
-      (Abdl.Lexer.token_to_string tok)
-      (Abdl.Lexer.token_to_string got)
-
-let literal s =
-  match next s with
-  | Abdl.Lexer.INT i -> Abdm.Value.Int i
-  | Abdl.Lexer.FLOAT f -> Abdm.Value.Float f
-  | Abdl.Lexer.STRING str -> Abdm.Value.Str str
-  | Abdl.Lexer.IDENT name when upper name = "NULL" -> Abdm.Value.Null
-  | Abdl.Lexer.IDENT name -> Abdm.Value.Str name
-  | tok -> fail "expected literal, got %s" (Abdl.Lexer.token_to_string tok)
-
-let qualification s =
-  let q_field = ident s in
-  let q_op =
-    match next s with
-    | Abdl.Lexer.OP op_text ->
-      begin
-        match Abdm.Predicate.op_of_string op_text with
-        | Some op -> op
-        | None -> fail "expected comparison operator, got %s" op_text
-      end
-    | tok -> fail "expected comparison operator, got %s" (Abdl.Lexer.token_to_string tok)
-  in
-  let q_value = literal s in
-  { Dli_ast.q_field; q_op; q_value }
-
-let ssa s =
-  let ssa_segment = ident s in
-  match peek s with
+let ssa c =
+  let ssa_segment = ident c in
+  match peek c with
   | Abdl.Lexer.LPAREN ->
-    advance s;
-    let qual = qualification s in
-    expect s Abdl.Lexer.RPAREN;
+    advance c;
+    let qual = qualification_of (comparison c) in
+    expect c Abdl.Lexer.RPAREN;
     { Dli_ast.ssa_segment; ssa_qual = Some qual }
   | _ -> { Dli_ast.ssa_segment; ssa_qual = None }
 
-let rec ssa_list s acc =
-  match peek s with
-  | Abdl.Lexer.IDENT _ -> ssa_list s (ssa s :: acc)
+let rec ssa_list c acc =
+  match peek c with
+  | Abdl.Lexer.IDENT _ -> ssa_list c (ssa c :: acc)
   | _ -> List.rev acc
 
-let field_assignments s =
-  expect s Abdl.Lexer.LPAREN;
-  let one s =
-    let f = ident s in
-    expect s (Abdl.Lexer.OP "=");
-    f, literal s
-  in
-  let rec more acc =
-    match peek s with
-    | Abdl.Lexer.COMMA ->
-      advance s;
-      more (one s :: acc)
-    | _ -> List.rev acc
-  in
-  let fields = more [ one s ] in
-  expect s Abdl.Lexer.RPAREN;
+let field_assignment c =
+  let f = ident c in
+  expect c (Abdl.Lexer.OP "=");
+  f, literal c
+
+let field_assignments c =
+  expect c Abdl.Lexer.LPAREN;
+  let fields = comma_separated c field_assignment in
+  expect c Abdl.Lexer.RPAREN;
   fields
 
 (* an optional single SSA for GN / GNP *)
-let optional_ssa s =
-  match peek s with
-  | Abdl.Lexer.IDENT _ -> Some (ssa s)
+let optional_ssa c =
+  match peek c with
+  | Abdl.Lexer.IDENT _ -> Some (ssa c)
   | _ -> None
 
-let call_of_stream s =
-  let verb = ident s in
-  match upper verb with
-  | "GU" ->
-    let ssas = ssa_list s [] in
+(* ISRT path target (fields): the parenthesised group that ends the call
+   is the field list, and the segment before it the target; a group
+   followed by another segment qualifies the SSA it follows. Each group
+   is read once as comparisons, then classified by what follows its ). *)
+let isrt c =
+  let fields_of group =
+    List.map
+      (fun { Abdm.Predicate.attribute; op; value } ->
+        if op <> Abdm.Predicate.Eq then
+          fail "ISRT: expected =, got %s in the field list"
+            (Abdm.Predicate.op_to_string op);
+        attribute, value)
+      group
+  in
+  let rec segments path =
+    match next c with
+    | Abdl.Lexer.IDENT ssa_segment ->
+      begin
+        match peek c with
+        | Abdl.Lexer.LPAREN ->
+          advance c;
+          let group = comma_separated c comparison in
+          expect c Abdl.Lexer.RPAREN;
+          begin
+            match peek c, group with
+            | (Abdl.Lexer.EOF | Abdl.Lexer.SEMI), _ ->
+              Dli_ast.Isrt
+                { path = List.rev path; segment = ssa_segment; fields = fields_of group }
+            | _, [ p ] ->
+              segments ({ Dli_ast.ssa_segment; ssa_qual = Some (qualification_of p) } :: path)
+            | _ -> fail "ISRT: a qualification holds one comparison"
+          end
+        | _ -> segments ({ Dli_ast.ssa_segment; ssa_qual = None } :: path)
+      end
+    | Abdl.Lexer.EOF | Abdl.Lexer.SEMI -> fail "ISRT: missing field list"
+    | tok -> fail "ISRT: unexpected %s in SSA path" (Abdl.Lexer.token_to_string tok)
+  in
+  segments []
+
+let call_of_cursor c =
+  let verb = ident c in
+  if kw_equal verb "GU" then begin
+    let ssas = ssa_list c [] in
     if ssas = [] then fail "GU: at least one SSA required";
     Dli_ast.Gu ssas
-  | "GN" -> Dli_ast.Gn (optional_ssa s)
-  | "GNP" -> Dli_ast.Gnp (optional_ssa s)
-  | "ISRT" ->
-    (* the FINAL parenthesised group is the field list; everything before
-       it is the SSA path ending in the (unqualified) target segment *)
-    let toks = Array.of_list s.toks in
-    let last_top_level_lparen =
-      let depth = ref 0 in
-      let found = ref (-1) in
-      Array.iteri
-        (fun i tok ->
-          match tok with
-          | Abdl.Lexer.LPAREN ->
-            if !depth = 0 then found := i;
-            incr depth
-          | Abdl.Lexer.RPAREN -> depth := max 0 (!depth - 1)
-          | _ -> ())
-        toks;
-      !found
-    in
-    if last_top_level_lparen < 0 then fail "ISRT: missing field list";
-    let prefix =
-      Array.to_list (Array.sub toks 0 last_top_level_lparen)
-    in
-    let group =
-      Array.to_list
-        (Array.sub toks last_top_level_lparen
-           (Array.length toks - last_top_level_lparen))
-    in
-    s.toks <- prefix @ [ Abdl.Lexer.EOF ];
-    let path_and_target = ssa_list s [] in
-    begin
-      match peek s with
-      | Abdl.Lexer.EOF -> ()
-      | tok -> fail "ISRT: unexpected %s in SSA path" (Abdl.Lexer.token_to_string tok)
-    end;
-    s.toks <- group;
-    begin
-      match List.rev path_and_target with
-      | [] -> fail "ISRT: missing target segment"
-      | target :: rev_path ->
-        if target.Dli_ast.ssa_qual <> None then
-          fail "ISRT: the new segment cannot carry a qualification";
-        let fields = field_assignments s in
-        Dli_ast.Isrt
-          {
-            path = List.rev rev_path;
-            segment = target.Dli_ast.ssa_segment;
-            fields;
-          }
-    end
-  | "REPL" -> Dli_ast.Repl (field_assignments s)
-  | "DLET" -> Dli_ast.Dlet
-  | other -> fail "unknown DL/I call %S" other
+  end
+  else if kw_equal verb "GN" then Dli_ast.Gn (optional_ssa c)
+  else if kw_equal verb "GNP" then Dli_ast.Gnp (optional_ssa c)
+  else if kw_equal verb "ISRT" then isrt c
+  else if kw_equal verb "REPL" then Dli_ast.Repl (field_assignments c)
+  else if kw_equal verb "DLET" then Dli_ast.Dlet
+  else fail "unknown DL/I call %S" (String.uppercase_ascii verb)
 
-let call src =
-  match Abdl.Lexer.tokens src with
-  | toks ->
-    let s = { toks } in
-    let parsed = call_of_stream s in
-    begin
-      match peek s with
-      | Abdl.Lexer.EOF | Abdl.Lexer.SEMI -> ()
-      | tok -> fail "trailing input: %s" (Abdl.Lexer.token_to_string tok)
-    end;
-    parsed
-  | exception Abdl.Lexer.Lex_error msg -> raise (Parse_error msg)
+let call = statement call_of_cursor
 
 let program src =
   let parse_line line =

@@ -9,10 +9,16 @@
     ISRT patient (pname = 'Doe', pid = 9)
     REPL (cost = 75)
     DLET
-    v} *)
+    v}
+    ISRT reads the call in one pass: each parenthesised group is read
+    once, and is the field list when the call ends after it, otherwise
+    the qualification of the segment before it. *)
 
+(** {!Abdl.Syntax.Parse_error}, shared by every LIL parser. *)
 exception Parse_error of string
 
+(** [call src] parses one call; a [;] may end it, and the text after that
+    is lexed but not parsed. *)
 val call : string -> Dli_ast.call
 
 val program : string -> Dli_ast.call list

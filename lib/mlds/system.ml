@@ -320,27 +320,16 @@ let session_language = function
 (* The LIL front end proper, separated from execution so the statement
    cache can serve a repeated statement without re-parsing it. *)
 let parse_language language src =
-  match language with
-  | L_codasyl ->
-    (match Codasyl_dml.Parser.program src with
-    | exception Codasyl_dml.Parser.Parse_error msg -> Error msg
-    | stmts -> Ok (P_codasyl stmts))
-  | L_daplex ->
-    (match Daplex_dml.Parser.program src with
-    | exception Daplex_dml.Parser.Parse_error msg -> Error msg
-    | stmts -> Ok (P_daplex stmts))
-  | L_sql ->
-    (match Relational.Sql_parser.program src with
-    | exception Relational.Sql_parser.Parse_error msg -> Error msg
-    | stmts -> Ok (P_sql stmts))
-  | L_dli ->
-    (match Hierarchical.Dli_parser.program src with
-    | exception Hierarchical.Dli_parser.Parse_error msg -> Error msg
-    | calls -> Ok (P_dli calls))
-  | L_abdl ->
-    (match Abdl.Parser.transaction src with
-    | exception Abdl.Parser.Parse_error msg -> Error msg
-    | requests -> Ok (P_abdl requests))
+  match
+    match language with
+    | L_codasyl -> P_codasyl (Codasyl_dml.Parser.program src)
+    | L_daplex -> P_daplex (Daplex_dml.Parser.program src)
+    | L_sql -> P_sql (Relational.Sql_parser.program src)
+    | L_dli -> P_dli (Hierarchical.Dli_parser.program src)
+    | L_abdl -> P_abdl (Abdl.Parser.transaction src)
+  with
+  | parsed -> Ok parsed
+  | exception Abdl.Syntax.Parse_error msg -> Error msg
 
 (* Cache only successes: a parse error is cheap to recompute and rare on
    the hot path, and caching it would let one typo pin a cache slot. *)

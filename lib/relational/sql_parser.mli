@@ -9,12 +9,14 @@
     DELETE FROM employee WHERE dept = 'math'
     v} *)
 
+(** {!Abdl.Syntax.Parse_error}, shared by every LIL parser. *)
 exception Parse_error of string
 
-(** The parsers read {!Abdl.Lexer.cursor}, which lexes only as far as
-    they read: of a syntax error and a lexical error, the one earlier in
-    the text is raised (as [Parse_error] either way). An integer literal
-    past the [int] range raises [Failure], as [int_of_string] does. *)
+(** The parsers read {!Abdl.Lexer.cursor} through {!Abdl.Syntax}, which
+    lexes only as far as they read: of a syntax error and a lexical error
+    (an integer literal past the [int] range is one), the one earlier in
+    the text is raised, as [Parse_error] either way. WHERE is
+    {!Abdl.Syntax.condition}, ABDL's qualification grammar. *)
 
 (** [stmt src] parses one statement; a [;] may end it, and the text after
     that is lexed but not parsed. *)

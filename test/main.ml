@@ -3,6 +3,7 @@ let () =
     [
       "abdm", Test_abdm.suite;
       "abdl", Test_abdl.suite;
+      "lil", Test_lil.suite;
       "mbds", Test_mbds.suite;
       "mbds-pool", Test_pool.suite;
       "obs", Test_obs.suite;

@@ -705,8 +705,8 @@ let prop_parser_matches_list_parser =
   QCheck2.Test.make ~name:"SQL parser on the cursor = list-stream parser" ~count:2000
     ~print:Fun.id gen_sql_text (fun src ->
       parse_outcome Relational.Sql_parser.program src
-      = parse_outcome Parse_oracle.program src
-      && parse_outcome Relational.Sql_parser.stmt src = parse_outcome Parse_oracle.stmt src)
+      = parse_outcome Parse_oracle.Old_sql.program src
+      && parse_outcome Relational.Sql_parser.stmt src = parse_outcome Parse_oracle.Old_sql.stmt src)
 
 (* --- the one-pass INSERT against the old INSERT ----------------------------- *)
 
