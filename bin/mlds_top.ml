@@ -251,8 +251,10 @@ let render ~target ~prev ~cur ~tail ~keep =
   let prefix = "server.request." in
   List.iter
     (fun (name, obj) ->
+      (* every opcode's histogram exists from start-up: list the used ones *)
       if
-        String.length name > String.length prefix + 2
+        Option.value ~default:0. (J.num_member "count" obj) > 0.
+        && String.length name > String.length prefix + 2
         && String.sub name 0 (String.length prefix) = prefix
         && String.sub name (String.length name - 2) 2 = "_s"
       then begin

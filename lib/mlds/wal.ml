@@ -17,13 +17,13 @@ type t = {
   fs : Fs.t;
   mx : Mutex.t;
   mutable fd : Fs.fd option;  (* None once closed *)
-  mutable do_fsync : bool;
+  do_fsync : bool;
   mutable len : int;  (* bytes written to the OS *)
   mutable commit_len : int;  (* [len] at the last commit point *)
   mutable synced_len : int;  (* bytes known durable (last fsync) *)
   mutable appends : int;
   mutable fsyncs : int;  (* real fsync syscalls issued by this handle *)
-  mutable grouping : bool;  (* inside begin_group..end_group *)
+  mutable grouping : bool;  (* inside begin_group..leave_group *)
   mutable deferred_syncs : int;  (* commit points not yet covered by a fsync *)
   mutable generation : int;  (* bumped by every truncate; 0 for a virgin log *)
   mutable last_trunc : (int * int * int) option;
@@ -267,8 +267,6 @@ let synced_position t = t.synced_len
 
 let last_truncation t = t.last_trunc
 
-let set_fsync t b = t.do_fsync <- b
-
 let fsync_enabled t = t.do_fsync
 
 let live t =
@@ -333,15 +331,7 @@ let begin_group t =
   ignore (live t);
   t.grouping <- true
 
-let in_group t = t.grouping
-
 let leave_group t = t.grouping <- false
-
-let end_group t =
-  if t.grouping then begin
-    leave_group t;
-    sync_to t t.commit_len
-  end
 
 let truncate_locked t =
   let fd = live t in
@@ -360,8 +350,6 @@ let truncate_locked t =
   t.fsyncs <- t.fsyncs + 1;
   t.fs.Fs.fsync fd;
   Obs.Metrics.set_gauge g_bytes (float_of_int t.len)
-
-let truncate t = Mutex.protect t.mx (fun () -> truncate_locked t)
 
 (* [read_range path ~pos ~len] reads exactly [len] bytes at offset [pos]
    by path (a fresh descriptor, so it never disturbs the writing handle).

@@ -76,7 +76,7 @@ val path : t -> string
 val appended : t -> int
 
 (** The log's current generation: 0 for a virgin log, bumped by every
-    {!truncate} / {!truncate_to}. *)
+    {!truncate_to}. *)
 val generation : t -> int
 
 (** Byte length of the log right now — the position a snapshot captured
@@ -129,50 +129,36 @@ val sync_to : t -> int -> unit
 
     [begin_group t] starts a commit group: subsequent {!sync} calls are
     absorbed (each marks a commit point but issues no fsync) until
-    [end_group t], which performs {e one} covering fsync for every
-    absorbed commit — the batched executor brackets each request batch
-    this way, so a batch of K committed transactions costs one fsync
-    instead of K. The durability contract is preserved by the caller:
-    acknowledgements for the absorbed commits must be withheld until
-    [end_group] returns. [end_group] observes the number of commits the
-    covering fsync amortised in the [wal.group_commit_size] histogram,
-    and raises {!Crash} if the handle died inside the group (the caller
-    must then treat every absorbed commit as unacknowledged).
-
-    [leave_group t] closes the group {e without} the covering fsync: the
-    caller owes it, as [sync_to t (committed_position t)], and must
-    withhold the absorbed acknowledgements until it succeeds. The
-    server's executor leaves the group at batch end and hands that call
-    to a flusher thread. *)
+    [leave_group t] closes it. The caller then owes {e one} covering
+    fsync for every absorbed commit, as
+    [sync_to t (committed_position t)], and must withhold the absorbed
+    acknowledgements until it succeeds — the batched executor brackets
+    each request batch this way and hands that call to a flusher thread,
+    so a batch of K committed transactions costs one fsync instead of K.
+    The covering [sync_to] observes the number of commits it amortised in
+    the [wal.group_commit_size] histogram, and raises {!Crash} if the
+    handle died meanwhile (every absorbed commit is then
+    unacknowledged). *)
 
 val begin_group : t -> unit
 
-val end_group : t -> unit
-
 val leave_group : t -> unit
-
-val in_group : t -> bool
 
 (** Real fsync syscalls issued through this handle (the dirty-flag and
     group-commit tests count these). *)
 val fsyncs : t -> int
 
-val set_fsync : t -> bool -> unit
-
 val fsync_enabled : t -> bool
-
-(** [truncate t] empties the log (checkpoint: the snapshot now carries
-    the state) and starts the next generation. Durable before
-    returning. *)
-val truncate : t -> unit
 
 (** [truncate_to t ~keep_from] truncates the log to a checkpoint
     position while preserving the tail appended after the snapshot was
     captured: the replacement log (next-generation marker + the bytes
     from [keep_from] to the current end) takes the old one's place
     through {!Fs.replace} — a crash leaves either the complete old log or
-    the complete new one, never a mix. [keep_from] ≥ the
-    current length degenerates to {!truncate}. Must not be called inside
+    the complete new one, never a mix. [keep_from] ≥ the current length
+    empties the log (the snapshot now carries the state) and starts the
+    next generation in place, durable before returning. Must not be
+    called inside
     a commit group. A replace that fails after its rename leaves the
     handle dead; one that fails before leaves it on the old log. *)
 val truncate_to : t -> keep_from:int -> unit

@@ -187,21 +187,3 @@ let snapshot () =
              | I_counter c -> Counter (name, counter_value c)
              | I_gauge g -> Gauge (name, gauge_value g)
              | I_histogram h -> Histogram (name, histogram_stats h)))
-
-let reset_all () =
-  let items =
-    locked registry_mutex (fun () ->
-        Hashtbl.fold (fun _ i acc -> i :: acc) registry [])
-  in
-  List.iter
-    (function
-      | I_counter c -> Atomic.set c.count 0
-      | I_gauge g -> Atomic.set g.value 0.
-      | I_histogram h ->
-        locked h.lock (fun () ->
-            Array.fill h.counts 0 (Array.length h.counts) 0;
-            h.h_sum <- 0.;
-            h.h_n <- 0;
-            h.h_min <- Float.infinity;
-            h.h_max <- Float.neg_infinity))
-    items

@@ -96,7 +96,7 @@ type t = {
   mutable next : int;
   slow : slow_entry array;  (* entry [s] at [s mod length] *)
   mutable slow_next : int;
-  threshold : float Atomic.t;
+  threshold : float;
 }
 
 let create ~capacity ~slow_capacity ~slow_threshold_s () =
@@ -110,7 +110,7 @@ let create ~capacity ~slow_capacity ~slow_threshold_s () =
     next = 0;
     slow = Array.make slow_capacity no_slow;
     slow_next = 0;
-    threshold = Atomic.make slow_threshold_s;
+    threshold = slow_threshold_s;
   }
 
 let capacity t = t.cap
@@ -125,9 +125,7 @@ let next_seq t = locked_int t (fun t -> t.next)
 
 let slow_next_seq t = locked_int t (fun t -> t.slow_next)
 
-let slow_threshold_s t = Atomic.get t.threshold
-
-let set_slow_threshold t v = Atomic.set t.threshold v
+let slow_threshold_s t = t.threshold
 
 let segment_for t slot =
   let i = slot / segment_slots in

@@ -70,7 +70,6 @@ val next_seq : t -> int
 
 val slow_next_seq : t -> int
 val slow_threshold_s : t -> float
-val set_slow_threshold : t -> float -> unit
 
 (** Record one completed request: one slot written in place under the
     mutex, no allocation. Safe from any domain. Returns the event's

@@ -78,58 +78,40 @@ let push_control t x =
   end;
   Mutex.unlock t.mutex
 
-let pop t =
-  Mutex.lock t.mutex;
-  let rec take () =
-    match Queue.take_opt t.control with
-    | Some _ as x -> x
-    | None ->
-      match take_request t with
-      | Some _ as x -> x
-      | None ->
-        if t.is_closed then None
-        else begin
-          Condition.wait t.nonempty t.mutex;
-          take ()
-        end
-  in
-  let x = take () in
-  Mutex.unlock t.mutex;
-  x
+(* the next item, control lane first; the caller holds [mutex] *)
+let take t =
+  match Queue.take_opt t.control with
+  | Some _ as x -> x
+  | None -> take_request t
+
+(* up to [max] items already queued, onto [acc] newest first *)
+let rec drain t acc n max =
+  if n >= max then acc
+  else
+    match take t with
+    | Some x -> drain t (x :: acc) (n + 1) max
+    | None -> acc
 
 let pop_batch t ~max =
   if max < 1 then invalid_arg "Bounded_queue.pop_batch: max < 1";
   Mutex.lock t.mutex;
-  (* block for the first item exactly like [pop]... *)
+  (* block for the first item... *)
   let rec first () =
-    match Queue.take_opt t.control with
+    match take t with
     | Some _ as x -> x
     | None ->
-      match take_request t with
-      | Some _ as x -> x
-      | None ->
-        if t.is_closed then None
-        else begin
-          Condition.wait t.nonempty t.mutex;
-          first ()
-        end
+      if t.is_closed then None
+      else begin
+        Condition.wait t.nonempty t.mutex;
+        first ()
+      end
   in
   let batch =
     match first () with
     | None -> []
     | Some head ->
       (* ...then drain whatever is already queued, without blocking *)
-      let rec drain acc n =
-        if n >= max then acc
-        else
-          match Queue.take_opt t.control with
-          | Some x -> drain (x :: acc) (n + 1)
-          | None ->
-            match take_request t with
-            | Some x -> drain (x :: acc) (n + 1)
-            | None -> acc
-      in
-      List.rev (drain [ head ] 1)
+      List.rev (drain t [ head ] 1 max)
   in
   Mutex.unlock t.mutex;
   batch
@@ -137,17 +119,7 @@ let pop_batch t ~max =
 let try_pop_batch t ~max =
   if max < 1 then invalid_arg "Bounded_queue.try_pop_batch: max < 1";
   Mutex.lock t.mutex;
-  let rec drain acc n =
-    if n >= max then acc
-    else
-      match Queue.take_opt t.control with
-      | Some x -> drain (x :: acc) (n + 1)
-      | None ->
-        match take_request t with
-        | Some x -> drain (x :: acc) (n + 1)
-        | None -> acc
-  in
-  let batch = List.rev (drain [] 0) in
+  let batch = List.rev (drain t [] 0 max) in
   Mutex.unlock t.mutex;
   batch
 
@@ -156,12 +128,6 @@ let close t =
   t.is_closed <- true;
   Condition.broadcast t.nonempty;
   Mutex.unlock t.mutex
-
-let closed t =
-  Mutex.lock t.mutex;
-  let c = t.is_closed in
-  Mutex.unlock t.mutex;
-  c
 
 let depth t =
   Mutex.lock t.mutex;

@@ -12,12 +12,12 @@
 
     Beside the request lanes there is an {e unbounded} control lane
     ({!push_control}) for the server's own housekeeping (disconnect
-    cleanup, idle reaping), which must never be droppable. {!pop} serves
-    the control lane first.
+    cleanup, idle reaping), which must never be droppable. {!pop_batch}
+    serves the control lane first.
 
     {!close} starts the drain: pushes are refused (control pushes become
     no-ops), already-queued items are still delivered, and once all
-    lanes are empty {!pop} returns [None] — the executor's signal to
+    lanes are empty {!pop_batch} returns [[]] — the executor's signal to
     finish up. *)
 
 type 'a t
@@ -31,15 +31,11 @@ val try_push : 'a t -> key:int -> 'a -> bool
 (** Enqueue on the unbounded control lane; no-op after {!close}. *)
 val push_control : 'a t -> 'a -> unit
 
-(** Block until an item is available (control lane first); [None] once
-    the queue is closed and fully drained. *)
-val pop : 'a t -> 'a option
-
-(** [pop_batch t ~max] blocks for the first item like {!pop}, then
-    drains — without blocking again — whatever else is already queued,
-    up to [max] items total (control lane first at each step, FIFO
-    within each lane). [[]] once the queue is closed and fully drained;
-    [pop_batch t ~max:1] is exactly {!pop}. The batched executor's
+(** [pop_batch t ~max] blocks until an item is available, then drains —
+    without blocking again — whatever else is already queued, up to
+    [max] items total (control lane first at each step, FIFO within each
+    lane). [[]] once the queue is closed and fully drained. The batched
+    executor's
     intake: under load it amortises scheduling and fsync over the whole
     batch, while an idle server still hands each request over the moment
     it arrives. *)
@@ -52,8 +48,6 @@ val pop_batch : 'a t -> max:int -> 'a list
 val try_pop_batch : 'a t -> max:int -> 'a list
 
 val close : 'a t -> unit
-
-val closed : 'a t -> bool
 
 (** Items waiting in the request lane (the [server.queue_depth] gauge). *)
 val depth : 'a t -> int

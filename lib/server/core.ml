@@ -165,7 +165,13 @@ let c_disconnects = Obs.Metrics.counter "server.disconnects_total"
    request, answered as [Exec_error] *)
 let c_internal = Obs.Metrics.counter "server.internal_errors"
 
-let h_opcode name = Obs.Metrics.histogram ("server.request." ^ name ^ "_s")
+(* one latency histogram per request opcode, made once *)
+let h_opcodes =
+  Array.map
+    (fun name -> Obs.Metrics.histogram ("server.request." ^ name ^ "_s"))
+    Wire.opcode_names
+
+let h_opcode msg = h_opcodes.(Wire.opcode_index msg)
 
 let h_batch =
   Obs.Metrics.histogram ~buckets:[| 1.; 2.; 4.; 8.; 16.; 32.; 64. |]
@@ -561,7 +567,7 @@ let compute_response t conn (frame : Wire.request Wire.frame) =
               assert false)))
   in
   let dt = Obs.Clock.since t0 in
-  Obs.Metrics.observe (h_opcode opcode) dt;
+  Obs.Metrics.observe (h_opcode frame.Wire.msg) dt;
   let language =
     match !used_handle with
     | Some h -> Mlds.System.language_to_string (Mlds.System.handle_language h)
@@ -619,7 +625,7 @@ let answer_control t conn (frame : Wire.request Wire.frame) =
         | _ -> Wire.Err (Wire.Bad_request, "not a telemetry opcode"))
   in
   let dt = Obs.Clock.since t0 in
-  Obs.Metrics.observe (h_opcode opcode) dt;
+  Obs.Metrics.observe (h_opcode frame.Wire.msg) dt;
   record_event t frame ~session:frame.Wire.session_id ~language:"-"
     ~latency_s:dt ~msg ~batch:(Atomic.get t.batch_seq);
   reply conn frame msg

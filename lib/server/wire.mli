@@ -110,6 +110,13 @@ val max_frame_bytes : int
     the per-opcode metrics / span attribute key. *)
 val opcode_name : request -> string
 
+(** Every request opcode's name, in wire-code order. *)
+val opcode_names : string array
+
+(** [opcode_index msg] is the position of [msg]'s opcode in
+    {!opcode_names}: its wire code less one. *)
+val opcode_index : request -> int
+
 val err_kind_name : err_kind -> string
 
 (** {2 Codec} — pure, total on the encode side; decode rejects unknown

@@ -1209,12 +1209,7 @@ let test_fair_lane_queue () =
   Alcotest.(check int) "greedy lane capped at its quota" 4 !pushed;
   Alcotest.(check bool) "a newcomer still gets in" true
     (Server.Bounded_queue.try_push q ~key:2 2001);
-  let order =
-    List.init 5 (fun _ ->
-        match Server.Bounded_queue.pop q with
-        | Some x -> x
-        | None -> Alcotest.fail "queue empty early")
-  in
+  let order = Server.Bounded_queue.try_pop_batch q ~max:8 in
   Alcotest.(check (list int)) "round-robin across lanes, FIFO within"
     [ 1001; 2001; 1002; 1003; 1004 ] order;
   Alcotest.(check int) "drained" 0 (Server.Bounded_queue.depth q)
