@@ -21,38 +21,11 @@
 
 open Bechamel
 open Toolkit
+open Mbds_trials
 
 (* ------------------------------------------------------------------ *)
 (* shared workload helpers                                             *)
 (* ------------------------------------------------------------------ *)
-
-let employee_record i =
-  Abdm.Record.make
-    [
-      Abdm.Keyword.file "employee";
-      Abdm.Keyword.make "name" (Abdm.Value.Str (Printf.sprintf "e%d" i));
-      Abdm.Keyword.make "salary" (Abdm.Value.Int (i * 10));
-    ]
-
-let scan_probe records =
-  Abdl.Parser.request
-    (Printf.sprintf "RETRIEVE ((FILE = employee) AND (salary > %d)) (name)"
-       ((records - 5) * 10))
-
-(* One request on [c]: its modelled seconds (the paper's cost model over
-   the work the backend counters saw during the call, and the rows
-   returned) and its measured wall-clock seconds. *)
-let modelled_run c q =
-  let before = Mbds.Controller.backend_loads c in
-  let t0 = Obs.Clock.now_s () in
-  let result = Mbds.Controller.run c q in
-  let measured = Obs.Clock.since t0 in
-  let rows =
-    match result with Abdl.Exec.Rows rows -> List.length rows | _ -> 0
-  in
-  ( Mbds.Cost.of_loads Mbds.Cost.default ~before
-      ~after:(Mbds.Controller.backend_loads c) ~results:rows,
-    measured )
 
 let mean xs = List.fold_left ( +. ) 0. xs /. float_of_int (List.length xs)
 
@@ -60,17 +33,13 @@ let mean xs = List.fold_left ( +. ) 0. xs /. float_of_int (List.length xs)
 let mean_modelled c q ~trials =
   mean (List.init trials (fun _ -> fst (modelled_run c q)))
 
-(* (modelled, measured) mean response times for one configuration. With
-   [label], every trial's modelled and measured latency is also observed
-   into [bench.<label>.modelled_s] / [bench.<label>.measured_s] histograms
-   in the Obs registry — the JSON artifact (BENCH_pr2.json) is a dump of
+(* (modelled, measured) mean response times for one configuration, one
+   fresh controller per trial ([Mbds_trials.run]). With [label], every
+   trial's modelled and measured latency is also observed into
+   [bench.<label>.modelled_s] / [bench.<label>.measured_s] histograms in
+   the Obs registry — the JSON artifact (BENCH_pr2.json) is a dump of
    that registry, so each labelled experiment gets p50/p90/p99 rows. *)
 let mbds_mean_times ?label ~backends ~records ~trials () =
-  let c = Mbds.Controller.create backends in
-  List.iter
-    (fun i -> ignore (Mbds.Controller.insert c (employee_record i)))
-    (List.init records Fun.id);
-  let q = scan_probe records in
   let observe =
     match label with
     | None -> fun _ -> ()
@@ -85,12 +54,8 @@ let mbds_mean_times ?label ~backends ~records ~trials () =
         Obs.Metrics.observe h_mod modelled;
         Obs.Metrics.observe h_meas measured
   in
-  let times =
-    List.init trials (fun _ ->
-        let times = modelled_run c q in
-        observe times;
-        times)
-  in
+  let times = Mbds_trials.run ~backends ~records ~trials in
+  List.iter observe times;
   mean (List.map fst times), mean (List.map snd times)
 
 let university_session () =

@@ -146,6 +146,24 @@ let test_cost_first_trial_pinned () =
       | _ -> Alcotest.fail "one trial")
     [ 1, 2.016; 2, 1.016; 4, 0.516; 8, 0.266; 16, 0.141 ]
 
+(* E1's probe (bench/mbds_trials.ml) loads a fresh controller per trial,
+   so every trial scans whole partitions: the five-trial mean equals the
+   first trial, the model's figure above. *)
+let test_cost_trial_mean_is_first_trial () =
+  List.iter
+    (fun (backends, want) ->
+      let modelled =
+        List.map fst (Mbds_trials.run ~backends ~records:4000 ~trials:5)
+      in
+      let mean = List.fold_left ( +. ) 0. modelled /. 5. in
+      Alcotest.(check (float 1e-9))
+        (Printf.sprintf "%d backends: mean = first trial" backends)
+        (List.hd modelled) mean;
+      Alcotest.(check (float 1e-9))
+        (Printf.sprintf "%d backends: the model's scan" backends)
+        want mean)
+    [ 1, 2.016; 2, 1.016; 4, 0.516; 8, 0.266; 16, 0.141 ]
+
 (* The backend counters accumulate across requests: each full-file
    RETRIEVE scans every live record once, and the cost model reads a
    positive time from each request's share of them. *)
@@ -781,4 +799,6 @@ let suite =
     test_workers_start_on_first_broadcast;
     "cost: first-trial partition scan pinned", `Quick,
     test_cost_first_trial_pinned;
+    "cost: E1's trial mean is its first trial", `Quick,
+    test_cost_trial_mean_is_first_trial;
   ]
