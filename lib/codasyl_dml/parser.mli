@@ -6,10 +6,16 @@
     GET course
     v}
     Keywords are case-insensitive; one statement per line ([;] separators
-    also accepted); [--] comments. *)
+    also accepted); [--] comments. The §VI.B.4 loop idiom is a block
+    between a line [PERFORM UNTIL EOF] (or [PERFORM UNTIL EOF = 'YES'])
+    and a line [END PERFORM]; each line is told apart by at most three
+    tokens. *)
 
+(** {!Abdl.Syntax.Parse_error}, shared by every LIL parser. *)
 exception Parse_error of string
 
+(** [stmt src] parses one statement; a [;] may end it, and the text after
+    that is lexed but not parsed. *)
 val stmt : string -> Ast.stmt
 
 (** [program src] parses a whole transaction script. *)

@@ -8,8 +8,11 @@
     DESTROY c IN course SUCH THAT title(c) = 'Robotics'
     v} *)
 
+(** {!Abdl.Syntax.Parse_error}, shared by every LIL parser. *)
 exception Parse_error of string
 
+(** [stmt src] parses one statement; a [;] may end it, and the text after
+    that is lexed but not parsed. *)
 val stmt : string -> Ast.stmt
 
 val program : string -> Ast.stmt list

@@ -7,6 +7,7 @@
     SEGMENT treatment PARENT visit (drug CHAR(12))
     v} *)
 
+(** {!Abdl.Syntax.Parse_error}, shared by every LIL parser. *)
 exception Parse_error of string
 
 val schema : string -> Types.schema
