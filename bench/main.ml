@@ -29,17 +29,13 @@ open Mbds_trials
 
 let mean xs = List.fold_left ( +. ) 0. xs /. float_of_int (List.length xs)
 
-(* the mean modelled seconds of [trials] runs of [q] on [c] *)
-let mean_modelled c q ~trials =
-  mean (List.init trials (fun _ -> fst (modelled_run c q)))
-
 (* (modelled, measured) mean response times for one configuration, one
    fresh controller per trial ([Mbds_trials.run]). With [label], every
    trial's modelled and measured latency is also observed into
    [bench.<label>.modelled_s] / [bench.<label>.measured_s] histograms in
    the Obs registry — the JSON artifact (BENCH_pr2.json) is a dump of
    that registry, so each labelled experiment gets p50/p90/p99 rows. *)
-let mbds_mean_times ?label ~backends ~records ~trials () =
+let mbds_mean_times ?label ?placement ?probe ~backends ~records ~trials () =
   let observe =
     match label with
     | None -> fun _ -> ()
@@ -54,7 +50,7 @@ let mbds_mean_times ?label ~backends ~records ~trials () =
         Obs.Metrics.observe h_mod modelled;
         Obs.Metrics.observe h_meas measured
   in
-  let times = Mbds_trials.run ~backends ~records ~trials in
+  let times = Mbds_trials.run ?placement ?probe ~backends ~records ~trials () in
   List.iter observe times;
   mean (List.map fst times), mean (List.map snd times)
 
@@ -375,11 +371,8 @@ let experiment_e9 () =
   banner "E9  Ablations: balanced placement and the equality directory";
   (* (a) placement: the max-loaded backend gates the parallel term *)
   let skew_time placement =
-    let c = Mbds.Controller.create ~placement 8 in
-    List.iter
-      (fun i -> ignore (Mbds.Controller.insert c (employee_record i)))
-      (List.init 4000 Fun.id);
-    mean_modelled c (scan_probe 4000) ~trials:5, Mbds.Controller.backend_sizes c
+    ( fst (mbds_mean_times ~placement ~backends:8 ~records:4000 ~trials:5 ()),
+      Mbds.Controller.backend_sizes (load ~placement ~backends:8 4000) )
   in
   Printf.printf "placement (8 backends, 4000 records):\n";
   Printf.printf "  %-28s %-18s %s\n" "policy" "response time (s)" "max backend load";
@@ -578,18 +571,18 @@ let experiment_e10 () =
 let experiment_e11 () =
   banner
     "E11  Response-size sensitivity: the 'constant response' caveat of claim 1";
-  let spec =
-    {
-      Workload.file = "employee";
-      records = 4000;
-      int_attrs = [ "seq", Workload.Sequential ];
-      str_attrs = [ "dept", 8 ];
-    }
+  (* the employees whose salary passes a threshold: [selectivity] of the
+     file, in names *)
+  let probe selectivity records =
+    Abdl.Parser.request
+      (Printf.sprintf "RETRIEVE ((FILE = employee) AND (salary > %d)) (name)"
+         ((records - int_of_float (selectivity *. float_of_int records) - 1)
+         * 10))
   in
   let time ~backends ~selectivity =
-    let c = Mbds.Controller.create backends in
-    let _ = Workload.populate ~seed:11 spec (Mbds.Controller.insert c) in
-    mean_modelled c (Workload.range_probe spec ~attr:"seq" ~selectivity) ~trials:3
+    fst
+      (mbds_mean_times ~probe:(probe selectivity) ~backends ~records:4000
+         ~trials:3 ())
   in
   Printf.printf "%-14s %-16s %-16s %s\n" "selectivity" "1 backend (s)"
     "8 backends (s)" "speedup";

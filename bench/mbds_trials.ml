@@ -1,4 +1,5 @@
-(* The probe of the MBDS claim experiments (E1, E2 of bench/main.exe):
+(* The probe of the MBDS claim experiments (E1, E2, E9 and E11 of
+   bench/main.exe, and examples/mbds_scaling.exe):
    a range RETRIEVE over [records] employees that matches the last four,
    so each backend scans its whole partition and returns a constant-size
    response — the workload the paper's claims assume. *)
@@ -31,15 +32,20 @@ let modelled_run c q =
       ~after:(Mbds.Controller.backend_loads c) ~results:rows,
     measured )
 
-(* [trials] runs of the probe on [backends] backends, (modelled,
-   measured) seconds each. Every trial loads a fresh controller: on a
-   reused one the store's heat tracker builds an index on [salary] after
-   a few scans, and later trials would read four records instead of the
+(* [backends] fresh backends holding employees [0, records) *)
+let load ?placement ~backends records =
+  let c = Mbds.Controller.create ?placement backends in
+  for i = 0 to records - 1 do
+    ignore (Mbds.Controller.insert c (employee_record i))
+  done;
+  c
+
+(* [trials] runs of [probe records] (by default {!scan_probe}) on
+   [backends] backends placed by [placement], (modelled, measured)
+   seconds each. Every trial loads a fresh controller: on a reused one
+   the store's heat tracker builds an index on [salary] after a few
+   scans, and later trials would read four records instead of the
    partitions. *)
-let run ~backends ~records ~trials =
+let run ?placement ?(probe = scan_probe) ~backends ~records ~trials () =
   List.init trials (fun _ ->
-      let c = Mbds.Controller.create backends in
-      for i = 0 to records - 1 do
-        ignore (Mbds.Controller.insert c (employee_record i))
-      done;
-      modelled_run c (scan_probe records))
+      modelled_run (load ?placement ~backends records) (probe records))

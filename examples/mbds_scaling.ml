@@ -5,40 +5,12 @@
    claim 1 physical: the same broadcast dispatched to real OCaml 5 worker
    domains, with measured wall clock next to the modelled time. *)
 
-let emp i =
-  Abdm.Record.make
-    [
-      Abdm.Keyword.file "employee";
-      Abdm.Keyword.make "name" (Abdm.Value.Str (Printf.sprintf "e%d" i));
-      Abdm.Keyword.make "salary" (Abdm.Value.Int (i * 10));
-    ]
-
-(* a range-predicate retrieval with a small response: the backends scan
-   their whole partition in parallel *)
-let probe records =
-  Abdl.Parser.request
-    (Printf.sprintf "RETRIEVE ((FILE = employee) AND (salary > %d)) (name)"
-       ((records - 5) * 10))
-
-(* The modelled seconds of one request: the paper's cost model over the
-   work the backend counters saw during the call, and the rows returned. *)
-let modelled_run c q =
-  let before = Mbds.Controller.backend_loads c in
-  let rows =
-    match Mbds.Controller.run c q with
-    | Abdl.Exec.Rows rows -> List.length rows
-    | _ -> 0
-  in
-  Mbds.Cost.of_loads Mbds.Cost.default ~before
-    ~after:(Mbds.Controller.backend_loads c) ~results:rows
-
-let mean_time ~backends ~records ~trials =
-  let c = Mbds.Controller.create backends in
-  List.iter (fun i -> ignore (Mbds.Controller.insert c (emp i)))
-    (List.init records Fun.id);
-  let q = probe records in
-  List.fold_left ( +. ) 0. (List.init trials (fun _ -> modelled_run c q))
-  /. float_of_int trials
+(* the mean modelled seconds of the claim probe (a range retrieval with
+   a small response: the backends scan their whole partitions in
+   parallel), one fresh controller per trial *)
+let modelled ~backends ~records =
+  let times = Mbds_trials.run ~backends ~records ~trials:5 () in
+  List.fold_left (fun acc (m, _) -> acc +. m) 0. times /. 5.
 
 (* measured wall clock of a selection matching half of [records] (the
    broadcast and the merge by key): a fresh controller per trial, median
@@ -51,7 +23,7 @@ let median_wall ~pool ~backends ~records ~trials =
   let trial () =
     let c = Mbds.Controller.create ~pool backends in
     for i = 0 to records - 1 do
-      ignore (Mbds.Controller.insert c (emp i))
+      ignore (Mbds.Controller.insert c (Mbds_trials.employee_record i))
     done;
     let t0 = Obs.Clock.now_s () in
     ignore (Mbds.Controller.select c q);
@@ -64,10 +36,10 @@ let () =
   let base_records = 4000 in
   print_endline "Claim 1: fixed database, growing backends (response-time reduction)";
   Printf.printf "  %-10s %-16s %s\n" "backends" "response (s)" "speedup vs 1";
-  let t1 = mean_time ~backends:1 ~records:base_records ~trials:5 in
+  let t1 = modelled ~backends:1 ~records:base_records in
   List.iter
     (fun n ->
-      let tn = mean_time ~backends:n ~records:base_records ~trials:5 in
+      let tn = modelled ~backends:n ~records:base_records in
       Printf.printf "  %-10d %-16.4f %.2fx\n" n tn (t1 /. tn))
     [ 1; 2; 4; 8 ];
   print_newline ();
@@ -75,10 +47,10 @@ let () =
     "Claim 2: database and backends grown together (response-time invariance)";
   Printf.printf "  %-10s %-10s %-16s %s\n" "backends" "records" "response (s)"
     "vs baseline";
-  let base = mean_time ~backends:1 ~records:1000 ~trials:5 in
+  let base = modelled ~backends:1 ~records:1000 in
   List.iter
     (fun n ->
-      let tn = mean_time ~backends:n ~records:(1000 * n) ~trials:5 in
+      let tn = modelled ~backends:n ~records:(1000 * n) in
       Printf.printf "  %-10d %-10d %-16.4f %.2fx\n" n (1000 * n) tn (tn /. base))
     [ 1; 2; 4; 8 ];
   print_newline ();

@@ -1,5 +1,5 @@
-(** The admission-control queue between the connection reader threads and
-    the single executor thread.
+(** The admission-control queue between the server's I/O loop and the
+    single executor thread.
 
     The request side is {e fair-queued}: each {!try_push} names a lane
     key (the server uses the session/connection id), items land in a

@@ -64,18 +64,29 @@ type slot = {
 
 type conn = {
   c_id : int;
-  fd : Unix.file_descr;
+  fd : Unix.file_descr;  (* non-blocking *)
   peer : string;
-  (* guards the socket, [alive] and [outbox]: replies are completed by
-     the executor and the flusher threads *)
+  (* guards [alive], [outbox] and the unsent bytes: replies are completed
+     by the executor and the flusher threads, and the loop writes what
+     the socket did not take at once *)
   write_mx : Mutex.t;
   mutable alive : bool;
   outbox : slot Queue.t;  (* executor-produced replies, arrival order *)
+  out : Bytes.t Queue.t;  (* released frames not yet wholly written *)
+  mutable out_pos : int;  (* bytes of the head frame already written *)
+  (* [out]'s unsent bytes as a write attempt left them, published under
+     [write_mx]; the loop reads them without the lock, so a pass never
+     waits on, or wakes for, a reply still being written *)
+  unsent : int Atomic.t;
+  mutable progress_s : float;  (* when unsent bytes last appeared or moved *)
+  (* loop-owned: bytes read, not yet a whole frame, are [0, in_len) *)
+  mutable inbuf : Bytes.t;
+  mutable in_len : int;
 }
 
 type job =
-  (* the float is the arrival timestamp (decode time on the reader
-     thread): queue-resident time for the limiter and honest reject /
+  (* the float is the arrival timestamp (decode time on the I/O loop):
+     queue-resident time for the limiter and honest reject /
      shed latencies in the flight recorder *)
   | J_request of conn * Wire.request Wire.frame * float
   | J_disconnect of conn
@@ -104,21 +115,23 @@ type t = {
   (* one flusher per attached WAL, created when the log first owes a
      fsync; executor-owned *)
   mutable flushers : Flusher.t list;
-  listener : Unix.file_descr;
+  listener : Unix.file_descr;  (* non-blocking *)
   bound_port : int;
-  conns : (int, conn) Hashtbl.t;
-  conns_mx : Mutex.t;
-  mutable next_conn : int;
+  conns : (Unix.file_descr, conn) Hashtbl.t;  (* loop-owned *)
+  n_conns : int Atomic.t;  (* [conns]' size, for Stats *)
+  mutable next_conn : int;  (* loop-owned *)
+  (* a self-pipe: a thread that leaves unsent bytes on a connection
+     writes a byte here so the loop adds it to the select *)
+  wake_r : Unix.file_descr;
+  wake_w : Unix.file_descr;
   recorder : Obs.Recorder.t option;
   started_s : float;
   batch_seq : int Atomic.t;  (* current batch id, stamped into events *)
   draining : bool Atomic.t;
-  stopped : bool Atomic.t;
-  reaper_stop : bool Atomic.t;
+  stopped : bool Atomic.t;  (* also the loop's signal to exit *)
   on_drain : unit -> unit;
   mutable executor_thread : Thread.t option;
-  mutable accept_thread : Thread.t option;
-  mutable reaper_thread : Thread.t option;
+  mutable loop_thread : Thread.t option;
   shutdown_mx : Mutex.t;
   (* executor-owned rolling window of request sojourn times feeding the
      latency-target limiter *)
@@ -142,8 +155,8 @@ type t = {
      reading chunks while fenced, so a chunk read can never interleave
      with the rename and ship bytes from the wrong file *)
   mutable truncate_fence : (bool -> unit) option;
-  (* a standby introduced itself: take the raw socket (the reader thread
-     exits; the shipper owns the descriptor from here on) *)
+  (* a standby introduced itself: take the raw socket (the loop lets go
+     of it; the shipper owns the descriptor from here on) *)
   mutable repl_hello :
     (Unix.file_descr -> peer:string -> gen:int -> pos:int -> boot:bool -> unit)
     option;
@@ -198,13 +211,67 @@ let note_depth t =
 
 (* --- connection writes --------------------------------------------------- *)
 
-(* A failed write just marks the connection dead; its reader observes
-   the broken socket and triggers the normal disconnect path. The caller
+(* Unsent bytes past this stop the loop reading the connection until
+   they drain: a client that stops reading cannot grow them unboundedly. *)
+let out_limit = 1 lsl 20
+
+let wake t =
+  try ignore (Unix.single_write t.wake_w (Bytes.make 1 'w') 0 1) with _ -> ()
+
+let publish conn =
+  Atomic.set conn.unsent
+    (Queue.fold (fun n b -> n + Bytes.length b) (-conn.out_pos) conn.out)
+
+(* Write what the socket takes now, never blocking, and publish what is
+   left. A failed write marks the connection dead and drops its bytes;
+   the loop reads the broken socket and drops the connection. The caller
    holds [write_mx]. *)
-let write_locked conn (frame : Wire.response Wire.frame) =
-  try
-    if conn.alive then Wire.write_frame conn.fd (Wire.encode_response frame)
-  with _ -> conn.alive <- false
+let write_out conn =
+  let rec go () =
+    match Queue.peek_opt conn.out with
+    | None -> ()
+    | Some b ->
+      (match
+         Unix.single_write conn.fd b conn.out_pos (Bytes.length b - conn.out_pos)
+       with
+      | n ->
+        conn.progress_s <- Obs.Clock.now_s ();
+        conn.out_pos <- conn.out_pos + n;
+        if conn.out_pos = Bytes.length b then begin
+          ignore (Queue.pop conn.out);
+          conn.out_pos <- 0
+        end;
+        go ()
+      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
+      | exception _ ->
+        conn.alive <- false;
+        Queue.clear conn.out;
+        conn.out_pos <- 0)
+  in
+  go ();
+  publish conn
+
+(* Queue one reply's frame. When nothing was waiting, try the socket at
+   once, so the common reply leaves from the thread that released it;
+   what the socket does not take, the loop writes. A reply past the
+   frame limit leaves as an error, never as a raise on the executor or
+   a flusher. The caller holds [write_mx]. *)
+let write_locked t conn (frame : Wire.response Wire.frame) =
+  if conn.alive then begin
+    let idle = Queue.is_empty conn.out in
+    let encode msg = Wire.frame (Wire.encode_response { frame with msg }) in
+    Queue.push
+      (try encode frame.Wire.msg
+       with Invalid_argument why -> encode (Wire.Err (Wire.Exec_error, why)))
+      conn.out;
+    if idle then begin
+      conn.progress_s <- Obs.Clock.now_s ();
+      write_out conn;
+      if not (Queue.is_empty conn.out) then wake t
+    end
+    else publish conn
+  end
 
 let frame_to (req : 'a Wire.frame) ~session_id msg =
   {
@@ -214,19 +281,23 @@ let frame_to (req : 'a Wire.frame) ~session_id msg =
     msg;
   }
 
-let send conn frame =
-  Mutex.protect conn.write_mx (fun () -> write_locked conn frame)
+(* A frame that answers no identifiable request *)
+let unsolicited msg =
+  { Wire.version = Wire.protocol_version; request_id = 0; session_id = 0; msg }
 
-(* A reply that bypasses the outbox: reader-thread answers (Pong,
+let send t conn frame =
+  Mutex.protect conn.write_mx (fun () -> write_locked t conn frame)
+
+(* A reply that bypasses the outbox: the loop's answers (Pong,
    Overloaded, Shutting_down, Tail), telemetry and checkpoint replies. *)
-let reply conn (req : 'a Wire.frame) msg =
-  send conn (frame_to req ~session_id:req.Wire.session_id msg)
+let reply t conn (req : 'a Wire.frame) msg =
+  send t conn (frame_to req ~session_id:req.Wire.session_id msg)
 
 (* Send every reply at the head of the outbox that may leave — so a
    connection's replies go out in arrival order, each once its gate
    opens. A failed gate turns a success into an error: the reply may
    show, or confirm, a write that is not durable. *)
-let rec flush_outbox conn =
+let rec flush_outbox t conn =
   match Queue.peek_opt conn.outbox with
   | Some { s_msg = Some msg; s_gate = (Open | Failed _) as gate; s_frame; s_session }
     ->
@@ -237,18 +308,18 @@ let rec flush_outbox conn =
         Wire.Err (Wire.Exec_error, why)
       | _ -> msg
     in
-    write_locked conn (frame_to s_frame ~session_id:s_session msg);
-    flush_outbox conn
+    write_locked t conn (frame_to s_frame ~session_id:s_session msg);
+    flush_outbox t conn
   | Some _ | None -> ()
 
-let update conn f =
+let update t conn f =
   Mutex.protect conn.write_mx (fun () ->
       f ();
-      flush_outbox conn)
+      flush_outbox t conn)
 
 (* Take the frame's place in the outbox — called by the executor in
    arrival order. [ready] is a reply that depends on no WAL. *)
-let enqueue ?ready conn (frame : Wire.request Wire.frame) =
+let enqueue ?ready t conn (frame : Wire.request Wire.frame) =
   let slot =
     {
       s_frame = frame;
@@ -257,13 +328,8 @@ let enqueue ?ready conn (frame : Wire.request Wire.frame) =
       s_gate = (if Option.is_none ready then Waiting else Open);
     }
   in
-  update conn (fun () -> Queue.push slot conn.outbox);
+  update t conn (fun () -> Queue.push slot conn.outbox);
   slot
-
-let complete conn slot ~session msg =
-  update conn (fun () ->
-      slot.s_session <- session;
-      slot.s_msg <- Some msg)
 
 (* --- the flushers ---------------------------------------------------------- *)
 
@@ -282,28 +348,34 @@ let flusher_for t wal =
     t.flushers <- f :: t.flushers;
     f
 
-(* The release rule. A reply depends on its session's database WAL up to
-   the commit position right after it executed: everything the reply can
-   show or confirm lies below it. It leaves once that position is
-   durable. *)
-let set_gate t conn slot db =
-  match Option.bind db (fun db -> Mlds.System.wal_of t.sys ~db) with
-  | None -> update conn (fun () -> slot.s_gate <- Open)
-  | Some wal ->
-    Flusher.when_durable (flusher_for t wal)
-      (Mlds.Wal.committed_position wal)
-      (fun failed ->
-        update conn (fun () ->
-            slot.s_gate <-
-              (match failed with None -> Open | Some why -> Failed why)))
+(* Fill the slot with its reply, under the release rule. A reply depends
+   on its session's database WAL up to the commit position right after
+   it executed: everything the reply can show or confirm lies below it.
+   It leaves once that position is durable — at once when there is no
+   WAL. *)
+let complete t conn slot ~session ~db msg =
+  let wal = Option.bind db (fun db -> Mlds.System.wal_of t.sys ~db) in
+  update t conn (fun () ->
+      slot.s_session <- session;
+      slot.s_msg <- Some msg;
+      if Option.is_none wal then slot.s_gate <- Open);
+  Option.iter
+    (fun wal ->
+      Flusher.when_durable (flusher_for t wal)
+        (Mlds.Wal.committed_position wal)
+        (fun failed ->
+          update t conn (fun () ->
+              slot.s_gate <-
+                (match failed with None -> Open | Some why -> Failed why))))
+    wal
 
 (* --- the executor -------------------------------------------------------- *)
 
-let ack = function
-  | Wire.Begin_txn -> "transaction started"
-  | Wire.Commit_txn -> "transaction committed"
-  | Wire.Abort_txn -> "transaction aborted"
-  | _ -> "ok"
+(* a transaction opcode's call and its acknowledgement *)
+let txn = function
+  | Wire.Begin_txn -> (Mlds.System.begin_txn, "transaction started")
+  | Wire.Commit_txn -> (Mlds.System.commit_txn, "transaction committed")
+  | _ -> (Mlds.System.abort_txn, "transaction aborted")
 
 let response_of_handle_error (e : Mlds.System.handle_error) =
   let text = Mlds.System.handle_error_to_string e in
@@ -313,9 +385,6 @@ let response_of_handle_error (e : Mlds.System.handle_error) =
   | Mlds.System.H_closed -> Wire.Err (Wire.Bad_session, text)
   | Mlds.System.H_no_txn | Mlds.System.H_txn_open ->
     Wire.Err (Wire.Exec_error, text)
-
-let live_conns t =
-  Mutex.protect t.conns_mx (fun () -> Hashtbl.length t.conns)
 
 (* --- the flight recorder -------------------------------------------------- *)
 
@@ -327,10 +396,9 @@ let outcome_of_msg = function
 
 (* Every completed request becomes one ring event, written in place
    under the recorder's mutex, so this is safe from the executor and the
-   reader threads (the Overloaded
-   path). [?outcome] overrides the msg-derived outcome — the shed path
-   sends [Overloaded] but records [O_shed] so dashboards can tell
-   limiter drops from queue-full rejects. *)
+   I/O loop (the Overloaded path). [?outcome] overrides the msg-derived
+   outcome — the shed path sends [Overloaded] but records [O_shed] so
+   dashboards can tell limiter drops from queue-full rejects. *)
 let record_event ?outcome t (frame : Wire.request Wire.frame) ~session
     ~language ~latency_s ~msg ~batch =
   match t.recorder with
@@ -381,6 +449,13 @@ let capture_slow t (frame : Wire.request Wire.frame) ~session ~language
            (Printf.sprintf "server.request{opcode=%s,request=%d}" opcode
               frame.Wire.request_id))
 
+(* Record a session-less request's outcome in the flight recorder and
+   reply to it outside the outbox. *)
+let answer t conn (frame : Wire.request Wire.frame) ~latency_s msg =
+  record_event t frame ~session:frame.Wire.session_id ~language:"-" ~latency_s
+    ~msg ~batch:(Atomic.get t.batch_seq);
+  reply t conn frame msg
+
 (* --- telemetry responses (Stats / Tail) ----------------------------------- *)
 
 let summary_json (s : Sessions.summary) =
@@ -408,7 +483,7 @@ let stats_response t =
   add
     (Printf.sprintf
        "\"sessions\":%d,\"connections\":%d,\"queue_depth\":%d,\"queue_capacity\":%d,\"batch\":%b,\"max_batch\":%d,"
-       (Sessions.active t.sessions) (live_conns t)
+       (Sessions.active t.sessions) (Atomic.get t.n_conns)
        (Bounded_queue.depth t.queue) t.cfg.queue_capacity t.cfg.batch
        t.cfg.max_batch);
   (match t.recorder with
@@ -454,27 +529,36 @@ let tail_response t ~cursor ~slow_cursor ~max_events =
          (String.concat "," (List.map Obs.Recorder.event_json events))
          slow_cursor' slow_dropped
          (String.concat "," (List.map Obs.Recorder.slow_json slow)))
-(* Compute (never send) the response to one frame, on the executor. Also
-   returns the database of the session the request ran under: its WAL
-   gates the reply. *)
-let compute_response t conn (frame : Wire.request Wire.frame) =
-  let opcode = Wire.opcode_name frame.Wire.msg in
+(* Run [f] under the request's [server.request] root span, timed into its
+   opcode's histogram: its reply and its latency. *)
+let timed_request conn (frame : Wire.request Wire.frame) f =
   Obs.Metrics.incr c_requests;
   let t0 = Obs.Clock.now_s () in
-  let session_id = ref frame.Wire.session_id in
-  (* the handle the request ran against, kept for the flight recorder
-     (language tag), the slow-query log (plan capture) and the gate *)
-  let used_handle = ref None in
   let msg =
     Obs.Span.with_span "server.request"
       ~attrs:(fun () ->
         [
           "session", string_of_int frame.Wire.session_id;
-          "opcode", opcode;
+          "opcode", Wire.opcode_name frame.Wire.msg;
           "request", string_of_int frame.Wire.request_id;
           "peer", conn.peer;
         ])
-      (fun () ->
+      f
+  in
+  let dt = Obs.Clock.since t0 in
+  Obs.Metrics.observe (h_opcode frame.Wire.msg) dt;
+  (msg, dt)
+
+(* Compute (never send) the response to one frame, on the executor. Also
+   returns the database of the session the request ran under: its WAL
+   gates the reply. *)
+let compute_response t conn (frame : Wire.request Wire.frame) =
+  let session_id = ref frame.Wire.session_id in
+  (* the handle the request ran against, kept for the flight recorder
+     (language tag), the slow-query log (plan capture) and the gate *)
+  let used_handle = ref None in
+  let msg, dt =
+    timed_request conn frame (fun () ->
         match frame.Wire.msg with
         | Wire.Login { user; language; db } ->
           (match
@@ -485,20 +569,11 @@ let compute_response t conn (frame : Wire.request Wire.frame) =
             used_handle := Some entry.Sessions.handle;
             Wire.Logged_in entry.Sessions.id
           | Error msg -> Wire.Err (Wire.Exec_error, msg))
-        | Wire.Ping -> Wire.Pong
-        | Wire.Bye -> Wire.Goodbye
-        (* unreachable (the batch walk answers telemetry and checkpoint
-           ops itself), but kept total for safety *)
-        | Wire.Stats -> stats_response t
-        | Wire.Tail { cursor; slow_cursor; max_events } ->
-          tail_response t ~cursor ~slow_cursor ~max_events
-        | Wire.Checkpoint ->
-          Wire.Err (Wire.Bad_request, "checkpoint rides the control lane")
-        (* both are answered on the connection's reader thread; defensive *)
-        | Wire.Promote ->
-          Wire.Err (Wire.Bad_request, "not a standby: nothing to promote")
-        | Wire.Repl_hello _ ->
-          Wire.Err (Wire.Bad_request, "replication not enabled on this server")
+        (* unreachable: the I/O loop answers these, and the batch walk
+           answers Stats and Checkpoint itself *)
+        | Wire.Ping | Wire.Bye | Wire.Stats | Wire.Tail _ | Wire.Checkpoint
+        | Wire.Promote | Wire.Repl_hello _ ->
+          Wire.Err (Wire.Bad_request, "not an executor request")
         | Wire.Submit _ | Wire.Explain _ | Wire.Begin_txn | Wire.Commit_txn
         | Wire.Abort_txn | Wire.Logout ->
           (match Sessions.find t.sessions frame.Wire.session_id with
@@ -547,17 +622,10 @@ let compute_response t conn (frame : Wire.request Wire.frame) =
               (match Mlds.System.explain_handle handle src with
               | Ok out -> Wire.Output out
               | Error e -> response_of_handle_error e)
-            | Wire.Begin_txn ->
-              (match Mlds.System.begin_txn handle with
-              | Ok () -> Wire.Output (ack Wire.Begin_txn)
-              | Error e -> response_of_handle_error e)
-            | Wire.Commit_txn ->
-              (match Mlds.System.commit_txn handle with
-              | Ok () -> Wire.Output (ack Wire.Commit_txn)
-              | Error e -> response_of_handle_error e)
-            | Wire.Abort_txn ->
-              (match Mlds.System.abort_txn handle with
-              | Ok () -> Wire.Output (ack Wire.Abort_txn)
+            | (Wire.Begin_txn | Wire.Commit_txn | Wire.Abort_txn) as op ->
+              let run, acknowledged = txn op in
+              (match run handle with
+              | Ok () -> Wire.Output acknowledged
               | Error e -> response_of_handle_error e)
             | Wire.Logout ->
               Sessions.close t.sessions entry;
@@ -566,8 +634,6 @@ let compute_response t conn (frame : Wire.request Wire.frame) =
             | Wire.Checkpoint | Wire.Promote | Wire.Repl_hello _ ->
               assert false)))
   in
-  let dt = Obs.Clock.since t0 in
-  Obs.Metrics.observe (h_opcode frame.Wire.msg) dt;
   let language =
     match !used_handle with
     | Some h -> Mlds.System.language_to_string (Mlds.System.handle_language h)
@@ -579,61 +645,28 @@ let compute_response t conn (frame : Wire.request Wire.frame) =
     ~handle:!used_handle;
   !session_id, Option.map Mlds.System.handle_db !used_handle, msg
 
-(* Killing a connection must be atomic with respect to [write_locked]'s
-   check-then-write: take [write_mx] so no writer can pass the [alive]
-   check and then write to a closed (possibly reused) descriptor. *)
-let kill_conn conn =
-  Mutex.protect conn.write_mx (fun () ->
-      conn.alive <- false;
-      try Unix.close conn.fd with _ -> ())
-
-let close_conn_fd t conn =
-  let mine =
-    Mutex.protect t.conns_mx (fun () ->
-        let mine = Hashtbl.mem t.conns conn.c_id in
-        if mine then Hashtbl.remove t.conns conn.c_id;
-        mine)
-  in
-  if mine then kill_conn conn;
-  mine
-
 (* Answer a telemetry op (Stats/Tail) in place, outside the outbox and
    never gated on a fsync. Stats arrives on the control lane (it reads
    the executor-owned session table); Tail touches only the recorder
-   ring, so the connection's own reader thread calls this directly. In
+   ring, so the I/O loop calls this directly. In
    both cases polling cannot queue behind user traffic — and may
    therefore overtake data replies on the same connection; dashboards
    use a dedicated connection. *)
 let answer_control t conn (frame : Wire.request Wire.frame) =
-  let opcode = Wire.opcode_name frame.Wire.msg in
-  Obs.Metrics.incr c_requests;
-  let t0 = Obs.Clock.now_s () in
-  let msg =
-    Obs.Span.with_span "server.request"
-      ~attrs:(fun () ->
-        [
-          "session", string_of_int frame.Wire.session_id;
-          "opcode", opcode;
-          "request", string_of_int frame.Wire.request_id;
-          "peer", conn.peer;
-        ])
-      (fun () ->
+  let msg, dt =
+    timed_request conn frame (fun () ->
         match frame.Wire.msg with
         | Wire.Stats -> stats_response t
         | Wire.Tail { cursor; slow_cursor; max_events } ->
           tail_response t ~cursor ~slow_cursor ~max_events
         | _ -> Wire.Err (Wire.Bad_request, "not a telemetry opcode"))
   in
-  let dt = Obs.Clock.since t0 in
-  Obs.Metrics.observe (h_opcode frame.Wire.msg) dt;
-  record_event t frame ~session:frame.Wire.session_id ~language:"-"
-    ~latency_s:dt ~msg ~batch:(Atomic.get t.batch_seq);
-  reply conn frame msg
+  answer t conn frame ~latency_s:dt msg
 
 (* --- the latency-target limiter ------------------------------------------- *)
 
 (* Executor-owned rolling window of request sojourn times (decode on the
-   reader thread to pickup by the batch walk). Under overload the queue
+   I/O loop to pickup by the batch walk). Under overload the queue
    wait dominates end-to-end latency, so its p99 is the shed signal. *)
 let note_latency t sojourn_s =
   t.lat_window.(t.lat_count mod Array.length t.lat_window) <- sojourn_s;
@@ -682,12 +715,8 @@ let start_checkpoint t ~waiter =
   | None ->
     (match waiter with
     | Some (conn, frame) ->
-      let msg =
-        Wire.Err (Wire.Exec_error, "no WAL attached: nothing to checkpoint")
-      in
-      record_event t frame ~session:frame.Wire.session_id ~language:"-"
-        ~latency_s:0. ~msg ~batch:(Atomic.get t.batch_seq);
-      reply conn frame msg
+      answer t conn frame ~latency_s:0.
+        (Wire.Err (Wire.Exec_error, "no WAL attached: nothing to checkpoint"))
     | None -> ())
   | Some (db, wal) ->
     let file =
@@ -709,10 +738,8 @@ let start_checkpoint t ~waiter =
     | Error why ->
       (match waiter with
       | Some (conn, frame) ->
-        let msg = Wire.Err (Wire.Exec_error, "checkpoint failed: " ^ why) in
-        record_event t frame ~session:frame.Wire.session_id ~language:"-"
-          ~latency_s:0. ~msg ~batch:(Atomic.get t.batch_seq);
-        reply conn frame msg
+        answer t conn frame ~latency_s:0.
+          (Wire.Err (Wire.Exec_error, "checkpoint failed: " ^ why))
       | None -> ()))
 
 let finish_checkpoint t st =
@@ -766,10 +793,7 @@ let finish_checkpoint t st =
          ~batch:(Atomic.get t.batch_seq))
   | Some _ | None -> ());
   List.iter
-    (fun (conn, frame) ->
-      record_event t frame ~session:frame.Wire.session_id ~language:"-"
-        ~latency_s:dur ~msg ~batch:(Atomic.get t.batch_seq);
-      reply conn frame msg)
+    (fun (conn, frame) -> answer t conn frame ~latency_s:dur msg)
     (List.rev st.ck_waiters);
   (* publish the post-truncation coordinates (new generation, remap
      entry) before lifting the fence, so an unfenced chunk read can only
@@ -801,12 +825,8 @@ let checkpoint_request t conn (frame : Wire.request Wire.frame) =
     (* a standby's WAL belongs to the replication stream; truncating it
        out from under the receiver would corrupt the standby's notion of
        its own position *)
-    let msg =
-      Wire.Err (Wire.Read_only, "standby: checkpointing is the primary's job")
-    in
-    record_event t frame ~session:frame.Wire.session_id ~language:"-"
-      ~latency_s:0. ~msg ~batch:(Atomic.get t.batch_seq);
-    reply conn frame msg
+    answer t conn frame ~latency_s:0.
+      (Wire.Err (Wire.Read_only, "standby: checkpointing is the primary's job"))
   end
   else
     match t.ckpt with
@@ -842,7 +862,7 @@ let drain_flushers t = List.iter Flusher.drain t.flushers
 (* Execute one batch: walk the jobs in arrival order and execute each at
    its arrival position — exactly what the serial executor does, one job
    at a time. Every reply takes its connection's outbox slot in arrival
-   order and is gated by the release rule ({!set_gate}). The batch is
+   order and is gated by the release rule ({!complete}). The batch is
    bracketed by {!Mlds.System.wal_group_begin}/[wal_group_end]:
    commit-time fsyncs are deferred, and at batch end each log that owes a
    covering fsync hands its commit position to its flusher — the
@@ -876,10 +896,10 @@ let execute_batch t jobs =
         record_event t frame ~outcome:Obs.Recorder.O_shed
           ~session:frame.Wire.session_id ~language:"-" ~latency_s:sojourn
           ~msg:Wire.Overloaded ~batch;
-        ignore (enqueue ~ready:Wire.Overloaded conn frame)
+        ignore (enqueue ~ready:Wire.Overloaded t conn frame)
       end
       else begin
-        let slot = enqueue conn frame in
+        let slot = enqueue t conn frame in
         let session, db, msg =
           try compute_response t conn frame
           with exn ->
@@ -888,14 +908,12 @@ let execute_batch t jobs =
               None,
               Wire.Err (Wire.Exec_error, Printexc.to_string exn) )
         in
-        complete conn slot ~session msg;
-        set_gate t conn slot db
+        complete t conn slot ~session ~db msg
       end
     | J_disconnect conn ->
       (* the disconnect contract: sessions die with their connection,
          aborting any transaction left open *)
-      Sessions.close_conn t.sessions ~conn:conn.c_id;
-      if close_conn_fd t conn then Obs.Metrics.incr c_disconnects
+      Sessions.close_conn t.sessions ~conn:conn.c_id
     | J_reap ->
       ignore
         (Sessions.reap_idle t.sessions ~now:(Unix.gettimeofday ())
@@ -947,196 +965,243 @@ let executor_loop t =
   in
   loop ()
 
-(* --- per-connection readers ---------------------------------------------- *)
+(* --- the I/O loop ------------------------------------------------------------ *)
 
-let reader_loop t conn =
-  let disconnect () =
-    (* during shutdown the control lane is closed and this is a no-op
-       ([shutdown] itself closes every session and connection) *)
-    Bounded_queue.push_control t.queue (J_disconnect conn)
-  in
-  let rec loop () =
-    match Wire.read_frame conn.fd with
-    | exception _ -> disconnect ()
-    | Ok None | Error _ -> disconnect ()
-    | Ok (Some payload) ->
-      (match Wire.decode_request payload with
-      | Error msg ->
-        (* answer on request id 0 — the caller cannot be identified *)
-        send conn
-          {
-            Wire.version = Wire.protocol_version;
-            request_id = 0;
-            session_id = 0;
-            msg = Wire.Err (Wire.Bad_request, msg);
-          };
-        loop ()
-      | Ok frame ->
-        let arrival = Obs.Clock.now_s () in
-        (match frame.Wire.msg with
-        | Wire.Ping ->
-          reply conn frame Wire.Pong;
-          loop ()
-        | Wire.Bye ->
-          reply conn frame Wire.Goodbye;
-          disconnect ()
-        | Wire.Tail _ ->
-          if Atomic.get t.draining then begin
-            reply conn frame
-              (Wire.Err (Wire.Shutting_down, "server is shutting down"));
-            loop ()
-          end
-          else begin
-            (* Tail touches only the recorder's ring, so this connection's
-               own reader thread can render it — the executor never sees
-               the (potentially large) event drain, and polling costs the
-               batch pipeline nothing at all *)
-            answer_control t conn frame;
-            loop ()
-          end
-        | Wire.Promote ->
-          (* answered on this reader thread: promotion blocks on the
-             executor draining its injected applies, so it must NOT run
-             on the executor itself — only this client waits *)
-          let msg =
-            if Atomic.get t.draining then
-              Wire.Err (Wire.Shutting_down, "server is shutting down")
-            else
-              match t.promote_hook with
-              | None ->
-                Wire.Err (Wire.Bad_request, "not a standby: nothing to promote")
-              | Some promote ->
-                (match promote () with
-                | Ok summary -> Wire.Output summary
-                | Error why ->
-                  Wire.Err (Wire.Exec_error, "promote failed: " ^ why))
-          in
-          record_event t frame ~session:frame.Wire.session_id ~language:"-"
-            ~latency_s:(Obs.Clock.since arrival) ~msg ~batch:0;
-          reply conn frame msg;
-          loop ()
-        | Wire.Repl_hello { gen; pos; boot } ->
-          (match t.repl_hello with
-          | Some attach when not (Atomic.get t.draining) ->
-            (* the connection leaves the request/response protocol: drop
-               it from the table (shutdown must not close a descriptor
-               the shipper owns) and exit this reader thread *)
-            Mutex.lock t.conns_mx;
-            Hashtbl.remove t.conns conn.c_id;
-            Mutex.unlock t.conns_mx;
-            attach conn.fd ~peer:conn.peer ~gen ~pos ~boot
-          | Some _ | None ->
-            reply conn frame
-              (Wire.Err
-                 (Wire.Bad_request, "replication not enabled on this server"));
-            loop ())
-        | Wire.Stats | Wire.Checkpoint ->
-          if Atomic.get t.draining then begin
-            reply conn frame
-              (Wire.Err (Wire.Shutting_down, "server is shutting down"));
-            loop ()
-          end
-          else begin
-            (* Stats reads the executor-owned session table and
-               Checkpoint drives the executor-owned checkpoint state
-               machine, so both ride the (unbounded) control lane: the
-               executor answers them ahead of queued user requests, a
-               polling dashboard never competes for request-lane slots,
-               and neither can be turned away by admission control *)
-            Bounded_queue.push_control t.queue
-              (J_request (conn, frame, arrival));
-            loop ()
-          end
-        | _ ->
-          if Atomic.get t.draining then begin
-            reply conn frame
-              (Wire.Err (Wire.Shutting_down, "server is shutting down"));
-            loop ()
-          end
-          else begin
-            if
-              (* fair admission: each connection gets its own lane in the
-                 queue, drained round-robin, so one greedy pipeline can
-                 neither starve a polite client nor fill the whole
-                 queue *)
-              Bounded_queue.try_push t.queue ~key:conn.c_id
-                (J_request (conn, frame, arrival))
-            then begin
-              note_depth t;
-              loop ()
-            end
-            else begin
-              (* admission control: typed rejection, never a stalled
-                 socket. The latency is the (tiny but honest) decode-to
-                 -reject time — never a p50-polluting hard zero. *)
-              Obs.Metrics.incr c_rejected;
-              note_depth t;
-              record_event t frame ~session:frame.Wire.session_id ~language:"-"
-                ~latency_s:(Obs.Clock.since arrival) ~msg:Wire.Overloaded
-                ~batch:0;
-              reply conn frame Wire.Overloaded;
-              loop ()
-            end
-          end))
-  in
-  loop ()
+(* Everything below runs on the one I/O thread, which owns the listener,
+   the connection table and every connection's input buffer. *)
 
-(* --- accept / reaper ----------------------------------------------------- *)
+let forget t conn =
+  Hashtbl.remove t.conns conn.fd;
+  Atomic.decr t.n_conns
 
-let accept_loop t =
-  let rec loop () =
-    match Unix.accept t.listener with
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop ()
-    | exception _ -> ()  (* listener closed: shutdown *)
-    | fd, addr ->
+(* Stop watching [conn] and close it, after one last non-blocking write;
+   its sessions close on the executor, through the control lane (a no-op
+   once shutdown has closed the queue: [shutdown] closes every session
+   itself). *)
+let drop t conn =
+  forget t conn;
+  Mutex.protect conn.write_mx (fun () ->
+      write_out conn;
+      conn.alive <- false;
+      try Unix.close conn.fd with _ -> ());
+  Obs.Metrics.incr c_disconnects;
+  Bounded_queue.push_control t.queue (J_disconnect conn)
+
+(* Answer or route one decoded frame. *)
+let dispatch t conn (frame : Wire.request Wire.frame) =
+  let arrival = Obs.Clock.now_s () in
+  match frame.Wire.msg with
+  | Wire.Ping -> reply t conn frame Wire.Pong
+  | Wire.Bye ->
+    reply t conn frame Wire.Goodbye;
+    drop t conn
+  | _ when Atomic.get t.draining ->
+    reply t conn frame (Wire.Err (Wire.Shutting_down, "server is shutting down"))
+  | Wire.Tail _ ->
+    (* Tail touches only the recorder's ring: the executor never sees
+       the (potentially large) event drain *)
+    answer_control t conn frame
+  | Wire.Promote ->
+    (* promotion waits for the executor to drain its injected applies,
+       so it must not run on the executor itself *)
+    let msg =
+      match t.promote_hook with
+      | None -> Wire.Err (Wire.Bad_request, "not a standby: nothing to promote")
+      | Some promote ->
+        (match promote () with
+        | Ok summary -> Wire.Output summary
+        | Error why -> Wire.Err (Wire.Exec_error, "promote failed: " ^ why)
+        | exception e ->
+          Wire.Err (Wire.Exec_error, "promote failed: " ^ Printexc.to_string e))
+    in
+    record_event t frame ~session:frame.Wire.session_id ~language:"-"
+      ~latency_s:(Obs.Clock.since arrival) ~msg ~batch:0;
+    reply t conn frame msg
+  | Wire.Repl_hello { gen; pos; boot } ->
+    (match t.repl_hello with
+    | Some attach ->
+      (* the connection leaves the request/response protocol: the loop
+         lets go of the descriptor, blocking again, and no reply may be
+         written into the replication stream *)
+      forget t conn;
+      Mutex.protect conn.write_mx (fun () -> conn.alive <- false);
+      Unix.clear_nonblock conn.fd;
+      attach conn.fd ~peer:conn.peer ~gen ~pos ~boot
+    | None ->
+      reply t conn frame
+        (Wire.Err (Wire.Bad_request, "replication not enabled on this server")))
+  | Wire.Stats | Wire.Checkpoint ->
+    (* Stats reads the executor-owned session table and Checkpoint drives
+       the executor-owned checkpoint state machine, so both ride the
+       (unbounded) control lane: the executor answers them ahead of
+       queued user requests, and admission control never turns them
+       away *)
+    Bounded_queue.push_control t.queue (J_request (conn, frame, arrival))
+  | _ ->
+    (* fair admission: each connection gets its own lane in the queue,
+       drained round-robin, so one greedy pipeline can neither starve a
+       polite client nor fill the whole queue *)
+    if
+      not
+        (Bounded_queue.try_push t.queue ~key:conn.c_id
+           (J_request (conn, frame, arrival)))
+    then begin
+      (* admission control: a typed rejection, never a stalled socket.
+         The latency is the (tiny but honest) decode-to-reject time. *)
+      Obs.Metrics.incr c_rejected;
+      record_event t frame ~session:frame.Wire.session_id ~language:"-"
+        ~latency_s:(Obs.Clock.since arrival) ~msg:Wire.Overloaded ~batch:0;
+      reply t conn frame Wire.Overloaded
+    end;
+    note_depth t
+
+(* Dispatch every whole frame in the input buffer from [pos] on, while
+   the connection stays in the loop (Bye and a standby's handshake take
+   it out); move an incomplete tail to the buffer's front. *)
+let rec split t conn pos =
+  match Wire.next_frame conn.inbuf ~pos ~len:(conn.in_len - pos) with
+  | Error _ -> drop t conn
+  | Ok None ->
+    Bytes.blit conn.inbuf pos conn.inbuf 0 (conn.in_len - pos);
+    conn.in_len <- conn.in_len - pos
+  | Ok (Some (payload, used)) ->
+    (match Wire.decode_request payload with
+    | Ok frame -> dispatch t conn frame
+    | Error msg ->
+      (* the caller cannot be identified *)
+      send t conn (unsolicited (Wire.Err (Wire.Bad_request, msg))));
+    if Hashtbl.mem t.conns conn.fd then split t conn (pos + used)
+
+(* Read what the socket holds into the input buffer, doubled when a
+   frame fills it. *)
+let read_conn t conn =
+  if conn.in_len = Bytes.length conn.inbuf then
+    conn.inbuf <- Bytes.extend conn.inbuf 0 (Bytes.length conn.inbuf);
+  match
+    Unix.read conn.fd conn.inbuf conn.in_len
+      (Bytes.length conn.inbuf - conn.in_len)
+  with
+  | exception
+      Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) ->
+    ()
+  | exception _ -> drop t conn
+  | 0 -> drop t conn
+  | n ->
+    conn.in_len <- conn.in_len + n;
+    split t conn 0
+
+let peer_name = function
+  | Unix.ADDR_INET (host, port) ->
+    Printf.sprintf "%s:%d" (Unix.string_of_inet_addr host) port
+  | Unix.ADDR_UNIX path -> path
+
+let rec accept_all t =
+  match Unix.accept ~cloexec:true t.listener with
+  | exception Unix.Unix_error (Unix.EINTR, _, _) -> accept_all t
+  | exception Unix.Unix_error _ -> ()  (* none pending, or shut down *)
+  | fd, addr ->
+    (match Unix.select [ fd ] [] [] 0. with
+    | exception Unix.Unix_error _ ->
+      (* select cannot watch this descriptor (past FD_SETSIZE): refuse
+         the connection with the typed overload reply, which fits the
+         fresh socket's buffer, then close it *)
+      Obs.Metrics.incr c_rejected;
+      (try
+         Wire.write_frame fd
+           (Wire.encode_response (unsolicited Wire.Overloaded))
+       with _ -> ());
+      (try Unix.close fd with _ -> ())
+    | _ ->
+      Unix.set_nonblock fd;
       (try Unix.setsockopt fd Unix.TCP_NODELAY true with _ -> ());
-      (* A client that stops reading must not wedge the thread writing
-         its replies: bound every response write so a full send buffer
-         turns into a failed write (the connection is marked dead)
-         instead of head-of-line blocking for all sessions. *)
-      (if t.cfg.send_timeout_s > 0. then
-         try Unix.setsockopt_float fd Unix.SO_SNDTIMEO t.cfg.send_timeout_s
-         with _ -> ());
-      let peer =
-        match addr with
-        | Unix.ADDR_INET (host, port) ->
-          Printf.sprintf "%s:%d" (Unix.string_of_inet_addr host) port
-        | Unix.ADDR_UNIX path -> path
-      in
-      Mutex.lock t.conns_mx;
       let c_id = t.next_conn in
       t.next_conn <- c_id + 1;
-      let conn =
+      Hashtbl.replace t.conns fd
         {
           c_id;
           fd;
-          peer;
+          peer = peer_name addr;
           write_mx = Mutex.create ();
           alive = true;
           outbox = Queue.create ();
-        }
-      in
-      Hashtbl.replace t.conns c_id conn;
-      Mutex.unlock t.conns_mx;
-      ignore (Thread.create (fun () -> reader_loop t conn) ());
-      loop ()
-  in
-  loop ()
-let reaper_loop t =
-  let rec loop elapsed =
-    if not (Atomic.get t.reaper_stop) then begin
-      Thread.delay 0.05;
-      let elapsed = elapsed +. 0.05 in
-      if elapsed >= t.cfg.reap_every_s then begin
-        (* also the heartbeat for the time-based checkpoint trigger: with
-           no traffic the executor only wakes for this *)
-        Bounded_queue.push_control t.queue J_reap;
-        loop 0.
-      end
-      else loop elapsed
-    end
-  in
-  loop 0.
+          out = Queue.create ();
+          out_pos = 0;
+          unsent = Atomic.make 0;
+          progress_s = 0.;
+          inbuf = Bytes.create 4096;
+          in_len = 0;
+        };
+      Atomic.incr t.n_conns);
+    accept_all t
+
+let no_timeout s = if s > 0. then s else Float.infinity
+
+(* One pass: push the idle sweep when due, drop every connection whose
+   unsent bytes have not moved for [send_timeout_s], then wait in select
+   for the next readable or writable socket, the next sweep or the next
+   write deadline — and serve what it reports. A connection is read only
+   while its unsent bytes are under [out_limit], and watched for writing
+   while it has any. *)
+let io_loop t =
+  (* a 50 ms floor: a period <= 0 must not spin the loop *)
+  let reap_every = Stdlib.max 0.05 t.cfg.reap_every_s in
+  let next_reap = ref (Obs.Clock.now_s () +. reap_every) in
+  while not (Atomic.get t.stopped) do
+    let listening = not (Atomic.get t.draining) in
+    let now = Obs.Clock.now_s () in
+    if now >= !next_reap then begin
+      (* also the heartbeat of the time-based checkpoint trigger: with no
+         traffic the executor only wakes for this *)
+      Bounded_queue.push_control t.queue J_reap;
+      next_reap := now +. reap_every
+    end;
+    let reads = ref [ t.wake_r ] and writes = ref [] and stale = ref [] in
+    let deadline = ref !next_reap in
+    if listening then reads := t.listener :: !reads;
+    Hashtbl.iter
+      (fun fd conn ->
+        let left = Atomic.get conn.unsent in
+        let due =
+          if left = 0 then Float.infinity
+          else
+            Mutex.protect conn.write_mx (fun () -> conn.progress_s)
+            +. no_timeout t.cfg.send_timeout_s
+        in
+        if now >= due then stale := conn :: !stale
+        else begin
+          if left > 0 then begin
+            writes := fd :: !writes;
+            deadline := Float.min !deadline due
+          end;
+          if left <= out_limit then reads := fd :: !reads
+        end)
+      t.conns;
+    List.iter (drop t) !stale;
+    match
+      Unix.select !reads !writes [] (Float.max 0. (!deadline -. now))
+    with
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
+    | readable, writable, _ ->
+      List.iter
+        (fun fd ->
+          if fd = t.wake_r then
+            (try ignore (Unix.read t.wake_r (Bytes.create 64) 0 64) with _ -> ())
+          else if fd = t.listener then accept_all t
+          else
+            match Hashtbl.find_opt t.conns fd with
+            | Some conn -> read_conn t conn
+            | None -> ())
+        readable;
+      List.iter
+        (fun fd ->
+          match Hashtbl.find_opt t.conns fd with
+          | None -> ()
+          | Some conn ->
+            Mutex.protect conn.write_mx (fun () -> write_out conn))
+        writable
+  done;
+  List.iter (drop t) (Hashtbl.fold (fun _ conn acc -> conn :: acc) t.conns []);
+  Unix.close t.listener
 
 (* --- lifecycle ----------------------------------------------------------- *)
 
@@ -1148,11 +1213,15 @@ let create ?(config = default_config) ?(on_drain = fun () -> ()) sys =
   match Net.resolve config.host with
   | Error msg -> Error (Printf.sprintf "bad bind address %S: %s" config.host msg)
   | Ok addr ->
-    let listener = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+    let listener = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
+    let wake_r, wake_w = Unix.pipe ~cloexec:true () in
     (try
        Unix.setsockopt listener Unix.SO_REUSEADDR true;
        Unix.bind listener (Unix.ADDR_INET (addr, config.port));
        Unix.listen listener 64;
+       List.iter Unix.set_nonblock [ listener; wake_r; wake_w ];
+       (* raises when select cannot watch them (past FD_SETSIZE) *)
+       ignore (Unix.select [ listener; wake_r ] [] [] 0.);
        let bound_port =
          match Unix.getsockname listener with
          | Unix.ADDR_INET (_, port) -> port
@@ -1168,8 +1237,10 @@ let create ?(config = default_config) ?(on_drain = fun () -> ()) sys =
            listener;
            bound_port;
            conns = Hashtbl.create 32;
-           conns_mx = Mutex.create ();
+           n_conns = Atomic.make 0;
            next_conn = 1;
+           wake_r;
+           wake_w;
            recorder =
              (if config.recorder_capacity > 0 then
                 Some
@@ -1181,11 +1252,9 @@ let create ?(config = default_config) ?(on_drain = fun () -> ()) sys =
            batch_seq = Atomic.make 0;
            draining = Atomic.make false;
            stopped = Atomic.make false;
-           reaper_stop = Atomic.make false;
            on_drain;
            executor_thread = None;
-           accept_thread = None;
-           reaper_thread = None;
+           loop_thread = None;
            shutdown_mx = Mutex.create ();
            lat_window = Array.make 256 0.;
            lat_count = 0;
@@ -1201,20 +1270,17 @@ let create ?(config = default_config) ?(on_drain = fun () -> ()) sys =
          }
        in
        t.executor_thread <- Some (Thread.create executor_loop t);
-       t.accept_thread <- Some (Thread.create accept_loop t);
-       t.reaper_thread <- Some (Thread.create reaper_loop t);
+       t.loop_thread <- Some (Thread.create io_loop t);
        Ok t
      with Unix.Unix_error (err, _, _) ->
-       (try Unix.close listener with _ -> ());
+       List.iter
+         (fun fd -> try Unix.close fd with _ -> ())
+         [ listener; wake_r; wake_w ];
        Error
          (Printf.sprintf "cannot listen on %s:%d: %s" config.host config.port
             (Unix.error_message err)))
 
 let port t = t.bound_port
-
-let system t = t.sys
-
-let recorder t = t.recorder
 
 let session_count t = Sessions.active t.sessions
 
@@ -1223,11 +1289,13 @@ let running t = not (Atomic.get t.stopped)
 let shutdown t =
   Mutex.protect t.shutdown_mx @@ fun () ->
   if not (Atomic.get t.stopped) then begin
+    (* 1. stop accepting: connects are refused from here on, and the
+       loop stops watching the listener (it closes it on exit); it goes
+       on answering frames with [Shutting_down] and writing released
+       replies *)
     Atomic.set t.draining true;
-    (* 1. stop accepting *)
     (try Unix.shutdown t.listener Unix.SHUTDOWN_ALL with _ -> ());
-    (try Unix.close t.listener with _ -> ());
-    Option.iter Thread.join t.accept_thread;
+    wake t;
     (* 2. drain the queue: no new work enters; the executor finishes what
        is queued (and any in-flight checkpoint) and exits *)
     Bounded_queue.close t.queue;
@@ -1239,17 +1307,13 @@ let shutdown t =
     Sessions.close_all t.sessions;
     (* 5. persistence hook (the binary checkpoints attached WALs here) *)
     t.on_drain ();
-    (* 6. tear down the sockets; readers error out and exit *)
-    Atomic.set t.reaper_stop true;
-    Option.iter Thread.join t.reaper_thread;
-    let conns =
-      Mutex.protect t.conns_mx (fun () ->
-          let cs = Hashtbl.fold (fun _ c acc -> c :: acc) t.conns [] in
-          Hashtbl.reset t.conns;
-          cs)
-    in
-    List.iter kill_conn conns;
-    Atomic.set t.stopped true
+    (* 6. the loop closes every connection and exits; no thread is
+       left to write the wake pipe *)
+    Atomic.set t.stopped true;
+    wake t;
+    Option.iter Thread.join t.loop_thread;
+    Unix.close t.wake_r;
+    Unix.close t.wake_w
   end
 
 (* --- the replication plane's API ------------------------------------------ *)

@@ -1,16 +1,36 @@
-(** The MLDS network server: a TCP accept loop multiplexing many client
+(** The MLDS network server: one I/O loop multiplexing many client
     sessions over one shared {!Mlds.System} — the server tier of the
     4-tiered client-server multidatabase shape (client / interface /
     kernel / store).
 
     {2 Threading model}
 
-    - One {e reader thread per connection} parses frames off the socket.
-      [Ping]/[Bye]/[Tail] are answered in place; everything else goes to
-      the executor's bounded request queue. A full queue is answered
-      immediately with the typed [Overloaded] response ({e admission
-      control}: backpressure, never a stalled socket) and counted in
-      [server.rejected_total].
+    A server runs the executor, the I/O loop and one flusher per WAL
+    that has owed an fsync, whatever the number of connections.
+
+    - One {e I/O loop thread} owns the listener and every connection,
+      all non-blocking, and waits in [Unix.select] until a socket is
+      readable or writable, the next idle sweep is due ([reap_every_s]:
+      it pushes the sweep on the control lane) or a stalled connection's
+      write deadline passes. Each pass accepts, reads what each ready
+      socket holds into its input buffer, splits complete frames
+      ({!Wire.next_frame}) and dispatches each one: [Ping], [Bye],
+      [Tail], [Promote] and [Repl_hello] are answered on the loop;
+      [Stats] and [Checkpoint] go on the control lane; everything else
+      goes to the executor's bounded request queue. A full queue is
+      answered at once with the typed [Overloaded] response ({e
+      admission control}: backpressure, never a stalled socket) and
+      counted in [server.rejected_total]. A connection accepted onto a
+      descriptor [select] cannot watch (past [FD_SETSIZE]) gets the same
+      [Overloaded] and is closed.
+    - {e No socket write blocks.} The thread that releases a reply (the
+      executor or a flusher) appends its frame to the connection's
+      unsent bytes and tries one non-blocking write; the loop writes
+      what the socket did not take. A connection whose unsent bytes
+      pass a fixed bound is not read until they drain, and one whose
+      unsent bytes make no progress for [send_timeout_s] is closed: its
+      sessions then close as on any disconnect. A client that stops
+      reading delays only itself.
     - One {e executor thread} owns the kernel's serial order and the
       session table, and executes every request, read or write. It
       drains the queue {e in batches} ({!Bounded_queue.pop_batch},
@@ -42,7 +62,7 @@
       request executed: all that the reply can show or confirm lies
       below it. A connection's replies leave in arrival order, each once
       its position is durable — whichever thread completes the last
-      condition (executor or flusher) sends it. A client therefore
+      condition (executor or flusher) queues and tries to send it. A client therefore
       never sees a write, its own or another session's, before it is
       durable. If the covering fsync fails,
       every reply waiting on it — reads included — leaves as an
@@ -67,18 +87,19 @@
     read both over the wire: [Stats] returns uptime/sessions/queue state
     plus the full {!Obs.Metrics.snapshot} as JSON, and [Tail] drains
     recorder events / slow entries from client-supplied cursors. Both
-    opcodes are session-less and travel the {e control lane}: the reader
-    thread bypasses admission control for them and the executor answers
-    them before queued user work, outside the outbox and never gated
-    on a fsync — a polling dashboard cannot queue behind user traffic
-    (and may therefore overtake data replies on the same connection;
-    dashboards should poll on a dedicated connection).
+    opcodes are session-less and bypass admission control: the I/O loop
+    answers [Tail] itself and puts [Stats] on the {e control lane}, which
+    the executor serves before queued user work; both replies leave
+    outside the outbox and are never gated on a fsync — a polling
+    dashboard cannot queue behind user traffic (and may therefore
+    overtake data replies on the same connection; dashboards should
+    poll on a dedicated connection).
       Sessions are {e connection-scoped}: a frame naming a session that
       was opened on a different connection is refused with
       [Bad_session], indistinguishable from an unknown id — session ids
       are small integers, not capabilities, so possession of an id from
       another connection grants nothing.
-    - One {e reaper thread} periodically enqueues an idle sweep on the
+    - Every [reap_every_s] the I/O loop enqueues an idle sweep on the
       control lane; sessions idle past [idle_timeout_s] are closed,
       aborting any transaction they left open.
 
@@ -96,11 +117,10 @@ type config = {
   port : int;  (** [0] picks an ephemeral port (see {!port}) *)
   queue_capacity : int;  (** request-lane bound, default 64 *)
   idle_timeout_s : float;  (** session idle reap threshold, default 300 *)
-  reap_every_s : float;  (** reaper period, default 5 *)
+  reap_every_s : float;  (** idle-sweep period, default 5 *)
   send_timeout_s : float;
-      (** [SO_SNDTIMEO] on accepted sockets, default 10; a client that
-          stops reading gets its connection dropped instead of blocking
-          the executor ([<= 0.] disables) *)
+      (** default 10: a connection whose unsent reply bytes make no
+          progress for this long is closed ([<= 0.] disables) *)
   batch : bool;
       (** batched executor with pipelined group commit (default
           [true]); [false] = the serial executor *)
@@ -140,9 +160,9 @@ val default_config : config
 
 type t
 
-(** Bind, listen, and start the accept/executor/reaper threads (the
-    flushers start on demand). Sets SIGPIPE to ignored for the process:
-    a client that hangs up must never kill the server.
+(** Bind, listen, and start the executor and the I/O loop (the flushers
+    start on demand). Sets SIGPIPE to ignored for the process: a client
+    that hangs up must never kill the server.
     [on_drain] runs during {!shutdown} after the queue is drained and
     all sessions are closed, before connections are torn down. *)
 val create :
@@ -151,12 +171,6 @@ val create :
 
 (** The actually-bound port (useful with [port = 0]). *)
 val port : t -> int
-
-val system : t -> Mlds.System.t
-
-(** The flight recorder, when enabled — the binary's in-process readers
-    (none today; the wire opcodes are the public surface) and tests. *)
-val recorder : t -> Obs.Recorder.t option
 
 (** Live sessions (for tests and the binary's status line). *)
 val session_count : t -> int
@@ -198,9 +212,9 @@ val set_durability_hook : t -> (unit -> unit) option -> unit
     [false] once the post-truncation coordinates are published. *)
 val set_truncate_fence : t -> (bool -> unit) option -> unit
 
-(** Handler for [Repl_hello]: receives the raw connected socket (the
-    reader thread has already exited; the callee owns the descriptor)
-    plus the standby's coordinates. Unset ⇒ [Repl_hello] is refused with
+(** Handler for [Repl_hello], run on the I/O loop: receives the raw
+    connected socket, blocking again (the loop has let go of it; the
+    callee owns the descriptor) plus the standby's coordinates. Unset ⇒ [Repl_hello] is refused with
     [Bad_request]. *)
 val set_repl_hello :
   t ->
@@ -208,7 +222,6 @@ val set_repl_hello :
   option ->
   unit
 
-(** Handler for the [Promote] opcode (runs on the requesting
-    connection's reader thread — never on the executor, which it blocks
-    on). Unset ⇒ [Promote] is refused with [Bad_request]. *)
+(** Handler for the [Promote] opcode (runs on the I/O loop — never on
+    the executor, which it waits for). Unset ⇒ [Promote] is refused with [Bad_request]. *)
 val set_promote_hook : t -> (unit -> (string, string) result) option -> unit

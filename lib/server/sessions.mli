@@ -10,8 +10,7 @@
     transaction over the shared kernel.
 
     Threading contract: every function here must be called from the
-    server's executor (connection readers and the reaper only
-    {e enqueue} work). The table is therefore unsynchronised, like the
+    server's executor (the I/O loop only {e enqueues} work). The table is therefore unsynchronised, like the
     kernel it fronts. *)
 
 type entry = {

@@ -307,31 +307,53 @@ let decode_response data =
     | Error _ as e -> e
     | exception Truncated what -> Error ("truncated " ^ what ^ " body"))
 
+(* --- framing --------------------------------------------------------------- *)
+
+(* One exact-size frame: the prefix, then the payload copied once. *)
+let frame payload =
+  let len = String.length payload in
+  if len > max_frame_bytes then invalid_arg "Wire.frame: frame too large";
+  let frame = Bytes.create (len + 4) in
+  Bytes.set_int32_be frame 0 (Int32.of_int len);
+  Bytes.blit_string payload 0 frame 4 len;
+  frame
+
+(* The one reader of the length prefix and its limit. *)
+let payload_length buf pos =
+  let len = Int32.to_int (Bytes.get_int32_be buf pos) land 0xffff_ffff in
+  if len > max_frame_bytes then
+    Error
+      (Printf.sprintf "frame of %d bytes exceeds the %d-byte limit" len
+         max_frame_bytes)
+  else Ok len
+
+let next_frame buf ~pos ~len =
+  if len < 4 then Ok None
+  else
+    match payload_length buf pos with
+    | Error _ as e -> e
+    | Ok n when len - 4 < n -> Ok None
+    | Ok n -> Ok (Some (Bytes.sub_string buf (pos + 4) n, n + 4))
+
 (* --- blocking IO --------------------------------------------------------- *)
 
 let rec really_write fd s pos len =
   if len > 0 then begin
     let n =
-      try Unix.write_substring fd s pos len with
+      try Unix.single_write fd s pos len with
       | Unix.Unix_error (Unix.EINTR, _, _) -> 0
     in
     really_write fd s (pos + n) (len - n)
   end
 
 let write_frame fd payload =
-  let len = String.length payload in
-  if len > max_frame_bytes then invalid_arg "Wire.write_frame: frame too large";
-  (* one exact-size frame: the prefix, then the payload copied once *)
-  let frame = Bytes.create (len + 4) in
-  Bytes.set_int32_be frame 0 (Int32.of_int len);
-  Bytes.blit_string payload 0 frame 4 len;
-  really_write fd (Bytes.unsafe_to_string frame) 0 (len + 4)
+  let f = frame payload in
+  really_write fd f 0 (Bytes.length f)
 
 (* [Ok None] = EOF before the first byte; [Error] = EOF mid-frame. *)
-let really_read fd n =
-  let buf = Bytes.create n in
+let really_read fd buf n =
   let rec go pos =
-    if pos >= n then Ok (Some (Bytes.unsafe_to_string buf))
+    if pos >= n then Ok (Some buf)
     else
       match Unix.read fd buf pos (n - pos) with
       | 0 -> if pos = 0 then Ok None else Error "truncated frame"
@@ -341,18 +363,14 @@ let really_read fd n =
   go 0
 
 let read_frame fd =
-  match really_read fd 4 with
+  match really_read fd (Bytes.create 4) 4 with
   | Ok None -> Ok None
   | Error _ as e -> e
   | Ok (Some prefix) ->
-    let b i = Char.code prefix.[i] in
-    let len = (b 0 lsl 24) lor (b 1 lsl 16) lor (b 2 lsl 8) lor b 3 in
-    if len > max_frame_bytes then
-      Error (Printf.sprintf "frame of %d bytes exceeds the %d-byte limit" len
-               max_frame_bytes)
-    else if len = 0 then Ok (Some "")
-    else (
-      match really_read fd len with
+    (match payload_length prefix 0 with
+    | Error _ as e -> e
+    | Ok len ->
+      (match really_read fd (Bytes.create len) len with
       | Ok None -> Error "truncated frame"
-      | Ok (Some _) as ok -> ok
-      | Error _ as e -> e)
+      | Ok (Some payload) -> Ok (Some (Bytes.unsafe_to_string payload))
+      | Error _ as e -> e))

@@ -18,8 +18,10 @@
 
     Encoding and decoding are pure (bytes in, message out) and
     round-trip exactly — property-tested in [test/test_server.ml]. The
-    blocking {!read_frame}/{!write_frame} are the only IO here; the
-    server core and the client library both sit on top of them. *)
+    blocking {!read_frame}/{!write_frame} are the only IO here (the
+    client library and the replication plane use them); the server's
+    I/O loop frames its non-blocking sockets with {!frame} and
+    {!next_frame}. *)
 
 (** Client → server messages. [Login] binds a new session on this
     connection (any number may be opened; each frame names its target via
@@ -138,11 +140,27 @@ val request_size : request -> int
 
 val response_size : response -> int
 
+(** {2 Framing} *)
+
+(** [frame payload] is the length prefix followed by [payload]. Raises
+    [Invalid_argument] if the payload exceeds {!max_frame_bytes}. *)
+val frame : string -> Bytes.t
+
+(** [next_frame buf ~pos ~len] is the first whole frame among the [len]
+    bytes of [buf] at [pos]: [Ok (Some (payload, used))] where [used] is
+    the bytes it took (prefix included), [Ok None] while the frame is
+    still incomplete (the bytes stay pending), or [Error] when its length
+    prefix announces more than {!max_frame_bytes} — the one check of the
+    prefix, which {!read_frame} shares. The server's non-blocking reads
+    split their input with it. *)
+val next_frame :
+  Bytes.t -> pos:int -> len:int -> ((string * int) option, string) result
+
 (** {2 Blocking IO} *)
 
-(** [write_frame fd payload] writes the length prefix and the payload.
-    Raises [Unix.Unix_error] on IO failure, [Invalid_argument] if the
-    payload exceeds {!max_frame_bytes}. *)
+(** [write_frame fd payload] writes {!frame}[ payload]. Raises
+    [Unix.Unix_error] on IO failure, [Invalid_argument] if the payload
+    exceeds {!max_frame_bytes}. *)
 val write_frame : Unix.file_descr -> string -> unit
 
 (** [read_frame fd] reads one frame. [Ok None] is a clean EOF at a frame

@@ -6,6 +6,8 @@
 #   - mlds_top renders a frame from a live server under load
 #   - a forced-slow query shows up in the slow-query log with its plan
 #   - the telemetry JSONL parses and carries server.* and abdm.* metrics
+#   - its final snapshot reads server.internal_errors = 0: no request of
+#     the run fell into the executor's catch-all
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -72,7 +74,8 @@ test -s telemetry_pr7.jsonl
 python3 scripts/check_bench.py telemetry_pr7.jsonl \
   --require-prefix server. --require-prefix abdm. \
   --require telemetry.ticks \
-  --guard 'm("telemetry.ticks") >= 2'
+  --guard 'm("telemetry.ticks") >= 2' \
+  --guard 'm("server.internal_errors") == 0'
 python3 scripts/bench_diff.py --series telemetry_pr7.jsonl
 
 echo "telemetry smoke OK"

@@ -153,7 +153,7 @@ let test_cost_trial_mean_is_first_trial () =
   List.iter
     (fun (backends, want) ->
       let modelled =
-        List.map fst (Mbds_trials.run ~backends ~records:4000 ~trials:5)
+        List.map fst (Mbds_trials.run ~backends ~records:4000 ~trials:5 ())
       in
       let mean = List.fold_left ( +. ) 0. modelled /. 5. in
       Alcotest.(check (float 1e-9))

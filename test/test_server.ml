@@ -151,6 +151,92 @@ let prop_truncation_rejected =
       | Error _ -> ());
       !ok)
 
+(* The loop's splitter against the blocking reader: a stream of frames,
+   cut into random chunks and split with [Wire.next_frame] as the chunks
+   arrive, yields exactly the payloads [read_frame] returns; an
+   over-limit prefix is the same error on both; a truncated tail, an
+   error at [read_frame]'s EOF, stays pending in the splitter. *)
+let prop_splitter_equals_read_frame =
+  let open QCheck2.Gen in
+  let payload =
+    string_size ~gen:char (oneof [ int_range 0 40; int_range 0 3_000 ])
+  in
+  let gen =
+    triple (list_size (int_range 0 12) payload)
+      (oneof
+         [
+           return `None;
+           map (fun n -> `Over n) (int_range 1 1_000);
+           map2 (fun p k -> `Cut (p, k)) payload (int_range 1 1_000);
+         ])
+      (list_size (int_range 1 30) (int_range 1 700))
+  in
+  QCheck2.Test.make ~name:"chunked splitter = read_frame" ~count:300 gen
+    (fun (payloads, tail, cuts) ->
+      let frame p = Bytes.to_string (Wire.frame p) in
+      let tail =
+        match tail with
+        | `None -> ""
+        | `Over n ->
+          let b = Bytes.create 6 in
+          Bytes.set_int32_be b 0 (Int32.of_int (Wire.max_frame_bytes + n));
+          Bytes.to_string b
+        | `Cut (p, k) ->
+          let f = frame p in
+          String.sub f 0 (k mod String.length f)
+      in
+      let stream = String.concat "" (List.map frame payloads) ^ tail in
+      (* the blocking reader, over a file holding the stream *)
+      let file = Filename.temp_file "wire" ".stream" in
+      let expected, ending =
+        Fun.protect
+          ~finally:(fun () -> Sys.remove file)
+          (fun () ->
+            Out_channel.with_open_bin file (fun oc ->
+                Out_channel.output_string oc stream);
+            let fd = Unix.openfile file [ Unix.O_RDONLY ] 0 in
+            Fun.protect
+              ~finally:(fun () -> Unix.close fd)
+              (fun () ->
+                let rec go acc =
+                  match Wire.read_frame fd with
+                  | Ok (Some p) -> go (p :: acc)
+                  | Ok None -> (List.rev acc, None)
+                  | Error e -> (List.rev acc, Some e)
+                in
+                go []))
+      in
+      (* the splitter, fed chunk by chunk *)
+      let pending = Buffer.create 16 and got = ref [] and error = ref None in
+      let rec feed pos = function
+        | _ when pos >= String.length stream || !error <> None -> ()
+        | [] -> feed pos [ String.length stream ]
+        | cut :: cuts ->
+          let n = Stdlib.min cut (String.length stream - pos) in
+          Buffer.add_substring pending stream pos n;
+          let b = Buffer.to_bytes pending in
+          let rec split at len =
+            match Wire.next_frame b ~pos:at ~len with
+            | Ok (Some (p, used)) ->
+              got := p :: !got;
+              split (at + used) (len - used)
+            | Ok None ->
+              Buffer.clear pending;
+              Buffer.add_subbytes pending b at len
+            | Error e -> error := Some e
+          in
+          split 0 (Bytes.length b);
+          feed (pos + n) cuts
+      in
+      feed 0 cuts;
+      List.rev !got = expected
+      &&
+      match ending, !error with
+      | None, None -> Buffer.length pending = 0
+      | Some e, Some e' -> e = e'
+      | Some _, None -> Buffer.length pending = String.length tail
+      | None, Some _ -> false)
+
 let test_codec_rejects () =
   let f =
     { Wire.version = Wire.protocol_version; request_id = 1; session_id = 0;
@@ -1636,6 +1722,175 @@ let test_fsync_eio_observer () =
       | _ -> Alcotest.fail "later read not answered");
       List.iter Unix.close [ park_fd; a_fd; b_fd ])
 
+(* --- the I/O loop ---------------------------------------------------------- *)
+
+(* One client stops reading. Its replies back up in its own socket and
+   buffer, never on the executor, so another client's replies keep
+   arriving at once; after [send_timeout_s] without write progress the
+   server closes the stalled connection, and its session closes with
+   it, aborting the transaction it left open. *)
+let test_stalled_reader () =
+  let send_timeout_s = 2.0 in
+  let t = university () in
+  (* a file whose RETRIEVE reply runs to about 700 KB *)
+  let h = open_h t Mlds.System.L_abdl in
+  let pad = String.make 1400 'x' in
+  for i = 1 to 500 do
+    ignore
+      (submit_h h
+         (Printf.sprintf "INSERT (<FILE, bulk>, <seq, %d>, <txt, '%s'>)" i pad))
+  done;
+  Mlds.System.close_handle h;
+  (* client B works on another database, clear of A's transaction *)
+  (match Mlds.System.define_relational t ~name:"payroll" with
+  | Ok () -> ()
+  | Error msg -> Alcotest.failf "define payroll: %s" msg);
+  (match Mlds.System.open_handle t Mlds.System.L_sql ~db:"payroll" with
+  | Error msg -> Alcotest.failf "open sql: %s" msg
+  | Ok h ->
+    ignore
+      (submit_h h
+         "CREATE TABLE emp (name CHAR(10), salary INT); INSERT INTO emp \
+          VALUES ('a', 10)");
+    Mlds.System.close_handle h);
+  (* small batches: B's request waits behind at most four of A's *)
+  let config =
+    { Server.Core.default_config with
+      send_timeout_s;
+      max_batch = 4;
+      reap_every_s = 3600. }
+  in
+  with_server ~sys:t ~config (fun server port ->
+      let a = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+      Fun.protect
+        ~finally:(fun () -> try Unix.close a with _ -> ())
+        (fun () ->
+          (* a small receive window: A's socket fills quickly *)
+          Unix.setsockopt_int a Unix.SO_RCVBUF 4096;
+          Unix.connect a (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+          let ask id sid msg =
+            raw_send a ~request_id:id ~session_id:sid msg;
+            (raw_recv a).Wire.msg
+          in
+          let sid =
+            match
+              ask 1 0
+                (Wire.Login
+                   { user = "stall"; language = "abdl"; db = "university" })
+            with
+            | Wire.Logged_in id -> id
+            | _ -> Alcotest.fail "A's login failed"
+          in
+          List.iter
+            (fun (id, msg) ->
+              match ask id sid msg with
+              | Wire.Output _ -> ()
+              | _ -> Alcotest.fail "A's transaction did not start")
+            [
+              (2, Wire.Begin_txn);
+              (3, Wire.Submit "INSERT (<FILE, stall_probe>, <seq, 1>)");
+            ];
+          let b = client port in
+          (match Client.login b ~language:"sql" ~db:"payroll" () with
+          | Ok _ -> ()
+          | Error e -> Alcotest.failf "B's login: %s" (Client.error_to_string e));
+          (* A pipelines 16 large RETRIEVEs, 11 MB of replies, more
+             than the server's socket buffer (at most 4 MiB on Linux)
+             and the loop's read bound take, and never reads again *)
+          Unix.set_nonblock a;
+          (try
+             for id = 10 to 25 do
+               raw_send a ~request_id:id ~session_id:sid
+                 (Wire.Submit "RETRIEVE ((FILE = bulk)) (seq, txt)")
+             done
+           with Unix.Unix_error _ -> ());
+          let stalled_at = Unix.gettimeofday () in
+          let worst = ref 0. in
+          for _ = 1 to 10 do
+            let t0 = Unix.gettimeofday () in
+            ignore (csubmit b "SELECT SUM(salary) FROM emp");
+            worst := Float.max !worst (Unix.gettimeofday () -. t0)
+          done;
+          Alcotest.(check bool)
+            (Printf.sprintf "B's slowest reply (%.3fs) well under %.0fs" !worst
+               send_timeout_s)
+            true
+            (!worst < send_timeout_s /. 2.);
+          let rec gone () =
+            Server.Core.session_count server = 1
+            || Unix.gettimeofday () -. stalled_at < 2. *. send_timeout_s
+               && (Thread.delay 0.02;
+                   gone ())
+          in
+          Alcotest.(check bool) "A's session closed within 2 x send_timeout_s"
+            true (gone ());
+          let c = logged_in port in
+          Alcotest.(check bool) "A's transaction aborted" true
+            (contains
+               (csubmit c "RETRIEVE ((FILE = stall_probe)) (COUNT(seq))")
+               "0");
+          Client.close c;
+          Client.close b))
+
+let threads_now () =
+  In_channel.with_open_text "/proc/self/status" (fun ic ->
+      let rec find () =
+        match In_channel.input_line ic with
+        | None -> Alcotest.fail "no Threads: line"
+        | Some line ->
+          (match String.split_on_char ':' line with
+          | [ "Threads"; n ] -> int_of_string (String.trim n)
+          | _ -> find ())
+      in
+      find ())
+
+(* The server's threads are the executor, the I/O loop and one flusher
+   per WAL that owed a fsync: none per connection. *)
+let test_threads_flat () =
+  if not (Sys.file_exists "/proc/self/status") then Alcotest.skip ();
+  with_server (fun _server port ->
+      let first = logged_in port in
+      let one = threads_now () in
+      let more = List.init 16 (fun _ -> logged_in port) in
+      let seventeen = threads_now () in
+      List.iter Client.close (first :: more);
+      Alcotest.(check int) "threads with 17 clients = with 1" one seventeen)
+
+(* [Unix.select] cannot watch a descriptor at or past FD_SETSIZE: a
+   connection accepted onto one is refused with the typed Overloaded
+   and closed, and the server goes on serving the others. *)
+let test_unwatchable_descriptor () =
+  with_server (fun _server port ->
+      let held = ref [] in
+      (try
+         for _ = 1 to 1100 do
+           held :=
+             Unix.openfile "/dev/null" [ Unix.O_RDONLY; Unix.O_CLOEXEC ] 0
+             :: !held
+         done
+       with Unix.Unix_error (Unix.EMFILE, _, _) ->
+         (* a descriptor limit under FD_SETSIZE: nothing to refuse *)
+         List.iter Unix.close !held;
+         Alcotest.skip ());
+      let held = !held in
+      Fun.protect
+        ~finally:(fun () -> List.iter Unix.close held)
+        (fun () ->
+          let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+          Fun.protect
+            ~finally:(fun () -> Unix.close fd)
+            (fun () ->
+              Unix.setsockopt_float fd Unix.SO_RCVTIMEO 5.;
+              Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+              Alcotest.(check bool) "typed Overloaded" true
+                ((raw_recv fd).Wire.msg = Wire.Overloaded);
+              Alcotest.(check bool) "then closed" true
+                (Wire.read_frame fd = Ok None)));
+      let c = logged_in port in
+      Alcotest.(check bool) "others still served" true
+        (contains (csubmit c "RETRIEVE ((FILE = employee)) (AVG(salary))") "AVG");
+      Client.close c)
+
 let suite =
   [
     Alcotest.test_case "handles: isolated currency" `Quick
@@ -1647,6 +1902,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_response_roundtrip;
     QCheck_alcotest.to_alcotest prop_truncation_rejected;
     QCheck_alcotest.to_alcotest prop_write_frame_two_step;
+    QCheck_alcotest.to_alcotest prop_splitter_equals_read_frame;
     Alcotest.test_case "socket: login/submit/logout" `Quick test_socket_basics;
     Alcotest.test_case "socket: an overflow literal is a Parse_error" `Quick
       test_overflow_literal_is_parse_error;
@@ -1710,4 +1966,10 @@ let suite =
       test_fsync_eio_writer;
     Alcotest.test_case "fsync EIO: observing reader fails too" `Quick
       test_fsync_eio_observer;
+    Alcotest.test_case "loop: a stalled reader delays only itself" `Quick
+      test_stalled_reader;
+    Alcotest.test_case "loop: threads do not grow with connections" `Quick
+      test_threads_flat;
+    Alcotest.test_case "loop: a descriptor select cannot watch is refused"
+      `Quick test_unwatchable_descriptor;
   ]
