@@ -6,7 +6,8 @@
    stream ([Perfbench.Workloads.ops]) through [Mlds.System.submit_handle]:
    a login op closes the session and opens a new one, a checkpoint op is
    skipped (nothing here has a WAL). [?only] keeps one language's ops of
-   that stream and drops the rest. [minor] counts the stream's own text
+   that stream and drops the rest. [?each] runs after every op drawn,
+   with its count (1 for the first). [minor] counts the stream's own text
    formatting too. A minor collection on each side of the window makes
    [promoted] everything the window allocated that outlived the minor
    heap, and nothing the preload left there. *)
@@ -21,7 +22,7 @@ let counters () =
 
 type t = { ran : int; minor : float; promoted : float; hit_ratio : float }
 
-let run ?only ~seed ~ops () =
+let run ?only ?(each = ignore) ~seed ~ops () =
   let module W = Perfbench.Workloads in
   let sys = W.create_system W.Oltp_point in
   W.preload W.Oltp_point ~seed sys;
@@ -49,11 +50,12 @@ let run ?only ~seed ~ops () =
   and misses0 = Mlds.Stmt_cache.misses cache in
   Gc.minor ();
   let minor0, promoted0 = counters () in
-  for _ = 1 to ops do
+  for i = 1 to ops do
     let op = next () in
     if op.kind <> W.Checkpoint
        && match only with None -> true | Some l -> op.lang = l
-    then step op
+    then step op;
+    each i
   done;
   Gc.minor ();
   let minor1, promoted1 = counters () in

@@ -148,15 +148,13 @@ let run host port backends queue_cap idle_timeout batch fresh
           (Some ship, None)
         | None -> (None, None))
     in
+    (* the same promotion as \promote: the result is printed from the
+       executor once the promotion is done *)
     let promote_now () =
-      match standby with
-      | None -> ()
-      | Some st -> (
-        match Replica.Standby.promote st with
-        | Ok summary ->
-          Server.Core.set_read_only server false;
-          Printf.printf "mlds_server: %s\n%!" summary
-        | Error e -> Printf.eprintf "mlds_server: promote failed: %s\n%!" e)
+      if Option.is_some standby then
+        Server.Core.promote server (function
+          | Ok summary -> Printf.printf "mlds_server: %s\n%!" summary
+          | Error e -> Printf.eprintf "mlds_server: promote failed: %s\n%!" e)
     in
     (* Periodic delta-encoded metrics snapshots as JSONL, for soak-run
        analysis. The writer thread stops (and appends one final full

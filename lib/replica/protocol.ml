@@ -1,6 +1,8 @@
 (* The replication stream's message layer. Framing is borrowed wholesale
-   from the wire protocol ([Server.Wire.write_frame] / [read_frame]:
-   u32 big-endian length prefix, 16 MiB ceiling); what travels inside is
+   from the wire protocol (u32 big-endian length prefix, 16 MiB ceiling:
+   the primary's I/O loop frames and splits with [Server.Wire.frame] /
+   [next_frame], the standby's thread uses [write_frame] / [read_frame]);
+   what travels inside is
    this module's tagged payloads, not request/response frames — after
    the [Repl_hello] handshake the connection leaves the RPC protocol for
    good.

@@ -27,12 +27,14 @@
    deleted first), which reads as "bootstrap again" — never as a stale
    mapping silently misplacing the stream.
 
-   Promotion stops the stream, runs a finalizer on the executor (behind
-   every already-injected apply, so nothing received is lost), appends a
-   synthetic ABORT if the stream ended inside a transaction (otherwise a
-   later replay of this log would buffer every post-promote frame into
-   the unterminated transaction), and attaches the log to the database
-   as a normal primary WAL. *)
+   Promotion waits for nothing. It stops the stream, and the exiting
+   stream thread injects a finalizer onto the executor, behind every
+   apply it injected, so nothing received is lost. The finalizer appends
+   a synthetic ABORT if the stream ended inside a transaction (otherwise
+   a later replay of this log would buffer every post-promote frame into
+   the unterminated transaction), attaches the log to the database as a
+   normal primary WAL, and hands the result to the promoter's
+   continuation. *)
 
 type t = {
   system : Mlds.System.t;
@@ -45,6 +47,9 @@ type t = {
   mutable conn : Unix.file_descr option;
   mutable stopped : bool;
   mutable promoted : bool;
+  (* the promoter's continuation, until the finalizer is injected *)
+  mutable on_promoted : ((string, string) result -> unit) option;
+  mutable exited : bool;  (* the stream thread is done injecting *)
   mutable thread : Thread.t option;
   (* the primary-coordinate origin mapping; stream thread only (readers
      take mx) *)
@@ -287,6 +292,40 @@ let serve_connection t fd =
   in
   loop ()
 
+(* --- promotion ------------------------------------------------------------ *)
+
+(* Runs on the executor, behind every apply: seal any unterminated
+   replicated transaction, then attach the log for normal primary-mode
+   logging. *)
+let finalize t =
+  try
+    if !(t.txn_buf) <> None then begin
+      t.txn_buf := None;
+      append_local t (Bytes.to_string (Mlds.Wal.encode_frame Mlds.Wal.Abort))
+    end;
+    close_local_log t;
+    match Mlds.System.attach_wal t.system ~db:t.db ~file:t.wal_path with
+    | Ok _ ->
+      Ok
+        (Printf.sprintf
+           "promoted: %d frames applied; logging to %s (checkpoint soon)"
+           !(t.applied) t.wal_path)
+    | Error e -> Error e
+  with e -> Error (Printexc.to_string e)
+
+(* Once the stream thread has exited and a promotion is asked for, put
+   the finalizer behind everything the thread injected (the control lane
+   is FIFO); only the first caller finds the continuation. *)
+let inject_finalizer t =
+  match
+    Mutex.protect t.mx (fun () ->
+        let k = if t.exited then t.on_promoted else None in
+        if Option.is_some k then t.on_promoted <- None;
+        k)
+  with
+  | Some k -> t.inject (fun () -> k (finalize t))
+  | None -> ()
+
 let stream_thread t =
   let backoff = ref 0.2 in
   let rec run () =
@@ -317,7 +356,9 @@ let stream_thread t =
       run ()
     end
   in
-  run ()
+  run ();
+  Mutex.protect t.mx (fun () -> t.exited <- true);
+  inject_finalizer t
 
 (* --- lifecycle ------------------------------------------------------------ *)
 
@@ -334,6 +375,8 @@ let start ~system ~db ~wal_path ~host ~port ~inject () =
       conn = None;
       stopped = false;
       promoted = false;
+      on_promoted = None;
+      exited = false;
       thread = None;
       have_origin = false;
       origin_gen = 0;
@@ -364,14 +407,17 @@ let start ~system ~db ~wal_path ~host ~port ~inject () =
   t.thread <- Some (Thread.create stream_thread t);
   t
 
+(* Stop the stream: the thread sees [stopped] once its socket is shut. *)
+let halt_locked t =
+  t.stopped <- true;
+  match t.conn with
+  | Some fd -> (try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ())
+  | None -> ()
+
 let stop_stream t =
   let th =
     Mutex.protect t.mx (fun () ->
-        t.stopped <- true;
-        (match t.conn with
-        | Some fd -> (
-          try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ())
-        | None -> ());
+        halt_locked t;
         t.thread)
   in
   (match th with Some th -> Thread.join th | None -> ());
@@ -381,53 +427,32 @@ let frames_applied t = !(t.applied)
 
 let bootstrapped t = t.have_origin
 
-(* Promote to primary. Runs on the caller's thread (a connection reader
-   or the signal loop) — never the executor, which the finalizer below
-   must be free to run on. *)
+(* Promote to primary without waiting: stop the stream and return; [k]
+   gets the result from the finalizer, on the thread that runs injected
+   closures (the executor), or at once if this standby was promoted
+   before. Safe on the server's I/O loop. *)
+let promote_then t k =
+  let first =
+    Mutex.protect t.mx (fun () ->
+        let first = not t.promoted in
+        if first then begin
+          t.promoted <- true;
+          t.on_promoted <- Some k;
+          halt_locked t
+        end;
+        first)
+  in
+  if first then inject_finalizer t else k (Error "already promoted")
+
+(* Promote and return the result, for a standby whose [inject] runs each
+   closure at once (no server): the stream thread then runs the
+   finalizer itself as it exits, so the result is in once it is joined.
+   A server's standby promotes through its [Server.Core.promote]. *)
 let promote t =
-  let already = Mutex.protect t.mx (fun () -> t.promoted) in
-  if already then Error "already promoted"
-  else begin
-    Mutex.protect t.mx (fun () -> t.promoted <- true);
-    stop_stream t;
-    (* finalize behind every already-injected apply (the control lane is
-       FIFO): seal any unterminated replicated transaction, then attach
-       the log for normal primary-mode logging *)
-    let fin_mx = Mutex.create () in
-    let fin_cond = Condition.create () in
-    let result = ref None in
-    t.inject (fun () ->
-        let r =
-          try
-            if !(t.txn_buf) <> None then begin
-              t.txn_buf := None;
-              append_local t
-                (Bytes.to_string (Mlds.Wal.encode_frame Mlds.Wal.Abort))
-            end;
-            close_local_log t;
-            match
-              Mlds.System.attach_wal t.system ~db:t.db ~file:t.wal_path
-            with
-            | Ok _ ->
-              Ok
-                (Printf.sprintf
-                   "promoted: %d frames applied; logging to %s (checkpoint \
-                    soon)"
-                   !(t.applied) t.wal_path)
-            | Error e -> Error e
-          with e -> Error (Printexc.to_string e)
-        in
-        Mutex.lock fin_mx;
-        result := Some r;
-        Condition.signal fin_cond;
-        Mutex.unlock fin_mx);
-    Mutex.lock fin_mx;
-    while !result = None do
-      Condition.wait fin_cond fin_mx
-    done;
-    Mutex.unlock fin_mx;
-    match !result with Some r -> r | None -> assert false
-  end
+  let result = ref (Error "promotion pending on the executor") in
+  promote_then t (fun r -> result := r);
+  stop_stream t;
+  !result
 
 (* Stop without promoting (tests, shutdown). *)
 let shutdown t =

@@ -62,6 +62,14 @@ type slot = {
   mutable s_gate : gate;
 }
 
+(* A standby's replication stream, kept on the loop after [Repl_hello]
+   (see the interface). *)
+type stream = {
+  receive : string -> bool;
+  pump : (string -> unit) -> float option;
+  closed : unit -> unit;
+}
+
 type conn = {
   c_id : int;
   fd : Unix.file_descr;  (* non-blocking *)
@@ -82,6 +90,10 @@ type conn = {
   (* loop-owned: bytes read, not yet a whole frame, are [0, in_len) *)
   mutable inbuf : Bytes.t;
   mutable in_len : int;
+  (* set once, by the loop under [write_mx], when the connection becomes
+     a standby's stream: its frames go to [receive], and request replies
+     are no longer written to it *)
+  mutable stream : stream option;
 }
 
 type job =
@@ -147,21 +159,18 @@ type t = {
   (* a warm standby refuses writes with Err Read_only until promoted *)
   read_only : bool Atomic.t;
   (* called right after each covering fsync and after every finished
-     checkpoint: the shipper publishes the durable WAL position to its
-     sender threads from here *)
+     checkpoint: the shipper publishes the durable WAL position from here *)
   mutable on_durable : (unit -> unit) option;
   (* bracket around the checkpoint's WAL truncation (true = entering the
      rename window, false = truncation published): the shipper stops
      reading chunks while fenced, so a chunk read can never interleave
      with the rename and ship bytes from the wrong file *)
   mutable truncate_fence : (bool -> unit) option;
-  (* a standby introduced itself: take the raw socket (the loop lets go
-     of it; the shipper owns the descriptor from here on) *)
-  mutable repl_hello :
-    (Unix.file_descr -> peer:string -> gen:int -> pos:int -> boot:bool -> unit)
-    option;
-  (* \promote / SIGUSR1: finish applying, enable writes *)
-  mutable promote_hook : (unit -> (string, string) result) option;
+  (* a standby introduced itself: its stream, or [None] to close it *)
+  mutable repl_hello : (gen:int -> pos:int -> boot:bool -> stream option) option;
+  (* \promote / SIGUSR1: finish applying, enable writes, then call the
+     continuation *)
+  mutable promote_hook : (((string, string) result -> unit) -> unit) option;
 }
 
 (* --- metrics ------------------------------------------------------------- *)
@@ -252,25 +261,31 @@ let write_out conn =
   go ();
   publish conn
 
-(* Queue one reply's frame. When nothing was waiting, try the socket at
-   once, so the common reply leaves from the thread that released it;
-   what the socket does not take, the loop writes. A reply past the
-   frame limit leaves as an error, never as a raise on the executor or
-   a flusher. The caller holds [write_mx]. *)
+(* Queue one frame's bytes. When nothing was waiting, try the socket at
+   once, so the common frame leaves from the thread that released it;
+   what the socket does not take, the loop writes. True when that left
+   bytes the loop does not know of yet. The caller holds [write_mx]. *)
+let push_out conn bytes =
+  let idle = Queue.is_empty conn.out in
+  Queue.push bytes conn.out;
+  if idle then begin
+    conn.progress_s <- Obs.Clock.now_s ();
+    write_out conn
+  end
+  else publish conn;
+  idle && not (Queue.is_empty conn.out)
+
+(* Queue one reply. A reply past the frame limit leaves as an error,
+   never as a raise on the executor or a flusher. The caller holds
+   [write_mx]. *)
 let write_locked t conn (frame : Wire.response Wire.frame) =
-  if conn.alive then begin
-    let idle = Queue.is_empty conn.out in
+  if conn.alive && Option.is_none conn.stream then begin
     let encode msg = Wire.frame (Wire.encode_response { frame with msg }) in
-    Queue.push
-      (try encode frame.Wire.msg
-       with Invalid_argument why -> encode (Wire.Err (Wire.Exec_error, why)))
-      conn.out;
-    if idle then begin
-      conn.progress_s <- Obs.Clock.now_s ();
-      write_out conn;
-      if not (Queue.is_empty conn.out) then wake t
-    end
-    else publish conn
+    let bytes =
+      try encode frame.Wire.msg
+      with Invalid_argument why -> encode (Wire.Err (Wire.Exec_error, why))
+    in
+    if push_out conn bytes then wake t
   end
 
 let frame_to (req : 'a Wire.frame) ~session_id msg =
@@ -984,8 +999,16 @@ let drop t conn =
       write_out conn;
       conn.alive <- false;
       try Unix.close conn.fd with _ -> ());
+  Option.iter (fun st -> try st.closed () with _ -> ()) conn.stream;
   Obs.Metrics.incr c_disconnects;
   Bounded_queue.push_control t.queue (J_disconnect conn)
+
+(* Run the promote hook; [k] gets its result on whichever thread finishes
+   the promotion. *)
+let promote t k =
+  match t.promote_hook with
+  | None -> k (Error "not a standby: nothing to promote")
+  | Some hook -> (try hook k with e -> k (Error (Printexc.to_string e)))
 
 (* Answer or route one decoded frame. *)
 let dispatch t conn (frame : Wire.request Wire.frame) =
@@ -1002,31 +1025,27 @@ let dispatch t conn (frame : Wire.request Wire.frame) =
        the (potentially large) event drain *)
     answer_control t conn frame
   | Wire.Promote ->
-    (* promotion waits for the executor to drain its injected applies,
-       so it must not run on the executor itself *)
-    let msg =
-      match t.promote_hook with
-      | None -> Wire.Err (Wire.Bad_request, "not a standby: nothing to promote")
-      | Some promote ->
-        (match promote () with
-        | Ok summary -> Wire.Output summary
-        | Error why -> Wire.Err (Wire.Exec_error, "promote failed: " ^ why)
-        | exception e ->
-          Wire.Err (Wire.Exec_error, "promote failed: " ^ Printexc.to_string e))
+    (* the reply leaves from whichever thread finishes the promotion (the
+       standby's executor): the loop never waits for it *)
+    let answer msg =
+      record_event t frame ~session:frame.Wire.session_id ~language:"-"
+        ~latency_s:(Obs.Clock.since arrival) ~msg ~batch:0;
+      reply t conn frame msg
     in
-    record_event t frame ~session:frame.Wire.session_id ~language:"-"
-      ~latency_s:(Obs.Clock.since arrival) ~msg ~batch:0;
-    reply t conn frame msg
+    if Option.is_none t.promote_hook then
+      answer (Wire.Err (Wire.Bad_request, "not a standby: nothing to promote"))
+    else
+      promote t (function
+        | Ok summary -> answer (Wire.Output summary)
+        | Error why -> answer (Wire.Err (Wire.Exec_error, "promote failed: " ^ why)))
   | Wire.Repl_hello { gen; pos; boot } ->
     (match t.repl_hello with
     | Some attach ->
-      (* the connection leaves the request/response protocol: the loop
-         lets go of the descriptor, blocking again, and no reply may be
-         written into the replication stream *)
-      forget t conn;
-      Mutex.protect conn.write_mx (fun () -> conn.alive <- false);
-      Unix.clear_nonblock conn.fd;
-      attach conn.fd ~peer:conn.peer ~gen ~pos ~boot
+      (* the connection leaves the request/response protocol and stays on
+         the loop as a stream; no request reply is written to it again *)
+      (match attach ~gen ~pos ~boot with
+      | Some st -> Mutex.protect conn.write_mx (fun () -> conn.stream <- Some st)
+      | None -> drop t conn)
     | None ->
       reply t conn frame
         (Wire.Err (Wire.Bad_request, "replication not enabled on this server")))
@@ -1056,8 +1075,8 @@ let dispatch t conn (frame : Wire.request Wire.frame) =
     note_depth t
 
 (* Dispatch every whole frame in the input buffer from [pos] on, while
-   the connection stays in the loop (Bye and a standby's handshake take
-   it out); move an incomplete tail to the buffer's front. *)
+   the connection stays in the loop (Bye takes it out), or hand it to the
+   connection's stream; move an incomplete tail to the buffer's front. *)
 let rec split t conn pos =
   match Wire.next_frame conn.inbuf ~pos ~len:(conn.in_len - pos) with
   | Error _ -> drop t conn
@@ -1065,11 +1084,14 @@ let rec split t conn pos =
     Bytes.blit conn.inbuf pos conn.inbuf 0 (conn.in_len - pos);
     conn.in_len <- conn.in_len - pos
   | Ok (Some (payload, used)) ->
-    (match Wire.decode_request payload with
-    | Ok frame -> dispatch t conn frame
-    | Error msg ->
-      (* the caller cannot be identified *)
-      send t conn (unsolicited (Wire.Err (Wire.Bad_request, msg))));
+    (match conn.stream with
+    | Some st -> if not (try st.receive payload with _ -> false) then drop t conn
+    | None ->
+      (match Wire.decode_request payload with
+      | Ok frame -> dispatch t conn frame
+      | Error msg ->
+        (* the caller cannot be identified *)
+        send t conn (unsolicited (Wire.Err (Wire.Bad_request, msg)))));
     if Hashtbl.mem t.conns conn.fd then split t conn (pos + used)
 
 (* Read what the socket holds into the input buffer, doubled when a
@@ -1130,18 +1152,37 @@ let rec accept_all t =
           progress_s = 0.;
           inbuf = Bytes.create 4096;
           in_len = 0;
+          stream = None;
         };
       Atomic.incr t.n_conns);
     accept_all t
 
 let no_timeout s = if s > 0. then s else Float.infinity
 
-(* One pass: push the idle sweep when due, drop every connection whose
-   unsent bytes have not moved for [send_timeout_s], then wait in select
-   for the next readable or writable socket, the next sweep or the next
-   write deadline — and serve what it reports. A connection is read only
-   while its unsent bytes are under [out_limit], and watched for writing
-   while it has any. *)
+(* A stream's frame, queued like a reply (on the loop, so nothing to wake) *)
+let stream_send conn payload =
+  Mutex.protect conn.write_mx (fun () ->
+      if conn.alive then ignore (push_out conn (Wire.frame payload)))
+
+(* Let a stream with room queue what is due: false when it asks to be
+   closed; its next heartbeat joins the select's deadline. *)
+let pump_stream conn deadline =
+  match conn.stream with
+  | Some st when Atomic.get conn.unsent <= out_limit ->
+    (match st.pump (stream_send conn) with
+    | Some due ->
+      deadline := Float.min !deadline due;
+      true
+    | None | (exception _) -> false)
+  | Some _ | None -> true
+
+(* One pass: push the idle sweep when due, pump every stream with room,
+   drop every connection whose unsent bytes have not moved for
+   [send_timeout_s] (or whose stream is over), then wait in select for
+   the next readable or writable socket, the next sweep, the next
+   write deadline or the next heartbeat — and serve what it reports. A
+   connection is read only while its unsent bytes are under [out_limit],
+   and watched for writing while it has any. *)
 let io_loop t =
   (* a 50 ms floor: a period <= 0 must not spin the loop *)
   let reap_every = Stdlib.max 0.05 t.cfg.reap_every_s in
@@ -1160,6 +1201,7 @@ let io_loop t =
     if listening then reads := t.listener :: !reads;
     Hashtbl.iter
       (fun fd conn ->
+        let live = pump_stream conn deadline in
         let left = Atomic.get conn.unsent in
         let due =
           if left = 0 then Float.infinity
@@ -1167,7 +1209,7 @@ let io_loop t =
             Mutex.protect conn.write_mx (fun () -> conn.progress_s)
             +. no_timeout t.cfg.send_timeout_s
         in
-        if now >= due then stale := conn :: !stale
+        if (not live) || now >= due then stale := conn :: !stale
         else begin
           if left > 0 then begin
             writes := fd :: !writes;

@@ -6,16 +6,18 @@
     {2 Threading model}
 
     A server runs the executor, the I/O loop and one flusher per WAL
-    that has owed an fsync, whatever the number of connections.
+    that has owed an fsync, whatever the number of connections and of
+    attached standbys.
 
     - One {e I/O loop thread} owns the listener and every connection,
       all non-blocking, and waits in [Unix.select] until a socket is
       readable or writable, the next idle sweep is due ([reap_every_s]:
-      it pushes the sweep on the control lane) or a stalled connection's
-      write deadline passes. Each pass accepts, reads what each ready
-      socket holds into its input buffer, splits complete frames
-      ({!Wire.next_frame}) and dispatches each one: [Ping], [Bye],
-      [Tail], [Promote] and [Repl_hello] are answered on the loop;
+      it pushes the sweep on the control lane), a stalled connection's
+      write deadline passes or a standby's next heartbeat is due. Each
+      pass accepts, reads what each ready socket holds into its input
+      buffer, splits complete frames ({!Wire.next_frame}) and dispatches
+      each one: [Ping], [Bye], [Tail] and [Repl_hello] are answered on
+      the loop, and [Promote] is started there;
       [Stats] and [Checkpoint] go on the control lane; everything else
       goes to the executor's bounded request queue. A full queue is
       answered at once with the typed [Overloaded] response ({e
@@ -23,6 +25,12 @@
       counted in [server.rejected_total]. A connection accepted onto a
       descriptor [select] cannot watch (past [FD_SETSIZE]) gets the same
       [Overloaded] and is closed.
+    - A standby's connection stays on the loop after [Repl_hello], as a
+      {e stream} ({!stream}): its frames go to the stream's [receive],
+      and on every pass with its unsent bytes under the bound the loop
+      calls its [pump], which queues what is due and names its next
+      heartbeat. A stream's frames leave through the same non-blocking
+      writes, read bound and [send_timeout_s] as replies.
     - {e No socket write blocks.} The thread that releases a reply (the
       executor or a flusher) appends its frame to the connection's
       unsent bytes and tries one non-blocking write; the loop writes
@@ -185,7 +193,7 @@ val shutdown : t -> unit
     All optional, all off by default. A primary enables shipping by
     setting the durability hook (publish after every covering fsync),
     the truncate fence (bracket the checkpoint's WAL rename), and the
-    [Repl_hello] handler (adopt a standby's socket). A standby runs with
+    [Repl_hello] handler (a standby's stream). A standby runs with
     {!set_read_only}[ true], applies received frames via {!inject}, and
     installs a {!set_promote_hook} for [Promote] / SIGUSR1. *)
 
@@ -212,16 +220,37 @@ val set_durability_hook : t -> (unit -> unit) option -> unit
     [false] once the post-truncation coordinates are published. *)
 val set_truncate_fence : t -> (bool -> unit) option -> unit
 
-(** Handler for [Repl_hello], run on the I/O loop: receives the raw
-    connected socket, blocking again (the loop has let go of it; the
-    callee owns the descriptor) plus the standby's coordinates. Unset ⇒ [Repl_hello] is refused with
-    [Bad_request]. *)
-val set_repl_hello :
-  t ->
-  (Unix.file_descr -> peer:string -> gen:int -> pos:int -> boot:bool -> unit)
-  option ->
-  unit
+(** A standby's replication stream. Every function runs on the I/O
+    loop. [receive payload] takes each frame the standby sends; [false]
+    closes the connection. [pump send] queues, through [send] (one frame
+    payload a call), what is due, and returns when it must run again
+    ([Float.infinity] for no deadline; {!wake} makes it run sooner), or
+    [None] to close the connection. [closed ()] runs once the connection
+    is gone. *)
+type stream = {
+  receive : string -> bool;
+  pump : (string -> unit) -> float option;
+  closed : unit -> unit;
+}
 
-(** Handler for the [Promote] opcode (runs on the I/O loop — never on
-    the executor, which it waits for). Unset ⇒ [Promote] is refused with [Bad_request]. *)
-val set_promote_hook : t -> (unit -> (string, string) result) option -> unit
+(** Handler for [Repl_hello], run on the I/O loop with the standby's
+    coordinates: the connection's stream, or [None] to close it. Unset
+    ⇒ [Repl_hello] is refused with [Bad_request]. *)
+val set_repl_hello :
+  t -> (gen:int -> pos:int -> boot:bool -> stream option) option -> unit
+
+(** [wake t] makes the I/O loop run a pass, and so pump every stream,
+    now. Safe from any thread. *)
+val wake : t -> unit
+
+(** Handler for [Promote] and for {!promote}: it starts the promotion
+    and must not wait for it, since it runs on the I/O loop; it calls
+    the continuation with the result once the promotion is done (on a
+    standby, from the executor). Unset ⇒ [Promote] is refused with
+    [Bad_request]. *)
+val set_promote_hook :
+  t -> (((string, string) result -> unit) -> unit) option -> unit
+
+(** [promote t k] runs the promote hook, as [Promote] does; [k] gets
+    [Error] at once when no hook is set. *)
+val promote : t -> ((string, string) result -> unit) -> unit

@@ -4,6 +4,8 @@
 # and check that:
 #   - mlds_top shows replication lag on the primary and apply progress
 #     on the standby, live under load
+#   - the primary ships from its I/O loop: its thread count mid-stream
+#     is the count it had before the standby attached
 #   - the E18 failover drill (loadgen --scenario failover: write through
 #     the pair, SIGKILL the primary mid-stream, SIGUSR1-promote the
 #     standby) loses no acked write, leaves nothing in TMPDIR, and
@@ -19,7 +21,8 @@ opam exec -- dune build bin/mlds_server.exe bin/mlds_top.exe bench/loadgen.exe 2
 rm -f repl-primary.out repl-standby.out repl-primary.wal repl-standby.wal \
   repl-standby.wal.boot repl-standby.wal.origin repl-primary.wal.snapshot \
   mlds_top-repl-primary.out mlds_top-repl-standby.out \
-  loadgen-repl-smoke.out loadgen-failover.out BENCH_failover.json
+  loadgen-repl-smoke.out loadgen-repl-warm.out loadgen-failover.out \
+  BENCH_failover.json
 
 wait_port() { # logfile -> port
   local port=""
@@ -43,6 +46,14 @@ PRIMARY_PID=$!
 PPORT=$(wait_port repl-primary.out)
 echo "primary ready on port $PPORT"
 
+threads_of() { sed -n 's/^Threads:[[:space:]]*//p' "/proc/$1/status"; }
+
+# A write and a read first: the primary's WAL flusher and MBDS pool
+# workers start on the first of each, before any standby exists.
+./_build/default/bench/loadgen.exe --port "$PPORT" --clients 1 --requests 20 \
+  --read-pct 50 > loadgen-repl-warm.out 2>&1
+THREADS_BEFORE=$(threads_of "$PRIMARY_PID")
+
 ./_build/default/bin/mlds_server.exe \
   --port 0 --wal repl-standby.wal --standby-of "127.0.0.1:$PPORT" \
   --max-seconds 240 > repl-standby.out 2>&1 &
@@ -61,6 +72,13 @@ sleep 1
 if ! kill -0 "$LOADGEN_PID" 2>/dev/null; then
   echo "loadgen finished before the mid-run poll; output was:" >&2
   cat loadgen-repl-smoke.out >&2
+fi
+
+THREADS_MID=$(threads_of "$PRIMARY_PID")
+echo "primary threads: $THREADS_BEFORE before the standby, $THREADS_MID mid-stream"
+if [ "$THREADS_MID" -gt "$THREADS_BEFORE" ]; then
+  echo "the primary's thread count grew with a standby attached" >&2
+  exit 1
 fi
 
 # Lag must be visible in mlds_top on both ends while (or right after)

@@ -300,6 +300,33 @@ let test_oltp_promoted_words () =
                     (bound %.0f)"
       per_op r.ran promoted_words_bound
 
+(* Kept memory on the benchmark's oltp-point request path: the live
+   heap after a full major collection at two points of client 0's
+   stream ([Oltp_words]), 10 000 and 40 000 ops in, both after the
+   512-entry statement cache has filled (it is full by op 5 000). Its
+   writes are UPDATEs, so the data does not grow: the two readings
+   differ by a few hundred words either way (400 408 to 401 061 words
+   from op 5 000 to op 80 000). A request log kept by the shared SQL
+   engine for its lifetime, the leak that bounded memory removed, adds
+   ~405 000 words between them. Bound: 4 096 words, about a byte an op. *)
+let kept_words_bound = 4_096
+
+let test_oltp_live_heap_flat () =
+  let first = 10_000 and last = 40_000 in
+  let live = Array.make 2 0 in
+  let each i =
+    if i = first || i = last then begin
+      Gc.full_major ();
+      live.(if i = first then 0 else 1) <- (Gc.stat ()).Gc.live_words
+    end
+  in
+  ignore (Oltp_words.run ~seed:1 ~ops:last ~each ());
+  let grown = live.(1) - live.(0) in
+  if grown > kept_words_bound then
+    Alcotest.failf "oltp-point stream: live heap grew %d words from op %d to \
+                    op %d (%d -> %d; bound %d)"
+      grown first last live.(0) live.(1) kept_words_bound
+
 let suite =
   [
     "shared SQL engine: live heap flat over 20 000 SELECTs", `Quick,
@@ -310,4 +337,6 @@ let suite =
     test_session_churn;
     "Stats reports the heap gauges", `Quick, test_stats_heap_gauges;
     "oltp-point: promoted words per op", `Quick, test_oltp_promoted_words;
+    "oltp-point: live heap flat after the statement cache fills", `Quick,
+    test_oltp_live_heap_flat;
   ]

@@ -4,7 +4,10 @@
    remap vs snapshot re-bootstrap, restart resume — plus the qcheck
    failover drill: random workload × random kill point × promote must
    leave the promoted standby exactly equal to a fresh replay of the
-   primary-WAL prefix the standby had acknowledged.
+   primary-WAL prefix the standby had acknowledged. The stream itself,
+   on the primary's I/O loop, is driven by raw-socket fake subscribers:
+   its window, its heartbeats, a subscriber that stops reading, and the
+   primary's thread count.
 
    The in-process standbys here use a pass-through inject (apply on the
    stream thread): nothing else touches the standby kernel until the
@@ -45,7 +48,7 @@ let cleanup path =
 
 (* A live primary: university + WAL + server + shipper, torn down in
    order (ship first — the drain checkpoint truncates the WAL). *)
-let with_primary f =
+let with_primary ?(config = Server.Core.default_config) f =
   let t = university () in
   let wal_path = fresh_path "p" in
   (match Mlds.System.attach_wal t ~db:"university" ~file:wal_path with
@@ -53,7 +56,7 @@ let with_primary f =
   | Error e -> Alcotest.failf "attach_wal: %s" e);
   match
     Server.Core.create
-      ~config:{ Server.Core.default_config with port = 0 }
+      ~config:{ config with port = 0 }
       t
   with
   | Error msg -> Alcotest.failf "server create: %s" msg
@@ -72,12 +75,12 @@ let with_primary f =
 
 (* A server-backed standby of [pport] (the Bridge wiring, as in the
    binary). *)
-let with_standby_server pport f =
+let with_standby_server ?(config = Server.Core.default_config) pport f =
   let t2 = university () in
   let wal_path = fresh_path "s" in
   match
     Server.Core.create
-      ~config:{ Server.Core.default_config with port = 0 }
+      ~config:{ config with port = 0 }
       t2
   with
   | Error msg -> Alcotest.failf "standby server create: %s" msg
@@ -478,6 +481,209 @@ let test_failover_immediate_kill () =
   Alcotest.(check bool) "kill-at-zero failover" true
     (failover_drill [ O_plain [ 1 ]; O_commit [ 101 ] ] 0)
 
+(* --- the stream on the primary's I/O loop --------------------------------- *)
+
+let connect_raw ?rcvbuf port =
+  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Option.iter (Unix.setsockopt_int fd Unix.SO_RCVBUF) rcvbuf;
+  Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+  fd
+
+(* A subscriber with no thread and no log: a socket that introduced
+   itself with [Repl_hello] at the primary's current durable position,
+   so nothing is bootstrapped. *)
+let fake_subscriber ?rcvbuf t port =
+  let wal = Option.get (Mlds.System.wal_of t ~db:"university") in
+  let gen = Mlds.Wal.generation wal in
+  let pos = Mlds.Wal.synced_position wal in
+  let fd = connect_raw ?rcvbuf port in
+  Test_server.raw_send fd ~request_id:0 ~session_id:0
+    (Wire.Repl_hello { gen; pos; boot = false });
+  (fd, gen, pos)
+
+(* The next message down the stream, or [None] after [within] seconds. *)
+let recv_down fd ~within =
+  match Unix.select [ fd ] [] [] within with
+  | [], _, _ -> None
+  | _ ->
+    (match Wire.read_frame fd with
+    | Ok (Some payload) ->
+      (match Replica.Protocol.decode_down payload with
+      | Ok msg -> Some msg
+      | Error e -> Alcotest.failf "undecodable stream message: %s" e)
+    | Ok None | Error _ -> Alcotest.fail "the primary closed the stream")
+
+(* Frame bytes received until the stream goes quiet for [quiet] s. *)
+let drain_frames fd ~quiet =
+  let rec go total =
+    match recv_down fd ~within:quiet with
+    | Some (Replica.Protocol.Frames { data; _ }) -> go (total + String.length data)
+    | Some _ -> go total
+    | None -> total
+  in
+  go 0
+
+(* ~20 KB of WAL a statement *)
+let fat_insert i =
+  Printf.sprintf
+    "INSERT (<FILE, 'person'>, <person, %d>, <name, '%s'>, <city, 'rc'>)"
+    (20_000 + i) (String.make 20_000 'w')
+
+(* A subscriber that does not ack is sent at most [window_max] bytes;
+   each ack opens the window again by what it confirms. *)
+let test_stream_window () =
+  with_primary (fun t _server port _wal ship ->
+      let fd, gen, pos = fake_subscriber t port in
+      Fun.protect
+        ~finally:(fun () -> Unix.close fd)
+        (fun () ->
+          wait_for "subscriber attached" (fun () -> Replica.Ship.standbys ship = 1);
+          let c = logged_in port in
+          (* 1.5 MB of WAL *)
+          for i = 1 to 75 do
+            ignore (csubmit c (fat_insert i))
+          done;
+          Client.close c;
+          let first = drain_frames fd ~quiet:0.5 in
+          Alcotest.(check bool)
+            (Printf.sprintf "%d unacked bytes within the %d-byte window" first
+               Replica.Ship.window_max)
+            true
+            (first <= Replica.Ship.window_max
+            && first > Replica.Ship.window_max - Replica.Ship.chunk_max);
+          Wire.write_frame fd
+            (Replica.Protocol.encode_up
+               (Replica.Protocol.Ack { gen; pos = pos + first; ts = 0. }));
+          let rest = drain_frames fd ~quiet:0.5 in
+          Alcotest.(check bool) "the ack opened the window" true (rest > 0);
+          Alcotest.(check bool) "still within the window" true
+            (rest <= Replica.Ship.window_max)))
+
+(* An idle primary sends an acked-up subscriber a heartbeat about every
+   second. *)
+let test_stream_heartbeats () =
+  with_primary (fun t _server port _wal ship ->
+      let fd, _, _ = fake_subscriber t port in
+      Fun.protect
+        ~finally:(fun () -> Unix.close fd)
+        (fun () ->
+          wait_for "subscriber attached" (fun () -> Replica.Ship.standbys ship = 1);
+          let rec beats acc n =
+            if n = 0 then List.rev acc
+            else
+              match recv_down fd ~within:3. with
+              | Some (Replica.Protocol.Heartbeat _) ->
+                beats (Unix.gettimeofday () :: acc) (n - 1)
+              | Some _ -> Alcotest.fail "an idle primary sent more than heartbeats"
+              | None -> Alcotest.fail "no heartbeat within 3 s"
+          in
+          match beats [] 4 with
+          | first :: rest ->
+            ignore
+              (List.fold_left
+                 (fun prev at ->
+                   let gap = at -. prev in
+                   if gap < 0.8 || gap > 1.6 then
+                     Alcotest.failf "heartbeats %.3f s apart" gap;
+                   at)
+                 first rest)
+          | [] -> assert false))
+
+(* A subscriber whose receive buffer stays full is dropped once its
+   unsent bytes have not moved for [send_timeout_s]. This one acks each
+   write as it commits but never reads, so the window stays open and
+   6 MB go out: more than the kernel's socket buffers hold. *)
+let test_stream_stalled_dropped () =
+  let send_timeout_s = 1. in
+  with_primary ~config:{ Server.Core.default_config with send_timeout_s }
+    (fun t _server port _wal ship ->
+      let fd, gen, _ = fake_subscriber ~rcvbuf:4096 t port in
+      let wal = Option.get (Mlds.System.wal_of t ~db:"university") in
+      Fun.protect
+        ~finally:(fun () -> Unix.close fd)
+        (fun () ->
+          wait_for "subscriber attached" (fun () -> Replica.Ship.standbys ship = 1);
+          let c = logged_in port in
+          let started = Unix.gettimeofday () in
+          let acking = ref true in
+          for i = 1 to 300 do
+            ignore (csubmit c (fat_insert i));
+            if !acking then
+              try
+                Wire.write_frame fd
+                  (Replica.Protocol.encode_up
+                     (Replica.Protocol.Ack
+                        { gen; pos = Mlds.Wal.synced_position wal; ts = 0. }))
+              with Unix.Unix_error _ -> acking := false
+          done;
+          wait_for ~tries:(int_of_float (300. *. send_timeout_s))
+            "stalled subscriber dropped"
+            (fun () -> Replica.Ship.standbys ship = 0);
+          let after = Unix.gettimeofday () -. started in
+          Alcotest.(check bool)
+            (Printf.sprintf "dropped %.2f s after the writes began, not before %.0f s"
+               after send_timeout_s)
+            true (after >= send_timeout_s);
+          (* the primary goes on serving *)
+          ignore (csubmit c (insert_stmt 1));
+          Client.close c))
+
+(* The primary's threads do not depend on how many standbys it ships to. *)
+let test_threads_flat_with_standbys () =
+  if not (Sys.file_exists "/proc/self/status") then Alcotest.skip ();
+  with_primary (fun t _server port _wal ship ->
+      let none = Test_server.threads_now () in
+      let subs = List.init 3 (fun _ -> fake_subscriber t port) in
+      Fun.protect
+        ~finally:(fun () -> List.iter (fun (fd, _, _) -> Unix.close fd) subs)
+        (fun () ->
+          wait_for "3 subscribers attached" (fun () -> Replica.Ship.standbys ship = 3);
+          Alcotest.(check int) "threads with 3 standbys = with 0" none
+            (Test_server.threads_now ())))
+
+(* [Promote] does not hold the standby's I/O loop: with the executor
+   parked, the promotion cannot finish, yet another connection's Ping is
+   answered; released, the promoter gets its reply. *)
+let test_promote_leaves_loop_free () =
+  let park = Atomic.make false and parked = Atomic.make false in
+  let hook () =
+    while Atomic.get park do
+      Atomic.set parked true;
+      Thread.delay 0.005
+    done
+  in
+  let config = { Server.Core.default_config with executor_hook = Some hook } in
+  with_primary (fun _t _server pport _wal ship ->
+      with_standby_server ~config pport (fun _t2 server2 sport _st ->
+          let a = connect_raw sport and b = connect_raw sport in
+          Fun.protect
+            ~finally:(fun () ->
+              Atomic.set park false;
+              Unix.close a;
+              Unix.close b)
+            (fun () ->
+              wait_for "standby attached" (fun () -> Replica.Ship.standbys ship = 1);
+              Atomic.set park true;
+              Server.Core.inject server2 ignore;
+              wait_for "executor parked" (fun () -> Atomic.get parked);
+              Test_server.raw_send a ~request_id:1 ~session_id:0 Wire.Promote;
+              Unix.setsockopt_float b Unix.SO_RCVTIMEO 3.;
+              Test_server.raw_send b ~request_id:2 ~session_id:0 Wire.Ping;
+              (match Wire.read_frame b with
+              | Ok (Some payload) ->
+                Alcotest.(check bool) "Ping answered while the executor is parked"
+                  true
+                  (match Wire.decode_response payload with
+                  | Ok { Wire.msg = Wire.Pong; _ } -> true
+                  | _ -> false)
+              | Ok None | Error _ | (exception Unix.Unix_error _) ->
+                Alcotest.fail "no Pong while the promotion waits for the executor");
+              Atomic.set park false;
+              match (Test_server.raw_recv a).Wire.msg with
+              | Wire.Output out ->
+                Alcotest.(check bool) "promoted" true (contains out "promoted:")
+              | _ -> Alcotest.fail "Promote not answered with a summary")))
+
 let suite =
   [
     "stream, stale reads, Read_only, lag in Stats", `Quick,
@@ -492,4 +698,13 @@ let suite =
     test_standby_short_write;
     "standby abandons a log it cannot cut back", `Quick,
     test_standby_failed_cut_rebootstraps;
+    "stream: at most window_max unacked bytes", `Quick, test_stream_window;
+    "stream: an idle primary sends heartbeats 1 s apart", `Quick,
+    test_stream_heartbeats;
+    "stream: a full receive buffer is dropped after send_timeout_s", `Quick,
+    test_stream_stalled_dropped;
+    "replication: threads do not grow with standbys", `Quick,
+    test_threads_flat_with_standbys;
+    "promote: the standby's loop answers while the executor finishes", `Quick,
+    test_promote_leaves_loop_free;
   ]
