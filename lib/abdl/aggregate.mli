@@ -1,7 +1,7 @@
 (** Mergeable aggregate states. The MBDS backends each compute a partial
-    state over their record partition; the controller merges partials and
-    finalises — which is what makes COUNT/SUM/AVG/MIN/MAX distribute
-    correctly across backends. *)
+    state over their record partition ({!Exec.share}); the controller
+    merges partials and finalises ({!Exec.rows}) — which is what makes
+    COUNT/SUM/AVG/MIN/MAX distribute correctly across backends. *)
 
 type state
 

@@ -9,12 +9,12 @@ type result =
   | Updated of int
   | Rows of row list
 
+let value record attr =
+  match Abdm.Record.value_of record attr with
+  | Some v -> v
+  | None -> Abdm.Value.Null
+
 let project targets (key, record) =
-  let value attr =
-    match Abdm.Record.value_of record attr with
-    | Some v -> v
-    | None -> Abdm.Value.Null
-  in
   let values =
     List.concat_map
       (fun target ->
@@ -22,116 +22,129 @@ let project targets (key, record) =
         | Ast.T_all ->
           List.rev
             (Abdm.Record.fold (fun acc attr v -> (attr, v) :: acc) [] record)
-        | Ast.T_attr attr -> [ attr, value attr ]
+        | Ast.T_attr attr -> [ attr, value record attr ]
         | Ast.T_agg (agg, attr) ->
           (* Aggregates never reach projection; keep the shape total. *)
-          [ Ast.target_to_string (Ast.T_agg (agg, attr)), value attr ])
+          [ Ast.target_to_string (Ast.T_agg (agg, attr)), value record attr ])
       targets
   in
   { dbkey = Some key; values }
 
 module Value_map = Map.Make (Abdm.Value)
 
-(* Group selected records by the BY attribute (all in one group without
-   one), in ascending group-key order. Groups are keyed on the value
-   itself; a group reports the first key it met, so Int 3 and Float 3.0
-   (equal values) share one group. *)
-let group_matches by matches =
-  match by with
-  | None -> [ Abdm.Value.Null, matches ]
+(* One group of an aggregate RETRIEVE: its lowest-key member, and one
+   state per aggregate target, in target order. Groups are keyed on the
+   BY value itself and report their first member's, so Int 3 and Float
+   3.0 (equal values) share one group. *)
+type group = {
+  first : Abdm.Store.dbkey * Abdm.Record.t;
+  states : Aggregate.state array;
+}
+
+type share =
+  | Run of (Abdm.Store.dbkey * Abdm.Record.t) list
+      (* plain targets: matches by BY value, then key *)
+  | Groups of group Value_map.t
+
+(* the order of a plain RETRIEVE's rows: by key, or by the BY value with
+   the key breaking ties (a stable sort of the key-ordered matches) *)
+let order (retrieve : Ast.retrieve) =
+  match retrieve.by with
+  | None -> fun (a, _) (b, _) -> Int.compare a b
   | Some attr ->
-    let key_of (_, record) =
-      match Abdm.Record.value_of record attr with
-      | Some v -> v
-      | None -> Abdm.Value.Null
-    in
-    let groups =
-      List.fold_left
-        (fun groups m ->
-          let k = key_of m in
-          match Value_map.find_opt k groups with
-          | Some (_, members) ->
-            members := m :: !members;
-            groups
-          | None -> Value_map.add k (k, ref [ m ]) groups)
-        Value_map.empty matches
-    in
-    Value_map.bindings groups
-    |> List.map (fun (_, (k, members)) -> k, List.rev !members)
+    fun (ka, ra) (kb, rb) ->
+      match Abdm.Value.compare (value ra attr) (value rb attr) with
+      | 0 -> Int.compare ka kb
+      | c -> c
 
-let aggregate_rows (retrieve : Ast.retrieve) matches =
-  let groups = group_matches retrieve.by matches in
-  let row_of_group (group_key, members) =
-    let agg_value agg attr =
-      let fold state (_, record) =
-        match Abdm.Record.value_of record attr with
-        | Some v -> Aggregate.add state v
-        | None -> state
-      in
-      Aggregate.finalize agg (List.fold_left fold Aggregate.empty members)
-    in
-    let target_values target =
-      match target with
-      | Ast.T_agg (agg, attr) ->
-        [ Ast.target_to_string target, agg_value agg attr ]
-      | Ast.T_attr attr ->
-        (* A plain attribute among aggregates reports the first group
-           member's value. *)
-        let v =
-          match members with
-          | (_, record) :: _ ->
-            begin
-              match Abdm.Record.value_of record attr with
-              | Some v -> v
-              | None -> Abdm.Value.Null
-            end
-          | [] -> Abdm.Value.Null
-        in
-        [ attr, v ]
-      | Ast.T_all -> []
-    in
-    let values = List.concat_map target_values retrieve.targets in
-    let values =
-      match retrieve.by with
-      | Some attr when not (List.mem_assoc attr values) ->
-        (attr, group_key) :: values
-      | Some _ | None -> values
-    in
-    { dbkey = None; values }
-  in
-  List.map row_of_group groups
-
-let shape_rows (retrieve : Ast.retrieve) matches =
-  if Ast.has_aggregate retrieve.targets then aggregate_rows retrieve matches
+(* [matches] come in key order, so a group's first member is its
+   lowest-key one, and its states fold in key order *)
+let share (retrieve : Ast.retrieve) matches =
+  if not (Ast.has_aggregate retrieve.targets) then
+    Run (if retrieve.by = None then matches else List.sort (order retrieve) matches)
   else
-    let matches =
-      match retrieve.by with
-      | None -> matches
-      | Some attr ->
-        let key_of (_, record) =
-          match Abdm.Record.value_of record attr with
-          | Some v -> v
-          | None -> Abdm.Value.Null
-        in
-        List.stable_sort
-          (fun a b -> Abdm.Value.compare (key_of a) (key_of b))
-          matches
+    let attrs =
+      Array.of_list
+        (List.filter_map
+           (function Ast.T_agg (_, attr) -> Some attr | Ast.T_attr _ | Ast.T_all -> None)
+           retrieve.targets)
     in
-    List.map (project retrieve.targets) matches
+    let group first =
+      let states = Array.make (Array.length attrs) Aggregate.empty in
+      for i = 0 to Array.length attrs - 1 do
+        states.(i) <- Aggregate.add states.(i) (value (snd first) attrs.(i))
+      done;
+      { first; states }
+    in
+    let fold groups ((_, record) as m) =
+      let k = match retrieve.by with Some attr -> value record attr | None -> Abdm.Value.Null in
+      match Value_map.find k groups with
+      | g ->
+        for i = 0 to Array.length attrs - 1 do
+          g.states.(i) <- Aggregate.add g.states.(i) (value record attrs.(i))
+        done;
+        groups
+      | exception Not_found -> Value_map.add k (group m) groups
+    in
+    match List.fold_left fold Value_map.empty matches with
+    | groups when retrieve.by = None && Value_map.is_empty groups ->
+      (* without BY an aggregate answers one row even over no match: an
+         empty partition holds one empty group, its key sorting last *)
+      Groups (Value_map.singleton Abdm.Value.Null (group (max_int, Abdm.Record.make [])))
+    | groups -> Groups groups
+
+(* the lower-key group's states go first, so a tie between extremes
+   keeps the value of the partition that met its group first *)
+let merge_groups g h =
+  let g, h = if fst g.first < fst h.first then g, h else h, g in
+  { first = g.first; states = Array.map2 Aggregate.merge g.states h.states }
+
+let group_row (retrieve : Ast.retrieve) { first = _, record; states } =
+  (* a plain attribute among aggregates reports the first member's value *)
+  let rec values i = function
+    | [] -> []
+    | (Ast.T_agg (agg, _) as target) :: rest ->
+      (Ast.target_to_string target, Aggregate.finalize agg states.(i)) :: values (i + 1) rest
+    | Ast.T_attr attr :: rest -> (attr, value record attr) :: values i rest
+    | Ast.T_all :: rest -> values i rest
+  in
+  let values = values 0 retrieve.targets in
+  let values =
+    match retrieve.by with
+    | Some attr when not (List.mem_assoc attr values) -> (attr, value record attr) :: values
+    | Some _ | None -> values
+  in
+  { dbkey = None; values }
+
+let rows (retrieve : Ast.retrieve) shares =
+  let by_order = order retrieve in
+  let combine a b =
+    match a, b with
+    | Run a, Run b -> Run (List.merge by_order a b)
+    | Groups a, Groups b -> Groups (Value_map.union (fun _ g h -> Some (merge_groups g h)) a b)
+    | Run _, Groups _ | Groups _, Run _ -> invalid_arg "Exec.rows: shares of two requests"
+  in
+  match shares with
+  | [] -> invalid_arg "Exec.rows: no share"
+  | s :: rest ->
+    match List.fold_left combine s rest with
+    | Run matches -> List.map (project retrieve.targets) matches
+    | Groups groups ->
+      List.rev (Value_map.fold (fun _ g acc -> group_row retrieve g :: acc) groups [])
 
 let join_rows (rc : Ast.retrieve_common) ~left ~right =
   (* index the right side by join-attribute value *)
-  let table = ref Value_map.empty in
-  List.iter
-    (fun (_, record) ->
-      match Abdm.Record.value_of record rc.rc_right_attr with
-      | Some v when not (Abdm.Value.is_null v) ->
-        table :=
+  let table =
+    List.fold_left
+      (fun table (_, record) ->
+        match value record rc.rc_right_attr with
+        | Abdm.Value.Null -> table
+        | v ->
           Value_map.update v
             (fun bucket -> Some (record :: Option.value ~default:[] bucket))
-            !table
-      | Some _ | None -> ())
-    right;
+            table)
+      Value_map.empty right
+  in
   (* the joined row's keywords: the left record's, then the right
      record's, a right attribute the left one also has renamed
      [file.attr] *)
@@ -158,9 +171,7 @@ let join_rows (rc : Ast.retrieve_common) ~left ~right =
           | Ast.T_all -> merged
           | Ast.T_attr attr ->
             [ ( attr,
-                match List.assoc_opt attr merged with
-                | Some v -> v
-                | None -> Abdm.Value.Null ) ]
+                Option.value ~default:Abdm.Value.Null (List.assoc_opt attr merged) ) ]
           | Ast.T_agg (_, _) ->
             (* aggregates are not defined over joins; render null *)
             [ Ast.target_to_string target, Abdm.Value.Null ])
@@ -170,17 +181,12 @@ let join_rows (rc : Ast.retrieve_common) ~left ~right =
   in
   List.concat_map
     (fun (_, left_record) ->
-      match Abdm.Record.value_of left_record rc.rc_left_attr with
-      | Some v when not (Abdm.Value.is_null v) ->
-        begin
-          match Value_map.find_opt v !table with
-          | Some bucket ->
-            List.rev_map
-              (fun right_record -> project_merged (merge left_record right_record))
-              bucket
-          | None -> []
-        end
-      | Some _ | None -> [])
+      match Value_map.find_opt (value left_record rc.rc_left_attr) table with
+      | Some bucket ->
+        List.rev_map
+          (fun right_record -> project_merged (merge left_record right_record))
+          bucket
+      | None -> [])
     left
 
 let run store (request : Ast.request) =
@@ -190,14 +196,11 @@ let run store (request : Ast.request) =
   | Ast.Update (query, modifiers) ->
     Updated (Abdm.Store.update store query modifiers)
   | Ast.Retrieve retrieve ->
-    let matches = Abdm.Store.select store retrieve.query in
-    Rows (shape_rows retrieve matches)
+    Rows (rows retrieve [ share retrieve (Abdm.Store.select store retrieve.query) ])
   | Ast.Retrieve_common rc ->
     let left = Abdm.Store.select store rc.rc_left in
     let right = Abdm.Store.select store rc.rc_right in
     Rows (join_rows rc ~left ~right)
-
-let run_transaction store requests = List.map (run store) requests
 
 let row_to_string row =
   let cells =
@@ -219,5 +222,3 @@ let result_to_string = function
   | Rows rows ->
     if rows = [] then "NO RECORDS"
     else String.concat "\n" (List.map row_to_string rows)
-
-let pp_result ppf r = Format.pp_print_string ppf (result_to_string r)

@@ -1,6 +1,7 @@
-(** ABDL request execution against a single ABDM store. The MBDS
-    controller reuses [project] and [aggregate_rows] to merge per-backend
-    partial results. *)
+(** ABDL request execution against a single ABDM store. A RETRIEVE is
+    shaped per partition ({!share}) and the shares combined ({!rows}): a
+    single store is one partition, and each MBDS backend shapes its own
+    for the controller to merge. *)
 
 type row = {
   dbkey : Abdm.Store.dbkey option;
@@ -19,24 +20,22 @@ type result =
     that attribute instead (stable), and with aggregates groups by it. *)
 val run : Abdm.Store.t -> Ast.request -> result
 
-(** [run_transaction store requests] executes sequentially. *)
-val run_transaction : Abdm.Store.t -> Ast.transaction -> result list
+(** A RETRIEVE's rows over one partition, before the merge: for plain
+    targets the matches in row order; with aggregates one partial
+    {!Aggregate.state} per aggregate target and group, plus the group's
+    lowest-key member. *)
+type share
 
-(** [project targets (key, record)] shapes one record per the target list
-    ([T_all] → every keyword; [T_attr a] → that attribute, [Null] when
-    absent). *)
-val project :
-  Ast.target_item list -> Abdm.Store.dbkey * Abdm.Record.t -> row
+(** [share retrieve matches] shapes one partition's key-ordered
+    [matches] (as {!Abdm.Store.select} returns them). *)
+val share :
+  Ast.retrieve -> (Abdm.Store.dbkey * Abdm.Record.t) list -> share
 
-(** [aggregate_rows retrieve matches] builds the grouped / aggregated rows
-    of a RETRIEVE with aggregates over the already-selected records. *)
-val aggregate_rows :
-  Ast.retrieve -> (Abdm.Store.dbkey * Abdm.Record.t) list -> row list
-
-(** [shape_rows retrieve matches] produces the final row list for any
-    RETRIEVE (aggregate or plain) from selected records. *)
-val shape_rows :
-  Ast.retrieve -> (Abdm.Store.dbkey * Abdm.Record.t) list -> row list
+(** [rows retrieve shares] combines the non-empty list of [retrieve]'s
+    shares of disjoint partitions into the reply's rows: plain runs by
+    merge, groups by {!Aggregate.merge}. Raises [Invalid_argument] on no
+    share. *)
+val rows : Ast.retrieve -> share list -> row list
 
 (** [join_rows rc ~left ~right] — the RETRIEVE_COMMON equi-join: pairs each
     left record with every right record whose join attribute carries the
@@ -50,5 +49,3 @@ val join_rows :
   row list
 
 val result_to_string : result -> string
-
-val pp_result : Format.formatter -> result -> unit

@@ -201,14 +201,12 @@ let insert_unique t record probes =
   if probes <> [] && any_clash t probes 0 then None
   else Some (insert t record)
 
+(* each backend's key-ordered run, merged by key as [to_seq] merges *)
 let select t query =
-  let per_backend =
-    broadcast t ~op:"select"
-      ~writes_of:(fun _ -> 0)
-      (fun backend -> Abdm.Store.select backend query)
-  in
-  List.concat per_backend
-  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+  broadcast t ~op:"select"
+    ~writes_of:(fun _ -> 0)
+    (fun backend -> Abdm.Store.select backend query)
+  |> List.fold_left (List.merge (fun (a, _) (b, _) -> Int.compare a b)) []
 
 (* Reads directory snapshots only; takes no lock (same argument as [get]
    below). Each backend partition holds different rows, so its
@@ -223,20 +221,14 @@ let explain t query =
           t.backends))
 
 let delete t query =
-  let per_backend =
-    broadcast t ~op:"delete"
-      ~writes_of:(fun n -> n)
-      (fun backend -> Abdm.Store.delete backend query)
-  in
-  List.fold_left ( + ) 0 per_backend
+  broadcast t ~op:"delete" ~writes_of:(fun n -> n) (fun backend ->
+      Abdm.Store.delete backend query)
+  |> List.fold_left ( + ) 0
 
 let update t query modifiers =
-  let per_backend =
-    broadcast t ~op:"update"
-      ~writes_of:(fun n -> n)
-      (fun backend -> Abdm.Store.update backend query modifiers)
-  in
-  List.fold_left ( + ) 0 per_backend
+  broadcast t ~op:"update" ~writes_of:(fun n -> n) (fun backend ->
+      Abdm.Store.update backend query modifiers)
+  |> List.fold_left ( + ) 0
 
 (* Lock-free read: mutations of a backend happen under its lock, and the
    caller orders them before this read (the server's write barrier, or
@@ -280,10 +272,6 @@ let count t file =
 
 let size t = Array.fold_left (fun acc b -> acc + Abdm.Store.size b) 0 t.backends
 
-let file_names t =
-  Array.fold_left (fun acc b -> Abdm.Store.file_names b @ acc) [] t.backends
-  |> List.sort_uniq String.compare
-
 let backend_sizes t = Array.to_list (Array.map Abdm.Store.size t.backends)
 
 let backend_loads t =
@@ -302,17 +290,20 @@ let run t (request : Abdl.Ast.request) =
   | Abdl.Ast.Update (query, modifiers) ->
     Abdl.Exec.Updated (update t query modifiers)
   | Abdl.Ast.Retrieve retrieve ->
-    (* Backends select in parallel; the controller shapes (projection,
-       sorting, grouping, aggregation) over the merged matches. *)
-    let matches = select t retrieve.query in
-    Abdl.Exec.Rows (Abdl.Exec.shape_rows retrieve matches)
+    (* each backend shapes its own partition (sorts, or folds its group
+       states); the controller only merges the shares *)
+    let shares =
+      broadcast t ~op:"retrieve"
+        ~writes_of:(fun _ -> 0)
+        (fun backend ->
+          Abdl.Exec.share retrieve (Abdm.Store.select backend retrieve.query))
+    in
+    Abdl.Exec.Rows (Abdl.Exec.rows retrieve shares)
   | Abdl.Ast.Retrieve_common rc ->
     (* both sides are parallel backend selections; the controller joins *)
     let left = select t rc.rc_left in
     let right = select t rc.rc_right in
     Abdl.Exec.Rows (Abdl.Exec.join_rows rc ~left ~right)
-
-let run_transaction t requests = List.map (run t) requests
 
 (* Transaction control mutates every backend's journal, so — like any
    other mutation — it holds each backend's lock (the store-ownership

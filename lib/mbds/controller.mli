@@ -58,10 +58,10 @@ val name : t -> string
     the [n = 1] degenerate-skew normalisation). *)
 val placement : t -> placement
 
-(** [run t request] broadcasts one ABDL request and merges results. *)
+(** [run t request] broadcasts one ABDL request and merges results. Each
+    backend shapes its partition of a RETRIEVE ({!Abdl.Exec.share});
+    the controller only combines the shares ({!Abdl.Exec.rows}). *)
 val run : t -> Abdl.Ast.request -> Abdl.Exec.result
-
-val run_transaction : t -> Abdl.Ast.transaction -> Abdl.Exec.result list
 
 (** Store-like access used by the kernel controllers and loaders. These go
     through the same broadcast/merge path as [run]. *)
@@ -78,6 +78,8 @@ val insert : t -> Abdm.Record.t -> Abdm.Store.dbkey
 val insert_unique :
   t -> Abdm.Record.t -> Abdm.Query.t list -> Abdm.Store.dbkey option
 
+(** [select t query] is every backend's key-ordered matches, merged by
+    key. *)
 val select : t -> Abdm.Query.t -> (Abdm.Store.dbkey * Abdm.Record.t) list
 
 (** [explain t query] renders each backend's {!Abdm.Store.explain} plan,
@@ -117,8 +119,6 @@ val next_key : t -> Abdm.Store.dbkey
 val count : t -> string -> int
 
 val size : t -> int
-
-val file_names : t -> string list
 
 (** Per-backend live record counts, for placement diagnostics. *)
 val backend_sizes : t -> int list

@@ -10,8 +10,8 @@ type t
     every share on the caller, in index order. The domains are spawned
     by the first {!run} that has a share for a helper, not here: a
     process that never broadcasts (a server's set-up, one-backend
-    controllers) stays on one domain. Raises [Invalid_argument] when
-    [n < 0]. *)
+    controllers) stays on one domain. A worker's minor heap is half its
+    spawner's. Raises [Invalid_argument] when [n < 0]. *)
 val create : int -> t
 
 (** The configured worker count, whether or not the workers have

@@ -36,6 +36,8 @@ let h_append = Obs.Metrics.histogram "wal.append_s"
 
 let h_fsync = Obs.Metrics.histogram "wal.fsync_s"
 
+let h_truncate = Obs.Metrics.histogram "wal.truncate_s"
+
 let h_group = Obs.Metrics.histogram ~buckets:[| 1.; 2.; 4.; 8.; 16.; 32.; 64. |]
     "wal.group_commit_size"
 
@@ -400,6 +402,7 @@ let leave_group t = t.grouping <- false
 let truncate_to t ~keep_from =
   if t.grouping then invalid_arg "Wal.truncate_to: inside a commit group";
   Mutex.protect t.mx @@ fun () ->
+  let t0 = Obs.Clock.now_s () in
   let fd = live t in
   let keep = Stdlib.max t.start (Stdlib.min keep_from t.len) in
   let gen = t.generation + 1 in
@@ -433,7 +436,8 @@ let truncate_to t ~keep_from =
   t.synced_len <- t.len;
   t.deferred_syncs <- 0;
   t.fsyncs <- t.fsyncs + 1;
-  Obs.Metrics.set_gauge g_bytes (float_of_int (String.length log))
+  Obs.Metrics.set_gauge g_bytes (float_of_int (String.length log));
+  Obs.Metrics.observe h_truncate (Obs.Clock.since t0)
 
 let close t =
   Mutex.protect t.mx @@ fun () ->

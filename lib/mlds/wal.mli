@@ -25,17 +25,6 @@
     written before markers carried an LSN ([GENERATION g]), has
     LSN = file offset.
 
-    {2 Log sequence numbers}
-
-    Every position is an LSN: a byte's place in everything the log has
-    ever held, which never restarts (ARIES — Mohan et al., TODS 1992).
-    {!truncate_to} drops a prefix and moves no LSN. It heads the new file
-    with a {!Generation} marker recording the LSN of the file's first
-    data byte, so a byte at file offset [off] has LSN
-    [first_lsn + off - marker_bytes]. A log with no marker, or with one
-    written before markers carried an LSN ([GENERATION g]), has
-    LSN = file offset.
-
     {2 Recovery rule}
 
     {!recover} reads frames front to back and {b stops at the first bad
@@ -185,7 +174,8 @@ val fsync_enabled : t -> bool
     LSN names the same bytes. No position changes; everything written is
     durable on return. Must not be called inside a commit group. A
     replace that fails after its rename leaves the handle dead; one that
-    fails before leaves it on the old log. *)
+    fails before leaves it on the old log. Observed in the
+    [wal.truncate_s] histogram. *)
 val truncate_to : t -> keep_from:int -> unit
 
 (** [close t] syncs and closes. Idempotent. *)

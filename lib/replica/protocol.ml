@@ -36,128 +36,80 @@ type up =
       (* everything below LSN [pos] is fsynced in the standby's own log;
          [ts] echoes the triggering message's stamp *)
 
-(* --- codec ---------------------------------------------------------------- *)
+(* --- codec: the wire protocol's primitives ------------------------------ *)
 
-let put_u32 b v =
-  if v < 0 || v > 0xffff_ffff then invalid_arg "Replica.Protocol: u32 range";
-  Buffer.add_char b (Char.chr ((v lsr 24) land 0xff));
-  Buffer.add_char b (Char.chr ((v lsr 16) land 0xff));
-  Buffer.add_char b (Char.chr ((v lsr 8) land 0xff));
-  Buffer.add_char b (Char.chr (v land 0xff))
+module Wire = Server.Wire
 
-(* an LSN: 8 bytes, non-negative *)
-let put_u64 b v =
-  if v < 0 then invalid_arg "Replica.Protocol: u64 range";
-  put_u32 b (v lsr 32);
-  put_u32 b (v land 0xffff_ffff)
-
-let put_str b s =
-  put_u32 b (String.length s);
-  Buffer.add_string b s
-
-let put_ts b ts = put_str b (Printf.sprintf "%h" ts)
-
-type cursor = { data : string; mutable pos : int }
+let put_ts b ts = Wire.put_str b (Printf.sprintf "%h" ts)
 
 exception Bad of string
 
-let need c n = if c.pos + n > String.length c.data then raise (Bad "truncated")
-
-let get_u8 c =
-  need c 1;
-  let v = Char.code c.data.[c.pos] in
-  c.pos <- c.pos + 1;
-  v
-
-let get_u32 c =
-  need c 4;
-  let b i = Char.code c.data.[c.pos + i] in
-  let v = (b 0 lsl 24) lor (b 1 lsl 16) lor (b 2 lsl 8) lor b 3 in
-  c.pos <- c.pos + 4;
-  v
-
-let get_u64 c =
-  let hi = get_u32 c in
-  let lo = get_u32 c in
-  if hi > 0x3fff_ffff then raise (Bad "position out of range");
-  (hi lsl 32) lor lo
-
-let get_str c =
-  let n = get_u32 c in
-  need c n;
-  let s = String.sub c.data c.pos n in
-  c.pos <- c.pos + n;
-  s
-
 let get_ts c =
-  match float_of_string_opt (get_str c) with
+  match float_of_string_opt (Wire.get_str c "timestamp") with
   | Some ts -> ts
   | None -> raise (Bad "bad timestamp")
 
-let closed c = if c.pos <> String.length c.data then raise (Bad "trailing bytes")
+(* [message c tag] reads the body after [tag]; the payload must end
+   with it *)
+let decode message data =
+  let c = { Wire.data; pos = 0 } in
+  match message c (Char.chr (Wire.get_u8 c "tag")) with
+  | msg -> Result.map (fun () -> msg) (Wire.finished c "message")
+  | exception Wire.Truncated what -> Error ("truncated " ^ what)
+  | exception Bad why -> Error why
 
 let encode_down msg =
   let b = Buffer.create 64 in
   (match msg with
   | Snapshot { pos; ts; text } ->
     Buffer.add_char b 'S';
-    put_u64 b pos;
+    Wire.put_u64 b pos;
     put_ts b ts;
-    put_str b text
+    Wire.put_str b text
   | Frames { start_pos; ts; data } ->
     Buffer.add_char b 'F';
-    put_u64 b start_pos;
+    Wire.put_u64 b start_pos;
     put_ts b ts;
-    put_str b data
+    Wire.put_str b data
   | Heartbeat { pos; ts } ->
     Buffer.add_char b 'H';
-    put_u64 b pos;
+    Wire.put_u64 b pos;
     put_ts b ts);
   Buffer.contents b
 
-let decode_down data =
-  let c = { data; pos = 0 } in
-  match
-    match Char.chr (get_u8 c) with
-    | 'S' ->
-      let pos = get_u64 c in
-      let ts = get_ts c in
-      let text = get_str c in
-      Snapshot { pos; ts; text }
-    | 'F' ->
-      let start_pos = get_u64 c in
-      let ts = get_ts c in
-      let data = get_str c in
-      Frames { start_pos; ts; data }
-    | 'H' ->
-      let pos = get_u64 c in
-      let ts = get_ts c in
-      Heartbeat { pos; ts }
-    | tag -> raise (Bad (Printf.sprintf "unknown down tag %C" tag))
-  with
-  | msg ->
-    (match closed c with () -> Ok msg | exception Bad why -> Error why)
-  | exception Bad why -> Error why
+let decode_down =
+  decode (fun c tag ->
+      match tag with
+      | 'S' ->
+        let pos = Wire.get_u64 c "snapshot" in
+        let ts = get_ts c in
+        let text = Wire.get_str c "snapshot" in
+        Snapshot { pos; ts; text }
+      | 'F' ->
+        let start_pos = Wire.get_u64 c "frames" in
+        let ts = get_ts c in
+        let data = Wire.get_str c "frames" in
+        Frames { start_pos; ts; data }
+      | 'H' ->
+        let pos = Wire.get_u64 c "heartbeat" in
+        let ts = get_ts c in
+        Heartbeat { pos; ts }
+      | tag -> raise (Bad (Printf.sprintf "unknown down tag %C" tag)))
 
 let encode_up msg =
   let b = Buffer.create 32 in
   (match msg with
   | Ack { pos; ts } ->
     Buffer.add_char b 'A';
-    put_u64 b pos;
+    Wire.put_u64 b pos;
     put_ts b ts);
   Buffer.contents b
 
-let decode_up data =
-  let c = { data; pos = 0 } in
-  match
-    match Char.chr (get_u8 c) with
-    | 'A' ->
-      let pos = get_u64 c in
-      let ts = get_ts c in
-      Ack { pos; ts }
-    | tag -> raise (Bad (Printf.sprintf "unknown up tag %C" tag))
-  with
-  | msg ->
-    (match closed c with () -> Ok msg | exception Bad why -> Error why)
-  | exception Bad why -> Error why
+let decode_up =
+  decode (fun c tag ->
+      match tag with
+      | 'A' ->
+        let pos = Wire.get_u64 c "ack" in
+        let ts = get_ts c in
+        Ack { pos; ts }
+      | tag -> raise (Bad (Printf.sprintf "unknown up tag %C" tag)))

@@ -9,14 +9,19 @@ type config = {
   max_batch : int;
   executor_hook : (unit -> unit) option;
   recorder_capacity : int;
-  slow_log_capacity : int;
   slow_threshold_s : float;
   checkpoint_path : string option;
   checkpoint_every_bytes : int;
   checkpoint_every_s : float;
-  checkpoint_slice_records : int;
   shed_p99_target_s : float;
 }
+
+(* the slow-query ring's entries *)
+let slow_log_capacity = 128
+
+(* records serialized per checkpoint slice between request batches:
+   trades checkpoint duration against executor pauses *)
+let checkpoint_slice_records = 512
 
 let default_config =
   {
@@ -32,7 +37,6 @@ let default_config =
     (* the flight recorder: last 4096 requests, written in place under
        one mutex; 0 disables *)
     recorder_capacity = 4096;
-    slow_log_capacity = 128;
     (* requests at or over this land in the slow-query log with their
        statement and captured plan *)
     slow_threshold_s = 0.100;
@@ -41,7 +45,6 @@ let default_config =
     checkpoint_path = None;
     checkpoint_every_bytes = 0;
     checkpoint_every_s = 0.;
-    checkpoint_slice_records = 512;
     (* latency-target limiter: 0 disables shedding *)
     shed_p99_target_s = 0.;
   }
@@ -834,7 +837,7 @@ let checkpoint_step t =
   | Some st ->
     (match
        Mlds.Persist.checkpoint_slice st.ck
-         ~max_records:(Stdlib.max 1 t.cfg.checkpoint_slice_records)
+         ~max_records:checkpoint_slice_records
      with
     | `More _ -> ()
     | `Ready ->
@@ -1261,7 +1264,7 @@ let create ?(config = default_config) ?(on_drain = fun () -> ()) sys =
              (if config.recorder_capacity > 0 then
                 Some
                   (Obs.Recorder.create ~capacity:config.recorder_capacity
-                     ~slow_capacity:(Stdlib.max 1 config.slow_log_capacity)
+                     ~slow_capacity:slow_log_capacity
                      ~slow_threshold_s:config.slow_threshold_s ())
               else None);
            started_s = Obs.Clock.now_s ();

@@ -138,8 +138,8 @@ type config = {
           (lets tests hold the executor to force queue overflow) *)
   recorder_capacity : int;
       (** flight-recorder ring size, default 4096; [<= 0] disables the
-          recorder (and [Tail] answers a typed error) *)
-  slow_log_capacity : int;  (** slow-query ring size, default 128 *)
+          recorder (and [Tail] answers a typed error). The slow-query
+          ring beside it holds 128 entries. *)
   slow_threshold_s : float;
       (** requests at or over this latency are captured into the
           slow-query log with statement + plan, default 0.1 *)
@@ -152,11 +152,8 @@ type config = {
   checkpoint_every_s : float;
       (** start an online checkpoint once this many seconds have passed
           since the last one {e and} the WAL has grown since; [0.] (the
-          default) disables the age trigger *)
-  checkpoint_slice_records : int;
-      (** records serialized per checkpoint slice between request
-          batches, default 512 — the knob trading checkpoint duration
-          against executor pauses *)
+          default) disables the age trigger. A checkpoint serializes
+          512 records per slice between request batches. *)
   shed_p99_target_s : float;
       (** latency-target admission control: when the rolling p99 of
           request queue-residency exceeds this, late [Submit]/[Explain]

@@ -133,6 +133,40 @@ val encode_response : response frame -> string
 
 val decode_response : string -> (response frame, string) result
 
+(** {2 Primitives} — the big-endian integers and [u32]-length strings
+    every body is made of; the replication stream's messages
+    ([Replica.Protocol]) are made of them too. The writers raise
+    [Invalid_argument] on a value outside their range ([put_u64] takes
+    any non-negative [int]: an LSN). *)
+
+val put_u8 : Buffer.t -> int -> unit
+
+val put_u32 : Buffer.t -> int -> unit
+
+val put_u64 : Buffer.t -> int -> unit
+
+val put_str : Buffer.t -> string -> unit
+
+(** A payload being read; [pos] is its next byte. *)
+type cursor = { data : string; mutable pos : int }
+
+(** Raised by a reader when the payload ends before the value does, or
+    when {!get_u64} meets a value at or past 2^62, which no [int]
+    holds. It carries the reader's [what] (with " position" added for
+    the latter). *)
+exception Truncated of string
+
+val get_u8 : cursor -> string -> int
+
+val get_u32 : cursor -> string -> int
+
+val get_u64 : cursor -> string -> int
+
+val get_str : cursor -> string -> string
+
+(** [finished c what] is [Error] when bytes follow [c]'s position. *)
+val finished : cursor -> string -> (unit, string) result
+
 (** {2 Encoded sizes} — exact payload byte counts (excluding the 4-byte
     length prefix) without encoding; the flight recorder's
     bytes_in/bytes_out. *)

@@ -441,7 +441,73 @@ let test_measured_time_recorded () =
   check_mode no_workers;
   check_mode (Mbds.Pool.shared ())
 
-(* Equivalence property over random workloads. *)
+(* An employee whose [bonus] is absent, an Int, the equal Float, a
+   fractional Float or a Str, and whose [dept] is an Int, the equal
+   Float, a Str or absent: the shaped RETRIEVEs below sort, group and
+   aggregate on both. *)
+let mixed_emp v shape =
+  let bonus =
+    match shape mod 5 with
+    | 0 -> []
+    | 1 -> [ Abdm.Value.Int v ]
+    | 2 -> [ Abdm.Value.Float (float_of_int v) ]
+    | 3 -> [ Abdm.Value.Float (float_of_int v *. 0.1) ]
+    | _ -> [ Abdm.Value.Str (Printf.sprintf "s%d" v) ]
+  in
+  let dept =
+    match shape / 5 with
+    | 0 -> [ Abdm.Value.Int (v mod 3) ]
+    | 1 -> [ Abdm.Value.Float (float_of_int (v mod 3)) ]
+    | 2 -> [ Abdm.Value.Str "d" ]
+    | _ -> []
+  in
+  Abdm.Record.make
+    (Abdm.Keyword.file "employee"
+     :: Abdm.Keyword.make "name" (Abdm.Value.Str (Printf.sprintf "n%d" v))
+     :: Abdm.Keyword.make "salary" (Abdm.Value.Int v)
+     :: List.map (Abdm.Keyword.make "bonus") bonus
+     @ List.map (Abdm.Keyword.make "dept") dept)
+
+let shaped_retrieves =
+  List.map Abdl.Parser.request
+    [ "RETRIEVE ((FILE = employee)) (name, dept) BY dept";
+      "RETRIEVE ((FILE = employee) AND (salary >= 4)) (ALL)";
+      "RETRIEVE ((FILE = employee)) (bonus, name) BY bonus";
+      "RETRIEVE ((FILE = employee)) (COUNT(bonus), SUM(bonus), AVG(bonus), MIN(bonus), MAX(bonus)) BY dept";
+      "RETRIEVE ((FILE = employee) AND (salary <= 4)) (name, COUNT(name), SUM(salary), MAX(dept)) BY dept";
+      "RETRIEVE ((FILE = employee)) (dept, MIN(name), AVG(salary)) BY bonus";
+      "RETRIEVE ((FILE = employee) AND (salary > 6)) (COUNT(name), SUM(bonus), name)";
+      "RETRIEVE ((FILE = employee) AND (salary > 100)) (COUNT(name), MIN(bonus))";
+      "RETRIEVE_COMMON ((FILE = employee) AND (salary < 4)) (dept) AND ((FILE = employee) AND (salary >= 4)) (dept) (name, salary)" ]
+
+(* Replies agree cell by cell, exactly but in two cases that depend on
+   the order values are met, which differs once each backend folds its
+   own partition: a Float SUM or AVG (the order of addition) agrees to
+   1e-9 relative, and a MIN or MAX whose extreme ties an Int with the
+   equal Float may report either. *)
+let same_reply a b =
+  let aggregate names attr = List.exists (fun p -> String.starts_with ~prefix:p attr) names in
+  let same_cell (attr, x) (attr', y) =
+    attr = attr'
+    && (x = y
+       || match x, y with
+          | Abdm.Value.Float x, Abdm.Value.Float y when aggregate [ "SUM("; "AVG(" ] attr ->
+            Float.abs (x -. y) <= 1e-9 *. Float.max 1. (Float.abs x)
+          | _ -> aggregate [ "MIN("; "MAX(" ] attr && Abdm.Value.equal x y)
+  in
+  let same_row (r : Abdl.Exec.row) (r' : Abdl.Exec.row) =
+    r.dbkey = r'.dbkey
+    && List.compare_lengths r.values r'.values = 0
+    && List.for_all2 same_cell r.values r'.values
+  in
+  match a, b with
+  | Abdl.Exec.Rows a, Abdl.Exec.Rows b ->
+    List.compare_lengths a b = 0 && List.for_all2 same_row a b
+  | a, b -> a = b
+
+(* Equivalence property over random workloads: selections, and the
+   shaped RETRIEVEs above, on 1-6 backends without workers and on the
+   shared pool. *)
 let prop_mbds_equivalence =
   QCheck2.Test.make
     ~name:"MBDS select/update/delete agree with single store" ~count:60
@@ -449,13 +515,16 @@ let prop_mbds_equivalence =
       pair
         (int_range 1 6)
         (list_size (int_range 0 30)
-           (pair (int_range 0 3) (int_range 0 8))))
+           (triple (int_range 0 3) (int_range 0 8) (int_range 0 19))))
     (fun (backends, ops) ->
-      let c = Mbds.Controller.create backends in
+      let cs =
+        List.map
+          (fun pool -> Mbds.Controller.create ~pool backends)
+          [ no_workers; Mbds.Pool.shared () ]
+      in
       let s = Abdm.Store.create () in
       List.iter
-        (fun (op, v) ->
-          let record = emp (Printf.sprintf "n%d" v) v in
+        (fun (op, v, shape) ->
           let q =
             Abdm.Query.conj
               [ Abdm.Predicate.file_eq "employee";
@@ -463,26 +532,31 @@ let prop_mbds_equivalence =
           in
           match op with
           | 0 | 1 ->
-            ignore (Mbds.Controller.insert c record);
+            let record = mixed_emp v shape in
+            List.iter (fun c -> ignore (Mbds.Controller.insert c record)) cs;
             ignore (Abdm.Store.insert s record)
           | 2 ->
-            ignore (Mbds.Controller.delete c q);
+            List.iter (fun c -> ignore (Mbds.Controller.delete c q)) cs;
             ignore (Abdm.Store.delete s q)
           | _ ->
             let m = [ Abdm.Modifier.Set_arith ("salary", Abdm.Modifier.Add, Abdm.Value.Int 1) ] in
-            ignore (Mbds.Controller.update c q m);
+            List.iter (fun c -> ignore (Mbds.Controller.update c q m)) cs;
             ignore (Abdm.Store.update s q m))
         ops;
       let q_all = Abdm.Query.conj [ Abdm.Predicate.file_eq "employee" ] in
-      let rows_c =
-        Mbds.Controller.select c q_all
-        |> List.map (fun (k, r) -> k, Abdm.Record.to_string r)
-      in
       let rows_s =
         Abdm.Store.select s q_all
         |> List.map (fun (k, r) -> k, Abdm.Record.to_string r)
       in
-      rows_c = rows_s)
+      List.for_all
+        (fun c ->
+          Mbds.Controller.select c q_all
+          |> List.map (fun (k, r) -> k, Abdm.Record.to_string r)
+          |> ( = ) rows_s
+          && List.for_all
+               (fun r -> same_reply (Mbds.Controller.run c r) (Abdl.Exec.run s r))
+               shaped_retrieves)
+        cs)
 
 (* Shared pool vs no workers on a randomized workload: same ops, same
    placement, byte-identical outputs and final contents. *)
@@ -769,6 +843,65 @@ let test_workers_start_on_first_broadcast () =
   Alcotest.(check int) "later broadcasts start none" 1 (workers_started () - w0);
   Mbds.Pool.shutdown pool
 
+(* --- words guard for the merged read ---------------------------------------- *)
+
+(* Minor words of one read of the scan-mbds shape on 2 backends without
+   workers, over 2 000 orders drawn as the benchmark draws them: the
+   aggregate read folds each partition into its group states, the
+   101-row range read merges the two backends' runs. The shaped shares
+   read 139 433 and 15 960 words; the parent's controller, which sorted
+   the backends' concatenated matches and then grouped member lists,
+   read 183 141 and 18 578. Each put back alone fails a bound: the
+   concatenation sorted again reads 17 922 on the range read, member
+   lists folded per group 147 605 on the aggregate read. *)
+let merged_aggregate_words_bound = 144_000.
+
+let merged_range_words_bound = 17_000.
+
+let scan_orders () =
+  let c = Mbds.Controller.create ~pool:no_workers 2 in
+  let st = Random.State.make [| 5 |] in
+  let regions = [| "north"; "south"; "east"; "west" |] in
+  let int attr v = Abdm.Keyword.make attr (Abdm.Value.Int v) in
+  for i = 1 to 2000 do
+    ignore
+      (Mbds.Controller.insert c
+         (Abdm.Record.make
+            [ Abdm.Keyword.file "orders"; int "id" i;
+              int "cust" (1 + Random.State.int st 200);
+              int "amount" (1 + Random.State.int st 10_000);
+              Abdm.Keyword.make "region" (Abdm.Value.Str regions.(Random.State.int st 4));
+              int "u0" 0; int "u1" 0 ]))
+  done;
+  c
+
+(* words per read, after five reads have built the planner's indexes *)
+let read_words c src ~rows =
+  let r = Abdl.Parser.request src in
+  (match Mbds.Controller.run c r with
+  | Abdl.Exec.Rows got -> Alcotest.(check int) src rows (List.length got)
+  | other -> Alcotest.failf "%s: %s" src (Abdl.Exec.result_to_string other));
+  for _ = 1 to 4 do ignore (Mbds.Controller.run c r) done;
+  let reps = 20 in
+  let before = Gc.minor_words () in
+  for _ = 1 to reps do ignore (Mbds.Controller.run c r) done;
+  (Gc.minor_words () -. before) /. float_of_int reps
+
+let test_merged_read_words () =
+  let c = scan_orders () in
+  let check what words bound =
+    if words > bound then
+      Alcotest.failf "%s: %.0f minor words a read (bound %.0f)" what words bound
+  in
+  check "aggregate read"
+    (read_words c ~rows:4
+       "RETRIEVE ((FILE = orders) AND (amount >= 5000)) (SUM(amount), COUNT(id)) BY region")
+    merged_aggregate_words_bound;
+  check "range read"
+    (read_words c ~rows:101
+       "RETRIEVE ((FILE = orders) AND (cust >= 40) AND (cust <= 49)) (id, cust, amount)")
+    merged_range_words_bound
+
 let suite =
   [
     "create validation", `Quick, test_create_validation;
@@ -801,4 +934,5 @@ let suite =
     test_cost_first_trial_pinned;
     "cost: E1's trial mean is its first trial", `Quick,
     test_cost_trial_mean_is_first_trial;
+    "merged read: words per read guard", `Quick, test_merged_read_words;
   ]

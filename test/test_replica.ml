@@ -837,6 +837,42 @@ let prop_lsn_drill =
     ~name:"LSNs: a standby bootstraps only below the log's first LSN" ~count:5
     gen_steps lsn_drill
 
+(* The replication messages' codec: every message round-trips, and each
+   damaged payload is refused with [Error] — every proper prefix,
+   trailing bytes, an unknown tag, and an LSN at or past 2^62 (which no
+   OCaml [int] holds). *)
+let prop_protocol_codec =
+  let module P = Replica.Protocol in
+  let open QCheck2.Gen in
+  let lsn = oneof [ int_range 0 100_000; int_range 0 max_int ] in
+  let ts = float_range 0. 2e9 in
+  let bytes = string_size (int_range 0 40) in
+  let down =
+    oneof
+      [ map3 (fun pos ts text -> P.Snapshot { pos; ts; text }) lsn ts bytes;
+        map3 (fun start_pos ts data -> P.Frames { start_pos; ts; data }) lsn ts bytes;
+        map2 (fun pos ts -> P.Heartbeat { pos; ts }) lsn ts ]
+  in
+  let up = map2 (fun pos ts -> P.Ack { pos; ts }) lsn ts in
+  QCheck2.Test.make ~name:"protocol: messages round-trip, damage is refused" ~count:300
+    (pair down up)
+    (fun (d, u) ->
+      let refused decode payload = Result.is_error (decode payload) in
+      let damaged decode payload ~other_tag =
+        let set i c = String.mapi (fun j x -> if j = i then c else x) payload in
+        List.for_all
+          (fun n -> refused decode (String.sub payload 0 n))
+          (List.init (String.length payload) Fun.id)
+        && refused decode (payload ^ "\000")
+        && refused decode (set 0 other_tag)
+        && refused decode (set 1 (Char.chr (Char.code payload.[1] lor 0x40)))
+      in
+      let pd = P.encode_down d and pu = P.encode_up u in
+      P.decode_down pd = Ok d
+      && P.decode_up pu = Ok u
+      && damaged P.decode_down pd ~other_tag:'A'
+      && damaged P.decode_up pu ~other_tag:'S')
+
 let suite =
   [
     "stream, stale reads, Read_only, lag in Stats", `Quick,
@@ -865,4 +901,5 @@ let suite =
     "promote: ends the reconnect wait of a standby whose primary is gone",
     `Quick, test_promote_ends_reconnect_wait;
     QCheck_alcotest.to_alcotest prop_lsn_drill;
+    QCheck_alcotest.to_alcotest prop_protocol_codec;
   ]
