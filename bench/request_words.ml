@@ -19,7 +19,19 @@
    20 000 ops after the seed-1 preload ([Oltp_words]), each language's
    ops alone and the whole stream, in minor and promoted words per op.
    The promoted words are what the statement cache's admission rule
-   bounds (E34); [test/test_memory.ml] guards the whole stream's. *)
+   bounds (E34); [test/test_memory.ml] guards the whole stream's.
+
+   Last, the benchmark's scan-mbds read path (E41): client 0's seed-1
+   stream after a 1 000-op warm-up, its next 1 000 reads, on a 2-backend
+   MBDS with no pool worker so both backends' shares are counted
+   ([Oltp_words.scan_reads]). Per read, in minor and promoted words: the
+   whole submit (one reply buffer, as the server's executor uses), then
+   each stage replayed alone on the same read — the kernel (the ABDL
+   requests the read issues: each backend's select and share, and the
+   merge), KFS (the reply written from those outcomes) and the reply's
+   encode (the server's frame prefix; the text leaves as it is). The
+   rest of the submit is the LIL parse cache, KMS and the SQL
+   engine's own work. *)
 
 (* The calling domain's minor words and every domain's promoted words
    across [f ()] ([Oltp_words.counters] says why promotion is counted
@@ -83,6 +95,71 @@ let run ~backends =
 
 let oltp_ops = 20_000
 
+let scan_read_ops = 1_000
+
+(* Minor, promoted and directly-major words across [f ()]: a block over
+   256 words (2 KiB) skips the minor heap and is allocated, and later
+   freed, in the major heap on its own. *)
+let stage_words f =
+  Gc.minor ();
+  let s0 = Gc.quick_stat () in
+  f ();
+  Gc.minor ();
+  let s1 = Gc.quick_stat () in
+  let promoted = s1.promoted_words -. s0.promoted_words in
+  ( s1.minor_words -. s0.minor_words,
+    promoted,
+    s1.major_words -. s0.major_words -. promoted )
+
+(* Per read: the whole submit, then the kernel, KFS and reply encode
+   replayed. *)
+let scan_read_stages () =
+  let sys = Oltp_words.scan_system ~seed:1 in
+  let kernel = Option.get (Mlds.System.kernel_of sys "shop") in
+  (* a private SQL engine over the same kernel and tables, for the SQL
+     reads' outcomes *)
+  let engine = Relational.Engine.create kernel "shop" in
+  ignore
+    (Relational.Engine.run_program engine
+       (Option.get (Mlds.System.schema_ddl sys "shop")));
+  let buf = Buffer.create 4096 in
+  let zero () = ref (0., 0., 0.) in
+  let total = zero () and kern = zero () and kfs = zero () and encode = zero () in
+  let add acc f =
+    let minor, promoted, major = stage_words f in
+    let m, p, d = !acc in
+    acc := (m +. minor, p +. promoted, d +. major)
+  in
+  let reply = ref "" in
+  Oltp_words.scan_reads sys ~seed:1 ~warmup:1_000 ~reads:scan_read_ops
+    (fun step (op : Perfbench.Workloads.op) ->
+      add total (fun () -> step op);
+      (match op.lang with
+      | Mlds.System.L_sql ->
+        let stmts = Relational.Sql_parser.program op.text in
+        let outcomes, requests =
+          Mapping.Kernel.collect kernel (fun () ->
+              List.map (fun st -> st, Relational.Engine.execute engine st) stmts)
+        in
+        add kern (fun () ->
+            List.iter (fun r -> ignore (Mapping.Kernel.run kernel r)) requests);
+        add kfs (fun () -> reply := Mlds.Kfs.format_sql ~buf outcomes)
+      | _ ->
+        let requests = Abdl.Parser.transaction op.text in
+        let results = ref [] in
+        add kern (fun () ->
+            results := List.map (fun r -> r, Mapping.Kernel.run kernel r) requests);
+        add kfs (fun () -> reply := Mlds.Kfs.format_abdl ~buf !results));
+      add encode (fun () ->
+          ignore
+            (Server.Wire.output_prefix ~request_id:1 ~session_id:1
+               (String.length !reply))));
+  let per acc =
+    let m, p, d = !acc and n = float_of_int scan_read_ops in
+    m /. n, p /. n, d /. n
+  in
+  per total, per kern, per kfs, per encode
+
 let () =
   let runs =
     if Array.length Sys.argv > 1 then int_of_string Sys.argv.(1) else 3
@@ -111,4 +188,16 @@ let () =
         r.hit_ratio)
     [ "abdl", Some Mlds.System.L_abdl; "sql", Some L_sql;
       "codasyl", Some L_codasyl; "daplex", Some L_daplex; "dli", Some L_dli;
-      "all", None ]
+      "all", None ];
+  Printf.printf
+    "\nscan-mbds reads, client 0, seed 1, %d reads after a 1 000-op warm-up, \
+     2 backends, no pool worker\n"
+    scan_read_ops;
+  let total, kern, kfs, encode = scan_read_stages () in
+  Printf.printf "%-28s %s\n" "stage"
+    "minor / promoted / directly-major words per read";
+  List.iter
+    (fun (label, (minor, promoted, major)) ->
+      Printf.printf "%-28s %.0f / %.1f / %.0f\n" label minor promoted major)
+    [ "whole submit", total; "kernel (select+share+merge)", kern;
+      "KFS", kfs; "reply encode", encode ]

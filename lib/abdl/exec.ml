@@ -202,23 +202,45 @@ let run store (request : Ast.request) =
     let right = Abdm.Store.select store rc.rc_right in
     Rows (join_rows rc ~left ~right)
 
-let row_to_string row =
-  let cells =
-    List.map
-      (fun (attr, v) -> Printf.sprintf "%s=%s" attr (Abdm.Value.to_display v))
-      row.values
-  in
-  let prefix =
-    match row.dbkey with
-    | Some key -> Printf.sprintf "[%d] " key
-    | None -> ""
-  in
-  prefix ^ String.concat ", " cells
+(* "[key] attr=value, attr=value": [indent] follows every newline
+   written, a string value's included *)
+let add_row ?indent buf row =
+  (match row.dbkey with
+  | Some key ->
+    Buffer.add_char buf '[';
+    Abdm.Value.add_int buf key;
+    Buffer.add_string buf "] "
+  | None -> ());
+  List.iteri
+    (fun i (attr, v) ->
+      if i > 0 then Buffer.add_string buf ", ";
+      Abdm.Value.add_text ?indent buf attr;
+      Buffer.add_char buf '=';
+      Abdm.Value.add_display ?indent buf v)
+    row.values
 
-let result_to_string = function
-  | Inserted key -> Printf.sprintf "INSERTED dbkey=%d" key
-  | Deleted n -> Printf.sprintf "DELETED %d" n
-  | Updated n -> Printf.sprintf "UPDATED %d" n
+let add_result ?(indent = "") buf = function
+  | Inserted key ->
+    Buffer.add_string buf "INSERTED dbkey=";
+    Abdm.Value.add_int buf key
+  | Deleted n ->
+    Buffer.add_string buf "DELETED ";
+    Abdm.Value.add_int buf n
+  | Updated n ->
+    Buffer.add_string buf "UPDATED ";
+    Abdm.Value.add_int buf n
+  | Rows [] -> Buffer.add_string buf "NO RECORDS"
   | Rows rows ->
-    if rows = [] then "NO RECORDS"
-    else String.concat "\n" (List.map row_to_string rows)
+    List.iteri
+      (fun i row ->
+        if i > 0 then begin
+          Buffer.add_char buf '\n';
+          Buffer.add_string buf indent
+        end;
+        add_row ~indent buf row)
+      rows
+
+let result_to_string result =
+  let buf = Buffer.create 64 in
+  add_result buf result;
+  Buffer.contents buf

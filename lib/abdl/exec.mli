@@ -48,4 +48,15 @@ val join_rows :
   right:(Abdm.Store.dbkey * Abdm.Record.t) list ->
   row list
 
+(** [add_result ?indent buf result] appends the result's display text
+    to [buf]: [INSERTED dbkey=k], [DELETED n], [UPDATED n], [NO
+    RECORDS], or one row a line, [[key] attr=value, ...] (no key for
+    aggregate and join rows). [indent] (default none) follows every
+    newline written, a string value's included. *)
+val add_result : ?indent:string -> Buffer.t -> result -> unit
+
+(** [add_row ?indent buf row] appends one row's line of {!add_result}. *)
+val add_row : ?indent:string -> Buffer.t -> row -> unit
+
+(** [result_to_string result] is {!add_result}'s text. *)
 val result_to_string : result -> string

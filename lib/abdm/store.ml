@@ -548,35 +548,40 @@ let charge store source ~probes ~tested ~added =
     Obs.Metrics.observe h_residual
       (float_of_int (tested - added) /. float_of_int tested)
 
+(* Every candidate of [source] that is still live, in ascending key
+   order: a posting and a file's keys are key sets, the store is a
+   key-ordered map, so each candidate comes once. *)
+let iter_candidates st source f =
+  let by_key key =
+    match Int_map.find_opt key st.st_records with
+    | Some record -> f key record
+    | None -> ()
+  in
+  match source with
+  | Src_keys keys -> Int_set.iter by_key keys
+  | Src_file file -> Int_set.iter by_key (keys_of_file st file)
+  | Src_store -> Int_map.iter f st.st_records
+
 let select store query =
   (* heat the tracker first (it may auto-build), then fix the state
      the whole selection runs against: live-after-heating, so a
      just-built index serves the query that built it *)
   List.iter (fun preds -> heat_conjunction store preds) query;
   let st = Atomic.get store.state in
-  let module Key_set = Int_set in
-  let matched = ref Key_set.empty in
-  let run_conjunction preds =
+  (* [keep] gets each match of one conjunction that [fresh] admits *)
+  let run_conjunction ~fresh ~keep preds =
     let step, source = plan_conjunction store st preds in
     let tested = ref 0 in
     let added = ref 0 in
-    let test key =
-      if not (Key_set.mem key !matched) then begin
-        match Int_map.find_opt key st.st_records with
-        | None -> ()
-        | Some record ->
+    iter_candidates st source (fun key record ->
+        if fresh key then begin
           incr tested;
           Atomic.incr store.scans;
           if Query.satisfies query record then begin
-            matched := Key_set.add key !matched;
+            keep key record;
             incr added
           end
-      end
-    in
-    (match source with
-    | Src_keys keys -> Key_set.iter test keys
-    | Src_file file -> Int_set.iter test (keys_of_file st file)
-    | Src_store -> Int_map.iter (fun key _ -> test key) st.st_records);
+        end);
     let probes =
       match step.Plan.access with
       | Plan.Index_probe { probes; _ } -> List.length probes
@@ -584,14 +589,24 @@ let select store query =
     in
     charge store source ~probes ~tested:!tested ~added:!added
   in
-  List.iter run_conjunction query;
-  Key_set.fold
-    (fun key acc ->
-      match Int_map.find_opt key st.st_records with
-      | Some record -> (key, record) :: acc
-      | None -> acc)
-    !matched []
-  |> List.rev
+  match query with
+  | [ preds ] ->
+    (* one conjunction meets each candidate once, in key order: its
+       matches are the result as they come *)
+    let matches = ref [] in
+    run_conjunction preds
+      ~fresh:(fun _ -> true)
+      ~keep:(fun key record -> matches := (key, record) :: !matches);
+    List.rev !matches
+  | _ ->
+    (* a record several conjunctions match is tested and kept once *)
+    let matched = ref Int_map.empty in
+    List.iter
+      (run_conjunction
+         ~fresh:(fun key -> not (Int_map.mem key !matched))
+         ~keep:(fun key record -> matched := Int_map.add key record !matched))
+      query;
+    Int_map.bindings !matched
 
 (* the indexable predicate of [preds] if it has exactly one *)
 let rec sole_indexable = function

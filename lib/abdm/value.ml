@@ -9,12 +9,29 @@ let class_rank = function
   | Int _ | Float _ -> 1
   | Str _ -> 2
 
+(* 2^62: the least float above every [int] (max_int is 2^62 - 1) *)
+let int_ceiling = 0x1p62
+
+(* An Int against a Float, exactly. Rounding to the nearest float keeps
+   order, so the float of [x] differs from [y] only in the direction [x]
+   does. When they are equal, [y] is integral and below 2^62 in
+   magnitude (2^62 itself is above every int), so the ints decide: past
+   2^53 several ints share one float. NaN is below every number, as in
+   [Float.compare]. *)
+let compare_int_float x y =
+  if Float.is_nan y then 1
+  else if y >= int_ceiling then -1
+  else
+    match Float.compare (float_of_int x) y with
+    | 0 -> Int.compare x (int_of_float y)
+    | c -> c
+
 let compare a b =
   match a, b with
   | Int x, Int y -> Int.compare x y
   | Float x, Float y -> Float.compare x y
-  | Int x, Float y -> Float.compare (float_of_int x) y
-  | Float x, Int y -> Float.compare x (float_of_int y)
+  | Int x, Float y -> compare_int_float x y
+  | Float x, Int y -> - compare_int_float y x
   | Str x, Str y -> String.compare x y
   | Null, Null -> 0
   | (Null | Int _ | Float _ | Str _), _ -> Int.compare (class_rank a) (class_rank b)
@@ -85,6 +102,37 @@ let to_display = function
   | Float f -> Printf.sprintf "%g" f
   | Str s -> s
   | Null -> "NULL"
+
+let rec digits n = if n < 10 then 1 else 1 + digits (n / 10)
+
+let display_length = function
+  | Int i ->
+    if i >= 0 then digits i
+    else if i = min_int then String.length (string_of_int i)
+    else 1 + digits (-i)
+  | Float _ as v -> String.length (to_display v)
+  | Str s -> String.length s
+  | Null -> 4
+
+(* One substring per line: text without a newline is one append. *)
+let add_text ?(indent = "") buf text =
+  if indent = "" then Buffer.add_string buf text
+  else
+    let rec from i =
+      match String.index_from_opt text i '\n' with
+      | None -> Buffer.add_substring buf text i (String.length text - i)
+      | Some j ->
+        Buffer.add_substring buf text i (j + 1 - i);
+        Buffer.add_string buf indent;
+        from (j + 1)
+    in
+    from 0
+
+let add_display ?indent buf = function
+  | Int i -> add_int buf i
+  | Float _ as v -> Buffer.add_string buf (to_display v)
+  | Str s -> add_text ?indent buf s
+  | Null -> Buffer.add_string buf "NULL"
 
 let pp ppf v = Format.pp_print_string ppf (to_string v)
 

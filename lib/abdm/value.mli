@@ -13,9 +13,12 @@ type t =
   | Null
 
 (** [compare a b] is a total order on values. Numeric values ([Int],
-    [Float]) compare numerically with one another; strings compare
-    lexicographically; [Null] is smaller than everything else; values of
-    incomparable classes order [Null < numeric < string]. *)
+    [Float]) compare numerically with one another, an [Int] with a
+    [Float] exactly (Int 2{^53}+1 is above Float 2{^53}, which equals
+    Int 2{^53}; a float at or above 2{^62} is above every [Int]; NaN is
+    below every number); strings compare lexicographically; [Null] is
+    smaller than everything else; values of incomparable classes order
+    [Null < numeric < string]. *)
 val compare : t -> t -> int
 
 val equal : t -> t -> bool
@@ -32,9 +35,25 @@ val to_string : t -> string
 (** [to_buffer buf v] appends [to_string v] to [buf]. *)
 val to_buffer : Buffer.t -> t -> unit
 
+(** [add_int buf i] appends [string_of_int i] to [buf], without the
+    string. *)
+val add_int : Buffer.t -> int -> unit
+
 (** [to_display v] renders the value without string quoting, for result
     formatting (KFS output). Floats print as [%g]. *)
 val to_display : t -> string
+
+(** [display_length v] is [String.length (to_display v)], without the
+    string for an [Int], a [Str] or [Null]. *)
+val display_length : t -> int
+
+(** [add_display ?indent buf v] appends [to_display v] to [buf], with
+    [indent] (default none) after each newline of a string. *)
+val add_display : ?indent:string -> Buffer.t -> t -> unit
+
+(** [add_text ?indent buf s] appends [s] to [buf] with [indent] after
+    each of its newlines. *)
+val add_text : ?indent:string -> Buffer.t -> string -> unit
 
 val pp : Format.formatter -> t -> unit
 

@@ -57,8 +57,8 @@ let make kds = { kds; wal_hook = None; tap = None; txn_depth = 0 }
 
 let single ?name () = make (Single (Abdm.Store.create ?name ()))
 
-let multi ?name ?placement n =
-  make (Multi (Mbds.Controller.create ?name ?placement n))
+let multi ?name ?placement ?pool n =
+  make (Multi (Mbds.Controller.create ?name ?placement ?pool n))
 
 let insert t record =
   let key =

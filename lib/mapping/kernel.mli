@@ -55,13 +55,14 @@ val collect : t -> (unit -> 'a) -> 'a * Abdl.Ast.request list
 
 val single : ?name:string -> unit -> t
 
-(** [multi ?name ?placement n] — an MBDS with [n] backends.
-    [placement] is forwarded to {!Mbds.Controller.create}, so callers
-    (the CLI, the benchmarks) can select skewed placement without
-    constructing the controller themselves. *)
+(** [multi ?name ?placement ?pool n] — an MBDS with [n] backends.
+    [placement] and [pool] are forwarded to {!Mbds.Controller.create},
+    so callers (the CLI, the benchmarks) can select skewed placement or
+    a worker-less pool without constructing the controller themselves. *)
 val multi :
   ?name:string ->
   ?placement:Mbds.Controller.placement ->
+  ?pool:Mbds.Pool.t ->
   int ->
   t
 

@@ -1,94 +1,156 @@
-(* Appends [text] with two spaces after each of its newlines: one
-   substring per line, so text without a newline (most results) is one
-   append. *)
-let add_indented buf text =
-  let rec from i =
-    match String.index_from_opt text i '\n' with
-    | None -> Buffer.add_substring buf text i (String.length text - i)
-    | Some j ->
-      Buffer.add_substring buf text i (j + 1 - i);
-      Buffer.add_string buf "  ";
-      from (j + 1)
-  in
-  from 0
+(* Every formatter writes its whole reply into one buffer: the caller's
+   [?buf] (cleared first) or a fresh one. A result is written with its
+   two-space indent already after each of its newlines, so no second
+   pass over the text follows. *)
+
+let indent = "  "
 
 (* One block per statement, separated by newlines: the statement, then
    its result indented by two spaces on every line. *)
-let format_blocks add_stmt result_text pairs =
-  let buf = Buffer.create 256 in
+let format_blocks ?buf add_stmt add_result pairs =
+  let buf =
+    match buf with
+    | Some buf ->
+      Buffer.clear buf;
+      buf
+    | None -> Buffer.create 256
+  in
   List.iteri
     (fun i (stmt, result) ->
       if i > 0 then Buffer.add_char buf '\n';
       add_stmt buf stmt;
-      Buffer.add_string buf "\n  ";
-      add_indented buf (result_text result))
+      Buffer.add_char buf '\n';
+      Buffer.add_string buf indent;
+      add_result buf result)
     pairs;
   Buffer.contents buf
 
 (* a constraint abort is reported inline *)
-let format_pairs add_stmt to_outcome =
-  format_blocks add_stmt (function
-    | Ok outcome -> to_outcome outcome
-    | Error msg -> "*** " ^ msg)
+let format_pairs ?buf add_stmt add_outcome =
+  format_blocks ?buf add_stmt (fun buf -> function
+    | Ok outcome -> add_outcome buf outcome
+    | Error msg ->
+      Buffer.add_string buf "*** ";
+      Abdm.Value.add_text ~indent buf msg)
 
-(* for the languages whose statements print only to a string *)
+(* for the languages whose statements and outcomes print only to a
+   string *)
 let via_string to_string buf stmt = Buffer.add_string buf (to_string stmt)
 
-let trim_right s =
-  let n = ref (String.length s) in
-  while !n > 0 && s.[!n - 1] = ' ' do decr n done;
-  String.sub s 0 !n
+let indented to_string buf outcome =
+  Abdm.Value.add_text ~indent buf (to_string outcome)
+
+(* The table in columns: each column as wide as its widest cell, cells
+   two spaces apart, no line ending in a space. A row shorter than the
+   header (an attribute absent from a record) pads its missing cells;
+   cells past the header's are not shown. Two passes: the widths, then
+   the padded cells. [indent] follows every newline written, a cell's
+   included; trimming a line stops at the line's start or just past the
+   indent after its last newline ([floor]), so it never eats an
+   indent. *)
+let add_table ~indent buf header rows =
+  let header = Array.of_list header in
+  let cols = Array.length header in
+  let widths = Array.map String.length header in
+  List.iter
+    (List.iteri (fun i v ->
+         if i < cols then
+           widths.(i) <- max widths.(i) (Abdm.Value.display_length v)))
+    rows;
+  let floor = ref (Buffer.length buf) in
+  let add_text s =
+    Abdm.Value.add_text ~indent buf s;
+    match String.rindex_opt s '\n' with
+    | Some j -> floor := Buffer.length buf - (String.length s - j - 1)
+    | None -> ()
+  in
+  let pad i len =
+    for _ = len + 1 to widths.(i) do
+      Buffer.add_char buf ' '
+    done
+  in
+  let gap i = if i > 0 then Buffer.add_string buf "  " in
+  let trim () =
+    let n = ref (Buffer.length buf) in
+    while !n > !floor && Buffer.nth buf (!n - 1) = ' ' do
+      decr n
+    done;
+    Buffer.truncate buf !n
+  in
+  let new_line () =
+    Buffer.add_char buf '\n';
+    Buffer.add_string buf indent;
+    floor := Buffer.length buf
+  in
+  let rec cells i = function
+    | _ when i = cols -> ()
+    | [] ->
+      gap i;
+      pad i 0;
+      cells (i + 1) []
+    | v :: rest ->
+      gap i;
+      (match v with
+      | Abdm.Value.Str s ->
+        add_text s;
+        pad i (String.length s)
+      | v ->
+        let start = Buffer.length buf in
+        Abdm.Value.add_display buf v;
+        pad i (Buffer.length buf - start));
+      cells (i + 1) rest
+  in
+  Array.iteri
+    (fun i h ->
+      gap i;
+      add_text h;
+      pad i (String.length h))
+    header;
+  trim ();
+  new_line ();
+  Array.iteri
+    (fun i w ->
+      gap i;
+      for _ = 1 to w do
+        Buffer.add_char buf '-'
+      done)
+    widths;
+  List.iter
+    (fun row ->
+      new_line ();
+      cells 0 row;
+      trim ())
+    rows
 
 let table header rows =
-  let cells = List.map (List.map Abdm.Value.to_display) rows in
-  let widths =
-    List.mapi
-      (fun i h ->
-        List.fold_left
-          (fun acc row ->
-            match List.nth_opt row i with
-            | Some cell -> max acc (String.length cell)
-            | None -> acc)
-          (String.length h) cells)
-      header
-  in
-  let pad width text = text ^ String.make (max 0 (width - String.length text)) ' ' in
-  (* rows may be ragged when an attribute is absent from a record *)
-  let render_row row =
-    let padded =
-      List.mapi
-        (fun i w ->
-          match List.nth_opt row i with
-          | Some cell -> pad w cell
-          | None -> pad w "")
-        widths
-    in
-    trim_right (String.concat "  " padded)
-  in
-  let rule = String.concat "  " (List.map (fun w -> String.make w '-') widths) in
-  String.concat "\n" (render_row header :: rule :: List.map render_row cells)
+  let buf = Buffer.create 256 in
+  add_table ~indent:"" buf header rows;
+  Buffer.contents buf
 
-let format_codasyl pairs =
-  format_pairs
+let format_codasyl ?buf pairs =
+  format_pairs ?buf
     (via_string Codasyl_dml.Ast.to_string)
-    Codasyl_dml.Engine.outcome_to_string pairs
+    (indented Codasyl_dml.Engine.outcome_to_string)
+    pairs
 
-let format_daplex pairs =
-  format_pairs
+let format_daplex ?buf pairs =
+  format_pairs ?buf
     (via_string Daplex_dml.Ast.to_string)
-    Daplex_dml.Engine.outcome_to_string pairs
+    (indented Daplex_dml.Engine.outcome_to_string)
+    pairs
 
-let format_sql pairs =
-  let to_outcome = function
-    | Relational.Engine.Table { header; rows } -> table header rows
-    | other -> Relational.Engine.outcome_to_string other
+let format_sql ?buf pairs =
+  let add_outcome buf = function
+    | Relational.Engine.Table { header; rows } -> add_table ~indent buf header rows
+    | other -> indented Relational.Engine.outcome_to_string buf other
   in
-  format_pairs Relational.Sql_ast.to_buffer to_outcome pairs
+  format_pairs ?buf Relational.Sql_ast.to_buffer add_outcome pairs
 
-let format_dli pairs =
-  format_pairs
+let format_dli ?buf pairs =
+  format_pairs ?buf
     (via_string Hierarchical.Dli_ast.to_string)
-    Hierarchical.Engine.outcome_to_string pairs
+    (indented Hierarchical.Engine.outcome_to_string)
+    pairs
 
-let format_abdl pairs =
-  format_blocks Abdl.Ast.to_buffer Abdl.Exec.result_to_string pairs
+let format_abdl ?buf pairs =
+  format_blocks ?buf Abdl.Ast.to_buffer (Abdl.Exec.add_result ~indent) pairs

@@ -30,6 +30,7 @@ type t = {
   registry : Registry.t;
   backends : int;
   placement : Mbds.Controller.placement option;
+  pool : Mbds.Pool.t option;
   fs : Fs.t;  (* every WAL, snapshot and standby file is written through it *)
   users : (string * string * string, session) Hashtbl.t;
       (* (user, language name, db) -> live session *)
@@ -50,12 +51,13 @@ type t = {
   mx : Mutex.t;
 }
 
-let create ?(backends = 0) ?placement ?stmt_cache_capacity ?(fs = Fs.unix) ()
-    =
+let create ?(backends = 0) ?placement ?pool ?stmt_cache_capacity
+    ?(fs = Fs.unix) () =
   {
     registry = Registry.create ();
     backends;
     placement;
+    pool;
     fs;
     users = Hashtbl.create 8;
     sql_engines = Hashtbl.create 8;
@@ -80,7 +82,7 @@ let fresh_kernel ?kernel:spec t name =
     | Some s -> s.spec_backends, s.spec_placement
     | None -> t.backends, t.placement
   in
-  if backends >= 1 then Mapping.Kernel.multi ~name ?placement backends
+  if backends >= 1 then Mapping.Kernel.multi ~name ?placement ?pool:t.pool backends
   else Mapping.Kernel.single ~name ()
 
 let define_functional ?kernel t ~name ~ddl rows =
@@ -348,12 +350,12 @@ let parse_cached t language src =
    program. The engines interleave translation and execution per statement,
    so those two stages share one span — each kernel request inside opens
    its own [kernel.run] child. *)
-let run_parsed session parsed =
+let run_parsed ?buf session parsed =
   let exec execute format input =
     let results =
       Obs.Span.with_span "kms.translate+kc.execute" (fun () -> execute input)
     in
-    Obs.Span.with_span "kfs.format" (fun () -> format results)
+    Obs.Span.with_span "kfs.format" (fun () -> format ?buf results)
   in
   match session, parsed with
   | S_codasyl s, P_codasyl stmts ->
@@ -377,14 +379,14 @@ let run_parsed session parsed =
 
 (* One [mlds.submit] span per submission with the pipeline stages as
    children: LIL parse (possibly a cache hit), then KMS+KC, then KFS. *)
-let submit_with ~parse session src =
+let submit_with ?buf ~parse session src =
   let language = session_language session in
   Obs.Span.with_span "mlds.submit"
     ~attrs:(fun () -> [ "language", language_to_string language ])
     (fun () ->
       match Obs.Span.with_span "lil.parse" (fun () -> parse language src) with
       | Error _ as e -> e
-      | Ok parsed -> Ok (run_parsed session parsed))
+      | Ok parsed -> Ok (run_parsed ?buf session parsed))
 
 let submit session src = submit_with ~parse:parse_language session src
 
@@ -502,14 +504,14 @@ let commit_txn h = end_txn h ~commit:true
 
 let abort_txn h = end_txn h ~commit:false
 
-let submit_handle h src =
+let submit_handle ?buf h src =
   if h.h_closed then Error H_closed
   else
     match blocked h with
     | Some e -> Error e
     | None ->
       (match
-         submit_with
+         submit_with ?buf
            ~parse:(fun language src -> parse_cached h.h_system language src)
            h.h_session src
        with

@@ -16,8 +16,8 @@ type t
     [backends >= 1] puts every database on an MBDS with that many
     backends; otherwise each database uses a single-store kernel.
     [placement] is forwarded to every MBDS controller the system creates
-    (see {!Mbds.Controller.create}); it is ignored for single-store
-    kernels. [stmt_cache_capacity] bounds the statement
+    (see {!Mbds.Controller.create}), and so is [pool] (default: the
+    controller's); both are ignored for single-store kernels. [stmt_cache_capacity] bounds the statement
     cache (default 512 entries; [0] disables it). [fs] (default
     {!Fs.unix}) is the file system every attached WAL, every
     [Persist] snapshot and checkpoint, and a standby of this system
@@ -25,6 +25,7 @@ type t
 val create :
   ?backends:int ->
   ?placement:Mbds.Controller.placement ->
+  ?pool:Mbds.Pool.t ->
   ?stmt_cache_capacity:int ->
   ?fs:Fs.t ->
   unit ->
@@ -212,8 +213,10 @@ val handle_closed : handle -> bool
 
 (** [submit_handle h src] is {!submit} guarded by the handle's state:
     [H_closed] after {!close_handle}, [H_busy] while another handle's
-    transaction is open on the database, [H_parse] for parse failures. *)
-val submit_handle : handle -> string -> (string, handle_error) result
+    transaction is open on the database, [H_parse] for parse failures.
+    KFS writes the reply into [buf] when given ({!Kfs}). *)
+val submit_handle :
+  ?buf:Buffer.t -> handle -> string -> (string, handle_error) result
 
 (** [explain_handle h src] parses [src] as ABDL — the kernel language,
     whatever the handle's session language — and renders the access plan

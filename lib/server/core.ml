@@ -83,8 +83,8 @@ type conn = {
   write_mx : Mutex.t;
   mutable alive : bool;
   outbox : slot Queue.t;  (* executor-produced replies, arrival order *)
-  out : Bytes.t Queue.t;  (* released frames not yet wholly written *)
-  mutable out_pos : int;  (* bytes of the head frame already written *)
+  out : string Queue.t;  (* released frame parts not yet wholly written *)
+  mutable out_pos : int;  (* bytes of the head part already written *)
   (* [out]'s unsent bytes as a write attempt left them, published under
      [write_mx]; the loop reads them without the lock, so a pass never
      waits on, or wakes for, a reply still being written *)
@@ -148,6 +148,8 @@ type t = {
   mutable executor_thread : Thread.t option;
   mutable loop_thread : Thread.t option;
   shutdown_mx : Mutex.t;
+  (* executor-owned: KFS writes every submitted statement's reply here *)
+  reply_buf : Buffer.t;
   (* executor-owned rolling window of request sojourn times feeding the
      latency-target limiter *)
   lat_window : float array;
@@ -225,7 +227,7 @@ let wake t =
 
 let publish conn =
   Atomic.set conn.unsent
-    (Queue.fold (fun n b -> n + Bytes.length b) (-conn.out_pos) conn.out)
+    (Queue.fold (fun n b -> n + String.length b) (-conn.out_pos) conn.out)
 
 (* Write what the socket takes now, never blocking, and publish what is
    left. A failed write marks the connection dead and drops its bytes;
@@ -237,12 +239,13 @@ let write_out conn =
     | None -> ()
     | Some b ->
       (match
-         Unix.single_write conn.fd b conn.out_pos (Bytes.length b - conn.out_pos)
+         Unix.single_write_substring conn.fd b conn.out_pos
+           (String.length b - conn.out_pos)
        with
       | n ->
         conn.progress_s <- Obs.Clock.now_s ();
         conn.out_pos <- conn.out_pos + n;
-        if conn.out_pos = Bytes.length b then begin
+        if conn.out_pos = String.length b then begin
           ignore (Queue.pop conn.out);
           conn.out_pos <- 0
         end;
@@ -257,10 +260,11 @@ let write_out conn =
   go ();
   publish conn
 
-(* Queue one frame's bytes. When nothing was waiting, try the socket at
-   once, so the common frame leaves from the thread that released it;
-   what the socket does not take, the loop writes. True when that left
-   bytes the loop does not know of yet. The caller holds [write_mx]. *)
+(* Queue some of a frame's bytes, as they are: nothing is copied. When
+   nothing was waiting, try the socket at once, so the common frame
+   leaves from the thread that released it; what the socket does not
+   take, the loop writes. True when that left bytes the loop does not
+   know of yet. The caller holds [write_mx]. *)
 let push_out conn bytes =
   let idle = Queue.is_empty conn.out in
   Queue.push bytes conn.out;
@@ -271,17 +275,53 @@ let push_out conn bytes =
   else publish conn;
   idle && not (Queue.is_empty conn.out)
 
-(* Queue one reply. A reply past the frame limit leaves as an error,
+let encode frame = Bytes.unsafe_to_string (Wire.frame (Wire.encode_response frame))
+
+(* What answers a reply the wire cannot carry: an error under the same
+   ids, or 0 for an id outside u32. *)
+let refusal (frame : Wire.response Wire.frame) why =
+  let id v = if v >= 0 && v <= 0xffff_ffff then v else 0 in
+  encode
+    {
+      frame with
+      request_id = id frame.Wire.request_id;
+      session_id = id frame.Wire.session_id;
+      msg = Wire.Err (Wire.Exec_error, why);
+    }
+
+(* An [Output] frame up to this size is one string: a copy this small
+   is a minor-heap allocation, cheaper than a second write and a second
+   TCP segment (the sockets are TCP_NODELAY). *)
+let joined_output_max = 2048
+
+(* Queue one reply. A longer [Output] leaves as its 18-byte prefix and
+   then its text, so the text is never copied into a frame. A reply
+   past the frame limit, or with an id past u32, leaves as an error,
    never as a raise on the executor or a flusher. The caller holds
    [write_mx]. *)
 let write_locked t conn (frame : Wire.response Wire.frame) =
   if conn.alive && Option.is_none conn.stream then begin
-    let encode msg = Wire.frame (Wire.encode_response { frame with msg }) in
-    let bytes =
-      try encode frame.Wire.msg
-      with Invalid_argument why -> encode (Wire.Err (Wire.Exec_error, why))
+    let unseen =
+      match frame.Wire.msg with
+      | Wire.Output text -> (
+        match
+          Wire.output_prefix ~request_id:frame.Wire.request_id
+            ~session_id:frame.Wire.session_id (String.length text)
+        with
+        | prefix when String.length prefix + String.length text <= joined_output_max
+          ->
+          push_out conn (prefix ^ text)
+        | prefix ->
+          let first = push_out conn prefix in
+          let rest = push_out conn text in
+          first || rest
+        | exception Invalid_argument why -> push_out conn (refusal frame why))
+      | _ -> (
+        match encode frame with
+        | bytes -> push_out conn bytes
+        | exception Invalid_argument why -> push_out conn (refusal frame why))
     in
-    if push_out conn bytes then wake t
+    if unseen then wake t
   end
 
 let frame_to (req : 'a Wire.frame) ~session_id msg =
@@ -626,7 +666,11 @@ let compute_response t conn (frame : Wire.request Wire.frame) =
                    promote this standby first)" )
             else (match frame.Wire.msg with
             | Wire.Submit src ->
-              (match Mlds.System.submit_handle handle src with
+              let res = Mlds.System.submit_handle ~buf:t.reply_buf handle src in
+              (* one huge reply must not keep its buffer for good *)
+              if Buffer.length t.reply_buf > out_limit then
+                Buffer.reset t.reply_buf;
+              (match res with
               | Ok out -> Wire.Output out
               | Error e -> response_of_handle_error e)
             | Wire.Explain src ->
@@ -1139,7 +1183,8 @@ let no_timeout s = if s > 0. then s else Float.infinity
 (* A stream's frame, queued like a reply (on the loop, so nothing to wake) *)
 let stream_send conn payload =
   Mutex.protect conn.write_mx (fun () ->
-      if conn.alive then ignore (push_out conn (Wire.frame payload)))
+      if conn.alive then
+        ignore (push_out conn (Bytes.unsafe_to_string (Wire.frame payload))))
 
 (* Let a stream with room queue what is due: false when it asks to be
    closed; its next heartbeat joins the select's deadline. *)
@@ -1275,6 +1320,7 @@ let create ?(config = default_config) ?(on_drain = fun () -> ()) sys =
            executor_thread = None;
            loop_thread = None;
            shutdown_mx = Mutex.create ();
+           reply_buf = Buffer.create 4096;
            lat_window = Array.make 256 0.;
            lat_count = 0;
            ckpt = None;

@@ -289,6 +289,24 @@ let encode_response f =
   | Overloaded | Pong | Goodbye -> ());
   Buffer.contents b
 
+(* The frame [encode_response] gives an [Output], up to its text: the
+   length prefix, the header and the text's length. *)
+let output_prefix ~request_id ~session_id len =
+  let in_u32 v = v >= 0 && v <= 0xffff_ffff in
+  if not (in_u32 request_id && in_u32 session_id) then
+    invalid_arg "Wire.output_prefix: id out of range";
+  let payload = header_bytes + 4 + len in
+  if len < 0 || payload > max_frame_bytes then
+    invalid_arg "Wire.output_prefix: frame too large";
+  let b = Bytes.create (4 + payload - len) in
+  Bytes.set_int32_be b 0 (Int32.of_int payload);
+  Bytes.set_uint8 b 4 protocol_version;
+  Bytes.set_int32_be b 5 (Int32.of_int request_id);
+  Bytes.set_int32_be b 9 (Int32.of_int session_id);
+  Bytes.set_uint8 b 13 (response_opcode (Output ""));
+  Bytes.set_int32_be b 14 (Int32.of_int len);
+  Bytes.unsafe_to_string b
+
 let decode_response data =
   let c = { data; pos = 0 } in
   match get_header c with

@@ -20,8 +20,8 @@
     round-trip exactly — property-tested in [test/test_server.ml]. The
     blocking {!read_frame}/{!write_frame} are the only IO here (the
     client library and the replication plane use them); the server's
-    I/O loop frames its non-blocking sockets with {!frame} and
-    {!next_frame}. *)
+    I/O loop frames its non-blocking sockets with {!frame},
+    {!output_prefix} and {!next_frame}. *)
 
 (** Client → server messages. [Login] binds a new session on this
     connection (any number may be opened; each frame names its target via
@@ -190,6 +190,15 @@ val frame : string -> Bytes.t
     split their input with it. *)
 val next_frame :
   Bytes.t -> pos:int -> len:int -> ((string * int) option, string) result
+
+(** [output_prefix ~request_id ~session_id len] is the first 18 bytes
+    of the frame ({!frame} of {!encode_response}) that answers an
+    [Output] of a [len]-byte text: the length prefix, the header and the
+    text's length. The text follows it unchanged, so a reply can leave
+    as these bytes and then its text, with no copy of the text. Raises
+    [Invalid_argument] where {!encode_response} or {!frame} would: an id
+    outside [u32], a frame past {!max_frame_bytes}. *)
+val output_prefix : request_id:int -> session_id:int -> int -> string
 
 (** {2 Blocking IO} *)
 

@@ -3,8 +3,73 @@
    [Printf.sprintf] of the statement text and the result, whose lines are
    split and re-joined with a two-space indent; the blocks are joined by
    [String.concat]. SQL statements print through the [Printf] printer
-   that [Relational.Sql_ast.to_buffer] replaced. [Mlds.Kfs.table] is not
-   part of the change and is reused as is. *)
+   that [Relational.Sql_ast.to_buffer] replaced. Tables, ABDL results and
+   displayed values print through the per-cell printers that
+   [Mlds.Kfs]'s table writer, [Abdl.Exec.add_result] and
+   [Abdm.Value.add_display] replaced: [table], [row_to_string],
+   [result_to_string] and [to_display] below are those printers as they
+   were. *)
+
+let to_display = function
+  | Abdm.Value.Int i -> string_of_int i
+  | Abdm.Value.Float f -> Printf.sprintf "%g" f
+  | Abdm.Value.Str s -> s
+  | Abdm.Value.Null -> "NULL"
+
+let trim_right s =
+  let n = ref (String.length s) in
+  while !n > 0 && s.[!n - 1] = ' ' do decr n done;
+  String.sub s 0 !n
+
+let table header rows =
+  let cells = List.map (List.map to_display) rows in
+  let widths =
+    List.mapi
+      (fun i h ->
+        List.fold_left
+          (fun acc row ->
+            match List.nth_opt row i with
+            | Some cell -> max acc (String.length cell)
+            | None -> acc)
+          (String.length h) cells)
+      header
+  in
+  let pad width text = text ^ String.make (max 0 (width - String.length text)) ' ' in
+  (* rows may be ragged when an attribute is absent from a record *)
+  let render_row row =
+    let padded =
+      List.mapi
+        (fun i w ->
+          match List.nth_opt row i with
+          | Some cell -> pad w cell
+          | None -> pad w "")
+        widths
+    in
+    trim_right (String.concat "  " padded)
+  in
+  let rule = String.concat "  " (List.map (fun w -> String.make w '-') widths) in
+  String.concat "\n" (render_row header :: rule :: List.map render_row cells)
+
+let row_to_string (row : Abdl.Exec.row) =
+  let cells =
+    List.map
+      (fun (attr, v) -> Printf.sprintf "%s=%s" attr (to_display v))
+      row.values
+  in
+  let prefix =
+    match row.dbkey with
+    | Some key -> Printf.sprintf "[%d] " key
+    | None -> ""
+  in
+  prefix ^ String.concat ", " cells
+
+let result_to_string = function
+  | Abdl.Exec.Inserted key -> Printf.sprintf "INSERTED dbkey=%d" key
+  | Abdl.Exec.Deleted n -> Printf.sprintf "DELETED %d" n
+  | Abdl.Exec.Updated n -> Printf.sprintf "UPDATED %d" n
+  | Abdl.Exec.Rows rows ->
+    if rows = [] then "NO RECORDS"
+    else String.concat "\n" (List.map row_to_string rows)
 
 open Relational.Sql_ast
 
@@ -74,7 +139,7 @@ let format_daplex pairs =
 
 let format_sql pairs =
   let to_outcome = function
-    | Relational.Engine.Table { header; rows } -> Mlds.Kfs.table header rows
+    | Relational.Engine.Table { header; rows } -> table header rows
     | other -> Relational.Engine.outcome_to_string other
   in
   format_pairs sql_to_string to_outcome pairs
@@ -86,5 +151,5 @@ let format_dli pairs =
 let format_abdl pairs =
   pairs
   |> List.map (fun (request, result) ->
-         block (Abdl.Ast.to_string request) (Abdl.Exec.result_to_string result))
+         block (Abdl.Ast.to_string request) (result_to_string result))
   |> String.concat "\n"

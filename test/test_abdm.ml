@@ -355,6 +355,57 @@ let prop_compare_total_order =
       sign (compare a b) = -sign (compare b a)
       && (not (compare a b <= 0 && compare b c <= 0) || compare a c <= 0))
 
+(* Ints and floats where a float stands for several ints: around
+   ±2^53, where floats are 2 apart, and ±2^62, the ends of [int]; NaN
+   and the infinities. *)
+let gen_wide_number =
+  let open QCheck2.Gen in
+  let p53 = 1 lsl 53 in
+  let near n = map (fun d -> n + d) (int_range (-3) 3) in
+  let ints =
+    oneof
+      [ near p53; near (-p53); map (fun d -> max_int - d) (int_range 0 3);
+        map (fun d -> min_int + d) (int_range 0 3); int_range (-3) 3 ]
+  in
+  let floats =
+    oneof
+      [
+        map float_of_int ints;
+        map (fun d -> Float.of_int p53 +. float_of_int d) (int_range (-3) 3);
+        map (fun f -> -.f)
+          (oneofl [ 0x1p62; Float.pred 0x1p62; Float.succ 0x1p62; 0x1p53 ]);
+        oneofl
+          [ 0x1p62; Float.pred 0x1p62; Float.succ 0x1p62; Float.nan;
+            Float.infinity; Float.neg_infinity; 0.5; -0.; 0x1p53 +. 2. ];
+      ]
+  in
+  oneof
+    [ map (fun i -> Abdm.Value.Int i) ints; map (fun f -> Abdm.Value.Float f) floats ]
+
+let prop_compare_exact =
+  QCheck2.Test.make
+    ~name:"Value.compare is antisymmetric and transitive past 2^53" ~count:3000
+    QCheck2.Gen.(triple gen_wide_number gen_wide_number gen_wide_number)
+    (fun (a, b, c) ->
+      let open Abdm.Value in
+      let sign x = Stdlib.compare x 0 in
+      sign (compare a b) = -sign (compare b a)
+      && (not (compare a b <= 0 && compare b c <= 0) || compare a c <= 0)
+      && (not (compare a b = 0 && compare b c = 0) || compare a c = 0))
+
+let test_compare_exact () =
+  let open Abdm.Value in
+  let p53 = 1 lsl 53 in
+  Alcotest.(check int) "2^53 + 1 above the float 2^53" 1
+    (compare (Int (p53 + 1)) (Float 0x1p53));
+  Alcotest.(check int) "the float 2^53 is the int 2^53" 0
+    (compare (Float 0x1p53) (Int p53));
+  Alcotest.(check int) "the float 2^62 above max_int" (-1)
+    (compare (Int max_int) (Float 0x1p62));
+  Alcotest.(check int) "the float -2^62 is min_int" 0
+    (compare (Int min_int) (Float (-0x1p62)));
+  Alcotest.(check int) "NaN below every int" 1 (compare (Int min_int) (Float Float.nan))
+
 let prop_int_to_buffer =
   QCheck2.Test.make ~name:"Value.to_buffer of an Int = string_of_int" ~count:1000
     QCheck2.Gen.(
@@ -1107,4 +1158,6 @@ let suite =
       "explain golden: two-sided range window", `Quick, test_explain_golden_window;
       "records of a file share one shape", `Quick, test_record_shapes_shared;
       QCheck_alcotest.to_alcotest prop_record_matches_keyword_list;
+      "value compare: Int against Float is exact", `Quick, test_compare_exact;
+      QCheck_alcotest.to_alcotest prop_compare_exact;
     ]

@@ -1,7 +1,10 @@
 (* The KFS writer against its oracle (test/kfs_oracle.ml): random
    statement/outcome lists in all five languages — multi-line results,
    empty tables, ragged rows, constraint aborts — format to the same
-   bytes, and every SQL statement prints as the Printf printer did. *)
+   bytes, and every SQL statement prints as the Printf printer did. The
+   SQL tables and the ABDL rows are made of [gen_cell]s: the cells the
+   one-pass table writer must trim and indent as the per-cell printers
+   did. *)
 
 (* Printable text with the odd newline, so results span lines. *)
 let gen_text =
@@ -18,6 +21,40 @@ let gen_value =
       map (fun i -> Abdm.Value.Float (float_of_int i /. 4.)) (int_range (-9) 99);
       map (fun s -> Abdm.Value.Str s) gen_text;
       pure Abdm.Value.Null;
+    ]
+
+(* Strings ending in spaces, in a newline or in a newline and spaces,
+   empty, or with a newline inside; floats of every printed form; ints
+   of every width; NULL. *)
+let gen_cell =
+  let open QCheck2.Gen in
+  let spaces = map (fun n -> String.make n ' ') (int_range 1 3) in
+  let text =
+    frequency
+      [
+        3, gen_text;
+        1, pure "";
+        1, map2 ( ^ ) gen_text spaces;
+        1, map (fun s -> s ^ "\n") gen_text;
+        1, map2 (fun s sp -> s ^ "\n" ^ sp) gen_text spaces;
+        1, map2 (fun a b -> a ^ "\n" ^ b) gen_text gen_text;
+      ]
+  in
+  let float =
+    oneof
+      [
+        map (fun i -> float_of_int i /. 4.) (int_range (-9) 99);
+        oneofl [ nan; infinity; neg_infinity; 1e22; -1e-7; 0.1; -0.; 123456789. ];
+        QCheck2.Gen.float;
+      ]
+  in
+  frequency
+    [
+      2, map (fun i -> Abdm.Value.Int i)
+           (oneof [ int_range (-9) 99; int; oneofl [ min_int; max_int ] ]);
+      2, map (fun f -> Abdm.Value.Float f) float;
+      4, map (fun s -> Abdm.Value.Str s) text;
+      1, pure Abdm.Value.Null;
     ]
 
 let gen_name = QCheck2.Gen.oneofl [ "a"; "name"; "salary"; "x1"; "title" ]
@@ -109,11 +146,12 @@ let gen_sql =
     QCheck2.Gen.(
       oneof
         [
-          (* ragged rows: a record may lack an attribute *)
+          (* ragged rows: a record may lack an attribute, and a row may
+             be wider than the header *)
           map2
             (fun header rows -> Table { header; rows })
-            (list_size (int_range 0 3) gen_name)
-            (list_size (int_range 0 5) (list_size (int_range 0 4) gen_value));
+            (list_size (int_range 0 3) (oneof [ gen_name; pure ""; gen_text ]))
+            (list_size (int_range 0 5) (list_size (int_range 0 5) gen_cell));
           map (fun name -> Created_table name) gen_name;
           map (fun n -> Inserted n) nat;
           map (fun n -> Deleted n) nat;
@@ -167,7 +205,10 @@ let gen_abdl =
         map
           (fun rows -> Abdl.Exec.Rows rows)
           (list_size (int_range 0 4)
-             (map2 (fun dbkey values -> { Abdl.Exec.dbkey; values }) (opt nat) gen_fields));
+             (map2
+                (fun dbkey values -> { Abdl.Exec.dbkey; values })
+                (opt nat)
+                (list_size (int_range 0 4) (pair gen_name gen_cell))));
       ]
   in
   list_size (int_range 0 6) (pair gen_request gen_exec)
@@ -194,6 +235,33 @@ let props =
     QCheck2.Test.make ~name:"Sql_ast.to_string = Printf printer" ~count:500 gen_sql_stmt
       (fun stmt ->
         String.equal (Relational.Sql_ast.to_string stmt) (Kfs_oracle.sql_to_string stmt));
+    QCheck2.Test.make ~name:"KFS table = per-cell printer" ~count:500
+      QCheck2.Gen.(
+        pair
+          (list_size (int_range 0 4) (oneof [ gen_name; pure ""; gen_text ]))
+          (list_size (int_range 0 6) (list_size (int_range 0 6) gen_cell)))
+      (fun (header, rows) ->
+        let got = Mlds.Kfs.table header rows
+        and want = Kfs_oracle.table header rows in
+        if not (String.equal got want) then
+          QCheck2.Test.fail_reportf "KFS wrote@.%S@.the oracle@.%S" got want;
+        true);
+    QCheck2.Test.make ~name:"ABDL result = per-cell printer" ~count:500
+      QCheck2.Gen.(
+        oneof
+          [
+            map (fun k -> Abdl.Exec.Inserted k) int;
+            map
+              (fun rows -> Abdl.Exec.Rows rows)
+              (list_size (int_range 0 5)
+                 (map2
+                    (fun dbkey values -> { Abdl.Exec.dbkey; values })
+                    (opt int)
+                    (list_size (int_range 0 4) (pair gen_name gen_cell))));
+          ])
+      (fun result ->
+        String.equal (Abdl.Exec.result_to_string result)
+          (Kfs_oracle.result_to_string result));
   ]
 
 let suite = List.map QCheck_alcotest.to_alcotest props

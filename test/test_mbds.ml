@@ -902,6 +902,51 @@ let test_merged_read_words () =
        "RETRIEVE ((FILE = orders) AND (cust >= 40) AND (cust <= 49)) (id, cust, amount)")
     merged_range_words_bound
 
+(* Int 2^53+1, Float 2^53 and Int 2^53: the float equals the second
+   int alone, so a BY groups the three as {2^53, 2^53} and {2^53+1}
+   whatever order they were inserted in, on one store and on 2
+   backends. (A group shows its first member's spelling of the value,
+   so the values are compared with [Value.equal].) *)
+let test_by_groups_insertion_order () =
+  let values = [ "9007199254740993"; "9007199254740992.0"; "9007199254740992" ] in
+  let orders =
+    [ [ 0; 1; 2 ]; [ 0; 2; 1 ]; [ 1; 0; 2 ]; [ 1; 2; 0 ]; [ 2; 0; 1 ]; [ 2; 1; 0 ] ]
+  in
+  let groups kernel order =
+    List.iter
+      (fun i ->
+        ignore
+          (Mapping.Kernel.run kernel
+             (Abdl.Parser.request
+                (Printf.sprintf "INSERT (<FILE, t>, <v, %s>)" (List.nth values i)))))
+      order;
+    match
+      Mapping.Kernel.run kernel
+        (Abdl.Parser.request "RETRIEVE ((FILE = t)) (COUNT(v)) BY v")
+    with
+    | Abdl.Exec.Rows rows -> List.map (fun (r : Abdl.Exec.row) -> List.map snd r.values) rows
+    | _ -> Alcotest.fail "not rows"
+  in
+  let same a b =
+    List.length a = List.length b
+    && List.for_all2
+         (fun x y -> List.length x = List.length y && List.for_all2 Abdm.Value.equal x y)
+         a b
+  in
+  let expected =
+    Abdm.Value.[ [ Int (1 lsl 53); Int 2 ]; [ Int ((1 lsl 53) + 1); Int 1 ] ]
+  in
+  List.iter
+    (fun order ->
+      List.iter
+        (fun (label, kernel) ->
+          if not (same (groups kernel order) expected) then
+            Alcotest.failf "%s, order %s: groups differ" label
+              (String.concat "" (List.map string_of_int order)))
+        [ "one store", Mapping.Kernel.single ();
+          "2 backends", Mapping.Kernel.multi ~pool:no_workers 2 ])
+    orders
+
 let suite =
   [
     "create validation", `Quick, test_create_validation;
@@ -935,4 +980,6 @@ let suite =
     "cost: E1's trial mean is its first trial", `Quick,
     test_cost_trial_mean_is_first_trial;
     "merged read: words per read guard", `Quick, test_merged_read_words;
+    "BY groups of Int and Float past 2^53 ignore insertion order", `Quick,
+    test_by_groups_insertion_order;
   ]

@@ -327,6 +327,25 @@ let test_oltp_live_heap_flat () =
                     op %d (%d -> %d; bound %d)"
       grown first last live.(0) live.(1) kept_words_bound
 
+(* Minor words per read on the benchmark's scan-mbds read path:
+   client 0's seed-1 stream after a 1 000-op warm-up, the next 300
+   reads (ABDL and SQL, ranges and aggregates), in-process on a 2-backend
+   MBDS with no pool worker, so both backends' shares run on the calling
+   domain and are counted ([Oltp_words.scan_minor_per_read]). A read
+   allocates in the kernel (each backend's select and share, the
+   merge), in KFS and in the parse cache's lookup: ~33 400 words. The
+   bound fails a key set of matches built on every backend (~52 700
+   words a read) and a [Printf] string per cell (~46 900), E41. *)
+let scan_read_words_bound = 40_000.
+
+let test_scan_read_words () =
+  let per_read =
+    Oltp_words.scan_minor_per_read ~seed:1 ~warmup:1_000 ~reads:300
+  in
+  if per_read > scan_read_words_bound then
+    Alcotest.failf "scan-mbds reads: %.0f minor words a read (bound %.0f)"
+      per_read scan_read_words_bound
+
 let suite =
   [
     "shared SQL engine: live heap flat over 20 000 SELECTs", `Quick,
@@ -339,4 +358,5 @@ let suite =
     "oltp-point: promoted words per op", `Quick, test_oltp_promoted_words;
     "oltp-point: live heap flat after the statement cache fills", `Quick,
     test_oltp_live_heap_flat;
+    "scan-mbds: minor words per read", `Quick, test_scan_read_words;
   ]

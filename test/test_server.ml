@@ -80,6 +80,50 @@ let prop_response_roundtrip =
     (gen_frame gen_response) (fun f ->
       Wire.decode_response (Wire.encode_response f) = Ok f)
 
+(* An [Output] reply leaves as [output_prefix] and then its text: those
+   bytes are the frame [encode_response] gives, and decode to the same
+   reply. Ids cover the whole u32 range; an id outside it, or a text past
+   the frame limit, is refused by both with [Invalid_argument] (the
+   server then sends an error frame). *)
+let prop_output_prefix =
+  let open QCheck2.Gen in
+  let id = oneof [ int_range 0 0xFFFF_FFFF; oneofl [ 0; 0xFFFF_FFFF ] ] in
+  let bad_id = oneofl [ -1; 0x1_0000_0000; max_int; min_int ] in
+  let gen =
+    oneof
+      [
+        map3 (fun r s text -> `Ok (r, s, text)) id id
+          (string_size ~gen:char (oneof [ int_range 0 40; int_range 0 70_000 ]));
+        map2 (fun r s -> `Bad_id (r, s)) bad_id id;
+        map2 (fun r s -> `Bad_id (s, r)) bad_id id;
+        pure `Too_long;
+      ]
+  in
+  let refused f = match f () with _ -> false | exception Invalid_argument _ -> true in
+  QCheck2.Test.make ~name:"output prefix + text = encoded Output frame" ~count:300 gen
+    (function
+      | `Ok (request_id, session_id, text) ->
+        let f =
+          { Wire.version = Wire.protocol_version; request_id; session_id;
+            msg = Wire.Output text }
+        in
+        let prefix = Wire.output_prefix ~request_id ~session_id (String.length text) in
+        let framed = prefix ^ text in
+        String.length prefix = 18
+        && String.equal framed (Bytes.to_string (Wire.frame (Wire.encode_response f)))
+        && Wire.decode_response (String.sub framed 4 (String.length framed - 4)) = Ok f
+      | `Bad_id (request_id, session_id) ->
+        let f =
+          { Wire.version = Wire.protocol_version; request_id; session_id;
+            msg = Wire.Output "x" }
+        in
+        refused (fun () -> Wire.output_prefix ~request_id ~session_id 1)
+        && refused (fun () -> Wire.encode_response f)
+      | `Too_long ->
+        let len = Wire.max_frame_bytes in
+        refused (fun () -> Wire.output_prefix ~request_id:1 ~session_id:1 len)
+        && refused (fun () -> Wire.frame (String.make (18 + len - 4) 'x')))
+
 (* [write_frame (encode_response f)] puts on the wire exactly what the
    two-step encoding did: a buffer holding the u32 length prefix and the
    payload, the payload itself built field by field. Outputs range from
@@ -1729,6 +1773,81 @@ let test_fsync_eio_observer () =
    arriving at once; after [send_timeout_s] without write progress the
    server closes the stalled connection, and its session closes with
    it, aborting the transaction it left open. *)
+(* One frame read [chunk] bytes at a time, with a pause after each:
+   a client that reads slower than the server writes. *)
+let slow_recv fd ~chunk ~pause_s =
+  let read_exactly n =
+    let b = Bytes.create n in
+    let rec go pos =
+      if pos < n then begin
+        match Unix.read fd b pos (min chunk (n - pos)) with
+        | 0 -> Alcotest.fail "unexpected EOF"
+        | k ->
+          Thread.delay pause_s;
+          go (pos + k)
+      end
+    in
+    go 0;
+    Bytes.unsafe_to_string b
+  in
+  let prefix = read_exactly 4 in
+  let len = Int32.to_int (String.get_int32_be prefix 0) in
+  match Wire.decode_response (read_exactly len) with
+  | Ok f -> f
+  | Error msg -> Alcotest.failf "decode response: %s" msg
+
+(* Replies that leave as a prefix and a text, pipelined to a client
+   that reads slowly: twelve RETRIEVEs of different row sets, each reply
+   up to ~300 KB, ~2 MB in all, against a 4 KiB receive window, so most
+   of each reply waits in the connection's queue behind the one before.
+   Every reply arrives whole, in order, and equal to the reply an
+   in-process submit gives. *)
+let test_pipelined_large_replies () =
+  let t = university () in
+  let h = open_h t Mlds.System.L_abdl in
+  for i = 1 to 300 do
+    ignore
+      (submit_h h
+         (Printf.sprintf "INSERT (<FILE, bulk>, <seq, %d>, <txt, '%s'>)" i
+            (String.make 1000 (Char.chr (Char.code 'a' + (i mod 26))))))
+  done;
+  let queries =
+    List.init 12 (fun k ->
+        Printf.sprintf
+          "RETRIEVE ((FILE = bulk) AND (seq >= %d) AND (seq <= %d)) (seq, txt)"
+          (1 + (k * 20)) (300 - k))
+  in
+  let expected = List.map (submit_h h) queries in
+  Mlds.System.close_handle h;
+  with_server ~sys:t (fun _server port ->
+      let a = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+      Fun.protect
+        ~finally:(fun () -> try Unix.close a with _ -> ())
+        (fun () ->
+          Unix.setsockopt_int a Unix.SO_RCVBUF 4096;
+          Unix.connect a (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+          raw_send a ~request_id:1 ~session_id:0
+            (Wire.Login { user = "slow"; language = "abdl"; db = "university" });
+          let sid =
+            match (raw_recv a).Wire.msg with
+            | Wire.Logged_in id -> id
+            | _ -> Alcotest.fail "login failed"
+          in
+          List.iteri
+            (fun i q -> raw_send a ~request_id:(100 + i) ~session_id:sid (Wire.Submit q))
+            queries;
+          List.iteri
+            (fun i want ->
+              let f = slow_recv a ~chunk:8192 ~pause_s:0.0005 in
+              Alcotest.(check int) "replies in order" (100 + i) f.Wire.request_id;
+              match f.Wire.msg with
+              | Wire.Output got ->
+                if not (String.equal got want) then
+                  Alcotest.failf "reply %d: %d bytes, expected %d bytes" i
+                    (String.length got) (String.length want)
+              | _ -> Alcotest.failf "reply %d is not an Output" i)
+            expected))
+
 let test_stalled_reader () =
   let send_timeout_s = 2.0 in
   let t = university () in
@@ -1972,4 +2091,7 @@ let suite =
       test_threads_flat;
     Alcotest.test_case "loop: a descriptor select cannot watch is refused"
       `Quick test_unwatchable_descriptor;
+    QCheck_alcotest.to_alcotest prop_output_prefix;
+    Alcotest.test_case "loop: pipelined large replies reach a slow reader whole"
+      `Quick test_pipelined_large_replies;
   ]
