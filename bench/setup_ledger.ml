@@ -17,7 +17,11 @@
    broadcast, and the live words a record keeps once the phase is done:
    everything the database's kernel reaches (Obj.reachable_words:
    records, shapes, maps, index postings) over its records, summed over
-   the databases for the whole preload. Then one more preload, traced and apart from the timed
+   the databases for the whole preload, and how far the phase raised the
+   major heap's high-water mark (Gc top_heap_words, read in the first
+   run, the one a fresh server process makes; later runs start from the
+   top the first one left): the phase that sets the peak sets the heap
+   a server keeps. Then one more preload, traced and apart from the timed
    runs (which stay untraced): the self time of each span name it opened
    (lil.parse, kms.translate+kc.execute, kernel.run, mbds.insert,
    kfs.format, ...), the time inside a span less its children's, which
@@ -36,14 +40,21 @@ let shares () =
 
 let minor_collections () = (Gc.quick_stat ()).minor_collections
 
-(* wall seconds, minor words, minor collections and broadcast shares of
-   [f ()] *)
+let top_heap_words () = (Gc.quick_stat ()).top_heap_words
+
+(* wall seconds, minor words, minor collections, broadcast shares and
+   growth of the heap's high-water mark of [f ()] *)
 let measure f =
-  let s0 = shares () and c0 = minor_collections () in
+  let s0 = shares () and c0 = minor_collections () and h0 = top_heap_words () in
   let w0 = Gc.minor_words () and t0 = Unix.gettimeofday () in
   let r = f () in
   let dt = Unix.gettimeofday () -. t0 in
-  r, (dt, Gc.minor_words () -. w0, minor_collections () - c0, shares () - s0)
+  ( r,
+    ( dt,
+      Gc.minor_words () -. w0,
+      minor_collections () - c0,
+      shares () - s0,
+      top_heap_words () - h0 ) )
 
 let ok what = function Ok x -> x | Error e -> failwith (what ^ ": " ^ e)
 
@@ -62,14 +73,18 @@ let () =
   in
   Unix.mkdir dir 0o755;
   (* phase name -> (seconds of each run, words, minor collections and
-     shares of the last, records, live words of the last) *)
+     shares of the last, records, live words of the last, heap top growth
+     of the first) *)
   let phases = Hashtbl.create 8 and order = ref [] in
-  let note name (dt, words, collections, shares) records live =
-    let times, _, _, _, _, _ =
-      Option.value ~default:([], 0., 0, 0, 0, 0) (Hashtbl.find_opt phases name)
+  let note name (dt, words, collections, shares, top) records live =
+    let times, top =
+      match Hashtbl.find_opt phases name with
+      | Some (times, _, _, _, _, _, first_top) -> times, first_top
+      | None ->
+        order := name :: !order;
+        [], top
     in
-    if not (Hashtbl.mem phases name) then order := name :: !order;
-    Hashtbl.replace phases name (dt :: times, words, collections, shares, records, live)
+    Hashtbl.replace phases name (dt :: times, words, collections, shares, records, live, top)
   in
   let kernel_words sys db =
     Obj.reachable_words (Obj.repr (Option.get (Mlds.System.kernel_of sys db)))
@@ -107,16 +122,16 @@ let () =
       dbs
   done;
   Unix.rmdir dir;
-  Printf.printf "%s seed %d, %d runs\n%-16s %10s %14s %8s %12s %8s %8s %12s\n" wname
+  Printf.printf "%s seed %d, %d runs\n%-16s %10s %14s %8s %12s %8s %8s %12s %14s\n" wname
     seed runs "phase" "median ms" "minor words" "records" "words/record"
-    "minor GCs" "shares" "live/record";
+    "minor GCs" "shares" "live/record" "heap top +w";
   List.iter
     (fun name ->
-      let times, words, collections, shares, records, live = Hashtbl.find phases name in
+      let times, words, collections, shares, records, live, top = Hashtbl.find phases name in
       let per n = n /. float_of_int (max 1 records) in
-      Printf.printf "%-16s %10.2f %14.0f %8d %12.0f %8d %8d %12.1f\n" name
+      Printf.printf "%-16s %10.2f %14.0f %8d %12.0f %8d %8d %12.1f %14d\n" name
         (median times *. 1000.) words records (per words) collections shares
-        (per (float_of_int live)))
+        (per (float_of_int live)) top)
     (List.rev !order);
   Gc.compact ();
   let sys = Perfbench.Workloads.create_system w in

@@ -36,15 +36,16 @@ type undo =
   | U_remove of dbkey
   | U_restore of dbkey * Record.t
 
-(* Everything a reader needs, as one immutable value: records, the
-   per-file key sets (exact — keys are removed on delete, and Int_set
-   iteration is the ascending-dbkey order the CODASYL traversals want),
-   the planner's cardinalities and the index directory. Readers take one
-   [Atomic.get] and see a consistent store: a built index and the
-   records it points at are always published together. *)
+(* Everything a reader needs, as one immutable value: each file's
+   records in one key-ordered map (a record lives only in the map of the
+   file its FILE keyword names; iteration is the ascending-dbkey order
+   the CODASYL traversals want; a file whose records were all deleted
+   keeps its empty map), the planner's cardinalities and the index
+   directory. Readers take one [Atomic.get] and see a consistent store:
+   a built index and the records it points at are always published
+   together. *)
 type state = {
-  st_records : Record.t Int_map.t;
-  st_files : Int_set.t Str_map.t;
+  st_files : Record.t Int_map.t Str_map.t;
   st_counts : int Str_map.t;  (* live records per file, O(1) for the planner *)
   st_size : int;
   st_next_key : int;
@@ -101,7 +102,6 @@ let default_auto_threshold = 3
 
 let empty_state =
   {
-    st_records = Int_map.empty;
     st_files = Str_map.empty;
     st_counts = Str_map.empty;
     st_size = 0;
@@ -180,29 +180,50 @@ let dir_index_remove file key dir attr value =
     Pair_map.add (file, attr) (Built (posting_remove m value key)) dir
   | Some (Heat _) | None -> dir
 
-let keys_of_file st file =
-  Option.value ~default:Int_set.empty (Str_map.find_opt file st.st_files)
+let file_records st file =
+  match Str_map.find file st.st_files with m -> m | exception Not_found -> Int_map.empty
 
-let records_of_file_state st file =
-  Int_set.fold
-    (fun key acc ->
-      match Int_map.find_opt key st.st_records with
-      | Some record -> (key, record) :: acc
-      | None -> acc)
-    (keys_of_file st file) []
-  |> List.rev
+(* The record live under [key]: a store holds few files, so each file's
+   map is probed in turn. *)
+let find_record st key =
+  Str_map.fold
+    (fun _ records found -> if Option.is_some found then found else Int_map.find_opt key records)
+    st.st_files None
+
+(* Every record of [st] in ascending key order, in one k-way pass over
+   the files' maps: a cursor per file holds its next binding, and each
+   step yields the least and moves that file's cursor past it. The
+   cursors are mutable, so the sequence is read once; the maps are the
+   immutable state's, so a later mutation does not disturb it. *)
+let seq_of_state st =
+  let maps = Array.of_list (Str_map.fold (fun _ m acc -> m :: acc) st.st_files []) in
+  let heads = Array.map Int_map.min_binding_opt maps in
+  let rec next () =
+    let best = ref (-1) and best_key = ref max_int in
+    for i = 0 to Array.length heads - 1 do
+      match heads.(i) with
+      | Some (key, _) when key < !best_key -> best := i; best_key := key
+      | _ -> ()
+    done;
+    if !best < 0 then Seq.Nil
+    else
+      let i = !best and key = !best_key in
+      let binding = Option.get heads.(i) in
+      heads.(i) <- Int_map.find_first_opt (fun k -> k > key) maps.(i);
+      Seq.Cons (binding, next)
+  in
+  next
 
 (* One file scan builds a complete index: every record holding the
    attribute is posted under its value. Pure in [st], so it can run
    inside a [state_update] retry. *)
 let build_postings st file attr =
-  List.fold_left
-    (fun m (key, record) ->
+  Int_map.fold
+    (fun key record m ->
       match Record.value_of record attr with
       | Some v -> posting_add m v key
       | None -> m)
-    Value_map.empty
-    (records_of_file_state st file)
+    (file_records st file) Value_map.empty
 
 (* A planner miss on (file, attr): bump the heat and, on crossing the
    threshold, build the index — the "auto-create indexes on hot
@@ -242,8 +263,7 @@ let attach_state store st key record =
   in
   {
     st with
-    st_records = Int_map.add key record st.st_records;
-    st_files = Str_map.add file (Int_set.add key (keys_of_file st file)) st.st_files;
+    st_files = Str_map.add file (Int_map.add key record (file_records st file)) st.st_files;
     st_counts = bump_count st.st_counts file 1;
     st_size = st.st_size + 1;
     st_dir = dir;
@@ -258,9 +278,7 @@ let detach_state store st key record =
   in
   {
     st with
-    st_records = Int_map.remove key st.st_records;
-    st_files =
-      Str_map.add file (Int_set.remove key (keys_of_file st file)) st.st_files;
+    st_files = Str_map.add file (Int_map.remove key (file_records st file)) st.st_files;
     st_counts = bump_count st.st_counts file (-1);
     st_size = st.st_size - 1;
     st_dir = dir;
@@ -300,7 +318,8 @@ let insert store record =
 let insert_keyed store key record =
   let record = shared store record in
   state_update store (fun st ->
-      if Int_map.mem key st.st_records then
+      (* every live key is below [st_next_key] *)
+      if key < st.st_next_key && find_record st key <> None then
         invalid_arg
           (Printf.sprintf "Store.insert_keyed: key %d already live" key);
       let st =
@@ -310,10 +329,10 @@ let insert_keyed store key record =
       attach_state store st key record);
   log_undo store (U_remove key)
 
-let get store key = Int_map.find_opt key (Atomic.get store.state).st_records
+let get store key = find_record (Atomic.get store.state) key
 
 let records_of_file store file =
-  records_of_file_state (Atomic.get store.state) file
+  Int_map.bindings (file_records (Atomic.get store.state) file)
 
 (* --- the planner ---------------------------------------------------------- *)
 
@@ -406,13 +425,8 @@ let probe_keys postings lookup =
       if Value.is_null p.value then empty Plan.Range
       else window Plan.Range ((if is_lower p then above else below) p postings))
 
-(* How the chosen access path's candidates are produced at run time. *)
-type source =
-  | Src_store
-  | Src_file of string
-  | Src_keys of Int_set.t
-
-(* Plan one conjunction against a state snapshot. Pure: heat/auto-
+(* Plan one conjunction against a state snapshot, with the keys an
+   index probe intersected (empty for a scan). Pure: heat/auto-
    build side effects happen separately (select runs them first, explain
    not at all). Cost model, in posting-cardinality terms:
    - no FILE predicate: nothing narrows the search — scan the store;
@@ -427,7 +441,7 @@ let plan_conjunction store st (preds : Query.conjunction) =
     ( { Plan.conjunction = preds;
         access = Plan.Store_scan { rows = st.st_size };
         residual = preds },
-      Src_store )
+      Int_set.empty )
   | Some file ->
     let file_rows = live_count st file in
     (* one lookup per indexable predicate, a bound and its window
@@ -466,7 +480,7 @@ let plan_conjunction store st (preds : Query.conjunction) =
       ( { Plan.conjunction = preds;
           access = Plan.File_scan { file; rows = file_rows };
           residual },
-        Src_file file )
+        Int_set.empty )
     | _ :: _ ->
       let sorted =
         List.sort
@@ -496,7 +510,7 @@ let plan_conjunction store st (preds : Query.conjunction) =
             Plan.Index_probe
               { file; probes; rows = Int_set.cardinal keys; file_rows };
           residual },
-        Src_keys keys ))
+        keys ))
 
 (* Heat every indexable predicate whose index is missing, building it
    once the heat crosses the threshold. *)
@@ -529,38 +543,35 @@ let explain store query =
 (* The tallies one conjunction leaves: its access path, the postings it
    intersected, and the share of tested candidates the re-check
    discarded. *)
-let charge store source ~probes ~tested ~added =
-  (match source with
-  | Src_keys _ ->
+let charge store (access : Plan.access) ~probes ~tested ~added =
+  (match access with
+  | Plan.Index_probe _ ->
     Atomic.incr store.sel_indexed;
     Obs.Metrics.incr c_indexed;
     Obs.Metrics.incr c_plan_index;
     Obs.Metrics.incr ~by:probes c_plan_postings
-  | Src_file _ ->
+  | Plan.File_scan _ | Plan.Store_scan _ ->
     Atomic.incr store.sel_scanned;
     Obs.Metrics.incr c_scanned;
-    Obs.Metrics.incr c_plan_file_scan
-  | Src_store ->
-    Atomic.incr store.sel_scanned;
-    Obs.Metrics.incr c_scanned;
-    Obs.Metrics.incr c_plan_store_scan);
+    Obs.Metrics.incr
+      (match access with Plan.Store_scan _ -> c_plan_store_scan | _ -> c_plan_file_scan));
   if tested > 0 then
     Obs.Metrics.observe h_residual
       (float_of_int (tested - added) /. float_of_int tested)
 
-(* Every candidate of [source] that is still live, in ascending key
-   order: a posting and a file's keys are key sets, the store is a
-   key-ordered map, so each candidate comes once. *)
-let iter_candidates st source f =
-  let by_key key =
-    match Int_map.find_opt key st.st_records with
-    | Some record -> f key record
-    | None -> ()
-  in
-  match source with
-  | Src_keys keys -> Int_set.iter by_key keys
-  | Src_file file -> Int_set.iter by_key (keys_of_file st file)
-  | Src_store -> Int_map.iter f st.st_records
+(* Every candidate of [access] that is still live, in ascending key
+   order: an index probe's [keys] are looked up in its file's map, a
+   file is its map, the store is every file's map merged by key, so
+   each candidate comes once. *)
+let iter_candidates st (access : Plan.access) keys f =
+  match access with
+  | Plan.Index_probe { file; _ } ->
+    let records = file_records st file in
+    Int_set.iter
+      (fun key -> match Int_map.find_opt key records with Some r -> f key r | None -> ())
+      keys
+  | Plan.File_scan { file; _ } -> Int_map.iter f (file_records st file)
+  | Plan.Store_scan _ -> Seq.iter (fun (key, record) -> f key record) (seq_of_state st)
 
 let select store query =
   (* heat the tracker first (it may auto-build), then fix the state
@@ -570,10 +581,9 @@ let select store query =
   let st = Atomic.get store.state in
   (* [keep] gets each match of one conjunction that [fresh] admits *)
   let run_conjunction ~fresh ~keep preds =
-    let step, source = plan_conjunction store st preds in
-    let tested = ref 0 in
-    let added = ref 0 in
-    iter_candidates st source (fun key record ->
+    let step, keys = plan_conjunction store st preds in
+    let tested = ref 0 and added = ref 0 in
+    iter_candidates st step.Plan.access keys (fun key record ->
         if fresh key then begin
           incr tested;
           Atomic.incr store.scans;
@@ -587,7 +597,7 @@ let select store query =
       | Plan.Index_probe { probes; _ } -> List.length probes
       | Plan.File_scan _ | Plan.Store_scan _ -> 0
     in
-    charge store source ~probes ~tested:!tested ~added:!added
+    charge store step.Plan.access ~probes ~tested:!tested ~added:!added
   in
   match query with
   | [ preds ] ->
@@ -626,7 +636,7 @@ let rec sole_indexable = function
    [select]. *)
 let exists store query =
   let st = Atomic.get store.state in
-  let source =
+  let candidates =
     match query with
     | [ preds ] when store.indexed -> (
       match Query.file_of_conjunction preds, sole_indexable preds with
@@ -638,41 +648,34 @@ let exists store query =
               (Value_map.find_opt p.value postings)
           in
           (* [plan_conjunction]'s rule: a posting of half the file or
-             more loses to the file scan *)
+             more loses to the file scan; the one posting is charged,
+             not listed *)
+          let rows = Int_set.cardinal keys and file_rows = live_count st file in
           Some
-            (if 2 * Int_set.cardinal keys < live_count st file then
-               Src_keys keys, keys
-             else Src_file file, keys_of_file st file)
+            ( (if 2 * rows < file_rows then
+                 Plan.Index_probe { file; probes = []; rows; file_rows }
+               else Plan.File_scan { file; rows = file_rows }),
+              keys )
         | Some (Heat _) | None -> None)
       | _ -> None)
     | _ -> None
   in
-  match source with
+  match candidates with
   | None -> select store query <> []
-  | Some (source, candidates) ->
+  | Some (access, keys) ->
     let tested = ref 0 and found = ref 0 in
-    let test key =
-      match Int_map.find_opt key st.st_records with
-      | None -> ()
-      | Some record ->
+    iter_candidates st access keys (fun _ record ->
         incr tested;
-        if Query.satisfies query record then incr found
-    in
-    Int_set.iter test candidates;
+        if Query.satisfies query record then incr found);
     ignore (Atomic.fetch_and_add store.scans !tested);
-    charge store source ~probes:1 ~tested:!tested ~added:!found;
+    charge store access ~probes:1 ~tested:!tested ~added:!found;
     !found > 0
 
 let delete_key store key =
   let removed = ref None in
   state_update store (fun st ->
-      match Int_map.find_opt key st.st_records with
-      | None ->
-        removed := None;
-        st
-      | Some record ->
-        removed := Some record;
-        detach_state store st key record);
+      removed := find_record st key;
+      Option.fold ~none:st ~some:(detach_state store st key) !removed);
   match !removed with
   | None -> false
   | Some record ->
@@ -688,14 +691,12 @@ let replace store key record =
   let record = shared store record in
   let old_ref = ref None in
   state_update store (fun st ->
-      match Int_map.find_opt key st.st_records with
+      match find_record st key with
       | None -> raise Not_found
       | Some old ->
         old_ref := Some old;
         attach_state store (detach_state store st key old) key record);
-  match !old_ref with
-  | Some old -> log_undo store (U_restore (key, old))
-  | None -> ()
+  Option.iter (fun old -> log_undo store (U_restore (key, old))) !old_ref
 
 let update store query modifiers =
   let targets = select store query in
@@ -707,10 +708,7 @@ let update store query modifiers =
   List.length targets
 
 let file_names store =
-  Str_map.fold
-    (fun file _ acc -> file :: acc)
-    (Atomic.get store.state).st_files []
-  |> List.sort_uniq String.compare
+  List.rev (Str_map.fold (fun file _ acc -> file :: acc) (Atomic.get store.state).st_files [])
 
 let count store file = live_count (Atomic.get store.state) file
 
@@ -728,7 +726,7 @@ let clear store =
   Atomic.set store.sel_indexed 0;
   Atomic.set store.sel_scanned 0
 
-let to_seq store = Int_map.to_seq (Atomic.get store.state).st_records
+let to_seq store = seq_of_state (Atomic.get store.state)
 
 let next_key store = (Atomic.get store.state).st_next_key
 
@@ -753,7 +751,7 @@ let rollback store =
         match undo with
         | U_remove key -> ignore (delete_key store key)
         | U_restore (key, record) ->
-          if Int_map.mem key (Atomic.get store.state).st_records then
+          if find_record (Atomic.get store.state) key <> None then
             replace store key record
           else attach store key record)
       entries

@@ -22,9 +22,10 @@
     runs while holding it, on whichever domain — the caller or a pool
     worker — runs that share; the lock's release-acquire pair publishes
     the previous holder's writes to the next. The whole store state
-    (records, per-file sets, index directory) is one immutable value
-    behind a single atomic and is published by compare-and-set, and the
-    observability counters (scan tallies, request timing) are atomics,
+    (one key-ordered record map per file, the planner's counts, the
+    index directory) is one immutable value behind a single atomic and
+    is published by compare-and-set, and the observability counters
+    (scan tallies, request timing) are atomics,
     so a read-only operation ([select]/[get]/[count]/[to_seq]/the stat
     accessors) that does overlap another reader is never a data race. *)
 
@@ -110,16 +111,17 @@ val count : t -> string -> int
 (** [size store] is the total number of live records. *)
 val size : t -> int
 
-(** [clear store] empties the store: records, per-file lists, indexes,
-    key counter, scan and selection tallies — and any recorded
-    undo journal entries (a cleared store has nothing to undo; replaying
+(** [clear store] empties the store: every file's records (and the
+    file names), indexes, key counter, scan and selection tallies — and
+    any recorded undo journal entries (a cleared store has nothing to undo; replaying
     pre-clear undos would resurrect deleted records and re-issue their
     database keys). An open transaction stays open over the empty store. *)
 val clear : t -> unit
 
 (** [to_seq store] is every record live at the call, in ascending-dbkey
-    order. The store state is immutable, so later mutations do not
-    disturb a sequence already taken. *)
+    order: one merge of the files' maps. The store state is immutable,
+    so later mutations do not disturb a sequence already taken. The
+    sequence is ephemeral: read it once. *)
 val to_seq : t -> (dbkey * Record.t) Seq.t
 
 (** [next_key store] is the key the next {!insert} will assign. *)

@@ -21,7 +21,13 @@
    bootstrap — the path that must exist anyway for a standby arriving
    after the log was truncated. So does one whose chunk does not parse
    as whole CRC-valid frames: with nothing racing the read, that is
-   corruption. *)
+   corruption.
+
+   Only the standby's acks raise its acked position. A standby that is
+   to be bootstrapped starts below the position it claimed, and queueing
+   the snapshot caps it below the snapshot's LSN, so it lags until it
+   acks the installed snapshot; no frame is read for it before that
+   ack. *)
 
 type boot_state =
   | B_no
@@ -78,11 +84,12 @@ let c_shipped = Obs.Metrics.counter "repl.frames_shipped"
 let live t = List.filter (fun s -> s.s_alive) t.subs
 
 (* caller holds t.mx: the largest lag of a live subscriber, in bytes and
-   in frames *)
+   in frames. A queued snapshot's LSN may lie past the published
+   position (it holds frames not yet fsynced): it counts as sent. *)
 let lags_locked t =
   List.fold_left
     (fun (b, f) s ->
-      ( Stdlib.max b (t.pub_pos - s.s_acked_pos),
+      ( Stdlib.max b (Stdlib.max t.pub_pos s.s_pos - s.s_acked_pos),
         Stdlib.max f (s.s_sent_frames - s.s_acked_frames) ))
     (0, 0) (live t)
 
@@ -225,12 +232,14 @@ let pump t s send =
            (Protocol.Snapshot { pos; ts = Unix.gettimeofday (); text }));
       Mutex.protect t.mx (fun () ->
           s.s_pos <- pos;
-          s.s_acked_pos <- pos;
+          (* the standby's ack of the installed snapshot raises it *)
+          s.s_acked_pos <- Stdlib.min s.s_acked_pos (pos - 1);
           s.s_sent_frames <- 0;
           s.s_acked_frames <- 0;
           s.s_inflight <- [];
           s.s_last_send <- Obs.Clock.now_s ();
-          s.s_window_full <- false;
+          (* no frame is read until that ack comes *)
+          s.s_window_full <- true;
           update_lag_locked t);
       go ()
     | D_heartbeat pos ->
@@ -303,7 +312,7 @@ let attach t ~pos ~boot =
   let s =
     {
       s_pos = pos;
-      s_acked_pos = pos;
+      s_acked_pos = (if boot then pos - 1 else pos);
       s_sent_frames = 0;
       s_acked_frames = 0;
       s_inflight = [];

@@ -1161,3 +1161,192 @@ let suite =
       "value compare: Int against Float is exact", `Quick, test_compare_exact;
       QCheck_alcotest.to_alcotest prop_compare_exact;
     ]
+
+(* --- Store = the two-map store ----------------------------------------------- *)
+
+(* What the equivalence property drives: [Abdm.Store]'s interface, which
+   the two-map store of [Store_oracle] also has. *)
+module type STORE = sig
+  type t
+
+  val create : ?name:string -> ?indexed:bool -> ?auto_index_threshold:int -> unit -> t
+  val insert : t -> Abdm.Record.t -> int
+  val insert_keyed : t -> int -> Abdm.Record.t -> unit
+  val get : t -> int -> Abdm.Record.t option
+  val select : t -> Abdm.Query.t -> (int * Abdm.Record.t) list
+  val exists : t -> Abdm.Query.t -> bool
+  val explain : t -> Abdm.Query.t -> Abdm.Plan.t
+  val delete : t -> Abdm.Query.t -> int
+  val delete_key : t -> int -> bool
+  val update : t -> Abdm.Query.t -> Abdm.Modifier.t list -> int
+  val replace : t -> int -> Abdm.Record.t -> unit
+  val records_of_file : t -> string -> (int * Abdm.Record.t) list
+  val file_names : t -> string list
+  val count : t -> string -> int
+  val size : t -> int
+  val clear : t -> unit
+  val to_seq : t -> (int * Abdm.Record.t) Seq.t
+  val next_key : t -> int
+  val scan_count : t -> int
+  val indexed_selects : t -> int
+  val scanned_selects : t -> int
+  val begin_transaction : t -> unit
+  val commit : t -> unit
+  val rollback : t -> unit
+  val in_transaction : t -> bool
+end
+
+type store_op =
+  | Op_insert of Abdm.Record.t
+  | Op_insert_keyed of int * Abdm.Record.t
+  | Op_replace of int * Abdm.Record.t
+  | Op_delete of Abdm.Query.t
+  | Op_delete_key of int
+  | Op_update of Abdm.Query.t * Abdm.Modifier.t
+  | Op_select of Abdm.Query.t
+  | Op_exists of Abdm.Query.t
+  | Op_clear
+  | Op_begin
+  | Op_commit
+  | Op_rollback
+
+let store_op_to_string = function
+  | Op_insert r -> "insert " ^ Abdm.Record.to_string r
+  | Op_insert_keyed (k, r) -> Printf.sprintf "insert_keyed %d %s" k (Abdm.Record.to_string r)
+  | Op_replace (k, r) -> Printf.sprintf "replace %d %s" k (Abdm.Record.to_string r)
+  | Op_delete q -> "delete " ^ Abdm.Query.to_string q
+  | Op_delete_key k -> Printf.sprintf "delete_key %d" k
+  | Op_update (q, m) -> Printf.sprintf "update %s %s" (Abdm.Query.to_string q) (Abdm.Modifier.to_string m)
+  | Op_select q -> "select " ^ Abdm.Query.to_string q
+  | Op_exists q -> "exists " ^ Abdm.Query.to_string q
+  | Op_clear -> "clear"
+  | Op_begin -> "begin"
+  | Op_commit -> "commit"
+  | Op_rollback -> "rollback"
+
+(* The planner's process-wide tallies, read around each operation: both
+   stores bump the same instruments, so each store's share is the
+   difference across its own call. *)
+let plan_tallies () =
+  let counters =
+    [ "abdm.select.indexed"; "abdm.select.scan"; "abdm.plan.index"; "abdm.plan.file_scan";
+      "abdm.plan.store_scan"; "abdm.plan.postings_intersected"; "abdm.plan.auto_index" ]
+  in
+  let residual = Obs.Metrics.histogram_stats (Obs.Metrics.histogram "abdm.plan.residual_ratio") in
+  List.map (fun c -> Obs.Metrics.counter_value (Obs.Metrics.counter c)) counters, residual.n, residual.sum
+
+(* One operation's observables, as lines: its result (or the exception it
+   raised), the tallies it moved, then the whole store as every reader
+   sees it. *)
+module Store_script (S : STORE) = struct
+  let rows rs =
+    String.concat " " (List.map (fun (k, r) -> Printf.sprintf "%d%s" k (Abdm.Record.to_string r)) rs)
+
+  let run s = function
+    | Op_insert r -> string_of_int (S.insert s r)
+    | Op_insert_keyed (k, r) -> S.insert_keyed s k r; "()"
+    | Op_replace (k, r) -> S.replace s k r; "()"
+    | Op_delete q -> string_of_int (S.delete s q)
+    | Op_delete_key k -> string_of_bool (S.delete_key s k)
+    | Op_update (q, m) -> string_of_int (S.update s q [ m ])
+    | Op_select q -> Abdm.Plan.to_string (S.explain s q) ^ " -> " ^ rows (S.select s q)
+    | Op_exists q -> string_of_bool (S.exists s q)
+    | Op_clear -> S.clear s; "()"
+    | Op_begin -> S.begin_transaction s; "()"
+    | Op_commit -> S.commit s; "()"
+    | Op_rollback -> S.rollback s; "()"
+
+  let step s op =
+    let counters0, n0, sum0 = plan_tallies () in
+    let result = match run s op with r -> r | exception e -> "raised " ^ Printexc.to_string e in
+    let counters1, n1, sum1 = plan_tallies () in
+    let files = [ "f0"; "f1"; "f2"; "f3"; "f4" ] in
+    [ "result " ^ result;
+      "tallies "
+      ^ String.concat "," (List.map2 (fun a b -> string_of_int (b - a)) counters0 counters1)
+      ^ Printf.sprintf " residual %d %.9f" (n1 - n0) (sum1 -. sum0);
+      "get "
+      ^ String.concat ";"
+          (List.init (S.next_key s + 2) (fun k ->
+               Option.fold ~none:"-" ~some:Abdm.Record.to_string (S.get s k)));
+      "to_seq " ^ rows (List.of_seq (S.to_seq s));
+      "files " ^ String.concat "," (S.file_names s);
+      Printf.sprintf "size %d next %d scans %d selects %d/%d tx %b" (S.size s) (S.next_key s)
+        (S.scan_count s) (S.indexed_selects s) (S.scanned_selects s) (S.in_transaction s) ]
+    @ List.map
+        (fun f -> Printf.sprintf "%s %d: %s" f (S.count s f) (rows (S.records_of_file s f)))
+        files
+end
+
+module Script_new = Store_script (Abdm.Store)
+module Script_old = Store_script (Store_oracle)
+
+(* Scripts over files f0..f3: inserts, keyed inserts and replaces below
+   the next key (live or not, so some raise), replaces that move a record
+   to another file, deletes, updates (one sets FILE), selects and exists
+   under the planner's random DNF, clears and transactions. The stores
+   auto-index at the second planner miss, so repeated selects build
+   indexes that later writes must maintain. *)
+let gen_store_script =
+  let open QCheck2.Gen in
+  let record =
+    let* file = int_range 0 3 and* x = gen_plan_value and* y = opt gen_plan_value in
+    pure
+      (Abdm.Record.make
+         (Abdm.Keyword.file (Printf.sprintf "f%d" file)
+          :: Abdm.Keyword.make "x" x
+          :: Option.to_list (Option.map (Abdm.Keyword.make "y") y)))
+  in
+  let query =
+    map
+      (List.map (fun (file_id, preds) ->
+           (match file_id with
+            | None -> []
+            | Some fid -> [ Abdm.Predicate.file_eq (Printf.sprintf "f%d" fid) ])
+           @ List.map (fun (a, op, v) -> Abdm.Predicate.make a op v) preds))
+      gen_plan_query
+  in
+  let modifier =
+    oneof
+      [ map (fun v -> Abdm.Modifier.Set_const ("x", v)) gen_plan_value;
+        pure (Abdm.Modifier.Set_arith ("y", Abdm.Modifier.Add, Abdm.Value.Int 1));
+        map
+          (fun f -> Abdm.Modifier.Set_const ("FILE", Abdm.Value.Str (Printf.sprintf "f%d" f)))
+          (int_range 0 3) ]
+  in
+  let key = int_range 0 30 in
+  list_size (int_range 1 40)
+    (frequency
+       [ 6, map (fun r -> Op_insert r) record;
+         2, map2 (fun k r -> Op_insert_keyed (k, r)) key record;
+         2, map2 (fun k r -> Op_replace (k, r)) key record;
+         1, map (fun q -> Op_delete q) query;
+         1, map (fun k -> Op_delete_key k) key;
+         1, map2 (fun q m -> Op_update (q, m)) query modifier;
+         5, map (fun q -> Op_select q) query;
+         2, map (fun q -> Op_exists q) query;
+         1, pure Op_clear;
+         1, pure Op_begin;
+         1, pure Op_commit;
+         1, pure Op_rollback ])
+
+let prop_store_is_two_map_store =
+  QCheck2.Test.make ~name:"store = the two-map store on random scripts" ~count:300
+    ~print:(fun ops -> String.concat "\n" (List.map store_op_to_string ops))
+    gen_store_script
+    (fun ops ->
+      let s_new = Abdm.Store.create ~auto_index_threshold:2 () in
+      let s_old = Store_oracle.create ~auto_index_threshold:2 () in
+      List.iteri
+        (fun i op ->
+          let a = Script_new.step s_new op and b = Script_old.step s_old op in
+          List.iter2
+            (fun a b ->
+              if a <> b then
+                QCheck2.Test.fail_reportf "op %d (%s):\n  store:   %s\n  two-map: %s" i
+                  (store_op_to_string op) a b)
+            a b)
+        ops;
+      true)
+
+let suite = suite @ [ QCheck_alcotest.to_alcotest prop_store_is_two_map_store ]

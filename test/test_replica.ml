@@ -752,6 +752,64 @@ let test_promote_ends_reconnect_wait () =
           | Some (_, Error e) -> Alcotest.failf "promote: %s" e
           | None -> assert false))
 
+(* A bootstrapped standby lags until it acks the installed snapshot:
+   from its attach, while the executor has not yet cut the snapshot (it
+   is parked), and while the snapshot is queued but unacked. Both ways to
+   a bootstrap: a standby that asks for one, and one that claims bytes
+   the log never held. Each fake subscriber then acks the snapshot's
+   LSN, which drains the lag. *)
+let test_boot_lags_until_acked () =
+  let park = Atomic.make false and parked = Atomic.make false in
+  let hook () =
+    while Atomic.get park do
+      Atomic.set parked true;
+      Thread.delay 0.005
+    done
+  in
+  let config = { Server.Core.default_config with executor_hook = Some hook } in
+  with_primary ~config (fun t server port _wal ship ->
+      let c = logged_in port in
+      ignore (csubmit c (insert_stmt 1));
+      Client.close c;
+      let wal = Option.get (Mlds.System.wal_of t ~db:"university") in
+      List.iter
+        (fun (what, hello) ->
+          let fd = connect_raw port in
+          Fun.protect
+            ~finally:(fun () ->
+              Atomic.set park false;
+              Unix.close fd)
+            (fun () ->
+              Atomic.set parked false;
+              Atomic.set park true;
+              Server.Core.inject server ignore;
+              wait_for "executor parked" (fun () -> Atomic.get parked);
+              Test_server.raw_send fd ~request_id:0 ~session_id:0 hello;
+              wait_for (what ^ ": attached") (fun () -> Replica.Ship.standbys ship = 1);
+              Alcotest.(check bool) (what ^ ": lags before its snapshot is cut") true
+                (Replica.Ship.lag_bytes ship > 0);
+              Atomic.set park false;
+              let rec snapshot_pos () =
+                match recv_down fd ~within:5. with
+                | Some (Replica.Protocol.Snapshot { pos; _ }) -> pos
+                | Some _ -> snapshot_pos ()
+                | None -> Alcotest.failf "%s: no bootstrap snapshot within 5 s" what
+              in
+              let pos = snapshot_pos () in
+              Alcotest.(check bool) (what ^ ": lags while the snapshot is unacked") true
+                (Replica.Ship.lag_bytes ship > 0);
+              Thread.delay 0.1;
+              Alcotest.(check bool) (what ^ ": still lags 0.1 s later") true
+                (Replica.Ship.lag_bytes ship > 0);
+              Wire.write_frame fd
+                (Replica.Protocol.encode_up (Replica.Protocol.Ack { pos; ts = 0. }));
+              wait_for (what ^ ": the snapshot's ack drains the lag") (fun () ->
+                  Replica.Ship.lag_bytes ship = 0));
+          wait_for "subscriber detached" (fun () -> Replica.Ship.standbys ship = 0))
+        [ "asked", Wire.Repl_hello { pos = 0; boot = true };
+          ( "claimed past the log",
+            Wire.Repl_hello { pos = Mlds.Wal.position wal + 1_000_000; boot = false } ) ])
+
 (* --- LSNs across checkpoints and standby restarts -------------------------- *)
 
 (* One step of the interleaving: a batch of writes, an online checkpoint
@@ -902,4 +960,6 @@ let suite =
     `Quick, test_promote_ends_reconnect_wait;
     QCheck_alcotest.to_alcotest prop_lsn_drill;
     QCheck_alcotest.to_alcotest prop_protocol_codec;
+    "bootstrap: a standby lags until it acks the snapshot", `Quick,
+    test_boot_lags_until_acked;
   ]

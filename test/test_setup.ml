@@ -334,12 +334,14 @@ let test_sql_bulk_load_single_guard () =
    oltp-point databases uni (6 044 records, the functional loader) and
    pay (3 000, SQL INSERTs), and scan-mbds's shop (2 000, SQL INSERTs on
    2 backends). Records hold one shared attribute array per file and
-   their values in a flat array: ~28, ~44 and ~48 words. A record held
-   as a list of keywords kept ~51, ~71 and ~85, so it fails every
-   bound. *)
+   their values in a flat array, and the store keeps each record in one
+   key-ordered map of its file: ~23.3, ~39.0 and ~43.1 words. A store
+   that also keeps a key set per file kept ~28.3, ~44.0 and ~48.1, and a
+   record held as a list of keywords ~51, ~71 and ~85, so each fails
+   every bound. *)
 let live_words_bounds =
-  [ Perfbench.Workloads.Oltp_point, [ "uni", 36.; "pay", 56. ];
-    Perfbench.Workloads.Scan_mbds, [ "shop", 62. ] ]
+  [ Perfbench.Workloads.Oltp_point, [ "uni", 24.; "pay", 40. ];
+    Perfbench.Workloads.Scan_mbds, [ "shop", 44. ] ]
 
 let test_live_words_guard () =
   List.iter
