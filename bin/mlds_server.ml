@@ -63,7 +63,7 @@ let preload t backends databases =
 
 let run host port backends queue_cap idle_timeout batch fresh
     wal_file checkpoint_file max_seconds telemetry_file telemetry_period
-    slow_ms recorder_cap ckpt_every_bytes ckpt_every_s shed_p99_ms standby_of
+    slow_ms recorder_cap ckpt_every_bytes ckpt_every_s standby_of
     databases =
   install_signal_handlers ();
   let standby_primary =
@@ -118,7 +118,6 @@ let run host port backends queue_cap idle_timeout batch fresh
       checkpoint_path = checkpoint_file;
       checkpoint_every_bytes = ckpt_every_bytes;
       checkpoint_every_s = ckpt_every_s;
-      shed_p99_target_s = shed_p99_ms /. 1000.;
     }
   in
   match Server.Core.create ~config ~on_drain t with
@@ -275,14 +274,6 @@ let ckpt_every_s_arg =
   Arg.(
     value & opt float 0. & info [ "checkpoint-every-s" ] ~docv:"SECONDS" ~doc)
 
-let shed_p99_ms_arg =
-  let doc =
-    "Latency-target admission control: when the rolling p99 of request \
-     queue-residency exceeds $(docv) milliseconds, late submissions are \
-     shed with a typed Overloaded response; 0 disables shedding."
-  in
-  Arg.(value & opt float 0. & info [ "shed-p99-ms" ] ~docv:"MS" ~doc)
-
 let max_seconds_arg =
   let doc = "Exit (gracefully) after $(docv) seconds; 0 = run until signalled." in
   Arg.(value & opt float 0. & info [ "max-seconds" ] ~docv:"SECONDS" ~doc)
@@ -344,7 +335,7 @@ let cmd =
       $ queue_arg $ idle_arg $ batch_arg $ fresh_arg $ wal_arg
       $ checkpoint_arg $ max_seconds_arg $ telemetry_arg
       $ telemetry_period_arg $ slow_ms_arg $ recorder_cap_arg
-      $ ckpt_every_bytes_arg $ ckpt_every_s_arg $ shed_p99_ms_arg
+      $ ckpt_every_bytes_arg $ ckpt_every_s_arg
       $ standby_of_arg $ databases_arg)
 
 let () = exit (Cmd.eval' cmd)

@@ -168,11 +168,11 @@ let render ~target ~prev ~cur ~tail ~keep =
   in
   add "mlds_top — %s   uptime %.1fs   sessions %d   conns %d   queue %d\n"
     target cur.uptime_s cur.sessions cur.connections cur.queue_depth;
-  add "requests %.0f total   %.1f rps   rejected %.0f   shed %.0f   \
+  add "requests %.0f total   %.1f rps   rejected %.0f   internal %.0f   \
        disconnects %.0f   slow %.0f\n"
     cur.requests_total rps
     (Option.value ~default:0. (metric_num cur "server.rejected_total" "value"))
-    (Option.value ~default:0. (metric_num cur "server.shed_total" "value"))
+    (Option.value ~default:0. (metric_num cur "server.internal_errors" "value"))
     (Option.value ~default:0.
        (metric_num cur "server.disconnects_total" "value"))
     (Option.value ~default:0.

@@ -191,26 +191,36 @@ let find_record st key =
     st.st_files None
 
 (* Every record of [st] in ascending key order, in one k-way pass over
-   the files' maps: a cursor per file holds its next binding, and each
-   step yields the least and moves that file's cursor past it. The
-   cursors are mutable, so the sequence is read once; the maps are the
-   immutable state's, so a later mutation does not disturb it. *)
+   the files' maps: a cursor per file is its map's [Int_map.to_seq] at
+   the next binding. A scan picks the cursor with the least head and
+   bounds it by the least key among the other heads; that cursor then
+   yields, forcing its tail, until its head reaches the bound, and only
+   then are the heads scanned again — a file's run of consecutive keys
+   costs one scan. The cursors are mutable, so the sequence is read
+   once; the maps are the immutable state's, so a later mutation does
+   not disturb it. *)
 let seq_of_state st =
-  let maps = Array.of_list (Str_map.fold (fun _ m acc -> m :: acc) st.st_files []) in
-  let heads = Array.map Int_map.min_binding_opt maps in
+  let heads =
+    Array.of_list (Str_map.fold (fun _ m acc -> Int_map.to_seq m () :: acc) st.st_files [])
+  in
+  let cur = ref (-1) and bound = ref max_int in
   let rec next () =
-    let best = ref (-1) and best_key = ref max_int in
-    for i = 0 to Array.length heads - 1 do
-      match heads.(i) with
-      | Some (key, _) when key < !best_key -> best := i; best_key := key
-      | _ -> ()
-    done;
-    if !best < 0 then Seq.Nil
-    else
-      let i = !best and key = !best_key in
-      let binding = Option.get heads.(i) in
-      heads.(i) <- Int_map.find_first_opt (fun k -> k > key) maps.(i);
+    match if !cur < 0 then Seq.Nil else heads.(!cur) with
+    | Seq.Cons (((key, _) as binding), rest) when key < !bound ->
+      heads.(!cur) <- rest ();
       Seq.Cons (binding, next)
+    | _ ->
+      let best_key = ref max_int in
+      cur := -1;
+      bound := max_int;
+      for i = 0 to Array.length heads - 1 do
+        match heads.(i) with
+        | Seq.Cons ((key, _), _) when key < !best_key ->
+          bound := !best_key; cur := i; best_key := key
+        | Seq.Cons ((key, _), _) when key < !bound -> bound := key
+        | _ -> ()
+      done;
+      if !cur < 0 then Seq.Nil else next ()
   in
   next
 

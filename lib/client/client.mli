@@ -61,7 +61,7 @@ val stats : t -> (string, error) result
     truncate the WAL to the snapshot position. The call blocks until
     the checkpoint is durable — the reply is a one-line summary with
     the snapshot path and the reclaimed WAL bytes. Needs no session;
-    rides the control lane, so admission control never sheds it.
+    rides the control lane, so admission control never turns it away.
     Against a pre-checkpoint server the call returns
     [`Refused (Bad_request, _)]. *)
 val checkpoint : t -> (string, error) result

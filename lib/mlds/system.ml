@@ -32,8 +32,6 @@ type t = {
   placement : Mbds.Controller.placement option;
   pool : Mbds.Pool.t option;
   fs : Fs.t;  (* every WAL, snapshot and standby file is written through it *)
-  users : (string * string * string, session) Hashtbl.t;
-      (* (user, language name, db) -> live session *)
   sql_engines : (string, Relational.Engine.t) Hashtbl.t;
       (* relational schemas grow via CREATE TABLE; one engine per
          database so definitions persist across sessions *)
@@ -43,7 +41,7 @@ type t = {
   stmt_cache : parsed Stmt_cache.t;
       (* (language, source) -> parse result; repeated statements skip LIL *)
   next_handle : int Atomic.t;
-  (* Guards [users], [sql_engines] and [txn_owners] against callers on
+  (* Guards [sql_engines] and [txn_owners] against callers on
      different threads. Critical sections are a lookup or a single
      replace/remove — never a kernel call. [wals] and [registry] stay
      unguarded: both are mutated only at startup or on the executor
@@ -59,7 +57,6 @@ let create ?(backends = 0) ?placement ?pool ?stmt_cache_capacity
     placement;
     pool;
     fs;
-    users = Hashtbl.create 8;
     sql_engines = Hashtbl.create 8;
     wals = Hashtbl.create 4;
     txn_owners = Hashtbl.create 4;
@@ -291,26 +288,6 @@ let open_session t language ~db =
         (Printf.sprintf "no %s language interface onto a %s database"
            (language_to_string language)
            (Registry.model_name entry.Registry.db))
-
-let open_user_session t ~user language ~db =
-  let key = user, language_to_string language, db in
-  match locked t (fun () -> Hashtbl.find_opt t.users key) with
-  | Some session -> Ok session
-  | None ->
-    match open_session t language ~db with
-    | Ok session ->
-      (* a racing open of the same triple keeps the first session *)
-      locked t (fun () ->
-          match Hashtbl.find_opt t.users key with
-          | Some existing -> Ok existing
-          | None ->
-            Hashtbl.replace t.users key session;
-            Ok session)
-    | Error _ as e -> e
-
-let user_sessions t =
-  locked t (fun () -> Hashtbl.fold (fun key _ acc -> key :: acc) t.users [])
-  |> List.sort compare
 
 let session_language = function
   | S_codasyl _ -> L_codasyl

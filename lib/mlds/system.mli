@@ -141,17 +141,6 @@ type session =
     DL/I→hierarchical, and ABDL→anything. *)
 val open_session : t -> language -> db:string -> (session, string) result
 
-(** [open_user_session t ~user language ~db] — the multi-user entry point
-    ([user_info], §IV.B): each (user, language, database) triple gets one
-    session, created on first use and returned thereafter, so a user's
-    currency indicators, work area, and request buffers survive across
-    submissions while staying isolated from other users'. *)
-val open_user_session :
-  t -> user:string -> language -> db:string -> (session, string) result
-
-(** Active user sessions as (user, language name, database) triples. *)
-val user_sessions : t -> (string * string * string) list
-
 (** [submit session src] — LIL: parse the source in the session's language,
     translate and execute through KMS/KC, and format the results (KFS).
     Statement-level errors are reported inline in the output; [Error] is

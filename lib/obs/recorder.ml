@@ -1,4 +1,4 @@
-type outcome = O_ok | O_error of string | O_rejected | O_shed
+type outcome = O_ok | O_error of string | O_rejected
 
 type event = {
   seq : int;
@@ -239,7 +239,6 @@ let outcome_to_string = function
   | O_ok -> "ok"
   | O_error kind -> "error:" ^ kind
   | O_rejected -> "rejected"
-  | O_shed -> "shed"
 
 let event_json e =
   Printf.sprintf

@@ -23,10 +23,9 @@
 type outcome =
   | O_ok
   | O_error of string  (** wire error kind, e.g. "exec_error" *)
-  | O_rejected  (** admission control refused the request (queue full) *)
-  | O_shed
-      (** the latency-target limiter dropped the request after it queued;
-          its [latency_s] is the time it spent resident in the queue *)
+  | O_rejected
+      (** admission control refused the request (queue full, or its
+          connection's lane at its quota) *)
 
 type event = {
   seq : int;  (** unique, strictly increasing *)

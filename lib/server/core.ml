@@ -13,7 +13,6 @@ type config = {
   checkpoint_path : string option;
   checkpoint_every_bytes : int;
   checkpoint_every_s : float;
-  shed_p99_target_s : float;
 }
 
 (* the slow-query ring's entries *)
@@ -45,8 +44,6 @@ let default_config =
     checkpoint_path = None;
     checkpoint_every_bytes = 0;
     checkpoint_every_s = 0.;
-    (* latency-target limiter: 0 disables shedding *)
-    shed_p99_target_s = 0.;
   }
 
 (* A reply's place in its connection's outbox. It leaves once it is
@@ -100,10 +97,7 @@ type conn = {
 }
 
 type job =
-  (* the float is the arrival timestamp (decode time on the I/O loop):
-     queue-resident time for the limiter and honest reject /
-     shed latencies in the flight recorder *)
-  | J_request of conn * Wire.request Wire.frame * float
+  | J_request of conn * Wire.request Wire.frame
   | J_disconnect of conn
   | J_reap
   | J_task of (unit -> unit)
@@ -150,10 +144,6 @@ type t = {
   shutdown_mx : Mutex.t;
   (* executor-owned: KFS writes every submitted statement's reply here *)
   reply_buf : Buffer.t;
-  (* executor-owned rolling window of request sojourn times feeding the
-     latency-target limiter *)
-  lat_window : float array;
-  mutable lat_count : int;
   (* executor-owned: the online-checkpoint state machine *)
   mutable ckpt : ckpt_state option;
   mutable last_ckpt_s : float;
@@ -198,8 +188,6 @@ let h_batch =
     "server.batch_size"
 
 let c_slow = Obs.Metrics.counter "server.slow_queries_total"
-
-let c_shed = Obs.Metrics.counter "server.shed_total"
 
 let c_ckpt = Obs.Metrics.counter "server.checkpoint.total"
 
@@ -369,14 +357,14 @@ let update t conn f =
       flush_outbox t conn)
 
 (* Take the frame's place in the outbox — called by the executor in
-   arrival order. [ready] is a reply that depends on no WAL. *)
-let enqueue ?ready t conn (frame : Wire.request Wire.frame) =
+   arrival order. *)
+let enqueue t conn (frame : Wire.request Wire.frame) =
   let slot =
     {
       s_frame = frame;
       s_session = frame.Wire.session_id;
-      s_msg = ready;
-      s_gate = (if Option.is_none ready then Waiting else Open);
+      s_msg = None;
+      s_gate = Waiting;
     }
   in
   update t conn (fun () -> Queue.push slot conn.outbox);
@@ -447,10 +435,8 @@ let outcome_of_msg = function
 
 (* Every completed request becomes one ring event, written in place
    under the recorder's mutex, so this is safe from the executor and the
-   I/O loop (the Overloaded path). [?outcome] overrides the msg-derived
-   outcome — the shed path sends [Overloaded] but records [O_shed] so
-   dashboards can tell limiter drops from queue-full rejects. *)
-let record_event ?outcome t (frame : Wire.request Wire.frame) ~session
+   I/O loop (the Overloaded path). *)
+let record_event t (frame : Wire.request Wire.frame) ~session
     ~language ~latency_s ~msg ~batch =
   match t.recorder with
   | None -> ()
@@ -462,9 +448,7 @@ let record_event ?outcome t (frame : Wire.request Wire.frame) ~session
          ~latency_s
          ~bytes_in:(Wire.request_size frame.Wire.msg)
          ~bytes_out:(Wire.response_size msg)
-         ~outcome:
-           (match outcome with Some o -> o | None -> outcome_of_msg msg)
-         ~batch)
+         ~outcome:(outcome_of_msg msg) ~batch)
 
 (* Requests at or over the threshold additionally land in the slow-query
    log, with the statement text and the planner's rendering captured
@@ -718,36 +702,6 @@ let answer_control t conn (frame : Wire.request Wire.frame) =
   in
   answer t conn frame ~latency_s:dt msg
 
-(* --- the latency-target limiter ------------------------------------------- *)
-
-(* Executor-owned rolling window of request sojourn times (decode on the
-   I/O loop to pickup by the batch walk). Under overload the queue
-   wait dominates end-to-end latency, so its p99 is the shed signal. *)
-let note_latency t sojourn_s =
-  t.lat_window.(t.lat_count mod Array.length t.lat_window) <- sojourn_s;
-  t.lat_count <- t.lat_count + 1
-
-let rolling_p99 t =
-  let n = Stdlib.min t.lat_count (Array.length t.lat_window) in
-  if n = 0 then 0.
-  else begin
-    let a = Array.sub t.lat_window 0 n in
-    Array.sort compare a;
-    a.(99 * (n - 1) / 100)
-  end
-
-(* Shed only when the window is warm, its p99 is over target, AND this
-   request has itself been resident longer than half the target. The
-   lateness gate keeps the limiter live: fresh requests still complete,
-   refresh the window, and bring the p99 back down — a stale high window
-   alone can never wedge the server into shedding everything. *)
-let should_shed t ~sojourn =
-  let target = t.cfg.shed_p99_target_s in
-  target > 0.
-  && t.lat_count >= 16
-  && sojourn > 0.5 *. target
-  && rolling_p99 t > target
-
 (* --- online checkpointing -------------------------------------------------- *)
 
 (* The database this server checkpoints: the first one with an attached
@@ -905,47 +859,27 @@ let drain_flushers t = List.iter Flusher.drain t.flushers
    executor starts the next batch at once, and commits executed while
    that fsync is in flight queue for the following one. *)
 let execute_batch t jobs =
-  let batch = 1 + Atomic.fetch_and_add t.batch_seq 1 in
+  Atomic.incr t.batch_seq;
   Mlds.System.wal_group_begin t.sys;
   let walk job =
     (match t.cfg.executor_hook with Some hook -> hook () | None -> ());
     match job with
-    | J_request (conn, ({ Wire.msg = Wire.Stats | Wire.Tail _; _ } as frame), _)
-      ->
+    | J_request (conn, ({ Wire.msg = Wire.Stats | Wire.Tail _; _ } as frame)) ->
       answer_control t conn frame
-    | J_request (conn, ({ Wire.msg = Wire.Checkpoint; _ } as frame), _) ->
+    | J_request (conn, ({ Wire.msg = Wire.Checkpoint; _ } as frame)) ->
       checkpoint_request t conn frame
     | J_task f -> (try f () with _ -> ())
-    | J_request (conn, frame, arrival) ->
-      let sojourn = Obs.Clock.now_s () -. arrival in
-      note_latency t sojourn;
-      let sheddable =
-        match frame.Wire.msg with
-        | Wire.Submit _ | Wire.Explain _ -> true
-        | _ -> false  (* never shed login / txn control: tiny, stateful *)
+    | J_request (conn, frame) ->
+      let slot = enqueue t conn frame in
+      let session, db, msg =
+        try compute_response t conn frame
+        with exn ->
+          Obs.Metrics.incr c_internal;
+          ( frame.Wire.session_id,
+            None,
+            Wire.Err (Wire.Exec_error, Printexc.to_string exn) )
       in
-      if sheddable && should_shed t ~sojourn then begin
-        (* the limiter: queue admission let it in, but the server is past
-           its latency target and this request is already late — shed it
-           with a typed Overloaded rather than make everyone later *)
-        Obs.Metrics.incr c_shed;
-        record_event t frame ~outcome:Obs.Recorder.O_shed
-          ~session:frame.Wire.session_id ~language:"-" ~latency_s:sojourn
-          ~msg:Wire.Overloaded ~batch;
-        ignore (enqueue ~ready:Wire.Overloaded t conn frame)
-      end
-      else begin
-        let slot = enqueue t conn frame in
-        let session, db, msg =
-          try compute_response t conn frame
-          with exn ->
-            Obs.Metrics.incr c_internal;
-            ( frame.Wire.session_id,
-              None,
-              Wire.Err (Wire.Exec_error, Printexc.to_string exn) )
-        in
-        complete t conn slot ~session ~db msg
-      end
+      complete t conn slot ~session ~db msg
     | J_disconnect conn ->
       (* the disconnect contract: sessions die with their connection,
          aborting any transaction left open *)
@@ -1033,7 +967,6 @@ let promote t k =
 
 (* Answer or route one decoded frame. *)
 let dispatch t conn (frame : Wire.request Wire.frame) =
-  let arrival = Obs.Clock.now_s () in
   match frame.Wire.msg with
   | Wire.Ping -> reply t conn frame Wire.Pong
   | Wire.Bye ->
@@ -1048,6 +981,7 @@ let dispatch t conn (frame : Wire.request Wire.frame) =
   | Wire.Promote ->
     (* the reply leaves from whichever thread finishes the promotion (the
        standby's executor): the loop never waits for it *)
+    let arrival = Obs.Clock.now_s () in
     let answer msg =
       record_event t frame ~session:frame.Wire.session_id ~language:"-"
         ~latency_s:(Obs.Clock.since arrival) ~msg ~batch:0;
@@ -1076,18 +1010,16 @@ let dispatch t conn (frame : Wire.request Wire.frame) =
        (unbounded) control lane: the executor answers them ahead of
        queued user requests, and admission control never turns them
        away *)
-    Bounded_queue.push_control t.queue (J_request (conn, frame, arrival))
+    Bounded_queue.push_control t.queue (J_request (conn, frame))
   | _ ->
     (* fair admission: each connection gets its own lane in the queue,
        drained round-robin, so one greedy pipeline can neither starve a
        polite client nor fill the whole queue *)
-    if
-      not
-        (Bounded_queue.try_push t.queue ~key:conn.c_id
-           (J_request (conn, frame, arrival)))
+    let arrival = Obs.Clock.now_s () in
+    if not (Bounded_queue.try_push t.queue ~key:conn.c_id (J_request (conn, frame)))
     then begin
       (* admission control: a typed rejection, never a stalled socket.
-         The latency is the (tiny but honest) decode-to-reject time. *)
+         The latency is the (tiny but honest) admission-to-reject time. *)
       Obs.Metrics.incr c_rejected;
       record_event t frame ~session:frame.Wire.session_id ~language:"-"
         ~latency_s:(Obs.Clock.since arrival) ~msg:Wire.Overloaded ~batch:0;
@@ -1321,8 +1253,6 @@ let create ?(config = default_config) ?(on_drain = fun () -> ()) sys =
            loop_thread = None;
            shutdown_mx = Mutex.create ();
            reply_buf = Buffer.create 4096;
-           lat_window = Array.make 256 0.;
-           lat_count = 0;
            ckpt = None;
            last_ckpt_s = Obs.Clock.now_s ();
            last_ckpt_mark = 0;

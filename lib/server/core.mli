@@ -19,9 +19,10 @@
       each one: [Ping], [Bye], [Tail] and [Repl_hello] are answered on
       the loop, and [Promote] is started there;
       [Stats] and [Checkpoint] go on the control lane; everything else
-      goes to the executor's bounded request queue. A full queue is
-      answered at once with the typed [Overloaded] response ({e
-      admission control}: backpressure, never a stalled socket) and
+      goes to the connection's lane in the executor's bounded request
+      queue. A request that finds the queue full, or its lane at its
+      quota, is answered at once with the typed [Overloaded] response
+      ({e admission control}: backpressure, never a stalled socket) and
       counted in [server.rejected_total]. A connection accepted onto a
       descriptor [select] cannot watch (past [FD_SETSIZE]) gets the same
       [Overloaded] and is closed.
@@ -154,11 +155,6 @@ type config = {
           since the last one {e and} the WAL has grown since; [0.] (the
           default) disables the age trigger. A checkpoint serializes
           512 records per slice between request batches. *)
-  shed_p99_target_s : float;
-      (** latency-target admission control: when the rolling p99 of
-          request queue-residency exceeds this, late [Submit]/[Explain]
-          requests are shed with [Overloaded] instead of executed; [0.]
-          (the default) disables shedding *)
 }
 
 val default_config : config

@@ -480,17 +480,17 @@ let suite =
 
 let test_user_sessions_isolated_currency () =
   let t = university_mlds () in
-  let session_of user =
-    match Mlds.System.open_user_session t ~user Mlds.System.L_codasyl ~db:"university" with
-    | Ok s -> s
+  let handle_of user =
+    match Mlds.System.open_handle ~user t Mlds.System.L_codasyl ~db:"university" with
+    | Ok h -> h
     | Error msg -> Alcotest.fail msg
   in
-  let alice = session_of "alice" in
-  let bob = session_of "bob" in
-  let run s src =
-    match Mlds.System.submit s src with
+  let alice = handle_of "alice" in
+  let bob = handle_of "bob" in
+  let run h src =
+    match Mlds.System.submit_handle h src with
     | Ok out -> out
-    | Error msg -> Alcotest.fail msg
+    | Error e -> Alcotest.fail (Mlds.System.handle_error_to_string e)
   in
   (* alice walks to a course, bob to a person; each keeps their own
      run-unit across submissions *)
@@ -500,31 +500,12 @@ let test_user_sessions_isolated_currency () =
     (contains (run alice "GET") "Compilers");
   Alcotest.(check bool) "bob's GET sees his person" true
     (contains (run bob "GET") "Hsiao");
-  (* re-opening returns the same live session *)
-  let alice2 = session_of "alice" in
-  Alcotest.(check bool) "session persists" true
-    (contains
-       (match Mlds.System.submit alice2 "GET" with
-        | Ok out -> out
-        | Error msg -> msg)
-       "Compilers")
-
-let test_user_sessions_listing () =
-  let t = university_mlds () in
-  ignore (Mlds.System.open_user_session t ~user:"alice" Mlds.System.L_codasyl ~db:"university");
-  ignore (Mlds.System.open_user_session t ~user:"alice" Mlds.System.L_daplex ~db:"university");
-  ignore (Mlds.System.open_user_session t ~user:"bob" Mlds.System.L_abdl ~db:"university");
-  Alcotest.(check int) "three sessions" 3
-    (List.length (Mlds.System.user_sessions t));
-  Alcotest.(check bool) "alice daplex listed" true
-    (List.mem ("alice", "Daplex", "university") (Mlds.System.user_sessions t))
+  Alcotest.(check bool) "alice's currency persists" true
+    (contains (run alice "GET") "Compilers")
 
 let suite =
   suite
-  @ [
-      "user sessions isolate currency", `Quick, test_user_sessions_isolated_currency;
-      "user sessions listing", `Quick, test_user_sessions_listing;
-    ]
+  @ [ "user sessions isolate currency", `Quick, test_user_sessions_isolated_currency ]
 
 let test_persist_network_roundtrip () =
   let t = Mlds.System.create () in
