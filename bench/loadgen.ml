@@ -1024,9 +1024,9 @@ let server config cells = { databases = 1; grid = None; config; cells }
 
 let cell label clients total mix = { label; clients; total; mix }
 
-(* E15's access shapes: point reads one posting once the auto-index
-   threshold is past; range reads an ordered-index window; fullscan
-   matches every row, so the cost model must flip back to the file scan *)
+(* E15's access shapes: point reads one posting of the index its first
+   request builds; range reads an ordered-index window; fullscan matches
+   every row, so the cost model must flip back to the file scan *)
 let point_mix ~client ~i =
   Printf.sprintf "RETRIEVE ((FILE = grid) AND (k = %d)) (k)"
     ((client * 997 + i * 131) mod grid_rows)

@@ -7,24 +7,22 @@
 
 (* the mean modelled seconds of the claim probe (a range retrieval with
    a small response: the backends scan their whole partitions in
-   parallel), one fresh controller per trial *)
+   parallel), five trials on one controller *)
 let modelled ~backends ~records =
   let times = Mbds_trials.run ~backends ~records ~trials:5 () in
   List.fold_left (fun acc (m, _) -> acc +. m) 0. times /. 5.
 
 (* measured wall clock of a selection matching half of [records] (the
-   broadcast and the merge by key): a fresh controller per trial, median
-   of [trials] *)
+   broadcast and the merge by key), median of [trials] on one
+   controller; the selection names no FILE, so every trial scans the
+   partitions *)
 let median_wall ~pool ~backends ~records ~trials =
-  let q =
-    Abdl.Parser.query
-      (Printf.sprintf "(FILE = employee) AND (salary >= %d)" (records / 2 * 10))
-  in
+  let q = Abdl.Parser.query (Printf.sprintf "(salary >= %d)" (records / 2 * 10)) in
+  let c = Mbds.Controller.create ~pool backends in
+  for i = 0 to records - 1 do
+    ignore (Mbds.Controller.insert c (Mbds_trials.employee_record i))
+  done;
   let trial () =
-    let c = Mbds.Controller.create ~pool backends in
-    for i = 0 to records - 1 do
-      ignore (Mbds.Controller.insert c (Mbds_trials.employee_record i))
-    done;
     let t0 = Obs.Clock.now_s () in
     ignore (Mbds.Controller.select c q);
     Obs.Clock.since t0

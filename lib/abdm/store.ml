@@ -20,17 +20,12 @@ module Pair_map = Map.Make (struct
     match String.compare f1 f2 with 0 -> String.compare a1 a2 | c -> c
 end)
 
-(* The index directory. An attribute starts unindexed; each planned
-   conjunction that wanted its index and found none bumps the heat, and
-   crossing the auto-index threshold builds the index with one file scan.
-   [Built] is complete for its (file, attribute) from then on — an empty
-   posting inside a built index proves absence, the absence of an entry
-   proves nothing. *)
-type dir_entry =
-  | Built of postings
-  | Heat of int
-
-type directory = dir_entry Pair_map.t
+(* The index directory: each (file, attribute) index built so far. An
+   attribute starts unindexed; the first planned conjunction that wants
+   its index builds it with one file scan. An index is complete for its
+   (file, attribute) from then on — an empty posting inside it proves
+   absence, the absence of an entry proves nothing. *)
+type directory = postings Pair_map.t
 
 type undo =
   | U_remove of dbkey
@@ -55,13 +50,12 @@ type state = {
 type t = {
   store_name : string;
   indexed : bool;
-  auto_threshold : int;
   mutable journal : undo list option;  (* None = not in a transaction *)
   mutable shapes : Record.shape Str_map.t;  (* the last shape stored per file *)
   (* The one place live data lives. Mutators are single-owner (the store
-     contract), but they still publish by CAS retry because the heat
-     tracker runs inside read-only selects, which may run on several
-     domains at once; the retry loop makes mutations and heat
+     contract), but they still publish by CAS retry because a select
+     builds the indexes it wants, and selects may run on several domains
+     at once; the retry loop makes mutations and index builds
      linearizable. *)
   state : state Atomic.t;
   scans : int Atomic.t;
@@ -80,8 +74,8 @@ let c_indexed = Obs.Metrics.counter "abdm.select.indexed"
 let c_scanned = Obs.Metrics.counter "abdm.select.scan"
 
 (* planner observability: which access path each conjunction took, how
-   many postings its access path intersected, how many indexes the heat
-   tracker built, and what fraction of fetched candidates the residual
+   many postings its access path intersected, how many indexes a first
+   use built, and what fraction of fetched candidates the residual
    re-check then discarded (0 = the access path was exact) *)
 let c_plan_index = Obs.Metrics.counter "abdm.plan.index"
 
@@ -98,8 +92,6 @@ let h_residual =
     ~buckets:[| 0.01; 0.05; 0.1; 0.25; 0.5; 0.75; 0.9; 1.0 |]
     "abdm.plan.residual_ratio"
 
-let default_auto_threshold = 3
-
 let empty_state =
   {
     st_files = Str_map.empty;
@@ -109,12 +101,10 @@ let empty_state =
     st_dir = Pair_map.empty;
   }
 
-let create ?(name = "kds") ?(indexed = true)
-    ?(auto_index_threshold = default_auto_threshold) () =
+let create ?(name = "kds") ?(indexed = true) () =
   {
     store_name = name;
     indexed;
-    auto_threshold = max 1 auto_index_threshold;
     journal = None;
     shapes = Str_map.empty;
     state = Atomic.make empty_state;
@@ -137,8 +127,6 @@ let state_update store f =
   go ()
 
 let name store = store.store_name
-
-let auto_index_threshold store = store.auto_threshold
 
 let file_of_record record =
   match Record.file record with
@@ -170,15 +158,13 @@ let posting_remove postings value key =
 
 let dir_index_add file key dir attr value =
   match Pair_map.find_opt (file, attr) dir with
-  | Some (Built m) ->
-    Pair_map.add (file, attr) (Built (posting_add m value key)) dir
-  | Some (Heat _) | None -> dir
+  | Some m -> Pair_map.add (file, attr) (posting_add m value key) dir
+  | None -> dir
 
 let dir_index_remove file key dir attr value =
   match Pair_map.find_opt (file, attr) dir with
-  | Some (Built m) ->
-    Pair_map.add (file, attr) (Built (posting_remove m value key)) dir
-  | Some (Heat _) | None -> dir
+  | Some m -> Pair_map.add (file, attr) (posting_remove m value key) dir
+  | None -> dir
 
 let file_records st file =
   match Str_map.find file st.st_files with m -> m | exception Not_found -> Int_map.empty
@@ -234,34 +220,6 @@ let build_postings st file attr =
       | Some v -> posting_add m v key
       | None -> m)
     (file_records st file) Value_map.empty
-
-(* A planner miss on (file, attr): bump the heat and, on crossing the
-   threshold, build the index — the "auto-create indexes on hot
-   attributes" path. *)
-let note_missing_index store file attr =
-  let built = ref false in
-  state_update store (fun st ->
-      built := false;
-      match Pair_map.find_opt (file, attr) st.st_dir with
-      | Some (Built _) -> st  (* raced: already built *)
-      | (Some (Heat _) | None) as entry ->
-        let heat = match entry with Some (Heat n) -> n + 1 | _ -> 1 in
-        if heat >= store.auto_threshold then begin
-          built := true;
-          {
-            st with
-            st_dir =
-              Pair_map.add (file, attr)
-                (Built (build_postings st file attr))
-                st.st_dir;
-          }
-        end
-        else
-          {
-            st with
-            st_dir = Pair_map.add (file, attr) (Heat heat) st.st_dir;
-          });
-  if !built then Obs.Metrics.incr c_plan_auto
 
 (* --- record attachment (pure state transforms) ----------------------------- *)
 
@@ -436,9 +394,9 @@ let probe_keys postings lookup =
       else window Plan.Range ((if is_lower p then above else below) p postings))
 
 (* Plan one conjunction against a state snapshot, with the keys an
-   index probe intersected (empty for a scan). Pure: heat/auto-
-   build side effects happen separately (select runs them first, explain
-   not at all). Cost model, in posting-cardinality terms:
+   index probe intersected (empty for a scan). Pure: index builds
+   happen separately (select runs them first, explain not at all). Cost
+   model, in posting-cardinality terms:
    - no FILE predicate: nothing narrows the search — scan the store;
    - a posting participates only if [2 * card < file_rows] (less
      selective than half the file and the merge bookkeeping costs more
@@ -469,8 +427,8 @@ let plan_conjunction store st (preds : Query.conjunction) =
           in
           let found =
             match Pair_map.find_opt (file, p.attribute) st.st_dir with
-            | Some (Built postings) -> probe_keys postings lookup
-            | Some (Heat _) | None -> None
+            | Some postings -> probe_keys postings lookup
+            | None -> None
           in
           match found with
           | Some (kind, card, keys) -> walk ((lookup, kind, card, keys) :: probes) residual rest
@@ -522,30 +480,29 @@ let plan_conjunction store st (preds : Query.conjunction) =
           residual },
         keys ))
 
-(* Heat every indexable predicate whose index is missing, building it
-   once the heat crosses the threshold. *)
-let heat_conjunction store preds =
-  if store.indexed then begin
-    match Query.file_of_conjunction preds with
-    | None -> ()
-    | Some file ->
-      List.iter
-        (fun (p : Predicate.t) ->
-          if indexable p then
-            match
-              Pair_map.find_opt (file, p.attribute)
-                (Atomic.get store.state).st_dir
-            with
-            | Some (Built _) -> ()
-            | Some (Heat _) | None ->
-              note_missing_index store file p.attribute)
-        preds
-  end
+(* Build every index [preds] wants that the directory lacks, each with
+   one file scan, so that the conjunction's plan can use it. A
+   conjunction without a FILE predicate scans the store and wants none. *)
+let build_wanted store preds =
+  match Query.file_of_conjunction preds with
+  | Some file when store.indexed ->
+    List.iter
+      (fun (p : Predicate.t) ->
+        if indexable p then begin
+          let key = file, p.attribute and built = ref false in
+          state_update store (fun st ->
+              built := not (Pair_map.mem key st.st_dir);
+              if !built then
+                { st with st_dir = Pair_map.add key (build_postings st file p.attribute) st.st_dir }
+              else st);
+          if !built then Obs.Metrics.incr c_plan_auto
+        end)
+      preds
+  | _ -> ()
 
 (* Side-effect-free plan for the whole query — the .explain entry point.
-   Read-only: safe concurrently with other readers, and deliberately not
-   heating the auto-index tracker (explaining a query must not change how
-   it would run). *)
+   Read-only: safe concurrently with other readers, and deliberately
+   building no index (explaining a query must not change the store). *)
 let explain store query =
   let st = Atomic.get store.state in
   List.map (fun preds -> fst (plan_conjunction store st preds)) query
@@ -584,10 +541,10 @@ let iter_candidates st (access : Plan.access) keys f =
   | Plan.Store_scan _ -> Seq.iter (fun (key, record) -> f key record) (seq_of_state st)
 
 let select store query =
-  (* heat the tracker first (it may auto-build), then fix the state
-     the whole selection runs against: live-after-heating, so a
-     just-built index serves the query that built it *)
-  List.iter (fun preds -> heat_conjunction store preds) query;
+  (* build the wanted indexes first, then fix the state the whole
+     selection runs against, so a just-built index serves the query
+     that built it *)
+  List.iter (build_wanted store) query;
   let st = Atomic.get store.state in
   (* [keep] gets each match of one conjunction that [fresh] admits *)
   let run_conjunction ~fresh ~keep preds =
@@ -642,8 +599,7 @@ let rec sole_indexable = function
    posting, or the file when the planner would scan it (a posting of at
    least half the file). Every candidate is re-checked, as [select] does,
    so the scan tally, plan counters and residual ratio come out the same.
-   Anything else (no index yet, so heating and the auto-build run) is
-   [select]. *)
+   Anything else (no index yet, so the build runs) is [select]. *)
 let exists store query =
   let st = Atomic.get store.state in
   let candidates =
@@ -652,7 +608,7 @@ let exists store query =
       match Query.file_of_conjunction preds, sole_indexable preds with
       | Some file, Some ({ op = Predicate.Eq; _ } as p) -> (
         match Pair_map.find_opt (file, p.attribute) st.st_dir with
-        | Some (Built postings) ->
+        | Some postings ->
           let keys =
             Option.value ~default:Int_set.empty
               (Value_map.find_opt p.value postings)
@@ -666,7 +622,7 @@ let exists store query =
                  Plan.Index_probe { file; probes = []; rows; file_rows }
                else Plan.File_scan { file; rows = file_rows }),
               keys )
-        | Some (Heat _) | None -> None)
+        | None -> None)
       | _ -> None)
     | _ -> None
   in

@@ -6,10 +6,11 @@
     ([<] [<=] [>] [>=]) predicates — chosen per DNF disjunct by a
     cost-based planner (see {!explain} and {!Plan}).
 
-    Indexes are created lazily: an attribute starts unindexed, every
-    selection that could have used its index bumps a heat counter, and
-    crossing [auto_index_threshold] builds the index with one file scan.
-    From then on it is maintained on every mutation.
+    Indexes are created lazily: an attribute starts unindexed, and the
+    first selection whose conjunction names a file and could use the
+    attribute's index builds it with one file scan — even when the
+    planner then finds it too unselective to use. From then on it is
+    maintained on every mutation.
 
     {2 Ownership contract}
 
@@ -37,15 +38,10 @@ type t
     output. [indexed:false] disables the per-(file, attribute) secondary
     indexes, forcing every selection to scan its file — the ablation knob
     for measuring what the directory buys (the paper's ABDM is built
-    around directory-managed keywords). [auto_index_threshold] (default 3,
-    clamped to at least 1) is how many planner misses an attribute
-    tolerates before its index is auto-built. *)
-val create :
-  ?name:string -> ?indexed:bool -> ?auto_index_threshold:int -> unit -> t
+    around directory-managed keywords). *)
+val create : ?name:string -> ?indexed:bool -> unit -> t
 
 val name : t -> string
-
-val auto_index_threshold : t -> int
 
 (** [insert store record] stores the record and returns its database key.
     Keys are assigned in strictly increasing order, so ascending dbkey is
@@ -62,15 +58,16 @@ val insert_keyed : t -> dbkey -> Record.t -> unit
 val get : t -> dbkey -> Record.t option
 
 (** [select store query] is the list of live records satisfying [query],
-    paired with their database keys, in ascending-dbkey order. Each DNF
-    disjunct runs the plan {!explain} would report for it (after heating /
-    auto-building any indexes the disjunct asked for), and every candidate
-    the access path yields is re-checked against the whole query, so the
-    result is exact regardless of which path was chosen. *)
+    paired with their database keys, in ascending-dbkey order. It first
+    builds every index a disjunct with a FILE predicate could use and the
+    store lacks; each disjunct then runs the plan {!explain} reports for
+    it afterwards, and every candidate the access path yields is
+    re-checked against the whole query, so the result is exact
+    regardless of which path was chosen. *)
 val select : t -> Query.t -> (dbkey * Record.t) list
 
 (** [exists store query] is [select store query <> []], with the same
-    effects on the scan tally, the plan counters and the auto-index heat.
+    effects on the scan tally, the plan counters and the indexes built.
     For a UNIQUE probe — one conjunction whose only indexable predicate
     is an equality on an attribute with a built index — it re-checks the
     candidates of that one posting (or the file, when the planner would
@@ -78,10 +75,11 @@ val select : t -> Query.t -> (dbkey * Record.t) list
     runs {!select}. *)
 val exists : t -> Query.t -> bool
 
-(** [explain store query] is the plan [select] would execute for [query]
-    right now — one {!Plan.step} per disjunct. Pure and read-only: it does
-    not heat the auto-index tracker, build indexes, or touch any counter,
-    so explaining a query never changes how it would run. *)
+(** [explain store query] is the plan for [query] against the indexes
+    built so far — one {!Plan.step} per disjunct. It is the plan [select]
+    runs unless [select] first builds an index the query wants. Pure and
+    read-only: it builds no index and touches no counter, so explaining a
+    query never changes the store. *)
 val explain : t -> Query.t -> Plan.t
 
 (** [delete store query] removes every record satisfying [query]; returns

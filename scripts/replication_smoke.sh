@@ -8,6 +8,8 @@
 #     log mid-stream, and the standby streams across them: mlds_top shows
 #     at least one checkpoint on the primary and a single bootstrap on
 #     the standby
+#   - neither server counts an internal error: both final mlds_top
+#     frames read "internal 0"
 #   - the primary ships from its I/O loop: its thread count mid-stream
 #     is the count it had before the standby attached
 #   - the E18 failover drill (loadgen --scenario failover: write through
@@ -112,6 +114,16 @@ fi
 ./_build/default/bin/mlds_top.exe --connect "127.0.0.1:$SPORT" --once \
   | tee mlds_top-repl-standby.out
 grep -q "repl standby:.*bootstraps 1\$" mlds_top-repl-standby.out
+
+# Neither server counted an internal error (server.internal_errors), the
+# check scripts/server_smoke.sh makes.
+for top in mlds_top-repl-primary.out mlds_top-repl-standby.out; do
+  if ! grep -q "internal 0 " "$top"; then
+    echo "$top: the server counted internal errors (server.internal_errors > 0)" >&2
+    kill -TERM "$STANDBY_PID" "$PRIMARY_PID" 2>/dev/null || true
+    exit 1
+  fi
+done
 
 kill -TERM "$STANDBY_PID" "$PRIMARY_PID"
 wait "$STANDBY_PID" "$PRIMARY_PID"

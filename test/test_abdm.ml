@@ -743,8 +743,8 @@ let suite =
    has both outcomes. *)
 let contains text needle = Daplex.Str_search.find text needle <> None
 
-let mk_plan_store ?auto_index_threshold () =
-  let s = Abdm.Store.create ~name:"plan" ?auto_index_threshold () in
+let mk_plan_store () =
+  let s = Abdm.Store.create ~name:"plan" () in
   for i = 1 to 8 do
     ignore (Abdm.Store.insert s (emp (Printf.sprintf "e%d" i) (i * 10)))
   done;
@@ -759,7 +759,7 @@ let explained s q = Abdm.Plan.to_string (Abdm.Store.explain s q)
 let check_plan msg want s q = Alcotest.(check string) msg want (explained s q)
 
 let test_explain_golden_point () =
-  let s = mk_plan_store ~auto_index_threshold:1 () in
+  let s = mk_plan_store () in
   let q = q_emp [ salary Abdm.Predicate.Eq 30 ] in
   let cold =
     "plan: 1 disjunct\n\
@@ -768,12 +768,12 @@ let test_explain_golden_point () =
     \  residual: (salary = 30)"
   in
   check_plan "cold store plans a file scan" cold s q;
-  (* explain is pure: explaining must neither heat nor build the index *)
+  (* explain is pure: explaining must not build the index *)
   for _ = 1 to 5 do
-    check_plan "explain does not heat the index" cold s q
+    check_plan "explain does not build the index" cold s q
   done;
   ignore (Abdm.Store.select s q);
-  check_plan "one select auto-builds the index (threshold 1)"
+  check_plan "one select builds the index"
     "plan: 1 disjunct\n\
      disjunct 1: (FILE = 'employee') AND (salary = 30)\n\
     \  access: index employee: point (salary = 30) [1] -> 1 of 8 rows\n\
@@ -781,7 +781,7 @@ let test_explain_golden_point () =
     s q
 
 let test_explain_golden_range_and_flip () =
-  let s = mk_plan_store ~auto_index_threshold:1 () in
+  let s = mk_plan_store () in
   ignore (Abdm.Store.select s (q_emp [ salary Abdm.Predicate.Ge 60 ]));
   (* 3 of 8 rows: 2*3 < 8, so the ordered index wins *)
   check_plan "selective range uses the ordered index"
@@ -802,7 +802,7 @@ let test_explain_golden_range_and_flip () =
     (q_emp [ salary Abdm.Predicate.Ge 20 ])
 
 let test_explain_golden_intersection () =
-  let s = mk_plan_store ~auto_index_threshold:1 () in
+  let s = mk_plan_store () in
   let q =
     q_emp
       [ Abdm.Predicate.make "name" Abdm.Predicate.Eq (Abdm.Value.Str "e6");
@@ -818,7 +818,7 @@ let test_explain_golden_intersection () =
     s q
 
 let test_explain_golden_window () =
-  let s = mk_plan_store ~auto_index_threshold:1 () in
+  let s = mk_plan_store () in
   let q = q_emp [ salary Abdm.Predicate.Ge 30; salary Abdm.Predicate.Le 50 ] in
   ignore (Abdm.Store.select s q);
   (* each bound alone keeps 6 and 5 of 8 rows, too many for the index;
@@ -834,7 +834,7 @@ let test_explain_golden_window () =
     (List.map fst (Abdm.Store.select s q))
 
 let test_explain_golden_store_scan_and_empty () =
-  let s = mk_plan_store ~auto_index_threshold:1 () in
+  let s = mk_plan_store () in
   check_plan "no FILE predicate means a whole-store scan"
     "plan: 2 disjuncts\n\
      disjunct 1: (salary = 30)\n\
@@ -850,19 +850,34 @@ let test_explain_golden_store_scan_and_empty () =
   check_plan "the empty disjunction matches nothing"
     "plan: empty query (matches nothing)" s Abdm.Query.never
 
-let test_planner_auto_threshold () =
-  let s = mk_plan_store () in
-  Alcotest.(check int) "default auto-index threshold" 3
-    (Abdm.Store.auto_index_threshold s);
-  let q = q_emp [ salary Abdm.Predicate.Eq 30 ] in
+(* An index is built at the first select that wants it, and only then;
+   a query whose range is too wide to use the index still builds it (the
+   policy's known cost), and the planner flips away from it. *)
+let test_planner_first_miss_builds () =
+  let builds = Obs.Metrics.counter "abdm.plan.auto_index" in
+  let built_by f =
+    let b0 = Obs.Metrics.counter_value builds in
+    ignore (f ());
+    Obs.Metrics.counter_value builds - b0
+  in
+  let plans s q want = Alcotest.(check bool) want true (contains (explained s q) want) in
   let file_scan = "scan file employee [8 rows]" in
-  ignore (Abdm.Store.select s q);
-  ignore (Abdm.Store.select s q);
-  Alcotest.(check bool) "two selects only heat the index" true
-    (contains (explained s q) file_scan);
-  ignore (Abdm.Store.select s q);
-  Alcotest.(check bool) "the third select builds it" true
-    (contains (explained s q) "index employee: point (salary = 30)")
+  let s = mk_plan_store () in
+  let q = q_emp [ salary Abdm.Predicate.Eq 30 ] in
+  plans s q file_scan;
+  Alcotest.(check int) "the first select builds the index" 1
+    (built_by (fun () -> Abdm.Store.select s q));
+  plans s q "index employee: point (salary = 30) [1] -> 1 of 8 rows";
+  Alcotest.(check int) "the next select builds nothing" 0
+    (built_by (fun () -> Abdm.Store.select s q));
+  (* 7 of 8 rows: 2*7 >= 8, so the index this select builds is unused *)
+  let s = mk_plan_store () in
+  let wide = q_emp [ salary Abdm.Predicate.Ge 20 ] in
+  Alcotest.(check int) "an unselective range builds its index" 1
+    (built_by (fun () -> Abdm.Store.select s wide));
+  plans s wide file_scan;
+  let narrow = q_emp [ salary Abdm.Predicate.Ge 60 ] in
+  plans s narrow "index employee: range (salary >= 60) [3] -> 3 of 8 rows"
 
 let gen_plan_op =
   QCheck2.Gen.oneofl
@@ -902,8 +917,8 @@ let gen_plan_query =
 
 let prop_planner_matches_scan =
   (* The planner must be invisible: for any store contents and any DNF
-     query, an auto-indexing store (threshold 1, so the first select
-     builds every index it wants) returns exactly the keys a pure-scan
+     query, an indexing store (its first select builds every index it
+     wants) returns exactly the keys a pure-scan
      store returns — before indexes exist, after they are built, and
      after deletions have to maintain them. *)
   QCheck2.Test.make ~name:"planner select = unindexed scan on random DNF"
@@ -914,7 +929,7 @@ let prop_planner_matches_scan =
            (triple (int_range 0 3) gen_plan_value gen_plan_value))
         gen_plan_query)
     (fun (inserts, spec) ->
-      let planned = Abdm.Store.create ~auto_index_threshold:1 () in
+      let planned = Abdm.Store.create () in
       let scanned = Abdm.Store.create ~indexed:false () in
       List.iter
         (fun (fid, vx, vy) ->
@@ -1034,16 +1049,15 @@ let probe_effects store f =
 
 (* Two stores fed the same records and the same operations: at each
    probe, [exists] on one and [select <> []] on the other give the same
-   answer and the same tallies, and leave the same plans (heat, built
-   indexes) behind. Thresholds 1..4 put the probes before, at and after
-   the auto-index build. *)
+   answer and the same tallies, and leave the same plans (built indexes)
+   behind. A store's first probe of an attribute builds its index, later
+   ones find it built. *)
 let prop_exists_is_select =
   QCheck2.Test.make ~name:"Store.exists = select <> [], same tallies" ~count:300
-    QCheck2.Gen.(
-      triple (int_range 1 4) (list_size (int_range 0 30) gen_probe_record) gen_probe_ops)
-    (fun (threshold, records, ops) ->
+    QCheck2.Gen.(pair (list_size (int_range 0 30) gen_probe_record) gen_probe_ops)
+    (fun (records, ops) ->
       let fresh () =
-        let s = Abdm.Store.create ~auto_index_threshold:threshold () in
+        let s = Abdm.Store.create () in
         List.iter (fun r -> ignore (Abdm.Store.insert s r)) records;
         s
       in
@@ -1149,7 +1163,7 @@ let suite =
       test_explain_golden_intersection;
       "explain golden: store scan and empty query", `Quick,
       test_explain_golden_store_scan_and_empty;
-      "planner auto-index threshold", `Quick, test_planner_auto_threshold;
+      "planner builds an index at its first miss", `Quick, test_planner_first_miss_builds;
       QCheck_alcotest.to_alcotest prop_planner_matches_scan;
       QCheck_alcotest.to_alcotest prop_exists_is_select;
       QCheck_alcotest.to_alcotest prop_int_to_buffer;
@@ -1165,11 +1179,11 @@ let suite =
 (* --- Store = the two-map store ----------------------------------------------- *)
 
 (* What the equivalence property drives: [Abdm.Store]'s interface, which
-   the two-map store of [Store_oracle] also has. *)
+   the two-map store of [Store_oracle] also has, but for [create]: the
+   oracle's takes an auto-index threshold. *)
 module type STORE = sig
   type t
 
-  val create : ?name:string -> ?indexed:bool -> ?auto_index_threshold:int -> unit -> t
   val insert : t -> Abdm.Record.t -> int
   val insert_keyed : t -> int -> Abdm.Record.t -> unit
   val get : t -> int -> Abdm.Record.t option
@@ -1284,9 +1298,9 @@ module Script_old = Store_script (Store_oracle)
 (* Scripts over files f0..f3: inserts, keyed inserts and replaces below
    the next key (live or not, so some raise), replaces that move a record
    to another file, deletes, updates (one sets FILE), selects and exists
-   under the planner's random DNF, clears and transactions. The stores
-   auto-index at the second planner miss, so repeated selects build
-   indexes that later writes must maintain. *)
+   under the planner's random DNF, clears and transactions. A select
+   builds the indexes it wants (the oracle runs at threshold 1, a build
+   at the first planner miss), which later writes must maintain. *)
 let gen_store_script =
   let open QCheck2.Gen in
   let record =
@@ -1335,8 +1349,8 @@ let prop_store_is_two_map_store =
     ~print:(fun ops -> String.concat "\n" (List.map store_op_to_string ops))
     gen_store_script
     (fun ops ->
-      let s_new = Abdm.Store.create ~auto_index_threshold:2 () in
-      let s_old = Store_oracle.create ~auto_index_threshold:2 () in
+      let s_new = Abdm.Store.create () in
+      let s_old = Store_oracle.create ~auto_index_threshold:1 () in
       List.iteri
         (fun i op ->
           let a = Script_new.step s_new op and b = Script_old.step s_old op in

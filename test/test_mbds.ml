@@ -92,16 +92,17 @@ let modelled_run c q =
     ~after:(Mbds.Controller.backend_loads c) ~results:rows
 
 (* [trials] runs of a range RETRIEVE over [records] employees on
-   [backends] backends, and the modelled time of each. A range predicate
-   forces a partition scan (no equality index), with a small
-   constant-size response — the paper's workload shape. *)
+   [backends] backends, and the modelled time of each. The range names no
+   FILE, so every run scans each whole partition (no index is built or
+   used), with a small constant-size response — the paper's workload
+   shape. *)
 let retrieve_times ~trials backends records =
   let c = Mbds.Controller.create backends in
   populate (Mbds.Controller.insert c) records;
   let q =
     Abdl.Parser.request
       (Printf.sprintf
-         "RETRIEVE ((FILE = employee) AND (salary > %d)) (name)"
+         "RETRIEVE ((salary > %d)) (name)"
          ((records - 5) * 10))
   in
   List.init trials (fun _ -> modelled_run c q)
@@ -132,10 +133,9 @@ let test_cost_capacity_invariance () =
     true
     (ratio < 2.5)
 
-(* The first trial of the 4 000-record probe scans each whole partition
-   (later trials may use the index the heat tracker builds): overhead,
-   broadcast, 4 000 / n records scanned on the busiest backend, and 4 rows
-   returned. These are E1's modelled times before any index. *)
+(* A trial of the 4 000-record probe scans each whole partition:
+   overhead, broadcast, 4 000 / n records scanned on the busiest backend,
+   and 4 rows returned. These are E1's modelled times. *)
 let test_cost_first_trial_pinned () =
   List.iter
     (fun (backends, want) ->
@@ -146,8 +146,8 @@ let test_cost_first_trial_pinned () =
       | _ -> Alcotest.fail "one trial")
     [ 1, 2.016; 2, 1.016; 4, 0.516; 8, 0.266; 16, 0.141 ]
 
-(* E1's probe (bench/mbds_trials.ml) loads a fresh controller per trial,
-   so every trial scans whole partitions: the five-trial mean equals the
+(* E1's probe (bench/mbds_trials.ml) names no FILE, so every trial on its
+   one controller scans whole partitions: the five-trial mean equals the
    first trial, the model's figure above. *)
 let test_cost_trial_mean_is_first_trial () =
   List.iter
@@ -163,6 +163,27 @@ let test_cost_trial_mean_is_first_trial () =
         (Printf.sprintf "%d backends: the model's scan" backends)
         want mean)
     [ 1, 2.016; 2, 1.016; 4, 0.516; 8, 0.266; 16, 0.141 ]
+
+(* On one controller, each of five trials of E1's probe scans every
+   partition whole: each backend's scanned count grows by its partition's
+   size. A probe naming its FILE would build a [salary] index at the first
+   trial and read four records from then on. *)
+let test_claim_probe_scans_every_trial () =
+  List.iter
+    (fun backends ->
+      let c = Mbds_trials.load ~backends 4000 in
+      let q = Mbds_trials.scan_probe 4000 in
+      for trial = 1 to 5 do
+        let before = Mbds.Controller.backend_loads c in
+        ignore (Mbds.Controller.run c q);
+        let scanned =
+          List.map2 (fun (b, _, _) (a, _, _) -> a - b) before (Mbds.Controller.backend_loads c)
+        in
+        Alcotest.(check (list int))
+          (Printf.sprintf "%d backends, trial %d" backends trial)
+          (Mbds.Controller.backend_sizes c) scanned
+      done)
+    [ 1; 4; 16 ]
 
 (* The backend counters accumulate across requests: each full-file
    RETRIEVE scans every live record once, and the cost model reads a
@@ -719,8 +740,8 @@ let test_parallel_transaction_rollback () =
 (* [Controller.insert_unique] on 2 backends, whose per-backend probes are
    [Store.exists], against the same controller contents driven through
    [select]: the same answers, keys and records. Inserts and deletes
-   between probes; thresholds 1..4 put the probes before, at and after
-   each backend's auto-index build. *)
+   between probes; a backend's first probe of an attribute builds its
+   index, later ones find it built. *)
 let prop_insert_unique_is_select =
   QCheck2.Test.make ~name:"insert_unique on 2 backends = select-then-insert"
     ~count:150
@@ -979,6 +1000,8 @@ let suite =
     test_cost_first_trial_pinned;
     "cost: E1's trial mean is its first trial", `Quick,
     test_cost_trial_mean_is_first_trial;
+    "cost: E1's probe scans every partition on every trial", `Quick,
+    test_claim_probe_scans_every_trial;
     "merged read: words per read guard", `Quick, test_merged_read_words;
     "BY groups of Int and Float past 2^53 ignore insertion order", `Quick,
     test_by_groups_insertion_order;

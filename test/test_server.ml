@@ -474,9 +474,9 @@ let test_socket_session_isolation () =
 let test_socket_explain () =
   with_server (fun _server port ->
       let c = logged_in port in
-      (* drive the planner past the auto-index threshold, then ask the
-         server for the plan: the reply must be a rendered plan, and
-         asking must not have executed the retrieval *)
+      (* run the retrieval (its first run builds the salary index), then
+         ask the server for the plan: the reply must be a rendered plan,
+         and asking must not have executed the retrieval *)
       for _ = 1 to 3 do
         ignore (csubmit c "RETRIEVE ((FILE = employee) AND (salary > 60000)) (name)")
       done;
@@ -1145,7 +1145,8 @@ let test_forced_slow_capture () =
   let config = { Server.Core.default_config with slow_threshold_s = 0. } in
   with_server ~config (fun _server port ->
       let c = logged_in port in
-      (* past the auto-index threshold, so the captured plan is real *)
+      (* the first retrieval builds the salary index, so the captured
+         plan is an index probe *)
       for _ = 1 to 4 do
         ignore
           (csubmit c "RETRIEVE ((FILE = employee) AND (salary > 60000)) (name)")
@@ -1584,7 +1585,7 @@ let run_script ~config ~ndbs ~backends script =
    covering fsyncs handed to per-WAL flushers, on single-store kernels or
    2-backend MBDS kernels — is byte-identical, reply for reply and in
    request order, to the same workload against the serial executor
-   ([batch = false]). *)
+   ([batch = false]), and neither run moves [server.internal_errors]. *)
 let prop_pipelined_equals_serial =
   QCheck2.Test.make
     ~name:"pipelined executor is byte-identical to the serial executor"
@@ -1594,15 +1595,22 @@ let prop_pipelined_equals_serial =
         (list_size (int_range 1 20)
            (pair (int_range 0 3) (list_size (int_range 1 3) (int_range 0 4)))))
     (fun (ndbs, backends, script) ->
-      let serial =
-        run_script
-          ~config:{ Server.Core.default_config with batch = false }
-          ~ndbs ~backends script
+      let internal () =
+        Obs.Metrics.counter_value (Obs.Metrics.counter "server.internal_errors")
       in
-      let pipelined =
-        run_script ~config:Server.Core.default_config ~ndbs ~backends script
+      let run config =
+        let before = internal () in
+        let out = run_script ~config ~ndbs ~backends script in
+        out, internal () - before
       in
-      if serial <> pipelined then
+      let serial, serial_internal =
+        run { Server.Core.default_config with batch = false }
+      in
+      let pipelined, pipelined_internal = run Server.Core.default_config in
+      if serial_internal <> 0 || pipelined_internal <> 0 then
+        QCheck2.Test.fail_reportf "internal errors: serial %d, pipelined %d"
+          serial_internal pipelined_internal
+      else if serial <> pipelined then
         QCheck2.Test.fail_reportf
           "pipelined over %d dbs (%d backends) diverged\n\
            serial:\n  %s\npipelined:\n  %s"
