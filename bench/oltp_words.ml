@@ -28,6 +28,10 @@ type session = {
   close : unit -> unit;
 }
 
+let check text = function
+  | Ok _ -> ()
+  | Error e -> failwith (text ^ ": " ^ Mlds.System.handle_error_to_string e)
+
 let session sys =
   let handle = ref None in
   let step ?buf (op : Perfbench.Workloads.op) =
@@ -38,13 +42,11 @@ let session sys =
         | Ok h -> Some h
         | Error msg -> failwith ("login: " ^ msg)
     end;
-    match !handle with
-    | Some h ->
-      (match Mlds.System.submit_handle ?buf h op.text with
-      | Ok _ -> ()
-      | Error e ->
-        failwith (op.text ^ ": " ^ Mlds.System.handle_error_to_string e))
-    | None -> failwith "op before the first login"
+    match !handle, buf with
+    | Some h, Some buf ->
+      check op.text (Mlds.System.submit_handle_into buf h op.text)
+    | Some h, None -> check op.text (Mlds.System.submit_handle h op.text)
+    | None, _ -> failwith "op before the first login"
   in
   { step; close = (fun () -> Option.iter Mlds.System.close_handle !handle) }
 

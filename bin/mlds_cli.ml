@@ -510,7 +510,7 @@ let db_arg =
 
 let fresh_arg =
   let doc =
-    "Start with no database preloaded (restore one with \\load instead)."
+    "Start with no database preloaded (restore one with \\\\load instead)."
   in
   Arg.(value & flag & info [ "fresh" ] ~doc)
 

@@ -1,20 +1,13 @@
-(* Every formatter writes its whole reply into one buffer: the caller's
-   [?buf] (cleared first) or a fresh one. A result is written with its
-   two-space indent already after each of its newlines, so no second
-   pass over the text follows. *)
+(* Every formatter appends its whole reply to one buffer: the caller's
+   ([add_*]) or a fresh one whose contents it returns ([format_*]). A
+   result is written with its two-space indent already after each of its
+   newlines, so no second pass over the text follows. *)
 
 let indent = "  "
 
 (* One block per statement, separated by newlines: the statement, then
    its result indented by two spaces on every line. *)
-let format_blocks ?buf add_stmt add_result pairs =
-  let buf =
-    match buf with
-    | Some buf ->
-      Buffer.clear buf;
-      buf
-    | None -> Buffer.create 256
-  in
+let add_blocks add_stmt add_result buf pairs =
   List.iteri
     (fun i (stmt, result) ->
       if i > 0 then Buffer.add_char buf '\n';
@@ -22,12 +15,11 @@ let format_blocks ?buf add_stmt add_result pairs =
       Buffer.add_char buf '\n';
       Buffer.add_string buf indent;
       add_result buf result)
-    pairs;
-  Buffer.contents buf
+    pairs
 
 (* a constraint abort is reported inline *)
-let format_pairs ?buf add_stmt add_outcome =
-  format_blocks ?buf add_stmt (fun buf -> function
+let add_pairs add_stmt add_outcome =
+  add_blocks add_stmt (fun buf -> function
     | Ok outcome -> add_outcome buf outcome
     | Error msg ->
       Buffer.add_string buf "*** ";
@@ -127,30 +119,45 @@ let table header rows =
   add_table ~indent:"" buf header rows;
   Buffer.contents buf
 
-let format_codasyl ?buf pairs =
-  format_pairs ?buf
+let add_codasyl buf pairs =
+  add_pairs
     (via_string Codasyl_dml.Ast.to_string)
     (indented Codasyl_dml.Engine.outcome_to_string)
-    pairs
+    buf pairs
 
-let format_daplex ?buf pairs =
-  format_pairs ?buf
+let add_daplex buf pairs =
+  add_pairs
     (via_string Daplex_dml.Ast.to_string)
     (indented Daplex_dml.Engine.outcome_to_string)
-    pairs
+    buf pairs
 
-let format_sql ?buf pairs =
+let add_sql buf pairs =
   let add_outcome buf = function
     | Relational.Engine.Table { header; rows } -> add_table ~indent buf header rows
     | other -> indented Relational.Engine.outcome_to_string buf other
   in
-  format_pairs ?buf Relational.Sql_ast.to_buffer add_outcome pairs
+  add_pairs Relational.Sql_ast.to_buffer add_outcome buf pairs
 
-let format_dli ?buf pairs =
-  format_pairs ?buf
+let add_dli buf pairs =
+  add_pairs
     (via_string Hierarchical.Dli_ast.to_string)
     (indented Hierarchical.Engine.outcome_to_string)
-    pairs
+    buf pairs
 
-let format_abdl ?buf pairs =
-  format_blocks ?buf Abdl.Ast.to_buffer (Abdl.Exec.add_result ~indent) pairs
+let add_abdl buf pairs =
+  add_blocks Abdl.Ast.to_buffer (Abdl.Exec.add_result ~indent) buf pairs
+
+let to_string add pairs =
+  let buf = Buffer.create 256 in
+  add buf pairs;
+  Buffer.contents buf
+
+let format_codasyl pairs = to_string add_codasyl pairs
+
+let format_daplex pairs = to_string add_daplex pairs
+
+let format_sql pairs = to_string add_sql pairs
+
+let format_dli pairs = to_string add_dli pairs
+
+let format_abdl pairs = to_string add_abdl pairs

@@ -324,48 +324,58 @@ let parse_cached t language src =
       Ok parsed
 
 (* KMS translation + KC execution + KFS formatting over an already-parsed
-   program. The engines interleave translation and execution per statement,
-   so those two stages share one span — each kernel request inside opens
-   its own [kernel.run] child. *)
-let run_parsed ?buf session parsed =
-  let exec execute format input =
+   program, the reply appended to [buf]. The engines interleave
+   translation and execution per statement, so those two stages share one
+   span — each kernel request inside opens its own [kernel.run] child. *)
+let run_parsed buf session parsed =
+  let exec execute add input =
     let results =
       Obs.Span.with_span "kms.translate+kc.execute" (fun () -> execute input)
     in
-    Obs.Span.with_span "kfs.format" (fun () -> format ?buf results)
+    Obs.Span.with_span "kfs.format" (fun () -> add buf results)
   in
   match session, parsed with
   | S_codasyl s, P_codasyl stmts ->
-    exec (Codasyl_dml.Engine.run_program s) Kfs.format_codasyl stmts
+    exec (Codasyl_dml.Engine.run_program s) Kfs.add_codasyl stmts
   | S_daplex engine, P_daplex stmts ->
-    exec (Daplex_dml.Engine.run_program engine) Kfs.format_daplex stmts
+    exec (Daplex_dml.Engine.run_program engine) Kfs.add_daplex stmts
   | S_sql engine, P_sql stmts ->
     exec
       (List.map (fun st -> st, Relational.Engine.execute engine st))
-      Kfs.format_sql stmts
+      Kfs.add_sql stmts
   | S_dli engine, P_dli calls ->
     exec
       (List.map (fun call -> call, Hierarchical.Engine.execute engine call))
-      Kfs.format_dli calls
+      Kfs.add_dli calls
   | S_abdl kernel, P_abdl requests ->
     exec
       (List.map (fun r -> r, Mapping.Kernel.run kernel r))
-      Kfs.format_abdl requests
+      Kfs.add_abdl requests
   | (S_codasyl _ | S_daplex _ | S_sql _ | S_dli _ | S_abdl _), _ ->
     invalid_arg "Mlds.System: parsed form does not match session language"
 
 (* One [mlds.submit] span per submission with the pipeline stages as
-   children: LIL parse (possibly a cache hit), then KMS+KC, then KFS. *)
-let submit_with ?buf ~parse session src =
+   children: LIL parse (possibly a cache hit), then KMS+KC, then KFS,
+   which appends the reply to [buf]. *)
+let submit_with buf ~parse session src =
   let language = session_language session in
   Obs.Span.with_span "mlds.submit"
     ~attrs:(fun () -> [ "language", language_to_string language ])
     (fun () ->
       match Obs.Span.with_span "lil.parse" (fun () -> parse language src) with
       | Error _ as e -> e
-      | Ok parsed -> Ok (run_parsed ?buf session parsed))
+      | Ok parsed ->
+        run_parsed buf session parsed;
+        Ok ())
 
-let submit session src = submit_with ~parse:parse_language session src
+(* the reply a submission left in [buf], as a string *)
+let reply_of buf = function
+  | Ok () -> Ok (Buffer.contents buf)
+  | Error e -> Error e
+
+let submit session src =
+  let buf = Buffer.create 256 in
+  reply_of buf (submit_with buf ~parse:parse_language session src)
 
 (* --- session handles ----------------------------------------------------- *)
 
@@ -481,19 +491,24 @@ let commit_txn h = end_txn h ~commit:true
 
 let abort_txn h = end_txn h ~commit:false
 
-let submit_handle ?buf h src =
+let submit_handle_into buf h src =
+  Buffer.clear buf;
   if h.h_closed then Error H_closed
   else
     match blocked h with
     | Some e -> Error e
     | None ->
       (match
-         submit_with ?buf
+         submit_with buf
            ~parse:(fun language src -> parse_cached h.h_system language src)
            h.h_session src
        with
-      | Ok _ as ok -> ok
+      | Ok () -> Ok ()
       | Error msg -> Error (H_parse msg))
+
+let submit_handle h src =
+  let buf = Buffer.create 256 in
+  reply_of buf (submit_handle_into buf h src)
 
 (* The selections an ABDL request evaluates — what .explain plans.
    INSERT touches no query; RETRIEVE_COMMON runs one per side. *)

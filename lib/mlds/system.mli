@@ -202,10 +202,15 @@ val handle_closed : handle -> bool
 
 (** [submit_handle h src] is {!submit} guarded by the handle's state:
     [H_closed] after {!close_handle}, [H_busy] while another handle's
-    transaction is open on the database, [H_parse] for parse failures.
-    KFS writes the reply into [buf] when given ({!Kfs}). *)
-val submit_handle :
-  ?buf:Buffer.t -> handle -> string -> (string, handle_error) result
+    transaction is open on the database, [H_parse] for parse failures. *)
+val submit_handle : handle -> string -> (string, handle_error) result
+
+(** [submit_handle_into buf h src] is {!submit_handle} with the reply
+    left in [buf] (cleared first) instead of returned: KFS writes it
+    there ({!Kfs}), and no reply string is made. The server's executor
+    reuses one buffer for every reply. *)
+val submit_handle_into :
+  Buffer.t -> handle -> string -> (unit, handle_error) result
 
 (** [explain_handle h src] parses [src] as ABDL — the kernel language,
     whatever the handle's session language — and renders the access plan

@@ -55,10 +55,24 @@ type gate =
   | Open
   | Failed of string
 
+(* What the executor computed for a request: a message, or an [Output]
+   whose text KFS left in the executor's [reply_buf]. *)
+type computed =
+  | Message of Wire.response
+  | Kfs_text
+
+(* A computed reply as its slot holds it: a message still to be framed,
+   or an [Output] already framed — a copy of the executor's frame bytes,
+   which the flushers and the loop may write after the executor has
+   moved on. *)
+type ready =
+  | Msg of Wire.response
+  | Frame of string
+
 type slot = {
   s_frame : Wire.request Wire.frame;
   mutable s_session : int;
-  mutable s_msg : Wire.response option;
+  mutable s_ready : ready option;
   mutable s_gate : gate;
 }
 
@@ -142,8 +156,10 @@ type t = {
   mutable executor_thread : Thread.t option;
   mutable loop_thread : Thread.t option;
   shutdown_mx : Mutex.t;
-  (* executor-owned: KFS writes every submitted statement's reply here *)
+  (* executor-owned: KFS writes every submitted statement's reply here,
+     and each is framed from here into [reply_frame] *)
   reply_buf : Buffer.t;
+  mutable reply_frame : Bytes.t;
   (* executor-owned: the online-checkpoint state machine *)
   mutable ckpt : ckpt_state option;
   mutable last_ckpt_s : float;
@@ -170,6 +186,15 @@ let c_rejected = Obs.Metrics.counter "server.rejected_total"
 let c_requests = Obs.Metrics.counter "server.requests_total"
 
 let c_disconnects = Obs.Metrics.counter "server.disconnects_total"
+
+(* How each [Output] framed in the executor's bytes left: wholly from
+   them, partly from them (the rest copied), or copied whole into its
+   slot to leave later (behind an unsent reply, or on a fsync). *)
+let c_reply_immediate = Obs.Metrics.counter "server.reply.immediate"
+
+let c_reply_partial = Obs.Metrics.counter "server.reply.partial"
+
+let c_reply_deferred = Obs.Metrics.counter "server.reply.deferred"
 
 (* requests whose execution raised: a fault in the program, not in the
    request, answered as [Exec_error] *)
@@ -217,42 +242,53 @@ let publish conn =
   Atomic.set conn.unsent
     (Queue.fold (fun n b -> n + String.length b) (-conn.out_pos) conn.out)
 
-(* Write what the socket takes now, never blocking, and publish what is
-   left. A failed write marks the connection dead and drops its bytes;
-   the loop reads the broken socket and drops the connection. The caller
-   holds [write_mx]. *)
+(* Write [len] bytes of [b] from [ofs] as far as the socket takes them
+   now, never blocking; the count written. A failed write marks the
+   connection dead. The caller holds [write_mx]. *)
+let rec write_some conn b ofs len =
+  if len = 0 then 0
+  else
+    match Unix.single_write conn.fd b ofs len with
+    | n ->
+      conn.progress_s <- Obs.Clock.now_s ();
+      n + write_some conn b (ofs + n) (len - n)
+    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> 0
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> write_some conn b ofs len
+    | exception _ ->
+      conn.alive <- false;
+      0
+
+(* Write what the socket takes of the unsent frames now and publish what
+   is left. A failed write drops the connection's bytes; the loop reads
+   the broken socket and drops the connection. The caller holds
+   [write_mx]. *)
 let write_out conn =
   let rec go () =
     match Queue.peek_opt conn.out with
     | None -> ()
-    | Some b ->
-      (match
-         Unix.single_write_substring conn.fd b conn.out_pos
-           (String.length b - conn.out_pos)
-       with
-      | n ->
-        conn.progress_s <- Obs.Clock.now_s ();
-        conn.out_pos <- conn.out_pos + n;
-        if conn.out_pos = String.length b then begin
-          ignore (Queue.pop conn.out);
-          conn.out_pos <- 0
-        end;
-        go ()
-      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
-      | exception _ ->
-        conn.alive <- false;
+    | Some s ->
+      let len = String.length s - conn.out_pos in
+      (* [write] only reads the bytes *)
+      let n = write_some conn (Bytes.unsafe_of_string s) conn.out_pos len in
+      if not conn.alive then begin
         Queue.clear conn.out;
-        conn.out_pos <- 0)
+        conn.out_pos <- 0
+      end
+      else if n = len then begin
+        ignore (Queue.pop conn.out);
+        conn.out_pos <- 0;
+        go ()
+      end
+      else conn.out_pos <- conn.out_pos + n
   in
   go ();
   publish conn
 
-(* Queue some of a frame's bytes, as they are: nothing is copied. When
-   nothing was waiting, try the socket at once, so the common frame
-   leaves from the thread that released it; what the socket does not
-   take, the loop writes. True when that left bytes the loop does not
-   know of yet. The caller holds [write_mx]. *)
+(* Queue one whole frame, as it is: nothing is copied. When nothing was
+   waiting, try the socket at once, so the common frame leaves from the
+   thread that released it; what the socket does not take, the loop
+   writes. True when that left bytes the loop does not know of yet. The
+   caller holds [write_mx]. *)
 let push_out conn bytes =
   let idle = Queue.is_empty conn.out in
   Queue.push bytes conn.out;
@@ -263,7 +299,30 @@ let push_out conn bytes =
   else publish conn;
   idle && not (Queue.is_empty conn.out)
 
-let encode frame = Bytes.unsafe_to_string (Wire.frame (Wire.encode_response frame))
+(* A connection request replies are written to *)
+let sendable conn = conn.alive && Option.is_none conn.stream
+
+(* Write a frame straight from the executor's bytes, when nothing is
+   unsent, and queue a copy of only the part the socket did not take.
+   The caller holds [write_mx]. *)
+let write_direct t conn b len =
+  let n = write_some conn b 0 len in
+  if conn.alive && n < len then begin
+    Obs.Metrics.incr c_reply_partial;
+    Queue.push (Bytes.sub_string b n (len - n)) conn.out;
+    conn.progress_s <- Obs.Clock.now_s ();
+    publish conn;
+    wake t
+  end
+  else Obs.Metrics.incr c_reply_immediate
+
+(* A response as one frame: an [Output]'s text is copied once. *)
+let encode (frame : Wire.response Wire.frame) =
+  match frame.Wire.msg with
+  | Wire.Output text ->
+    Wire.frame_output ~request_id:frame.Wire.request_id
+      ~session_id:frame.Wire.session_id text
+  | _ -> Bytes.unsafe_to_string (Wire.frame (Wire.encode_response frame))
 
 (* What answers a reply the wire cannot carry: an error under the same
    ids, or 0 for an id outside u32. *)
@@ -277,40 +336,20 @@ let refusal (frame : Wire.response Wire.frame) why =
       msg = Wire.Err (Wire.Exec_error, why);
     }
 
-(* An [Output] frame up to this size is one string: a copy this small
-   is a minor-heap allocation, cheaper than a second write and a second
-   TCP segment (the sockets are TCP_NODELAY). *)
-let joined_output_max = 2048
+(* Queue one framed reply, waking the loop for what the socket did not
+   take. The caller holds [write_mx]. *)
+let queue_frame t conn bytes =
+  if sendable conn && push_out conn bytes then wake t
 
-(* Queue one reply. A longer [Output] leaves as its 18-byte prefix and
-   then its text, so the text is never copied into a frame. A reply
-   past the frame limit, or with an id past u32, leaves as an error,
-   never as a raise on the executor or a flusher. The caller holds
-   [write_mx]. *)
+(* Queue one reply as one frame. A reply past the frame limit, or with
+   an id past u32, leaves as an error, never as a raise on the executor
+   or a flusher. The caller holds [write_mx]. *)
 let write_locked t conn (frame : Wire.response Wire.frame) =
-  if conn.alive && Option.is_none conn.stream then begin
-    let unseen =
-      match frame.Wire.msg with
-      | Wire.Output text -> (
-        match
-          Wire.output_prefix ~request_id:frame.Wire.request_id
-            ~session_id:frame.Wire.session_id (String.length text)
-        with
-        | prefix when String.length prefix + String.length text <= joined_output_max
-          ->
-          push_out conn (prefix ^ text)
-        | prefix ->
-          let first = push_out conn prefix in
-          let rest = push_out conn text in
-          first || rest
-        | exception Invalid_argument why -> push_out conn (refusal frame why))
-      | _ -> (
-        match encode frame with
-        | bytes -> push_out conn bytes
-        | exception Invalid_argument why -> push_out conn (refusal frame why))
-    in
-    if unseen then wake t
-  end
+  if sendable conn then
+    queue_frame t conn
+      (match encode frame with
+      | bytes -> bytes
+      | exception Invalid_argument why -> refusal frame why)
 
 let frame_to (req : 'a Wire.frame) ~session_id msg =
   {
@@ -338,16 +377,17 @@ let reply t conn (req : 'a Wire.frame) msg =
    show, or confirm, a write that is not durable. *)
 let rec flush_outbox t conn =
   match Queue.peek_opt conn.outbox with
-  | Some { s_msg = Some msg; s_gate = (Open | Failed _) as gate; s_frame; s_session }
+  | Some
+      { s_ready = Some ready; s_gate = (Open | Failed _) as gate; s_frame; s_session }
     ->
     ignore (Queue.pop conn.outbox);
-    let msg =
-      match gate, msg with
-      | Failed why, (Wire.Output _ | Wire.Logged_in _ | Wire.Goodbye) ->
-        Wire.Err (Wire.Exec_error, why)
-      | _ -> msg
-    in
-    write_locked t conn (frame_to s_frame ~session_id:s_session msg);
+    (match gate, ready with
+    | Failed why, (Frame _ | Msg (Wire.Output _ | Wire.Logged_in _ | Wire.Goodbye))
+      ->
+      write_locked t conn
+        (frame_to s_frame ~session_id:s_session (Wire.Err (Wire.Exec_error, why)))
+    | _, Frame bytes -> queue_frame t conn bytes
+    | _, Msg msg -> write_locked t conn (frame_to s_frame ~session_id:s_session msg));
     flush_outbox t conn
   | Some _ | None -> ()
 
@@ -363,7 +403,7 @@ let enqueue t conn (frame : Wire.request Wire.frame) =
     {
       s_frame = frame;
       s_session = frame.Wire.session_id;
-      s_msg = None;
+      s_ready = None;
       s_gate = Waiting;
     }
   in
@@ -387,26 +427,63 @@ let flusher_for t wal =
     t.flushers <- f :: t.flushers;
     f
 
+(* Frame an [Output] KFS left in [reply_buf] once, into the executor's
+   [reply_frame]. When it can leave now — its slot heads the outbox, its
+   gate is open and nothing is unsent — write it from there and copy
+   only the part the socket does not take; otherwise copy the whole
+   frame into its slot. A frame the wire cannot carry becomes its
+   refusal. The caller holds [write_mx], on the executor. *)
+let frame_kfs_text t conn slot =
+  let session_id = slot.s_session in
+  (match
+     Wire.output_frame ~into:t.reply_frame
+       ~request_id:slot.s_frame.Wire.request_id ~session_id t.reply_buf
+   with
+  | exception Invalid_argument why ->
+    slot.s_ready <-
+      Some (Frame (refusal (frame_to slot.s_frame ~session_id (Wire.Output "")) why))
+  | b ->
+    let len = Wire.output_head_bytes + Buffer.length t.reply_buf in
+    (match Queue.peek_opt conn.outbox with
+    | Some first when first == slot && slot.s_gate = Open && Queue.is_empty conn.out
+      ->
+      ignore (Queue.pop conn.outbox);
+      if sendable conn then write_direct t conn b len
+    | Some _ | None ->
+      Obs.Metrics.incr c_reply_deferred;
+      slot.s_ready <- Some (Frame (Bytes.sub_string b 0 len)));
+    (* one huge reply must not keep its bytes for good *)
+    t.reply_frame <-
+      (if Bytes.length b > out_limit then Bytes.create 4096 else b));
+  if Buffer.length t.reply_buf > out_limit then Buffer.reset t.reply_buf
+
 (* Fill the slot with its reply, under the release rule. A reply depends
    on its session's database WAL up to the commit position right after
    it executed: everything the reply can show or confirm lies below it.
    It leaves once that position is durable — at once when there is no
-   WAL. *)
-let complete t conn slot ~session ~db msg =
-  let wal = Option.bind db (fun db -> Mlds.System.wal_of t.sys ~db) in
+   WAL, or when that position is durable already. *)
+let complete t conn slot ~session ~db computed =
+  let gate =
+    Option.map
+      (fun wal -> flusher_for t wal, Mlds.Wal.committed_position wal)
+      (Option.bind db (fun db -> Mlds.System.wal_of t.sys ~db))
+  in
+  let pending =
+    match gate with Some (f, pos) -> not (Flusher.durable f pos) | None -> false
+  in
   update t conn (fun () ->
       slot.s_session <- session;
-      slot.s_msg <- Some msg;
-      if Option.is_none wal then slot.s_gate <- Open);
-  Option.iter
-    (fun wal ->
-      Flusher.when_durable (flusher_for t wal)
-        (Mlds.Wal.committed_position wal)
-        (fun failed ->
-          update t conn (fun () ->
-              slot.s_gate <-
-                (match failed with None -> Open | Some why -> Failed why))))
-    wal
+      if not pending then slot.s_gate <- Open;
+      match computed with
+      | Message msg -> slot.s_ready <- Some (Msg msg)
+      | Kfs_text -> frame_kfs_text t conn slot);
+  match gate with
+  | Some (f, pos) when pending ->
+    Flusher.when_durable f pos (fun failed ->
+        update t conn (fun () ->
+            slot.s_gate <-
+              (match failed with None -> Open | Some why -> Failed why)))
+  | Some _ | None -> ()
 
 (* --- the executor -------------------------------------------------------- *)
 
@@ -437,18 +514,24 @@ let outcome_of_msg = function
    under the recorder's mutex, so this is safe from the executor and the
    I/O loop (the Overloaded path). *)
 let record_event t (frame : Wire.request Wire.frame) ~session
-    ~language ~latency_s ~msg ~batch =
+    ~language ~latency_s ~batch computed =
   match t.recorder with
   | None -> ()
   | Some r ->
+    let bytes_out, outcome =
+      match computed with
+      | Message msg -> Wire.response_size msg, outcome_of_msg msg
+      | Kfs_text ->
+        ( Wire.response_size (Wire.Output "") + Buffer.length t.reply_buf,
+          Obs.Recorder.O_ok )
+    in
     ignore
       (Obs.Recorder.record r ~ts_s:(Obs.Clock.now_s ()) ~session
          ~request_id:frame.Wire.request_id ~language
          ~opcode:(Wire.opcode_name frame.Wire.msg)
          ~latency_s
          ~bytes_in:(Wire.request_size frame.Wire.msg)
-         ~bytes_out:(Wire.response_size msg)
-         ~outcome:(outcome_of_msg msg) ~batch)
+         ~bytes_out ~outcome ~batch)
 
 (* Requests at or over the threshold additionally land in the slow-query
    log, with the statement text and the planner's rendering captured
@@ -488,7 +571,7 @@ let capture_slow t (frame : Wire.request Wire.frame) ~session ~language
    reply to it outside the outbox. *)
 let answer t conn (frame : Wire.request Wire.frame) ~latency_s msg =
   record_event t frame ~session:frame.Wire.session_id ~language:"-" ~latency_s
-    ~msg ~batch:(Atomic.get t.batch_seq);
+    ~batch:(Atomic.get t.batch_seq) (Message msg);
   reply t conn frame msg
 
 (* --- telemetry responses (Stats / Tail) ----------------------------------- *)
@@ -584,15 +667,18 @@ let timed_request conn (frame : Wire.request Wire.frame) f =
   Obs.Metrics.observe (h_opcode frame.Wire.msg) dt;
   (msg, dt)
 
-(* Compute (never send) the response to one frame, on the executor. Also
-   returns the database of the session the request ran under: its WAL
-   gates the reply. *)
+(* Compute (never send) the response to one frame, on the executor: a
+   submitted statement's [Output] stays in [reply_buf]. Also returns the
+   database of the session the request ran under: its WAL gates the
+   reply. *)
 let compute_response t conn (frame : Wire.request Wire.frame) =
   let session_id = ref frame.Wire.session_id in
   (* the handle the request ran against, kept for the flight recorder
      (language tag), the slow-query log (plan capture) and the gate *)
   let used_handle = ref None in
-  let msg, dt =
+  let err kind why = Message (Wire.Err (kind, why)) in
+  let handle_error e = Message (response_of_handle_error e) in
+  let computed, dt =
     timed_request conn frame (fun () ->
         match frame.Wire.msg with
         | Wire.Login { user; language; db } ->
@@ -602,29 +688,27 @@ let compute_response t conn (frame : Wire.request Wire.frame) =
           | Ok entry ->
             session_id := entry.Sessions.id;
             used_handle := Some entry.Sessions.handle;
-            Wire.Logged_in entry.Sessions.id
-          | Error msg -> Wire.Err (Wire.Exec_error, msg))
+            Message (Wire.Logged_in entry.Sessions.id)
+          | Error msg -> err Wire.Exec_error msg)
         (* unreachable: the I/O loop answers these, and the batch walk
            answers Stats and Checkpoint itself *)
         | Wire.Ping | Wire.Bye | Wire.Stats | Wire.Tail _ | Wire.Checkpoint
         | Wire.Promote | Wire.Repl_hello _ ->
-          Wire.Err (Wire.Bad_request, "not an executor request")
+          err Wire.Bad_request "not an executor request"
         | Wire.Submit _ | Wire.Explain _ | Wire.Begin_txn | Wire.Commit_txn
         | Wire.Abort_txn | Wire.Logout ->
           (match Sessions.find t.sessions frame.Wire.session_id with
           | None ->
-            Wire.Err
-              ( Wire.Bad_session,
-                Printf.sprintf "unknown session %d" frame.Wire.session_id )
+            err Wire.Bad_session
+              (Printf.sprintf "unknown session %d" frame.Wire.session_id)
           (* Sessions are connection-scoped: ids are guessable small
              integers, so a frame naming a session opened on another
              connection is a hijack attempt, not a valid request. The
              reply deliberately matches the unknown-session error — it
              must not confirm that the id exists elsewhere. *)
           | Some entry when entry.Sessions.conn <> conn.c_id ->
-            Wire.Err
-              ( Wire.Bad_session,
-                Printf.sprintf "unknown session %d" frame.Wire.session_id )
+            err Wire.Bad_session
+              (Printf.sprintf "unknown session %d" frame.Wire.session_id)
           | Some entry ->
             Sessions.touch entry;
             let handle = entry.Sessions.handle in
@@ -644,31 +728,26 @@ let compute_response t conn (frame : Wire.request Wire.frame) =
               | _ -> false
             in
             if refused_read_only then
-              Wire.Err
-                ( Wire.Read_only,
-                  "standby is read-only: writes go to the primary (or \
-                   promote this standby first)" )
+              err Wire.Read_only
+                "standby is read-only: writes go to the primary (or promote \
+                 this standby first)"
             else (match frame.Wire.msg with
             | Wire.Submit src ->
-              let res = Mlds.System.submit_handle ~buf:t.reply_buf handle src in
-              (* one huge reply must not keep its buffer for good *)
-              if Buffer.length t.reply_buf > out_limit then
-                Buffer.reset t.reply_buf;
-              (match res with
-              | Ok out -> Wire.Output out
-              | Error e -> response_of_handle_error e)
+              (match Mlds.System.submit_handle_into t.reply_buf handle src with
+              | Ok () -> Kfs_text
+              | Error e -> handle_error e)
             | Wire.Explain src ->
               (match Mlds.System.explain_handle handle src with
-              | Ok out -> Wire.Output out
-              | Error e -> response_of_handle_error e)
+              | Ok out -> Message (Wire.Output out)
+              | Error e -> handle_error e)
             | (Wire.Begin_txn | Wire.Commit_txn | Wire.Abort_txn) as op ->
               let run, acknowledged = txn op in
               (match run handle with
-              | Ok () -> Wire.Output acknowledged
-              | Error e -> response_of_handle_error e)
+              | Ok () -> Message (Wire.Output acknowledged)
+              | Error e -> handle_error e)
             | Wire.Logout ->
               Sessions.close t.sessions entry;
-              Wire.Goodbye
+              Message Wire.Goodbye
             | Wire.Login _ | Wire.Ping | Wire.Bye | Wire.Stats | Wire.Tail _
             | Wire.Checkpoint | Wire.Promote | Wire.Repl_hello _ ->
               assert false)))
@@ -679,10 +758,11 @@ let compute_response t conn (frame : Wire.request Wire.frame) =
     | None -> "-"
   in
   let batch = Atomic.get t.batch_seq in
-  record_event t frame ~session:!session_id ~language ~latency_s:dt ~msg ~batch;
+  record_event t frame ~session:!session_id ~language ~latency_s:dt ~batch
+    computed;
   capture_slow t frame ~session:!session_id ~language ~latency_s:dt
     ~handle:!used_handle;
-  !session_id, Option.map Mlds.System.handle_db !used_handle, msg
+  !session_id, Option.map Mlds.System.handle_db !used_handle, computed
 
 (* Answer a telemetry op (Stats/Tail) in place, outside the outbox and
    never gated on a fsync. Stats arrives on the control lane (it reads
@@ -871,15 +951,15 @@ let execute_batch t jobs =
     | J_task f -> (try f () with _ -> ())
     | J_request (conn, frame) ->
       let slot = enqueue t conn frame in
-      let session, db, msg =
+      let session, db, computed =
         try compute_response t conn frame
         with exn ->
           Obs.Metrics.incr c_internal;
           ( frame.Wire.session_id,
             None,
-            Wire.Err (Wire.Exec_error, Printexc.to_string exn) )
+            Message (Wire.Err (Wire.Exec_error, Printexc.to_string exn)) )
       in
-      complete t conn slot ~session ~db msg
+      complete t conn slot ~session ~db computed
     | J_disconnect conn ->
       (* the disconnect contract: sessions die with their connection,
          aborting any transaction left open *)
@@ -984,7 +1064,7 @@ let dispatch t conn (frame : Wire.request Wire.frame) =
     let arrival = Obs.Clock.now_s () in
     let answer msg =
       record_event t frame ~session:frame.Wire.session_id ~language:"-"
-        ~latency_s:(Obs.Clock.since arrival) ~msg ~batch:0;
+        ~latency_s:(Obs.Clock.since arrival) ~batch:0 (Message msg);
       reply t conn frame msg
     in
     if Option.is_none t.promote_hook then
@@ -1022,7 +1102,7 @@ let dispatch t conn (frame : Wire.request Wire.frame) =
          The latency is the (tiny but honest) admission-to-reject time. *)
       Obs.Metrics.incr c_rejected;
       record_event t frame ~session:frame.Wire.session_id ~language:"-"
-        ~latency_s:(Obs.Clock.since arrival) ~msg:Wire.Overloaded ~batch:0;
+        ~latency_s:(Obs.Clock.since arrival) ~batch:0 (Message Wire.Overloaded);
       reply t conn frame Wire.Overloaded
     end;
     note_depth t
@@ -1253,6 +1333,7 @@ let create ?(config = default_config) ?(on_drain = fun () -> ()) sys =
            loop_thread = None;
            shutdown_mx = Mutex.create ();
            reply_buf = Buffer.create 4096;
+           reply_frame = Bytes.create 4096;
            ckpt = None;
            last_ckpt_s = Obs.Clock.now_s ();
            last_ckpt_mark = 0;

@@ -20,6 +20,8 @@ let request t pos =
         Condition.broadcast t.cond
       end)
 
+let durable t pos = Mutex.protect t.mx (fun () -> pos <= t.durable)
+
 let when_durable t pos k =
   let now =
     Mutex.protect t.mx (fun () ->

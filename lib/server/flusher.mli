@@ -22,6 +22,11 @@ val wal : t -> Mlds.Wal.t
 (** [request t pos] asks for [pos] to become durable; returns at once. *)
 val request : t -> int -> unit
 
+(** [durable t pos] is true when [pos] is durable already: the check
+    {!when_durable} makes first, made synchronously and with nothing
+    registered. A position a failed fsync left behind is not durable. *)
+val durable : t -> int -> bool
+
 (** [when_durable t pos k] runs [k None] once [pos] is durable, or
     [k (Some why)] if the fsync covering it fails — immediately, on the
     calling thread, when [pos] is already durable; otherwise later, on

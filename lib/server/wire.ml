@@ -291,20 +291,43 @@ let encode_response f =
 
 (* The frame [encode_response] gives an [Output], up to its text: the
    length prefix, the header and the text's length. *)
-let output_prefix ~request_id ~session_id len =
+let output_head_bytes = 4 + header_bytes + 4
+
+(* Check what [encode_response] and [frame] check, before any byte is
+   written: the ids fit u32, the frame fits the limit. *)
+let check_output ~request_id ~session_id len =
   let in_u32 v = v >= 0 && v <= 0xffff_ffff in
   if not (in_u32 request_id && in_u32 session_id) then
-    invalid_arg "Wire.output_prefix: id out of range";
-  let payload = header_bytes + 4 + len in
-  if len < 0 || payload > max_frame_bytes then
-    invalid_arg "Wire.output_prefix: frame too large";
-  let b = Bytes.create (4 + payload - len) in
-  Bytes.set_int32_be b 0 (Int32.of_int payload);
+    invalid_arg "Wire.output_frame: id out of range";
+  if len < 0 || header_bytes + 4 + len > max_frame_bytes then
+    invalid_arg "Wire.output_frame: frame too large"
+
+let put_output_head b ~request_id ~session_id len =
+  Bytes.set_int32_be b 0 (Int32.of_int (header_bytes + 4 + len));
   Bytes.set_uint8 b 4 protocol_version;
   Bytes.set_int32_be b 5 (Int32.of_int request_id);
   Bytes.set_int32_be b 9 (Int32.of_int session_id);
   Bytes.set_uint8 b 13 (response_opcode (Output ""));
-  Bytes.set_int32_be b 14 (Int32.of_int len);
+  Bytes.set_int32_be b 14 (Int32.of_int len)
+
+let output_frame ~into ~request_id ~session_id text =
+  let len = Buffer.length text in
+  check_output ~request_id ~session_id len;
+  let need = output_head_bytes + len in
+  let b =
+    if Bytes.length into >= need then into
+    else Bytes.create (max need (2 * Bytes.length into))
+  in
+  put_output_head b ~request_id ~session_id len;
+  Buffer.blit text 0 b output_head_bytes len;
+  b
+
+let frame_output ~request_id ~session_id text =
+  let len = String.length text in
+  check_output ~request_id ~session_id len;
+  let b = Bytes.create (output_head_bytes + len) in
+  put_output_head b ~request_id ~session_id len;
+  Bytes.blit_string text 0 b output_head_bytes len;
   Bytes.unsafe_to_string b
 
 let decode_response data =

@@ -21,7 +21,7 @@
     blocking {!read_frame}/{!write_frame} are the only IO here (the
     client library and the replication plane use them); the server's
     I/O loop frames its non-blocking sockets with {!frame},
-    {!output_prefix} and {!next_frame}. *)
+    {!output_frame}, {!frame_output} and {!next_frame}. *)
 
 (** Client → server messages. [Login] binds a new session on this
     connection (any number may be opened; each frame names its target via
@@ -191,14 +191,28 @@ val frame : string -> Bytes.t
 val next_frame :
   Bytes.t -> pos:int -> len:int -> ((string * int) option, string) result
 
-(** [output_prefix ~request_id ~session_id len] is the first 18 bytes
-    of the frame ({!frame} of {!encode_response}) that answers an
-    [Output] of a [len]-byte text: the length prefix, the header and the
-    text's length. The text follows it unchanged, so a reply can leave
-    as these bytes and then its text, with no copy of the text. Raises
-    [Invalid_argument] where {!encode_response} or {!frame} would: an id
-    outside [u32], a frame past {!max_frame_bytes}. *)
-val output_prefix : request_id:int -> session_id:int -> int -> string
+(** The bytes of an [Output] frame before its text: the length prefix,
+    the header and the text's length (18). *)
+val output_head_bytes : int
+
+(** [output_frame ~into ~request_id ~session_id text] writes the frame
+    that answers an [Output] of [text]'s contents ({!frame} of
+    {!encode_response}): its {!output_head_bytes} head, then the text,
+    blitted from the buffer. It writes into [into] when the frame fits
+    and returns [into]; otherwise it writes into, and returns, fresh
+    bytes (at least twice [into]'s size), which the caller may keep for
+    the next reply. The frame is the first [output_head_bytes +
+    Buffer.length text] of the bytes returned; no string is made. Raises
+    [Invalid_argument], before writing anything, where
+    {!encode_response} or {!frame} would: an id outside [u32], a frame
+    past {!max_frame_bytes}. *)
+val output_frame :
+  into:Bytes.t -> request_id:int -> session_id:int -> Buffer.t -> Bytes.t
+
+(** [frame_output ~request_id ~session_id text] is the same frame of a
+    string text, as one string: one copy of the text. Raises like
+    {!output_frame}. *)
+val frame_output : request_id:int -> session_id:int -> string -> string
 
 (** {2 Blocking IO} *)
 

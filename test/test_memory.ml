@@ -346,6 +346,113 @@ let test_scan_read_words () =
     Alcotest.failf "scan-mbds reads: %.0f minor words a read (bound %.0f)"
       per_read scan_read_words_bound
 
+(* Words allocated directly in the major heap per scan-mbds read, served
+   by a socket server: client 0's seed-1 stream after a 1 000-op warm-up,
+   the next 300 reads, through an in-process [Server.Core] over the
+   2-backend MBDS with no pool worker ([Oltp_words.scan_system]), from a
+   client that reads each reply into one reused buffer. Every thread
+   runs on this domain, so its [Gc.counters] count the server's
+   allocations and the client's. A block over 2 KiB skips the minor heap
+   and is allocated, and later freed, in the major heap on its own
+   ([major - promoted] words, a minor collection on each side of the
+   read). The counters are the domain's own, where both words of a
+   promotion land: a pool worker domain left by an earlier test helps
+   empty this domain's minor heap, and the program-wide
+   [Gc.quick_stat] then reads ~130 words a read more. A scan-mbds reply
+   averages ~2.8 KB. With a string per reply
+   (the KFS buffer's [Buffer.contents]) a read allocates ~365 such
+   words, ~720 if that string is then framed by a copy; framed once in
+   the executor's bytes, ~6 (E45). *)
+let scan_reply_major_words_bound = 100.
+
+let test_scan_reply_major_words () =
+  let module W = Perfbench.Workloads in
+  let module Wire = Server.Wire in
+  let sys = Oltp_words.scan_system ~seed:1 in
+  match
+    Server.Core.create ~config:{ Server.Core.default_config with port = 0 } sys
+  with
+  | Error msg -> Alcotest.failf "server create: %s" msg
+  | Ok server ->
+    Fun.protect ~finally:(fun () -> Server.Core.shutdown server) @@ fun () ->
+    let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+    Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+    Unix.connect fd
+      (Unix.ADDR_INET (Unix.inet_addr_loopback, Server.Core.port server));
+    let buf = ref (Bytes.create 65536) in
+    let rec read_into pos len =
+      if len > 0 then
+        match Unix.read fd !buf pos len with
+        | 0 -> Alcotest.fail "server closed the connection"
+        | n -> read_into (pos + n) (len - n)
+    in
+    (* one reply's payload into [buf]: its opcode *)
+    let recv () =
+      read_into 0 4;
+      let len = Int32.to_int (Bytes.get_int32_be !buf 0) in
+      if len > Bytes.length !buf then buf := Bytes.create (2 * len);
+      read_into 0 len;
+      match Bytes.get_uint8 !buf 9 with
+      | 0x83 ->
+        Alcotest.failf "server error: %s"
+          (match Wire.decode_response (Bytes.sub_string !buf 0 len) with
+          | Ok { Wire.msg = Wire.Err (_, why); _ } -> why
+          | _ -> "undecodable")
+      | op -> op
+    in
+    let session = ref 0 in
+    let send msg =
+      Wire.write_frame fd
+        (Wire.encode_request
+           { Wire.version = Wire.protocol_version; request_id = 1;
+             session_id = !session; msg })
+    in
+    let step (op : W.op) =
+      if op.login then begin
+        if !session > 0 then begin
+          send Wire.Logout;
+          ignore (recv ())
+        end;
+        send
+          (Wire.Login
+             { user = "c0"; language = Mlds.System.language_to_string op.lang;
+               db = op.db });
+        if recv () <> 0x81 then Alcotest.fail "login refused";
+        session := Int32.to_int (Bytes.get_int32_be !buf 10)
+      end;
+      send (Wire.Submit op.text);
+      if recv () <> 0x82 then Alcotest.failf "%s: not an Output" op.text
+    in
+    let next = W.ops W.Scan_mbds ~seed:1 ~client:0 (W.catalog W.Scan_mbds sys) in
+    let rec run ~warmup ~reads direct =
+      let op = next () in
+      match op.kind with
+      | W.Checkpoint -> run ~warmup ~reads direct
+      | _ when warmup > 0 ->
+        step op;
+        run ~warmup:(warmup - 1) ~reads direct
+      | W.Write ->
+        step op;
+        run ~warmup ~reads direct
+      | W.Read when reads = 0 -> direct
+      | W.Read ->
+        (* a minor collection on each side, so the words promoted are
+           the read's own *)
+        Gc.minor ();
+        let _, p0, m0 = Gc.counters () in
+        step op;
+        Gc.minor ();
+        let _, p1, m1 = Gc.counters () in
+        run ~warmup ~reads:(reads - 1) (direct +. (m1 -. m0) -. (p1 -. p0))
+    in
+    let reads = 300 in
+    let per_read = run ~warmup:1_000 ~reads 0. /. float_of_int reads in
+    if per_read > scan_reply_major_words_bound then
+      Alcotest.failf
+        "scan-mbds reads over a socket: %.0f words a read allocated directly \
+         in the major heap (bound %.0f)"
+        per_read scan_reply_major_words_bound
+
 let suite =
   [
     "shared SQL engine: live heap flat over 20 000 SELECTs", `Quick,
@@ -359,4 +466,6 @@ let suite =
     "oltp-point: live heap flat after the statement cache fills", `Quick,
     test_oltp_live_heap_flat;
     "scan-mbds: minor words per read", `Quick, test_scan_read_words;
+    "scan-mbds: directly-major words per read over a socket", `Quick,
+    test_scan_reply_major_words;
   ]

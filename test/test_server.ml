@@ -80,49 +80,71 @@ let prop_response_roundtrip =
     (gen_frame gen_response) (fun f ->
       Wire.decode_response (Wire.encode_response f) = Ok f)
 
-(* An [Output] reply leaves as [output_prefix] and then its text: those
-   bytes are the frame [encode_response] gives, and decode to the same
-   reply. Ids cover the whole u32 range; an id outside it, or a text past
-   the frame limit, is refused by both with [Invalid_argument] (the
-   server then sends an error frame). *)
-let prop_output_prefix =
+(* An [Output] reply is framed once: into the executor's bytes from its
+   reply buffer ([output_frame], into bytes too small or large enough),
+   or into one string from a text ([frame_output]). Both are the frame
+   [encode_response] gives, and decode to the same reply. Ids cover the
+   whole u32 range; an id outside it, or a text past the frame limit, is
+   refused by all three with [Invalid_argument], before a byte is
+   written (the server then sends an error frame). *)
+let prop_output_frame =
   let open QCheck2.Gen in
   let id = oneof [ int_range 0 0xFFFF_FFFF; oneofl [ 0; 0xFFFF_FFFF ] ] in
   let bad_id = oneofl [ -1; 0x1_0000_0000; max_int; min_int ] in
   let gen =
-    oneof
+    frequency
       [
-        map3 (fun r s text -> `Ok (r, s, text)) id id
-          (string_size ~gen:char (oneof [ int_range 0 40; int_range 0 70_000 ]));
-        map2 (fun r s -> `Bad_id (r, s)) bad_id id;
-        map2 (fun r s -> `Bad_id (s, r)) bad_id id;
-        pure `Too_long;
+        ( 8,
+          map4
+            (fun r s text into -> `Ok (r, s, text, into))
+            id id
+            (string_size ~gen:char (oneof [ int_range 0 40; int_range 0 70_000 ]))
+            (oneofl [ 0; 18; 4096; 80_000 ]) );
+        1, map2 (fun r s -> `Bad_id (r, s)) bad_id id;
+        1, map2 (fun r s -> `Bad_id (s, r)) bad_id id;
+        1, pure `Too_long;
       ]
   in
   let refused f = match f () with _ -> false | exception Invalid_argument _ -> true in
+  let buffer text =
+    let b = Buffer.create (String.length text) in
+    Buffer.add_string b text;
+    b
+  in
   QCheck2.Test.make ~name:"output prefix + text = encoded Output frame" ~count:300 gen
     (function
-      | `Ok (request_id, session_id, text) ->
+      | `Ok (request_id, session_id, text, into) ->
         let f =
           { Wire.version = Wire.protocol_version; request_id; session_id;
             msg = Wire.Output text }
         in
-        let prefix = Wire.output_prefix ~request_id ~session_id (String.length text) in
-        let framed = prefix ^ text in
-        String.length prefix = 18
-        && String.equal framed (Bytes.to_string (Wire.frame (Wire.encode_response f)))
+        let want = Bytes.to_string (Wire.frame (Wire.encode_response f)) in
+        let into = Bytes.make into '?' in
+        let b = Wire.output_frame ~into ~request_id ~session_id (buffer text) in
+        let framed = Bytes.sub_string b 0 (Wire.output_head_bytes + String.length text) in
+        Wire.output_head_bytes = 18
+        && (b == into) = (Bytes.length into >= String.length want)
+        && String.equal framed want
+        && String.equal (Wire.frame_output ~request_id ~session_id text) want
         && Wire.decode_response (String.sub framed 4 (String.length framed - 4)) = Ok f
       | `Bad_id (request_id, session_id) ->
         let f =
           { Wire.version = Wire.protocol_version; request_id; session_id;
             msg = Wire.Output "x" }
         in
-        refused (fun () -> Wire.output_prefix ~request_id ~session_id 1)
+        let into = Bytes.make 64 '?' in
+        refused (fun () -> Wire.output_frame ~into ~request_id ~session_id (buffer "x"))
+        && Bytes.equal into (Bytes.make 64 '?')
+        && refused (fun () -> Wire.frame_output ~request_id ~session_id "x")
         && refused (fun () -> Wire.encode_response f)
       | `Too_long ->
-        let len = Wire.max_frame_bytes in
-        refused (fun () -> Wire.output_prefix ~request_id:1 ~session_id:1 len)
-        && refused (fun () -> Wire.frame (String.make (18 + len - 4) 'x')))
+        (* the shortest text whose frame is past the limit *)
+        let text = String.make (Wire.max_frame_bytes - 13) 'x' in
+        refused (fun () ->
+            Wire.output_frame ~into:(Bytes.create 0) ~request_id:1 ~session_id:1
+              (buffer text))
+        && refused (fun () -> Wire.frame_output ~request_id:1 ~session_id:1 text)
+        && refused (fun () -> Wire.frame (String.make (18 + String.length text - 4) 'x')))
 
 (* [write_frame (encode_response f)] puts on the wire exactly what the
    two-step encoding did: a buffer holding the u32 length prefix and the
@@ -1768,8 +1790,8 @@ let test_fsync_eio_observer () =
    arriving at once; after [send_timeout_s] without write progress the
    server closes the stalled connection, and its session closes with
    it, aborting the transaction it left open. *)
-(* One frame read [chunk] bytes at a time, with a pause after each:
-   a client that reads slower than the server writes. *)
+(* One frame, prefix included, read [chunk] bytes at a time with a
+   pause after each: a client that reads slower than the server writes. *)
 let slow_recv fd ~chunk ~pause_s =
   let read_exactly n =
     let b = Bytes.create n in
@@ -1786,18 +1808,16 @@ let slow_recv fd ~chunk ~pause_s =
     Bytes.unsafe_to_string b
   in
   let prefix = read_exactly 4 in
-  let len = Int32.to_int (String.get_int32_be prefix 0) in
-  match Wire.decode_response (read_exactly len) with
-  | Ok f -> f
-  | Error msg -> Alcotest.failf "decode response: %s" msg
+  prefix ^ read_exactly (Int32.to_int (String.get_int32_be prefix 0))
 
-(* Replies that leave as a prefix and a text, pipelined to a client
-   that reads slowly: twelve RETRIEVEs of different row sets, each reply
-   up to ~300 KB, ~2 MB in all, against a 4 KiB receive window, so most
-   of each reply waits in the connection's queue behind the one before.
-   Every reply arrives whole, in order, and equal to the reply an
-   in-process submit gives. *)
-let test_pipelined_large_replies () =
+let reply_paths () =
+  List.map
+    (fun name -> Obs.Metrics.counter_value (Obs.Metrics.counter ("server.reply." ^ name)))
+    [ "immediate"; "partial"; "deferred" ]
+
+(* A university database with a [bulk] file of 300 records of ~1 KB
+   each, so a RETRIEVE of [n] of them answers ~[n] KB. *)
+let bulk_university () =
   let t = university () in
   let h = open_h t Mlds.System.L_abdl in
   for i = 1 to 300 do
@@ -1806,19 +1826,71 @@ let test_pipelined_large_replies () =
          (Printf.sprintf "INSERT (<FILE, bulk>, <seq, %d>, <txt, '%s'>)" i
             (String.make 1000 (Char.chr (Char.code 'a' + (i mod 26))))))
   done;
-  let queries =
-    List.init 12 (fun k ->
-        Printf.sprintf
-          "RETRIEVE ((FILE = bulk) AND (seq >= %d) AND (seq <= %d)) (seq, txt)"
-          (1 + (k * 20)) (300 - k))
-  in
-  let expected = List.map (submit_h h) queries in
   Mlds.System.close_handle h;
-  with_server ~sys:t (fun _server port ->
-      let a = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-      Fun.protect
-        ~finally:(fun () -> try Unix.close a with _ -> ())
-        (fun () ->
+  t
+
+(* Pipelined replies to a client that reads slowly through a 4 KiB
+   receive window, from a server whose database has a WAL. Each case is
+   bursts of requests, each burst sent at once and then read whole,
+   8 KiB at a time with a pause after each read: RETRIEVEs of 0 to 300
+   bulk records (replies from ~100 B to ~300 KB, many about the 2 KiB a
+   minor-heap block holds) and INSERTs, whose replies, and those of the
+   reads after them, wait on a fsync. One burst of each case is a flood
+   of twelve 300 KB replies. Every frame read equals the
+   encoded frame of the reply an in-process submit of the same requests
+   gives, in request order. Over the cases, replies left from the
+   executor's bytes wholly, partly (the rest copied) and deferred (copied
+   into their slot): the property fails if one of the paths never ran. *)
+let prop_pipelined_large_replies =
+  let open QCheck2.Gen in
+  let read =
+    map2
+      (fun lo n -> `Read (lo, n))
+      (oneof [ pure 1; int_range 1 300 ])
+      (oneof [ int_range 0 3; int_range 0 300; pure 300 ])
+  in
+  let op = frequency [ 3, read; 1, map (fun k -> `Write k) nat ] in
+  let text = function
+    | `Read (lo, n) ->
+      Printf.sprintf
+        "RETRIEVE ((FILE = bulk) AND (seq >= %d) AND (seq < %d)) (seq, txt)" lo
+        (lo + n)
+    | `Write k -> Printf.sprintf "INSERT (<FILE, written>, <seq, %d>)" k
+  in
+  (* twelve 300 KB replies: more than a loopback socket takes (~2.8 MB
+     on Linux with a 4 KiB receive window), so one of them leaves only
+     partly from the executor's bytes *)
+  let flood = List.init 12 (fun _ -> `Read (1, 300)) in
+  let bursts =
+    map2
+      (fun bursts at ->
+        List.filteri (fun i _ -> i < at) bursts
+        @ [ flood ]
+        @ List.filteri (fun i _ -> i >= at) bursts)
+      (list_size (int_range 0 3) (list_size (int_range 1 5) op))
+      (int_range 0 3)
+  in
+  let print bursts =
+    String.concat " | "
+      (List.map (fun b -> String.concat "; " (List.map text b)) bursts)
+  in
+  QCheck2.Test.make ~name:"loop: pipelined large replies reach a slow reader whole"
+    ~count:6 ~print bursts
+    (fun bursts ->
+      let oracle = open_h (bulk_university ()) Mlds.System.L_abdl in
+      let t = bulk_university () in
+      let file = Filename.temp_file "mlds_slow_reader" ".wal" in
+      Fun.protect ~finally:(fun () ->
+          Mlds.System.close_handle oracle;
+          remove_files [ file ])
+      @@ fun () ->
+      (match Mlds.System.attach_wal t ~db:"university" ~file with
+      | Ok _ -> ()
+      | Error msg -> Alcotest.failf "attach_wal: %s" msg);
+      with_server ~sys:t (fun _server port ->
+          let a = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+          Fun.protect ~finally:(fun () -> try Unix.close a with _ -> ())
+          @@ fun () ->
           Unix.setsockopt_int a Unix.SO_RCVBUF 4096;
           Unix.connect a (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
           raw_send a ~request_id:1 ~session_id:0
@@ -1828,20 +1900,122 @@ let test_pipelined_large_replies () =
             | Wire.Logged_in id -> id
             | _ -> Alcotest.fail "login failed"
           in
-          List.iteri
-            (fun i q -> raw_send a ~request_id:(100 + i) ~session_id:sid (Wire.Submit q))
-            queries;
-          List.iteri
-            (fun i want ->
-              let f = slow_recv a ~chunk:8192 ~pause_s:0.0005 in
-              Alcotest.(check int) "replies in order" (100 + i) f.Wire.request_id;
-              match f.Wire.msg with
-              | Wire.Output got ->
-                if not (String.equal got want) then
-                  Alcotest.failf "reply %d: %d bytes, expected %d bytes" i
-                    (String.length got) (String.length want)
-              | _ -> Alcotest.failf "reply %d is not an Output" i)
-            expected))
+          let id = ref 1 in
+          List.for_all
+            (fun burst ->
+              let sent =
+                List.map
+                  (fun op ->
+                    incr id;
+                    let src = text op in
+                    raw_send a ~request_id:!id ~session_id:sid (Wire.Submit src);
+                    !id, src)
+                  burst
+              in
+              List.for_all
+                (fun (request_id, src) ->
+                  let want =
+                    Bytes.to_string
+                      (Wire.frame
+                         (Wire.encode_response
+                            {
+                              Wire.version = Wire.protocol_version;
+                              request_id;
+                              session_id = sid;
+                              msg = Wire.Output (submit_h oracle src);
+                            }))
+                  in
+                  let got = slow_recv a ~chunk:8192 ~pause_s:0.0005 in
+                  String.equal got want
+                  || QCheck2.Test.fail_reportf
+                       "reply to #%d (%s): %d bytes, expected %d bytes" request_id
+                       src (String.length got) (String.length want))
+                sent)
+            bursts))
+
+(* Run the property, then want each reply path to have run. *)
+let test_pipelined_large_replies () =
+  let before = reply_paths () in
+  QCheck2.Test.check_exn prop_pipelined_large_replies;
+  List.iter2
+    (fun name (b, a) ->
+      if a <= b then
+        Alcotest.failf "no reply left by the %s path over the property's cases"
+          name)
+    [ "immediate"; "partial"; "deferred" ]
+    (List.combine before (reply_paths ()))
+
+(* The flight recorder's [bytes_out] for an [Output] reply is the length
+   its frame announces: for a read that left at once, and for a write
+   that waited on its fsync. *)
+let test_recorder_bytes_out () =
+  let t = university () in
+  let file = Filename.temp_file "mlds_bytes_out" ".wal" in
+  Fun.protect ~finally:(fun () -> remove_files [ file ]) @@ fun () ->
+  (match Mlds.System.attach_wal t ~db:"university" ~file with
+  | Ok _ -> ()
+  | Error msg -> Alcotest.failf "attach_wal: %s" msg);
+  with_server ~sys:t (fun _server port ->
+      let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+      Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+      Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+      raw_send fd ~request_id:1 ~session_id:0
+        (Wire.Login { user = "rec"; language = "abdl"; db = "university" });
+      let sid =
+        match (raw_recv fd).Wire.msg with
+        | Wire.Logged_in id -> id
+        | _ -> Alcotest.fail "login failed"
+      in
+      (* the length of the reply's frame, as its prefix announces it, and
+         the reply paths it moved *)
+      let frame_length request_id src =
+        let before = reply_paths () in
+        raw_send fd ~request_id ~session_id:sid (Wire.Submit src);
+        match Wire.read_frame fd with
+        | Ok (Some payload) ->
+          (* a direct write is counted once it returns, maybe after the
+             client has read the reply *)
+          let moved () = List.map2 ( - ) (reply_paths ()) before in
+          wait_for "the reply's path counted" (fun () ->
+              List.exists (( <> ) 0) (moved ()));
+          String.length payload, moved ()
+        | _ -> Alcotest.fail "no reply"
+      in
+      let write_len, write_paths =
+        frame_length 2 "INSERT (<FILE, recorded>, <seq, 1>)"
+      in
+      let read_len, read_paths =
+        frame_length 3 "RETRIEVE ((FILE = employee)) (name, salary)"
+      in
+      Alcotest.(check (list int)) "the write waited on its fsync" [ 0; 0; 1 ]
+        write_paths;
+      Alcotest.(check (list int)) "the read left at once" [ 1; 0; 0 ] read_paths;
+      let c = client port in
+      Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+      let events =
+        match Client.tail c ~cursor:0 ~slow_cursor:0 () with
+        | Ok out ->
+          (match Obs.Json.parse out with
+          | Ok json ->
+            (match Obs.Json.member "events" json with
+            | Some (Obs.Json.Arr items) -> items
+            | _ -> [])
+          | Error msg -> Alcotest.failf "Tail is not JSON: %s" msg)
+        | Error e -> Alcotest.failf "tail: %s" (Client.error_to_string e)
+      in
+      let bytes_out request_id =
+        List.find_map
+          (fun e ->
+            if Obs.Json.int_member "request" e = Some request_id
+               && Obs.Json.int_member "session" e = Some sid
+            then Obs.Json.int_member "bytes_out" e
+            else None)
+          events
+      in
+      Alcotest.(check (option int)) "bytes_out of the write" (Some write_len)
+        (bytes_out 2);
+      Alcotest.(check (option int)) "bytes_out of the read" (Some read_len)
+        (bytes_out 3))
 
 let test_stalled_reader () =
   let send_timeout_s = 2.0 in
@@ -2086,7 +2260,9 @@ let suite =
       test_threads_flat;
     Alcotest.test_case "loop: a descriptor select cannot watch is refused"
       `Quick test_unwatchable_descriptor;
-    QCheck_alcotest.to_alcotest prop_output_prefix;
+    QCheck_alcotest.to_alcotest prop_output_frame;
     Alcotest.test_case "loop: pipelined large replies reach a slow reader whole"
       `Quick test_pipelined_large_replies;
+    Alcotest.test_case "telemetry: bytes_out of an Output is its frame length"
+      `Quick test_recorder_bytes_out;
   ]
