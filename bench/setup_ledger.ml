@@ -17,15 +17,24 @@
    broadcast, and the live words a record keeps once the phase is done:
    everything the database's kernel reaches (Obj.reachable_words:
    records, shapes, maps, index postings) over its records, summed over
-   the databases for the whole preload, and how far the phase raised the
+   the databases for the whole preload, counted in one more set-up after
+   the measured runs (reachable_words mallocs its own tables, which
+   would show in the [heap] column), and how far the phase raised the
    major heap's high-water mark (Gc top_heap_words, read in the first
    run, the one a fresh server process makes; later runs start from the
    top the first one left): the phase that sets the peak sets the heap
-   a server keeps. Then one more preload, traced and apart from the timed
-   runs (which stay untraced): the self time of each span name it opened
-   (lil.parse, kms.translate+kc.execute, kernel.run, mbds.insert,
-   kfs.format, ...), the time inside a span less its children's, which
-   shows the stage a set-up gain came from. Ends with
+   a server keeps. Two more columns say where a phase's memory went
+   outside the minor heap: the words it allocated directly in the major
+   heap (blocks too big for the minor heap: the calling domain's
+   Gc.counters major - promoted, from the last run), and the resident
+   KiB of glibc's main arena (the [heap] mapping's Rss in
+   /proc/self/smaps, where malloc puts the major heap's large blocks)
+   once the phase is done, read in the first run. Then one more
+   preload, traced and apart from the timed runs (which stay
+   untraced): the self time of each span name it opened (lil.parse,
+   kms.translate+kc.execute, kernel.run, mbds.insert, kfs.format, ...),
+   the time inside a span less its children's, which shows the stage a
+   set-up gain came from. Ends with
    pool.workers_started, the worker domains the whole ledger spawned: a
    start-up that broadcasts shows there. *)
 
@@ -42,19 +51,64 @@ let minor_collections () = (Gc.quick_stat ()).minor_collections
 
 let top_heap_words () = (Gc.quick_stat ()).top_heap_words
 
-(* wall seconds, minor words, minor collections, broadcast shares and
-   growth of the heap's high-water mark of [f ()] *)
+(* words allocated directly in the major heap by this domain *)
+let direct_major_words () =
+  let _, promoted, major = Gc.counters () in
+  major -. promoted
+
+(* /proc/self/smaps is read into one buffer made at start, so a reading
+   allocates nothing in the heaps it measures *)
+let smaps = Bytes.create (1 lsl 20)
+
+(* the index of [pat] in [smaps] at or after [from], below [len] *)
+let rec find pat ~len from =
+  let n = String.length pat in
+  let rec matches i = i = n || (Bytes.get smaps (from + i) = pat.[i] && matches (i + 1)) in
+  if from + n > len then None else if matches 0 then Some from else find pat ~len (from + 1)
+
+(* Rss of the [heap] mapping (glibc's main arena) in KiB, or -1 where
+   /proc/self/smaps is not readable *)
+let heap_rss_kib () =
+  match Unix.openfile "/proc/self/smaps" [ Unix.O_RDONLY ] 0 with
+  | exception Unix.Unix_error _ -> -1
+  | fd ->
+    let rec fill n =
+      match Unix.read fd smaps n (Bytes.length smaps - n) with
+      | 0 -> n
+      | k -> if n + k = Bytes.length smaps then n + k else fill (n + k)
+    in
+    let len = Fun.protect ~finally:(fun () -> Unix.close fd) (fun () -> fill 0) in
+    let rec digits i acc =
+      match Bytes.get smaps i with
+      | '0' .. '9' as c -> digits (i + 1) ((acc * 10) + Char.code c - Char.code '0')
+      | ' ' when acc = 0 -> digits (i + 1) acc
+      | _ -> acc
+    in
+    (match Option.bind (find "[heap]" ~len 0) (find "\nRss:" ~len) with
+    | Some i -> digits (i + 5) 0
+    | None -> -1)
+
+type m = {
+  dt : float;  (** wall seconds *)
+  words : float;  (** minor words *)
+  collections : int;  (** minor collections *)
+  broadcast_shares : int;
+  top : int;  (** growth of the major heap's high-water mark *)
+  direct : float;  (** words allocated directly in the major heap *)
+  heap_kib : int;  (** [heap] Rss once the phase is done *)
+}
+
 let measure f =
   let s0 = shares () and c0 = minor_collections () and h0 = top_heap_words () in
+  let d0 = direct_major_words () in
   let w0 = Gc.minor_words () and t0 = Unix.gettimeofday () in
   let r = f () in
   let dt = Unix.gettimeofday () -. t0 in
-  ( r,
-    ( dt,
-      Gc.minor_words () -. w0,
-      minor_collections () - c0,
-      shares () - s0,
-      top_heap_words () - h0 ) )
+  let words = Gc.minor_words () -. w0 and direct = direct_major_words () -. d0 in
+  let collections = minor_collections () - c0 and top = top_heap_words () - h0 in
+  let broadcast_shares = shares () - s0 in
+  (* smaps last, once every other reading is taken *)
+  r, { dt; words; collections; broadcast_shares; top; direct; heap_kib = heap_rss_kib () }
 
 let ok what = function Ok x -> x | Error e -> failwith (what ^ ": " ^ e)
 
@@ -72,45 +126,39 @@ let () =
       (Printf.sprintf "ledger-%d" (Unix.getpid ()))
   in
   Unix.mkdir dir 0o755;
-  (* phase name -> (seconds of each run, words, minor collections and
-     shares of the last, records, live words of the last, heap top growth
-     of the first) *)
+  (* phase name -> (seconds of each run, the first run's and the last
+     run's measures, records) *)
   let phases = Hashtbl.create 8 and order = ref [] in
-  let note name (dt, words, collections, shares, top) records live =
-    let times, top =
+  let note name m records =
+    let times, first =
       match Hashtbl.find_opt phases name with
-      | Some (times, _, _, _, _, _, first_top) -> times, first_top
+      | Some (times, first, _, _) -> times, first
       | None ->
         order := name :: !order;
-        [], top
+        [], m
     in
-    Hashtbl.replace phases name (dt :: times, words, collections, shares, records, live, top)
+    Hashtbl.replace phases name (m.dt :: times, first, m, records)
   in
-  let kernel_words sys db =
-    Obj.reachable_words (Obj.repr (Option.get (Mlds.System.kernel_of sys db)))
+  let size sys db = Mapping.Kernel.size (Option.get (Mlds.System.kernel_of sys db)) in
+  let loader () =
+    let rows = Perfbench.Workloads.university_rows ~seed in
+    let sys = Perfbench.Workloads.create_system w in
+    ( sys,
+      fun () ->
+        ok "loader"
+          (Mlds.System.define_functional sys ~name:"uni" ~ddl:Daplex.University.ddl rows) )
   in
   for _ = 1 to runs do
     Gc.compact ();
     (if w = Perfbench.Workloads.Oltp_point then
-       let rows = Perfbench.Workloads.university_rows ~seed in
-       let sys = Perfbench.Workloads.create_system w in
-       let (), m =
-         measure (fun () ->
-             ok "loader"
-               (Mlds.System.define_functional sys ~name:"uni"
-                  ~ddl:Daplex.University.ddl rows))
-       in
-       note "loader (uni)" m
-         (Mapping.Kernel.size (Option.get (Mlds.System.kernel_of sys "uni")))
-         (kernel_words sys "uni"));
+       let sys, load = loader () in
+       let (), m = measure load in
+       note "loader (uni)" m (size sys "uni"));
     Gc.compact ();
     let sys = Perfbench.Workloads.create_system w in
     let (), m = measure (fun () -> Perfbench.Workloads.preload w ~seed sys) in
-    let size db = Mapping.Kernel.size (Option.get (Mlds.System.kernel_of sys db)) in
     let dbs = List.map fst (Mlds.System.databases sys) in
-    note "preload (all)" m
-      (List.fold_left (fun n db -> n + size db) 0 dbs)
-      (List.fold_left (fun n db -> n + kernel_words sys db) 0 dbs);
+    note "preload (all)" m (List.fold_left (fun n db -> n + size sys db) 0 dbs);
     List.iter
       (fun db ->
         let file = Filename.concat dir (db ^ ".snapshot") in
@@ -118,20 +166,39 @@ let () =
           measure (fun () -> ok "save" (Mlds.Persist.save sys ~db ~file))
         in
         Sys.remove file;
-        note ("save " ^ db) m (size db) (kernel_words sys db))
+        note ("save " ^ db) m (size sys db))
       dbs
   done;
+  (* live words, from one more set-up apart from the measured runs:
+     Obj.reachable_words mallocs its tables in [heap] *)
+  let live = Hashtbl.create 8 in
+  let kernel_words sys db =
+    Obj.reachable_words (Obj.repr (Option.get (Mlds.System.kernel_of sys db)))
+  in
+  (if w = Perfbench.Workloads.Oltp_point then
+     let sys, load = loader () in
+     load ();
+     Hashtbl.replace live "loader (uni)" (kernel_words sys "uni"));
+  let sys = Perfbench.Workloads.create_system w in
+  Perfbench.Workloads.preload w ~seed sys;
+  let dbs = List.map fst (Mlds.System.databases sys) in
+  Hashtbl.replace live "preload (all)"
+    (List.fold_left (fun n db -> n + kernel_words sys db) 0 dbs);
+  List.iter (fun db -> Hashtbl.replace live ("save " ^ db) (kernel_words sys db)) dbs;
   Unix.rmdir dir;
-  Printf.printf "%s seed %d, %d runs\n%-16s %10s %14s %8s %12s %8s %8s %12s %14s\n" wname
+  Printf.printf
+    "%s seed %d, %d runs\n%-16s %10s %14s %8s %12s %8s %8s %12s %14s %14s %10s\n" wname
     seed runs "phase" "median ms" "minor words" "records" "words/record"
-    "minor GCs" "shares" "live/record" "heap top +w";
+    "minor GCs" "shares" "live/record" "heap top +w" "direct-major w" "[heap] KiB";
   List.iter
     (fun name ->
-      let times, words, collections, shares, records, live, top = Hashtbl.find phases name in
+      let times, first, last, records = Hashtbl.find phases name in
       let per n = n /. float_of_int (max 1 records) in
-      Printf.printf "%-16s %10.2f %14.0f %8d %12.0f %8d %8d %12.1f %14d\n" name
-        (median times *. 1000.) words records (per words) collections shares
-        (per (float_of_int live)) top)
+      Printf.printf "%-16s %10.2f %14.0f %8d %12.0f %8d %8d %12.1f %14d %14.0f %10d\n" name
+        (median times *. 1000.) last.words records (per last.words) last.collections
+        last.broadcast_shares
+        (per (float_of_int (Hashtbl.find live name)))
+        first.top last.direct first.heap_kib)
     (List.rev !order);
   Gc.compact ();
   let sys = Perfbench.Workloads.create_system w in

@@ -481,21 +481,29 @@ let plan_conjunction store st (preds : Query.conjunction) =
         keys ))
 
 (* Build every index [preds] wants that the directory lacks, each with
-   one file scan, so that the conjunction's plan can use it. A
-   conjunction without a FILE predicate scans the store and wants none. *)
+   one file scan, so that the conjunction's plan can use it. The scan
+   reads every live record of the file, and the scan tally counts them.
+   A conjunction without a FILE predicate scans the store and wants
+   none. *)
 let build_wanted store preds =
   match Query.file_of_conjunction preds with
   | Some file when store.indexed ->
     List.iter
       (fun (p : Predicate.t) ->
         if indexable p then begin
-          let key = file, p.attribute and built = ref false in
+          let key = file, p.attribute and read = ref None in
           state_update store (fun st ->
-              built := not (Pair_map.mem key st.st_dir);
-              if !built then
+              read := None;
+              if Pair_map.mem key st.st_dir then st
+              else begin
+                read := Some (live_count st file);
                 { st with st_dir = Pair_map.add key (build_postings st file p.attribute) st.st_dir }
-              else st);
-          if !built then Obs.Metrics.incr c_plan_auto
+              end);
+          match !read with
+          | Some records ->
+            ignore (Atomic.fetch_and_add store.scans records);
+            Obs.Metrics.incr c_plan_auto
+          | None -> ()
         end)
       preds
   | _ -> ()

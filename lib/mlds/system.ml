@@ -379,6 +379,11 @@ let submit session src =
 
 (* --- session handles ----------------------------------------------------- *)
 
+(* Open with no reply buffer (every server session: the executor's
+   buffer takes its replies), open with the buffer its first
+   [submit_handle] made, or closed. *)
+type handle_state = Open | Replying of Buffer.t | Closed
+
 type handle = {
   h_id : int;
   h_system : t;
@@ -386,7 +391,7 @@ type handle = {
   h_user : string;
   h_language : language;
   h_db : string;
-  mutable h_closed : bool;
+  mutable h_state : handle_state;
 }
 
 type handle_error =
@@ -417,7 +422,7 @@ let open_handle ?(user = "anonymous") t language ~db =
         h_user = user;
         h_language = language;
         h_db = db;
-        h_closed = false;
+        h_state = Open;
       }
 
 let handle_id h = h.h_id
@@ -430,7 +435,7 @@ let handle_db h = h.h_db
 
 let handle_session h = h.h_session
 
-let handle_closed h = h.h_closed
+let handle_closed h = match h.h_state with Closed -> true | Open | Replying _ -> false
 
 (* Each [txn_owners] access takes the system mutex (the per-database
    check-then-set sequences need no wider lock — one database's
@@ -455,7 +460,7 @@ let blocked h =
 let kernel_of_handle h = kernel_of h.h_system h.h_db
 
 let begin_txn h =
-  if h.h_closed then Error H_closed
+  if handle_closed h then Error H_closed
   else
     match blocked h with
     | Some e -> Error e
@@ -471,7 +476,7 @@ let begin_txn h =
       end
 
 let end_txn h ~commit =
-  if h.h_closed then Error H_closed
+  if handle_closed h then Error H_closed
   else
     match blocked h with
     | Some e -> Error e
@@ -493,7 +498,7 @@ let abort_txn h = end_txn h ~commit:false
 
 let submit_handle_into buf h src =
   Buffer.clear buf;
-  if h.h_closed then Error H_closed
+  if handle_closed h then Error H_closed
   else
     match blocked h with
     | Some e -> Error e
@@ -506,9 +511,23 @@ let submit_handle_into buf h src =
       | Ok () -> Ok ()
       | Error msg -> Error (H_parse msg))
 
+(* A reply past this is not kept for the next one: the buffer goes back
+   to its first 256 bytes, as the executor's does past [out_limit]. *)
+let reply_keep = 1 lsl 20
+
+let reply_into buf h src =
+  let reply = reply_of buf (submit_handle_into buf h src) in
+  if Buffer.length buf > reply_keep then Buffer.reset buf;
+  reply
+
 let submit_handle h src =
-  let buf = Buffer.create 256 in
-  reply_of buf (submit_handle_into buf h src)
+  match h.h_state with
+  | Closed -> Error H_closed
+  | Replying buf -> reply_into buf h src
+  | Open ->
+    let buf = Buffer.create 256 in
+    h.h_state <- Replying buf;
+    reply_into buf h src
 
 (* The selections an ABDL request evaluates — what .explain plans.
    INSERT touches no query; RETRIEVE_COMMON runs one per side. *)
@@ -524,7 +543,7 @@ let queries_of_request (request : Abdl.Ast.request) =
    compiles into — regardless of the handle's own language, because the
    plan is a property of the kernel query, not of the surface syntax. *)
 let explain_handle h src =
-  if h.h_closed then Error H_closed
+  if handle_closed h then Error H_closed
   else
     match blocked h with
     | Some e -> Error e
@@ -551,14 +570,14 @@ let explain_handle h src =
 (* Closing aborts the handle's open transaction (disconnect = abort, the
    server tier's contract) and fences further use. Idempotent. *)
 let close_handle h =
-  if not h.h_closed then begin
+  if not (handle_closed h) then begin
     (if in_txn h then
        match kernel_of_handle h with
        | Some kernel ->
          txn_release h.h_system ~db:h.h_db;
          (try Mapping.Kernel.rollback kernel with _ -> ())
        | None -> txn_release h.h_system ~db:h.h_db);
-    h.h_closed <- true
+    h.h_state <- Closed
   end
 
 (* --- read/write classification ------------------------------------------- *)
@@ -623,7 +642,7 @@ let parsed_read_only = function
    state. A parse error or a closed handle is [`Write]: the standby's
    read-only gate refuses what it cannot prove harmless. *)
 let classify_handle h src =
-  if h.h_closed then `Write
+  if handle_closed h then `Write
   else
     match parse_cached h.h_system (session_language h.h_session) src with
     | Error _ -> `Write

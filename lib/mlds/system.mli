@@ -202,13 +202,18 @@ val handle_closed : handle -> bool
 
 (** [submit_handle h src] is {!submit} guarded by the handle's state:
     [H_closed] after {!close_handle}, [H_busy] while another handle's
-    transaction is open on the database, [H_parse] for parse failures. *)
+    transaction is open on the database, [H_parse] for parse failures.
+    KFS writes the reply into a buffer the handle keeps from its first
+    call to {!close_handle} (one over 1 MiB is not kept), so a session
+    that submits many statements grows no fresh buffer each time; the
+    returned string is a copy. *)
 val submit_handle : handle -> string -> (string, handle_error) result
 
 (** [submit_handle_into buf h src] is {!submit_handle} with the reply
     left in [buf] (cleared first) instead of returned: KFS writes it
     there ({!Kfs}), and no reply string is made. The server's executor
-    reuses one buffer for every reply. *)
+    reuses one buffer for every reply, so a handle it submits through
+    never makes a buffer of its own. *)
 val submit_handle_into :
   Buffer.t -> handle -> string -> (unit, handle_error) result
 
@@ -236,7 +241,8 @@ val in_txn : handle -> bool
 (** The handle id holding [db]'s open transaction, if any. *)
 val txn_owner : t -> db:string -> int option
 
-(** Abort any open transaction and fence the handle. Idempotent. *)
+(** Abort any open transaction, fence the handle and drop its reply
+    buffer. Idempotent. *)
 val close_handle : handle -> unit
 
 (** {2 Read/write classification}

@@ -217,15 +217,15 @@ let build_postings st file attr =
    threshold, build the index — the "auto-create indexes on hot
    attributes" path. *)
 let note_missing_index store file attr =
-  let built = ref false in
+  let built = ref None in
   state_update store (fun st ->
-      built := false;
+      built := None;
       match Pair_map.find_opt (file, attr) st.st_dir with
       | Some (Built _) -> st  (* raced: already built *)
       | (Some (Heat _) | None) as entry ->
         let heat = match entry with Some (Heat n) -> n + 1 | _ -> 1 in
         if heat >= store.auto_threshold then begin
-          built := true;
+          built := Some (live_count st file);
           {
             st with
             st_dir =
@@ -239,7 +239,12 @@ let note_missing_index store file attr =
             st with
             st_dir = Pair_map.add (file, attr) (Heat heat) st.st_dir;
           });
-  if !built then Obs.Metrics.incr c_plan_auto
+  (* the build's file scan counts in the scan tally *)
+  match !built with
+  | Some records ->
+    ignore (Atomic.fetch_and_add store.scans records);
+    Obs.Metrics.incr c_plan_auto
+  | None -> ()
 
 (* --- record attachment (pure state transforms) ----------------------------- *)
 

@@ -1,7 +1,8 @@
 (* The LIL front ends over one token cursor (Abdl.Syntax): each parser
    against the list-stream parser it replaced (test/parse_oracle.ml), the
    one error-order change pinned per language, [Mlds.System.submit]
-   never raising on damaged statements, and a bound on the words a parse
+   never raising on damaged statements (nor a server failing one over
+   the wire), and a bound on the words a parse
    allocates. *)
 
 (* --- a corpus of statements and its damage ------------------------------- *)
@@ -296,28 +297,77 @@ let system () =
 (* [Mlds.System.submit] answers [Ok] or [Error] for any text in any of
    the five languages: no lexical error, [Not_found] or other exception
    escapes a parser or an engine. *)
+(* A damaged statement in one of the five languages, with the database
+   its session targets. *)
+let gen_damaged =
+  let open QCheck2.Gen in
+  oneof
+    [ map (fun s -> Mlds.System.L_abdl, "uni", s) (gen_text ~sep:"; " abdl_corpus);
+      map (fun s -> Mlds.System.L_abdl, "pay", s) (gen_text ~sep:"; " abdl_corpus);
+      map (fun s -> Mlds.System.L_sql, "pay", s) (gen_text ~sep:"; " sql_corpus);
+      map (fun s -> Mlds.System.L_codasyl, "uni", s) (gen_text codasyl_corpus);
+      map (fun s -> Mlds.System.L_daplex, "uni", s) (gen_text ~sep:" " daplex_corpus);
+      map (fun s -> Mlds.System.L_dli, "med", s) (gen_text dli_corpus) ]
+
+let print_damaged (l, db, s) =
+  Printf.sprintf "%s on %s: %S" (Mlds.System.language_to_string l) db s
+
 let prop_submit_never_raises =
   let t = lazy (system ()) in
-  let open QCheck2.Gen in
-  let gen =
-    oneof
-      [ map (fun s -> Mlds.System.L_abdl, "uni", s) (gen_text ~sep:"; " abdl_corpus);
-        map (fun s -> Mlds.System.L_abdl, "pay", s) (gen_text ~sep:"; " abdl_corpus);
-        map (fun s -> Mlds.System.L_sql, "pay", s) (gen_text ~sep:"; " sql_corpus);
-        map (fun s -> Mlds.System.L_codasyl, "uni", s) (gen_text codasyl_corpus);
-        map (fun s -> Mlds.System.L_daplex, "uni", s) (gen_text ~sep:" " daplex_corpus);
-        map (fun s -> Mlds.System.L_dli, "med", s) (gen_text dli_corpus) ]
-  in
   QCheck_alcotest.to_alcotest
     (QCheck2.Test.make ~name:"submit never raises on damaged statements" ~count:1500
-       ~print:(fun (l, db, s) ->
-         Printf.sprintf "%s on %s: %S" (Mlds.System.language_to_string l) db s)
-       gen
+       ~print:print_damaged gen_damaged
        (fun (language, db, src) ->
          match Mlds.System.open_session (Lazy.force t) language ~db with
          | Error msg -> QCheck2.Test.fail_reportf "open %s: %s" db msg
          | Ok session ->
            (match Mlds.System.submit session src with Ok _ | Error _ -> true)))
+
+(* The same damaged statements over the wire, through an in-process
+   server and one client session per (language, database): each reply
+   is an [Output] or a typed refusal, and none reaches the executor's
+   catch-all ([server.internal_errors] stays where it was). *)
+let test_wire_never_fails_untyped () =
+  let internal () = Obs.Metrics.counter_value (Obs.Metrics.counter "server.internal_errors") in
+  let before = internal () in
+  match
+    Server.Core.create ~config:{ Server.Core.default_config with port = 0 } (system ())
+  with
+  | Error msg -> Alcotest.failf "server create: %s" msg
+  | Ok server ->
+    let clients = Hashtbl.create 8 in
+    let client language db =
+      match Hashtbl.find_opt clients (language, db) with
+      | Some c -> c
+      | None ->
+        let c =
+          match Client.connect ~port:(Server.Core.port server) () with
+          | Ok c -> c
+          | Error msg -> Alcotest.failf "connect: %s" msg
+        in
+        (match
+           Client.login c ~language:(Mlds.System.language_to_string language) ~db ()
+         with
+        | Ok _ -> ()
+        | Error e -> Alcotest.failf "login %s: %s" db (Client.error_to_string e));
+        Hashtbl.replace clients (language, db) c;
+        c
+    in
+    Fun.protect
+      ~finally:(fun () ->
+        Hashtbl.iter (fun _ c -> Client.close c) clients;
+        Server.Core.shutdown server)
+      (fun () ->
+        QCheck2.Test.check_exn
+          (QCheck2.Test.make ~name:"damaged statements over the wire" ~count:300
+             ~print:print_damaged gen_damaged
+             (fun (language, db, src) ->
+               match Client.submit (client language db) src with
+               | Ok _ | Error (`Refused ((Server.Wire.Parse_error | Server.Wire.Exec_error), _))
+                 ->
+                 true
+               | Error e -> QCheck2.Test.fail_reportf "%s" (Client.error_to_string e))));
+    Alcotest.(check int) "server.internal_errors" before (internal ())
 
 (* --- words a parse allocates ----------------------------------------------- *)
 
@@ -367,6 +417,8 @@ let suite =
     prop_hierarchical_ddl;
     "ISRT in one pass", `Quick, test_isrt_one_pass;
     prop_submit_never_raises;
+    "damaged statements over the wire: typed replies only", `Quick,
+    test_wire_never_fails_untyped;
     "parse words per statement", `Quick, test_parse_words;
   ]
   @ List.map

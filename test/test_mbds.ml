@@ -968,6 +968,42 @@ let test_by_groups_insertion_order () =
           "2 backends", Mapping.Kernel.multi ~pool:no_workers 2 ])
     orders
 
+(* The tutorial's FIND on the university over 4 backends, as its .stats
+   shows it: the FIND builds a title index in every backend, a pass
+   over the backend's 3 courses that the scan tally counts, then reads
+   the one matching course on each of backends 0 and 1. The counters
+   behind [backend_loads] are process-wide, so the FIND's are a
+   difference. *)
+let test_tutorial_find_loads () =
+  let t = Mlds.System.create ~backends:4 () in
+  (match
+     Mlds.System.define_functional t ~name:"university" ~ddl:Daplex.University.ddl
+       Daplex.University.rows
+   with
+  | Ok () -> ()
+  | Error msg -> Alcotest.fail msg);
+  let ctrl =
+    match Mapping.Kernel.kds (Option.get (Mlds.System.kernel_of t "university")) with
+    | Mapping.Kernel.Multi ctrl -> ctrl
+    | Mapping.Kernel.Single _ -> Alcotest.fail "not an MBDS"
+  in
+  let h = Result.get_ok (Mlds.System.open_handle t Mlds.System.L_codasyl ~db:"university") in
+  let before = Mbds.Controller.backend_loads ctrl in
+  (match
+     Mlds.System.submit_handle h
+       "MOVE 'Advanced Database' TO title IN course\nFIND ANY course USING title IN course"
+   with
+  | Ok reply ->
+    Alcotest.(check bool) reply true
+      (String.ends_with ~suffix:"found course (dbkey 5)" reply)
+  | Error e -> Alcotest.fail (Mlds.System.handle_error_to_string e));
+  Alcotest.(check (list (triple int int int)))
+    "(scanned, written, records) per backend"
+    [ 4, 0, 20; 4, 0, 20; 3, 0, 20; 3, 0, 20 ]
+    (List.map2
+       (fun (s0, w0, _) (s, w, n) -> s - s0, w - w0, n)
+       before (Mbds.Controller.backend_loads ctrl))
+
 let suite =
   [
     "create validation", `Quick, test_create_validation;
@@ -1005,4 +1041,5 @@ let suite =
     "merged read: words per read guard", `Quick, test_merged_read_words;
     "BY groups of Int and Float past 2^53 ignore insertion order", `Quick,
     test_by_groups_insertion_order;
+    "the tutorial's FIND on 4 backends: loads pinned", `Quick, test_tutorial_find_loads;
   ]

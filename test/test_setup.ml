@@ -311,22 +311,106 @@ let sql_bulk_words ~backends =
                  (1 + Random.State.int st 10_000)
                  regions.(Random.State.int st 4))))
   in
+  let _, promoted0, major0 = Gc.counters () in
   let (), words = minor_words (fun () -> List.iter submit texts) in
+  let _, promoted1, major1 = Gc.counters () in
   let kernel = Option.get (Mlds.System.kernel_of sys "shop") in
   Alcotest.(check int) "every row stored" rows (Mapping.Kernel.size kernel);
-  words /. float_of_int rows
+  let per_row x = x /. float_of_int rows in
+  per_row words, per_row (major1 -. major0 -. (promoted1 -. promoted0))
 
 let test_sql_bulk_load_guard () =
-  let per_row = sql_bulk_words ~backends:2 in
+  let per_row, _ = sql_bulk_words ~backends:2 in
   if per_row > sql_bulk_words_bound then
     Alcotest.failf "SQL bulk load, 2 backends: %.0f minor words a row (bound %.0f)" per_row
       sql_bulk_words_bound
 
 let test_sql_bulk_load_single_guard () =
-  let per_row = sql_bulk_words ~backends:0 in
+  let per_row, _ = sql_bulk_words ~backends:0 in
   if per_row > sql_bulk_single_words_bound then
     Alcotest.failf "SQL bulk load, one store: %.0f minor words a row (bound %.0f)" per_row
       sql_bulk_single_words_bound
+
+(* Words a row of the same bulk load allocates directly in the major
+   heap (blocks too big for the minor heap: the calling domain's
+   [major - promoted]), on one store and on 2 backends. A handle keeps
+   its reply buffer, so the 500 INSERTs' ~34 KB replies regrow nothing:
+   ~18 words a row. A fresh 256-byte buffer per submit, doubled to each
+   reply's size, took ~42. *)
+let sql_bulk_direct_words_bound = 30.
+
+let test_sql_bulk_load_direct_words () =
+  List.iter
+    (fun backends ->
+      let _, direct = sql_bulk_words ~backends in
+      Printf.printf "%d backends: %.1f directly-major words a row\n" backends direct;
+      if direct > sql_bulk_direct_words_bound then
+        Alcotest.failf "SQL bulk load, %d backends: %.1f directly-major words a row (bound %.0f)"
+          backends direct sql_bulk_direct_words_bound)
+    [ 0; 2 ]
+
+(* One handle's replies, successive [submit_handle]s on the buffer it
+   keeps, equal [Mlds.System.submit]'s on a fresh session over the same
+   scripts. The scripts mix short replies (a point SELECT, a parse
+   error), long ones (up to ~60 KB) and one past the 1 MiB the handle
+   keeps (every row of 1 200 with a 1 000-byte column), so a reply that
+   left an earlier one's bytes behind, or one the reset cut short,
+   shows. *)
+let wide_rows = 1200
+
+let wide_system =
+  lazy
+    (let sys = Mlds.System.create () in
+     (match Mlds.System.define_relational sys ~name:"shop" with
+     | Ok () -> ()
+     | Error msg -> Alcotest.fail msg);
+     let session = Result.get_ok (Mlds.System.open_session sys Mlds.System.L_sql ~db:"shop") in
+     let pad i = String.make 1000 (Char.chr (Char.code 'a' + (i mod 26))) in
+     (match
+        Mlds.System.submit session
+          (String.concat ";\n"
+             ("CREATE TABLE wide (id INT UNIQUE, pad CHAR(1000))"
+             :: List.init wide_rows (fun i ->
+                    Printf.sprintf "INSERT INTO wide VALUES (%d, '%s')" (i + 1) (pad i))))
+      with
+     | Ok _ -> ()
+     | Error msg -> Alcotest.fail msg);
+     sys)
+
+let gen_reply_scripts =
+  let open QCheck2.Gen in
+  let short =
+    oneof
+      [ map (Printf.sprintf "SELECT id FROM wide WHERE id = %d") (int_range 1 wide_rows);
+        pure "SELECT id FROM" ]
+  in
+  let long = map (Printf.sprintf "SELECT id, pad FROM wide WHERE id < %d") (int_range 2 60) in
+  let huge = pure "SELECT id, pad FROM wide" in
+  map3
+    (fun before huge after -> before @ (huge :: after))
+    (list_size (int_range 0 4) (oneof [ short; long ]))
+    huge
+    (list_size (int_range 1 4) (oneof [ short; long ]))
+
+let prop_handle_replies =
+  QCheck2.Test.make ~name:"a handle's replies = a fresh session's" ~count:30
+    ~print:QCheck2.Print.(list string)
+    gen_reply_scripts
+    (fun scripts ->
+      let sys = Lazy.force wide_system in
+      let h = Result.get_ok (Mlds.System.open_handle sys Mlds.System.L_sql ~db:"shop") in
+      let session = Result.get_ok (Mlds.System.open_session sys Mlds.System.L_sql ~db:"shop") in
+      let got =
+        List.map
+          (fun src ->
+            Result.map_error Mlds.System.handle_error_to_string (Mlds.System.submit_handle h src))
+          scripts
+      in
+      let expected = List.map (Mlds.System.submit session) scripts in
+      Mlds.System.close_handle h;
+      if not (List.exists (function Ok r -> String.length r > 1 lsl 20 | Error _ -> false) got)
+      then QCheck2.Test.fail_report "no reply past 1 MiB";
+      List.equal (Result.equal ~ok:String.equal ~error:String.equal) got expected)
 
 (* Kept words per record: everything a kernel reaches
    ([Obj.reachable_words]: records, maps, index postings, shapes) over
@@ -465,6 +549,8 @@ let suite =
     "allocation guard", `Quick, test_allocation_guard;
     "SQL bulk-load allocation guard", `Quick, test_sql_bulk_load_guard;
     "SQL bulk-load allocation guard, one store", `Quick, test_sql_bulk_load_single_guard;
+    "SQL bulk load: directly-major words a row", `Quick, test_sql_bulk_load_direct_words;
+    QCheck_alcotest.to_alcotest prop_handle_replies;
     "live words per record guard", `Quick, test_live_words_guard;
     "save streams in chunks", `Quick, test_save_streams;
     "a cut snapshot is corrupt", `Quick, test_cut_snapshot_is_corrupt;
