@@ -323,12 +323,12 @@ let experiment_e8 () =
     | Error msg -> failwith msg
   end;
   let submit lang db src =
-    match Mlds.System.open_session t lang ~db with
+    match Mlds.System.open_handle t lang ~db with
     | Error msg -> failwith msg
-    | Ok session ->
-      match Mlds.System.submit session src with
+    | Ok h ->
+      match Mlds.System.submit_handle h src with
       | Ok out -> out
-      | Error msg -> failwith msg
+      | Error e -> failwith (Mlds.System.handle_error_to_string e)
   in
   (* mirror the CS student roster into the relational and hierarchical dbs *)
   ignore
@@ -528,14 +528,14 @@ let experiment_e10 () =
     | Error msg -> failwith msg
   end;
   let session lang =
-    match Mlds.System.open_session t lang ~db:"university" with
-    | Ok s -> s
+    match Mlds.System.open_handle t lang ~db:"university" with
+    | Ok h -> h
     | Error msg -> failwith msg
   in
-  let submit s src =
-    match Mlds.System.submit s src with
+  let submit h src =
+    match Mlds.System.submit_handle h src with
     | Ok out -> out
-    | Error msg -> failwith msg
+    | Error e -> failwith (Mlds.System.handle_error_to_string e)
   in
   let abdl = session Mlds.System.L_abdl in
   let daplex = session Mlds.System.L_daplex in

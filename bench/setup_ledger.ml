@@ -19,17 +19,13 @@
    records, shapes, maps, index postings) over its records, summed over
    the databases for the whole preload, counted in one more set-up after
    the measured runs (reachable_words mallocs its own tables, which
-   would show in the [heap] column), and how far the phase raised the
-   major heap's high-water mark (Gc top_heap_words, read in the first
-   run, the one a fresh server process makes; later runs start from the
-   top the first one left): the phase that sets the peak sets the heap
-   a server keeps. Two more columns say where a phase's memory went
-   outside the minor heap: the words it allocated directly in the major
-   heap (blocks too big for the minor heap: the calling domain's
-   Gc.counters major - promoted, from the last run), and the resident
-   KiB of glibc's main arena (the [heap] mapping's Rss in
-   /proc/self/smaps, where malloc puts the major heap's large blocks)
-   once the phase is done, read in the first run. Then one more
+   would show in the [heap] column). Two more columns say where a
+   phase's memory went outside the minor heap: the words it allocated
+   directly in the major heap (blocks too big for the minor heap: the
+   calling domain's Gc.counters major - promoted, from the last run),
+   and the resident KiB of glibc's main arena (the [heap] mapping's Rss
+   in /proc/self/smaps, where malloc puts the major heap's large
+   blocks) once the phase is done, read in the first run. Then one more
    preload, traced and apart from the timed runs (which stay
    untraced): the self time of each span name it opened (lil.parse,
    kms.translate+kc.execute, kernel.run, mbds.insert, kfs.format, ...),
@@ -48,8 +44,6 @@ let shares () =
   + Obs.Metrics.counter_value (Obs.Metrics.counter "mbds.shares_remote")
 
 let minor_collections () = (Gc.quick_stat ()).minor_collections
-
-let top_heap_words () = (Gc.quick_stat ()).top_heap_words
 
 (* words allocated directly in the major heap by this domain *)
 let direct_major_words () =
@@ -93,22 +87,21 @@ type m = {
   words : float;  (** minor words *)
   collections : int;  (** minor collections *)
   broadcast_shares : int;
-  top : int;  (** growth of the major heap's high-water mark *)
   direct : float;  (** words allocated directly in the major heap *)
   heap_kib : int;  (** [heap] Rss once the phase is done *)
 }
 
 let measure f =
-  let s0 = shares () and c0 = minor_collections () and h0 = top_heap_words () in
+  let s0 = shares () and c0 = minor_collections () in
   let d0 = direct_major_words () in
   let w0 = Gc.minor_words () and t0 = Unix.gettimeofday () in
   let r = f () in
   let dt = Unix.gettimeofday () -. t0 in
   let words = Gc.minor_words () -. w0 and direct = direct_major_words () -. d0 in
-  let collections = minor_collections () - c0 and top = top_heap_words () - h0 in
+  let collections = minor_collections () - c0 in
   let broadcast_shares = shares () - s0 in
   (* smaps last, once every other reading is taken *)
-  r, { dt; words; collections; broadcast_shares; top; direct; heap_kib = heap_rss_kib () }
+  r, { dt; words; collections; broadcast_shares; direct; heap_kib = heap_rss_kib () }
 
 let ok what = function Ok x -> x | Error e -> failwith (what ^ ": " ^ e)
 
@@ -187,18 +180,18 @@ let () =
   List.iter (fun db -> Hashtbl.replace live ("save " ^ db) (kernel_words sys db)) dbs;
   Unix.rmdir dir;
   Printf.printf
-    "%s seed %d, %d runs\n%-16s %10s %14s %8s %12s %8s %8s %12s %14s %14s %10s\n" wname
+    "%s seed %d, %d runs\n%-16s %10s %14s %8s %12s %8s %8s %12s %14s %10s\n" wname
     seed runs "phase" "median ms" "minor words" "records" "words/record"
-    "minor GCs" "shares" "live/record" "heap top +w" "direct-major w" "[heap] KiB";
+    "minor GCs" "shares" "live/record" "direct-major w" "[heap] KiB";
   List.iter
     (fun name ->
       let times, first, last, records = Hashtbl.find phases name in
       let per n = n /. float_of_int (max 1 records) in
-      Printf.printf "%-16s %10.2f %14.0f %8d %12.0f %8d %8d %12.1f %14d %14.0f %10d\n" name
+      Printf.printf "%-16s %10.2f %14.0f %8d %12.0f %8d %8d %12.1f %14.0f %10d\n" name
         (median times *. 1000.) last.words records (per last.words) last.collections
         last.broadcast_shares
         (per (float_of_int (Hashtbl.find live name)))
-        first.top last.direct first.heap_kib)
+        last.direct first.heap_kib)
     (List.rev !order);
   Gc.compact ();
   let sys = Perfbench.Workloads.create_system w in

@@ -565,22 +565,24 @@ let exec_cmd =
   let run backends trace skew fresh lang db file =
     with_system backends trace skew fresh lang db
       (fun t language db ->
-        match Mlds.System.open_session t language ~db with
+        match Mlds.System.open_handle t language ~db with
         | Error msg ->
           prerr_endline msg;
           1
-        | Ok session ->
+        | Ok handle ->
           let ic = open_in file in
           let n = in_channel_length ic in
           let src = really_input_string ic n in
           close_in ic;
-          match Mlds.System.submit session src with
+          (* a fresh handle outside any transaction can only fail to parse *)
+          match Mlds.System.submit_handle handle src with
           | Ok out ->
             print_endline out;
             print_trace ();
             0
-          | Error msg ->
-            prerr_endline ("parse error: " ^ msg);
+          | Error e ->
+            prerr_endline
+              ("parse error: " ^ Mlds.System.handle_error_to_string e);
             print_trace ();
             1)
   in
@@ -598,14 +600,16 @@ let demo_cmd =
           Printf.printf "\n[%s on %s]\n%s\n"
             (Mlds.System.language_to_string lang)
             db src;
-          match Mlds.System.open_session t lang ~db with
+          match Mlds.System.open_handle t lang ~db with
           | Error msg ->
             print_endline msg;
             1
-          | Ok session ->
-            (match Mlds.System.submit session src with
+          | Ok handle ->
+            (match Mlds.System.submit_handle handle src with
              | Ok out -> print_endline out
-             | Error msg -> print_endline ("parse error: " ^ msg));
+             | Error e ->
+               print_endline
+                 ("parse error: " ^ Mlds.System.handle_error_to_string e));
             print_trace ();
             0
         in

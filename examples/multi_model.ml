@@ -4,12 +4,14 @@
    both CODASYL-DML and Daplex transactions. *)
 
 let submit t lang db src =
-  match Mlds.System.open_session t lang ~db with
+  match Mlds.System.open_handle t lang ~db with
   | Error msg -> failwith msg
-  | Ok session ->
-    match Mlds.System.submit session src with
+  | Ok h ->
+    let reply = Mlds.System.submit_handle h src in
+    Mlds.System.close_handle h;
+    match reply with
     | Ok out -> out
-    | Error msg -> failwith msg
+    | Error e -> failwith (Mlds.System.handle_error_to_string e)
 
 let banner title = Printf.printf "\n=== %s ===\n" title
 

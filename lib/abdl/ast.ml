@@ -118,5 +118,3 @@ let to_string request =
   let buf = Buffer.create 128 in
   to_buffer buf request;
   Buffer.contents buf
-
-let pp ppf request = Format.pp_print_string ppf (to_string request)

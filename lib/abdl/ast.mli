@@ -58,5 +58,3 @@ val to_string : request -> string
 (** [to_buffer buf r] appends [to_string r] to [buf] — the one ABDL
     printer; snapshot lines and WAL frames are written through it. *)
 val to_buffer : Buffer.t -> request -> unit
-
-val pp : Format.formatter -> request -> unit

@@ -55,8 +55,5 @@ val join_rows :
     newline written, a string value's included. *)
 val add_result : ?indent:string -> Buffer.t -> result -> unit
 
-(** [add_row ?indent buf row] appends one row's line of {!add_result}. *)
-val add_row : ?indent:string -> Buffer.t -> row -> unit
-
 (** [result_to_string result] is {!add_result}'s text. *)
 val result_to_string : result -> string

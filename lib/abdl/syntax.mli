@@ -23,10 +23,6 @@ val statement : (Lexer.cursor -> 'a) -> string -> 'a
 (** [program f src] parses every [;]-separated statement with [f]. *)
 val program : (Lexer.cursor -> 'a) -> string -> 'a list
 
-(** [finish c] accepts the end of the text, or a [;] (lexing what follows
-    it); anything else is [trailing input]. *)
-val finish : Lexer.cursor -> unit
-
 val peek : Lexer.cursor -> Lexer.token
 
 val advance : Lexer.cursor -> unit

@@ -104,18 +104,3 @@ let validate t record =
         (fun first attr value ->
           match first with Ok () -> check_keyword attr value | Error _ -> first)
         (Ok ()) record
-
-let pp ppf t =
-  Format.fprintf ppf "@[<v>DATABASE %s@," t.db_name;
-  let pp_attr a =
-    Format.fprintf ppf "    %s : %s%s%s@," a.attr_name
-      (vtype_to_string a.attr_type)
-      (if a.attr_length > 0 then Printf.sprintf "(%d)" a.attr_length else "")
-      (if a.attr_unique then " UNIQUE" else "")
-  in
-  let pp_file f =
-    Format.fprintf ppf "  FILE %s@," f.file_name;
-    List.iter pp_attr f.attributes
-  in
-  List.iter (fun e -> pp_file e.file) t.entries;
-  Format.fprintf ppf "@]"

@@ -51,7 +51,3 @@ val attribute_names : t -> string -> string list
     known file, no unknown attributes, values of the declared types
     ([Null] always allowed). Returns an error message on failure. *)
 val validate : t -> Record.t -> (unit, string) result
-
-val vtype_to_string : vtype -> string
-
-val pp : Format.formatter -> t -> unit

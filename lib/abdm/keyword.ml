@@ -20,5 +20,3 @@ let to_string kw =
   let buf = Buffer.create 32 in
   to_buffer buf kw;
   Buffer.contents buf
-
-let pp ppf kw = Format.pp_print_string ppf (to_string kw)

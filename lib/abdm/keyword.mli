@@ -19,8 +19,3 @@ val file : string -> t
 
 (** Renders in the paper's surface syntax [<attribute, value>]. *)
 val to_string : t -> string
-
-(** [to_buffer buf kw] appends [to_string kw] to [buf]. *)
-val to_buffer : Buffer.t -> t -> unit
-
-val pp : Format.formatter -> t -> unit

@@ -49,9 +49,6 @@ let apply modifier record =
       | None -> record
       | Some v' -> Record.set record attr v'
 
-let attribute = function
-  | Set_const (attr, _) | Set_arith (attr, _, _) -> attr
-
 let to_buffer buf m =
   match m with
   | Set_const (attr, v) ->
@@ -71,5 +68,3 @@ let to_string m =
   let buf = Buffer.create 32 in
   to_buffer buf m;
   Buffer.contents buf
-
-let pp ppf m = Format.pp_print_string ppf (to_string m)

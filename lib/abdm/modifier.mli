@@ -20,12 +20,7 @@ type t =
     attribute leaves the record unchanged. *)
 val apply : t -> Record.t -> Record.t
 
-(** [attribute m] is the attribute the modifier writes. *)
-val attribute : t -> string
-
 val to_string : t -> string
 
 (** [to_buffer buf m] appends [to_string m] to [buf]. *)
 val to_buffer : Buffer.t -> t -> unit
-
-val pp : Format.formatter -> t -> unit

@@ -33,11 +33,6 @@ let kind_name = function
   | Range -> "range"
   | Window -> "window"
 
-let access_rows = function
-  | Store_scan { rows } -> rows
-  | File_scan { rows; _ } -> rows
-  | Index_probe { rows; _ } -> rows
-
 let probe_to_string p =
   Printf.sprintf "%s %s [%d]" (kind_name p.probe_kind)
     (match p.probe_upper with
@@ -72,5 +67,3 @@ let to_string = function
     Printf.sprintf "plan: %d disjunct%s\n%s" n
       (if n = 1 then "" else "s")
       (String.concat "\n" (List.mapi step_to_string steps))
-
-let pp ppf plan = Format.pp_print_string ppf (to_string plan)

@@ -52,12 +52,6 @@ type step = {
 
 type t = step list
 
-val access_rows : access -> int
-
-val kind_name : kind -> string
-
 (** Stable multi-line rendering — the [.explain] output, pinned by the
     golden tests in [test/test_abdm.ml]. *)
 val to_string : t -> string
-
-val pp : Format.formatter -> t -> unit

@@ -70,5 +70,3 @@ let to_string pred =
   let buf = Buffer.create 32 in
   to_buffer buf pred;
   Buffer.contents buf
-
-let pp ppf pred = Format.pp_print_string ppf (to_string pred)

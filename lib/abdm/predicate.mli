@@ -39,5 +39,3 @@ val to_string : t -> string
 
 (** [to_buffer buf p] appends [to_string p] to [buf]. *)
 val to_buffer : Buffer.t -> t -> unit
-
-val pp : Format.formatter -> t -> unit

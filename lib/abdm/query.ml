@@ -129,5 +129,3 @@ let buffered add x =
 let conjunction_to_string = buffered conjunction_to_buffer
 
 let to_string = buffered to_buffer
-
-let pp ppf query = Format.pp_print_string ppf (to_string query)

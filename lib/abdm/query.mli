@@ -30,7 +30,9 @@ val satisfies : t -> Record.t -> bool
     without changing [satisfies]: duplicate predicates within a
     conjunction, duplicate conjunctions, and conjunctions made
     unsatisfiable by contradictory equalities ([x = 1 AND x = 2], or an
-    equality contradicting another predicate on the same attribute). *)
+    equality contradicting another predicate on the same attribute).
+    Test seam: the planner does not call it; the tests hold it to
+    [satisfies]. *)
 val simplify : t -> t
 
 (** [file_of_conjunction preds] is the file named by the first
@@ -50,5 +52,3 @@ val to_string : t -> string
 
 (** [to_buffer buf q] appends [to_string q] to [buf]. *)
 val to_buffer : Buffer.t -> t -> unit
-
-val pp : Format.formatter -> t -> unit

@@ -86,7 +86,8 @@ val explain : t -> Query.t -> Plan.t
     the number removed. *)
 val delete : t -> Query.t -> int
 
-(** [delete_key store key] removes one record by database key. *)
+(** [delete_key store key] removes one record by database key. Test
+    seam: the store oracle's scripts delete by key. *)
 val delete_key : t -> dbkey -> bool
 
 (** [update store query modifiers] applies all modifiers, left to right, to
@@ -98,7 +99,8 @@ val update : t -> Query.t -> Modifier.t list -> int
 val replace : t -> dbkey -> Record.t -> unit
 
 (** [records_of_file store file] lists the live records of [file] in
-    ascending-dbkey order. *)
+    ascending-dbkey order. Test seam: the store oracle compares files
+    through it. *)
 val records_of_file : t -> string -> (dbkey * Record.t) list
 
 val file_names : t -> string list
@@ -161,4 +163,5 @@ val commit : t -> unit
 
 val rollback : t -> unit
 
+(** Test seam: the tests read whether a journal is open. *)
 val in_transaction : t -> bool

@@ -58,5 +58,7 @@ val add_text : ?indent:string -> Buffer.t -> string -> unit
 val pp : Format.formatter -> t -> unit
 
 (** [of_literal s] parses an ABDL literal: a quoted string, an integer, a
-    float, or [NULL]. Raises [Invalid_argument] on malformed input. *)
+    float, or [NULL]. Raises [Invalid_argument] on malformed input.
+    Test seam: the parsers read literals off the token cursor; the tests
+    build values from text through it. *)
 val of_literal : string -> t

@@ -75,5 +75,3 @@ let rec to_string = function
   | Perform_until_eof body ->
     Printf.sprintf "PERFORM UNTIL EOF %s END PERFORM"
       (String.concat "; " (List.map to_string body))
-
-let pp ppf stmt = Format.pp_print_string ppf (to_string stmt)

@@ -44,5 +44,3 @@ type stmt =
           block until a FIND inside it runs off its set *)
 
 val to_string : stmt -> string
-
-val pp : Format.formatter -> stmt -> unit

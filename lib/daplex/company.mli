@@ -5,6 +5,4 @@
     many-to-many pairs, several one-to-many functions, and an overlap
     between engineer and manager. *)
 
-val ddl : string
-
 val schema : unit -> Schema.t

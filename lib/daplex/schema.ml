@@ -276,5 +276,3 @@ let to_ddl t =
     @ List.map overlap_ddl t.overlaps
   in
   String.concat "\n\n" parts ^ "\n"
-
-let pp ppf t = Format.pp_print_string ppf (to_ddl t)

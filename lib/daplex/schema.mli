@@ -42,13 +42,10 @@ val make :
   ?overlaps:Types.overlap list ->
   unit -> t
 
-val find_entity : t -> string -> Types.entity option
-
-val find_subtype : t -> string -> Types.subtype option
-
 (** [find_type t name] finds an entity type or subtype by name. *)
 val find_type : t -> string -> type_ref option
 
+(** Test seam: the tests read a parsed non-entity type through it. *)
 val find_non_entity : t -> string -> Types.non_entity option
 
 (** [is_entity_name t name] — entity type or subtype? *)
@@ -65,7 +62,8 @@ val find_function : t -> string -> string -> Types.function_decl option
 
 (** [owner_of_function t fn_name] — the (first) entity type or subtype
     declaring a function of that name, as KMS's "traverse the functional
-    schema to check the required function" (§VI.B.4). *)
+    schema to check the required function" (§VI.B.4). Test seam: the
+    tests check a parsed schema's function owners through it. *)
 val owner_of_function : t -> string -> (type_ref * Types.function_decl) option
 
 (** [resolve_range t range] classifies what the range denotes. Raises
@@ -89,16 +87,18 @@ val subtypes_of : t -> string -> Types.subtype list
 val is_terminal : t -> string -> bool
 
 (** All entity-type and subtype names, entities first, declaration
-    order. *)
+    order. Test seam: the transformer tests list a schema's types. *)
 val all_type_names : t -> string list
 
 (** [unique_functions t type_name] — function names of [type_name] under a
-    uniqueness constraint. *)
+    uniqueness constraint. Test seam: the tests read a parsed UNIQUE
+    clause through it. *)
 val unique_functions : t -> string -> string list
 
 (** [overlap_allowed t a b] — may one entity belong to both terminal
     subtypes [a] and [b]? True when some OVERLAP constraint pairs them
-    (in either order); subtypes are otherwise disjoint (§V.E). *)
+    (in either order); subtypes are otherwise disjoint (§V.E). Test
+    seam: the tests read a parsed OVERLAP clause through it. *)
 val overlap_allowed : t -> string -> string -> bool
 
 (** [validate t] checks name uniqueness, supertype existence, range
@@ -108,5 +108,3 @@ val validate : t -> (unit, string) result
 (** Renders the schema in the Daplex DDL syntax {!Ddl_parser} accepts
     (round-trips). *)
 val to_ddl : t -> string
-
-val pp : Format.formatter -> t -> unit

@@ -54,13 +54,6 @@ type overlap = {
   ov_right : string list;
 }
 
-let scalar_kind_to_string = function
-  | K_int -> "INTEGER"
-  | K_float -> "FLOAT"
-  | K_string -> "STRING"
-  | K_bool -> "BOOLEAN"
-  | K_enum -> "ENUMERATION"
-
 let range_to_string = function
   | R_int -> "INTEGER"
   | R_float -> "FLOAT"

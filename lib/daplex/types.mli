@@ -76,8 +76,6 @@ type overlap = {
   ov_right : string list;
 }
 
-val scalar_kind_to_string : scalar_kind -> string
-
 val range_to_string : range -> string
 
 val function_to_string : function_decl -> string

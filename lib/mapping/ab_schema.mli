@@ -27,10 +27,6 @@ type held =
   | Member_holds
   | Owner_holds
 
-(** [ref_attributes flavor record] — the set-reference attributes carried
-    by records of [record]: (set name, who holds it). *)
-val ref_attributes : flavor -> string -> (string * held) list
-
 (** [descriptor flavor] builds the kernel database descriptor. *)
 val descriptor : flavor -> Abdm.Descriptor.t
 

@@ -206,8 +206,6 @@ let journal_ops t =
       (fun () -> Mbds.Controller.commit ctrl),
       fun () -> Mbds.Controller.rollback ctrl )
 
-let in_transaction t = t.txn_depth > 0
-
 let begin_transaction t =
   let begin_t, _, _ = journal_ops t in
   if t.txn_depth = 0 then begin

@@ -138,9 +138,6 @@ val commit : t -> unit
 
 val rollback : t -> unit
 
-(** [true] iff a transaction bracket is open on this kernel. *)
-val in_transaction : t -> bool
-
 (** [atomically t f] runs [f] inside an undo-journaled transaction: on
     [Ok] the work commits, on [Error] (or an exception) every change [f]
     made through this kernel is rolled back. The paper defines a

@@ -23,6 +23,8 @@ type key_map
 val load :
   Kernel.t -> Transformer.Transform.t -> Daplex.University.row list -> key_map
 
+(** [find_key keys ~type_name ~row_key] is the database key the load gave
+    that row. Test seam: the tests address loaded records by row key. *)
 val find_key : key_map -> type_name:string -> row_key:string -> int option
 
 (** [university ?backends ?scale ()] — convenience: transform the

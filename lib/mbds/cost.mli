@@ -23,7 +23,9 @@ val default : t
 
 (** [response_time cost ~backend_work ~results] — [backend_work] lists, per
     backend, [(records_scanned, records_written)]; backends run in
-    parallel (max), result return is serial. *)
+    parallel (max), result return is serial. Test seam: the paper's
+    response-time equation, which {!of_loads} applies; the tests check
+    it term by term. *)
 val response_time : t -> backend_work:(int * int) list -> results:int -> float
 
 (** [of_loads cost ~before ~after ~results] is {!response_time} of the

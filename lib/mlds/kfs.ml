@@ -1,5 +1,4 @@
-(* Every formatter appends its whole reply to one buffer: the caller's
-   ([add_*]) or a fresh one whose contents it returns ([format_*]). A
+(* Every formatter appends its whole reply to the caller's buffer. A
    result is written with its two-space indent already after each of its
    newlines, so no second pass over the text follows. *)
 
@@ -147,17 +146,7 @@ let add_dli buf pairs =
 let add_abdl buf pairs =
   add_blocks Abdl.Ast.to_buffer (Abdl.Exec.add_result ~indent) buf pairs
 
-let to_string add pairs =
+let format_abdl pairs =
   let buf = Buffer.create 256 in
-  add buf pairs;
+  add_abdl buf pairs;
   Buffer.contents buf
-
-let format_codasyl pairs = to_string add_codasyl pairs
-
-let format_daplex pairs = to_string add_daplex pairs
-
-let format_sql pairs = to_string add_sql pairs
-
-let format_dli pairs = to_string add_dli pairs
-
-let format_abdl pairs = to_string add_abdl pairs

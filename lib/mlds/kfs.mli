@@ -3,11 +3,9 @@
     the user's statements with their outcomes, one block per statement,
     with constraint aborts reported inline.
 
-    Each language has two forms. [add_* buf pairs] appends the reply to
-    [buf] and returns nothing: the reply stays in the caller's buffer,
-    which it may clear and reuse for every reply (the server's executor
-    frames it from there). [format_* pairs] writes into a fresh buffer
-    and returns its contents. *)
+    [add_* buf pairs] appends the reply to [buf] and returns nothing: the
+    reply stays in the caller's buffer, which it may clear and reuse for
+    every reply (the server's executor frames it from there). *)
 
 val add_codasyl :
   Buffer.t ->
@@ -31,22 +29,8 @@ val add_dli :
 
 val add_abdl : Buffer.t -> (Abdl.Ast.request * Abdl.Exec.result) list -> unit
 
-val format_codasyl :
-  (Codasyl_dml.Ast.stmt * (Codasyl_dml.Engine.outcome, string) result) list ->
-  string
-
-val format_daplex :
-  (Daplex_dml.Ast.stmt * (Daplex_dml.Engine.outcome, string) result) list ->
-  string
-
-val format_sql :
-  (Relational.Sql_ast.stmt * (Relational.Engine.outcome, string) result) list ->
-  string
-
-val format_dli :
-  (Hierarchical.Dli_ast.call * (Hierarchical.Engine.outcome, string) result) list ->
-  string
-
+(** [format_abdl pairs] is {!add_abdl}'s reply in a fresh buffer: a
+    kernel-path reply to compare with a submitted one. *)
 val format_abdl : (Abdl.Ast.request * Abdl.Exec.result) list -> string
 
 (** [table header rows] — align a result table in columns. *)

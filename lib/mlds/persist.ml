@@ -387,15 +387,21 @@ let restore_parsed t s =
       let* () = System.define_relational ?kernel t ~name:s.db_name in
       (* replay the CREATE TABLE statements through a SQL session *)
       begin
-        match System.open_session t System.L_sql ~db:s.db_name with
+        match System.open_handle t System.L_sql ~db:s.db_name with
         | Error msg -> Error msg
-        | Ok session ->
-          if String.trim s.ddl = "(no tables yet)" || String.trim s.ddl = ""
-          then Ok ()
-          else
-            match System.submit session s.ddl with
-            | Ok _ -> Ok ()
-            | Error msg -> err "replaying relational DDL: %s" msg
+        | Ok h ->
+          let replayed =
+            if String.trim s.ddl = "(no tables yet)" || String.trim s.ddl = ""
+            then Ok ()
+            else
+              match System.submit_handle h s.ddl with
+              | Ok _ -> Ok ()
+              | Error e ->
+                err "replaying relational DDL: %s"
+                  (System.handle_error_to_string e)
+          in
+          System.close_handle h;
+          replayed
       end
     | other -> err "unknown data model %S in save file" other
   in

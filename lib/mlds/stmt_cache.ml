@@ -56,8 +56,6 @@ let create ?(capacity = 512) () =
     mx = Mutex.create ();
   }
 
-let capacity t = t.capacity
-
 let length t = Hashtbl.length t.table
 
 let hits t = t.hits
@@ -151,10 +149,3 @@ let add t ~language ~src value =
           Hashtbl.replace t.table key n;
           push_front t n
         end)
-
-let clear t =
-  locked t (fun () ->
-      Hashtbl.reset t.table;
-      Array.fill t.seen 0 (Array.length t.seen) (-1);
-      t.first <- None;
-      t.last <- None)

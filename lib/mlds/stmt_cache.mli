@@ -20,8 +20,6 @@ type 'a t
     no-op, {!find} always misses). *)
 val create : ?capacity:int -> unit -> 'a t
 
-val capacity : 'a t -> int
-
 (** Entries currently cached. *)
 val length : 'a t -> int
 
@@ -53,5 +51,3 @@ val misses : 'a t -> int
     seen them miss before (process-wide: the [stmt_cache.refused]
     counter). *)
 val refused : 'a t -> int
-
-val clear : 'a t -> unit

@@ -355,27 +355,20 @@ let run_parsed buf session parsed =
     invalid_arg "Mlds.System: parsed form does not match session language"
 
 (* One [mlds.submit] span per submission with the pipeline stages as
-   children: LIL parse (possibly a cache hit), then KMS+KC, then KFS,
-   which appends the reply to [buf]. *)
-let submit_with buf ~parse session src =
+   children: LIL parse (through [t]'s statement cache), then KMS+KC, then
+   KFS, which appends the reply to [buf]. *)
+let submit_with buf t session src =
   let language = session_language session in
   Obs.Span.with_span "mlds.submit"
     ~attrs:(fun () -> [ "language", language_to_string language ])
     (fun () ->
-      match Obs.Span.with_span "lil.parse" (fun () -> parse language src) with
+      match
+        Obs.Span.with_span "lil.parse" (fun () -> parse_cached t language src)
+      with
       | Error _ as e -> e
       | Ok parsed ->
         run_parsed buf session parsed;
         Ok ())
-
-(* the reply a submission left in [buf], as a string *)
-let reply_of buf = function
-  | Ok () -> Ok (Buffer.contents buf)
-  | Error e -> Error e
-
-let submit session src =
-  let buf = Buffer.create 256 in
-  reply_of buf (submit_with buf ~parse:parse_language session src)
 
 (* --- session handles ----------------------------------------------------- *)
 
@@ -503,11 +496,7 @@ let submit_handle_into buf h src =
     match blocked h with
     | Some e -> Error e
     | None ->
-      (match
-         submit_with buf
-           ~parse:(fun language src -> parse_cached h.h_system language src)
-           h.h_session src
-       with
+      (match submit_with buf h.h_system h.h_session src with
       | Ok () -> Ok ()
       | Error msg -> Error (H_parse msg))
 
@@ -516,7 +505,11 @@ let submit_handle_into buf h src =
 let reply_keep = 1 lsl 20
 
 let reply_into buf h src =
-  let reply = reply_of buf (submit_handle_into buf h src) in
+  let reply =
+    match submit_handle_into buf h src with
+    | Ok () -> Ok (Buffer.contents buf)
+    | Error e -> Error e
+  in
   if Buffer.length buf > reply_keep then Buffer.reset buf;
   reply
 

@@ -4,7 +4,7 @@
     with a target database.
 
     The language interface layer (LIL) logic of Chapter V lives in
-    {!open_session}: a CODASYL-DML session may target a {e network}
+    {!open_handle}: a CODASYL-DML session may target a {e network}
     database directly, or a {e functional} database — in which case the
     schema transformer output (computed when the database was defined) is
     used and the user manipulates the functional data with CODASYL-DML
@@ -42,9 +42,9 @@ type parsed
 
 (** The system's statement cache: a bounded LRU mapping
     (language, statement text) to the parse result, consulted once by
-    each {!submit_handle} (and by {!classify_handle}) so the loadgen's
-    repeated statements skip the LIL front end. Exposed for statistics
-    and tests. *)
+    each {!submit_handle} (and by {!classify_handle}) so a repeated
+    statement skips the LIL front end. Exposed for statistics and
+    tests. *)
 val stmt_cache : t -> parsed Stmt_cache.t
 
 (** A per-database kernel topology, overriding the system-wide defaults
@@ -132,27 +132,6 @@ type session =
   | S_dli of Hierarchical.Engine.t
   | S_abdl of Mapping.Kernel.t
 
-(** [open_session t language ~db] — errors when no interface exists from
-    [language] to [db]'s model. The supported pairs: CODASYL-DML→network,
-    CODASYL-DML→functional (via the schema transformer — the thesis's
-    contribution), Daplex→functional, SQL→relational,
-    SQL→hierarchical and SQL→functional (both read-only, over the
-    {!Views} relational derivations — the §VII companion directions),
-    DL/I→hierarchical, and ABDL→anything. *)
-val open_session : t -> language -> db:string -> (session, string) result
-
-(** [submit session src] — LIL: parse the source in the session's language,
-    translate and execute through KMS/KC, and format the results (KFS).
-    Statement-level errors are reported inline in the output; [Error] is
-    reserved for parse failures.
-
-    When tracing is enabled ({!Obs.Span.set_enabled}), each submission
-    records an [mlds.submit] span (attribute [language]) with children
-    [lil.parse], [kms.translate+kc.execute] — under which every kernel
-    request opens a [kernel.run] span, and each MBDS broadcast its
-    per-backend children — and [kfs.format]. *)
-val submit : session -> string -> (string, string) result
-
 (** {2 Session handles}
 
     A handle is the session-scoped unit the front ends (the CLI REPL and
@@ -180,10 +159,15 @@ type handle_error =
 
 val handle_error_to_string : handle_error -> string
 
-(** [open_handle ?user t language ~db] opens a fresh session (same
-    language/database pairs as {!open_session}) wrapped in a new handle.
-    Every call returns a distinct handle with distinct interface state,
-    even for the same user. *)
+(** [open_handle ?user t language ~db] opens a fresh session wrapped in
+    a new handle. Every call returns a distinct handle with distinct
+    interface state, even for the same user. It errors when no interface
+    exists from [language] to [db]'s model. The supported pairs:
+    CODASYL-DML→network, CODASYL-DML→functional (via the schema
+    transformer — the thesis's contribution), Daplex→functional,
+    SQL→relational, SQL→hierarchical and SQL→functional (both
+    read-only, over the {!Views} relational derivations — the §VII
+    companion directions), DL/I→hierarchical, and ABDL→anything. *)
 val open_handle :
   ?user:string -> t -> language -> db:string -> (handle, string) result
 
@@ -198,15 +182,22 @@ val handle_db : handle -> string
 (** The wrapped session (for statistics and currency displays). *)
 val handle_session : handle -> session
 
-val handle_closed : handle -> bool
-
-(** [submit_handle h src] is {!submit} guarded by the handle's state:
+(** [submit_handle h src] — LIL: parse the source in the handle's
+    language (through the statement cache), translate and execute through
+    KMS/KC, and format the results (KFS). Statement-level errors are
+    reported inline in the output; the handle's state gives the errors:
     [H_closed] after {!close_handle}, [H_busy] while another handle's
     transaction is open on the database, [H_parse] for parse failures.
     KFS writes the reply into a buffer the handle keeps from its first
     call to {!close_handle} (one over 1 MiB is not kept), so a session
     that submits many statements grows no fresh buffer each time; the
-    returned string is a copy. *)
+    returned string is a copy.
+
+    When tracing is enabled ({!Obs.Span.set_enabled}), each submission
+    records an [mlds.submit] span (attribute [language]) with children
+    [lil.parse], [kms.translate+kc.execute] — under which every kernel
+    request opens a [kernel.run] span, and each MBDS broadcast its
+    per-backend children — and [kfs.format]. *)
 val submit_handle : handle -> string -> (string, handle_error) result
 
 (** [submit_handle_into buf h src] is {!submit_handle} with the reply
@@ -238,7 +229,8 @@ val abort_txn : handle -> (unit, handle_error) result
 (** [true] iff [h] holds its database's open transaction. *)
 val in_txn : handle -> bool
 
-(** The handle id holding [db]'s open transaction, if any. *)
+(** The handle id holding [db]'s open transaction, if any. Test seam:
+    the tests read the transaction fence through it. *)
 val txn_owner : t -> db:string -> int option
 
 (** Abort any open transaction, fence the handle and drop its reply

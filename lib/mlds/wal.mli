@@ -226,7 +226,8 @@ val read_from : string -> lsn:int -> len:int -> string option
 (** [read_range path ~pos ~len] reads exactly [len] bytes at file offset
     [pos] (not an LSN) through a fresh descriptor, never disturbing the
     writing handle. [None] if the file is missing or shorter than
-    [pos + len]. *)
+    [pos + len]. Test seam: the replica tests read a log's bytes
+    through it. *)
 val read_range : string -> pos:int -> len:int -> string option
 
 (** [decode_frames data] decodes [data] as a sequence of complete frames.
@@ -239,6 +240,8 @@ val encode_frame : entry -> bytes
 
 (** {2 Encoding (exposed for tests and the snapshot checksum)} *)
 
+(** Test seam: the tests compare and round-trip entries by their
+    bytes. *)
 val encode_entry : entry -> string
 
 val decode_entry : string -> (entry, string) result

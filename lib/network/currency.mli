@@ -29,8 +29,10 @@ val set_run_unit : t -> entry -> unit
 
 val run_unit : t -> entry option
 
+(** Test seam: the tests read the current of a record type. *)
 val record_current : t -> string -> entry option
 
+(** Test seam: the tests set the current of a record type. *)
 val set_record_current : t -> entry -> unit
 
 val set_current : t -> string -> set_entry option

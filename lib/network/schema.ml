@@ -130,5 +130,3 @@ let to_ddl t =
     @ List.map set_ddl t.sets
   in
   String.concat "\n\n" parts ^ "\n"
-
-let pp ppf t = Format.pp_print_string ppf (to_ddl t)

@@ -31,8 +31,10 @@ val sets_with_member : t -> string -> Types.set_type list
 (** Sets owned by [record]. *)
 val sets_with_owner : t -> string -> Types.set_type list
 
+(** Test seam: the tests list a parsed schema's record types. *)
 val record_names : t -> string list
 
+(** Test seam: the tests list a parsed schema's set types. *)
 val set_names : t -> string list
 
 (** [set_dup_flag t ~record ~items] clears [attr_dup_allowed] on the named
@@ -43,5 +45,3 @@ val set_dup_flag : t -> record:string -> items:string list -> t
 (** Renders the schema in the DDL surface syntax of Fig. 5.1 (also the
     syntax {!Ddl_parser} accepts, so [to_ddl] round-trips). *)
 val to_ddl : t -> string
-
-val pp : Format.formatter -> t -> unit

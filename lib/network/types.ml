@@ -40,11 +40,6 @@ type set_type = {
   set_selection : selection;
 }
 
-let attr_type_to_string = function
-  | A_int -> "FIXED"
-  | A_float -> "FLOAT"
-  | A_string -> "CHARACTER"
-
 let insertion_to_string = function
   | Ins_automatic -> "AUTOMATIC"
   | Ins_manual -> "MANUAL"

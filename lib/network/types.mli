@@ -52,8 +52,6 @@ type set_type = {
   set_selection : selection;
 }
 
-val attr_type_to_string : attr_type -> string
-
 val insertion_to_string : insertion -> string
 
 val retention_to_string : retention -> string
@@ -66,4 +64,5 @@ val attribute :
   ?length:int -> ?dec_length:int -> ?dup_allowed:bool -> string -> attr_type ->
   attribute
 
+(** Test seam: the tests read a parsed record type's items. *)
 val find_attribute : record_type -> string -> attribute option

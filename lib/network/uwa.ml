@@ -32,7 +32,3 @@ let template t ~record =
   match Hashtbl.find_opt t record with
   | Some cell -> !cell
   | None -> []
-
-let clear_record t ~record = Hashtbl.remove t record
-
-let clear t = Hashtbl.reset t

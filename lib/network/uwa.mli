@@ -18,7 +18,3 @@ val load : t -> record:string -> (string * Abdm.Value.t) list -> unit
 
 (** [template t ~record] is the current template contents in MOVE order. *)
 val template : t -> record:string -> (string * Abdm.Value.t) list
-
-val clear_record : t -> record:string -> unit
-
-val clear : t -> unit

@@ -7,7 +7,7 @@
 val span_tree : Span.t -> string
 
 (** One JSON object (a nested span tree) on a single line, newline-
-    terminated. *)
+    terminated. Test seam: the tests parse a span tree's JSON. *)
 val span_jsonl : Span.t -> string
 
 (** Human-readable table of every registered metric: counters, gauges,
@@ -22,7 +22,8 @@ val metrics_table : unit -> string
 val sample_json : ?extra:(string * string) list -> Metrics.sample -> string
 
 (** One JSON object per registered metric, one per line. Histogram lines
-    carry [count], [mean], [min], [max], [p50], [p90], [p99]. *)
+    carry [count], [mean], [min], [max], [p50], [p90], [p99]. Test seam:
+    {!write_metrics_file} writes it; the tests parse it in memory. *)
 val metrics_jsonl : unit -> string
 
 (** Write {!metrics_jsonl} to [path] (truncating). *)

@@ -23,9 +23,6 @@ val parse : string -> (t, string) result
 (** [member key j] is the value bound to [key] when [j] is an object. *)
 val member : string -> t -> t option
 
-val to_num : t -> float option
-val to_int : t -> int option
-val to_str : t -> string option
 val to_arr : t -> t list option
 
 (** [num_member key j] = [member key j |> to_num], etc. *)
@@ -35,9 +32,6 @@ val int_member : string -> t -> int option
 val str_member : string -> t -> string option
 
 (* ---------- rendering ---------- *)
-
-(** Escape a string body for inclusion inside JSON quotes. *)
-val escape : string -> string
 
 (** [quote s] is [s] escaped and wrapped in double quotes. *)
 val quote : string -> string

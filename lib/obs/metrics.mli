@@ -28,10 +28,6 @@ val set_gauge : gauge -> float -> unit
 
 val gauge_value : gauge -> float
 
-(** 1-2-5 log-spaced upper bounds from 1 µs to 10 s — the default for
-    request-latency histograms (seconds). *)
-val default_latency_buckets : float array
-
 (** [histogram ?buckets name] — [buckets] are strictly increasing upper
     bounds; one implicit overflow bucket is added. Defaults to
     {!default_latency_buckets}. The bucket layout is fixed at first
@@ -42,6 +38,7 @@ val histogram : ?buckets:float array -> string -> histogram
 (** [observe h v] accounts one observation. NaN is ignored. *)
 val observe : histogram -> float -> unit
 
+(** Test seam: the tests count a histogram's observations. *)
 val histogram_count : histogram -> int
 
 (** [percentile h p] for [p] in [[0, 100]]: the upper bound of the bucket

@@ -112,8 +112,6 @@ val events_since :
 val slow_since :
   t -> cursor:int -> max_events:int -> slow_entry list * int * int
 
-val outcome_to_string : outcome -> string
-
 (** One compact JSON object (no trailing newline). *)
 val event_json : event -> string
 

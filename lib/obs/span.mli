@@ -48,10 +48,6 @@ val with_span :
   ?index:int -> ?attrs:(unit -> (string * string) list) -> string ->
   (unit -> 'a) -> 'a
 
-(** Append an attribute to the innermost open span of this domain, if
-    tracing is enabled and such a span exists. *)
-val add_attr : string -> string -> unit
-
 (** Splice every root span completed on {e other} domains into this
     domain's innermost open span (ordered by [index]). Must be called
     while those domains are quiescent — e.g. by the MBDS controller right

@@ -20,8 +20,6 @@ let c_reaped = Obs.Metrics.counter "server.reaped_total"
 
 let create sys = { sys; tbl = Hashtbl.create 32; count = Atomic.make 0 }
 
-let system t = t.sys
-
 let active t = Atomic.get t.count
 
 let set_gauge t = Obs.Metrics.set_gauge g_active (float_of_int (active t))

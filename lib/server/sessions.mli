@@ -24,8 +24,6 @@ type t
 
 val create : Mlds.System.t -> t
 
-val system : t -> Mlds.System.t
-
 (** [login t ~conn ~user ~language ~db] opens a handle and registers it.
     Errors for an unknown language or an impossible language/database
     pair. Updates the [server.sessions_active] gauge. *)

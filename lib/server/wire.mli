@@ -106,7 +106,7 @@ type 'a frame = { version : int; request_id : int; session_id : int; msg : 'a }
 val protocol_version : int
 
 (** Hard ceiling on payload size (16 MiB), enforced by {!read_frame} and
-    {!write_frame}. *)
+    {!write_frame}. Test seam: the tests build frames at the ceiling. *)
 val max_frame_bytes : int
 
 (** Short stable name of a request's opcode ("login", "submit", ...) —
@@ -136,12 +136,9 @@ val decode_response : string -> (response frame, string) result
 (** {2 Primitives} — the big-endian integers and [u32]-length strings
     every body is made of; the replication stream's messages
     ([Replica.Protocol]) are made of them too. The writers raise
-    [Invalid_argument] on a value outside their range ([put_u64] takes
-    any non-negative [int]: an LSN). *)
-
-val put_u8 : Buffer.t -> int -> unit
-
-val put_u32 : Buffer.t -> int -> unit
+    [Invalid_argument] on a value outside their range: [put_u64] takes
+    any non-negative [int] (an LSN), [put_str] a string shorter than
+    2^32 bytes. *)
 
 val put_u64 : Buffer.t -> int -> unit
 
@@ -157,8 +154,6 @@ type cursor = { data : string; mutable pos : int }
 exception Truncated of string
 
 val get_u8 : cursor -> string -> int
-
-val get_u32 : cursor -> string -> int
 
 val get_u64 : cursor -> string -> int
 

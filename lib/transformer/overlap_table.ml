@@ -25,8 +25,6 @@ let allowed t a b =
   || (not (share_ancestor t.schema a b))
   || List.mem (a, b) t.pairs
 
-let declared_pairs t = t.pairs
-
 let to_string t =
   match t.pairs with
   | [] -> "(no overlap constraints)"

@@ -12,7 +12,4 @@ val of_schema : Daplex.Schema.t -> t
     [b]? *)
 val allowed : t -> string -> string -> bool
 
-(** Explicitly declared overlap pairs (both orders), for display. *)
-val declared_pairs : t -> (string * string) list
-
 val to_string : t -> string

@@ -72,7 +72,8 @@ val set_of_function :
 val isa_sets_of_member : t -> string -> Network.Types.set_type list
 
 (** [system_set_of t record] — the SYSTEM-owned set of a top-level entity
-    record type, if it is one. *)
+    record type, if it is one. Test seam: the tests check which records
+    the transformation hangs off SYSTEM. *)
 val system_set_of : t -> string -> Network.Types.set_type option
 
 val origin_to_string : set_origin -> string

@@ -20,7 +20,6 @@ let () =
       "kfs", Test_kfs.suite;
       "wal", Test_wal.suite;
       "crash-states", Test_crash_states.suite;
-      "workload", Test_workload.suite;
       "kernel", Test_kernel.suite;
       "kernel-tap", Test_tap.suite;
       "server", Test_server.suite;

@@ -213,9 +213,11 @@ let gen_abdl =
   in
   list_size (int_range 0 6) (pair gen_request gen_exec)
 
-let byte_identical ~name ~count gen format oracle =
+let byte_identical ~name ~count gen add oracle =
   QCheck2.Test.make ~name ~count gen (fun pairs ->
-      let got = format pairs and want = oracle pairs in
+      let buf = Buffer.create 256 in
+      add buf pairs;
+      let got = Buffer.contents buf and want = oracle pairs in
       if not (String.equal got want) then
         QCheck2.Test.fail_reportf "KFS wrote@.%S@.the oracle@.%S" got want;
       true)
@@ -223,14 +225,14 @@ let byte_identical ~name ~count gen format oracle =
 let props =
   [
     byte_identical ~name:"KFS CODASYL-DML = oracle" ~count:300 gen_codasyl
-      Mlds.Kfs.format_codasyl Kfs_oracle.format_codasyl;
+      Mlds.Kfs.add_codasyl Kfs_oracle.format_codasyl;
     byte_identical ~name:"KFS Daplex = oracle" ~count:300 gen_daplex
-      Mlds.Kfs.format_daplex Kfs_oracle.format_daplex;
-    byte_identical ~name:"KFS SQL = oracle" ~count:300 gen_sql Mlds.Kfs.format_sql
+      Mlds.Kfs.add_daplex Kfs_oracle.format_daplex;
+    byte_identical ~name:"KFS SQL = oracle" ~count:300 gen_sql Mlds.Kfs.add_sql
       Kfs_oracle.format_sql;
-    byte_identical ~name:"KFS DL/I = oracle" ~count:300 gen_dli Mlds.Kfs.format_dli
+    byte_identical ~name:"KFS DL/I = oracle" ~count:300 gen_dli Mlds.Kfs.add_dli
       Kfs_oracle.format_dli;
-    byte_identical ~name:"KFS ABDL = oracle" ~count:300 gen_abdl Mlds.Kfs.format_abdl
+    byte_identical ~name:"KFS ABDL = oracle" ~count:300 gen_abdl Mlds.Kfs.add_abdl
       Kfs_oracle.format_abdl;
     QCheck2.Test.make ~name:"Sql_ast.to_string = Printf printer" ~count:500 gen_sql_stmt
       (fun stmt ->

@@ -283,9 +283,13 @@ let system () =
   ok "pay" (Mlds.System.define_relational t ~name:"pay");
   ok "med" (Mlds.System.define_hierarchical t ~name:"med" ~ddl:(List.hd hierarchical_ddl_corpus));
   let script language db src =
-    match Mlds.System.open_session t language ~db with
+    match Mlds.System.open_handle t language ~db with
     | Error msg -> Alcotest.failf "open %s: %s" db msg
-    | Ok session -> ok src (Result.map ignore (Mlds.System.submit session src))
+    | Ok h ->
+      ok src
+        (Result.map ignore
+           (Result.map_error Mlds.System.handle_error_to_string
+              (Mlds.System.submit_handle h src)))
   in
   script Mlds.System.L_sql "pay"
     "CREATE TABLE acct (id INT UNIQUE, owner CHAR(20), balance INT, note CHAR(20));\n\
@@ -294,9 +298,9 @@ let system () =
     "ISRT patient (pname = 'pt', pid = 5)\nISRT patient(pid = 5) visit (vdate = 'v1', cost = 150)";
   t
 
-(* [Mlds.System.submit] answers [Ok] or [Error] for any text in any of
-   the five languages: no lexical error, [Not_found] or other exception
-   escapes a parser or an engine. *)
+(* [Mlds.System.submit_handle] answers [Ok] or [Error (H_parse _)] for
+   any text in any of the five languages: no lexical error, [Not_found]
+   or other exception escapes a parser or an engine. *)
 (* A damaged statement in one of the five languages, with the database
    its session targets. *)
 let gen_damaged =
@@ -318,10 +322,16 @@ let prop_submit_never_raises =
     (QCheck2.Test.make ~name:"submit never raises on damaged statements" ~count:1500
        ~print:print_damaged gen_damaged
        (fun (language, db, src) ->
-         match Mlds.System.open_session (Lazy.force t) language ~db with
+         match Mlds.System.open_handle (Lazy.force t) language ~db with
          | Error msg -> QCheck2.Test.fail_reportf "open %s: %s" db msg
-         | Ok session ->
-           (match Mlds.System.submit session src with Ok _ | Error _ -> true)))
+         | Ok h ->
+           let reply = Mlds.System.submit_handle h src in
+           Mlds.System.close_handle h;
+           (match reply with
+           | Ok _ | Error (Mlds.System.H_parse _) -> true
+           | Error e ->
+             QCheck2.Test.fail_reportf "not a parse error: %s"
+               (Mlds.System.handle_error_to_string e))))
 
 (* The same damaged statements over the wire, through an in-process
    server and one client session per (language, database): each reply
@@ -426,4 +436,3 @@ let suite =
         ( language ^ ": a syntax error before a lexical error", `Quick,
           syntax_error_first parse src expected ))
       syntax_error_first_cases
-

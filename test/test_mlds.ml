@@ -11,12 +11,13 @@ let university_mlds ?backends ?fs () =
   | Error msg -> Alcotest.failf "define university: %s" msg
 
 let submit t language db src =
-  match Mlds.System.open_session t language ~db with
+  match Mlds.System.open_handle t language ~db with
   | Error msg -> Alcotest.failf "open session: %s" msg
-  | Ok session ->
-    match Mlds.System.submit session src with
+  | Ok h ->
+    match Mlds.System.submit_handle h src with
     | Ok out -> out
-    | Error msg -> Alcotest.failf "submit %s: %s" src msg
+    | Error e ->
+      Alcotest.failf "submit %s: %s" src (Mlds.System.handle_error_to_string e)
 
 let contains text needle = Daplex.Str_search.find text needle <> None
 
@@ -33,7 +34,7 @@ let test_define_and_registry () =
 
 let test_interface_matrix () =
   let t = university_mlds () in
-  let ok lang = Result.is_ok (Mlds.System.open_session t lang ~db:"university") in
+  let ok lang = Result.is_ok (Mlds.System.open_handle t lang ~db:"university") in
   Alcotest.(check bool) "codasyl on functional (thesis path)" true
     (ok Mlds.System.L_codasyl);
   Alcotest.(check bool) "daplex on functional" true (ok Mlds.System.L_daplex);
@@ -42,7 +43,7 @@ let test_interface_matrix () =
     (ok Mlds.System.L_sql);
   Alcotest.(check bool) "dli on functional rejected" false (ok Mlds.System.L_dli);
   Alcotest.(check bool) "unknown db" true
-    (Result.is_error (Mlds.System.open_session t Mlds.System.L_abdl ~db:"ghost"))
+    (Result.is_error (Mlds.System.open_handle t Mlds.System.L_abdl ~db:"ghost"))
 
 let test_codasyl_via_mlds () =
   let t = university_mlds () in
@@ -214,7 +215,8 @@ let test_mlds_on_mbds () =
     (contains out "COUNT(faculty)=6")
 
 (* An integer literal past the [int] range is a lexical error in every
-   language: a parse-error reply from [submit], which raises nothing. *)
+   language: a parse-error reply from [submit_handle], which raises
+   nothing. *)
 let test_int_literal_out_of_range () =
   let t = university_mlds () in
   let define = function Ok () -> () | Error msg -> Alcotest.fail msg in
@@ -225,12 +227,13 @@ let test_int_literal_out_of_range () =
   let huge = "99999999999999999999" in
   List.iter
     (fun (language, db, src) ->
-      match Mlds.System.open_session t language ~db with
+      match Mlds.System.open_handle t language ~db with
       | Error msg -> Alcotest.failf "open session: %s" msg
-      | Ok session ->
-        match Mlds.System.submit session src with
+      | Ok h ->
+        match Mlds.System.submit_handle h src with
         | Ok out -> Alcotest.failf "%s accepted: %s" src out
-        | Error msg ->
+        | Error e ->
+          let msg = Mlds.System.handle_error_to_string e in
           Alcotest.(check bool) (src ^ ": " ^ msg) true
             (contains msg "integer literal out of range"))
     [
@@ -409,15 +412,15 @@ let test_sql_on_hierarchical_join () =
 
 let test_sql_on_hierarchical_read_only () =
   let t = medical_mlds () in
-  match Mlds.System.open_session t Mlds.System.L_sql ~db:"medical" with
+  match Mlds.System.open_handle t Mlds.System.L_sql ~db:"medical" with
   | Error msg -> Alcotest.fail msg
-  | Ok session ->
-    match
-      Mlds.System.submit session "INSERT INTO patient VALUES (9, 'X', 9)"
-    with
+  | Ok h ->
+    match Mlds.System.submit_handle h "INSERT INTO patient VALUES (9, 'X', 9)" with
     | Ok out ->
       Alcotest.(check bool) "write refused" true (contains out "read-only")
-    | Error msg -> Alcotest.failf "expected inline error, got parse error %s" msg
+    | Error e ->
+      Alcotest.failf "expected inline error, got %s"
+        (Mlds.System.handle_error_to_string e)
 
 let test_sql_and_dli_consistent () =
   let t = medical_mlds () in
@@ -683,11 +686,11 @@ let suite = suite @ [ "sql on network", `Quick, test_sql_on_network ]
 let test_submit_parse_errors () =
   let t = university_mlds () in
   let check lang src =
-    match Mlds.System.open_session t lang ~db:"university" with
+    match Mlds.System.open_handle t lang ~db:"university" with
     | Error msg -> Alcotest.fail msg
-    | Ok session ->
+    | Ok h ->
       Alcotest.(check bool) "parse error surfaces" true
-        (Result.is_error (Mlds.System.submit session src))
+        (Result.is_error (Mlds.System.submit_handle h src))
   in
   check Mlds.System.L_codasyl "FROBNICATE things";
   check Mlds.System.L_daplex "FOR EACH x PRINT y";

@@ -757,13 +757,14 @@ let test_graceful_shutdown_checkpoint () =
       (match Mlds.Persist.load sys2 ~file:snap with
       | Ok () -> ()
       | Error msg -> Alcotest.failf "load checkpoint: %s" msg);
-      match Mlds.System.open_session sys2 Mlds.System.L_abdl ~db:"university" with
+      match Mlds.System.open_handle sys2 Mlds.System.L_abdl ~db:"university" with
       | Error msg -> Alcotest.failf "open recovered: %s" msg
-      | Ok session ->
-        (match Mlds.System.submit session "RETRIEVE ((FILE = walpt)) (COUNT(seq))" with
+      | Ok h ->
+        (match Mlds.System.submit_handle h "RETRIEVE ((FILE = walpt)) (COUNT(seq))" with
         | Ok out ->
           Alcotest.(check bool) "all three inserts survived" true (contains out "3")
-        | Error msg -> Alcotest.failf "retrieve recovered: %s" msg))
+        | Error e ->
+          Alcotest.failf "retrieve recovered: %s" (Mlds.System.handle_error_to_string e)))
 
 (* A read-only server (a warm standby) answers every statement that
    mutates nothing — a SELECT on a native relational database included,
@@ -1428,16 +1429,17 @@ let test_online_checkpoint () =
       | Ok { Mlds.Persist.recovery = None; _ } ->
         Alcotest.fail "no WAL replay during load"
       | Error msg -> Alcotest.failf "load_report: %s" msg);
-      match Mlds.System.open_session sys2 Mlds.System.L_abdl ~db:"university" with
+      match Mlds.System.open_handle sys2 Mlds.System.L_abdl ~db:"university" with
       | Error msg -> Alcotest.failf "open recovered: %s" msg
-      | Ok session ->
+      | Ok h ->
         (match
-           Mlds.System.submit session "RETRIEVE ((FILE = ckpt)) (COUNT(seq))"
+           Mlds.System.submit_handle h "RETRIEVE ((FILE = ckpt)) (COUNT(seq))"
          with
         | Ok out ->
           Alcotest.(check bool) "64 inserts, each exactly once" true
             (contains out "64")
-        | Error msg -> Alcotest.failf "retrieve recovered: %s" msg))
+        | Error e ->
+          Alcotest.failf "retrieve recovered: %s" (Mlds.System.handle_error_to_string e)))
 
 (* The fair lanes over the wire: a greedy pipelined client fills its own
    lane and gets typed [Overloaded] replies past its quota, which the

@@ -350,8 +350,8 @@ let test_sql_bulk_load_direct_words () =
     [ 0; 2 ]
 
 (* One handle's replies, successive [submit_handle]s on the buffer it
-   keeps, equal [Mlds.System.submit]'s on a fresh session over the same
-   scripts. The scripts mix short replies (a point SELECT, a parse
+   keeps, equal those of a fresh handle per statement (a fresh reply
+   buffer each) over the same scripts. The scripts mix short replies (a point SELECT, a parse
    error), long ones (up to ~60 KB) and one past the 1 MiB the handle
    keeps (every row of 1 200 with a 1 000-byte column), so a reply that
    left an earlier one's bytes behind, or one the reset cut short,
@@ -364,17 +364,18 @@ let wide_system =
      (match Mlds.System.define_relational sys ~name:"shop" with
      | Ok () -> ()
      | Error msg -> Alcotest.fail msg);
-     let session = Result.get_ok (Mlds.System.open_session sys Mlds.System.L_sql ~db:"shop") in
+     let h = Result.get_ok (Mlds.System.open_handle sys Mlds.System.L_sql ~db:"shop") in
      let pad i = String.make 1000 (Char.chr (Char.code 'a' + (i mod 26))) in
      (match
-        Mlds.System.submit session
+        Mlds.System.submit_handle h
           (String.concat ";\n"
              ("CREATE TABLE wide (id INT UNIQUE, pad CHAR(1000))"
              :: List.init wide_rows (fun i ->
                     Printf.sprintf "INSERT INTO wide VALUES (%d, '%s')" (i + 1) (pad i))))
       with
      | Ok _ -> ()
-     | Error msg -> Alcotest.fail msg);
+     | Error e -> Alcotest.fail (Mlds.System.handle_error_to_string e));
+     Mlds.System.close_handle h;
      sys)
 
 let gen_reply_scripts =
@@ -398,19 +399,23 @@ let prop_handle_replies =
     gen_reply_scripts
     (fun scripts ->
       let sys = Lazy.force wide_system in
-      let h = Result.get_ok (Mlds.System.open_handle sys Mlds.System.L_sql ~db:"shop") in
-      let session = Result.get_ok (Mlds.System.open_session sys Mlds.System.L_sql ~db:"shop") in
-      let got =
-        List.map
-          (fun src ->
-            Result.map_error Mlds.System.handle_error_to_string (Mlds.System.submit_handle h src))
-          scripts
+      let open_shop () =
+        Result.get_ok (Mlds.System.open_handle sys Mlds.System.L_sql ~db:"shop")
       in
-      let expected = List.map (Mlds.System.submit session) scripts in
+      let h = open_shop () in
+      let got = List.map (Mlds.System.submit_handle h) scripts in
       Mlds.System.close_handle h;
+      (* the reference: a fresh handle, so a fresh reply buffer, per statement *)
+      let fresh src =
+        let h = open_shop () in
+        let reply = Mlds.System.submit_handle h src in
+        Mlds.System.close_handle h;
+        reply
+      in
+      let expected = List.map fresh scripts in
       if not (List.exists (function Ok r -> String.length r > 1 lsl 20 | Error _ -> false) got)
       then QCheck2.Test.fail_report "no reply past 1 MiB";
-      List.equal (Result.equal ~ok:String.equal ~error:String.equal) got expected)
+      List.equal (Result.equal ~ok:String.equal ~error:( = )) got expected)
 
 (* Kept words per record: everything a kernel reaches
    ([Obj.reachable_words]: records, maps, index postings, shapes) over
