@@ -222,6 +222,8 @@ let language_to_string = function
   | L_dli -> "DL/I"
   | L_abdl -> "ABDL"
 
+(* The LIL matrix: the session [language] opens on [db]'s data model, or
+   why there is none. [open_handle] wraps it. *)
 let open_session t language ~db =
   match Registry.find t.registry db with
   | None -> Error (Printf.sprintf "unknown database %S" db)

@@ -351,11 +351,11 @@ let test_sql_bulk_load_direct_words () =
 
 (* One handle's replies, successive [submit_handle]s on the buffer it
    keeps, equal those of a fresh handle per statement (a fresh reply
-   buffer each) over the same scripts. The scripts mix short replies (a point SELECT, a parse
-   error), long ones (up to ~60 KB) and one past the 1 MiB the handle
-   keeps (every row of 1 200 with a 1 000-byte column), so a reply that
-   left an earlier one's bytes behind, or one the reset cut short,
-   shows. *)
+   buffer each) over the same scripts. The scripts mix short replies (a
+   point SELECT, a parse error), long ones (up to ~60 KB) and one past
+   the 1 MiB the handle keeps (every row of 1 200 with a 1 000-byte
+   column), so a reply that left an earlier one's bytes behind, or one
+   the reset cut short, shows. *)
 let wide_rows = 1200
 
 let wide_system =
