@@ -498,9 +498,9 @@ let submit_handle_into buf h src =
     match blocked h with
     | Some e -> Error e
     | None ->
-      (match submit_with buf h.h_system h.h_session src with
-      | Ok () -> Ok ()
-      | Error msg -> Error (H_parse msg))
+      Result.map_error
+        (fun msg -> H_parse msg)
+        (submit_with buf h.h_system h.h_session src)
 
 (* A reply past this is not kept for the next one: the buffer goes back
    to its first 256 bytes, as the executor's does past [out_limit]. *)
@@ -508,9 +508,7 @@ let reply_keep = 1 lsl 20
 
 let reply_into buf h src =
   let reply =
-    match submit_handle_into buf h src with
-    | Ok () -> Ok (Buffer.contents buf)
-    | Error e -> Error e
+    Result.map (fun () -> Buffer.contents buf) (submit_handle_into buf h src)
   in
   if Buffer.length buf > reply_keep then Buffer.reset buf;
   reply
