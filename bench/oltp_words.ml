@@ -50,7 +50,7 @@ let session sys =
   in
   { step; close = (fun () -> Option.iter Mlds.System.close_handle !handle) }
 
-type t = { ran : int; minor : float; promoted : float; hit_ratio : float }
+type t = { ran : int; minor : float; promoted : float }
 
 let run ?only ?(each = ignore) ~seed ~ops () =
   let module W = Perfbench.Workloads in
@@ -59,9 +59,6 @@ let run ?only ?(each = ignore) ~seed ~ops () =
   let next = W.ops W.Oltp_point ~seed ~client:0 (W.catalog W.Oltp_point sys) in
   let s = session sys in
   let ran = ref 0 in
-  let cache = Mlds.System.stmt_cache sys in
-  let hits0 = Mlds.Stmt_cache.hits cache
-  and misses0 = Mlds.Stmt_cache.misses cache in
   Gc.minor ();
   let minor0, promoted0 = counters () in
   for i = 1 to ops do
@@ -77,14 +74,7 @@ let run ?only ?(each = ignore) ~seed ~ops () =
   Gc.minor ();
   let minor1, promoted1 = counters () in
   s.close ();
-  let hits = Mlds.Stmt_cache.hits cache - hits0 in
-  let lookups = hits + Mlds.Stmt_cache.misses cache - misses0 in
-  {
-    ran = !ran;
-    minor = minor1 -. minor0;
-    promoted = promoted1 -. promoted0;
-    hit_ratio = float_of_int hits /. float_of_int (max 1 lookups);
-  }
+  { ran = !ran; minor = minor1 -. minor0; promoted = promoted1 -. promoted0 }
 
 let per_op t words = words /. float_of_int (max 1 t.ran)
 

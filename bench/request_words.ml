@@ -17,9 +17,8 @@
 
    Then, once, the benchmark's oltp-point request path: client 0's first
    20 000 ops after the seed-1 preload ([Oltp_words]), each language's
-   ops alone and the whole stream, in minor and promoted words per op.
-   The promoted words are what the statement cache's admission rule
-   bounds (E34); [test/test_memory.ml] guards the whole stream's.
+   ops alone and the whole stream, in minor and promoted words per op;
+   [test/test_memory.ml] guards the whole stream's promoted words.
 
    Last, the benchmark's scan-mbds read path (E41): client 0's seed-1
    stream after a 1 000-op warm-up, its next 1 000 reads, on a 2-backend
@@ -31,7 +30,7 @@
    merge), KFS (the reply written into the reply buffer, no string made)
    and the reply's encode (the server's framing: the prefix and the text
    written into bytes kept from read to read). The
-   rest of the submit is the LIL parse cache, KMS and the SQL
+   rest of the submit is the LIL parse, KMS and the SQL
    engine's own work. The last row times an empty stage: what the
    count itself reads (the statistics records it reads, promoted by its
    second minor collection). *)
@@ -191,15 +190,14 @@ let () =
   done;
   Printf.printf "\noltp-point, client 0, seed 1, first %d ops after the preload\n"
     oltp_ops;
-  Printf.printf "%-8s %-6s %-16s %-19s %s\n" "language" "ops" "minor words/op"
-    "promoted words/op" "statement cache hit ratio";
+  Printf.printf "%-8s %-6s %-16s %s\n" "language" "ops" "minor words/op"
+    "promoted words/op";
   List.iter
     (fun (label, only) ->
       let r = Oltp_words.run ?only ~seed:1 ~ops:oltp_ops () in
-      Printf.printf "%-8s %-6d %-16.0f %-19.1f %.3f\n%!" label r.ran
+      Printf.printf "%-8s %-6d %-16.0f %.1f\n%!" label r.ran
         (Oltp_words.per_op r r.minor)
-        (Oltp_words.per_op r r.promoted)
-        r.hit_ratio)
+        (Oltp_words.per_op r r.promoted))
     [ "abdl", Some Mlds.System.L_abdl; "sql", Some L_sql;
       "codasyl", Some L_codasyl; "daplex", Some L_daplex; "dli", Some L_dli;
       "all", None ];

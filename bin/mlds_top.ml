@@ -187,19 +187,9 @@ let render ~target ~prev ~cur ~tail ~keep =
     (fmt_duration
        (Option.value ~default:0.
           (metric_num cur "server.checkpoint.duration_s" "p99")));
-  let hit =
-    Option.value ~default:0. (metric_num cur "stmt_cache.hit" "value")
-  in
-  let miss =
-    Option.value ~default:0. (metric_num cur "stmt_cache.miss" "value")
-  in
-  let hit_rate =
-    if hit +. miss > 0. then 100. *. hit /. (hit +. miss) else 0.
-  in
-  add "wal fsync p99 %s   stmt-cache hit %.1f%%   batch p90 %.0f\n"
+  add "wal fsync p99 %s   batch p90 %.0f\n"
     (fmt_duration
        (Option.value ~default:0. (metric_num cur "wal.fsync_s" "p99")))
-    hit_rate
     (Option.value ~default:0. (metric_num cur "server.batch_size" "p90"));
   let counter name =
     Option.value ~default:0. (metric_num cur name "value")

@@ -19,64 +19,6 @@ let satisfies query record =
   in
   List.exists conj_holds query
 
-(* A conjunction is unsatisfiable when an equality on some attribute
-   contradicts another predicate on the same attribute. *)
-let contradictory preds =
-  List.exists
-    (fun (p : Predicate.t) ->
-      match p.op with
-      | Predicate.Eq ->
-        List.exists
-          (fun (q : Predicate.t) ->
-            String.equal p.attribute q.attribute
-            && not (Predicate.eval q.op p.value q.value))
-          preds
-      | Predicate.Neq | Predicate.Lt | Predicate.Le | Predicate.Gt
-      | Predicate.Ge -> false)
-    preds
-
-let simplify query =
-  let dedup_preds preds =
-    List.fold_left
-      (fun acc (p : Predicate.t) ->
-        if
-          List.exists
-            (fun (q : Predicate.t) ->
-              String.equal p.attribute q.attribute
-              && p.op = q.op
-              && Value.equal p.value q.value)
-            acc
-        then acc
-        else p :: acc)
-      [] preds
-    |> List.rev
-  in
-  let conjunctions =
-    List.filter_map
-      (fun preds ->
-        let preds = dedup_preds preds in
-        if contradictory preds then None else Some preds)
-      query
-  in
-  (* drop duplicate conjunctions (same predicate multiset, order kept) *)
-  let same_conjunction a b =
-    List.length a = List.length b
-    && List.for_all
-         (fun (p : Predicate.t) ->
-           List.exists
-             (fun (q : Predicate.t) ->
-               String.equal p.attribute q.attribute
-               && p.op = q.op
-               && Value.equal p.value q.value)
-             b)
-         a
-  in
-  List.fold_left
-    (fun acc preds ->
-      if List.exists (same_conjunction preds) acc then acc else preds :: acc)
-    [] conjunctions
-  |> List.rev
-
 let file_of_conjunction preds =
   List.find_map
     (fun (pred : Predicate.t) ->

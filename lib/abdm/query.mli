@@ -26,15 +26,6 @@ val conj_and : t -> t -> t
 (** [satisfies query record] tests the record against the DNF query. *)
 val satisfies : t -> Record.t -> bool
 
-(** [simplify query] removes redundancy that DNF normalisation introduces
-    without changing [satisfies]: duplicate predicates within a
-    conjunction, duplicate conjunctions, and conjunctions made
-    unsatisfiable by contradictory equalities ([x = 1 AND x = 2], or an
-    equality contradicting another predicate on the same attribute).
-    Test seam: the planner does not call it; the tests hold it to
-    [satisfies]. *)
-val simplify : t -> t
-
 (** [file_of_conjunction preds] is the file named by the first
     [(FILE = f)] equality in the conjunction, if any — the planner's way
     of narrowing a disjunct to one file's access paths. *)

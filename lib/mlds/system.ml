@@ -12,8 +12,8 @@ type session =
   | S_dli of Hierarchical.Engine.t
   | S_abdl of Mapping.Kernel.t
 
-(* A parse result: immutable AST lists, safe to share across sessions —
-   what the statement cache stores. *)
+(* A parse result: the statement's AST list, which [run_parsed]
+   executes on a session of the same language. *)
 type parsed =
   | P_codasyl of Codasyl_dml.Ast.stmt list
   | P_daplex of Daplex_dml.Ast.stmt list
@@ -38,8 +38,6 @@ type t = {
   wals : (string, Wal.t) Hashtbl.t;  (* db name -> attached write-ahead log *)
   txn_owners : (string, int) Hashtbl.t;
       (* db name -> id of the handle holding the db's open transaction *)
-  stmt_cache : parsed Stmt_cache.t;
-      (* (language, source) -> parse result; repeated statements skip LIL *)
   next_handle : int Atomic.t;
   (* Guards [sql_engines] and [txn_owners] against callers on
      different threads. Critical sections are a lookup or a single
@@ -49,8 +47,7 @@ type t = {
   mx : Mutex.t;
 }
 
-let create ?(backends = 0) ?placement ?pool ?stmt_cache_capacity
-    ?(fs = Fs.unix) () =
+let create ?(backends = 0) ?placement ?pool ?(fs = Fs.unix) () =
   {
     registry = Registry.create ();
     backends;
@@ -60,7 +57,6 @@ let create ?(backends = 0) ?placement ?pool ?stmt_cache_capacity
     sql_engines = Hashtbl.create 8;
     wals = Hashtbl.create 4;
     txn_owners = Hashtbl.create 4;
-    stmt_cache = Stmt_cache.create ?capacity:stmt_cache_capacity ();
     next_handle = Atomic.make 1;
     mx = Mutex.create ();
   }
@@ -68,8 +64,6 @@ let create ?(backends = 0) ?placement ?pool ?stmt_cache_capacity
 let locked t f =
   Mutex.lock t.mx;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.mx) f
-
-let stmt_cache t = t.stmt_cache
 
 let fs t = t.fs
 
@@ -170,12 +164,12 @@ let detach_wal t ~db =
     | None -> ());
     Wal.close wal
 
-let attach_wal ?fsync t ~db ~file =
+let attach_wal t ~db ~file =
   match kernel_of t db with
   | None -> Error (Printf.sprintf "unknown database %S" db)
   | Some kernel ->
     detach_wal t ~db;
-    let wal = Wal.open_log ~fs:t.fs ?fsync file in
+    let wal = Wal.open_log ~fs:t.fs file in
     Hashtbl.replace t.wals db wal;
     (* group commit: the fsync happens when the outermost transaction
        commits (or immediately for a mutation outside any transaction), so
@@ -298,8 +292,8 @@ let session_language = function
   | S_dli _ -> L_dli
   | S_abdl _ -> L_abdl
 
-(* The LIL front end proper, separated from execution so the statement
-   cache can serve a repeated statement without re-parsing it. *)
+(* The LIL front end proper, separated from execution so a standby's
+   read-only gate can classify a statement without running it. *)
 let parse_language language src =
   match
     match language with
@@ -311,19 +305,6 @@ let parse_language language src =
   with
   | parsed -> Ok parsed
   | exception Abdl.Syntax.Parse_error msg -> Error msg
-
-(* Cache only successes: a parse error is cheap to recompute and rare on
-   the hot path, and caching it would let one typo pin a cache slot. *)
-let parse_cached t language src =
-  let lang = language_to_string language in
-  match Stmt_cache.find t.stmt_cache ~language:lang ~src with
-  | Some parsed -> Ok parsed
-  | None ->
-    match parse_language language src with
-    | Error _ as e -> e
-    | Ok parsed ->
-      Stmt_cache.add t.stmt_cache ~language:lang ~src parsed;
-      Ok parsed
 
 (* KMS translation + KC execution + KFS formatting over an already-parsed
    program, the reply appended to [buf]. The engines interleave
@@ -357,15 +338,15 @@ let run_parsed buf session parsed =
     invalid_arg "Mlds.System: parsed form does not match session language"
 
 (* One [mlds.submit] span per submission with the pipeline stages as
-   children: LIL parse (through [t]'s statement cache), then KMS+KC, then
-   KFS, which appends the reply to [buf]. *)
-let submit_with buf t session src =
+   children: LIL parse, then KMS+KC, then KFS, which appends the reply
+   to [buf]. *)
+let submit_with buf session src =
   let language = session_language session in
   Obs.Span.with_span "mlds.submit"
     ~attrs:(fun () -> [ "language", language_to_string language ])
     (fun () ->
       match
-        Obs.Span.with_span "lil.parse" (fun () -> parse_cached t language src)
+        Obs.Span.with_span "lil.parse" (fun () -> parse_language language src)
       with
       | Error _ as e -> e
       | Ok parsed ->
@@ -500,7 +481,7 @@ let submit_handle_into buf h src =
     | None ->
       Result.map_error
         (fun msg -> H_parse msg)
-        (submit_with buf h.h_system h.h_session src)
+        (submit_with buf h.h_session src)
 
 (* A reply past this is not kept for the next one: the buffer goes back
    to its first 256 bytes, as the executor's does past [out_limit]. *)
@@ -637,7 +618,7 @@ let parsed_read_only = function
 let classify_handle h src =
   if handle_closed h then `Write
   else
-    match parse_cached h.h_system (session_language h.h_session) src with
+    match parse_language (session_language h.h_session) src with
     | Error _ -> `Write
     | Ok parsed -> if parsed_read_only parsed then `Read else `Write
 

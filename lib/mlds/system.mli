@@ -17,35 +17,20 @@ type t
     backends; otherwise each database uses a single-store kernel.
     [placement] is forwarded to every MBDS controller the system creates
     (see {!Mbds.Controller.create}), and so is [pool] (default: the
-    controller's); both are ignored for single-store kernels. [stmt_cache_capacity] bounds the statement
-    cache (default 512 entries; [0] disables it). [fs] (default
-    {!Fs.unix}) is the file system every attached WAL, every
+    controller's); both are ignored for single-store kernels. [fs]
+    (default {!Fs.unix}) is the file system every attached WAL, every
     [Persist] snapshot and checkpoint, and a standby of this system
     write through. *)
 val create :
   ?backends:int ->
   ?placement:Mbds.Controller.placement ->
   ?pool:Mbds.Pool.t ->
-  ?stmt_cache_capacity:int ->
   ?fs:Fs.t ->
   unit ->
   t
 
 (** The file system given to {!create}. *)
 val fs : t -> Fs.t
-
-(** An already-parsed program — what the statement cache stores. The
-    constructors are deliberately not exposed: callers interact with the
-    cache only through {!submit_handle} (which consults it) and
-    {!stmt_cache} (for statistics). *)
-type parsed
-
-(** The system's statement cache: a bounded LRU mapping
-    (language, statement text) to the parse result, consulted once by
-    each {!submit_handle} (and by {!classify_handle}) so a repeated
-    statement skips the LIL front end. Exposed for statistics and
-    tests. *)
-val stmt_cache : t -> parsed Stmt_cache.t
 
 (** A per-database kernel topology, overriding the system-wide defaults
     for one [define_*] call. Snapshot restore uses this to rebuild a
@@ -93,11 +78,10 @@ val define_hierarchical :
     [Persist.load] (snapshot) + [Persist.replay_wal] (the committed log
     suffix). *)
 
-(** [attach_wal ?fsync t ~db ~file] opens (or creates) [file] as [db]'s
-    write-ahead log and starts logging. Replaces (and closes) any WAL
-    already attached to [db]. [fsync] is the fsync-on-commit knob
-    (default [true]). *)
-val attach_wal : ?fsync:bool -> t -> db:string -> file:string -> (Wal.t, string) result
+(** [attach_wal t ~db ~file] opens (or creates) [file] as [db]'s
+    write-ahead log and starts logging, with an fsync on every commit.
+    Replaces (and closes) any WAL already attached to [db]. *)
+val attach_wal : t -> db:string -> file:string -> (Wal.t, string) result
 
 (** [detach_wal t ~db] stops logging and closes the log. No-op if no WAL
     is attached. *)
@@ -183,11 +167,11 @@ val handle_db : handle -> string
 val handle_session : handle -> session
 
 (** [submit_handle h src] — LIL: parse the source in the handle's
-    language (through the statement cache), translate and execute through
-    KMS/KC, and format the results (KFS). Statement-level errors are
-    reported inline in the output; the handle's state gives the errors:
-    [H_closed] after {!close_handle}, [H_busy] while another handle's
-    transaction is open on the database, [H_parse] for parse failures.
+    language, translate and execute through KMS/KC, and format the
+    results (KFS). Statement-level errors are reported inline in the
+    output; the handle's state gives the errors: [H_closed] after
+    {!close_handle}, [H_busy] while another handle's transaction is open
+    on the database, [H_parse] for parse failures.
     KFS writes the reply into a buffer the handle keeps from its first
     call to {!close_handle} (one over 1 MiB is not kept), so a session
     that submits many statements grows no fresh buffer each time; the
@@ -243,8 +227,8 @@ val close_handle : handle -> unit
     state; everything else — and everything uncertain: a parse error, a
     closed handle — is [`Write]. A warm standby's server uses this as
     its read-only gate. Session-private state (CODASYL currency, the
-    UWA, DL/I position) does not make a statement a write. Parsing done
-    here is served from (and primes) the statement cache. *)
+    UWA, DL/I position) does not make a statement a write. The statement
+    is parsed here, and parsed again when it is submitted. *)
 val classify_handle : handle -> string -> [ `Read | `Write ]
 
 (** {2 Group commit}

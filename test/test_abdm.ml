@@ -574,72 +574,6 @@ let suite =
       QCheck_alcotest.to_alcotest prop_rollback_restores_state;
     ]
 
-(* --- Query.simplify --------------------------------------------------------- *)
-
-let test_simplify () =
-  let open Abdm in
-  let p a op v = Predicate.make a op (Value.Int v) in
-  (* duplicate predicates collapse *)
-  let q = Query.conj [ p "x" Predicate.Eq 1; p "x" Predicate.Eq 1 ] in
-  Alcotest.(check int) "dup predicate dropped" 1
-    (List.length (List.hd (Query.simplify q)));
-  (* contradictory equalities drop the conjunction *)
-  let q = Query.conj [ p "x" Predicate.Eq 1; p "x" Predicate.Eq 2 ] in
-  Alcotest.(check int) "contradiction dropped" 0 (List.length (Query.simplify q));
-  (* equality contradicting a range *)
-  let q = Query.conj [ p "x" Predicate.Eq 1; p "x" Predicate.Gt 5 ] in
-  Alcotest.(check int) "eq vs range dropped" 0 (List.length (Query.simplify q));
-  (* compatible predicates survive *)
-  let q = Query.conj [ p "x" Predicate.Eq 7; p "x" Predicate.Gt 5 ] in
-  Alcotest.(check int) "compatible kept" 1 (List.length (Query.simplify q));
-  (* duplicate conjunctions collapse *)
-  let c = [ p "x" Predicate.Eq 1 ] in
-  Alcotest.(check int) "dup conjunction dropped" 1
-    (List.length (Query.simplify (Query.disj [ Query.conj c; Query.conj c ])))
-
-let gen_simplify_record =
-  QCheck2.Gen.(
-    map
-      (fun xs ->
-        Abdm.Record.make
-          (Abdm.Keyword.file "f"
-           :: List.mapi
-                (fun i v ->
-                  Abdm.Keyword.make (Printf.sprintf "a%d" i) (Abdm.Value.Int v))
-                xs))
-      (list_size (return 3) (int_range (-3) 3)))
-
-let gen_simplify_query =
-  QCheck2.Gen.(
-    let pred =
-      map2
-        (fun (i, v) op_i ->
-          let op =
-            List.nth
-              [ Abdm.Predicate.Eq; Abdm.Predicate.Neq; Abdm.Predicate.Lt;
-                Abdm.Predicate.Gt ]
-              op_i
-          in
-          Abdm.Predicate.make (Printf.sprintf "a%d" i) op (Abdm.Value.Int v))
-        (pair (int_range 0 2) (int_range (-3) 3))
-        (int_range 0 3)
-    in
-    list_size (int_range 0 4) (list_size (int_range 0 4) pred))
-
-let prop_simplify_preserves_satisfies =
-  QCheck2.Test.make ~name:"Query.simplify preserves satisfies" ~count:500
-    QCheck2.Gen.(pair gen_simplify_query gen_simplify_record)
-    (fun (query, record) ->
-      Abdm.Query.satisfies query record
-      = Abdm.Query.satisfies (Abdm.Query.simplify query) record)
-
-let suite =
-  suite
-  @ [
-      "query simplify", `Quick, test_simplify;
-      QCheck_alcotest.to_alcotest prop_simplify_preserves_satisfies;
-    ]
-
 let test_store_iter_and_files () =
   let s = mk_store () in
   let k1 = Abdm.Store.insert s (emp "a" 1) in

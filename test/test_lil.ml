@@ -382,7 +382,7 @@ let test_wire_never_fails_untyped () =
 (* --- words a parse allocates ----------------------------------------------- *)
 
 (* Minor words per parse of the benchmark's oltp-point statements, by
-   language, as the statement cache's misses run them. Measured on
+   language, as every submit runs them. Measured on
    OCaml 5.1, x86-64: ABDL 101, SQL 78, CODASYL-DML 373, Daplex-DML 145,
    DL/I 190.5; with the list-stream parsers of the parent tree put back
    (a token list built per statement, four lexes of every CODASYL line)

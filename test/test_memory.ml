@@ -93,8 +93,8 @@ let test_shared_sql_engine_flat () =
       Mlds.System.close_handle h
     done
   in
-  (* warm-up: fills the statement cache and lets the planner build its
-     index, both bounded and both outside the measured window *)
+  (* warm-up: lets the planner build its index, outside the measured
+     window *)
   run 1_000;
   let requests = 20_000 in
   let grown = growth (fun () -> run requests) in
@@ -127,10 +127,8 @@ let test_dli_handle_flat () =
 
 (* --- session churn over the socket ------------------------------------- *)
 
-let stmt_cache_capacity = 16
-
 let churn_system () =
-  let t = Mlds.System.create ~stmt_cache_capacity () in
+  let t = Mlds.System.create () in
   (match
      Mlds.System.define_functional t ~name:"university"
        ~ddl:Daplex.University.ddl Daplex.University.rows
@@ -141,8 +139,7 @@ let churn_system () =
   medical t;
   t
 
-(* One session's 16 requests per language. Keys vary with the round, so
-   the statement texts outnumber the cache's capacity. *)
+(* One session's 16 requests per language. *)
 let requests language round =
   List.init 16 (fun i ->
       let k = (round * 16) + i in
@@ -231,13 +228,7 @@ let test_session_churn () =
           (fun (db, _model) ->
             Alcotest.(check (option int)) ("no txn owner on " ^ db) None
               (Mlds.System.txn_owner t ~db))
-          (Mlds.System.databases t);
-        let cache = Mlds.System.stmt_cache t in
-        Alcotest.(check bool) "statement cache within its capacity" true
-          (Mlds.Stmt_cache.length cache <= stmt_cache_capacity);
-        Alcotest.(check bool) "statement cache saw more texts than it holds"
-          true
-          (Mlds.Stmt_cache.misses cache > stmt_cache_capacity))
+          (Mlds.System.databases t))
 
 (* The heap gauges are sampled when Stats is served: an operator reads
    the server's live heap from Stats (and mlds_top) without a profiler. *)
@@ -286,11 +277,11 @@ let test_stats_heap_gauges () =
    client 0's first 20 000 ops after the seed-1 preload, in-process
    ([Oltp_words], also printed by [bench/request_words.exe]). Promotion
    is what grows the major heap, and so the server's RSS; minor garbage
-   is not (E33). Its Zipf keys reach far past the 512-entry statement
-   cache: a cache that admits every text on its first miss keeps each
-   one-off text's parse tree until it is evicted, which promotes ~59
-   words an op; admission on the second miss promotes ~29 (E34). *)
-let promoted_words_bound = 40.
+   is not (E33). Every statement is parsed where it is submitted and its
+   parse dies young: ~15.3 words an op are promoted. The bound fails the
+   512-entry statement cache of E34 put back, whose parse trees were
+   promoted and then evicted (~23.9, E48). *)
+let promoted_words_bound = 18.
 
 let test_oltp_promoted_words () =
   let r = Oltp_words.run ~seed:1 ~ops:20_000 () in
@@ -302,13 +293,12 @@ let test_oltp_promoted_words () =
 
 (* Kept memory on the benchmark's oltp-point request path: the live
    heap after a full major collection at two points of client 0's
-   stream ([Oltp_words]), 10 000 and 40 000 ops in, both after the
-   512-entry statement cache has filled (it is full by op 5 000). Its
-   writes are UPDATEs, so the data does not grow: the two readings
-   differ by a few hundred words either way (400 408 to 401 061 words
-   from op 5 000 to op 80 000). A request log kept by the shared SQL
-   engine for its lifetime, the leak that bounded memory removed, adds
-   ~405 000 words between them. Bound: 4 096 words, about a byte an op. *)
+   stream ([Oltp_words]), 10 000 and 40 000 ops in. Its writes are
+   UPDATEs, so the data does not grow: the two readings differ by a few
+   hundred words either way (390 543 and 390 126 words). A request log
+   kept by the shared SQL engine for its lifetime, the leak that bounded
+   memory removed, adds ~405 000 words between them. Bound: 4 096 words,
+   about a byte an op. *)
 let kept_words_bound = 4_096
 
 let test_oltp_live_heap_flat () =
@@ -333,7 +323,7 @@ let test_oltp_live_heap_flat () =
    MBDS with no pool worker, so both backends' shares run on the calling
    domain and are counted ([Oltp_words.scan_minor_per_read]). A read
    allocates in the kernel (each backend's select and share, the
-   merge), in KFS and in the parse cache's lookup: ~33 400 words. The
+   merge), in KFS and in the parse: ~32 900 words. The
    bound fails a key set of matches built on every backend (~52 700
    words a read) and a [Printf] string per cell (~46 900), E41. *)
 let scan_read_words_bound = 40_000.
@@ -463,7 +453,7 @@ let suite =
     test_session_churn;
     "Stats reports the heap gauges", `Quick, test_stats_heap_gauges;
     "oltp-point: promoted words per op", `Quick, test_oltp_promoted_words;
-    "oltp-point: live heap flat after the statement cache fills", `Quick,
+    "oltp-point: live heap flat after 10 000 ops", `Quick,
     test_oltp_live_heap_flat;
     "scan-mbds: minor words per read", `Quick, test_scan_read_words;
     "scan-mbds: directly-major words per read over a socket", `Quick,

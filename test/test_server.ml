@@ -865,12 +865,10 @@ let test_idle_reap_quiet_server () =
 
 (* Mixed concurrent load through the real socket path with the batched
    executor: effects land exactly once, and the batch machinery actually
-   engaged (batch sizes and statement-cache hits observed). *)
+   engaged (batch sizes observed). *)
 let test_batched_socket_mixed () =
   let h_batch = Obs.Metrics.histogram "server.batch_size" in
-  let c_hit = Obs.Metrics.counter "stmt_cache.hit" in
   let batches0 = Obs.Metrics.histogram_count h_batch in
-  let hits0 = Obs.Metrics.counter_value c_hit in
   let clients = 4 and per_client = 10 in
   with_server (fun _server port ->
       let errors = Atomic.make 0 in
@@ -899,175 +897,7 @@ let test_batched_socket_mixed () =
            (string_of_int (clients * per_client / 2)));
       Client.close c);
   Alcotest.(check bool) "batch sizes observed" true
-    (Obs.Metrics.histogram_count h_batch > batches0);
-  Alcotest.(check bool) "statement cache hit" true
-    (Obs.Metrics.counter_value c_hit > hits0)
-
-(* --- the statement cache --------------------------------------------------- *)
-
-(* A submission consults the statement cache exactly once: a text the
-   server has never seen is one miss and no hit. *)
-let test_stmt_cache_one_lookup () =
-  let c_hit = Obs.Metrics.counter "stmt_cache.hit" in
-  let c_miss = Obs.Metrics.counter "stmt_cache.miss" in
-  with_server (fun _server port ->
-      let c = logged_in port in
-      let hit0 = Obs.Metrics.counter_value c_hit in
-      let miss0 = Obs.Metrics.counter_value c_miss in
-      ignore
-        (csubmit c "RETRIEVE ((FILE = employee) AND (salary > 31337)) (name)");
-      Alcotest.(check int) "one miss" 1
-        (Obs.Metrics.counter_value c_miss - miss0);
-      Alcotest.(check int) "no hit" 0 (Obs.Metrics.counter_value c_hit - hit0);
-      Client.close c)
-
-let test_stmt_cache_lru () =
-  let c = Mlds.Stmt_cache.create ~capacity:2 () in
-  let get src = Mlds.Stmt_cache.find c ~language:"abdl" ~src in
-  Alcotest.(check bool) "cold miss" true (get "a" = None);
-  Mlds.Stmt_cache.add c ~language:"abdl" ~src:"a" 1;
-  Mlds.Stmt_cache.add c ~language:"abdl" ~src:"b" 2;
-  Alcotest.(check bool) "hit a" true (get "a" = Some 1);
-  (* the key is (language, text): same text, other language misses *)
-  Alcotest.(check bool) "language partitions the key" true
-    (Mlds.Stmt_cache.find c ~language:"sql" ~src:"a" = None);
-  (* a was just refreshed; the full cache admits c on its second miss,
-     which evicts b *)
-  Mlds.Stmt_cache.add c ~language:"abdl" ~src:"c" 3;
-  Mlds.Stmt_cache.add c ~language:"abdl" ~src:"c" 3;
-  Alcotest.(check int) "capacity respected" 2 (Mlds.Stmt_cache.length c);
-  Alcotest.(check bool) "LRU (b) evicted" true (get "b" = None);
-  Alcotest.(check bool) "MRU (a) survives" true (get "a" = Some 1);
-  Alcotest.(check bool) "newcomer (c) present" true (get "c" = Some 3);
-  Alcotest.(check bool) "hits and misses counted" true
-    (Mlds.Stmt_cache.hits c > 0 && Mlds.Stmt_cache.misses c > 0);
-  (* a text over 4 KiB (a one-off script) is neither kept nor evicts *)
-  let script = String.make 4097 'x' in
-  Mlds.Stmt_cache.add c ~language:"abdl" ~src:script 4;
-  Alcotest.(check bool) "long text not retained" true (get script = None);
-  Alcotest.(check bool) "nothing evicted for it" true
-    (get "a" = Some 1 && get "c" = Some 3);
-  Mlds.Stmt_cache.add c ~language:"abdl" ~src:(String.sub script 0 4096) 5;
-  Mlds.Stmt_cache.add c ~language:"abdl" ~src:(String.sub script 0 4096) 5;
-  Alcotest.(check bool) "4 KiB text retained" true
-    (get (String.sub script 0 4096) = Some 5);
-  (* capacity 0 disables caching entirely *)
-  let off = Mlds.Stmt_cache.create ~capacity:0 () in
-  Mlds.Stmt_cache.add off ~language:"abdl" ~src:"a" 1;
-  Alcotest.(check int) "zero-capacity cache stays empty" 0
-    (Mlds.Stmt_cache.length off)
-
-(* The admission rule: a full cache admits a text on its second miss. *)
-let test_stmt_cache_full_refuses_first_sight () =
-  let c = Mlds.Stmt_cache.create ~capacity:2 () in
-  let get src = Mlds.Stmt_cache.find c ~language:"abdl" ~src in
-  Mlds.Stmt_cache.add c ~language:"abdl" ~src:"a" 1;
-  Mlds.Stmt_cache.add c ~language:"abdl" ~src:"b" 2;
-  Mlds.Stmt_cache.add c ~language:"abdl" ~src:"c" 3;
-  Alcotest.(check bool) "first sighting not kept" true (get "c" = None);
-  Alcotest.(check bool) "nothing evicted for it" true
-    (get "a" = Some 1 && get "b" = Some 2);
-  Alcotest.(check int) "still full" 2 (Mlds.Stmt_cache.length c);
-  Alcotest.(check int) "one refusal counted" 1 (Mlds.Stmt_cache.refused c)
-
-let test_stmt_cache_second_miss_admitted () =
-  let c = Mlds.Stmt_cache.create ~capacity:2 () in
-  let get src = Mlds.Stmt_cache.find c ~language:"abdl" ~src in
-  Mlds.Stmt_cache.add c ~language:"abdl" ~src:"a" 1;
-  Mlds.Stmt_cache.add c ~language:"abdl" ~src:"b" 2;
-  (* refresh a: b is now the least recently used *)
-  ignore (get "a");
-  Mlds.Stmt_cache.add c ~language:"abdl" ~src:"c" 3;
-  Alcotest.(check bool) "first miss" true (get "c" = None);
-  Mlds.Stmt_cache.add c ~language:"abdl" ~src:"c" 3;
-  Alcotest.(check bool) "second miss admitted" true (get "c" = Some 3);
-  Alcotest.(check bool) "LRU (b) evicted" true (get "b" = None);
-  Alcotest.(check bool) "MRU (a) survives" true (get "a" = Some 1);
-  Alcotest.(check int) "capacity respected" 2 (Mlds.Stmt_cache.length c);
-  Alcotest.(check int) "one refusal counted" 1 (Mlds.Stmt_cache.refused c)
-
-let test_stmt_cache_room_admits_first_sight () =
-  let c = Mlds.Stmt_cache.create ~capacity:3 () in
-  let get src = Mlds.Stmt_cache.find c ~language:"abdl" ~src in
-  Mlds.Stmt_cache.add c ~language:"abdl" ~src:"a" 1;
-  Mlds.Stmt_cache.add c ~language:"abdl" ~src:"b" 2;
-  Mlds.Stmt_cache.add c ~language:"abdl" ~src:"c" 3;
-  Alcotest.(check bool) "each admitted on first sight" true
-    (get "a" = Some 1 && get "b" = Some 2 && get "c" = Some 3);
-  Alcotest.(check int) "no refusal" 0 (Mlds.Stmt_cache.refused c)
-
-(* cached ≡ uncached: a statement stream with heavy repetition gives the
-   same replies, byte for byte, through a small cache (capacities 0–4,
-   so texts are refused, admitted and evicted) as through none. The
-   stream mixes reads, writes and a parse error over two languages. *)
-let cache_stream_texts =
-  [| Mlds.System.L_abdl, "RETRIEVE ((FILE = employee)) (AVG(salary))";
-     L_abdl, "RETRIEVE ((FILE = employee)) (COUNT(name))";
-     L_abdl, "RETRIEVE ((FILE = employee) AND (salary > 30000)) (name, salary)";
-     L_abdl, "UPDATE ((FILE = employee) AND (salary < 40000)) (salary = salary + 7)";
-     L_abdl, "RETRIEVE ((FILE = course)) (title)";
-     L_abdl, "RETRIEVE ((FILE = employee";
-     L_daplex, "FOR EACH c IN course SUCH THAT title(c) = 'Simulation' PRINT credits(c) END";
-     L_daplex, "FOR EACH s IN student SUCH THAT major(s) = 'Physics' PRINT name(s) END" |]
-
-let stream_replies ~capacity stream =
-  let t = Mlds.System.create ~stmt_cache_capacity:capacity () in
-  (match
-     Mlds.System.define_functional t ~name:"university"
-       ~ddl:Daplex.University.ddl Daplex.University.rows
-   with
-  | Ok () -> ()
-  | Error msg -> Alcotest.failf "define: %s" msg);
-  let abdl = open_h t Mlds.System.L_abdl and daplex = open_h t L_daplex in
-  List.map
-    (fun i ->
-      let lang, src = cache_stream_texts.(i) in
-      let h = if lang = Mlds.System.L_abdl then abdl else daplex in
-      match Mlds.System.submit_handle h src with
-      | Ok out -> out
-      | Error e -> "error: " ^ Mlds.System.handle_error_to_string e)
-    stream
-
-let prop_stmt_cache_cached_equals_uncached =
-  let n = Array.length cache_stream_texts in
-  QCheck2.Test.make ~name:"stmt cache: cached = uncached replies" ~count:60
-    ~print:QCheck2.Print.(pair int (list int))
-    QCheck2.Gen.(
-      pair (int_range 0 4)
-        (list_size (int_range 1 40)
-           (* three hot texts and a long tail: heavy repetition *)
-           (frequency [ 3, int_range 0 2; 1, int_range 0 (n - 1) ])))
-    (fun (capacity, stream) ->
-      stream_replies ~capacity stream = stream_replies ~capacity:0 stream)
-
-let test_stmt_cache_in_system () =
-  let t = university () in
-  let cache = Mlds.System.stmt_cache t in
-  let h = open_h t Mlds.System.L_abdl in
-  let src = "RETRIEVE ((FILE = employee)) (AVG(salary))" in
-  let h0 = Mlds.Stmt_cache.hits cache in
-  let first = submit_h h src in
-  let hits_after_first = Mlds.Stmt_cache.hits cache in
-  let second = submit_h h src in
-  (* identical answer through the cached parse *)
-  Alcotest.(check string) "cached parse, same answer" first second;
-  Alcotest.(check bool) "second submission hit the cache" true
-    (Mlds.Stmt_cache.hits cache > hits_after_first && hits_after_first >= h0);
-  (* a tiny cache evicts but never changes results *)
-  let t2 = Mlds.System.create ~stmt_cache_capacity:1 () in
-  (match
-     Mlds.System.define_functional t2 ~name:"university"
-       ~ddl:Daplex.University.ddl Daplex.University.rows
-   with
-  | Ok () -> ()
-  | Error msg -> Alcotest.failf "define: %s" msg);
-  let h2 = open_h t2 Mlds.System.L_abdl in
-  let a = submit_h h2 "RETRIEVE ((FILE = employee)) (AVG(salary))" in
-  ignore (submit_h h2 "RETRIEVE ((FILE = employee)) (COUNT(name))");
-  let a' = submit_h h2 "RETRIEVE ((FILE = employee)) (AVG(salary))" in
-  Alcotest.(check string) "eviction is invisible to results" a a';
-  Alcotest.(check int) "capacity-1 cache holds one entry" 1
-    (Mlds.Stmt_cache.length (Mlds.System.stmt_cache t2))
+    (Obs.Metrics.histogram_count h_batch > batches0)
 
 (* --- the telemetry plane over the socket ---------------------------------- *)
 
@@ -2219,18 +2049,6 @@ let suite =
       test_idle_reap_quiet_server;
     Alcotest.test_case "batch: mixed load over the socket" `Quick
       test_batched_socket_mixed;
-    Alcotest.test_case "stmt cache: LRU semantics" `Quick test_stmt_cache_lru;
-    Alcotest.test_case "stmt cache: one lookup per submit" `Quick
-      test_stmt_cache_one_lookup;
-    Alcotest.test_case "stmt cache: wired into the system" `Quick
-      test_stmt_cache_in_system;
-    Alcotest.test_case "stmt cache: full, a first sighting is refused" `Quick
-      test_stmt_cache_full_refuses_first_sight;
-    Alcotest.test_case "stmt cache: a second miss is admitted" `Quick
-      test_stmt_cache_second_miss_admitted;
-    Alcotest.test_case "stmt cache: room admits on first sight" `Quick
-      test_stmt_cache_room_admits_first_sight;
-    QCheck_alcotest.to_alcotest prop_stmt_cache_cached_equals_uncached;
     Alcotest.test_case "telemetry: stats/tail round-trip" `Quick
       test_stats_tail_roundtrip;
     Alcotest.test_case "telemetry: tail with recorder disabled" `Quick
