@@ -1101,10 +1101,10 @@ let suite =
       QCheck_alcotest.to_alcotest prop_planner_matches_scan;
       QCheck_alcotest.to_alcotest prop_exists_is_select;
       QCheck_alcotest.to_alcotest prop_int_to_buffer;
-      "record duplicate message, 2 and 64 keywords", `Quick,
-      test_record_duplicate_message;
       "explain golden: two-sided range window", `Quick, test_explain_golden_window;
       "records of a file share one shape", `Quick, test_record_shapes_shared;
+      "record duplicate message, 2 and 64 keywords", `Quick,
+      test_record_duplicate_message;
       QCheck_alcotest.to_alcotest prop_record_matches_keyword_list;
       "value compare: Int against Float is exact", `Quick, test_compare_exact;
       QCheck_alcotest.to_alcotest prop_compare_exact;
