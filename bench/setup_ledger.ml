@@ -30,9 +30,15 @@
    untraced): the self time of each span name it opened (lil.parse,
    kms.translate+kc.execute, kernel.run, mbds.insert, kfs.format, ...),
    the time inside a span less its children's, which shows the stage a
-   set-up gain came from. Ends with
-   pool.workers_started, the worker domains the whole ledger spawned: a
-   start-up that broadcasts shows there. *)
+   set-up gain came from. Between the two, the memory ledger, read once
+   the first run's saves are done (the state a server starts serving
+   in: one system, preloaded and saved): the Rss of /proc/self/smaps by owner
+   (the executable's text, read-only and data segments, the shared
+   libraries, [heap], [stack], the anonymous memory split into the major
+   heap, the minor heap and the rest), their sum and VmRSS; the ledger
+   exits 1 when the sum is further from VmRSS than its tolerance. Ends
+   with pool.workers_started, the worker domains the whole ledger
+   spawned: a start-up that broadcasts shows there. *)
 
 let median xs =
   let a = Array.of_list xs in
@@ -43,6 +49,9 @@ let shares () =
   Obs.Metrics.counter_value (Obs.Metrics.counter "mbds.shares_inline")
   + Obs.Metrics.counter_value (Obs.Metrics.counter "mbds.shares_remote")
 
+let workers_started () =
+  Obs.Metrics.counter_value (Obs.Metrics.counter "pool.workers_started")
+
 let minor_collections () = (Gc.quick_stat ()).minor_collections
 
 (* words allocated directly in the major heap by this domain *)
@@ -50,37 +59,156 @@ let direct_major_words () =
   let _, promoted, major = Gc.counters () in
   major -. promoted
 
-(* /proc/self/smaps is read into one buffer made at start, so a reading
-   allocates nothing in the heaps it measures *)
-let smaps = Bytes.create (1 lsl 20)
+(* /proc/self/smaps and /proc/self/status are read into one buffer made
+   at start, so a reading allocates nothing in the heaps it measures. It
+   is filled, so all of it is resident as the major heap counts it. *)
+let smaps = Bytes.make (1 lsl 18) '\000'
 
-(* the index of [pat] in [smaps] at or after [from], below [len] *)
-let rec find pat ~len from =
-  let n = String.length pat in
-  let rec matches i = i = n || (Bytes.get smaps (from + i) = pat.[i] && matches (i + 1)) in
-  if from + n > len then None else if matches 0 then Some from else find pat ~len (from + 1)
-
-(* Rss of the [heap] mapping (glibc's main arena) in KiB, or -1 where
-   /proc/self/smaps is not readable *)
-let heap_rss_kib () =
-  match Unix.openfile "/proc/self/smaps" [ Unix.O_RDONLY ] 0 with
+(* [path] into [smaps]: its length, or -1 where it is not readable *)
+let read_proc path =
+  match Unix.openfile path [ Unix.O_RDONLY ] 0 with
   | exception Unix.Unix_error _ -> -1
   | fd ->
     let rec fill n =
       match Unix.read fd smaps n (Bytes.length smaps - n) with
       | 0 -> n
-      | k -> if n + k = Bytes.length smaps then n + k else fill (n + k)
+      | k ->
+        if n + k = Bytes.length smaps then failwith (path ^ " is larger than its buffer");
+        fill (n + k)
     in
-    let len = Fun.protect ~finally:(fun () -> Unix.close fd) (fun () -> fill 0) in
-    let rec digits i acc =
+    Fun.protect ~finally:(fun () -> Unix.close fd) (fun () -> fill 0)
+
+(* the number at [i], leading blanks skipped *)
+let rec number_at i acc =
+  match Bytes.get smaps i with
+  | '0' .. '9' as c -> number_at (i + 1) ((acc * 10) + Char.code c - Char.code '0')
+  | ' ' | '\t' when acc = 0 -> number_at (i + 1) acc
+  | _ -> acc
+
+(* whether the bytes at [i] start with [s] *)
+let starts_with s i =
+  let n = String.length s in
+  let rec go k = k = n || (Bytes.get smaps (i + k) = s.[k] && go (k + 1)) in
+  i + n <= Bytes.length smaps && go 0
+
+(* whether the bytes from [i] to the end of the line are [s] *)
+let line_is s i =
+  let n = String.length s in
+  starts_with s i && i + n < Bytes.length smaps && Bytes.get smaps (i + n) = '\n'
+
+(* The memory ledger's rows: the owner of each mapping in smaps. The
+   anonymous row is split further in [memory_ledger]. *)
+type owner =
+  | Text  (** the executable's r-xp mappings *)
+  | Read_only  (** its r--p ones: ELF headers, dynamic tables, rodata, RELRO *)
+  | Data  (** its rw-p one (.data) and the anonymous one just past it (.bss) *)
+  | Libraries  (** every other file-backed mapping *)
+  | Heap  (** [heap], glibc's main arena *)
+  | Stack  (** [stack], the main thread's *)
+  | Anonymous  (** no path: OCaml's heaps, thread stacks, glibc's mmaps *)
+  | Kernel  (** [vdso], [vvar] and the like *)
+
+let slot = function
+  | Text -> 0 | Read_only -> 1 | Data -> 2 | Libraries -> 3
+  | Heap -> 4 | Stack -> 5 | Anonymous -> 6 | Kernel -> 7
+
+let exe = lazy (Unix.readlink "/proc/self/exe")
+
+(* Rss KiB by [slot], from the last [read_smaps] *)
+let rss = Array.make 8 0
+
+(* the hex number at [i] and the index past it *)
+let rec hex_at i acc =
+  match Bytes.get smaps i with
+  | '0' .. '9' as c -> hex_at (i + 1) ((acc * 16) + Char.code c - Char.code '0')
+  | 'a' .. 'f' as c -> hex_at (i + 1) ((acc * 16) + Char.code c - Char.code 'a' + 10)
+  | _ -> acc, i
+
+(* the owner of the mapping whose header line starts at [i],
+   "start-end perms offset dev inode   path", and its end address;
+   [exe_end] is where the executable's last mapping so far ends *)
+let owner_at i ~exe_end =
+  let rec field i k = if k = 0 then i else field (Bytes.index_from smaps i ' ' + 1) (k - 1) in
+  let start, dash = hex_at i 0 in
+  let end_, _ = hex_at (dash + 1) 0 in
+  let perms = field i 1 in
+  let rec path j = if Bytes.get smaps j = ' ' then path (j + 1) else j in
+  let p = path (field i 5) in
+  let owner =
+    if line_is (Lazy.force exe) p then
+      match Bytes.get smaps (perms + 1), Bytes.get smaps (perms + 2) with
+      | _, 'x' -> Text
+      | 'w', _ -> Data
+      | _ -> Read_only
+    else if Bytes.get smaps p = '/' then Libraries
+    else if line_is "[heap]" p then Heap
+    else if line_is "[stack]" p then Stack
+    else if Bytes.get smaps p = '\n' then if start = exe_end then Data else Anonymous
+    else Kernel
+  in
+  owner, end_
+
+(* [rss] from /proc/self/smaps; false where it is not readable *)
+let read_smaps () =
+  Array.fill rss 0 (Array.length rss) 0;
+  let len = read_proc "/proc/self/smaps" in
+  let rec lines i owner ~exe_end =
+    if i < len then
+      let next = Bytes.index_from smaps i '\n' + 1 in
       match Bytes.get smaps i with
-      | '0' .. '9' as c -> digits (i + 1) ((acc * 10) + Char.code c - Char.code '0')
-      | ' ' when acc = 0 -> digits (i + 1) acc
-      | _ -> acc
+      | '0' .. '9' | 'a' .. 'f' ->
+        let owner, end_ = owner_at i ~exe_end in
+        lines next (slot owner)
+          ~exe_end:(match owner with Text | Read_only | Data -> end_ | _ -> exe_end)
+      | _ ->
+        if starts_with "Rss:" i then rss.(owner) <- rss.(owner) + number_at (i + 4) 0;
+        lines next owner ~exe_end
+  in
+  len >= 0 && (lines 0 0 ~exe_end:(-1); true)
+
+(* Rss of the [heap] mapping (glibc's main arena) in KiB, or -1 where
+   /proc/self/smaps is not readable *)
+let heap_rss_kib () = if read_smaps () then rss.(slot Heap) else -1
+
+(* VmRSS of /proc/self/status in KiB *)
+let vm_rss_kib () =
+  let len = read_proc "/proc/self/status" in
+  let rec find i =
+    if i >= len then -1
+    else if starts_with "VmRSS:" i then number_at (i + 6) 0
+    else find (Bytes.index_from smaps i '\n' + 1)
+  in
+  find 0
+
+(* The memory ledger: the Rss of every mapping by owner, the anonymous
+   memory split into the major heap (Gc.quick_stat's heap_words), the
+   minor heaps (one a domain) and the rest, with VmRSS to check the rows'
+   sum against. The rest holds thread stacks, glibc's mmaps and the
+   pools the major heap has freed, which stay resident; it may read
+   below zero, as malloc puts some of the major heap's large blocks in
+   [heap]. *)
+let memory_ledger ~domains =
+  if not (read_smaps ()) then None
+  else
+    let kib words = words * (Sys.word_size / 8) / 1024 in
+    let major = kib (Gc.quick_stat ()).heap_words in
+    let minor = domains * kib (Gc.get ()).minor_heap_size in
+    let row name owner = name, rss.(slot owner) in
+    let rows =
+      [ row "executable text" Text; row "executable read-only" Read_only;
+        row "executable data" Data; row "shared libraries" Libraries;
+        row "[heap]" Heap; row "[stack]" Stack;
+        "anonymous: major heap", major; "anonymous: minor heap", minor;
+        "anonymous: the rest", rss.(slot Anonymous) - major - minor;
+        row "[vdso] and the like" Kernel ]
     in
-    (match Option.bind (find "[heap]" ~len 0) (find "\nRss:" ~len) with
-    | Some i -> digits (i + 5) 0
-    | None -> -1)
+    Some (rows, vm_rss_kib ())
+
+(* How far the rows' sum may sit from VmRSS: the kernel counts VmRSS per
+   CPU in batches of up to 32 pages for each of its file and anonymous
+   counters, where smaps walks the page tables, so the two differ by up
+   to 256 KiB a CPU. *)
+let ledger_tolerance_kib = 256 * Domain.recommended_domain_count ()
 
 type m = {
   dt : float;  (** wall seconds *)
@@ -141,7 +269,8 @@ let () =
         ok "loader"
           (Mlds.System.define_functional sys ~name:"uni" ~ddl:Daplex.University.ddl rows) )
   in
-  for _ = 1 to runs do
+  let ledger = ref None in
+  for run = 1 to runs do
     Gc.compact ();
     (if w = Perfbench.Workloads.Oltp_point then
        let sys, load = loader () in
@@ -160,7 +289,8 @@ let () =
         in
         Sys.remove file;
         note ("save " ^ db) m (size sys db))
-      dbs
+      dbs;
+    if run = 1 then ledger := memory_ledger ~domains:(1 + workers_started ())
   done;
   (* live words, from one more set-up apart from the measured runs:
      Obj.reachable_words mallocs its tables in [heap] *)
@@ -193,6 +323,19 @@ let () =
         (per (float_of_int (Hashtbl.find live name)))
         last.direct first.heap_kib)
     (List.rev !order);
+  (match !ledger with
+  | None -> print_endline "memory ledger: /proc/self/smaps not readable"
+  | Some (rows, vm_rss) ->
+    Printf.printf "memory ledger after the first run's saves\n%-24s %8s\n" "row" "Rss KiB";
+    List.iter (fun (name, kib) -> Printf.printf "%-24s %8d\n" name kib) rows;
+    let sum = List.fold_left (fun n (_, kib) -> n + kib) 0 rows in
+    Printf.printf "%-24s %8d\n%-24s %8d\n" "sum" sum "VmRSS" vm_rss;
+    if abs (sum - vm_rss) > ledger_tolerance_kib then (
+      Printf.printf "memory ledger: the rows' sum is %d KiB off VmRSS (tolerance %d)\n"
+        (sum - vm_rss) ledger_tolerance_kib;
+      exit 1);
+    Printf.printf "memory ledger: the rows' sum is within %d KiB of VmRSS\n"
+      ledger_tolerance_kib);
   Gc.compact ();
   let sys = Perfbench.Workloads.create_system w in
   Obs.Span.reset ();
@@ -211,5 +354,4 @@ let () =
       Printf.printf "%-26s %8d %10.2f %10.2f\n" name count (self *. 1000.)
         (total *. 1000.))
     (Perfbench.Trace.summary trace);
-  Printf.printf "pool.workers_started %d\n"
-    (Obs.Metrics.counter_value (Obs.Metrics.counter "pool.workers_started"))
+  Printf.printf "pool.workers_started %d\n" (workers_started ())

@@ -34,12 +34,18 @@ let trailer_length = String.length "%CRC 00000000\n"
 
 let chunk_bytes = 65536
 
+(* The chunk of the last sealed snapshot, for the next one to take. A
+   writer owns its chunk from [start] to [seal]: taking and giving back
+   are each one atomic exchange, so a checkpoint in flight and a
+   concurrent save never share one (the later starter makes its own). *)
+let spare_chunk : Bytes.t option Atomic.t = Atomic.make None
+
 (* One writer for every snapshot: bytes gather in a fixed chunk, which
    goes to [emit] whenever it fills, and the CRC runs over the body as
    it passes, so a snapshot is never held whole. The seal is a trailer,
    so the output is append-only. *)
 type writer = {
-  chunk : Bytes.t;
+  mutable chunk : Bytes.t;  (* [Bytes.empty] once given back *)
   mutable fill : int;
   mutable summed : int;  (* chunk bytes [0, summed) are in [crc] already *)
   mutable crc : int;  (* of the body so far *)
@@ -77,7 +83,9 @@ let seal w =
   Bytes.blit_string trailer 0 w.chunk w.fill trailer_length;
   w.emit w.chunk 0 (w.fill + trailer_length);
   w.fill <- 0;
-  w.summed <- 0
+  w.summed <- 0;
+  Atomic.set spare_chunk (Some w.chunk);
+  w.chunk <- Bytes.empty
 
 type source = {
   src_model : string;
@@ -113,7 +121,10 @@ let source t ~db =
 let start ?stamp ~db src emit =
   let w =
     {
-      chunk = Bytes.create chunk_bytes;
+      chunk =
+        (match Atomic.exchange spare_chunk None with
+        | Some chunk -> chunk
+        | None -> Bytes.create chunk_bytes);
       fill = String.length magic;
       summed = String.length magic;
       crc = 0;

@@ -458,16 +458,19 @@ let test_live_words_guard () =
    a [Buffer] and copies it to seal it allocates ~170 K words there. *)
 let save_major_words_bound = 24_000.
 
+(* [f ()] and the words it allocated directly in the major heap *)
+let direct_major_words f =
+  let _, promoted0, major0 = Gc.counters () in
+  let r = f () in
+  let _, promoted1, major1 = Gc.counters () in
+  r, major1 -. major0 -. (promoted1 -. promoted0)
+
 let test_save_streams () =
   let sys = Perfbench.Workloads.create_system Perfbench.Workloads.Oltp_point in
   Perfbench.Workloads.preload Perfbench.Workloads.Oltp_point ~seed:1 sys;
   let file = Filename.temp_file "mldssave" ".snap" in
-  let _, promoted0, major0 = Gc.counters () in
-  (match Mlds.Persist.save sys ~db:"uni" ~file with
-  | Ok () -> ()
-  | Error msg -> Alcotest.fail msg);
-  let _, promoted1, major1 = Gc.counters () in
-  let direct = major1 -. major0 -. (promoted1 -. promoted0) in
+  let saved_ok, direct = direct_major_words (fun () -> Mlds.Persist.save sys ~db:"uni" ~file) in
+  Result.iter_error Alcotest.fail saved_ok;
   let saved = read_file file in
   Sys.remove file;
   Alcotest.(check string) "the file is the dump" (Result.get_ok (Mlds.Persist.dump sys ~db:"uni"))
@@ -475,7 +478,24 @@ let test_save_streams () =
   Alcotest.(check bool) "spans several chunks" true (String.length saved > 4 * 65536);
   if direct > save_major_words_bound then
     Alcotest.failf "Persist.save: %.0f words direct to the major heap (bound %.0f)" direct
-      save_major_words_bound
+      save_major_words_bound;
+  (* a later save takes the chunk the last one gave back: it allocates
+     nothing directly in the major heap *)
+  (match direct_major_words (fun () -> Mlds.Persist.save sys ~db:"uni" ~file) with
+  | Ok (), 0. -> ()
+  | Ok (), w -> Alcotest.failf "a second Persist.save: %.0f words direct to the major heap" w
+  | Error msg, _ -> Alcotest.fail msg);
+  (* a checkpoint in flight owns its chunk: a save meanwhile makes its
+     own, and both files are whole *)
+  let ck_file = file ^ ".ck" in
+  let ck = Result.get_ok (Mlds.Persist.checkpoint_begin sys ~db:"uni" ~file:ck_file) in
+  ignore (Mlds.Persist.checkpoint_slice ck ~max_records:1000);
+  Result.get_ok (Mlds.Persist.save sys ~db:"uni" ~file);
+  Result.get_ok (Mlds.Persist.checkpoint_finish ck);
+  Alcotest.(check string) "the save during a checkpoint is the dump" saved (read_file file);
+  Alcotest.(check string) "the checkpoint is the dump" saved (read_file ck_file);
+  Sys.remove file;
+  Sys.remove ck_file
 
 (* A snapshot cut anywhere, even inside its %CRC trailer, is corrupt:
    never read as a shorter snapshot. *)
