@@ -707,6 +707,12 @@ let soak srv =
   let checkpoints =
     Obs.Metrics.counter_value (Obs.Metrics.counter "server.checkpoint.total")
   in
+  (* what one whole checkpoint holds the executor for, between batches *)
+  let checkpoint_p99_s =
+    (Obs.Metrics.histogram_stats
+       (Obs.Metrics.histogram "server.checkpoint.duration_s"))
+      .Obs.Metrics.p99
+  in
   Server.Core.shutdown h.core;
   let wal_file = wal_path h.dir "university" in
   let wal_final = float_of_int (Unix.stat wal_file).Unix.st_size in
@@ -734,6 +740,7 @@ let soak srv =
   g "p99_first_s" (p99 first);
   g "p99_last_s" (p99 last);
   g "p99_ratio" p99_ratio;
+  g "checkpoint_p99_s" checkpoint_p99_s;
   g "recover_final_s" recover_final_s;
   g "recover_final_frames" (float_of_int final_report.Mlds.Persist.frames);
   g "recover_1e6_s" recover_million_s;
@@ -746,6 +753,8 @@ let soak srv =
     every wal_final;
   Printf.printf "soak: p99 first phase %.1f us, last phase %.1f us (%.2fx)\n%!"
     (p99 first *. 1e6) (p99 last *. 1e6) p99_ratio;
+  Printf.printf "soak: checkpoint p99 %.1f us on the executor\n%!"
+    (checkpoint_p99_s *. 1e6);
   Printf.printf
     "soak: recovery replayed %d frames in %.3fs after checkpointing; a \
      %d-frame log replays in %.3fs\n%!"

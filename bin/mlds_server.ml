@@ -63,7 +63,7 @@ let preload t backends databases =
 
 let run host port backends queue_cap idle_timeout batch fresh
     wal_file checkpoint_file max_seconds telemetry_file telemetry_period
-    slow_ms recorder_cap ckpt_every_bytes ckpt_every_s standby_of
+    slow_ms recorder_cap ckpt_every_bytes standby_of
     databases =
   install_signal_handlers ();
   let standby_primary =
@@ -117,7 +117,6 @@ let run host port backends queue_cap idle_timeout batch fresh
       slow_threshold_s = slow_ms /. 1000.;
       checkpoint_path = checkpoint_file;
       checkpoint_every_bytes = ckpt_every_bytes;
-      checkpoint_every_s = ckpt_every_s;
     }
   in
   match Server.Core.create ~config ~on_drain t with
@@ -236,9 +235,9 @@ let idle_arg =
 
 let batch_arg =
   let doc =
-    "Batched executor: drain the request queue in batches, run consecutive \
-     read-only requests concurrently, and group-commit the WAL (one fsync \
-     per batch). false = the serial one-request-at-a-time executor."
+    "Batched executor: drain the request queue in batches, run each \
+     batch's requests one after another, and group-commit the WAL (one \
+     fsync per batch). false = the serial one-request-at-a-time executor."
   in
   Arg.(value & opt bool true & info [ "batch" ] ~docv:"BOOL" ~doc)
 
@@ -259,20 +258,13 @@ let checkpoint_arg =
 
 let ckpt_every_bytes_arg =
   let doc =
-    "Start an online checkpoint (snapshot + WAL truncation, taken in \
-     bounded slices between request batches) whenever the WAL reaches \
-     $(docv) bytes; 0 disables the size trigger."
+    "Take an online checkpoint (snapshot + WAL truncation, whole, \
+     between two request batches) whenever the WAL reaches $(docv) \
+     bytes; 0 disables the size trigger. Requests queue while a \
+     checkpoint is written, for a time that grows with the database."
   in
   Arg.(
     value & opt int 0 & info [ "checkpoint-every-bytes" ] ~docv:"BYTES" ~doc)
-
-let ckpt_every_s_arg =
-  let doc =
-    "Start an online checkpoint every $(docv) seconds, provided the WAL \
-     has grown since the last one; 0 disables the age trigger."
-  in
-  Arg.(
-    value & opt float 0. & info [ "checkpoint-every-s" ] ~docv:"SECONDS" ~doc)
 
 let max_seconds_arg =
   let doc = "Exit (gracefully) after $(docv) seconds; 0 = run until signalled." in
@@ -335,7 +327,7 @@ let cmd =
       $ queue_arg $ idle_arg $ batch_arg $ fresh_arg $ wal_arg
       $ checkpoint_arg $ max_seconds_arg $ telemetry_arg
       $ telemetry_period_arg $ slow_ms_arg $ recorder_cap_arg
-      $ ckpt_every_bytes_arg $ ckpt_every_s_arg
+      $ ckpt_every_bytes_arg
       $ standby_of_arg $ databases_arg)
 
 let () = exit (Cmd.eval' cmd)

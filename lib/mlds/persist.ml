@@ -36,8 +36,8 @@ let chunk_bytes = 65536
 
 (* The chunk of the last sealed snapshot, for the next one to take. A
    writer owns its chunk from [start] to [seal]: taking and giving back
-   are each one atomic exchange, so a checkpoint in flight and a
-   concurrent save never share one (the later starter makes its own). *)
+   are each one atomic exchange, so two snapshots written at once never
+   share one (the later starter makes its own). *)
 let spare_chunk : Bytes.t option Atomic.t = Atomic.make None
 
 (* One writer for every snapshot: bytes gather in a fixed chunk, which
@@ -164,20 +164,20 @@ let add_record w (key, record) =
   Buffer.add_char buf '\n';
   add_line w
 
+(* The whole snapshot of [src], chunk by chunk, to [emit]. *)
+let write ?stamp ~db src emit =
+  let w = start ?stamp ~db src emit in
+  Seq.iter (add_record w) (Mapping.Kernel.to_seq src.src_kernel);
+  seal w
+
 let dump ?stamp t ~db =
   let* src = source t ~db in
   (* about 100 bytes a record: most dumps never regrow the buffer *)
   let out = Buffer.create (4096 + (128 * Mapping.Kernel.size src.src_kernel)) in
-  let w = start ?stamp ~db src (Buffer.add_subbytes out) in
-  Seq.iter (add_record w) (Mapping.Kernel.to_seq src.src_kernel);
-  seal w;
+  write ?stamp ~db src (Buffer.add_subbytes out);
   Ok (Buffer.contents out)
 
 (* --- parse --------------------------------------------------------------- *)
-
-type data_line =
-  | D_keyed of Abdm.Store.dbkey * string  (* "@<key> INSERT ..." *)
-  | D_fresh of string  (* legacy v1: bare INSERT, restored under a new key *)
 
 type sections = {
   model : string;
@@ -185,7 +185,7 @@ type sections = {
   kernel_spec : System.kernel_spec option;
   wal_stamp : (int * int) option;  (* %WAL gen=<g> pos=<p> *)
   ddl : string;
-  data : data_line list;
+  data : (Abdm.Store.dbkey * string) list;  (* "@<key> INSERT ..." *)
 }
 
 let parse_kernel_words words =
@@ -216,22 +216,17 @@ let parse_kernel_words words =
       end
     | Some other -> err "bad %%KERNEL placement %S" other
   in
-  (* older snapshots also carry parallel=B: ignored like any unknown field *)
+  (* an unknown field, like the parallel=B of older snapshots, is ignored *)
   Ok { System.spec_backends = backends; spec_placement = placement }
 
 let parse_data_line trimmed =
-  if String.length trimmed > 1 && trimmed.[0] = '@' then
-    match String.index_opt trimmed ' ' with
-    | None -> err "bad data line %S" trimmed
-    | Some sp ->
-      match int_of_string_opt (String.sub trimmed 1 (sp - 1)) with
-      | None -> err "bad database key in data line %S" trimmed
-      | Some key ->
-        Ok
-          (D_keyed
-             ( key,
-               String.sub trimmed (sp + 1) (String.length trimmed - sp - 1) ))
-  else Ok (D_fresh trimmed)
+  match String.index_opt trimmed ' ' with
+  | Some sp when sp > 1 && trimmed.[0] = '@' ->
+    (match int_of_string_opt (String.sub trimmed 1 (sp - 1)) with
+    | None -> err "bad database key in data line %S" trimmed
+    | Some key ->
+      Ok (key, String.sub trimmed (sp + 1) (String.length trimmed - sp - 1)))
+  | _ -> err "bad data line %S" trimmed
 
 let is_hex c = (c >= '0' && c <= '9') || (c >= 'a' && c <= 'f') || (c >= 'A' && c <= 'F')
 
@@ -240,34 +235,15 @@ let checksum_ok text ~pos ~stop ~stored =
 
 let mismatch () = err "save file checksum mismatch (corrupt or truncated)"
 
-(* The [pos, stop) range of lines after the checked header, or why
-   [text] is not an intact save file. *)
+(* The [pos, stop) range of lines between the first line and the
+   checked trailer, or why [text] is not an intact save file. *)
 let checked_body text =
   let len = String.length text in
-  let line_end from =
-    match String.index_from_opt text from '\n' with Some i -> i | None -> len
+  let first_end =
+    match String.index_opt text '\n' with Some i -> i | None -> len
   in
-  let first_end = line_end 0 in
   let body = min len (first_end + 1) in
   match String.trim (String.sub text 0 first_end) with
-  | "%MLDS 1" -> Ok (body, len)
-  | "%MLDS 2" ->
-    (* the %CRC header covers every byte after its own line *)
-    let crc_end = line_end body in
-    let* stored =
-      match
-        String.split_on_char ' ' (String.trim (String.sub text body (crc_end - body)))
-        |> List.filter (fun w -> w <> "")
-      with
-      | [ "%CRC"; hex ] ->
-        (match int_of_string_opt ("0x" ^ hex) with
-        | Some crc -> Ok crc
-        | None -> err "bad %%CRC header %S" hex)
-      | _ -> err "missing %%CRC header in a v2 save file"
-    in
-    let pos = min len (crc_end + 1) in
-    if checksum_ok text ~pos ~stop:len ~stored then Ok (pos, len)
-    else mismatch ()
   | "%MLDS 3" ->
     (* the %CRC trailer is the last line and covers every byte between
        it and the first: a file cut anywhere has no intact trailer *)
@@ -284,6 +260,8 @@ let checked_body text =
       let stored = int_of_string ("0x" ^ String.sub text (at + 5) 8) in
       if checksum_ok text ~pos:body ~stop:at ~stored then Ok (body, at)
       else mismatch ()
+  | first when String.starts_with ~prefix:"%MLDS " first ->
+    err "unsupported save file version %S (this build reads %%MLDS 3)" first
   | _ -> err "not an MLDS save file (missing %%MLDS header)"
 
 (* Where the data record starting at [pos] ends: the first newline
@@ -385,6 +363,21 @@ let parse_sections text =
 
 (* --- restore -------------------------------------------------------------- *)
 
+(* Insert the snapshot's records into [kernel], each under its key. *)
+let insert_data kernel s =
+  let insert_line acc (key, line) =
+    let* () = acc in
+    match Abdl.Parser.request line with
+    | Abdl.Ast.Insert record ->
+      Mapping.Kernel.insert_keyed kernel key record;
+      Ok ()
+    | _ -> err "snapshot data section holds a non-INSERT request: %s" line
+    | exception Abdl.Parser.Parse_error msg -> err "bad data line %S: %s" line msg
+    | exception Invalid_argument msg ->
+      err "duplicate database key in snapshot: %s" msg
+  in
+  List.fold_left insert_line (Ok ()) s.data
+
 let restore_parsed t s =
   let kernel = s.kernel_spec in
   let* () =
@@ -416,33 +409,9 @@ let restore_parsed t s =
       end
     | other -> err "unknown data model %S in save file" other
   in
-  let* k =
-    match System.kernel_of t s.db_name with
-    | Some kernel -> Ok kernel
-    | None -> err "no kernel for restored database"
-  in
-  let insert_line key line =
-    match Abdl.Parser.request line with
-    | Abdl.Ast.Insert record ->
-      begin
-        match key with
-        | Some key -> Mapping.Kernel.insert_keyed k key record
-        | None -> ignore (Mapping.Kernel.insert k record)
-      end;
-      Ok ()
-    | _ -> err "save file data section holds a non-INSERT request: %s" line
-    | exception Abdl.Parser.Parse_error msg ->
-      err "bad data line %S: %s" line msg
-    | exception Invalid_argument msg ->
-      err "duplicate database key in save file: %s" msg
-  in
-  List.fold_left
-    (fun acc d ->
-      let* () = acc in
-      match d with
-      | D_keyed (key, line) -> insert_line (Some key) line
-      | D_fresh line -> insert_line None line)
-    (Ok ()) s.data
+  match System.kernel_of t s.db_name with
+  | Some kernel -> insert_data kernel s
+  | None -> err "no kernel for restored database"
 
 let restore t ~text =
   let* s = parse_sections text in
@@ -473,28 +442,7 @@ let restore_data t ~db ~text =
         ~finally:(fun () -> Mapping.Kernel.set_wal_hook kernel saved_hook)
         (fun () ->
           ignore (Mapping.Kernel.delete kernel Abdm.Query.always);
-          let insert_line key line =
-            match Abdl.Parser.request line with
-            | Abdl.Ast.Insert record ->
-              begin
-                match key with
-                | Some key -> Mapping.Kernel.insert_keyed kernel key record
-                | None -> ignore (Mapping.Kernel.insert kernel record)
-              end;
-              Ok ()
-            | _ -> err "snapshot data section holds a non-INSERT: %s" line
-            | exception Abdl.Parser.Parse_error msg ->
-              err "bad data line %S: %s" line msg
-            | exception Invalid_argument msg ->
-              err "duplicate database key in snapshot: %s" msg
-          in
-          List.fold_left
-            (fun acc d ->
-              let* () = acc in
-              match d with
-              | D_keyed (key, line) -> insert_line (Some key) line
-              | D_fresh line -> insert_line None line)
-            (Ok ()) s.data)
+          insert_data kernel s)
 
 (* --- WAL replay and recovery --------------------------------------------- *)
 
@@ -564,7 +512,9 @@ let replay_wal ?skip ?(trim = false) t ~db ~file =
     Obs.Span.with_span "mlds.recover"
       ~attrs:(fun () -> [ "db", db ])
       (fun () ->
-        let r = Wal.recover ~trim ?skip file in
+        match Wal.recover ~trim ?skip file with
+        | exception Wal.Old_format msg -> Error msg
+        | r ->
         (* replay must not re-log: silence any attached WAL hook *)
         let saved_hook = Mapping.Kernel.wal_hook kernel in
         Mapping.Kernel.set_wal_hook kernel None;
@@ -639,98 +589,34 @@ let load t ~file =
 
 let io_message e op path = Printf.sprintf "%s %s: %s" op path (Unix.error_message e)
 
-(* An in-flight snapshot to a file. [checkpoint_begin] captures the
-   state — header, DDL, the key-ordered record sequence, and the WAL's
-   (generation, position) stamp — at one instant behind the caller's
-   write barrier. Records are immutable values behind immutable maps, so
-   later mutations replace bindings without disturbing the captured
-   sequence: [checkpoint_slice] serializes it in bounded steps, each
-   full chunk going straight to the temp file of [Fs.replace]'s
-   protocol, while writes keep flowing, and the snapshot is still the
-   exact state at capture time. *)
-type ckpt = {
-  ck_wal : Wal.t option;
-  ck_stamp : (int * int) option;
-  ck_out : Fs.replacement;
-  ck_writer : writer;
-  mutable ck_failed : string option;  (* the temp file is gone *)
-  mutable ck_next : (Abdm.Store.dbkey * Abdm.Record.t) Seq.node;
-  mutable ck_left : int;
-}
-
-let open_snapshot ?wal t ~db ~file =
-  let stamp = Option.map (fun w -> (Wal.generation w, Wal.position w)) wal in
+(* The snapshot durable under its name: written chunk by chunk to the
+   temp file of [Fs.replace]'s protocol, sealed, fsynced, renamed, the
+   directory fsynced. A write that fails has removed the temp file. *)
+let write_file ?stamp t ~db ~file =
   let* src = source t ~db in
-  match Fs.replace_open (System.fs t) ~file with
+  match
+    let out = Fs.replace_open (System.fs t) ~file in
+    write ?stamp ~db src (Fs.replace_write out);
+    Fs.replace_commit out
+  with
+  | () -> Ok ()
   | exception Unix.Unix_error (e, op, path) -> Error (io_message e op path)
-  | out ->
-    Ok
-      {
-        ck_wal = wal;
-        ck_stamp = stamp;
-        ck_out = out;
-        ck_writer = start ?stamp ~db src (Fs.replace_write out);
-        ck_failed = None;
-        ck_next = Mapping.Kernel.to_seq src.src_kernel ();
-        ck_left = Mapping.Kernel.size src.src_kernel;
-      }
 
-let checkpoint_begin t ~db ~file = open_snapshot ?wal:(System.wal_of t ~db) t ~db ~file
+let save t ~db ~file = write_file t ~db ~file
 
-let checkpoint_slice ck ~max_records =
-  let rec go n =
-    match ck.ck_next with
-    | Seq.Nil -> `Ready
-    | Seq.Cons _ when n <= 0 -> `More ck.ck_left
-    | Seq.Cons (kv, rest) ->
-      add_record ck.ck_writer kv;
-      ck.ck_next <- rest ();
-      ck.ck_left <- ck.ck_left - 1;
-      go (n - 1)
-  in
-  if ck.ck_failed <> None then `Ready
-  else
-    match go max_records with
-    | r -> r
-    | exception Unix.Unix_error (e, op, path) ->
-      (* the write failed and took the temp file with it: finishing
-         reports the error *)
-      ck.ck_failed <- Some (io_message e op path);
-      `Ready
-
-(* The snapshot durable under its name: seal, fsync, rename, fsync the
-   directory. *)
-let commit ck =
-  ignore (checkpoint_slice ck ~max_records:max_int);
-  match ck.ck_failed with
-  | Some msg -> Error msg
-  | None ->
-    match
-      seal ck.ck_writer;
-      Fs.replace_commit ck.ck_out
-    with
-    | () -> Ok ()
-    | exception Unix.Unix_error (e, op, path) -> Error (io_message e op path)
-
-let save t ~db ~file =
-  let* ck = open_snapshot t ~db ~file in
-  commit ck
-
-let checkpoint_finish ck =
-  (* order matters: the snapshot's rename must be durable (the directory
-     fsync inside [commit]) before the log stops carrying the state.
-     Were the truncate to survive a power loss that the rename did not,
-     recovery would pair the old snapshot with the truncated log. *)
-  let* () = commit ck in
-  match ck.ck_wal with
-  | None -> Ok ()
+(* One step, at one instant of the caller's: the snapshot is stamped with
+   the log's (generation, position) and covers every frame below it.
+   Order matters: the snapshot's rename must be durable (the directory
+   fsync inside [write_file]) before the log stops carrying the state.
+   Were the truncate to survive a power loss that the rename did not,
+   recovery would pair the old snapshot with the truncated log. *)
+let checkpoint t ~db ~file =
+  match System.wal_of t ~db with
+  | None -> write_file t ~db ~file
   | Some wal ->
-    let keep_from = match ck.ck_stamp with Some (_, p) -> p | None -> 0 in
-    match Wal.truncate_to wal ~keep_from with
+    let covered = Wal.position wal in
+    let* () = write_file ~stamp:(Wal.generation wal, covered) t ~db ~file in
+    (match Wal.truncate_to wal ~covered with
     | () -> Ok ()
     | exception Wal.Crash msg -> Error msg
-    | exception Unix.Unix_error (e, _, _) -> Error (Unix.error_message e)
-
-let checkpoint t ~db ~file =
-  let* ck = checkpoint_begin t ~db ~file in
-  checkpoint_finish ck
+    | exception Unix.Unix_error (e, _, _) -> Error (Unix.error_message e))

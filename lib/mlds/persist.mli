@@ -32,9 +32,7 @@
     64 KiB chunk, each full chunk goes to the file (or, for {!dump}, to
     the result) with the CRC running over it, and the trailer seals the
     stream, so the file is written front to back and never held whole.
-    [%MLDS 2] files (the CRC in a header line after the first, over
-    every byte after it; the same body) and legacy [%MLDS 1] files
-    (unkeyed data, no checksum, restored with fresh keys) still load.
+    A file headed by any other [%MLDS] version is refused by name.
 
     {2 Durability}
 
@@ -94,7 +92,8 @@ type recovery_report = {
     is silenced during the replay (recovery must not re-log). [?skip]
     and [?trim] are forwarded to {!Wal.recover}: [skip] drops frames a
     stamped snapshot already covers, [trim] (default false) cuts a torn
-    tail back to the valid prefix. *)
+    tail back to the valid prefix. A log in the older format that
+    {!Wal.Old_format} names is an [Error], and left as it is. *)
 val replay_wal :
   ?skip:int * int ->
   ?trim:bool ->
@@ -131,39 +130,16 @@ val load_report : System.t -> file:string -> (load_outcome, string) result
 (** {2 Checkpointing}
 
     [checkpoint t ~db ~file] saves a durable snapshot stamped with the
-    attached WAL's (generation, position), then truncates the log to
-    that position — frames appended after the capture survive under the
-    next generation. A crash between the save and the truncate is
-    harmless: on load, the stamp makes replay skip the frames the
-    snapshot already covers (no double-apply), while frames past the
-    stamped position still replay.
-
-    The incremental form serializes the state in bounded slices so a
-    server can interleave checkpoint work with request batches:
-    {!checkpoint_begin} captures the state (records are immutable, so
-    concurrent writes replace map bindings without disturbing the
-    capture) and opens [<file>.tmp], {!checkpoint_slice} serializes up
-    to [max_records] of it, writing each chunk that fills, and
-    {!checkpoint_finish} seals, fsyncs and renames the snapshot, then
-    truncates the log. A checkpoint whose write fails has removed its
-    temp file; its finish returns the error. [checkpoint] = begin +
-    finish in one step. *)
+    attached WAL's (generation, position), then empties the log: the
+    snapshot covers every frame in it. It runs in one step, so the
+    caller makes it a serial point: nothing may append to the log
+    between the stamp and the truncation (the truncation refuses with
+    [Invalid_argument] if something did), and the log must not be
+    inside a commit group. A crash between the save and the truncation
+    is harmless: on load, the stamp makes replay skip the frames the
+    snapshot already covers (no double-apply). A checkpoint whose write
+    fails has removed its temp file and returns the error; the old
+    snapshot and the log are untouched. Without an attached WAL it is
+    {!save}. *)
 
 val checkpoint : System.t -> db:string -> file:string -> (unit, string) result
-
-(** An in-flight incremental checkpoint. *)
-type ckpt
-
-val checkpoint_begin :
-  System.t -> db:string -> file:string -> (ckpt, string) result
-
-(** Serialize up to [max_records] more captured records, writing every
-    chunk that fills. [`More n]: [n] records still pending; [`Ready]:
-    capture fully serialized, or a write failed; call
-    {!checkpoint_finish}. *)
-val checkpoint_slice : ckpt -> max_records:int -> [ `More of int | `Ready ]
-
-(** Drain any remaining records, seal the snapshot and make it durable
-    under its name, then truncate the WAL to the captured position
-    (keeping the tail appended since the capture). *)
-val checkpoint_finish : ckpt -> (unit, string) result

@@ -169,7 +169,9 @@ let attach_wal t ~db ~file =
   | None -> Error (Printf.sprintf "unknown database %S" db)
   | Some kernel ->
     detach_wal t ~db;
-    let wal = Wal.open_log ~fs:t.fs file in
+    match Wal.open_log ~fs:t.fs file with
+    | exception Wal.Old_format msg -> Error msg
+    | wal ->
     Hashtbl.replace t.wals db wal;
     (* group commit: the fsync happens when the outermost transaction
        commits (or immediately for a mutation outside any transaction), so

@@ -80,7 +80,8 @@ val define_hierarchical :
 
 (** [attach_wal t ~db ~file] opens (or creates) [file] as [db]'s
     write-ahead log and starts logging, with an fsync on every commit.
-    Replaces (and closes) any WAL already attached to [db]. *)
+    Replaces (and closes) any WAL already attached to [db]. A log in the
+    older format that {!Wal.Old_format} names is an [Error]. *)
 val attach_wal : t -> db:string -> file:string -> (Wal.t, string) result
 
 (** [detach_wal t ~db] stops logging and closes the log. No-op if no WAL

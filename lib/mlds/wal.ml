@@ -1,4 +1,5 @@
 exception Crash of string
+exception Old_format of string
 
 type entry =
   | Begin
@@ -162,12 +163,8 @@ let decode_entry payload =
   | _ when starts_with "REPLACE " payload ->
     decode_keyed payload ~tag:"REPLACE" ~make:(fun k r -> Replace (k, r))
   | _ when starts_with "GENERATION " payload ->
-    (* "GENERATION <g> <lsn>"; a marker without the LSN heads a log whose
-       LSNs are its file offsets, so its first data byte's LSN is the
-       marker frame's length *)
     let fields = String.sub payload 11 (String.length payload - 11) in
     (match List.map int_of_string_opt (String.split_on_char ' ' fields) with
-    | [ Some gen ] -> Ok (Generation { gen; first_lsn = 8 + String.length payload })
     | [ Some gen; Some first_lsn ] -> Ok (Generation { gen; first_lsn })
     | _ -> Error "bad GENERATION entry")
   | _ ->
@@ -175,6 +172,21 @@ let decode_entry payload =
     | request -> Ok (Request request)
     | exception Abdl.Parser.Parse_error msg ->
       Error (Printf.sprintf "bad WAL entry: %s" msg)
+
+(* A log truncated by a build from before markers carried an LSN starts
+   with "GENERATION <g>". This build does not read that marker, and
+   taking it for a torn tail at byte 0 would trim away every frame after
+   it: a log it heads is refused by name and left as it is. *)
+let refuse_old_marker path payload =
+  match String.split_on_char ' ' payload with
+  | [ "GENERATION"; g ] when int_of_string_opt g <> None ->
+    raise
+      (Old_format
+         (Printf.sprintf
+            "%s: the log starts with an LSN-less %S marker, an older format \
+             this build does not read"
+            path payload))
+  | _ -> ()
 
 (* --- frames -------------------------------------------------------------- *)
 
@@ -215,7 +227,7 @@ let pread fd ~off ~len =
    anything else — no marker, a data frame, nothing — is generation 0
    with LSN = file offset. A marker's payload is a few dozen bytes, so a
    longer first frame is not read. *)
-let read_marker fd =
+let read_marker path fd =
   let none = (0, 0, 0) in
   let header = pread fd ~off:0 ~len:8 in
   if String.length header < 8 then none
@@ -229,7 +241,10 @@ let read_marker fd =
       else
         match decode_entry payload with
         | Ok (Generation { gen; first_lsn }) -> (gen, first_lsn, 8 + plen)
-        | Ok _ | Error _ -> none
+        | Ok _ -> none
+        | Error _ ->
+          refuse_old_marker path payload;
+          none
 
 let with_reader path f =
   match Unix.openfile path [ Unix.O_RDONLY ] 0 with
@@ -239,14 +254,6 @@ let with_reader path f =
       ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
       (fun () -> f fd)
 
-(* [read_range path ~pos ~len] reads exactly [len] bytes at file offset
-   [pos] through a fresh descriptor, so it never disturbs the writing
-   handle. None when the file is missing or shorter than [pos + len]. *)
-let read_range path ~pos ~len =
-  with_reader path (fun fd ->
-      let data = pread fd ~off:pos ~len in
-      if String.length data = len then Some data else None)
-
 (* Bytes from LSN [lsn] of the file now at [path], mapped to offsets by
    that file's own marker: up to [len] of them, or the whole first frame
    when it is longer. A truncation renames a new file over the log, and
@@ -255,7 +262,7 @@ let read_range path ~pos ~len =
    [lsn] (a truncation dropped those bytes). *)
 let read_from path ~lsn ~len =
   with_reader path (fun fd ->
-      let _, start, hdr = read_marker fd in
+      let _, start, hdr = read_marker path fd in
       if lsn < start then None
       else
         let off = lsn - start + hdr in
@@ -282,7 +289,7 @@ let open_log ?(fs = Fs.unix) ?(fsync = true) path =
     Obs.Metrics.incr c_stale_swap
   end;
   let generation, start, hdr =
-    Option.value ~default:(0, 0, 0) (with_reader path (fun fd -> Some (read_marker fd)))
+    Option.value ~default:(0, 0, 0) (with_reader path (fun fd -> Some (read_marker path fd)))
   in
   let fd = Fs.create fs path in
   let size = (Unix.fstat fd.Fs.descr).Unix.st_size in
@@ -391,28 +398,23 @@ let begin_group t =
 
 let leave_group t = t.grouping <- false
 
-(* Drop the bytes below LSN [keep_from]. The replacement log — a
-   next-generation marker recording [keep_from] as its first LSN, then
-   the bytes from there to the end, none when the log is drained —
-   replaces the old one through [Fs.replace]. No position changes. A
-   crash at any point leaves either the complete old log (the stamped
-   snapshot skips its frames below [keep_from] on replay) or the
-   complete new one (whose fresh generation defeats the stamp, so every
-   surviving frame replays). *)
-let truncate_to t ~keep_from =
+(* Start the next generation at the current LSN: the replacement log is
+   only a next-generation marker recording [covered] as its first LSN,
+   and it replaces the old one through [Fs.replace]. No position
+   changes. A crash at any point leaves either the complete old log
+   (the stamped snapshot skips every frame below [covered] on replay)
+   or the complete new one (whose fresh generation defeats the stamp,
+   and which holds no frame to replay). *)
+let truncate_to t ~covered =
   if t.grouping then invalid_arg "Wal.truncate_to: inside a commit group";
   Mutex.protect t.mx @@ fun () ->
+  if covered <> t.len then
+    invalid_arg "Wal.truncate_to: the log has grown past the snapshot's stamp";
   let t0 = Obs.Clock.now_s () in
   let fd = live t in
-  let keep = Stdlib.max t.start (Stdlib.min keep_from t.len) in
   let gen = t.generation + 1 in
   let marker =
-    Bytes.unsafe_to_string (encode_frame (Generation { gen; first_lsn = keep }))
-  in
-  let log =
-    match read_range t.wal_path ~pos:(keep - t.start + t.hdr) ~len:(t.len - keep) with
-    | Some tail -> marker ^ tail
-    | None -> raise (Crash "WAL tail vanished during truncate")
+    Bytes.unsafe_to_string (encode_frame (Generation { gen; first_lsn = covered }))
   in
   (* Once the replace has renamed over the log, [fd] is on the unlinked
      old file, where appends would be acked and then lost: the handle
@@ -423,7 +425,7 @@ let truncate_to t ~keep_from =
     (try t.fs.Fs.close fd with Unix.Unix_error _ -> ());
     t.fd <- None
   in
-  (match Fs.replace t.fs ~file:t.wal_path log with
+  (match Fs.replace t.fs ~file:t.wal_path marker with
   | () -> drop ()
   | exception e when (Unix.fstat fd.Fs.descr).Unix.st_nlink > 0 -> raise e
   | exception e ->
@@ -431,12 +433,12 @@ let truncate_to t ~keep_from =
     raise e);
   t.fd <- Some (Fs.create t.fs t.wal_path);
   t.generation <- gen;
-  t.start <- keep;
+  t.start <- covered;
   t.hdr <- String.length marker;
   t.synced_len <- t.len;
   t.deferred_syncs <- 0;
   t.fsyncs <- t.fsyncs + 1;
-  Obs.Metrics.set_gauge g_bytes (float_of_int (String.length log));
+  Obs.Metrics.set_gauge g_bytes (float_of_int (String.length marker));
   Obs.Metrics.observe h_truncate (Obs.Clock.since t0)
 
 let close t =
@@ -548,7 +550,9 @@ let recover ?(trim = false) ?skip path =
                     if crc32 payload <> crc then torn := true
                     else
                       match decode_entry payload with
-                      | Error _ -> torn := true
+                      | Error _ ->
+                        if !valid = 0 then refuse_old_marker path payload;
+                        torn := true
                       | Ok entry ->
                         valid := !valid + 8 + plen;
                         keep entry ~frame_end:!valid;

@@ -18,11 +18,10 @@
 
     Every position is an LSN: a byte's place in everything the log has
     ever held, which never restarts (ARIES — Mohan et al., TODS 1992).
-    {!truncate_to} drops a prefix and moves no LSN. It heads the new file
-    with a {!Generation} marker recording the LSN of the file's first
-    data byte, so a byte at file offset [off] has LSN
-    [first_lsn + off - marker_bytes]. A log with no marker, or with one
-    written before markers carried an LSN ([GENERATION g]), has
+    {!truncate_to} drops every byte and moves no LSN. It heads the new
+    file with a {!Generation} marker recording the LSN of the file's
+    first data byte, so a byte at file offset [off] has LSN
+    [first_lsn + off - marker_bytes]. A log with no marker has
     LSN = file offset.
 
     {2 Recovery rule}
@@ -52,9 +51,15 @@
 
 (** Raised by a dead handle (one already closed, one whose log a failed
     {!truncate_to} replaced under it, or one whose file system stopped
-    under it in a test's simulated crash), and by
-    {!truncate_to} when the log's tail vanishes under it. *)
+    under it in a test's simulated crash). *)
 exception Crash of string
+
+(** Raised by {!recover}, {!open_log} and {!read_from} for a log whose
+    first frame is the LSN-less [GENERATION <g>] marker of a log
+    truncated by a build from before markers carried an LSN. This build
+    does not read that format; the file is left as it is. The message
+    names the file. *)
+exception Old_format of string
 
 type entry =
   | Begin
@@ -70,10 +75,9 @@ type entry =
           [gen] can tell whether the log it replays is the one it
           covered, and the file's byte offsets map to LSNs from
           [first_lsn], the LSN of the byte after the marker. Written as
-          [GENERATION <gen> <first_lsn>]; an older [GENERATION <gen>]
-          decodes with [first_lsn] = the marker frame's length, its file
-          offset. {!recover} consumes the marker (reported as [gen] and
-          [first_lsn]) and never returns it as an entry. *)
+          [GENERATION <gen> <first_lsn>]. {!recover} consumes the marker
+          (reported as [gen] and [first_lsn]) and never returns it as an
+          entry. *)
 
 type t
 
@@ -82,7 +86,8 @@ type t
     [true]) is the fsync-on-commit knob: when off, [sync] is a no-op and a
     crash may lose any suffix of the log. [fs] defaults to {!Fs.unix}.
     A temp file left beside the log by a crashed {!truncate_to} is
-    removed (counted in [wal.stale_swap_removed]). *)
+    removed (counted in [wal.stale_swap_removed]). Raises {!Old_format}
+    for a log in the older format. *)
 val open_log : ?fs:Fs.t -> ?fsync:bool -> string -> t
 
 val path : t -> string
@@ -163,20 +168,19 @@ val fsyncs : t -> int
 
 val fsync_enabled : t -> bool
 
-(** [truncate_to t ~keep_from] drops the bytes below LSN [keep_from] (a
-    checkpoint's stamped position) and keeps the tail appended after the
-    snapshot was captured. The replacement log (a next-generation marker
-    recording [keep_from] as its first LSN, then the bytes from
-    [keep_from] to the end, none when [keep_from] ≥ {!position}) takes
-    the old one's place through {!Fs.replace}: a crash leaves either the
-    complete old log or the complete new one, never a mix, and a reader
-    that opened the log by path holds one or the other, where the same
-    LSN names the same bytes. No position changes; everything written is
-    durable on return. Must not be called inside a commit group. A
-    replace that fails after its rename leaves the handle dead; one that
-    fails before leaves it on the old log. Observed in the
-    [wal.truncate_s] histogram. *)
-val truncate_to : t -> keep_from:int -> unit
+(** [truncate_to t ~covered] empties the log once a durable snapshot
+    covers all of it: [covered] is the snapshot's stamped LSN, which must
+    be {!position}. The replacement log, only a next-generation marker
+    recording [covered] as its first LSN, takes the old one's place
+    through {!Fs.replace}: a crash leaves either the complete old log
+    or the complete new one, never a mix, and a reader that opened the
+    log by path holds one or the other, where the same LSN names the
+    same bytes. No position changes; everything written is durable on
+    return. Raises [Invalid_argument] inside a commit group, or when the
+    log has grown past [covered]. A replace that fails after its rename
+    leaves the handle dead; one that fails before leaves it on the old
+    log. Observed in the [wal.truncate_s] histogram. *)
+val truncate_to : t -> covered:int -> unit
 
 (** [close t] syncs and closes. Idempotent. *)
 val close : t -> unit
@@ -211,7 +215,10 @@ type recovery = {
     [valid_bytes], so later appends cannot land after garbage where
     recovery would never reach them. A failed trim is surfaced via
     [trim_failed] and the [wal.trim_failed] counter — never silently
-    ignored. *)
+    ignored.
+
+    Raises {!Old_format}, before any trim, for a log in the older
+    format. *)
 val recover : ?trim:bool -> ?skip:int * int -> string -> recovery
 
 (** {2 Tailing (the replication shipper's read side)} *)
@@ -222,13 +229,6 @@ val recover : ?trim:bool -> ?skip:int * int -> string -> recovery
     is longer than [len]. [None] when the file is missing or its first
     LSN lies past [lsn] — a truncation dropped those bytes. *)
 val read_from : string -> lsn:int -> len:int -> string option
-
-(** [read_range path ~pos ~len] reads exactly [len] bytes at file offset
-    [pos] (not an LSN) through a fresh descriptor, never disturbing the
-    writing handle. [None] if the file is missing or shorter than
-    [pos + len]. Test seam: the replica tests read a log's bytes
-    through it. *)
-val read_range : string -> pos:int -> len:int -> string option
 
 (** [decode_frames data] decodes [data] as a sequence of complete frames.
     [None] unless the bytes are {e exactly} a whole number of valid

@@ -116,13 +116,6 @@ let pop_batch t ~max =
   Mutex.unlock t.mutex;
   batch
 
-let try_pop_batch t ~max =
-  if max < 1 then invalid_arg "Bounded_queue.try_pop_batch: max < 1";
-  Mutex.lock t.mutex;
-  let batch = List.rev (drain t [] 0 max) in
-  Mutex.unlock t.mutex;
-  batch
-
 let close t =
   Mutex.lock t.mutex;
   t.is_closed <- true;

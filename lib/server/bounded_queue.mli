@@ -41,12 +41,6 @@ val push_control : 'a t -> 'a -> unit
     it arrives. *)
 val pop_batch : 'a t -> max:int -> 'a list
 
-(** Non-blocking {!pop_batch}: drain up to [max] already-queued items
-    and return immediately — [[]] when nothing is waiting. The executor
-    uses this while an online checkpoint is in flight, so it can advance
-    the checkpoint between batches instead of sleeping on the queue. *)
-val try_pop_batch : 'a t -> max:int -> 'a list
-
 val close : 'a t -> unit
 
 (** Items waiting in the request lane (the [server.queue_depth] gauge). *)

@@ -12,15 +12,10 @@ type config = {
   slow_threshold_s : float;
   checkpoint_path : string option;
   checkpoint_every_bytes : int;
-  checkpoint_every_s : float;
 }
 
 (* the slow-query ring's entries *)
 let slow_log_capacity = 128
-
-(* records serialized per checkpoint slice between request batches:
-   trades checkpoint duration against executor pauses *)
-let checkpoint_slice_records = 512
 
 let default_config =
   {
@@ -39,11 +34,10 @@ let default_config =
     (* requests at or over this land in the slow-query log with their
        statement and captured plan *)
     slow_threshold_s = 0.100;
-    (* online checkpointing: None = snapshot beside the WAL; both
-       triggers default off (shutdown-only checkpointing, as before) *)
+    (* online checkpointing: None = snapshot beside the WAL; the size
+       trigger defaults off (shutdown-only checkpointing) *)
     checkpoint_path = None;
     checkpoint_every_bytes = 0;
-    checkpoint_every_s = 0.;
   }
 
 (* A reply's place in its connection's outbox. It leaves once it is
@@ -118,18 +112,6 @@ type job =
       (* an injected closure (the replication plane): standby applies,
          bootstrap snapshots. Always rides the control lane. *)
 
-(* An online checkpoint in flight: begun between requests, advanced one
-   bounded slice at a time between batches, finished (snapshot + WAL
-   truncate) when the capture is drained. Waiters are \checkpoint
-   clients whose reply is withheld until the checkpoint is durable. *)
-type ckpt_state = {
-  ck : Mlds.Persist.ckpt;
-  ck_file : string;
-  ck_started_s : float;
-  ck_bytes_before : int;  (* WAL file bytes at capture *)
-  mutable ck_waiters : (conn * Wire.request Wire.frame) list;
-}
-
 type t = {
   cfg : config;
   sys : Mlds.System.t;
@@ -160,10 +142,6 @@ type t = {
      and each is framed from here into [reply_frame] *)
   reply_buf : Buffer.t;
   mutable reply_frame : Bytes.t;
-  (* executor-owned: the online-checkpoint state machine *)
-  mutable ckpt : ckpt_state option;
-  mutable last_ckpt_s : float;
-  mutable last_ckpt_mark : int;  (* WAL LSN right after the last one *)
   (* --- the replication plane's hooks (all optional, all off by default) --- *)
   (* a warm standby refuses writes with Err Read_only until promoted *)
   read_only : bool Atomic.t;
@@ -794,136 +772,67 @@ let checkpoint_target t =
       | None -> None)
     (Mlds.System.databases t.sys)
 
-(* Runs on the executor at a serial point: the capture (record list,
-   DDL, WAL generation/position stamp) is a consistent cut — every
-   mutation executed before this instant is inside it, every one after
-   lands in the WAL tail beyond the stamped position and survives the
-   truncate. *)
-let start_checkpoint t ~waiter =
+let checkpoint_due t =
+  t.cfg.checkpoint_every_bytes > 0
+  && (not (Atomic.get t.draining))
+  &&
+  match checkpoint_target t with
+  | None -> false
+  | Some (_, wal) -> Mlds.Wal.file_bytes wal >= t.cfg.checkpoint_every_bytes
+
+(* One whole checkpoint, on the executor between two batches: outside
+   any commit group, once the log's flusher has drained, so nothing
+   appends to the log or fsyncs it between the snapshot's stamp and the
+   truncation. Then it answers its requesters, after every reply the
+   snapshot covers has been released. *)
+let run_checkpoint t requesters =
+  let answer_all ~latency_s msg =
+    List.iter (fun (conn, frame) -> answer t conn frame ~latency_s msg) requesters
+  in
   match checkpoint_target t with
   | None ->
-    (match waiter with
-    | Some (conn, frame) ->
-      answer t conn frame ~latency_s:0.
-        (Wire.Err (Wire.Exec_error, "no WAL attached: nothing to checkpoint"))
-    | None -> ())
+    answer_all ~latency_s:0.
+      (Wire.Err (Wire.Exec_error, "no WAL attached: nothing to checkpoint"))
   | Some (db, wal) ->
+    Option.iter Flusher.drain (flusher_of t wal);
     let file =
       match t.cfg.checkpoint_path with
       | Some f -> f
       | None -> Mlds.Wal.path wal ^ ".snapshot"
     in
-    (match Mlds.Persist.checkpoint_begin t.sys ~db ~file with
-    | Ok ck ->
-      t.ckpt <-
-        Some
-          {
-            ck;
-            ck_file = file;
-            ck_started_s = Obs.Clock.now_s ();
-            ck_bytes_before = Mlds.Wal.file_bytes wal;
-            ck_waiters = (match waiter with Some w -> [ w ] | None -> []);
-          }
-    | Error why ->
-      (match waiter with
-      | Some (conn, frame) ->
-        answer t conn frame ~latency_s:0.
-          (Wire.Err (Wire.Exec_error, "checkpoint failed: " ^ why))
-      | None -> ()))
-
-let finish_checkpoint t st =
-  let result = Mlds.Persist.checkpoint_finish st.ck in
-  let now = Obs.Clock.now_s () in
-  let dur = now -. st.ck_started_s in
-  t.ckpt <- None;
-  t.last_ckpt_s <- now;
-  let reclaimed, msg =
-    match result with
-    | Ok () ->
-      let after =
-        match checkpoint_target t with
-        | Some (_, wal) ->
-          t.last_ckpt_mark <- Mlds.Wal.position wal;
-          Mlds.Wal.file_bytes wal
-        | None -> 0
-      in
-      let reclaimed = Stdlib.max 0 (st.ck_bytes_before - after) in
-      Obs.Metrics.incr c_ckpt;
-      Obs.Metrics.observe h_ckpt dur;
-      Obs.Metrics.set_gauge g_ckpt_reclaimed (float_of_int reclaimed);
-      ( reclaimed,
-        Wire.Output
-          (Printf.sprintf
-             "checkpoint complete: %s (reclaimed %d WAL bytes in %.3fs)"
-             st.ck_file reclaimed dur) )
-    | Error why -> (0, Wire.Err (Wire.Exec_error, "checkpoint failed: " ^ why))
-  in
-  (* the checkpoint's own flight-recorder trace (auto-triggered ones have
-     no requesting frame): opcode "checkpoint", bytes_out = reclaimed *)
-  (match t.recorder with
-  | Some r when st.ck_waiters = [] ->
-    ignore
-      (Obs.Recorder.record r ~ts_s:now ~session:0 ~request_id:0 ~language:"-"
-         ~opcode:"checkpoint" ~latency_s:dur ~bytes_in:0 ~bytes_out:reclaimed
-         ~outcome:
-           (match result with
-           | Ok () -> Obs.Recorder.O_ok
-           | Error e -> Obs.Recorder.O_error e)
-         ~batch:(Atomic.get t.batch_seq))
-  | Some _ | None -> ());
-  List.iter
-    (fun (conn, frame) -> answer t conn frame ~latency_s:dur msg)
-    (List.rev st.ck_waiters)
-
-let checkpoint_due t =
-  (match t.ckpt with Some _ -> false | None -> true)
-  && (not (Atomic.get t.draining))
-  && (t.cfg.checkpoint_every_bytes > 0 || t.cfg.checkpoint_every_s > 0.)
-  &&
-  match checkpoint_target t with
-  | None -> false
-  | Some (_, wal) ->
+    let started = Obs.Clock.now_s () in
+    let before = Mlds.Wal.file_bytes wal in
+    let result = Mlds.Persist.checkpoint t.sys ~db ~file in
     let now = Obs.Clock.now_s () in
-    (t.cfg.checkpoint_every_bytes > 0
-    && Mlds.Wal.file_bytes wal >= t.cfg.checkpoint_every_bytes)
-    || t.cfg.checkpoint_every_s > 0.
-       && now -. t.last_ckpt_s >= t.cfg.checkpoint_every_s
-       && Mlds.Wal.position wal > t.last_ckpt_mark
-
-(* A \checkpoint joins the in-flight checkpoint (if any) or starts one;
-   either way its reply waits for checkpoint_finish. *)
-let checkpoint_request t conn (frame : Wire.request Wire.frame) =
-  if Atomic.get t.read_only then begin
-    (* a standby's WAL belongs to the replication stream; truncating it
-       out from under the receiver would corrupt the standby's notion of
-       its own position *)
-    answer t conn frame ~latency_s:0.
-      (Wire.Err (Wire.Read_only, "standby: checkpointing is the primary's job"))
-  end
-  else
-    match t.ckpt with
-    | Some st -> st.ck_waiters <- (conn, frame) :: st.ck_waiters
-    | None -> start_checkpoint t ~waiter:(Some (conn, frame))
-
-(* Advance the in-flight checkpoint one bounded slice between batches;
-   capture drained ⇒ finish (snapshot rename + WAL truncate) once the
-   log's flusher is idle, so no fsync is in flight on the WAL being
-   truncated. *)
-let checkpoint_step t =
-  match t.ckpt with
-  | None -> ()
-  | Some st ->
-    (match
-       Mlds.Persist.checkpoint_slice st.ck
-         ~max_records:checkpoint_slice_records
-     with
-    | `More _ -> ()
-    | `Ready ->
-      let flusher =
-        Option.bind (checkpoint_target t) (fun (_, wal) -> flusher_of t wal)
-      in
-      Option.iter Flusher.drain flusher;
-      finish_checkpoint t st)
+    let dur = now -. started in
+    let reclaimed, msg =
+      match result with
+      | Ok () ->
+        let reclaimed = Stdlib.max 0 (before - Mlds.Wal.file_bytes wal) in
+        Obs.Metrics.incr c_ckpt;
+        Obs.Metrics.observe h_ckpt dur;
+        Obs.Metrics.set_gauge g_ckpt_reclaimed (float_of_int reclaimed);
+        ( reclaimed,
+          Wire.Output
+            (Printf.sprintf
+               "checkpoint complete: %s (reclaimed %d WAL bytes in %.3fs)" file
+               reclaimed dur) )
+      | Error why -> (0, Wire.Err (Wire.Exec_error, "checkpoint failed: " ^ why))
+    in
+    (* the size trigger's own flight-recorder trace (it has no requesting
+       frame): opcode "checkpoint", bytes_out = reclaimed *)
+    (match t.recorder with
+    | Some r when requesters = [] ->
+      ignore
+        (Obs.Recorder.record r ~ts_s:now ~session:0 ~request_id:0 ~language:"-"
+           ~opcode:"checkpoint" ~latency_s:dur ~bytes_in:0 ~bytes_out:reclaimed
+           ~outcome:
+             (match result with
+             | Ok () -> Obs.Recorder.O_ok
+             | Error e -> Obs.Recorder.O_error e)
+           ~batch:(Atomic.get t.batch_seq))
+    | Some _ | None -> ());
+    answer_all ~latency_s:dur msg
 
 let drain_flushers t = List.iter Flusher.drain t.flushers
 
@@ -937,17 +846,25 @@ let drain_flushers t = List.iter Flusher.drain t.flushers
    commit-time fsyncs are deferred, and at batch end each log that owes a
    covering fsync hands its commit position to its flusher — the
    executor starts the next batch at once, and commits executed while
-   that fsync is in flight queue for the following one. *)
+   that fsync is in flight queue for the following one. A \checkpoint
+   in the batch, or the size trigger, takes one checkpoint after it. *)
 let execute_batch t jobs =
   Atomic.incr t.batch_seq;
   Mlds.System.wal_group_begin t.sys;
+  let requesters = ref [] in
   let walk job =
     (match t.cfg.executor_hook with Some hook -> hook () | None -> ());
     match job with
     | J_request (conn, ({ Wire.msg = Wire.Stats | Wire.Tail _; _ } as frame)) ->
       answer_control t conn frame
     | J_request (conn, ({ Wire.msg = Wire.Checkpoint; _ } as frame)) ->
-      checkpoint_request t conn frame
+      if Atomic.get t.read_only then
+        (* a standby's WAL belongs to the replication stream; truncating
+           it out from under the receiver would corrupt the standby's
+           notion of its own position *)
+        answer t conn frame ~latency_s:0.
+          (Wire.Err (Wire.Read_only, "standby: checkpointing is the primary's job"))
+      else requesters := (conn, frame) :: !requesters
     | J_task f -> (try f () with _ -> ())
     | J_request (conn, frame) ->
       let slot = enqueue t conn frame in
@@ -976,42 +893,23 @@ let execute_batch t jobs =
     (fun (wal, pos) -> Flusher.request (flusher_for t wal) pos)
     (Mlds.System.wal_group_end t.sys);
   (* the serial executor answers each request before taking the next *)
-  if not t.cfg.batch then drain_flushers t
-
-let maybe_start_checkpoint t =
-  if checkpoint_due t then start_checkpoint t ~waiter:None
+  if not t.cfg.batch then drain_flushers t;
+  if !requesters <> [] || checkpoint_due t then
+    run_checkpoint t (List.rev !requesters)
 
 (* The executor: drain the queue in batches ([batch = false] degrades
    [max] to 1, which makes [pop_batch] exactly [pop] and every batch a
-   singleton — the serial executor).
-
-   While a checkpoint is in flight the loop switches to non-blocking
-   intake: execute whatever is queued, then advance the checkpoint one
-   bounded slice — so slices can never starve requests and requests can
-   never stall the checkpoint. With an empty queue the loop just slices
-   until the checkpoint is done, then goes back to blocking. *)
+   singleton — the serial executor). *)
 let executor_loop t =
   let max = if t.cfg.batch then Stdlib.max 1 t.cfg.max_batch else 1 in
-  let run jobs =
-    note_depth t;
-    execute_batch t jobs;
-    note_depth t
-  in
   let rec loop () =
-    maybe_start_checkpoint t;
-    match t.ckpt with
-    | Some _ ->
-      (match Bounded_queue.try_pop_batch t.queue ~max with
-      | [] -> ()
-      | jobs -> run jobs);
-      checkpoint_step t;
+    match Bounded_queue.pop_batch t.queue ~max with
+    | [] -> ()  (* closed and drained: shutdown *)
+    | jobs ->
+      note_depth t;
+      execute_batch t jobs;
+      note_depth t;
       loop ()
-    | None ->
-      (match Bounded_queue.pop_batch t.queue ~max with
-      | [] -> ()  (* closed and drained: shutdown *)
-      | jobs ->
-        run jobs;
-        loop ())
   in
   loop ()
 
@@ -1085,11 +983,10 @@ let dispatch t conn (frame : Wire.request Wire.frame) =
       reply t conn frame
         (Wire.Err (Wire.Bad_request, "replication not enabled on this server")))
   | Wire.Stats | Wire.Checkpoint ->
-    (* Stats reads the executor-owned session table and Checkpoint drives
-       the executor-owned checkpoint state machine, so both ride the
-       (unbounded) control lane: the executor answers them ahead of
-       queued user requests, and admission control never turns them
-       away *)
+    (* Stats reads the executor-owned session table and Checkpoint runs
+       on the executor between two batches, so both ride the (unbounded)
+       control lane: the executor takes them ahead of queued user
+       requests, and admission control never turns them away *)
     Bounded_queue.push_control t.queue (J_request (conn, frame))
   | _ ->
     (* fair admission: each connection gets its own lane in the queue,
@@ -1225,8 +1122,6 @@ let io_loop t =
     let listening = not (Atomic.get t.draining) in
     let now = Obs.Clock.now_s () in
     if now >= !next_reap then begin
-      (* also the heartbeat of the time-based checkpoint trigger: with no
-         traffic the executor only wakes for this *)
       Bounded_queue.push_control t.queue J_reap;
       next_reap := now +. reap_every
     end;
@@ -1334,9 +1229,6 @@ let create ?(config = default_config) ?(on_drain = fun () -> ()) sys =
            shutdown_mx = Mutex.create ();
            reply_buf = Buffer.create 4096;
            reply_frame = Bytes.create 4096;
-           ckpt = None;
-           last_ckpt_s = Obs.Clock.now_s ();
-           last_ckpt_mark = 0;
            read_only = Atomic.make false;
            on_durable = None;
            repl_hello = None;
@@ -1371,7 +1263,7 @@ let shutdown t =
     (try Unix.shutdown t.listener Unix.SHUTDOWN_ALL with _ -> ());
     wake t;
     (* 2. drain the queue: no new work enters; the executor finishes what
-       is queued (and any in-flight checkpoint) and exits *)
+       is queued (and any checkpoint it asks for) and exits *)
     Bounded_queue.close t.queue;
     Option.iter Thread.join t.executor_thread;
     (* 3. the flushers land every owed fsync, releasing the last replies *)

@@ -82,9 +82,13 @@
       a per-opcode [server.request.<opcode>_s] histogram. A request
       whose execution raises is answered [Exec_error] with the exception's
       text and counted in [server.internal_errors].
-    - Online checkpoints advance one bounded slice between batches;
-      the finish (snapshot rename + WAL truncate) first waits for the
-      log's flusher to go idle. {!shutdown} drains the flushers the same way.
+    - An online checkpoint runs whole on the executor, between two
+      batches: after the batch's commit group has closed and the log's
+      flusher has drained, it writes the snapshot, renames it durable,
+      truncates the WAL ({!Mlds.Persist.checkpoint}), and only then
+      answers the batch's [Checkpoint] requests. A [Checkpoint] request
+      and the size trigger take the same path. {!shutdown} drains the
+      flushers the same way.
 
     {2 Telemetry plane}
 
@@ -148,13 +152,11 @@ type config = {
       (** where online checkpoints write their snapshot; [None] (the
           default) puts it beside the WAL as [<wal>.snapshot] *)
   checkpoint_every_bytes : int;
-      (** start an online checkpoint once the WAL reaches this many
-          bytes; [0] (the default) disables the size trigger *)
-  checkpoint_every_s : float;
-      (** start an online checkpoint once this many seconds have passed
-          since the last one {e and} the WAL has grown since; [0.] (the
-          default) disables the age trigger. A checkpoint serializes
-          512 records per slice between request batches. *)
+      (** take an online checkpoint after the first batch that leaves
+          the WAL at this many bytes or more; [0] (the default) disables
+          the size trigger. The checkpoint runs whole between two
+          batches; requests queue while it is written, for a time that
+          grows with the database. *)
 }
 
 val default_config : config

@@ -312,35 +312,15 @@ let save_and_append dir fake =
   insert fake kernel 1;
   insert fake kernel 2
 
-(* An online checkpoint of a two-chunk snapshot, with writes racing its
-   capture, between its chunk writes and following its finish. *)
+(* A whole checkpoint of a two-chunk snapshot, as the server takes one
+   between two batches, with writes before and after it. *)
 let online_checkpoint dir fake =
   let t, _, kernel = logged_db ~pad:two_chunks dir fake in
   insert fake kernel 1;
   insert fake kernel 2;
-  let ck = ok "begin" (Mlds.Persist.checkpoint_begin t ~db:"db" ~file:(snap dir)) in
+  ok "checkpoint" (Mlds.Persist.checkpoint t ~db:"db" ~file:(snap dir));
   insert fake kernel 3;
-  (* past the first chunk: it is written here *)
-  ignore (Mlds.Persist.checkpoint_slice ck ~max_records:400);
-  insert fake kernel 4;
-  ok "finish" (Mlds.Persist.checkpoint_finish ck);
-  insert fake kernel 5
-
-(* A truncate_to on its own: the stamped snapshot is already durable when
-   the trace starts, and writes follow the truncation. *)
-let truncate_to dir fake =
-  let t, wal, kernel = logged_db dir fake in
-  insert fake kernel 1;
-  insert fake kernel 2;
-  let stamp = (Mlds.Wal.generation wal, Mlds.Wal.position wal) in
-  let text = ok "dump" (Mlds.Persist.dump ~stamp t ~db:"db") in
-  Mlds.Fs.replace (Fake_fs.fs fake) ~file:(snap dir) text;
-  insert fake kernel 3;
-  Fake_fs.settle fake;
-  Fake_fs.mark fake [ 1; 2; 3 ];
-  Mlds.Wal.truncate_to wal ~keep_from:(snd stamp);
-  insert fake kernel 4;
-  insert fake kernel 5
+  insert fake kernel 4
 
 (* A truncate_to that empties the log: the stamped snapshot covers every
    frame, so the new log is only its marker, renamed over the old one. *)
@@ -352,7 +332,7 @@ let truncate_to_empty dir fake =
   let text = ok "dump" (Mlds.Persist.dump ~stamp t ~db:"db") in
   Mlds.Fs.replace (Fake_fs.fs fake) ~file:(snap dir) text;
   Fake_fs.settle fake;
-  Mlds.Wal.truncate_to wal ~keep_from:(snd stamp);
+  Mlds.Wal.truncate_to wal ~covered:(snd stamp);
   insert fake kernel 3;
   insert fake kernel 4
 
@@ -529,8 +509,6 @@ let test_save_and_append () =
 let test_online_checkpoint () =
   run_scenario ~recover:recover_db "online checkpoint" online_checkpoint
 
-let test_truncate_to () = run_scenario ~recover:recover_db "truncate_to" truncate_to
-
 let test_standby_bootstrap () =
   run_scenario ~acks:standby_acks ~recover:recover_standby "standby bootstrap"
     standby_bootstrap
@@ -559,7 +537,6 @@ let suite =
     "wal append and commit", `Quick, test_wal_commits;
     "save and append", `Quick, test_save_and_append;
     "online checkpoint", `Quick, test_online_checkpoint;
-    "truncate_to", `Quick, test_truncate_to;
     "standby bootstrap", `Quick, test_standby_bootstrap;
     "truncate_to: empty the log", `Quick, test_truncate_to_empty;
     "standby re-bootstrap", `Quick, test_standby_rebootstrap;

@@ -340,16 +340,23 @@ let test_persist_file_roundtrip () =
   Alcotest.(check bool) "restored from file" true
     (List.mem ("university", "functional") (Mlds.System.databases t2))
 
+(* A v3 save file around [body]: the header line, then [body], then
+   the %CRC trailer over it. *)
+let v3_file body = "%MLDS 3\n" ^ body ^ Printf.sprintf "%%CRC %08x\n" (Mlds.Wal.crc32 body)
+
 let test_persist_bad_files () =
   let t = Mlds.System.create () in
-  Alcotest.(check bool) "not a save file" true
-    (Result.is_error (Mlds.Persist.restore t ~text:"hello"));
+  let error text =
+    match Mlds.Persist.restore t ~text with Ok () -> "" | Error msg -> msg
+  in
+  Alcotest.(check bool) "not a save file" true (contains (error "hello") "not an MLDS save file");
   Alcotest.(check bool) "missing model" true
-    (Result.is_error (Mlds.Persist.restore t ~text:"%MLDS 1\n%NAME x\n%DDL\n%DATA\n"));
+    (contains (error (v3_file "%NAME x\n%DDL\n%DATA\n")) "missing %MODEL");
   Alcotest.(check bool) "unknown model" true
-    (Result.is_error
-       (Mlds.Persist.restore t
-          ~text:"%MLDS 1\n%MODEL prolog\n%NAME x\n%DDL\n%DATA\n"))
+    (contains (error (v3_file "%MODEL prolog\n%NAME x\n%DDL\n%DATA\n")) "unknown data model");
+  Alcotest.(check bool) "an older version is refused by name" true
+    (contains (error "%MLDS 2\n%CRC 00000000\n%MODEL relational\n%NAME x\n%DDL\n%DATA\n")
+       "unsupported save file version \"%MLDS 2\"")
 
 let suite =
   suite
@@ -835,16 +842,17 @@ let test_dump_restore_dump_identical_skewed_mbds () =
   Alcotest.(check string) "byte-identical" d1 (dump_ok t2 "university")
 
 (* Snapshots written before the shared pool carry the saving host's
-   parallel=B in %KERNEL. Both settings restore to the same database, and
-   the field is not written back. *)
+   parallel=B in %KERNEL: an unknown field, ignored. Both settings
+   restore to the same database, and the field is not written back. *)
 let test_old_snapshots_restore () =
-  let snapshot crc parallel =
-    String.concat "\n"
-      [ "%MLDS 2"; "%CRC " ^ crc; "%MODEL relational"; "%NAME shop";
-        "%KERNEL backends=2 placement=round-robin parallel=" ^ parallel;
-        "%DDL"; "CREATE TABLE item (id INT, name CHAR(10))"; "%DATA";
-        "@1 INSERT (<FILE, 'item'>, <id, 1>, <name, 'pen'>)";
-        "@2 INSERT (<FILE, 'item'>, <id, 2>, <name, 'ink'>)"; "" ]
+  let snapshot parallel =
+    v3_file
+      (String.concat "\n"
+         [ "%MODEL relational"; "%NAME shop";
+           "%KERNEL backends=2 placement=round-robin parallel=" ^ parallel;
+           "%DDL"; "CREATE TABLE item (id INT, name CHAR(10))"; "%DATA";
+           "@1 INSERT (<FILE, 'item'>, <id, 1>, <name, 'pen'>)";
+           "@2 INSERT (<FILE, 'item'>, <id, 2>, <name, 'ink'>)"; "" ])
   in
   let restored text =
     let t = Mlds.System.create () in
@@ -853,8 +861,8 @@ let test_old_snapshots_restore () =
       [ 1; 1 ] (backend_sizes_of t "shop");
     dump_ok t "shop"
   in
-  let with_true = restored (snapshot "2cedd328" "true") in
-  let with_false = restored (snapshot "7d9361c1" "false") in
+  let with_true = restored (snapshot "true") in
+  let with_false = restored (snapshot "false") in
   Alcotest.(check string) "same database" with_true with_false;
   Alcotest.(check bool) "parallel= not written back" false
     (contains with_true "parallel=");
@@ -926,9 +934,9 @@ let test_failed_save_leaves_old_file () =
     (read_file file <> before);
   Sys.remove file
 
-(* A checkpoint writes its chunks as its slices go. When a chunk's write
-   fails, the temp file is removed at once, the finish reports the error
-   and the old snapshot stays; the next checkpoint lands. *)
+(* A checkpoint writes each chunk as it fills. When a chunk's write
+   fails, the temp file is removed at once, the checkpoint reports the
+   error and the old snapshot stays; the next checkpoint lands. *)
 let test_failed_checkpoint_removes_temp () =
   let fake = Fake_fs.create () in
   let t = university_mlds ~fs:(Fake_fs.fs fake) () in
@@ -947,18 +955,11 @@ let test_failed_checkpoint_removes_temp () =
   | Ok () -> ()
   | Error msg -> Alcotest.fail msg);
   let before = read_file file in
-  let ck =
-    match Mlds.Persist.checkpoint_begin t ~db:"university" ~file with
-    | Ok ck -> ck
-    | Error msg -> Alcotest.fail msg
-  in
   Fake_fs.arm fake ~kind:Fake_fs.Write ~path:(String.equal tmp) 1 Fake_fs.Eio;
-  Alcotest.(check bool) "the failing slice ends the checkpoint" true
-    (Mlds.Persist.checkpoint_slice ck ~max_records:max_int = `Ready);
-  Alcotest.(check bool) "the temp file is gone" false (Sys.file_exists tmp);
-  (match Mlds.Persist.checkpoint_finish ck with
+  (match Mlds.Persist.checkpoint t ~db:"university" ~file with
   | Ok () -> Alcotest.fail "a failed checkpoint finished"
   | Error msg -> Alcotest.(check bool) "the error names the write" true (contains msg "write"));
+  Alcotest.(check bool) "the temp file is gone" false (Sys.file_exists tmp);
   Alcotest.(check string) "old snapshot intact" before (read_file file);
   (match Mlds.Persist.checkpoint t ~db:"university" ~file with
   | Ok () -> ()
@@ -1054,15 +1055,6 @@ let test_load_auto_recovers_wal () =
   Sys.remove snap;
   Sys.remove wal_file
 
-let test_legacy_v1_still_loads () =
-  let t = Mlds.System.create () in
-  let v1 =
-    "%MLDS 1\n%MODEL relational\n%NAME old\n%DDL\nCREATE TABLE t (x INT);\n%DATA\nINSERT (<FILE, 't'>, <x, 7>)\n"
-  in
-  restore_ok t v1;
-  let out = submit t Mlds.System.L_sql "old" "SELECT x FROM t" in
-  Alcotest.(check bool) "v1 data restored" true (contains out "7")
-
 let suite =
   suite
   @ [
@@ -1080,5 +1072,4 @@ let suite =
       test_failed_checkpoint_removes_temp;
       "checksum rejects corruption", `Quick, test_checksum_rejects_corruption;
       "load auto-recovers the sibling wal", `Quick, test_load_auto_recovers_wal;
-      "legacy v1 snapshots still load", `Quick, test_legacy_v1_still_loads;
     ]

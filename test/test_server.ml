@@ -1192,7 +1192,7 @@ let test_fair_lane_queue () =
   Alcotest.(check int) "greedy lane capped at its quota" 4 !pushed;
   Alcotest.(check bool) "a newcomer still gets in" true
     (Server.Bounded_queue.try_push q ~key:2 2001);
-  let order = Server.Bounded_queue.try_pop_batch q ~max:8 in
+  let order = Server.Bounded_queue.pop_batch q ~max:8 in
   Alcotest.(check (list int)) "round-robin across lanes, FIFO within"
     [ 1001; 2001; 1002; 1003; 1004 ] order;
   Alcotest.(check int) "drained" 0 (Server.Bounded_queue.depth q)
@@ -1270,6 +1270,103 @@ let test_online_checkpoint () =
             (contains out "64")
         | Error e ->
           Alcotest.failf "retrieve recovered: %s" (Mlds.System.handle_error_to_string e)))
+
+(* A whole checkpoint of a database larger than any one batch's work,
+   taken while one client pipelines writes: the executor takes it
+   between two batches and answers it once durable. Every write acked
+   before the reply is in the snapshot, every one acked after it is a
+   frame of the new log, and snapshot + log recover the acked state. *)
+let test_whole_checkpoint_pipelined () =
+  let snap = Filename.temp_file "mlds_whole_ckpt" ".mlds" in
+  let wal_file = snap ^ ".wal" in
+  let cleanup () = List.iter (fun f -> try Sys.remove f with _ -> ()) [ snap; wal_file ] in
+  Fun.protect ~finally:cleanup @@ fun () ->
+  let t = university () in
+  let kernel = Option.get (Mlds.System.kernel_of t "university") in
+  for i = 1 to 2100 do
+    ignore
+      (Mapping.Kernel.insert kernel
+         (Abdm.Record.make
+            [ Abdm.Keyword.file "pad"; Abdm.Keyword.make "n" (Abdm.Value.Int i) ]))
+  done;
+  (match Mlds.System.attach_wal t ~db:"university" ~file:wal_file with
+  | Ok _ -> ()
+  | Error msg -> Alcotest.failf "attach_wal: %s" msg);
+  let config =
+    { Server.Core.default_config with
+      checkpoint_path = Some snap;
+      queue_capacity = 1024;
+      reap_every_s = 3600. }
+  in
+  let insert seq = Wire.Submit (Printf.sprintf "INSERT (<FILE, wire>, <seq, %d>)" seq) in
+  let ckpt_id = 100_000 in
+  (* the acked seqs, before and after the checkpoint's reply, newest first *)
+  let before = ref [] and after = ref [] in
+  with_server ~sys:t ~config (fun _server port ->
+      let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+      Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+      Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+      raw_send fd ~request_id:0 ~session_id:0
+        (Wire.Login { user = "w"; language = "abdl"; db = "university" });
+      let session_id =
+        match (raw_recv fd).Wire.msg with
+        | Wire.Logged_in id -> id
+        | _ -> Alcotest.fail "login failed"
+      in
+      let replied = ref false in
+      let take () =
+        let f = raw_recv fd in
+        match f.Wire.msg with
+        | Wire.Output out when f.Wire.request_id = ckpt_id ->
+          Alcotest.(check bool) "the checkpoint completes" true
+            (contains out "checkpoint complete");
+          replied := true
+        | Wire.Output _ ->
+          let acked = if !replied then after else before in
+          acked := f.Wire.request_id :: !acked
+        | _ -> Alcotest.failf "request %d not acked" f.Wire.request_id
+      in
+      (* the log holds frames before the pipeline starts *)
+      for seq = 1 to 20 do
+        raw_send fd ~request_id:seq ~session_id (insert seq);
+        take ()
+      done;
+      for seq = 21 to 220 do
+        raw_send fd ~request_id:seq ~session_id (insert seq)
+      done;
+      raw_send fd ~request_id:ckpt_id ~session_id Wire.Checkpoint;
+      for seq = 221 to 270 do
+        raw_send fd ~request_id:seq ~session_id (insert seq)
+      done;
+      for _ = 21 to 271 do
+        take ()
+      done);
+  Alcotest.(check int) "every write acked" 270 (List.length !before + List.length !after);
+  Alcotest.(check bool) "some writes acked before the reply" true (List.length !before >= 20);
+  (* the snapshot and the log recover the acked state *)
+  let live = Result.get_ok (Mlds.Persist.dump t ~db:"university") in
+  let sys2 = Mlds.System.create () in
+  (match Mlds.Persist.load_report sys2 ~file:snap with
+  | Ok _ -> ()
+  | Error msg -> Alcotest.failf "load_report: %s" msg);
+  Alcotest.(check string) "snapshot + log = the acked state" live
+    (Result.get_ok (Mlds.Persist.dump sys2 ~db:"university"));
+  (* the log is the new generation's: its marker, then only the writes
+     acked after the reply *)
+  let r = Mlds.Wal.recover wal_file in
+  Alcotest.(check bool) "the marker heads the log" true (r.Mlds.Wal.gen >= 1);
+  let logged =
+    List.filter_map
+      (function
+        | Mlds.Wal.Keyed_insert (_, record) ->
+          (match Abdm.Record.value_of record "seq" with
+          | Some (Abdm.Value.Int seq) -> Some seq
+          | _ -> None)
+        | _ -> None)
+      r.Mlds.Wal.entries
+  in
+  Alcotest.(check (list int)) "the log holds the writes acked after the reply"
+    (List.rev !after) logged
 
 (* The fair lanes over the wire: a greedy pipelined client fills its own
    lane and gets typed [Overloaded] replies past its quota, which the
@@ -2065,6 +2162,8 @@ let suite =
       test_fair_lane_queue;
     Alcotest.test_case "checkpoint: online trigger and \\checkpoint" `Quick
       test_online_checkpoint;
+    Alcotest.test_case "checkpoint: whole, past 2 000 records, pipelined writes"
+      `Quick test_whole_checkpoint_pipelined;
     Alcotest.test_case "fairness over the wire: polite served, greedy throttled" `Quick
       test_fair_lanes_over_wire;
     QCheck_alcotest.to_alcotest prop_pipelined_equals_serial;

@@ -178,39 +178,31 @@ let read_file file = In_channel.with_open_bin file In_channel.input_all
 let prop_snapshot_line =
   QCheck2.Test.make ~name:"snapshot lines equal the Printf lines; checkpoint = dump"
     ~count:100
-    QCheck2.Gen.(pair (list_size (int_range 0 20) gen_float_free_record) (int_range 1 5))
-    (fun (records, slice) ->
+    QCheck2.Gen.(list_size (int_range 0 20) gen_float_free_record)
+    (fun records ->
       let sys = system_with records in
       let dump = Result.get_ok (Mlds.Persist.dump sys ~db:"t") in
       let expected =
         String.concat "" (List.mapi (fun i r -> printf_line (i + 1) r) records)
       in
       let file = Filename.temp_file "mldsckpt" ".snap" in
-      let ck = Result.get_ok (Mlds.Persist.checkpoint_begin sys ~db:"t" ~file) in
-      while Mlds.Persist.checkpoint_slice ck ~max_records:slice <> `Ready do () done;
-      Result.get_ok (Mlds.Persist.checkpoint_finish ck);
+      Result.get_ok (Mlds.Persist.checkpoint sys ~db:"t" ~file);
       let checkpointed = read_file file in
       Sys.remove file;
       String.equal (data_lines dump) expected && String.equal checkpointed dump)
 
-let test_checkpoint_slices_mbds () =
-  (* on MBDS the walk merges the backends by key; slices see one state *)
+let test_checkpoint_mbds () =
+  (* on MBDS the walk merges the backends by key *)
   let sys = Mlds.System.create ~backends:3 () in
   (match Mlds.System.define_functional sys ~name:"u" ~ddl:U.ddl (U.scaled_rows 3) with
   | Ok () -> ()
   | Error msg -> Alcotest.fail msg);
   let dump = Result.get_ok (Mlds.Persist.dump sys ~db:"u") in
   let file = Filename.temp_file "mldsckpt" ".snap" in
-  let ck = Result.get_ok (Mlds.Persist.checkpoint_begin sys ~db:"u" ~file) in
-  ignore (Mlds.Persist.checkpoint_slice ck ~max_records:7);
-  (* a write after the capture does not reach the checkpoint *)
-  ignore
-    (Mapping.Kernel.insert (Option.get (Mlds.System.kernel_of sys "u"))
-       (Abdm.Record.make [ Abdm.Keyword.file "person" ]));
-  Result.get_ok (Mlds.Persist.checkpoint_finish ck);
+  Result.get_ok (Mlds.Persist.checkpoint sys ~db:"u" ~file);
   let checkpointed = read_file file in
   Sys.remove file;
-  Alcotest.(check string) "checkpoint = dump at capture" dump checkpointed;
+  Alcotest.(check string) "checkpoint = dump" dump checkpointed;
   let key_of_line l = int_of_string (List.hd (String.split_on_char ' ' l)) in
   let keys =
     String.split_on_char '@' (data_lines dump)
@@ -485,17 +477,21 @@ let test_save_streams () =
   | Ok (), 0. -> ()
   | Ok (), w -> Alcotest.failf "a second Persist.save: %.0f words direct to the major heap" w
   | Error msg, _ -> Alcotest.fail msg);
-  (* a checkpoint in flight owns its chunk: a save meanwhile makes its
-     own, and both files are whole *)
-  let ck_file = file ^ ".ck" in
-  let ck = Result.get_ok (Mlds.Persist.checkpoint_begin sys ~db:"uni" ~file:ck_file) in
-  ignore (Mlds.Persist.checkpoint_slice ck ~max_records:1000);
-  Result.get_ok (Mlds.Persist.save sys ~db:"uni" ~file);
-  Result.get_ok (Mlds.Persist.checkpoint_finish ck);
-  Alcotest.(check string) "the save during a checkpoint is the dump" saved (read_file file);
-  Alcotest.(check string) "the checkpoint is the dump" saved (read_file ck_file);
-  Sys.remove file;
-  Sys.remove ck_file
+  (* a writer owns its chunk from start to seal: two saves of one
+     database at once, on two threads, never share one, and both files
+     are whole *)
+  let saves = List.map (fun file -> (file, ref (Error "not run"))) [ file; file ^ ".2" ] in
+  List.map
+    (fun (file, result) ->
+      Thread.create (fun () -> result := Mlds.Persist.save sys ~db:"uni" ~file) ())
+    saves
+  |> List.iter Thread.join;
+  List.iter
+    (fun (file, result) ->
+      Result.iter_error Alcotest.fail !result;
+      Alcotest.(check string) "a concurrent save is the dump" saved (read_file file);
+      Sys.remove file)
+    saves
 
 (* A snapshot cut anywhere, even inside its %CRC trailer, is corrupt:
    never read as a shorter snapshot. *)
@@ -569,7 +565,7 @@ let suite =
     "loader = two-pass oracle", `Quick, test_loader_matches_oracle;
     "loader needs an empty kernel", `Quick, test_loader_needs_empty_kernel;
     QCheck_alcotest.to_alcotest prop_snapshot_line;
-    "checkpoint slices on MBDS", `Quick, test_checkpoint_slices_mbds;
+    "checkpoint on MBDS = the dump", `Quick, test_checkpoint_mbds;
     "float survives a snapshot", `Quick, test_float_survives_snapshot;
     "allocation guard", `Quick, test_allocation_guard;
     "SQL bulk-load allocation guard", `Quick, test_sql_bulk_load_guard;

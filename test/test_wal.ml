@@ -214,7 +214,7 @@ let test_truncate_and_fsync_knob () =
   List.iter (Mlds.Wal.append wal) script;
   Mlds.Wal.sync wal;
   (* a no-op sync: still recoverable because close flushes *)
-  Mlds.Wal.truncate_to wal ~keep_from:(Mlds.Wal.position wal);
+  Mlds.Wal.truncate_to wal ~covered:(Mlds.Wal.position wal);
   Alcotest.(check int) "truncated" 0 (Mlds.Wal.recover file).Mlds.Wal.frames;
   Mlds.Wal.append wal Mlds.Wal.Begin;
   Mlds.Wal.sync wal;
@@ -245,7 +245,7 @@ let test_generation_and_position () =
   List.iter (Mlds.Wal.append wal) script;
   let pos = Mlds.Wal.position wal in
   Alcotest.(check bool) "position advances" true (pos > 0);
-  Mlds.Wal.truncate_to wal ~keep_from:(Mlds.Wal.position wal);
+  Mlds.Wal.truncate_to wal ~covered:(Mlds.Wal.position wal);
   Alcotest.(check int) "truncate bumps generation" 1 (Mlds.Wal.generation wal);
   Mlds.Wal.append wal Mlds.Wal.Begin;
   Mlds.Wal.close wal;
@@ -259,31 +259,28 @@ let test_generation_and_position () =
   Alcotest.(check int) "marker not counted as a frame" 1 r.Mlds.Wal.frames;
   Sys.remove file
 
-let test_truncate_to_keeps_tail () =
+(* The log is emptied only at the snapshot's stamp: once a frame lies
+   past it, the truncation would drop a frame the snapshot does not
+   hold, so it refuses and the log stays as it was. *)
+let test_truncate_to_refuses_growth () =
   let file = temp_wal () in
   let wal = Mlds.Wal.open_log file in
   List.iter (Mlds.Wal.append wal) script;
-  let pos = Mlds.Wal.position wal in
-  (* two frames appended after the "snapshot position" *)
+  let covered = Mlds.Wal.position wal in
   Mlds.Wal.append wal (Mlds.Wal.Keyed_insert (9, item 9 90));
-  Mlds.Wal.append wal Mlds.Wal.Abort;
-  Mlds.Wal.truncate_to wal ~keep_from:pos;
-  Alcotest.(check int) "generation bumped" 1 (Mlds.Wal.generation wal);
-  (* the handle stays usable after the swap *)
+  (match Mlds.Wal.truncate_to wal ~covered with
+  | () -> Alcotest.fail "truncate_to dropped a frame past the stamp"
+  | exception Invalid_argument _ -> ());
+  Alcotest.(check int) "the generation stays" 0 (Mlds.Wal.generation wal);
+  let grown = Mlds.Wal.position wal in
+  Mlds.Wal.truncate_to wal ~covered:grown;
+  Alcotest.(check int) "at the position it truncates" 1 (Mlds.Wal.generation wal);
   Mlds.Wal.append wal Mlds.Wal.Commit;
   Mlds.Wal.close wal;
   let r = Mlds.Wal.recover file in
-  Alcotest.(check int) "tail + post-truncate appends survive" 3
-    r.Mlds.Wal.frames;
-  Alcotest.(check int) "new generation on disk" 1 r.Mlds.Wal.gen;
-  Alcotest.(check bool) "tail content preserved" true
-    (match r.Mlds.Wal.entries with
-    | [ Mlds.Wal.Keyed_insert (9, _); Mlds.Wal.Abort; Mlds.Wal.Commit ] -> true
-    | _ -> false);
-  (* a stamp from the old generation no longer skips anything *)
-  let r = Mlds.Wal.recover ~skip:(0, pos) file in
-  Alcotest.(check int) "stale-generation stamp skips nothing" 0
-    r.Mlds.Wal.skipped;
+  Alcotest.(check bool) "only the later append is left" true
+    (r.Mlds.Wal.entries = [ Mlds.Wal.Commit ]);
+  Alcotest.(check int) "its LSNs go on from the old log's" grown r.Mlds.Wal.first_lsn;
   Sys.remove file
 
 (* A crash in truncate_to's window between building the replacement log
@@ -297,10 +294,9 @@ let test_truncate_crash_leaves_no_swap () =
   let fake = Fake_fs.create () in
   let wal = Mlds.Wal.open_log ~fs:(Fake_fs.fs fake) file in
   List.iter (Mlds.Wal.append wal) script;
-  let pos = Mlds.Wal.position wal in
   Mlds.Wal.append wal (Mlds.Wal.Keyed_insert (9, item 9 90));
   Fake_fs.arm fake ~kind:Fake_fs.Rename 1 Fake_fs.Stop;
-  (match Mlds.Wal.truncate_to wal ~keep_from:pos with
+  (match Mlds.Wal.truncate_to wal ~covered:(Mlds.Wal.position wal) with
   | () -> Alcotest.fail "armed truncate_to should have crashed"
   | exception Mlds.Wal.Crash _ -> ());
   Alcotest.(check bool) "the .swap orphan is on disk" true
@@ -323,7 +319,7 @@ let test_truncate_crash_leaves_no_swap () =
     (List.length script + 1) r.Mlds.Wal.frames;
   (* and the next truncate_to (unarmed) completes normally *)
   let wal3 = Mlds.Wal.open_log file in
-  Mlds.Wal.truncate_to wal3 ~keep_from:pos;
+  Mlds.Wal.truncate_to wal3 ~covered:(Mlds.Wal.position wal3);
   Alcotest.(check int) "clean truncation after recovery" 1
     (Mlds.Wal.generation wal3);
   Mlds.Wal.close wal3;
@@ -341,10 +337,9 @@ let test_truncate_to_failed_replace () =
   let fake = Fake_fs.create () in
   let wal = Mlds.Wal.open_log ~fs:(Fake_fs.fs fake) file in
   List.iter (Mlds.Wal.append wal) script;
-  let pos = Mlds.Wal.position wal in
   Mlds.Wal.append wal (Mlds.Wal.Keyed_insert (9, item 9 90));
   Fake_fs.arm fake ~kind:Fake_fs.Write ~path:(String.equal tmp) 1 Fake_fs.Eio;
-  (match Mlds.Wal.truncate_to wal ~keep_from:pos with
+  (match Mlds.Wal.truncate_to wal ~covered:(Mlds.Wal.position wal) with
   | () -> Alcotest.fail "armed truncate_to should have failed"
   | exception Unix.Unix_error (Unix.EIO, _, _) -> ());
   Alcotest.(check bool) "the failed replace removed its temp file" false
@@ -356,7 +351,7 @@ let test_truncate_to_failed_replace () =
   Alcotest.(check int) "the append after the failure is recovered"
     (List.length script + 2) r.Mlds.Wal.frames;
   Fake_fs.arm fake ~kind:Fake_fs.Fsync_dir 1 Fake_fs.Eio;
-  (match Mlds.Wal.truncate_to wal ~keep_from:pos with
+  (match Mlds.Wal.truncate_to wal ~covered:(Mlds.Wal.position wal) with
   | () -> Alcotest.fail "armed truncate_to should have failed"
   | exception Unix.Unix_error (Unix.EIO, _, _) -> ());
   (match Mlds.Wal.append wal Mlds.Wal.Abort with
@@ -366,11 +361,8 @@ let test_truncate_to_failed_replace () =
   let r = Mlds.Wal.recover file in
   Alcotest.(check int) "the renamed log is the new generation" 1
     r.Mlds.Wal.gen;
-  Alcotest.(check bool) "it holds the tail, and nothing was acked past it"
-    true
-    (match r.Mlds.Wal.entries with
-    | [ Mlds.Wal.Keyed_insert (9, _); Mlds.Wal.Commit ] -> true
-    | _ -> false);
+  Alcotest.(check bool) "it holds no frame, and nothing was acked past it"
+    true (r.Mlds.Wal.entries = []);
   Sys.remove file
 
 let test_skip_stale_frames () =
@@ -415,6 +407,59 @@ let test_trim_torn_tail () =
   Alcotest.(check int) "post-trim append recovered" 4 r.Mlds.Wal.frames;
   Alcotest.(check bool) "no longer torn" false r.Mlds.Wal.torn;
   Sys.remove file
+
+(* A log last truncated by a build from before markers carried an LSN
+   starts with "GENERATION <g>". This build reads only the marker it
+   writes, so recovery must refuse such a log by name and leave it as it
+   is: read as a torn tail at byte 0, it would be trimmed to nothing,
+   with every acknowledged frame after the marker. *)
+let test_parent_format_refused () =
+  let snap = Filename.temp_file "mldssnap" ".mlds" in
+  let file = snap ^ ".wal" in
+  let frame payload =
+    let n = String.length payload in
+    let b = Bytes.create (8 + n) in
+    Bytes.set_int32_be b 0 (Int32.of_int n);
+    Bytes.set_int32_be b 4 (Int32.of_int (Mlds.Wal.crc32 payload));
+    Bytes.blit_string payload 0 b 8 n;
+    Bytes.to_string b
+  in
+  let log =
+    frame "GENERATION 3"
+    ^ String.concat ""
+        (List.map
+           (fun e -> Bytes.to_string (Mlds.Wal.encode_frame e))
+           [ Mlds.Wal.Keyed_insert (1, item 1 10); Keyed_insert (2, item 2 20) ])
+  in
+  let sys_a = Mlds.System.create () in
+  (match Mlds.System.define_relational sys_a ~name:"old" with
+  | Ok () -> ()
+  | Error msg -> failwith msg);
+  (match Mlds.Persist.dump ~stamp:(3, 0) sys_a ~db:"old" with
+  | Ok text -> Out_channel.with_open_bin snap (fun oc -> output_string oc text)
+  | Error msg -> failwith msg);
+  Out_channel.with_open_bin file (fun oc -> output_string oc log);
+  let unchanged what =
+    Alcotest.(check string) (what ^ ": the log is left as it is") log
+      (In_channel.with_open_bin file In_channel.input_all)
+  in
+  (match Mlds.Persist.load_report (Mlds.System.create ()) ~file:snap with
+  | Ok _ -> Alcotest.fail "an LSN-less marker loaded"
+  | Error msg ->
+    Alcotest.(check bool) ("load names the file and the marker: " ^ msg) true
+      (contains msg file && contains msg "LSN-less"));
+  unchanged "load";
+  (match Mlds.Wal.recover ~trim:true file with
+  | _ -> Alcotest.fail "recover read an LSN-less marker"
+  | exception Mlds.Wal.Old_format _ -> ());
+  unchanged "recover ~trim";
+  (match Mlds.System.attach_wal sys_a ~db:"old" ~file with
+  | Ok _ -> Alcotest.fail "attach_wal opened an LSN-less log"
+  | Error msg ->
+    Alcotest.(check bool) "attach names the marker" true (contains msg "LSN-less"));
+  unchanged "attach";
+  Sys.remove file;
+  Sys.remove snap
 
 (* --- floats through the log ------------------------------------------------ *)
 
@@ -519,137 +564,6 @@ let test_checkpoint_crash_window () =
   Alcotest.(check int) "the post-snapshot update replayed once" 1
     report.Mlds.Persist.applied;
   Alcotest.(check bool) "no double-apply: recovered = confirmed" true
-    (recovered = confirmed);
-  Sys.remove snap;
-  Sys.remove file
-
-(* A log and a snapshot in the format written before markers carried an
-   LSN: the log starts with [GENERATION 3], and the snapshot's stamp
-   [%WAL gen=3 pos=p] counts file offsets. Both are built as bytes here.
-   They recover as they always did (LSN = file offset): the frames that
-   end by [p] are skipped, the rest replay once, and a handle opened on
-   the log continues at its file length. *)
-let test_parent_format_recovers () =
-  let snap = Filename.temp_file "mldssnap" ".mlds" in
-  let file = snap ^ ".wal" in
-  let scratch = temp_wal () in
-  let sys_a = Mlds.System.create () in
-  (match Mlds.System.define_relational sys_a ~name:"old" with
-  | Ok () -> ()
-  | Error msg -> failwith msg);
-  (match Mlds.System.attach_wal sys_a ~db:"old" ~file:scratch with
-  | Ok _ -> ()
-  | Error msg -> failwith msg);
-  let kernel = Option.get (Mlds.System.kernel_of sys_a "old") in
-  let frame payload =
-    let n = String.length payload in
-    let b = Bytes.create (8 + n) in
-    Bytes.set_int32_be b 0 (Int32.of_int n);
-    Bytes.set_int32_be b 4 (Int32.of_int (Mlds.Wal.crc32 payload));
-    Bytes.blit_string payload 0 b 8 n;
-    Bytes.to_string b
-  in
-  let marker = frame "GENERATION 3" in
-  ignore (Mapping.Kernel.insert kernel (item 1 10));
-  ignore (Mapping.Kernel.insert kernel (item 2 20));
-  (* the snapshot covers the two inserts: in the old log they end at
-     file offset [p], past the marker *)
-  let p = String.length marker + Mlds.Wal.position (Option.get (Mlds.System.wal_of sys_a ~db:"old")) in
-  let text =
-    match Mlds.Persist.dump ~stamp:(3, p) sys_a ~db:"old" with
-    | Ok text -> text
-    | Error msg -> failwith msg
-  in
-  ignore (Mapping.Kernel.insert kernel (item 3 30));
-  ignore
-    (Mapping.Kernel.update kernel (q_id 1)
-       [ Abdm.Modifier.Set_arith ("v", Abdm.Modifier.Add, Abdm.Value.Int 100) ]);
-  let live = state_of_kernel kernel in
-  Mlds.System.detach_wal sys_a ~db:"old";
-  let frames = In_channel.with_open_bin scratch In_channel.input_all in
-  Alcotest.(check bool) "the snapshot stamp reads as the old format" true
-    (Daplex.Str_search.find text (Printf.sprintf "%%WAL gen=3 pos=%d\n" p) <> None);
-  Out_channel.with_open_bin snap (fun oc -> output_string oc text);
-  Out_channel.with_open_bin file (fun oc -> output_string oc (marker ^ frames));
-  let sys_b = Mlds.System.create () in
-  let report =
-    match Mlds.Persist.load_report sys_b ~file:snap with
-    | Ok { Mlds.Persist.recovery = Some r; _ } -> r
-    | Ok _ -> Alcotest.fail "no WAL replay"
-    | Error msg -> failwith msg
-  in
-  Alcotest.(check bool) "the covered frames were skipped" true
-    (report.Mlds.Persist.skipped > 0);
-  Alcotest.(check bool) "recovered = live: each write once" true
-    (state_of_kernel (Option.get (Mlds.System.kernel_of sys_b "old")) = live);
-  let r = Mlds.Wal.recover file in
-  Alcotest.(check int) "generation" 3 r.Mlds.Wal.gen;
-  Alcotest.(check int) "first LSN = the marker's length" (String.length marker)
-    r.Mlds.Wal.first_lsn;
-  Alcotest.(check int) "end LSN = the file's length"
-    (String.length marker + String.length frames) r.Mlds.Wal.end_lsn;
-  (* a handle on the old log keeps its offsets as LSNs, and its next
-     truncation writes the new marker *)
-  let wal = Mlds.Wal.open_log file in
-  Alcotest.(check int) "generation on open" 3 (Mlds.Wal.generation wal);
-  let pos = Mlds.Wal.position wal in
-  Alcotest.(check int) "position = file length"
-    (String.length marker + String.length frames) pos;
-  Mlds.Wal.truncate_to wal ~keep_from:pos;
-  Alcotest.(check int) "truncation moves no position" pos (Mlds.Wal.position wal);
-  Mlds.Wal.close wal;
-  let r = Mlds.Wal.recover file in
-  Alcotest.(check (pair int int)) "the new marker: next generation, same LSN"
-    (4, pos) (r.Mlds.Wal.gen, r.Mlds.Wal.first_lsn);
-  List.iter Sys.remove [ snap; file; scratch ]
-
-(* A clean online checkpoint: begin/slice/finish interleaved with writes
-   that land after the captured position, then recovery = snapshot +
-   surviving tail. *)
-let test_incremental_checkpoint_slices () =
-  let snap = Filename.temp_file "mldssnap" ".mlds" in
-  let file = snap ^ ".wal" in
-  let sys_a = Mlds.System.create () in
-  (match Mlds.System.define_relational sys_a ~name:"crash" with
-  | Ok () -> ()
-  | Error msg -> failwith msg);
-  (match Mlds.System.attach_wal sys_a ~db:"crash" ~file with
-  | Ok _ -> ()
-  | Error msg -> failwith msg);
-  let kernel = Option.get (Mlds.System.kernel_of sys_a "crash") in
-  for id = 1 to 8 do
-    ignore (Mapping.Kernel.insert kernel (item id (10 * id)))
-  done;
-  let ck =
-    match Mlds.Persist.checkpoint_begin sys_a ~db:"crash" ~file:snap with
-    | Ok ck -> ck
-    | Error msg -> failwith msg
-  in
-  (* writes racing the in-flight checkpoint: not in the capture, beyond
-     the stamped position, so they survive the truncation *)
-  ignore (Mapping.Kernel.insert kernel (item 100 1000));
-  let rec drain steps =
-    match Mlds.Persist.checkpoint_slice ck ~max_records:3 with
-    | `More left ->
-      Alcotest.(check bool) "pending count shrinks" true (left < 8);
-      drain (steps + 1)
-    | `Ready -> steps
-  in
-  let steps = drain 0 in
-  Alcotest.(check bool) "capture took several slices" true (steps >= 2);
-  ignore (Mapping.Kernel.insert kernel (item 101 1010));
-  (match Mlds.Persist.checkpoint_finish ck with
-  | Ok () -> ()
-  | Error msg -> failwith msg);
-  let confirmed = state_of_kernel kernel in
-  let sys_b = Mlds.System.create () in
-  (match Mlds.Persist.load_report sys_b ~file:snap with
-  | Ok _ -> ()
-  | Error msg -> failwith msg);
-  let recovered =
-    state_of_kernel (Option.get (Mlds.System.kernel_of sys_b "crash"))
-  in
-  Alcotest.(check bool) "snapshot + surviving tail = confirmed state" true
     (recovered = confirmed);
   Sys.remove snap;
   Sys.remove file
@@ -1138,20 +1052,19 @@ let suite =
     "failpoint: crash before fsync", `Quick, test_crash_before_fsync;
     "truncate and the fsync knob", `Quick, test_truncate_and_fsync_knob;
     "generation markers and positions", `Quick, test_generation_and_position;
-    "truncate_to keeps the tail", `Quick, test_truncate_to_keeps_tail;
+    "truncate_to refuses a grown log", `Quick,
+    test_truncate_to_refuses_growth;
     "truncate crash window leaves no stale .swap", `Quick,
     test_truncate_crash_leaves_no_swap;
     "truncate_to after a failed replace", `Quick,
     test_truncate_to_failed_replace;
     "skip drops snapshot-covered frames", `Quick, test_skip_stale_frames;
     "trim cuts a torn tail", `Quick, test_trim_torn_tail;
+    "parent format: GENERATION g log is refused, left as it is", `Quick,
+    test_parent_format_refused;
     "float frames replay exactly", `Quick, test_float_frames_replay_exactly;
-    "parent format: GENERATION g log + %WAL stamp recover", `Quick,
-    test_parent_format_recovers;
     "checkpoint crash window: no double-apply", `Quick,
     test_checkpoint_crash_window;
-    "incremental checkpoint in slices", `Quick,
-    test_incremental_checkpoint_slices;
     "sync skips the syscall when clean", `Quick, test_sync_skips_when_clean;
     "group commit: one covering fsync", `Quick, test_group_commit_single_fsync;
     QCheck_alcotest.to_alcotest prop_group_commit_crash;
